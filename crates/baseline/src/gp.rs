@@ -421,6 +421,7 @@ mod tests {
         let hv = c
             .run_erased(
                 ds,
+                None,
                 &erase(HistogramSketch::streaming(
                     "X",
                     BucketSpec::numeric(0.0, 100.0, 10),

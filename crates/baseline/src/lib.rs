@@ -1,7 +1,6 @@
 //! # hillview-baseline
 //!
-//! The two comparison systems of the paper's evaluation, built from scratch
-//! (DESIGN.md §1):
+//! The two comparison systems of the paper's evaluation, built from scratch:
 //!
 //! * [`gp`] — a **general-purpose analytics engine** standing in for the
 //!   Spark back-end of §7.1. It computes *exact, complete* results with no

@@ -285,14 +285,14 @@ mod tests {
     fn histogram_agrees_with_vizketch_kernel() {
         use hillview_sketch::histogram::HistogramSketch;
         use hillview_sketch::traits::Sketch;
-        use hillview_sketch::{BucketSpec, TableView};
+        use hillview_sketch::{BucketSpec, Scope, TableView};
         let t = table(5_000);
         let mut db = RowDb::create(&["X"]);
         db.insert_table(&t);
         let db_hist = db.histogram("X", 0.0, 100.0, 20);
         let sk = HistogramSketch::streaming("X", BucketSpec::numeric(0.0, 100.0, 20));
         let hv = sk
-            .summarize(&TableView::full(std::sync::Arc::new(t)), 0)
+            .summarize(&TableView::full(std::sync::Arc::new(t)), Scope::ALL, 0)
             .unwrap();
         assert_eq!(db_hist, hv.buckets, "two systems, one answer");
     }

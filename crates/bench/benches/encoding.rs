@@ -17,7 +17,7 @@ use hillview_columnar::{simd, ColumnKind, NullMask, Table};
 use hillview_sketch::buckets::BucketSpec;
 use hillview_sketch::histogram::HistogramSketch;
 use hillview_sketch::traits::Sketch;
-use hillview_sketch::TableView;
+use hillview_sketch::{Scope, TableView};
 use std::sync::Arc;
 
 const ROWS: usize = 1_000_000;
@@ -76,32 +76,32 @@ fn run_case(
     let vk = TableView::full(packed);
     // The kernels must agree exactly before we time them.
     assert_eq!(
-        hist.summarize(&vp, 0).unwrap(),
-        hist.summarize(&vk, 0).unwrap(),
+        hist.summarize(&vp, Scope::ALL, 0).unwrap(),
+        hist.summarize(&vk, Scope::ALL, 0).unwrap(),
         "packed and plain histograms diverge in {name}"
     );
     // The vector and scalar codegens must also agree exactly.
     simd::set_force_scalar(true);
     assert_eq!(
-        hist.summarize(&vp, 0).unwrap(),
-        hist.summarize(&vk, 0).unwrap(),
+        hist.summarize(&vp, Scope::ALL, 0).unwrap(),
+        hist.summarize(&vk, Scope::ALL, 0).unwrap(),
         "scalar packed and plain histograms diverge in {name}"
     );
     simd::set_force_scalar(false);
     let mut g = c.benchmark_group(name);
     g.sample_size(10);
     g.bench_function("plain", |b| {
-        b.iter(|| hist.summarize(&vp, 0).unwrap());
+        b.iter(|| hist.summarize(&vp, Scope::ALL, 0).unwrap());
     });
     g.bench_function("packed", |b| {
-        b.iter(|| hist.summarize(&vk, 0).unwrap());
+        b.iter(|| hist.summarize(&vk, Scope::ALL, 0).unwrap());
     });
     simd::set_force_scalar(true);
     g.bench_function("plain_scalar", |b| {
-        b.iter(|| hist.summarize(&vp, 0).unwrap());
+        b.iter(|| hist.summarize(&vp, Scope::ALL, 0).unwrap());
     });
     g.bench_function("packed_scalar", |b| {
-        b.iter(|| hist.summarize(&vk, 0).unwrap());
+        b.iter(|| hist.summarize(&vk, Scope::ALL, 0).unwrap());
     });
     simd::set_force_scalar(false);
     g.finish();

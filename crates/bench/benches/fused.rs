@@ -1,5 +1,5 @@
 //! Fused-query benchmarks: one block pass from predicate to sketch
-//! (`summarize_filtered`) vs the two-pass filter-then-sketch execution
+//! (`summarize` under a filter `Scope`) vs the two-pass filter-then-sketch execution
 //! (`filter_members` into a membership set, then `summarize` over it) vs
 //! the per-row baseline (`filter_members_rowwise` + the rowwise kernel),
 //! across selectivities × encodings, with the fused path timed under both
@@ -18,7 +18,7 @@ use hillview_columnar::{simd, ColumnKind, MembershipSet, NullMask, Predicate, Ta
 use hillview_sketch::histogram::HistogramSketch;
 use hillview_sketch::traits::Sketch;
 use hillview_sketch::view::filtered_view;
-use hillview_sketch::{BucketSpec, TableView};
+use hillview_sketch::{BucketSpec, Scope, TableView};
 use std::sync::Arc;
 
 const ROWS: usize = 1_000_000;
@@ -67,15 +67,20 @@ fn run_case(
         ),
     );
     let want = sk.summarize_rowwise(&narrowed_rowwise, 0).unwrap();
+    let fused = Scope {
+        rows: None,
+        filter: Some(&p),
+    };
     for force in [false, true] {
         simd::set_force_scalar(force);
         assert_eq!(
-            sk.summarize_filtered(&v, &p, 0).unwrap(),
+            sk.summarize(&v, fused, 0).unwrap(),
             want,
             "fused diverges from the rowwise reference in {name}"
         );
         assert_eq!(
-            sk.summarize(&filtered_view(&v, &p).unwrap(), 0).unwrap(),
+            sk.summarize(&filtered_view(&v, &p).unwrap(), Scope::ALL, 0)
+                .unwrap(),
             want,
             "two-pass diverges from the rowwise reference in {name}"
         );
@@ -97,14 +102,17 @@ fn run_case(
         });
     });
     g.bench_function("two_pass", |b| {
-        b.iter(|| sk.summarize(&filtered_view(&v, &p).unwrap(), 0).unwrap());
+        b.iter(|| {
+            sk.summarize(&filtered_view(&v, &p).unwrap(), Scope::ALL, 0)
+                .unwrap()
+        });
     });
     g.bench_function("fused", |b| {
-        b.iter(|| sk.summarize_filtered(&v, &p, 0).unwrap());
+        b.iter(|| sk.summarize(&v, fused, 0).unwrap());
     });
     simd::set_force_scalar(true);
     g.bench_function("fused_scalar", |b| {
-        b.iter(|| sk.summarize_filtered(&v, &p, 0).unwrap());
+        b.iter(|| sk.summarize(&v, fused, 0).unwrap());
     });
     simd::set_force_scalar(false);
     g.finish();

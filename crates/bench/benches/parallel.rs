@@ -155,12 +155,12 @@ fn main() {
             // produce identical bytes.
             let reference = clusters[0]
                 .0
-                .run_erased(clusters[0].1, sketch, &QueryOptions::default())
+                .run_erased(clusters[0].1, None, sketch, &QueryOptions::default())
                 .unwrap()
                 .bytes;
             for (cl, ds) in &clusters[1..] {
                 let got = cl
-                    .run_erased(*ds, sketch, &QueryOptions::default())
+                    .run_erased(*ds, None, sketch, &QueryOptions::default())
                     .unwrap()
                     .bytes;
                 assert_eq!(got, reference, "{name}/{encoding} differs across threads");
@@ -171,7 +171,7 @@ fn main() {
                 let (cl, ds) = &clusters[i];
                 g.bench_function(&format!("{threads}t"), |b| {
                     b.iter(|| {
-                        cl.run_erased(*ds, sketch, &QueryOptions::default())
+                        cl.run_erased(*ds, None, sketch, &QueryOptions::default())
                             .unwrap()
                     });
                 });

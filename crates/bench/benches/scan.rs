@@ -24,7 +24,7 @@ use hillview_sketch::heavy::MisraGriesSketch;
 use hillview_sketch::histogram::HistogramSketch;
 use hillview_sketch::moments::MomentsSketch;
 use hillview_sketch::traits::Sketch;
-use hillview_sketch::TableView;
+use hillview_sketch::{Scope, TableView};
 use std::sync::Arc;
 
 const ROWS: usize = 1_000_000;
@@ -184,7 +184,7 @@ fn main() {
         &mut cases,
         "histogram_1M_full",
         || {
-            hist.summarize(&full, 0).unwrap();
+            hist.summarize(&full, Scope::ALL, 0).unwrap();
         },
         || {
             hist.summarize_rowwise(&full, 0).unwrap();
@@ -195,7 +195,7 @@ fn main() {
         &mut cases,
         "histogram_1M_null30pct",
         || {
-            hist_nulls.summarize(&full, 0).unwrap();
+            hist_nulls.summarize(&full, Scope::ALL, 0).unwrap();
         },
         || {
             hist_nulls.summarize_rowwise(&full, 0).unwrap();
@@ -206,7 +206,7 @@ fn main() {
         &mut cases,
         "histogram_800k_range_filter",
         || {
-            hist.summarize(&range, 0).unwrap();
+            hist.summarize(&range, Scope::ALL, 0).unwrap();
         },
         || {
             hist.summarize_rowwise(&range, 0).unwrap();
@@ -217,7 +217,7 @@ fn main() {
         &mut cases,
         "histogram_500k_bitmap_filter",
         || {
-            hist.summarize(&dense, 0).unwrap();
+            hist.summarize(&dense, Scope::ALL, 0).unwrap();
         },
         || {
             hist.summarize_rowwise(&dense, 0).unwrap();
@@ -228,7 +228,7 @@ fn main() {
         &mut cases,
         "histogram_50k_sparse_filter",
         || {
-            hist.summarize(&sparse, 0).unwrap();
+            hist.summarize(&sparse, Scope::ALL, 0).unwrap();
         },
         || {
             hist.summarize_rowwise(&sparse, 0).unwrap();
@@ -239,7 +239,7 @@ fn main() {
         &mut cases,
         "histogram_1M_sampled_5pct",
         || {
-            hist_sampled.summarize(&full, 7).unwrap();
+            hist_sampled.summarize(&full, Scope::ALL, 7).unwrap();
         },
         || {
             hist_sampled.summarize_rowwise(&full, 7).unwrap();
@@ -250,7 +250,7 @@ fn main() {
         &mut cases,
         "moments_1M_full",
         || {
-            moments.summarize(&full, 0).unwrap();
+            moments.summarize(&full, Scope::ALL, 0).unwrap();
         },
         || {
             moments.summarize_rowwise(&full, 0).unwrap();
@@ -261,7 +261,7 @@ fn main() {
         &mut cases,
         "misra_gries_1M_category",
         || {
-            mg.summarize(&full, 0).unwrap();
+            mg.summarize(&full, Scope::ALL, 0).unwrap();
         },
         || {
             mg.summarize_rowwise(&full, 0).unwrap();
@@ -270,11 +270,11 @@ fn main() {
 
     // Sanity: chunked and rowwise agree on every benchmarked shape.
     assert_eq!(
-        hist.summarize(&dense, 0).unwrap(),
+        hist.summarize(&dense, Scope::ALL, 0).unwrap(),
         hist.summarize_rowwise(&dense, 0).unwrap()
     );
     assert_eq!(
-        hist_nulls.summarize(&full, 0).unwrap(),
+        hist_nulls.summarize(&full, Scope::ALL, 0).unwrap(),
         hist_nulls.summarize_rowwise(&full, 0).unwrap()
     );
 
@@ -288,33 +288,33 @@ fn main() {
         BucketSpec::strings(vec!["cod".into(), "shark".into(), "tuna".into()]),
     );
     {
-        let a = hist.summarize(&full, 0).unwrap();
+        let a = hist.summarize(&full, Scope::ALL, 0).unwrap();
         simd::set_force_scalar(true);
-        let b = hist.summarize(&full, 0).unwrap();
+        let b = hist.summarize(&full, Scope::ALL, 0).unwrap();
         simd::set_force_scalar(false);
         assert_eq!(a, b, "simd and scalar histograms diverge");
-        let a = moments.summarize(&full, 0).unwrap();
+        let a = moments.summarize(&full, Scope::ALL, 0).unwrap();
         simd::set_force_scalar(true);
-        let b = moments.summarize(&full, 0).unwrap();
+        let b = moments.summarize(&full, Scope::ALL, 0).unwrap();
         simd::set_force_scalar(false);
         assert_eq!(a, b, "simd and scalar moments diverge");
     }
     run_simd_pair(&mut c, &mut simd_cases, "simd_histogram_1M_full", || {
-        hist.summarize(&full, 0).unwrap();
+        hist.summarize(&full, Scope::ALL, 0).unwrap();
     });
     run_simd_pair(
         &mut c,
         &mut simd_cases,
         "simd_histogram_1M_null30pct",
         || {
-            hist_nulls.summarize(&full, 0).unwrap();
+            hist_nulls.summarize(&full, Scope::ALL, 0).unwrap();
         },
     );
     run_simd_pair(&mut c, &mut simd_cases, "simd_moments_1M_full", || {
-        moments.summarize(&full, 0).unwrap();
+        moments.summarize(&full, Scope::ALL, 0).unwrap();
     });
     run_simd_pair(&mut c, &mut simd_cases, "simd_heatmap_1M_full", || {
-        heat.summarize(&full, 0).unwrap();
+        heat.summarize(&full, Scope::ALL, 0).unwrap();
     });
 
     write_json(&cases, &simd_cases);

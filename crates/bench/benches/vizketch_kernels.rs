@@ -14,7 +14,7 @@ use hillview_sketch::heavy::MisraGriesSketch;
 use hillview_sketch::histogram::HistogramSketch;
 use hillview_sketch::nextk::NextKSketch;
 use hillview_sketch::traits::Sketch;
-use hillview_sketch::TableView;
+use hillview_sketch::{Scope, TableView};
 use std::sync::Arc;
 
 const ROWS: usize = 1_000_000;
@@ -32,7 +32,7 @@ fn bench_kernels(c: &mut Criterion) {
     let spec = BucketSpec::numeric(-100.0, 600.0, 100);
     let streaming = HistogramSketch::streaming("DepDelay", spec.clone());
     g.bench_function("histogram_streaming", |b| {
-        b.iter(|| streaming.summarize(&view, 0).unwrap())
+        b.iter(|| streaming.summarize(&view, Scope::ALL, 0).unwrap())
     });
 
     let sampled = HistogramSketch::sampled("DepDelay", spec, 0.05);
@@ -40,7 +40,7 @@ fn bench_kernels(c: &mut Criterion) {
     g.bench_function("histogram_sampled_5pct", |b| {
         b.iter(|| {
             seed += 1;
-            sampled.summarize(&view, seed).unwrap()
+            sampled.summarize(&view, Scope::ALL, seed).unwrap()
         })
     });
 
@@ -51,22 +51,22 @@ fn bench_kernels(c: &mut Criterion) {
         BucketSpec::numeric(0.0, 500.0, 66),
     );
     g.bench_function("heatmap_streaming", |b| {
-        b.iter(|| heatmap.summarize(&view, 0).unwrap())
+        b.iter(|| heatmap.summarize(&view, Scope::ALL, 0).unwrap())
     });
 
     let nextk = NextKSketch::first_page(SortOrder::ascending(&["Carrier", "DepDelay"]), 20);
     g.bench_function("next_items_k20", |b| {
-        b.iter(|| nextk.summarize(&view, 0).unwrap())
+        b.iter(|| nextk.summarize(&view, Scope::ALL, 0).unwrap())
     });
 
     let hll = DistinctSketch::new("TailNum");
     g.bench_function("distinct_hll", |b| {
-        b.iter(|| hll.summarize(&view, 0).unwrap())
+        b.iter(|| hll.summarize(&view, Scope::ALL, 0).unwrap())
     });
 
     let mg = MisraGriesSketch::new("Carrier", 14);
     g.bench_function("heavy_hitters_mg", |b| {
-        b.iter(|| mg.summarize(&view, 0).unwrap())
+        b.iter(|| mg.summarize(&view, Scope::ALL, 0).unwrap())
     });
 
     g.finish();

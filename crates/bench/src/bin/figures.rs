@@ -12,8 +12,8 @@
 //! figures all        # everything above
 //! ```
 //!
-//! Scales are divided by 1000 relative to the paper (DESIGN.md §1);
-//! EXPERIMENTS.md records measured-vs-paper shapes.
+//! Scales are divided by 1000 relative to the paper (see the
+//! `hillview_bench` crate docs).
 
 use hillview_baseline::GpEngine;
 use hillview_bench::setup::BenchCluster;
@@ -25,7 +25,7 @@ use hillview_core::spreadsheet::{OpStats, Spreadsheet};
 use hillview_core::{Cluster, ClusterConfig, Engine, QueryOptions};
 use hillview_data::{generate_flights, FlightsConfig};
 use hillview_sketch::histogram::HistogramSketch;
-use hillview_sketch::BucketSpec;
+use hillview_sketch::{BucketSpec, Scope};
 use hillview_viz::display::DisplaySpec;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -303,7 +303,7 @@ fn micro() {
     // Streaming vizketch.
     let sk = HistogramSketch::streaming("X", spec.clone());
     let started = Instant::now();
-    let exact = sk.summarize(&view, 0).unwrap();
+    let exact = sk.summarize(&view, Scope::ALL, 0).unwrap();
     let streaming_ms = started.elapsed().as_millis();
 
     // Sampled vizketch: the display-derived target (V=200px).
@@ -311,7 +311,7 @@ fn micro() {
     let rate = hillview_viz::samples::rate_for(target, rows as u64);
     let sk = HistogramSketch::sampled("X", spec, rate);
     let started = Instant::now();
-    let sampled = sk.summarize(&view, 7).unwrap();
+    let sampled = sk.summarize(&view, Scope::ALL, 7).unwrap();
     let sampling_ms = started.elapsed().as_millis();
 
     // Row-store database.
@@ -835,16 +835,24 @@ fn accuracy() {
     let t = generate_flights(&FlightsConfig::new(1_000_000, 99));
     let view = hillview_sketch::TableView::full(Arc::new(t));
     let display = DisplaySpec::new(200, 100);
-    let range = RangeSketch::new("DepDelay").summarize(&view, 0).unwrap();
+    let range = RangeSketch::new("DepDelay")
+        .summarize(&view, Scope::ALL, 0)
+        .unwrap();
 
     // Exact references.
     let hviz = HistogramViz::new("DepDelay", display)
         .with_buckets(50)
         .exact();
     let hsk = hviz.prepare_numeric(&range).unwrap();
-    let exact_chart = hviz.render(&hsk, &hsk.summarize(&view, 0).unwrap());
+    let exact_chart = hviz.render(&hsk, &hsk.summarize(&view, Scope::ALL, 0).unwrap());
     let cviz = CdfViz::new("DepDelay", display).exact();
-    let exact_cdf = cviz.render(&cviz.prepare(&range).unwrap().summarize(&view, 0).unwrap());
+    let exact_cdf = cviz.render(
+        &cviz
+            .prepare(&range)
+            .unwrap()
+            .summarize(&view, Scope::ALL, 0)
+            .unwrap(),
+    );
 
     // Sampled, over 10 seeds.
     let sviz = HistogramViz::new("DepDelay", display).with_buckets(50);
@@ -854,9 +862,9 @@ fn accuracy() {
     let mut worst_bar = 0u32;
     let mut worst_cdf = 0u32;
     for seed in 0..10 {
-        let chart = sviz.render(&ssk, &ssk.summarize(&view, seed).unwrap());
+        let chart = sviz.render(&ssk, &ssk.summarize(&view, Scope::ALL, seed).unwrap());
         worst_bar = worst_bar.max(max_bar_pixel_error(&exact_chart, &chart));
-        let cdf = scviz.render(&scsk.summarize(&view, seed).unwrap());
+        let cdf = scviz.render(&scsk.summarize(&view, Scope::ALL, seed).unwrap());
         worst_cdf = worst_cdf.max(max_cdf_pixel_error(&exact_cdf, &cdf));
     }
     let mut t = TableWriter::new(&["rendering", "worst error (10 seeds)", "paper bound"]);

@@ -1,14 +1,15 @@
 //! # hillview-bench
 //!
 //! Shared harness for regenerating every table and figure of the paper's
-//! evaluation (§7). See DESIGN.md §3 for the experiment index and
-//! EXPERIMENTS.md for measured-vs-paper results.
+//! evaluation (§7). The experiment index is the usage block at the top of
+//! `src/bin/figures.rs`; measured results are the `BENCH_*.json` files at
+//! the repository root.
 //!
 //! Scales: the paper's testbed is 8 servers × 28 cores over 130M–13B rows;
 //! this harness runs one machine and divides row counts by 1000 (1x =
 //! 130k rows, 100x = 13M rows). Sampled vizketches are insensitive to this
 //! by construction; scan-bound operations scale linearly, so the *shapes*
-//! of all comparisons are preserved (DESIGN.md §1).
+//! of all comparisons are preserved.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

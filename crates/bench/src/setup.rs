@@ -7,9 +7,10 @@ use hillview_core::{Cluster, ClusterConfig, DatasetId, Engine};
 use hillview_data::{generate_flights, FlightsConfig};
 use hillview_storage::partition_table;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Rows of the 1x flights dataset (paper: 130M; scaled ÷1000 — DESIGN.md).
+/// Rows of the 1x flights dataset (paper: 130M; scaled ÷1000).
 pub const FLIGHTS_1X_ROWS: usize = 130_000;
 
 /// A cluster + engine wired with flight-data sources for benchmarking.
@@ -28,8 +29,14 @@ impl BenchCluster {
     /// * `flights-hvc` — same data read back from `.hvc` files on disk
     ///   (written lazily on first load), for the cold experiments.
     pub fn new(workers: usize, threads: usize, micropartition_rows: usize) -> Self {
+        // pid + a process-wide counter: two clusters in one process (tests
+        // run on parallel threads) must not share a directory, or one's
+        // `Drop` deletes it under the other.
+        static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
+        // lint: allow(relaxed, unique-id counter; publishes no other data)
+        let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
         let hvc_dir =
-            std::env::temp_dir().join(format!("hillview-bench-{}-{}", std::process::id(), workers));
+            std::env::temp_dir().join(format!("hillview-bench-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&hvc_dir).expect("create hvc dir");
 
         let mut sources = SourceRegistry::new();

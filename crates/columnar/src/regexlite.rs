@@ -4,8 +4,8 @@
 //! expressions, case sensitivity" (paper §3.3). We implement the classic
 //! backtracking subset sufficient for interactive search — `.` `*` `+` `?`
 //! character classes `[a-z]`, alternation-free anchors `^` `$`, and escaped
-//! literals — rather than pulling in a regex dependency (dependency policy in
-//! DESIGN.md §4).
+//! literals — rather than pulling in a regex dependency (the workspace
+//! builds offline from `vendor/` shims only; see `vendor/README.md`).
 //!
 //! Complexity is worst-case exponential as with any backtracking engine, but
 //! patterns typed into a spreadsheet search box are short; the engine caps

@@ -860,10 +860,15 @@ mod tests {
     use super::*;
     use std::io::Write;
 
+    /// A fresh file per call: pid + a process-wide counter keep concurrent
+    /// tests, in this process or another, off each other's files.
     fn write_tmp(name: &str, bytes: &[u8]) -> PathBuf {
-        let dir = std::env::temp_dir().join("hillview-residency-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(name);
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!(
+            "hillview-residency-test-{}-{n}-{name}",
+            std::process::id()
+        ));
         std::fs::File::create(&path)
             .unwrap()
             .write_all(bytes)
@@ -1006,7 +1011,7 @@ mod tests {
             assert_eq!(mapped.heap_bytes(), 0);
             assert_eq!(mapped.mapped_bytes(), 5_000 * 8);
         }
-        std::fs::remove_file(std::env::temp_dir().join("hillview-residency-test/eq.bin")).unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

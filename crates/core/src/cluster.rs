@@ -43,6 +43,7 @@ use hillview_columnar::{
 use hillview_net::{
     link_pair, FrameFault, LinkConfig, LinkSender, Wire as _, WireReader, WireWriter,
 };
+use hillview_sketch::Scope;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -570,23 +571,14 @@ impl Cluster {
         self.workers[worker].map(id, parent, udf, new_column)
     }
 
-    /// Run an erased sketch over `dataset` as one execution tree.
-    pub fn run_erased(
-        &self,
-        dataset: DatasetId,
-        sketch: &Arc<dyn ErasedSketch>,
-        opts: &QueryOptions,
-    ) -> EngineResult<QueryOutcome> {
-        self.run_erased_filtered(dataset, None, sketch, opts)
-    }
-
-    /// Run an erased sketch over `dataset`, optionally narrowed by a fused
+    /// Run an erased sketch over `dataset` as one execution tree,
+    /// optionally narrowed by a fused
     /// predicate: instead of materializing a filtered membership first,
     /// every leaf compiles `filter` into the sketch's own block pass — the
     /// predicate evaluates per 64-row frame, its match word ANDs into the
     /// selection word, and surviving lanes feed the kernel directly (one
     /// decode per frame, zone maps pruning for both stages).
-    pub fn run_erased_filtered(
+    pub fn run_erased(
         &self,
         dataset: DatasetId,
         filter: Option<&Predicate>,
@@ -960,9 +952,9 @@ struct LeafMsg {
 /// on this thread's deque, where idle siblings steal them — then summarize
 /// the remaining leftmost piece and report it keyed by range start.
 ///
-/// With a fused `filter`, the leaf calls the sketch's filtered entry
-/// points: the predicate is compiled once per leaf and evaluated inside
-/// the block scan, so no filtered membership ever exists. Split bounds and
+/// With a fused `filter`, the leaf passes it in the sketch's [`Scope`]: the
+/// predicate is compiled once per leaf and evaluated inside the block
+/// scan, so no filtered membership ever exists. Split bounds and
 /// work weights stay those of the *unfiltered* membership — filtering
 /// narrows rows, never renumbers them — so the split plan (and therefore
 /// the deterministic fold order) is identical with and without a filter.
@@ -1037,27 +1029,13 @@ fn run_leaf_task(
                 Some(FaultAction::StallLeaf(d)) => std::thread::sleep(d),
                 _ => {}
             }
-            match &filter {
-                // Fused filter + sketch: one block pass, no membership.
-                Some(pred) => {
-                    if lo == 0 && hi >= view.members().universe() {
-                        sketch
-                            .summarize_filtered_to_bytes(&view, pred, seed)
-                            .map(Some)
-                    } else {
-                        sketch
-                            .summarize_filtered_range_to_bytes(&view, pred, lo, hi, seed)
-                            .map(Some)
-                    }
-                }
-                None if lo == 0 && hi >= view.members().universe() => {
-                    // Unsplit partition: the plain summarize path.
-                    sketch.summarize_to_bytes(&view, seed).map(Some)
-                }
-                None => sketch
-                    .summarize_range_to_bytes(&view, lo, hi, seed)
-                    .map(Some),
-            }
+            // With a filter the leaf runs fused: one block pass, no
+            // filtered membership.
+            let scope = Scope {
+                rows: Some((lo, hi)),
+                filter: filter.as_deref(),
+            };
+            sketch.summarize_bytes(&view, scope, seed).map(Some)
         }));
         match run {
             Ok(r) => r,
@@ -1489,7 +1467,12 @@ mod tests {
         let c = cluster(3);
         let ds = load(&c);
         let outcome = c
-            .run_erased(ds, &erase(CountSketch::rows()), &QueryOptions::default())
+            .run_erased(
+                ds,
+                None,
+                &erase(CountSketch::rows()),
+                &QueryOptions::default(),
+            )
             .unwrap();
         let s = CountSummary::from_bytes(outcome.bytes).unwrap();
         assert_eq!(s.rows, 30_000);
@@ -1503,7 +1486,7 @@ mod tests {
         let ds = load(&c);
         let sk = HistogramSketch::streaming("X", BucketSpec::numeric(0.0, 100.0, 10));
         let outcome = c
-            .run_erased(ds, &erase(sk), &QueryOptions::default())
+            .run_erased(ds, None, &erase(sk), &QueryOptions::default())
             .unwrap();
         let s = HistogramSummary::from_bytes(outcome.bytes).unwrap();
         assert_eq!(s.buckets, vec![2000; 10]);
@@ -1523,7 +1506,7 @@ mod tests {
             ..Default::default()
         };
         let outcome = c
-            .run_erased(ds, &erase(CountSketch::rows()), &opts)
+            .run_erased(ds, None, &erase(CountSketch::rows()), &opts)
             .unwrap();
         let fractions = seen.lock().clone();
         assert!(!fractions.is_empty(), "client saw partial updates");
@@ -1541,6 +1524,7 @@ mod tests {
         let e = c
             .run_erased(
                 DatasetId(99),
+                None,
                 &erase(CountSketch::rows()),
                 &QueryOptions::default(),
             )
@@ -1554,7 +1538,12 @@ mod tests {
         let ds = load(&c);
         c.worker(1).kill();
         let e = c
-            .run_erased(ds, &erase(CountSketch::rows()), &QueryOptions::default())
+            .run_erased(
+                ds,
+                None,
+                &erase(CountSketch::rows()),
+                &QueryOptions::default(),
+            )
             .unwrap_err();
         assert_eq!(e, EngineError::WorkerDown(1));
     }
@@ -1566,6 +1555,7 @@ mod tests {
         let e = c
             .run_erased(
                 ds,
+                None,
                 &erase(CountSketch::of_column("Nope")),
                 &QueryOptions::default(),
             )
@@ -1579,11 +1569,11 @@ mod tests {
         let ds = load(&c);
         let opts = QueryOptions::default();
         let a = c
-            .run_erased(ds, &erase(CountSketch::rows()), &opts)
+            .run_erased(ds, None, &erase(CountSketch::rows()), &opts)
             .unwrap();
         let hits_before = c.cache_stats().hits;
         let b = c
-            .run_erased(ds, &erase(CountSketch::rows()), &opts)
+            .run_erased(ds, None, &erase(CountSketch::rows()), &opts)
             .unwrap();
         let stats = c.cache_stats();
         assert_eq!(a.bytes, b.bytes);
@@ -1599,7 +1589,7 @@ mod tests {
         let ds = load(&c);
         c.worker(0).kill();
         let opts = QueryOptions::default();
-        let _ = c.run_erased(ds, &erase(CountSketch::rows()), &opts);
+        let _ = c.run_erased(ds, None, &erase(CountSketch::rows()), &opts);
         c.worker(0).restart();
         c.worker(0)
             .load(
@@ -1611,7 +1601,7 @@ mod tests {
             )
             .unwrap();
         let outcome = c
-            .run_erased(ds, &erase(CountSketch::rows()), &opts)
+            .run_erased(ds, None, &erase(CountSketch::rows()), &opts)
             .unwrap();
         let s = CountSummary::from_bytes(outcome.bytes).unwrap();
         assert_eq!(s.rows, 20_000, "no stale partial summary served");
@@ -1627,7 +1617,7 @@ mod tests {
             cancel: cancel.clone(),
             ..Default::default()
         };
-        let outcome = c.run_erased(ds, &erase(CountSketch::rows()), &opts);
+        let outcome = c.run_erased(ds, None, &erase(CountSketch::rows()), &opts);
         // Either an identity result or an early return; never a hang/panic.
         if let Ok(o) = outcome {
             let s = CountSummary::from_bytes(o.bytes).unwrap();
@@ -1644,8 +1634,8 @@ mod tests {
             seed: 42,
             ..Default::default()
         };
-        let a = c.run_erased(ds, &erase(sk.clone()), &opts).unwrap();
-        let b = c.run_erased(ds, &erase(sk), &opts).unwrap();
+        let a = c.run_erased(ds, None, &erase(sk.clone()), &opts).unwrap();
+        let b = c.run_erased(ds, None, &erase(sk), &opts).unwrap();
         assert_eq!(a.bytes, b.bytes, "same seed ⇒ identical summaries");
     }
 
@@ -1717,8 +1707,8 @@ mod tests {
                 seed: 99,
                 ..Default::default()
             };
-            let a = split.run_erased(da, &sk, &opts).unwrap();
-            let b = unsplit.run_erased(db, &sk, &opts).unwrap();
+            let a = split.run_erased(da, None, &sk, &opts).unwrap();
+            let b = unsplit.run_erased(db, None, &sk, &opts).unwrap();
             assert_eq!(a.bytes, b.bytes, "sketch {}", sk.name());
         }
         // The split cluster really did split: more leaf tasks than the 8
@@ -1751,11 +1741,11 @@ mod tests {
         ];
         for sk in sketches {
             let opts = QueryOptions::default();
-            let a = one.run_erased(da, &sk, &opts).unwrap();
-            let b = four.run_erased(db, &sk, &opts).unwrap();
+            let a = one.run_erased(da, None, &sk, &opts).unwrap();
+            let b = four.run_erased(db, None, &sk, &opts).unwrap();
             assert_eq!(a.bytes, b.bytes, "sketch {}", sk.name());
             // Re-running on the same cluster is also stable.
-            let a2 = one.run_erased(da, &sk, &opts).unwrap();
+            let a2 = one.run_erased(da, None, &sk, &opts).unwrap();
             assert_eq!(a.bytes, a2.bytes, "sketch {} re-run", sk.name());
         }
     }
@@ -1776,7 +1766,7 @@ mod tests {
             "X",
             BucketSpec::numeric(0.0, 100.0, 10),
         ));
-        c.run_erased(ds, &sk, &opts).unwrap();
+        c.run_erased(ds, None, &sk, &opts).unwrap();
         let partials = seen.lock().clone();
         assert!(!partials.is_empty());
         let (done, total) = *partials.last().unwrap();
@@ -1826,7 +1816,7 @@ mod tests {
             .unwrap();
             let sk = HistogramSketch::streaming("X", BucketSpec::numeric(0.0, 100.0, 20));
             let o = c
-                .run_erased(ds, &erase(sk), &QueryOptions::default())
+                .run_erased(ds, None, &erase(sk), &QueryOptions::default())
                 .unwrap();
             results.push(o.bytes);
         }
@@ -1859,8 +1849,8 @@ mod tests {
                 seed: 7,
                 ..Default::default()
             };
-            let fused = c.run_erased_filtered(ds, Some(&pred), &sk, &opts).unwrap();
-            let two_pass = c.run_erased(filtered, &sk, &opts).unwrap();
+            let fused = c.run_erased(ds, Some(&pred), &sk, &opts).unwrap();
+            let two_pass = c.run_erased(filtered, None, &sk, &opts).unwrap();
             assert_eq!(fused.bytes, two_pass.bytes, "sketch {}", sk.name());
         }
     }
@@ -1887,16 +1877,10 @@ mod tests {
         ];
         for sk in sketches {
             let opts = QueryOptions::default();
-            let a = one
-                .run_erased_filtered(da, Some(&pred), &sk, &opts)
-                .unwrap();
-            let b = four
-                .run_erased_filtered(db, Some(&pred), &sk, &opts)
-                .unwrap();
+            let a = one.run_erased(da, Some(&pred), &sk, &opts).unwrap();
+            let b = four.run_erased(db, Some(&pred), &sk, &opts).unwrap();
             assert_eq!(a.bytes, b.bytes, "sketch {}", sk.name());
-            let a2 = one
-                .run_erased_filtered(da, Some(&pred), &sk, &opts)
-                .unwrap();
+            let a2 = one.run_erased(da, Some(&pred), &sk, &opts).unwrap();
             assert_eq!(a.bytes, a2.bytes, "sketch {} re-run", sk.name());
         }
     }
@@ -1912,18 +1896,18 @@ mod tests {
         let opts = QueryOptions::default();
         let pred = Predicate::range("X", 0.0, 50.0);
         let sk = erase(CountSketch::rows());
-        let narrowed = c.run_erased_filtered(ds, Some(&pred), &sk, &opts).unwrap();
+        let narrowed = c.run_erased(ds, Some(&pred), &sk, &opts).unwrap();
         assert_eq!(
             CountSummary::from_bytes(narrowed.bytes).unwrap().rows,
             10_000
         );
-        let full = c.run_erased(ds, &sk, &opts).unwrap();
+        let full = c.run_erased(ds, None, &sk, &opts).unwrap();
         assert_eq!(CountSummary::from_bytes(full.bytes).unwrap().rows, 20_000);
 
         // Repeats of both shapes are pure cache hits.
         let hits_before = c.cache_stats().hits;
-        let narrowed2 = c.run_erased_filtered(ds, Some(&pred), &sk, &opts).unwrap();
-        let full2 = c.run_erased(ds, &sk, &opts).unwrap();
+        let narrowed2 = c.run_erased(ds, Some(&pred), &sk, &opts).unwrap();
+        let full2 = c.run_erased(ds, None, &sk, &opts).unwrap();
         assert_eq!(
             CountSummary::from_bytes(narrowed2.bytes).unwrap().rows,
             10_000
@@ -1935,9 +1919,7 @@ mod tests {
         // `p`) hits the same fused entry instead of recomputing.
         let respelled = pred.clone().and(Predicate::True);
         let hits_before = c.cache_stats().hits;
-        let narrowed3 = c
-            .run_erased_filtered(ds, Some(&respelled), &sk, &opts)
-            .unwrap();
+        let narrowed3 = c.run_erased(ds, Some(&respelled), &sk, &opts).unwrap();
         assert_eq!(
             CountSummary::from_bytes(narrowed3.bytes).unwrap().rows,
             10_000
@@ -1955,7 +1937,7 @@ mod tests {
                 .map(|_| {
                     let (c, sk) = (&c, &sk);
                     scope.spawn(move || {
-                        c.run_erased(ds, sk, &QueryOptions::default())
+                        c.run_erased(ds, None, sk, &QueryOptions::default())
                             .unwrap()
                             .bytes
                     })
@@ -2051,7 +2033,12 @@ mod tests {
         })));
         let started = Instant::now();
         let e = c
-            .run_erased(ds, &erase(CountSketch::rows()), &QueryOptions::default())
+            .run_erased(
+                ds,
+                None,
+                &erase(CountSketch::rows()),
+                &QueryOptions::default(),
+            )
             .unwrap_err();
         assert_eq!(e, EngineError::WorkerDown(1));
         assert!(
@@ -2073,7 +2060,12 @@ mod tests {
             FaultAction::PanicLeaf,
         )]));
         let e = c
-            .run_erased(ds, &erase(CountSketch::rows()), &QueryOptions::default())
+            .run_erased(
+                ds,
+                None,
+                &erase(CountSketch::rows()),
+                &QueryOptions::default(),
+            )
             .unwrap_err();
         match e {
             EngineError::LeafPanicked { worker, message } => {
@@ -2085,7 +2077,12 @@ mod tests {
         // The panic was isolated: disarm and the same cluster still works.
         c.disarm_faults();
         let o = c
-            .run_erased(ds, &erase(CountSketch::rows()), &QueryOptions::default())
+            .run_erased(
+                ds,
+                None,
+                &erase(CountSketch::rows()),
+                &QueryOptions::default(),
+            )
             .unwrap();
         let s = CountSummary::from_bytes(o.bytes).unwrap();
         assert_eq!(s.rows, 20_000);
@@ -2128,7 +2125,12 @@ mod tests {
         ));
         c.arm_faults(FaultPlan::scripted(rules));
         let o = c
-            .run_erased(ds, &erase(CountSketch::rows()), &QueryOptions::default())
+            .run_erased(
+                ds,
+                None,
+                &erase(CountSketch::rows()),
+                &QueryOptions::default(),
+            )
             .unwrap();
         let s = CountSummary::from_bytes(o.bytes).unwrap();
         assert_eq!(s.rows, 20_000, "exact despite dup + corrupt frames");
@@ -2146,7 +2148,7 @@ mod tests {
             ..Default::default()
         };
         let o = c
-            .run_erased(ds, &erase(CountSketch::rows()), &opts)
+            .run_erased(ds, None, &erase(CountSketch::rows()), &opts)
             .unwrap();
         let s = CountSummary::from_bytes(o.bytes).unwrap();
         assert_eq!(s.rows, 10_000, "survivor's shard only");
@@ -2169,7 +2171,7 @@ mod tests {
             ..Default::default()
         };
         let e = c
-            .run_erased(ds, &erase(CountSketch::rows()), &opts)
+            .run_erased(ds, None, &erase(CountSketch::rows()), &opts)
             .unwrap_err();
         assert!(matches!(e, EngineError::WorkerDown(_)));
     }
@@ -2200,7 +2202,7 @@ mod tests {
         };
         let started = Instant::now();
         let e = c
-            .run_erased(ds, &erase(CountSketch::rows()), &opts)
+            .run_erased(ds, None, &erase(CountSketch::rows()), &opts)
             .unwrap_err();
         assert!(matches!(e, EngineError::DeadlineExceeded { .. }), "{e}");
         assert!(started.elapsed() < Duration::from_secs(5));

@@ -554,14 +554,13 @@ impl Engine {
                 allow_degraded: opts.allow_degraded,
                 tolerate_failures: false,
             };
-            let e =
-                match self
-                    .cluster
-                    .run_erased_filtered(root, fused.as_ref(), sketch, &attempt_opts)
-                {
-                    Ok(outcome) => return Ok(finish(outcome)),
-                    Err(e) => e,
-                };
+            let e = match self
+                .cluster
+                .run_erased(root, fused.as_ref(), sketch, &attempt_opts)
+            {
+                Ok(outcome) => return Ok(finish(outcome)),
+                Err(e) => e,
+            };
             match &e {
                 EngineError::DatasetMissing { worker, dataset: d } => {
                     let (worker, d) = (*worker, *d);
@@ -613,7 +612,7 @@ impl Engine {
             };
             if let Ok(outcome) =
                 self.cluster
-                    .run_erased_filtered(root, fused.as_ref(), sketch, &attempt_opts)
+                    .run_erased(root, fused.as_ref(), sketch, &attempt_opts)
             {
                 return Ok(finish(outcome));
             }

@@ -12,52 +12,38 @@
 use crate::error::{EngineError, EngineResult};
 use bytes::Bytes;
 use hillview_net::Wire;
-use hillview_sketch::{Sketch, TableView};
+use hillview_sketch::{Scope, Sketch, TableView};
 use std::sync::Arc;
 
 /// Object-safe sketch interface operating on wire bytes.
 pub trait ErasedSketch: Send + Sync + 'static {
     /// Sketch name (diagnostics, cache keys).
     fn name(&self) -> &'static str;
-    /// Summarize one partition to wire bytes.
-    fn summarize_to_bytes(&self, view: &TableView, seed: u64) -> EngineResult<Bytes>;
-    /// True when the sketch supports row-range splitting
-    /// ([`ErasedSketch::summarize_range_to_bytes`]); the leaf executor only
-    /// fans a partition into sub-range tasks for splittable sketches.
-    fn splittable(&self) -> bool;
-    /// Summarize the rows of one partition whose index lies in `lo..hi`,
-    /// to wire bytes (see `hillview_sketch::Sketch::summarize_range`).
-    fn summarize_range_to_bytes(
-        &self,
-        view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> EngineResult<Bytes>;
-    /// Merge two wire-encoded summaries.
-    fn merge_bytes(&self, a: &Bytes, b: &Bytes) -> EngineResult<Bytes>;
-    /// The identity summary, wire-encoded.
-    fn identity_bytes(&self) -> Bytes;
-    /// Fused filter + summarize: one block pass that evaluates `predicate`
-    /// per 64-row frame and feeds surviving lanes straight into the sketch
-    /// kernel, never materializing the filtered membership.
+    /// Summarize the rows of one partition that `scope` selects, to wire
+    /// bytes (see [`hillview_sketch::Sketch::summarize`]).
+    fn summarize_bytes(&self, view: &TableView, scope: Scope<'_>, seed: u64)
+        -> EngineResult<Bytes>;
+    /// Summarize one whole partition to wire bytes.
+    fn summarize_to_bytes(&self, view: &TableView, seed: u64) -> EngineResult<Bytes> {
+        self.summarize_bytes(view, Scope::ALL, seed)
+    }
+    /// Summarize the rows of one whole partition that satisfy `predicate`.
     fn summarize_filtered_to_bytes(
         &self,
         view: &TableView,
         predicate: &hillview_columnar::Predicate,
         seed: u64,
-    ) -> EngineResult<Bytes>;
-    /// Fused filter + summarize over the rows of one partition whose index
-    /// lies in `lo..hi` of the *unfiltered* membership (filtering narrows
-    /// the rows, never renumbers them, so the parent's split plan is valid).
-    fn summarize_filtered_range_to_bytes(
-        &self,
-        view: &TableView,
-        predicate: &hillview_columnar::Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> EngineResult<Bytes>;
+    ) -> EngineResult<Bytes> {
+        let filter = Some(predicate);
+        self.summarize_bytes(view, Scope { rows: None, filter }, seed)
+    }
+    /// True when the sketch honours [`Scope::rows`]; the leaf executor only
+    /// fans a partition into sub-range tasks for splittable sketches.
+    fn splittable(&self) -> bool;
+    /// Merge two wire-encoded summaries.
+    fn merge_bytes(&self, a: &Bytes, b: &Bytes) -> EngineResult<Bytes>;
+    /// The identity summary, wire-encoded.
+    fn identity_bytes(&self) -> Bytes;
     /// The sketch's cacheable parameter identity
     /// ([`hillview_sketch::Sketch::cache_identity`]): `Some(bytes)` when
     /// the summary is a pure, seed-independent function of the data and
@@ -74,24 +60,17 @@ impl<S: Sketch> ErasedSketch for Erased<S> {
         self.0.name()
     }
 
-    fn summarize_to_bytes(&self, view: &TableView, seed: u64) -> EngineResult<Bytes> {
-        let summary = self.0.summarize(view, seed)?;
-        Ok(summary.to_bytes())
+    fn summarize_bytes(
+        &self,
+        view: &TableView,
+        scope: Scope<'_>,
+        seed: u64,
+    ) -> EngineResult<Bytes> {
+        Ok(self.0.summarize(view, scope, seed)?.to_bytes())
     }
 
     fn splittable(&self) -> bool {
         self.0.splittable()
-    }
-
-    fn summarize_range_to_bytes(
-        &self,
-        view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> EngineResult<Bytes> {
-        let summary = self.0.summarize_range(view, lo, hi, seed)?;
-        Ok(summary.to_bytes())
     }
 
     fn merge_bytes(&self, a: &Bytes, b: &Bytes) -> EngineResult<Bytes> {
@@ -103,30 +82,6 @@ impl<S: Sketch> ErasedSketch for Erased<S> {
 
     fn identity_bytes(&self) -> Bytes {
         self.0.identity().to_bytes()
-    }
-
-    fn summarize_filtered_to_bytes(
-        &self,
-        view: &TableView,
-        predicate: &hillview_columnar::Predicate,
-        seed: u64,
-    ) -> EngineResult<Bytes> {
-        let summary = self.0.summarize_filtered(view, predicate, seed)?;
-        Ok(summary.to_bytes())
-    }
-
-    fn summarize_filtered_range_to_bytes(
-        &self,
-        view: &TableView,
-        predicate: &hillview_columnar::Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> EngineResult<Bytes> {
-        let summary = self
-            .0
-            .summarize_filtered_range(view, predicate, lo, hi, seed)?;
-        Ok(summary.to_bytes())
     }
 
     fn cache_identity(&self) -> Option<Vec<u8>> {

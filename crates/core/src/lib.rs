@@ -4,7 +4,7 @@
 //! vizketches (paper §5), plus the [`Spreadsheet`] facade that maps
 //! spreadsheet actions onto it.
 //!
-//! The cluster is simulated inside one process (DESIGN.md §1) but keeps the
+//! The cluster is simulated inside one process but keeps the
 //! paper's structure and discipline:
 //!
 //! * **Execution trees** ([`cluster`]): a query fans out from the root to
@@ -94,7 +94,7 @@
 //! cost-based choice:
 //!
 //! 1. **Fused** — ship the AND-composed predicate chain down the tree;
-//!    every leaf runs the sketch's fused entry point (predicate and
+//!    every leaf passes it in the sketch's `Scope` (predicate and
 //!    kernel in one block pass, no membership set materialized — see the
 //!    `hillview-columnar` crate docs, "Query execution pipeline"). The
 //!    first query always fuses: it pays at most one full pass and

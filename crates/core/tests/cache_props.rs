@@ -109,13 +109,13 @@ fn assert_hit_equals_miss(
     let cached = QueryOptions::default();
 
     simd::set_force_scalar(scalar_first);
-    let reference = c.run_erased_filtered(ds, filter, sk, &uncached).unwrap();
+    let reference = c.run_erased(ds, filter, sk, &uncached).unwrap();
 
     // Cold miss under the *other* simd mode: whatever lands in the cache
     // was computed by the other kernel path.
     simd::set_force_scalar(!scalar_first);
     let misses_before = c.cache_stats().misses;
-    let cold = c.run_erased_filtered(ds, filter, sk, &cached).unwrap();
+    let cold = c.run_erased(ds, filter, sk, &cached).unwrap();
     let after_cold = c.cache_stats();
     assert!(
         after_cold.misses > misses_before,
@@ -125,7 +125,7 @@ fn assert_hit_equals_miss(
     // Warm hit back under the first mode.
     simd::set_force_scalar(scalar_first);
     let hits_before = after_cold.hits;
-    let warm = c.run_erased_filtered(ds, filter, sk, &cached).unwrap();
+    let warm = c.run_erased(ds, filter, sk, &cached).unwrap();
     let hits_after = c.cache_stats().hits;
     simd::set_force_scalar(false);
 

@@ -240,7 +240,7 @@ fn seeded_chaos_grid_preserves_failure_semantics() {
 
 /// The outcome trichotomy holds on the **fused** filtered-query path too:
 /// under an armed plan every one-shot `(predicate, sketch)` query — which
-/// runs `summarize_filtered` at the leaves and bypasses the computation
+/// runs the filter fused into `summarize` at the leaves and bypasses the computation
 /// cache — completes bit-identical to the fault-free fused baseline,
 /// errors structurally, or degrades only with opt-in; and the healed
 /// engine reconverges.

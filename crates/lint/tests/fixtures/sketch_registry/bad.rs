@@ -4,4 +4,8 @@ pub struct UncoveredSketch;
 
 impl Sketch for UncoveredSketch {
     type Summary = ();
+
+    fn summarize(&self, _view: &TableView, _scope: Scope<'_>, _seed: u64) -> SketchResult<()> {
+        Ok(())
+    }
 }

@@ -3,8 +3,8 @@
 //! Simulated RPC substrate for Hillview-RS.
 //!
 //! The paper's deployment runs gRPC between servers and streams partial
-//! results to a web client (§6). Here the whole cluster lives in one process
-//! (DESIGN.md §1), but the *communication discipline* is preserved: every
+//! results to a web client (§6). Here the whole cluster lives in one
+//! process, but the *communication discipline* is preserved: every
 //! summary that crosses a tree edge is serialized into a length-prefixed
 //! frame with a hand-rolled wire format, byte counts are recorded per edge
 //! (Figure 5's "data received by the root node" is measured, not estimated),

@@ -9,11 +9,9 @@
 
 use crate::hashutil::hash_str;
 use crate::traits::{Sketch, SketchError, SketchResult, Summary};
-use crate::view::TableView;
-use hillview_columnar::scan::{scan_values, Selection};
-use hillview_columnar::{FrameFilter, Predicate};
+use crate::view::{Scope, TableView};
+use hillview_columnar::scan::scan_values;
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -145,64 +143,13 @@ impl Sketch for BottomKSketch {
         "bottom-k"
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<BottomKSummary> {
-        self.summarize_bounded(view, None, None, seed)
-    }
-
-    fn splittable(&self) -> bool {
-        true
-    }
-
-    fn summarize_range(
+    /// The k-smallest-hash entry set is a lattice (deterministic union +
+    /// truncation), so split partials fold back to exactly the unsplit
+    /// summary.
+    fn summarize(
         &self,
         view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<BottomKSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), None, seed)
-    }
-
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        seed: u64,
-    ) -> SketchResult<BottomKSummary> {
-        self.summarize_bounded(view, None, Some(predicate), seed)
-    }
-
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<BottomKSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), Some(predicate), seed)
-    }
-
-    fn identity(&self) -> BottomKSummary {
-        BottomKSummary::zero(self.k)
-    }
-
-    fn cache_identity(&self) -> Option<Vec<u8>> {
-        // The hash seed is a sketch *parameter* (identical across
-        // partitions), not per-run state, so it joins the identity bytes.
-        Some(format!("{}|{}|{}", self.column, self.k, self.seed).into_bytes())
-    }
-}
-
-impl BottomKSketch {
-    /// The shared scan body; the k-smallest-hash entry set is a lattice
-    /// (deterministic union + truncation), so split partials fold back to
-    /// exactly the unsplit summary.
-    fn summarize_bounded(
-        &self,
-        view: &TableView,
-        bounds: Option<(usize, usize)>,
-        filter: Option<&Predicate>,
+        scope: Scope<'_>,
         _seed: u64,
     ) -> SketchResult<BottomKSummary> {
         let col = view.table().column_by_name(&self.column)?;
@@ -217,31 +164,15 @@ impl BottomKSketch {
         // one null-word probe per 64 rows instead of per-row `is_null`.
         let mut seen = vec![false; dict.dictionary().len()];
         let mut missing = 0u64;
-        let base = crate::view::bounded_selection(view, &None, bounds);
-        let ff = match filter {
-            Some(pred) => Some(RefCell::new(FrameFilter::compile(pred, view.table())?)),
-            None => None,
-        };
-        let sel = match &ff {
-            Some(f) => Selection::Filtered {
-                base: &base,
-                filter: f,
-            },
-            None => base,
-        };
-        scan_values(
-            &sel,
-            dict.codes(),
-            dict.nulls().bitmap(),
-            &mut missing,
-            |code| seen[code as usize] = true,
-        );
-        // Under fusion the filtered selection is single-pass; the
-        // surviving-row count comes from the filter's popcounts.
-        let rows = match &ff {
-            Some(f) => f.borrow().matched() - missing,
-            None => sel.count() as u64 - missing,
-        };
+        let ((), selected) = view.scan(scope, None, |sel| {
+            scan_values(
+                sel,
+                dict.codes(),
+                dict.nulls().bitmap(),
+                &mut missing,
+                |code| seen[code as usize] = true,
+            )
+        })?;
         // Hash each distinct dictionary entry once — O(dict), not O(rows).
         let mut map: BTreeMap<u64, String> = BTreeMap::new();
         for (code, &s) in seen.iter().enumerate() {
@@ -254,10 +185,26 @@ impl BottomKSketch {
         Ok(BottomKSummary {
             k: self.k,
             entries,
-            rows,
+            rows: selected - missing,
         })
     }
 
+    fn splittable(&self) -> bool {
+        true
+    }
+
+    fn identity(&self) -> BottomKSummary {
+        BottomKSummary::zero(self.k)
+    }
+
+    fn cache_identity(&self) -> Option<Vec<u8>> {
+        // The hash seed is a sketch *parameter* (identical across
+        // partitions), not per-run state, so it joins the identity bytes.
+        Some(format!("{}|{}|{}", self.column, self.k, self.seed).into_bytes())
+    }
+}
+
+impl BottomKSketch {
     /// Per-row reference implementation, kept for the scan-equivalence
     /// property tests. Must remain bit-identical to [`Sketch::summarize`].
     pub fn summarize_rowwise(&self, view: &TableView, _seed: u64) -> SketchResult<BottomKSummary> {
@@ -322,7 +269,9 @@ mod tests {
     #[test]
     fn small_domains_kept_exactly() {
         let v = view((0..100).map(|i| format!("v{}", i % 7)).collect());
-        let s = BottomKSketch::new("S", 50).summarize(&v, 0).unwrap();
+        let s = BottomKSketch::new("S", 50)
+            .summarize(&v, Scope::ALL, 0)
+            .unwrap();
         assert_eq!(s.entries.len(), 7);
         assert_eq!(s.distinct_estimate(), 7.0);
         let b = s.bucket_boundaries(50);
@@ -355,7 +304,9 @@ mod tests {
     fn boundaries_approximate_string_quantiles() {
         // 1000 distinct keys; 10 boundaries should split them ~evenly.
         let v = view((0..1000).map(|i| format!("key{i:04}")).collect());
-        let s = BottomKSketch::new("S", 256).summarize(&v, 0).unwrap();
+        let s = BottomKSketch::new("S", 256)
+            .summarize(&v, Scope::ALL, 0)
+            .unwrap();
         let b = s.bucket_boundaries(10);
         assert_eq!(b.len(), 10);
         // First boundary is near the beginning of the domain.
@@ -369,7 +320,9 @@ mod tests {
     #[test]
     fn distinct_estimate_tracks_cardinality() {
         let v = view((0..5000).map(|i| format!("key{i:05}")).collect());
-        let s = BottomKSketch::new("S", 128).summarize(&v, 0).unwrap();
+        let s = BottomKSketch::new("S", 128)
+            .summarize(&v, Scope::ALL, 0)
+            .unwrap();
         let est = s.distinct_estimate();
         assert!(
             (2500.0..10_000.0).contains(&est),
@@ -381,7 +334,7 @@ mod tests {
     fn duplicates_do_not_inflate() {
         let many_dups = view((0..1000).map(|i| format!("v{}", i % 3)).collect());
         let s = BottomKSketch::new("S", 10)
-            .summarize(&many_dups, 0)
+            .summarize(&many_dups, Scope::ALL, 0)
             .unwrap();
         assert_eq!(s.entries.len(), 3);
         assert_eq!(s.rows, 1000);
@@ -399,13 +352,17 @@ mod tests {
             .build()
             .unwrap();
         let v = TableView::full(Arc::new(t));
-        assert!(BottomKSketch::new("X", 4).summarize(&v, 0).is_err());
+        assert!(BottomKSketch::new("X", 4)
+            .summarize(&v, Scope::ALL, 0)
+            .is_err());
     }
 
     #[test]
     fn wire_roundtrip() {
         let v = view((0..50).map(|i| format!("s{i}")).collect());
-        let s = BottomKSketch::new("S", 16).summarize(&v, 0).unwrap();
+        let s = BottomKSketch::new("S", 16)
+            .summarize(&v, Scope::ALL, 0)
+            .unwrap();
         assert_eq!(BottomKSummary::from_bytes(s.to_bytes()).unwrap(), s);
     }
 }

@@ -10,11 +10,9 @@
 //! touches no column data at all.
 
 use crate::traits::{Sketch, SketchResult, Summary};
-use crate::view::TableView;
-use hillview_columnar::scan::{count_missing, Selection};
-use hillview_columnar::{FrameFilter, Predicate};
+use crate::view::{Scope, TableView};
+use hillview_columnar::scan::count_missing;
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Counts present and missing rows, optionally of one column.
@@ -76,42 +74,32 @@ impl Sketch for CountSketch {
         "count"
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<CountSummary> {
-        self.summarize_bounded(view, None, None, seed)
+    fn summarize(
+        &self,
+        view: &TableView,
+        scope: Scope<'_>,
+        _seed: u64,
+    ) -> SketchResult<CountSummary> {
+        let nulls = match &self.column {
+            None => None,
+            Some(name) => view.table().column_by_name(name)?.null_bitmap(),
+        };
+        // Word-AND popcounts of selection × null mask: no column data is
+        // touched at all.
+        let (missing, rows) = view.scan(scope, None, |sel| {
+            // `count_missing` short-circuits on a null-free column without
+            // consuming the chunks, so drain explicitly to drive a fused
+            // predicate over every frame.
+            if nulls.is_none() && scope.filter.is_some() {
+                sel.chunks().for_each(drop);
+            }
+            count_missing(sel, nulls)
+        })?;
+        Ok(CountSummary { rows, missing })
     }
 
     fn splittable(&self) -> bool {
         true
-    }
-
-    fn summarize_range(
-        &self,
-        view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<CountSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), None, seed)
-    }
-
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        seed: u64,
-    ) -> SketchResult<CountSummary> {
-        self.summarize_bounded(view, None, Some(predicate), seed)
-    }
-
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<CountSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), Some(predicate), seed)
     }
 
     fn identity(&self) -> CountSummary {
@@ -121,58 +109,6 @@ impl Sketch for CountSketch {
     fn cache_identity(&self) -> Option<Vec<u8>> {
         // Exact counts: pure function of data + membership.
         Some(format!("{:?}", self.column).into_bytes())
-    }
-}
-
-impl CountSketch {
-    fn summarize_bounded(
-        &self,
-        view: &TableView,
-        bounds: Option<(usize, usize)>,
-        filter: Option<&Predicate>,
-        _seed: u64,
-    ) -> SketchResult<CountSummary> {
-        let base = crate::view::bounded_selection(view, &None, bounds);
-        match filter {
-            None => {
-                let rows = base.count() as u64;
-                let missing = match &self.column {
-                    None => 0,
-                    Some(name) => {
-                        let col = view.table().column_by_name(name)?;
-                        // Word-AND popcounts of membership × null mask: no
-                        // column data is touched at all.
-                        count_missing(&base, col.null_bitmap())
-                    }
-                };
-                Ok(CountSummary { rows, missing })
-            }
-            Some(pred) => {
-                // Fused: the predicate evaluates per 64-row frame while the
-                // selection streams — one pass, no membership materialized.
-                // The filter is single-pass, so the row count is read back
-                // from it *after* the scan instead of a pre-scan count().
-                let ff = RefCell::new(FrameFilter::compile(pred, view.table())?);
-                let sel = Selection::Filtered {
-                    base: &base,
-                    filter: &ff,
-                };
-                let mut missing = 0;
-                let nulls = match &self.column {
-                    None => None,
-                    Some(name) => view.table().column_by_name(name)?.null_bitmap(),
-                };
-                match nulls {
-                    Some(_) => missing = count_missing(&sel, nulls),
-                    // `count_missing` short-circuits on a null-free column
-                    // without consuming the chunks, so drain explicitly to
-                    // drive the predicate over every frame.
-                    None => sel.chunks().for_each(drop),
-                }
-                let rows = ff.borrow().matched();
-                Ok(CountSummary { rows, missing })
-            }
-        }
     }
 }
 
@@ -203,7 +139,7 @@ mod tests {
     #[test]
     fn counts_rows_and_missing() {
         let s = CountSketch::of_column("D");
-        let sum = s.summarize(&view(), 0).unwrap();
+        let sum = s.summarize(&view(), Scope::ALL, 0).unwrap();
         assert_eq!(sum.rows, 5);
         assert_eq!(sum.missing, 2);
     }
@@ -211,7 +147,7 @@ mod tests {
     #[test]
     fn row_only_count() {
         let s = CountSketch::rows();
-        let sum = s.summarize(&view(), 0).unwrap();
+        let sum = s.summarize(&view(), Scope::ALL, 0).unwrap();
         assert_eq!(
             sum,
             CountSummary {
@@ -228,7 +164,9 @@ mod tests {
             v.table().clone(),
             Arc::new(MembershipSet::from_rows(vec![0, 1], 5)),
         );
-        let sum = CountSketch::of_column("D").summarize(&v, 0).unwrap();
+        let sum = CountSketch::of_column("D")
+            .summarize(&v, Scope::ALL, 0)
+            .unwrap();
         assert_eq!(
             sum,
             CountSummary {
@@ -261,7 +199,9 @@ mod tests {
 
     #[test]
     fn unknown_column_errors() {
-        assert!(CountSketch::of_column("X").summarize(&view(), 0).is_err());
+        assert!(CountSketch::of_column("X")
+            .summarize(&view(), Scope::ALL, 0)
+            .is_err());
     }
 
     #[test]

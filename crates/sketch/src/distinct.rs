@@ -6,11 +6,9 @@
 
 use crate::hashutil::hash_value;
 use crate::traits::{Sketch, SketchResult, Summary};
-use crate::view::TableView;
-use hillview_columnar::scan::{scan_rows, scan_values, Selection};
-use hillview_columnar::{FrameFilter, Predicate};
+use crate::view::{Scope, TableView};
+use hillview_columnar::scan::{scan_rows, scan_values};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// HLL sketch of one column's distinct value count.
@@ -142,42 +140,57 @@ impl Sketch for DistinctSketch {
         "distinct-hll"
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<DistinctSummary> {
-        self.summarize_bounded(view, None, None, seed)
+    /// HLL registers max-merge, so split partials fold back to exactly the
+    /// unsplit register array.
+    fn summarize(
+        &self,
+        view: &TableView,
+        scope: Scope<'_>,
+        _partition_seed: u64,
+    ) -> SketchResult<DistinctSummary> {
+        let col = view.table().column_by_name(&self.column)?;
+        let mut out = DistinctSummary::zero(self.p);
+        // Only the sketch-level seed feeds the hash: every partition must
+        // hash values identically or registers would not merge.
+        let seed = self.seed;
+        view.scan(scope, None, |sel| {
+            if let Some(dict) = col.as_dict_col() {
+                // Dictionary columns: hash each *code's* string once per
+                // partition, then observe per row via the chunked code scan
+                // (one null-word probe per 64 rows).
+                let hashes: Vec<u64> = dict
+                    .dictionary()
+                    .iter()
+                    .map(|s| crate::hashutil::hash_str(s, seed))
+                    .collect();
+                let mut missing = 0u64;
+                scan_values(
+                    sel,
+                    dict.codes(),
+                    dict.nulls().bitmap(),
+                    &mut missing,
+                    |code| out.observe(hashes[code as usize]),
+                );
+                out.missing = missing;
+            } else {
+                // Generic path: chunked row enumeration (registers are
+                // max-merged, so order is irrelevant, but chunks visit the same
+                // rows the per-row reference would).
+                scan_rows(sel, |row| {
+                    let v = col.value(row);
+                    if v.is_missing() {
+                        out.missing += 1;
+                    } else {
+                        out.observe(hash_value(&v, seed));
+                    }
+                });
+            }
+        })?;
+        Ok(out)
     }
 
     fn splittable(&self) -> bool {
         true
-    }
-
-    fn summarize_range(
-        &self,
-        view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<DistinctSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), None, seed)
-    }
-
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        seed: u64,
-    ) -> SketchResult<DistinctSummary> {
-        self.summarize_bounded(view, None, Some(predicate), seed)
-    }
-
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<DistinctSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), Some(predicate), seed)
     }
 
     fn identity(&self) -> DistinctSummary {
@@ -190,66 +203,6 @@ impl Sketch for DistinctSketch {
 }
 
 impl DistinctSketch {
-    /// The shared scan body; HLL registers max-merge, so split partials
-    /// fold back to exactly the unsplit register array.
-    fn summarize_bounded(
-        &self,
-        view: &TableView,
-        bounds: Option<(usize, usize)>,
-        filter: Option<&Predicate>,
-        _partition_seed: u64,
-    ) -> SketchResult<DistinctSummary> {
-        let col = view.table().column_by_name(&self.column)?;
-        let mut out = DistinctSummary::zero(self.p);
-        // Only the sketch-level seed feeds the hash: every partition must
-        // hash values identically or registers would not merge.
-        let seed = self.seed;
-        let base = crate::view::bounded_selection(view, &None, bounds);
-        let ff = match filter {
-            Some(pred) => Some(RefCell::new(FrameFilter::compile(pred, view.table())?)),
-            None => None,
-        };
-        let sel = match &ff {
-            Some(f) => Selection::Filtered {
-                base: &base,
-                filter: f,
-            },
-            None => base,
-        };
-        if let Some(dict) = col.as_dict_col() {
-            // Dictionary columns: hash each *code's* string once per
-            // partition, then observe per row via the chunked code scan
-            // (one null-word probe per 64 rows).
-            let hashes: Vec<u64> = dict
-                .dictionary()
-                .iter()
-                .map(|s| crate::hashutil::hash_str(s, seed))
-                .collect();
-            let mut missing = 0u64;
-            scan_values(
-                &sel,
-                dict.codes(),
-                dict.nulls().bitmap(),
-                &mut missing,
-                |code| out.observe(hashes[code as usize]),
-            );
-            out.missing = missing;
-        } else {
-            // Generic path: chunked row enumeration (registers are
-            // max-merged, so order is irrelevant, but chunks visit the same
-            // rows the per-row reference would).
-            scan_rows(&sel, |row| {
-                let v = col.value(row);
-                if v.is_missing() {
-                    out.missing += 1;
-                } else {
-                    out.observe(hash_value(&v, seed));
-                }
-            });
-        }
-        Ok(out)
-    }
-
     /// Per-row reference implementation, kept for the scan-equivalence
     /// property tests. Must remain bit-identical to [`Sketch::summarize`].
     pub fn summarize_rowwise(
@@ -309,7 +262,9 @@ mod tests {
     #[test]
     fn small_cardinalities_are_near_exact() {
         let v = int_view((0..100).map(|i| i % 10).collect());
-        let s = DistinctSketch::new("X").summarize(&v, 0).unwrap();
+        let s = DistinctSketch::new("X")
+            .summarize(&v, Scope::ALL, 0)
+            .unwrap();
         let est = s.estimate();
         assert!((est - 10.0).abs() < 1.0, "estimate {est}");
     }
@@ -317,7 +272,9 @@ mod tests {
     #[test]
     fn large_cardinalities_within_tolerance() {
         let v = int_view((0..50_000).collect());
-        let s = DistinctSketch::new("X").summarize(&v, 0).unwrap();
+        let s = DistinctSketch::new("X")
+            .summarize(&v, Scope::ALL, 0)
+            .unwrap();
         let est = s.estimate();
         let err = (est - 50_000.0).abs() / 50_000.0;
         assert!(err < 0.05, "estimate {est}, err {err}");
@@ -351,6 +308,7 @@ mod tests {
                     t.clone(),
                     Arc::new(MembershipSet::from_rows((0..500).collect(), 1000)),
                 ),
+                Scope::ALL,
                 0,
             )
             .unwrap();
@@ -360,6 +318,7 @@ mod tests {
                     t,
                     Arc::new(MembershipSet::from_rows((500..1000).collect(), 1000)),
                 ),
+                Scope::ALL,
                 0,
             )
             .unwrap();
@@ -384,7 +343,9 @@ mod tests {
             .build()
             .unwrap();
         let v = TableView::full(Arc::new(t));
-        let s = DistinctSketch::new("S").summarize(&v, 0).unwrap();
+        let s = DistinctSketch::new("S")
+            .summarize(&v, Scope::ALL, 0)
+            .unwrap();
         assert!((s.estimate() - 3.0).abs() < 0.5);
         assert!(s.missing > 0);
     }
@@ -394,8 +355,8 @@ mod tests {
         let lo = DistinctSketch::new("X").with_precision(6);
         let hi = DistinctSketch::new("X").with_precision(14);
         let v = int_view((0..20_000).collect());
-        let slo = lo.summarize(&v, 0).unwrap();
-        let shi = hi.summarize(&v, 0).unwrap();
+        let slo = lo.summarize(&v, Scope::ALL, 0).unwrap();
+        let shi = hi.summarize(&v, Scope::ALL, 0).unwrap();
         assert!(slo.to_bytes().len() < shi.to_bytes().len());
         let err_hi = (shi.estimate() - 20_000.0).abs() / 20_000.0;
         assert!(err_hi < 0.05, "err {err_hi}");
@@ -404,7 +365,9 @@ mod tests {
     #[test]
     fn wire_roundtrip() {
         let v = int_view((0..100).collect());
-        let s = DistinctSketch::new("X").summarize(&v, 0).unwrap();
+        let s = DistinctSketch::new("X")
+            .summarize(&v, Scope::ALL, 0)
+            .unwrap();
         assert_eq!(DistinctSummary::from_bytes(s.to_bytes()).unwrap(), s);
     }
 

@@ -8,11 +8,10 @@
 //! the search criteria."*
 
 use crate::traits::{Sketch, SketchResult, Summary};
-use crate::view::TableView;
-use hillview_columnar::scan::{scan_rows, Selection};
-use hillview_columnar::{FrameFilter, Predicate, Row, RowKey, SortOrder, StrMatchKind};
+use crate::view::{Scope, TableView};
+use hillview_columnar::scan::scan_rows;
+use hillview_columnar::{Predicate, Row, RowKey, SortOrder, StrMatchKind};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Find-text sketch.
@@ -123,42 +122,68 @@ impl Sketch for FindSketch {
         "find-text"
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<FindSummary> {
-        self.summarize_bounded(view, None, None, seed)
+    /// Match counts add and the first-match key is a minimum lattice, so
+    /// split partials fold back to exactly the unsplit summary.
+    ///
+    /// The search criteria compile into the block-wise predicate engine: on
+    /// dictionary columns the query is matched once per distinct entry into
+    /// a code bitmap, and the frame scan probes 64-row match words — rows
+    /// that fail the search (or the fused filter) never reach the key
+    /// builder. Any extra `filter` is AND-composed into the same compiled
+    /// pass.
+    fn summarize(
+        &self,
+        view: &TableView,
+        scope: Scope<'_>,
+        _seed: u64,
+    ) -> SketchResult<FindSummary> {
+        let table = view.table();
+        let resolved = self.order.resolve(table)?;
+        let match_pred = Predicate::str_match(
+            &self.column,
+            &self.query,
+            self.kind.clone(),
+            self.case_insensitive,
+        );
+        let pred = match scope.filter {
+            Some(f) => f.clone().and(match_pred),
+            None => match_pred,
+        };
+        let matching = Scope {
+            rows: scope.rows,
+            filter: Some(&pred),
+        };
+        let mut out = FindSummary {
+            first: None,
+            matches_after: 0,
+            matches_total: 0,
+        };
+        // Every surviving row already matches the criteria, so the scan
+        // body only builds keys and maintains the minimum lattice.
+        view.scan(matching, None, |sel| {
+            scan_rows(sel, |row| {
+                out.matches_total += 1;
+                let key = resolved.key(table, row);
+                if let Some(start) = &self.start {
+                    if key <= *start {
+                        return;
+                    }
+                }
+                out.matches_after += 1;
+                let better = match &out.first {
+                    None => true,
+                    Some((best, _)) => key < *best,
+                };
+                if better {
+                    out.first = Some((key, table.full_row(row)));
+                }
+            })
+        })?;
+        Ok(out)
     }
 
     fn splittable(&self) -> bool {
         true
-    }
-
-    fn summarize_range(
-        &self,
-        view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<FindSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), None, seed)
-    }
-
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        seed: u64,
-    ) -> SketchResult<FindSummary> {
-        self.summarize_bounded(view, None, Some(predicate), seed)
-    }
-
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<FindSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), Some(predicate), seed)
     }
 
     fn identity(&self) -> FindSummary {
@@ -171,68 +196,6 @@ impl Sketch for FindSketch {
 }
 
 impl FindSketch {
-    /// The shared scan body; match counts add and the first-match key is a
-    /// minimum lattice, so split partials fold back to exactly the unsplit
-    /// summary.
-    ///
-    /// The search criteria compile into the block-wise predicate engine: on
-    /// dictionary columns the query is matched once per distinct entry into
-    /// a code bitmap, and the frame scan probes 64-row match words — rows
-    /// that fail the search (or the fused filter) never reach the key
-    /// builder. Any extra `filter` is AND-composed into the same compiled
-    /// pass.
-    fn summarize_bounded(
-        &self,
-        view: &TableView,
-        bounds: Option<(usize, usize)>,
-        filter: Option<&Predicate>,
-        _seed: u64,
-    ) -> SketchResult<FindSummary> {
-        let table = view.table();
-        let resolved = self.order.resolve(table)?;
-        let match_pred = Predicate::str_match(
-            &self.column,
-            &self.query,
-            self.kind.clone(),
-            self.case_insensitive,
-        );
-        let pred = match filter {
-            Some(f) => f.clone().and(match_pred),
-            None => match_pred,
-        };
-        let base = crate::view::bounded_selection(view, &None, bounds);
-        let ff = RefCell::new(FrameFilter::compile(&pred, table)?);
-        let sel = Selection::Filtered {
-            base: &base,
-            filter: &ff,
-        };
-        let mut out = FindSummary {
-            first: None,
-            matches_after: 0,
-            matches_total: 0,
-        };
-        // Every surviving row already matches the criteria, so the scan
-        // body only builds keys and maintains the minimum lattice.
-        scan_rows(&sel, |row| {
-            out.matches_total += 1;
-            let key = resolved.key(table, row);
-            if let Some(start) = &self.start {
-                if key <= *start {
-                    return;
-                }
-            }
-            out.matches_after += 1;
-            let better = match &out.first {
-                None => true,
-                Some((best, _)) => key < *best,
-            };
-            if better {
-                out.first = Some((key, table.full_row(row)));
-            }
-        });
-        Ok(out)
-    }
-
     /// Per-row reference implementation, kept for the scan-equivalence
     /// property tests. Must remain bit-identical to [`Sketch::summarize`].
     pub fn summarize_rowwise(&self, view: &TableView, _seed: u64) -> SketchResult<FindSummary> {
@@ -307,7 +270,7 @@ mod tests {
             StrMatchKind::Substring,
             SortOrder::ascending(&["Ord"]),
         );
-        let s = sk.summarize(&view(), 0).unwrap();
+        let s = sk.summarize(&view(), Scope::ALL, 0).unwrap();
         let (key, row) = s.first.unwrap();
         assert_eq!(key.values(), &[Value::Int(1)]);
         assert_eq!(row.values[0], Value::str("gandalf-1"));
@@ -323,7 +286,7 @@ mod tests {
             SortOrder::ascending(&["Ord"]),
         )
         .case_insensitive();
-        let s = sk.summarize(&view(), 0).unwrap();
+        let s = sk.summarize(&view(), Scope::ALL, 0).unwrap();
         assert_eq!(s.matches_total, 3);
         let (key, _) = s.first.unwrap();
         assert_eq!(key.values(), &[Value::Int(0)], "GANDALF-3 sorts first");
@@ -333,12 +296,12 @@ mod tests {
     fn find_next_continues_after_start() {
         let order = SortOrder::ascending(&["Ord"]);
         let first = FindSketch::new("Server", "gandalf", StrMatchKind::Substring, order.clone())
-            .summarize(&view(), 0)
+            .summarize(&view(), Scope::ALL, 0)
             .unwrap();
         let start = first.first.unwrap().0;
         let next = FindSketch::new("Server", "gandalf", StrMatchKind::Substring, order)
             .after(start)
-            .summarize(&view(), 0)
+            .summarize(&view(), Scope::ALL, 0)
             .unwrap();
         let (key, row) = next.first.unwrap();
         assert_eq!(key.values(), &[Value::Int(2)]);
@@ -355,7 +318,7 @@ mod tests {
             StrMatchKind::Regex,
             SortOrder::ascending(&["Ord"]),
         );
-        let s = sk.summarize(&view(), 0).unwrap();
+        let s = sk.summarize(&view(), Scope::ALL, 0).unwrap();
         assert_eq!(s.matches_total, 2);
     }
 
@@ -375,17 +338,19 @@ mod tests {
                     t.clone(),
                     Arc::new(MembershipSet::from_rows(vec![0, 3], 5)),
                 ),
+                Scope::ALL,
                 0,
             )
             .unwrap();
         let b = sk
             .summarize(
                 &TableView::with_members(t, Arc::new(MembershipSet::from_rows(vec![1, 2, 4], 5))),
+                Scope::ALL,
                 0,
             )
             .unwrap();
         let merged = a.merge(&b);
-        let whole = sk.summarize(&view(), 0).unwrap();
+        let whole = sk.summarize(&view(), Scope::ALL, 0).unwrap();
         assert_eq!(merged, whole);
     }
 
@@ -397,7 +362,7 @@ mod tests {
             StrMatchKind::Substring,
             SortOrder::ascending(&["Ord"]),
         );
-        let s = sk.summarize(&view(), 0).unwrap();
+        let s = sk.summarize(&view(), Scope::ALL, 0).unwrap();
         assert!(s.first.is_none());
         assert_eq!(s.matches_total, 0);
     }
@@ -410,7 +375,7 @@ mod tests {
             StrMatchKind::Substring,
             SortOrder::ascending(&["Ord"]),
         );
-        let s = sk.summarize(&view(), 0).unwrap();
+        let s = sk.summarize(&view(), Scope::ALL, 0).unwrap();
         assert_eq!(FindSummary::from_bytes(s.to_bytes()).unwrap(), s);
         let empty = sk.identity();
         assert_eq!(FindSummary::from_bytes(empty.to_bytes()).unwrap(), empty);

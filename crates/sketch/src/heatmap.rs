@@ -7,10 +7,9 @@
 use crate::bind::{BoundColumn, Cell, FrameCells};
 use crate::buckets::BucketSpec;
 use crate::traits::{Sketch, SketchResult, Summary};
-use crate::view::TableView;
-use hillview_columnar::{scan_frames, FrameEvent, FrameFilter, Predicate, Selection, BLOCK_ROWS};
+use crate::view::{Scope, TableView};
+use hillview_columnar::{scan_frames, FrameEvent, BLOCK_ROWS};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Heat map sketch over two columns.
@@ -154,42 +153,80 @@ impl Sketch for HeatmapSketch {
         "heatmap"
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<HeatmapSummary> {
-        self.summarize_bounded(view, None, None, seed)
+    /// Matrix counts are integers, so split partials fold back to exactly
+    /// the unsplit summary.
+    ///
+    /// Dense selections stream as 64-row block frames: each bound column
+    /// decodes its lanes once per frame (zero-copy for plain storage) and
+    /// produces a frame of bucket cells through the lane-parallel binding,
+    /// so the per-row work is two array reads and a matrix increment.
+    /// Sparse row lists keep the per-row binding probe.
+    fn summarize(
+        &self,
+        view: &TableView,
+        scope: Scope<'_>,
+        seed: u64,
+    ) -> SketchResult<HeatmapSummary> {
+        let cx = view.table().column_by_name(&self.col_x)?;
+        let cy = view.table().column_by_name(&self.col_y)?;
+        // Bind once: raw storage + null bitmaps, no per-row enum dispatch.
+        let bx = BoundColumn::bind(cx, &self.buckets_x)?;
+        let by = BoundColumn::bind(cy, &self.buckets_y)?;
+        let mut out = HeatmapSummary::zero(self.buckets_x.count(), self.buckets_y.count());
+        let width_y = out.by;
+        let mut fx = FrameCells::new(&bx, out.bx);
+        let mut fy = FrameCells::new(&by, out.by);
+        let (x_out, x_miss) = (fx.out(), fx.miss());
+        let (y_out, y_miss) = (fy.out(), fy.miss());
+        let mut xs = [0u32; BLOCK_ROWS];
+        let mut ys = [0u32; BLOCK_ROWS];
+        let tally_row =
+            |out: &mut HeatmapSummary, row: usize| match (bx.bucket(row), by.bucket(row)) {
+                (Cell::In(x), Cell::In(y)) => out.counts[x * width_y + y] += 1,
+                (Cell::Missing, _) | (_, Cell::Missing) => out.missing += 1,
+                _ => out.out_of_range += 1,
+            };
+        let sample = (self.rate < 1.0).then_some((self.rate, seed));
+        let ((), rows) = view.scan(scope, sample, |sel| {
+            scan_frames(sel, |ev| match ev {
+                // Mostly-selected frames amortize two full-frame cell
+                // computations; sparser ones keep the per-row probe (decoding
+                // 2×64 lanes to consume a couple of rows would cost more than
+                // the probes).
+                FrameEvent::Frame { base, len, word } if word.count_ones() as usize * 2 >= len => {
+                    fx.frame(base, len, &mut xs);
+                    fy.frame(base, len, &mut ys);
+                    let mut m = word;
+                    while m != 0 {
+                        let k = m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        let (x, y) = (xs[k], ys[k]);
+                        if x == x_miss || y == y_miss {
+                            out.missing += 1;
+                        } else if x == x_out || y == y_out {
+                            out.out_of_range += 1;
+                        } else {
+                            out.counts[x as usize * width_y + y as usize] += 1;
+                        }
+                    }
+                }
+                FrameEvent::Frame { base, word, .. } => {
+                    let mut m = word;
+                    while m != 0 {
+                        let k = m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        tally_row(&mut out, base + k);
+                    }
+                }
+                FrameEvent::Row(row) => tally_row(&mut out, row),
+            })
+        })?;
+        out.rows_inspected = rows;
+        Ok(out)
     }
 
     fn splittable(&self) -> bool {
         true
-    }
-
-    fn summarize_range(
-        &self,
-        view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<HeatmapSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), None, seed)
-    }
-
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        seed: u64,
-    ) -> SketchResult<HeatmapSummary> {
-        self.summarize_bounded(view, None, Some(predicate), seed)
-    }
-
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<HeatmapSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), Some(predicate), seed)
     }
 
     fn identity(&self) -> HeatmapSummary {
@@ -204,105 +241,6 @@ impl Sketch for HeatmapSketch {
             )
             .into_bytes()
         })
-    }
-}
-
-impl HeatmapSketch {
-    /// The shared scan body; matrix counts are integers, so split partials
-    /// fold back to exactly the unsplit summary.
-    ///
-    /// Dense selections stream as 64-row block frames: each bound column
-    /// decodes its lanes once per frame (zero-copy for plain storage) and
-    /// produces a frame of bucket cells through the lane-parallel binding,
-    /// so the per-row work is two array reads and a matrix increment.
-    /// Sparse row lists keep the per-row binding probe.
-    fn summarize_bounded(
-        &self,
-        view: &TableView,
-        bounds: Option<(usize, usize)>,
-        filter: Option<&Predicate>,
-        seed: u64,
-    ) -> SketchResult<HeatmapSummary> {
-        if let Some(pred) = filter {
-            // Sampled sketches draw from the *filtered* membership, so they
-            // take the two-pass path; exact ones fuse the predicate into the
-            // frame stream below.
-            if self.rate < 1.0 {
-                let narrowed = crate::view::filtered_view(view, pred)?;
-                return self.summarize_bounded(&narrowed, bounds, None, seed);
-            }
-        }
-        let cx = view.table().column_by_name(&self.col_x)?;
-        let cy = view.table().column_by_name(&self.col_y)?;
-        // Bind once: raw storage + null bitmaps, no per-row enum dispatch.
-        let bx = BoundColumn::bind(cx, &self.buckets_x)?;
-        let by = BoundColumn::bind(cy, &self.buckets_y)?;
-        let sampled = (self.rate < 1.0).then(|| view.sample_rows(self.rate, seed));
-        let base = crate::view::bounded_selection(view, &sampled, bounds);
-        let ff = match filter {
-            Some(pred) => Some(RefCell::new(FrameFilter::compile(pred, view.table())?)),
-            None => None,
-        };
-        let sel = match &ff {
-            Some(f) => Selection::Filtered {
-                base: &base,
-                filter: f,
-            },
-            None => base,
-        };
-        let mut out = HeatmapSummary::zero(self.buckets_x.count(), self.buckets_y.count());
-        if ff.is_none() {
-            out.rows_inspected = base.count() as u64;
-        }
-        let width_y = out.by;
-        let mut fx = FrameCells::new(&bx, out.bx);
-        let mut fy = FrameCells::new(&by, out.by);
-        let (x_out, x_miss) = (fx.out(), fx.miss());
-        let (y_out, y_miss) = (fy.out(), fy.miss());
-        let mut xs = [0u32; BLOCK_ROWS];
-        let mut ys = [0u32; BLOCK_ROWS];
-        let tally_row =
-            |out: &mut HeatmapSummary, row: usize| match (bx.bucket(row), by.bucket(row)) {
-                (Cell::In(x), Cell::In(y)) => out.counts[x * width_y + y] += 1,
-                (Cell::Missing, _) | (_, Cell::Missing) => out.missing += 1,
-                _ => out.out_of_range += 1,
-            };
-        scan_frames(&sel, |ev| match ev {
-            // Mostly-selected frames amortize two full-frame cell
-            // computations; sparser ones keep the per-row probe (decoding
-            // 2×64 lanes to consume a couple of rows would cost more than
-            // the probes).
-            FrameEvent::Frame { base, len, word } if word.count_ones() as usize * 2 >= len => {
-                fx.frame(base, len, &mut xs);
-                fy.frame(base, len, &mut ys);
-                let mut m = word;
-                while m != 0 {
-                    let k = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let (x, y) = (xs[k], ys[k]);
-                    if x == x_miss || y == y_miss {
-                        out.missing += 1;
-                    } else if x == x_out || y == y_out {
-                        out.out_of_range += 1;
-                    } else {
-                        out.counts[x as usize * width_y + y as usize] += 1;
-                    }
-                }
-            }
-            FrameEvent::Frame { base, word, .. } => {
-                let mut m = word;
-                while m != 0 {
-                    let k = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    tally_row(&mut out, base + k);
-                }
-            }
-            FrameEvent::Row(row) => tally_row(&mut out, row),
-        });
-        if let Some(f) = &ff {
-            out.rows_inspected = f.borrow().matched();
-        }
-        Ok(out)
     }
 }
 
@@ -375,7 +313,7 @@ mod tests {
 
     #[test]
     fn counts_land_in_cells() {
-        let s = sketch().summarize(&view(), 0).unwrap();
+        let s = sketch().summarize(&view(), Scope::ALL, 0).unwrap();
         assert_eq!(s.get(0, 0), 2, "x<5, y=a*");
         assert_eq!(s.get(0, 1), 2, "x<5, y=n*");
         assert_eq!(s.get(1, 0), 1);
@@ -402,7 +340,7 @@ mod tests {
     #[test]
     fn identity_is_unit() {
         let sk = sketch();
-        let s = sk.summarize(&view(), 0).unwrap();
+        let s = sk.summarize(&view(), Scope::ALL, 0).unwrap();
         assert_eq!(sk.identity().merge(&s), s);
     }
 
@@ -416,12 +354,15 @@ mod tests {
             0.5,
         );
         let v = view();
-        assert_eq!(sk.summarize(&v, 7).unwrap(), sk.summarize(&v, 7).unwrap());
+        assert_eq!(
+            sk.summarize(&v, Scope::ALL, 7).unwrap(),
+            sk.summarize(&v, Scope::ALL, 7).unwrap()
+        );
     }
 
     #[test]
     fn wire_roundtrip() {
-        let s = sketch().summarize(&view(), 0).unwrap();
+        let s = sketch().summarize(&view(), Scope::ALL, 0).unwrap();
         assert_eq!(HeatmapSummary::from_bytes(s.to_bytes()).unwrap(), s);
     }
 
@@ -429,7 +370,7 @@ mod tests {
     fn summary_size_is_screen_bound_not_data_bound() {
         // The serialized summary of a 2x2 heat map must stay small no matter
         // how many rows were scanned — the core vizketch property.
-        let s = sketch().summarize(&view(), 0).unwrap();
+        let s = sketch().summarize(&view(), Scope::ALL, 0).unwrap();
         assert!(s.to_bytes().len() < 64);
     }
 }

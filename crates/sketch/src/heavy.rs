@@ -8,13 +8,10 @@
 //! none below 1/4K with probability 1−δ.
 
 use crate::traits::{Sketch, SketchResult, Summary};
-use crate::view::TableView;
-use hillview_columnar::scan::{scan_rows, scan_values, Selection};
-use hillview_columnar::{
-    row_sampled, scan_blocks, Block, BlockSink, FrameFilter, Predicate, Value,
-};
+use crate::view::{Scope, TableView};
+use hillview_columnar::scan::{scan_rows, scan_values};
+use hillview_columnar::{row_sampled, scan_blocks, Block, BlockSink, Value};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -148,42 +145,80 @@ impl Sketch for MisraGriesSketch {
         "heavy-hitters-mg"
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<MisraGriesSummary> {
-        self.summarize_bounded(view, None, None, seed)
+    /// MG counters are order-sensitive, so a split execution (sub-range
+    /// counter sets folded with the mergeable-summaries merge) is a
+    /// *different but equally valid* MG summary than the unsplit pass —
+    /// same capacity, same `total/k` undercount bound. Determinism comes
+    /// from the fixed split plan and range-ordered fold.
+    fn summarize(
+        &self,
+        view: &TableView,
+        scope: Scope<'_>,
+        _seed: u64,
+    ) -> SketchResult<MisraGriesSummary> {
+        let col = view.table().column_by_name(&self.column)?;
+        // Dictionary fast path: run the MG counter updates keyed by u32
+        // code over the raw code slice (chunked, null-word aware) and only
+        // materialize `Value`s for the ≤ k surviving counters. The counter
+        // dynamics see the identical value stream, so the result is
+        // bit-identical to the per-row reference.
+        let mut missing = 0u64;
+        let (mut counters, selected) = view.scan(scope, None, |sel| -> Vec<(Value, u64)> {
+            if let Some(dict) = col.as_dict_col() {
+                let mut code_counters: HashMap<u32, u64> = HashMap::with_capacity(self.k + 1);
+                scan_values(
+                    sel,
+                    dict.codes(),
+                    dict.nulls().bitmap(),
+                    &mut missing,
+                    |code| {
+                        if let Some(c) = code_counters.get_mut(&code) {
+                            *c += 1;
+                        } else if code_counters.len() < self.k {
+                            code_counters.insert(code, 1);
+                        } else {
+                            code_counters.retain(|_, c| {
+                                *c -= 1;
+                                *c > 0
+                            });
+                        }
+                    },
+                );
+                code_counters
+                    .into_iter()
+                    .map(|(code, c)| (Value::Str(dict.dictionary().get(code).clone()), c))
+                    .collect()
+            } else {
+                let mut val_counters: HashMap<Value, u64> = HashMap::with_capacity(self.k + 1);
+                scan_rows(sel, |row| {
+                    let v = col.value(row);
+                    if v.is_missing() {
+                        missing += 1;
+                    } else if let Some(c) = val_counters.get_mut(&v) {
+                        *c += 1;
+                    } else if val_counters.len() < self.k {
+                        val_counters.insert(v, 1);
+                    } else {
+                        // Decrement all; drop zeros. Amortized O(1) per row.
+                        val_counters.retain(|_, c| {
+                            *c -= 1;
+                            *c > 0
+                        });
+                    }
+                });
+                val_counters.into_iter().collect()
+            }
+        })?;
+        counters.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        Ok(MisraGriesSummary {
+            k: self.k,
+            counters,
+            total: selected - missing,
+        })
     }
 
     fn splittable(&self) -> bool {
         true
-    }
-
-    fn summarize_range(
-        &self,
-        view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<MisraGriesSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), None, seed)
-    }
-
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        seed: u64,
-    ) -> SketchResult<MisraGriesSummary> {
-        self.summarize_bounded(view, None, Some(predicate), seed)
-    }
-
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<MisraGriesSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), Some(predicate), seed)
     }
 
     fn identity(&self) -> MisraGriesSummary {
@@ -192,104 +227,6 @@ impl Sketch for MisraGriesSketch {
 
     fn cache_identity(&self) -> Option<Vec<u8>> {
         Some(format!("{}|{}", self.column, self.k).into_bytes())
-    }
-}
-
-impl MisraGriesSketch {
-    /// The shared scan body over a whole partition or a split sub-range.
-    /// MG counters are order-sensitive, so a split execution (sub-range
-    /// counter sets folded with the mergeable-summaries merge) is a
-    /// *different but equally valid* MG summary than the unsplit pass —
-    /// same capacity, same `total/k` undercount bound. Determinism comes
-    /// from the fixed split plan and range-ordered fold.
-    fn summarize_bounded(
-        &self,
-        view: &TableView,
-        bounds: Option<(usize, usize)>,
-        filter: Option<&Predicate>,
-        _seed: u64,
-    ) -> SketchResult<MisraGriesSummary> {
-        let col = view.table().column_by_name(&self.column)?;
-        let base = crate::view::bounded_selection(view, &None, bounds);
-        let ff = match filter {
-            Some(pred) => Some(RefCell::new(FrameFilter::compile(pred, view.table())?)),
-            None => None,
-        };
-        let sel = match &ff {
-            Some(f) => Selection::Filtered {
-                base: &base,
-                filter: f,
-            },
-            None => base,
-        };
-        // Dictionary fast path: run the MG counter updates keyed by u32
-        // code over the raw code slice (chunked, null-word aware) and only
-        // materialize `Value`s for the ≤ k surviving counters. The counter
-        // dynamics see the identical value stream, so the result is
-        // bit-identical to the per-row reference.
-        let mut counters: Vec<(Value, u64)>;
-        let total;
-        if let Some(dict) = col.as_dict_col() {
-            let mut code_counters: HashMap<u32, u64> = HashMap::with_capacity(self.k + 1);
-            let mut missing = 0u64;
-            scan_values(
-                &sel,
-                dict.codes(),
-                dict.nulls().bitmap(),
-                &mut missing,
-                |code| {
-                    if let Some(c) = code_counters.get_mut(&code) {
-                        *c += 1;
-                    } else if code_counters.len() < self.k {
-                        code_counters.insert(code, 1);
-                    } else {
-                        code_counters.retain(|_, c| {
-                            *c -= 1;
-                            *c > 0
-                        });
-                    }
-                },
-            );
-            // Under fusion the filtered selection is single-pass; the
-            // surviving-row count comes from the filter's popcounts.
-            total = match &ff {
-                Some(f) => f.borrow().matched() - missing,
-                None => sel.count() as u64 - missing,
-            };
-            counters = code_counters
-                .into_iter()
-                .map(|(code, c)| (Value::Str(dict.dictionary().get(code).clone()), c))
-                .collect();
-        } else {
-            let mut val_counters: HashMap<Value, u64> = HashMap::with_capacity(self.k + 1);
-            let mut present = 0u64;
-            scan_rows(&sel, |row| {
-                let v = col.value(row);
-                if v.is_missing() {
-                    return;
-                }
-                present += 1;
-                if let Some(c) = val_counters.get_mut(&v) {
-                    *c += 1;
-                } else if val_counters.len() < self.k {
-                    val_counters.insert(v, 1);
-                } else {
-                    // Decrement all; drop zeros. Amortized O(1) per row.
-                    val_counters.retain(|_, c| {
-                        *c -= 1;
-                        *c > 0
-                    });
-                }
-            });
-            total = present;
-            counters = val_counters.into_iter().collect();
-        }
-        counters.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        Ok(MisraGriesSummary {
-            k: self.k,
-            counters,
-            total,
-        })
     }
 }
 
@@ -428,6 +365,30 @@ impl Wire for SampledHeavyHittersSummary {
     }
 }
 
+/// Per-dictionary-code counters fed by the block pipeline.
+struct CodeCounts(Vec<u64>);
+
+impl BlockSink<u32> for CodeCounts {
+    fn block(&mut self, b: &Block<'_, u32>) {
+        if b.all_live() {
+            for &code in b.values {
+                self.0[code as usize] += 1;
+            }
+        } else {
+            let mut live = b.live();
+            while live != 0 {
+                let k = live.trailing_zeros() as usize;
+                live &= live - 1;
+                self.0[b.values[k] as usize] += 1;
+            }
+        }
+    }
+    #[inline]
+    fn one(&mut self, _row: usize, code: u32) {
+        self.0[code as usize] += 1;
+    }
+}
+
 impl Sketch for SampledHeavyHittersSketch {
     type Summary = SampledHeavyHittersSummary;
 
@@ -435,42 +396,83 @@ impl Sketch for SampledHeavyHittersSketch {
         "heavy-hitters-sampling"
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<SampledHeavyHittersSummary> {
-        self.summarize_bounded(view, None, None, seed)
+    /// Counts are exact over the (clipped) sample, so split partials fold
+    /// back to exactly the unsplit summary.
+    fn summarize(
+        &self,
+        view: &TableView,
+        scope: Scope<'_>,
+        seed: u64,
+    ) -> SketchResult<SampledHeavyHittersSummary> {
+        let col = view.table().column_by_name(&self.column)?;
+        // rate >= 1.0 is exact: scan the membership chunks directly instead
+        // of materializing every row index (sample_rows(1.0) returns all
+        // members ascending, so results are identical either way). The
+        // unfiltered sample is always drawn partition-wide and clipped to
+        // the bounds; under fusion the sample must come from the *filtered*
+        // stream, so each surviving row is instead tested with the
+        // stateless hash-threshold decision [`row_sampled`] in the same
+        // single pass — no materialized membership, and tiling stays exact
+        // because the decision is a pure function of the row index.
+        let sample = (self.rate < 1.0 && scope.filter.is_none()).then_some((self.rate, seed));
+        let hash_sample = self.rate < 1.0 && sample.is_none();
+        // Selected rows that did not reach a counter: missing values, and
+        // rows the hash-threshold sample passed over.
+        let mut skipped = 0u64;
+        let (mut counts, selected) = view.scan(scope, sample, |sel| -> Vec<(Value, u64)> {
+            match col.as_dict_col() {
+                // Dictionary fast path: exact counts into a dictionary-sized
+                // array, consumed frame-wise from the block pipeline — a
+                // fully-live frame is 64 unconditional array increments
+                // with no hashing, and values are materialized once per
+                // distinct code, not once per row. Increments commute, so
+                // the result is independent of frame shape. It consumes
+                // whole frames without row identities, so the fused
+                // *sampled* scan counts per row instead.
+                Some(dict) if !hash_sample => {
+                    let mut by_code = CodeCounts(vec![0u64; dict.dictionary().len()]);
+                    scan_blocks(
+                        sel,
+                        dict.codes(),
+                        dict.nulls().bitmap(),
+                        &mut skipped,
+                        &mut by_code,
+                    );
+                    by_code
+                        .0
+                        .into_iter()
+                        .enumerate()
+                        .filter(|&(_, c)| c > 0)
+                        .map(|(code, c)| {
+                            (Value::Str(dict.dictionary().get(code as u32).clone()), c)
+                        })
+                        .collect()
+                }
+                _ => {
+                    let mut map: HashMap<Value, u64> = HashMap::new();
+                    scan_rows(sel, |row| {
+                        if hash_sample && !row_sampled(row as u64, self.rate, seed) {
+                            skipped += 1;
+                            return;
+                        }
+                        let v = col.value(row);
+                        if v.is_missing() {
+                            skipped += 1;
+                        } else {
+                            *map.entry(v).or_insert(0) += 1;
+                        }
+                    });
+                    map.into_iter().collect()
+                }
+            }
+        })?;
+        let sampled = selected - skipped;
+        counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        Ok(SampledHeavyHittersSummary { counts, sampled })
     }
 
     fn splittable(&self) -> bool {
         true
-    }
-
-    fn summarize_range(
-        &self,
-        view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<SampledHeavyHittersSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), None, seed)
-    }
-
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        seed: u64,
-    ) -> SketchResult<SampledHeavyHittersSummary> {
-        self.summarize_bounded(view, None, Some(predicate), seed)
-    }
-
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<SampledHeavyHittersSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), Some(predicate), seed)
     }
 
     fn identity(&self) -> SampledHeavyHittersSummary {
@@ -484,130 +486,6 @@ impl Sketch for SampledHeavyHittersSketch {
         // At rate >= 1 the "sample" is every row, so the counts are exact
         // and seed-independent.
         (self.rate >= 1.0).then(|| format!("{}|{}", self.column, self.k).into_bytes())
-    }
-}
-
-impl SampledHeavyHittersSketch {
-    /// The shared scan body. Counts are exact over the (clipped) sample, so
-    /// split partials fold back to exactly the unsplit summary.
-    fn summarize_bounded(
-        &self,
-        view: &TableView,
-        bounds: Option<(usize, usize)>,
-        filter: Option<&Predicate>,
-        seed: u64,
-    ) -> SketchResult<SampledHeavyHittersSummary> {
-        let col = view.table().column_by_name(&self.column)?;
-        // rate >= 1.0 is exact: scan the membership chunks directly instead
-        // of materializing every row index (sample_rows(1.0) returns all
-        // members ascending, so results are identical either way). The
-        // unfiltered sample is always drawn partition-wide and clipped to
-        // the bounds; under fusion the sample must come from the *filtered*
-        // stream, so each surviving row is instead tested with the
-        // stateless hash-threshold decision [`row_sampled`] in the same
-        // single pass — no materialized membership, and tiling stays exact
-        // because the decision is a pure function of the row index.
-        let hash_sample = self.rate < 1.0 && filter.is_some();
-        let presampled =
-            (self.rate < 1.0 && filter.is_none()).then(|| view.sample_rows(self.rate, seed));
-        let sel = crate::view::bounded_selection(view, &presampled, bounds);
-        let ff = match filter {
-            Some(pred) => Some(RefCell::new(FrameFilter::compile(pred, view.table())?)),
-            None => None,
-        };
-        let sel = match &ff {
-            Some(f) => Selection::Filtered {
-                base: &sel,
-                filter: f,
-            },
-            None => sel,
-        };
-        let mut counts: Vec<(Value, u64)>;
-        let sampled;
-        if hash_sample {
-            // The dictionary fast path consumes whole frames without row
-            // identities, so the fused *sampled* scan counts per row.
-            let mut map: HashMap<Value, u64> = HashMap::new();
-            let mut present = 0u64;
-            scan_rows(&sel, |row| {
-                if !row_sampled(row as u64, self.rate, seed) {
-                    return;
-                }
-                let v = col.value(row);
-                if v.is_missing() {
-                    return;
-                }
-                present += 1;
-                *map.entry(v).or_insert(0) += 1;
-            });
-            sampled = present;
-            counts = map.into_iter().collect();
-        } else if let Some(dict) = col.as_dict_col() {
-            // Dictionary fast path: exact counts into a dictionary-sized
-            // array, consumed frame-wise from the block pipeline — a
-            // fully-live frame is 64 unconditional array increments with
-            // no hashing, and values are materialized once per distinct
-            // code, not once per row. Increments commute, so the result is
-            // independent of frame shape.
-            struct CodeCounts(Vec<u64>);
-            impl BlockSink<u32> for CodeCounts {
-                fn block(&mut self, b: &Block<'_, u32>) {
-                    if b.all_live() {
-                        for &code in b.values {
-                            self.0[code as usize] += 1;
-                        }
-                    } else {
-                        let mut live = b.live();
-                        while live != 0 {
-                            let k = live.trailing_zeros() as usize;
-                            live &= live - 1;
-                            self.0[b.values[k] as usize] += 1;
-                        }
-                    }
-                }
-                #[inline]
-                fn one(&mut self, _row: usize, code: u32) {
-                    self.0[code as usize] += 1;
-                }
-            }
-            let mut by_code = CodeCounts(vec![0u64; dict.dictionary().len()]);
-            let mut missing = 0u64;
-            scan_blocks(
-                &sel,
-                dict.codes(),
-                dict.nulls().bitmap(),
-                &mut missing,
-                &mut by_code,
-            );
-            // Under fusion the filtered selection is single-pass; the
-            // surviving-row count comes from the filter's popcounts.
-            sampled = match &ff {
-                Some(f) => f.borrow().matched() - missing,
-                None => sel.count() as u64 - missing,
-            };
-            counts = by_code
-                .0
-                .into_iter()
-                .enumerate()
-                .filter(|&(_, c)| c > 0)
-                .map(|(code, c)| (Value::Str(dict.dictionary().get(code as u32).clone()), c))
-                .collect();
-        } else {
-            let mut map: HashMap<Value, u64> = HashMap::new();
-            let mut present = 0u64;
-            scan_rows(&sel, |row| {
-                let v = col.value(row);
-                if v.is_missing() {
-                    return;
-                }
-                present += 1;
-                *map.entry(v).or_insert(0) += 1;
-            });
-            sampled = present;
-            counts = map.into_iter().collect();
-        }
-        counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        Ok(SampledHeavyHittersSummary { counts, sampled })
     }
 }
 
@@ -670,7 +548,7 @@ mod tests {
     #[test]
     fn mg_finds_the_heavy_items() {
         let sk = MisraGriesSketch::new("S", 10);
-        let s = sk.summarize(&skewed_view(), 0).unwrap();
+        let s = sk.summarize(&skewed_view(), Scope::ALL, 0).unwrap();
         let hh = s.heavy_hitters(0.1);
         assert_eq!(hh[0].0, Value::str("whale"));
         assert_eq!(hh[1].0, Value::str("shark"));
@@ -690,6 +568,7 @@ mod tests {
                     t.clone(),
                     Arc::new(MembershipSet::from_rows((0..500).collect(), 1000)),
                 ),
+                Scope::ALL,
                 0,
             )
             .unwrap();
@@ -699,6 +578,7 @@ mod tests {
                     t,
                     Arc::new(MembershipSet::from_rows((500..1000).collect(), 1000)),
                 ),
+                Scope::ALL,
                 0,
             )
             .unwrap();
@@ -714,7 +594,7 @@ mod tests {
     #[test]
     fn mg_identity_is_unit() {
         let sk = MisraGriesSketch::new("S", 5);
-        let s = sk.summarize(&skewed_view(), 0).unwrap();
+        let s = sk.summarize(&skewed_view(), Scope::ALL, 0).unwrap();
         let m = sk.identity().merge(&s);
         assert_eq!(m.total, s.total);
         assert_eq!(m.heavy_hitters(0.1), s.heavy_hitters(0.1));
@@ -723,14 +603,14 @@ mod tests {
     #[test]
     fn mg_never_tracks_more_than_k() {
         let sk = MisraGriesSketch::new("S", 3);
-        let s = sk.summarize(&skewed_view(), 0).unwrap();
+        let s = sk.summarize(&skewed_view(), Scope::ALL, 0).unwrap();
         assert!(s.counters.len() <= 3);
     }
 
     #[test]
     fn sampled_hh_finds_heavy_items() {
         let sk = SampledHeavyHittersSketch::new("S", 4, 0.5);
-        let s = sk.summarize(&skewed_view(), 1).unwrap();
+        let s = sk.summarize(&skewed_view(), Scope::ALL, 1).unwrap();
         let hh = s.heavy_hitters(4);
         let names: Vec<String> = hh.iter().map(|(v, _)| v.to_string()).collect();
         assert!(names.contains(&"whale".to_string()), "{names:?}");
@@ -750,6 +630,7 @@ mod tests {
                     t.clone(),
                     Arc::new(MembershipSet::from_rows((0..500).collect(), 1000)),
                 ),
+                Scope::ALL,
                 1,
             )
             .unwrap();
@@ -759,6 +640,7 @@ mod tests {
                     t,
                     Arc::new(MembershipSet::from_rows((500..1000).collect(), 1000)),
                 ),
+                Scope::ALL,
                 2,
             )
             .unwrap();
@@ -779,11 +661,11 @@ mod tests {
     #[test]
     fn wire_roundtrips() {
         let s = MisraGriesSketch::new("S", 5)
-            .summarize(&skewed_view(), 0)
+            .summarize(&skewed_view(), Scope::ALL, 0)
             .unwrap();
         assert_eq!(MisraGriesSummary::from_bytes(s.to_bytes()).unwrap(), s);
         let s = SampledHeavyHittersSketch::new("S", 5, 0.3)
-            .summarize(&skewed_view(), 0)
+            .summarize(&skewed_view(), Scope::ALL, 0)
             .unwrap();
         assert_eq!(
             SampledHeavyHittersSummary::from_bytes(s.to_bytes()).unwrap(),
@@ -820,7 +702,11 @@ mod tests {
         let p = Predicate::range("X", 0.0, 50.0);
         let rate = 0.3f64;
         let sk = SampledHeavyHittersSketch::new("S", 4, rate);
-        let s1 = sk.summarize_filtered(&v, &p, 42).unwrap();
+        let under_p = Scope {
+            rows: None,
+            filter: Some(&p),
+        };
+        let s1 = sk.summarize(&v, under_p, 42).unwrap();
         let frac = s1.sampled as f64 / 100_000.0;
         assert!((frac - rate).abs() < 0.015, "sample fraction {frac}");
         // Each value appears in 1/4 of the filtered rows; the sampled
@@ -830,7 +716,7 @@ mod tests {
             assert!((share - 0.25).abs() < 0.02, "value share {share}");
         }
         // Deterministic per seed, different across seeds.
-        assert_eq!(s1, sk.summarize_filtered(&v, &p, 42).unwrap());
-        assert_ne!(s1, sk.summarize_filtered(&v, &p, 43).unwrap());
+        assert_eq!(s1, sk.summarize(&v, under_p, 42).unwrap());
+        assert_ne!(s1, sk.summarize(&v, under_p, 43).unwrap());
     }
 }

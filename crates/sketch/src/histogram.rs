@@ -18,12 +18,11 @@
 
 use crate::buckets::BucketSpec;
 use crate::traits::{Sketch, SketchError, SketchResult, Summary};
-use crate::view::TableView;
+use crate::view::{Scope, TableView};
 use hillview_columnar::scan::{scan_values, Selection};
 use hillview_columnar::simd::{self, BucketParams, LaneValue};
-use hillview_columnar::{scan_blocks, Block, BlockSink, Column, FrameFilter, Predicate};
+use hillview_columnar::{scan_blocks, Block, BlockSink, Column};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Histogram sketch over one column.
@@ -146,99 +145,18 @@ impl Sketch for HistogramSketch {
         }
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<HistogramSummary> {
-        self.summarize_bounded(view, None, None, seed)
-    }
-
-    fn splittable(&self) -> bool {
-        true
-    }
-
-    fn summarize_range(
+    /// Counters are integers, so range partials fold back to exactly the
+    /// unsplit summary.
+    fn summarize(
         &self,
         view: &TableView,
-        lo: usize,
-        hi: usize,
+        scope: Scope<'_>,
         seed: u64,
     ) -> SketchResult<HistogramSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), None, seed)
-    }
-
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        seed: u64,
-    ) -> SketchResult<HistogramSummary> {
-        self.summarize_bounded(view, None, Some(predicate), seed)
-    }
-
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<HistogramSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), Some(predicate), seed)
-    }
-
-    fn identity(&self) -> HistogramSummary {
-        HistogramSummary::zero(self.buckets.count())
-    }
-
-    fn cache_identity(&self) -> Option<Vec<u8>> {
-        // Only the exact (streaming) histogram is seed-independent.
-        (self.rate >= 1.0).then(|| format!("{}|{:?}", self.column, self.buckets).into_bytes())
-    }
-}
-
-impl HistogramSketch {
-    /// The shared scan body: `bounds` of `None` is the whole partition,
-    /// `Some((lo, hi))` a split sub-range. Counters are integers, so the
-    /// range partials fold back to exactly the unsplit summary.
-    ///
-    /// With `filter` present the predicate is fused into the scan: it
-    /// evaluates per 64-row frame inside the selection stream and only
-    /// surviving lanes reach the bucket kernel — no membership set is
-    /// materialized and the column is decoded once. Sampled histograms
-    /// fall back to the two-pass path, because the sample must be drawn
-    /// from the *filtered* membership to stay bit-identical to it.
-    fn summarize_bounded(
-        &self,
-        view: &TableView,
-        bounds: Option<(usize, usize)>,
-        filter: Option<&Predicate>,
-        seed: u64,
-    ) -> SketchResult<HistogramSummary> {
-        if let Some(pred) = filter {
-            if self.rate < 1.0 {
-                let narrowed = crate::view::filtered_view(view, pred)?;
-                return self.summarize_bounded(&narrowed, bounds, None, seed);
-            }
-        }
         let col = view.table().column_by_name(&self.column)?;
-        let sampled = (self.rate < 1.0).then(|| view.sample_rows(self.rate, seed));
-        let base = crate::view::bounded_selection(view, &sampled, bounds);
-        let ff = match filter {
-            Some(pred) => Some(RefCell::new(FrameFilter::compile(pred, view.table())?)),
-            None => None,
-        };
-        let sel = match &ff {
-            Some(f) => Selection::Filtered {
-                base: &base,
-                filter: f,
-            },
-            None => base,
-        };
         let mut out = HistogramSummary::zero(self.buckets.count());
-        // The fused filter is single-pass, so its row count is read back
-        // after the scan; the unfiltered count is position-independent.
-        if ff.is_none() {
-            out.rows_inspected = base.count() as u64;
-        }
-        match (&self.buckets, col) {
+        let sample = (self.rate < 1.0).then_some((self.rate, seed));
+        let (scanned, rows) = view.scan(scope, sample, |sel| match (&self.buckets, col) {
             // Numeric buckets over numeric columns: block frames with one
             // null-word check per 64 rows. Bucket indexes of a whole frame
             // are computed by the lane-parallel primitive (dead lanes to a
@@ -249,21 +167,23 @@ impl HistogramSketch {
             // either codegen.
             (BucketSpec::Numeric { lo, hi, count }, Column::Double(c)) => {
                 scan_numeric_blocks(
-                    &sel,
+                    sel,
                     c.data(),
                     c.nulls().bitmap(),
                     (*lo, *hi, *count),
                     &mut out,
                 );
+                Ok(())
             }
             (BucketSpec::Numeric { lo, hi, count }, Column::Int(c) | Column::Date(c)) => {
                 scan_numeric_blocks(
-                    &sel,
+                    sel,
                     c.storage(),
                     c.nulls().bitmap(),
                     (*lo, *hi, *count),
                     &mut out,
                 );
+                Ok(())
             }
             // String buckets over dictionary columns: bucket the dictionary
             // once, then count by code — O(dict) lookups instead of O(rows).
@@ -274,7 +194,7 @@ impl HistogramSketch {
                     .map(|s| self.buckets.index_of_str(s))
                     .collect();
                 scan_values(
-                    &sel,
+                    sel,
                     c.codes(),
                     c.nulls().bitmap(),
                     &mut out.missing,
@@ -283,19 +203,30 @@ impl HistogramSketch {
                         None => out.out_of_range += 1,
                     },
                 );
+                Ok(())
             }
-            (spec, col) => {
-                return Err(SketchError::BadConfig(format!(
-                    "bucket spec {:?} incompatible with column kind {}",
-                    spec.count(),
-                    col.kind()
-                )))
-            }
-        }
-        if let Some(f) = &ff {
-            out.rows_inspected = f.borrow().matched();
-        }
+            (spec, col) => Err(SketchError::BadConfig(format!(
+                "bucket spec {:?} incompatible with column kind {}",
+                spec.count(),
+                col.kind()
+            ))),
+        })?;
+        scanned?;
+        out.rows_inspected = rows;
         Ok(out)
+    }
+
+    fn splittable(&self) -> bool {
+        true
+    }
+
+    fn identity(&self) -> HistogramSummary {
+        HistogramSummary::zero(self.buckets.count())
+    }
+
+    fn cache_identity(&self) -> Option<Vec<u8>> {
+        // Only the exact (streaming) histogram is seed-independent.
+        (self.rate >= 1.0).then(|| format!("{}|{:?}", self.column, self.buckets).into_bytes())
     }
 }
 
@@ -501,7 +432,7 @@ mod tests {
     #[test]
     fn streaming_counts_are_exact() {
         let sk = HistogramSketch::streaming("X", BucketSpec::numeric(0.0, 100.0, 10));
-        let s = sk.summarize(&numeric_view(), 0).unwrap();
+        let s = sk.summarize(&numeric_view(), Scope::ALL, 0).unwrap();
         assert_eq!(s.buckets, vec![10; 10]);
         assert_eq!(s.missing, 0);
         assert_eq!(s.out_of_range, 0);
@@ -525,7 +456,7 @@ mod tests {
             .unwrap();
         let v = TableView::full(Arc::new(t));
         let sk = HistogramSketch::streaming("X", BucketSpec::numeric(0.0, 100.0, 10));
-        let s = sk.summarize(&v, 0).unwrap();
+        let s = sk.summarize(&v, Scope::ALL, 0).unwrap();
         assert_eq!(s.total_in_buckets(), 1);
         assert_eq!(s.missing, 1);
         assert_eq!(s.out_of_range, 2);
@@ -548,11 +479,11 @@ mod tests {
             .unwrap();
         let v = TableView::full(Arc::new(t));
         let s = HistogramSketch::streaming("I", BucketSpec::numeric(0.0, 10.0, 2))
-            .summarize(&v, 0)
+            .summarize(&v, Scope::ALL, 0)
             .unwrap();
         assert_eq!(s.buckets, vec![1, 1]);
         let s = HistogramSketch::streaming("D", BucketSpec::numeric(0.0, 1000.0, 2))
-            .summarize(&v, 0)
+            .summarize(&v, Scope::ALL, 0)
             .unwrap();
         assert_eq!(s.buckets, vec![1, 1]);
     }
@@ -578,7 +509,7 @@ mod tests {
             "S",
             BucketSpec::strings(vec!["a".into(), "b".into(), "c".into()]),
         );
-        let s = sk.summarize(&v, 0).unwrap();
+        let s = sk.summarize(&v, Scope::ALL, 0).unwrap();
         assert_eq!(s.buckets, vec![2, 1, 1]);
         assert_eq!(s.missing, 1);
     }
@@ -616,7 +547,7 @@ mod tests {
         let v = TableView::full(Arc::new(t));
         let spec = BucketSpec::numeric(0.0, 100.0, 10);
         let sampled = HistogramSketch::sampled("X", spec, 0.05)
-            .summarize(&v, 3)
+            .summarize(&v, Scope::ALL, 3)
             .unwrap();
         let n = sampled.rows_inspected as f64;
         assert!((n - 10_000.0).abs() < 1_500.0, "sample size {n}");
@@ -631,9 +562,15 @@ mod tests {
     fn sampled_is_deterministic_in_seed() {
         let v = numeric_view();
         let sk = HistogramSketch::sampled("X", BucketSpec::numeric(0.0, 100.0, 4), 0.5);
-        assert_eq!(sk.summarize(&v, 1).unwrap(), sk.summarize(&v, 1).unwrap());
+        assert_eq!(
+            sk.summarize(&v, Scope::ALL, 1).unwrap(),
+            sk.summarize(&v, Scope::ALL, 1).unwrap()
+        );
         // Different seeds explore different rows (almost surely).
-        assert_ne!(sk.summarize(&v, 1).unwrap(), sk.summarize(&v, 2).unwrap());
+        assert_ne!(
+            sk.summarize(&v, Scope::ALL, 1).unwrap(),
+            sk.summarize(&v, Scope::ALL, 2).unwrap()
+        );
     }
 
     #[test]
@@ -654,7 +591,7 @@ mod tests {
         let v = numeric_view();
         let sk = HistogramSketch::streaming("X", BucketSpec::strings(vec!["a".into()]));
         assert!(matches!(
-            sk.summarize(&v, 0),
+            sk.summarize(&v, Scope::ALL, 0),
             Err(SketchError::BadConfig(_))
         ));
     }

@@ -8,13 +8,41 @@
 //! tabular views, auxiliary statistics — is expressed as such a pair, which
 //! is what lets the engine parallelize blindly and stream partial results.
 //!
+//! ## Writing a vizketch
+//!
+//! Implement [`Sketch`] for the parameters and [`Summary`] (plus
+//! [`Wire`](hillview_net::Wire)) for the result. Three functions carry the
+//! whole contract:
+//!
+//! * [`Sketch::summarize`]`(view, scope, seed)` — summarize the rows of one
+//!   partition [`TableView`] that the [`Scope`] selects. A kernel here
+//!   binds its columns, passes its block body to `TableView::scan` and
+//!   finishes the summary; `scan` owns everything about *which* rows — row
+//!   bounds, the pre-drawn sample, the fused or two-pass filter, the
+//!   selected-row count. A sketch outside this crate, or one that walks the
+//!   whole view itself, starts from [`view::two_pass`]. The result must be
+//!   a deterministic function of the arguments — the engine replays seeds
+//!   after failures and expects the same bytes (paper §5.8).
+//! * [`Summary::merge`] — associative and commutative, with
+//! * [`Sketch::identity`] as its unit.
+//!
+//! Opt in to intra-partition parallelism with [`Sketch::splittable`] and to
+//! the engine's result cache with [`Sketch::cache_identity`]. The rules a
+//! scoped summary obeys — range tiling, clip-never-resample, absolute row
+//! indexes, fusion ≡ two-pass — are stated once, on [`Scope`]; the
+//! equivalence suites under `tests/` hold every kernel here to them bit for
+//! bit, against the per-row `summarize_rowwise` reference implementations.
+//!
+//! ## Kernels
+//!
 //! This crate contains the summarization algorithms themselves, independent
 //! of display resolution (the `hillview-viz` crate layers the
 //! visualization-driven parameter choices on top):
 //!
 //! * [`histogram`]/[`heatmap`]/[`stacked`] — bucket-count kernels, exact
 //!   (streaming) and sampled.
-//! * [`moments`]/[`range`] — column statistics (App. B.3 "Moments").
+//! * [`count`]/[`moments`]/[`range`] — column statistics (App. B.3
+//!   "Moments").
 //! * [`distinct`] — HyperLogLog distinct counting (App. B.3).
 //! * [`heavy`] — Misra-Gries and sampling heavy hitters (App. B.2/C.3).
 //! * [`bottomk`] — bottom-k sampling over distinct strings, for equi-width
@@ -24,11 +52,6 @@
 //! * [`find`] — find-text in sort order (App. B.2).
 //! * [`pca`] — sampled correlation-matrix sketch plus a Jacobi eigensolver
 //!   for principal component analysis (App. B.3).
-//!
-//! All summaries implement the [`Summary`] merge law (property-tested) and
-//! [`Wire`](hillview_net::Wire) serialization, and all randomized sketches
-//! are deterministic in an explicit seed — the engine's replay-based fault
-//! tolerance depends on that (paper §5.8).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -56,4 +79,4 @@ pub mod view;
 
 pub use buckets::BucketSpec;
 pub use traits::{Sketch, SketchError, SketchResult, Summary};
-pub use view::{filtered_view, TableView};
+pub use view::{filtered_view, Scope, TableView};

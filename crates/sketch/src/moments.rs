@@ -19,11 +19,10 @@
 //! both codegens produce bit-identical power sums.
 
 use crate::traits::{Sketch, SketchError, SketchResult, Summary};
-use crate::view::TableView;
+use crate::view::{Scope, TableView};
 use hillview_columnar::simd::{self, LaneValue, MomentLanes};
-use hillview_columnar::{scan_blocks, Block, BlockSink, Column, FrameFilter, Predicate, Selection};
+use hillview_columnar::{scan_blocks, Block, BlockSink, Column};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Computes min/max/counts and power sums up to order `k` of one column.
@@ -137,64 +136,14 @@ impl Sketch for MomentsSketch {
         "moments"
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<MomentsSummary> {
-        self.summarize_bounded(view, None, None, seed)
-    }
-
-    fn splittable(&self) -> bool {
-        true
-    }
-
-    fn summarize_range(
-        &self,
-        view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<MomentsSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), None, seed)
-    }
-
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        seed: u64,
-    ) -> SketchResult<MomentsSummary> {
-        self.summarize_bounded(view, None, Some(predicate), seed)
-    }
-
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<MomentsSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), Some(predicate), seed)
-    }
-
-    fn identity(&self) -> MomentsSummary {
-        MomentsSummary::zero(self.k)
-    }
-
-    fn cache_identity(&self) -> Option<Vec<u8>> {
-        Some(format!("{}|{}", self.column, self.k).into_bytes())
-    }
-}
-
-impl MomentsSketch {
-    /// The shared scan body over a whole partition (`bounds: None`) or a
-    /// split sub-range. Counts and min/max fold back exactly; the
+    /// Counts and min/max fold back exactly from split sub-ranges; the
     /// floating-point power sums fold deterministically in range order —
     /// the split plan and fold order are fixed, so split execution is
     /// reproducible even though f64 addition is not associative.
-    fn summarize_bounded(
+    fn summarize(
         &self,
         view: &TableView,
-        bounds: Option<(usize, usize)>,
-        filter: Option<&Predicate>,
+        scope: Scope<'_>,
         _seed: u64,
     ) -> SketchResult<MomentsSummary> {
         struct Sink {
@@ -232,48 +181,41 @@ impl MomentsSketch {
 
         let col = view.table().column_by_name(&self.column)?;
         let mut out = MomentsSummary::zero(self.k);
-        let base = crate::view::bounded_selection(view, &None, bounds);
-        // Fused filtering keeps absolute row indexes, so the `row % 8` lane
-        // assignment — and therefore the power sums — stay bit-identical to
-        // the two-pass execution.
-        let ff = match filter {
-            Some(pred) => Some(RefCell::new(FrameFilter::compile(pred, view.table())?)),
-            None => None,
-        };
-        let sel = match &ff {
-            Some(f) => Selection::Filtered {
-                base: &base,
-                filter: f,
-            },
-            None => base,
-        };
         let mut sink = Sink {
             acc: MomentLanes::new(self.k),
             present: 0,
         };
-        match col {
-            Column::Double(c) => scan_blocks(
-                &sel,
-                c.data(),
-                c.nulls().bitmap(),
-                &mut out.missing,
-                &mut sink,
-            ),
-            Column::Int(c) | Column::Date(c) => scan_blocks(
-                &sel,
-                c.storage(),
-                c.nulls().bitmap(),
-                &mut out.missing,
-                &mut sink,
-            ),
-            _ => {
-                return Err(SketchError::BadConfig(format!(
-                    "moments require a numeric column, {} is {}",
-                    self.column,
-                    col.kind()
-                )))
+        // Fused filtering keeps absolute row indexes, so the `row % 8` lane
+        // assignment — and therefore the power sums — stay bit-identical to
+        // the two-pass execution.
+        let (scanned, _) = view.scan(scope, None, |sel| match col {
+            Column::Double(c) => {
+                scan_blocks(
+                    sel,
+                    c.data(),
+                    c.nulls().bitmap(),
+                    &mut out.missing,
+                    &mut sink,
+                );
+                Ok(())
             }
-        }
+            Column::Int(c) | Column::Date(c) => {
+                scan_blocks(
+                    sel,
+                    c.storage(),
+                    c.nulls().bitmap(),
+                    &mut out.missing,
+                    &mut sink,
+                );
+                Ok(())
+            }
+            _ => Err(SketchError::BadConfig(format!(
+                "moments require a numeric column, {} is {}",
+                self.column,
+                col.kind()
+            ))),
+        })?;
+        scanned?;
         out.present = sink.present;
         let (min, max, sums) = sink.acc.collapse();
         if out.present > 0 {
@@ -282,6 +224,18 @@ impl MomentsSketch {
         }
         out.sums = sums;
         Ok(out)
+    }
+
+    fn splittable(&self) -> bool {
+        true
+    }
+
+    fn identity(&self) -> MomentsSummary {
+        MomentsSummary::zero(self.k)
+    }
+
+    fn cache_identity(&self) -> Option<Vec<u8>> {
+        Some(format!("{}|{}", self.column, self.k).into_bytes())
     }
 }
 
@@ -341,7 +295,9 @@ mod tests {
     #[test]
     fn mean_and_variance() {
         let v = view(&[Some(2.0), Some(4.0), Some(6.0), None]);
-        let s = MomentsSketch::new("X", 2).summarize(&v, 0).unwrap();
+        let s = MomentsSketch::new("X", 2)
+            .summarize(&v, Scope::ALL, 0)
+            .unwrap();
         assert_eq!(s.present, 3);
         assert_eq!(s.missing, 1);
         assert_eq!(s.mean(), Some(4.0));
@@ -354,7 +310,9 @@ mod tests {
     #[test]
     fn higher_moments() {
         let v = view(&[Some(1.0), Some(2.0)]);
-        let s = MomentsSketch::new("X", 4).summarize(&v, 0).unwrap();
+        let s = MomentsSketch::new("X", 4)
+            .summarize(&v, Scope::ALL, 0)
+            .unwrap();
         assert_eq!(s.sums, vec![3.0, 5.0, 9.0, 17.0]);
     }
 
@@ -363,19 +321,21 @@ mod tests {
         let v = view(&[Some(1.0), Some(2.0), Some(3.0), Some(4.0)]);
         let t = v.table().clone();
         let sk = MomentsSketch::new("X", 3);
-        let whole = sk.summarize(&v, 0).unwrap();
+        let whole = sk.summarize(&v, Scope::ALL, 0).unwrap();
         let a = sk
             .summarize(
                 &TableView::with_members(
                     t.clone(),
                     Arc::new(MembershipSet::from_rows(vec![0, 1], 4)),
                 ),
+                Scope::ALL,
                 0,
             )
             .unwrap();
         let b = sk
             .summarize(
                 &TableView::with_members(t, Arc::new(MembershipSet::from_rows(vec![2, 3], 4))),
+                Scope::ALL,
                 0,
             )
             .unwrap();
@@ -401,7 +361,7 @@ mod tests {
             .unwrap();
         let v = TableView::full(Arc::new(t));
         assert!(matches!(
-            MomentsSketch::new("S", 2).summarize(&v, 0),
+            MomentsSketch::new("S", 2).summarize(&v, Scope::ALL, 0),
             Err(SketchError::BadConfig(_))
         ));
     }
@@ -409,7 +369,9 @@ mod tests {
     #[test]
     fn empty_has_no_mean() {
         let v = view(&[]);
-        let s = MomentsSketch::new("X", 2).summarize(&v, 0).unwrap();
+        let s = MomentsSketch::new("X", 2)
+            .summarize(&v, Scope::ALL, 0)
+            .unwrap();
         assert_eq!(s.mean(), None);
         assert_eq!(s.variance(), None);
     }

@@ -13,11 +13,10 @@
 //! (§3.3 "Aggregate duplicates and show repetition counts").
 
 use crate::traits::{Sketch, SketchResult, Summary};
-use crate::view::TableView;
-use hillview_columnar::scan::{scan_rows, Selection};
-use hillview_columnar::{FrameFilter, Predicate, Row, RowKey, SortOrder};
+use crate::view::{Scope, TableView};
+use hillview_columnar::scan::scan_rows;
+use hillview_columnar::{Row, RowKey, SortOrder};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -142,58 +141,12 @@ impl Sketch for NextKSketch {
         "next-items"
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<NextKSummary> {
-        self.summarize_bounded(view, None, None, seed)
-    }
-
-    fn splittable(&self) -> bool {
-        true
-    }
-
-    fn summarize_range(
+    /// The k-smallest-keys map is a lattice with exact duplicate-count
+    /// addition, so split partials fold back to exactly the unsplit summary.
+    fn summarize(
         &self,
         view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<NextKSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), None, seed)
-    }
-
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        seed: u64,
-    ) -> SketchResult<NextKSummary> {
-        self.summarize_bounded(view, None, Some(predicate), seed)
-    }
-
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<NextKSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), Some(predicate), seed)
-    }
-
-    fn identity(&self) -> NextKSummary {
-        NextKSummary::zero(self.k)
-    }
-}
-
-impl NextKSketch {
-    /// The shared scan body; the k-smallest-keys map is a lattice with
-    /// exact duplicate-count addition, so split partials fold back to
-    /// exactly the unsplit summary.
-    fn summarize_bounded(
-        &self,
-        view: &TableView,
-        bounds: Option<(usize, usize)>,
-        filter: Option<&Predicate>,
+        scope: Scope<'_>,
         _seed: u64,
     ) -> SketchResult<NextKSummary> {
         let table = view.table();
@@ -208,49 +161,39 @@ impl NextKSketch {
         // when over capacity, exactly the paper's priority-heap behaviour
         // but with duplicate aggregation. Row enumeration is chunked so the
         // per-row membership probe disappears on dense views.
-        let base = crate::view::bounded_selection(view, &None, bounds);
-        let ff = match filter {
-            Some(pred) => Some(RefCell::new(FrameFilter::compile(pred, view.table())?)),
-            None => None,
-        };
-        let sel = match &ff {
-            Some(f) => Selection::Filtered {
-                base: &base,
-                filter: f,
-            },
-            None => base,
-        };
         let mut map: BTreeMap<RowKey, (Row, u64)> = BTreeMap::new();
         let mut matched = 0u64;
-        scan_rows(&sel, |row| {
-            let key = resolved.key(table, row);
-            if let Some(start) = &self.start {
-                if key <= *start {
-                    return;
-                }
-            }
-            matched += 1;
-            // Skip rows beyond the current k-th smallest key, unless they
-            // duplicate an existing key.
-            if map.len() == self.k {
-                let largest = map.keys().next_back().expect("non-empty");
-                if key > *largest {
-                    return;
-                }
-            }
-            match map.get_mut(&key) {
-                Some((_, c)) => *c += 1,
-                None => {
-                    let mut values = key.values().to_vec();
-                    values.extend(display_idx.iter().map(|&c| table.column(c).value(row)));
-                    map.insert(key, (Row::new(values), 1));
-                    if map.len() > self.k {
-                        let largest = map.keys().next_back().expect("over capacity").clone();
-                        map.remove(&largest);
+        view.scan(scope, None, |sel| {
+            scan_rows(sel, |row| {
+                let key = resolved.key(table, row);
+                if let Some(start) = &self.start {
+                    if key <= *start {
+                        return;
                     }
                 }
-            }
-        });
+                matched += 1;
+                // Skip rows beyond the current k-th smallest key, unless they
+                // duplicate an existing key.
+                if map.len() == self.k {
+                    let largest = map.keys().next_back().expect("non-empty");
+                    if key > *largest {
+                        return;
+                    }
+                }
+                match map.get_mut(&key) {
+                    Some((_, c)) => *c += 1,
+                    None => {
+                        let mut values = key.values().to_vec();
+                        values.extend(display_idx.iter().map(|&c| table.column(c).value(row)));
+                        map.insert(key, (Row::new(values), 1));
+                        if map.len() > self.k {
+                            let largest = map.keys().next_back().expect("over capacity").clone();
+                            map.remove(&largest);
+                        }
+                    }
+                }
+            })
+        })?;
         Ok(NextKSummary {
             k: self.k,
             rows: map
@@ -261,6 +204,16 @@ impl NextKSketch {
         })
     }
 
+    fn splittable(&self) -> bool {
+        true
+    }
+
+    fn identity(&self) -> NextKSummary {
+        NextKSummary::zero(self.k)
+    }
+}
+
+impl NextKSketch {
     /// Per-row reference implementation, kept for the scan-equivalence
     /// property tests. Must remain bit-identical to [`Sketch::summarize`].
     pub fn summarize_rowwise(&self, view: &TableView, _seed: u64) -> SketchResult<NextKSummary> {
@@ -339,7 +292,7 @@ mod tests {
     #[test]
     fn first_page_sorted_with_dup_counts() {
         let sk = NextKSketch::first_page(SortOrder::ascending(&["Carrier", "Delay"]), 3);
-        let s = sk.summarize(&view(), 0).unwrap();
+        let s = sk.summarize(&view(), Scope::ALL, 0).unwrap();
         assert_eq!(s.rows.len(), 3);
         // (AA,5) ×2, (AA,30), (DL,7)
         assert_eq!(s.rows[0].0.values(), &[Value::str("AA"), Value::Int(5)]);
@@ -353,11 +306,11 @@ mod tests {
     fn paging_continues_after_start_key() {
         let order = SortOrder::ascending(&["Carrier", "Delay"]);
         let first = NextKSketch::first_page(order.clone(), 2)
-            .summarize(&view(), 0)
+            .summarize(&view(), Scope::ALL, 0)
             .unwrap();
         let last_key = first.rows.last().unwrap().0.clone();
         let next = NextKSketch::after(order, last_key, 2)
-            .summarize(&view(), 0)
+            .summarize(&view(), Scope::ALL, 0)
             .unwrap();
         assert_eq!(next.rows[0].0.values(), &[Value::str("DL"), Value::Int(7)]);
         assert_eq!(next.rows[1].0.values(), &[Value::str("UA"), Value::Int(2)]);
@@ -375,17 +328,19 @@ mod tests {
                     t.clone(),
                     Arc::new(MembershipSet::from_rows(vec![0, 1, 2], 6)),
                 ),
+                Scope::ALL,
                 0,
             )
             .unwrap();
         let b = sk
             .summarize(
                 &TableView::with_members(t, Arc::new(MembershipSet::from_rows(vec![3, 4, 5], 6))),
+                Scope::ALL,
                 0,
             )
             .unwrap();
         let merged = a.merge(&b);
-        let whole = sk.summarize(&view(), 0).unwrap();
+        let whole = sk.summarize(&view(), Scope::ALL, 0).unwrap();
         assert_eq!(merged, whole, "merge law holds exactly");
     }
 
@@ -393,7 +348,7 @@ mod tests {
     fn descending_sort() {
         let order = SortOrder::with_directions(&[("Delay", true)]);
         let s = NextKSketch::first_page(order, 2)
-            .summarize(&view(), 0)
+            .summarize(&view(), Scope::ALL, 0)
             .unwrap();
         assert_eq!(s.rows[0].0.values(), &[Value::Int(30)]);
         assert_eq!(s.rows[1].0.values(), &[Value::Int(10)]);
@@ -403,7 +358,7 @@ mod tests {
     fn display_columns_materialized() {
         let order = SortOrder::ascending(&["Delay"]);
         let sk = NextKSketch::first_page(order, 1).with_display(&["Carrier"]);
-        let s = sk.summarize(&view(), 0).unwrap();
+        let s = sk.summarize(&view(), Scope::ALL, 0).unwrap();
         // Row = sort key values + display values.
         assert_eq!(s.rows[0].1.values, vec![Value::Int(2), Value::str("UA")]);
     }
@@ -411,7 +366,7 @@ mod tests {
     #[test]
     fn k_bounds_summary_size() {
         let sk = NextKSketch::first_page(SortOrder::ascending(&["Delay"]), 2);
-        let s = sk.summarize(&view(), 0).unwrap();
+        let s = sk.summarize(&view(), Scope::ALL, 0).unwrap();
         assert_eq!(s.rows.len(), 2);
         assert_eq!(s.matched, 6, "matched counts everything scanned");
     }
@@ -419,7 +374,7 @@ mod tests {
     #[test]
     fn identity_is_unit() {
         let sk = NextKSketch::first_page(SortOrder::ascending(&["Delay"]), 3);
-        let s = sk.summarize(&view(), 0).unwrap();
+        let s = sk.summarize(&view(), Scope::ALL, 0).unwrap();
         assert_eq!(sk.identity().merge(&s), s);
         assert_eq!(s.merge(&sk.identity()), s);
     }
@@ -428,7 +383,7 @@ mod tests {
     fn wire_roundtrip() {
         let sk = NextKSketch::first_page(SortOrder::ascending(&["Carrier", "Delay"]), 4)
             .with_display(&["Delay"]);
-        let s = sk.summarize(&view(), 0).unwrap();
+        let s = sk.summarize(&view(), Scope::ALL, 0).unwrap();
         assert_eq!(NextKSummary::from_bytes(s.to_bytes()).unwrap(), s);
     }
 }

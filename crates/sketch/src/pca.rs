@@ -9,11 +9,9 @@
 
 use crate::eigen::{jacobi_eigen, Eigen, SymMatrix};
 use crate::traits::{Sketch, SketchError, SketchResult, Summary};
-use crate::view::TableView;
-use hillview_columnar::scan::{scan_rows, Selection};
-use hillview_columnar::{FrameFilter, Predicate};
+use crate::view::{Scope, TableView};
+use hillview_columnar::scan::scan_rows;
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Correlation-matrix sketch over M numeric columns.
@@ -158,69 +156,10 @@ impl Sketch for PcaSketch {
         "pca"
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<PcaSummary> {
-        self.summarize_bounded(view, None, None, seed)
-    }
-
-    fn splittable(&self) -> bool {
-        true
-    }
-
-    fn summarize_range(
-        &self,
-        view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<PcaSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), None, seed)
-    }
-
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        seed: u64,
-    ) -> SketchResult<PcaSummary> {
-        self.summarize_bounded(view, None, Some(predicate), seed)
-    }
-
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<PcaSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), Some(predicate), seed)
-    }
-
-    fn identity(&self) -> PcaSummary {
-        PcaSummary::zero(self.columns.len())
-    }
-}
-
-impl PcaSketch {
-    /// The shared scan body; the complete-case count folds exactly and the
-    /// floating-point sums fold deterministically in range order (fixed
-    /// split plan, fixed fold order).
-    fn summarize_bounded(
-        &self,
-        view: &TableView,
-        bounds: Option<(usize, usize)>,
-        filter: Option<&Predicate>,
-        seed: u64,
-    ) -> SketchResult<PcaSummary> {
-        // Sampled + filtered: the sample must be drawn from the *filtered*
-        // membership to match two-pass execution, so fall back to the
-        // materialized path.
-        if self.rate < 1.0 {
-            if let Some(pred) = filter {
-                let narrowed = crate::view::filtered_view(view, pred)?;
-                return self.summarize_bounded(&narrowed, bounds, None, seed);
-            }
-        }
+    /// The complete-case count folds exactly and the floating-point sums
+    /// fold deterministically in range order (fixed split plan, fixed fold
+    /// order).
+    fn summarize(&self, view: &TableView, scope: Scope<'_>, seed: u64) -> SketchResult<PcaSummary> {
         let table = view.table();
         let m = self.columns.len();
         if m == 0 {
@@ -262,23 +201,23 @@ impl PcaSketch {
         // Chunked row enumeration, streaming or over a pre-drawn sample
         // clipped to the bounds; sums accumulate in ascending row order
         // either way, bit-identical to the per-row reference.
-        let sampled = (self.rate < 1.0).then(|| view.sample_rows(self.rate, seed));
-        let base = crate::view::bounded_selection(view, &sampled, bounds);
-        let ff = match filter {
-            Some(pred) => Some(RefCell::new(FrameFilter::compile(pred, view.table())?)),
-            None => None,
-        };
-        let sel = match &ff {
-            Some(f) => Selection::Filtered {
-                base: &base,
-                filter: f,
-            },
-            None => base,
-        };
-        scan_rows(&sel, |row| tally(row, &mut out, &mut vals));
+        let sample = (self.rate < 1.0).then_some((self.rate, seed));
+        view.scan(scope, sample, |sel| {
+            scan_rows(sel, |row| tally(row, &mut out, &mut vals))
+        })?;
         Ok(out)
     }
 
+    fn splittable(&self) -> bool {
+        true
+    }
+
+    fn identity(&self) -> PcaSummary {
+        PcaSummary::zero(self.columns.len())
+    }
+}
+
+impl PcaSketch {
     /// Per-row reference implementation, kept for the scan-equivalence
     /// property tests. Must remain bit-identical to [`Sketch::summarize`].
     pub fn summarize_rowwise(&self, view: &TableView, seed: u64) -> SketchResult<PcaSummary> {
@@ -377,7 +316,7 @@ mod tests {
     #[test]
     fn correlation_matrix_structure() {
         let s = PcaSketch::new(&["A", "B", "C"], 1.0)
-            .summarize(&view(5000), 0)
+            .summarize(&view(5000), Scope::ALL, 0)
             .unwrap();
         let corr = s.correlation().unwrap();
         assert!((corr.get(0, 0) - 1.0).abs() < 1e-9);
@@ -388,7 +327,7 @@ mod tests {
     #[test]
     fn principal_component_captures_correlated_pair() {
         let s = PcaSketch::new(&["A", "B", "C"], 1.0)
-            .summarize(&view(5000), 0)
+            .summarize(&view(5000), Scope::ALL, 0)
             .unwrap();
         let e = s.principal_components().unwrap();
         // First eigenvalue ≈ 2 (A+B collapse into one direction), second ≈ 1.
@@ -404,13 +343,14 @@ mod tests {
         let v = view(2000);
         let t = v.table().clone();
         let sk = PcaSketch::new(&["A", "B", "C"], 1.0);
-        let whole = sk.summarize(&v, 0).unwrap();
+        let whole = sk.summarize(&v, Scope::ALL, 0).unwrap();
         let a = sk
             .summarize(
                 &TableView::with_members(
                     t.clone(),
                     Arc::new(MembershipSet::from_rows((0..1000).collect(), 2000)),
                 ),
+                Scope::ALL,
                 0,
             )
             .unwrap();
@@ -420,6 +360,7 @@ mod tests {
                     t,
                     Arc::new(MembershipSet::from_rows((1000..2000).collect(), 2000)),
                 ),
+                Scope::ALL,
                 0,
             )
             .unwrap();
@@ -437,10 +378,10 @@ mod tests {
     fn sampled_pca_approximates_exact() {
         let v = view(50_000);
         let exact = PcaSketch::new(&["A", "B", "C"], 1.0)
-            .summarize(&v, 0)
+            .summarize(&v, Scope::ALL, 0)
             .unwrap();
         let sampled = PcaSketch::new(&["A", "B", "C"], 0.1)
-            .summarize(&v, 7)
+            .summarize(&v, Scope::ALL, 7)
             .unwrap();
         let ce = exact.correlation().unwrap();
         let cs = sampled.correlation().unwrap();
@@ -467,7 +408,9 @@ mod tests {
             .build()
             .unwrap();
         let v = TableView::full(Arc::new(t));
-        let s = PcaSketch::new(&["A", "B"], 1.0).summarize(&v, 0).unwrap();
+        let s = PcaSketch::new(&["A", "B"], 1.0)
+            .summarize(&v, Scope::ALL, 0)
+            .unwrap();
         assert_eq!(s.count, 2);
         assert_eq!(s.sums[0], 4.0);
     }
@@ -475,14 +418,18 @@ mod tests {
     #[test]
     fn config_errors() {
         let v = view(10);
-        assert!(PcaSketch::new(&[], 1.0).summarize(&v, 0).is_err());
-        assert!(PcaSketch::new(&["Nope"], 1.0).summarize(&v, 0).is_err());
+        assert!(PcaSketch::new(&[], 1.0)
+            .summarize(&v, Scope::ALL, 0)
+            .is_err());
+        assert!(PcaSketch::new(&["Nope"], 1.0)
+            .summarize(&v, Scope::ALL, 0)
+            .is_err());
     }
 
     #[test]
     fn wire_roundtrip() {
         let s = PcaSketch::new(&["A", "B"], 1.0)
-            .summarize(&view(100), 0)
+            .summarize(&view(100), Scope::ALL, 0)
             .unwrap();
         assert_eq!(PcaSummary::from_bytes(s.to_bytes()).unwrap(), s);
     }

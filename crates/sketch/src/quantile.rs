@@ -11,11 +11,10 @@
 //! keeping every j-th element of the concatenation stays uniform).
 
 use crate::traits::{Sketch, SketchResult, Summary};
-use crate::view::TableView;
-use hillview_columnar::scan::{scan_rows, Selection};
-use hillview_columnar::{row_sampled, FrameFilter, Predicate, RowKey, SortOrder};
+use crate::view::{Scope, TableView};
+use hillview_columnar::scan::scan_rows;
+use hillview_columnar::{row_sampled, RowKey, SortOrder};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use std::cell::RefCell;
 
 /// Sampled quantile sketch over a sort order.
 #[derive(Debug, Clone)]
@@ -111,42 +110,53 @@ impl Sketch for QuantileSketch {
         "quantile"
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<QuantileSummary> {
-        self.summarize_bounded(view, None, None, seed)
+    /// Sub-range populations count the membership rows in the bounds (not
+    /// the sample), so split partials sum to the partition population
+    /// exactly; merged keys stay a uniform sample.
+    fn summarize(
+        &self,
+        view: &TableView,
+        scope: Scope<'_>,
+        seed: u64,
+    ) -> SketchResult<QuantileSummary> {
+        let resolved = self.order.resolve(view.table())?;
+        // Unfiltered sampling pre-draws a partition-wide sample
+        // (representation-dependent walk, clipped to the bounds). Under
+        // fusion the sample must come from the *filtered* stream, so each
+        // surviving row is instead tested with the stateless hash-threshold
+        // decision [`row_sampled`] — a pure function of `(row, rate, seed)`,
+        // which keeps split tiling exact and the one-pass structure intact
+        // (no materialized membership, no second decode).
+        let sample = (self.rate < 1.0 && scope.filter.is_none()).then_some((self.rate, seed));
+        let hash_sample = self.rate < 1.0 && sample.is_none();
+        let mut keys = Vec::new();
+        let ((), rows) = view.scan(scope, sample, |sel| {
+            scan_rows(sel, |row| {
+                if !hash_sample || row_sampled(row as u64, self.rate, seed) {
+                    keys.push(resolved.key(view.table(), row));
+                }
+            })
+        })?;
+        // The population is the rows the summary speaks for — the scanned
+        // rows, or the bounded membership a pre-drawn sample came from.
+        let (lo, hi) = scope.rows.unwrap_or((0, usize::MAX));
+        let population = match sample {
+            Some(_) => view.members().count_range(lo, hi) as u64,
+            None => rows,
+        };
+        if keys.len() > self.cap {
+            let stride = keys.len().div_ceil(self.cap);
+            keys = keys.into_iter().step_by(stride).collect();
+        }
+        Ok(QuantileSummary {
+            keys,
+            population,
+            cap: self.cap,
+        })
     }
 
     fn splittable(&self) -> bool {
         true
-    }
-
-    fn summarize_range(
-        &self,
-        view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<QuantileSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), None, seed)
-    }
-
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        seed: u64,
-    ) -> SketchResult<QuantileSummary> {
-        self.summarize_bounded(view, None, Some(predicate), seed)
-    }
-
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<QuantileSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), Some(predicate), seed)
     }
 
     fn identity(&self) -> QuantileSummary {
@@ -161,67 +171,6 @@ impl Sketch for QuantileSketch {
         // At rate >= 1 every key is taken and cap-thinning is
         // deterministic, so the summary is seed-independent.
         (self.rate >= 1.0).then(|| format!("{:?}|{}", self.order, self.cap).into_bytes())
-    }
-}
-
-impl QuantileSketch {
-    /// The shared scan body. Sub-range populations count the membership
-    /// rows in the bounds (not the sample), so split partials sum to the
-    /// partition population exactly; merged keys stay a uniform sample.
-    fn summarize_bounded(
-        &self,
-        view: &TableView,
-        bounds: Option<(usize, usize)>,
-        filter: Option<&Predicate>,
-        seed: u64,
-    ) -> SketchResult<QuantileSummary> {
-        let resolved = self.order.resolve(view.table())?;
-        // Unfiltered sampling pre-draws a partition-wide sample
-        // (representation-dependent walk, clipped to the bounds). Under
-        // fusion the sample must come from the *filtered* stream, so each
-        // surviving row is instead tested with the stateless hash-threshold
-        // decision [`row_sampled`] — a pure function of `(row, rate, seed)`,
-        // which keeps split tiling exact and the one-pass structure intact
-        // (no materialized membership, no second decode).
-        let hash_sample = self.rate < 1.0 && filter.is_some();
-        let sampled =
-            (self.rate < 1.0 && filter.is_none()).then(|| view.sample_rows(self.rate, seed));
-        let base = crate::view::bounded_selection(view, &sampled, bounds);
-        let ff = match filter {
-            Some(pred) => Some(RefCell::new(FrameFilter::compile(pred, view.table())?)),
-            None => None,
-        };
-        let sel = match &ff {
-            Some(f) => Selection::Filtered {
-                base: &base,
-                filter: f,
-            },
-            None => base,
-        };
-        let mut keys = Vec::with_capacity(base.count().min(2 * self.cap));
-        scan_rows(&sel, |row| {
-            if !hash_sample || row_sampled(row as u64, self.rate, seed) {
-                keys.push(resolved.key(view.table(), row));
-            }
-        });
-        // The population is the rows the summary speaks for: the filtered
-        // membership under fusion, the bounded membership otherwise.
-        let population = match &ff {
-            Some(f) => f.borrow().matched(),
-            None => match bounds {
-                None => view.len() as u64,
-                Some((lo, hi)) => view.members().count_range(lo, hi) as u64,
-            },
-        };
-        if keys.len() > self.cap {
-            let stride = keys.len().div_ceil(self.cap);
-            keys = keys.into_iter().step_by(stride).collect();
-        }
-        Ok(QuantileSummary {
-            keys,
-            population,
-            cap: self.cap,
-        })
     }
 }
 
@@ -254,7 +203,7 @@ mod tests {
     #[test]
     fn median_estimate_is_close() {
         let sk = QuantileSketch::new(SortOrder::ascending(&["X"]), 0.2, 100_000);
-        let s = sk.summarize(&view(100_000), 3).unwrap();
+        let s = sk.summarize(&view(100_000), Scope::ALL, 3).unwrap();
         let med = key_val(&s.quantile(0.5).unwrap());
         assert!((45_000..55_000).contains(&med), "median estimate {med}");
         let p10 = key_val(&s.quantile(0.1).unwrap());
@@ -264,7 +213,7 @@ mod tests {
     #[test]
     fn extremes_map_to_ends() {
         let sk = QuantileSketch::new(SortOrder::ascending(&["X"]), 1.0, 1_000_000);
-        let s = sk.summarize(&view(1000), 0).unwrap();
+        let s = sk.summarize(&view(1000), Scope::ALL, 0).unwrap();
         assert_eq!(key_val(&s.quantile(0.0).unwrap()), 0);
         assert_eq!(key_val(&s.quantile(1.0).unwrap()), 999);
     }
@@ -281,6 +230,7 @@ mod tests {
                     t.clone(),
                     Arc::new(MembershipSet::from_rows((0..25_000).collect(), 50_000)),
                 ),
+                Scope::ALL,
                 1,
             )
             .unwrap();
@@ -290,6 +240,7 @@ mod tests {
                     t,
                     Arc::new(MembershipSet::from_rows((25_000..50_000).collect(), 50_000)),
                 ),
+                Scope::ALL,
                 2,
             )
             .unwrap();
@@ -303,7 +254,7 @@ mod tests {
     #[test]
     fn cap_enforced_at_leaf() {
         let sk = QuantileSketch::new(SortOrder::ascending(&["X"]), 1.0, 50);
-        let s = sk.summarize(&view(10_000), 0).unwrap();
+        let s = sk.summarize(&view(10_000), Scope::ALL, 0).unwrap();
         assert!(s.keys.len() <= 50);
         // Even capped, quantiles remain roughly correct.
         let med = key_val(&s.quantile(0.5).unwrap());
@@ -325,7 +276,7 @@ mod tests {
     #[test]
     fn wire_roundtrip() {
         let sk = QuantileSketch::new(SortOrder::ascending(&["X"]), 1.0, 64);
-        let s = sk.summarize(&view(100), 0).unwrap();
+        let s = sk.summarize(&view(100), Scope::ALL, 0).unwrap();
         assert_eq!(QuantileSummary::from_bytes(s.to_bytes()).unwrap(), s);
     }
 }

@@ -7,10 +7,8 @@
 //! lexicographic extremes.
 
 use crate::traits::{Sketch, SketchResult, Summary};
-use crate::view::TableView;
-use hillview_columnar::{FrameFilter, Predicate};
+use crate::view::{Scope, TableView};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Computes the range of one column.
@@ -122,92 +120,31 @@ impl Sketch for RangeSketch {
         "range"
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<RangeSummary> {
-        self.summarize_bounded(view, None, None, seed)
-    }
-
-    fn splittable(&self) -> bool {
-        true
-    }
-
-    fn summarize_range(
-        &self,
-        view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<RangeSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), None, seed)
-    }
-
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        seed: u64,
-    ) -> SketchResult<RangeSummary> {
-        self.summarize_bounded(view, None, Some(predicate), seed)
-    }
-
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<RangeSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), Some(predicate), seed)
-    }
-
-    fn identity(&self) -> RangeSummary {
-        RangeSummary::default()
-    }
-
-    fn cache_identity(&self) -> Option<Vec<u8>> {
-        Some(self.column.as_bytes().to_vec())
-    }
-}
-
-impl RangeSketch {
-    /// The shared scan body; counts add and min/max are lattices, so split
-    /// partials fold back to exactly the unsplit summary.
+    /// Counts add and min/max are lattices, so split partials fold back to
+    /// exactly the unsplit summary.
     ///
     /// Numeric columns run frame-wise and consult the per-64-row-block
     /// zone maps recorded at ingest: a fully-selected, null-free frame
     /// contributes its pre-computed block extremes without decoding a
     /// single value, so the initial range query on an unfiltered dataset
     /// reads only the zone arrays.
-    fn summarize_bounded(
+    fn summarize(
         &self,
         view: &TableView,
-        bounds: Option<(usize, usize)>,
-        filter: Option<&Predicate>,
+        scope: Scope<'_>,
         _seed: u64,
     ) -> SketchResult<RangeSummary> {
         use hillview_columnar::block::BlockCursor;
         use hillview_columnar::scan::scan_rows;
-        use hillview_columnar::{Column, Selection};
+        use hillview_columnar::Column;
         let col = view.table().column_by_name(&self.column)?;
         let mut out = RangeSummary::default();
-        let base = crate::view::bounded_selection(view, &None, bounds);
-        let ff = match filter {
-            Some(pred) => Some(RefCell::new(FrameFilter::compile(pred, view.table())?)),
-            None => None,
-        };
-        let sel = match &ff {
-            Some(f) => Selection::Filtered {
-                base: &base,
-                filter: f,
-            },
-            None => base,
-        };
-        match col {
+        view.scan(scope, None, |sel| match col {
             Column::Double(c) => {
                 let data = c.data();
                 let zones = c.zones();
                 scan_numeric(
-                    &sel,
+                    sel,
                     c.nulls(),
                     c.len(),
                     |b| zones.block(b),
@@ -219,7 +156,7 @@ impl RangeSketch {
                 let zones = c.zones();
                 let mut cur = BlockCursor::new(c.storage());
                 scan_numeric(
-                    &sel,
+                    sel,
                     c.nulls(),
                     c.len(),
                     // i64 → f64 is monotone, so the converted block
@@ -233,7 +170,7 @@ impl RangeSketch {
                 );
             }
             Column::Str(dict) | Column::Cat(dict) => {
-                scan_rows(&sel, |r| match dict.get(r) {
+                scan_rows(sel, |r| match dict.get(r) {
                     None => out.missing += 1,
                     Some(s) => {
                         out.present += 1;
@@ -247,12 +184,24 @@ impl RangeSketch {
                     }
                 });
             }
-        }
+        })?;
         Ok(out)
+    }
+
+    fn splittable(&self) -> bool {
+        true
+    }
+
+    fn identity(&self) -> RangeSummary {
+        RangeSummary::default()
+    }
+
+    fn cache_identity(&self) -> Option<Vec<u8>> {
+        Some(self.column.as_bytes().to_vec())
     }
 }
 
-/// The shared numeric frame walk of [`RangeSketch::summarize_bounded`]:
+/// The numeric frame walk of [`RangeSketch`]:
 /// count missing/present per frame word, take fully-live frames straight
 /// from `zone` (the per-block extremes recorded at ingest), and fold
 /// partial frames and sparse rows through `value` — an ascending per-row
@@ -349,7 +298,9 @@ mod tests {
 
     #[test]
     fn numeric_range() {
-        let s = RangeSketch::new("D").summarize(&view(), 0).unwrap();
+        let s = RangeSketch::new("D")
+            .summarize(&view(), Scope::ALL, 0)
+            .unwrap();
         assert_eq!(s.present, 3);
         assert_eq!(s.missing, 1);
         assert_eq!(s.min, Some(-3.5));
@@ -359,7 +310,9 @@ mod tests {
 
     #[test]
     fn string_range() {
-        let s = RangeSketch::new("S").summarize(&view(), 0).unwrap();
+        let s = RangeSketch::new("S")
+            .summarize(&view(), Scope::ALL, 0)
+            .unwrap();
         assert_eq!(s.min_str.as_deref(), Some("a"));
         assert_eq!(s.max_str.as_deref(), Some("z"));
         assert_eq!(s.min, None);
@@ -385,7 +338,7 @@ mod tests {
             Arc::new(MembershipSet::from_rows(vec![], 4)),
         );
         let sk = RangeSketch::new("D");
-        assert_eq!(sk.summarize(&empty, 0).unwrap(), sk.identity());
+        assert_eq!(sk.summarize(&empty, Scope::ALL, 0).unwrap(), sk.identity());
     }
 
     #[test]

@@ -10,10 +10,9 @@
 use crate::bind::{BoundColumn, Cell, FrameCells};
 use crate::buckets::BucketSpec;
 use crate::traits::{Sketch, SketchResult, Summary};
-use crate::view::TableView;
-use hillview_columnar::{scan_frames, FrameEvent, FrameFilter, Predicate, Selection, BLOCK_ROWS};
+use crate::view::{Scope, TableView};
+use hillview_columnar::{scan_frames, FrameEvent, BLOCK_ROWS};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Stacked histogram sketch over an X column subdivided by a Y column.
@@ -164,99 +163,19 @@ impl Sketch for StackedHistogramSketch {
         "stacked-histogram"
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<StackedSummary> {
-        self.summarize_bounded(view, None, None, seed)
-    }
-
-    fn splittable(&self) -> bool {
-        true
-    }
-
-    fn summarize_range(
+    /// Bar and subdivision counts are integers, so split partials fold back
+    /// to exactly the unsplit summary.
+    fn summarize(
         &self,
         view: &TableView,
-        lo: usize,
-        hi: usize,
+        scope: Scope<'_>,
         seed: u64,
     ) -> SketchResult<StackedSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), None, seed)
-    }
-
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        seed: u64,
-    ) -> SketchResult<StackedSummary> {
-        self.summarize_bounded(view, None, Some(predicate), seed)
-    }
-
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<StackedSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), Some(predicate), seed)
-    }
-
-    fn identity(&self) -> StackedSummary {
-        StackedSummary::zero(self.buckets_x.count(), self.buckets_y.count())
-    }
-
-    fn cache_identity(&self) -> Option<Vec<u8>> {
-        (self.rate >= 1.0).then(|| {
-            format!(
-                "{}|{}|{:?}|{:?}",
-                self.col_x, self.col_y, self.buckets_x, self.buckets_y
-            )
-            .into_bytes()
-        })
-    }
-}
-
-impl StackedHistogramSketch {
-    /// The shared scan body; bar and subdivision counts are integers, so
-    /// split partials fold back to exactly the unsplit summary.
-    fn summarize_bounded(
-        &self,
-        view: &TableView,
-        bounds: Option<(usize, usize)>,
-        filter: Option<&Predicate>,
-        seed: u64,
-    ) -> SketchResult<StackedSummary> {
-        if let Some(pred) = filter {
-            // Sampled sketches draw from the *filtered* membership, so they
-            // take the two-pass path; exact ones fuse the predicate into the
-            // frame stream below.
-            if self.rate < 1.0 {
-                let narrowed = crate::view::filtered_view(view, pred)?;
-                return self.summarize_bounded(&narrowed, bounds, None, seed);
-            }
-        }
         let cx = view.table().column_by_name(&self.col_x)?;
         let cy = view.table().column_by_name(&self.col_y)?;
         let bound_x = BoundColumn::bind(cx, &self.buckets_x)?;
         let bound_y = BoundColumn::bind(cy, &self.buckets_y)?;
-        let sampled = (self.rate < 1.0).then(|| view.sample_rows(self.rate, seed));
-        let base = crate::view::bounded_selection(view, &sampled, bounds);
-        let ff = match filter {
-            Some(pred) => Some(RefCell::new(FrameFilter::compile(pred, view.table())?)),
-            None => None,
-        };
-        let sel = match &ff {
-            Some(f) => Selection::Filtered {
-                base: &base,
-                filter: f,
-            },
-            None => base,
-        };
         let mut out = StackedSummary::zero(self.buckets_x.count(), self.buckets_y.count());
-        if ff.is_none() {
-            out.rows_inspected = base.count() as u64;
-        }
         let width_y = out.by;
         // Dense selections stream as 64-row block frames of precomputed
         // bucket cells (see the heat-map kernel); sparse rows keep the
@@ -277,48 +196,67 @@ impl StackedHistogramSketch {
                 }
             }
         };
-        scan_frames(&sel, |ev| match ev {
-            // Mostly-selected frames amortize the full-frame cell
-            // computations; sparser ones keep the per-row probe (see the
-            // heat-map kernel).
-            FrameEvent::Frame { base, len, word } if word.count_ones() as usize * 2 >= len => {
-                fx.frame(base, len, &mut xs);
-                fy.frame(base, len, &mut ys);
-                let mut m = word;
-                while m != 0 {
-                    let k = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let x = xs[k];
-                    if x == x_miss {
-                        out.missing += 1;
-                    } else if x == x_out {
-                        out.out_of_range += 1;
-                    } else {
-                        // The bar counts every row in the X bucket, even
-                        // when Y is missing or out of range (paper: bar
-                        // height is the X histogram); only in-range Y
-                        // contributes a subdivision.
-                        out.x_counts[x as usize] += 1;
-                        if ys[k] < y_out {
-                            out.xy_counts[x as usize * width_y + ys[k] as usize] += 1;
+        let sample = (self.rate < 1.0).then_some((self.rate, seed));
+        let ((), rows) = view.scan(scope, sample, |sel| {
+            scan_frames(sel, |ev| match ev {
+                // Mostly-selected frames amortize the full-frame cell
+                // computations; sparser ones keep the per-row probe (see the
+                // heat-map kernel).
+                FrameEvent::Frame { base, len, word } if word.count_ones() as usize * 2 >= len => {
+                    fx.frame(base, len, &mut xs);
+                    fy.frame(base, len, &mut ys);
+                    let mut m = word;
+                    while m != 0 {
+                        let k = m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        let x = xs[k];
+                        if x == x_miss {
+                            out.missing += 1;
+                        } else if x == x_out {
+                            out.out_of_range += 1;
+                        } else {
+                            // The bar counts every row in the X bucket, even
+                            // when Y is missing or out of range (paper: bar
+                            // height is the X histogram); only in-range Y
+                            // contributes a subdivision.
+                            out.x_counts[x as usize] += 1;
+                            if ys[k] < y_out {
+                                out.xy_counts[x as usize * width_y + ys[k] as usize] += 1;
+                            }
                         }
                     }
                 }
-            }
-            FrameEvent::Frame { base, word, .. } => {
-                let mut m = word;
-                while m != 0 {
-                    let k = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    tally_row(&mut out, base + k);
+                FrameEvent::Frame { base, word, .. } => {
+                    let mut m = word;
+                    while m != 0 {
+                        let k = m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        tally_row(&mut out, base + k);
+                    }
                 }
-            }
-            FrameEvent::Row(row) => tally_row(&mut out, row),
-        });
-        if let Some(f) = &ff {
-            out.rows_inspected = f.borrow().matched();
-        }
+                FrameEvent::Row(row) => tally_row(&mut out, row),
+            })
+        })?;
+        out.rows_inspected = rows;
         Ok(out)
+    }
+
+    fn splittable(&self) -> bool {
+        true
+    }
+
+    fn identity(&self) -> StackedSummary {
+        StackedSummary::zero(self.buckets_x.count(), self.buckets_y.count())
+    }
+
+    fn cache_identity(&self) -> Option<Vec<u8>> {
+        (self.rate >= 1.0).then(|| {
+            format!(
+                "{}|{}|{:?}|{:?}",
+                self.col_x, self.col_y, self.buckets_x, self.buckets_y
+            )
+            .into_bytes()
+        })
     }
 }
 
@@ -405,7 +343,7 @@ mod tests {
 
     #[test]
     fn bar_totals_include_unsubdivided_rows() {
-        let s = sketch().summarize(&view(), 0).unwrap();
+        let s = sketch().summarize(&view(), Scope::ALL, 0).unwrap();
         assert_eq!(s.x_counts, vec![4, 4]);
         // Bucket (0..5): rows 0,1,2,7 → get,put,get,get.
         assert_eq!(s.get(0, 0), 3);
@@ -435,20 +373,20 @@ mod tests {
     #[test]
     fn identity_is_unit() {
         let sk = sketch();
-        let s = sk.summarize(&view(), 0).unwrap();
+        let s = sk.summarize(&view(), Scope::ALL, 0).unwrap();
         assert_eq!(sk.identity().merge(&s), s);
         assert_eq!(s.merge(&sk.identity()), s);
     }
 
     #[test]
     fn wire_roundtrip() {
-        let s = sketch().summarize(&view(), 0).unwrap();
+        let s = sketch().summarize(&view(), Scope::ALL, 0).unwrap();
         assert_eq!(StackedSummary::from_bytes(s.to_bytes()).unwrap(), s);
     }
 
     #[test]
     fn summary_has_bx_plus_bxby_counts() {
-        let s = sketch().summarize(&view(), 0).unwrap();
+        let s = sketch().summarize(&view(), Scope::ALL, 0).unwrap();
         assert_eq!(s.x_counts.len(), 2);
         assert_eq!(s.xy_counts.len(), 4);
     }

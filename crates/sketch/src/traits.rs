@@ -1,6 +1,8 @@
-//! The `Sketch`/`Summary` abstraction (paper §4.1, Appendix A).
+//! The `Sketch`/`Summary` abstraction (paper §4.1, Appendix A), and the
+//! merge / split / fusion laws the property tests check against it.
 
-use crate::view::TableView;
+use crate::view::{Scope, TableView};
+use hillview_columnar::{MembershipSet, Predicate, SplittableSelection};
 use hillview_net::Wire;
 use std::fmt;
 
@@ -47,9 +49,13 @@ pub trait Summary: Clone + Send + Sync + 'static {
 /// A mergeable summarization method bound to concrete parameters
 /// (column names, bucket boundaries, sampling rates...).
 ///
-/// Implementations must be deterministic functions of `(view, seed)`: the
-/// engine logs seeds in its redo log and replays sketches after failures,
-/// expecting bit-identical summaries (paper §5.8).
+/// A vizketch author writes three things — [`Sketch::summarize`],
+/// [`Summary::merge`] and [`Sketch::identity`] — and the engine handles
+/// partitioning, splitting, filtering, caching and replay around them.
+///
+/// `summarize` must be a deterministic function of `(view, scope, seed)`:
+/// the engine logs seeds in its redo log and replays sketches after
+/// failures, expecting bit-identical summaries (paper §5.8).
 pub trait Sketch: Send + Sync + 'static {
     /// The summary type this sketch produces.
     type Summary: Summary + Wire;
@@ -57,80 +63,28 @@ pub trait Sketch: Send + Sync + 'static {
     /// A short stable name, used for computation-cache keys and diagnostics.
     fn name(&self) -> &'static str;
 
-    /// Summarize one partition view.
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<Self::Summary>;
+    /// Summarize the rows of one partition view that `scope` selects; the
+    /// rules a scoped summary must obey are stated on [`Scope`].
+    ///
+    /// A kernel in this crate binds its columns, hands its block body to
+    /// `TableView::scan` — which resolves `scope` (row bounds, sampling,
+    /// fused or two-pass filtering) to the selection the body consumes —
+    /// and finishes the summary from what the scan accumulated. A sketch
+    /// that walks the whole view itself starts from
+    /// [`two_pass`](crate::view::two_pass) instead.
+    fn summarize(
+        &self,
+        view: &TableView,
+        scope: Scope<'_>,
+        seed: u64,
+    ) -> SketchResult<Self::Summary>;
 
-    /// True when this sketch supports [`Sketch::summarize_range`], letting
-    /// the executor split one partition into row-range sub-tasks and fold
-    /// the partials with [`Summary::merge`]. Defaults to `false`; the
-    /// engine never range-splits a sketch that does not opt in.
+    /// True when `summarize` honours [`Scope::rows`], letting the executor
+    /// split one partition into row-range sub-tasks and fold the partials
+    /// with [`Summary::merge`]. Defaults to `false`; the engine never
+    /// range-splits a sketch that does not opt in.
     fn splittable(&self) -> bool {
         false
-    }
-
-    /// Summarize only the rows of `view` whose partition row index lies in
-    /// `lo..hi` — the intra-partition parallelism entry point.
-    ///
-    /// Contract: the bounds tile the partition, so folding the summaries of
-    /// consecutive ranges (in ascending range order, starting from
-    /// [`Sketch::identity`]) must be a valid summary of the whole
-    /// partition, and sampled sketches must draw the *partition-wide*
-    /// sample from `seed` and clip it to the bounds — never re-sample the
-    /// sub-range — so that split execution stays deterministic and, for
-    /// sketches with exact merges, bit-identical to the unsplit
-    /// [`Sketch::summarize`].
-    fn summarize_range(
-        &self,
-        view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<Self::Summary> {
-        let _ = (view, lo, hi, seed);
-        Err(SketchError::BadConfig(format!(
-            "sketch {} does not support range splitting",
-            self.name()
-        )))
-    }
-
-    /// Summarize the rows of `view` that satisfy `predicate` — the
-    /// **fused** filtered-query entry point.
-    ///
-    /// Contract: the result must be bit-identical to the two-pass execution
-    /// `summarize(filtered_view(view, predicate), seed)` — materialize the
-    /// filter into a membership set, then sketch it — which is exactly what
-    /// this default does. Kernels override it to compile the predicate into
-    /// a [`FrameFilter`](hillview_columnar::FrameFilter) and evaluate both
-    /// stages in one block pass (no intermediate membership set, no second
-    /// decode); the equivalence proptests pin every override against this
-    /// default.
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &hillview_columnar::Predicate,
-        seed: u64,
-    ) -> SketchResult<Self::Summary> {
-        self.summarize(&crate::view::filtered_view(view, predicate)?, seed)
-    }
-
-    /// Range-bounded companion of [`Sketch::summarize_filtered`]: summarize
-    /// the rows in `lo..hi` (absolute partition row indexes) that satisfy
-    /// `predicate`. Same tiling/fold contract as [`Sketch::summarize_range`];
-    /// must be bit-identical to
-    /// `summarize_range(filtered_view(view, predicate), lo, hi, seed)`.
-    ///
-    /// Note the bounds are *absolute* row indexes into the partition —
-    /// filtering narrows the membership but never renumbers rows — so split
-    /// plans computed from the parent membership remain valid under fusion.
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &hillview_columnar::Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<Self::Summary> {
-        self.summarize_range(&crate::view::filtered_view(view, predicate)?, lo, hi, seed)
     }
 
     /// The merge identity (summary of an empty partition).
@@ -162,13 +116,13 @@ where
     S: Sketch,
     S::Summary: PartialEq,
 {
-    let direct = match sketch.summarize(whole, seed) {
+    let direct = match sketch.summarize(whole, Scope::ALL, seed) {
         Ok(s) => s,
         Err(_) => return false,
     };
     let mut merged = sketch.identity();
     for p in parts {
-        match sketch.summarize(p, seed) {
+        match sketch.summarize(p, Scope::ALL, seed) {
             Ok(s) => merged = merged.merge(&s),
             Err(_) => return false,
         }
@@ -176,28 +130,11 @@ where
     direct == merged
 }
 
-/// The split execution plan the engine runs in parallel, executed serially:
-/// recursively halve the partition's
-/// [`SplittableSelection`](hillview_columnar::SplittableSelection) until each
-/// piece holds at most `grain` selected rows, call
-/// [`Sketch::summarize_range`] on every piece, and fold the partials in
-/// ascending range order.
-///
-/// The leaf set is a pure function of `(membership, grain)` and the fold
-/// order is fixed, so this is the *reference* the work-stealing executor
-/// must reproduce bit-for-bit whatever the thread count or steal order —
-/// the parallel-equivalence property tests compare against it. For
-/// sketches whose merge is exact (integer counts, lattices) the result also
-/// equals the unsplit [`Sketch::summarize`] bit-for-bit.
-pub fn summarize_split<S: Sketch>(
-    sketch: &S,
-    view: &TableView,
-    grain: usize,
-    seed: u64,
-) -> SketchResult<S::Summary> {
-    use hillview_columnar::SplittableSelection;
-
-    fn collect<'a>(part: SplittableSelection<'a>, grain: usize, out: &mut Vec<(usize, usize)>) {
+/// The leaf row ranges of the split execution plan: recursively halve the
+/// [`SplittableSelection`] over `members` until each piece holds at most
+/// `grain` selected rows. A pure function of `(members, grain)`, ascending.
+fn leaf_ranges(members: &MembershipSet, grain: usize) -> Vec<(usize, usize)> {
+    fn collect(part: SplittableSelection<'_>, grain: usize, out: &mut Vec<(usize, usize)>) {
         if part.weight() > grain {
             if let Some((l, r)) = part.split() {
                 collect(l, grain, out);
@@ -205,16 +142,40 @@ pub fn summarize_split<S: Sketch>(
                 return;
             }
         }
-        let (lo, hi) = part.bounds();
-        out.push((lo, hi));
+        out.push(part.bounds());
     }
-
-    let grain = grain.max(1);
     let mut ranges = Vec::new();
-    collect(SplittableSelection::new(view.members()), grain, &mut ranges);
+    collect(SplittableSelection::new(members), grain.max(1), &mut ranges);
+    ranges
+}
+
+/// The split execution plan the engine runs in parallel, executed serially:
+/// summarize every leaf range of the view's membership — recursively halved
+/// until each piece holds at most `grain` selected rows — under `filter`, if
+/// any, and fold the partials in ascending range order from
+/// [`Sketch::identity`].
+///
+/// The leaf set is computed from the *unfiltered* membership — the engine
+/// plans splits before any filter has run — and the fold order is fixed, so
+/// this is the *reference* the work-stealing executor must reproduce
+/// bit-for-bit whatever the thread count or steal order; the
+/// parallel-equivalence property tests compare against it. For sketches
+/// whose merge is exact (integer counts, lattices) the result also equals
+/// the unsplit [`Sketch::summarize`] bit-for-bit.
+pub fn summarize_split<S: Sketch>(
+    sketch: &S,
+    view: &TableView,
+    filter: Option<&Predicate>,
+    grain: usize,
+    seed: u64,
+) -> SketchResult<S::Summary> {
     let mut acc = sketch.identity();
-    for (lo, hi) in ranges {
-        acc = acc.merge(&sketch.summarize_range(view, lo, hi, seed)?);
+    for rows in leaf_ranges(view.members(), grain) {
+        let scope = Scope {
+            rows: Some(rows),
+            filter,
+        };
+        acc = acc.merge(&sketch.summarize(view, scope, seed)?);
     }
     Ok(acc)
 }
@@ -231,60 +192,22 @@ where
     S::Summary: PartialEq,
 {
     match (
-        sketch.summarize(view, seed),
-        summarize_split(sketch, view, grain, seed),
+        sketch.summarize(view, Scope::ALL, seed),
+        summarize_split(sketch, view, None, grain, seed),
     ) {
         (Ok(direct), Ok(split)) => direct == split,
         _ => false,
     }
 }
 
-/// Split-execution reference for a **fused** filtered query: compute the
-/// leaf ranges from the *parent* membership (filtering never renumbers rows,
-/// and the engine plans splits before the filter has been materialized),
-/// run [`Sketch::summarize_filtered_range`] on every leaf, and fold
-/// ascending from [`Sketch::identity`]. The work-stealing executor must
-/// reproduce this bit-for-bit under the fused path, whatever the thread
-/// count. Used by tests.
-pub fn summarize_filtered_split<S: Sketch>(
-    sketch: &S,
-    view: &TableView,
-    predicate: &hillview_columnar::Predicate,
-    grain: usize,
-    seed: u64,
-) -> SketchResult<S::Summary> {
-    use hillview_columnar::SplittableSelection;
-
-    fn collect<'a>(part: SplittableSelection<'a>, grain: usize, out: &mut Vec<(usize, usize)>) {
-        if part.weight() > grain {
-            if let Some((l, r)) = part.split() {
-                collect(l, grain, out);
-                collect(r, grain, out);
-                return;
-            }
-        }
-        let (lo, hi) = part.bounds();
-        out.push((lo, hi));
-    }
-
-    let grain = grain.max(1);
-    let mut ranges = Vec::new();
-    collect(SplittableSelection::new(view.members()), grain, &mut ranges);
-    let mut acc = sketch.identity();
-    for (lo, hi) in ranges {
-        acc = acc.merge(&sketch.summarize_filtered_range(view, predicate, lo, hi, seed)?);
-    }
-    Ok(acc)
-}
-
-/// Check the fusion law on concrete data: the fused filtered entry points
-/// must reproduce the two-pass execution (filter to a membership set, then
-/// sketch) bit-for-bit — both whole-partition and range-split from the
-/// parent membership. Used by tests.
+/// Check the fusion law on concrete data: a filter scope must reproduce the
+/// two-pass execution (filter to a membership set, then sketch) bit-for-bit
+/// — both whole-partition and range-split from the parent membership. Used
+/// by tests.
 pub fn fused_law_holds<S>(
     sketch: &S,
     view: &TableView,
-    predicate: &hillview_columnar::Predicate,
+    predicate: &Predicate,
     grain: usize,
     seed: u64,
 ) -> bool
@@ -292,57 +215,27 @@ where
     S: Sketch,
     S::Summary: PartialEq,
 {
-    let narrowed = match crate::view::filtered_view(view, predicate) {
-        Ok(v) => v,
-        Err(_) => return false,
-    };
-    let two_pass = match sketch.summarize(&narrowed, seed) {
-        Ok(s) => s,
-        Err(_) => return false,
-    };
-    let fused = match sketch.summarize_filtered(view, predicate, seed) {
-        Ok(s) => s,
-        Err(_) => return false,
-    };
-    if fused != two_pass {
+    let Ok(narrowed) = crate::view::filtered_view(view, predicate) else {
         return false;
-    }
+    };
+    // Per leaf the fused range summary must equal the two-pass range summary
+    // bit-for-bit over the *same* parent-derived ranges — each visits
+    // identical rows in identical order, so this holds even for
+    // floating-point-summing kernels.
+    let mut ranges = vec![None];
     if sketch.splittable() {
-        // Compare leaf-by-leaf over the *same* parent-derived ranges: the
-        // fused executor plans splits from the parent membership (the filter
-        // is never materialized), and per leaf the fused range summary must
-        // equal the two-pass range summary bit-for-bit — each visits
-        // identical rows in identical order, so this holds even for
-        // floating-point-summing kernels.
-        use hillview_columnar::SplittableSelection;
-        fn collect<'a>(part: SplittableSelection<'a>, grain: usize, out: &mut Vec<(usize, usize)>) {
-            if part.weight() > grain {
-                if let Some((l, r)) = part.split() {
-                    collect(l, grain, out);
-                    collect(r, grain, out);
-                    return;
-                }
-            }
-            let (lo, hi) = part.bounds();
-            out.push((lo, hi));
-        }
-        let mut ranges = Vec::new();
-        collect(
-            SplittableSelection::new(view.members()),
-            grain.max(1),
-            &mut ranges,
-        );
-        for (lo, hi) in ranges {
-            match (
-                sketch.summarize_filtered_range(view, predicate, lo, hi, seed),
-                sketch.summarize_range(&narrowed, lo, hi, seed),
-            ) {
-                (Ok(f), Ok(t)) if f == t => {}
-                _ => return false,
-            }
-        }
+        ranges.extend(leaf_ranges(view.members(), grain).into_iter().map(Some));
     }
-    true
+    ranges.into_iter().all(|rows| {
+        let filter = Some(predicate);
+        match (
+            sketch.summarize(view, Scope { rows, filter }, seed),
+            sketch.summarize(&narrowed, Scope { rows, filter: None }, seed),
+        ) {
+            (Ok(fused), Ok(two_pass)) => fused == two_pass,
+            _ => false,
+        }
+    })
 }
 
 #[cfg(test)]

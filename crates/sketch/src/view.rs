@@ -1,45 +1,84 @@
-//! Partition views: the data a sketch's `summarize` sees.
+//! Partition views and scopes: the data a sketch's `summarize` sees, and
+//! the one place a [`Scope`] is resolved to the rows a kernel scans.
 //!
 //! A view pairs an immutable [`Table`] (one micropartition of columnar data)
 //! with a [`MembershipSet`] selecting which of its rows belong to the
 //! current (possibly filtered) dataset — the paper's §5.6 derived-table
 //! representation, where filtered tables share storage with their parents.
 
-use crate::traits::SketchResult;
+use crate::traits::{SketchError, SketchResult};
 use hillview_columnar::scan::{rows_in_range, Selection};
-use hillview_columnar::{filter_members, MembershipSet, Predicate, Table};
+use hillview_columnar::{filter_members, FrameFilter, MembershipSet, Predicate, Table};
+use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 
-/// The driver [`Selection`] for a possibly row-bounded kernel scan: a
-/// pre-drawn partition-wide sample clipped to the bounds, or the membership
-/// set clipped to the bounds. Centralizes the rule every splittable kernel
-/// follows — samples are drawn once per partition and *clipped*, never
-/// re-drawn per sub-range.
-pub(crate) fn bounded_selection<'a>(
-    view: &'a TableView,
-    sampled: &'a Option<Arc<Vec<u32>>>,
-    bounds: Option<(usize, usize)>,
-) -> Selection<'a> {
-    match (sampled, bounds) {
-        (Some(rows), None) => Selection::Rows(rows),
-        (Some(rows), Some((lo, hi))) => Selection::Rows(rows_in_range(rows, lo, hi)),
-        (None, None) => Selection::Members(view.members()),
-        (None, Some((lo, hi))) => Selection::members_in(view.members(), lo, hi),
-    }
+/// Which rows of a partition view one [`Sketch::summarize`](crate::Sketch::summarize)
+/// call speaks for: an optional row range, an optional predicate, or both.
+///
+/// The rules every scope obeys, stated once:
+///
+/// * **Tiling.** `rows` bounds tile the partition: folding the summaries of
+///   consecutive ranges with [`Summary::merge`](crate::Summary::merge), in
+///   ascending range order starting from the sketch's identity, is a valid
+///   summary of the whole partition — bit-identical to the unsplit call for
+///   sketches with exact merges. A range covering the whole universe is the
+///   same scope as no range at all.
+/// * **Clip, never resample.** A sampled sketch draws the *partition-wide*
+///   sample from the seed and clips it to `rows`; it never re-draws per
+///   sub-range, so split execution stays deterministic.
+/// * **Absolute row indexes.** `rows` are row indexes into the partition.
+///   Filtering narrows the membership but never renumbers rows, so a split
+///   plan computed from the unfiltered membership stays valid under
+///   `filter`.
+/// * **Fusion is invisible.** A `filter` scope must yield the bytes of the
+///   two-pass execution — [`filtered_view`], then the same call without the
+///   filter. The resolver the kernels share (`TableView::scan`) fuses the
+///   predicate into the block pass where that holds and falls back to two
+///   passes where it does not.
+#[derive(Debug, Clone, Copy)]
+pub struct Scope<'a> {
+    /// Only rows whose partition row index lies in `lo..hi`.
+    pub rows: Option<(usize, usize)>,
+    /// Only rows satisfying the predicate.
+    pub filter: Option<&'a Predicate>,
+}
+
+impl Scope<'_> {
+    /// Every row of the view.
+    pub const ALL: Scope<'static> = Scope {
+        rows: None,
+        filter: None,
+    };
 }
 
 /// Materialize `predicate` over `view` into a narrowed view — the
 /// **two-pass** execution of a filtered query (filter to a membership set,
 /// then sketch it). This is the reference the fused one-pass path is pinned
-/// against, and the fallback kernels use whenever fusion can't apply (e.g.
-/// sampled sketches, whose sample must be drawn from the *filtered*
-/// membership).
+/// against.
 pub fn filtered_view(view: &TableView, predicate: &Predicate) -> SketchResult<TableView> {
     let members = filter_members(view.table(), predicate, view.members())?;
     Ok(TableView::with_members(
         view.table().clone(),
         Arc::new(members),
     ))
+}
+
+/// Resolve `scope` for a sketch that neither fuses nor splits (it walks the
+/// whole view itself): the filter is materialized into the returned view,
+/// and row bounds short of the whole partition are refused.
+pub fn two_pass(sketch: &str, view: &TableView, scope: Scope<'_>) -> SketchResult<TableView> {
+    if scope
+        .rows
+        .is_some_and(|(lo, hi)| lo > 0 || hi < view.members().universe())
+    {
+        return Err(SketchError::BadConfig(format!(
+            "sketch {sketch} does not support range splitting"
+        )));
+    }
+    match scope.filter {
+        Some(predicate) => filtered_view(view, predicate),
+        None => Ok(view.clone()),
+    }
 }
 
 /// A memoized sample draw: `((rate bits, seed), rows)`.
@@ -122,6 +161,48 @@ impl TableView {
         let drawn = Arc::new(self.members.sample(rate, seed));
         *self.sample_memo.lock().unwrap() = Some((key, drawn.clone()));
         drawn
+    }
+
+    /// Resolve `scope` to the [`Selection`] a kernel scans, run `body` over
+    /// it, and return `body`'s result with the number of rows selected.
+    ///
+    /// `sample` of `Some((rate, seed))` scans the partition-wide sample
+    /// drawn at `rate` from `seed` instead of the membership. The sample
+    /// must come from the *filtered* membership, so sampling under a filter
+    /// runs two-pass; an unsampled filter is compiled once and fused into
+    /// the selection, evaluated per 64-row frame as `body` consumes it.
+    pub(crate) fn scan<T>(
+        &self,
+        scope: Scope<'_>,
+        sample: Option<(f64, u64)>,
+        body: impl FnOnce(&Selection<'_>) -> T,
+    ) -> SketchResult<(T, u64)> {
+        if let (Some(_), Some(predicate)) = (sample, scope.filter) {
+            let rows = Scope {
+                rows: scope.rows,
+                filter: None,
+            };
+            return filtered_view(self, predicate)?.scan(rows, sample, body);
+        }
+        let sampled = sample.map(|(rate, seed)| self.sample_rows(rate, seed));
+        let (lo, hi) = scope.rows.unwrap_or((0, usize::MAX));
+        let base = match &sampled {
+            Some(rows) => Selection::Rows(rows_in_range(rows, lo, hi)),
+            None => Selection::members_in(&self.members, lo, hi),
+        };
+        match scope.filter {
+            None => Ok((body(&base), base.count() as u64)),
+            Some(predicate) => {
+                let filter = RefCell::new(FrameFilter::compile(predicate, &self.table)?);
+                let out = body(&Selection::Filtered {
+                    base: &base,
+                    filter: &filter,
+                });
+                // Single-pass: the row count only exists after the scan.
+                let matched = filter.borrow().matched();
+                Ok((out, matched))
+            }
+        }
     }
 
     /// Derive a narrower view by intersecting membership.

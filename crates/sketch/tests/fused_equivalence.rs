@@ -1,5 +1,5 @@
-//! Fusion-law property tests: for every kernel, the fused filtered entry
-//! points (`summarize_filtered` / `summarize_filtered_range`) must
+//! Fusion-law property tests: for every kernel, `summarize` under a
+//! [`Scope`] with a filter (whole-partition and row-bounded) must
 //! reproduce the two-pass execution — materialize the predicate into a
 //! membership set with `filter_members`, then sketch it — **bit for bit**,
 //! across random tables, predicate shapes, membership representations,
@@ -16,9 +16,10 @@
 
 use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
 use hillview_columnar::{ColumnKind, MembershipSet, Predicate, SortOrder, StrMatchKind, Table};
+use hillview_net::Wire;
 use hillview_sketch::bottomk::BottomKSketch;
 use hillview_sketch::buckets::BucketSpec;
-use hillview_sketch::count::CountSketch;
+use hillview_sketch::count::{CountSketch, CountSummary};
 use hillview_sketch::distinct::DistinctSketch;
 use hillview_sketch::find::FindSketch;
 use hillview_sketch::heatmap::HeatmapSketch;
@@ -30,10 +31,13 @@ use hillview_sketch::pca::PcaSketch;
 use hillview_sketch::quantile::QuantileSketch;
 use hillview_sketch::range::RangeSketch;
 use hillview_sketch::stacked::StackedHistogramSketch;
-use hillview_sketch::traits::{fused_law_holds, summarize_filtered_split, Sketch};
+use hillview_sketch::traits::{
+    fused_law_holds, summarize_split, Sketch, SketchError, SketchResult,
+};
 #[cfg(feature = "simd")]
 use hillview_sketch::view::filtered_view;
-use hillview_sketch::TableView;
+use hillview_sketch::view::two_pass;
+use hillview_sketch::{Scope, TableView};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -120,6 +124,59 @@ fn predicate(pick: usize, bounds: (f64, f64), cat: usize) -> Predicate {
     }
 }
 
+/// The whole-partition scope under `p`.
+fn under(p: &Predicate) -> Scope<'_> {
+    Scope {
+        rows: None,
+        filter: Some(p),
+    }
+}
+
+/// What the scope resolver owns, beyond the fusion law: a row range
+/// covering the whole universe is the same scope as no range (same bytes,
+/// filtered and unfiltered), and a predicate over an unknown column
+/// surfaces as `SketchError::Column`.
+fn resolver_contract_holds<S: Sketch>(sk: &S, v: &TableView, p: &Predicate, seed: u64) -> bool {
+    let rows = Some((0, v.members().universe()));
+    let same_bytes = [None, Some(p)].into_iter().all(|filter| {
+        let ranged = sk.summarize(v, Scope { rows, filter }, seed);
+        let plain = sk.summarize(v, Scope { rows: None, filter }, seed);
+        matches!((ranged, plain), (Ok(a), Ok(b)) if a.to_bytes() == b.to_bytes())
+    });
+    let unknown = Predicate::range("NoSuchColumn", 0.0, 1.0);
+    same_bytes
+        && matches!(
+            sk.summarize(v, under(&unknown), seed),
+            Err(SketchError::Column(_))
+        )
+}
+
+/// A sketch that neither fuses nor splits: it walks the whole view itself,
+/// starting from [`two_pass`].
+struct WholeViewCount;
+
+impl Sketch for WholeViewCount {
+    type Summary = CountSummary;
+
+    fn name(&self) -> &'static str {
+        "whole-view-count"
+    }
+
+    fn summarize(
+        &self,
+        view: &TableView,
+        scope: Scope<'_>,
+        _seed: u64,
+    ) -> SketchResult<CountSummary> {
+        let rows = two_pass(self.name(), view, scope)?.len() as u64;
+        Ok(CountSummary { rows, missing: 0 })
+    }
+
+    fn identity(&self) -> CountSummary {
+        CountSummary::default()
+    }
+}
+
 fn num_spec() -> BucketSpec {
     BucketSpec::numeric(-50.0, 150.0, 17)
 }
@@ -156,6 +213,10 @@ proptest! {
                     fused_law_holds(&$sk, &v, &p, grain, seed),
                     "fusion law failed for {} under {:?}", $sk.name(), p
                 );
+                prop_assert!(
+                    resolver_contract_holds(&$sk, &v, &p, seed),
+                    "scope resolution failed for {} under {:?}", $sk.name(), p
+                );
             };
         }
         law!(CountSketch::rows());
@@ -174,6 +235,17 @@ proptest! {
         law!(PcaSketch::new(&["X", "I"], 1.0));
         law!(RangeSketch::new("X"));
         law!(QuantileSketch::new(SortOrder::ascending(&["I", "X"]), 1.0, 100_000));
+        // An unsplittable sketch: a filter-only scope is the two-pass
+        // execution, and row bounds short of the partition are refused.
+        law!(WholeViewCount);
+        for rows in [(0, n - 1), (1, n)] {
+            prop_assert_eq!(
+                WholeViewCount.summarize(&v, Scope { rows: Some(rows), filter: Some(&p) }, seed),
+                Err(SketchError::BadConfig(
+                    "sketch whole-view-count does not support range splitting".into()
+                ))
+            );
+        }
     }
 
     /// Sampled kernels that fuse by falling back to the two-pass filtered
@@ -197,12 +269,20 @@ proptest! {
         let n = t.num_rows();
         let v = TableView::with_members(Arc::new(t), Arc::new(membership(kind, &raw, cuts, n)));
         let p = predicate(pick, bounds, cat);
-        prop_assert!(fused_law_holds(
-            &HistogramSketch::sampled("X", num_spec(), rate), &v, &p, grain, seed));
-        prop_assert!(fused_law_holds(
-            &HeatmapSketch::sampled("X", "C", num_spec(), str_spec(), rate), &v, &p, grain, seed));
-        prop_assert!(fused_law_holds(
-            &PcaSketch::new(&["X", "I"], rate), &v, &p, grain, seed));
+        macro_rules! law {
+            ($sk:expr) => {
+                prop_assert!(fused_law_holds(&$sk, &v, &p, grain, seed));
+                prop_assert!(resolver_contract_holds(&$sk, &v, &p, seed));
+            };
+        }
+        law!(HistogramSketch::sampled("X", num_spec(), rate));
+        law!(HeatmapSketch::sampled("X", "C", num_spec(), str_spec(), rate));
+        law!(PcaSketch::new(&["X", "I"], rate));
+        // Hash-threshold samplers: no fusion law (see below), same resolver.
+        prop_assert!(resolver_contract_holds(
+            &SampledHeavyHittersSketch::new("C", 4, rate), &v, &p, seed));
+        prop_assert!(resolver_contract_holds(
+            &QuantileSketch::new(SortOrder::ascending(&["I", "X"]), rate, 100_000), &v, &p, seed));
     }
 
     /// The fused-sampling distribution contract: under a fused plan,
@@ -229,7 +309,6 @@ proptest! {
     ) {
         use hillview_columnar::predicate::filter_members_rowwise;
         use hillview_columnar::row_sampled;
-        use hillview_sketch::traits::summarize_filtered_split;
 
         let n = t.num_rows();
         let table = Arc::new(t);
@@ -246,7 +325,7 @@ proptest! {
 
         // Sampled heavy hitters: counts over the reference sample, exactly.
         let hh = SampledHeavyHittersSketch::new("C", 4, rate);
-        let fused = hh.summarize_filtered(&v, &p, seed).unwrap();
+        let fused = hh.summarize(&v, under(&p), seed).unwrap();
         let col = table.column_by_name("C").unwrap();
         let mut want: std::collections::HashMap<hillview_columnar::Value, u64> =
             std::collections::HashMap::new();
@@ -266,7 +345,7 @@ proptest! {
         prop_assert_eq!(got, want);
         // Tiling: parent-planned leaves fold to the unsplit fused summary.
         prop_assert_eq!(
-            summarize_filtered_split(&hh, &v, &p, grain, seed).unwrap(),
+            summarize_split(&hh, &v, Some(&p), grain, seed).unwrap(),
             fused
         );
 
@@ -275,13 +354,13 @@ proptest! {
         // population = the full filtered membership.
         let order = SortOrder::ascending(&["I", "X"]);
         let qs = QuantileSketch::new(order.clone(), rate, 100_000);
-        let fused = qs.summarize_filtered(&v, &p, seed).unwrap();
+        let fused = qs.summarize(&v, under(&p), seed).unwrap();
         prop_assert_eq!(fused.population, filtered.len() as u64);
         let resolved = order.resolve(&table).unwrap();
         let want_keys: Vec<_> = sample.iter().map(|&r| resolved.key(&table, r)).collect();
         prop_assert_eq!(&fused.keys, &want_keys);
         prop_assert_eq!(
-            summarize_filtered_split(&qs, &v, &p, grain, seed).unwrap().keys,
+            summarize_split(&qs, &v, Some(&p), grain, seed).unwrap().keys,
             want_keys
         );
     }
@@ -311,16 +390,16 @@ proptest! {
         );
         let hist = HistogramSketch::streaming("X", num_spec());
         prop_assert_eq!(
-            hist.summarize_filtered(&v, &p, seed).unwrap(),
+            hist.summarize(&v, under(&p), seed).unwrap(),
             hist.summarize_rowwise(&narrowed, seed).unwrap()
         );
         let mg = MisraGriesSketch::new("C", 4);
         prop_assert_eq!(
-            mg.summarize_filtered(&v, &p, seed).unwrap(),
+            mg.summarize(&v, under(&p), seed).unwrap(),
             mg.summarize_rowwise(&narrowed, seed).unwrap()
         );
         let mo = MomentsSketch::new("X", 4);
-        let fused = mo.summarize_filtered(&v, &p, seed).unwrap();
+        let fused = mo.summarize(&v, under(&p), seed).unwrap();
         let rowwise = mo.summarize_rowwise(&narrowed, seed).unwrap();
         prop_assert_eq!(fused.present, rowwise.present);
         prop_assert_eq!(fused.missing, rowwise.missing);
@@ -331,19 +410,19 @@ proptest! {
         }
         let ds = DistinctSketch::new("C");
         prop_assert_eq!(
-            ds.summarize_filtered(&v, &p, seed).unwrap(),
+            ds.summarize(&v, under(&p), seed).unwrap(),
             ds.summarize_rowwise(&narrowed, seed).unwrap()
         );
         let fs = FindSketch::new(
             "C", "a", StrMatchKind::Substring, SortOrder::ascending(&["I", "X"]));
         prop_assert_eq!(
-            fs.summarize_filtered(&v, &p, seed).unwrap(),
+            fs.summarize(&v, under(&p), seed).unwrap(),
             fs.summarize_rowwise(&narrowed, seed).unwrap()
         );
     }
 
     /// Fused split law for exact-merge kernels: folding parent-planned
-    /// leaves of `summarize_filtered_range` equals the unsplit fused pass
+    /// leaves of the filtered scope equals the unsplit fused pass
     /// at every grain — what keeps PR 3's parallel leaves and PR 6's
     /// retry-on-failure sites correct under fusion.
     #[test]
@@ -365,8 +444,8 @@ proptest! {
             ($sk:expr) => {{
                 let sk = $sk;
                 prop_assert_eq!(
-                    summarize_filtered_split(&sk, &v, &p, grain, seed).unwrap(),
-                    sk.summarize_filtered(&v, &p, seed).unwrap(),
+                    summarize_split(&sk, &v, Some(&p), grain, seed).unwrap(),
+                    sk.summarize(&v, under(&p), seed).unwrap(),
                     "fused split law failed for {} under {:?}", sk.name(), &p
                 );
             }};
@@ -431,8 +510,8 @@ proptest! {
                     .unwrap();
                 let v = TableView::with_members(Arc::new(t), members.clone());
                 prop_assert!(fused_law_holds(&hist, &v, &p, grain, 0));
-                let h = hist.summarize_filtered(&v, &p, 0).unwrap();
-                let m = mo.summarize_filtered(&v, &p, 0).unwrap();
+                let h = hist.summarize(&v, under(&p), 0).unwrap();
+                let m = mo.summarize(&v, under(&p), 0).unwrap();
                 results.push((h, m.present, m.missing, m.min, m.max,
                     m.sums.iter().map(|s| s.to_bits()).collect::<Vec<_>>()));
             }
@@ -467,11 +546,11 @@ proptest! {
         let mo = MomentsSketch::new("X", 4);
         let run = |scalar: bool| {
             set_force_scalar(scalar);
-            let m = mo.summarize_filtered(&v, &p, seed).unwrap();
+            let m = mo.summarize(&v, under(&p), seed).unwrap();
             let out = (
-                hist.summarize_filtered(&v, &p, seed).unwrap(),
-                stack.summarize_filtered(&v, &p, seed).unwrap(),
-                count.summarize_filtered(&v, &p, seed).unwrap(),
+                hist.summarize(&v, under(&p), seed).unwrap(),
+                stack.summarize(&v, under(&p), seed).unwrap(),
+                count.summarize(&v, under(&p), seed).unwrap(),
                 (m.present, m.missing, m.min.map(f64::to_bits), m.max.map(f64::to_bits),
                  m.sums.iter().map(|s| s.to_bits()).collect::<Vec<_>>()),
             );
@@ -483,6 +562,6 @@ proptest! {
         prop_assert_eq!(&fast, &slow);
         // Both modes also satisfy the law against the (scalar) two-pass.
         let narrowed = filtered_view(&v, &p).unwrap();
-        prop_assert_eq!(&fast.0, &hist.summarize(&narrowed, seed).unwrap());
+        prop_assert_eq!(&fast.0, &hist.summarize(&narrowed, Scope::ALL, seed).unwrap());
     }
 }

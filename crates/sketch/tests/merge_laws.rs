@@ -22,7 +22,7 @@ use hillview_sketch::quantile::QuantileSketch;
 use hillview_sketch::range::RangeSketch;
 use hillview_sketch::stacked::StackedHistogramSketch;
 use hillview_sketch::traits::{Sketch, Summary};
-use hillview_sketch::TableView;
+use hillview_sketch::{Scope, TableView};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -91,10 +91,10 @@ where
 {
     let whole = TableView::full(table.clone());
     let parts = three_way_split(table, cut1, cut2);
-    let direct = sketch.summarize(&whole, 7).unwrap();
+    let direct = sketch.summarize(&whole, Scope::ALL, 7).unwrap();
     let s: Vec<_> = parts
         .iter()
-        .map(|p| sketch.summarize(p, 7).unwrap())
+        .map(|p| sketch.summarize(p, Scope::ALL, 7).unwrap())
         .collect();
     // Mergeability.
     let merged = s[0].merge(&s[1]).merge(&s[2]);
@@ -221,8 +221,8 @@ proptest! {
         let sk = MomentsSketch::new("X", 4);
         let whole = TableView::full(table.clone());
         let parts = three_way_split(table, c1, c2);
-        let direct = sk.summarize(&whole, 7).unwrap();
-        let s: Vec<_> = parts.iter().map(|p| sk.summarize(p, 7).unwrap()).collect();
+        let direct = sk.summarize(&whole, Scope::ALL, 7).unwrap();
+        let s: Vec<_> = parts.iter().map(|p| sk.summarize(p, Scope::ALL, 7).unwrap()).collect();
         let merged = s[0].merge(&s[1]).merge(&s[2]);
         prop_assert_eq!(merged.present, direct.present);
         prop_assert_eq!(merged.missing, direct.missing);
@@ -248,8 +248,8 @@ proptest! {
         let sk = PcaSketch::new(&["X"], 1.0);
         let whole = TableView::full(table.clone());
         let parts = three_way_split(table, c1, c2);
-        let direct = sk.summarize(&whole, 7).unwrap();
-        let s: Vec<_> = parts.iter().map(|p| sk.summarize(p, 7).unwrap()).collect();
+        let direct = sk.summarize(&whole, Scope::ALL, 7).unwrap();
+        let s: Vec<_> = parts.iter().map(|p| sk.summarize(p, Scope::ALL, 7).unwrap()).collect();
         let merged = s[0].merge(&s[1]).merge(&s[2]);
         prop_assert_eq!(merged.m, direct.m);
         prop_assert_eq!(merged.count, direct.count);
@@ -274,8 +274,8 @@ proptest! {
         let sk = QuantileSketch::new(SortOrder::ascending(&["C", "X"]), 1.0, 100_000);
         let whole = TableView::full(table.clone());
         let parts = three_way_split(table, c1, c2);
-        let direct = sk.summarize(&whole, 7).unwrap();
-        let s: Vec<_> = parts.iter().map(|p| sk.summarize(p, 7).unwrap()).collect();
+        let direct = sk.summarize(&whole, Scope::ALL, 7).unwrap();
+        let s: Vec<_> = parts.iter().map(|p| sk.summarize(p, Scope::ALL, 7).unwrap()).collect();
         let sorted_keys = |sm: &hillview_sketch::quantile::QuantileSummary| {
             let mut keys = sm.keys.clone();
             keys.sort();
@@ -312,7 +312,7 @@ proptest! {
         let parts = three_way_split(table.clone(), c1, c2);
         let merged = parts
             .iter()
-            .map(|p| sk.summarize(p, 0).unwrap())
+            .map(|p| sk.summarize(p, Scope::ALL, 0).unwrap())
             .fold(sk.identity(), |acc, s| acc.merge(&s));
         // Exact counts for comparison.
         let col = table.column_by_name("C").unwrap();
@@ -338,14 +338,14 @@ proptest! {
         use hillview_net::Wire;
         let v = TableView::full(Arc::new(t));
         let h = HistogramSketch::streaming("X", BucketSpec::numeric(0.0, 100.0, 9))
-            .summarize(&v, 0)
+            .summarize(&v, Scope::ALL, 0)
             .unwrap();
         prop_assert_eq!(
             hillview_sketch::histogram::HistogramSummary::from_bytes(h.to_bytes()).unwrap(),
             h
         );
         let n = NextKSketch::first_page(SortOrder::ascending(&["X"]), 5)
-            .summarize(&v, 0)
+            .summarize(&v, Scope::ALL, 0)
             .unwrap();
         prop_assert_eq!(
             hillview_sketch::nextk::NextKSummary::from_bytes(n.to_bytes()).unwrap(),

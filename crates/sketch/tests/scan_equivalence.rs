@@ -21,7 +21,7 @@ use hillview_sketch::pca::PcaSketch;
 use hillview_sketch::quantile::QuantileSketch;
 use hillview_sketch::stacked::StackedHistogramSketch;
 use hillview_sketch::traits::Sketch;
-use hillview_sketch::TableView;
+use hillview_sketch::{Scope, TableView};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -118,7 +118,7 @@ proptest! {
         for col in ["X", "I"] {
             let sk = HistogramSketch::streaming(col, num_spec());
             prop_assert_eq!(
-                sk.summarize(&v, 0).unwrap(),
+                sk.summarize(&v, Scope::ALL, 0).unwrap(),
                 sk.summarize_rowwise(&v, 0).unwrap()
             );
         }
@@ -137,7 +137,7 @@ proptest! {
         let v = TableView::with_members(Arc::new(t), Arc::new(membership(kind, &raw, cuts, n)));
         let sk = HistogramSketch::sampled("X", num_spec(), rate);
         prop_assert_eq!(
-            sk.summarize(&v, seed).unwrap(),
+            sk.summarize(&v, Scope::ALL, seed).unwrap(),
             sk.summarize_rowwise(&v, seed).unwrap()
         );
     }
@@ -153,7 +153,7 @@ proptest! {
         let v = TableView::with_members(Arc::new(t), Arc::new(membership(kind, &raw, cuts, n)));
         let sk = HistogramSketch::streaming("C", str_spec());
         prop_assert_eq!(
-            sk.summarize(&v, 0).unwrap(),
+            sk.summarize(&v, Scope::ALL, 0).unwrap(),
             sk.summarize_rowwise(&v, 0).unwrap()
         );
     }
@@ -171,7 +171,7 @@ proptest! {
         let v = TableView::with_members(Arc::new(t), Arc::new(membership(kind, &raw, cuts, n)));
         let sk = HeatmapSketch::sampled("X", "C", num_spec(), str_spec(), rate);
         prop_assert_eq!(
-            sk.summarize(&v, seed).unwrap(),
+            sk.summarize(&v, Scope::ALL, seed).unwrap(),
             sk.summarize_rowwise(&v, seed).unwrap()
         );
     }
@@ -187,7 +187,7 @@ proptest! {
         let v = TableView::with_members(Arc::new(t), Arc::new(membership(kind, &raw, cuts, n)));
         let sk = StackedHistogramSketch::streaming("I", "C", num_spec(), str_spec());
         prop_assert_eq!(
-            sk.summarize(&v, 0).unwrap(),
+            sk.summarize(&v, Scope::ALL, 0).unwrap(),
             sk.summarize_rowwise(&v, 0).unwrap()
         );
     }
@@ -205,7 +205,7 @@ proptest! {
         let v = TableView::with_members(Arc::new(t), Arc::new(membership(kind, &raw, cuts, n)));
         for col in ["X", "I"] {
             let sk = MomentsSketch::new(col, 4);
-            let chunked = sk.summarize(&v, 0).unwrap();
+            let chunked = sk.summarize(&v, Scope::ALL, 0).unwrap();
             let rowwise = sk.summarize_rowwise(&v, 0).unwrap();
             prop_assert_eq!(chunked.present, rowwise.present);
             prop_assert_eq!(chunked.missing, rowwise.missing);
@@ -231,7 +231,7 @@ proptest! {
         let v = TableView::with_members(Arc::new(t), Arc::new(membership(kind, &raw, cuts, n)));
         let sk = BottomKSketch::new("C", 8);
         prop_assert_eq!(
-            sk.summarize(&v, 0).unwrap(),
+            sk.summarize(&v, Scope::ALL, 0).unwrap(),
             sk.summarize_rowwise(&v, 0).unwrap()
         );
     }
@@ -249,7 +249,7 @@ proptest! {
         let sk = NextKSketch::first_page(SortOrder::ascending(&["C", "I"]), k)
             .with_display(&["X"]);
         prop_assert_eq!(
-            sk.summarize(&v, 0).unwrap(),
+            sk.summarize(&v, Scope::ALL, 0).unwrap(),
             sk.summarize_rowwise(&v, 0).unwrap()
         );
     }
@@ -270,7 +270,7 @@ proptest! {
         for col in ["C", "I"] {
             let sk = MisraGriesSketch::new(col, k);
             prop_assert_eq!(
-                sk.summarize(&v, 0).unwrap(),
+                sk.summarize(&v, Scope::ALL, 0).unwrap(),
                 sk.summarize_rowwise(&v, 0).unwrap()
             );
         }
@@ -290,7 +290,7 @@ proptest! {
         for col in ["C", "X"] {
             let sk = SampledHeavyHittersSketch::new(col, 4, rate);
             prop_assert_eq!(
-                sk.summarize(&v, seed).unwrap(),
+                sk.summarize(&v, Scope::ALL, seed).unwrap(),
                 sk.summarize_rowwise(&v, seed).unwrap()
             );
         }
@@ -308,7 +308,7 @@ proptest! {
         let table = Arc::new(t);
         let v = TableView::with_members(table.clone(), Arc::new(membership(kind, &raw, cuts, n)));
         for col_name in ["X", "I", "C"] {
-            let s = CountSketch::of_column(col_name).summarize(&v, 0).unwrap();
+            let s = CountSketch::of_column(col_name).summarize(&v, Scope::ALL, 0).unwrap();
             let col = table.column_by_name(col_name).unwrap();
             let naive = v.iter_rows().filter(|&r| col.is_null(r)).count() as u64;
             prop_assert_eq!(s.missing, naive, "column {}", col_name);
@@ -330,7 +330,7 @@ proptest! {
         for col in ["X", "I", "C"] {
             let sk = DistinctSketch::new(col);
             prop_assert_eq!(
-                sk.summarize(&v, 0).unwrap(),
+                sk.summarize(&v, Scope::ALL, 0).unwrap(),
                 sk.summarize_rowwise(&v, 0).unwrap(),
                 "column {}", col
             );
@@ -356,7 +356,7 @@ proptest! {
             SortOrder::ascending(&["I", "X"]),
         );
         prop_assert_eq!(
-            sk.summarize(&v, 0).unwrap(),
+            sk.summarize(&v, Scope::ALL, 0).unwrap(),
             sk.summarize_rowwise(&v, 0).unwrap()
         );
     }
@@ -375,7 +375,7 @@ proptest! {
         let n = t.num_rows();
         let v = TableView::with_members(Arc::new(t), Arc::new(membership(kind, &raw, cuts, n)));
         let sk = PcaSketch::new(&["X", "I"], rate);
-        let chunked = sk.summarize(&v, seed).unwrap();
+        let chunked = sk.summarize(&v, Scope::ALL, seed).unwrap();
         let rowwise = sk.summarize_rowwise(&v, seed).unwrap();
         prop_assert_eq!(chunked.count, rowwise.count);
         for (c, r) in chunked.sums.iter().zip(&rowwise.sums) {
@@ -429,8 +429,8 @@ proptest! {
                     .build()
                     .unwrap();
                 let v = TableView::with_members(Arc::new(t), members.clone());
-                let h = hist.summarize(&v, 0).unwrap();
-                let m = moments.summarize(&v, 0).unwrap();
+                let h = hist.summarize(&v, Scope::ALL, 0).unwrap();
+                let m = moments.summarize(&v, Scope::ALL, 0).unwrap();
                 results.push((h, m.present, m.missing, m.min, m.max,
                     m.sums.iter().map(|s| s.to_bits()).collect::<Vec<_>>()));
             }
@@ -509,19 +509,19 @@ proptest! {
         let v = TableView::with_members(Arc::new(t), Arc::new(membership(kind, &raw, cuts, n)));
 
         let mg = MisraGriesSketch::new("C", k);
-        let serial = mg.summarize(&v, 0).unwrap();
-        let split = summarize_split(&mg, &v, grain, 0).unwrap();
-        let split2 = summarize_split(&mg, &v, grain, 0).unwrap();
+        let serial = mg.summarize(&v, Scope::ALL, 0).unwrap();
+        let split = summarize_split(&mg, &v, None, grain, 0).unwrap();
+        let split2 = summarize_split(&mg, &v, None, grain, 0).unwrap();
         prop_assert_eq!(&split, &split2, "MG split fold is deterministic");
         prop_assert_eq!(split.total, serial.total);
         prop_assert!(split.counters.len() <= k);
         // Whole-partition grain degenerates to the serial pass.
-        let whole = summarize_split(&mg, &v, n.max(1), 0).unwrap();
+        let whole = summarize_split(&mg, &v, None, n.max(1), 0).unwrap();
         prop_assert_eq!(&whole, &serial);
 
         let mo = MomentsSketch::new("X", 3);
-        let serial = mo.summarize(&v, 0).unwrap();
-        let split = summarize_split(&mo, &v, grain, 0).unwrap();
+        let serial = mo.summarize(&v, Scope::ALL, 0).unwrap();
+        let split = summarize_split(&mo, &v, None, grain, 0).unwrap();
         prop_assert_eq!(split.present, serial.present);
         prop_assert_eq!(split.missing, serial.missing);
         prop_assert_eq!(split.min, serial.min);
@@ -530,14 +530,14 @@ proptest! {
             let tol = 1e-9 * w.abs().max(1.0);
             prop_assert!((s - w).abs() <= tol, "sum {s} vs {w}");
         }
-        let whole = summarize_split(&mo, &v, n.max(1), 0).unwrap();
+        let whole = summarize_split(&mo, &v, None, n.max(1), 0).unwrap();
         prop_assert_eq!(&whole, &serial);
 
         let pca = PcaSketch::new(&["X", "I"], 1.0);
-        let serial = pca.summarize(&v, 0).unwrap();
-        let split = summarize_split(&pca, &v, grain, 0).unwrap();
+        let serial = pca.summarize(&v, Scope::ALL, 0).unwrap();
+        let split = summarize_split(&pca, &v, None, grain, 0).unwrap();
         prop_assert_eq!(split.count, serial.count);
-        let whole = summarize_split(&pca, &v, n.max(1), 0).unwrap();
+        let whole = summarize_split(&pca, &v, None, n.max(1), 0).unwrap();
         prop_assert_eq!(&whole, &serial);
     }
 
@@ -584,8 +584,8 @@ proptest! {
                     .build()
                     .unwrap();
                 let v = TableView::with_members(Arc::new(t), members.clone());
-                let h = summarize_split(&hist, &v, grain, 0).unwrap();
-                let m = summarize_split(&mg, &v, grain, 0).unwrap();
+                let h = summarize_split(&hist, &v, None, grain, 0).unwrap();
+                let m = summarize_split(&mg, &v, None, grain, 0).unwrap();
                 results.push((h, m));
             }
             for r in &results[1..] {
@@ -634,16 +634,16 @@ proptest! {
                 )
             };
             let out = (
-                hist_x.summarize(&v, seed).unwrap(),
-                hist_i.summarize(&v, seed).unwrap(),
-                hist_s.summarize(&v, seed).unwrap(),
-                hist_c.summarize(&v, seed).unwrap(),
-                mom_bits(&mom_x.summarize(&v, seed).unwrap()),
-                mom_bits(&mom_i.summarize(&v, seed).unwrap()),
-                heat.summarize(&v, seed).unwrap(),
-                stack.summarize(&v, seed).unwrap(),
-                count.summarize(&v, seed).unwrap(),
-                hh.summarize(&v, seed).unwrap(),
+                hist_x.summarize(&v, Scope::ALL, seed).unwrap(),
+                hist_i.summarize(&v, Scope::ALL, seed).unwrap(),
+                hist_s.summarize(&v, Scope::ALL, seed).unwrap(),
+                hist_c.summarize(&v, Scope::ALL, seed).unwrap(),
+                mom_bits(&mom_x.summarize(&v, Scope::ALL, seed).unwrap()),
+                mom_bits(&mom_i.summarize(&v, Scope::ALL, seed).unwrap()),
+                heat.summarize(&v, Scope::ALL, seed).unwrap(),
+                stack.summarize(&v, Scope::ALL, seed).unwrap(),
+                count.summarize(&v, Scope::ALL, seed).unwrap(),
+                hh.summarize(&v, Scope::ALL, seed).unwrap(),
             );
             set_force_scalar(false);
             out
@@ -668,7 +668,7 @@ proptest! {
         let v = TableView::with_members(table.clone(), Arc::new(membership(kind, &raw, cuts, n)));
         let order = SortOrder::ascending(&["I", "X"]);
         let sk = QuantileSketch::new(order.clone(), 1.0, cap);
-        let s = sk.summarize(&v, 0).unwrap();
+        let s = sk.summarize(&v, Scope::ALL, 0).unwrap();
         let resolved = order.resolve(&table).unwrap();
         let mut naive: Vec<_> = v.iter_rows().map(|r| resolved.key(&table, r)).collect();
         if naive.len() > cap {

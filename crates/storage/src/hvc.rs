@@ -1,6 +1,6 @@
 //! HVC ("HillView Columnar") — our columnar binary file format.
 //!
-//! Substitutes for ORC/Parquet (DESIGN.md §1): per-column typed blocks so a
+//! Substitutes for ORC/Parquet: per-column typed blocks so a
 //! worker "reads a column completely from the data repository taking
 //! advantage of fast sequential access and columnar access" (paper §5.4).
 //!
@@ -556,6 +556,7 @@ mod tests {
     use super::*;
     use hillview_columnar::encoding::EncodingKind;
     use hillview_columnar::Value;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn sample_table() -> Table {
         Table::builder()
@@ -718,9 +719,12 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("hillview-hvc-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.hvc");
+        // pid + a process-wide counter: no other test, in this process or
+        // another, shares the path.
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let path =
+            std::env::temp_dir().join(format!("hillview-hvc-test-{}-{n}.hvc", std::process::id()));
         let t = sample_table();
         write_file(&t, &path).unwrap();
         let t2 = read_file(&path).unwrap();

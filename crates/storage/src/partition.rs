@@ -2,7 +2,7 @@
 //!
 //! Paper §5.3: *"the data partition within a server is divided into
 //! micropartitions of 10-20M rows, each micropartition assigned to a
-//! leaf."* (Scaled down by default here — see DESIGN.md §1.) Partitioning
+//! leaf."* (Scaled down by default here.) Partitioning
 //! is arbitrary: Hillview makes no assumptions about which rows land where
 //! (§2), which the sketch merge laws guarantee is harmless.
 

@@ -66,7 +66,7 @@ mod tests {
     use hillview_columnar::{ColumnKind, Table};
     use hillview_sketch::range::RangeSketch;
     use hillview_sketch::traits::Sketch;
-    use hillview_sketch::TableView;
+    use hillview_sketch::{Scope, TableView};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::sync::Arc;
@@ -116,11 +116,14 @@ mod tests {
     fn sampled_histogram_respects_pixel_guarantee() {
         let v = skewed_view(400_000);
         let display = DisplaySpec::new(200, 100);
-        let range = RangeSketch::new("X").summarize(&v, 0).unwrap();
+        let range = RangeSketch::new("X").summarize(&v, Scope::ALL, 0).unwrap();
 
         let exact_viz = HistogramViz::new("X", display).with_buckets(40).exact();
         let exact_sketch = exact_viz.prepare_numeric(&range).unwrap();
-        let exact = exact_viz.render(&exact_sketch, &exact_sketch.summarize(&v, 0).unwrap());
+        let exact = exact_viz.render(
+            &exact_sketch,
+            &exact_sketch.summarize(&v, Scope::ALL, 0).unwrap(),
+        );
 
         let viz = HistogramViz::new("X", display).with_buckets(40);
         let sketch = viz.prepare_numeric(&range).unwrap();
@@ -128,7 +131,7 @@ mod tests {
         // Repeat over several seeds: the guarantee is probabilistic.
         let mut worst = 0u32;
         for seed in 0..5 {
-            let sampled = viz.render(&sketch, &sketch.summarize(&v, seed).unwrap());
+            let sampled = viz.render(&sketch, &sketch.summarize(&v, Scope::ALL, seed).unwrap());
             worst = worst.max(max_bar_pixel_error(&exact, &sampled));
         }
         assert!(worst <= 2, "worst-case bar error {worst}px (paper: ~1px)");

@@ -112,7 +112,7 @@ mod tests {
     use hillview_columnar::{ColumnKind, Table};
     use hillview_sketch::range::RangeSketch;
     use hillview_sketch::traits::Sketch;
-    use hillview_sketch::TableView;
+    use hillview_sketch::{Scope, TableView};
     use std::sync::Arc as StdArc;
 
     fn uniform_view(n: usize) -> TableView {
@@ -133,9 +133,9 @@ mod tests {
     fn uniform_data_renders_a_straight_line() {
         let v = uniform_view(50_000);
         let viz = CdfViz::new("X", DisplaySpec::new(100, 100)).exact();
-        let range = RangeSketch::new("X").summarize(&v, 0).unwrap();
+        let range = RangeSketch::new("X").summarize(&v, Scope::ALL, 0).unwrap();
         let sketch = viz.prepare(&range).unwrap();
-        let summary = sketch.summarize(&v, 0).unwrap();
+        let summary = sketch.summarize(&v, Scope::ALL, 0).unwrap();
         let cdf = viz.render(&summary);
         assert_eq!(cdf.heights_px.len(), 100);
         // Monotone non-decreasing, ends at full height.
@@ -154,15 +154,21 @@ mod tests {
     fn sampled_cdf_within_one_pixel_of_exact() {
         let v = uniform_view(600_000);
         let display = DisplaySpec::new(80, 50);
-        let range = RangeSketch::new("X").summarize(&v, 0).unwrap();
+        let range = RangeSketch::new("X").summarize(&v, Scope::ALL, 0).unwrap();
 
         let exact_viz = CdfViz::new("X", display).exact();
-        let exact = exact_viz.render(&exact_viz.prepare(&range).unwrap().summarize(&v, 0).unwrap());
+        let exact = exact_viz.render(
+            &exact_viz
+                .prepare(&range)
+                .unwrap()
+                .summarize(&v, Scope::ALL, 0)
+                .unwrap(),
+        );
 
         let viz = CdfViz::new("X", display);
         let sketch = viz.prepare(&range).unwrap();
         assert!(sketch.rate < 1.0, "should sample on 600k rows");
-        let cdf = viz.render(&sketch.summarize(&v, 3).unwrap());
+        let cdf = viz.render(&sketch.summarize(&v, Scope::ALL, 3).unwrap());
 
         let max_err = cdf
             .heights_px
@@ -190,8 +196,13 @@ mod tests {
             .unwrap();
         let v = TableView::full(StdArc::new(t));
         let viz = CdfViz::new("X", DisplaySpec::new(100, 100)).exact();
-        let range = RangeSketch::new("X").summarize(&v, 0).unwrap();
-        let cdf = viz.render(&viz.prepare(&range).unwrap().summarize(&v, 0).unwrap());
+        let range = RangeSketch::new("X").summarize(&v, Scope::ALL, 0).unwrap();
+        let cdf = viz.render(
+            &viz.prepare(&range)
+                .unwrap()
+                .summarize(&v, Scope::ALL, 0)
+                .unwrap(),
+        );
         // After the first 10% of pixels the curve is already at ~90 px.
         assert!(cdf.heights_px[15] >= 85, "{}", cdf.heights_px[15]);
     }

@@ -123,7 +123,7 @@ mod tests {
     use hillview_columnar::{ColumnKind, Table};
     use hillview_sketch::range::RangeSketch;
     use hillview_sketch::traits::Sketch;
-    use hillview_sketch::TableView;
+    use hillview_sketch::{Scope, TableView};
     use std::sync::Arc as StdArc;
 
     /// Diagonal ridge: X ≈ Y.
@@ -152,8 +152,8 @@ mod tests {
     fn diagonal_data_renders_a_diagonal() {
         let v = diagonal_view(10_000);
         let viz = HeatmapViz::new("X", "Y", DisplaySpec::new(30, 30)).exact();
-        let range_x = RangeSketch::new("X").summarize(&v, 0).unwrap();
-        let range_y = RangeSketch::new("Y").summarize(&v, 0).unwrap();
+        let range_x = RangeSketch::new("X").summarize(&v, Scope::ALL, 0).unwrap();
+        let range_y = RangeSketch::new("Y").summarize(&v, Scope::ALL, 0).unwrap();
         let sketch = viz
             .prepare(
                 &AxisInfo::Numeric(range_x.clone()),
@@ -161,7 +161,7 @@ mod tests {
                 range_x.present,
             )
             .unwrap();
-        let summary = sketch.summarize(&v, 0).unwrap();
+        let summary = sketch.summarize(&v, Scope::ALL, 0).unwrap();
         let grid = viz.render(&summary);
         assert_eq!((grid.bx, grid.by), (10, 10));
         // Diagonal cells are dense, off-diagonal are empty.
@@ -176,7 +176,7 @@ mod tests {
     #[test]
     fn sampled_rate_uses_population() {
         let v = diagonal_view(1000);
-        let range = RangeSketch::new("X").summarize(&v, 0).unwrap();
+        let range = RangeSketch::new("X").summarize(&v, Scope::ALL, 0).unwrap();
         let viz = HeatmapViz::new("X", "Y", DisplaySpec::new(30, 30));
         let big = viz
             .prepare(

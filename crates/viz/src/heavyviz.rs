@@ -153,7 +153,7 @@ mod tests {
     use hillview_columnar::column::{Column, DictColumn};
     use hillview_columnar::{ColumnKind, Table};
     use hillview_sketch::traits::Sketch;
-    use hillview_sketch::TableView;
+    use hillview_sketch::{Scope, TableView};
     use std::sync::Arc as StdArc;
 
     fn view() -> TableView {
@@ -182,7 +182,10 @@ mod tests {
     fn streaming_mode_end_to_end() {
         let v = view();
         let viz = HeavyHittersViz::streaming("Carrier", 5);
-        let s = viz.prepare_streaming().summarize(&v, 0).unwrap();
+        let s = viz
+            .prepare_streaming()
+            .summarize(&v, Scope::ALL, 0)
+            .unwrap();
         let r = viz.render_streaming(&s);
         assert_eq!(r.items[0].0, Value::str("UA"));
         assert_eq!(r.items[1].0, Value::str("AA"));
@@ -195,7 +198,7 @@ mod tests {
         let v = view();
         let viz = HeavyHittersViz::sampling("Carrier", 5);
         let sketch = viz.prepare_sampling(10_000);
-        let s = sketch.summarize(&v, 9).unwrap();
+        let s = sketch.summarize(&v, Scope::ALL, 9).unwrap();
         let r = viz.render_sampling(&s, 10_000);
         assert_eq!(r.items[0].0, Value::str("UA"));
         // Extrapolated count within 20% of truth (5000).
@@ -215,7 +218,10 @@ mod tests {
     fn renderings_export() {
         let v = view();
         let viz = HeavyHittersViz::streaming("Carrier", 4);
-        let s = viz.prepare_streaming().summarize(&v, 0).unwrap();
+        let s = viz
+            .prepare_streaming()
+            .summarize(&v, Scope::ALL, 0)
+            .unwrap();
         let r = viz.render_streaming(&s);
         let chart = r.to_bar_chart(DisplaySpec::new(100, 50));
         assert_eq!(chart.heights_px[0], 50, "top item fills the chart");

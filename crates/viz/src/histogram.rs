@@ -138,7 +138,7 @@ mod tests {
     use hillview_sketch::bottomk::BottomKSketch;
     use hillview_sketch::range::RangeSketch;
     use hillview_sketch::traits::Sketch;
-    use hillview_sketch::TableView;
+    use hillview_sketch::{Scope, TableView};
 
     fn uniform_view(n: usize) -> TableView {
         let t = Table::builder()
@@ -159,10 +159,10 @@ mod tests {
         let v = uniform_view(100_000);
         let viz = HistogramViz::new("X", DisplaySpec::new(400, 200)).with_buckets(10);
         // Phase 1: range.
-        let range = RangeSketch::new("X").summarize(&v, 0).unwrap();
+        let range = RangeSketch::new("X").summarize(&v, Scope::ALL, 0).unwrap();
         // Phase 2: histogram.
         let sketch = viz.prepare_numeric(&range).unwrap();
-        let summary = sketch.summarize(&v, 1).unwrap();
+        let summary = sketch.summarize(&v, Scope::ALL, 1).unwrap();
         let chart = viz.render(&sketch, &summary);
         assert_eq!(chart.heights_px.len(), 10);
         // Uniform data: all bars within a few pixels of the maximum.
@@ -179,9 +179,9 @@ mod tests {
         let viz = HistogramViz::new("X", DisplaySpec::default_chart())
             .with_buckets(7)
             .exact();
-        let range = RangeSketch::new("X").summarize(&v, 0).unwrap();
+        let range = RangeSketch::new("X").summarize(&v, Scope::ALL, 0).unwrap();
         let sketch = viz.prepare_numeric(&range).unwrap();
-        let summary = sketch.summarize(&v, 0).unwrap();
+        let summary = sketch.summarize(&v, Scope::ALL, 0).unwrap();
         assert_eq!(summary.out_of_range, 0, "range covers min..=max");
         assert_eq!(summary.total_in_buckets(), 1000);
     }
@@ -237,10 +237,12 @@ mod tests {
             .unwrap();
         let v = TableView::full(std::sync::Arc::new(t));
         let viz = HistogramViz::new("S", DisplaySpec::new(200, 100)).exact();
-        let bk = BottomKSketch::new("S", 512).summarize(&v, 0).unwrap();
+        let bk = BottomKSketch::new("S", 512)
+            .summarize(&v, Scope::ALL, 0)
+            .unwrap();
         let sketch = viz.prepare_strings(&bk).unwrap();
         assert!(sketch.buckets.count() <= 50);
-        let summary = sketch.summarize(&v, 0).unwrap();
+        let summary = sketch.summarize(&v, Scope::ALL, 0).unwrap();
         assert_eq!(summary.total_in_buckets(), 500);
     }
 

@@ -177,7 +177,7 @@ mod tests {
     use hillview_sketch::bottomk::BottomKSketch;
     use hillview_sketch::range::RangeSketch;
     use hillview_sketch::traits::Sketch;
-    use hillview_sketch::TableView;
+    use hillview_sketch::{Scope, TableView};
     use std::sync::Arc as StdArc;
 
     /// Hours 0..10; type alternates a/b with ratio depending on hour.
@@ -204,8 +204,12 @@ mod tests {
     }
 
     fn prepare_and_run(viz: &StackedViz, v: &TableView) -> StackedSummary {
-        let rx = RangeSketch::new("Hour").summarize(v, 0).unwrap();
-        let by = BottomKSketch::new("Kind", 64).summarize(v, 0).unwrap();
+        let rx = RangeSketch::new("Hour")
+            .summarize(v, Scope::ALL, 0)
+            .unwrap();
+        let by = BottomKSketch::new("Kind", 64)
+            .summarize(v, Scope::ALL, 0)
+            .unwrap();
         let sketch = viz
             .prepare(
                 &AxisInfo::Numeric(rx.clone()),
@@ -213,7 +217,7 @@ mod tests {
                 rx.present,
             )
             .unwrap();
-        sketch.summarize(v, 0).unwrap()
+        sketch.summarize(v, Scope::ALL, 0).unwrap()
     }
 
     #[test]
@@ -269,8 +273,12 @@ mod tests {
     #[test]
     fn normalized_forces_exact_kernel() {
         let v = view();
-        let rx = RangeSketch::new("Hour").summarize(&v, 0).unwrap();
-        let by = BottomKSketch::new("Kind", 64).summarize(&v, 0).unwrap();
+        let rx = RangeSketch::new("Hour")
+            .summarize(&v, Scope::ALL, 0)
+            .unwrap();
+        let by = BottomKSketch::new("Kind", 64)
+            .summarize(&v, Scope::ALL, 0)
+            .unwrap();
         let viz = StackedViz::new("Hour", "Kind", DisplaySpec::new(40, 100)).normalized();
         let sketch = viz
             .prepare(

@@ -134,7 +134,7 @@ mod tests {
     use hillview_columnar::column::{Column, DictColumn, I64Column};
     use hillview_columnar::{ColumnKind, Table};
     use hillview_sketch::traits::Sketch;
-    use hillview_sketch::TableView;
+    use hillview_sketch::{Scope, TableView};
     use std::sync::Arc;
 
     fn view() -> TableView {
@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn first_page_renders_sorted_grid() {
         let viz = TableViewViz::new(SortOrder::ascending(&["Carrier", "Delay"]), 3);
-        let s = viz.first_page().summarize(&view(), 0).unwrap();
+        let s = viz.first_page().summarize(&view(), Scope::ALL, 0).unwrap();
         let page = viz.render(&s);
         assert_eq!(page.headers, vec!["Carrier", "Delay"]);
         assert_eq!(page.rows.len(), 3);
@@ -173,9 +173,12 @@ mod tests {
     #[test]
     fn paging_walks_the_dataset() {
         let viz = TableViewViz::new(SortOrder::ascending(&["Carrier", "Delay"]), 2);
-        let p1 = viz.first_page().summarize(&view(), 0).unwrap();
+        let p1 = viz.first_page().summarize(&view(), Scope::ALL, 0).unwrap();
         let last = p1.rows.last().unwrap().0.clone();
-        let p2 = viz.page_after(Some(last)).summarize(&view(), 0).unwrap();
+        let p2 = viz
+            .page_after(Some(last))
+            .summarize(&view(), Scope::ALL, 0)
+            .unwrap();
         let page2 = viz.render(&p2);
         assert_eq!(page2.rows[0].0, vec!["DL", "7"]);
     }
@@ -184,10 +187,16 @@ mod tests {
     fn scrollbar_quantile_then_page() {
         let viz = TableViewViz::new(SortOrder::ascending(&["Delay"]), 2);
         let v = view();
-        let q = viz.scrollbar_quantile(6).summarize(&v, 0).unwrap();
+        let q = viz
+            .scrollbar_quantile(6)
+            .summarize(&v, Scope::ALL, 0)
+            .unwrap();
         // Middle of the scroll bar → median-ish key.
         let key = q.quantile(viz.pixel_to_quantile(50)).unwrap();
-        let page = viz.page_after(Some(key.clone())).summarize(&v, 0).unwrap();
+        let page = viz
+            .page_after(Some(key.clone()))
+            .summarize(&v, Scope::ALL, 0)
+            .unwrap();
         assert!(!page.rows.is_empty());
         assert!(page.rows[0].0 > key, "page starts after the quantile key");
     }
@@ -195,7 +204,7 @@ mod tests {
     #[test]
     fn display_columns_render() {
         let viz = TableViewViz::new(SortOrder::ascending(&["Delay"]), 2).with_display(&["Carrier"]);
-        let s = viz.first_page().summarize(&view(), 0).unwrap();
+        let s = viz.first_page().summarize(&view(), Scope::ALL, 0).unwrap();
         let page = viz.render(&s);
         assert_eq!(page.headers, vec!["Delay", "Carrier"]);
         assert_eq!(page.rows[0].0, vec!["2", "UA"]);

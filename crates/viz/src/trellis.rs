@@ -10,11 +10,13 @@ use crate::display::{DisplaySpec, COLOR_SHADES};
 use crate::heatmap::AxisInfo;
 use crate::render::ColorGrid;
 use crate::samples;
+use hillview_columnar::MembershipSet;
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
 use hillview_sketch::buckets::BucketSpec;
-use hillview_sketch::heatmap::HeatmapSummary;
+use hillview_sketch::heatmap::{HeatmapSketch, HeatmapSummary};
 use hillview_sketch::traits::{Sketch, SketchError, SketchResult, Summary};
-use hillview_sketch::TableView;
+use hillview_sketch::view::two_pass;
+use hillview_sketch::{Scope, TableView};
 use std::sync::Arc;
 
 /// Trellis-of-heat-maps sketch: group column W, then X×Y per group.
@@ -94,37 +96,35 @@ impl Sketch for TrellisSketch {
         "trellis-heatmap"
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<TrellisSummary> {
-        use hillview_sketch::heatmap::HeatmapSketch;
+    fn summarize(
+        &self,
+        view: &TableView,
+        scope: Scope<'_>,
+        seed: u64,
+    ) -> SketchResult<TrellisSummary> {
+        let view = &two_pass(self.name(), view, scope)?;
         // Reuse the heat-map kernel per group by restricting rows: simple
         // and correct, though it scans W once per group. Group counts are
         // small (k ≤ ~16 on any real display).
         let table = view.table();
-        let cw = table.column_by_name(&self.col_w)?;
-        let k = self.buckets_w.count();
+        let bound = bind_w(table.column_by_name(&self.col_w)?, &self.buckets_w)?;
         // Partition rows by W bucket.
-        let mut groups_rows: Vec<Vec<u32>> = vec![Vec::new(); k];
+        let mut groups_rows: Vec<Vec<u32>> = vec![Vec::new(); self.buckets_w.count()];
         let mut dropped = 0u64;
-        let bound = crate::trellis::bind_w(cw, &self.buckets_w)?;
         for row in view.iter_rows() {
             match bound(row) {
                 Some(g) => groups_rows[g].push(row as u32),
                 None => dropped += 1,
             }
         }
-        let universe = table.num_rows();
-        let inner = HeatmapSketch {
-            col_x: self.col_x.clone(),
-            col_y: self.col_y.clone(),
-            buckets_x: self.buckets_x.clone(),
-            buckets_y: self.buckets_y.clone(),
-            rate: self.rate,
-        };
-        let mut groups = Vec::with_capacity(k);
+        let (bx, by) = (self.buckets_x.clone(), self.buckets_y.clone());
+        let inner = HeatmapSketch::sampled(&self.col_x, &self.col_y, bx, by, self.rate);
+        let mut groups = Vec::with_capacity(groups_rows.len());
         for (g, rows) in groups_rows.into_iter().enumerate() {
-            let members = hillview_columnar::MembershipSet::from_rows(rows, universe);
+            let members = MembershipSet::from_rows(rows, table.num_rows());
             let sub = TableView::with_members(table.clone(), Arc::new(members));
-            groups.push(inner.summarize(&sub, seed ^ (g as u64).wrapping_mul(0x9E37))?);
+            let group_seed = seed ^ (g as u64).wrapping_mul(0x9E37);
+            groups.push(inner.summarize(&sub, Scope::ALL, group_seed)?);
         }
         Ok(TrellisSummary { groups, dropped })
     }
@@ -313,9 +313,11 @@ mod tests {
 
     fn prepared(v: &TableView) -> (TrellisViz, TrellisSketch) {
         let viz = TrellisViz::new("DC", "X", "Y", DisplaySpec::new(120, 120), 3);
-        let bw = BottomKSketch::new("DC", 64).summarize(v, 0).unwrap();
-        let rx = RangeSketch::new("X").summarize(v, 0).unwrap();
-        let ry = RangeSketch::new("Y").summarize(v, 0).unwrap();
+        let bw = BottomKSketch::new("DC", 64)
+            .summarize(v, Scope::ALL, 0)
+            .unwrap();
+        let rx = RangeSketch::new("X").summarize(v, Scope::ALL, 0).unwrap();
+        let ry = RangeSketch::new("Y").summarize(v, Scope::ALL, 0).unwrap();
         let sketch = viz
             .prepare(
                 &AxisInfo::Strings(bw),
@@ -331,7 +333,7 @@ mod tests {
     fn groups_partition_the_data() {
         let v = view();
         let (_viz, sketch) = prepared(&v);
-        let s = sketch.summarize(&v, 0).unwrap();
+        let s = sketch.summarize(&v, Scope::ALL, 0).unwrap();
         assert_eq!(s.groups.len(), 3);
         let total: u64 = s.groups.iter().map(|g| g.rows_inspected).sum();
         assert_eq!(total + s.dropped, 3000);
@@ -345,7 +347,7 @@ mod tests {
     fn per_group_distributions_differ() {
         let v = view();
         let (viz, sketch) = prepared(&v);
-        let s = sketch.summarize(&v, 0).unwrap();
+        let s = sketch.summarize(&v, Scope::ALL, 0).unwrap();
         let grids = viz.render(&s);
         assert_eq!(grids.len(), 3);
         // dc0's mass is in low-X cells; dc2's in high-X cells.
@@ -363,13 +365,14 @@ mod tests {
         let v = view();
         let (_viz, sketch) = prepared(&v);
         let t = v.table().clone();
-        let whole = sketch.summarize(&v, 0).unwrap();
+        let whole = sketch.summarize(&v, Scope::ALL, 0).unwrap();
         let a = sketch
             .summarize(
                 &TableView::with_members(
                     t.clone(),
                     StdArc::new(MembershipSet::from_rows((0..1500).collect(), 3000)),
                 ),
+                Scope::ALL,
                 0,
             )
             .unwrap();
@@ -379,6 +382,7 @@ mod tests {
                     t,
                     StdArc::new(MembershipSet::from_rows((1500..3000).collect(), 3000)),
                 ),
+                Scope::ALL,
                 0,
             )
             .unwrap();
@@ -397,7 +401,7 @@ mod tests {
     fn wire_roundtrip() {
         let v = view();
         let (_viz, sketch) = prepared(&v);
-        let s = sketch.summarize(&v, 0).unwrap();
+        let s = sketch.summarize(&v, Scope::ALL, 0).unwrap();
         assert_eq!(TrellisSummary::from_bytes(s.to_bytes()).unwrap(), s);
     }
 }
