@@ -2,13 +2,15 @@
 //!
 //! A query runs as the paper's two-phase tree (Fig. 1): the root broadcasts
 //! the sketch to every worker's aggregation node; each aggregation node
-//! fans leaf tasks onto the worker's thread pool, merges completions, and
+//! fans leaf tasks onto the worker's thread pool, collects completions, and
 //! — every [`ClusterConfig::batch_interval`] — ships its current partial
 //! merge to the root ("nodes periodically propagate partially merged
 //! results of the vizketch without waiting for all children to respond",
 //! §5.3). The root folds per-worker partials, streams progressive results
 //! to the client callback, and returns the final merge. Every edge message
-//! is wire-encoded and byte-counted.
+//! is wire-encoded and byte-counted, and every summary crosses the root
+//! link in its link form ([`ErasedSketch::compact_bytes`]): display-sized,
+//! whatever the worker folded it from.
 //!
 //! ## Intra-partition parallelism
 //!
@@ -20,9 +22,14 @@
 //! threads steal the largest pending pieces, so one skewed micropartition
 //! saturates every core instead of serializing the query.
 //!
-//! Sub-task partials arrive in completion order and feed the progressive
-//! partial stream, but the *final* worker summary folds them sorted by
-//! `(partition, range start)`. Split boundaries depend only on the
+//! Sub-task partials arrive in completion order. The partial stream folds
+//! them lazily: the running merge catches up with the pieces completed
+//! since the last tick only when a batch tick is due, so a worker that
+//! finishes inside one interval never builds it. The *final* worker
+//! summary is one fold of all pieces sorted by `(partition, range start)`
+//! — each decoded once, merged typed, encoded once
+//! ([`ErasedSketch::fold_bytes`]) — then compacted once, before it is
+//! cached or sent. Split boundaries depend only on the
 //! membership shape and the (fixed) grain, so the folded result is a pure
 //! function of `(data, sketch, seed, grain)` — bit-identical across thread
 //! counts, steal interleavings, and replay after failures (§5.8). Progress
@@ -922,11 +929,8 @@ impl Cluster {
         sketch: &Arc<dyn ErasedSketch>,
         latest: &[Option<Bytes>],
     ) -> EngineResult<Bytes> {
-        let mut acc = sketch.identity_bytes();
-        for slot in latest.iter().flatten() {
-            acc = sketch.merge_bytes(&acc, slot)?;
-        }
-        Ok(acc)
+        let parts: Vec<Bytes> = latest.iter().flatten().cloned().collect();
+        sketch.fold_bytes(&parts)
     }
 }
 
@@ -1053,10 +1057,6 @@ fn run_leaf_task(
     });
 }
 
-/// The aggregation-node body for one worker (paper Fig. 1): fan leaf tasks
-/// (splitting oversized partitions into sub-range tasks), merge
-/// completions, ship batched partials to the root.
-///
 /// 128-bit query identity for the sketch-result cache: two independent
 /// FNV-1a streams over (stream tag, sketch name, 0, cache-identity bytes).
 /// Two streams because 64 bits of FNV over arbitrary parameter encodings
@@ -1072,6 +1072,10 @@ fn query_hash(name: &str, identity: &[u8]) -> [u64; 2] {
     out
 }
 
+/// The aggregation node for one worker (paper Fig. 1): fan leaf tasks
+/// (splitting oversized partitions into sub-range tasks), collect
+/// completions, ship batched partials and the final fold to the root.
+///
 /// This wrapper is the node's crash barrier: if the body itself panics the
 /// root still receives a final frame carrying the panic message, so the
 /// merge loop terminates with a structured error instead of waiting out
@@ -1135,6 +1139,24 @@ fn aggregate_worker_inner(
     let send = |msg: WorkerMsg| {
         let _ = tx.send(msg.encode());
     };
+    // Every summary leaves the worker in its link form: each call site
+    // passes its bytes through [`ErasedSketch::compact_bytes`] (the same
+    // bytes, untouched, for a sketch that has none). One that cannot be
+    // produced ends the worker's part of the tree like any other sketch
+    // error.
+    let send_summary = |shipped: EngineResult<Bytes>, work_done, work_total, is_final| {
+        send(WorkerMsg {
+            worker: wid,
+            work_done,
+            work_total,
+            is_final: is_final || shipped.is_err(),
+            payload: match &shipped {
+                Ok(bytes) => MsgPayload::Summary(bytes.to_vec()),
+                Err(e) => MsgPayload::Error(e.to_string()),
+            },
+        });
+        shipped.is_ok()
+    };
 
     // Fault-injection point for "the worker fails *mid-query*": a Kill or
     // Evict decided here happens after the root committed to this tree.
@@ -1166,13 +1188,7 @@ fn aggregate_worker_inner(
     };
 
     if views.is_empty() {
-        send(WorkerMsg {
-            worker: wid,
-            work_done: 0,
-            work_total: 0,
-            is_final: true,
-            payload: MsgPayload::Summary(sketch.identity_bytes().to_vec()),
-        });
+        send_summary(sketch.compact_bytes(sketch.identity_bytes()), 0, 0, true);
         return;
     }
 
@@ -1216,13 +1232,9 @@ fn aggregate_worker_inner(
                     if waited {
                         cache.note_coalesced();
                     }
-                    send(WorkerMsg {
-                        worker: wid,
-                        work_done: total_work,
-                        work_total: total_work,
-                        is_final: true,
-                        payload: MsgPayload::Summary(hit.to_vec()),
-                    });
+                    // Entries are cached compacted, and compaction is
+                    // idempotent: a hit ships the bytes a recompute would.
+                    send_summary(sketch.compact_bytes(hit), total_work, total_work, true);
                     return;
                 }
                 Lookup::Miss(guard) => {
@@ -1279,35 +1291,22 @@ fn aggregate_worker_inner(
     }
     drop(leaf_tx);
 
-    // Merge completions; propagate partials every `batch`. The running
-    // `acc` merges in completion order and only feeds the transient
-    // partial stream; the final summary is folded deterministically below.
+    // Collect completions; propagate partials every `batch`. Nothing is
+    // merged when a piece completes: the running `acc` — completion-order,
+    // feeding only the transient partial stream — catches up with the
+    // pieces that arrived since the last tick when a tick is actually due,
+    // so a worker that finishes inside one batch interval never builds it.
+    // The final summary is folded deterministically below.
     let mut pieces: Vec<(u32, usize, Bytes)> = Vec::new();
     let mut acc = sketch.identity_bytes();
+    let mut merged_upto = 0usize;
     let mut done_work = 0u64;
     let mut skipped = 0u64;
-    let mut dirty = false;
     while done_work < total_work {
         match leaf_rx.recv_timeout(batch) {
             Ok(msg) => {
                 match msg.result {
-                    Ok(Some(bytes)) => {
-                        match sketch.merge_bytes(&acc, &bytes) {
-                            Ok(merged) => acc = merged,
-                            Err(e) => {
-                                send(WorkerMsg {
-                                    worker: wid,
-                                    work_done: done_work,
-                                    work_total: total_work,
-                                    is_final: true,
-                                    payload: MsgPayload::Error(e.to_string()),
-                                });
-                                return;
-                            }
-                        }
-                        pieces.push((msg.partition, msg.lo, bytes));
-                        dirty = true;
-                    }
+                    Ok(Some(bytes)) => pieces.push((msg.partition, msg.lo, bytes)),
                     // Cancelled piece: counts as completed-with-nothing.
                     Ok(None) => skipped += 1,
                     Err(e) => {
@@ -1332,17 +1331,19 @@ fn aggregate_worker_inner(
                 done_work += msg.work;
             }
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                if dirty {
-                    send(WorkerMsg {
-                        worker: wid,
-                        work_done: done_work,
-                        work_total: total_work,
-                        is_final: false,
-                        payload: MsgPayload::Summary(acc.to_vec()),
+                if merged_upto < pieces.len() {
+                    let fresh = pieces[merged_upto..].iter().map(|(_, _, b)| b.clone());
+                    let parts: Vec<Bytes> = std::iter::once(acc.clone()).chain(fresh).collect();
+                    merged_upto = pieces.len();
+                    let shipped = sketch.fold_bytes(&parts).and_then(|bytes| {
+                        acc = bytes.clone();
+                        sketch.compact_bytes(bytes)
                     });
-                    dirty = false;
+                    if !send_summary(shipped, done_work, total_work, false) {
+                        return;
+                    }
                 } else {
-                    // Nothing new merged this tick: heartbeat so the
+                    // Nothing new completed this tick: heartbeat so the
                     // root's liveness sweep can tell slow from dead.
                     send(WorkerMsg {
                         worker: wid,
@@ -1375,28 +1376,18 @@ fn aggregate_worker_inner(
         return;
     }
 
-    // Deterministic final fold: partials sorted by (partition, range
-    // start). The piece set is a pure function of (membership, grain), so
-    // this fold — unlike the completion-order `acc` — is bit-identical
-    // across thread counts, steal orders, and replays, even for
-    // order-sensitive merges (Misra-Gries) and floating-point sums.
+    // Deterministic final fold — the only fold of `pieces` the final
+    // summary sees: partials sorted by (partition, range start). The piece
+    // set is a pure function of (membership, grain), so this fold — unlike
+    // the completion-order `acc` — is bit-identical across thread counts,
+    // steal orders, and replays, even for order-sensitive merges
+    // (Misra-Gries) and floating-point sums. It is compacted once, here,
+    // after the last merge and before it is cached or sent.
     pieces.sort_by_key(|&(p, lo, _)| (p, lo));
-    let mut final_acc = sketch.identity_bytes();
-    for (_, _, bytes) in &pieces {
-        match sketch.merge_bytes(&final_acc, bytes) {
-            Ok(merged) => final_acc = merged,
-            Err(e) => {
-                send(WorkerMsg {
-                    worker: wid,
-                    work_done: done_work,
-                    work_total: total_work,
-                    is_final: true,
-                    payload: MsgPayload::Error(e.to_string()),
-                });
-                return;
-            }
-        }
-    }
+    let parts: Vec<Bytes> = pieces.into_iter().map(|(_, _, bytes)| bytes).collect();
+    let final_acc = sketch
+        .fold_bytes(&parts)
+        .and_then(|bytes| sketch.compact_bytes(bytes));
 
     // Cache only complete summaries: a tree cancelled mid-flight (user
     // cancel or a sibling worker's failure) leaves the fold partial, and
@@ -1404,18 +1395,12 @@ fn aggregate_worker_inner(
     // must hold deterministic, complete results). Every early return
     // above drops the flight guard un-completed, which abandons the
     // in-flight slot and wakes coalesced waiters to take over.
-    if let Some(guard) = flight {
+    if let (Some(guard), Ok(bytes)) = (flight, &final_acc) {
         if skipped == 0 && !cancel.is_cancelled() && !tree_cancel.is_cancelled() {
-            guard.complete(final_acc.clone());
+            guard.complete(bytes.clone());
         }
     }
-    send(WorkerMsg {
-        worker: wid,
-        work_done: done_work,
-        work_total: total_work,
-        is_final: true,
-        payload: MsgPayload::Summary(final_acc.to_vec()),
-    });
+    send_summary(final_acc, done_work, total_work, true);
 }
 
 #[cfg(test)]

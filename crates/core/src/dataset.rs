@@ -349,7 +349,11 @@ mod tests {
 
     #[test]
     fn hvc_dir_source_deals_parts_round_robin_and_loads_mapped() {
-        let dir = std::env::temp_dir().join(format!("hv-dirsource-{}", std::process::id()));
+        // pid + a process-wide counter: no other test, in this process or
+        // another, shares the path.
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("hv-dirsource-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut w = hillview_storage::SpillingWriter::new(&dir, 100).unwrap();
         let t = Table::builder()

@@ -12,7 +12,7 @@
 use crate::error::{EngineError, EngineResult};
 use bytes::Bytes;
 use hillview_net::Wire;
-use hillview_sketch::{Scope, Sketch, TableView};
+use hillview_sketch::{Scope, Sketch, Summary, TableView};
 use std::sync::Arc;
 
 /// Object-safe sketch interface operating on wire bytes.
@@ -44,6 +44,20 @@ pub trait ErasedSketch: Send + Sync + 'static {
     fn merge_bytes(&self, a: &Bytes, b: &Bytes) -> EngineResult<Bytes>;
     /// The identity summary, wire-encoded.
     fn identity_bytes(&self) -> Bytes;
+    /// Fold wire-encoded summaries, in order, from the identity: the bytes
+    /// a [`merge_bytes`](ErasedSketch::merge_bytes) chain produces. The
+    /// adapter decodes each operand once, merges typed and encodes once.
+    fn fold_bytes(&self, parts: &[Bytes]) -> EngineResult<Bytes> {
+        parts.iter().try_fold(self.identity_bytes(), |acc, part| {
+            self.merge_bytes(&acc, part)
+        })
+    }
+    /// The form of a summary that crosses a network link
+    /// ([`hillview_sketch::Summary::compact`]). A summary that does not
+    /// override it comes back as the same bytes, undecoded.
+    fn compact_bytes(&self, summary: Bytes) -> EngineResult<Bytes> {
+        Ok(summary)
+    }
     /// The sketch's cacheable parameter identity
     /// ([`hillview_sketch::Sketch::cache_identity`]): `Some(bytes)` when
     /// the summary is a pure, seed-independent function of the data and
@@ -74,10 +88,24 @@ impl<S: Sketch> ErasedSketch for Erased<S> {
     }
 
     fn merge_bytes(&self, a: &Bytes, b: &Bytes) -> EngineResult<Bytes> {
-        use hillview_sketch::Summary as _;
         let sa = S::Summary::from_bytes(a.clone()).map_err(EngineError::from)?;
         let sb = S::Summary::from_bytes(b.clone()).map_err(EngineError::from)?;
         Ok(sa.merge(&sb).to_bytes())
+    }
+
+    fn fold_bytes(&self, parts: &[Bytes]) -> EngineResult<Bytes> {
+        let mut acc = self.0.identity();
+        for part in parts {
+            acc = acc.merge(&S::Summary::from_bytes(part.clone())?);
+        }
+        Ok(acc.to_bytes())
+    }
+
+    fn compact_bytes(&self, summary: Bytes) -> EngineResult<Bytes> {
+        if !S::Summary::COMPACTS {
+            return Ok(summary);
+        }
+        Ok(S::Summary::from_bytes(summary)?.compact().to_bytes())
     }
 
     fn identity_bytes(&self) -> Bytes {
@@ -129,6 +157,54 @@ mod tests {
         let a = e.summarize_to_bytes(&view(), 0).unwrap();
         let m = e.merge_bytes(&a, &e.identity_bytes()).unwrap();
         assert_eq!(m, a);
+    }
+
+    #[test]
+    fn fold_is_the_merge_chain_decoded_once() {
+        use hillview_sketch::moments::MomentsSketch;
+        use hillview_sketch::quantile::QuantileSketch;
+        let order = hillview_columnar::SortOrder::ascending(&["X"]);
+        let sketches = [
+            erase(CountSketch::rows()),
+            erase(MomentsSketch::new("X", 3)),
+            erase(QuantileSketch::new(order, 1.0, 8, 4)),
+        ];
+        for e in sketches {
+            let parts: Vec<Bytes> = (0..4)
+                .map(|seed| e.summarize_to_bytes(&view(), seed).unwrap())
+                .collect();
+            let chain = parts
+                .iter()
+                .fold(e.identity_bytes(), |acc, p| e.merge_bytes(&acc, p).unwrap());
+            assert_eq!(e.fold_bytes(&parts).unwrap(), chain, "{}", e.name());
+            assert_eq!(e.fold_bytes(&[]).unwrap(), e.identity_bytes());
+        }
+    }
+
+    #[test]
+    fn only_an_overriding_summary_is_decoded_to_compact() {
+        use hillview_sketch::quantile::{QuantileSketch, QuantileSummary};
+        // Not even valid count bytes: handed on untouched.
+        let junk = Bytes::from_static(&[0xFF; 6]);
+        let same = erase(CountSketch::rows())
+            .compact_bytes(junk.clone())
+            .unwrap();
+        assert_eq!(same.as_ref().as_ptr(), junk.as_ref().as_ptr());
+
+        let order = hillview_columnar::SortOrder::ascending(&["X"]);
+        let e = erase(QuantileSketch::new(order, 1.0, 100, 4));
+        let full = e.summarize_to_bytes(&view(), 0).unwrap();
+        let compact = e.compact_bytes(full.clone()).unwrap();
+        assert_eq!(QuantileSummary::from_bytes(full).unwrap().keys.len(), 10);
+        assert_eq!(
+            QuantileSummary::from_bytes(compact.clone())
+                .unwrap()
+                .keys
+                .len(),
+            4
+        );
+        assert_eq!(e.compact_bytes(compact.clone()).unwrap(), compact);
+        assert!(e.compact_bytes(junk).is_err());
     }
 
     #[test]

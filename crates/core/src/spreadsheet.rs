@@ -55,17 +55,30 @@ pub struct OpStats {
 }
 
 impl OpStats {
-    fn absorb(&mut self, o: &QueryOutcome) {
-        // `first_partial` is relative to its own tree; offset by the time
+    /// Add the trees of a later phase of this operation (a preparation
+    /// helper's, or one more tree's) to its totals.
+    pub fn merge(&mut self, other: &OpStats) {
+        // `first_partial` is relative to its own phase; offset by the time
         // already spent in earlier phases of this operation.
         if self.first_partial.is_none() {
-            self.first_partial = o.first_partial.map(|fp| self.duration + fp);
+            self.first_partial = other.first_partial.map(|fp| self.duration + fp);
         }
-        self.duration += o.duration;
-        self.root_bytes += o.root_bytes;
-        self.root_messages += o.root_messages;
-        self.partials += o.partials;
-        self.trees += 1;
+        self.duration += other.duration;
+        self.root_bytes += other.root_bytes;
+        self.root_messages += other.root_messages;
+        self.partials += other.partials;
+        self.trees += other.trees;
+    }
+
+    fn absorb(&mut self, o: &QueryOutcome) {
+        self.merge(&OpStats {
+            duration: o.duration,
+            root_bytes: o.root_bytes,
+            root_messages: o.root_messages,
+            first_partial: o.first_partial,
+            partials: o.partials,
+            trees: 1,
+        });
     }
 }
 
@@ -205,9 +218,7 @@ impl Spreadsheet {
     ) -> EngineResult<(TablePage, OpStats)> {
         let mut stats = OpStats::default();
         let (count, s0) = self.row_count()?;
-        stats.duration += s0.duration;
-        stats.root_bytes += s0.root_bytes;
-        stats.trees += s0.trees;
+        stats.merge(&s0);
 
         let viz = TableViewViz::new(SortOrder::ascending(columns), rows);
         let (q, o1) = self.engine.run(
@@ -259,9 +270,7 @@ impl Spreadsheet {
     ) -> EngineResult<(BarChart, CdfRendering, OpStats)> {
         let mut stats = OpStats::default();
         let (range, s0) = self.range_of(column)?;
-        stats.duration += s0.duration;
-        stats.root_bytes += s0.root_bytes;
-        stats.trees += s0.trees;
+        stats.merge(&s0);
 
         let mut viz = HistogramViz::new(column, self.display);
         if let Some(b) = buckets {
@@ -287,9 +296,7 @@ impl Spreadsheet {
     pub fn string_histogram(&self, column: &str) -> EngineResult<(BarChart, OpStats)> {
         let mut stats = OpStats::default();
         let (bk, s0) = self.string_quantiles(column)?;
-        stats.duration += s0.duration;
-        stats.root_bytes += s0.root_bytes;
-        stats.trees += s0.trees;
+        stats.merge(&s0);
 
         let viz = HistogramViz::new(column, self.display).exact();
         let sketch = viz.prepare_strings(&bk)?;
@@ -308,13 +315,9 @@ impl Spreadsheet {
     ) -> EngineResult<(StackedRendering, CdfRendering, OpStats)> {
         let mut stats = OpStats::default();
         let (rx, s0) = self.range_of(col_x)?;
-        stats.duration += s0.duration;
-        stats.root_bytes += s0.root_bytes;
-        stats.trees += s0.trees;
+        stats.merge(&s0);
         let (y_info, s1) = self.axis_info(col_y)?;
-        stats.duration += s1.duration;
-        stats.root_bytes += s1.root_bytes;
-        stats.trees += s1.trees;
+        stats.merge(&s1);
 
         let viz = StackedViz::new(col_x, col_y, self.display);
         let sketch = viz.prepare(&AxisInfo::Numeric(rx.clone()), &y_info, rx.present)?;
@@ -337,17 +340,11 @@ impl Spreadsheet {
     pub fn heatmap(&self, col_x: &str, col_y: &str) -> EngineResult<(ColorGrid, OpStats)> {
         let mut stats = OpStats::default();
         let (x_info, s0) = self.axis_info(col_x)?;
-        stats.duration += s0.duration;
-        stats.root_bytes += s0.root_bytes;
-        stats.trees += s0.trees;
+        stats.merge(&s0);
         let (y_info, s1) = self.axis_info(col_y)?;
-        stats.duration += s1.duration;
-        stats.root_bytes += s1.root_bytes;
-        stats.trees += s1.trees;
+        stats.merge(&s1);
         let (count, s2) = self.row_count()?;
-        stats.duration += s2.duration;
-        stats.root_bytes += s2.root_bytes;
-        stats.trees += s2.trees;
+        stats.merge(&s2);
 
         let viz = HeatmapViz::new(col_x, col_y, self.display);
         let sketch = viz.prepare(&x_info, &y_info, count)?;
@@ -372,9 +369,7 @@ impl Spreadsheet {
         let (y_info, s2) = self.axis_info(col_y)?;
         let (count, s3) = self.row_count()?;
         for s in [&s0, &s1, &s2, &s3] {
-            stats.duration += s.duration;
-            stats.root_bytes += s.root_bytes;
-            stats.trees += s.trees;
+            stats.merge(s);
         }
         let viz = TrellisViz::new(col_w, col_x, col_y, self.display, groups);
         let sketch = viz.prepare(&w_info, &x_info, &y_info, count)?;
@@ -393,9 +388,7 @@ impl Spreadsheet {
         }
         let (bk, s2) = self.string_quantiles(column)?;
         let mut stats = stats;
-        stats.duration += s2.duration;
-        stats.root_bytes += s2.root_bytes;
-        stats.trees += s2.trees;
+        stats.merge(&s2);
         Ok((AxisInfo::Strings(bk), stats))
     }
 
@@ -411,9 +404,7 @@ impl Spreadsheet {
     ) -> EngineResult<(HeavyHittersRendering, OpStats)> {
         let mut stats = OpStats::default();
         let (count, s0) = self.row_count()?;
-        stats.duration += s0.duration;
-        stats.root_bytes += s0.root_bytes;
-        stats.trees += s0.trees;
+        stats.merge(&s0);
 
         let viz = HeavyHittersViz::sampling(column, k);
         let sketch = viz.prepare_sampling(count);
@@ -514,15 +505,22 @@ mod tests {
     use hillview_storage::partition_table;
 
     fn sheet() -> Spreadsheet {
+        sheet_on(ClusterConfig::test(), 8_000)
+    }
+
+    /// A sheet over `rows_per_worker` generated flights on each worker.
+    fn sheet_on(cfg: ClusterConfig, rows_per_worker: usize) -> Spreadsheet {
         let mut sources = SourceRegistry::new();
-        sources.register(Arc::new(FnSource::new("flights", |w, n, mp, snap| {
-            let t = generate_flights(&FlightsConfig::new(8_000, snap ^ w as u64));
-            let _ = n;
-            Ok(partition_table(&t, mp))
-        })));
+        sources.register(Arc::new(FnSource::new(
+            "flights",
+            move |w, _n, mp, snap| {
+                let t = generate_flights(&FlightsConfig::new(rows_per_worker, snap ^ w as u64));
+                Ok(partition_table(&t, mp))
+            },
+        )));
         let mut udfs = UdfRegistry::with_builtins();
         udfs.register_ratio("Speed", "Distance", "AirTime");
-        let cluster = Cluster::new(ClusterConfig::test(), sources, udfs);
+        let cluster = Cluster::new(cfg, sources, udfs);
         let engine = Arc::new(Engine::new(cluster));
         Spreadsheet::open(engine, "flights", 1, DisplaySpec::new(200, 100)).unwrap()
     }
@@ -565,6 +563,60 @@ mod tests {
         let (page, stats) = s.scroll_to(&["Distance"], 50, 5).unwrap();
         assert!(!page.rows.is_empty());
         assert!(stats.trees >= 2, "quantile + next-items trees");
+    }
+
+    /// Every tree of an operation is counted, preparation trees included:
+    /// with no batch tick inside a tree, each of the two workers sends the
+    /// root exactly its final frame.
+    #[test]
+    fn stats_count_the_messages_of_every_tree() {
+        let cfg = ClusterConfig {
+            batch_interval: Duration::from_secs(30),
+            worker_timeout: Duration::from_secs(120),
+            ..ClusterConfig::test()
+        };
+        let s = sheet_on(cfg, 8_000);
+        let ops = [
+            ("O4", s.scroll_to(&["Distance"], 50, 5).unwrap().1, 3),
+            ("O5", s.histogram_with_cdf("DepDelay", None).unwrap().2, 3),
+            (
+                "O10",
+                s.stacked_histogram_with_cdf("CRSDepTime", "Carrier")
+                    .unwrap()
+                    .2,
+                5,
+            ),
+            ("O11", s.heatmap("Distance", "AirTime").unwrap().1, 4),
+        ];
+        for (op, stats, trees) in ops {
+            assert_eq!(stats.trees, trees, "{op} trees");
+            assert_eq!(stats.root_messages, 2 * trees as u64, "{op} messages");
+            assert!(stats.first_partial.is_some(), "{op} first frame");
+        }
+    }
+
+    /// O4's page is a pure function of (data, seed): the quantile tree's
+    /// sorted weighted summaries do not depend on how a partition was split
+    /// or which thread ran which piece.
+    #[test]
+    fn o4_page_is_bit_identical_across_threads_and_grain() {
+        let order = ["Year", "Month", "DayOfMonth", "CRSDepTime", "FlightNum"];
+        let mut pages = Vec::new();
+        for threads_per_worker in [1, 4] {
+            for leaf_grain_rows in [4_096, 65_536] {
+                let cfg = ClusterConfig {
+                    threads_per_worker,
+                    leaf_grain_rows,
+                    micropartition_rows: 25_000,
+                    ..ClusterConfig::test()
+                };
+                // 80k rows: above the 58k sample budget, so rows are sampled.
+                let s = sheet_on(cfg, 40_000);
+                pages.push(s.scroll_to(&order, 37, 20).unwrap().0);
+            }
+        }
+        assert!(!pages[0].rows.is_empty());
+        assert!(pages.iter().all(|p| *p == pages[0]));
     }
 
     #[test]

@@ -13,13 +13,14 @@
 
 use hillview_columnar::column::{Column, I64Column};
 use hillview_columnar::udf::UdfRegistry;
-use hillview_columnar::{simd, ColumnKind, I64Storage, NullMask, Predicate, Table};
+use hillview_columnar::{simd, ColumnKind, I64Storage, NullMask, Predicate, SortOrder, Table};
 use hillview_core::cluster::ClusterConfig;
 use hillview_core::dataset::SourceRegistry;
 use hillview_core::erased::{erase, ErasedSketch};
 use hillview_core::{Cluster, DatasetId, FnSource, QueryOptions, SourceSpec};
 use hillview_sketch::histogram::HistogramSketch;
 use hillview_sketch::moments::MomentsSketch;
+use hillview_sketch::quantile::QuantileSketch;
 use hillview_sketch::BucketSpec;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -147,9 +148,10 @@ fn assert_hit_equals_miss(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Hit ≡ miss ≡ uncached, for a float-fold-sensitive sketch (moments)
-    /// and a bucketed histogram, over both the fused and the materialized
-    /// two-pass membership representation.
+    /// Hit ≡ miss ≡ uncached, for a float-fold-sensitive sketch (moments),
+    /// a bucketed histogram, and a rate-1 quantile whose worker summaries
+    /// are compacted before they are cached or sent, over both the fused
+    /// and the materialized two-pass membership representation.
     #[test]
     fn cache_hit_is_bit_identical_to_recomputation(
         values in proptest::collection::vec(-400i64..400, 64..1600),
@@ -168,6 +170,7 @@ proptest! {
                 "X",
                 BucketSpec::numeric(-450.0, 450.0, 13),
             )),
+            erase(QuantileSketch::new(SortOrder::ascending(&["X"]), 1.0, 100_000, 16)),
         ];
 
         // Materialized membership for the two-pass representation.

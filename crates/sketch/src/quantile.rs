@@ -1,20 +1,50 @@
-//! Sampled quantile estimation for the scroll bar.
+//! Sampled quantile estimation for the scroll bar, on two budgets.
 //!
 //! Paper App. C.1: when the user drags the scroll bar to pixel `j` of `V`,
 //! the spreadsheet must display rows starting near relative rank `j/V`. A
 //! uniform sample of `O(ε⁻² log 1/δ)` rows suffices (Theorem 2); with
 //! ε = 1/2V that is `O(V²)` rows — independent of the dataset size.
 //!
-//! Each leaf Bernoulli-samples rows at the caller-chosen rate and keeps
-//! their sort keys; merge concatenates, down-sampling deterministically if a
-//! cap is exceeded (both inputs are uniform samples at equal rate, so
-//! keeping every j-th element of the concatenation stays uniform).
+//! * The **sample budget** (`cap`, `O(V²)`) fixes the sampling accuracy.
+//!   Each leaf Bernoulli-samples rows at the caller-chosen rate and keeps
+//!   their sort keys; the budget bounds what a summary may hold in memory.
+//! * The **resolution budget** (`resolution`, `K = O(V)`) bounds what a
+//!   worker may put on a network link. The screen tells `V` scroll
+//!   positions apart, so `K = 10·V` equi-depth keys place every pixel
+//!   within a twentieth of a pixel of where the full sample would.
+//!
+//! A summary is a *sorted, weighted* key list: distinct keys ascending, each
+//! with the number of sampled rows it stands for. That form is canonical —
+//! one multiset, one list, whatever the fold order — so `merge` is a merge
+//! of sorted runs and `quantile` a walk over cumulative weight. One
+//! primitive, [`QuantileSummary::compress`], shrinks a list to `k` keys by
+//! equi-depth selection: cut the cumulative weight into `k` equal buckets
+//! and let the key at each bucket's middle stand for the whole bucket, so
+//! total weight is conserved and no sampled row moves more than half a
+//! bucket, `⌈W/k⌉/2` ranks.
+//!
+//! ## Why compaction is a ship-time step
+//!
+//! [`Summary::compact`] compresses to `resolution` and runs exactly once
+//! per worker, on the worker's own finished fold as it leaves for the root.
+//! Worker `i` then misplaces at most `W_i/(2K)` of its weight around any
+//! threshold, and the root only merges weighted runs, so the merged rank
+//! error is at most `Σ W_i/(2K) = W/(2K)` of the sample — 1/(20·V) of the
+//! population, 0.05 px — whatever the number of workers, partitions, split
+//! grain or fold order (plus at most half a rank per worker, from rounding
+//! bucket widths to whole rows). Compressing inside `merge` instead would
+//! add that error once per merge: a worker folds its pieces sequentially,
+//! so the error would grow linearly with the length of the fold and the
+//! result would depend on the split grain. That is why the resolution is
+//! not simply a smaller `cap`: `merge` compresses only past the sample
+//! budget, where `W/(2·cap)` is a hundredth of the ship-time error.
 
 use crate::traits::{Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::scan::scan_rows;
-use hillview_columnar::{row_sampled, RowKey, SortOrder};
-use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
+use hillview_columnar::{row_sampled, RowKey, SortOrder, Value};
+use hillview_net::{Error as WireError, Result as WireResult, Wire, WireReader, WireWriter};
+use std::cmp::Ordering;
 
 /// Sampled quantile sketch over a sort order.
 #[derive(Debug, Clone)]
@@ -23,17 +53,22 @@ pub struct QuantileSketch {
     pub order: SortOrder,
     /// Row sampling rate.
     pub rate: f64,
-    /// Cap on retained keys per summary (≈ the paper's O(V²) budget).
+    /// Sample budget: distinct keys a summary may hold (the paper's O(V²)).
     pub cap: usize,
+    /// Resolution budget: distinct keys a summary may carry across a
+    /// network link (O(V)).
+    pub resolution: usize,
 }
 
 impl QuantileSketch {
-    /// Sample sort keys at `rate`, keeping at most `cap` per summary.
-    pub fn new(order: SortOrder, rate: f64, cap: usize) -> Self {
+    /// Sample sort keys at `rate`, holding at most `cap` per summary and
+    /// shipping at most `resolution`.
+    pub fn new(order: SortOrder, rate: f64, cap: usize, resolution: usize) -> Self {
         QuantileSketch {
             order,
             rate,
             cap: cap.max(1),
+            resolution: resolution.max(1),
         }
     }
 
@@ -44,61 +79,191 @@ impl QuantileSketch {
     }
 }
 
-/// A uniform sample of sort keys plus the population size it represents.
+/// A uniform sample of sort keys, as a sorted weighted list, plus the
+/// population size it represents.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSummary {
-    /// Sampled keys (unsorted until [`QuantileSummary::quantile`]).
-    pub keys: Vec<RowKey>,
+    /// Distinct sampled keys, ascending, each with the number of sampled
+    /// rows it stands for.
+    pub keys: Vec<(RowKey, u64)>,
     /// Rows in the underlying (filtered) population.
     pub population: u64,
-    /// Down-sampling cap.
+    /// Sample budget (see [`QuantileSketch::cap`]).
     pub cap: usize,
+    /// Resolution budget (see [`QuantileSketch::resolution`]).
+    pub resolution: usize,
 }
 
 impl QuantileSummary {
+    /// The summary of one leaf's sampled keys, in any order.
+    fn from_sample(mut sample: Vec<RowKey>, population: u64, sketch: &QuantileSketch) -> Self {
+        sample.sort_unstable();
+        let mut keys: Vec<(RowKey, u64)> = Vec::new();
+        for key in sample {
+            match keys.last_mut() {
+                Some((last, weight)) if *last == key => *weight += 1,
+                _ => keys.push((key, 1)),
+            }
+        }
+        QuantileSummary {
+            keys,
+            population,
+            cap: sketch.cap,
+            resolution: sketch.resolution,
+        }
+        .compress(sketch.cap)
+    }
+
+    /// Sampled rows the keys stand for.
+    fn weight(&self) -> u64 {
+        self.keys
+            .iter()
+            .fold(0u64, |sum, (_, w)| sum.saturating_add(*w))
+    }
+
     /// The key at relative rank `q ∈ [0, 1]`, if any rows were sampled.
     pub fn quantile(&self, q: f64) -> Option<RowKey> {
-        if self.keys.is_empty() {
-            return None;
+        let last_rank = self.weight().checked_sub(1)?;
+        let rank = (q.clamp(0.0, 1.0) * last_rank as f64).round() as u64;
+        let mut seen = 0u64;
+        let at = self.keys.iter().find(|(_, w)| {
+            seen = seen.saturating_add(*w);
+            rank < seen
+        });
+        at.map(|(key, _)| key.clone())
+    }
+
+    /// At most `k` keys standing for the same total weight: the cumulative
+    /// weight is cut into `k` equal-depth buckets and the key holding each
+    /// bucket's middle row takes the bucket's weight. A no-op at or below
+    /// `k` keys, hence idempotent.
+    pub fn compress(self, k: usize) -> Self {
+        let k = k.max(1);
+        if self.keys.len() <= k {
+            return self;
         }
-        let mut sorted = self.keys.clone();
-        sorted.sort();
-        let idx = ((q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64).round()) as usize;
-        Some(sorted[idx].clone())
+        let total = self.weight();
+        let mut out: Vec<(RowKey, u64)> = Vec::with_capacity(k);
+        let mut source = self.keys.into_iter();
+        // Cumulative weight through the entries taken from `source`.
+        let mut taken = 0u64;
+        let mut lo = 0u64;
+        for j in 1..=k as u128 {
+            let hi = (j * total as u128 / k as u128) as u64;
+            if hi == lo {
+                continue;
+            }
+            let middle = lo + (hi - lo - 1) / 2;
+            let mut holder = None;
+            while taken <= middle {
+                let Some((key, w)) = source.next() else { break };
+                taken = taken.saturating_add(w);
+                holder = Some(key);
+            }
+            match (holder, out.last_mut()) {
+                (Some(key), _) => out.push((key, hi - lo)),
+                // A heavy key holds the middle of several buckets.
+                (None, Some((_, weight))) => *weight += hi - lo,
+                (None, None) => {}
+            }
+            lo = hi;
+        }
+        QuantileSummary { keys: out, ..self }
     }
 }
 
 impl Summary for QuantileSummary {
+    const COMPACTS: bool = true;
+
     fn merge(&self, other: &Self) -> Self {
-        let cap = self.cap.max(other.cap);
-        let mut keys: Vec<RowKey> =
-            Vec::with_capacity((self.keys.len() + other.keys.len()).min(2 * cap));
-        keys.extend_from_slice(&self.keys);
-        keys.extend_from_slice(&other.keys);
-        if keys.len() > cap {
-            // Deterministic uniform thinning: keep every stride-th element.
-            let stride = keys.len().div_ceil(cap);
-            keys = keys.into_iter().step_by(stride).collect();
+        let (a, b) = (&self.keys, &other.keys);
+        let mut keys = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => {
+                    keys.push(a[i].clone());
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    keys.push(b[j].clone());
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    keys.push((a[i].0.clone(), a[i].1.saturating_add(b[j].1)));
+                    i += 1;
+                    j += 1;
+                }
+            }
         }
+        keys.extend_from_slice(&a[i..]);
+        keys.extend_from_slice(&b[j..]);
+        let cap = self.cap.max(other.cap);
         QuantileSummary {
             keys,
             population: self.population + other.population,
             cap,
+            resolution: self.resolution.max(other.resolution),
         }
+        .compress(cap)
+    }
+
+    fn compact(self) -> Self {
+        let k = self.resolution;
+        self.compress(k)
     }
 }
 
+/// Every key of one summary has the same arity and per-column directions
+/// (they come from one sort order), so the schema is written once and each
+/// key is its values and its weight.
 impl Wire for QuantileSummary {
     fn encode(&self, w: &mut WireWriter) {
-        self.keys.encode(w);
+        w.put_varint(self.keys.len() as u64);
+        if let Some((first, _)) = self.keys.first() {
+            w.put_varint(first.descending().len() as u64);
+            for d in first.descending() {
+                d.encode(w);
+            }
+        }
+        for (key, weight) in &self.keys {
+            for v in key.values() {
+                v.encode(w);
+            }
+            w.put_varint(*weight);
+        }
         w.put_varint(self.population);
         w.put_varint(self.cap as u64);
+        w.put_varint(self.resolution as u64);
     }
+
     fn decode(r: &mut WireReader) -> WireResult<Self> {
+        let len = r.get_len("quantile keys")?;
+        let mut keys = Vec::new();
+        if len > 0 {
+            let descending = Vec::<bool>::decode(r)?;
+            // At least one byte per value and one per weight: a key count
+            // the remaining bytes cannot hold is refused before anything
+            // is allocated for it.
+            let arity = descending.len();
+            if len > r.remaining() / (arity + 1) {
+                return Err(WireError::Truncated {
+                    context: "quantile keys",
+                });
+            }
+            keys.reserve_exact(len);
+            for _ in 0..len {
+                let values = (0..arity)
+                    .map(|_| Value::decode(r))
+                    .collect::<WireResult<Vec<Value>>>()?;
+                keys.push((RowKey::new(values, descending.clone()), r.get_varint()?));
+            }
+        }
         Ok(QuantileSummary {
-            keys: Vec::<RowKey>::decode(r)?,
+            keys,
             population: r.get_varint()?,
             cap: r.get_len("quantile cap")?,
+            resolution: r.get_len("quantile resolution")?,
         })
     }
 }
@@ -144,15 +309,7 @@ impl Sketch for QuantileSketch {
             Some(_) => view.members().count_range(lo, hi) as u64,
             None => rows,
         };
-        if keys.len() > self.cap {
-            let stride = keys.len().div_ceil(self.cap);
-            keys = keys.into_iter().step_by(stride).collect();
-        }
-        Ok(QuantileSummary {
-            keys,
-            population,
-            cap: self.cap,
-        })
+        Ok(QuantileSummary::from_sample(keys, population, self))
     }
 
     fn splittable(&self) -> bool {
@@ -160,17 +317,14 @@ impl Sketch for QuantileSketch {
     }
 
     fn identity(&self) -> QuantileSummary {
-        QuantileSummary {
-            keys: Vec::new(),
-            population: 0,
-            cap: self.cap,
-        }
+        QuantileSummary::from_sample(Vec::new(), 0, self)
     }
 
     fn cache_identity(&self) -> Option<Vec<u8>> {
-        // At rate >= 1 every key is taken and cap-thinning is
+        // At rate >= 1 every key is taken and compression is
         // deterministic, so the summary is seed-independent.
-        (self.rate >= 1.0).then(|| format!("{:?}|{}", self.order, self.cap).into_bytes())
+        (self.rate >= 1.0)
+            .then(|| format!("{:?}|{}|{}", self.order, self.cap, self.resolution).into_bytes())
     }
 }
 
@@ -193,6 +347,10 @@ mod tests {
         TableView::full(Arc::new(t))
     }
 
+    fn sketch(rate: f64, cap: usize, resolution: usize) -> QuantileSketch {
+        QuantileSketch::new(SortOrder::ascending(&["X"]), rate, cap, resolution)
+    }
+
     fn key_val(k: &RowKey) -> i64 {
         match &k.values()[0] {
             Value::Int(v) => *v,
@@ -202,7 +360,7 @@ mod tests {
 
     #[test]
     fn median_estimate_is_close() {
-        let sk = QuantileSketch::new(SortOrder::ascending(&["X"]), 0.2, 100_000);
+        let sk = sketch(0.2, 100_000, 100_000);
         let s = sk.summarize(&view(100_000), Scope::ALL, 3).unwrap();
         let med = key_val(&s.quantile(0.5).unwrap());
         assert!((45_000..55_000).contains(&med), "median estimate {med}");
@@ -212,7 +370,7 @@ mod tests {
 
     #[test]
     fn extremes_map_to_ends() {
-        let sk = QuantileSketch::new(SortOrder::ascending(&["X"]), 1.0, 1_000_000);
+        let sk = sketch(1.0, 1_000_000, 1_000_000);
         let s = sk.summarize(&view(1000), Scope::ALL, 0).unwrap();
         assert_eq!(key_val(&s.quantile(0.0).unwrap()), 0);
         assert_eq!(key_val(&s.quantile(1.0).unwrap()), 999);
@@ -222,7 +380,7 @@ mod tests {
     fn merge_preserves_accuracy() {
         let v = view(50_000);
         let t = v.table().clone();
-        let sk = QuantileSketch::new(SortOrder::ascending(&["X"]), 0.3, 2_000);
+        let sk = sketch(0.3, 2_000, 2_000);
         use hillview_columnar::MembershipSet;
         let a = sk
             .summarize(
@@ -247,23 +405,70 @@ mod tests {
         let m = a.merge(&b);
         assert_eq!(m.population, 50_000);
         assert!(m.keys.len() <= 2_000);
+        assert_eq!(m.weight(), a.weight() + b.weight(), "weight conserved");
         let med = key_val(&m.quantile(0.5).unwrap());
         assert!((20_000..30_000).contains(&med), "median {med}");
     }
 
     #[test]
     fn cap_enforced_at_leaf() {
-        let sk = QuantileSketch::new(SortOrder::ascending(&["X"]), 1.0, 50);
+        let sk = sketch(1.0, 50, 50);
         let s = sk.summarize(&view(10_000), Scope::ALL, 0).unwrap();
         assert!(s.keys.len() <= 50);
+        assert_eq!(s.weight(), 10_000);
         // Even capped, quantiles remain roughly correct.
         let med = key_val(&s.quantile(0.5).unwrap());
-        assert!((3_000..7_000).contains(&med), "median {med}");
+        assert!((4_800..5_200).contains(&med), "median {med}");
+    }
+
+    #[test]
+    fn duplicate_keys_share_one_weighted_entry() {
+        let t = Table::builder()
+            .column(
+                "X",
+                ColumnKind::Int,
+                Column::Int(I64Column::from_options((0..900).map(|i| Some(i % 3)))),
+            )
+            .build()
+            .unwrap();
+        let s = sketch(1.0, 1_000, 1_000)
+            .summarize(&TableView::full(Arc::new(t)), Scope::ALL, 0)
+            .unwrap();
+        let entries: Vec<(i64, u64)> = s.keys.iter().map(|(k, w)| (key_val(k), *w)).collect();
+        assert_eq!(entries, vec![(0, 300), (1, 300), (2, 300)]);
+        assert_eq!(key_val(&s.quantile(0.5).unwrap()), 1);
+    }
+
+    #[test]
+    fn compress_is_equi_depth_and_idempotent() {
+        let s = sketch(1.0, 100_000, 10)
+            .summarize(&view(1_000), Scope::ALL, 0)
+            .unwrap();
+        let c = s.clone().compact();
+        let entries: Vec<(i64, u64)> = c.keys.iter().map(|(k, w)| (key_val(k), *w)).collect();
+        // Bucket j covers ranks [100j, 100j + 100); its middle row is 100j + 49.
+        let want: Vec<(i64, u64)> = (0..10).map(|j| (100 * j + 49, 100)).collect();
+        assert_eq!(entries, want);
+        assert_eq!(c.population, s.population);
+        assert_eq!(c.clone().compact(), c, "idempotent");
+        // A heavy key that holds several bucket middles keeps one entry.
+        let heavy = QuantileSummary {
+            keys: vec![
+                (s.keys[0].0.clone(), 1),
+                (s.keys[1].0.clone(), 97),
+                (s.keys[2].0.clone(), 1),
+                (s.keys[3].0.clone(), 1),
+            ],
+            ..s.clone()
+        }
+        .compress(3);
+        let entries: Vec<(i64, u64)> = heavy.keys.iter().map(|(k, w)| (key_val(k), *w)).collect();
+        assert_eq!(entries, vec![(1, 100)]);
     }
 
     #[test]
     fn empty_has_no_quantile() {
-        let sk = QuantileSketch::new(SortOrder::ascending(&["X"]), 0.5, 10);
+        let sk = sketch(0.5, 10, 10);
         assert!(sk.identity().quantile(0.5).is_none());
     }
 
@@ -275,8 +480,50 @@ mod tests {
 
     #[test]
     fn wire_roundtrip() {
-        let sk = QuantileSketch::new(SortOrder::ascending(&["X"]), 1.0, 64);
-        let s = sk.summarize(&view(100), Scope::ALL, 0).unwrap();
-        assert_eq!(QuantileSummary::from_bytes(s.to_bytes()).unwrap(), s);
+        let sk = QuantileSketch::new(
+            SortOrder::with_directions(&[("X", true), ("X", false)]),
+            1.0,
+            64,
+            16,
+        );
+        for s in [
+            sk.summarize(&view(100), Scope::ALL, 0).unwrap(),
+            sk.identity(),
+        ] {
+            assert_eq!(QuantileSummary::from_bytes(s.to_bytes()).unwrap(), s);
+        }
+    }
+
+    #[test]
+    fn wire_encodes_the_key_schema_once() {
+        let s = sketch(1.0, 64, 64)
+            .summarize(&view(64), Scope::ALL, 0)
+            .unwrap();
+        let per_key: usize = s.keys.iter().map(|(k, _)| k.to_bytes().len()).sum();
+        // Each stand-alone key repeats arity and direction (2 bytes here)
+        // where the summary spends 1 on the weight.
+        assert!(s.to_bytes().len() < per_key, "{} bytes", s.to_bytes().len());
+    }
+
+    #[test]
+    fn decode_refuses_lengths_the_bytes_cannot_hold() {
+        let mut w = WireWriter::new();
+        w.put_varint(1 << 20); // keys
+        w.put_varint(1); // arity
+        w.put_u8(0);
+        w.put_u8(1); // one Int value...
+        w.put_varint(2);
+        w.put_varint(1); // ...and its weight
+        assert!(matches!(
+            QuantileSummary::from_bytes(w.finish()),
+            Err(WireError::Truncated { .. })
+        ));
+        let mut w = WireWriter::new();
+        w.put_varint(1);
+        w.put_varint(1 << 20); // arity
+        assert!(matches!(
+            QuantileSummary::from_bytes(w.finish()),
+            Err(WireError::Truncated { .. })
+        ));
     }
 }

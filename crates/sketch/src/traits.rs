@@ -42,8 +42,25 @@ pub type SketchResult<T> = Result<T, SketchError>;
 /// partitions happen to complete, so any other behaviour would make results
 /// depend on timing. These laws are property-tested per summary type.
 pub trait Summary: Clone + Send + Sync + 'static {
+    /// True exactly when [`Summary::compact`] is overridden. The engine
+    /// moves summaries as wire bytes, and reads this to hand the bytes of
+    /// every other summary on untouched instead of decoding them for a
+    /// no-op.
+    const COMPACTS: bool = false;
+
     /// Combine two summaries of disjoint data partitions.
     fn merge(&self, other: &Self) -> Self;
+
+    /// The form that crosses a network link: a summary that holds more
+    /// than the display can resolve (a sample, say) drops to display size
+    /// here. The engine applies it to a worker's own fold as it leaves for
+    /// the root — never between merges — and before caching, so it must
+    /// be deterministic and idempotent, and cached bytes equal recomputed
+    /// ones. Defaults to the summary itself; an override also sets
+    /// [`Summary::COMPACTS`].
+    fn compact(self) -> Self {
+        self
+    }
 }
 
 /// A mergeable summarization method bound to concrete parameters

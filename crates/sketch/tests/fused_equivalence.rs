@@ -234,7 +234,7 @@ proptest! {
         law!(FindSketch::new("C", "a", StrMatchKind::Substring, SortOrder::ascending(&["I", "X"])));
         law!(PcaSketch::new(&["X", "I"], 1.0));
         law!(RangeSketch::new("X"));
-        law!(QuantileSketch::new(SortOrder::ascending(&["I", "X"]), 1.0, 100_000));
+        law!(QuantileSketch::new(SortOrder::ascending(&["I", "X"]), 1.0, 100_000, 100_000));
         // An unsplittable sketch: a filter-only scope is the two-pass
         // execution, and row bounds short of the partition are refused.
         law!(WholeViewCount);
@@ -282,7 +282,7 @@ proptest! {
         prop_assert!(resolver_contract_holds(
             &SampledHeavyHittersSketch::new("C", 4, rate), &v, &p, seed));
         prop_assert!(resolver_contract_holds(
-            &QuantileSketch::new(SortOrder::ascending(&["I", "X"]), rate, 100_000), &v, &p, seed));
+            &QuantileSketch::new(SortOrder::ascending(&["I", "X"]), rate, 100_000, 100_000), &v, &p, seed));
     }
 
     /// The fused-sampling distribution contract: under a fused plan,
@@ -349,15 +349,20 @@ proptest! {
             fused
         );
 
-        // Quantile: keys of the reference sample (cap chosen above any
-        // plausible sample size, so no thinning confounds the comparison),
-        // population = the full filtered membership.
+        // Quantile: keys of the reference sample in sorted weighted form
+        // (cap chosen above any plausible sample size, so no compression
+        // confounds the comparison), population = the full filtered
+        // membership.
         let order = SortOrder::ascending(&["I", "X"]);
-        let qs = QuantileSketch::new(order.clone(), rate, 100_000);
+        let qs = QuantileSketch::new(order.clone(), rate, 100_000, 100_000);
         let fused = qs.summarize(&v, under(&p), seed).unwrap();
         prop_assert_eq!(fused.population, filtered.len() as u64);
         let resolved = order.resolve(&table).unwrap();
-        let want_keys: Vec<_> = sample.iter().map(|&r| resolved.key(&table, r)).collect();
+        let mut want_keys = std::collections::BTreeMap::new();
+        for &r in &sample {
+            *want_keys.entry(resolved.key(&table, r)).or_insert(0u64) += 1;
+        }
+        let want_keys: Vec<_> = want_keys.into_iter().collect();
         prop_assert_eq!(&fused.keys, &want_keys);
         prop_assert_eq!(
             summarize_split(&qs, &v, Some(&p), grain, seed).unwrap().keys,
@@ -461,7 +466,7 @@ proptest! {
         split_law!(FindSketch::new(
             "C", "a", StrMatchKind::Substring, SortOrder::ascending(&["I", "X"])));
         split_law!(RangeSketch::new("X"));
-        split_law!(QuantileSketch::new(SortOrder::ascending(&["I", "X"]), 1.0, 100_000));
+        split_law!(QuantileSketch::new(SortOrder::ascending(&["I", "X"]), 1.0, 100_000, 100_000));
     }
 
     /// The fusion law is invisible to the encoding layer: identical fused

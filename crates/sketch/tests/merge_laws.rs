@@ -6,7 +6,7 @@
 //! data and random partition splits.
 
 use hillview_columnar::column::{Column, DictColumn, F64Column};
-use hillview_columnar::{ColumnKind, MembershipSet, SortOrder, StrMatchKind, Table};
+use hillview_columnar::{ColumnKind, MembershipSet, SortOrder, StrMatchKind, Table, Value};
 use hillview_sketch::bottomk::BottomKSketch;
 use hillview_sketch::buckets::BucketSpec;
 use hillview_sketch::count::CountSketch;
@@ -264,37 +264,113 @@ proptest! {
     }
 
     /// At rate 1.0 with the cap above any generated table, the quantile
-    /// sample is the whole population and merging only concatenates — so the
-    /// merged key *multiset* must equal the direct one under any partition
-    /// split, grouping, or operand order, even though the raw key order is
-    /// concatenation-dependent.
+    /// sample is the whole population and merging only unites sorted
+    /// weighted runs. That form is canonical — distinct keys ascending,
+    /// each with its multiplicity — so the merged key multiset equals the
+    /// direct one as the *same list* under any partition split, grouping,
+    /// or operand order.
     #[test]
     fn quantile_merge_laws(t in table_strategy(), c1 in 0usize..200, c2 in 0usize..200) {
         let table = Arc::new(t);
-        let sk = QuantileSketch::new(SortOrder::ascending(&["C", "X"]), 1.0, 100_000);
+        let sk = QuantileSketch::new(SortOrder::ascending(&["C", "X"]), 1.0, 100_000, 100_000);
         let whole = TableView::full(table.clone());
-        let parts = three_way_split(table, c1, c2);
+        let parts = three_way_split(table.clone(), c1, c2);
         let direct = sk.summarize(&whole, Scope::ALL, 7).unwrap();
         let s: Vec<_> = parts.iter().map(|p| sk.summarize(p, Scope::ALL, 7).unwrap()).collect();
-        let sorted_keys = |sm: &hillview_sketch::quantile::QuantileSummary| {
-            let mut keys = sm.keys.clone();
-            keys.sort();
-            keys
-        };
+        prop_assert!(direct.keys.windows(2).all(|w| w[0].0 < w[1].0), "distinct, ascending");
+        prop_assert_eq!(
+            direct.keys.iter().map(|(_, w)| *w).sum::<u64>(),
+            table.num_rows() as u64,
+            "one unit of weight per sampled row"
+        );
         let merged = s[0].merge(&s[1]).merge(&s[2]);
         prop_assert_eq!(merged.population, direct.population);
         prop_assert_eq!(merged.cap, direct.cap);
-        prop_assert_eq!(sorted_keys(&merged), sorted_keys(&direct), "key multiset");
-        let a_bc = s[0].merge(&s[1].merge(&s[2]));
-        prop_assert_eq!(a_bc.population, merged.population);
-        prop_assert_eq!(sorted_keys(&a_bc), sorted_keys(&merged), "associative up to order");
-        let ba = s[1].merge(&s[0]);
-        let ab = s[0].merge(&s[1]);
-        prop_assert_eq!(ba.population, ab.population);
-        prop_assert_eq!(sorted_keys(&ba), sorted_keys(&ab), "commutative up to order");
-        let with_id = direct.merge(&sk.identity());
-        prop_assert_eq!(with_id.population, direct.population);
-        prop_assert_eq!(sorted_keys(&with_id), sorted_keys(&direct), "identity is unit");
+        prop_assert_eq!(&merged, &direct, "key multiset");
+        prop_assert_eq!(&s[0].merge(&s[1].merge(&s[2])), &merged, "associative");
+        prop_assert_eq!(s[1].merge(&s[0]), s[0].merge(&s[1]), "commutative");
+        prop_assert_eq!(direct.merge(&sk.identity()), direct, "identity is unit");
+    }
+
+    /// The compaction law. A key multiset is dealt to 1..=8 "workers" in
+    /// any proportion; each worker compacts its own summary to `k` keys
+    /// once and the root merges the weighted runs. For every pixel of a
+    /// 100-pixel scroll bar, the key the merge returns has true rank within
+    /// `total/(2k)` of the target rank (half a rank more per worker, from
+    /// rounding bucket widths to whole rows) — whatever the number of
+    /// workers. Compaction is idempotent and a no-op at or below `k` keys;
+    /// compress, merge and the wire conserve total weight.
+    #[test]
+    fn quantile_compaction_law(
+        xs in proptest::collection::vec(0i64..400, 1..600),
+        owners in proptest::collection::vec(0usize..8, 600),
+        workers in 1usize..9,
+        k in 1usize..40,
+    ) {
+        use hillview_columnar::column::I64Column;
+        use hillview_net::Wire;
+        use hillview_sketch::quantile::QuantileSummary;
+
+        let n = xs.len();
+        let table = Arc::new(
+            Table::builder()
+                .column("X", ColumnKind::Int,
+                    Column::Int(I64Column::from_options(xs.iter().map(|x| Some(*x)))))
+                .build()
+                .unwrap(),
+        );
+        let sk = QuantileSketch::new(SortOrder::ascending(&["X"]), 1.0, 100_000, k);
+        let weight = |s: &QuantileSummary| s.keys.iter().map(|(_, w)| *w).sum::<u64>();
+        let per_worker: Vec<QuantileSummary> = (0..workers)
+            .map(|w| {
+                let rows = (0..n).filter(|i| owners[*i] % workers == w).map(|i| i as u32);
+                let view = TableView::with_members(
+                    table.clone(), Arc::new(MembershipSet::from_rows(rows.collect(), n)));
+                sk.summarize(&view, Scope::ALL, 0).unwrap()
+            })
+            .collect();
+        let fold = |parts: &[QuantileSummary]| {
+            parts.iter().fold(sk.identity(), |acc, s| acc.merge(s))
+        };
+        let compacted: Vec<QuantileSummary> =
+            per_worker.iter().map(|s| s.clone().compact()).collect();
+        for (s, c) in per_worker.iter().zip(&compacted) {
+            prop_assert!(c.keys.len() <= k);
+            prop_assert_eq!(weight(c), weight(s), "compress conserves weight");
+            prop_assert_eq!(&c.clone().compact(), c, "idempotent");
+            if s.keys.len() <= k {
+                prop_assert_eq!(c, s, "no-op at or below k keys");
+            }
+            prop_assert_eq!(&QuantileSummary::from_bytes(c.to_bytes()).unwrap(), c);
+        }
+        let (full, shipped) = (fold(&per_worker), fold(&compacted));
+        prop_assert_eq!(weight(&full), n as u64, "merge conserves weight");
+        prop_assert_eq!(weight(&shipped), n as u64);
+        prop_assert_eq!(shipped.population, n as u64);
+
+        let mut sorted = xs.clone();
+        sorted.sort_unstable();
+        let bound = n as f64 / (2.0 * k as f64) + workers as f64 / 2.0;
+        for pixel in 0..=100usize {
+            let q = pixel as f64 / 100.0;
+            let target = (q * (n - 1) as f64).round() as usize;
+            // The uncompacted merge is the multiset itself.
+            let exact = full.quantile(q).unwrap();
+            prop_assert_eq!(exact.values()[0].clone(), Value::Int(sorted[target]));
+            let got = match shipped.quantile(q).unwrap().values()[0] {
+                Value::Int(x) => x,
+                ref other => return Err(TestCaseError::fail(format!("non-int key {other:?}"))),
+            };
+            // The ranks `got` occupies in the whole multiset.
+            let first = sorted.partition_point(|x| *x < got);
+            let last = sorted.partition_point(|x| *x <= got) - 1;
+            let off = first.saturating_sub(target).max(target.saturating_sub(last));
+            prop_assert!(
+                off as f64 <= bound,
+                "pixel {}: key {} at ranks {}..={}, target {}, bound {}",
+                pixel, got, first, last, target, bound
+            );
+        }
     }
 
     /// Misra-Gries is not exactly partition-invariant (the summary depends on

@@ -18,7 +18,7 @@ use hillview_sketch::histogram::HistogramSketch;
 use hillview_sketch::moments::MomentsSketch;
 use hillview_sketch::nextk::NextKSketch;
 use hillview_sketch::pca::PcaSketch;
-use hillview_sketch::quantile::QuantileSketch;
+use hillview_sketch::quantile::{QuantileSketch, QuantileSummary};
 use hillview_sketch::stacked::StackedHistogramSketch;
 use hillview_sketch::traits::Sketch;
 use hillview_sketch::{Scope, TableView};
@@ -483,9 +483,9 @@ proptest! {
             &v, grain, seed));
         prop_assert!(split_law_holds(
             &hillview_sketch::range::RangeSketch::new("X"), &v, grain, seed));
-        // Quantile below its cap is a pure concatenation in range order.
+        // Quantile below its cap is the union of sorted weighted runs.
         prop_assert!(split_law_holds(
-            &QuantileSketch::new(SortOrder::ascending(&["I", "X"]), 1.0, 100_000),
+            &QuantileSketch::new(SortOrder::ascending(&["I", "X"]), 1.0, 100_000, 100_000),
             &v, grain, seed));
     }
 
@@ -653,8 +653,9 @@ proptest! {
         prop_assert_eq!(fast, slow);
     }
 
-    /// Quantile keys: chunked row enumeration vs a naive per-row walk with
-    /// the same down-sampling.
+    /// Quantile keys: chunked row enumeration vs a naive per-row walk put
+    /// into the same sorted weighted form, with the same compression past
+    /// the cap.
     #[test]
     fn quantile_matches_naive(
         t in table_strategy(),
@@ -667,15 +668,22 @@ proptest! {
         let table = Arc::new(t);
         let v = TableView::with_members(table.clone(), Arc::new(membership(kind, &raw, cuts, n)));
         let order = SortOrder::ascending(&["I", "X"]);
-        let sk = QuantileSketch::new(order.clone(), 1.0, cap);
+        let sk = QuantileSketch::new(order.clone(), 1.0, cap, cap);
         let s = sk.summarize(&v, Scope::ALL, 0).unwrap();
         let resolved = order.resolve(&table).unwrap();
-        let mut naive: Vec<_> = v.iter_rows().map(|r| resolved.key(&table, r)).collect();
-        if naive.len() > cap {
-            let stride = naive.len().div_ceil(cap);
-            naive = naive.into_iter().step_by(stride).collect();
+        let mut naive = std::collections::BTreeMap::new();
+        for r in v.iter_rows() {
+            *naive.entry(resolved.key(&table, r)).or_insert(0u64) += 1;
         }
-        prop_assert_eq!(s.keys, naive);
-        prop_assert_eq!(s.population, v.len() as u64);
+        let naive = QuantileSummary {
+            keys: naive.into_iter().collect(),
+            population: v.len() as u64,
+            cap,
+            resolution: cap,
+        }
+        .compress(cap);
+        prop_assert!(s.keys.len() <= cap);
+        prop_assert_eq!(s.keys.iter().map(|(_, w)| *w).sum::<u64>(), v.len() as u64);
+        prop_assert_eq!(s, naive);
     }
 }

@@ -230,7 +230,11 @@ mod tests {
     use hillview_columnar::{ColumnKind, Table};
 
     fn dir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("hvc-spill-{tag}-{}", std::process::id()));
+        // pid + a process-wide counter: no other test, in this process or
+        // another, shares the path.
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let d = std::env::temp_dir().join(format!("hvc-spill-{tag}-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
         d

@@ -137,6 +137,86 @@ mod tests {
         assert!(worst <= 2, "worst-case bar error {worst}px (paper: ~1px)");
     }
 
+    /// The scroll bar's guarantee, per pixel (App. C.1): dragging to pixel
+    /// `j` of `V` shows a page whose first row has true relative rank
+    /// within `1/V` of `j/V`. Run as the engine runs O4 — each worker folds
+    /// the leaf ranges of its rows and ships its fold compacted to the
+    /// resolution budget, the root merges the weighted runs — over 2 and 8
+    /// workers, so the test also pins that the error does not grow with
+    /// the worker count. The sort column is a permutation of `0..n`: the
+    /// row after key `k` is `k + 1`, at rank `k + 1`.
+    #[test]
+    fn scrollbar_page_lands_within_a_pixel_of_the_drag() {
+        use crate::tableview::TableViewViz;
+        use hillview_columnar::column::I64Column;
+        use hillview_columnar::{MembershipSet, SortOrder, Value};
+        use hillview_sketch::traits::{summarize_split, Summary};
+
+        let n = 200_000usize;
+        // 48 271 is coprime with 200 000, so this visits every value once.
+        let values = (0..n as i64).map(|i| Some(i * 48_271 % n as i64));
+        let table = Arc::new(
+            Table::builder()
+                .column(
+                    "X",
+                    ColumnKind::Int,
+                    Column::Int(I64Column::from_options(values)),
+                )
+                .build()
+                .unwrap(),
+        );
+        let whole = TableView::full(table.clone());
+        let viz = TableViewViz::new(SortOrder::ascending(&["X"]), 20);
+        let sketch = viz.scrollbar_quantile(n as u64);
+        assert!(sketch.rate < 1.0, "must actually sample");
+        let key_of = |key: &hillview_columnar::RowKey| match key.values()[0] {
+            Value::Int(x) => x,
+            ref other => panic!("non-int key {other:?}"),
+        };
+
+        for workers in [2usize, 8] {
+            let views: Vec<TableView> = (0..workers)
+                .map(|w| {
+                    let rows = (w * n / workers) as u32..((w + 1) * n / workers) as u32;
+                    TableView::with_members(
+                        table.clone(),
+                        Arc::new(MembershipSet::from_rows(rows.collect(), n)),
+                    )
+                })
+                .collect();
+            for seed in 0..10u64 {
+                let merged = views
+                    .iter()
+                    .enumerate()
+                    .map(|(w, view)| {
+                        let leaf_seed = seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        summarize_split(&sketch, view, None, 16_384, leaf_seed)
+                            .unwrap()
+                            .compact()
+                    })
+                    .fold(sketch.identity(), |acc, s| acc.merge(&s));
+                assert!(merged.keys.len() <= workers * sketch.resolution);
+                for pixel in 0..=viz.scrollbar_px {
+                    let q = viz.pixel_to_quantile(pixel);
+                    let start = merged.quantile(q).unwrap();
+                    let first_row_rank = (key_of(&start) + 1) as f64 / n as f64;
+                    assert!(
+                        (first_row_rank - q).abs() <= 1.0 / viz.scrollbar_px as f64,
+                        "{workers} workers, seed {seed}, pixel {pixel}: rank {first_row_rank}"
+                    );
+                    // The page O4 shows does start at the row after the key.
+                    if seed == 0 && pixel % 50 == 37 {
+                        let page = viz
+                            .page_after(Some(start.clone()))
+                            .summarize(&whole, Scope::ALL, 0)
+                            .unwrap();
+                        assert_eq!(key_of(&page.rows[0].0), key_of(&start) + 1);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "bar count mismatch")]
     fn mismatched_charts_rejected() {

@@ -59,6 +59,14 @@ pub fn quantile(v_px: usize, delta: f64) -> u64 {
     ((4.0 * v * v) * (1.0 + (1.0 / delta).ln() / 10.0)).ceil() as u64
 }
 
+/// Keys of a scroll-bar quantile summary that may cross a network link:
+/// `10·V`. The screen tells `V` positions apart; ten equi-depth keys per
+/// pixel keep the key a pixel maps to within 1/(20·V) of the rank the
+/// whole O(V²) sample would give it, at O(V) bytes per worker.
+pub fn quantile_resolution(v_px: usize) -> usize {
+    10 * v_px
+}
+
 /// Samples for sampled heavy hitters: `K² log(K/δ)` (Theorem 4).
 pub fn heavy_hitters(k: usize, delta: f64) -> u64 {
     let k = k.max(1) as f64;
@@ -117,6 +125,7 @@ mod tests {
         assert!(n >= 40_000, "at least 4V²: {n}");
         assert!(n < 80_000, "within a small constant of 4V²: {n}");
         assert!(quantile(100, 0.001) > n, "lower δ, more samples");
+        assert_eq!(quantile_resolution(100), 1_000, "linear in V, not V²");
     }
 
     #[test]

@@ -74,7 +74,12 @@ impl TableViewViz {
     pub fn scrollbar_quantile(&self, population: u64) -> QuantileSketch {
         let target = samples::quantile(self.scrollbar_px, samples::DEFAULT_DELTA);
         let rate = samples::rate_for(target, population);
-        QuantileSketch::new(self.order.clone(), rate, target as usize)
+        QuantileSketch::new(
+            self.order.clone(),
+            rate,
+            target as usize,
+            samples::quantile_resolution(self.scrollbar_px),
+        )
     }
 
     /// Scroll-bar pixel position → target quantile.
