@@ -17,14 +17,14 @@
 use criterion::Criterion;
 use hillview_columnar::column::{Column, I64Column};
 use hillview_columnar::udf::UdfRegistry;
-use hillview_columnar::{ColumnKind, NullMask, Predicate, SegmentMode, Table};
+use hillview_columnar::{ColumnKind, NullMask, Predicate, SegmentMode, Table, TempDir};
 use hillview_core::dataset::SourceRegistry;
 use hillview_core::erased::{erase, ErasedSketch};
 use hillview_core::{Cluster, ClusterConfig, Engine, HvcDirSource, QueryOptions};
 use hillview_sketch::histogram::HistogramSketch;
 use hillview_sketch::BucketSpec;
 use hillview_storage::SpillingWriter;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -42,10 +42,9 @@ fn mix(i: u64) -> u64 {
 /// Spill the dataset: `X` a sorted ramp (tight zone windows, the
 /// drill-down target) and `Y` a dense shuffled payload the filter never
 /// touches — the bulk of the file bytes the scan must *not* read.
-fn spill_dataset() -> (PathBuf, u64) {
-    let dir = std::env::temp_dir().join(format!("hv-bench-ooc-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut w = SpillingWriter::new(&dir, ROWS_PER_PART).unwrap();
+fn spill_dataset() -> (TempDir, u64) {
+    let dir = TempDir::new("bench-ooc");
+    let mut w = SpillingWriter::new(dir.path(), ROWS_PER_PART).unwrap();
     for base in (0..ROWS).step_by(ROWS_PER_PART) {
         let n = ROWS_PER_PART.min(ROWS - base);
         let t = Table::builder()
@@ -72,7 +71,7 @@ fn spill_dataset() -> (PathBuf, u64) {
         w.push(&t).unwrap();
     }
     w.finish().unwrap();
-    let bytes = file_bytes(&dir);
+    let bytes = file_bytes(dir.path());
     (dir, bytes)
 }
 
@@ -140,7 +139,7 @@ fn main() {
     // Cold: fresh engine, headers just probed, zero payload bytes
     // resident — the first drill-down pays the pruned disk reads.
     // ------------------------------------------------------------------
-    let engine = ooc_engine(&dir, budget);
+    let engine = ooc_engine(dir.path(), budget);
     let mapped = engine.load("mapped", 0).unwrap();
     let started = Instant::now();
     let cold_outcome = engine
@@ -221,7 +220,6 @@ fn main() {
         budget,
         end_stats.evictions
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -7,8 +7,8 @@
 //! representations that matter: full, contiguous-range (coalesced bitmap
 //! words), alternating dense bitmap, sparse, and a null-heavy column.
 //!
-//! When built with `--features simd`, a second table of cases times each
-//! hot kernel under the vector codegen vs the forced-scalar fallback
+//! A second table of cases times each hot kernel under the vector codegen
+//! (whichever tier the CPU supports) vs the forced-scalar fallback
 //! (`hillview_columnar::simd::set_force_scalar`) — same process, same
 //! data, byte-identical summaries, different codegen.
 //!

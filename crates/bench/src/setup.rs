@@ -2,12 +2,11 @@
 //! cold (read from HVC files on disk) flight datasets at several scales.
 
 use hillview_columnar::udf::UdfRegistry;
+use hillview_columnar::TempDir;
 use hillview_core::dataset::{FnSource, SourceRegistry};
 use hillview_core::{Cluster, ClusterConfig, DatasetId, Engine};
 use hillview_data::{generate_flights, FlightsConfig};
 use hillview_storage::partition_table;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Rows of the 1x flights dataset (paper: 130M; scaled ÷1000).
@@ -17,8 +16,9 @@ pub const FLIGHTS_1X_ROWS: usize = 130_000;
 pub struct BenchCluster {
     /// The engine (root node).
     pub engine: Arc<Engine>,
-    /// Directory holding HVC files for the cold-read source.
-    pub hvc_dir: PathBuf,
+    /// Directory holding HVC files for the cold-read source; removed when
+    /// the cluster drops.
+    pub hvc_dir: TempDir,
 }
 
 impl BenchCluster {
@@ -29,15 +29,7 @@ impl BenchCluster {
     /// * `flights-hvc` — same data read back from `.hvc` files on disk
     ///   (written lazily on first load), for the cold experiments.
     pub fn new(workers: usize, threads: usize, micropartition_rows: usize) -> Self {
-        // pid + a process-wide counter: two clusters in one process (tests
-        // run on parallel threads) must not share a directory, or one's
-        // `Drop` deletes it under the other.
-        static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
-        // lint: allow(relaxed, unique-id counter; publishes no other data)
-        let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
-        let hvc_dir =
-            std::env::temp_dir().join(format!("hillview-bench-{}-{n}", std::process::id()));
-        std::fs::create_dir_all(&hvc_dir).expect("create hvc dir");
+        let hvc_dir = TempDir::new("bench");
 
         let mut sources = SourceRegistry::new();
         let w_total = workers;
@@ -50,7 +42,7 @@ impl BenchCluster {
             },
         )));
 
-        let dir = hvc_dir.clone();
+        let dir = hvc_dir.path().to_path_buf();
         sources.register(Arc::new(FnSource::new(
             "flights-hvc",
             move |w, _n, mp, scale| {
@@ -111,12 +103,6 @@ impl BenchCluster {
     /// Evict everything so the next query re-reads from disk.
     pub fn make_cold(&self) {
         self.engine.cluster().evict_all();
-    }
-}
-
-impl Drop for BenchCluster {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.hvc_dir);
     }
 }
 

@@ -53,7 +53,7 @@ impl I64Column {
     }
 
     /// Build from an already-encoded storage *and* its persisted zone map —
-    /// the mapped-file (`hvc` v3) open path, where rebuilding the zones
+    /// the mapped-file (`hvc`) open path, where rebuilding the zones
     /// would fault in the very payload they exist to skip. The caller
     /// asserts the zones describe `storage` exactly.
     pub fn with_storage_and_zones(
@@ -121,7 +121,7 @@ impl I64Column {
 
 /// A column of 64-bit floats. NaNs are normalized to nulls at build time.
 ///
-/// The payload is a [`crate::residency::ValueBuf`], so a mapped (`hvc` v3)
+/// The payload is a [`crate::residency::ValueBuf`], so a mapped (`hvc`)
 /// double column is file-backed at *column* granularity: the scan binder
 /// takes the whole slice once via [`F64Column::data`], which touches every
 /// chunk — lazy residency for doubles saves I/O across unqueried columns,
@@ -167,7 +167,7 @@ impl F64Column {
     }
 
     /// Build from an already-normalized payload and its persisted zone map
-    /// — the mapped-file (`hvc` v3) open path. The caller asserts the
+    /// — the mapped-file (`hvc`) open path. The caller asserts the
     /// invariant `new` establishes at ingest: every NaN row is already
     /// marked null (the writer stored the normalized payload), and the
     /// zones describe `data` exactly.
@@ -270,7 +270,7 @@ impl DictColumn {
     }
 
     /// Build from already-encoded code storage *and* its persisted zone map
-    /// — the mapped-file (`hvc` v3) open path (see
+    /// — the mapped-file (`hvc`) open path (see
     /// [`I64Column::with_storage_and_zones`]).
     pub fn with_storage_and_zones(
         codes: CodeStorage,

@@ -42,9 +42,9 @@
 //! value sequence across every encoding — the scan-equivalence and encoding
 //! property tests pin this down bit-for-bit.
 //!
-//! With the `simd` cargo feature, the unpack bodies are additionally
-//! compiled under wider vector ISAs and dispatched at runtime (see
-//! [`crate::simd`]); the decoded values are bit-identical either way.
+//! On x86-64 the unpack bodies are additionally compiled under wider
+//! vector ISAs and dispatched at runtime (see [`crate::simd`]); the decoded
+//! values are bit-identical either way.
 //!
 //! ## Encoding selection
 //!
@@ -138,8 +138,8 @@ pub const BLOCK_ROWS: usize = 64;
 ///
 /// The bulk payloads — plain values and packed words — live in a
 /// [`ValueBuf`](crate::residency::ValueBuf), so they are either owned heap
-/// vectors (ingest, v2 files, the wire) or zero-copy windows into a mapped
-/// `hvc` v3 [`Segment`](crate::residency::Segment) with lazy, chunk-granular
+/// vectors (ingest, heap-decoded files) or zero-copy windows into a mapped
+/// `hvc` [`Segment`](crate::residency::Segment) with lazy, chunk-granular
 /// residency. The small side structures (run values/ends, delta anchors) are
 /// always owned: they are consulted by every block decision, so keeping
 /// them resident is the point. Decode paths touch only the words of the
@@ -416,7 +416,7 @@ impl<T: PackedInt> IntStorage<T> {
     }
 
     /// [`IntStorage::from_bit_packed`] over an arbitrary word buffer —
-    /// the mapped-file (`hvc` v3) construction path. Validation never
+    /// the mapped-file (`hvc`) construction path. Validation never
     /// touches the buffer's bytes, only its length.
     pub fn from_bit_packed_buf(
         base: T,
@@ -452,7 +452,7 @@ impl<T: PackedInt> IntStorage<T> {
     }
 
     /// [`IntStorage::from_delta`] over an arbitrary word buffer — the
-    /// mapped-file (`hvc` v3) construction path. Anchors stay owned: every
+    /// mapped-file (`hvc`) construction path. Anchors stay owned: every
     /// frame decode starts from one, so they are resident by design.
     pub fn from_delta_buf(
         anchors: Vec<T>,
@@ -875,7 +875,7 @@ pub struct ZoneMap<T> {
 }
 
 impl<T: Copy> ZoneMap<T> {
-    /// Rebuild a zone map from persisted per-block extremes (`hvc` v3
+    /// Rebuild a zone map from persisted per-block extremes (`hvc`
     /// stores them in the header so a mapped open never has to decode the
     /// payload it exists to skip). `None` when the vectors disagree.
     pub fn from_parts(mins: Vec<T>, maxs: Vec<T>) -> Option<Self> {
@@ -1036,7 +1036,7 @@ fn unpack_span_body<T: PackedInt, const W: usize>(
 /// The same unpack body compiled under wider vector ISAs for the
 /// runtime-dispatched `simd` fast path; bit-identical output by
 /// construction (same source, integer ops only).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn unpack_span_avx2<T: PackedInt, const W: usize>(
     words: &[u64],
@@ -1047,7 +1047,7 @@ fn unpack_span_avx2<T: PackedInt, const W: usize>(
     unpack_span_body::<T, W>(words, base, start, out);
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512bw")]
 fn unpack_span_avx512<T: PackedInt, const W: usize>(
     words: &[u64],
@@ -1069,7 +1069,7 @@ fn unpack_span_avx512<T: PackedInt, const W: usize>(
 /// Bit-identical to [`unpack_span_body`] (pinned by the per-width tests
 /// and the simd equivalence proptests); loads near the end of the word
 /// stream are mask-suppressed, never out of bounds.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod vbmi {
     use super::{low_mask, packed_at, PackedInt};
     use std::arch::x86_64::*;
@@ -1180,7 +1180,7 @@ fn prefix_frame_body<T: PackedInt>(anchor: T, out: &mut [T]) {
 /// (the sorted/id `I64Storage::Delta` hot path); 32-bit code lanes fall
 /// back to the scalar body, whose dependency chain is short enough at
 /// width 4.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn prefix_frame_avx2<T: PackedInt>(anchor: T, out: &mut [T]) {
     use std::arch::x86_64::*;
@@ -1220,7 +1220,7 @@ fn prefix_frame_avx2<T: PackedInt>(anchor: T, out: &mut [T]) {
 
 #[inline]
 fn prefix_frame<T: PackedInt>(anchor: T, out: &mut [T]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     match crate::simd::current_tier() {
         crate::simd::Tier::Avx2 | crate::simd::Tier::Avx512 => {
             // SAFETY: both tiers are only reported after runtime detection
@@ -1239,7 +1239,7 @@ fn unpack_span_w<T: PackedInt, const W: usize>(
     start: usize,
     out: &mut [T],
 ) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     match crate::simd::current_tier() {
         crate::simd::Tier::Avx512 => {
             if W <= 25 && crate::simd::vbmi_available() {

@@ -59,14 +59,14 @@
 //! plain storage and via whole-word block decoders otherwise — so every
 //! kernel works unchanged over every encoding, and the encoding property
 //! tests assert the results are bit-identical. The [`simd`] module holds
-//! the feature-gated lane-parallel fast paths kernels run over those
+//! the runtime-dispatched lane-parallel fast paths kernels run over those
 //! frames, with mandatory bit-identical scalar fallbacks.
 //!
 //! ## Lazy residency (out-of-core)
 //!
 //! The [`residency`] module adds a third dimension under the encodings: a
 //! column payload ([`ValueBuf`]) is either an owned heap vector or a
-//! zero-copy window into a mapped `hvc` v3 file ([`Segment`]), faulted in
+//! zero-copy window into a mapped `hvc` file ([`Segment`]), faulted in
 //! chunk-at-a-time through a per-worker byte-accounted [`BlockCache`].
 //! Because the fused filter pipeline consults zone maps *before* decoding,
 //! a block the predicate rejects is never decoded — and for mapped storage
@@ -167,6 +167,7 @@ pub mod schema;
 pub mod simd;
 pub mod sort;
 pub mod table;
+mod tempdir;
 pub mod udf;
 pub mod value;
 
@@ -188,5 +189,7 @@ pub use scan::{rows_in_range, ScanChunk, ScanSource, Selection, SplittableSelect
 pub use schema::{ColumnDesc, ColumnKind, Schema};
 pub use sort::{ResolvedSortOrder, SortColumn, SortOrder};
 pub use table::Table;
+#[doc(hidden)]
+pub use tempdir::TempDir;
 pub use udf::UdfRegistry;
 pub use value::Value;

@@ -17,7 +17,7 @@
 //!   [`BlockPredicate::eval_frame`] turns the selection word of one
 //!   64-row-aligned frame into the word of matching rows. Numeric
 //!   `Range`/`Equals` leaves are lane comparisons over decoded frames
-//!   (SIMD-dispatched under the `simd` feature, with the mandatory
+//!   (SIMD-dispatched at runtime on x86-64, with the mandatory
 //!   bit-identical scalar fallback), with range bounds pre-translated into
 //!   the column's integer domain — and further into the packed-delta
 //!   domain for bit-packed storage, so no frame-of-reference

@@ -1,7 +1,7 @@
 //! Lazy block residency: file-backed column buffers and the block cache.
 //!
 //! This is the out-of-core tier under the scan pipeline. A [`Segment`] is
-//! one immutable column file (an `hvc` v3 file) whose bytes become
+//! one immutable column file (an `hvc` file) whose bytes become
 //! addressable without being read up front; a [`ValueBuf`] is a typed
 //! column buffer that is either owned heap data (`Vec<T>`, the classic
 //! fully-resident tier) or a zero-copy window into a segment; and the
@@ -858,22 +858,15 @@ impl<T: std::fmt::Debug> std::fmt::Debug for ValueBuf<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use crate::TempDir;
 
-    /// A fresh file per call: pid + a process-wide counter keep concurrent
-    /// tests, in this process or another, off each other's files.
-    fn write_tmp(name: &str, bytes: &[u8]) -> PathBuf {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let path = std::env::temp_dir().join(format!(
-            "hillview-residency-test-{}-{n}-{name}",
-            std::process::id()
-        ));
-        std::fs::File::create(&path)
-            .unwrap()
-            .write_all(bytes)
-            .unwrap();
-        path
+    /// `bytes` as a file in a scratch directory of its own; the file lives
+    /// as long as the returned guard.
+    fn write_tmp(name: &str, bytes: &[u8]) -> (TempDir, PathBuf) {
+        let dir = TempDir::new("residency");
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        (dir, path)
     }
 
     fn le_bytes(vals: &[i64]) -> Vec<u8> {
@@ -883,7 +876,7 @@ mod tests {
     #[test]
     fn mapped_buf_reads_file_values_in_every_mode() {
         let vals: Vec<i64> = (0..50_000).map(|i| i * 3 - 7).collect();
-        let path = write_tmp("modes.bin", &le_bytes(&vals));
+        let (_dir, path) = write_tmp("modes.bin", &le_bytes(&vals));
         for mode in [
             SegmentMode::Auto,
             SegmentMode::Mmap,
@@ -896,13 +889,12 @@ mod tests {
             assert_eq!(buf.slice(), &vals[..], "{mode:?}");
             assert_eq!(buf.hot(100..164)[100..164], vals[100..164], "{mode:?}");
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn untouched_chunks_never_fault() {
         let vals: Vec<i64> = (0..100_000).collect(); // 800 KB ≈ 13 chunks
-        let path = write_tmp("lazy.bin", &le_bytes(&vals));
+        let (_dir, path) = write_tmp("lazy.bin", &le_bytes(&vals));
         let cache = BlockCache::unbounded();
         let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
         let buf = ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, vals.len()).unwrap();
@@ -916,13 +908,12 @@ mod tests {
             s.bytes_faulted,
             seg.len()
         );
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn repeated_touches_hit_not_fault() {
         let vals: Vec<i64> = (0..20_000).collect();
-        let path = write_tmp("hits.bin", &le_bytes(&vals));
+        let (_dir, path) = write_tmp("hits.bin", &le_bytes(&vals));
         let cache = BlockCache::unbounded();
         let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
         let buf = ValueBuf::<i64>::mapped(seg, 0, vals.len()).unwrap();
@@ -933,7 +924,6 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.faults, faults_once, "re-touch refaulted");
         assert!(s.hits >= 2);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[cfg(feature = "ooc")]
@@ -942,7 +932,7 @@ mod tests {
         let vals: Vec<i64> = (0..200_000i64)
             .map(|i| i.wrapping_mul(0x9E37_79B9))
             .collect();
-        let path = write_tmp("evict.bin", &le_bytes(&vals));
+        let (_dir, path) = write_tmp("evict.bin", &le_bytes(&vals));
         // 1.6 MB file, 128 KiB budget (2 chunks): heavy churn.
         let cache = BlockCache::new(2 * CHUNK_BYTES);
         let seg = Segment::open(&path, SegmentMode::Mmap, &cache).unwrap();
@@ -967,13 +957,12 @@ mod tests {
             "resident {} over budget",
             s.resident_bytes
         );
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn dropping_a_segment_releases_its_residency() {
         let vals: Vec<i64> = (0..50_000).collect();
-        let path = write_tmp("drop.bin", &le_bytes(&vals));
+        let (_dir, path) = write_tmp("drop.bin", &le_bytes(&vals));
         let cache = BlockCache::unbounded();
         {
             let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
@@ -982,24 +971,22 @@ mod tests {
             assert!(cache.stats().resident_bytes > 0);
         }
         assert_eq!(cache.stats().resident_bytes, 0);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn mapped_window_validation() {
-        let path = write_tmp("valid.bin", &le_bytes(&[1, 2, 3, 4]));
+        let (_dir, path) = write_tmp("valid.bin", &le_bytes(&[1, 2, 3, 4]));
         let cache = BlockCache::unbounded();
         let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
         assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, 4).is_ok());
         assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, 5).is_err());
         assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 3, 1).is_err());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn owned_and_mapped_bufs_compare_equal() {
         let vals: Vec<i64> = (0..5_000).map(|i| i * i).collect();
-        let path = write_tmp("eq.bin", &le_bytes(&vals));
+        let (_dir, path) = write_tmp("eq.bin", &le_bytes(&vals));
         let cache = BlockCache::unbounded();
         let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
         let mapped = ValueBuf::<i64>::mapped(seg, 0, vals.len()).unwrap();
@@ -1011,7 +998,6 @@ mod tests {
             assert_eq!(mapped.heap_bytes(), 0);
             assert_eq!(mapped.mapped_bytes(), 5_000 * 8);
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -55,7 +55,7 @@ use crate::predicate::FrameFilter;
 /// serves sparse row lists through [`ScanSource::index_run`].
 ///
 /// `decode_frame` doubles as the pipeline's *residency hook*: a mapped
-/// (`hvc` v3) storage touches only the file chunks covering the requested
+/// (`hvc`) storage touches only the file chunks covering the requested
 /// frame (see [`crate::residency`]), and [`ScanSource::as_plain`] returns
 /// `None` for it so no caller binds the whole payload. Since the fused
 /// filter path evaluates zone maps and drops all-fail selection words

@@ -1,4 +1,4 @@
-//! Portable vector fast paths over the decoded-block ABI (`simd` feature).
+//! Portable vector fast paths over the decoded-block ABI.
 //!
 //! The block scan pipeline hands kernels 64-row [`Block`](crate::block::Block)
 //! frames: decoded value lanes plus selection/validity words. This module
@@ -21,12 +21,11 @@
 //! Every primitive has exactly one arithmetic definition — an
 //! `#[inline(always)]` body — compiled once at the baseline target (the
 //! **mandatory scalar fallback**) and once per vector tier
-//! (`#[target_feature]` AVX2 and AVX-512 wrappers) when the `simd` feature
-//! is on; the runtime dispatcher picks the best tier the CPU supports.
-//! Every codegen executes the identical IEEE-754/integer operation
-//! sequence, so summaries are **byte-identical** with the feature on or
-//! off, whatever the CPU — the property the `simd`-equivalence proptests
-//! pin.
+//! (`#[target_feature]` AVX2 and AVX-512 wrappers) on x86-64; the runtime
+//! dispatcher picks the best tier the CPU supports. Every codegen executes
+//! the identical IEEE-754/integer operation sequence, so summaries are
+//! **byte-identical** whichever tier runs, whatever the CPU — the property
+//! the `simd`-equivalence proptests pin.
 //!
 //! Floating-point accumulation is made lane-safe by *defining* kernel
 //! semantics over fixed lanes: a value at row `r` accumulates into lane
@@ -36,8 +35,8 @@
 //! implementations, block kernels, and every encoding agree bitwise.
 //!
 //! [`set_force_scalar`] lets benchmarks and tests pin the scalar fallback
-//! at runtime in a `simd` build, which is how the simd-on/off bench pairs
-//! and equivalence proptests run inside one process.
+//! at runtime, which is how the simd-on/off bench pairs and equivalence
+//! proptests run inside one process.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -48,8 +47,8 @@ pub const MOMENT_LANES: usize = 8;
 
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
-/// Force the scalar fallbacks even when the `simd` feature and CPU support
-/// are present (benchmark pairs, equivalence tests). Results are
+/// Force the scalar fallbacks even when CPU support for a vector tier is
+/// present (benchmark pairs, equivalence tests). Results are
 /// bit-identical either way; this only selects the codegen.
 pub fn set_force_scalar(v: bool) {
     // lint: allow(relaxed, standalone codegen-selection flag; both codegens produce identical bytes, so staleness only affects which one runs)
@@ -66,7 +65,7 @@ pub fn force_scalar() -> bool {
 /// beyond width: it has native 8-lane `i64 → f64` conversion
 /// (`vcvtqq2pd`), which AVX2 must scalarize — and integer column lanes
 /// are the common case here.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Tier {
     Scalar,
@@ -74,12 +73,16 @@ pub(crate) enum Tier {
     Avx512,
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 fn detected_tier() -> Tier {
     use std::sync::OnceLock;
     static TIER: OnceLock<Tier> = OnceLock::new();
     *TIER.get_or_init(|| {
-        if std::arch::is_x86_feature_detected!("avx512f")
+        // Miri interprets only some of the vector intrinsics: keep its lane
+        // on the scalar bodies whatever detection reports there.
+        if cfg!(miri) {
+            Tier::Scalar
+        } else if std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("avx512dq")
             && std::arch::is_x86_feature_detected!("avx512vl")
             && std::arch::is_x86_feature_detected!("avx512bw")
@@ -93,7 +96,7 @@ fn detected_tier() -> Tier {
     })
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[inline]
 pub(crate) fn current_tier() -> Tier {
     if force_scalar() {
@@ -105,23 +108,22 @@ pub(crate) fn current_tier() -> Tier {
 
 /// AVX512-VBMI (`vpermb`) on top of the AVX-512 tier: the byte-gather
 /// bit-unpack in [`crate::encoding`] needs it.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 pub(crate) fn vbmi_available() -> bool {
     use std::sync::OnceLock;
     static VBMI: OnceLock<bool> = OnceLock::new();
     *VBMI.get_or_init(|| std::arch::is_x86_feature_detected!("avx512vbmi"))
 }
 
-/// True when the vector codegen paths will be used: `simd` feature on,
-/// x86-64 with AVX2 or better detected, and not pinned scalar by
-/// [`set_force_scalar`].
+/// True when the vector codegen paths will be used: x86-64 with AVX2 or
+/// better detected, and not pinned scalar by [`set_force_scalar`].
 #[inline]
 pub fn active() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         current_tier() != Tier::Scalar
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
@@ -133,13 +135,13 @@ pub fn active() -> bool {
 macro_rules! tier_dispatch {
     ($body:ident => $avx2:ident, $avx512:ident;
      $(#[$meta:meta])* fn $entry:ident $(<$($g:ident : $b:path),*>)? ($($arg:ident : $ty:ty),*) $(-> $ret:ty)?) => {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
         fn $avx2 $(<$($g: $b),*>)? ($($arg: $ty),*) $(-> $ret)? {
             $body($($arg),*)
         }
 
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512bw")]
         fn $avx512 $(<$($g: $b),*>)? ($($arg: $ty),*) $(-> $ret)? {
             $body($($arg),*)
@@ -148,7 +150,7 @@ macro_rules! tier_dispatch {
         $(#[$meta])*
         #[inline]
         pub fn $entry $(<$($g: $b),*>)? ($($arg: $ty),*) $(-> $ret)? {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             match current_tier() {
                 // SAFETY: `Tier::Avx512` is only reported after
                 // `is_x86_feature_detected!` confirmed avx512f/dq/vl/bw at

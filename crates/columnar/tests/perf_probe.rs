@@ -3,7 +3,7 @@
 //! notes in ROADMAP.md when touching `unpack_span`).
 //!
 //! Run with:
-//! `cargo test -p hillview-columnar --release --features simd --test perf_probe -- --ignored --nocapture`
+//! `cargo test -p hillview-columnar --release --test perf_probe -- --ignored --nocapture`
 
 use hillview_columnar::{I64Storage, ScanSource, BLOCK_ROWS};
 use std::time::Instant;

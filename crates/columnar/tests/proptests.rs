@@ -416,10 +416,9 @@ proptest! {
         }
     }
 
-    /// With the `simd` feature on, the vector codegen of every primitive
-    /// is byte-identical to its forced-scalar fallback on arbitrary
-    /// inputs — the dispatch only selects codegen, never semantics.
-    #[cfg(feature = "simd")]
+    /// The vector codegen of every primitive is byte-identical to its
+    /// forced-scalar fallback on arbitrary inputs — the dispatch only
+    /// selects codegen, never semantics.
     #[test]
     fn simd_primitives_match_scalar_fallbacks(
         vals in proptest::collection::vec(-1.0e6f64..1.0e6, 1..65),
@@ -470,7 +469,6 @@ proptest! {
     /// `eq_word`, `probe_word`) produce bit-identical selection words under
     /// forced-scalar and vector dispatch, including NaN lanes and
     /// out-of-bitmap dictionary codes.
-    #[cfg(feature = "simd")]
     #[test]
     fn predicate_word_primitives_match_scalar_fallbacks(
         fraw in proptest::collection::vec(

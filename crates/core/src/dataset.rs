@@ -168,8 +168,8 @@ impl fmt::Debug for FnSource {
 /// its columns are windows over the file, faulted in block-granular
 /// through the worker's [`BlockCache`] as scans touch them, so loading a
 /// dataset costs O(headers) and querying it costs only the blocks zone
-/// maps cannot prune. Heap fallbacks (v2 files, big-endian hosts) load
-/// eagerly and behave exactly as before.
+/// maps cannot prune. The heap fallback (big-endian hosts) loads eagerly
+/// and answers identically.
 ///
 /// The directory must be immutable while browsed (paper §2); the snapshot
 /// tag is ignored because the directory *is* one snapshot, which keeps
@@ -349,13 +349,8 @@ mod tests {
 
     #[test]
     fn hvc_dir_source_deals_parts_round_robin_and_loads_mapped() {
-        // pid + a process-wide counter: no other test, in this process or
-        // another, shares the path.
-        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("hv-dirsource-{}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut w = hillview_storage::SpillingWriter::new(&dir, 100).unwrap();
+        let dir = hillview_columnar::TempDir::new("dirsource");
+        let mut w = hillview_storage::SpillingWriter::new(dir.path(), 100).unwrap();
         let t = Table::builder()
             .column(
                 "X",
@@ -368,17 +363,17 @@ mod tests {
         let manifest = w.finish().unwrap();
         assert_eq!(manifest.parts.len(), 5);
 
-        let src = HvcDirSource::new("parts", &dir);
+        let src = HvcDirSource::new("parts", dir.path());
         let a = src.load(0, 2, 1_000, 0).unwrap();
         let b = src.load(1, 2, 1_000, 0).unwrap();
         assert_eq!(a.len(), 3, "parts 0,2,4");
         assert_eq!(b.len(), 2, "parts 1,3");
         let rows: usize = a.iter().chain(&b).map(|t| t.num_rows()).sum();
         assert_eq!(rows, 450);
-        // Little-endian hosts open v3 parts mapped: payloads are file
+        // Little-endian hosts open parts mapped: payloads are file
         // windows, not heap.
         if cfg!(target_endian = "little") {
-            assert!(a[0].mapped_bytes() > 0, "v3 part did not load mapped");
+            assert!(a[0].mapped_bytes() > 0, "part did not load mapped");
         }
         // Replay determinism: the same (worker, snapshot) yields the same
         // parts in the same order.
@@ -387,7 +382,6 @@ mod tests {
             assert_eq!(x.num_rows(), y.num_rows());
             assert_eq!(x.full_row(0), y.full_row(0));
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

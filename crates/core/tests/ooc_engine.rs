@@ -17,7 +17,7 @@
 
 use hillview_columnar::column::{Column, I64Column};
 use hillview_columnar::udf::UdfRegistry;
-use hillview_columnar::{ColumnKind, Predicate, SegmentMode, Table};
+use hillview_columnar::{ColumnKind, Predicate, SegmentMode, Table, TempDir};
 use hillview_core::dataset::SourceRegistry;
 use hillview_core::{
     Cluster, ClusterConfig, Engine, FaultAction, FaultPlan, FaultSite, HvcDirSource, QueryOptions,
@@ -25,7 +25,7 @@ use hillview_core::{
 use hillview_sketch::histogram::{HistogramSketch, HistogramSummary};
 use hillview_sketch::BucketSpec;
 use hillview_storage::SpillingWriter;
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Arc;
 
 const ROWS: usize = 200_000;
@@ -41,10 +41,9 @@ fn mix(i: u64) -> u64 {
 /// Spill the reference dataset — a sorted ramp `X` (zone-skippable,
 /// delta-coded) and a shuffled `Y` (dense plain payload the filter never
 /// touches) — into a fresh part directory.
-fn spill_dataset(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hv-ooc-engine-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut w = SpillingWriter::new(&dir, ROWS_PER_PART).unwrap();
+fn spill_dataset(tag: &str) -> TempDir {
+    let dir = TempDir::new(tag);
+    let mut w = SpillingWriter::new(dir.path(), ROWS_PER_PART).unwrap();
     let t = Table::builder()
         .column(
             "X",
@@ -68,7 +67,7 @@ fn spill_dataset(tag: &str) -> PathBuf {
 /// An engine whose "mapped" source opens the part directory through the
 /// residency tiers and whose "heap" source decodes the same files eagerly.
 /// The block cache is tiny relative to the dataset so residency churns.
-fn ooc_engine(dir: &PathBuf, block_cache_bytes: usize) -> Engine {
+fn ooc_engine(dir: &Path, block_cache_bytes: usize) -> Engine {
     let mut sources = SourceRegistry::new();
     sources.register(Arc::new(HvcDirSource::new("mapped", dir)));
     sources.register(Arc::new(HvcDirSource::with_mode(
@@ -95,8 +94,8 @@ fn band() -> Predicate {
 
 #[test]
 fn mapped_scan_is_bit_identical_to_heap_and_prunes_io() {
-    let dir = spill_dataset("identity");
-    let e = ooc_engine(&dir, 64 << 10);
+    let dir = spill_dataset("ooc-engine-identity");
+    let e = ooc_engine(dir.path(), 64 << 10);
     let mapped = e.load("mapped", 0).unwrap();
     let heap = e.load("heap", 0).unwrap();
 
@@ -143,15 +142,14 @@ fn mapped_scan_is_bit_identical_to_heap_and_prunes_io() {
             .unwrap();
         assert_eq!(m, h);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn tiny_block_cache_survives_eviction_and_kill_chaos() {
-    let dir = spill_dataset("chaos");
+    let dir = spill_dataset("ooc-engine-chaos");
     // 4 KiB per worker: far below one 64 KiB residency chunk, so every
     // fault of a *different* part file must evict the previous one.
-    let e = ooc_engine(&dir, 4 << 10);
+    let e = ooc_engine(dir.path(), 4 << 10);
     let mapped = e.load("mapped", 0).unwrap();
     // Four 5% bands in four different part files, spread across both
     // workers by the round-robin part deal — the drill-down sweep that
@@ -222,5 +220,4 @@ fn tiny_block_cache_survives_eviction_and_kill_chaos() {
             stats.budget
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }

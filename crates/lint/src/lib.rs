@@ -18,6 +18,7 @@
 //! | `simd-registry` | every `tier_dispatch!` entry in `columnar/src/simd.rs` has its scalar body defined and appears by name in a forced-scalar equivalence test |
 //! | `sketch-registry` | every `impl Sketch for T` appears in the `fused_equivalence`, `scan_equivalence`, and `merge_laws` suites |
 //! | `cfg-fallback` | every feature referenced by a positive `#[cfg]` in a crate's non-test sources has a `not(...)` fallback path somewhere in that crate (or a `// lint: allow(cfg, reason)` marker) |
+//! | `temp-dir` | no `temp_dir()` call in first-party code (tests and benches included) outside `columnar/src/tempdir.rs`: scratch paths come from `hillview_columnar::TempDir`, unique per use and removed on drop |
 //! | `relaxed-ordering` | `Ordering::Relaxed` only in the counters allowlist ([`rules::RELAXED_COUNTER_FILES`]) or under a `// lint: allow(relaxed, reason)` marker |
 //! | `error-classified` | every `EngineError` variant is named in `is_retryable()` and the match has no wildcard arm |
 //!
@@ -349,6 +350,7 @@ impl Workspace {
         out.extend(rules::rule_simd_registry(self));
         out.extend(rules::rule_sketch_registry(self));
         out.extend(rules::rule_cfg_fallback(self));
+        out.extend(rules::rule_temp_dir(self));
         out.extend(rules::rule_relaxed_ordering(self));
         out.extend(rules::rule_error_classified(self));
         out.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));

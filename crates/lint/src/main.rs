@@ -78,7 +78,7 @@ fn main() -> ExitCode {
     }
     if findings.is_empty() {
         println!(
-            "hillview-lint: {} files clean across 7 rules",
+            "hillview-lint: {} files clean across 8 rules",
             ws.files.len()
         );
         ExitCode::SUCCESS

@@ -1,4 +1,4 @@
-//! The seven invariant rules. Each is a pure function of the lexed
+//! The eight invariant rules. Each is a pure function of the lexed
 //! [`Workspace`] returning [`Finding`]s; see the crate docs for the rule
 //! table and the marker grammar.
 
@@ -283,8 +283,8 @@ pub fn rule_sketch_registry(ws: &Workspace) -> Vec<Finding> {
 /// a crate's non-test sources must have a `not(...)` fallback mention (or
 /// a `cfg!` runtime test, which compiles both branches) somewhere in the
 /// same crate — or carry a `// lint: allow(cfg, reason)` marker. This
-/// pins the "every `simd`/`ooc` item has a non-feature path" invariant at
-/// crate granularity, the level at which the fallback is meaningful.
+/// pins the "every `ooc` item has a non-feature path" invariant at crate
+/// granularity, the level at which the fallback is meaningful.
 pub fn rule_cfg_fallback(ws: &Workspace) -> Vec<Finding> {
     // (crate, feature) -> first positive unmarked site / any negative.
     let mut pos: BTreeMap<(String, String), (String, usize, u32)> = BTreeMap::new();
@@ -413,6 +413,42 @@ fn cfg_feature_sites(f: &SourceFile) -> Vec<CfgSite> {
         k = j + 1;
     }
     sites
+}
+
+// ---------------------------------------------------------------------------
+// Rule: temp-dir
+// ---------------------------------------------------------------------------
+
+/// The one file allowed to call `std::env::temp_dir()`: the shared
+/// `hillview_columnar::TempDir` helper.
+pub const TEMP_DIR_HELPER: &str = "crates/columnar/src/tempdir.rs";
+
+/// No `temp_dir` identifier in first-party code — tests, benches and
+/// examples included, since that is where scratch paths are made — outside
+/// [`TEMP_DIR_HELPER`]. A hand-rolled path is shared by every test that
+/// picks the same name and outlives the run; the helper's are unique per
+/// use and removed on drop. Vendored shims cannot depend on the helper and
+/// are not patrolled.
+pub fn rule_temp_dir(ws: &Workspace) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for f in &ws.files {
+        if f.path.starts_with("vendor/") || f.path == TEMP_DIR_HELPER {
+            continue;
+        }
+        for t in &f.toks {
+            if t.kind == TokKind::Ident && t.text(&f.text) == "temp_dir" {
+                out.push(finding(
+                    "temp-dir",
+                    f,
+                    t.lo,
+                    "bare `temp_dir()`; take scratch space from `hillview_columnar::TempDir` \
+                     (unique per use, removed on drop)"
+                        .to_string(),
+                ));
+            }
+        }
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------

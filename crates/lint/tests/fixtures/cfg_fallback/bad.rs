@@ -1,6 +1,6 @@
 // Fixture: a feature-gated item with no `not(...)` path anywhere in the
 // crate must fire.
-#[cfg(feature = "simd")]
-pub fn vectorized() -> u64 {
+#[cfg(feature = "ooc")]
+pub fn mapped() -> u64 {
     42
 }

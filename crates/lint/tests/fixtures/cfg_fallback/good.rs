@@ -1,15 +1,11 @@
 // Fixture: every positive feature gate has a `not(...)` twin in the same
-// crate; a `cfg!` runtime check also counts (both branches compile).
-#[cfg(feature = "simd")]
-pub fn vectorized() -> u64 {
+// crate.
+#[cfg(feature = "ooc")]
+pub fn mapped() -> u64 {
     42
 }
 
-#[cfg(not(feature = "simd"))]
-pub fn vectorized() -> u64 {
+#[cfg(not(feature = "ooc"))]
+pub fn mapped() -> u64 {
     42
-}
-
-pub fn runtime_gated() -> bool {
-    cfg!(feature = "ooc")
 }

@@ -125,7 +125,7 @@ fn cfg_fallback_fires_and_clears() {
     )]);
     let hits = of_rule(&bad, "cfg-fallback");
     assert_eq!(hits.len(), 1, "{bad:?}");
-    assert!(hits[0].msg.contains("\"simd\""));
+    assert!(hits[0].msg.contains("\"ooc\""));
     let good = check(&[(
         "crates/columnar/src/fix.rs",
         include_str!("fixtures/cfg_fallback/good.rs"),
@@ -139,10 +139,22 @@ fn cfg_fallback_fires_and_clears() {
         ),
         (
             "crates/columnar/src/other.rs",
-            "#[cfg(not(feature = \"simd\"))]\npub fn vectorized() -> u64 { 42 }\n",
+            "#[cfg(not(feature = \"ooc\"))]\npub fn mapped() -> u64 { 42 }\n",
         ),
     ]);
     assert_clean(&split);
+    // A `cfg!` runtime check counts too: both branches compile.
+    let runtime = check(&[
+        (
+            "crates/columnar/src/fix.rs",
+            include_str!("fixtures/cfg_fallback/bad.rs"),
+        ),
+        (
+            "crates/columnar/src/other.rs",
+            "pub fn runtime_gated() -> bool { cfg!(feature = \"ooc\") }\n",
+        ),
+    ]);
+    assert_clean(&runtime);
     // …but not in a different crate.
     let cross = check(&[
         (
@@ -151,10 +163,35 @@ fn cfg_fallback_fires_and_clears() {
         ),
         (
             "crates/core/src/other.rs",
-            "#[cfg(not(feature = \"simd\"))]\npub fn vectorized() -> u64 { 42 }\n",
+            "#[cfg(not(feature = \"ooc\"))]\npub fn mapped() -> u64 { 42 }\n",
         ),
     ]);
     assert_eq!(of_rule(&cross, "cfg-fallback").len(), 1, "{cross:?}");
+}
+
+#[test]
+fn temp_dir_fires_and_clears() {
+    let bad = check(&[(
+        "crates/storage/tests/fix.rs",
+        include_str!("fixtures/temp_dir/bad.rs"),
+    )]);
+    assert_eq!(of_rule(&bad, "temp-dir").len(), 1, "{bad:?}");
+    let good = check(&[(
+        "crates/storage/tests/fix.rs",
+        include_str!("fixtures/temp_dir/good.rs"),
+    )]);
+    assert_clean(&good);
+    // The helper itself is the one place allowed to name the system dir,
+    // and vendored shims (which cannot depend on it) are not patrolled.
+    for exempt in [
+        "crates/columnar/src/tempdir.rs",
+        "vendor/memmap2/src/lib.rs",
+    ] {
+        assert_clean(&check(&[(
+            exempt,
+            include_str!("fixtures/temp_dir/bad.rs"),
+        )]));
+    }
 }
 
 #[test]

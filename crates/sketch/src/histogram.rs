@@ -10,8 +10,8 @@
 //! The hot loop consumes decoded [`hillview_columnar::block::Block`]
 //! frames: 64 value lanes, one selection word, one validity word. Bucket
 //! indexes for a whole frame are computed by the lane-parallel
-//! [`hillview_columnar::simd::bucket_indexes`] primitive (AVX2-dispatched
-//! under the `simd` feature, scalar otherwise — bit-identical either way,
+//! [`hillview_columnar::simd::bucket_indexes`] primitive (vector-dispatched
+//! at runtime on x86-64, scalar otherwise — bit-identical either way,
 //! since counter increments commute and dead lanes land in a trash slot).
 //! [`HistogramSketch::summarize_rowwise`] keeps the per-row scan as the
 //! reference implementation for the equivalence property tests.

@@ -14,8 +14,8 @@
 //! [`hillview_columnar::simd::MomentLanes`]). Row → lane assignment is a
 //! pure function of the data, so the block path (which processes
 //! fully-live frames with the lane-parallel
-//! [`hillview_columnar::simd::moments_frame`] primitive, AVX2-dispatched
-//! under the `simd` feature), the per-row reference, every encoding, and
+//! [`hillview_columnar::simd::moments_frame`] primitive, vector-dispatched
+//! at runtime on x86-64), the per-row reference, every encoding, and
 //! both codegens produce bit-identical power sums.
 
 use crate::traits::{Sketch, SketchError, SketchResult, Summary};

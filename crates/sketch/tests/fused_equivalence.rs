@@ -34,9 +34,7 @@ use hillview_sketch::stacked::StackedHistogramSketch;
 use hillview_sketch::traits::{
     fused_law_holds, summarize_split, Sketch, SketchError, SketchResult,
 };
-#[cfg(feature = "simd")]
-use hillview_sketch::view::filtered_view;
-use hillview_sketch::view::two_pass;
+use hillview_sketch::view::{filtered_view, two_pass};
 use hillview_sketch::{Scope, TableView};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -526,10 +524,9 @@ proptest! {
         }
     }
 
-    /// With the `simd` feature on, the fused path's summaries are
-    /// byte-identical between the vector codegen and the forced-scalar
-    /// fallback — and both still satisfy the fusion law.
-    #[cfg(feature = "simd")]
+    /// The fused path's summaries are byte-identical between the vector
+    /// codegen and the forced-scalar fallback — and both still satisfy the
+    /// fusion law.
     #[test]
     fn fused_simd_on_off_byte_identical(
         t in table_strategy(),

@@ -594,12 +594,9 @@ proptest! {
         }
     }
 
-    /// With the `simd` feature on, every kernel's summary is byte-identical
-    /// between the vector codegen and the forced-scalar fallback, across
-    /// encodings × membership representations × null densities × sampling.
-    /// (CI additionally runs the whole suite with the feature off; the
-    /// fallback is the same code either way, so the two builds agree.)
-    #[cfg(feature = "simd")]
+    /// Every kernel's summary is byte-identical between the vector codegen
+    /// and the forced-scalar fallback, across encodings × membership
+    /// representations × null densities × sampling.
     #[test]
     fn simd_on_off_summaries_byte_identical(
         t in table_strategy(),

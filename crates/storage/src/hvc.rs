@@ -1,72 +1,102 @@
 //! HVC ("HillView Columnar") — our columnar binary file format.
 //!
-//! Substitutes for ORC/Parquet: per-column typed blocks so a
-//! worker "reads a column completely from the data repository taking
-//! advantage of fast sequential access and columnar access" (paper §5.4).
+//! Substitutes for ORC/Parquet: per-column typed sections so a worker
+//! "reads a column completely from the data repository taking advantage of
+//! fast sequential access and columnar access" (paper §5.4).
 //!
-//! Layout, version 2 (all integers varint unless noted):
+//! The layout is built for the *file*: all variable-length metadata lives
+//! in a self-contained header, and the bulk payloads (plain values, packed
+//! words, doubles) are raw little-endian sections aligned to 64 bytes, so
+//! an [`hillview_columnar::residency::Segment`] can hand out zero-copy
+//! [`ValueBuf`] windows over them without any decode pass:
 //!
 //! ```text
-//! magic "HVC2" | column_count | row_count
-//! per column:
-//!   name | kind byte | null_run_lengths | payload
-//! payload:
-//!   Int/Date: enc byte, declared value count, then
-//!     0 (plain):      delta-zigzag varints
-//!     1 (bit-packed): base zigzag, width u8, word count, raw LE u64 words
-//!     2 (run-length): run count, then (value zigzag, run length) pairs
-//!     3 (delta):      anchor count, anchors zigzag, width u8, word count,
-//!                     raw LE u64 words of packed adjacent deltas
-//!   Double:   declared value count, raw little-endian f64
-//!   Str/Cat:  dict_len, dict strings, codes in the same four encodings
-//!             (code values as plain varints instead of zigzag)
+//! magic "HVC3" | header_len u32 LE | header blob | pad | payload sections
+//! header blob (all integers varint unless noted):
+//!   column_count | row_count
+//!   per column:
+//!     name | kind byte | null_run_lengths
+//!     payload descriptor:
+//!       Int/Date: enc byte, declared value count, then
+//!         0 (plain):      section offset
+//!         1 (bit-packed): base zigzag, width u8, word count, section offset
+//!         2 (run-length): run count, (value zigzag, run length) pairs inline
+//!         3 (delta):      anchor count, anchors zigzag, width u8,
+//!                         word count, section offset
+//!       Double:   declared value count, section offset
+//!       Str/Cat:  dict_len, dict strings, codes descriptor (same four
+//!                 encodings, code values as plain varints)
+//!     zone map: block count, per block (min, max)
+//!       (zigzag varints for i64, plain varints for codes, raw LE for f64)
 //! ```
 //!
 //! The encoding byte mirrors the column's *in-memory*
-//! [`hillview_columnar::IntStorage`] representation: a
-//! bit-packed, run-length, or delta column round-trips through a file (and
-//! across the wire — HVC bytes are also how partitions ship between nodes)
-//! without ever inflating to plain, and decode rebuilds the exact same
-//! variant via `with_storage` instead of re-analyzing.
+//! [`hillview_columnar::IntStorage`] representation: a bit-packed,
+//! run-length, or delta column round-trips through a file without ever
+//! inflating to plain, and decode rebuilds the exact same variant instead
+//! of re-analyzing.
 //!
-//! Encoding bytes are *additive* within the `HVC2` container: byte 3
-//! (delta) was added after the format shipped, so a reader predating it
-//! rejects files containing delta columns with a structured
-//! "unknown encoding byte 3" parse error naming the column — older files
-//! remain readable by every newer reader.
-//!
-//! Every column section carries its own declared value count; a mismatch
-//! against the file's row count is rejected up front with the structured
-//! [`Error::RowCountMismatch`] instead of surfacing later as a truncated
-//! read or a wire error.
+//! Section offsets are relative to the *payload base* — the first 64-byte
+//! boundary at or after the header — and each section starts on a 64-byte
+//! boundary of its own, so every `i64`/`u64`/`f64` payload is naturally
+//! aligned however long the header is. Sections hold raw fixed-width
+//! values a scan can borrow in place (packed encodings still compress, and
+//! their word sections map as well).
 //!
 //! Null masks are run-length encoded (alternating present/missing run
 //! lengths, starting with present), which collapses the common all-present
 //! case to a single varint.
-
-#[path = "hvc_v3.rs"]
-pub mod v3;
-
-pub use v3::{probe_file, read_file_mapped, FileInfo};
+//!
+//! Because the header also persists each column's zone map, a mapped open
+//! ([`read_file_mapped`]) constructs every column without touching one
+//! payload byte: residency is faulted in chunk-at-a-time by the scans
+//! themselves, and blocks the zone maps rule out are never read at all.
+//! [`probe_file`] goes one step further and reads *only* the header —
+//! enough for partition planning (schema + row count) at O(header) I/O.
+//!
+//! Integrity: decoding is total. Every length the file declares is checked
+//! against the bytes that could back it before anything is allocated or
+//! sliced, and a broken structural invariant (declared counts vs. rows,
+//! run structure, encoding invariants, zone-map block counts) is a
+//! structured [`Error`]. The heap path ([`decode`]) additionally validates
+//! every dictionary code; the mapped path must not (that would fault in
+//! the payload laziness exists to avoid), so it bounds codes by the
+//! persisted per-block zone maxima instead — O(header) — and a file whose
+//! payload contradicts its zone maps surfaces as a worker-isolated panic
+//! at decode time rather than a quiet out-of-bounds.
+//!
+//! Endianness: mapped windows reinterpret file bytes in place and are only
+//! correct on little-endian targets; big-endian hosts transparently fall
+//! back to the heap path, which decodes via explicit LE reads.
 
 use crate::error::{Error, Result};
 use bytes::Bytes;
 use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
-use hillview_columnar::dictionary::DictionaryBuilder;
-use hillview_columnar::encoding::{IntStorage, PackedInt};
-use hillview_columnar::{ColumnKind, NullMask, Table};
+use hillview_columnar::dictionary::{Dictionary, DictionaryBuilder};
+use hillview_columnar::encoding::{IntStorage, PackedInt, ZoneMap};
+use hillview_columnar::residency::{BlockCache, Pod, Segment, SegmentMode, ValueBuf};
+use hillview_columnar::{ColumnDesc, ColumnKind, NullMask, Schema, Table, BLOCK_ROWS};
 use hillview_net::{WireReader, WireWriter};
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
-pub(crate) const MAGIC: &[u8; 4] = b"HVC2";
+const MAGIC: &[u8; 4] = b"HVC3";
 
-pub(crate) const ENC_PLAIN: u8 = 0;
-pub(crate) const ENC_BIT_PACKED: u8 = 1;
-pub(crate) const ENC_RUN_LENGTH: u8 = 2;
-pub(crate) const ENC_DELTA: u8 = 3;
+const ENC_PLAIN: u8 = 0;
+const ENC_BIT_PACKED: u8 = 1;
+const ENC_RUN_LENGTH: u8 = 2;
+const ENC_DELTA: u8 = 3;
 
-pub(crate) fn kind_byte(kind: ColumnKind) -> u8 {
+/// Payload section alignment: covers every lane type and leaves room for
+/// cache-line-aligned SIMD loads.
+const ALIGN: usize = 64;
+
+fn align_up(n: usize) -> usize {
+    n.div_ceil(ALIGN) * ALIGN
+}
+
+fn kind_byte(kind: ColumnKind) -> u8 {
     match kind {
         ColumnKind::Int => 0,
         ColumnKind::Date => 1,
@@ -76,24 +106,18 @@ pub(crate) fn kind_byte(kind: ColumnKind) -> u8 {
     }
 }
 
-pub(crate) fn byte_kind(b: u8, at: usize) -> Result<ColumnKind> {
+fn byte_kind(b: u8) -> Result<ColumnKind> {
     Ok(match b {
         0 => ColumnKind::Int,
         1 => ColumnKind::Date,
         2 => ColumnKind::Double,
         3 => ColumnKind::String,
         4 => ColumnKind::Category,
-        _ => {
-            return Err(Error::Parse {
-                format: "hvc",
-                at,
-                message: format!("unknown column kind byte {b}"),
-            })
-        }
+        _ => return Err(parse_err(format!("unknown column kind byte {b}"))),
     })
 }
 
-pub(crate) fn parse_err(message: impl Into<String>) -> Error {
+fn parse_err(message: impl Into<String>) -> Error {
     Error::Parse {
         format: "hvc",
         at: 0,
@@ -101,14 +125,68 @@ pub(crate) fn parse_err(message: impl Into<String>) -> Error {
     }
 }
 
-pub(crate) fn wire_err(e: hillview_net::Error) -> Error {
+fn wire_err(e: hillview_net::Error) -> Error {
     parse_err(e.to_string())
 }
 
-/// Write an integer storage payload, preserving its encoding. `put` writes
-/// one logical value (zigzag for `i64`, plain varint for codes).
-fn encode_int_storage<T: PackedInt>(
+fn row_count_mismatch(column: &str, declared: usize, actual: usize) -> Error {
+    Error::RowCountMismatch {
+        column: column.to_string(),
+        declared,
+        actual,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Writer
+// ---------------------------------------------------------------------------
+
+/// Raw payload sections accumulated while the header is written; each is
+/// placed at the next 64-byte-aligned offset relative to the payload base.
+#[derive(Default)]
+struct Sections {
+    rel: usize,
+    parts: Vec<(usize, Vec<u8>)>,
+}
+
+impl Sections {
+    /// Reserve an aligned slot for `bytes`, returning its relative offset.
+    fn push(&mut self, bytes: Vec<u8>) -> usize {
+        let at = align_up(self.rel);
+        self.rel = at + bytes.len();
+        self.parts.push((at, bytes));
+        at
+    }
+}
+
+fn encode_null_runs(w: &mut WireWriter, col: &Column, rows: usize) {
+    // Alternating run lengths: present, missing, present, ...
+    let mut runs: Vec<u64> = Vec::new();
+    let mut current_null = false;
+    let mut run = 0u64;
+    for i in 0..rows {
+        let null = col.is_null(i);
+        if null == current_null {
+            run += 1;
+        } else {
+            runs.push(run);
+            current_null = null;
+            run = 1;
+        }
+    }
+    runs.push(run);
+    w.put_varint(runs.len() as u64);
+    for r in runs {
+        w.put_varint(r);
+    }
+}
+
+/// Write one integer-storage descriptor into the header, spilling bulk
+/// payloads (plain values, packed words) into aligned sections. `put`
+/// writes one inline logical value (zigzag for `i64`, varint for codes).
+fn encode_int_storage<T: PackedInt + Pod>(
     w: &mut WireWriter,
+    sections: &mut Sections,
     storage: &IntStorage<T>,
     put: impl Fn(&mut WireWriter, T),
 ) {
@@ -116,9 +194,11 @@ fn encode_int_storage<T: PackedInt>(
         IntStorage::Plain(values) => {
             w.put_u8(ENC_PLAIN);
             w.put_varint(values.len() as u64);
+            let mut bytes = Vec::with_capacity(values.len() * <T as Pod>::BYTES);
             for &v in values.slice() {
-                put(w, v);
+                v.write_le(&mut bytes);
             }
+            w.put_varint(sections.push(bytes) as u64);
         }
         IntStorage::BitPacked {
             base,
@@ -131,11 +211,15 @@ fn encode_int_storage<T: PackedInt>(
             put(w, *base);
             w.put_u8(*width);
             w.put_varint(words.len() as u64);
+            let mut bytes = Vec::with_capacity(words.len() * 8);
             for &word in words.slice() {
-                w.put_u64(word);
+                word.write_le(&mut bytes);
             }
+            w.put_varint(sections.push(bytes) as u64);
         }
         IntStorage::RunLength { values, ends } => {
+            // Fully inline: run tables are consulted by every block
+            // decision, so there is nothing to keep lazy.
             w.put_u8(ENC_RUN_LENGTH);
             w.put_varint(ends.last().copied().unwrap_or(0) as u64);
             w.put_varint(values.len() as u64);
@@ -160,69 +244,169 @@ fn encode_int_storage<T: PackedInt>(
             }
             w.put_u8(*width);
             w.put_varint(words.len() as u64);
+            let mut bytes = Vec::with_capacity(words.len() * 8);
             for &word in words.slice() {
-                w.put_u64(word);
+                word.write_le(&mut bytes);
             }
+            w.put_varint(sections.push(bytes) as u64);
         }
     }
 }
 
-/// Read an integer storage payload written by [`encode_int_storage`],
-/// validating the declared value count against the file's row count and the
-/// structural invariants of each encoding.
-fn decode_int_storage<T: PackedInt>(
-    r: &mut WireReader,
-    rows: usize,
-    column: &str,
-    get: impl Fn(&mut WireReader) -> std::result::Result<T, hillview_net::Error>,
-) -> Result<IntStorage<T>> {
-    let enc = r.get_u8().map_err(wire_err)?;
-    decode_int_storage_body(r, enc, rows, column, get)
+fn encode_zones<T: Copy>(w: &mut WireWriter, zones: &ZoneMap<T>, put: impl Fn(&mut WireWriter, T)) {
+    w.put_varint(zones.len() as u64);
+    for (&min, &max) in zones.mins().iter().zip(zones.maxs()) {
+        put(w, min);
+        put(w, max);
+    }
 }
 
-/// [`decode_int_storage`] with the encoding byte already consumed (the
-/// `i64` reader peels it off first to special-case delta-coded plain data).
-fn decode_int_storage_body<T: PackedInt>(
+/// Lay a header blob and its payload sections out as a file image.
+fn assemble(hdr: &[u8], sections: Sections) -> Vec<u8> {
+    assert!(hdr.len() <= u32::MAX as usize, "hvc header exceeds u32");
+    let payload_base = align_up(8 + hdr.len());
+    let mut out = Vec::with_capacity(payload_base + sections.rel);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&(hdr.len() as u32).to_le_bytes());
+    out.extend_from_slice(hdr);
+    out.resize(payload_base, 0);
+    for (rel, bytes) in sections.parts {
+        out.resize(payload_base + rel, 0);
+        out.extend_from_slice(&bytes);
+    }
+    out
+}
+
+/// Encode a table as a complete HVC file image.
+pub fn encode(table: &Table) -> Vec<u8> {
+    let mut h = WireWriter::new();
+    let mut sections = Sections::default();
+    h.put_varint(table.num_columns() as u64);
+    h.put_varint(table.num_rows() as u64);
+    for c in 0..table.num_columns() {
+        let desc = table.schema().desc(c);
+        h.put_str(&desc.name);
+        h.put_u8(kind_byte(desc.kind));
+        let col = table.column(c);
+        encode_null_runs(&mut h, col, table.num_rows());
+        match col {
+            Column::Int(ic) | Column::Date(ic) => {
+                encode_int_storage(&mut h, &mut sections, ic.storage(), |w, v| w.put_i64(v));
+                encode_zones(&mut h, ic.zones(), |w, v| w.put_i64(v));
+            }
+            Column::Double(fc) => {
+                h.put_varint(fc.len() as u64);
+                let mut bytes = Vec::with_capacity(fc.len() * 8);
+                for &v in fc.data() {
+                    v.write_le(&mut bytes);
+                }
+                h.put_varint(sections.push(bytes) as u64);
+                encode_zones(&mut h, fc.zones(), |w, v| w.put_f64(v));
+            }
+            Column::Str(dc) | Column::Cat(dc) => {
+                h.put_varint(dc.dictionary().len() as u64);
+                for s in dc.dictionary().iter() {
+                    h.put_str(s);
+                }
+                encode_int_storage(&mut h, &mut sections, dc.codes(), |w, code| {
+                    w.put_varint(code as u64)
+                });
+                encode_zones(&mut h, dc.zones(), |w, v| w.put_varint(v as u64));
+            }
+        }
+    }
+    assemble(&h.finish(), sections)
+}
+
+// ---------------------------------------------------------------------------
+// Header parsing (shared by heap, mapped, and probe paths)
+//
+// Inline item counts only ever reserve `count.min(r.remaining())`: each
+// item takes at least one header byte, so the bytes left bound what a
+// declared count may allocate.
+// ---------------------------------------------------------------------------
+
+/// Parsed integer-storage descriptor: inline parts materialized, bulk
+/// payloads still only (offset, count) coordinates.
+enum IntMeta<T> {
+    Plain {
+        rel: usize,
+    },
+    BitPacked {
+        base: T,
+        width: u8,
+        nwords: usize,
+        rel: usize,
+    },
+    RunLength {
+        values: Vec<T>,
+        ends: Vec<u32>,
+    },
+    Delta {
+        anchors: Vec<T>,
+        width: u8,
+        nwords: usize,
+        rel: usize,
+    },
+}
+
+fn decode_null_runs(r: &mut WireReader, rows: usize, column: &str) -> Result<NullMask> {
+    let n = r.get_len("null runs").map_err(wire_err)?;
+    let mut mask = NullMask::none();
+    let mut idx = 0usize;
+    let mut is_null = false;
+    for _ in 0..n {
+        let run = r.get_varint().map_err(wire_err)?;
+        // Saturating: a run past `rows` is a mismatch whatever its size.
+        let end = idx.saturating_add(usize::try_from(run).unwrap_or(usize::MAX));
+        if end > rows {
+            return Err(row_count_mismatch(column, rows, end));
+        }
+        if is_null {
+            for i in idx..end {
+                mask.set_null(i, rows);
+            }
+        }
+        idx = end;
+        is_null = !is_null;
+    }
+    if idx != rows {
+        return Err(row_count_mismatch(column, rows, idx));
+    }
+    Ok(mask)
+}
+
+fn decode_int_meta<T>(
     r: &mut WireReader,
-    enc: u8,
     rows: usize,
     column: &str,
     get: impl Fn(&mut WireReader) -> std::result::Result<T, hillview_net::Error>,
-) -> Result<IntStorage<T>> {
+) -> Result<IntMeta<T>> {
+    let enc = r.get_u8().map_err(wire_err)?;
     let declared = r.get_len("values").map_err(wire_err)?;
     if declared != rows {
-        return Err(Error::RowCountMismatch {
-            column: column.to_string(),
-            declared: rows,
-            actual: declared,
-        });
+        return Err(row_count_mismatch(column, rows, declared));
     }
     match enc {
-        ENC_PLAIN => {
-            let mut values = Vec::with_capacity(rows.min(1 << 20));
-            for _ in 0..rows {
-                values.push(get(r).map_err(wire_err)?);
-            }
-            Ok(IntStorage::Plain(values.into()))
-        }
+        ENC_PLAIN => Ok(IntMeta::Plain {
+            rel: r.get_len("section offset").map_err(wire_err)?,
+        }),
         ENC_BIT_PACKED => {
             let base = get(r).map_err(wire_err)?;
             let width = r.get_u8().map_err(wire_err)?;
             let nwords = r.get_len("packed words").map_err(wire_err)?;
-            let mut words = Vec::with_capacity(nwords.min(1 << 20));
-            for _ in 0..nwords {
-                words.push(r.get_u64().map_err(wire_err)?);
-            }
-            IntStorage::from_bit_packed(base, width, rows, words).ok_or_else(|| {
-                parse_err(format!(
-                    "column {column:?}: inconsistent bit-packed section (width {width}, {nwords} words for {rows} rows)"
-                ))
+            let rel = r.get_len("section offset").map_err(wire_err)?;
+            Ok(IntMeta::BitPacked {
+                base,
+                width,
+                nwords,
+                rel,
             })
         }
         ENC_RUN_LENGTH => {
             let nruns = r.get_len("runs").map_err(wire_err)?;
-            let mut values = Vec::with_capacity(nruns.min(1 << 20));
-            let mut ends = Vec::with_capacity(nruns.min(1 << 20));
+            let mut values = Vec::with_capacity(nruns.min(r.remaining()));
+            let mut ends = Vec::with_capacity(nruns.min(r.remaining()));
             let mut at = 0u64;
             for _ in 0..nruns {
                 values.push(get(r).map_err(wire_err)?);
@@ -230,7 +414,7 @@ fn decode_int_storage_body<T: PackedInt>(
                 if run == 0 {
                     return Err(parse_err(format!("column {column:?}: zero-length run")));
                 }
-                at += run;
+                at = at.saturating_add(run);
                 if at > u32::MAX as u64 {
                     return Err(parse_err(format!(
                         "column {column:?}: run-length section overflows row index"
@@ -239,32 +423,24 @@ fn decode_int_storage_body<T: PackedInt>(
                 ends.push(at as u32);
             }
             if at as usize != rows {
-                return Err(Error::RowCountMismatch {
-                    column: column.to_string(),
-                    declared: rows,
-                    actual: at as usize,
-                });
+                return Err(row_count_mismatch(column, rows, at as usize));
             }
-            IntStorage::from_run_length(values, ends).ok_or_else(|| {
-                parse_err(format!("column {column:?}: malformed run-length section"))
-            })
+            Ok(IntMeta::RunLength { values, ends })
         }
         ENC_DELTA => {
             let nanchors = r.get_len("delta anchors").map_err(wire_err)?;
-            let mut anchors = Vec::with_capacity(nanchors.min(1 << 20));
+            let mut anchors = Vec::with_capacity(nanchors.min(r.remaining()));
             for _ in 0..nanchors {
                 anchors.push(get(r).map_err(wire_err)?);
             }
             let width = r.get_u8().map_err(wire_err)?;
             let nwords = r.get_len("delta words").map_err(wire_err)?;
-            let mut words = Vec::with_capacity(nwords.min(1 << 20));
-            for _ in 0..nwords {
-                words.push(r.get_u64().map_err(wire_err)?);
-            }
-            IntStorage::from_delta(anchors, width, rows, words).ok_or_else(|| {
-                parse_err(format!(
-                    "column {column:?}: inconsistent delta section (width {width}, {nanchors} anchors, {nwords} words for {rows} rows)"
-                ))
+            let rel = r.get_len("section offset").map_err(wire_err)?;
+            Ok(IntMeta::Delta {
+                anchors,
+                width,
+                nwords,
+                rel,
             })
         }
         b => Err(parse_err(format!(
@@ -273,122 +449,231 @@ fn decode_int_storage_body<T: PackedInt>(
     }
 }
 
-/// Encode a table to HVC bytes.
-pub fn encode(table: &Table) -> Bytes {
-    let mut w = WireWriter::new();
-    for b in MAGIC {
-        w.put_u8(*b);
+fn decode_zones<T: Copy>(
+    r: &mut WireReader,
+    rows: usize,
+    column: &str,
+    get: impl Fn(&mut WireReader) -> std::result::Result<T, hillview_net::Error>,
+) -> Result<ZoneMap<T>> {
+    let n = r.get_len("zone blocks").map_err(wire_err)?;
+    if n != rows.div_ceil(BLOCK_ROWS) {
+        return Err(parse_err(format!(
+            "column {column:?}: zone map covers {n} blocks for {rows} rows"
+        )));
     }
-    w.put_varint(table.num_columns() as u64);
-    w.put_varint(table.num_rows() as u64);
-    for c in 0..table.num_columns() {
-        let desc = table.schema().desc(c);
-        w.put_str(&desc.name);
-        w.put_u8(kind_byte(desc.kind));
-        let col = table.column(c);
-        encode_null_runs(&mut w, col, table.num_rows());
-        match col {
-            Column::Int(ic) | Column::Date(ic) => {
-                // Plain integers stay delta-of-previous coded (the v1 trick
-                // that shrinks near-sequential dates); packed storages ship
-                // their words verbatim.
-                match ic.storage() {
-                    IntStorage::Plain(values) => {
-                        w.put_u8(ENC_PLAIN);
-                        w.put_varint(values.len() as u64);
-                        let mut prev = 0i64;
-                        for &v in values.slice() {
-                            w.put_i64(v.wrapping_sub(prev));
-                            prev = v;
-                        }
-                    }
-                    packed => encode_int_storage(&mut w, packed, |w, v| w.put_i64(v)),
-                }
-            }
-            Column::Double(fc) => {
-                w.put_varint(fc.data().len() as u64);
-                for &v in fc.data() {
-                    w.put_f64(v);
-                }
-            }
-            Column::Str(dc) | Column::Cat(dc) => {
-                w.put_varint(dc.dictionary().len() as u64);
-                for s in dc.dictionary().iter() {
-                    w.put_str(s);
-                }
-                encode_int_storage(&mut w, dc.codes(), |w, code| w.put_varint(code as u64));
-            }
-        }
-    }
-    w.finish()
-}
-
-pub(crate) fn encode_null_runs(w: &mut WireWriter, col: &Column, rows: usize) {
-    // Alternating run lengths: present, missing, present, ...
-    let mut runs: Vec<u64> = Vec::new();
-    let mut current_null = false;
-    let mut run = 0u64;
-    for i in 0..rows {
-        let null = col.is_null(i);
-        if null == current_null {
-            run += 1;
-        } else {
-            runs.push(run);
-            current_null = null;
-            run = 1;
-        }
-    }
-    runs.push(run);
-    w.put_varint(runs.len() as u64);
-    for r in runs {
-        w.put_varint(r);
-    }
-}
-
-pub(crate) fn decode_null_runs(r: &mut WireReader, rows: usize, column: &str) -> Result<NullMask> {
-    let n = r.get_len("null runs").map_err(wire_err)?;
-    let mut mask = NullMask::none();
-    let mut idx = 0usize;
-    let mut is_null = false;
+    let mut mins = Vec::with_capacity(n.min(r.remaining()));
+    let mut maxs = Vec::with_capacity(n.min(r.remaining()));
     for _ in 0..n {
-        let run = r.get_varint().map_err(wire_err)? as usize;
-        if is_null {
-            for i in idx..(idx + run).min(rows) {
-                mask.set_null(i, rows);
-            }
-        }
-        idx += run;
-        is_null = !is_null;
+        mins.push(get(r).map_err(wire_err)?);
+        maxs.push(get(r).map_err(wire_err)?);
     }
-    if idx != rows {
-        return Err(Error::RowCountMismatch {
-            column: column.to_string(),
-            declared: rows,
-            actual: idx,
+    ZoneMap::from_parts(mins, maxs)
+        .ok_or_else(|| parse_err(format!("column {column:?}: malformed zone map")))
+}
+
+/// One column's fully-parsed header metadata.
+struct ColMeta {
+    name: String,
+    kind: ColumnKind,
+    nulls: NullMask,
+    payload: PayloadMeta,
+}
+
+enum PayloadMeta {
+    Int {
+        storage: IntMeta<i64>,
+        zones: ZoneMap<i64>,
+    },
+    Double {
+        rel: usize,
+        zones: ZoneMap<f64>,
+    },
+    Dict {
+        dict: Arc<Dictionary>,
+        codes: IntMeta<u32>,
+        zones: ZoneMap<u32>,
+    },
+}
+
+struct Header {
+    rows: usize,
+    columns: Vec<ColMeta>,
+    /// Absolute byte offset of the first payload section.
+    payload_base: usize,
+}
+
+/// Read one dictionary code, rejecting an oversized varint instead of
+/// silently wrapping it into a (possibly valid) smaller code.
+fn get_code(r: &mut WireReader) -> std::result::Result<u32, hillview_net::Error> {
+    let v = r.get_varint()?;
+    u32::try_from(v).map_err(|_| hillview_net::Error::BadLength {
+        context: "dictionary code",
+        len: v,
+    })
+}
+
+/// Parse a header blob (the bytes after magic + length word).
+fn parse_header(hdr: Bytes, payload_base: usize) -> Result<Header> {
+    let hdr_len = hdr.len();
+    let mut r = WireReader::new(hdr);
+    let cols = r.get_len("columns").map_err(wire_err)?;
+    let rows = r.get_len("rows").map_err(wire_err)?;
+    // Every column persists a zone map of at least two bytes per 64-row
+    // block, so the header's own length bounds the rows it can describe —
+    // and with them every null mask and row loop below.
+    if cols > 0 && rows.div_ceil(BLOCK_ROWS) > hdr_len / 2 {
+        return Err(parse_err(format!(
+            "{rows} rows exceed what a {hdr_len}-byte header can describe"
+        )));
+    }
+    let mut columns = Vec::with_capacity(cols.min(r.remaining()));
+    for _ in 0..cols {
+        let name = r.get_str().map_err(wire_err)?;
+        let kind = byte_kind(r.get_u8().map_err(wire_err)?)?;
+        let nulls = decode_null_runs(&mut r, rows, &name)?;
+        let payload = match kind {
+            ColumnKind::Int | ColumnKind::Date => {
+                let storage = decode_int_meta(&mut r, rows, &name, |r| r.get_i64())?;
+                let zones = decode_zones(&mut r, rows, &name, |r| r.get_i64())?;
+                PayloadMeta::Int { storage, zones }
+            }
+            ColumnKind::Double => {
+                let declared = r.get_len("values").map_err(wire_err)?;
+                if declared != rows {
+                    return Err(row_count_mismatch(&name, rows, declared));
+                }
+                let rel = r.get_len("section offset").map_err(wire_err)?;
+                let zones = decode_zones(&mut r, rows, &name, |r| r.get_f64())?;
+                PayloadMeta::Double { rel, zones }
+            }
+            ColumnKind::String | ColumnKind::Category => {
+                let dict_len = r.get_len("dict").map_err(wire_err)?;
+                let mut db = DictionaryBuilder::new();
+                for _ in 0..dict_len {
+                    db.intern(&r.get_str().map_err(wire_err)?);
+                }
+                // Interning dedups, which would shift every later code.
+                if db.len() != dict_len {
+                    return Err(parse_err(format!(
+                        "column {name:?}: duplicate dictionary entries"
+                    )));
+                }
+                let codes = decode_int_meta(&mut r, rows, &name, get_code)?;
+                let zones = decode_zones(&mut r, rows, &name, get_code)?;
+                PayloadMeta::Dict {
+                    dict: Arc::new(db.finish()),
+                    codes,
+                    zones,
+                }
+            }
+        };
+        columns.push(ColMeta {
+            name,
+            kind,
+            nulls,
+            payload,
         });
     }
-    Ok(mask)
+    Ok(Header {
+        rows,
+        columns,
+        payload_base,
+    })
 }
 
-/// Verify every decoded dictionary code stays inside the dictionary,
-/// matching the per-value check v1 performed while reading plain codes.
-/// `null_count` guards the empty-dictionary case: a dictionary can only be
-/// empty when every row is null (present rows would dereference it).
-pub(crate) fn validate_codes(
-    codes: &IntStorage<u32>,
-    dict_len: usize,
-    null_count: usize,
-    column: &str,
-) -> Result<()> {
-    if dict_len == 0 {
-        if null_count < codes.len() {
-            return Err(parse_err(format!(
-                "column {column:?}: empty dictionary but {} non-null rows",
-                codes.len() - null_count
-            )));
+// ---------------------------------------------------------------------------
+// Materialization (heap and mapped share everything but the ValueBuf source)
+// ---------------------------------------------------------------------------
+
+/// Where payload sections come from: a fully-read file image (heap tier,
+/// decoded via explicit LE reads — endian-independent) or a lazily
+/// resident [`Segment`] (zero-copy windows, little-endian only).
+enum Source<'a> {
+    Owned(&'a [u8]),
+    Mapped(Arc<Segment>),
+}
+
+impl Source<'_> {
+    fn buf<T: Pod>(
+        &self,
+        base: usize,
+        rel: usize,
+        len: usize,
+        column: &str,
+    ) -> Result<ValueBuf<T>> {
+        let off = base
+            .checked_add(rel)
+            .ok_or_else(|| parse_err(format!("column {column:?}: section offset overflows")))?;
+        match self {
+            Source::Owned(bytes) => {
+                let nbytes = len.checked_mul(T::BYTES).ok_or_else(|| {
+                    parse_err(format!("column {column:?}: section length overflows"))
+                })?;
+                let end = off.checked_add(nbytes).ok_or_else(|| {
+                    parse_err(format!("column {column:?}: section length overflows"))
+                })?;
+                if end > bytes.len() {
+                    return Err(parse_err(format!(
+                        "column {column:?}: section {off}..{end} exceeds file length {}",
+                        bytes.len()
+                    )));
+                }
+                let mut v = Vec::with_capacity(len);
+                for chunk in bytes[off..end].chunks_exact(T::BYTES) {
+                    v.push(T::read_le(chunk));
+                }
+                Ok(v.into())
+            }
+            Source::Mapped(seg) => ValueBuf::mapped(Arc::clone(seg), off, len)
+                .map_err(|e| parse_err(format!("column {column:?}: {e}"))),
         }
-        return Ok(());
     }
+}
+
+fn build_int_storage<T: Pod + PackedInt>(
+    meta: IntMeta<T>,
+    rows: usize,
+    src: &Source<'_>,
+    base: usize,
+    column: &str,
+) -> Result<IntStorage<T>> {
+    match meta {
+        IntMeta::Plain { rel } => Ok(IntStorage::Plain(src.buf::<T>(base, rel, rows, column)?)),
+        IntMeta::BitPacked {
+            base: frame,
+            width,
+            nwords,
+            rel,
+        } => {
+            let words = src.buf::<u64>(base, rel, nwords, column)?;
+            IntStorage::from_bit_packed_buf(frame, width, rows, words).ok_or_else(|| {
+                parse_err(format!(
+                    "column {column:?}: inconsistent bit-packed section (width {width}, {nwords} words for {rows} rows)"
+                ))
+            })
+        }
+        IntMeta::RunLength { values, ends } => IntStorage::from_run_length(values, ends)
+            .ok_or_else(|| parse_err(format!("column {column:?}: malformed run-length section"))),
+        IntMeta::Delta {
+            anchors,
+            width,
+            nwords,
+            rel,
+        } => {
+            let nanchors = anchors.len();
+            let words = src.buf::<u64>(base, rel, nwords, column)?;
+            IntStorage::from_delta_buf(anchors, width, rows, words).ok_or_else(|| {
+                parse_err(format!(
+                    "column {column:?}: inconsistent delta section (width {width}, {nanchors} anchors, {nwords} words for {rows} rows)"
+                ))
+            })
+        }
+    }
+}
+
+/// Verify every decoded dictionary code stays inside the dictionary — the
+/// heap path's full check; it reads the whole code payload.
+fn validate_codes(codes: &IntStorage<u32>, dict_len: usize, column: &str) -> Result<()> {
     let check = |code: u32| -> Result<()> {
         if code as usize >= dict_len {
             Err(parse_err(format!(
@@ -416,120 +701,95 @@ pub(crate) fn validate_codes(
     }
 }
 
-/// Decode a table from HVC bytes.
-pub fn decode(bytes: Bytes) -> Result<Table> {
-    let mut r = WireReader::new(bytes);
-    for expect in MAGIC {
-        let b = r.get_u8().map_err(wire_err)?;
-        if b != *expect {
-            return Err(parse_err("bad magic"));
-        }
-    }
-    let cols = r.get_len("columns").map_err(wire_err)?;
-    let rows = r.get_len("rows").map_err(wire_err)?;
+/// Assemble a [`Table`] from a parsed header and a payload source.
+/// `deep_validate` runs the full dictionary-code check (heap path); the
+/// mapped path instead bounds codes by the persisted zone maxima, which
+/// never touches payload bytes.
+fn build_table(header: Header, src: &Source<'_>, deep_validate: bool) -> Result<Table> {
+    let base = header.payload_base;
+    let rows = header.rows;
     let mut builder = Table::builder();
-    for _ in 0..cols {
-        let name = r.get_str().map_err(wire_err)?;
-        let kind = byte_kind(r.get_u8().map_err(wire_err)?, 0)?;
-        let nulls = decode_null_runs(&mut r, rows, &name)?;
-        let column = match kind {
-            ColumnKind::Int | ColumnKind::Date => {
-                let storage = decode_i64_storage(&mut r, rows, &name)?;
-                let ic = I64Column::with_storage(storage, nulls);
-                if kind == ColumnKind::Int {
+    for cm in header.columns {
+        let column = match cm.payload {
+            PayloadMeta::Int { storage, zones } => {
+                let st = build_int_storage(storage, rows, src, base, &cm.name)?;
+                let ic = I64Column::with_storage_and_zones(st, cm.nulls, zones);
+                if cm.kind == ColumnKind::Int {
                     Column::Int(ic)
                 } else {
                     Column::Date(ic)
                 }
             }
-            ColumnKind::Double => {
-                let declared = r.get_len("values").map_err(wire_err)?;
-                if declared != rows {
-                    return Err(Error::RowCountMismatch {
-                        column: name.clone(),
-                        declared: rows,
-                        actual: declared,
-                    });
-                }
-                let mut data = Vec::with_capacity(rows.min(1 << 20));
-                for _ in 0..rows {
-                    data.push(r.get_f64().map_err(wire_err)?);
-                }
-                Column::Double(F64Column::new(data, nulls))
+            PayloadMeta::Double { rel, zones } => {
+                let data = src.buf::<f64>(base, rel, rows, &cm.name)?;
+                Column::Double(F64Column::from_parts(data, cm.nulls, zones))
             }
-            ColumnKind::String | ColumnKind::Category => {
-                let dict_len = r.get_len("dict").map_err(wire_err)?;
-                let mut db = DictionaryBuilder::new();
-                for _ in 0..dict_len {
-                    db.intern(&r.get_str().map_err(wire_err)?);
+            PayloadMeta::Dict { dict, codes, zones } => {
+                let st = build_int_storage(codes, rows, src, base, &cm.name)?;
+                if dict.is_empty() {
+                    // Only an all-null column can do without entries: a
+                    // present row would dereference one.
+                    let present = rows - cm.nulls.null_count();
+                    if present > 0 {
+                        return Err(parse_err(format!(
+                            "column {:?}: empty dictionary but {present} non-null rows",
+                            cm.name
+                        )));
+                    }
+                } else if deep_validate {
+                    validate_codes(&st, dict.len(), &cm.name)?;
+                } else if let Some(&max) = zones.maxs().iter().find(|&&m| m as usize >= dict.len())
+                {
+                    return Err(parse_err(format!(
+                        "column {:?}: zone max code {max} out of dictionary range {}",
+                        cm.name,
+                        dict.len()
+                    )));
                 }
-                let dict = std::sync::Arc::new(db.finish());
-                let codes = decode_int_storage(&mut r, rows, &name, |r| {
-                    let v = r.get_varint()?;
-                    // Reject oversized varints instead of silently wrapping
-                    // into a (possibly valid) smaller code.
-                    u32::try_from(v).map_err(|_| hillview_net::Error::BadLength {
-                        context: "dictionary code",
-                        len: v,
-                    })
-                })?;
-                validate_codes(&codes, dict_len, nulls.null_count(), &name)?;
-                let dc = DictColumn::with_storage(codes, dict, nulls);
-                if kind == ColumnKind::String {
+                let dc = DictColumn::with_storage_and_zones(st, dict, cm.nulls, zones);
+                if cm.kind == ColumnKind::String {
                     Column::Str(dc)
                 } else {
                     Column::Cat(dc)
                 }
             }
         };
-        builder = builder.column(&name, kind, column);
+        builder = builder.column(&cm.name, cm.kind, column);
     }
     Ok(builder.build()?)
 }
 
-/// Decode an `i64` payload: plain sections undo the delta-of-previous
-/// transform, packed sections go through the shared reader.
-fn decode_i64_storage(r: &mut WireReader, rows: usize, column: &str) -> Result<IntStorage<i64>> {
-    // Read the encoding byte first: plain i64 needs the delta transform,
-    // which the generic reader does not apply.
-    let enc = r.get_u8().map_err(wire_err)?;
-    if enc == ENC_PLAIN {
-        let declared = r.get_len("values").map_err(wire_err)?;
-        if declared != rows {
-            return Err(Error::RowCountMismatch {
-                column: column.to_string(),
-                declared: rows,
-                actual: declared,
-            });
-        }
-        let mut data = Vec::with_capacity(rows.min(1 << 20));
-        let mut prev = 0i64;
-        for _ in 0..rows {
-            prev = prev.wrapping_add(r.get_i64().map_err(wire_err)?);
-            data.push(prev);
-        }
-        Ok(IntStorage::Plain(data.into()))
-    } else {
-        decode_int_storage_body(r, enc, rows, column, |r| r.get_i64())
+// ---------------------------------------------------------------------------
+// Public entry points
+// ---------------------------------------------------------------------------
+
+/// Check an image's preamble — magic, then the header blob's length as a
+/// `u32` LE — against the image's total length, so nothing downstream
+/// allocates or slices by an unchecked length. Returns the header length.
+fn check_preamble(preamble: &[u8], image_len: u64) -> Result<usize> {
+    if !preamble.starts_with(MAGIC) {
+        return Err(parse_err("bad magic"));
     }
+    let word = preamble
+        .get(4..8)
+        .ok_or_else(|| parse_err("file too short for header length"))?;
+    let header_len = u32::from_le_bytes(word.try_into().expect("4 bytes"));
+    if 8 + u64::from(header_len) > image_len {
+        return Err(parse_err("header exceeds file length"));
+    }
+    Ok(header_len as usize)
 }
 
-/// Write a table to a file, in the current on-disk version (v3: 64-byte
-/// aligned raw-LE payload sections behind a self-contained header, so the
-/// file can be mapped and scanned zero-copy — see [`v3`]). The v2 wire
-/// format ([`encode`]/[`decode`]) is unchanged; use [`write_file_v2`] to
-/// produce a v2 file for an older reader.
+/// Decode a complete HVC file image into fully heap-resident columns.
+pub fn decode(bytes: &[u8]) -> Result<Table> {
+    let header_len = check_preamble(bytes, bytes.len() as u64)?;
+    let hdr = Bytes::copy_from_slice(&bytes[8..8 + header_len]);
+    let header = parse_header(hdr, align_up(8 + header_len))?;
+    build_table(header, &Source::Owned(bytes), true)
+}
+
+/// Write a table to a file.
 pub fn write_file(table: &Table, path: impl AsRef<Path>) -> Result<()> {
-    let bytes = v3::encode(table);
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    f.write_all(&bytes)?;
-    f.flush()?;
-    Ok(())
-}
-
-/// Write a table in the v2 (wire) layout — varint-packed, unaligned, not
-/// mappable — for interchange with readers predating v3.
-pub fn write_file_v2(table: &Table, path: impl AsRef<Path>) -> Result<()> {
     let bytes = encode(table);
     let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
     f.write_all(&bytes)?;
@@ -537,156 +797,214 @@ pub fn write_file_v2(table: &Table, path: impl AsRef<Path>) -> Result<()> {
     Ok(())
 }
 
-/// Read a table from a file into fully heap-resident columns, sniffing the
-/// version from the magic (v2 and v3 both readable). For lazy, file-backed
-/// columns use [`read_file_mapped`]; to inspect a file without reading its
-/// payload use [`probe_file`].
+/// Read a table from a file into fully heap-resident columns. For lazy,
+/// file-backed columns use [`read_file_mapped`]; to inspect a file without
+/// reading its payload use [`probe_file`].
 pub fn read_file(path: impl AsRef<Path>) -> Result<Table> {
+    decode(&std::fs::read(path)?)
+}
+
+/// Read and parse a file's header — and nothing after it.
+fn read_header(path: &Path) -> Result<Header> {
     let mut f = std::fs::File::open(path)?;
-    let mut buf = Vec::new();
-    f.read_to_end(&mut buf)?;
-    if buf.starts_with(v3::MAGIC3) {
-        return v3::decode_owned(&buf);
+    let file_len = f.metadata()?.len();
+    let mut preamble = Vec::with_capacity(8);
+    Read::by_ref(&mut f).take(8).read_to_end(&mut preamble)?;
+    let header_len = check_preamble(&preamble, file_len)?;
+    let mut hdr = vec![0u8; header_len];
+    f.read_exact(&mut hdr)
+        .map_err(|_| parse_err("header exceeds file length"))?;
+    parse_header(Bytes::from(hdr), align_up(8 + header_len))
+}
+
+/// Open a file as lazily-resident, file-backed columns: bulk payloads
+/// become zero-copy [`ValueBuf`] windows over a [`Segment`] attached to
+/// `cache`, and no payload byte is read until a scan touches it. An open
+/// on a big-endian host transparently falls back to the heap-resident
+/// [`read_file`] path.
+pub fn read_file_mapped(
+    path: impl AsRef<Path>,
+    cache: &Arc<BlockCache>,
+    mode: SegmentMode,
+) -> Result<Table> {
+    let path = path.as_ref();
+    if cfg!(target_endian = "big") {
+        return read_file(path);
     }
-    decode(Bytes::from(buf))
+    let header = read_header(path)?;
+    let seg = Segment::open(path, mode, cache)?;
+    build_table(header, &Source::Mapped(seg), false)
+}
+
+/// What [`probe_file`] learns from a file's header alone.
+#[derive(Debug, Clone)]
+pub struct FileInfo {
+    /// Number of columns.
+    pub columns: usize,
+    /// Number of rows.
+    pub rows: usize,
+    /// Full schema (the header is self-contained).
+    pub schema: Schema,
+}
+
+/// Probe a file's dimensions and schema by reading only its header — never
+/// the column payloads. This is what partition loading uses to plan shard
+/// assignment without faulting data in.
+pub fn probe_file(path: impl AsRef<Path>) -> Result<FileInfo> {
+    let header = read_header(path.as_ref())?;
+    let descs: Vec<ColumnDesc> = header
+        .columns
+        .iter()
+        .map(|c| ColumnDesc::new(&c.name, c.kind))
+        .collect();
+    Ok(FileInfo {
+        columns: header.columns.len(),
+        rows: header.rows,
+        schema: Schema::from_descs(descs)?,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hillview_columnar::encoding::EncodingKind;
-    use hillview_columnar::Value;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use hillview_columnar::{TempDir, Value};
 
-    fn sample_table() -> Table {
+    /// Every column kind, every integer encoding, nulls in each family.
+    fn mixed_table(n: usize) -> Table {
         Table::builder()
             .column(
-                "Id",
+                "seq",
                 ColumnKind::Int,
-                Column::Int(I64Column::from_options([
-                    Some(100),
-                    Some(101),
-                    None,
-                    Some(103),
-                ])),
+                Column::Int(I64Column::new(
+                    (0..n as i64).map(|i| 1_000_000 + i * 3).collect(),
+                    NullMask::none(),
+                )),
             )
             .column(
-                "When",
-                ColumnKind::Date,
-                Column::Date(I64Column::from_options([
-                    Some(1_700_000_000_000),
-                    Some(1_700_000_000_100),
-                    Some(1_700_000_000_200),
-                    Some(1_700_000_000_300),
-                ])),
+                "bucket",
+                ColumnKind::Int,
+                Column::Int(I64Column::from_options((0..n).map(|i| {
+                    if i % 17 == 3 {
+                        None
+                    } else {
+                        Some((i as i64 * 7919) % 512)
+                    }
+                }))),
             )
             .column(
-                "Score",
+                "rl",
+                ColumnKind::Int,
+                Column::Int(I64Column::new(
+                    (0..n as i64).map(|i| i / 100).collect(),
+                    NullMask::none(),
+                )),
+            )
+            .column(
+                "noise",
+                ColumnKind::Int,
+                Column::Int(I64Column::plain(
+                    (0..n as i64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect(),
+                    NullMask::none(),
+                )),
+            )
+            .column(
+                "score",
                 ColumnKind::Double,
-                Column::Double(F64Column::from_options([
-                    Some(1.5),
-                    None,
-                    Some(-2.25),
-                    Some(0.0),
-                ])),
+                Column::Double(F64Column::from_options((0..n).map(|i| {
+                    if i % 13 == 0 {
+                        None
+                    } else {
+                        Some(i as f64 * 0.25 - 100.0)
+                    }
+                }))),
             )
             .column(
-                "Tag",
+                "tag",
                 ColumnKind::Category,
-                Column::Cat(DictColumn::from_strings([
-                    Some("red"),
-                    Some("blue"),
-                    Some("red"),
-                    None,
-                ])),
+                Column::Cat(DictColumn::from_strings((0..n).map(|i| {
+                    if i % 11 == 5 {
+                        None
+                    } else {
+                        Some(["red", "green", "blue", "teal"][i % 4])
+                    }
+                }))),
+            )
+            .column(
+                "when",
+                ColumnKind::Date,
+                Column::Date(I64Column::from_options((0..n).map(|i| {
+                    if i % 19 == 7 {
+                        None
+                    } else {
+                        Some(1_700_000_000_000 + i as i64 * 250)
+                    }
+                }))),
+            )
+            .column(
+                "word",
+                ColumnKind::String,
+                Column::Str(DictColumn::from_strings(
+                    (0..n).map(|i| Some(["a", "bb", "", "dddd", "e,\"e"][i % 5])),
+                )),
             )
             .build()
             .unwrap()
     }
 
-    #[test]
-    fn round_trip_preserves_everything() {
-        let t = sample_table();
-        let t2 = decode(encode(&t)).unwrap();
-        assert_eq!(t2.num_rows(), t.num_rows());
-        assert_eq!(t2.num_columns(), t.num_columns());
-        for r in 0..t.num_rows() {
-            assert_eq!(t2.full_row(r), t.full_row(r), "row {r}");
+    fn assert_tables_identical(a: &Table, b: &Table) {
+        assert_eq!(a.num_rows(), b.num_rows());
+        assert_eq!(a.num_columns(), b.num_columns());
+        for c in 0..a.num_columns() {
+            assert_eq!(a.schema().desc(c), b.schema().desc(c), "desc {c}");
         }
-        for c in 0..t.num_columns() {
-            assert_eq!(
-                t2.schema().desc(c).kind,
-                t.schema().desc(c).kind,
-                "kind of col {c}"
-            );
+        for r in 0..a.num_rows() {
+            assert_eq!(a.full_row(r), b.full_row(r), "row {r}");
         }
     }
 
+    fn one_int_column(values: impl Iterator<Item = i64>, kind: ColumnKind) -> Table {
+        let col = I64Column::new(values.collect(), NullMask::none());
+        let col = if kind == ColumnKind::Date {
+            Column::Date(col)
+        } else {
+            Column::Int(col)
+        };
+        Table::builder().column("X", kind, col).build().unwrap()
+    }
+
     #[test]
-    fn round_trip_preserves_encoding_without_inflating() {
-        // Build columns under each forced in-memory encoding and check the
-        // decoded table carries the identical variant.
-        let sorted: Vec<i64> = (0..4000).map(|i| i / 100).collect();
-        let packed: Vec<i64> = (0..4000).map(|i| (i * 7919) % 512).collect();
-        let plain: Vec<i64> = (0..4000)
-            .map(|i: i64| i.wrapping_mul(0x5851_F42D_4C95_7F2D))
-            .collect();
-        let sequential: Vec<i64> = (0..4000).map(|i| 1_000_000 + i * 3).collect();
-        let t = Table::builder()
-            .column(
-                "RL",
-                ColumnKind::Int,
-                Column::Int(I64Column::new(sorted, NullMask::none())),
-            )
-            .column(
-                "BP",
-                ColumnKind::Int,
-                Column::Int(I64Column::new(packed, NullMask::none())),
-            )
-            .column(
-                "PL",
-                ColumnKind::Int,
-                Column::Int(I64Column::plain(plain, NullMask::none())),
-            )
-            .column(
-                "DL",
-                ColumnKind::Int,
-                Column::Int(I64Column::new(sequential, NullMask::none())),
-            )
-            .build()
-            .unwrap();
-        let t2 = decode(encode(&t)).unwrap();
+    fn round_trip_preserves_everything() {
+        let t = mixed_table(700);
+        assert_tables_identical(&t, &decode(&encode(&t)).unwrap());
+    }
+
+    #[test]
+    fn round_trip_preserves_encoding_and_zones() {
+        let t = mixed_table(4000);
+        let t2 = decode(&encode(&t)).unwrap();
         for (name, kind) in [
-            ("RL", EncodingKind::RunLength),
-            ("BP", EncodingKind::BitPacked),
-            ("PL", EncodingKind::Plain),
-            ("DL", EncodingKind::Delta),
+            ("seq", EncodingKind::Delta),
+            ("bucket", EncodingKind::BitPacked),
+            ("rl", EncodingKind::RunLength),
+            ("noise", EncodingKind::Plain),
         ] {
-            let c = t.column_by_name(name).unwrap().as_i64_col().unwrap();
-            let c2 = t2.column_by_name(name).unwrap().as_i64_col().unwrap();
-            assert_eq!(c.storage().kind(), kind, "in-memory {name}");
-            assert_eq!(c2.storage().kind(), kind, "decoded {name}");
-            assert_eq!(c2.storage(), c.storage(), "identical storage {name}");
+            let a = t.column_by_name(name).unwrap().as_i64_col().unwrap();
+            let b = t2.column_by_name(name).unwrap().as_i64_col().unwrap();
+            assert_eq!(a.storage().kind(), kind, "{name}");
+            assert_eq!(a.storage(), b.storage(), "{name}");
+            assert_eq!(a.zones().mins(), b.zones().mins(), "{name} zone mins");
+            assert_eq!(a.zones().maxs(), b.zones().maxs(), "{name} zone maxs");
         }
     }
 
     #[test]
     fn packed_columns_shrink_the_file() {
         let n = 100_000usize;
-        let t = Table::builder()
-            .column(
-                "Bucketed",
-                ColumnKind::Int,
-                Column::Int(I64Column::new(
-                    (0..n as i64).map(|i| i / 50).collect(),
-                    NullMask::none(),
-                )),
-            )
-            .build()
-            .unwrap();
+        let t = one_int_column((0..n as i64).map(|i| i / 50), ColumnKind::Int);
         let bytes = encode(&t);
         assert!(
-            bytes.len() < n, // < 1 byte/row; plain would be several
+            bytes.len() < n, // < 1 byte/row; plain would be eight
             "{} bytes for {} run-length rows",
             bytes.len(),
             n
@@ -698,16 +1016,10 @@ mod tests {
         // Dates are near-sequential: whatever encoding ingest picks must
         // still beat 3 bytes/value on disk.
         let n = 10_000usize;
-        let t = Table::builder()
-            .column(
-                "When",
-                ColumnKind::Date,
-                Column::Date(I64Column::from_options(
-                    (0..n).map(|i| Some(1_700_000_000_000 + (i as i64) * 250)),
-                )),
-            )
-            .build()
-            .unwrap();
+        let t = one_int_column(
+            (0..n as i64).map(|i| 1_700_000_000_000 + i * 250),
+            ColumnKind::Date,
+        );
         let bytes = encode(&t);
         assert!(
             bytes.len() < n * 3,
@@ -719,131 +1031,427 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        // pid + a process-wide counter: no other test, in this process or
-        // another, shares the path.
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let path =
-            std::env::temp_dir().join(format!("hillview-hvc-test-{}-{n}.hvc", std::process::id()));
-        let t = sample_table();
-        write_file(&t, &path).unwrap();
-        let t2 = read_file(&path).unwrap();
-        assert_eq!(t2.get(0, "Tag").unwrap(), Value::str("red"));
-        assert_eq!(t2.get(2, "Id").unwrap(), Value::Missing);
-        std::fs::remove_file(&path).unwrap();
+        let d = TempDir::new("hvc-file");
+        let t = mixed_table(300);
+        let p = d.join("t.hvc");
+        write_file(&t, &p).unwrap();
+        assert_tables_identical(&t, &read_file(&p).unwrap());
     }
 
     #[test]
-    fn corrupt_inputs_rejected() {
-        assert!(decode(Bytes::from_static(b"NOPE")).is_err());
-        let good = encode(&sample_table());
-        let truncated = good.slice(0..good.len() / 2);
-        assert!(decode(truncated).is_err());
-        // Flip a code into out-of-range territory: corrupt tail bytes.
-        let mut corrupt = good.to_vec();
-        let len = corrupt.len();
-        corrupt[len - 1] = 0xFF;
-        // Either a parse error or trailing-bytes style failure — must not
-        // panic or succeed silently.
-        let r = decode(Bytes::from(corrupt));
-        assert!(r.is_err() || r.is_ok()); // no panic is the contract
-    }
-
-    /// Helper building a single-int-column file whose payload we then
-    /// corrupt at specific positions.
-    fn packed_int_file(values: Vec<i64>) -> Vec<u8> {
-        let t = Table::builder()
-            .column(
-                "X",
-                ColumnKind::Int,
-                Column::Int(I64Column::new(values, NullMask::none())),
-            )
-            .build()
-            .unwrap();
-        encode(&t).to_vec()
+    fn foreign_magic_is_rejected() {
+        // One container: any other magic — the retired wire-packed layout's
+        // included — is a structured parse error from every entry point.
+        let d = TempDir::new("hvc-magic");
+        let img = encode(&mixed_table(100));
+        assert_eq!(&img[0..4], MAGIC);
+        let old = d.join("old.hvc");
+        std::fs::write(&old, [b"HVC2", &img[4..]].concat()).unwrap();
+        let cache = BlockCache::unbounded();
+        for err in [
+            read_file(&old).unwrap_err(),
+            read_file_mapped(&old, &cache, SegmentMode::Auto).unwrap_err(),
+            probe_file(&old).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, Error::Parse { message, .. } if message == "bad magic"),
+                "got {err}"
+            );
+        }
     }
 
     #[test]
-    fn declared_row_count_mismatch_is_structured() {
-        // 200 sorted low-cardinality rows → run-length payload. Lie about
-        // the table's row count (byte right after the 4-byte magic + column
-        // count varint): 200 fits one varint byte.
-        let mut bytes = packed_int_file((0..200).map(|i| i / 20).collect());
-        // Layout: magic(4) | cols=1 (1 byte) | rows=200 (2-byte varint)...
-        // Patch rows to 199 (also 2 bytes: 0xC7 0x01).
-        assert_eq!(&bytes[5..7], &[0xC8, 0x01], "expected varint 200");
-        bytes[5] = 0xC7;
-        let err = decode(Bytes::from(bytes)).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                Error::RowCountMismatch {
-                    declared: 199,
-                    actual: 200,
-                    ..
-                }
-            ),
-            "got {err}"
-        );
+    fn payload_sections_are_64_byte_aligned() {
+        let t = mixed_table(500);
+        let img = encode(&t);
+        let header_len = check_preamble(&img, img.len() as u64).unwrap();
+        let payload_base = align_up(8 + header_len);
+        let hdr = Bytes::copy_from_slice(&img[8..8 + header_len]);
+        let header = parse_header(hdr, payload_base).unwrap();
+        for cm in &header.columns {
+            let rels: Vec<usize> = match &cm.payload {
+                PayloadMeta::Int { storage, .. } => match storage {
+                    IntMeta::Plain { rel }
+                    | IntMeta::BitPacked { rel, .. }
+                    | IntMeta::Delta { rel, .. } => vec![*rel],
+                    IntMeta::RunLength { .. } => vec![],
+                },
+                PayloadMeta::Double { rel, .. } => vec![*rel],
+                PayloadMeta::Dict { codes, .. } => match codes {
+                    IntMeta::Plain { rel }
+                    | IntMeta::BitPacked { rel, .. }
+                    | IntMeta::Delta { rel, .. } => vec![*rel],
+                    IntMeta::RunLength { .. } => vec![],
+                },
+            };
+            for rel in rels {
+                assert_eq!(rel % ALIGN, 0, "column {:?} section at {rel}", cm.name);
+            }
+        }
+    }
+
+    #[test]
+    fn mapped_read_bit_identical_to_heap_in_every_mode() {
+        let d = TempDir::new("hvc-mapped");
+        let t = mixed_table(2000);
+        let p = d.join("mapped.hvc");
+        write_file(&t, &p).unwrap();
+        let heap = read_file(&p).unwrap();
+        assert_tables_identical(&t, &heap);
+        let modes: &[SegmentMode] = &[
+            SegmentMode::Auto,
+            SegmentMode::Pread,
+            SegmentMode::Heap,
+            #[cfg(feature = "ooc")]
+            SegmentMode::Mmap,
+        ];
+        for &mode in modes {
+            let cache = BlockCache::unbounded();
+            let m = read_file_mapped(&p, &cache, mode).unwrap();
+            assert_tables_identical(&heap, &m);
+            // Storage-level equality: same variant, same decoded values.
+            for name in ["seq", "bucket", "rl", "noise"] {
+                let a = heap.column_by_name(name).unwrap().as_i64_col().unwrap();
+                let b = m.column_by_name(name).unwrap().as_i64_col().unwrap();
+                assert_eq!(a.storage(), b.storage(), "{name} under {mode:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn mapped_open_reads_no_payload() {
+        let d = TempDir::new("hvc-lazy");
+        let t = mixed_table(5000);
+        let p = d.join("lazy.hvc");
+        write_file(&t, &p).unwrap();
+        let cache = BlockCache::unbounded();
+        let m = read_file_mapped(&p, &cache, SegmentMode::Pread).unwrap();
+        assert_eq!(cache.stats().faults, 0, "open faulted payload in");
+        assert!(m.mapped_bytes() > 0, "columns are file-backed");
+        // First actual access faults.
+        let _ = m.column_by_name("noise").unwrap().value(4321);
+        assert!(cache.stats().faults > 0);
+    }
+
+    #[test]
+    fn probe_reads_header_only() {
+        let d = TempDir::new("hvc-probe");
+        let t = mixed_table(600);
+        let p = d.join("probe.hvc");
+        write_file(&t, &p).unwrap();
+        let info = probe_file(&p).unwrap();
+        assert_eq!(info.rows, 600);
+        assert_eq!(info.columns, 8);
+        assert_eq!(info.schema.descs(), t.schema().descs());
+        // Truncate the file to magic + header: the probe still succeeds
+        // (proof it never reads payload), while a full read fails.
+        let bytes = std::fs::read(&p).unwrap();
+        let header_len = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
+        let cut = d.join("probe-cut.hvc");
+        std::fs::write(&cut, &bytes[..8 + header_len]).unwrap();
+        assert_eq!(probe_file(&cut).unwrap().rows, 600);
+        assert!(read_file(&cut).is_err());
+    }
+
+    #[test]
+    fn header_length_is_checked_against_the_file_before_allocating() {
+        // The length word is the first thing a reader trusts: a value past
+        // the end of the file must be refused before it sizes a buffer.
+        let d = TempDir::new("hvc-hdrlen");
+        let img = encode(&mixed_table(100));
+        let mut one_past = img.clone();
+        one_past[4..8].copy_from_slice(&(img.len() as u32 - 8 + 1).to_le_bytes());
+        let bare = [&MAGIC[..], &u32::MAX.to_le_bytes()].concat();
+        let cache = BlockCache::unbounded();
+        for (name, bytes) in [("one-past.hvc", one_past), ("bare.hvc", bare)] {
+            let p = d.join(name);
+            std::fs::write(&p, &bytes).unwrap();
+            for err in [
+                probe_file(&p).unwrap_err(),
+                read_file_mapped(&p, &cache, SegmentMode::Auto).unwrap_err(),
+                read_file(&p).unwrap_err(),
+            ] {
+                assert!(
+                    err.to_string().contains("header exceeds file length"),
+                    "{name}: got {err}"
+                );
+            }
+        }
+    }
+
+    // Structural faults, one field at a time, in hand-written headers.
+
+    /// A one-column image — column "X" of kind byte `kind`, `rows` rows all
+    /// present — whose header after the null runs is written by `body`,
+    /// with `payload` as the section at offset 0.
+    fn crafted(
+        kind: u8,
+        rows: u64,
+        payload: Vec<u8>,
+        body: impl FnOnce(&mut WireWriter),
+    ) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_varint(1); // columns
+        w.put_varint(rows);
+        w.put_str("X");
+        w.put_u8(kind);
+        w.put_varint(1); // one null run...
+        w.put_varint(rows); // ...of present rows
+        body(&mut w);
+        let mut sections = Sections::default();
+        sections.push(payload);
+        assemble(&w.finish(), sections)
+    }
+
+    /// One zone block of `(0, 0)` — the map of any column of ≤ 64 rows.
+    fn zones(w: &mut WireWriter) {
+        w.put_varint(1);
+        w.put_varint(0);
+        w.put_varint(0);
+    }
+
+    /// Two Int rows, bit-packed: well-formed at `(4, 1)`.
+    fn bit_packed_image(width: u8, nwords: u64) -> Vec<u8> {
+        crafted(kind_byte(ColumnKind::Int), 2, vec![0; 16], |w| {
+            w.put_u8(ENC_BIT_PACKED);
+            w.put_varint(2);
+            w.put_i64(5);
+            w.put_u8(width);
+            w.put_varint(nwords);
+            w.put_varint(0);
+            zones(w);
+        })
+    }
+
+    /// Two Int rows, run-length coded: well-formed when `lens` sums to 2.
+    fn run_length_image(lens: &[u64]) -> Vec<u8> {
+        crafted(kind_byte(ColumnKind::Int), 2, vec![], |w| {
+            w.put_u8(ENC_RUN_LENGTH);
+            w.put_varint(2);
+            w.put_varint(lens.len() as u64);
+            for &len in lens {
+                w.put_i64(1);
+                w.put_varint(len);
+            }
+            zones(w);
+        })
+    }
+
+    /// Two Int rows, delta coded: well-formed at `(1, 4)`.
+    fn delta_image(nanchors: u64, width: u8) -> Vec<u8> {
+        crafted(kind_byte(ColumnKind::Int), 2, vec![0; 16], |w| {
+            w.put_u8(ENC_DELTA);
+            w.put_varint(2);
+            w.put_varint(nanchors);
+            for _ in 0..nanchors {
+                w.put_i64(7);
+            }
+            w.put_u8(width);
+            w.put_varint(1);
+            w.put_varint(0);
+            zones(w);
+        })
+    }
+
+    /// Two String rows with plain codes: well-formed when `entries` are
+    /// distinct and cover both codes.
+    fn dict_image(entries: &[&str], codes: [u32; 2]) -> Vec<u8> {
+        let payload = codes.iter().flat_map(|c| c.to_le_bytes()).collect();
+        crafted(kind_byte(ColumnKind::String), 2, payload, |w| {
+            w.put_varint(entries.len() as u64);
+            for e in entries {
+                w.put_str(e);
+            }
+            w.put_u8(ENC_PLAIN);
+            w.put_varint(2);
+            w.put_varint(0);
+            zones(w);
+        })
+    }
+
+    #[track_caller]
+    fn assert_fault(img: &[u8], fault: &str) {
+        let err = decode(img).unwrap_err().to_string();
+        assert!(err.contains(fault), "expected {fault:?}, got {err}");
+    }
+
+    #[test]
+    fn corrupt_images_rejected() {
+        let img = encode(&mixed_table(400));
+        assert!(decode(b"NOPE0000").is_err());
+        // Truncations at many points must error, never panic.
+        for cut in [0, 3, 6, 20, img.len() / 4, img.len() / 2, img.len() - 1] {
+            assert!(decode(&img[..cut]).is_err(), "cut {cut} accepted");
+        }
+    }
+
+    #[test]
+    fn unknown_kind_and_encoding_bytes_rejected() {
+        assert_fault(&crafted(9, 2, vec![], |_| {}), "unknown column kind byte 9");
+        let enc = crafted(kind_byte(ColumnKind::Int), 2, vec![], |w| {
+            w.put_u8(9);
+            w.put_varint(2);
+        });
+        assert_fault(&enc, "unknown encoding byte 9");
     }
 
     #[test]
     fn corrupt_packed_sections_rejected() {
-        // Bit-packed column: truncating the word stream must error, not
-        // panic or fabricate rows.
-        let bp = packed_int_file((0..1000).map(|i| (i * 37) % 256).collect());
-        for cut in [bp.len() - 1, bp.len() - 9, bp.len() / 2] {
-            assert!(
-                decode(Bytes::copy_from_slice(&bp[..cut])).is_err(),
-                "truncation at {cut} accepted"
-            );
-        }
-        // Run-length column: zero-length and over-long runs must error.
-        let rl = packed_int_file((0..1000).map(|i| i / 100).collect());
-        let decoded = decode(Bytes::copy_from_slice(&rl)).unwrap();
-        assert_eq!(decoded.num_rows(), 1000);
-        let mut broken = rl.clone();
-        // The last run length varint is the final byte (100 = 0x64).
-        let last = broken.len() - 1;
-        assert_eq!(broken[last], 100);
-        broken[last] = 0; // zero-length run
-        assert!(decode(Bytes::from(broken)).is_err());
-        let mut short = rl.clone();
-        let last = short.len() - 1;
-        short[last] = 99; // runs now sum to 999 ≠ 1000
-        let err = decode(Bytes::from(short)).unwrap_err();
-        assert!(
-            matches!(err, Error::RowCountMismatch { actual: 999, .. }),
-            "got {err}"
+        decode(&bit_packed_image(4, 1)).unwrap();
+        assert_fault(&bit_packed_image(64, 2), "inconsistent bit-packed section");
+        assert_fault(&bit_packed_image(4, 2), "inconsistent bit-packed section");
+        decode(&run_length_image(&[1, 1])).unwrap();
+        assert_fault(&run_length_image(&[2, 0]), "zero-length run");
+        assert_fault(&run_length_image(&[1, u64::MAX]), "overflows row index");
+    }
+
+    #[test]
+    fn corrupt_delta_sections_rejected() {
+        decode(&delta_image(1, 4)).unwrap();
+        assert_fault(&delta_image(2, 4), "inconsistent delta section");
+        assert_fault(&delta_image(1, 64), "inconsistent delta section");
+    }
+
+    #[test]
+    fn corrupt_codes_stay_in_dictionary() {
+        decode(&dict_image(&["a", "b"], [0, 1])).unwrap();
+        assert_fault(&dict_image(&["a", "b"], [0, 2]), "out of dictionary range");
+        // Interning would dedup the entries and shift every later code.
+        assert_fault(
+            &dict_image(&["a", "a"], [0, 0]),
+            "duplicate dictionary entries",
         );
     }
 
     #[test]
-    fn corrupt_packed_codes_stay_in_dictionary() {
-        // Five categories over many rows → bit-packed codes of width 3,
-        // whose packed words are the last bytes of the file. Setting them
-        // to all-ones decodes codes 7 > dictionary length 5; the decoder
-        // must reject, never index out of bounds.
-        let cats = ["a", "b", "c", "d", "e"];
+    fn empty_dictionary_with_present_rows_rejected() {
+        // Both rows present, no entry to dereference: rejected up front,
+        // not a panic when a row is read. (The legitimate shape — every
+        // row null — round-trips in `all_null_columns_round_trip`.)
+        assert_fault(&dict_image(&[], [0, 0]), "empty dictionary");
+    }
+
+    #[test]
+    fn oversized_code_varints_rejected() {
+        // An inline code above u32::MAX must error instead of silently
+        // wrapping into a small (possibly in-range) code.
+        let img = crafted(kind_byte(ColumnKind::String), 2, vec![], |w| {
+            w.put_varint(1);
+            w.put_str("a");
+            w.put_u8(ENC_RUN_LENGTH);
+            w.put_varint(2);
+            w.put_varint(1); // one run...
+            w.put_varint(1 << 32); // ...of code 2^32, which truncates to 0
+            w.put_varint(2);
+        });
+        assert_fault(&img, "dictionary code");
+    }
+
+    #[test]
+    fn lengths_the_file_cannot_back_are_rejected() {
+        let plain = |payload: Vec<u8>, zone_blocks: u64| {
+            crafted(kind_byte(ColumnKind::Int), 2, payload, |w| {
+                w.put_u8(ENC_PLAIN);
+                w.put_varint(2);
+                w.put_varint(0);
+                w.put_varint(zone_blocks);
+                w.put_varint(0);
+                w.put_varint(0);
+            })
+        };
+        decode(&plain(vec![0; 16], 1)).unwrap();
+        // A section one byte short of its two values.
+        assert_fault(&plain(vec![0; 15], 1), "exceeds file length");
+        // Two zone blocks for two rows.
+        assert_fault(&plain(vec![0; 16], 2), "zone map covers 2 blocks");
+        // More rows than a header this short could carry zone maps for:
+        // refused before a null mask or a row loop is sized by them.
+        assert_fault(
+            &crafted(kind_byte(ColumnKind::Int), 1 << 20, vec![], |_| {}),
+            "rows exceed",
+        );
+    }
+
+    #[test]
+    fn row_count_mismatch_is_structured() {
+        let t = one_int_column(0..200, ColumnKind::Int);
+        let img = encode(&t);
+        // Header blob starts at byte 8: cols varint (1 byte) then rows
+        // varint 200 = [0xC8, 0x01]. Patch rows to 199.
+        assert_eq!(&img[9..11], &[0xC8, 0x01], "expected varint 200");
+        let mut bad = img.clone();
+        bad[9] = 0xC7;
+        // Every per-column count is held to the table's: the null runs
+        // (above), a declared value count, a double column's, the sum of a
+        // run table, and a null run long enough to overflow the row index.
+        let mut w = WireWriter::new();
+        w.put_varint(1); // columns
+        w.put_varint(2); // rows
+        w.put_str("X");
+        w.put_u8(kind_byte(ColumnKind::Int));
+        w.put_varint(2); // two null runs: 1 present...
+        w.put_varint(1);
+        w.put_varint(u64::MAX); // ...then more missing than a row index holds
+        let overlong = assemble(&w.finish(), Sections::default());
+        for (img, declared, actual) in [
+            (bad, 199, 200),
+            (
+                crafted(kind_byte(ColumnKind::Int), 2, vec![], |w| {
+                    w.put_u8(ENC_PLAIN);
+                    w.put_varint(3);
+                }),
+                2,
+                3,
+            ),
+            (
+                crafted(kind_byte(ColumnKind::Double), 2, vec![], |w| {
+                    w.put_varint(3)
+                }),
+                2,
+                3,
+            ),
+            (run_length_image(&[1]), 2, 1),
+            (run_length_image(&[1, 2]), 2, 3),
+            (overlong, 2, usize::MAX),
+        ] {
+            let err = decode(&img).unwrap_err();
+            assert!(
+                matches!(err, Error::RowCountMismatch { declared: d, actual: a, .. } if d == declared && a == actual),
+                "expected {declared} vs {actual}, got {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn mapped_open_rejects_zone_codes_outside_dictionary() {
+        // Corrupt a categorical column's zone max above dict_len: the
+        // mapped path's header-only validation must reject the file.
+        let d = TempDir::new("hvc-badzones");
         let t = Table::builder()
             .column(
-                "Tag",
+                "tag",
                 ColumnKind::Category,
                 Column::Cat(DictColumn::from_strings(
-                    (0..640).map(|i| Some(cats[i % 5])),
+                    (0..640).map(|i| Some(["a", "b", "c", "d", "e"][i % 5])),
                 )),
             )
             .build()
             .unwrap();
-        let col = t.column_by_name("Tag").unwrap().as_dict_col().unwrap();
-        assert_eq!(col.codes().kind(), EncodingKind::BitPacked);
-        let mut bytes = encode(&t).to_vec();
-        let n = bytes.len();
-        assert!(decode(Bytes::copy_from_slice(&bytes)).is_ok());
-        for b in &mut bytes[n - 8..] {
-            *b = 0xFF;
+        let p = d.join("badzones.hvc");
+        write_file(&t, &p).unwrap();
+        let mut bytes = std::fs::read(&p).unwrap();
+        let header_len = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
+        // The zone map is the header's tail: 10 blocks of (min=0, max=4)
+        // varint pairs. Set every max to 127 (still a one-byte varint).
+        let tail = &mut bytes[8 + header_len - 20..8 + header_len];
+        assert!(tail.iter().step_by(2).all(|&b| b == 0), "zone mins");
+        assert!(tail[1..].iter().step_by(2).all(|&b| b == 4), "zone maxs");
+        for b in tail[1..].iter_mut().step_by(2) {
+            *b = 127;
         }
-        let err = decode(Bytes::from(bytes)).unwrap_err();
+        std::fs::write(&p, &bytes).unwrap();
+        let cache = BlockCache::unbounded();
+        let err = read_file_mapped(&p, &cache, SegmentMode::Pread).unwrap_err();
         assert!(
             err.to_string().contains("out of dictionary range"),
             "got {err}"
@@ -851,105 +1459,63 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_delta_sections_rejected() {
-        // A delta-coded column (sequential values): truncating the word
-        // stream or the anchors must error, never panic or fabricate rows.
-        let dl = packed_int_file((0..1000).map(|i| 5_000_000 + i * 7).collect());
-        let t = decode(Bytes::copy_from_slice(&dl)).unwrap();
-        assert_eq!(
-            t.column_by_name("X")
-                .unwrap()
-                .as_i64_col()
-                .unwrap()
-                .storage()
-                .kind(),
-            EncodingKind::Delta
-        );
-        for cut in [dl.len() - 1, dl.len() - 9, dl.len() / 2, 12] {
-            assert!(
-                decode(Bytes::copy_from_slice(&dl[..cut])).is_err(),
-                "truncation at {cut} accepted"
-            );
-        }
+    fn empty_table_round_trips() {
+        let t = decode(&encode(&Table::empty())).unwrap();
+        assert_eq!((t.num_rows(), t.num_columns()), (0, 0));
     }
 
     #[test]
-    fn empty_dictionary_with_present_rows_rejected() {
-        // Hand-craft a file whose Str column declares both rows present but
-        // ships an empty dictionary: decoding must reject it up front, not
-        // panic later when a row dereferences the missing entry.
-        let mut w = hillview_net::WireWriter::new();
-        for b in MAGIC {
-            w.put_u8(*b);
-        }
-        w.put_varint(1); // columns
-        w.put_varint(2); // rows
-        w.put_str("S");
-        w.put_u8(kind_byte(ColumnKind::String));
-        w.put_varint(1); // one null run...
-        w.put_varint(2); // ...of 2 present rows
-        w.put_varint(0); // dict_len = 0
-        w.put_u8(ENC_PLAIN);
-        w.put_varint(2); // declared codes
-        w.put_varint(0);
-        w.put_varint(0);
-        let err = decode(w.finish()).unwrap_err();
-        assert!(err.to_string().contains("empty dictionary"), "got {err}");
-        // The legitimate shape — all rows null — still decodes.
+    fn all_null_columns_round_trip() {
         let t = Table::builder()
             .column(
                 "S",
                 ColumnKind::String,
-                Column::Str(DictColumn::from_strings([None::<&str>, None])),
+                Column::Str(DictColumn::from_strings([None::<&str>, None, None])),
             )
-            .build()
-            .unwrap();
-        let t2 = decode(encode(&t)).unwrap();
-        assert!(t2.column(0).is_null(0) && t2.column(0).is_null(1));
-    }
-
-    #[test]
-    fn oversized_code_varints_rejected() {
-        // A plain code varint above u32::MAX must error instead of silently
-        // wrapping into a small (possibly in-range) code.
-        let mut w = hillview_net::WireWriter::new();
-        for b in MAGIC {
-            w.put_u8(*b);
-        }
-        w.put_varint(1); // columns
-        w.put_varint(1); // rows
-        w.put_str("S");
-        w.put_u8(kind_byte(ColumnKind::String));
-        w.put_varint(1); // one null run...
-        w.put_varint(1); // ...of 1 present row
-        w.put_varint(1); // dict_len = 1
-        w.put_str("a");
-        w.put_u8(ENC_PLAIN);
-        w.put_varint(1); // declared codes
-        w.put_varint(1u64 << 32); // truncates to code 0 if unchecked
-        let err = decode(w.finish()).unwrap_err();
-        assert!(err.to_string().contains("dictionary code"), "got {err}");
-    }
-
-    #[test]
-    fn empty_table_round_trips() {
-        let t = Table::empty();
-        let t2 = decode(encode(&t)).unwrap();
-        assert_eq!(t2.num_rows(), 0);
-        assert_eq!(t2.num_columns(), 0);
-    }
-
-    #[test]
-    fn all_null_column() {
-        let t = Table::builder()
             .column(
-                "X",
+                "D",
                 ColumnKind::Double,
                 Column::Double(F64Column::from_options([None, None, None])),
             )
             .build()
             .unwrap();
-        let t2 = decode(encode(&t)).unwrap();
-        assert!(t2.column(0).is_null(0) && t2.column(0).is_null(2));
+        let t2 = decode(&encode(&t)).unwrap();
+        for r in 0..3 {
+            assert_eq!(t2.get(r, "S").unwrap(), Value::Missing);
+            assert_eq!(t2.get(r, "D").unwrap(), Value::Missing);
+        }
+        // And through the mapped path.
+        let d = TempDir::new("hvc-allnull");
+        let p = d.join("allnull.hvc");
+        write_file(&t, &p).unwrap();
+        let cache = BlockCache::unbounded();
+        let m = read_file_mapped(&p, &cache, SegmentMode::Auto).unwrap();
+        assert_tables_identical(&t2, &m);
+    }
+
+    #[test]
+    fn nan_doubles_survive_the_mapped_path() {
+        // NaN payload values are null-masked at ingest; the raw section
+        // preserves them bit-for-bit and from_parts must not re-normalize.
+        let d = TempDir::new("hvc-nan");
+        let t = Table::builder()
+            .column(
+                "x",
+                ColumnKind::Double,
+                Column::Double(F64Column::new(
+                    vec![1.0, f64::NAN, 3.0, f64::NAN],
+                    NullMask::none(),
+                )),
+            )
+            .build()
+            .unwrap();
+        let p = d.join("nan.hvc");
+        write_file(&t, &p).unwrap();
+        let cache = BlockCache::unbounded();
+        let m = read_file_mapped(&p, &cache, SegmentMode::Pread).unwrap();
+        let c = m.column_by_name("x").unwrap().as_f64_col().unwrap();
+        assert_eq!(c.get(0), Some(1.0));
+        assert_eq!(c.get(1), None, "NaN row stays null");
+        assert_eq!(c.nulls().null_count(), 2);
     }
 }

@@ -12,23 +12,22 @@
 //! * [`jsonl`] — a JSON-lines reader (one object per row) with a small
 //!   self-contained JSON parser.
 //! * [`hvc`] — our columnar binary format ("HillView Columnar"), the
-//!   substitute for ORC/Parquet: per-column typed blocks with dictionary
-//!   pages, varint-encoded, fast sequential column reads.
+//!   substitute for ORC/Parquet: a self-contained header (schema,
+//!   dictionaries, zone maps) over per-column raw sections that map and
+//!   scan in place.
 //! * [`partition`] — horizontal partitioning into micropartitions
 //!   (paper §5.3: "the data partition within a server is divided into
 //!   micropartitions ... each assigned to a leaf").
 //! * [`spill`] — streaming ingest that seals micropartitions to disk as
 //!   they fill, keeping ingest memory O(micropartition).
-//! * [`throttle`] — a throttled reader that models cold-SSD bandwidth for
-//!   the Figure 6 experiments.
 //!
 //! ## Storage tiers
 //!
-//! An `hvc` v3 file can be opened three ways, trading memory for I/O:
+//! An `hvc` file can be opened three ways, trading memory for I/O:
 //!
 //! 1. **Heap** ([`hvc::read_file`]) — the whole payload is decoded into
 //!    owned columns. Fastest scans, O(dataset) memory; also the only
-//!    correct path on big-endian hosts and for v2 files.
+//!    correct path on big-endian hosts.
 //! 2. **Lazy pread** ([`hvc::read_file_mapped`] without the `ooc`
 //!    feature) — columns are windows over an anonymous buffer filled
 //!    64 KiB chunks at a time by `pread` as scans touch them. Untouched
@@ -42,7 +41,7 @@
 //!
 //! All three tiers produce bit-identical query results; the property
 //! tests in `tests/ooc_props.rs` pin that equivalence across encodings.
-//! [`hvc::probe_file`] reads none of the payload under any tier: the v3
+//! [`hvc::probe_file`] reads none of the payload under any tier: the
 //! header carries the schema, row count, and per-block zone maps.
 
 #![deny(missing_docs)]
@@ -55,7 +54,6 @@ pub mod hvc;
 pub mod jsonl;
 pub mod partition;
 pub mod spill;
-pub mod throttle;
 
 pub use error::{Error, Result};
 pub use hvc::{probe_file, read_file_mapped, FileInfo};

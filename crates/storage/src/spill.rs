@@ -5,7 +5,7 @@
 //! source table just to write it back out makes ingest O(dataset). The
 //! [`SpillingWriter`] keeps ingest O(micropartition): rows are buffered
 //! only until the current micropartition reaches its row bound, then the
-//! sealed partition is written as an `hvc` v3 file — mappable, zone-mapped,
+//! sealed partition is written as an `hvc` file — mappable, zone-mapped,
 //! 64-byte aligned — and its memory is released. The resulting directory
 //! of `part-NNNNN.hvc` files is exactly what the out-of-core loader
 //! ([`crate::hvc::read_file_mapped`] per part) consumes, and
@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 /// One sealed micropartition on disk.
 #[derive(Debug, Clone)]
 pub struct SpilledPart {
-    /// The `hvc` v3 file holding this micropartition.
+    /// The `hvc` file holding this micropartition.
     pub path: PathBuf,
     /// Rows it contains.
     pub rows: usize,
@@ -227,18 +227,7 @@ pub fn list_parts(dir: impl AsRef<Path>) -> Result<Vec<PathBuf>> {
 mod tests {
     use super::*;
     use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
-    use hillview_columnar::{ColumnKind, Table};
-
-    fn dir(tag: &str) -> PathBuf {
-        // pid + a process-wide counter: no other test, in this process or
-        // another, shares the path.
-        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let d = std::env::temp_dir().join(format!("hvc-spill-{tag}-{}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use hillview_columnar::{ColumnKind, Table, TempDir};
 
     fn rows(n: usize, base: usize) -> Table {
         Table::builder()
@@ -269,8 +258,8 @@ mod tests {
 
     #[test]
     fn spills_sealed_parts_and_reassembles_exactly() {
-        let d = dir("basic");
-        let mut w = SpillingWriter::new(&d, 100).unwrap();
+        let d = TempDir::new("spill-basic");
+        let mut w = SpillingWriter::new(d.path(), 100).unwrap();
         // Push in ragged batches that straddle partition boundaries.
         let mut base = 0usize;
         for n in [37, 250, 1, 99, 63] {
@@ -294,28 +283,34 @@ mod tests {
     }
 
     #[test]
-    fn parts_are_v3_and_probe_without_payload() {
-        let d = dir("v3");
-        let mut w = SpillingWriter::new(&d, 64).unwrap();
+    fn parts_probe_without_payload() {
+        let d = TempDir::new("spill-probe");
+        let mut w = SpillingWriter::new(d.path(), 64).unwrap();
         w.push(&rows(200, 0)).unwrap();
         let m = w.finish().unwrap();
         for p in m.paths() {
             let info = hvc::probe_file(p).unwrap();
-            assert_eq!(info.version, 3);
-            assert!(info.schema.is_some());
+            assert_eq!(info.schema.descs(), rows(1, 0).schema().descs());
         }
-        assert_eq!(list_parts(&d).unwrap().len(), m.parts.len());
+        assert_eq!(list_parts(d.path()).unwrap().len(), m.parts.len());
     }
 
     #[test]
     fn spill_csv_streams_micropartitions() {
-        let d = dir("csv");
+        let d = TempDir::new("spill-csv");
         let mut csv = String::from("id,v,tag\n");
         for i in 0..333 {
             csv.push_str(&format!("{i},{}.5,{}\n", i, ["x", "y", "z"][i % 3]));
         }
         let schema = rows(1, 0).schema().clone();
-        let m = spill_csv(csv.as_bytes(), &CsvOptions::default(), &schema, 100, &d).unwrap();
+        let m = spill_csv(
+            csv.as_bytes(),
+            &CsvOptions::default(),
+            &schema,
+            100,
+            d.path(),
+        )
+        .unwrap();
         assert_eq!(m.parts.len(), 4);
         assert_eq!(m.total_rows(), 333);
         let first = hvc::read_file(&m.parts[0].path).unwrap();
@@ -329,14 +324,14 @@ mod tests {
 
     #[test]
     fn spill_csv_rejects_header_mismatch() {
-        let d = dir("hdr");
+        let d = TempDir::new("spill-hdr");
         let schema = rows(1, 0).schema().clone();
         let err = spill_csv(
             "wrong,names,here\n1,2.0,x\n".as_bytes(),
             &CsvOptions::default(),
             &schema,
             10,
-            &d,
+            d.path(),
         )
         .unwrap_err();
         assert!(matches!(err, Error::Schema(_)), "got {err}");

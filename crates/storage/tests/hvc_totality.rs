@@ -1,0 +1,256 @@
+//! Decoding is total: whatever bytes an `hvc` file holds, every reader
+//! ends in a structured error or a table that scans — never a panic, a
+//! hang, or an allocation sized by a length the file merely claims.
+//!
+//! A seeded mutation loop over valid images of every encoding × column
+//! kind. The mutations know the container's shape — preamble, header blob,
+//! payload sections — and aim at what a reader trusts: bits anywhere,
+//! truncation, the header-length word, varint length fields spliced over
+//! or into the header, and payloads cut short so section offsets point
+//! past the end of the file.
+//!
+//! The one panic a reader may raise is the documented one: a *mapped* open
+//! bounds dictionary codes by the header's zone maps instead of reading
+//! the payload, so a payload that contradicts them surfaces when a scan
+//! dereferences the code. The loop accepts that panic only when the heap
+//! decoder, which does read the payload, names the same fault.
+
+use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
+use hillview_columnar::dictionary::DictionaryBuilder;
+use hillview_columnar::predicate::filter_members;
+use hillview_columnar::{
+    BlockCache, CodeStorage, ColumnKind, I64Storage, MembershipSet, NullMask, Predicate,
+    SegmentMode, Table, TempDir,
+};
+use hillview_net::WireWriter;
+use hillview_storage::{hvc, probe_file, read_file_mapped};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+
+const ROWS: usize = 200;
+const MUTANTS_PER_IMAGE: usize = 250;
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+fn below(state: &mut u64, n: usize) -> usize {
+    (splitmix(state) % n.max(1) as u64) as usize
+}
+
+/// One table per integer encoding, each with every column kind: the
+/// encoding is forced on the Int and Date values and on the Category and
+/// String codes alike. The data is ascending with repeats, which all four
+/// encodings accept.
+fn images() -> Vec<Vec<u8>> {
+    let values: Vec<i64> = (0..ROWS as i64).map(|i| 1_000 + i / 3).collect();
+    let codes: Vec<u32> = (0..ROWS as u32).map(|i| i / 40).collect();
+    let mut db = DictionaryBuilder::new();
+    for s in ["ash", "birch", "cedar", "elm", "fir"] {
+        db.intern(s);
+    }
+    let dict = Arc::new(db.finish());
+    let mut nulls = NullMask::none();
+    for i in (5..ROWS).step_by(17) {
+        nulls.set_null(i, ROWS);
+    }
+    let ints: [fn(&[i64]) -> I64Storage; 4] = [
+        |v| I64Storage::plain_of(v.to_vec()),
+        |v| I64Storage::bit_packed_of(v).unwrap(),
+        |v| I64Storage::run_length_of(v).unwrap(),
+        |v| I64Storage::delta_of(v).unwrap(),
+    ];
+    let dicts: [fn(&[u32]) -> CodeStorage; 4] = [
+        |v| CodeStorage::plain_of(v.to_vec()),
+        |v| CodeStorage::bit_packed_of(v).unwrap(),
+        |v| CodeStorage::run_length_of(v).unwrap(),
+        |v| CodeStorage::delta_of(v).unwrap(),
+    ];
+    ints.iter()
+        .zip(dicts)
+        .map(|(int, code)| {
+            let t = Table::builder()
+                .column(
+                    "i",
+                    ColumnKind::Int,
+                    Column::Int(I64Column::with_storage(int(&values), nulls.clone())),
+                )
+                .column(
+                    "d",
+                    ColumnKind::Date,
+                    Column::Date(I64Column::with_storage(int(&values), NullMask::none())),
+                )
+                .column(
+                    "c",
+                    ColumnKind::Category,
+                    Column::Cat(DictColumn::with_storage(
+                        code(&codes),
+                        Arc::clone(&dict),
+                        NullMask::none(),
+                    )),
+                )
+                .column(
+                    "s",
+                    ColumnKind::String,
+                    Column::Str(DictColumn::with_storage(
+                        code(&codes),
+                        Arc::clone(&dict),
+                        nulls.clone(),
+                    )),
+                )
+                .column(
+                    "f",
+                    ColumnKind::Double,
+                    Column::Double(F64Column::from_options((0..ROWS).map(|i| {
+                        if i % 13 == 0 {
+                            None
+                        } else {
+                            Some(i as f64 * 0.5)
+                        }
+                    }))),
+                )
+                .build()
+                .unwrap();
+            hvc::encode(&t)
+        })
+        .collect()
+}
+
+fn varint(v: u64) -> bytes::Bytes {
+    let mut w = WireWriter::new();
+    w.put_varint(v);
+    w.finish()
+}
+
+/// One mutant of `img`, whose header blob is `img[8..8 + header_len]`.
+fn mutate(img: &[u8], state: &mut u64) -> Vec<u8> {
+    let header_len = u32::from_le_bytes(img[4..8].try_into().unwrap()) as usize;
+    let header_end = 8 + header_len;
+    let payload_base = header_end.div_ceil(64) * 64;
+    let mut m = img.to_vec();
+    // Lengths a reader might trust: small, block-sized, the wire cap and
+    // just past it, the integer edges, and this file's own dimensions.
+    let lengths = [
+        0,
+        1,
+        63,
+        64,
+        65,
+        ROWS as u64 - 1,
+        ROWS as u64 + 1,
+        1 << 28,
+        (1 << 28) + 1,
+        u32::MAX as u64,
+        u32::MAX as u64 + 1,
+        u64::MAX,
+        img.len() as u64,
+        (img.len() - payload_base) as u64 + 1,
+    ];
+    match below(state, 7) {
+        // A bit in the preamble or header…
+        0 => m[below(state, header_end)] ^= 1 << below(state, 8),
+        // …or in a payload section.
+        1 => {
+            let at = payload_base + below(state, img.len() - payload_base);
+            m[at] ^= 1 << below(state, 8);
+        }
+        // Truncation anywhere.
+        2 => m.truncate(below(state, img.len())),
+        // The header-length word.
+        3 => {
+            let word = match below(state, 6) {
+                0 => 0,
+                1 => header_len as u32 - 1,
+                2 => header_len as u32 + 1,
+                3 => (img.len() - 8) as u32,
+                4 => (img.len() - 8) as u32 + 1,
+                _ => u32::MAX,
+            };
+            m[4..8].copy_from_slice(&word.to_le_bytes());
+        }
+        // A length field written over the header in place…
+        4 => {
+            let v = varint(lengths[below(state, lengths.len())]);
+            let at = 8 + below(state, header_len);
+            let n = v.len().min(header_end - at);
+            m[at..at + n].copy_from_slice(&v[..n]);
+        }
+        // …or spliced into it, the length word kept honest so the parse
+        // runs on into fields that have all shifted.
+        5 => {
+            let v = varint(lengths[below(state, lengths.len())]);
+            let at = 8 + below(state, header_len);
+            let drop = below(state, 3).min(header_end - at);
+            m.splice(at..at + drop, v.iter().copied());
+            let new_len = (header_len + v.len() - drop) as u32;
+            m[4..8].copy_from_slice(&new_len.to_le_bytes());
+        }
+        // The header intact, the payload cut short: section offsets that
+        // were valid now point past the end of the file.
+        _ => m.truncate(payload_base + below(state, img.len() - payload_base)),
+    }
+    m
+}
+
+/// Touch every value of `t` both ways a query would: row-at-a-time, and
+/// through the block decoders behind a predicate.
+fn scan(t: &Table) {
+    for r in 0..t.num_rows() {
+        std::hint::black_box(t.full_row(r));
+    }
+    let full = MembershipSet::full(t.num_rows());
+    for desc in t.schema().descs() {
+        if matches!(
+            desc.kind,
+            ColumnKind::Int | ColumnKind::Date | ColumnKind::Double
+        ) {
+            let pred = Predicate::range(&desc.name, 0.0, 1_050.0);
+            std::hint::black_box(filter_members(t, &pred, &full).unwrap());
+        }
+    }
+}
+
+#[test]
+fn every_mutant_ends_in_an_error_or_a_table_that_scans() {
+    let dir = TempDir::new("hvc-totality");
+    let path = dir.join("mutant.hvc");
+    let cache = BlockCache::unbounded();
+    let mut state = 0x70_7A11_u64;
+    let (mut rejected, mut opened, mut contradictions) = (0usize, 0usize, 0usize);
+    for (which, img) in images().iter().enumerate() {
+        hvc::decode(img).expect("the unmutated image decodes");
+        for n in 0..MUTANTS_PER_IMAGE {
+            let m = mutate(img, &mut state);
+            let heap = hvc::decode(&m);
+            match &heap {
+                Ok(t) => {
+                    scan(t);
+                    opened += 1;
+                }
+                Err(_) => rejected += 1,
+            }
+            std::fs::write(&path, &m).unwrap();
+            // Header-only and mapped opens: any verdict, but a verdict.
+            let _ = probe_file(&path);
+            let Ok(mapped) = read_file_mapped(&path, &cache, SegmentMode::Auto) else {
+                continue;
+            };
+            if catch_unwind(AssertUnwindSafe(|| scan(&mapped))).is_err() {
+                let fault = heap.err().map(|e| e.to_string()).unwrap_or_default();
+                assert!(
+                    fault.contains("out of dictionary range"),
+                    "image {which} mutant {n}: mapped scan panicked, heap decode said {fault:?}"
+                );
+                contradictions += 1;
+            }
+        }
+    }
+    // The loop must have exercised both outcomes, or it proves nothing.
+    assert!(rejected > 100, "only {rejected} mutants rejected");
+    assert!(opened > 100, "only {opened} mutants opened");
+    eprintln!("{rejected} rejected, {opened} opened, {contradictions} zone-map contradictions");
+}

@@ -11,21 +11,19 @@ use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
 use hillview_columnar::predicate::filter_members;
 use hillview_columnar::{
     simd, BlockCache, ColumnKind, I64Storage, MembershipSet, NullMask, Predicate, SegmentMode,
-    Table,
+    Table, TempDir,
 };
 use hillview_storage::{hvc, read_file_mapped};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
-/// Write `t` to a fresh v3 file in a temp path unique to this test run.
-fn write_temp(t: &Table, tag: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "hv-ooc-props-{tag}-{}-{:x}.hvc",
-        std::process::id(),
-        t as *const Table as usize
-    ));
+/// Write `t` to a file in a scratch directory of its own; the file lives
+/// as long as the returned guard.
+fn write_temp(t: &Table, tag: &str) -> (TempDir, PathBuf) {
+    let dir = TempDir::new(tag);
+    let path = dir.join("t.hvc");
     hvc::write_file(t, &path).unwrap();
-    path
+    (dir, path)
 }
 
 fn rows_of(m: &MembershipSet) -> Vec<usize> {
@@ -94,14 +92,13 @@ proptest! {
     /// under a cache small enough (one chunk) to churn mid-comparison.
     #[test]
     fn mapped_equals_heap_for_mixed_tables(t in table_strategy(), seed in any::<u64>()) {
-        let path = write_temp(&t, "mixed");
+        let (_dir, path) = write_temp(&t, "ooc-props-mixed");
         let heap = hvc::read_file(&path).unwrap();
         let cache = BlockCache::new(64 << 10);
         let mapped = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
         let pred = Predicate::range("I", -1500.0, 1500.0)
             .and(Predicate::range("F", -5e8, 5e8));
         assert_tiers_identical(&heap, &mapped, &pred, seed);
-        let _ = std::fs::remove_file(&path);
     }
 
     /// Every `I64Storage` encoding survives the mapped tier: plain,
@@ -130,7 +127,7 @@ proptest! {
                 )
                 .build()
                 .unwrap();
-            let path = write_temp(&t, "enc");
+            let (_dir, path) = write_temp(&t, "ooc-props-enc");
             let heap = hvc::read_file(&path).unwrap();
             let cache = BlockCache::new(64 << 10);
             let mapped = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
@@ -140,7 +137,6 @@ proptest! {
                 assert_tiers_identical(&heap, &mapped, &pred, seed);
             }
             simd::set_force_scalar(false);
-            let _ = std::fs::remove_file(&path);
         }
     }
 }
@@ -181,13 +177,13 @@ fn tiny_cache_churn_grid_never_corrupts_results() {
         .unwrap();
     let parts = hillview_storage::partition_table(&t, ROWS / 5);
     let cache = BlockCache::new(2048);
-    let tiers: Vec<(Table, Table, PathBuf)> = parts
+    let tiers: Vec<(Table, Table, TempDir)> = parts
         .iter()
         .map(|p| {
-            let path = write_temp(p, "churn");
+            let (dir, path) = write_temp(p, "ooc-props-churn");
             let heap = hvc::read_file(&path).unwrap();
             let mapped = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
-            (heap, mapped, path)
+            (heap, mapped, dir)
         })
         .collect();
 
@@ -225,8 +221,5 @@ fn tiny_cache_churn_grid_never_corrupts_results() {
                 stats.resident_bytes
             );
         }
-    }
-    for (_, _, path) in &tiers {
-        let _ = std::fs::remove_file(path);
     }
 }

@@ -44,7 +44,7 @@ proptest! {
 
     #[test]
     fn hvc_roundtrip_everything(t in table_strategy()) {
-        let decoded = hvc::decode(hvc::encode(&t)).unwrap();
+        let decoded = hvc::decode(&hvc::encode(&t)).unwrap();
         prop_assert_eq!(decoded.num_rows(), t.num_rows());
         prop_assert_eq!(decoded.num_columns(), t.num_columns());
         for r in 0..t.num_rows() {
@@ -78,7 +78,7 @@ proptest! {
                 )
                 .build()
                 .unwrap();
-            let decoded = hvc::decode(hvc::encode(&t)).unwrap();
+            let decoded = hvc::decode(&hvc::encode(&t)).unwrap();
             let c = decoded.column_by_name("V").unwrap().as_i64_col().unwrap();
             prop_assert_eq!(c.storage().kind(), kind);
             prop_assert_eq!(
