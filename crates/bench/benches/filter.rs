@@ -40,7 +40,7 @@ fn int_table(values: Vec<i64>) -> Table {
 fn run_case(c: &mut Criterion, cases: &mut Vec<Case>, name: &'static str, t: Table, p: Predicate) {
     let encoding = match t.column(0) {
         Column::Int(col) => col.storage().kind().to_string(),
-        Column::Double(_) => "plain-f64".to_string(),
+        Column::Double(col) => format!("{}-f64", col.data().kind()),
         _ => "dict".to_string(),
     };
     let parent = MembershipSet::full(t.num_rows());

@@ -54,7 +54,7 @@ fn run_case(
 ) {
     let encoding = match t.column(0) {
         Column::Int(col) => col.storage().kind().to_string(),
-        Column::Double(_) => "plain-f64".to_string(),
+        Column::Double(col) => format!("{}-f64", col.data().kind()),
         _ => "dict".to_string(),
     };
     let table = Arc::new(t);

@@ -3,16 +3,18 @@
 //! Columns are immutable after construction (tables are snapshots, paper §2).
 //! Enum dispatch keeps hot scan loops monomorphic without trait objects.
 //!
-//! Integer values and dictionary codes live behind the [`crate::encoding`]
-//! layer: constructors analyze the data and pick a physical encoding
-//! (plain / frame-of-reference bit-packed / run-length), and the chunked
+//! Every column's values live behind the [`crate::encoding`] layer —
+//! integers, dictionary codes, and doubles (integral ones as integer codes):
+//! constructors analyze the data and pick a physical encoding (plain /
+//! frame-of-reference bit-packed / run-length / delta), and the chunked
 //! scan drivers decode 64-row blocks on the fly. Kernels that need raw
-//! access go through [`I64Column::storage`] / [`DictColumn::codes`] (any
-//! [`crate::scan::ScanSource`]) or the per-row [`I64Column::get`] /
-//! [`DictColumn::code`] accessors.
+//! access go through [`I64Column::storage`] / [`F64Column::data`] /
+//! [`DictColumn::codes`] (any [`crate::scan::ScanSource`]) or the per-row
+//! [`I64Column::get`] / [`F64Column::get`] / [`DictColumn::code`]
+//! accessors.
 
 use crate::dictionary::{Dictionary, DictionaryBuilder};
-use crate::encoding::{CodeStorage, I64Storage, ZoneMap};
+use crate::encoding::{CodeStorage, F64Storage, I64Storage, ZoneMap};
 use crate::nullmask::NullMask;
 use crate::schema::ColumnKind;
 use crate::value::Value;
@@ -121,14 +123,14 @@ impl I64Column {
 
 /// A column of 64-bit floats. NaNs are normalized to nulls at build time.
 ///
-/// The payload is a [`crate::residency::ValueBuf`], so a mapped (`hvc`)
-/// double column is file-backed at *column* granularity: the scan binder
-/// takes the whole slice once via [`F64Column::data`], which touches every
-/// chunk — lazy residency for doubles saves I/O across unqueried columns,
-/// not within one.
+/// The payload is an [`F64Storage`]: constructors analyze the values and
+/// store integral columns as encoded integer codes, everything else raw
+/// (see [`crate::encoding`]). Either way scans read it 64-row frame by
+/// frame, so a mapped (`hvc`) double column faults in only the chunks of
+/// the frames a query decodes — a zone-skipped block is never read.
 #[derive(Debug, Clone, Default)]
 pub struct F64Column {
-    data: crate::residency::ValueBuf<f64>,
+    data: F64Storage,
     nulls: NullMask,
     /// Per-64-row-block min/max (NaN-free folds), recorded at ingest for
     /// block skipping.
@@ -136,7 +138,8 @@ pub struct F64Column {
 }
 
 impl F64Column {
-    /// Build from values and a null mask; NaNs become additional nulls.
+    /// Build from values and a null mask, choosing the cheapest physical
+    /// encoding automatically; NaNs become additional nulls.
     pub fn new(data: Vec<f64>, mut nulls: NullMask) -> Self {
         let len = data.len();
         for (i, v) in data.iter().enumerate() {
@@ -144,12 +147,7 @@ impl F64Column {
                 nulls.set_null(i, len);
             }
         }
-        let zones = Arc::new(ZoneMap::from_f64(&data));
-        F64Column {
-            data: data.into(),
-            nulls,
-            zones,
-        }
+        Self::normalized(data, nulls)
     }
 
     /// Build from options: `None` (and NaN) become nulls.
@@ -157,25 +155,27 @@ impl F64Column {
         let vals: Vec<Option<f64>> = vals.into_iter().collect();
         let len = vals.len();
         let nulls = NullMask::from_flags(vals.iter().map(|v| v.is_none_or(f64::is_nan)), len);
-        let data: Vec<f64> = vals.into_iter().map(|v| v.unwrap_or(0.0)).collect();
+        let data = vals.into_iter().map(|v| v.unwrap_or(0.0)).collect();
+        Self::normalized(data, nulls)
+    }
+
+    /// Record the zones of `data`, whose NaN rows `nulls` already marks,
+    /// and choose its encoding.
+    fn normalized(data: Vec<f64>, nulls: NullMask) -> Self {
         let zones = Arc::new(ZoneMap::from_f64(&data));
         F64Column {
-            data: data.into(),
+            data: F64Storage::encode(data),
             nulls,
             zones,
         }
     }
 
-    /// Build from an already-normalized payload and its persisted zone map
-    /// — the mapped-file (`hvc`) open path. The caller asserts the
-    /// invariant `new` establishes at ingest: every NaN row is already
-    /// marked null (the writer stored the normalized payload), and the
-    /// zones describe `data` exactly.
-    pub fn from_parts(
-        data: crate::residency::ValueBuf<f64>,
-        nulls: NullMask,
-        zones: ZoneMap<f64>,
-    ) -> Self {
+    /// Build from an already-normalized storage and its persisted zone map
+    /// — the mapped-file (`hvc`) open path, and how tests force a specific
+    /// encoding. The caller asserts the invariant `new` establishes at
+    /// ingest: every NaN row is already marked null (the writer stored the
+    /// normalized payload), and the zones describe `data` exactly.
+    pub fn from_parts(data: F64Storage, nulls: NullMask, zones: ZoneMap<f64>) -> Self {
         F64Column {
             data,
             nulls,
@@ -193,11 +193,12 @@ impl F64Column {
         self.data.is_empty()
     }
 
-    /// Raw data slice (null rows hold 0.0; check the mask). For a mapped
-    /// column this touches the whole payload into residency.
+    /// The value storage (null rows hold their placeholder; check the
+    /// mask). Implements [`crate::scan::ScanSource`], so it plugs straight
+    /// into the chunked scan drivers.
     #[inline]
-    pub fn data(&self) -> &[f64] {
-        self.data.slice()
+    pub fn data(&self) -> &F64Storage {
+        &self.data
     }
 
     /// Heap bytes of the payload (zero when file-backed).
@@ -229,7 +230,7 @@ impl F64Column {
         if self.nulls.is_null(i) {
             None
         } else {
-            Some(self.data.hot(i..i + 1)[i])
+            Some(self.data.get(i))
         }
     }
 }

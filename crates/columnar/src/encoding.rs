@@ -1,13 +1,14 @@
-//! Compressed integer column storage: the encoding layer under the block
+//! Compressed numeric column storage: the encoding layer under the block
 //! scan pipeline.
 //!
 //! The paper's "trillion-cell" claim rests on workers holding far more cells
 //! than naive 8-bytes-per-value storage allows (§5: columnar in-memory
 //! storage sized to the cluster). This module provides the in-memory
 //! counterpart of `hvc`'s on-disk delta coding: an [`IntStorage`] enum that
-//! backs [`I64Column`](crate::column::I64Column) values and
-//! [`DictColumn`](crate::column::DictColumn) dictionary codes with one of
-//! four physical encodings:
+//! backs [`I64Column`](crate::column::I64Column) values,
+//! [`DictColumn`](crate::column::DictColumn) dictionary codes and — through
+//! [`F64Storage`] — integral [`F64Column`](crate::column::F64Column) values
+//! with one of four physical encodings:
 //!
 //! * [`IntStorage::Plain`] — the raw `Vec<T>`, for high-entropy data.
 //! * [`IntStorage::BitPacked`] — frame-of-reference + bit-packing: values
@@ -31,7 +32,7 @@
 //! Encodings stay opaque to kernels. The scan drivers in [`crate::scan`]
 //! iterate [`crate::block::Block`] frames — 64-row-aligned windows — and
 //! obtain each frame's value lanes from
-//! [`ScanSource::decode_frame`](crate::scan::ScanSource::decode_frame):
+//! [`ScanSource::decode_frame`]:
 //! plain storage borrows the backing slice zero-copy, bit-packed and delta
 //! storage decode whole words through the const-generic unpackers (the
 //! 64-value body of every frame is word-aligned for *every* width, so the
@@ -52,8 +53,29 @@
 //! deltas in one pass and picks the cheapest encoding, but only if it saves
 //! at least 25% over plain — marginal wins are not worth the decode work.
 //! Selection happens at ingest wherever columns are built (`I64Column::new`,
-//! `DictColumn::new`, and therefore CSV/JSONL/HVC readers and
-//! `partition_table` slices, which re-analyze each micropartition).
+//! `DictColumn::new`, `F64Column::new`, and therefore CSV/JSONL/HVC readers
+//! and `partition_table` slices, which re-analyze each micropartition).
+//!
+//! ## Integral doubles
+//!
+//! Measured `Double` columns are very often whole numbers (minutes of
+//! delay, byte counts, scores). [`F64Storage::encode`] checks in one pass
+//! whether *every* value is an integer of magnitude ≤ 2^53 — the range in
+//! which `f64` holds each integer exactly — and if so hands the column to
+//! [`IntStorage::encode`] as **sign-magnitude codes**: `|v| << 1 | sign`.
+//! The sign rides in bit 0 instead of the integer's own sign because
+//! `-0.0` is a value real data holds (`round()` of a small negative), and
+//! a two's-complement `v as i64` maps both zeros to 0: the round trip
+//! would not be bit-exact, so every column holding a negative zero would
+//! have to stay plain. Decoding is `(code >> 1) as f64` with bit 0 moved to
+//! the sign bit — exact for every code the encoder produces, and total (no
+//! panic, never a NaN) for any `i64` a damaged file could hold. A column
+//! with any fraction, infinity, stored NaN or larger magnitude, or whose
+//! codes would not save [`IntStorage::encode`]'s 25 %, stays
+//! [`F64Storage::Plain`], bit for bit.
+
+use crate::scan::ScanSource;
+use crate::simd::integral_value;
 
 /// The physical encoding of an [`IntStorage`], for tests, stats, and the
 /// `hvc` file format.
@@ -1280,6 +1302,181 @@ fn unpack_span<T: PackedInt>(words: &[u64], base: T, width: usize, start: usize,
        49 50 51 52 53 54 55 56 57 58 59 60 61 62 63)
 }
 
+/// Sign-magnitude code of `v` when it is an integer of magnitude ≤ 2^53
+/// (the module docs say why the sign sits in bit 0); `None` for fractions,
+/// infinities, NaN and larger magnitudes. Decoded by
+/// [`integral_value`](crate::simd::integral_value).
+#[inline]
+fn integral_code(v: f64) -> Option<i64> {
+    // `as` saturates and maps NaN to 0, so the round-trip compare rejects
+    // everything that is not an integer `i64` — both zeros compare equal.
+    let i = v as i64;
+    let magnitude = i.unsigned_abs();
+    (i as f64 == v && magnitude <= 1 << 53).then(|| (magnitude << 1 | v.to_bits() >> 63) as i64)
+}
+
+/// Storage for a column of doubles: the raw values, or — when every value
+/// is an integer of magnitude ≤ 2^53 — their sign-magnitude codes under
+/// whichever [`IntStorage`] encoding is cheapest. See the
+/// [module docs](self#integral-doubles).
+///
+/// Implements [`ScanSource<f64>`], so kernels and predicates read either
+/// variant through the same 64-row frames; a mapped `Plain` payload
+/// declines [`ScanSource::as_plain`] and faults frame by frame, like
+/// mapped integer storage.
+#[derive(Debug, Clone, PartialEq)]
+pub enum F64Storage {
+    /// Raw values.
+    Plain(crate::residency::ValueBuf<f64>),
+    /// Sign-magnitude codes of integral values.
+    Integral(IntStorage<i64>),
+}
+
+impl Default for F64Storage {
+    fn default() -> Self {
+        F64Storage::Plain(crate::residency::ValueBuf::default())
+    }
+}
+
+impl F64Storage {
+    /// Store `values` as integer codes when all of them are integral and
+    /// the packed form saves [`IntStorage::encode`]'s 25 %, raw otherwise.
+    pub fn encode(values: Vec<f64>) -> Self {
+        match Self::codes_of(&values).map(IntStorage::encode) {
+            Some(packed) if packed.kind() != EncodingKind::Plain => F64Storage::Integral(packed),
+            _ => F64Storage::Plain(values.into()),
+        }
+    }
+
+    /// The sign-magnitude codes of `values`, for forcing a specific
+    /// [`IntStorage`] encoding under [`F64Storage::Integral`]
+    /// (encoding-equivalence tests); `None` unless every value is integral.
+    pub fn codes_of(values: &[f64]) -> Option<Vec<i64>> {
+        values.iter().map(|&v| integral_code(v)).collect()
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match self {
+            F64Storage::Plain(v) => v.len(),
+            F64Storage::Integral(codes) => codes.len(),
+        }
+    }
+
+    /// True if there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The physical encoding: [`EncodingKind::Plain`] for raw doubles,
+    /// the code storage's kind otherwise.
+    pub fn kind(&self) -> EncodingKind {
+        match self {
+            F64Storage::Plain(_) => EncodingKind::Plain,
+            F64Storage::Integral(codes) => codes.kind(),
+        }
+    }
+
+    /// Value at row `i` (same costs as [`IntStorage::get`]).
+    #[inline]
+    pub fn get(&self, i: usize) -> f64 {
+        match self {
+            F64Storage::Plain(v) => v.hot(i..i + 1)[i],
+            F64Storage::Integral(codes) => integral_value(codes.get(i)),
+        }
+    }
+
+    /// Decode rows `start..end` into a fresh vector (partition slicing).
+    pub fn decode_range(&self, start: usize, end: usize) -> Vec<f64> {
+        let mut out = vec![0.0; end - start];
+        self.decode_into(start, &mut out);
+        out
+    }
+
+    /// Decode every row (tests, format conversions).
+    pub fn to_vec(&self) -> Vec<f64> {
+        self.decode_range(0, self.len())
+    }
+
+    /// Heap bytes of the stored payload (mapped payloads count zero).
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            F64Storage::Plain(v) => v.heap_bytes(),
+            F64Storage::Integral(codes) => codes.heap_bytes(),
+        }
+    }
+
+    /// File-backed payload bytes (zero when owned).
+    pub fn mapped_bytes(&self) -> usize {
+        match self {
+            F64Storage::Plain(v) => v.mapped_bytes(),
+            F64Storage::Integral(codes) => codes.mapped_bytes(),
+        }
+    }
+}
+
+impl ScanSource<f64> for F64Storage {
+    #[inline]
+    fn as_plain(&self) -> Option<&[f64]> {
+        match self {
+            F64Storage::Plain(v) => v.as_owned_slice(),
+            F64Storage::Integral(_) => None,
+        }
+    }
+    #[inline]
+    fn index(&self, i: usize) -> f64 {
+        self.get(i)
+    }
+    #[inline]
+    fn index_ascending(&self, cursor: &mut usize, i: usize) -> f64 {
+        self.index_run(cursor, i).0
+    }
+    #[inline]
+    fn index_run(&self, cursor: &mut usize, i: usize) -> (f64, usize) {
+        match self {
+            F64Storage::Plain(_) => (self.get(i), i + 1),
+            F64Storage::Integral(codes) => {
+                let (code, end) = codes.run_at(cursor, i);
+                (integral_value(code), end)
+            }
+        }
+    }
+    fn decode_into(&self, start: usize, out: &mut [f64]) {
+        match self {
+            F64Storage::Plain(v) => {
+                let end = start + out.len();
+                out.copy_from_slice(&v.hot(start..end)[start..end]);
+            }
+            F64Storage::Integral(codes) => {
+                let mut scratch = [0i64; BLOCK_ROWS];
+                for (k, chunk) in out.chunks_mut(BLOCK_ROWS).enumerate() {
+                    let lanes = &mut scratch[..chunk.len()];
+                    codes.decode_into(start + k * BLOCK_ROWS, lanes);
+                    crate::simd::integral_lanes(lanes, chunk);
+                }
+            }
+        }
+    }
+    #[inline]
+    fn decode_frame<'a>(
+        &'a self,
+        cursor: &mut usize,
+        base: usize,
+        len: usize,
+        buf: &'a mut [f64; BLOCK_ROWS],
+    ) -> &'a [f64] {
+        match self {
+            F64Storage::Plain(v) => &v.hot(base..base + len)[base..base + len],
+            F64Storage::Integral(codes) => {
+                let mut scratch = [0i64; BLOCK_ROWS];
+                let lanes = codes.decode_frame(cursor, base, len, &mut scratch);
+                crate::simd::integral_lanes(lanes, buf);
+                &buf[..len]
+            }
+        }
+    }
+}
+
 /// Storage for `i64` column values.
 pub type I64Storage = IntStorage<i64>;
 /// Storage for `u32` dictionary codes.
@@ -1675,6 +1872,137 @@ mod tests {
         crate::simd::set_force_scalar(false);
         assert_eq!(fast, slow);
         assert_eq!(fast, vals);
+    }
+
+    /// Every storage that can hold `values` — automatic, forced plain, and
+    /// (when all are integral) each forced code encoding.
+    fn f64_storages(values: &[f64]) -> Vec<F64Storage> {
+        let mut out = vec![
+            F64Storage::encode(values.to_vec()),
+            F64Storage::Plain(values.to_vec().into()),
+        ];
+        if let Some(codes) = F64Storage::codes_of(values) {
+            out.push(F64Storage::Integral(IntStorage::plain_of(codes.clone())));
+            out.extend(IntStorage::bit_packed_of(&codes).map(F64Storage::Integral));
+            out.extend(IntStorage::run_length_of(&codes).map(F64Storage::Integral));
+            out.extend(IntStorage::delta_of(&codes).map(F64Storage::Integral));
+        }
+        out
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Bit-exact through every accessor, at every frame incl. the ragged
+    /// tail.
+    fn f64_roundtrip(values: &[f64]) {
+        let want = bits(values);
+        for s in f64_storages(values) {
+            let kind = s.kind();
+            assert_eq!(s.len(), values.len(), "{kind}");
+            assert_eq!(bits(&s.to_vec()), want, "{kind} to_vec");
+            let mut cursor = 0usize;
+            for (i, &w) in want.iter().enumerate() {
+                assert_eq!(s.get(i).to_bits(), w, "{kind} get({i})");
+                let asc = s.index_ascending(&mut cursor, i);
+                assert_eq!(asc.to_bits(), w, "{kind} ascending({i})");
+                let (v, end) = s.index_run(&mut cursor, i);
+                assert_eq!(v.to_bits(), w, "{kind} run({i})");
+                assert!(end > i && want[i..end.min(want.len())].iter().all(|&x| x == w));
+            }
+            let mut buf = [0.0f64; BLOCK_ROWS];
+            let mut cursor = 0usize;
+            for base in (0..values.len()).step_by(BLOCK_ROWS) {
+                let len = BLOCK_ROWS.min(values.len() - base);
+                let lanes = s.decode_frame(&mut cursor, base, len, &mut buf);
+                assert_eq!(bits(lanes), want[base..base + len], "{kind} frame {base}");
+            }
+            for start in [0usize, 1, 63, 64, 65, 130] {
+                if start < values.len() {
+                    let got = s.decode_range(start, values.len());
+                    assert_eq!(bits(&got), want[start..], "{kind} range from {start}");
+                }
+            }
+        }
+    }
+
+    const TWO_53: f64 = 9_007_199_254_740_992.0;
+
+    #[test]
+    fn integral_doubles_round_trip_bit_for_bit() {
+        f64_roundtrip(&[]);
+        f64_roundtrip(&[-0.0]);
+        // Delays: small signed integers, negative zeros, a null's 0.0.
+        let delays: Vec<f64> = (0..333)
+            .map(|i| match i % 9 {
+                0 => -0.0,
+                1 => 0.0,
+                _ => ((i * 7919) % 400) as f64 - 60.0,
+            })
+            .collect();
+        f64_roundtrip(&delays);
+        assert_eq!(F64Storage::encode(delays).kind(), EncodingKind::BitPacked);
+        // Mostly-zero and sorted shapes pick the run-length and delta codes.
+        let sparse: Vec<f64> = (0..1000).map(|i| f64::from(i / 400 * 15)).collect();
+        f64_roundtrip(&sparse);
+        assert_eq!(F64Storage::encode(sparse).kind(), EncodingKind::RunLength);
+        let sorted: Vec<f64> = (0..1000).map(|i| 1e12 + f64::from(i * 7 + i % 5)).collect();
+        f64_roundtrip(&sorted);
+        assert_eq!(F64Storage::encode(sorted).kind(), EncodingKind::Delta);
+        // The edge of the exactly-representable integers, both signs.
+        let edge: Vec<f64> = (0..200)
+            .map(|i| [TWO_53, -TWO_53, TWO_53 - 1.0, 1.0 - TWO_53, 0.0, -0.0][i % 6])
+            .collect();
+        f64_roundtrip(&edge);
+        assert!(F64Storage::codes_of(&edge).is_some());
+    }
+
+    #[test]
+    fn non_integral_doubles_stay_plain_bit_for_bit() {
+        let base: Vec<f64> = (0..200).map(|i| f64::from(i % 40)).collect();
+        assert_ne!(F64Storage::encode(base.clone()).kind(), EncodingKind::Plain);
+        for odd in [
+            0.5,
+            f64::MIN_POSITIVE / 2.0, // subnormal
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7FF8_0000_0000_1234), // NaN with a payload
+            TWO_53 + 2.0,
+            -(TWO_53 + 2.0),
+            1e300,
+        ] {
+            let mut values = base.clone();
+            values[77] = odd;
+            assert!(F64Storage::codes_of(&values).is_none(), "{odd}");
+            let s = F64Storage::encode(values.clone());
+            assert!(matches!(s, F64Storage::Plain(_)), "{odd}");
+            f64_roundtrip(&values);
+        }
+        // Integral but incompressible: the codes would not save 25 %.
+        let noisy: Vec<f64> = (0..500u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64)
+            .collect();
+        assert!(F64Storage::codes_of(&noisy).is_some());
+        assert!(matches!(F64Storage::encode(noisy), F64Storage::Plain(_)));
+    }
+
+    #[test]
+    fn integral_decode_is_total_over_arbitrary_codes() {
+        // A damaged file can hold any i64 where a code should be: decode
+        // must give some non-NaN double, identically under every codegen.
+        let codes: Vec<i64> = (0..300i64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15u64 as i64) >> (i % 60))
+            .chain([i64::MIN, i64::MAX, -1, 0, 1])
+            .collect();
+        let s = F64Storage::Integral(IntStorage::plain_of(codes));
+        let fast = s.to_vec();
+        crate::simd::set_force_scalar(true);
+        let slow = s.to_vec();
+        crate::simd::set_force_scalar(false);
+        assert_eq!(bits(&fast), bits(&slow));
+        assert!(fast.iter().all(|v| !v.is_nan()));
     }
 
     #[test]

@@ -50,8 +50,9 @@
 //!
 //! ## Compressed columns and the block ABI
 //!
-//! Integer values and dictionary codes sit behind the [`encoding`] layer:
-//! an [`IntStorage`] holds them plain, frame-of-reference bit-packed,
+//! Integer values, dictionary codes and integral doubles (as sign-magnitude
+//! codes inside an [`F64Storage`]) sit behind the [`encoding`] layer: an
+//! [`IntStorage`] holds them plain, frame-of-reference bit-packed,
 //! run-length encoded, or per-block delta coded, chosen automatically at
 //! ingest by byte cost. The scan drivers and kernels meet the storage at
 //! the [`block`] ABI: 64-row-aligned [`block::Block`] frames of decoded
@@ -175,7 +176,9 @@ pub use bitmap::Bitmap;
 pub use block::{scan_blocks, scan_frames, Block, BlockCursor, BlockSink, FrameEvent, BLOCK_ROWS};
 pub use column::{Column, DictColumn, F64Column, I64Column};
 pub use dictionary::Dictionary;
-pub use encoding::{CodeStorage, EncodingKind, I64Storage, IntStorage, PackedInt, ZoneMap};
+pub use encoding::{
+    CodeStorage, EncodingKind, F64Storage, I64Storage, IntStorage, PackedInt, ZoneMap,
+};
 pub use error::{Error, Result};
 pub use membership::{row_sampled, MembershipSet};
 pub use nullmask::NullMask;

@@ -23,6 +23,8 @@
 //!   domain for bit-packed storage, so no frame-of-reference
 //!   reconstruction happens at all
 //!   ([`IntStorage::range_frame_word`](crate::encoding::IntStorage::range_frame_word)).
+//!   `Double` leaves compare in the f64 domain on frames decoded from the
+//!   column's [`F64Storage`], whichever encoding it chose.
 //!   Text and regex matches on dictionary columns are evaluated **once per
 //!   dictionary entry** into a code-indexed match bitmap; the per-row test
 //!   is then a bitmap probe on the code lane. `And`/`Or`/`Not` are bitwise
@@ -73,11 +75,11 @@
 use crate::bitmap::Bitmap;
 use crate::block::{scan_frames, FrameEvent, BLOCK_ROWS};
 use crate::column::Column;
-use crate::encoding::{CodeStorage, I64Storage, ZoneMap};
+use crate::encoding::{CodeStorage, F64Storage, I64Storage, ZoneMap};
 use crate::error::Result;
 use crate::membership::MembershipSet;
 use crate::regexlite::Regex;
-use crate::scan::Selection;
+use crate::scan::{ScanSource, Selection};
 use crate::simd;
 use crate::table::Table;
 use crate::value::Value;
@@ -281,6 +283,8 @@ impl Predicate {
                                 zones: c.zones(),
                                 lo: *lo,
                                 hi: *hi,
+                                cursor: 0,
+                                buf: Box::new([0.0; BLOCK_ROWS]),
                             }
                         } else {
                             // Empty range, or a NaN bound: nothing matches.
@@ -350,6 +354,8 @@ impl Predicate {
                                         nulls: c.nulls().bitmap(),
                                         zones: c.zones(),
                                         value: target,
+                                        cursor: 0,
+                                        buf: Box::new([0.0; BLOCK_ROWS]),
                                     }
                                 }
                             }
@@ -714,18 +720,22 @@ enum BNode<'a> {
     },
     /// `lo <= v < hi` lane compare on a float column.
     RangeF64 {
-        data: &'a [f64],
+        data: &'a F64Storage,
         nulls: Option<&'a Bitmap>,
         zones: &'a ZoneMap<f64>,
         lo: f64,
         hi: f64,
+        cursor: usize,
+        buf: Box<[f64; BLOCK_ROWS]>,
     },
     /// `v == value` lane compare on a float column.
     EqualsF64 {
-        data: &'a [f64],
+        data: &'a F64Storage,
         nulls: Option<&'a Bitmap>,
         zones: &'a ZoneMap<f64>,
         value: f64,
+        cursor: usize,
+        buf: Box<[f64; BLOCK_ROWS]>,
     },
     /// Inclusive integer-domain bounds on an integer/date column (range
     /// *and* numeric equality both lower to this).
@@ -796,6 +806,8 @@ fn eval_node(node: &mut BNode<'_>, base: usize, len: usize, sel: u64) -> u64 {
             zones,
             lo,
             hi,
+            cursor,
+            buf,
         } => {
             let live = live_word(*nulls, base, sel);
             if live == 0 {
@@ -808,13 +820,15 @@ fn eval_node(node: &mut BNode<'_>, base: usize, len: usize, sel: u64) -> u64 {
             if zmin >= *lo && zmax < *hi {
                 return live; // zone map: every value passes
             }
-            simd::range_word_half(&data[base..base + len], *lo, *hi) & live
+            simd::range_word_half(data.decode_frame(cursor, base, len, buf), *lo, *hi) & live
         }
         BNode::EqualsF64 {
             data,
             nulls,
             zones,
             value,
+            cursor,
+            buf,
         } => {
             let live = live_word(*nulls, base, sel);
             if live == 0 {
@@ -827,7 +841,7 @@ fn eval_node(node: &mut BNode<'_>, base: usize, len: usize, sel: u64) -> u64 {
             if zmin == zmax && zmin == *value {
                 return live; // constant block equal to the target
             }
-            simd::eq_word(&data[base..base + len], *value) & live
+            simd::eq_word(data.decode_frame(cursor, base, len, buf), *value) & live
         }
         BNode::RangeI64 {
             storage,

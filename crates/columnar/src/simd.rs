@@ -13,6 +13,8 @@
 //! * [`moments_frame`] / [`moments_one`] — 8-lane sum / sum-of-squares /
 //!   higher-power accumulation (lane of a row = `row % 8`, one 512-bit
 //!   vector of `f64`).
+//! * [`integral_lanes`] — the 64-lane code → `f64` convert behind encoded
+//!   double columns ([`crate::encoding::F64Storage`]).
 //! * the width-`w` whole-block bit-unpack lives with the storage types in
 //!   [`crate::encoding`], dispatched through [`active`] the same way.
 //!
@@ -205,6 +207,34 @@ tier_dispatch! {
     /// Expand a selection/null word to per-lane masks: `out[k]` is all-ones
     /// when bit `k` of `word` is set, zero otherwise.
     fn expand_word(word: u64, out: &mut [u32; 64])
+}
+
+// ---------------------------------------------------------------------------
+// Integral-double codes
+// ---------------------------------------------------------------------------
+
+/// The double a sign-magnitude code stands for (see
+/// [`crate::encoding`]'s "Integral doubles"): magnitude in bits 1.., sign
+/// in bit 0. Total — any `i64` yields some non-NaN double.
+#[inline(always)]
+pub(crate) fn integral_value(code: i64) -> f64 {
+    f64::from_bits(((code >> 1) as f64).to_bits() | (code as u64) << 63)
+}
+
+#[inline(always)]
+fn integral_lanes_body(codes: &[i64], out: &mut [f64]) {
+    for (o, &c) in out.iter_mut().zip(codes) {
+        *o = integral_value(c);
+    }
+}
+
+tier_dispatch! {
+    integral_lanes_body => integral_lanes_avx2, integral_lanes_avx512;
+    /// Decode a frame of integral-double codes: `out[k]` is the double
+    /// `codes[k]` stands for, for `k < codes.len().min(out.len())`.
+    /// `i64 → f64` is one instruction per eight lanes on the AVX-512 tier
+    /// and scalar below it; the conversion is exact either way.
+    fn integral_lanes(codes: &[i64], out: &mut [f64])
 }
 
 // ---------------------------------------------------------------------------

@@ -300,15 +300,12 @@ impl UdfRegistry {
     }
 }
 
-/// f64 lane decoder over one numeric input column: doubles borrow their
-/// raw data, integer storage decodes 64-row frames through its block
-/// unpackers (bit-packed, delta, run-length — whatever the column chose at
-/// ingest) and casts in a lane loop.
-// One short-lived stack local per materialization — the cursor's decode
-// scratch dwarfing the slice variant costs nothing here.
-#[allow(clippy::large_enum_variant)]
+/// f64 lane decoder over one numeric input column: both storages decode
+/// 64-row frames through their block unpackers (bit-packed, delta,
+/// run-length — whatever the column chose at ingest), and integer lanes
+/// cast in a lane loop.
 enum NumLanes<'a> {
-    F(&'a [f64]),
+    F(BlockCursor<'a, f64, crate::encoding::F64Storage>),
     I(BlockCursor<'a, i64, crate::encoding::I64Storage>),
 }
 
@@ -316,7 +313,7 @@ impl<'a> NumLanes<'a> {
     /// `None` for non-numeric columns (the rowwise closure handles those).
     fn new(col: &'a Column) -> Option<(Self, &'a NullMask)> {
         match col {
-            Column::Double(c) => Some((NumLanes::F(c.data()), c.nulls())),
+            Column::Double(c) => Some((NumLanes::F(BlockCursor::new(c.data())), c.nulls())),
             Column::Int(c) | Column::Date(c) => {
                 Some((NumLanes::I(BlockCursor::new(c.storage())), c.nulls()))
             }
@@ -328,7 +325,7 @@ impl<'a> NumLanes<'a> {
     #[inline]
     fn frame(&mut self, base: usize, len: usize, out: &mut [f64; BLOCK_ROWS]) {
         match self {
-            NumLanes::F(data) => out[..len].copy_from_slice(&data[base..base + len]),
+            NumLanes::F(cursor) => out[..len].copy_from_slice(cursor.lanes(base, len)),
             NumLanes::I(cursor) => {
                 let lanes = cursor.lanes(base, len);
                 for (o, &v) in out[..len].iter_mut().zip(lanes) {
@@ -526,7 +523,8 @@ mod tests {
 
     /// 130 rows (crosses two frame boundaries, ragged tail) mixing nulls,
     /// zero denominators, and infinities that make `Add`/`Ratio` produce
-    /// NaN on valid lanes.
+    /// NaN on valid lanes. `D` is stored raw, `W` (whole numbers, both
+    /// zeros) as encoded codes.
     fn wide_table() -> Table {
         let n = 130usize;
         let ints = (0..n).map(|i| {
@@ -545,6 +543,12 @@ mod tests {
             23 => Some(f64::NEG_INFINITY),
             i => Some(i as f64 * 0.25 - 8.0),
         });
+        let whole = F64Column::from_options((0..n).map(|i| match i {
+            i if i % 13 == 2 => None,
+            i if i % 5 == 0 => Some(-0.0),
+            i => Some((i * 7 % 60) as f64 - 20.0),
+        }));
+        assert_ne!(whole.data().kind(), crate::EncodingKind::Plain);
         Table::builder()
             .column(
                 "I",
@@ -556,9 +560,14 @@ mod tests {
                 ColumnKind::Double,
                 Column::Double(F64Column::from_options(dbls)),
             )
+            .column("W", ColumnKind::Double, Column::Double(whole))
             .build()
             .unwrap()
     }
+
+    /// Operand pairs over [`wide_table`]: raw and encoded doubles on
+    /// either side.
+    const OPERANDS: [(&str, &str); 3] = [("I", "D"), ("I", "W"), ("W", "D")];
 
     #[test]
     fn ratio_and_sum_are_block_compiled() {
@@ -593,16 +602,18 @@ mod tests {
             ),
             ("Total", UdfRegistry::register_sum),
         ] {
-            let mut blocked = UdfRegistry::new();
-            mk(&mut blocked, name, "I", "D");
-            let mut rowwise = UdfRegistry::new();
-            mk(&mut rowwise, name, "I", "D");
-            rowwise.fns.get_mut(name).unwrap().block = None;
-            let cb = blocked.materialize(name, &t).unwrap();
-            let cr = rowwise.materialize(name, &t).unwrap();
-            assert_eq!(cb.len(), cr.len());
-            for r in 0..t.num_rows() {
-                assert_eq!(cb.value(r), cr.value(r), "{name} row {r}");
+            for (a, b) in OPERANDS {
+                let mut blocked = UdfRegistry::new();
+                mk(&mut blocked, name, a, b);
+                let mut rowwise = UdfRegistry::new();
+                mk(&mut rowwise, name, a, b);
+                rowwise.fns.get_mut(name).unwrap().block = None;
+                let cb = blocked.materialize(name, &t).unwrap();
+                let cr = rowwise.materialize(name, &t).unwrap();
+                assert_eq!(cb.len(), cr.len());
+                for r in 0..t.num_rows() {
+                    assert_eq!(cb.value(r), cr.value(r), "{name}({a}, {b}) row {r}");
+                }
             }
         }
     }
@@ -632,16 +643,18 @@ mod tests {
             ),
             ("Le", UdfRegistry::register_le),
         ] {
-            let mut blocked = UdfRegistry::new();
-            mk(&mut blocked, name, "I", "D");
-            assert!(blocked.get(name).unwrap().block.is_some());
-            let mut rowwise = UdfRegistry::new();
-            mk(&mut rowwise, name, "I", "D");
-            rowwise.fns.get_mut(name).unwrap().block = None;
-            let cb = blocked.materialize(name, &t).unwrap();
-            let cr = rowwise.materialize(name, &t).unwrap();
-            for r in 0..t.num_rows() {
-                assert_eq!(cb.value(r), cr.value(r), "{name} row {r}");
+            for (a, b) in OPERANDS {
+                let mut blocked = UdfRegistry::new();
+                mk(&mut blocked, name, a, b);
+                assert!(blocked.get(name).unwrap().block.is_some());
+                let mut rowwise = UdfRegistry::new();
+                mk(&mut rowwise, name, a, b);
+                rowwise.fns.get_mut(name).unwrap().block = None;
+                let cb = blocked.materialize(name, &t).unwrap();
+                let cr = rowwise.materialize(name, &t).unwrap();
+                for r in 0..t.num_rows() {
+                    assert_eq!(cb.value(r), cr.value(r), "{name}({a}, {b}) row {r}");
+                }
             }
         }
         // Lt vs Le differ exactly on equal inputs.

@@ -124,3 +124,41 @@ fn probe_text_filter() {
         }
     }
 }
+
+/// Frame-decode cost of an encoded double column against its raw form and
+/// against the integer codes alone: the difference to the codes is the
+/// 64-lane code → `f64` convert.
+#[test]
+#[ignore]
+fn probe_integral_double_decode() {
+    use hillview_columnar::F64Storage;
+    const N: usize = 1_000_000;
+    let vals: Vec<f64> = (0..N).map(|i| ((i * 7919) % 700) as f64 - 60.0).collect();
+    let codes = F64Storage::codes_of(&vals).unwrap();
+    let encoded = F64Storage::encode(vals.clone());
+    assert!(matches!(encoded, F64Storage::Integral(_)));
+    let plain = F64Storage::Plain(vals.into());
+    let ints = I64Storage::encode(codes);
+
+    fn pass<T: Copy + Default, S: ScanSource<T>>(s: &S, sink: impl Fn(T) -> u64) -> (f64, u64) {
+        let mut buf = [T::default(); BLOCK_ROWS];
+        let mut sum = 0u64;
+        let reps = 20;
+        let t = Instant::now();
+        for _ in 0..reps {
+            let mut cursor = 0usize;
+            for base in (0..N).step_by(64) {
+                let lanes = s.decode_frame(&mut cursor, base, 64.min(N - base), &mut buf);
+                sum = sum.wrapping_add(sink(lanes[lanes.len() - 1]));
+            }
+        }
+        (t.elapsed().as_secs_f64() * 1e9 / (reps * N) as f64, sum)
+    }
+    for _ in 0..2 {
+        let (p, a) = pass(&plain, f64::to_bits);
+        let (e, b) = pass(&encoded, f64::to_bits);
+        let (i, _) = pass(&ints, |v: i64| v as u64);
+        assert_eq!(a, b);
+        println!("plain {p:.3} ns/row  encoded {e:.3} ns/row  codes only {i:.3} ns/row");
+    }
+}

@@ -1,13 +1,14 @@
 //! Property tests pinning block-wise predicate evaluation bit-identical to
-//! the rowwise `CompiledPredicate::eval` reference, across integer
-//! encodings (plain / bit-packed / run-length / delta) × membership
-//! representations × null densities × predicate shapes, in both simd-on
-//! and forced-scalar modes.
+//! the rowwise `CompiledPredicate::eval` reference, across integer and
+//! integral-double encodings (plain / bit-packed / run-length / delta) ×
+//! membership representations × null densities × predicate shapes, in both
+//! simd-on and forced-scalar modes.
 
 use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
 use hillview_columnar::predicate::{filter_members, filter_members_rowwise};
 use hillview_columnar::{
-    simd, ColumnKind, I64Storage, MembershipSet, NullMask, Predicate, StrMatchKind, Table, Value,
+    simd, ColumnKind, F64Storage, I64Storage, MembershipSet, NullMask, Predicate, StrMatchKind,
+    Table, Value, ZoneMap,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -205,6 +206,74 @@ proptest! {
                 .build()
                 .unwrap();
             assert_equivalent(&t, &preds, &members, &format!("sorted {enc:?} membership {kind}"));
+        }
+    }
+
+    /// Integral double columns — random or ascending (so zone maps decide
+    /// whole blocks, all-pass and all-fail), with nulls and negative zeros
+    /// — select the same rows raw and under every code encoding, and
+    /// `Equals(0.0)` matches both zeros.
+    #[test]
+    fn block_filter_on_integral_double_columns(
+        steps in proptest::collection::vec((0i32..40, 0.0f64..1.0), 1..400),
+        sorted in any::<bool>(),
+        kind in 0usize..4,
+        raw in proptest::collection::vec(any::<u32>(), 0..130),
+        null_p in 0.0f64..0.3,
+        lo_frac in -0.1f64..1.1,
+        span_frac in 0.0f64..0.7,
+        probe in any::<u64>(),
+    ) {
+        let n = steps.len();
+        let mut acc = -25i32;
+        let values: Vec<f64> = steps
+            .iter()
+            .map(|&(d, _)| {
+                acc = if sorted { acc + d } else { d - 20 };
+                // Small negatives round to the negative zero real data holds.
+                if acc == -1 { -0.0 } else { f64::from(acc) }
+            })
+            .collect();
+        let nulls = NullMask::from_flags(steps.iter().map(|s| s.1 < null_p), n);
+        let members = membership(kind, &raw, n);
+        let (first, last) = (values[0], values[n - 1].max(values[0] + 1.0));
+        let lo = first + lo_frac * (last - first);
+        let hi = lo + span_frac * (last - first);
+        let preds = vec![
+            Predicate::range("F", lo, hi),
+            Predicate::range("F", lo, lo),
+            Predicate::range("F", -1e9, 1e9),
+            Predicate::range("F", last + 1.0, last + 50.0),
+            Predicate::equals("F", values[(probe % n as u64) as usize]),
+            Predicate::equals("F", 0.0),
+            Predicate::equals("F", -0.0),
+            Predicate::equals("F", Value::Int(3)),
+            Predicate::range("F", lo, hi).not(),
+        ];
+        let codes = F64Storage::codes_of(&values).expect("integral by construction");
+        let mut storages = vec![
+            F64Storage::encode(values.clone()),
+            F64Storage::Plain(values.clone().into()),
+        ];
+        storages.extend(all_storages(&codes).into_iter().map(F64Storage::Integral));
+        let mut reference: Option<Vec<Vec<usize>>> = None;
+        for storage in storages {
+            let enc = storage.kind();
+            let col = F64Column::from_parts(storage, nulls.clone(), ZoneMap::from_f64(&values));
+            let t = Table::builder()
+                .column("F", ColumnKind::Double, Column::Double(col))
+                .build()
+                .unwrap();
+            assert_equivalent(&t, &preds, &members, &format!("double {enc:?} membership {kind}"));
+            let selected: Vec<Vec<usize>> = preds
+                .iter()
+                .map(|p| filter_members(&t, p, &members).unwrap().iter().collect())
+                .collect();
+            prop_assert_eq!(&selected[5], &selected[6], "{:?}: 0.0 and -0.0 select alike", enc);
+            match &reference {
+                None => reference = Some(selected),
+                Some(r) => prop_assert_eq!(&selected, r, "{:?} against the automatic choice", enc),
+            }
         }
     }
 

@@ -3,7 +3,8 @@
 use hillview_columnar::block::{scan_frames, FrameEvent};
 use hillview_columnar::scan::{scan_rows, scan_values, ScanSource, Selection, SplittableSelection};
 use hillview_columnar::{
-    Bitmap, EncodingKind, I64Storage, MembershipSet, NullMask, RowKey, Value, BLOCK_ROWS,
+    Bitmap, EncodingKind, F64Column, F64Storage, I64Storage, MembershipSet, NullMask, RowKey,
+    Value, BLOCK_ROWS,
 };
 use proptest::prelude::*;
 
@@ -20,6 +21,32 @@ fn all_storages(data: &[i64]) -> Vec<I64Storage> {
     out.extend(I64Storage::run_length_of(data));
     out.extend(I64Storage::delta_of(data));
     out
+}
+
+/// One double of an ingest-shaped mix: mostly small integers, with the
+/// values that decide whether a column may ride the integer encodings —
+/// both zeros, the 2^53 edge and just past it, a fraction, a subnormal,
+/// infinities and NaN. `odd` admits the non-integral ones.
+fn mixed_double(pick: u8, small: i16, odd: bool) -> f64 {
+    const TWO_53: f64 = 9_007_199_254_740_992.0;
+    match pick % 24 {
+        0 => -0.0,
+        1 => 0.0,
+        2 => TWO_53,
+        3 => -TWO_53,
+        4 if odd => TWO_53 + 2.0,
+        5 if odd => -(TWO_53 + 2.0),
+        6 if odd => 0.5,
+        7 if odd => f64::MIN_POSITIVE / 4.0,
+        8 if odd => f64::INFINITY,
+        9 if odd => f64::NEG_INFINITY,
+        10 if odd => f64::NAN,
+        _ => f64::from(small),
+    }
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 /// A membership set of the requested shape over `n` rows, covering all
@@ -55,6 +82,61 @@ proptest! {
                 let mut buf = [0i64; 7];
                 s.decode_into(start, &mut buf[..n]);
                 prop_assert_eq!(&buf[..n], &data[start..start + n], "{} block", s.kind());
+            }
+        }
+    }
+
+    /// A double column is lossless, bit for bit, whatever it holds and
+    /// however it is stored: through `get`, the ascending cursor,
+    /// arbitrary-offset and whole-frame decodes (ragged tail included), with
+    /// NaNs turned into nulls. Anything non-integral keeps the column plain;
+    /// an all-integral column decodes identically under every forced code
+    /// encoding.
+    #[test]
+    fn double_columns_are_lossless(
+        cells in proptest::collection::vec((any::<u8>(), -300i16..300), 0..400),
+        odd in any::<bool>(),
+        probe in any::<u64>(),
+    ) {
+        let data: Vec<f64> = cells.iter().map(|&(p, s)| mixed_double(p, s, odd)).collect();
+        let want = bits(&data);
+        let col = F64Column::new(data.clone(), NullMask::none());
+        for (i, v) in data.iter().enumerate() {
+            prop_assert_eq!(col.get(i).map(f64::to_bits), (!v.is_nan()).then_some(want[i]));
+        }
+        let integral = F64Storage::codes_of(&data);
+        if integral.is_none() {
+            prop_assert_eq!(col.data().kind(), EncodingKind::Plain);
+        }
+        let mut storages = vec![col.data().clone(), F64Storage::Plain(data.clone().into())];
+        for codes in integral.iter().flat_map(|c| all_storages(c)) {
+            storages.push(F64Storage::Integral(codes));
+        }
+        for s in storages {
+            let kind = s.kind();
+            prop_assert_eq!(s.len(), data.len());
+            prop_assert_eq!(bits(&s.to_vec()), &want[..], "{} to_vec", kind);
+            let mut cursor = 0usize;
+            let mut buf = [0.0f64; BLOCK_ROWS];
+            for base in (0..data.len()).step_by(BLOCK_ROWS) {
+                let len = BLOCK_ROWS.min(data.len() - base);
+                let lanes = s.decode_frame(&mut cursor, base, len, &mut buf);
+                prop_assert_eq!(bits(lanes), &want[base..base + len], "{} frame {}", kind, base);
+            }
+            let mut cursor = 0usize;
+            for (i, &w) in want.iter().enumerate().step_by(3) {
+                prop_assert_eq!(s.get(i).to_bits(), w, "{} get({})", kind, i);
+                let asc = s.index_ascending(&mut cursor, i);
+                prop_assert_eq!(asc.to_bits(), w, "{} ascending({})", kind, i);
+            }
+            if !data.is_empty() {
+                let start = (probe % data.len() as u64) as usize;
+                let n = 71.min(data.len() - start);
+                let mut out = vec![0.0f64; n];
+                s.decode_into(start, &mut out);
+                prop_assert_eq!(bits(&out), &want[start..start + n], "{} decode_into", kind);
+                let tail = s.decode_range(start, data.len());
+                prop_assert_eq!(bits(&tail), &want[start..], "{} decode_range", kind);
             }
         }
     }
@@ -429,8 +511,8 @@ proptest! {
         data in proptest::collection::vec(0i64..(1 << 20), 1..300),
     ) {
         use hillview_columnar::simd::{
-            bucket_indexes, expand_word, moments_frame, set_force_scalar, BucketParams,
-            MomentLanes,
+            bucket_indexes, expand_word, integral_lanes, moments_frame, set_force_scalar,
+            BucketParams, MomentLanes,
         };
         let p = BucketParams {
             lo: lohi.0,
@@ -450,8 +532,12 @@ proptest! {
             if let Some(s) = I64Storage::bit_packed_of(&data) {
                 packed_out = s.to_vec();
             }
+            // Any i64 may stand where a code should (a damaged file).
+            let codes: Vec<i64> = data.iter().map(|&d| d.wrapping_mul(word as i64)).collect();
+            let mut doubles = vec![0.0f64; codes.len()];
+            integral_lanes(&codes, &mut doubles);
             set_force_scalar(false);
-            (cells, masks, acc.collapse(), packed_out)
+            (cells, masks, acc.collapse(), packed_out, bits(&doubles))
         };
         let fast = run(false);
         let slow = run(true);
@@ -463,6 +549,7 @@ proptest! {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "power sums");
         }
         prop_assert_eq!(fast.3, slow.3, "bit-unpack");
+        prop_assert_eq!(fast.4, slow.4, "integral-double convert");
     }
 
     /// The predicate word primitives (`range_word_incl`, `range_word_half`,

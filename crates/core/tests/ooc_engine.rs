@@ -13,11 +13,12 @@
 //! * lineage replay after evictions/kills re-opens part files and still
 //!   reproduces the heap answer exactly,
 //! * heap/mapped accounting split: mapped datasets report `mapped_bytes`,
-//!   not `heap_bytes`.
+//!   not `heap_bytes`,
+//! * double columns fault frame by frame, raw and encoded alike.
 
-use hillview_columnar::column::{Column, I64Column};
+use hillview_columnar::column::{Column, F64Column, I64Column};
 use hillview_columnar::udf::UdfRegistry;
-use hillview_columnar::{ColumnKind, Predicate, SegmentMode, Table, TempDir};
+use hillview_columnar::{ColumnKind, EncodingKind, Predicate, SegmentMode, Table, TempDir};
 use hillview_core::dataset::SourceRegistry;
 use hillview_core::{
     Cluster, ClusterConfig, Engine, FaultAction, FaultPlan, FaultSite, HvcDirSource, QueryOptions,
@@ -104,7 +105,7 @@ fn mapped_scan_is_bit_identical_to_heap_and_prunes_io() {
     // windows (headers own a little heap), the heap dataset owns payloads.
     if cfg!(target_endian = "little") {
         let span = e.cluster().dataset_mapped_bytes(mapped);
-        assert!(span > 0, "v3 parts did not load mapped");
+        assert!(span > 0, "parts did not load mapped");
         assert!(
             e.cluster().dataset_heap_bytes(mapped) < e.cluster().dataset_heap_bytes(heap),
             "mapped columns must not be double-counted as heap"
@@ -141,6 +142,82 @@ fn mapped_scan_is_bit_identical_to_heap_and_prunes_io() {
             .run_filtered(heap, band(), histogram(), &QueryOptions::default())
             .unwrap();
         assert_eq!(m, h);
+    }
+}
+
+/// A mapped double column is read 64-row frame by frame, so zone-map
+/// pruning reaches the I/O layer for doubles as it does for integers: a 5%
+/// band over a sorted double column faults in a fraction of the bytes the
+/// column spans — whether the column is stored raw or as encoded codes —
+/// and the answer is the heap-resident one.
+#[test]
+fn double_columns_fault_frame_by_frame() {
+    const PART_ROWS: usize = 100_000;
+    // Both ascend, so all but the band's blocks are zone-skipped. `P` is
+    // fractional (stored raw, 8 B/row); `E` is whole numbers with low-bit
+    // noise (neither runs nor ascending codes: bit-packed).
+    let plain = |i: usize| i as f64 + 0.5;
+    let encoded = |i: usize| (i * 4) as f64 + (mix(i as u64) % 4096) as f64;
+    let dir = TempDir::new("ooc-engine-doubles");
+    let mut w = SpillingWriter::new(dir.path(), PART_ROWS).unwrap();
+    let t = Table::builder()
+        .column(
+            "P",
+            ColumnKind::Double,
+            Column::Double(F64Column::from_options((0..ROWS).map(|i| Some(plain(i))))),
+        )
+        .column(
+            "E",
+            ColumnKind::Double,
+            Column::Double(F64Column::from_options((0..ROWS).map(|i| Some(encoded(i))))),
+        )
+        .build()
+        .unwrap();
+    w.push(&t).unwrap();
+    let manifest = w.finish().unwrap();
+    let part = hillview_storage::hvc::read_file(manifest.paths().next().unwrap()).unwrap();
+    let kind = |name: &str| {
+        let col = part.column_by_name(name).unwrap();
+        col.as_f64_col().unwrap().data().kind()
+    };
+    assert_eq!(kind("P"), EncodingKind::Plain);
+    assert_eq!(kind("E"), EncodingKind::BitPacked);
+
+    // A cache that holds everything: faults count first touches only.
+    let e = ooc_engine(dir.path(), 64 << 20);
+    let mapped = e.load("mapped", 0).unwrap();
+    let heap = e.load("heap", 0).unwrap();
+    if cfg!(target_endian = "big") {
+        return; // big-endian hosts load heap everywhere: nothing to fault
+    }
+    let span = e.cluster().dataset_mapped_bytes(mapped) as u64;
+    let plain_span = (ROWS * 8) as u64;
+    for (column, value, column_span) in [
+        ("P", &plain as &dyn Fn(usize) -> f64, plain_span),
+        ("E", &encoded, span - plain_span),
+    ] {
+        let sketch =
+            || HistogramSketch::streaming(column, BucketSpec::numeric(0.0, value(ROWS), 20));
+        let band = Predicate::range(column, value(ROWS / 2), value(ROWS / 2 + ROWS / 20));
+        let before = e.cluster().block_cache_stats().bytes_faulted;
+        let (m, _) = e
+            .run_filtered(mapped, band.clone(), sketch(), &QueryOptions::default())
+            .unwrap();
+        let faulted = e.cluster().block_cache_stats().bytes_faulted - before;
+        let (h, _) = e
+            .run_filtered(heap, band, sketch(), &QueryOptions::default())
+            .unwrap();
+        assert_eq!(m, h, "{column}: mapped result diverged from heap-resident");
+        assert!(m.buckets.iter().sum::<u64>() > 0, "{column}: empty band");
+        assert!(
+            faulted > 0,
+            "{column}: a cold mapped scan must fault something"
+        );
+        assert!(
+            faulted * 2 <= column_span,
+            "{column}: a 5% band faulted {faulted} of the column's {column_span} mapped \
+             bytes — doubles are not read frame by frame"
+        );
     }
 }
 

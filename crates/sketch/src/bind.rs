@@ -1,8 +1,8 @@
 //! Internal helper binding a column to a bucket spec for fast row→bucket
 //! lookup, shared by the heatmap and stacked-histogram kernels.
 //!
-//! Binding resolves the column to its raw storage once — float slice or
-//! encoded integer/code storage plus optional null bitmap — so the per-row
+//! Binding resolves the column to its raw storage once — encoded
+//! float/integer/code storage plus optional null bitmap — so the per-row
 //! `bucket()` probe costs a storage read and a bitmap bit test instead of a
 //! `Column` enum dispatch and an `Option` round-trip.
 //!
@@ -20,7 +20,9 @@
 use crate::buckets::BucketSpec;
 use crate::traits::{SketchError, SketchResult};
 use hillview_columnar::simd::{self, BucketParams};
-use hillview_columnar::{Bitmap, BlockCursor, CodeStorage, Column, I64Storage, BLOCK_ROWS};
+use hillview_columnar::{
+    Bitmap, BlockCursor, CodeStorage, Column, F64Storage, I64Storage, BLOCK_ROWS,
+};
 
 /// Where a row's value landed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +38,7 @@ pub(crate) enum Cell {
 /// A column bound to its bucket spec, resolved to raw storage.
 pub(crate) enum BoundColumn<'a> {
     F64 {
-        data: &'a [f64],
+        data: &'a F64Storage,
         nulls: Option<&'a Bitmap>,
         spec: &'a BucketSpec,
     },
@@ -95,7 +97,7 @@ impl<'a> BoundColumn<'a> {
                 if nulls.is_some_and(|nb| nb.get(row)) {
                     Cell::Missing
                 } else {
-                    match spec.index_of_f64(data[row]) {
+                    match spec.index_of_f64(data.get(row)) {
                         Some(b) => Cell::In(b),
                         None => Cell::Out,
                     }
@@ -145,7 +147,7 @@ pub(crate) struct FrameCells<'a> {
 #[allow(clippy::large_enum_variant)]
 enum FrameInner<'a> {
     F64 {
-        data: &'a [f64],
+        cursor: BlockCursor<'a, f64, F64Storage>,
         nulls: Option<&'a Bitmap>,
         params: BucketParams,
     },
@@ -170,7 +172,7 @@ impl<'a> FrameCells<'a> {
         let out = n_buckets as u32;
         let inner = match bound {
             BoundColumn::F64 { data, nulls, spec } => FrameInner::F64 {
-                data,
+                cursor: BlockCursor::new(*data),
                 nulls: *nulls,
                 params: numeric_params(spec),
             },
@@ -213,12 +215,13 @@ impl<'a> FrameCells<'a> {
         let miss = self.out + 1;
         match &mut self.inner {
             FrameInner::F64 {
-                data,
+                cursor,
                 nulls,
                 params,
             } => {
                 let valid = !nulls.map_or(0, |nb| nb.word(base / 64));
-                simd::bucket_indexes(&data[base..base + len], valid, params, miss, cells);
+                let lanes = cursor.lanes(base, len);
+                simd::bucket_indexes(lanes, valid, params, miss, cells);
             }
             FrameInner::I64 {
                 cursor,

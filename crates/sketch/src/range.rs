@@ -8,6 +8,8 @@
 
 use crate::traits::{Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
+use hillview_columnar::simd::LaneValue;
+use hillview_columnar::{BlockCursor, ScanSource};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
 use std::sync::Arc;
 
@@ -134,27 +136,24 @@ impl Sketch for RangeSketch {
         scope: Scope<'_>,
         _seed: u64,
     ) -> SketchResult<RangeSummary> {
-        use hillview_columnar::block::BlockCursor;
         use hillview_columnar::scan::scan_rows;
         use hillview_columnar::Column;
         let col = view.table().column_by_name(&self.column)?;
         let mut out = RangeSummary::default();
         view.scan(scope, None, |sel| match col {
             Column::Double(c) => {
-                let data = c.data();
                 let zones = c.zones();
                 scan_numeric(
                     sel,
                     c.nulls(),
                     c.len(),
                     |b| zones.block(b),
-                    |r| data[r],
+                    c.data(),
                     &mut out,
                 );
             }
             Column::Int(c) | Column::Date(c) => {
                 let zones = c.zones();
-                let mut cur = BlockCursor::new(c.storage());
                 scan_numeric(
                     sel,
                     c.nulls(),
@@ -165,7 +164,7 @@ impl Sketch for RangeSketch {
                         let (mn, mx) = zones.block(b);
                         (mn as f64, mx as f64)
                     },
-                    |r| cur.value(r) as f64,
+                    c.storage(),
                     &mut out,
                 );
             }
@@ -204,23 +203,24 @@ impl Sketch for RangeSketch {
 /// The numeric frame walk of [`RangeSketch`]:
 /// count missing/present per frame word, take fully-live frames straight
 /// from `zone` (the per-block extremes recorded at ingest), and fold
-/// partial frames and sparse rows through `value` — an ascending per-row
-/// accessor (run-length storage serves it from its run cursor).
-fn scan_numeric(
+/// partial frames lane by lane from one frame decode of `data` (sparse
+/// rows through its ascending cursor).
+fn scan_numeric<T: LaneValue + Default, S: ScanSource<T> + ?Sized>(
     sel: &hillview_columnar::Selection<'_>,
     nulls: &hillview_columnar::NullMask,
     n: usize,
     zone: impl Fn(usize) -> (f64, f64),
-    mut value: impl FnMut(usize) -> f64,
+    data: &S,
     out: &mut RangeSummary,
 ) {
     use hillview_columnar::block::{scan_frames, FrameEvent};
+    let mut cur = BlockCursor::new(data);
     let fold = |out: &mut RangeSummary, mn: f64, mx: f64| {
         out.min = Some(out.min.map_or(mn, |m| m.min(mn)));
         out.max = Some(out.max.map_or(mx, |m| m.max(mx)));
     };
     scan_frames(sel, |ev| match ev {
-        FrameEvent::Frame { base, len: _, word } => {
+        FrameEvent::Frame { base, len, word } => {
             let nword = nulls.word(base / 64);
             out.missing += (word & nword).count_ones() as u64;
             let mut live = word & !nword;
@@ -238,12 +238,13 @@ fn scan_numeric(
                 let (mn, mx) = zone(base / 64);
                 fold(out, mn, mx);
             } else {
+                let lanes = cur.lanes(base, len);
                 let mut mn = f64::INFINITY;
                 let mut mx = f64::NEG_INFINITY;
                 while live != 0 {
                     let k = live.trailing_zeros() as usize;
                     live &= live - 1;
-                    let v = value(base + k);
+                    let v = lanes[k].lane_f64();
                     mn = mn.min(v);
                     mx = mx.max(v);
                 }
@@ -255,7 +256,7 @@ fn scan_numeric(
                 out.missing += 1;
             } else {
                 out.present += 1;
-                let v = value(r);
+                let v = cur.value(r).lane_f64();
                 fold(out, v, v);
             }
         }

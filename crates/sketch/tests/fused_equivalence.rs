@@ -42,10 +42,12 @@ use std::sync::Arc;
 const CATS: [&str; 6] = ["aa", "bb", "cc", "dd", "ee", "ff"];
 
 /// Random mixed-type table (same shape as `scan_equivalence.rs`): `null_p`
-/// drives the Double column's null density from 0% to ~100%.
+/// drives the Double column's null density from 0% to ~100%, and half the
+/// tables round it to whole numbers so it is stored as encoded codes.
 fn table_strategy() -> impl Strategy<Value = Table> {
     (
         0.0f64..1.1,
+        any::<bool>(),
         proptest::collection::vec(
             (
                 (0.0f64..1.0, -50.0f64..150.0),
@@ -55,13 +57,14 @@ fn table_strategy() -> impl Strategy<Value = Table> {
             1..300,
         ),
     )
-        .prop_map(|(null_p, rows)| {
+        .prop_map(|(null_p, integral, rows)| {
+            let x = |v: f64| if integral { v.round() } else { v };
             Table::builder()
                 .column(
                     "X",
                     ColumnKind::Double,
                     Column::Double(F64Column::from_options(
-                        rows.iter().map(|r| (r.0 .0 >= null_p).then_some(r.0 .1)),
+                        rows.iter().map(|r| (r.0 .0 >= null_p).then_some(x(r.0 .1))),
                     )),
                 )
                 .column(
@@ -468,8 +471,9 @@ proptest! {
     }
 
     /// The fusion law is invisible to the encoding layer: identical fused
-    /// summaries whichever physical storage backs the integer column, with
-    /// split boundaries landing mid-word, mid-run, mid-delta-block.
+    /// summaries whichever physical storage backs the filtered column —
+    /// integers and integral doubles alike — with split boundaries landing
+    /// mid-word, mid-run, mid-delta-block.
     #[test]
     fn fused_law_across_encodings(
         vals in proptest::collection::vec((0.0f64..1.0, -40i64..40), 1..300),
@@ -479,43 +483,72 @@ proptest! {
         bounds in (-50.0f64..50.0, -50.0f64..50.0),
         grain in 1usize..96,
     ) {
-        use hillview_columnar::{I64Storage, NullMask};
+        use hillview_columnar::{F64Storage, I64Storage, NullMask, ZoneMap};
         let n = vals.len();
         let data: Vec<i64> = vals.iter().map(|r| r.1).collect();
         let nulls = NullMask::from_flags(vals.iter().map(|r| r.0 < 0.15), n);
-        let mut columns: Vec<I64Column> = vec![I64Column::plain(data.clone(), nulls.clone())];
-        if let Some(s) = I64Storage::bit_packed_of(&data) {
-            columns.push(I64Column::with_storage(s, nulls.clone()));
-        }
-        if let Some(s) = I64Storage::run_length_of(&data) {
-            columns.push(I64Column::with_storage(s, nulls.clone()));
+        let mut columns = vec![Column::Int(I64Column::plain(data.clone(), nulls.clone()))];
+        let forced = [I64Storage::bit_packed_of(&data), I64Storage::run_length_of(&data)];
+        for s in forced.into_iter().flatten() {
+            columns.push(Column::Int(I64Column::with_storage(s, nulls.clone())));
         }
         // Delta needs ascending data: sorted copy, plain vs delta.
         let mut ascending = data.clone();
         ascending.sort_unstable();
-        let mut delta_columns: Vec<I64Column> =
-            vec![I64Column::plain(ascending.clone(), nulls.clone())];
+        let mut delta_columns =
+            vec![Column::Int(I64Column::plain(ascending.clone(), nulls.clone()))];
         if let Some(s) = I64Storage::delta_of(&ascending) {
-            delta_columns.push(I64Column::with_storage(s, nulls.clone()));
+            delta_columns.push(Column::Int(I64Column::with_storage(s, nulls.clone())));
         }
+        // The same values as doubles (zeros at odd rows negative): raw,
+        // the automatic choice, and each code encoding forced. Codes ascend
+        // with the magnitude, so the delta copy is shifted non-negative.
+        let doubles = |data: &[i64]| -> Vec<Column> {
+            let values: Vec<f64> = data
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| if v == 0 && i % 2 == 1 { -0.0 } else { v as f64 })
+                .collect();
+            let codes = F64Storage::codes_of(&values).expect("integral by construction");
+            let mut storages = vec![
+                F64Storage::Plain(values.clone().into()),
+                F64Storage::encode(values.clone()),
+            ];
+            let forced = [
+                I64Storage::bit_packed_of(&codes),
+                I64Storage::run_length_of(&codes),
+                I64Storage::delta_of(&codes),
+            ];
+            storages.extend(forced.into_iter().flatten().map(F64Storage::Integral));
+            storages
+                .into_iter()
+                .map(|s| {
+                    let zones = ZoneMap::from_f64(&values);
+                    Column::Double(F64Column::from_parts(s, nulls.clone(), zones))
+                })
+                .collect()
+        };
+        let shifted: Vec<i64> = ascending.iter().map(|v| v + 40).collect();
         let members = Arc::new(membership(kind, &raw, cuts, n));
         let (a, b) = bounds;
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         let p = Predicate::range("V", lo, hi);
+        let zero = Predicate::equals("V", 0.0);
         let hist = HistogramSketch::streaming("V", num_spec());
         let mo = MomentsSketch::new("V", 3);
-        for group in [columns, delta_columns] {
+        let range = RangeSketch::new("V");
+        for group in [columns, delta_columns, doubles(&data), doubles(&shifted)] {
             let mut results = Vec::new();
             for col in group {
-                let t = Table::builder()
-                    .column("V", ColumnKind::Int, Column::Int(col))
-                    .build()
-                    .unwrap();
+                let t = Table::builder().column("V", col.kind(), col).build().unwrap();
                 let v = TableView::with_members(Arc::new(t), members.clone());
                 prop_assert!(fused_law_holds(&hist, &v, &p, grain, 0));
+                prop_assert!(fused_law_holds(&range, &v, &p, grain, 0));
                 let h = hist.summarize(&v, under(&p), 0).unwrap();
                 let m = mo.summarize(&v, under(&p), 0).unwrap();
-                results.push((h, m.present, m.missing, m.min, m.max,
+                let r = range.summarize(&v, under(&p), 0).unwrap();
+                let zeros = CountSketch::rows().summarize(&v, under(&zero), 0).unwrap();
+                results.push((h, m.present, m.missing, m.min, m.max, r, zeros,
                     m.sums.iter().map(|s| s.to_bits()).collect::<Vec<_>>()));
             }
             for r in &results[1..] {

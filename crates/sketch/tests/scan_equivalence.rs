@@ -6,7 +6,10 @@
 //! per-row path wholesale.
 
 use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
-use hillview_columnar::{ColumnKind, MembershipSet, SortOrder, StrMatchKind, Table};
+use hillview_columnar::{
+    ColumnKind, F64Storage, I64Storage, MembershipSet, NullMask, SortOrder, StrMatchKind, Table,
+    ZoneMap,
+};
 use hillview_sketch::bottomk::BottomKSketch;
 use hillview_sketch::buckets::BucketSpec;
 use hillview_sketch::count::CountSketch;
@@ -29,10 +32,13 @@ const CATS: [&str; 6] = ["aa", "bb", "cc", "dd", "ee", "ff"];
 
 /// Random mixed-type table. `null_p` drives the Double column's null
 /// density anywhere from 0% to ~100%; the Int and Category columns carry
-/// their own sparser null flags.
+/// their own sparser null flags. Half the tables round the Double column to
+/// whole numbers (small negatives to `-0.0`), so it is stored as encoded
+/// integer codes and every kernel below reads it through the frame decoder.
 fn table_strategy() -> impl Strategy<Value = Table> {
     (
         0.0f64..1.1, // > 1.0 ⇒ fully-null Double column sometimes
+        any::<bool>(),
         proptest::collection::vec(
             (
                 (0.0f64..1.0, -50.0f64..150.0),
@@ -42,13 +48,14 @@ fn table_strategy() -> impl Strategy<Value = Table> {
             1..300,
         ),
     )
-        .prop_map(|(null_p, rows)| {
+        .prop_map(|(null_p, integral, rows)| {
+            let x = |v: f64| if integral { v.round() } else { v };
             Table::builder()
                 .column(
                     "X",
                     ColumnKind::Double,
                     Column::Double(F64Column::from_options(
-                        rows.iter().map(|r| (r.0 .0 >= null_p).then_some(r.0 .1)),
+                        rows.iter().map(|r| (r.0 .0 >= null_p).then_some(x(r.0 .1))),
                     )),
                 )
                 .column(
@@ -101,6 +108,35 @@ fn num_spec() -> BucketSpec {
 
 fn str_spec() -> BucketSpec {
     BucketSpec::strings(vec!["aa".into(), "cc".into(), "ee".into()])
+}
+
+/// `data` as a double column — zeros at odd rows negative — under every
+/// storage that can hold it: raw, the automatic choice, and each code
+/// encoding forced.
+fn double_columns(data: &[i64], nulls: &NullMask) -> Vec<Column> {
+    let values: Vec<f64> = data
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| if v == 0 && i % 2 == 1 { -0.0 } else { v as f64 })
+        .collect();
+    let codes = F64Storage::codes_of(&values).expect("integral by construction");
+    let mut storages = vec![
+        F64Storage::Plain(values.clone().into()),
+        F64Storage::encode(values.clone()),
+    ];
+    let forced = [
+        I64Storage::bit_packed_of(&codes),
+        I64Storage::run_length_of(&codes),
+        I64Storage::delta_of(&codes),
+    ];
+    storages.extend(forced.into_iter().flatten().map(F64Storage::Integral));
+    storages
+        .into_iter()
+        .map(|s| {
+            let zones = ZoneMap::from_f64(&values);
+            Column::Double(F64Column::from_parts(s, nulls.clone(), zones))
+        })
+        .collect()
 }
 
 proptest! {
@@ -387,8 +423,10 @@ proptest! {
     }
 
     /// The same kernel over the same logical data must produce identical
-    /// results whichever physical encoding backs the integer column — the
-    /// chunk decoder is invisible to kernels.
+    /// results whichever physical encoding backs the column — integers and
+    /// integral doubles alike; the chunk decoder is invisible to kernels.
+    /// Covers every kernel that binds a numeric column's storage: histogram,
+    /// moments, range, and the two-column cell kernels (heat map, stacked).
     #[test]
     fn kernels_agree_across_encodings(
         vals in proptest::collection::vec((0.0f64..1.0, -40i64..40), 1..300),
@@ -396,42 +434,57 @@ proptest! {
         raw in proptest::collection::vec(any::<u32>(), 0..200),
         cuts in (0.0f64..1.0, 0.0f64..1.0),
     ) {
-        use hillview_columnar::{I64Storage, NullMask};
         let n = vals.len();
         let data: Vec<i64> = vals.iter().map(|r| r.1).collect();
         let nulls = NullMask::from_flags(vals.iter().map(|r| r.0 < 0.15), n);
-        let mut columns: Vec<I64Column> = vec![
-            I64Column::plain(data.clone(), nulls.clone()),
-        ];
-        if let Some(s) = I64Storage::bit_packed_of(&data) {
-            columns.push(I64Column::with_storage(s, nulls.clone()));
-        }
-        if let Some(s) = I64Storage::run_length_of(&data) {
-            columns.push(I64Column::with_storage(s, nulls.clone()));
+        let mut columns = vec![Column::Int(I64Column::plain(data.clone(), nulls.clone()))];
+        let forced = [I64Storage::bit_packed_of(&data), I64Storage::run_length_of(&data)];
+        for s in forced.into_iter().flatten() {
+            columns.push(Column::Int(I64Column::with_storage(s, nulls.clone())));
         }
         // Delta needs ascending data: a sorted copy of the same values,
-        // compared between plain and delta storage.
+        // compared between plain and delta storage (shifted non-negative
+        // for the doubles, whose codes ascend with the magnitude).
         let mut ascending = data.clone();
         ascending.sort_unstable();
-        let mut delta_columns: Vec<I64Column> =
-            vec![I64Column::plain(ascending.clone(), nulls.clone())];
+        let mut delta_columns =
+            vec![Column::Int(I64Column::plain(ascending.clone(), nulls.clone()))];
         if let Some(s) = I64Storage::delta_of(&ascending) {
-            delta_columns.push(I64Column::with_storage(s, nulls.clone()));
+            delta_columns.push(Column::Int(I64Column::with_storage(s, nulls.clone())));
         }
+        let shifted: Vec<i64> = ascending.iter().map(|v| v + 40).collect();
+        let cats = DictColumn::from_strings(data.iter().map(|v| Some(CATS[v.rem_euclid(6) as usize])));
         let members = Arc::new(membership(kind, &raw, cuts, n));
         let hist = HistogramSketch::streaming("V", num_spec());
         let moments = MomentsSketch::new("V", 3);
-        for group in [columns, delta_columns] {
+        let range = hillview_sketch::range::RangeSketch::new("V");
+        let heat = HeatmapSketch::sampled("V", "C", num_spec(), str_spec(), 1.0);
+        let stack = StackedHistogramSketch::streaming("V", "C", num_spec(), str_spec());
+        for group in [
+            columns,
+            delta_columns,
+            double_columns(&data, &nulls),
+            double_columns(&shifted, &nulls),
+        ] {
             let mut results = Vec::new();
             for col in group {
                 let t = Table::builder()
-                    .column("V", ColumnKind::Int, Column::Int(col))
+                    .column("V", col.kind(), col)
+                    .column("C", ColumnKind::Category, Column::Cat(cats.clone()))
                     .build()
                     .unwrap();
                 let v = TableView::with_members(Arc::new(t), members.clone());
                 let h = hist.summarize(&v, Scope::ALL, 0).unwrap();
+                prop_assert_eq!(&h, &hist.summarize_rowwise(&v, 0).unwrap());
                 let m = moments.summarize(&v, Scope::ALL, 0).unwrap();
-                results.push((h, m.present, m.missing, m.min, m.max,
+                let r = range.summarize(&v, Scope::ALL, 0).unwrap();
+                prop_assert_eq!((r.min, r.max), (m.min, m.max));
+                let hm = heat.summarize(&v, Scope::ALL, 0).unwrap();
+                prop_assert_eq!(&hm, &heat.summarize_rowwise(&v, 0).unwrap());
+                let st = stack.summarize(&v, Scope::ALL, 0).unwrap();
+                prop_assert_eq!(&st, &stack.summarize_rowwise(&v, 0).unwrap());
+                let zero_signs = (r.min.map(f64::to_bits), r.max.map(f64::to_bits));
+                results.push((h, m.present, m.missing, zero_signs, r, hm, st,
                     m.sums.iter().map(|s| s.to_bits()).collect::<Vec<_>>()));
             }
             for r in &results[1..] {
@@ -552,7 +605,6 @@ proptest! {
         cuts in (0.0f64..1.0, 0.0f64..1.0),
         grain in 1usize..96,
     ) {
-        use hillview_columnar::{I64Storage, NullMask};
         use hillview_sketch::traits::summarize_split;
         let n = vals.len();
         let data: Vec<i64> = vals.iter().map(|r| r.1).collect();

@@ -39,6 +39,12 @@
 //!    `MADV_DONTNEED`, so a worker scans datasets far larger than its
 //!    budget.
 //!
+//! Under every tier a column keeps the encoding it was written with —
+//! integers, dictionary codes and integral doubles as packed words or run
+//! tables, everything else raw — and scans read it 64-row frame by frame,
+//! so "zone-skipped blocks cost no I/O" holds for every column kind,
+//! doubles included.
+//!
 //! All three tiers produce bit-identical query results; the property
 //! tests in `tests/ooc_props.rs` pin that equivalence across encodings.
 //! [`hvc::probe_file`] reads none of the payload under any tier: the

@@ -54,7 +54,7 @@ pub fn slice_table(table: &Table, start: usize, end: usize) -> Table {
                 }
             }
             Column::Double(fc) => {
-                let data: Vec<f64> = fc.data()[start..end].to_vec();
+                let data: Vec<f64> = fc.data().decode_range(start, end);
                 let mut nulls = NullMask::none();
                 for (j, i) in rows.clone().enumerate() {
                     if fc.nulls().is_null(i) {

@@ -19,8 +19,8 @@ use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
 use hillview_columnar::dictionary::DictionaryBuilder;
 use hillview_columnar::predicate::filter_members;
 use hillview_columnar::{
-    BlockCache, CodeStorage, ColumnKind, I64Storage, MembershipSet, NullMask, Predicate,
-    SegmentMode, Table, TempDir,
+    BlockCache, CodeStorage, ColumnKind, F64Storage, I64Storage, MembershipSet, NullMask,
+    Predicate, SegmentMode, Table, TempDir, ZoneMap,
 };
 use hillview_net::WireWriter;
 use hillview_storage::{hvc, probe_file, read_file_mapped};
@@ -43,9 +43,10 @@ fn below(state: &mut u64, n: usize) -> usize {
 }
 
 /// One table per integer encoding, each with every column kind: the
-/// encoding is forced on the Int and Date values and on the Category and
-/// String codes alike. The data is ascending with repeats, which all four
-/// encodings accept.
+/// encoding is forced on the Int and Date values, on the Category and
+/// String codes, and on the codes of an integral Double column alike (beside
+/// a fractional one, stored raw). The data is ascending with repeats, which
+/// all four encodings accept.
 fn images() -> Vec<Vec<u8>> {
     let values: Vec<i64> = (0..ROWS as i64).map(|i| 1_000 + i / 3).collect();
     let codes: Vec<u32> = (0..ROWS as u32).map(|i| i / 40).collect();
@@ -70,9 +71,17 @@ fn images() -> Vec<Vec<u8>> {
         |v| CodeStorage::run_length_of(v).unwrap(),
         |v| CodeStorage::delta_of(v).unwrap(),
     ];
+    let whole: Vec<f64> = values.iter().map(|&v| v as f64).collect();
+    let whole_codes = F64Storage::codes_of(&whole).unwrap();
     ints.iter()
         .zip(dicts)
-        .map(|(int, code)| {
+        .enumerate()
+        .map(|(which, (int, code))| {
+            let encoded = if which == 0 {
+                F64Storage::Plain(whole.clone().into())
+            } else {
+                F64Storage::Integral(int(&whole_codes))
+            };
             let t = Table::builder()
                 .column(
                     "i",
@@ -112,6 +121,15 @@ fn images() -> Vec<Vec<u8>> {
                             Some(i as f64 * 0.5)
                         }
                     }))),
+                )
+                .column(
+                    "e",
+                    ColumnKind::Double,
+                    Column::Double(F64Column::from_parts(
+                        encoded,
+                        nulls.clone(),
+                        ZoneMap::from_f64(&whole),
+                    )),
                 )
                 .build()
                 .unwrap();

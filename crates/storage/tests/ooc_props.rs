@@ -10,8 +10,8 @@
 use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
 use hillview_columnar::predicate::filter_members;
 use hillview_columnar::{
-    simd, BlockCache, ColumnKind, I64Storage, MembershipSet, NullMask, Predicate, SegmentMode,
-    Table, TempDir,
+    simd, BlockCache, ColumnKind, F64Storage, I64Storage, MembershipSet, NullMask, Predicate,
+    SegmentMode, Table, TempDir, ZoneMap,
 };
 use hillview_storage::{hvc, read_file_mapped};
 use proptest::prelude::*;
@@ -37,6 +37,17 @@ fn assert_tiers_identical(heap: &Table, mapped: &Table, predicate: &Predicate, s
     assert_eq!(mapped.num_columns(), heap.num_columns());
     for r in 0..heap.num_rows() {
         assert_eq!(mapped.full_row(r), heap.full_row(r), "row {r} diverged");
+    }
+    // `Value` equality cannot tell the two zeros apart; doubles must agree
+    // to the bit.
+    for c in 0..heap.num_columns() {
+        if let (Some(h), Some(m)) = (heap.column(c).as_f64_col(), mapped.column(c).as_f64_col()) {
+            assert_eq!(h.data().kind(), m.data().kind(), "column {c} encoding");
+            for r in 0..h.len() {
+                let bits = |v: Option<f64>| v.map(f64::to_bits);
+                assert_eq!(bits(m.get(r)), bits(h.get(r)), "column {c} row {r} bits");
+            }
+        }
     }
     let n = heap.num_rows();
     let full = MembershipSet::full(n);
@@ -101,10 +112,11 @@ proptest! {
         assert_tiers_identical(&heap, &mapped, &pred, seed);
     }
 
-    /// Every `I64Storage` encoding survives the mapped tier: plain,
-    /// bit-packed, run-length, delta — each forced explicitly, each
-    /// compared under both simd modes (the mapped windows feed the same
-    /// kernels the heap buffers do).
+    /// Every encoding survives the mapped tier: plain, bit-packed,
+    /// run-length, delta — each forced explicitly, over an integer column
+    /// and over the codes of an integral double column (zeros at odd rows
+    /// negative), each compared under both simd modes (the mapped windows
+    /// feed the same kernels the heap buffers do).
     #[test]
     fn mapped_equals_heap_for_every_encoding_and_simd_mode(
         data in proptest::collection::vec(-3000i64..3000, 1..400),
@@ -118,15 +130,29 @@ proptest! {
             I64Storage::run_length_of(&data).unwrap(),
             I64Storage::delta_of(&ascending).unwrap(),
         ];
-        for s in storages {
-            let t = Table::builder()
-                .column(
-                    "V",
-                    ColumnKind::Int,
-                    Column::Int(I64Column::with_storage(s, NullMask::none())),
-                )
-                .build()
-                .unwrap();
+        let mut columns: Vec<Column> = storages
+            .into_iter()
+            .map(|s| Column::Int(I64Column::with_storage(s, NullMask::none())))
+            .collect();
+        let doubles = |data: &[i64], force: fn(&[i64]) -> Option<I64Storage>| {
+            let values: Vec<f64> = data
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| if v == 0 && i % 2 == 1 { -0.0 } else { v as f64 })
+                .collect();
+            let codes = F64Storage::codes_of(&values).unwrap();
+            let storage = force(&codes).map_or(F64Storage::Plain(values.clone().into()), F64Storage::Integral);
+            let zones = ZoneMap::from_f64(&values);
+            Column::Double(F64Column::from_parts(storage, NullMask::none(), zones))
+        };
+        // Codes ascend with the magnitude: delta over the non-negative shift.
+        let shifted: Vec<i64> = ascending.iter().map(|v| v + 3000).collect();
+        columns.push(doubles(&data, |_| None));
+        columns.push(doubles(&data, I64Storage::bit_packed_of));
+        columns.push(doubles(&data, I64Storage::run_length_of));
+        columns.push(doubles(&shifted, I64Storage::delta_of));
+        for col in columns {
+            let t = Table::builder().column("V", col.kind(), col).build().unwrap();
             let (_dir, path) = write_temp(&t, "ooc-props-enc");
             let heap = hvc::read_file(&path).unwrap();
             let cache = BlockCache::new(64 << 10);

@@ -8,7 +8,16 @@ use hillview_storage::partition::{partition_table, slice_table};
 use proptest::prelude::*;
 use std::io::Cursor;
 
-/// Arbitrary mixed-type tables with nulls.
+/// Row `r` of double column `name`, as bits: `Value` equality cannot tell
+/// the two zeros apart.
+fn double_bits(t: &Table, name: &str, r: usize) -> Option<u64> {
+    let col = t.column_by_name(name).unwrap().as_f64_col().unwrap();
+    col.get(r).map(f64::to_bits)
+}
+
+/// Arbitrary mixed-type tables with nulls. `F` is fractional (stored raw);
+/// `W` holds the same draws rounded to whole numbers — small negatives to
+/// `-0.0` — so it is stored as encoded integer codes.
 fn table_strategy() -> impl Strategy<Value = Table> {
     let row = (
         proptest::option::weighted(0.85, any::<i64>()),
@@ -26,6 +35,13 @@ fn table_strategy() -> impl Strategy<Value = Table> {
                 "F",
                 ColumnKind::Double,
                 Column::Double(F64Column::from_options(rows.iter().map(|r| r.1))),
+            )
+            .column(
+                "W",
+                ColumnKind::Double,
+                Column::Double(F64Column::from_options(
+                    rows.iter().map(|r| r.1.map(|v| (v / 1e10).round())),
+                )),
             )
             .column(
                 "S",
@@ -49,6 +65,7 @@ proptest! {
         prop_assert_eq!(decoded.num_columns(), t.num_columns());
         for r in 0..t.num_rows() {
             prop_assert_eq!(decoded.full_row(r), t.full_row(r));
+            prop_assert_eq!(double_bits(&decoded, "W", r), double_bits(&t, "W", r));
         }
     }
 
@@ -118,6 +135,7 @@ proptest! {
         for p in &parts {
             for r in 0..p.num_rows() {
                 prop_assert_eq!(p.full_row(r), t.full_row(global));
+                prop_assert_eq!(double_bits(p, "W", r), double_bits(&t, "W", global));
                 global += 1;
             }
         }
