@@ -337,7 +337,7 @@ mod tests {
     use hillview_columnar::udf::UdfRegistry;
     use hillview_columnar::{ColumnKind, Table};
     use hillview_core::dataset::{FnSource, SourceRegistry, SourceSpec};
-    use hillview_core::ClusterConfig;
+    use hillview_core::{ClusterConfig, Lineage};
 
     fn setup() -> (Arc<Cluster>, DatasetId) {
         let mut sources = SourceRegistry::new();
@@ -356,14 +356,11 @@ mod tests {
         })));
         let c = Cluster::new(ClusterConfig::test(), sources, UdfRegistry::new());
         let ds = DatasetId(1);
-        c.load(
-            ds,
-            &SourceSpec {
-                source: Arc::from("nums"),
-                snapshot: 0,
-            },
-        )
-        .unwrap();
+        let spec = SourceSpec {
+            source: Arc::from("nums"),
+            snapshot: 0,
+        };
+        c.derive(ds, &Lineage::Loaded { spec }, None).unwrap();
         (c, ds)
     }
 

@@ -1,0 +1,87 @@
+//! Frame-decode probes for tuning the block decoders, none of which the
+//! end-to-end benchmark isolates: whole-frame bit-unpack throughput per
+//! width (read it when touching `unpack_span`), text search through the
+//! filter pipeline (the display-format path must reuse one scratch buffer
+//! — no per-row `String` — and case-insensitive matching must fold
+//! without allocating; read it when touching `text_match` or the
+//! `MatchDisplay`/`MatchCodes` predicate leaves), and the frame-decode cost
+//! of an encoded double column against its raw form and against its
+//! integer codes alone — the difference to the codes is the 64-lane
+//! code → `f64` convert. Every pass covers 1M rows, so ns/row is a
+//! median over 1e6.
+
+use super::data::{self, ROWS as N};
+use super::filter;
+use hillview_bench::harness::{Registered, Suite};
+use hillview_columnar::column::{Column, DictColumn};
+use hillview_columnar::{
+    ColumnKind, F64Storage, I64Storage, Predicate, ScanSource, StrMatchKind, Table, BLOCK_ROWS,
+};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+pub const SUITE: Registered = Registered {
+    name: "decode",
+    about: "decoder probes over 1M rows: bit-unpack per width, text filter rowwise vs block, \
+            integral-double frame decode vs plain vs codes only (median ns per pass; ns/row for \
+            the double decode)",
+    run,
+};
+
+/// One pass over every 64-row frame of `s`, folding one lane per frame
+/// through `sink` so the decode cannot be elided.
+fn pass<T: Copy + Default, S: ScanSource<T>>(s: &S, sink: impl Fn(T) -> u64) -> u64 {
+    let mut buf = [T::default(); BLOCK_ROWS];
+    let (mut cursor, mut sum) = (0usize, 0u64);
+    for base in (0..N).step_by(BLOCK_ROWS) {
+        let lanes = s.decode_frame(&mut cursor, base, BLOCK_ROWS.min(N - base), &mut buf);
+        sum = sum.wrapping_add(sink(lanes[lanes.len() - 1]));
+    }
+    sum
+}
+
+fn run(suite: &mut Suite) {
+    let mut rng = SmallRng::seed_from_u64(0x5EED);
+    for width in [1usize, 4, 8, 12, 16, 20, 31] {
+        let vals: Vec<i64> = (0..N)
+            .map(|_| (rng.gen::<u64>() % (1 << width)) as i64)
+            .collect();
+        let s = I64Storage::bit_packed_of(&vals).unwrap();
+        suite
+            .case(&format!("unpack_width_{width:02}"))
+            .time("pass", || pass(&s, |v: i64| v as u64));
+    }
+
+    let ids = data::int_table((0..N as i64).map(|i| i * 37 % 1_000_003).collect());
+    let carriers = ["UA", "AA", "DL", "gandalf-airlines"];
+    let carriers = DictColumn::from_strings((0..N).map(|i| Some(carriers[i % 4])));
+    let carriers = Table::builder()
+        .column("X", ColumnKind::Category, Column::Cat(carriers))
+        .build()
+        .unwrap();
+    let substring = |needle, ignore_case| {
+        Predicate::str_match("X", needle, StrMatchKind::Substring, ignore_case)
+    };
+    // The display path: digits are formatted per row to be searched.
+    let numeric = "text_substring_numeric_display";
+    filter::case(suite, numeric, &ids, substring("999", false));
+    let folded = "text_ci_substring_numeric";
+    filter::case(suite, folded, &ids, substring("999", true));
+    let dictionary = "text_ci_substring_dictionary";
+    filter::case(suite, dictionary, &carriers, substring("GANDALF", true));
+
+    let vals: Vec<f64> = (0..N).map(|i| ((i * 7919) % 700) as f64 - 60.0).collect();
+    let ints = I64Storage::encode(F64Storage::codes_of(&vals).unwrap());
+    let encoded = F64Storage::encode(vals.clone());
+    assert!(matches!(encoded, F64Storage::Integral(_)));
+    let plain = F64Storage::Plain(vals.into());
+    assert_eq!(pass(&plain, f64::to_bits), pass(&encoded, f64::to_bits));
+    let case = suite.case("integral_double_decode");
+    case.time("plain", || pass(&plain, f64::to_bits))
+        .time("encoded", || pass(&encoded, f64::to_bits))
+        .time("codes_only", || pass(&ints, |v: i64| v as u64));
+    for variant in ["plain", "encoded", "codes_only"] {
+        let ns_per_row = case.median_ns(variant) as f64 / N as f64;
+        case.fact(&format!("{variant}_ns_per_row"), ns_per_row);
+    }
+}

@@ -16,13 +16,14 @@
 //! `hillview_bench` crate docs).
 
 use hillview_baseline::GpEngine;
-use hillview_bench::setup::BenchCluster;
+use hillview_bench::harness::host_cores;
+use hillview_bench::setup::{cluster_config, BenchCluster};
 use hillview_bench::table::{kb, secs, TableWriter};
 use hillview_columnar::udf::UdfRegistry;
 use hillview_columnar::Predicate;
 use hillview_core::dataset::{FnSource, SourceRegistry};
 use hillview_core::spreadsheet::{OpStats, Spreadsheet};
-use hillview_core::{Cluster, ClusterConfig, Engine, QueryOptions};
+use hillview_core::{Cluster, Engine, QueryOptions};
 use hillview_data::{generate_flights, FlightsConfig};
 use hillview_sketch::histogram::HistogramSketch;
 use hillview_sketch::{BucketSpec, Scope};
@@ -348,17 +349,7 @@ fn sweep_cluster(workers: usize, threads: usize, leaves_per_worker: usize) -> Ar
         }
         Ok(out)
     })));
-    let cfg = ClusterConfig {
-        workers,
-        threads_per_worker: threads,
-        micropartition_rows: ROWS_PER_LEAF,
-        batch_interval: Duration::from_millis(100),
-        link: hillview_net::LinkConfig::instant(),
-        worker_timeout: std::time::Duration::from_secs(30),
-        leaf_grain_rows: 65_536,
-        cache_budget_bytes: 32 << 20,
-        block_cache_bytes: 256 << 20,
-    };
+    let cfg = cluster_config(workers, threads, ROWS_PER_LEAF);
     Arc::new(Engine::new(Cluster::new(cfg, sources, UdfRegistry::new())))
 }
 
@@ -382,14 +373,12 @@ fn histogram_latency(engine: &Arc<Engine>, ds: hillview_core::DatasetId, rate: f
     best
 }
 
-/// Figure 7: scalability with leaf count on one server.
-fn fig7() {
-    println!("\n## Figure 7 — leaf scalability on one server (ms; constant = ideal)\n");
-    println!("(data grows with leaves: 400k rows/leaf; 24 physical cores — the");
-    println!("paper's hyper-threading knee appears past the physical core count)\n");
-    let mut t = TableWriter::new(&["leaves", "streaming (ms)", "sampled (ms)"]);
-    for leaves in [1usize, 2, 4, 8, 16, 32, 64] {
-        let engine = sweep_cluster(1, leaves.min(22), leaves);
+/// One scalability table: streaming and fixed-sample histogram latency
+/// per `(row label, workers, threads per worker, leaves per worker)`.
+fn sweep_table(axis: &str, shapes: impl Iterator<Item = (usize, usize, usize, usize)>) {
+    let mut t = TableWriter::new(&[axis, "streaming (ms)", "sampled (ms)"]);
+    for (label, workers, threads, leaves) in shapes {
+        let engine = sweep_cluster(workers, threads, leaves);
         let ds = engine.load("sweep", 0).unwrap();
         let total_rows = engine.cluster().dataset_rows(ds) as u64;
         let streaming = histogram_latency(&engine, ds, 1.0);
@@ -398,7 +387,7 @@ fn fig7() {
         let rate = hillview_viz::samples::rate_for(target, total_rows);
         let sampled = histogram_latency(&engine, ds, rate);
         t.row(&[
-            leaves.to_string(),
+            label.to_string(),
             streaming.as_millis().to_string(),
             sampled.as_millis().to_string(),
         ]);
@@ -406,26 +395,37 @@ fn fig7() {
     t.print();
 }
 
+/// Figure 7: scalability with leaf count on one server.
+fn fig7() {
+    const LEAVES: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
+    let cores = host_cores();
+    println!("\n## Figure 7 — leaf scalability on one server (ms; constant = ideal)\n");
+    println!("(data grows with leaves: 400k rows/leaf; one pool thread per leaf up to");
+    println!("the {cores} cores of this host, where the paper's testbed had 24)");
+    if LEAVES[LEAVES.len() - 1] > cores {
+        println!("(past {cores} leaves the sweep exceeds this host's cores: time grows with data)");
+    }
+    println!();
+    sweep_table(
+        "leaves",
+        LEAVES.iter().map(|&l| (l, 1, l.min(22).min(cores), l)),
+    );
+}
+
 /// Figure 8: scalability with server count.
 fn fig8() {
+    const SERVERS: usize = 8;
+    const THREADS: usize = 2;
+    let cores = host_cores();
     println!("\n## Figure 8 — server scalability (ms; constant = ideal)\n");
-    println!("(8 leaves per server, 400k rows/leaf; servers share 24 cores)\n");
-    let mut t = TableWriter::new(&["servers", "streaming (ms)", "sampled (ms)"]);
-    for servers in 1usize..=8 {
-        let engine = sweep_cluster(servers, 2, 8);
-        let ds = engine.load("sweep", 0).unwrap();
-        let total_rows = engine.cluster().dataset_rows(ds) as u64;
-        let streaming = histogram_latency(&engine, ds, 1.0);
-        let target = hillview_viz::samples::histogram(200, 0.01);
-        let rate = hillview_viz::samples::rate_for(target, total_rows);
-        let sampled = histogram_latency(&engine, ds, rate);
-        t.row(&[
-            servers.to_string(),
-            streaming.as_millis().to_string(),
-            sampled.as_millis().to_string(),
-        ]);
+    println!("(8 leaves and {THREADS} pool threads per server, 400k rows/leaf; the servers");
+    println!("share the {cores} cores of this host)");
+    if SERVERS * THREADS > cores {
+        let first = cores / THREADS + 1;
+        println!("(from {first} servers on the sweep exceeds this host's cores: time grows)");
     }
-    t.print();
+    println!();
+    sweep_table("servers", (1..=SERVERS).map(|s| (s, s, THREADS, 8)));
 }
 
 /// Figure 9: lines of back-end code per vizketch.

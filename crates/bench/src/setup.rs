@@ -12,6 +12,23 @@ use std::sync::Arc;
 /// Rows of the 1x flights dataset (paper: 130M; scaled ÷1000).
 pub const FLIGHTS_1X_ROWS: usize = 130_000;
 
+/// The topology-independent settings every bench cluster shares: the
+/// paper's 100 ms batch window over instant links, and a worker timeout
+/// long enough that a slow scan on a loaded host is never declared dead.
+pub fn cluster_config(
+    workers: usize,
+    threads_per_worker: usize,
+    micropartition_rows: usize,
+) -> ClusterConfig {
+    ClusterConfig {
+        workers,
+        threads_per_worker,
+        micropartition_rows,
+        worker_timeout: std::time::Duration::from_secs(30),
+        ..ClusterConfig::default()
+    }
+}
+
 /// A cluster + engine wired with flight-data sources for benchmarking.
 pub struct BenchCluster {
     /// The engine (root node).
@@ -63,17 +80,7 @@ impl BenchCluster {
         udfs.register_ratio("Speed", "Distance", "AirTime");
         udfs.register_sum("TotalDelay", "DepDelay", "ArrDelay");
 
-        let cfg = ClusterConfig {
-            workers,
-            threads_per_worker: threads,
-            micropartition_rows,
-            batch_interval: std::time::Duration::from_millis(100),
-            link: hillview_net::LinkConfig::instant(),
-            worker_timeout: std::time::Duration::from_secs(30),
-            leaf_grain_rows: 65_536,
-            cache_budget_bytes: 32 << 20,
-            block_cache_bytes: 256 << 20,
-        };
+        let cfg = cluster_config(workers, threads, micropartition_rows);
         let cluster = Cluster::new(cfg, sources, udfs);
         BenchCluster {
             engine: Arc::new(Engine::new(cluster)),

@@ -36,7 +36,7 @@
 //! is reported in row-weighted work units per completed sub-task.
 
 use crate::cache::{CacheKey, CacheStats, Lookup};
-use crate::dataset::{DatasetId, SourceRegistry, SourceSpec};
+use crate::dataset::{DatasetId, Lineage, SourceRegistry};
 use crate::erased::ErasedSketch;
 use crate::error::{EngineError, EngineResult};
 use crate::fault::{self, FaultAction, FaultPlan, FaultSite};
@@ -529,53 +529,22 @@ impl Cluster {
         })
     }
 
-    /// Load a dataset on every worker.
-    pub fn load(&self, id: DatasetId, spec: &SourceSpec) -> EngineResult<()> {
-        self.on_all_workers(|w| w.load(id, spec))
-    }
-
-    /// Load on one worker only (lineage replay).
-    pub fn load_on(&self, worker: usize, id: DatasetId, spec: &SourceSpec) -> EngineResult<()> {
-        self.workers[worker].load(id, spec)
-    }
-
-    /// Filter a dataset on every worker.
-    pub fn filter(&self, id: DatasetId, parent: DatasetId, p: &Predicate) -> EngineResult<()> {
-        self.on_all_workers(|w| w.filter(id, parent, p))
-    }
-
-    /// Filter on one worker only (lineage replay).
-    pub fn filter_on(
-        &self,
-        worker: usize,
-        id: DatasetId,
-        parent: DatasetId,
-        p: &Predicate,
-    ) -> EngineResult<()> {
-        self.workers[worker].filter(id, parent, p)
-    }
-
-    /// Map a dataset on every worker.
-    pub fn map(
-        &self,
-        id: DatasetId,
-        parent: DatasetId,
-        udf: &str,
-        new_column: &str,
-    ) -> EngineResult<()> {
-        self.on_all_workers(|w| w.map(id, parent, udf, new_column))
-    }
-
-    /// Map on one worker only (lineage replay).
-    pub fn map_on(
-        &self,
-        worker: usize,
-        id: DatasetId,
-        parent: DatasetId,
-        udf: &str,
-        new_column: &str,
-    ) -> EngineResult<()> {
-        self.workers[worker].map(id, parent, udf, new_column)
+    /// Apply one lineage step — the value the redo log holds for `id` —
+    /// on every worker in parallel, or on worker `on` alone (replay).
+    pub fn derive(&self, id: DatasetId, step: &Lineage, on: Option<usize>) -> EngineResult<()> {
+        let apply = |w: &Arc<Worker>| match step {
+            Lineage::Loaded { spec } => w.load(id, spec),
+            Lineage::Filtered { parent, predicate } => w.filter(id, *parent, predicate),
+            Lineage::Mapped {
+                parent,
+                udf,
+                new_column,
+            } => w.map(id, *parent, udf, new_column),
+        };
+        match on {
+            Some(worker) => apply(&self.workers[worker]),
+            None => self.on_all_workers(apply),
+        }
     }
 
     /// Run an erased sketch over `dataset` as one execution tree,
@@ -785,7 +754,15 @@ impl Cluster {
                     }
                     // Progressive delivery to the client.
                     if let Some(cb) = &opts.on_partial {
-                        let merged = self.fold(sketch, &latest)?;
+                        // A fold error leaves through the epilogue like
+                        // every other: the tree is cancelled and joined.
+                        let merged = match self.fold(sketch, &latest) {
+                            Ok(merged) => merged,
+                            Err(e) => {
+                                error = Some(e);
+                                break;
+                            }
+                        };
                         // Workers that have not reported yet contribute an
                         // estimated work total (the mean of reporting
                         // workers) so early progress is not overstated.
@@ -1406,7 +1383,7 @@ fn aggregate_worker_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::FnSource;
+    use crate::dataset::{FnSource, SourceSpec};
     use crate::erased::erase;
     use hillview_columnar::column::{Column, I64Column};
     use hillview_columnar::{ColumnKind, Table};
@@ -1434,17 +1411,21 @@ mod tests {
         Cluster::new(cfg, sources, UdfRegistry::with_builtins())
     }
 
-    fn load(c: &Cluster) -> DatasetId {
-        let id = DatasetId(1);
-        c.load(
-            id,
-            &SourceSpec {
-                source: Arc::from("nums"),
-                snapshot: 0,
-            },
-        )
-        .unwrap();
+    fn spec(source: &str) -> SourceSpec {
+        SourceSpec {
+            source: Arc::from(source),
+            snapshot: 0,
+        }
+    }
+
+    fn load_source(c: &Cluster, id: DatasetId, source: &str) -> DatasetId {
+        let step = Lineage::Loaded { spec: spec(source) };
+        c.derive(id, &step, None).unwrap();
         id
+    }
+
+    fn load(c: &Cluster) -> DatasetId {
+        load_source(c, DatasetId(1), "nums")
     }
 
     #[test]
@@ -1576,15 +1557,7 @@ mod tests {
         let opts = QueryOptions::default();
         let _ = c.run_erased(ds, None, &erase(CountSketch::rows()), &opts);
         c.worker(0).restart();
-        c.worker(0)
-            .load(
-                ds,
-                &SourceSpec {
-                    source: Arc::from("nums"),
-                    snapshot: 0,
-                },
-            )
-            .unwrap();
+        c.worker(0).load(ds, &spec("nums")).unwrap();
         let outcome = c
             .run_erased(ds, None, &erase(CountSketch::rows()), &opts)
             .unwrap();
@@ -1654,16 +1627,7 @@ mod tests {
     }
 
     fn load_skewed(c: &Cluster) -> DatasetId {
-        let id = DatasetId(1);
-        c.load(
-            id,
-            &SourceSpec {
-                source: Arc::from("skewed"),
-                snapshot: 0,
-            },
-        )
-        .unwrap();
-        id
+        load_source(c, DatasetId(1), "skewed")
     }
 
     #[test]
@@ -1790,15 +1754,7 @@ mod tests {
             let mut cfg = ClusterConfig::test();
             cfg.workers = workers;
             let c = Cluster::new(cfg, sources.clone(), UdfRegistry::new());
-            let ds = DatasetId(5);
-            c.load(
-                ds,
-                &SourceSpec {
-                    source: Arc::from("span"),
-                    snapshot: 0,
-                },
-            )
-            .unwrap();
+            let ds = load_source(&c, DatasetId(5), "span");
             let sk = HistogramSketch::streaming("X", BucketSpec::numeric(0.0, 100.0, 20));
             let o = c
                 .run_erased(ds, None, &erase(sk), &QueryOptions::default())
@@ -1820,7 +1776,11 @@ mod tests {
         let ds = load_skewed(&c);
         let pred = Predicate::range("X", 10.0, 60.0);
         let filtered = DatasetId(2);
-        c.filter(filtered, ds, &pred).unwrap();
+        let step = Lineage::Filtered {
+            parent: ds,
+            predicate: pred.clone(),
+        };
+        c.derive(filtered, &step, None).unwrap();
         let sketches: Vec<Arc<dyn crate::erased::ErasedSketch>> = vec![
             erase(CountSketch::rows()),
             erase(HistogramSketch::streaming(
@@ -2191,5 +2151,101 @@ mod tests {
             .unwrap_err();
         assert!(matches!(e, EngineError::DeadlineExceeded { .. }), "{e}");
         assert!(started.elapsed() < Duration::from_secs(5));
+    }
+
+    /// Counts and slows every leaf, and ships a link form nothing can
+    /// decode: worker-side folds never see compacted bytes and succeed,
+    /// the root's fold of what crossed the link fails.
+    struct UnfoldableAtRoot {
+        inner: Arc<dyn ErasedSketch>,
+        summarized: std::sync::atomic::AtomicU64,
+    }
+
+    impl ErasedSketch for UnfoldableAtRoot {
+        fn name(&self) -> &'static str {
+            "unfoldable-at-root"
+        }
+        fn summarize_bytes(
+            &self,
+            view: &hillview_sketch::TableView,
+            scope: Scope<'_>,
+            seed: u64,
+        ) -> EngineResult<Bytes> {
+            self.summarized
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(3));
+            self.inner.summarize_bytes(view, scope, seed)
+        }
+        fn splittable(&self) -> bool {
+            false
+        }
+        fn merge_bytes(&self, a: &Bytes, b: &Bytes) -> EngineResult<Bytes> {
+            self.inner.merge_bytes(a, b)
+        }
+        fn identity_bytes(&self) -> Bytes {
+            self.inner.identity_bytes()
+        }
+        fn compact_bytes(&self, _summary: Bytes) -> EngineResult<Bytes> {
+            Ok(Bytes::from_static(&[0xFF; 6]))
+        }
+        fn cache_identity(&self) -> Option<Vec<u8>> {
+            None
+        }
+    }
+
+    #[test]
+    fn root_fold_error_cancels_and_joins_the_tree() {
+        const PARTITIONS: u64 = 40;
+        let mut sources = SourceRegistry::new();
+        sources.register(Arc::new(FnSource::new("many", |_w, _n, _mp, _snap| {
+            let part = || {
+                Table::builder()
+                    .column(
+                        "X",
+                        ColumnKind::Int,
+                        Column::Int(I64Column::from_options((0..10).map(Some))),
+                    )
+                    .build()
+                    .unwrap()
+            };
+            Ok((0..PARTITIONS).map(|_| part()).collect())
+        })));
+        // One pool thread per worker: leaves run one after another, so the
+        // first partial reaches the root with most of them still queued.
+        let cfg = ClusterConfig {
+            threads_per_worker: 1,
+            ..ClusterConfig::test()
+        };
+        let workers = cfg.workers as u64;
+        let c = Cluster::new(cfg, sources, UdfRegistry::new());
+        let ds = load_source(&c, DatasetId(1), "many");
+        let sketch = Arc::new(UnfoldableAtRoot {
+            inner: erase(CountSketch::rows()),
+            summarized: Default::default(),
+        });
+        let opts = QueryOptions {
+            on_partial: Some(Arc::new(|_: &Partial| {})),
+            ..Default::default()
+        };
+        let erased: Arc<dyn ErasedSketch> = sketch.clone();
+        let e = c.run_erased(ds, None, &erased, &opts).unwrap_err();
+        assert!(matches!(e, EngineError::Wire(_)), "{e}");
+        // Every queued leaf task drains — a cancelled one is counted, then
+        // returns before summarizing — and the cancel reached most of them.
+        let drained = || -> u64 {
+            (0..c.num_workers())
+                .map(|w| c.worker(w).leaf_tasks_executed())
+                .sum()
+        };
+        let started = Instant::now();
+        while drained() < workers * PARTITIONS {
+            assert!(started.elapsed() < Duration::from_secs(10), "leaves hung");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let summarized = sketch.summarized.load(std::sync::atomic::Ordering::SeqCst);
+        assert!(
+            summarized < workers * PARTITIONS,
+            "tree kept running after the fold error: {summarized} leaves summarized"
+        );
     }
 }

@@ -133,8 +133,9 @@ impl Engine {
             source: Arc::from(source),
             snapshot,
         };
-        self.log.record(id, Lineage::Loaded { spec: spec.clone() });
-        self.cluster.load(id, &spec)?;
+        let step = Lineage::Loaded { spec };
+        self.log.record(id, step.clone());
+        self.cluster.derive(id, &step, None)?;
         Ok(id)
     }
 
@@ -157,12 +158,13 @@ impl Engine {
             }
             None => return Err(EngineError::UnknownDataset(dataset)),
         };
-        let spec = SourceSpec {
-            source: spec.source,
-            snapshot,
+        let step = Lineage::Loaded {
+            spec: SourceSpec {
+                source: spec.source,
+                snapshot,
+            },
         };
-        self.log
-            .record(dataset, Lineage::Loaded { spec: spec.clone() });
+        self.log.record(dataset, step.clone());
         // Descendants materialized from the old snapshot are stale:
         // evict them everywhere so the ordinary missing-dataset replay
         // path rebuilds them against the new contents on demand.
@@ -173,7 +175,7 @@ impl Engine {
                 }
             }
         }
-        self.with_replay_on_all(|| self.cluster.load(dataset, &spec))
+        self.with_replay_on_all(|| self.cluster.derive(dataset, &step, None))
     }
 
     /// Derive a filtered dataset; logged (paper §5.6 "Selection"). The
@@ -184,14 +186,9 @@ impl Engine {
     pub fn filter(&self, parent: DatasetId, predicate: Predicate) -> EngineResult<DatasetId> {
         self.ensure_materialized(parent)?;
         let id = self.fresh_id();
-        self.log.record(
-            id,
-            Lineage::Filtered {
-                parent,
-                predicate: predicate.clone(),
-            },
-        );
-        self.with_replay_on_all(|| self.cluster.filter(id, parent, &predicate))?;
+        let step = Lineage::Filtered { parent, predicate };
+        self.log.record(id, step.clone());
+        self.with_replay_on_all(|| self.cluster.derive(id, &step, None))?;
         Ok(id)
     }
 
@@ -233,15 +230,13 @@ impl Engine {
     pub fn map(&self, parent: DatasetId, udf: &str, new_column: &str) -> EngineResult<DatasetId> {
         self.ensure_materialized(parent)?;
         let id = self.fresh_id();
-        self.log.record(
-            id,
-            Lineage::Mapped {
-                parent,
-                udf: Arc::from(udf),
-                new_column: Arc::from(new_column),
-            },
-        );
-        self.with_replay_on_all(|| self.cluster.map(id, parent, udf, new_column))?;
+        let step = Lineage::Mapped {
+            parent,
+            udf: Arc::from(udf),
+            new_column: Arc::from(new_column),
+        };
+        self.log.record(id, step.clone());
+        self.with_replay_on_all(|| self.cluster.derive(id, &step, None))?;
         Ok(id)
     }
 
@@ -252,18 +247,23 @@ impl Engine {
     fn ensure_materialized(&self, dataset: DatasetId) -> EngineResult<()> {
         // Snapshot the chain under the lock, run cluster ops outside it
         // (they replay and retry, and can take arbitrarily long).
-        let chain: Vec<(DatasetId, DatasetId, Predicate)> = {
+        let chain: Vec<DatasetId> = {
             let pending = self.pending_filters.lock();
             let mut chain = Vec::new();
             let mut cur = dataset;
             while let Some(pf) = pending.get(&cur) {
-                chain.push((cur, pf.parent, pf.predicate.clone()));
+                chain.push(cur);
                 cur = pf.parent;
             }
             chain
         };
-        for (id, parent, pred) in chain.into_iter().rev() {
-            self.with_replay_on_all(|| self.cluster.filter(id, parent, &pred))?;
+        for id in chain.into_iter().rev() {
+            // `filter_lazy` logged the step it deferred.
+            let step = self
+                .log
+                .lineage(id)
+                .ok_or(EngineError::UnknownDataset(id))?;
+            self.with_replay_on_all(|| self.cluster.derive(id, &step, None))?;
             self.pending_filters.lock().remove(&id);
         }
         Ok(())
@@ -420,17 +420,7 @@ impl Engine {
             if w.has_dataset(id) {
                 continue;
             }
-            match lineage {
-                Lineage::Loaded { spec } => self.cluster.load_on(worker, id, &spec)?,
-                Lineage::Filtered { parent, predicate } => {
-                    self.cluster.filter_on(worker, id, parent, &predicate)?
-                }
-                Lineage::Mapped {
-                    parent,
-                    udf,
-                    new_column,
-                } => self.cluster.map_on(worker, id, parent, &udf, &new_column)?,
-            }
+            self.cluster.derive(id, &lineage, Some(worker))?;
         }
         Ok(())
     }

@@ -22,6 +22,11 @@
 //! | `relaxed-ordering` | `Ordering::Relaxed` only in the counters allowlist ([`rules::RELAXED_COUNTER_FILES`]) or under a `// lint: allow(relaxed, reason)` marker |
 //! | `error-classified` | every `EngineError` variant is named in `is_retryable()` and the match has no wildcard arm |
 //!
+//! ## Size ledger
+//!
+//! `hillview-lint stats --json` prints the per-crate size ledger that is
+//! committed as `SIZE.json` and diffed in CI; see [`stats`].
+//!
 //! ## Markers
 //!
 //! A justified exception is a trailing or preceding-line comment of the
@@ -41,6 +46,7 @@
 
 pub mod lexer;
 pub mod rules;
+pub mod stats;
 
 use lexer::{lex, TokKind, Token};
 use std::fs;
@@ -326,8 +332,15 @@ impl Workspace {
     /// `tests/`, and `examples/`, skipping build output and the lint
     /// fixture corpus (which contains known-bad snippets on purpose).
     pub fn load(root: &Path) -> io::Result<Workspace> {
+        Workspace::load_dirs(root, &["crates", "vendor", "tests", "examples"])
+    }
+
+    /// [`Workspace::load`] over the given top-level directories (the size
+    /// ledger also counts the standalone `benchmark/` package, which the
+    /// rules do not patrol).
+    pub fn load_dirs(root: &Path, tops: &[&str]) -> io::Result<Workspace> {
         let mut files = Vec::new();
-        for top in ["crates", "vendor", "tests", "examples"] {
+        for top in tops {
             let dir = root.join(top);
             if dir.is_dir() {
                 walk(&dir, root, &mut files)?;

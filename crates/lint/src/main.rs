@@ -1,14 +1,18 @@
 //! `hillview-lint` — the workspace invariant checker CLI.
 //!
-//! Usage: `cargo run -p hillview-lint -- check [--root <path>]`
+//! Usage: `cargo run -p hillview-lint -- <check | stats --json> [--root <path>]`
 //!
-//! Exits 0 when the tree satisfies every invariant, 1 with one line per
-//! finding otherwise (2 for usage/IO errors). See the library docs for
-//! the rule table and the `// lint: allow(...)` marker grammar.
+//! `check` exits 0 when the tree satisfies every invariant, 1 with one
+//! line per finding otherwise (2 for usage/IO errors); see the library
+//! docs for the rule table and the `// lint: allow(...)` marker grammar.
+//! `stats --json` prints the size ledger committed as `SIZE.json` (JSON is
+//! its only format; the flag says so at the call site).
 
-use hillview_lint::Workspace;
-use std::path::PathBuf;
+use hillview_lint::{stats, Workspace};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+const USAGE: &str = "usage: hillview-lint <check | stats --json> [--root <path>]";
 
 fn find_workspace_root(start: PathBuf) -> Option<PathBuf> {
     let mut dir = start;
@@ -34,6 +38,8 @@ fn main() -> ExitCode {
     while let Some(a) = args.next() {
         match a.as_str() {
             "check" => command = Some("check"),
+            "stats" => command = Some("stats"),
+            "--json" if command == Some("stats") => {}
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => {
@@ -42,21 +48,37 @@ fn main() -> ExitCode {
                 }
             },
             other => {
-                eprintln!("unknown argument `{other}`; usage: hillview-lint check [--root <path>]");
+                eprintln!("unknown argument `{other}`; {USAGE}");
                 return ExitCode::from(2);
             }
         }
-    }
-    if command.is_none() {
-        eprintln!("usage: hillview-lint check [--root <path>]");
-        return ExitCode::from(2);
     }
     let root = root.or_else(|| std::env::current_dir().ok().and_then(find_workspace_root));
     let Some(root) = root else {
         eprintln!("no workspace root found (no ancestor Cargo.toml with [workspace]); use --root");
         return ExitCode::from(2);
     };
-    let ws = match Workspace::load(&root) {
+    match command {
+        Some("check") => check(&root),
+        Some("stats") => match stats::collect(&root) {
+            Ok(units) => {
+                print!("{}", stats::to_json(&units));
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("failed to read workspace under {}: {e}", root.display());
+                ExitCode::from(2)
+            }
+        },
+        _ => {
+            eprintln!("{USAGE}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+fn check(root: &Path) -> ExitCode {
+    let ws = match Workspace::load(root) {
         Ok(ws) => ws,
         Err(e) => {
             eprintln!("failed to read workspace under {}: {e}", root.display());

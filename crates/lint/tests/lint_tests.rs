@@ -257,3 +257,16 @@ fn live_workspace_is_clean() {
             .join("\n")
     );
 }
+
+/// The size ledger is a pure function of the tree: two runs over the
+/// fixture tree give equal bytes, and those bytes are the committed
+/// golden file (sorted keys, one unit per line, a `total`).
+#[test]
+fn stats_are_deterministic_on_a_fixture_tree() {
+    use hillview_lint::stats;
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/stats");
+    let run = || stats::to_json(&stats::collect(&root).expect("walk the fixture tree"));
+    let first = run();
+    assert_eq!(first, run());
+    assert_eq!(first, include_str!("fixtures/stats/SIZE.json"));
+}
