@@ -8,7 +8,10 @@
 //! of an encoded double column against its raw form and against its
 //! integer codes alone — the difference to the codes is the 64-lane
 //! code → `f64` convert. Every pass covers 1M rows, so ns/row is a
-//! median over 1e6.
+//! median over 1e6. `dict_open` is the open path instead: `hvc::decode` of
+//! a one-column part whose header is all dictionary (a 65 000-row slice of
+//! flights' `TailNum`), per dictionary entry — read it when touching
+//! `DictionaryBuilder::intern` or the header parse.
 
 use super::data::{self, ROWS as N};
 use super::filter;
@@ -17,6 +20,9 @@ use hillview_columnar::column::{Column, DictColumn};
 use hillview_columnar::{
     ColumnKind, F64Storage, I64Storage, Predicate, ScanSource, StrMatchKind, Table, BLOCK_ROWS,
 };
+use hillview_data::{generate_flights, FlightsConfig};
+use hillview_storage::hvc;
+use hillview_storage::partition::slice_table;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -24,7 +30,8 @@ pub const SUITE: Registered = Registered {
     name: "decode",
     about: "decoder probes over 1M rows: bit-unpack per width, text filter rowwise vs block, \
             integral-double frame decode vs plain vs codes only (median ns per pass; ns/row for \
-            the double decode)",
+            the double decode); dict_open: hvc::decode of a 65 000-row TailNum part, ns per \
+            dictionary entry",
     run,
 };
 
@@ -84,4 +91,31 @@ fn run(suite: &mut Suite) {
         let ns_per_row = case.median_ns(variant) as f64 / N as f64;
         case.fact(&format!("{variant}_ns_per_row"), ns_per_row);
     }
+
+    // The second of four 65 000-row parts, as the benchmark's flights spill.
+    let rows = 65_000;
+    let flights = generate_flights(&FlightsConfig::new(4 * rows, 7));
+    let tails = flights.column_by_name("TailNum").unwrap().clone();
+    let tails = Table::builder()
+        .column("TailNum", ColumnKind::String, tails)
+        .build()
+        .unwrap();
+    let part = slice_table(&tails, rows, 2 * rows);
+    let img = hvc::encode(&part);
+    let open = || hvc::decode(&img).unwrap();
+    let opened = open();
+    let strings = |t: &Table| -> Vec<Option<String>> {
+        let col = t.column(0).as_dict_col().unwrap();
+        (0..t.num_rows())
+            .map(|r| col.get(r).map(str::to_owned))
+            .collect()
+    };
+    assert_eq!(strings(&opened), strings(&part));
+    let entries = opened.column(0).as_dict_col().unwrap().dictionary().len();
+    let case = suite.case("dict_open");
+    case.fact("entries", entries as f64).time("decode", open);
+    case.fact(
+        "ns_per_entry",
+        case.median_ns("decode") as f64 / entries as f64,
+    );
 }

@@ -18,6 +18,7 @@ use crate::encoding::{CodeStorage, F64Storage, I64Storage, ZoneMap};
 use crate::nullmask::NullMask;
 use crate::schema::ColumnKind;
 use crate::value::Value;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// A column of 64-bit integers (also backs `Date` columns as epoch millis).
@@ -294,7 +295,11 @@ impl DictColumn {
         let mut null_rows = Vec::new();
         for (i, v) in vals.into_iter().enumerate() {
             match v {
-                Some(s) => codes.push(builder.intern(s)),
+                Some(s) => codes.push(
+                    builder
+                        .intern(s)
+                        .expect("one column's distinct strings stay under 4 GiB"),
+                ),
                 None => {
                     codes.push(0);
                     null_rows.push(i);
@@ -353,7 +358,7 @@ impl DictColumn {
 
     /// The string at row `i`, or `None` if missing.
     #[inline]
-    pub fn get(&self, i: usize) -> Option<&Arc<str>> {
+    pub fn get(&self, i: usize) -> Option<&str> {
         if self.nulls.is_null(i) {
             None
         } else {
@@ -441,9 +446,22 @@ impl Column {
             Column::Int(c) => c.get(i).map_or(Value::Missing, Value::Int),
             Column::Date(c) => c.get(i).map_or(Value::Missing, Value::Date),
             Column::Double(c) => c.get(i).map_or(Value::Missing, Value::Double),
-            Column::Str(c) | Column::Cat(c) => {
-                c.get(i).map_or(Value::Missing, |s| Value::Str(s.clone()))
-            }
+            Column::Str(c) | Column::Cat(c) => c.get(i).map_or(Value::Missing, Value::str),
+        }
+    }
+
+    /// `self.value(i).cmp(other)`, computed on the typed read: a string
+    /// row is compared in place in its dictionary instead of being copied
+    /// out into a `Value` first.
+    #[inline]
+    pub fn cmp_value(&self, i: usize, other: &Value) -> Ordering {
+        match self {
+            Column::Str(c) | Column::Cat(c) => match c.get(i) {
+                Some(s) => crate::value::cmp_str(s, other),
+                None => Value::Missing.cmp(other),
+            },
+            // The numeric kinds build their `Value` without allocating.
+            _ => self.value(i).cmp(other),
         }
     }
 
@@ -537,8 +555,8 @@ mod tests {
     fn dict_column_round_trips() {
         let c = DictColumn::from_strings([Some("UA"), Some("AA"), None, Some("UA")]);
         assert_eq!(c.len(), 4);
-        assert_eq!(c.get(0).unwrap().as_ref(), "UA");
-        assert_eq!(c.get(1).unwrap().as_ref(), "AA");
+        assert_eq!(c.get(0), Some("UA"));
+        assert_eq!(c.get(1), Some("AA"));
         assert!(c.get(2).is_none());
         assert_eq!(c.code(0), c.code(3), "repeated strings share codes");
         assert_eq!(c.dictionary().len(), 2);

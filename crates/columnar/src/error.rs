@@ -36,6 +36,8 @@ pub enum Error {
     BadRegex(String),
     /// A user-defined map function was not found in the registry.
     UnknownUdf(String),
+    /// A dictionary's strings would pass the 4 GiB its `u32` offsets address.
+    DictionaryTooLarge,
 }
 
 impl fmt::Display for Error {
@@ -59,6 +61,7 @@ impl fmt::Display for Error {
             Error::DuplicateColumn(name) => write!(f, "duplicate column: {name:?}"),
             Error::BadRegex(msg) => write!(f, "invalid regex: {msg}"),
             Error::UnknownUdf(name) => write!(f, "unknown map function: {name:?}"),
+            Error::DictionaryTooLarge => write!(f, "dictionary strings exceed 4 GiB"),
         }
     }
 }

@@ -534,7 +534,7 @@ impl CompiledPredicate {
                 .column(*col)
                 .as_dict_col()
                 .and_then(|d| d.get(row))
-                .is_some_and(|s| s.as_ref() == value.as_ref()),
+                .is_some_and(|s| s == value.as_ref()),
             CompiledPredicate::EqualsMissing { col } => table.column(*col).is_null(row),
             CompiledPredicate::Match {
                 col,

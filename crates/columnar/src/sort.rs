@@ -7,6 +7,7 @@
 use crate::error::Result;
 use crate::rows::RowKey;
 use crate::table::Table;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// One column of a sort order.
@@ -98,6 +99,22 @@ impl ResolvedSortOrder {
             .map(|&c| table.column(c).value(row))
             .collect();
         RowKey::new(values, self.descending.clone())
+    }
+
+    /// `self.key(table, row).cmp(key)` without building the row's key:
+    /// each sort column is compared through its typed read
+    /// ([`crate::Column::cmp_value`]), stopping at the first that differs. A
+    /// scan tests every row against a bound this way and materializes a
+    /// [`RowKey`] only for the few it keeps.
+    pub fn cmp_row(&self, table: &Table, row: usize, key: &RowKey) -> Ordering {
+        debug_assert_eq!(self.indexes.len(), key.values().len());
+        for ((&c, other), &desc) in self.indexes.iter().zip(key.values()).zip(&self.descending) {
+            let ord = table.column(c).cmp_value(row, other);
+            if ord != Ordering::Equal {
+                return if desc { ord.reverse() } else { ord };
+            }
+        }
+        Ordering::Equal
     }
 
     /// The resolved column indexes.

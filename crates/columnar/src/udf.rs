@@ -294,7 +294,7 @@ impl UdfRegistry {
         self.register(name, ColumnKind::Int, move |t, r| {
             t.column_by_name(&src)
                 .ok()
-                .and_then(|c| c.value(r).as_str().and_then(|s| s.trim().parse().ok()))
+                .and_then(|c| c.as_dict_col()?.get(r)?.trim().parse().ok())
                 .map_or(Value::Missing, Value::Int)
         });
     }

@@ -1,10 +1,11 @@
 //! Property-based tests for the columnar substrate's core invariants.
 
 use hillview_columnar::block::{scan_frames, FrameEvent};
+use hillview_columnar::column::{Column, DictColumn, I64Column};
 use hillview_columnar::scan::{scan_rows, scan_values, ScanSource, Selection, SplittableSelection};
 use hillview_columnar::{
-    Bitmap, EncodingKind, F64Column, F64Storage, I64Storage, MembershipSet, NullMask, RowKey,
-    Value, BLOCK_ROWS,
+    Bitmap, ColumnKind, EncodingKind, F64Column, F64Storage, I64Storage, MembershipSet, NullMask,
+    RowKey, SortOrder, Table, Value, ZoneMap, BLOCK_ROWS,
 };
 use proptest::prelude::*;
 
@@ -600,6 +601,77 @@ proptest! {
         prop_assert_eq!(fast.3, slow.3, "range_word_half");
         prop_assert_eq!(fast.4, slow.4, "eq_word");
         prop_assert_eq!(fast.5, slow.5, "probe_word");
+    }
+
+    /// `cmp_row` is the order of the materialized keys: for every column
+    /// kind (nulls in each; doubles raw and integral-encoded, both zeros
+    /// included), every mix of directions, keys taken from other rows and
+    /// keys whose variants are foreign to their columns.
+    #[test]
+    fn cmp_row_is_the_materialized_order(
+        cells in proptest::collection::vec((any::<u8>(), any::<i16>(), any::<u8>()), 1..40),
+        order in proptest::collection::vec((0usize..6, any::<bool>()), 1..4),
+        probes in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..24),
+    ) {
+        const WORDS: [&str; 5] = ["", "a", "ab", "b", "é"];
+        let n = cells.len();
+        let missing = |bit: u8| move |&(_, _, nulls): &(u8, i16, u8)| nulls >> bit & 1 == 1;
+        let ints = |bit: u8, modulus: i16| {
+            I64Column::from_options(
+                cells.iter().map(|c| (!missing(bit)(c)).then_some(i64::from(c.1 % modulus))),
+            )
+        };
+        let words = |bit: u8, shift: u8| {
+            DictColumn::from_strings(cells.iter().map(|c| {
+                (!missing(bit)(c)).then_some(WORDS[usize::from(c.0 >> shift) % WORDS.len()])
+            }))
+        };
+        // Whole-valued doubles, forced onto the integer codes however few
+        // rows there are; `raw` admits fractions and stays plain.
+        let whole: Vec<f64> = cells.iter().map(|c| mixed_double(c.0, c.1 % 4, false)).collect();
+        let whole_nulls = NullMask::from_flags(cells.iter().map(missing(2)), n);
+        let codes = I64Storage::bit_packed_of(&F64Storage::codes_of(&whole).unwrap()).unwrap();
+        let whole = F64Column::from_parts(
+            F64Storage::Integral(codes),
+            whole_nulls,
+            ZoneMap::from_f64(&whole),
+        );
+        let raw = F64Column::from_options(cells.iter().map(|c| {
+            (!missing(3)(c)).then_some(mixed_double(c.0, c.1 % 4, true))
+        }));
+        let names = ["int", "date", "whole", "raw", "str", "cat"];
+        let t = Table::builder()
+            .column(names[0], ColumnKind::Int, Column::Int(ints(0, 5)))
+            .column(names[1], ColumnKind::Date, Column::Date(ints(1, 3)))
+            .column(names[2], ColumnKind::Double, Column::Double(whole))
+            .column(names[3], ColumnKind::Double, Column::Double(raw))
+            .column(names[4], ColumnKind::String, Column::Str(words(4, 0)))
+            .column(names[5], ColumnKind::Category, Column::Cat(words(5, 3)))
+            .build()
+            .unwrap();
+        let directions: Vec<(&str, bool)> = order.iter().map(|&(c, desc)| (names[c], desc)).collect();
+        let resolved = SortOrder::with_directions(&directions).resolve(&t).unwrap();
+        for (a, b, foreign) in probes {
+            let (a, b) = (usize::from(a) % n, usize::from(b) % n);
+            let mut key = resolved.key(&t, b);
+            if foreign % 2 == 1 {
+                // One variant per position, whatever the column holds there.
+                let values = (0..order.len()).map(|at| match (usize::from(foreign) + at) % 6 {
+                    0 => Value::Missing,
+                    1 => Value::Int(i64::from(foreign % 5)),
+                    2 => Value::Double(f64::from(foreign % 5) - 0.5),
+                    3 => Value::Double(-0.0),
+                    4 => Value::Date(i64::from(foreign % 3)),
+                    _ => Value::str(WORDS[usize::from(foreign) % WORDS.len()]),
+                });
+                key = RowKey::new(values.collect(), key.descending().to_vec());
+            }
+            prop_assert_eq!(
+                resolved.cmp_row(&t, a, &key),
+                resolved.key(&t, a).cmp(&key),
+                "row {} against {:?} under {:?}", a, key, directions
+            );
+        }
     }
 
     /// Value ordering is transitive on random triples (sort consistency).

@@ -162,9 +162,9 @@ impl fmt::Debug for FnSource {
 /// this source consumes).
 ///
 /// Planning is header-only: parts are dealt to workers round-robin and
-/// each worker probes its share with [`hillview_storage::probe_file`]
-/// (schema, row count, zone maps — no payload I/O), then opens them with
-/// [`hillview_storage::read_file_mapped`]. An opened part stays *mapped*:
+/// each worker opens its share with [`hillview_storage::read_file_mapped`],
+/// which parses the header (schema, row count, dictionaries, zone maps) and
+/// reads no payload. An opened part stays *mapped*:
 /// its columns are windows over the file, faulted in block-granular
 /// through the worker's [`BlockCache`] as scans touch them, so loading a
 /// dataset costs O(headers) and querying it costs only the blocks zone
@@ -245,15 +245,13 @@ impl DataSource for HvcDirSource {
         let nw = num_workers.max(1);
         let mut tables = Vec::new();
         for path in parts.iter().skip(worker % nw).step_by(nw) {
-            // Header-only probe first: an empty part contributes nothing,
-            // and skipping it here costs no payload I/O.
-            let info = hillview_storage::probe_file(path).map_err(Self::storage_err)?;
-            if info.rows == 0 {
-                continue;
-            }
+            // One open, so one header parse; a mapped open reads no
+            // payload, so an empty part costs its header and is dropped.
             let table = hillview_storage::read_file_mapped(path, cache, self.mode)
                 .map_err(Self::storage_err)?;
-            tables.push(table);
+            if table.num_rows() > 0 {
+                tables.push(table);
+            }
         }
         Ok(tables)
     }
@@ -362,6 +360,10 @@ mod tests {
         w.push(&t).unwrap();
         let manifest = w.finish().unwrap();
         assert_eq!(manifest.parts.len(), 5);
+        // An empty part, dealt to worker 1 (sixth in name order): it must
+        // load as nothing, not as a zero-row table.
+        let empty = hillview_storage::partition::slice_table(&t, 0, 0);
+        hillview_storage::hvc::write_file(&empty, dir.join("part-00005.hvc")).unwrap();
 
         let src = HvcDirSource::new("parts", dir.path());
         let a = src.load(0, 2, 1_000, 0).unwrap();

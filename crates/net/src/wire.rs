@@ -161,12 +161,22 @@ impl WireReader {
 
     /// Read a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String> {
+        self.get_str_with(str::to_owned)
+    }
+
+    /// Read a length-prefixed UTF-8 string in place: `f` sees it borrowed
+    /// from the buffer, so a reader that only inspects or re-homes the
+    /// string copies and allocates nothing here.
+    pub fn get_str_with<T>(&mut self, f: impl FnOnce(&str) -> T) -> Result<T> {
         let len = self.get_len("string")?;
-        if self.buf.remaining() < len {
-            return Err(Error::Truncated { context: "string" });
-        }
-        let raw = self.buf.copy_to_bytes(len);
-        String::from_utf8(raw.to_vec()).map_err(|_| Error::BadUtf8)
+        let raw = self
+            .buf
+            .chunk()
+            .get(..len)
+            .ok_or(Error::Truncated { context: "string" })?;
+        let out = f(std::str::from_utf8(raw).map_err(|_| Error::BadUtf8)?);
+        self.buf.advance(len);
+        Ok(out)
     }
 
     /// Read length-prefixed raw bytes.

@@ -159,23 +159,23 @@ impl Sketch for FindSketch {
             matches_total: 0,
         };
         // Every surviving row already matches the criteria, so the scan
-        // body only builds keys and maintains the minimum lattice.
+        // body only maintains the minimum lattice — comparing rows in their
+        // columns and building a key just for a new best.
         view.scan(matching, None, |sel| {
             scan_rows(sel, |row| {
                 out.matches_total += 1;
-                let key = resolved.key(table, row);
                 if let Some(start) = &self.start {
-                    if key <= *start {
+                    if resolved.cmp_row(table, row, start).is_le() {
                         return;
                     }
                 }
                 out.matches_after += 1;
                 let better = match &out.first {
                     None => true,
-                    Some((best, _)) => key < *best,
+                    Some((best, _)) => resolved.cmp_row(table, row, best).is_lt(),
                 };
                 if better {
-                    out.first = Some((key, table.full_row(row)));
+                    out.first = Some((resolved.key(table, row), table.full_row(row)));
                 }
             })
         })?;

@@ -186,7 +186,7 @@ impl Sketch for MisraGriesSketch {
                 );
                 code_counters
                     .into_iter()
-                    .map(|(code, c)| (Value::Str(dict.dictionary().get(code).clone()), c))
+                    .map(|(code, c)| (Value::str(dict.dictionary().get(code)), c))
                     .collect()
             } else {
                 let mut val_counters: HashMap<Value, u64> = HashMap::with_capacity(self.k + 1);
@@ -443,9 +443,7 @@ impl Sketch for SampledHeavyHittersSketch {
                         .into_iter()
                         .enumerate()
                         .filter(|&(_, c)| c > 0)
-                        .map(|(code, c)| {
-                            (Value::Str(dict.dictionary().get(code as u32).clone()), c)
-                        })
+                        .map(|(code, c)| (Value::str(dict.dictionary().get(code as u32)), c))
                         .collect()
                 }
                 _ => {

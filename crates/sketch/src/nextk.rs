@@ -17,6 +17,7 @@ use crate::view::{Scope, TableView};
 use hillview_columnar::scan::scan_rows;
 use hillview_columnar::{Row, RowKey, SortOrder};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -157,49 +158,51 @@ impl Sketch for NextKSketch {
             .map(|c| table.schema().index_of(c))
             .collect::<Result<_, _>>()?;
 
-        // Bounded "heap": a BTreeMap of at most k+1 keys; evict the largest
-        // when over capacity, exactly the paper's priority-heap behaviour
-        // but with duplicate aggregation. Row enumeration is chunked so the
-        // per-row membership probe disappears on dense views.
-        let mut map: BTreeMap<RowKey, (Row, u64)> = BTreeMap::new();
+        // Bounded "heap": at most k entries kept ascending by key; a row
+        // past the k-th is dropped, exactly the paper's priority-heap
+        // behaviour but with duplicate aggregation. A row is placed by
+        // comparing it in its columns (`cmp_row`), so the rows a page does
+        // not keep — nearly all of them — never build a key. Row
+        // enumeration is chunked so the per-row membership probe disappears
+        // on dense views.
+        let mut rows: Vec<(RowKey, Row, u64)> = Vec::new();
         let mut matched = 0u64;
         view.scan(scope, None, |sel| {
             scan_rows(sel, |row| {
-                let key = resolved.key(table, row);
                 if let Some(start) = &self.start {
-                    if key <= *start {
+                    if resolved.cmp_row(table, row, start).is_le() {
                         return;
                     }
                 }
                 matched += 1;
-                // Skip rows beyond the current k-th smallest key, unless they
-                // duplicate an existing key.
-                if map.len() == self.k {
-                    let largest = map.keys().next_back().expect("non-empty");
-                    if key > *largest {
-                        return;
+                // A full page turns most rows away at its last entry.
+                if rows.len() == self.k {
+                    let Some((last, _, count)) = rows.last_mut() else {
+                        return; // k = 0 keeps nothing
+                    };
+                    match resolved.cmp_row(table, row, last) {
+                        Ordering::Greater => return,
+                        Ordering::Equal => return *count += 1,
+                        Ordering::Less => {}
                     }
                 }
-                match map.get_mut(&key) {
-                    Some((_, c)) => *c += 1,
-                    None => {
+                let place = rows
+                    .binary_search_by(|(key, _, _)| resolved.cmp_row(table, row, key).reverse());
+                match place {
+                    Ok(at) => rows[at].2 += 1,
+                    Err(at) => {
+                        let key = resolved.key(table, row);
                         let mut values = key.values().to_vec();
                         values.extend(display_idx.iter().map(|&c| table.column(c).value(row)));
-                        map.insert(key, (Row::new(values), 1));
-                        if map.len() > self.k {
-                            let largest = map.keys().next_back().expect("over capacity").clone();
-                            map.remove(&largest);
-                        }
+                        rows.insert(at, (key, Row::new(values), 1));
+                        rows.truncate(self.k);
                     }
                 }
             })
         })?;
         Ok(NextKSummary {
             k: self.k,
-            rows: map
-                .into_iter()
-                .map(|(key, (row, count))| (key, row, count))
-                .collect(),
+            rows,
             matched,
         })
     }

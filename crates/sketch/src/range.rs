@@ -173,7 +173,6 @@ impl Sketch for RangeSketch {
                     None => out.missing += 1,
                     Some(s) => {
                         out.present += 1;
-                        let s = s.as_ref();
                         if out.min_str.as_deref().is_none_or(|m| s < m) {
                             out.min_str = Some(s.to_string());
                         }

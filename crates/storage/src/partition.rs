@@ -8,7 +8,9 @@
 
 use crate::error::{Error, Result};
 use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
+use hillview_columnar::dictionary::{Dictionary, DictionaryBuilder};
 use hillview_columnar::{NullMask, Table};
+use std::sync::Arc;
 
 /// Split `table` into chunks of at most `rows_per_partition` rows.
 ///
@@ -30,8 +32,71 @@ pub fn partition_table(table: &Table, rows_per_partition: usize) -> Vec<Table> {
     out
 }
 
-/// Copy rows `start..end` of every column into a new table.
+/// Copy rows `start..end` of every column into a new table. A string
+/// column's slice shares the source's dictionary, however few of its
+/// entries the rows reference (pruning is [`crate::hvc::encode`]'s job).
 pub fn slice_table(table: &Table, start: usize, end: usize) -> Table {
+    slice(table, start, end, false)
+}
+
+/// [`slice_table`] for rows on their way to a file: each string column gets
+/// the dictionary [`crate::hvc::encode`] would store for it, so that sealing
+/// the slice finds nothing left to prune and encodes its codes once, not
+/// twice.
+pub(crate) fn slice_for_file(table: &Table, start: usize, end: usize) -> Table {
+    slice(table, start, end, true)
+}
+
+/// Bring a string column's `codes` into the form a file stores: renumbered
+/// in order of first appearance among the non-null rows, null rows parked
+/// on code 0 (in range whenever a row is present). Returns the dictionary
+/// that goes with the new codes — exactly the referenced entries of `dict`
+/// — or `None`, leaving `codes` alone, when they have that form already and
+/// use all of `dict`, as any column built by interning its own rows does.
+pub(crate) fn renumber(
+    codes: &mut [u32],
+    nulls: &NullMask,
+    dict: &Dictionary,
+) -> Option<Dictionary> {
+    // Codes in that form climb one at a time: each is at most one past the
+    // largest before it. Checked first because it needs no table, stops at
+    // the first code out of turn, and is all that writing costs a column
+    // already renumbered.
+    let mut next = 0u32;
+    let in_order = codes.iter().enumerate().all(|(row, &code)| {
+        if nulls.is_null(row) {
+            return true;
+        }
+        next += u32::from(code == next);
+        code < next
+    });
+    if in_order && next as usize == dict.len() {
+        return None;
+    }
+    let mut renumbered = vec![u32::MAX; dict.len()];
+    // Old codes, in the order rows first reference them.
+    let mut kept: Vec<u32> = Vec::new();
+    for (row, code) in codes.iter_mut().enumerate() {
+        if nulls.is_null(row) {
+            *code = 0;
+            continue;
+        }
+        let new = &mut renumbered[*code as usize];
+        if *new == u32::MAX {
+            *new = kept.len() as u32;
+            kept.push(*code);
+        }
+        *code = *new;
+    }
+    let mut db = DictionaryBuilder::with_capacity(kept.len());
+    for &old in &kept {
+        db.intern(dict.get(old))
+            .expect("a subset of a dictionary fits where the dictionary did");
+    }
+    Some(db.finish())
+}
+
+fn slice(table: &Table, start: usize, end: usize, prune: bool) -> Table {
     let mut builder = Table::builder();
     for c in 0..table.num_columns() {
         let desc = table.schema().desc(c);
@@ -64,16 +129,22 @@ pub fn slice_table(table: &Table, start: usize, end: usize) -> Table {
                 Column::Double(F64Column::new(data, nulls))
             }
             Column::Str(dc) | Column::Cat(dc) => {
-                // Share the dictionary; slice only the codes (decoded and
-                // re-encoded, so each micropartition re-analyzes its slice).
-                let codes: Vec<u32> = dc.codes().decode_range(start, end);
+                // Slice only the codes (decoded and re-encoded, so each
+                // micropartition re-analyzes its slice).
+                let mut codes: Vec<u32> = dc.codes().decode_range(start, end);
                 let mut nulls = NullMask::none();
                 for (j, i) in rows.clone().enumerate() {
                     if dc.nulls().is_null(i) {
                         nulls.set_null(j, end - start);
                     }
                 }
-                let nc = DictColumn::new(codes, dc.dictionary().clone(), nulls);
+                let own = if prune {
+                    renumber(&mut codes, &nulls, dc.dictionary())
+                } else {
+                    None
+                };
+                let dict = own.map_or_else(|| dc.dictionary().clone(), Arc::new);
+                let nc = DictColumn::new(codes, dict, nulls);
                 if matches!(col, Column::Str(_)) {
                     Column::Str(nc)
                 } else {
@@ -132,14 +203,10 @@ pub fn concat_tables(parts: &[Table]) -> Result<Table> {
                 })))
             }
             Column::Str(_) | Column::Cat(_) => {
-                let vals: Vec<Option<std::sync::Arc<str>>> = parts
-                    .iter()
-                    .flat_map(|p| {
-                        let col = p.column(c).as_dict_col().expect("schema checked");
-                        (0..p.num_rows()).map(move |i| col.get(i).cloned())
-                    })
-                    .collect();
-                let dc = DictColumn::from_strings(vals.iter().map(|v| v.as_deref()));
+                let dc = DictColumn::from_strings(parts.iter().flat_map(|p| {
+                    let col = p.column(c).as_dict_col().expect("schema checked");
+                    (0..p.num_rows()).map(move |i| col.get(i))
+                }));
                 if desc.kind == hillview_columnar::ColumnKind::String {
                     Column::Str(dc)
                 } else {

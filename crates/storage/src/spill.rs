@@ -11,6 +11,13 @@
 //! ([`crate::hvc::read_file_mapped`] per part) consumes, and
 //! [`crate::hvc::probe_file`] plans over it without reading payloads.
 //!
+//! A part is a function of its rows: [`crate::hvc::encode`] stores each
+//! string column with exactly the dictionary entries the part's rows use,
+//! in the order they first appear, so the same rows seal to the same bytes
+//! whether they arrived as one table sharing a larger table's dictionary
+//! or as many small batches — and a part never carries (nor makes its
+//! reader parse) the strings of rows that live in other parts.
+//!
 //! [`spill_csv`] drives the same writer from a CSV stream with a declared
 //! schema, so text ingest never materializes more than one micropartition
 //! of cells at a time.
@@ -18,7 +25,7 @@
 use crate::csv::{column_from_strings, parse_record, CsvOptions};
 use crate::error::{Error, Result};
 use crate::hvc;
-use crate::partition::concat_tables;
+use crate::partition::{concat_tables, slice_for_file};
 use hillview_columnar::{Schema, Table};
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -90,7 +97,7 @@ impl SpillingWriter {
         while start < n {
             let take = (self.rows_per_part - self.pending_rows).min(n - start);
             self.pending
-                .push(crate::partition::slice_table(table, start, start + take));
+                .push(slice_for_file(table, start, start + take));
             self.pending_rows += take;
             start += take;
             if self.pending_rows == self.rows_per_part {
@@ -226,8 +233,13 @@ pub fn list_parts(dir: impl AsRef<Path>) -> Result<Vec<PathBuf>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::slice_table;
     use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
-    use hillview_columnar::{ColumnKind, Table, TempDir};
+    use hillview_columnar::dictionary::DictionaryBuilder;
+    use hillview_columnar::{BlockCache, ColumnKind, NullMask, SegmentMode, Table, TempDir};
+    use hillview_data::{generate_flights, FlightsConfig};
+    use std::collections::HashSet;
+    use std::sync::Arc;
 
     fn rows(n: usize, base: usize) -> Table {
         Table::builder()
@@ -279,6 +291,87 @@ mod tests {
         let source = rows(450, 0);
         for r in 0..450 {
             assert_eq!(whole.full_row(r), source.full_row(r), "row {r}");
+        }
+    }
+
+    /// Spill `t` in `batch`-row pushes, 10 000 rows a part; every part's bytes.
+    fn spilled_bytes(t: &Table, batch: usize) -> Vec<Vec<u8>> {
+        let d = TempDir::new("spill-batches");
+        let mut w = SpillingWriter::new(d.path(), 10_000).unwrap();
+        for start in (0..t.num_rows()).step_by(batch) {
+            let end = (start + batch).min(t.num_rows());
+            w.push(&slice_table(t, start, end)).unwrap();
+        }
+        let m = w.finish().unwrap();
+        m.paths().map(|p| std::fs::read(p).unwrap()).collect()
+    }
+
+    #[test]
+    fn a_part_is_a_function_of_its_rows() {
+        // One push of the whole table (every slice shares its 32 666-entry
+        // TailNum dictionary), small batches and ragged ones (re-interned
+        // on seal) must seal byte-identical parts.
+        let rows = 40_000;
+        let t = generate_flights(&FlightsConfig::new(rows, 7));
+        let whole = spilled_bytes(&t, rows);
+        assert_eq!(whole.len(), 4);
+        assert!(
+            whole == spilled_bytes(&t, 1_000),
+            "1 000-row batches differ"
+        );
+        assert!(whole == spilled_bytes(&t, 7_919), "ragged batches differ");
+        // Each part's dictionary is exactly the strings its rows show.
+        for (n, img) in whole.iter().enumerate() {
+            let part = hvc::decode(img).unwrap();
+            let tails = part.column_by_name("TailNum").unwrap();
+            let tails = tails.as_dict_col().unwrap();
+            let shown: HashSet<&str> = (0..part.num_rows()).filter_map(|r| tails.get(r)).collect();
+            assert_eq!(tails.dictionary().len(), shown.len(), "part {n}");
+            assert!(shown.len() < 10_000, "part {n}: {} tails", shown.len());
+        }
+    }
+
+    #[test]
+    fn null_rows_survive_dictionary_pruning() {
+        // Ten rows a part. Part 0 is all null, so its dictionary empties;
+        // part 1 shows only "d", and its null rows sit on a placeholder
+        // code (2) that the one-entry dictionary no longer has.
+        let d = TempDir::new("spill-nulls");
+        let mut db = DictionaryBuilder::new();
+        for s in ["a", "b", "c", "d"] {
+            db.intern(s).unwrap();
+        }
+        let present = |r: usize| r >= 10 && !r.is_multiple_of(3);
+        let mut nulls = NullMask::none();
+        for r in (0..20).filter(|&r| !present(r)) {
+            nulls.set_null(r, 20);
+        }
+        let codes = (0..20).map(|r| if present(r) { 3 } else { 2 }).collect();
+        let col = DictColumn::new(codes, Arc::new(db.finish()), nulls);
+        let t = Table::builder()
+            .column("S", ColumnKind::String, Column::Str(col))
+            .build()
+            .unwrap();
+        let mut w = SpillingWriter::new(d.path(), 10).unwrap();
+        w.push(&t).unwrap();
+        let m = w.finish().unwrap();
+        let cache = BlockCache::unbounded();
+        let mut row = 0;
+        for (path, entries) in m.paths().zip([0, 1]) {
+            // The writer pruned this part as it sliced it; `encode` prunes a
+            // slice that still shares the table's dictionary to the same bytes.
+            let shared = slice_table(&t, row, row + 10);
+            assert!(std::fs::read(path).unwrap() == hvc::encode(&shared));
+            let heap = hvc::read_file(path).unwrap();
+            let mapped = hvc::read_file_mapped(path, &cache, SegmentMode::Auto).unwrap();
+            for part in [heap, mapped] {
+                let s = part.column(0).as_dict_col().unwrap();
+                assert_eq!(s.dictionary().len(), entries);
+                for r in 0..10 {
+                    assert_eq!(s.get(r), present(row + r).then_some("d"), "row {}", row + r);
+                }
+            }
+            row += 10;
         }
     }
 

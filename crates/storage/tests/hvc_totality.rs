@@ -25,6 +25,7 @@ use hillview_columnar::{
 use hillview_net::WireWriter;
 use hillview_storage::{hvc, probe_file, read_file_mapped};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::Arc;
 
 const ROWS: usize = 200;
@@ -52,7 +53,7 @@ fn images() -> Vec<Vec<u8>> {
     let codes: Vec<u32> = (0..ROWS as u32).map(|i| i / 40).collect();
     let mut db = DictionaryBuilder::new();
     for s in ["ash", "birch", "cedar", "elm", "fir"] {
-        db.intern(s);
+        db.intern(s).unwrap();
     }
     let dict = Arc::new(db.finish());
     let mut nulls = NullMask::none();
@@ -232,6 +233,45 @@ fn scan(t: &Table) {
     }
 }
 
+/// What the three readers make of `m`.
+enum Verdict {
+    /// The heap decoder refused it, with this message.
+    Rejected(String),
+    /// The heap decoder opened it and the table scanned.
+    Opened,
+}
+
+/// Put `m` to every reader: the heap decode ends in an error or a table
+/// that scans; the header-only and mapped opens end in any verdict, but a
+/// verdict; and a mapped table that opened scans too — or panics over a
+/// fault the heap decoder named (`contradiction`).
+fn verdict(m: &[u8], path: &Path, cache: &Arc<BlockCache>, label: &str) -> (Verdict, bool) {
+    let heap = match hvc::decode(m) {
+        Ok(t) => {
+            scan(&t);
+            Verdict::Opened
+        }
+        Err(e) => Verdict::Rejected(e.to_string()),
+    };
+    std::fs::write(path, m).unwrap();
+    let _ = probe_file(path);
+    let mut contradiction = false;
+    if let Ok(mapped) = read_file_mapped(path, cache, SegmentMode::Auto) {
+        if catch_unwind(AssertUnwindSafe(|| scan(&mapped))).is_err() {
+            let fault = match &heap {
+                Verdict::Rejected(fault) => fault.as_str(),
+                Verdict::Opened => "",
+            };
+            assert!(
+                fault.contains("out of dictionary range"),
+                "{label}: mapped scan panicked, heap decode said {fault:?}"
+            );
+            contradiction = true;
+        }
+    }
+    (heap, contradiction)
+}
+
 #[test]
 fn every_mutant_ends_in_an_error_or_a_table_that_scans() {
     let dir = TempDir::new("hvc-totality");
@@ -243,32 +283,140 @@ fn every_mutant_ends_in_an_error_or_a_table_that_scans() {
         hvc::decode(img).expect("the unmutated image decodes");
         for n in 0..MUTANTS_PER_IMAGE {
             let m = mutate(img, &mut state);
-            let heap = hvc::decode(&m);
-            match &heap {
-                Ok(t) => {
-                    scan(t);
-                    opened += 1;
-                }
-                Err(_) => rejected += 1,
+            let label = format!("image {which} mutant {n}");
+            let (heap, contradiction) = verdict(&m, &path, &cache, &label);
+            match heap {
+                Verdict::Opened => opened += 1,
+                Verdict::Rejected(_) => rejected += 1,
             }
-            std::fs::write(&path, &m).unwrap();
-            // Header-only and mapped opens: any verdict, but a verdict.
-            let _ = probe_file(&path);
-            let Ok(mapped) = read_file_mapped(&path, &cache, SegmentMode::Auto) else {
-                continue;
-            };
-            if catch_unwind(AssertUnwindSafe(|| scan(&mapped))).is_err() {
-                let fault = heap.err().map(|e| e.to_string()).unwrap_or_default();
-                assert!(
-                    fault.contains("out of dictionary range"),
-                    "image {which} mutant {n}: mapped scan panicked, heap decode said {fault:?}"
-                );
-                contradictions += 1;
-            }
+            contradictions += contradiction as usize;
         }
     }
     // The loop must have exercised both outcomes, or it proves nothing.
     assert!(rejected > 100, "only {rejected} mutants rejected");
     assert!(opened > 100, "only {opened} mutants opened");
     eprintln!("{rejected} rejected, {opened} opened, {contradictions} zone-map contradictions");
+}
+
+/// A two-row String column with plain codes `[0, 1]`, whose dictionary
+/// section — the entry count, then each entry's length and bytes — is
+/// written by `dict`.
+fn dict_image(dict: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_varint(1); // columns
+    w.put_varint(2); // rows
+    w.put_str("s");
+    w.put_u8(3); // String
+    w.put_varint(1); // one null run...
+    w.put_varint(2); // ...of present rows
+    dict(&mut w);
+    w.put_u8(0); // plain codes
+    w.put_varint(2); // values
+    w.put_varint(0); // section offset
+    w.put_varint(1); // one zone block
+    w.put_varint(0);
+    w.put_varint(1);
+    let header = w.finish();
+    let mut img = b"HVC4".to_vec();
+    img.extend((header.len() as u32).to_le_bytes());
+    img.extend(&header[..]);
+    img.resize(img.len().div_ceil(64) * 64, 0);
+    img.extend([0u32, 1].iter().flat_map(|c| c.to_le_bytes()));
+    img
+}
+
+fn entry(w: &mut WireWriter, declared_len: u64, bytes: &[u8]) {
+    w.put_varint(declared_len);
+    for &b in bytes {
+        w.put_u8(b);
+    }
+}
+
+#[test]
+fn crafted_dictionaries_end_in_an_error_or_a_table_that_scans() {
+    // The dictionary parse moves entries from the header straight into an
+    // arena, so every length, every byte and the entry count are the
+    // file's word against the parser's checks.
+    let dir = TempDir::new("hvc-dicts");
+    let path = dir.join("crafted.hvc");
+    let cache = BlockCache::unbounded();
+    let sound = dict_image(|w| {
+        w.put_varint(2);
+        entry(w, 2, "é".as_bytes());
+        entry(w, 1, b"b");
+    });
+    let t = hvc::decode(&sound).expect("the well-formed image decodes");
+    assert_eq!(t.full_row(0).values[0].as_str(), Some("é"));
+    assert_eq!(t.full_row(1).values[0].as_str(), Some("b"));
+
+    type Dict = Box<dyn Fn(&mut WireWriter)>;
+    let two = |first: (u64, &'static [u8]), second: (u64, &'static [u8])| -> Dict {
+        Box::new(move |w| {
+            w.put_varint(2);
+            entry(w, first.0, first.1);
+            entry(w, second.0, second.1);
+        })
+    };
+    let refused: [(&str, Dict, &str); 8] = [
+        (
+            "an entry running past the header",
+            two((1, b"a"), (1 << 20, b"b")),
+            "truncated",
+        ),
+        (
+            // The bytes are there, but they are the next entry's: the
+            // declared count then reads entries out of the codes section.
+            "an entry swallowing its successor",
+            two((3, b"a"), (1, b"b")),
+            "encodes 0 rows",
+        ),
+        (
+            "an entry of u64::MAX bytes",
+            two((u64::MAX, b"a"), (1, b"b")),
+            "length",
+        ),
+        (
+            "invalid UTF-8 inside an entry",
+            two((2, b"a\xFF"), (1, b"b")),
+            "UTF-8",
+        ),
+        (
+            // Valid as a whole arena ("é"), invalid entry by entry.
+            "a character split across two entries",
+            two((1, b"\xC3"), (1, b"\xA9")),
+            "UTF-8",
+        ),
+        (
+            "a duplicate entry",
+            two((1, b"a"), (1, b"a")),
+            "duplicate dictionary entries",
+        ),
+        (
+            "more entries than the header has bytes",
+            Box::new(|w| {
+                w.put_varint(1 << 27);
+                entry(w, 1, b"a");
+                entry(w, 1, b"b");
+            }),
+            "exceed the header",
+        ),
+        (
+            "one entry more than was written",
+            Box::new(|w| {
+                w.put_varint(3);
+                entry(w, 1, b"a");
+                entry(w, 1, b"b");
+            }),
+            "encodes 0 rows",
+        ),
+    ];
+    for (label, dict, fault) in refused {
+        match verdict(&dict_image(dict), &path, &cache, label).0 {
+            Verdict::Rejected(e) => assert!(
+                e.to_lowercase().contains(&fault.to_lowercase()),
+                "{label}: expected {fault:?}, got {e}"
+            ),
+            Verdict::Opened => panic!("{label}: accepted"),
+        }
+    }
 }
