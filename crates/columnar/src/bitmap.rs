@@ -94,16 +94,6 @@ impl Bitmap {
         self.words[i / 64] &= !(1u64 << (i % 64));
     }
 
-    /// Assign bit `i`.
-    #[inline]
-    pub fn assign(&mut self, i: usize, v: bool) {
-        if v {
-            self.set(i)
-        } else {
-            self.clear(i)
-        }
-    }
-
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()

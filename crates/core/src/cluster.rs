@@ -12,6 +12,17 @@
 //! link in its link form ([`ErasedSketch::compact_bytes`]): display-sized,
 //! whatever the worker folded it from.
 //!
+//! There is one tree launch, [`Cluster::run_erased`], and each side of the
+//! root link keeps its state in one place. On a worker, the aggregation
+//! node, its crash barrier and every leaf task share one `TreeCtx` —
+//! worker, sketch, fused filter, seed, both cancellation tokens, grain,
+//! batch interval, cache identity — and every frame the node sends is built
+//! by that context and encoded by the frame codec (`crate::msg`). At the
+//! root, the merge loop's per-worker bookkeeping is one `RootState`, whose
+//! methods own the single failure transition (explicit failure frame,
+//! liveness sweep, link hang-up) and the single estimate of outstanding
+//! work that the progress fraction and degraded coverage both read.
+//!
 //! ## Intra-partition parallelism
 //!
 //! A leaf is no longer one task per micropartition: for splittable
@@ -40,16 +51,13 @@ use crate::dataset::{DatasetId, Lineage, SourceRegistry};
 use crate::erased::ErasedSketch;
 use crate::error::{EngineError, EngineResult};
 use crate::fault::{self, FaultAction, FaultPlan, FaultSite};
+use crate::msg::{MsgPayload, WorkerMsg};
 use crate::progress::{CancellationToken, Partial, PartialCallback};
 use crate::worker::Worker;
 use bytes::Bytes;
 use hillview_columnar::udf::UdfRegistry;
-use hillview_columnar::{
-    estimate_selectivity, fnv1a as fnv_mix, Predicate, SelectivityEstimate, FNV_OFFSET,
-};
-use hillview_net::{
-    link_pair, FrameFault, LinkConfig, LinkSender, Wire as _, WireReader, WireWriter,
-};
+use hillview_columnar::{estimate_selectivity, fnv1a, Predicate, SelectivityEstimate, FNV_OFFSET};
+use hillview_net::{link_pair, FrameFault, LinkConfig, LinkSender};
 use hillview_sketch::Scope;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -167,12 +175,6 @@ pub struct QueryOptions {
     /// labelled with [`QueryOutcome::coverage`] `< 1` and the failed
     /// worker set, instead of an error.
     pub allow_degraded: bool,
-    /// Tolerate worker failures in this single tree: a failed worker is
-    /// excluded from the fold instead of failing the query. Set internally
-    /// by the engine's final degraded attempt; hidden because outcomes
-    /// bypass recovery/replay — use [`QueryOptions::allow_degraded`].
-    #[doc(hidden)]
-    pub tolerate_failures: bool,
 }
 
 impl Default for QueryOptions {
@@ -184,7 +186,6 @@ impl Default for QueryOptions {
             cache: true,
             deadline: None,
             allow_degraded: false,
-            tolerate_failures: false,
         }
     }
 }
@@ -221,116 +222,6 @@ pub struct QueryOutcome {
     pub failed_workers: Vec<usize>,
 }
 
-/// One message from a worker's aggregation node to the root. Progress is
-/// in row-weighted work units (selected rows + 1 per micropartition), so
-/// split sub-tasks advance the bar smoothly.
-struct WorkerMsg {
-    worker: u32,
-    work_done: u64,
-    work_total: u64,
-    is_final: bool,
-    payload: MsgPayload,
-}
-
-enum MsgPayload {
-    Summary(Vec<u8>),
-    DatasetMissing(u64),
-    WorkerDown,
-    Error(String),
-    /// Liveness beacon: sent on every batch tick with no new merge so the
-    /// root's `worker_timeout` sweep can tell "slow" from "dead".
-    Heartbeat,
-    /// A leaf task (or the aggregation node itself) panicked; carries the
-    /// panic message so the root rebuilds a structured
-    /// [`EngineError::LeafPanicked`].
-    LeafPanicked(String),
-}
-
-/// FNV-1a over a frame body. Root-link frames carry this checksum so a
-/// corrupted frame (fault injection or a real flaky transport) is
-/// *detected* and dropped instead of silently merging garbage — a single
-/// flipped bit inside summary bytes would otherwise decode fine and skew
-/// the result.
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h = 0xCBF29CE484222325u64;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001B3);
-    }
-    h
-}
-
-impl WorkerMsg {
-    fn encode(&self) -> Bytes {
-        let body = self.encode_body();
-        let mut framed = WireWriter::new();
-        framed.put_varint(fnv1a(&body));
-        framed.put_bytes(&body);
-        framed.finish()
-    }
-
-    fn encode_body(&self) -> Bytes {
-        let mut w = WireWriter::new();
-        w.put_varint(self.worker as u64);
-        w.put_varint(self.work_done);
-        w.put_varint(self.work_total);
-        w.put_u8(self.is_final as u8);
-        match &self.payload {
-            MsgPayload::Summary(b) => {
-                w.put_u8(0);
-                w.put_bytes(b);
-            }
-            MsgPayload::DatasetMissing(d) => {
-                w.put_u8(1);
-                w.put_varint(*d);
-            }
-            MsgPayload::WorkerDown => w.put_u8(2),
-            MsgPayload::Error(e) => {
-                w.put_u8(3);
-                w.put_str(e);
-            }
-            MsgPayload::Heartbeat => w.put_u8(4),
-            MsgPayload::LeafPanicked(m) => {
-                w.put_u8(5);
-                w.put_str(m);
-            }
-        }
-        w.finish()
-    }
-
-    fn decode(bytes: Bytes) -> EngineResult<Self> {
-        let mut r = WireReader::new(bytes);
-        let sum = r.get_varint()?;
-        let body = r.get_bytes()?;
-        if fnv1a(&body) != sum {
-            return Err(EngineError::Wire("WorkerMsg checksum mismatch".into()));
-        }
-        let mut r = WireReader::new(Bytes::from(body));
-        let worker = u32::decode(&mut r)?;
-        let work_done = r.get_varint()?;
-        let work_total = r.get_varint()?;
-        let is_final = r.get_u8()? != 0;
-        let payload = match r.get_u8()? {
-            0 => MsgPayload::Summary(r.get_bytes()?),
-            1 => MsgPayload::DatasetMissing(r.get_varint()?),
-            2 => MsgPayload::WorkerDown,
-            3 => MsgPayload::Error(r.get_str()?),
-            4 => MsgPayload::Heartbeat,
-            5 => MsgPayload::LeafPanicked(r.get_str()?),
-            tag => {
-                return Err(EngineError::Wire(format!("bad WorkerMsg tag {tag}")));
-            }
-        };
-        Ok(WorkerMsg {
-            worker,
-            work_done,
-            work_total,
-            is_final,
-            payload,
-        })
-    }
-}
-
 /// The simulated cluster: N workers plus the root's view of them.
 pub struct Cluster {
     cfg: ClusterConfig,
@@ -341,20 +232,8 @@ pub struct Cluster {
 impl Cluster {
     /// Build a cluster; every worker shares the source and UDF registries.
     pub fn new(cfg: ClusterConfig, sources: SourceRegistry, udfs: UdfRegistry) -> Arc<Self> {
-        let block_cache_bytes = cfg.effective_block_cache_bytes();
         let workers = (0..cfg.workers)
-            .map(|id| {
-                Arc::new(Worker::new(
-                    id,
-                    cfg.workers,
-                    cfg.threads_per_worker,
-                    cfg.micropartition_rows,
-                    cfg.cache_budget_bytes,
-                    block_cache_bytes,
-                    sources.clone(),
-                    udfs.clone(),
-                ))
-            })
+            .map(|id| Arc::new(Worker::new(id, &cfg, sources.clone(), udfs.clone())))
             .collect();
         Arc::new(Cluster {
             cfg,
@@ -470,7 +349,7 @@ impl Cluster {
         let mut h = FNV_OFFSET;
         for w in &self.workers {
             if let Some(v) = w.dataset_version(dataset) {
-                h = fnv_mix(h, &v.to_le_bytes());
+                h = fnv1a(h, &v.to_le_bytes());
             }
         }
         h
@@ -504,13 +383,18 @@ impl Cluster {
         est
     }
 
-    /// Execute a dataset-producing operation on every worker in parallel.
-    fn on_all_workers(
-        &self,
-        f: impl Fn(&Arc<Worker>) -> EngineResult<()> + Send + Sync,
-    ) -> EngineResult<()> {
+    /// Apply one lineage step — the value the redo log holds for `id` —
+    /// on every worker in parallel, or on worker `on` alone (replay).
+    pub fn derive(&self, id: DatasetId, step: &Lineage, on: Option<usize>) -> EngineResult<()> {
+        if let Some(worker) = on {
+            return self.workers[worker].derive(id, step);
+        }
         std::thread::scope(|scope| {
-            let handles: Vec<_> = self.workers.iter().map(|w| scope.spawn(|| f(w))).collect();
+            let handles: Vec<_> = self
+                .workers
+                .iter()
+                .map(|w| scope.spawn(|| w.derive(id, step)))
+                .collect();
             let mut result = Ok(());
             for (worker, h) in handles.into_iter().enumerate() {
                 // A panicking worker op must not take the root down with
@@ -529,24 +413,6 @@ impl Cluster {
         })
     }
 
-    /// Apply one lineage step — the value the redo log holds for `id` —
-    /// on every worker in parallel, or on worker `on` alone (replay).
-    pub fn derive(&self, id: DatasetId, step: &Lineage, on: Option<usize>) -> EngineResult<()> {
-        let apply = |w: &Arc<Worker>| match step {
-            Lineage::Loaded { spec } => w.load(id, spec),
-            Lineage::Filtered { parent, predicate } => w.filter(id, *parent, predicate),
-            Lineage::Mapped {
-                parent,
-                udf,
-                new_column,
-            } => w.map(id, *parent, udf, new_column),
-        };
-        match on {
-            Some(worker) => apply(&self.workers[worker]),
-            None => self.on_all_workers(apply),
-        }
-    }
-
     /// Run an erased sketch over `dataset` as one execution tree,
     /// optionally narrowed by a fused
     /// predicate: instead of materializing a filtered membership first,
@@ -561,13 +427,30 @@ impl Cluster {
         sketch: &Arc<dyn ErasedSketch>,
         opts: &QueryOptions,
     ) -> EngineResult<QueryOutcome> {
+        self.run_tree(dataset, filter, sketch, opts, false)
+    }
+
+    /// [`Cluster::run_erased`], choosing what a worker's failure means.
+    /// With `tolerate`, a failed worker is excluded from the fold instead
+    /// of failing the query. That is a property of the engine's last,
+    /// degraded attempt and not of a query — its outcomes bypass recovery
+    /// and replay — so callers ask for it with
+    /// [`QueryOptions::allow_degraded`].
+    pub(crate) fn run_tree(
+        &self,
+        dataset: DatasetId,
+        filter: Option<&Predicate>,
+        sketch: &Arc<dyn ErasedSketch>,
+        opts: &QueryOptions,
+        tolerate: bool,
+    ) -> EngineResult<QueryOutcome> {
         let filter: Option<Arc<Predicate>> = filter.map(|p| Arc::new(p.clone()));
         let started = Instant::now();
         let (tx, rx) = link_pair(self.cfg.link);
         // Internal token: stops this tree's outstanding work on errors
         // without cancelling the caller's query (which may retry after
         // recovery). Leaves observe both tokens.
-        let tree_cancel = CancellationToken::new();
+        let tree = CancellationToken::new();
 
         // One epoch per tree launch: a random fault plan re-rolls every
         // site on retry (transient faults heal), while the schedule stays
@@ -587,12 +470,16 @@ impl Cluster {
         } else {
             None
         };
+        // Non-splittable sketches run one task per partition.
+        let grain = if sketch.splittable() {
+            self.cfg.leaf_grain_rows.max(1)
+        } else {
+            usize::MAX
+        };
 
         // Launch one aggregation node per worker.
         let mut aggregators = Vec::with_capacity(self.workers.len());
         for worker in &self.workers {
-            let worker = worker.clone();
-            let sketch = sketch.clone();
             // Each aggregator gets its own link clone; arming the
             // frame-fault hook gives it a fresh sequence counter, so a
             // `Frame { worker, index }` site names the index-th frame
@@ -613,71 +500,34 @@ impl Cluster {
                 }
                 None => tx.clone(),
             };
-            let cancel = opts.cancel.clone();
-            let tree = tree_cancel.clone();
-            let seed = opts.seed;
-            let batch = self.cfg.batch_interval;
-            let grain = self.cfg.leaf_grain_rows;
-            let flt = filter.clone();
-            aggregators.push(std::thread::spawn(move || {
-                aggregate_worker(
-                    worker, sketch, dataset, flt, seed, cancel, tree, tx, batch, query, grain,
-                );
-            }));
+            let ctx = Arc::new(TreeCtx {
+                worker: worker.clone(),
+                sketch: sketch.clone(),
+                dataset,
+                filter: filter.clone(),
+                seed: opts.seed,
+                cancel: opts.cancel.clone(),
+                tree: tree.clone(),
+                grain,
+                batch: self.cfg.batch_interval,
+                query,
+            });
+            aggregators.push(std::thread::spawn(move || aggregate_worker(&ctx, &tx)));
         }
         drop(tx);
 
         // Root merge loop.
         let n = self.workers.len();
-        let mut latest: Vec<Option<Bytes>> = vec![None; n];
-        let mut done = vec![0u64; n];
-        let mut total = vec![0u64; n];
-        // A worker is *resolved* once its contribution is settled: final
-        // summary received, or (tolerate mode) failure accepted and the
-        // worker excluded from the fold.
-        let mut resolved = vec![false; n];
-        let mut final_seen = vec![false; n];
-        let mut resolved_count = 0usize;
-        let mut failed_workers: Vec<usize> = Vec::new();
-        let mut last_heard: Vec<Instant> = vec![Instant::now(); n];
+        let mut root = RootState::new(n, tolerate);
         let mut first_partial = None;
         let mut partials = 0usize;
-        let mut error: Option<EngineError> = None;
-        let tolerate = opts.tolerate_failures;
-
-        // The single failure transition, shared by explicit failure
-        // frames, the liveness sweep, and channel disconnect. Free
-        // function (not a closure) so call sites can hold other borrows.
-        #[allow(clippy::too_many_arguments)]
-        fn fail_worker(
-            w: usize,
-            e: EngineError,
-            tolerate: bool,
-            resolved: &mut [bool],
-            latest: &mut [Option<Bytes>],
-            failed_workers: &mut Vec<usize>,
-            resolved_count: &mut usize,
-            error: &mut Option<EngineError>,
-        ) {
-            if tolerate {
-                if !resolved[w] {
-                    resolved[w] = true;
-                    latest[w] = None;
-                    failed_workers.push(w);
-                    *resolved_count += 1;
-                }
-            } else if error.is_none() {
-                *error = Some(e);
-            }
-        }
-
-        while resolved_count < n && error.is_none() {
+        while root.pending > 0 && root.error.is_none() {
             if opts.cancel.is_cancelled() {
                 break;
             }
             if let Some(d) = opts.deadline {
                 if started.elapsed() > d {
-                    error = Some(EngineError::DeadlineExceeded {
+                    root.error = Some(EngineError::DeadlineExceeded {
                         elapsed: started.elapsed(),
                     });
                     break;
@@ -688,20 +538,7 @@ impl Cluster {
             // could starve): a worker silent past `worker_timeout` —
             // aggregation nodes heartbeat every batch tick even when no
             // leaf has finished — is declared down.
-            for w in 0..n {
-                if !resolved[w] && last_heard[w].elapsed() > self.cfg.worker_timeout {
-                    fail_worker(
-                        w,
-                        EngineError::WorkerDown(w),
-                        tolerate,
-                        &mut resolved,
-                        &mut latest,
-                        &mut failed_workers,
-                        &mut resolved_count,
-                        &mut error,
-                    );
-                }
-            }
+            root.fail_pending(|slot| slot.last_heard.elapsed() > self.cfg.worker_timeout);
             let frame = match rx.recv_timeout(Duration::from_millis(50)) {
                 Ok(Some(f)) => f,
                 Ok(None) => continue,
@@ -710,20 +547,7 @@ impl Cluster {
                     // worker died without shipping a final frame (its
                     // thread panicked past all guards, or its finale was
                     // lost) — this must break the loop, never hang.
-                    for w in 0..n {
-                        if !resolved[w] {
-                            fail_worker(
-                                w,
-                                EngineError::WorkerDown(w),
-                                tolerate,
-                                &mut resolved,
-                                &mut latest,
-                                &mut failed_workers,
-                                &mut resolved_count,
-                                &mut error,
-                            );
-                        }
-                    }
+                    root.fail_pending(|_| true);
                     break;
                 }
             };
@@ -737,118 +561,59 @@ impl Cluster {
                 _ => continue,
             };
             let w = msg.worker as usize;
-            last_heard[w] = Instant::now();
-            if resolved[w] {
+            let slot = &mut root.slots[w];
+            slot.last_heard = Instant::now();
+            if slot.standing != Standing::Pending {
                 // Duplicate final or frames racing a failure verdict.
                 continue;
             }
-            match msg.payload {
+            let failure = match msg.payload {
                 MsgPayload::Summary(bytes) => {
-                    latest[w] = Some(Bytes::from(bytes));
-                    done[w] = msg.work_done;
-                    total[w] = msg.work_total;
+                    slot.latest = Some(Bytes::from(bytes));
+                    (slot.done, slot.total) = (msg.work_done, msg.work_total);
                     if msg.is_final {
-                        final_seen[w] = true;
-                        resolved[w] = true;
-                        resolved_count += 1;
+                        slot.standing = Standing::Final;
+                        root.pending -= 1;
                     }
                     // Progressive delivery to the client.
                     if let Some(cb) = &opts.on_partial {
                         // A fold error leaves through the epilogue like
                         // every other: the tree is cancelled and joined.
-                        let merged = match self.fold(sketch, &latest) {
-                            Ok(merged) => merged,
+                        let partial = match root.partial(sketch) {
+                            Ok(partial) => partial,
                             Err(e) => {
-                                error = Some(e);
+                                root.error = Some(e);
                                 break;
                             }
                         };
-                        // Workers that have not reported yet contribute an
-                        // estimated work total (the mean of reporting
-                        // workers) so early progress is not overstated.
-                        let reported: Vec<u64> = total.iter().copied().filter(|&t| t > 0).collect();
-                        let mean = (reported.iter().sum::<u64>() as f64
-                            / reported.len().max(1) as f64)
-                            .max(1.0);
-                        let total_work: f64 = total
-                            .iter()
-                            .map(|&t| if t == 0 { mean } else { t as f64 })
-                            .sum();
-                        let fraction = if total_work == 0.0 {
-                            0.0
-                        } else {
-                            (done.iter().sum::<u64>() as f64 / total_work).min(1.0)
-                        };
-                        if first_partial.is_none() {
-                            first_partial = Some(started.elapsed());
-                        }
+                        first_partial.get_or_insert_with(|| started.elapsed());
                         partials += 1;
-                        cb(&Partial {
-                            fraction,
-                            work_done: done.iter().sum(),
-                            work_total: total.iter().sum(),
-                            summary: merged,
-                        });
-                    } else if first_partial.is_none() {
-                        first_partial = Some(started.elapsed());
+                        cb(&partial);
+                    } else {
+                        first_partial.get_or_insert_with(|| started.elapsed());
                     }
+                    continue;
                 }
                 MsgPayload::Heartbeat => {
-                    done[w] = msg.work_done;
-                    total[w] = msg.work_total;
+                    (slot.done, slot.total) = (msg.work_done, msg.work_total);
+                    continue;
                 }
-                MsgPayload::DatasetMissing(d) => fail_worker(
-                    w,
-                    EngineError::DatasetMissing {
-                        worker: w,
-                        dataset: DatasetId(d),
-                    },
-                    tolerate,
-                    &mut resolved,
-                    &mut latest,
-                    &mut failed_workers,
-                    &mut resolved_count,
-                    &mut error,
-                ),
-                MsgPayload::WorkerDown => fail_worker(
-                    w,
-                    EngineError::WorkerDown(w),
-                    tolerate,
-                    &mut resolved,
-                    &mut latest,
-                    &mut failed_workers,
-                    &mut resolved_count,
-                    &mut error,
-                ),
-                MsgPayload::LeafPanicked(m) => fail_worker(
-                    w,
-                    EngineError::LeafPanicked {
-                        worker: w,
-                        message: m,
-                    },
-                    tolerate,
-                    &mut resolved,
-                    &mut latest,
-                    &mut failed_workers,
-                    &mut resolved_count,
-                    &mut error,
-                ),
-                MsgPayload::Error(e) => fail_worker(
-                    w,
-                    EngineError::Sketch(e),
-                    tolerate,
-                    &mut resolved,
-                    &mut latest,
-                    &mut failed_workers,
-                    &mut resolved_count,
-                    &mut error,
-                ),
-            }
+                MsgPayload::DatasetMissing(d) => EngineError::DatasetMissing {
+                    worker: w,
+                    dataset: DatasetId(d),
+                },
+                MsgPayload::WorkerDown => EngineError::WorkerDown(w),
+                MsgPayload::LeafPanicked(message) => {
+                    EngineError::LeafPanicked { worker: w, message }
+                }
+                MsgPayload::Error(e) => EngineError::Sketch(e),
+            };
+            root.fail(w, failure);
         }
 
         // Stop outstanding work, then release aggregator threads.
-        if error.is_some() || opts.cancel.is_cancelled() || !failed_workers.is_empty() {
-            tree_cancel.cancel();
+        if root.error.is_some() || opts.cancel.is_cancelled() || !root.failed.is_empty() {
+            tree.cancel();
         }
         let root_bytes = rx.metrics().bytes();
         let root_messages = rx.metrics().messages();
@@ -856,64 +621,215 @@ impl Cluster {
         for a in aggregators {
             let _ = a.join();
         }
-        if let Some(e) = error {
+        if let Some(e) = root.error {
             return Err(e);
         }
 
         // Degraded-mode accounting. Zero survivors is not a result.
-        if !failed_workers.is_empty() && failed_workers.len() == n {
-            return Err(EngineError::WorkerDown(failed_workers[0]));
+        if !root.failed.is_empty() && root.failed.len() == n {
+            return Err(EngineError::WorkerDown(root.failed[0]));
         }
-        let coverage = if failed_workers.is_empty() {
-            1.0
-        } else {
-            // Same estimation the progress fraction uses: a worker that
-            // never reported a work total contributes the mean of those
-            // that did, so coverage is not overstated by silent failures.
-            let reported: Vec<u64> = total.iter().copied().filter(|&t| t > 0).collect();
-            let mean =
-                (reported.iter().sum::<u64>() as f64 / reported.len().max(1) as f64).max(1.0);
-            let est: Vec<f64> = total
-                .iter()
-                .map(|&t| if t == 0 { mean } else { t as f64 })
-                .collect();
-            let covered: f64 = (0..n).filter(|&w| final_seen[w]).map(|w| est[w]).sum();
-            let total_est: f64 = est.iter().sum();
-            if total_est == 0.0 {
-                0.0
-            } else {
-                (covered / total_est).clamp(0.0, 1.0)
-            }
-        };
-
-        let merged = self.fold(sketch, &latest)?;
         Ok(QueryOutcome {
-            bytes: merged,
+            bytes: root.fold(sketch)?,
             duration: started.elapsed(),
             root_bytes,
             root_messages,
             first_partial,
             partials,
-            coverage,
-            failed_workers,
+            coverage: root.coverage(),
+            failed_workers: root.failed,
         })
-    }
-
-    /// Fold per-worker partials with the sketch's merge, starting from its
-    /// identity.
-    fn fold(
-        &self,
-        sketch: &Arc<dyn ErasedSketch>,
-        latest: &[Option<Bytes>],
-    ) -> EngineResult<Bytes> {
-        let parts: Vec<Bytes> = latest.iter().flatten().cloned().collect();
-        sketch.fold_bytes(&parts)
     }
 }
 
 impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Cluster({} workers)", self.workers.len())
+    }
+}
+
+/// Where one worker stands in the root's merge loop. A worker is settled
+/// once it is not `Pending`: its final summary is in, or (tolerate mode)
+/// its failure was accepted and it is excluded from the fold.
+#[derive(Clone, Copy, PartialEq)]
+enum Standing {
+    Pending,
+    Final,
+    Failed,
+}
+
+/// What the root holds for one worker while a tree runs.
+struct Slot {
+    /// The latest summary it shipped, partial or final.
+    latest: Option<Bytes>,
+    done: u64,
+    total: u64,
+    standing: Standing,
+    last_heard: Instant,
+}
+
+/// The root merge loop's state: one [`Slot`] per worker plus the verdict
+/// so far. Its methods are the only place a failure is applied and the
+/// only place outstanding work is estimated.
+struct RootState {
+    slots: Vec<Slot>,
+    /// Exclude failed workers from the fold instead of failing the query.
+    tolerate: bool,
+    /// Workers still `Pending`.
+    pending: usize,
+    /// Workers excluded under `tolerate`, in the order they failed.
+    failed: Vec<usize>,
+    error: Option<EngineError>,
+}
+
+impl RootState {
+    fn new(workers: usize, tolerate: bool) -> Self {
+        let slot = || Slot {
+            latest: None,
+            done: 0,
+            total: 0,
+            standing: Standing::Pending,
+            last_heard: Instant::now(),
+        };
+        RootState {
+            slots: (0..workers).map(|_| slot()).collect(),
+            tolerate,
+            pending: workers,
+            failed: Vec::new(),
+            error: None,
+        }
+    }
+
+    /// The single failure transition, shared by explicit failure frames,
+    /// the liveness sweep, and channel disconnect.
+    fn fail(&mut self, w: usize, e: EngineError) {
+        if !self.tolerate {
+            self.error.get_or_insert(e);
+        } else if self.slots[w].standing == Standing::Pending {
+            self.slots[w].standing = Standing::Failed;
+            self.slots[w].latest = None;
+            self.failed.push(w);
+            self.pending -= 1;
+        }
+    }
+
+    /// Declare down every pending worker that `silent` picks.
+    fn fail_pending(&mut self, silent: impl Fn(&Slot) -> bool) {
+        for w in 0..self.slots.len() {
+            if self.slots[w].standing == Standing::Pending && silent(&self.slots[w]) {
+                self.fail(w, EngineError::WorkerDown(w));
+            }
+        }
+    }
+
+    /// Fold the per-worker summaries held so far with the sketch's merge,
+    /// starting from its identity.
+    fn fold(&self, sketch: &Arc<dyn ErasedSketch>) -> EngineResult<Bytes> {
+        let parts: Vec<Bytes> = self.slots.iter().filter_map(|s| s.latest.clone()).collect();
+        sketch.fold_bytes(&parts)
+    }
+
+    /// Each worker's total work as far as the root can tell: the total it
+    /// reported, or — until it reports one — the mean of those that have.
+    /// Progress and degraded coverage both read this one estimate, so
+    /// neither is overstated by workers that are late or silently failed.
+    fn work_estimates(&self) -> Vec<f64> {
+        let reported: Vec<u64> = self
+            .slots
+            .iter()
+            .map(|s| s.total)
+            .filter(|&t| t > 0)
+            .collect();
+        let mean = (reported.iter().sum::<u64>() as f64 / reported.len().max(1) as f64).max(1.0);
+        let estimate = |s: &Slot| if s.total == 0 { mean } else { s.total as f64 };
+        self.slots.iter().map(estimate).collect()
+    }
+
+    /// The progressive result as it stands: the fold of what has arrived
+    /// and the fraction of the estimated work it represents.
+    fn partial(&self, sketch: &Arc<dyn ErasedSketch>) -> EngineResult<Partial> {
+        let summary = self.fold(sketch)?;
+        let work_done: u64 = self.slots.iter().map(|s| s.done).sum();
+        Ok(Partial {
+            fraction: share(work_done as f64, self.work_estimates().iter().sum()),
+            work_done,
+            work_total: self.slots.iter().map(|s| s.total).sum(),
+            summary,
+        })
+    }
+
+    /// Fraction of the estimated total work the final summary represents:
+    /// `1.0` unless workers were excluded.
+    fn coverage(&self) -> f64 {
+        if self.failed.is_empty() {
+            return 1.0;
+        }
+        let estimates = self.work_estimates();
+        let finals = self.slots.iter().zip(&estimates);
+        let covered: f64 = finals
+            .filter(|(s, _)| s.standing == Standing::Final)
+            .map(|(_, e)| e)
+            .sum();
+        share(covered, estimates.iter().sum())
+    }
+}
+
+/// `part / whole` as a fraction in `[0, 1]`; nothing of nothing is `0`.
+fn share(part: f64, whole: f64) -> f64 {
+    if whole == 0.0 {
+        0.0
+    } else {
+        (part / whole).clamp(0.0, 1.0)
+    }
+}
+
+/// What one worker's part of an execution tree shares: the aggregation
+/// node, its crash barrier and every leaf task hold one `Arc` of it, cloned
+/// once per task.
+struct TreeCtx {
+    worker: Arc<Worker>,
+    sketch: Arc<dyn ErasedSketch>,
+    dataset: DatasetId,
+    /// The fused predicate, if the tree runs filtered.
+    filter: Option<Arc<Predicate>>,
+    seed: u64,
+    /// The caller's token.
+    cancel: CancellationToken,
+    /// This tree's own token (see [`Cluster::run_tree`]).
+    tree: CancellationToken,
+    /// Largest piece a leaf summarizes whole (selected rows);
+    /// `usize::MAX` for a sketch that cannot be split.
+    grain: usize,
+    batch: Duration,
+    /// The sketch half of the cache key; `None` disables caching.
+    query: Option<[u64; 2]>,
+}
+
+impl TreeCtx {
+    fn cancelled(&self) -> bool {
+        self.cancel.is_cancelled() || self.tree.is_cancelled()
+    }
+
+    /// The one constructor of this worker's frames.
+    fn frame(&self, work_done: u64, work_total: u64, is_final: bool, payload: MsgPayload) -> Bytes {
+        let msg = WorkerMsg {
+            worker: self.worker.id as u32,
+            work_done,
+            work_total,
+            is_final,
+            payload,
+        };
+        msg.encode()
+    }
+
+    /// Leaf seed mixes the query seed with worker and partition indexes
+    /// so samples are independent yet reproducible (§5.8). Sub-tasks of
+    /// one partition share its seed: each draws the partition-wide
+    /// sample and clips it to its range.
+    fn leaf_seed(&self, partition: u32) -> u64 {
+        self.seed
+            ^ (self.worker.id as u64).wrapping_mul(0x9E3779B97F4A7C15)
+            ^ (partition as u64).wrapping_mul(0xC2B2AE3D27D4EB4F)
     }
 }
 
@@ -928,65 +844,68 @@ struct LeafMsg {
     result: EngineResult<Option<Bytes>>,
 }
 
-/// Execute one leaf sub-task. While the piece is larger than `grain`
-/// selected rows, peel off balanced right halves onto the pool — they land
-/// on this thread's deque, where idle siblings steal them — then summarize
-/// the remaining leftmost piece and report it keyed by range start.
-///
-/// With a fused `filter`, the leaf passes it in the sketch's [`Scope`]: the
-/// predicate is compiled once per leaf and evaluated inside the block
-/// scan, so no filtered membership ever exists. Split bounds and
-/// work weights stay those of the *unfiltered* membership — filtering
-/// narrows rows, never renumbers them — so the split plan (and therefore
-/// the deterministic fold order) is identical with and without a filter.
-///
-/// `bonus` is 1 on the initial per-partition task (the extra work unit
-/// that makes empty partitions observable) and 0 on split-off halves;
-/// weights are conserved exactly across splits, so the aggregation node
-/// detects completion when reported work matches the precomputed total.
-#[allow(clippy::too_many_arguments)]
-fn run_leaf_task(
-    worker: Arc<Worker>,
-    view: hillview_sketch::TableView,
-    sketch: Arc<dyn ErasedSketch>,
-    filter: Option<Arc<Predicate>>,
+/// The rows one leaf task is handed: `lo..hi` of a partition's universe,
+/// holding `weight` selected rows. `bonus` is 1 on the initial
+/// per-partition task (the extra work unit that makes empty partitions
+/// observable) and 0 on split-off halves; weights are conserved exactly
+/// across splits, so the aggregation node detects completion when reported
+/// work matches the precomputed total.
+struct Piece {
     partition: u32,
     lo: usize,
     hi: usize,
     weight: usize,
     bonus: u64,
-    grain: usize,
-    seed: u64,
-    cancel: CancellationToken,
-    tree: CancellationToken,
+}
+
+/// Execute one leaf sub-task. While the piece is larger than the grain,
+/// peel off balanced right halves onto the pool — they land on this
+/// thread's deque, where idle siblings steal them — then summarize the
+/// remaining leftmost piece and report it keyed by range start.
+///
+/// With a fused filter, the leaf passes it in the sketch's [`Scope`]: the
+/// predicate is compiled once per leaf and evaluated inside the block
+/// scan, so no filtered membership ever exists. Split bounds and
+/// work weights stay those of the *unfiltered* membership — filtering
+/// narrows rows, never renumbers them — so the split plan (and therefore
+/// the deterministic fold order) is identical with and without a filter.
+fn run_leaf_task(
+    ctx: Arc<TreeCtx>,
+    view: hillview_sketch::TableView,
+    piece: Piece,
     tx: crossbeam::channel::Sender<LeafMsg>,
 ) {
     use hillview_columnar::SplittableSelection;
 
+    let worker = &ctx.worker;
     worker.note_leaf_task();
     // Cancellation skips pieces not yet started (§5.3) — including any
     // splitting they would have done.
-    let cancelled = cancel.is_cancelled() || tree.is_cancelled();
-    let (mut lo, mut hi, mut weight) = (lo, hi, weight);
+    let cancelled = ctx.cancelled();
+    let Piece {
+        partition,
+        mut lo,
+        mut hi,
+        mut weight,
+        bonus,
+    } = piece;
     if !cancelled {
         let mut part = SplittableSelection::with_weight(view.members(), lo, hi, weight);
-        while part.weight() > grain {
+        while part.weight() > ctx.grain {
             let Some((left, right)) = part.split() else {
                 break;
             };
             let (rlo, rhi) = right.bounds();
-            let rweight = right.weight();
-            let w2 = worker.clone();
-            let v2 = view.clone();
-            let s2 = sketch.clone();
-            let f2 = filter.clone();
-            let c2 = cancel.clone();
-            let t2 = tree.clone();
-            let tx2 = tx.clone();
-            worker.pool().submit(move || {
-                run_leaf_task(
-                    w2, v2, s2, f2, partition, rlo, rhi, rweight, 0, grain, seed, c2, t2, tx2,
-                );
+            let half = Piece {
+                partition,
+                lo: rlo,
+                hi: rhi,
+                weight: right.weight(),
+                bonus: 0,
+            };
+            worker.pool().submit({
+                let (ctx, view, tx) = (ctx.clone(), view.clone(), tx.clone());
+                move || run_leaf_task(ctx, view, half, tx)
             });
             part = left;
         }
@@ -1014,9 +933,11 @@ fn run_leaf_task(
             // filtered membership.
             let scope = Scope {
                 rows: Some((lo, hi)),
-                filter: filter.as_deref(),
+                filter: ctx.filter.as_deref(),
             };
-            sketch.summarize_bytes(&view, scope, seed).map(Some)
+            ctx.sketch
+                .summarize_bytes(&view, scope, ctx.leaf_seed(partition))
+                .map(Some)
         }));
         match run {
             Ok(r) => r,
@@ -1041,10 +962,10 @@ fn run_leaf_task(
 fn query_hash(name: &str, identity: &[u8]) -> [u64; 2] {
     let mut out = [FNV_OFFSET, FNV_OFFSET ^ 0x9E37_79B9_7F4A_7C15];
     for (i, h) in out.iter_mut().enumerate() {
-        let mut state = fnv_mix(*h, &[i as u8]);
-        state = fnv_mix(state, name.as_bytes());
-        state = fnv_mix(state, &[0]);
-        *h = fnv_mix(state, identity);
+        let mut state = fnv1a(*h, &[i as u8]);
+        state = fnv1a(state, name.as_bytes());
+        state = fnv1a(state, &[0]);
+        *h = fnv1a(state, identity);
     }
     out
 }
@@ -1057,64 +978,18 @@ fn query_hash(name: &str, identity: &[u8]) -> [u64; 2] {
 /// root still receives a final frame carrying the panic message, so the
 /// merge loop terminates with a structured error instead of waiting out
 /// the liveness timeout (or, before timeouts existed, hanging forever).
-#[allow(clippy::too_many_arguments)]
-fn aggregate_worker(
-    worker: Arc<Worker>,
-    sketch: Arc<dyn ErasedSketch>,
-    dataset: DatasetId,
-    filter: Option<Arc<Predicate>>,
-    seed: u64,
-    cancel: CancellationToken,
-    tree_cancel: CancellationToken,
-    tx: LinkSender,
-    batch: Duration,
-    query: Option<[u64; 2]>,
-    grain: usize,
-) {
-    let wid = worker.id as u32;
-    if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        aggregate_worker_inner(
-            &worker,
-            sketch,
-            dataset,
-            filter,
-            seed,
-            cancel,
-            tree_cancel,
-            &tx,
-            batch,
-            query,
-            grain,
-        );
-    })) {
-        let msg = WorkerMsg {
-            worker: wid,
-            work_done: 0,
-            work_total: 0,
-            is_final: true,
-            payload: MsgPayload::LeafPanicked(fault::panic_message(payload)),
-        };
-        let _ = tx.send(msg.encode());
+fn aggregate_worker(ctx: &Arc<TreeCtx>, tx: &LinkSender) {
+    let node = std::panic::AssertUnwindSafe(|| aggregate(ctx, tx));
+    if let Err(payload) = std::panic::catch_unwind(node) {
+        let panicked = MsgPayload::LeafPanicked(fault::panic_message(payload));
+        let _ = tx.send(ctx.frame(0, 0, true, panicked));
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn aggregate_worker_inner(
-    worker: &Arc<Worker>,
-    sketch: Arc<dyn ErasedSketch>,
-    dataset: DatasetId,
-    filter: Option<Arc<Predicate>>,
-    seed: u64,
-    cancel: CancellationToken,
-    tree_cancel: CancellationToken,
-    tx: &LinkSender,
-    batch: Duration,
-    query: Option<[u64; 2]>,
-    grain: usize,
-) {
-    let wid = worker.id as u32;
-    let send = |msg: WorkerMsg| {
-        let _ = tx.send(msg.encode());
+fn aggregate(ctx: &Arc<TreeCtx>, tx: &LinkSender) {
+    let (worker, sketch, dataset, batch) = (&ctx.worker, &ctx.sketch, ctx.dataset, ctx.batch);
+    let send = |work_done, work_total, is_final, payload| {
+        let _ = tx.send(ctx.frame(work_done, work_total, is_final, payload));
     };
     // Every summary leaves the worker in its link form: each call site
     // passes its bytes through [`ErasedSketch::compact_bytes`] (the same
@@ -1122,17 +997,13 @@ fn aggregate_worker_inner(
     // produced ends the worker's part of the tree like any other sketch
     // error.
     let send_summary = |shipped: EngineResult<Bytes>, work_done, work_total, is_final| {
-        send(WorkerMsg {
-            worker: wid,
-            work_done,
-            work_total,
-            is_final: is_final || shipped.is_err(),
-            payload: match &shipped {
-                Ok(bytes) => MsgPayload::Summary(bytes.to_vec()),
-                Err(e) => MsgPayload::Error(e.to_string()),
-            },
-        });
-        shipped.is_ok()
+        let ok = shipped.is_ok();
+        let payload = match shipped {
+            Ok(bytes) => MsgPayload::Summary(bytes.to_vec()),
+            Err(e) => MsgPayload::Error(e.to_string()),
+        };
+        send(work_done, work_total, is_final || !ok, payload);
+        ok
     };
 
     // Fault-injection point for "the worker fails *mid-query*": a Kill or
@@ -1140,30 +1011,11 @@ fn aggregate_worker_inner(
     worker.fault_op(Some(dataset));
 
     if !worker.is_alive() {
-        send(WorkerMsg {
-            worker: wid,
-            work_done: 0,
-            work_total: 0,
-            is_final: true,
-            payload: MsgPayload::WorkerDown,
-        });
-        return;
+        return send(0, 0, true, MsgPayload::WorkerDown);
     }
-
-    let views = match worker.partitions(dataset) {
-        Some(v) => v,
-        None => {
-            send(WorkerMsg {
-                worker: wid,
-                work_done: 0,
-                work_total: 0,
-                is_final: true,
-                payload: MsgPayload::DatasetMissing(dataset.0),
-            });
-            return;
-        }
+    let Some(views) = worker.partitions(dataset) else {
+        return send(0, 0, true, MsgPayload::DatasetMissing(dataset.0));
     };
-
     if views.is_empty() {
         send_summary(sketch.compact_bytes(sketch.identity_bytes()), 0, 0, true);
         return;
@@ -1184,15 +1036,21 @@ fn aggregate_worker_inner(
     // cache-state-dependent). A hit reports the same row-weighted work
     // total as the compute path would, so the root's progress fraction
     // never mixes incomparable units across workers.
-    let cache_key: Option<CacheKey> = query.and_then(|q| {
-        let version = match &filter {
-            Some(p) => worker.filtered_version(dataset, p),
+    let cache_key: Option<CacheKey> = ctx.query.and_then(|query| {
+        let version = match &ctx.filter {
+            Some(p) => {
+                let step = Lineage::Filtered {
+                    parent: dataset,
+                    predicate: Predicate::clone(p),
+                };
+                worker.derivation(&step).map(|(_, version)| version)
+            }
             None => worker.dataset_version(dataset),
         }?;
         Some(CacheKey {
             dataset,
             version,
-            query: q,
+            query,
         })
     });
     let cache = worker.cache();
@@ -1219,51 +1077,29 @@ fn aggregate_worker_inner(
                     break;
                 }
                 Lookup::InFlight => {
-                    if cancel.is_cancelled() || tree_cancel.is_cancelled() {
+                    if ctx.cancelled() {
                         break;
                     }
                     waited = true;
-                    send(WorkerMsg {
-                        worker: wid,
-                        work_done: 0,
-                        work_total: total_work,
-                        is_final: false,
-                        payload: MsgPayload::Heartbeat,
-                    });
+                    send(0, total_work, false, MsgPayload::Heartbeat);
                     cache.wait(&key, batch);
                 }
             }
         }
     }
-    // Non-splittable sketches run one task per partition, as before.
-    let grain = if sketch.splittable() {
-        grain.max(1)
-    } else {
-        usize::MAX
-    };
 
     let (leaf_tx, leaf_rx) = crossbeam::channel::unbounded::<LeafMsg>();
     for (i, view) in views.iter().enumerate() {
-        // Leaf seed mixes the query seed with worker and partition indexes
-        // so samples are independent yet reproducible (§5.8). Sub-tasks of
-        // one partition share its seed: each draws the partition-wide
-        // sample and clips it to its range.
-        let leaf_seed = seed
-            ^ (worker.id as u64).wrapping_mul(0x9E3779B97F4A7C15)
-            ^ (i as u64).wrapping_mul(0xC2B2AE3D27D4EB4F);
-        let universe = view.members().universe();
-        let w2 = worker.clone();
-        let v2 = view.clone();
-        let s2 = sketch.clone();
-        let f2 = filter.clone();
-        let c2 = cancel.clone();
-        let t2 = tree_cancel.clone();
-        let tx2 = leaf_tx.clone();
-        let weight = view.len();
-        worker.pool().submit(move || {
-            run_leaf_task(
-                w2, v2, s2, f2, i as u32, 0, universe, weight, 1, grain, leaf_seed, c2, t2, tx2,
-            );
+        let whole = Piece {
+            partition: i as u32,
+            lo: 0,
+            hi: view.members().universe(),
+            weight: view.len(),
+            bonus: 1,
+        };
+        worker.pool().submit({
+            let (ctx, view, tx) = (ctx.clone(), view.clone(), leaf_tx.clone());
+            move || run_leaf_task(ctx, view, whole, tx)
         });
     }
     drop(leaf_tx);
@@ -1295,14 +1131,7 @@ fn aggregate_worker_inner(
                             }
                             other => MsgPayload::Error(other.to_string()),
                         };
-                        send(WorkerMsg {
-                            worker: wid,
-                            work_done: done_work,
-                            work_total: total_work,
-                            is_final: true,
-                            payload,
-                        });
-                        return;
+                        return send(done_work, total_work, true, payload);
                     }
                 }
                 done_work += msg.work;
@@ -1322,13 +1151,7 @@ fn aggregate_worker_inner(
                 } else {
                     // Nothing new completed this tick: heartbeat so the
                     // root's liveness sweep can tell slow from dead.
-                    send(WorkerMsg {
-                        worker: wid,
-                        work_done: done_work,
-                        work_total: total_work,
-                        is_final: false,
-                        payload: MsgPayload::Heartbeat,
-                    });
+                    send(done_work, total_work, false, MsgPayload::Heartbeat);
                 }
             }
             Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
@@ -1341,16 +1164,11 @@ fn aggregate_worker_inner(
     // not the piece's weight). Folding the surviving pieces would
     // silently drop rows; report the loss instead.
     if done_work < total_work {
-        send(WorkerMsg {
-            worker: wid,
-            work_done: done_work,
-            work_total: total_work,
-            is_final: true,
-            payload: MsgPayload::LeafPanicked(format!(
-                "leaf completions lost on worker {wid}: {done_work}/{total_work} work units reported"
-            )),
-        });
-        return;
+        let lost = format!(
+            "leaf completions lost on worker {}: {done_work}/{total_work} work units reported",
+            worker.id
+        );
+        return send(done_work, total_work, true, MsgPayload::LeafPanicked(lost));
     }
 
     // Deterministic final fold — the only fold of `pieces` the final
@@ -1373,7 +1191,7 @@ fn aggregate_worker_inner(
     // above drops the flight guard un-completed, which abandons the
     // in-flight slot and wakes coalesced waiters to take over.
     if let (Some(guard), Ok(bytes)) = (flight, &final_acc) {
-        if skipped == 0 && !cancel.is_cancelled() && !tree_cancel.is_cancelled() {
+        if skipped == 0 && !ctx.cancelled() {
             guard.complete(bytes.clone());
         }
     }
@@ -1387,6 +1205,7 @@ mod tests {
     use crate::erased::erase;
     use hillview_columnar::column::{Column, I64Column};
     use hillview_columnar::{ColumnKind, Table};
+    use hillview_net::Wire as _;
     use hillview_sketch::count::{CountSketch, CountSummary};
     use hillview_sketch::histogram::{HistogramSketch, HistogramSummary};
     use hillview_sketch::BucketSpec;
@@ -1557,7 +1376,8 @@ mod tests {
         let opts = QueryOptions::default();
         let _ = c.run_erased(ds, None, &erase(CountSketch::rows()), &opts);
         c.worker(0).restart();
-        c.worker(0).load(ds, &spec("nums")).unwrap();
+        let step = Lineage::Loaded { spec: spec("nums") };
+        c.worker(0).derive(ds, &step).unwrap();
         let outcome = c
             .run_erased(ds, None, &erase(CountSketch::rows()), &opts)
             .unwrap();
@@ -1902,45 +1722,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_msg_decode_rejects_corruption() {
-        // Satellite of the wire-corruption work: every mutation of an
-        // encoded root-link frame must yield a structured error (checksum
-        // or parse), never a panic — and single-bit flips must never
-        // decode into a different valid message.
-        let msg = WorkerMsg {
-            worker: 1,
-            work_done: 12_345,
-            work_total: 99_999,
-            is_final: true,
-            payload: MsgPayload::Summary(vec![7u8; 64]),
-        };
-        let good = msg.encode();
-        assert!(WorkerMsg::decode(good.clone()).is_ok());
-        // Truncations at every boundary.
-        for cut in 0..good.len() {
-            let t = Bytes::from(good[..cut].to_vec());
-            assert!(WorkerMsg::decode(t).is_err(), "truncated at {cut}");
-        }
-        // Every single-bit flip: must error, or — when the flip lands in
-        // varint overflow bits that don't change the decoded value —
-        // decode to the *identical* message. Never a different one.
-        let reference = msg.encode_body();
-        for byte in 0..good.len() {
-            for bit in 0..8 {
-                let mut m = good.to_vec();
-                m[byte] ^= 1 << bit;
-                if let Ok(decoded) = WorkerMsg::decode(Bytes::from(m)) {
-                    assert_eq!(
-                        decoded.encode_body(),
-                        reference,
-                        "bit flip at byte {byte} bit {bit} decoded to a different message"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn aggregator_death_without_final_frame_terminates_root_loop() {
         // Regression for the root-merge-loop hang: a worker whose
         // aggregation node dies without ever shipping a final frame (here:
@@ -2088,12 +1869,9 @@ mod tests {
         let c = cluster(2);
         let ds = load(&c);
         c.worker(1).kill();
-        let opts = QueryOptions {
-            tolerate_failures: true,
-            ..Default::default()
-        };
+        let opts = QueryOptions::default();
         let o = c
-            .run_erased(ds, None, &erase(CountSketch::rows()), &opts)
+            .run_tree(ds, None, &erase(CountSketch::rows()), &opts, true)
             .unwrap();
         let s = CountSummary::from_bytes(o.bytes).unwrap();
         assert_eq!(s.rows, 10_000, "survivor's shard only");
@@ -2111,12 +1889,9 @@ mod tests {
         let ds = load(&c);
         c.worker(0).kill();
         c.worker(1).kill();
-        let opts = QueryOptions {
-            tolerate_failures: true,
-            ..Default::default()
-        };
+        let opts = QueryOptions::default();
         let e = c
-            .run_erased(ds, None, &erase(CountSketch::rows()), &opts)
+            .run_tree(ds, None, &erase(CountSketch::rows()), &opts, true)
             .unwrap_err();
         assert!(matches!(e, EngineError::WorkerDown(_)));
     }

@@ -8,7 +8,7 @@
 //! created them in the first place").
 
 use crate::error::{EngineError, EngineResult};
-use hillview_columnar::{BlockCache, Predicate, SegmentMode, Table};
+use hillview_columnar::{fnv1a, BlockCache, Predicate, SegmentMode, Table, FNV_OFFSET};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -71,6 +71,55 @@ impl Lineage {
             Lineage::Filtered { parent, .. } | Lineage::Mapped { parent, .. } => Some(*parent),
         }
     }
+
+    /// The content version of the dataset this step derives from a parent
+    /// at version `parent` (unused by a load, the leaf of every chain) —
+    /// what makes sketch-cache keys structural: two datasets share a
+    /// version exactly when their lineage proves identical contents. A
+    /// load hashes its source spec, so a reload after eviction revalidates
+    /// old cache entries; a filter chains the parent with the predicate's
+    /// *canonical* bytes under `schema` (a partition of the parent) —
+    /// And/Or order, double negation and compiler-equivalent numeric
+    /// bounds all collapse to one identity; a map folds in the UDF and the
+    /// column it names.
+    pub(crate) fn content_version(&self, parent: u64, schema: Option<&Table>) -> u64 {
+        match self {
+            Lineage::Loaded { spec } => {
+                let h = fnv1a(FNV_OFFSET, b"load\0");
+                let h = fnv1a(h, spec.source.as_bytes());
+                fnv1a(h, &spec.snapshot.to_le_bytes())
+            }
+            Lineage::Filtered { predicate, .. } => {
+                let h = fnv1a(parent, b"filter\0");
+                fnv1a(h, &predicate.canonical_bytes(schema))
+            }
+            Lineage::Mapped {
+                udf, new_column, ..
+            } => {
+                let h = fnv1a(parent, b"map\0");
+                let h = fnv1a(h, udf.as_bytes());
+                let h = fnv1a(h, &[0]);
+                fnv1a(h, new_column.as_bytes())
+            }
+        }
+    }
+}
+
+/// What a worker asks a [`DataSource`] for: its share of one snapshot.
+#[derive(Debug, Clone, Copy)]
+pub struct LoadRequest<'a> {
+    /// The calling worker's index.
+    pub worker: usize,
+    /// Workers the source is dealt across.
+    pub num_workers: usize,
+    /// Upper bound on the rows of one returned table.
+    pub micropartition_rows: usize,
+    /// Snapshot tag of the [`SourceSpec`] being (re)loaded.
+    pub snapshot: u64,
+    /// The calling worker's block cache — always that worker's own, so an
+    /// out-of-core source charges the chunks its scans fault in against
+    /// that worker's budget. In-memory sources ignore it.
+    pub cache: &'a Arc<BlockCache>,
 }
 
 /// A storage-layer connector: yields one worker's horizontal partitions.
@@ -79,35 +128,17 @@ impl Lineage {
 /// Hillview imposes no constraints on how rows are split across workers
 /// (paper §2) — only that the same `(worker, snapshot)` pair always yields
 /// the same data, so replay after failures reconverges (§5.8).
+///
+/// There is one entry point, and only workers call it: the
+/// [`LoadRequest`] always carries the calling worker's own block cache, so
+/// no source keeps a cache of its own.
 pub trait DataSource: Send + Sync + 'static {
     /// Registered name.
     fn name(&self) -> &str;
 
-    /// Load the micropartitions belonging to `worker` (of `num_workers`),
-    /// each at most `micropartition_rows` rows.
-    fn load(
-        &self,
-        worker: usize,
-        num_workers: usize,
-        micropartition_rows: usize,
-        snapshot: u64,
-    ) -> EngineResult<Vec<Table>>;
-
-    /// Like [`DataSource::load`], but handed the calling worker's block
-    /// cache so out-of-core sources can charge faulted-in chunks against
-    /// that worker's budget. In-memory sources ignore the cache; the
-    /// default implementation delegates to [`DataSource::load`].
-    fn load_with_cache(
-        &self,
-        worker: usize,
-        num_workers: usize,
-        micropartition_rows: usize,
-        snapshot: u64,
-        cache: &Arc<BlockCache>,
-    ) -> EngineResult<Vec<Table>> {
-        let _ = cache;
-        self.load(worker, num_workers, micropartition_rows, snapshot)
-    }
+    /// Load the micropartitions `req` names: those of its worker, each
+    /// at most `micropartition_rows` rows.
+    fn load(&self, req: &LoadRequest<'_>) -> EngineResult<Vec<Table>>;
 }
 
 /// Signature of a [`FnSource`] closure: `f(worker, num_workers,
@@ -139,14 +170,13 @@ impl DataSource for FnSource {
         &self.name
     }
 
-    fn load(
-        &self,
-        worker: usize,
-        num_workers: usize,
-        micropartition_rows: usize,
-        snapshot: u64,
-    ) -> EngineResult<Vec<Table>> {
-        (self.f)(worker, num_workers, micropartition_rows, snapshot)
+    fn load(&self, req: &LoadRequest<'_>) -> EngineResult<Vec<Table>> {
+        (self.f)(
+            req.worker,
+            req.num_workers,
+            req.micropartition_rows,
+            req.snapshot,
+        )
     }
 }
 
@@ -168,8 +198,8 @@ impl fmt::Debug for FnSource {
 /// its columns are windows over the file, faulted in block-granular
 /// through the worker's [`BlockCache`] as scans touch them, so loading a
 /// dataset costs O(headers) and querying it costs only the blocks zone
-/// maps cannot prune. The heap fallback (big-endian hosts) loads eagerly
-/// and answers identically.
+/// maps cannot prune. A big-endian host loads each part eagerly onto the
+/// heap instead and answers identically.
 ///
 /// The directory must be immutable while browsed (paper §2); the snapshot
 /// tag is ignored because the directory *is* one snapshot, which keeps
@@ -178,9 +208,6 @@ pub struct HvcDirSource {
     name: String,
     dir: PathBuf,
     mode: SegmentMode,
-    /// Fallback cache for loads outside a worker (direct [`DataSource::load`]
-    /// calls); worker loads pass their own budgeted cache instead.
-    fallback: Arc<BlockCache>,
 }
 
 impl HvcDirSource {
@@ -198,7 +225,6 @@ impl HvcDirSource {
             name: name.to_string(),
             dir: dir.into(),
             mode,
-            fallback: BlockCache::unbounded(),
         }
     }
 
@@ -217,37 +243,14 @@ impl DataSource for HvcDirSource {
         &self.name
     }
 
-    fn load(
-        &self,
-        worker: usize,
-        num_workers: usize,
-        micropartition_rows: usize,
-        snapshot: u64,
-    ) -> EngineResult<Vec<Table>> {
-        self.load_with_cache(
-            worker,
-            num_workers,
-            micropartition_rows,
-            snapshot,
-            &self.fallback,
-        )
-    }
-
-    fn load_with_cache(
-        &self,
-        worker: usize,
-        num_workers: usize,
-        _micropartition_rows: usize,
-        _snapshot: u64,
-        cache: &Arc<BlockCache>,
-    ) -> EngineResult<Vec<Table>> {
+    fn load(&self, req: &LoadRequest<'_>) -> EngineResult<Vec<Table>> {
         let parts = hillview_storage::spill::list_parts(&self.dir).map_err(Self::storage_err)?;
-        let nw = num_workers.max(1);
+        let nw = req.num_workers.max(1);
         let mut tables = Vec::new();
-        for path in parts.iter().skip(worker % nw).step_by(nw) {
+        for path in parts.iter().skip(req.worker % nw).step_by(nw) {
             // One open, so one header parse; a mapped open reads no
             // payload, so an empty part costs its header and is dropped.
-            let table = hillview_storage::read_file_mapped(path, cache, self.mode)
+            let table = hillview_storage::read_file_mapped(path, req.cache, self.mode)
                 .map_err(Self::storage_err)?;
             if table.num_rows() > 0 {
                 tables.push(table);
@@ -301,6 +304,23 @@ mod tests {
     use hillview_columnar::column::{Column, I64Column};
     use hillview_columnar::ColumnKind;
 
+    /// Worker `worker` of `num_workers` asking for `snapshot`, charging a
+    /// cache of its own.
+    fn load(
+        s: &dyn DataSource,
+        worker: usize,
+        num_workers: usize,
+        snapshot: u64,
+    ) -> EngineResult<Vec<Table>> {
+        s.load(&LoadRequest {
+            worker,
+            num_workers,
+            micropartition_rows: 1_000,
+            snapshot,
+            cache: &BlockCache::unbounded(),
+        })
+    }
+
     fn tiny_source() -> FnSource {
         FnSource::new("tiny", |worker, _n, _mp, snapshot| {
             let t = Table::builder()
@@ -320,8 +340,8 @@ mod tests {
     #[test]
     fn fn_source_loads_per_worker() {
         let s = tiny_source();
-        let a = s.load(0, 2, 10, 0).unwrap();
-        let b = s.load(1, 2, 10, 0).unwrap();
+        let a = load(&s, 0, 2, 0).unwrap();
+        let b = load(&s, 1, 2, 0).unwrap();
         assert_eq!(a[0].get(0, "X").unwrap(), hillview_columnar::Value::Int(0));
         assert_eq!(
             b[0].get(0, "X").unwrap(),
@@ -332,8 +352,8 @@ mod tests {
     #[test]
     fn snapshot_changes_data() {
         let s = tiny_source();
-        let a = s.load(0, 1, 10, 0).unwrap();
-        let b = s.load(0, 1, 10, 5).unwrap();
+        let a = load(&s, 0, 1, 0).unwrap();
+        let b = load(&s, 0, 1, 5).unwrap();
         assert_ne!(a[0].get(0, "X").unwrap(), b[0].get(0, "X").unwrap());
     }
 
@@ -366,8 +386,8 @@ mod tests {
         hillview_storage::hvc::write_file(&empty, dir.join("part-00005.hvc")).unwrap();
 
         let src = HvcDirSource::new("parts", dir.path());
-        let a = src.load(0, 2, 1_000, 0).unwrap();
-        let b = src.load(1, 2, 1_000, 0).unwrap();
+        let a = load(&src, 0, 2, 0).unwrap();
+        let b = load(&src, 1, 2, 0).unwrap();
         assert_eq!(a.len(), 3, "parts 0,2,4");
         assert_eq!(b.len(), 2, "parts 1,3");
         let rows: usize = a.iter().chain(&b).map(|t| t.num_rows()).sum();
@@ -379,7 +399,7 @@ mod tests {
         }
         // Replay determinism: the same (worker, snapshot) yields the same
         // parts in the same order.
-        let a2 = src.load(0, 2, 1_000, 0).unwrap();
+        let a2 = load(&src, 0, 2, 0).unwrap();
         for (x, y) in a.iter().zip(&a2) {
             assert_eq!(x.num_rows(), y.num_rows());
             assert_eq!(x.full_row(0), y.full_row(0));

@@ -6,6 +6,15 @@
 //! replays the lineage chain *on that worker only* and retries; when a
 //! worker is down, it is restarted stateless (§5.8) and the same replay
 //! path repopulates it on demand.
+//!
+//! Each decision has one home. Every dataset-producing call (`load`,
+//! `reload`, `filter`, `map`, the promotion of a lazy filter) records its
+//! [`Lineage`] and applies it through one helper; every query shape is one
+//! private `execute`; and both run as attempts under one bounded loop,
+//! which has three exits: the attempt's complete result, a structured
+//! error (the failure itself when no retry could heal it, else
+//! [`EngineError::RetriesExhausted`] around the last one), or — for a query
+//! that opted in — the labelled degraded result of one last tree.
 
 use crate::cluster::{Cluster, QueryOptions, QueryOutcome};
 use crate::dataset::{DatasetId, Lineage, SourceSpec};
@@ -18,14 +27,15 @@ use hillview_sketch::Sketch;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Bounded retry with exponential backoff, replacing the old ad-hoc
-/// fixed-count recovery loops. An attempt is retried only when its error
-/// [`EngineError::is_retryable`] — transient infrastructure faults — and
-/// the budget is hard: once exhausted the caller gets
-/// [`EngineError::RetriesExhausted`] wrapping the final failure (or, under
-/// [`QueryOptions::allow_degraded`], a coverage-labelled partial result).
+/// Bounded retry with exponential backoff — the budget of the engine's
+/// recovery loop, for queries and dataset operations alike. An attempt is
+/// retried only when its error [`EngineError::is_retryable`] — transient
+/// infrastructure faults — and the budget is hard: once exhausted the
+/// caller gets [`EngineError::RetriesExhausted`] wrapping the final failure
+/// (or, under [`QueryOptions::allow_degraded`], a coverage-labelled partial
+/// result).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum attempts, including the first. `1` means never retry.
@@ -94,8 +104,8 @@ pub struct Engine {
     /// Restart dead workers automatically during queries (on by default;
     /// tests can disable it to observe raw failures).
     pub auto_recover: bool,
-    /// Retry budget applied to every recovery loop (queries and
-    /// dataset-producing operations).
+    /// Retry budget of the recovery loop (queries and dataset-producing
+    /// operations).
     pub retry: RetryPolicy,
 }
 
@@ -126,16 +136,24 @@ impl Engine {
         DatasetId(self.next_id.fetch_add(1, Ordering::SeqCst))
     }
 
+    /// Record `step` as the lineage of `id`, then apply it on every worker
+    /// under the recovery loop — how every dataset comes to exist or
+    /// change. Dataset ops are idempotent (a re-run overwrites the same
+    /// dataset id with identical contents), so retrying any transient
+    /// failure — including a replay that itself hits a fault — is sound.
+    fn derive_logged(&self, id: DatasetId, step: Lineage) -> EngineResult<()> {
+        self.log.record(id, step.clone());
+        self.recover(&QueryOptions::default(), None, |_, _| {
+            self.cluster.derive(id, &step, None)
+        })
+    }
+
     /// Load a dataset from a registered source on every worker; logged.
     pub fn load(&self, source: &str, snapshot: u64) -> EngineResult<DatasetId> {
         let id = self.fresh_id();
-        let spec = SourceSpec {
-            source: Arc::from(source),
-            snapshot,
-        };
-        let step = Lineage::Loaded { spec };
-        self.log.record(id, step.clone());
-        self.cluster.derive(id, &step, None)?;
+        let source = Arc::from(source);
+        let spec = SourceSpec { source, snapshot };
+        self.derive_logged(id, Lineage::Loaded { spec })?;
         Ok(id)
     }
 
@@ -149,8 +167,8 @@ impl Engine {
     /// [`SelectivityEstimate`]s) invalidate themselves on next use.
     /// Errors on derived datasets: reload the chain's root instead.
     pub fn reload(&self, dataset: DatasetId, snapshot: u64) -> EngineResult<()> {
-        let spec = match self.log.lineage(dataset) {
-            Some(Lineage::Loaded { spec }) => spec,
+        let source = match self.log.lineage(dataset) {
+            Some(Lineage::Loaded { spec }) => spec.source,
             Some(_) => {
                 return Err(EngineError::Source(format!(
                     "dataset {dataset} is derived; reload its root load instead"
@@ -158,13 +176,6 @@ impl Engine {
             }
             None => return Err(EngineError::UnknownDataset(dataset)),
         };
-        let step = Lineage::Loaded {
-            spec: SourceSpec {
-                source: spec.source,
-                snapshot,
-            },
-        };
-        self.log.record(dataset, step.clone());
         // Descendants materialized from the old snapshot are stale:
         // evict them everywhere so the ordinary missing-dataset replay
         // path rebuilds them against the new contents on demand.
@@ -175,7 +186,8 @@ impl Engine {
                 }
             }
         }
-        self.with_replay_on_all(|| self.cluster.derive(dataset, &step, None))
+        let spec = SourceSpec { source, snapshot };
+        self.derive_logged(dataset, Lineage::Loaded { spec })
     }
 
     /// Derive a filtered dataset; logged (paper §5.6 "Selection"). The
@@ -186,9 +198,7 @@ impl Engine {
     pub fn filter(&self, parent: DatasetId, predicate: Predicate) -> EngineResult<DatasetId> {
         self.ensure_materialized(parent)?;
         let id = self.fresh_id();
-        let step = Lineage::Filtered { parent, predicate };
-        self.log.record(id, step.clone());
-        self.with_replay_on_all(|| self.cluster.derive(id, &step, None))?;
+        self.derive_logged(id, Lineage::Filtered { parent, predicate })?;
         Ok(id)
     }
 
@@ -230,13 +240,13 @@ impl Engine {
     pub fn map(&self, parent: DatasetId, udf: &str, new_column: &str) -> EngineResult<DatasetId> {
         self.ensure_materialized(parent)?;
         let id = self.fresh_id();
+        let (udf, new_column) = (Arc::from(udf), Arc::from(new_column));
         let step = Lineage::Mapped {
             parent,
-            udf: Arc::from(udf),
-            new_column: Arc::from(new_column),
+            udf,
+            new_column,
         };
-        self.log.record(id, step.clone());
-        self.with_replay_on_all(|| self.cluster.derive(id, &step, None))?;
+        self.derive_logged(id, step)?;
         Ok(id)
     }
 
@@ -263,7 +273,7 @@ impl Engine {
                 .log
                 .lineage(id)
                 .ok_or(EngineError::UnknownDataset(id))?;
-            self.with_replay_on_all(|| self.cluster.derive(id, &step, None))?;
+            self.derive_logged(id, step)?;
             self.pending_filters.lock().remove(&id);
         }
         Ok(())
@@ -353,49 +363,91 @@ impl Engine {
         Ok((root, Some(composed)))
     }
 
-    /// Run a dataset-producing op, replaying lineage on misses, within the
-    /// [`RetryPolicy`] budget. Dataset ops are idempotent (a re-run
-    /// overwrites the same dataset id with identical contents), so
-    /// retrying any transient failure — including a replay that itself
-    /// hits a fault — is sound.
-    fn with_replay_on_all(&self, f: impl Fn() -> EngineResult<()>) -> EngineResult<()> {
+    /// The one recovery loop (§5.7–5.8): run `attempt` until it succeeds,
+    /// fails in a way no retry can heal, or the [`RetryPolicy`] budget is
+    /// spent. An attempt is handed what is left of [`QueryOptions::deadline`]
+    /// — the deadline spans *all* attempts, not each one — and whether it
+    /// is the degraded one. Between attempts the failure is repaired:
+    /// a missing dataset is replayed on the worker that missed it, and a
+    /// dead worker is restarted. `replay_at_once` names a dataset to replay
+    /// on the restarted worker right away, as a query does with the root it
+    /// is about to scan again; without one (a dataset operation) the worker
+    /// comes back empty and the next attempt's miss says what to replay.
+    ///
+    /// When the budget runs out, [`QueryOptions::allow_degraded`] permits
+    /// one final attempt that excludes failed workers and returns the
+    /// survivors' merge labelled with [`QueryOutcome::coverage`]` < 1`;
+    /// otherwise the caller gets [`EngineError::RetriesExhausted`].
+    fn recover<T>(
+        &self,
+        opts: &QueryOptions,
+        replay_at_once: Option<DatasetId>,
+        attempt: impl Fn(Option<Duration>, bool) -> EngineResult<T>,
+    ) -> EngineResult<T> {
+        let started = Instant::now();
+        // Remaining deadline for the next attempt, or an error once spent.
+        let remaining = || {
+            let Some(deadline) = opts.deadline else {
+                return Ok(None);
+            };
+            let elapsed = started.elapsed();
+            let left = deadline.checked_sub(elapsed);
+            left.map(Some)
+                .ok_or(EngineError::DeadlineExceeded { elapsed })
+        };
         let attempts = self.retry.attempts.max(1);
-        let mut last: Option<EngineError> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(self.retry.backoff(attempt));
+        let mut tried = 0;
+        let last = loop {
+            // A recovery retry must not inherit a cancel flag set by the
+            // failure path of the previous attempt.
+            if opts.cancel.is_cancelled() {
+                return Err(EngineError::Cancelled);
             }
-            let e = match f() {
-                Ok(()) => return Ok(()),
+            if tried > 0 {
+                std::thread::sleep(self.retry.backoff(tried));
+            }
+            let mut failure = match attempt(remaining()?, false) {
+                Ok(done) => return Ok(done),
                 Err(e) => e,
             };
-            match &e {
-                EngineError::DatasetMissing { worker, dataset } => {
-                    let (worker, dataset) = (*worker, *dataset);
-                    last = Some(e);
-                    if let Err(re) = self.replay(worker, dataset) {
-                        if !re.is_retryable() {
-                            return Err(re);
-                        }
-                        last = Some(re);
-                    }
-                }
+            let replay = match &failure {
+                EngineError::DatasetMissing { worker, dataset } => Some((*worker, *dataset)),
                 EngineError::WorkerDown(w) if self.auto_recover => {
                     self.cluster.worker(*w).restart();
-                    last = Some(e);
+                    replay_at_once.map(|dataset| (*w, dataset))
                 }
                 // Without auto-restart a dead worker stays dead: the
                 // failure is deterministic, so surface it raw.
-                EngineError::WorkerDown(_) => return Err(e),
-                _ if e.is_retryable() => last = Some(e),
-                _ => return Err(e),
+                EngineError::WorkerDown(_) => return Err(failure),
+                _ if failure.is_retryable() => None,
+                _ => return Err(failure),
+            };
+            // A replay can itself hit a fault (worker killed
+            // mid-replay); transient replay failures consume an
+            // attempt instead of escaping the retry loop raw.
+            if let Some((worker, dataset)) = replay {
+                if let Err(e) = self.replay(worker, dataset) {
+                    if !e.is_retryable() {
+                        return Err(e);
+                    }
+                    failure = e;
+                }
+            }
+            tried += 1;
+            if tried == attempts {
+                break failure;
+            }
+        };
+        // Opt-in graceful degradation: one last tree that tolerates
+        // worker failures and folds the survivors, honestly labelled.
+        if opts.allow_degraded {
+            if let Ok(degraded) = attempt(remaining()?, true) {
+                return Ok(degraded);
             }
         }
         Err(EngineError::RetriesExhausted {
             attempts,
-            last: Box::new(
-                last.unwrap_or_else(|| EngineError::Sketch("replay did not converge".into())),
-            ),
+            last: Box::new(last),
         })
     }
 
@@ -433,10 +485,7 @@ impl Engine {
         sketch: S,
         opts: &QueryOptions,
     ) -> EngineResult<(S::Summary, QueryOutcome)> {
-        let erased = erase(sketch);
-        let outcome = self.run_erased(dataset, &erased, opts)?;
-        let summary = S::Summary::from_bytes(outcome.bytes.clone())?;
-        Ok((summary, outcome))
+        typed::<S>(self.execute(dataset, None, &erase(sketch), opts))
     }
 
     /// Run a typed sketch over `dataset` narrowed by `predicate`, without
@@ -451,10 +500,7 @@ impl Engine {
         sketch: S,
         opts: &QueryOptions,
     ) -> EngineResult<(S::Summary, QueryOutcome)> {
-        let erased = erase(sketch);
-        let outcome = self.run_filtered_erased(dataset, predicate, &erased, opts)?;
-        let summary = S::Summary::from_bytes(outcome.bytes.clone())?;
-        Ok((summary, outcome))
+        typed::<S>(self.execute(dataset, Some(predicate), &erase(sketch), opts))
     }
 
     /// Erased form of [`Engine::run_filtered`]. If `dataset` is itself a
@@ -466,12 +512,7 @@ impl Engine {
         sketch: &Arc<dyn ErasedSketch>,
         opts: &QueryOptions,
     ) -> EngineResult<QueryOutcome> {
-        let (root, base) = self.plan_query(dataset)?;
-        let fused = match base {
-            Some(b) => b.and(predicate),
-            None => predicate,
-        };
-        self.run_planned(root, Some(fused), sketch, opts)
+        self.execute(dataset, Some(predicate), sketch, opts)
     }
 
     /// Run an erased sketch with automatic recovery. The reported duration
@@ -491,127 +532,53 @@ impl Engine {
         sketch: &Arc<dyn ErasedSketch>,
         opts: &QueryOptions,
     ) -> EngineResult<QueryOutcome> {
-        let (root, fused) = self.plan_query(dataset)?;
-        self.run_planned(root, fused, sketch, opts)
+        self.execute(dataset, None, sketch, opts)
     }
 
-    /// The retry/recovery loop shared by every query shape: run `sketch`
-    /// over `root` (a materialized dataset), optionally narrowed by a
-    /// fused predicate, replaying lineage and restarting workers per the
-    /// [`RetryPolicy`].
-    fn run_planned(
+    /// Every query shape: plan `dataset` (a pending lazy filter resolves
+    /// to a materialized root and a predicate chain, which composes under
+    /// the ad-hoc `predicate` if there is one), then run `sketch` over the
+    /// root, narrowed by the fused predicate, as attempts under
+    /// [`Engine::recover`].
+    fn execute(
         &self,
-        root: DatasetId,
-        fused: Option<Predicate>,
+        dataset: DatasetId,
+        predicate: Option<Predicate>,
         sketch: &Arc<dyn ErasedSketch>,
         opts: &QueryOptions,
     ) -> EngineResult<QueryOutcome> {
-        let started = std::time::Instant::now();
-        let attempts = self.retry.attempts.max(1);
-        let mut last: Option<EngineError> = None;
-        // Remaining deadline for the next attempt, or an error once spent.
-        let remaining = |started: std::time::Instant| -> EngineResult<Option<Duration>> {
-            match opts.deadline {
-                None => Ok(None),
-                Some(d) => d.checked_sub(started.elapsed()).map(Some).ok_or(
-                    EngineError::DeadlineExceeded {
-                        elapsed: started.elapsed(),
-                    },
-                ),
-            }
+        let (root, chain) = self.plan_query(dataset)?;
+        let fused = match (chain, predicate) {
+            (Some(chain), Some(predicate)) => Some(chain.and(predicate)),
+            (chain, predicate) => chain.or(predicate),
         };
-        let finish = |mut outcome: QueryOutcome| {
-            let replay_overhead = started.elapsed().saturating_sub(outcome.duration);
-            outcome.first_partial = outcome.first_partial.map(|fp| fp + replay_overhead);
-            outcome.duration = started.elapsed();
-            outcome
-        };
-        for attempt in 0..attempts {
-            // A recovery retry must not inherit a cancel flag set by the
-            // failure path of the previous attempt.
-            if opts.cancel.is_cancelled() {
-                return Err(EngineError::Cancelled);
-            }
-            if attempt > 0 {
-                std::thread::sleep(self.retry.backoff(attempt));
-            }
-            let attempt_opts = QueryOptions {
-                seed: opts.seed,
-                cancel: opts.cancel.clone(),
-                on_partial: opts.on_partial.clone(),
-                cache: opts.cache,
-                deadline: remaining(started)?,
-                allow_degraded: opts.allow_degraded,
-                tolerate_failures: false,
-            };
-            let e = match self
-                .cluster
-                .run_erased(root, fused.as_ref(), sketch, &attempt_opts)
-            {
-                Ok(outcome) => return Ok(finish(outcome)),
-                Err(e) => e,
-            };
-            match &e {
-                EngineError::DatasetMissing { worker, dataset: d } => {
-                    let (worker, d) = (*worker, *d);
-                    last = Some(e);
-                    // A replay can itself hit a fault (worker killed
-                    // mid-replay); transient replay failures consume an
-                    // attempt instead of escaping the retry loop raw.
-                    if let Err(re) = self.replay(worker, d) {
-                        if !re.is_retryable() {
-                            return Err(re);
-                        }
-                        last = Some(re);
-                    }
-                }
-                EngineError::WorkerDown(w) if self.auto_recover => {
-                    let w = *w;
-                    last = Some(e);
-                    self.cluster.worker(w).restart();
-                    if let Err(re) = self.replay(w, root) {
-                        if !re.is_retryable() {
-                            return Err(re);
-                        }
-                        last = Some(re);
-                    }
-                }
-                // Without auto-restart a dead worker stays dead: the
-                // failure is deterministic, so surface it raw.
-                EngineError::WorkerDown(_) => return Err(e),
-                _ if e.is_retryable() => last = Some(e),
-                _ => return Err(e),
-            }
-        }
-        let last =
-            last.unwrap_or_else(|| EngineError::Sketch("query recovery did not converge".into()));
-        // Opt-in graceful degradation: one last tree that tolerates
-        // worker failures and folds the survivors, honestly labelled.
-        if opts.allow_degraded {
-            let attempt_opts = QueryOptions {
-                seed: opts.seed,
-                cancel: opts.cancel.clone(),
-                on_partial: opts.on_partial.clone(),
+        let started = Instant::now();
+        let mut outcome = self.recover(opts, Some(root), |deadline, degraded| {
+            let attempt = QueryOptions {
+                deadline,
                 // Never cache on the degraded path: per-worker shard
                 // summaries of *survivors* would be sound, but a shared
                 // cache key must only ever hold complete folds.
-                cache: false,
-                deadline: remaining(started)?,
-                allow_degraded: true,
-                tolerate_failures: true,
+                cache: opts.cache && !degraded,
+                ..opts.clone()
             };
-            if let Ok(outcome) =
-                self.cluster
-                    .run_erased(root, fused.as_ref(), sketch, &attempt_opts)
-            {
-                return Ok(finish(outcome));
-            }
-        }
-        Err(EngineError::RetriesExhausted {
-            attempts,
-            last: Box::new(last),
-        })
+            self.cluster
+                .run_tree(root, fused.as_ref(), sketch, &attempt, degraded)
+        })?;
+        let replay_overhead = started.elapsed().saturating_sub(outcome.duration);
+        outcome.first_partial = outcome.first_partial.map(|fp| fp + replay_overhead);
+        outcome.duration = started.elapsed();
+        Ok(outcome)
     }
+}
+
+/// The typed front of a query: its summary decoded beside its outcome.
+fn typed<S: Sketch>(
+    outcome: EngineResult<QueryOutcome>,
+) -> EngineResult<(S::Summary, QueryOutcome)> {
+    let outcome = outcome?;
+    let summary = S::Summary::from_bytes(outcome.bytes.clone())?;
+    Ok((summary, outcome))
 }
 
 impl std::fmt::Debug for Engine {
@@ -711,6 +678,39 @@ mod tests {
             .run(base, CountSketch::rows(), &QueryOptions::default())
             .unwrap_err();
         assert_eq!(err, EngineError::WorkerDown(0));
+    }
+
+    #[test]
+    fn load_recovers_from_a_worker_killed_during_it() {
+        use crate::fault::{FaultAction, FaultPlan, FaultSite};
+        // Worker 1 dies at its first operation: the load itself.
+        let kill = || {
+            let first_op = FaultSite::WorkerOp {
+                worker: 1,
+                index: 0,
+            };
+            FaultPlan::scripted([(first_op, FaultAction::Kill)])
+        };
+        let rows = |e: &Engine, base| {
+            let (sum, _) = e
+                .run(base, CountSketch::rows(), &QueryOptions::default())
+                .unwrap();
+            sum.rows
+        };
+        let clean = engine();
+        let fault_free = rows(&clean, clean.load("nums", 0).unwrap());
+        let e = engine();
+        e.cluster().arm_faults(kill());
+        let base = e.load("nums", 0).unwrap();
+        assert_eq!(rows(&e, base), fault_free, "restarted, then loaded whole");
+        // Without auto-restart the worker stays dead and says so, raw.
+        let mut e = engine();
+        e.auto_recover = false;
+        e.cluster().arm_faults(kill());
+        assert_eq!(e.load("nums", 0).unwrap_err(), EngineError::WorkerDown(1));
+        // A failure no retry can heal is the first attempt's own error.
+        let err = engine().load("nope", 0).unwrap_err();
+        assert!(matches!(err, EngineError::Unregistered(_)), "{err}");
     }
 
     #[test]

@@ -11,12 +11,20 @@
 //!   per-worker aggregation nodes and leaf micropartitions; summaries are
 //!   serialized across every edge and merged upward. Nodes propagate
 //!   *partially merged* results on a batching interval so the client sees
-//!   progressive updates (§5.3), and queries are cancellable (§5.3).
+//!   progressive updates (§5.3), and queries are cancellable (§5.3). There
+//!   is one tree launch ([`Cluster::run_erased`]); a worker's node and its
+//!   leaf tasks share one tree context, every frame on the root link is
+//!   built in one place and encoded by one codec, and the root's merge
+//!   loop keeps one state with one failure transition.
 //! * **Workers** ([`worker`]): per-server thread pools executing leaf
 //!   summarize calls; all state is soft (§5.7) — datasets live in a cache
-//!   keyed by [`DatasetId`] and can vanish at any time.
+//!   keyed by [`DatasetId`] and can vanish at any time. A dataset comes to
+//!   exist in exactly one way: [`Cluster::derive`] applies a [`Lineage`]
+//!   step — load, filter or map (§5.6) — the value the redo log holds.
 //! * **Storage independence** ([`dataset`]): data enters via [`DataSource`]
-//!   implementations with arbitrary horizontal partitioning (§2).
+//!   implementations with arbitrary horizontal partitioning (§2); a source
+//!   has one `load`, and the [`LoadRequest`] it is handed always carries
+//!   the calling worker's block cache.
 //! * **Out-of-core storage tiers** ([`HvcDirSource`]): a directory of
 //!   `hvc` part files loads *mapped* — headers only at load time, column
 //!   payloads faulted in block-granular through a per-worker byte-budgeted
@@ -38,7 +46,8 @@
 //! * **Fault tolerance** ([`redo`], [`engine`]): the root logs every
 //!   dataset-producing operation (with seeds); when a worker reports a
 //!   missing dataset — eviction or restart — the root lazily replays the
-//!   lineage and retries (§5.7–5.8).
+//!   lineage and retries (§5.7–5.8). Dataset operations (`load` included)
+//!   and queries run as attempts under the same bounded loop.
 //! * **Spreadsheet** ([`spreadsheet`]): the user-facing API — tabular
 //!   views, scrolling, filtering, charts, heavy hitters, PCA — implemented
 //!   exclusively with vizketches (§7.3: sketches are "the sole way to
@@ -72,6 +81,11 @@
 //!    final tree tolerates worker failures and folds the survivors,
 //!    reporting `coverage < 1.0` and the excluded
 //!    [`QueryOutcome::failed_workers`].
+//!
+//! One loop in [`engine`] produces all three: it retries, replays and
+//! restarts within the budget (outcome 1, or outcome 2 as soon as a failure
+//! is one no retry can heal), and its tail is the degraded attempt
+//! (outcome 3, else outcome 2).
 //!
 //! The mechanisms behind this: panics are isolated at the pool thread,
 //! the leaf task, the aggregation node, and the root's fan-out join
@@ -144,6 +158,7 @@ pub mod engine;
 pub mod erased;
 pub mod error;
 pub mod fault;
+mod msg;
 pub mod pool;
 pub mod progress;
 pub mod redo;
@@ -152,7 +167,9 @@ pub mod worker;
 
 pub use cache::{CacheKey, CacheStats, SketchCache};
 pub use cluster::{Cluster, ClusterConfig, QueryOptions, QueryOutcome};
-pub use dataset::{DataSource, DatasetId, FnSource, HvcDirSource, Lineage, SourceSpec};
+pub use dataset::{
+    DataSource, DatasetId, FnSource, HvcDirSource, Lineage, LoadRequest, SourceSpec,
+};
 pub use engine::{Engine, RetryPolicy};
 pub use error::{EngineError, EngineResult};
 pub use fault::{FaultAction, FaultPlan, FaultSite, FaultSpec};

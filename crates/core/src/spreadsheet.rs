@@ -8,7 +8,7 @@
 //! match Figure 4 of the paper and are exercised one-to-one by the
 //! benchmark harness.
 
-use crate::cluster::{QueryOptions, QueryOutcome};
+use crate::cluster::QueryOptions;
 use crate::dataset::DatasetId;
 use crate::engine::Engine;
 use crate::error::EngineResult;
@@ -20,9 +20,9 @@ use hillview_sketch::distinct::DistinctSketch;
 use hillview_sketch::find::{FindSketch, FindSummary};
 use hillview_sketch::heavy::MisraGriesSketch;
 use hillview_sketch::moments::MomentsSketch;
-use hillview_sketch::nextk::NextKSummary;
 use hillview_sketch::pca::{PcaSketch, PcaSummary};
 use hillview_sketch::range::{RangeSketch, RangeSummary};
+use hillview_sketch::Sketch;
 use hillview_viz::cdf::{CdfRendering, CdfViz};
 use hillview_viz::display::DisplaySpec;
 use hillview_viz::heatmap::{AxisInfo, HeatmapViz};
@@ -68,17 +68,6 @@ impl OpStats {
         self.root_messages += other.root_messages;
         self.partials += other.partials;
         self.trees += other.trees;
-    }
-
-    fn absorb(&mut self, o: &QueryOutcome) {
-        self.merge(&OpStats {
-            duration: o.duration,
-            root_bytes: o.root_bytes,
-            root_messages: o.root_messages,
-            first_partial: o.first_partial,
-            partials: o.partials,
-            trees: 1,
-        });
     }
 }
 
@@ -150,6 +139,28 @@ impl Spreadsheet {
         }
     }
 
+    /// Launch one execution tree of an operation: a typed sketch over the
+    /// sheet's dataset, its outcome added to the operation's `stats`. The
+    /// only place a sheet runs a tree, so no operation can launch one and
+    /// forget to count it.
+    fn tree<S: Sketch>(
+        &self,
+        stats: &mut OpStats,
+        sketch: S,
+        seed: u64,
+    ) -> EngineResult<S::Summary> {
+        let (summary, o) = self.engine.run(self.dataset, sketch, &self.opts(seed))?;
+        stats.merge(&OpStats {
+            duration: o.duration,
+            root_bytes: o.root_bytes,
+            root_messages: o.root_messages,
+            first_partial: o.first_partial,
+            partials: o.partials,
+            trees: 1,
+        });
+        Ok(summary)
+    }
+
     // -----------------------------------------------------------------
     // Preparation-phase helpers (cached, deterministic).
     // -----------------------------------------------------------------
@@ -157,31 +168,40 @@ impl Spreadsheet {
     /// Total rows (cached).
     pub fn row_count(&self) -> EngineResult<(u64, OpStats)> {
         let mut stats = OpStats::default();
-        let (sum, o) = self
-            .engine
-            .run(self.dataset, CountSketch::rows(), &self.opts(0))?;
-        stats.absorb(&o);
-        Ok((sum.rows, stats))
+        Ok((self.count(&mut stats)?, stats))
+    }
+
+    fn count(&self, stats: &mut OpStats) -> EngineResult<u64> {
+        Ok(self.tree(stats, CountSketch::rows(), 0)?.rows)
     }
 
     /// Numeric range of a column (cached).
     pub fn range_of(&self, column: &str) -> EngineResult<(RangeSummary, OpStats)> {
         let mut stats = OpStats::default();
-        let (sum, o) = self
-            .engine
-            .run(self.dataset, RangeSketch::new(column), &self.opts(0))?;
-        stats.absorb(&o);
-        Ok((sum, stats))
+        Ok((self.range(&mut stats, column)?, stats))
+    }
+
+    fn range(&self, stats: &mut OpStats, column: &str) -> EngineResult<RangeSummary> {
+        self.tree(stats, RangeSketch::new(column), 0)
     }
 
     /// Bottom-k distinct-string quantiles of a column (cached).
     pub fn string_quantiles(&self, column: &str) -> EngineResult<(BottomKSummary, OpStats)> {
         let mut stats = OpStats::default();
-        let (sum, o) =
-            self.engine
-                .run(self.dataset, BottomKSketch::new(column, 512), &self.opts(0))?;
-        stats.absorb(&o);
-        Ok((sum, stats))
+        Ok((self.quantiles(&mut stats, column)?, stats))
+    }
+
+    fn quantiles(&self, stats: &mut OpStats, column: &str) -> EngineResult<BottomKSummary> {
+        self.tree(stats, BottomKSketch::new(column, 512), 0)
+    }
+
+    /// Phase-1 info for an axis: numeric range or string quantiles.
+    fn axis_info(&self, stats: &mut OpStats, column: &str) -> EngineResult<AxisInfo> {
+        let range = self.range(stats, column)?;
+        if range.min.is_some() {
+            return Ok(AxisInfo::Numeric(range));
+        }
+        Ok(AxisInfo::Strings(self.quantiles(stats, column)?))
     }
 
     // -----------------------------------------------------------------
@@ -202,10 +222,7 @@ impl Spreadsheet {
     ) -> EngineResult<(TablePage, OpStats)> {
         let viz = TableViewViz::new(SortOrder::ascending(columns), rows);
         let mut stats = OpStats::default();
-        let (summary, o): (NextKSummary, _) =
-            self.engine
-                .run(self.dataset, viz.page_after(start), &self.opts(0))?;
-        stats.absorb(&o);
+        let summary = self.tree(&mut stats, viz.page_after(start), 0)?;
         Ok((viz.render(&summary), stats))
     }
 
@@ -217,21 +234,12 @@ impl Spreadsheet {
         rows: usize,
     ) -> EngineResult<(TablePage, OpStats)> {
         let mut stats = OpStats::default();
-        let (count, s0) = self.row_count()?;
-        stats.merge(&s0);
+        let count = self.count(&mut stats)?;
 
         let viz = TableViewViz::new(SortOrder::ascending(columns), rows);
-        let (q, o1) = self.engine.run(
-            self.dataset,
-            viz.scrollbar_quantile(count),
-            &self.opts(self.next_seed()),
-        )?;
-        stats.absorb(&o1);
+        let q = self.tree(&mut stats, viz.scrollbar_quantile(count), self.next_seed())?;
         let start = q.quantile(viz.pixel_to_quantile(scrollbar_pixel));
-        let (summary, o2): (NextKSummary, _) =
-            self.engine
-                .run(self.dataset, viz.page_after(start), &self.opts(0))?;
-        stats.absorb(&o2);
+        let summary = self.tree(&mut stats, viz.page_after(start), 0)?;
         Ok((viz.render(&summary), stats))
     }
 
@@ -253,9 +261,7 @@ impl Spreadsheet {
             sketch = sketch.after(k);
         }
         let mut stats = OpStats::default();
-        let (sum, o) = self.engine.run(self.dataset, sketch, &self.opts(0))?;
-        stats.absorb(&o);
-        Ok((sum, stats))
+        Ok((self.tree(&mut stats, sketch, 0)?, stats))
     }
 
     // -----------------------------------------------------------------
@@ -269,41 +275,40 @@ impl Spreadsheet {
         buckets: Option<usize>,
     ) -> EngineResult<(BarChart, CdfRendering, OpStats)> {
         let mut stats = OpStats::default();
-        let (range, s0) = self.range_of(column)?;
-        stats.merge(&s0);
+        let range = self.range(&mut stats, column)?;
 
         let mut viz = HistogramViz::new(column, self.display);
         if let Some(b) = buckets {
             viz = viz.with_buckets(b);
         }
         let sketch = viz.prepare_numeric(&range)?;
-        let (summary, o1) =
-            self.engine
-                .run(self.dataset, sketch.clone(), &self.opts(self.next_seed()))?;
-        stats.absorb(&o1);
+        let summary = self.tree(&mut stats, sketch.clone(), self.next_seed())?;
         let chart = viz.render(&sketch, &summary);
 
-        let cdf_viz = CdfViz::new(column, self.display);
-        let cdf_sketch = cdf_viz.prepare(&range)?;
-        let (cdf_summary, o2) =
-            self.engine
-                .run(self.dataset, cdf_sketch, &self.opts(self.next_seed()))?;
-        stats.absorb(&o2);
-        Ok((chart, cdf_viz.render(&cdf_summary), stats))
+        let cdf = self.cdf(&mut stats, column, &range)?;
+        Ok((chart, cdf, stats))
+    }
+
+    /// The CDF curve drawn over a chart of `column`.
+    fn cdf(
+        &self,
+        stats: &mut OpStats,
+        column: &str,
+        range: &RangeSummary,
+    ) -> EngineResult<CdfRendering> {
+        let viz = CdfViz::new(column, self.display);
+        let summary = self.tree(stats, viz.prepare(range)?, self.next_seed())?;
+        Ok(viz.render(&summary))
     }
 
     /// O7: distinct-string buckets + histogram on a string column.
     pub fn string_histogram(&self, column: &str) -> EngineResult<(BarChart, OpStats)> {
         let mut stats = OpStats::default();
-        let (bk, s0) = self.string_quantiles(column)?;
-        stats.merge(&s0);
+        let bk = self.quantiles(&mut stats, column)?;
 
         let viz = HistogramViz::new(column, self.display).exact();
         let sketch = viz.prepare_strings(&bk)?;
-        let (summary, o) =
-            self.engine
-                .run(self.dataset, sketch.clone(), &self.opts(self.next_seed()))?;
-        stats.absorb(&o);
+        let summary = self.tree(&mut stats, sketch.clone(), self.next_seed())?;
         Ok((viz.render(&sketch, &summary), stats))
     }
 
@@ -314,44 +319,28 @@ impl Spreadsheet {
         col_y: &str,
     ) -> EngineResult<(StackedRendering, CdfRendering, OpStats)> {
         let mut stats = OpStats::default();
-        let (rx, s0) = self.range_of(col_x)?;
-        stats.merge(&s0);
-        let (y_info, s1) = self.axis_info(col_y)?;
-        stats.merge(&s1);
+        let rx = self.range(&mut stats, col_x)?;
+        let y_info = self.axis_info(&mut stats, col_y)?;
 
         let viz = StackedViz::new(col_x, col_y, self.display);
         let sketch = viz.prepare(&AxisInfo::Numeric(rx.clone()), &y_info, rx.present)?;
-        let (summary, o1) = self
-            .engine
-            .run(self.dataset, sketch, &self.opts(self.next_seed()))?;
-        stats.absorb(&o1);
+        let summary = self.tree(&mut stats, sketch, self.next_seed())?;
         let rendering = viz.render(&summary);
 
-        let cdf_viz = CdfViz::new(col_x, self.display);
-        let cdf_sketch = cdf_viz.prepare(&rx)?;
-        let (cdf_summary, o2) =
-            self.engine
-                .run(self.dataset, cdf_sketch, &self.opts(self.next_seed()))?;
-        stats.absorb(&o2);
-        Ok((rendering, cdf_viz.render(&cdf_summary), stats))
+        let cdf = self.cdf(&mut stats, col_x, &rx)?;
+        Ok((rendering, cdf, stats))
     }
 
     /// O11: heat map of two numeric columns.
     pub fn heatmap(&self, col_x: &str, col_y: &str) -> EngineResult<(ColorGrid, OpStats)> {
         let mut stats = OpStats::default();
-        let (x_info, s0) = self.axis_info(col_x)?;
-        stats.merge(&s0);
-        let (y_info, s1) = self.axis_info(col_y)?;
-        stats.merge(&s1);
-        let (count, s2) = self.row_count()?;
-        stats.merge(&s2);
+        let x_info = self.axis_info(&mut stats, col_x)?;
+        let y_info = self.axis_info(&mut stats, col_y)?;
+        let count = self.count(&mut stats)?;
 
         let viz = HeatmapViz::new(col_x, col_y, self.display);
         let sketch = viz.prepare(&x_info, &y_info, count)?;
-        let (summary, o) = self
-            .engine
-            .run(self.dataset, sketch, &self.opts(self.next_seed()))?;
-        stats.absorb(&o);
+        let summary = self.tree(&mut stats, sketch, self.next_seed())?;
         Ok((viz.render(&summary), stats))
     }
 
@@ -364,32 +353,14 @@ impl Spreadsheet {
         groups: usize,
     ) -> EngineResult<(Vec<ColorGrid>, OpStats)> {
         let mut stats = OpStats::default();
-        let (w_info, s0) = self.axis_info(col_w)?;
-        let (x_info, s1) = self.axis_info(col_x)?;
-        let (y_info, s2) = self.axis_info(col_y)?;
-        let (count, s3) = self.row_count()?;
-        for s in [&s0, &s1, &s2, &s3] {
-            stats.merge(s);
-        }
+        let w_info = self.axis_info(&mut stats, col_w)?;
+        let x_info = self.axis_info(&mut stats, col_x)?;
+        let y_info = self.axis_info(&mut stats, col_y)?;
+        let count = self.count(&mut stats)?;
         let viz = TrellisViz::new(col_w, col_x, col_y, self.display, groups);
         let sketch = viz.prepare(&w_info, &x_info, &y_info, count)?;
-        let (summary, o) = self
-            .engine
-            .run(self.dataset, sketch, &self.opts(self.next_seed()))?;
-        stats.absorb(&o);
+        let summary = self.tree(&mut stats, sketch, self.next_seed())?;
         Ok((viz.render(&summary), stats))
-    }
-
-    /// Phase-1 info for an axis: numeric range or string quantiles.
-    fn axis_info(&self, column: &str) -> EngineResult<(AxisInfo, OpStats)> {
-        let (range, stats) = self.range_of(column)?;
-        if range.min.is_some() {
-            return Ok((AxisInfo::Numeric(range), stats));
-        }
-        let (bk, s2) = self.string_quantiles(column)?;
-        let mut stats = stats;
-        stats.merge(&s2);
-        Ok((AxisInfo::Strings(bk), stats))
     }
 
     // -----------------------------------------------------------------
@@ -403,15 +374,10 @@ impl Spreadsheet {
         k: usize,
     ) -> EngineResult<(HeavyHittersRendering, OpStats)> {
         let mut stats = OpStats::default();
-        let (count, s0) = self.row_count()?;
-        stats.merge(&s0);
+        let count = self.count(&mut stats)?;
 
         let viz = HeavyHittersViz::sampling(column, k);
-        let sketch = viz.prepare_sampling(count);
-        let (summary, o) = self
-            .engine
-            .run(self.dataset, sketch, &self.opts(self.next_seed()))?;
-        stats.absorb(&o);
+        let summary = self.tree(&mut stats, viz.prepare_sampling(count), self.next_seed())?;
         Ok((viz.render_sampling(&summary, count), stats))
     }
 
@@ -423,22 +389,14 @@ impl Spreadsheet {
     ) -> EngineResult<(HeavyHittersRendering, OpStats)> {
         let viz = HeavyHittersViz::streaming(column, k);
         let mut stats = OpStats::default();
-        let (summary, o) = self.engine.run(
-            self.dataset,
-            MisraGriesSketch::new(column, k),
-            &self.opts(0),
-        )?;
-        stats.absorb(&o);
+        let summary = self.tree(&mut stats, MisraGriesSketch::new(column, k), 0)?;
         Ok((viz.render_streaming(&summary), stats))
     }
 
     /// O9: approximate distinct count (HyperLogLog).
     pub fn distinct_count(&self, column: &str) -> EngineResult<(f64, OpStats)> {
         let mut stats = OpStats::default();
-        let (summary, o) =
-            self.engine
-                .run(self.dataset, DistinctSketch::new(column), &self.opts(0))?;
-        stats.absorb(&o);
+        let summary = self.tree(&mut stats, DistinctSketch::new(column), 0)?;
         Ok((summary.estimate(), stats))
     }
 
@@ -449,23 +407,17 @@ impl Spreadsheet {
         k: usize,
     ) -> EngineResult<(hillview_sketch::moments::MomentsSummary, OpStats)> {
         let mut stats = OpStats::default();
-        let (summary, o) =
-            self.engine
-                .run(self.dataset, MomentsSketch::new(column, k), &self.opts(0))?;
-        stats.absorb(&o);
-        Ok((summary, stats))
+        Ok((
+            self.tree(&mut stats, MomentsSketch::new(column, k), 0)?,
+            stats,
+        ))
     }
 
     /// Principal component analysis over numeric columns (App. B.3).
     pub fn pca(&self, columns: &[&str], rate: f64) -> EngineResult<(PcaSummary, OpStats)> {
         let mut stats = OpStats::default();
-        let (summary, o) = self.engine.run(
-            self.dataset,
-            PcaSketch::new(columns, rate),
-            &self.opts(self.next_seed()),
-        )?;
-        stats.absorb(&o);
-        Ok((summary, stats))
+        let sketch = PcaSketch::new(columns, rate);
+        Ok((self.tree(&mut stats, sketch, self.next_seed())?, stats))
     }
 
     // -----------------------------------------------------------------

@@ -7,20 +7,23 @@
 //! [`SketchCache`]). All of it is soft state (§5.7): `evict_all`/`kill`
 //! erase it, and the root reconstructs it by replaying lineage.
 //!
-//! Every materialized dataset carries a lineage-derived content *version*:
-//! loads hash the source spec, filters fold the parent version with the
-//! predicate's canonical bytes, maps fold the UDF and column names. The
-//! version is what makes cache keys structural — two queries share an
-//! entry exactly when their lineage proves identical contents.
+//! There is one way a dataset comes to exist here: [`Worker::derive`]
+//! applies one [`Lineage`] step — a load, a filter or a map — and every
+//! per-partition step runs through one fan-out over the pool. Every
+//! materialized dataset carries the content *version* its step assigns
+//! (`Lineage::content_version`), which is what makes cache keys
+//! structural — two queries share an entry exactly when their lineage
+//! proves identical contents.
 
 use crate::cache::{CacheStats, SketchCache};
-use crate::dataset::{DatasetId, SourceRegistry, SourceSpec};
+use crate::cluster::ClusterConfig;
+use crate::dataset::{DatasetId, Lineage, LoadRequest, SourceRegistry, SourceSpec};
 use crate::error::{EngineError, EngineResult};
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
 use crate::pool::ThreadPool;
 use hillview_columnar::predicate::filter_members;
 use hillview_columnar::udf::UdfRegistry;
-use hillview_columnar::{fnv1a, BlockCache, BlockCacheStats, Predicate, Table, FNV_OFFSET};
+use hillview_columnar::{BlockCache, BlockCacheStats};
 use hillview_sketch::TableView;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -32,30 +35,6 @@ use std::sync::Arc;
 struct DatasetEntry {
     views: Arc<Vec<TableView>>,
     version: u64,
-}
-
-/// Content version of a loaded dataset: a pure function of the source
-/// spec, so a reload after eviction revalidates old cache entries.
-fn load_version(spec: &SourceSpec) -> u64 {
-    let h = fnv1a(FNV_OFFSET, b"load\0");
-    let h = fnv1a(h, spec.source.as_bytes());
-    fnv1a(h, &spec.snapshot.to_le_bytes())
-}
-
-/// Content version of a filtered dataset: the parent version chained with
-/// the predicate's *canonical* bytes — And/Or order, double negation, and
-/// compiler-equivalent numeric bounds all collapse to one identity.
-fn filter_version(parent: u64, canonical_predicate: &[u8]) -> u64 {
-    let h = fnv1a(parent, b"filter\0");
-    fnv1a(h, canonical_predicate)
-}
-
-/// Content version of a mapped dataset.
-fn map_version(parent: u64, udf: &str, new_column: &str) -> u64 {
-    let h = fnv1a(parent, b"map\0");
-    let h = fnv1a(h, udf.as_bytes());
-    let h = fnv1a(h, &[0]);
-    fnv1a(h, new_column.as_bytes())
 }
 
 /// One simulated server.
@@ -90,31 +69,24 @@ pub struct Worker {
 }
 
 impl Worker {
-    /// Create a worker with `threads` pool threads, a sketch-result
-    /// cache bounded at `cache_budget` bytes, and a block-residency cache
-    /// bounded at `block_cache_budget` bytes (`0` means unbounded).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        id: usize,
-        num_workers: usize,
-        threads: usize,
-        micropartition_rows: usize,
-        cache_budget: usize,
-        block_cache_budget: usize,
-        sources: SourceRegistry,
-        udfs: UdfRegistry,
-    ) -> Self {
+    /// Create worker `id` of the cluster `cfg` describes: its pool
+    /// threads, its sketch-result cache budget, and its block-residency
+    /// budget ([`ClusterConfig::effective_block_cache_bytes`]; `0` means
+    /// unbounded).
+    pub fn new(id: usize, cfg: &ClusterConfig, sources: SourceRegistry, udfs: UdfRegistry) -> Self {
         Worker {
             id,
-            num_workers,
-            micropartition_rows,
-            pool: Arc::new(ThreadPool::new(threads, &format!("worker{id}"))),
+            num_workers: cfg.workers,
+            micropartition_rows: cfg.micropartition_rows,
+            pool: Arc::new(ThreadPool::new(
+                cfg.threads_per_worker,
+                &format!("worker{id}"),
+            )),
             datasets: Mutex::new(HashMap::new()),
-            comp_cache: SketchCache::new(cache_budget),
-            block_cache: if block_cache_budget == 0 {
-                BlockCache::unbounded()
-            } else {
-                BlockCache::new(block_cache_budget)
+            comp_cache: SketchCache::new(cfg.cache_budget_bytes),
+            block_cache: match cfg.effective_block_cache_bytes() {
+                0 => BlockCache::unbounded(),
+                budget => BlockCache::new(budget),
             },
             alive: AtomicBool::new(true),
             sources,
@@ -144,7 +116,7 @@ impl Worker {
     }
 
     /// Fault-injection point at an engine-visible operation boundary
-    /// (load / filter / map / query fan-out). Consults the armed plan with
+    /// (a derive or a query fan-out). Consults the armed plan with
     /// this worker's next operation index; a `Kill` decision crashes the
     /// worker, an `Evict` decision drops `dataset`'s soft state. Both then
     /// surface through the ordinary failure paths (`WorkerDown`,
@@ -250,20 +222,26 @@ impl Worker {
         self.datasets.lock().get(&id).map(|e| e.version)
     }
 
-    /// The content version a filter of `parent` by `predicate` would
-    /// carry — the exact version [`Worker::filter`] assigns, computed
-    /// without materializing anything. Fused queries key their cache
-    /// entries on it, so a canonically-equal predicate hits the same
-    /// entry whether or not the membership was ever materialized under a
+    /// What applying `step` here starts from and arrives at: the parent's
+    /// partitions (none for a load) and the content version the derived
+    /// dataset carries — exactly the one [`Worker::derive`] assigns,
+    /// computed without materializing anything. `None` when the parent is
+    /// not materialized. Fused queries key their cache entries on the
+    /// version, so a canonically-equal predicate hits the same entry
+    /// whether or not the membership was ever materialized under a
     /// different textual spelling.
-    pub fn filtered_version(&self, parent: DatasetId, predicate: &Predicate) -> Option<u64> {
-        let (views, version) = {
-            let d = self.datasets.lock();
-            let e = d.get(&parent)?;
-            (e.views.clone(), e.version)
+    pub(crate) fn derivation(&self, step: &Lineage) -> Option<(Arc<Vec<TableView>>, u64)> {
+        let (parent, version) = match step.parent() {
+            Some(parent) => {
+                let d = self.datasets.lock();
+                let e = d.get(&parent)?;
+                (e.views.clone(), e.version)
+            }
+            None => (Arc::default(), 0),
         };
-        let table: Option<&Table> = views.first().map(|v| v.table().as_ref());
-        Some(filter_version(version, &predicate.canonical_bytes(table)))
+        let schema = parent.first().map(|v| v.table().as_ref());
+        let version = step.content_version(version, schema);
+        Some((parent, version))
     }
 
     /// Total rows across this worker's partitions of `id`.
@@ -343,20 +321,75 @@ impl Worker {
         }
     }
 
-    /// Materialize a loaded dataset from its source (the leaf of every
-    /// lineage chain; paper §5.7 "the recursion ends when data is read from
-    /// disk").
-    pub fn load(&self, id: DatasetId, spec: &SourceSpec) -> EngineResult<()> {
-        self.fault_op(Some(id));
+    /// Apply one lineage step, materializing dataset `id` (paper §5.6–5.7).
+    ///
+    /// * A **load** reads this worker's share of the source (the leaf of
+    ///   every lineage chain: "the recursion ends when data is read from
+    ///   disk").
+    /// * A **filter** keeps the parent's tables and narrows their
+    ///   membership sets: each partition runs the block-wise predicate
+    ///   pipeline ([`hillview_columnar::predicate::filter_members`]) —
+    ///   frame-word evaluation with zone-map block skipping, intersected
+    ///   word-wise with the parent membership, no per-row id
+    ///   materialization.
+    /// * A **map** gives each partition's table a derived column computed
+    ///   by the named UDF. The column lives only in this soft state,
+    ///   recomputed on demand after eviction.
+    pub fn derive(&self, id: DatasetId, step: &Lineage) -> EngineResult<()> {
+        // The dataset the step reads: its parent, or for a load the one
+        // it (re)creates.
+        let reads = step.parent().unwrap_or(id);
+        self.fault_op(Some(reads));
         self.check_alive()?;
-        let source = self.sources.get(&spec.source)?;
-        let tables = source.load_with_cache(
-            self.id,
-            self.num_workers,
-            self.micropartition_rows,
-            spec.snapshot,
-            &self.block_cache,
-        )?;
+        let (parent, version) = self.derivation(step).ok_or(EngineError::DatasetMissing {
+            worker: self.id,
+            dataset: reads,
+        })?;
+        let views = match step {
+            Lineage::Loaded { spec } => self.load(spec)?,
+            Lineage::Filtered { predicate, .. } => {
+                let predicate = predicate.clone();
+                self.for_each_partition(&parent, move |view| {
+                    let members = filter_members(view.table(), &predicate, view.members())?;
+                    Ok(TableView::with_members(
+                        view.table().clone(),
+                        Arc::new(members),
+                    ))
+                })?
+            }
+            Lineage::Mapped {
+                udf, new_column, ..
+            } => {
+                let (udfs, udf, new_column) = (self.udfs.clone(), udf.clone(), new_column.clone());
+                self.for_each_partition(&parent, move |view| {
+                    let col = udfs.materialize(&udf, view.table())?;
+                    let table = view.table().with_column(&new_column, col)?;
+                    Ok(TableView::with_members(
+                        Arc::new(table),
+                        view.members().clone(),
+                    ))
+                })?
+            }
+        };
+        self.datasets.lock().insert(
+            id,
+            DatasetEntry {
+                views: Arc::new(views),
+                version,
+            },
+        );
+        Ok(())
+    }
+
+    /// This worker's partitions of a source snapshot.
+    fn load(&self, spec: &SourceSpec) -> EngineResult<Vec<TableView>> {
+        let tables = self.sources.get(&spec.source)?.load(&LoadRequest {
+            worker: self.id,
+            num_workers: self.num_workers,
+            micropartition_rows: self.micropartition_rows,
+            snapshot: spec.snapshot,
+            cache: &self.block_cache,
+        })?;
         let mut views = Vec::new();
         for t in tables {
             // Split oversized tables into micropartitions (paper §5.3) —
@@ -373,151 +406,39 @@ impl Worker {
         }
         let rows: usize = views.iter().map(|v| v.len()).sum();
         let bytes: usize = views.iter().map(|v| v.table().heap_bytes()).sum();
-        // lint: allow(relaxed, monotonic diagnostics counters; the dataset itself is published via the mutex below)
+        // lint: allow(relaxed, monotonic diagnostics counters; the dataset itself is published via the mutex in `derive`)
         self.rows_loaded.fetch_add(rows as u64, Ordering::Relaxed);
-        // lint: allow(relaxed, monotonic diagnostics counters; the dataset itself is published via the mutex below)
+        // lint: allow(relaxed, monotonic diagnostics counters; the dataset itself is published via the mutex in `derive`)
         self.bytes_loaded.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.datasets.lock().insert(
-            id,
-            DatasetEntry {
-                views: Arc::new(views),
-                version: load_version(spec),
-            },
-        );
-        Ok(())
+        Ok(views)
     }
 
-    /// Materialize a filtered dataset: same tables, narrowed membership
-    /// sets (paper §5.6). Partitions are filtered in parallel on the pool;
-    /// each partition runs the block-wise predicate pipeline
-    /// ([`hillview_columnar::predicate::filter_members`]) — frame-word
-    /// evaluation with zone-map block skipping, intersected word-wise with
-    /// the parent membership, no per-row id materialization.
-    pub fn filter(
-        self: &Arc<Self>,
-        id: DatasetId,
-        parent: DatasetId,
-        predicate: &Predicate,
-    ) -> EngineResult<()> {
-        self.fault_op(Some(parent));
-        self.check_alive()?;
-        let version =
-            self.filtered_version(parent, predicate)
-                .ok_or(EngineError::DatasetMissing {
-                    worker: self.id,
-                    dataset: parent,
-                })?;
-        let parent_views = self.partitions(parent).ok_or(EngineError::DatasetMissing {
-            worker: self.id,
-            dataset: parent,
-        })?;
-        let n = parent_views.len();
-        let (tx, rx) = crossbeam::channel::bounded(n.max(1));
-        for (i, view) in parent_views.iter().enumerate() {
-            let view = view.clone();
-            let predicate = predicate.clone();
-            let tx = tx.clone();
+    /// Derive one partition from each of `parent`'s, in parallel on the
+    /// pool — the one place dataset work is submitted to it. Results come
+    /// back in partition order whatever order they finish in.
+    fn for_each_partition(
+        &self,
+        parent: &[TableView],
+        f: impl Fn(&TableView) -> EngineResult<TableView> + Send + Sync + 'static,
+    ) -> EngineResult<Vec<TableView>> {
+        let f = Arc::new(f);
+        let (tx, rx) = crossbeam::channel::bounded(parent.len().max(1));
+        for (i, view) in parent.iter().enumerate() {
+            let (view, f, tx) = (view.clone(), f.clone(), tx.clone());
             self.pool.submit(move || {
-                let result = (|| -> EngineResult<TableView> {
-                    let members = filter_members(view.table(), &predicate, view.members())?;
-                    Ok(TableView::with_members(
-                        view.table().clone(),
-                        Arc::new(members),
-                    ))
-                })();
-                let _ = tx.send((i, result));
+                let _ = tx.send((i, f(&view)));
             });
         }
         drop(tx);
-        let mut out: Vec<Option<TableView>> = vec![None; n];
-        for _ in 0..n {
-            let (i, r) = rx.recv().map_err(|_| EngineError::WorkerDown(self.id))?;
-            out[i] = Some(r?);
+        let mut out = Vec::with_capacity(parent.len());
+        for _ in parent {
+            // A task that panics drops its sender unsent (the pool
+            // isolates the panic), so the channel closes short of the count.
+            let (i, view) = rx.recv().map_err(|_| EngineError::WorkerDown(self.id))?;
+            out.push((i, view?));
         }
-        let views: Vec<TableView> = out
-            .into_iter()
-            .enumerate()
-            .map(|(i, v)| {
-                v.ok_or_else(|| {
-                    EngineError::Internal(format!("filter produced no result for partition {i}"))
-                })
-            })
-            .collect::<EngineResult<_>>()?;
-        self.datasets.lock().insert(
-            id,
-            DatasetEntry {
-                views: Arc::new(views),
-                version,
-            },
-        );
-        Ok(())
-    }
-
-    /// Materialize a mapped dataset: each partition's table gains a derived
-    /// column computed by the named UDF (paper §5.6). The derived column
-    /// lives only in this soft state, recomputed on demand after eviction.
-    pub fn map(
-        self: &Arc<Self>,
-        id: DatasetId,
-        parent: DatasetId,
-        udf: &str,
-        new_column: &str,
-    ) -> EngineResult<()> {
-        self.fault_op(Some(parent));
-        self.check_alive()?;
-        let (parent_views, parent_version) = {
-            let d = self.datasets.lock();
-            let e = d.get(&parent).ok_or(EngineError::DatasetMissing {
-                worker: self.id,
-                dataset: parent,
-            })?;
-            (e.views.clone(), e.version)
-        };
-        let n = parent_views.len();
-        let (tx, rx) = crossbeam::channel::bounded(n.max(1));
-        for (i, view) in parent_views.iter().enumerate() {
-            let view = view.clone();
-            let udfs = self.udfs.clone();
-            let udf = udf.to_string();
-            let new_column = new_column.to_string();
-            let tx = tx.clone();
-            self.pool.submit(move || {
-                let result = (|| -> EngineResult<TableView> {
-                    let col = udfs
-                        .materialize(&udf, view.table())
-                        .map_err(EngineError::from)?;
-                    let table = view.table().with_column(&new_column, col)?;
-                    Ok(TableView::with_members(
-                        Arc::new(table),
-                        view.members().clone(),
-                    ))
-                })();
-                let _ = tx.send((i, result));
-            });
-        }
-        drop(tx);
-        let mut out: Vec<Option<TableView>> = vec![None; n];
-        for _ in 0..n {
-            let (i, r) = rx.recv().map_err(|_| EngineError::WorkerDown(self.id))?;
-            out[i] = Some(r?);
-        }
-        let views: Vec<TableView> = out
-            .into_iter()
-            .enumerate()
-            .map(|(i, v)| {
-                v.ok_or_else(|| {
-                    EngineError::Internal(format!("map produced no result for partition {i}"))
-                })
-            })
-            .collect::<EngineResult<_>>()?;
-        self.datasets.lock().insert(
-            id,
-            DatasetEntry {
-                views: Arc::new(views),
-                version: map_version(parent_version, udf, new_column),
-            },
-        );
-        Ok(())
+        out.sort_by_key(|&(i, _)| i);
+        Ok(out.into_iter().map(|(_, view)| view).collect())
     }
 }
 
@@ -538,7 +459,7 @@ mod tests {
     use super::*;
     use crate::dataset::FnSource;
     use hillview_columnar::column::{Column, I64Column};
-    use hillview_columnar::{ColumnKind, Table, Value};
+    use hillview_columnar::{ColumnKind, Predicate, Table, Value};
 
     fn test_worker() -> Arc<Worker> {
         let mut sources = SourceRegistry::new();
@@ -557,20 +478,52 @@ mod tests {
         })));
         let mut udfs = UdfRegistry::with_builtins();
         udfs.register_sum("X2", "X", "X");
-        Arc::new(Worker::new(0, 2, 2, 30, 1 << 20, 0, sources, udfs))
+        Arc::new(Worker::new(0, &config(2, 2, 30), sources, udfs))
     }
 
-    fn spec() -> SourceSpec {
-        SourceSpec {
-            source: Arc::from("nums"),
-            snapshot: 0,
+    /// An unbounded block cache and a 1 MiB sketch cache under the given
+    /// topology.
+    fn config(workers: usize, threads_per_worker: usize, rows: usize) -> ClusterConfig {
+        ClusterConfig {
+            workers,
+            threads_per_worker,
+            micropartition_rows: rows,
+            cache_budget_bytes: 1 << 20,
+            block_cache_bytes: 0,
+            ..ClusterConfig::test()
+        }
+    }
+
+    fn load_of(source: &str, snapshot: u64) -> Lineage {
+        let source = Arc::from(source);
+        Lineage::Loaded {
+            spec: SourceSpec { source, snapshot },
+        }
+    }
+
+    fn load() -> Lineage {
+        load_of("nums", 0)
+    }
+
+    fn filter(parent: DatasetId, predicate: &Predicate) -> Lineage {
+        Lineage::Filtered {
+            parent,
+            predicate: predicate.clone(),
+        }
+    }
+
+    fn map(parent: DatasetId, udf: &str, new_column: &str) -> Lineage {
+        Lineage::Mapped {
+            parent,
+            udf: Arc::from(udf),
+            new_column: Arc::from(new_column),
         }
     }
 
     #[test]
     fn load_splits_into_micropartitions() {
         let w = test_worker();
-        w.load(DatasetId(1), &spec()).unwrap();
+        w.derive(DatasetId(1), &load()).unwrap();
         let parts = w.partitions(DatasetId(1)).unwrap();
         assert_eq!(parts.len(), 4, "100 rows at 30/partition");
         assert_eq!(w.dataset_rows(DatasetId(1)), 100);
@@ -595,22 +548,11 @@ mod tests {
         })));
         let w = Arc::new(Worker::new(
             0,
-            1,
-            1,
-            10_000,
-            1 << 20,
-            0,
+            &config(1, 1, 10_000),
             sources,
             UdfRegistry::with_builtins(),
         ));
-        w.load(
-            DatasetId(1),
-            &SourceSpec {
-                source: Arc::from("sorted"),
-                snapshot: 0,
-            },
-        )
-        .unwrap();
+        w.derive(DatasetId(1), &load_of("sorted", 0)).unwrap();
         let plain_bytes = 40_000 * 8;
         let actual = w.dataset_heap_bytes(DatasetId(1));
         assert!(actual > 0);
@@ -626,11 +568,10 @@ mod tests {
     #[test]
     fn filter_narrows_membership() {
         let w = test_worker();
-        w.load(DatasetId(1), &spec()).unwrap();
-        w.filter(
+        w.derive(DatasetId(1), &load()).unwrap();
+        w.derive(
             DatasetId(2),
-            DatasetId(1),
-            &Predicate::range("X", 0.0, 50.0),
+            &filter(DatasetId(1), &Predicate::range("X", 0.0, 50.0)),
         )
         .unwrap();
         assert_eq!(w.dataset_rows(DatasetId(2)), 50);
@@ -645,8 +586,9 @@ mod tests {
     #[test]
     fn map_adds_derived_column() {
         let w = test_worker();
-        w.load(DatasetId(1), &spec()).unwrap();
-        w.map(DatasetId(3), DatasetId(1), "X2", "Doubled").unwrap();
+        w.derive(DatasetId(1), &load()).unwrap();
+        w.derive(DatasetId(3), &map(DatasetId(1), "X2", "Doubled"))
+            .unwrap();
         let parts = w.partitions(DatasetId(3)).unwrap();
         let t = parts[0].table();
         assert_eq!(t.get(5, "Doubled").unwrap(), Value::Double(10.0));
@@ -656,7 +598,7 @@ mod tests {
     #[test]
     fn scripted_faults_evict_then_kill_surface_as_structured_errors() {
         let w = test_worker();
-        w.load(DatasetId(1), &spec()).unwrap();
+        w.derive(DatasetId(1), &load()).unwrap();
         w.arm_faults(Arc::new(FaultPlan::scripted([
             (
                 FaultSite::WorkerOp {
@@ -675,37 +617,34 @@ mod tests {
         ])));
         // Op 0: the parent is evicted right before the filter reads it.
         let err = w
-            .filter(
+            .derive(
                 DatasetId(2),
-                DatasetId(1),
-                &Predicate::range("X", 0.0, 50.0),
+                &filter(DatasetId(1), &Predicate::range("X", 0.0, 50.0)),
             )
             .unwrap_err();
         assert!(matches!(err, EngineError::DatasetMissing { .. }), "{err}");
         // Op 1: the worker is killed at the next boundary.
-        let err = w.load(DatasetId(1), &spec()).unwrap_err();
+        let err = w.derive(DatasetId(1), &load()).unwrap_err();
         assert!(matches!(err, EngineError::WorkerDown(0)), "{err}");
         // Disarmed + restarted, the worker heals completely.
         w.disarm_faults();
         w.restart();
-        w.load(DatasetId(1), &spec()).unwrap();
+        w.derive(DatasetId(1), &load()).unwrap();
         assert_eq!(w.dataset_rows(DatasetId(1)), 100);
     }
 
     #[test]
     fn filter_of_filter_composes() {
         let w = test_worker();
-        w.load(DatasetId(1), &spec()).unwrap();
-        w.filter(
+        w.derive(DatasetId(1), &load()).unwrap();
+        w.derive(
             DatasetId(2),
-            DatasetId(1),
-            &Predicate::range("X", 0.0, 50.0),
+            &filter(DatasetId(1), &Predicate::range("X", 0.0, 50.0)),
         )
         .unwrap();
-        w.filter(
+        w.derive(
             DatasetId(3),
-            DatasetId(2),
-            &Predicate::range("X", 25.0, 100.0),
+            &filter(DatasetId(2), &Predicate::range("X", 25.0, 100.0)),
         )
         .unwrap();
         assert_eq!(w.dataset_rows(DatasetId(3)), 25);
@@ -715,7 +654,7 @@ mod tests {
     fn missing_parent_reports_dataset_missing() {
         let w = test_worker();
         let e = w
-            .filter(DatasetId(9), DatasetId(8), &Predicate::True)
+            .derive(DatasetId(9), &filter(DatasetId(8), &Predicate::True))
             .unwrap_err();
         assert!(matches!(
             e,
@@ -729,12 +668,12 @@ mod tests {
     #[test]
     fn kill_drops_state_and_rejects_work() {
         let w = test_worker();
-        w.load(DatasetId(1), &spec()).unwrap();
+        w.derive(DatasetId(1), &load()).unwrap();
         w.kill();
         assert!(!w.is_alive());
         assert!(!w.has_dataset(DatasetId(1)));
         assert!(matches!(
-            w.load(DatasetId(1), &spec()),
+            w.derive(DatasetId(1), &load()),
             Err(EngineError::WorkerDown(0))
         ));
         w.restart();
@@ -743,14 +682,14 @@ mod tests {
             !w.has_dataset(DatasetId(1)),
             "restart does not restore data"
         );
-        w.load(DatasetId(1), &spec()).unwrap();
+        w.derive(DatasetId(1), &load()).unwrap();
         assert_eq!(w.dataset_rows(DatasetId(1)), 100);
     }
 
     #[test]
     fn eviction_is_soft() {
         let w = test_worker();
-        w.load(DatasetId(1), &spec()).unwrap();
+        w.derive(DatasetId(1), &load()).unwrap();
         w.evict(DatasetId(1));
         assert!(!w.has_dataset(DatasetId(1)));
         assert!(w.is_alive(), "eviction is not a crash");
@@ -785,50 +724,42 @@ mod tests {
     #[test]
     fn dataset_versions_chain_through_lineage() {
         let w = test_worker();
-        w.load(DatasetId(1), &spec()).unwrap();
+        w.derive(DatasetId(1), &load()).unwrap();
         let base = w.dataset_version(DatasetId(1)).unwrap();
         // Reload after eviction: same spec, same version.
         w.evict(DatasetId(1));
-        w.load(DatasetId(1), &spec()).unwrap();
+        w.derive(DatasetId(1), &load()).unwrap();
         assert_eq!(w.dataset_version(DatasetId(1)).unwrap(), base);
         // A different snapshot is different content.
-        w.load(
-            DatasetId(5),
-            &SourceSpec {
-                source: Arc::from("nums"),
-                snapshot: 1,
-            },
-        )
-        .unwrap();
+        w.derive(DatasetId(5), &load_of("nums", 1)).unwrap();
         assert_ne!(w.dataset_version(DatasetId(5)).unwrap(), base);
         // Canonically-equal predicates derive the same filtered version;
         // semantically distinct ones never do.
         let a = Predicate::range("X", 0.0, 50.0).and(Predicate::range("X", 10.0, 100.0));
         let b = Predicate::range("X", 10.0, 100.0).and(Predicate::range("X", 0.0, 50.0));
         let c = Predicate::range("X", 0.0, 49.0);
-        let va = w.filtered_version(DatasetId(1), &a).unwrap();
-        assert_eq!(va, w.filtered_version(DatasetId(1), &b).unwrap());
-        assert_ne!(va, w.filtered_version(DatasetId(1), &c).unwrap());
+        let filtered_version = |p| w.derivation(&filter(DatasetId(1), p)).unwrap().1;
+        let va = filtered_version(&a);
+        assert_eq!(va, filtered_version(&b));
+        assert_ne!(va, filtered_version(&c));
         // Materializing the filter assigns exactly the predicted version.
-        w.filter(DatasetId(2), DatasetId(1), &a).unwrap();
+        w.derive(DatasetId(2), &filter(DatasetId(1), &a)).unwrap();
         assert_eq!(w.dataset_version(DatasetId(2)).unwrap(), va);
         // Mapped datasets fold the UDF identity in.
-        w.map(DatasetId(3), DatasetId(1), "X2", "Doubled").unwrap();
+        w.derive(DatasetId(3), &map(DatasetId(1), "X2", "Doubled"))
+            .unwrap();
         let vm = w.dataset_version(DatasetId(3)).unwrap();
         assert_ne!(vm, base);
-        w.map(DatasetId(4), DatasetId(1), "X2", "Tripled").unwrap();
+        w.derive(DatasetId(4), &map(DatasetId(1), "X2", "Tripled"))
+            .unwrap();
         assert_ne!(w.dataset_version(DatasetId(4)).unwrap(), vm);
     }
 
     #[test]
     fn unknown_source_is_unregistered() {
         let w = test_worker();
-        let bad = SourceSpec {
-            source: Arc::from("nope"),
-            snapshot: 0,
-        };
         assert!(matches!(
-            w.load(DatasetId(1), &bad),
+            w.derive(DatasetId(1), &load_of("nope", 0)),
             Err(EngineError::Unregistered(_))
         ));
     }
@@ -836,7 +767,9 @@ mod tests {
     #[test]
     fn unknown_udf_errors() {
         let w = test_worker();
-        w.load(DatasetId(1), &spec()).unwrap();
-        assert!(w.map(DatasetId(2), DatasetId(1), "nope", "Y").is_err());
+        w.derive(DatasetId(1), &load()).unwrap();
+        assert!(w
+            .derive(DatasetId(2), &map(DatasetId(1), "nope", "Y"))
+            .is_err());
     }
 }

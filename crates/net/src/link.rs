@@ -40,14 +40,6 @@ impl LinkConfig {
         Self::default()
     }
 
-    /// Roughly a 10 Gbps LAN with 0.1 ms latency — the paper's testbed.
-    pub fn lan_10gbps() -> Self {
-        LinkConfig {
-            latency: Duration::from_micros(100),
-            bandwidth: Some(1_250_000_000),
-        }
-    }
-
     fn delay_for(&self, len: usize) -> Duration {
         let bw = match self.bandwidth {
             Some(b) if b > 0 => Duration::from_secs_f64(len as f64 / b as f64),

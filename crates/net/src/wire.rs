@@ -61,12 +61,6 @@ impl WireWriter {
         self.buf.put_f64_le(v);
     }
 
-    /// Write a fixed 8-byte little-endian unsigned word (bit-packed column
-    /// payloads, where varints would inflate high-entropy words).
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
-    }
-
     /// Write one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.put_u8(v);
@@ -143,14 +137,6 @@ impl WireReader {
         Ok(self.buf.get_f64_le())
     }
 
-    /// Read a fixed 8-byte little-endian unsigned word.
-    pub fn get_u64(&mut self) -> Result<u64> {
-        if self.buf.remaining() < 8 {
-            return Err(Error::Truncated { context: "u64" });
-        }
-        Ok(self.buf.get_u64_le())
-    }
-
     /// Read one byte.
     pub fn get_u8(&mut self) -> Result<u8> {
         if !self.buf.has_remaining() {
@@ -188,16 +174,13 @@ impl WireReader {
         Ok(self.buf.copy_to_bytes(len).to_vec())
     }
 
-    /// Read a collection length prefix with the sanity cap applied.
+    /// Read a collection length prefix with the sanity cap applied; an
+    /// oversized one is reported under the caller's `context`.
     pub fn get_len(&mut self, context: &'static str) -> Result<usize> {
         let len = self.get_varint()?;
         if len > MAX_LEN {
-            return Err(Error::BadLength {
-                context: "length prefix",
-                len,
-            });
+            return Err(Error::BadLength { context, len });
         }
-        let _ = context;
         Ok(len as usize)
     }
 }

@@ -151,6 +151,14 @@ proptest! {
         prop_assert!(r.get_str().is_err(), "oversized string-length accepted");
         prop_assert!(String::from_bytes(frame.clone()).is_err());
         prop_assert!(Vec::<u64>::from_bytes(frame).is_err());
+        // Past the sanity cap, the error names what the caller was reading.
+        let len = (1u64 << 28) + excess;
+        let mut w = WireWriter::new();
+        w.put_varint(len);
+        prop_assert_eq!(
+            WireReader::new(w.finish()).get_len("heatmap bx"),
+            Err(hillview_net::Error::BadLength { context: "heatmap bx", len })
+        );
     }
 
     /// Varint decoding tolerates any byte soup: it either yields a value

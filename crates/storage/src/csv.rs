@@ -7,7 +7,7 @@
 
 use crate::error::{Error, Result};
 use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
-use hillview_columnar::{ColumnKind, NullMask, Table};
+use hillview_columnar::{ColumnKind, Table};
 use std::io::{BufRead, Write};
 
 /// Options for [`read_csv`].
@@ -241,10 +241,6 @@ pub fn column_from_strings(kind: ColumnKind, cells: &[Option<String>]) -> Column
         }
     }
 }
-
-/// Keep `NullMask` import used for doc purposes in signatures elsewhere.
-#[allow(unused)]
-fn _mask_anchor(_m: NullMask) {}
 
 #[cfg(test)]
 mod tests {
