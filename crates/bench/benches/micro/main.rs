@@ -11,6 +11,7 @@ mod filter;
 mod fused;
 mod ooc;
 mod scan;
+mod wire;
 
 use hillview_bench::harness::{self, Registered};
 
@@ -23,6 +24,7 @@ pub const SUITES: &[Registered] = &[
     cache::SUITE,
     ooc::SUITE,
     decode::SUITE,
+    wire::SUITE,
 ];
 
 fn main() {

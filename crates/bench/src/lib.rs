@@ -5,7 +5,8 @@
 //! block at the top of that file). `benches/micro` records the
 //! layer-level numbers the end-to-end `benchmark/` does not report —
 //! simd-vs-scalar pairs, footprint ratios, fused / two-pass / rowwise
-//! triples, planner regret, frame-decode cost — one `BENCH_<suite>.json`
+//! triples, planner regret, frame-decode cost, summary codec bytes and ns —
+//! one `BENCH_<suite>.json`
 //! per suite at the repository root, all written by [`harness`]:
 //!
 //! ```text

@@ -16,7 +16,7 @@
 //! | `safety-comment` | every `unsafe` block/fn/impl is immediately preceded by a comment containing `SAFETY` |
 //! | `panic-site` | no `.unwrap()` / `.expect(` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` in non-test code of `crates/core` and `crates/net` without a `// lint: allow(panic, reason)` marker |
 //! | `simd-registry` | every `tier_dispatch!` entry in `columnar/src/simd.rs` has its scalar body defined and appears by name in a forced-scalar equivalence test |
-//! | `sketch-registry` | every `impl Sketch for T` appears in the `fused_equivalence`, `scan_equivalence`, and `merge_laws` suites |
+//! | `sketch-registry` | every `impl Sketch for T` appears in the `fused_equivalence`, `scan_equivalence`, `merge_laws` and `wire_totality` suites |
 //! | `cfg-fallback` | every feature referenced by a positive `#[cfg]` in a crate's non-test sources has a `not(...)` fallback path somewhere in that crate (or a `// lint: allow(cfg, reason)` marker) |
 //! | `temp-dir` | no `temp_dir()` call in first-party code (tests and benches included) outside `columnar/src/tempdir.rs`: scratch paths come from `hillview_columnar::TempDir`, unique per use and removed on drop |
 //! | `relaxed-ordering` | `Ordering::Relaxed` only in the counters allowlist ([`rules::RELAXED_COUNTER_FILES`]) or under a `// lint: allow(relaxed, reason)` marker |

@@ -226,16 +226,18 @@ pub fn rule_simd_registry(ws: &Workspace) -> Vec<Finding> {
 // ---------------------------------------------------------------------------
 
 /// Every `impl Sketch for T` in `crates/sketch/src` must appear in all
-/// three kernel equivalence suites, so a new kernel cannot ship
-/// half-tested: `fused_equivalence` (fused ≡ two-pass ≡ rowwise),
-/// `scan_equivalence` (chunked ≡ rowwise across encodings), and
-/// `merge_laws` (merge associativity/commutativity/split laws).
+/// three kernel equivalence suites and in the decoder suite, so a new
+/// kernel cannot ship half-tested: `fused_equivalence` (fused ≡ two-pass ≡
+/// rowwise), `scan_equivalence` (chunked ≡ rowwise across encodings),
+/// `merge_laws` (merge associativity/commutativity/split laws), and
+/// `wire_totality` (its summary's decoder is total and canonical).
 pub fn rule_sketch_registry(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
     let suites = [
         "crates/sketch/tests/fused_equivalence.rs",
         "crates/sketch/tests/scan_equivalence.rs",
         "crates/sketch/tests/merge_laws.rs",
+        "crates/sketch/tests/wire_totality.rs",
     ];
     for f in &ws.files {
         if !f.path.starts_with("crates/sketch/src/") {

@@ -1,5 +1,6 @@
 // Fixture (virtual path crates/sketch/src/…): a Sketch impl absent from
-// all three equivalence suites must fire three times.
+// all three equivalence suites and from the decoder suite must fire four
+// times.
 pub struct UncoveredSketch;
 
 impl Sketch for UncoveredSketch {

@@ -1,6 +1,6 @@
 // Fixture: the impl's type is named in fused_equivalence,
-// scan_equivalence, and merge_laws (supplied alongside in the test
-// workspace), so no finding.
+// scan_equivalence, merge_laws and wire_totality (supplied alongside in
+// the test workspace), so no finding.
 pub struct CoveredSketch;
 
 impl Sketch for CoveredSketch {

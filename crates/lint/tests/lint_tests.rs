@@ -95,7 +95,7 @@ fn sketch_registry_fires_and_clears() {
         "crates/sketch/src/fix.rs",
         include_str!("fixtures/sketch_registry/bad.rs"),
     )]);
-    assert_eq!(of_rule(&bad, "sketch-registry").len(), 3, "{bad:?}");
+    assert_eq!(of_rule(&bad, "sketch-registry").len(), 4, "{bad:?}");
     let good = check(&[
         (
             "crates/sketch/src/fix.rs",
@@ -112,6 +112,10 @@ fn sketch_registry_fires_and_clears() {
         (
             "crates/sketch/tests/merge_laws.rs",
             "fn law() { CoveredSketch; }\n",
+        ),
+        (
+            "crates/sketch/tests/wire_totality.rs",
+            "fn total() { CoveredSketch; }\n",
         ),
     ]);
     assert_clean(&good);

@@ -26,6 +26,13 @@ pub enum Error {
     },
     /// A UTF-8 string payload was invalid.
     BadUtf8,
+    /// The bytes spell a value, but not the way the encoder spells it: a
+    /// padded varint, two zero runs in a row, a key that repeats a value it
+    /// could have shared. Accepting them would give one value two frames.
+    NotCanonical {
+        /// Which rule was broken.
+        context: &'static str,
+    },
     /// The peer endpoint has disconnected.
     Disconnected,
 }
@@ -39,6 +46,7 @@ impl fmt::Display for Error {
                 write!(f, "implausible length {len} decoding {context}")
             }
             Error::BadUtf8 => write!(f, "invalid UTF-8 in wire string"),
+            Error::NotCanonical { context } => write!(f, "non-canonical encoding: {context}"),
             Error::Disconnected => write!(f, "link peer disconnected"),
         }
     }

@@ -11,7 +11,9 @@
 //! and links can inject latency/bandwidth delays to model a 10 Gbps LAN.
 //!
 //! * [`wire`] — compact binary serialization ([`Wire`] trait) for all
-//!   summary payloads, with property-tested round-trips.
+//!   summary payloads: varints and the shape-aware codecs (zero-run counts,
+//!   bit-packed registers, prefix-shared key lists), every decoder total
+//!   and canonical.
 //! * [`link`] — simulated point-to-point links over crossbeam channels with
 //!   byte accounting and optional delay injection.
 //! * [`metrics`] — shared atomic counters for bytes/messages per endpoint.
@@ -29,4 +31,4 @@ pub mod wire;
 pub use error::{Error, Result};
 pub use link::{link_pair, FrameFault, FrameFaultHook, LinkConfig, LinkReceiver, LinkSender};
 pub use metrics::NetMetrics;
-pub use wire::{Wire, WireReader, WireWriter};
+pub use wire::{Wire, WireReader, WireWriter, MAX_COUNTS};

@@ -6,6 +6,67 @@
 //! floats are fixed 8 bytes, collections carry a varint length prefix. The
 //! [`Wire`] trait is implemented here for primitives and containers; summary
 //! types in higher crates compose these.
+//!
+//! # Shape-aware codecs
+//!
+//! Most of what a summary holds has a shape the plain primitives spell out
+//! cell by cell: a grid of counts is mostly empty, a sorted key list repeats
+//! its leading columns, an HLL register never needs its top bits. Three
+//! codecs carry those shapes, and every summary is written in terms of them.
+//! Each is *canonical* — a value has exactly one byte string, and a decoder
+//! refuses every other spelling ([`Error::NotCanonical`]) — so a decoded
+//! summary re-encodes to the bytes it came from.
+//!
+//! **Varint.** LEB128, least significant group first, at most ten bytes.
+//! Refused: a final byte of `0x00` after a continuation byte (a padded
+//! value) and a tenth byte other than `0x01` (bits past the 64th).
+//!
+//! **Counts** ([`WireWriter::put_counts`] / [`WireReader::get_counts`]). A
+//! vector of `n` counts, `n` known to the reader beforehand, as a sequence
+//! of tokens. A non-zero count is its varint, and a zero between two
+//! counts is the byte `0x00` — both as a varint per count would spell
+//! them. A *maximal* run of `k ≥ 2` zeros is the one spelling that leaves
+//! unused: `varint(k − 2)` *padded* — the continuation bit set on its every
+//! byte, then `0x00` — so two bytes stand for up to 129 zeros, three for
+//! 16 513, and no vector is longer than its varint-per-count encoding.
+//! Refused: a run that reaches past `n`, padding of more than the one
+//! `0x00`, and any zero or run directly after a zero or run (the two were
+//! one run).
+//!
+//! **Packed** ([`WireWriter::put_packed`] / [`WireReader::get_packed`]).
+//! `n` integers of `width ≤ 8` bits each, `n` and `width` known to the
+//! reader: value `i` occupies bits `i·width .. (i+1)·width` of a
+//! `⌈n·width / 8⌉`-byte string, bit `j` of the string being bit `j mod 8`
+//! (least significant first) of byte `j / 8`. Refused: a set bit in the
+//! padding after the last value.
+//!
+//! **Key list** ([`WireWriter::put_key_header`] + [`WireWriter::put_key`] /
+//! [`WireReader::get_key_header`] + [`WireReader::get_key`], beside the
+//! tagged-varint `Value` encoding in [`values`](crate::values)). Keys of one
+//! sort order, strictly ascending in it: `varint(count)`, then — unless the
+//! list is empty — `varint(arity)` and one direction byte (`0` ascending,
+//! `1` descending) per column, once. The first key is its `arity` values.
+//! Every later key is `varint(shared)`, the number of leading values whose
+//! *representation* (kind and bits, not `Value::eq`) equals the previous
+//! key's, followed by its remaining `arity − shared` values. Refused:
+//! `shared` above the arity, `shared` that is not maximal (the first value
+//! that follows repeats the previous key's), and a key that does not sort
+//! strictly after its predecessor — the invariant a merge of sorted runs
+//! relies on. What rides between keys (a weight, a display row) is the
+//! summary's own.
+//!
+//! # The expansion budget
+//!
+//! A zero run makes a two-byte token stand for a vector of any length, so
+//! the frame's length no longer bounds what decoding it allocates. A
+//! [`WireReader`] therefore carries one budget of [`MAX_COUNTS`] cells for
+//! everything [`WireReader::get_counts`] expands, charged before the vector
+//! is allocated. The budget belongs to the reader — to one frame — and not
+//! to a call, so the nested summaries of one frame (a trellis of heat maps)
+//! share it instead of multiplying it: a frame of `F` bytes decodes to at
+//! most `O(F) + 8·MAX_COUNTS` bytes, whatever it claims. Every other length
+//! prefix is checked against the bytes that remain
+//! ([`WireReader::get_count`]) before anything is allocated for it.
 
 use crate::error::{Error, Result};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -13,6 +74,12 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 /// Sanity cap on decoded collection lengths (defends against corrupt
 /// frames; no legitimate summary is anywhere near this).
 const MAX_LEN: u64 = 1 << 28;
+
+/// Cells of counts one frame may hold, across all its count vectors: far
+/// above any display (a 4K screen of 3 × 3-pixel heat-map cells is under
+/// 2²⁰), far below what a hostile run token could claim. A sketch whose grid
+/// exceeds it is refused where it is configured, not where it is decoded.
+pub const MAX_COUNTS: usize = 1 << 22;
 
 /// Streaming writer over a growable byte buffer.
 pub struct WireWriter {
@@ -69,13 +136,61 @@ impl WireWriter {
     /// Write a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_varint(s.len() as u64);
-        self.buf.put_slice(s.as_bytes());
+        self.put_raw(s.as_bytes());
+    }
+
+    /// Write bytes whose length the reader learns elsewhere.
+    pub(crate) fn put_raw(&mut self, b: &[u8]) {
+        self.buf.put_slice(b);
     }
 
     /// Write raw bytes with a length prefix.
     pub fn put_bytes(&mut self, b: &[u8]) {
         self.put_varint(b.len() as u64);
-        self.buf.put_slice(b);
+        self.put_raw(b);
+    }
+
+    /// Write a count vector (its length is the reader's to know): counts
+    /// and lone zeros as varints, each maximal run of `k ≥ 2` zeros as the
+    /// padded varint of `k − 2`.
+    pub fn put_counts(&mut self, counts: &[u64]) {
+        let mut rest = counts;
+        while let Some((&c, tail)) = rest.split_first() {
+            let run = match c {
+                0 => 1 + tail.iter().take_while(|&&c| c == 0).count(),
+                _ => 0,
+            };
+            if run < 2 {
+                self.put_varint(c);
+                rest = tail;
+            } else {
+                // Every byte continues, and the byte they continue to
+                // adds nothing: a spelling `put_varint` never writes.
+                let mut v = run as u64 - 2;
+                while v >= 0x80 {
+                    self.buf.put_u8(v as u8 | 0x80);
+                    v >>= 7;
+                }
+                self.buf.put_slice(&[v as u8 | 0x80, 0]);
+                rest = &rest[run..];
+            }
+        }
+    }
+
+    /// Write small integers `width` bits each (`1..=8`, every value below
+    /// `1 << width`), packed least significant bit first. Eight values
+    /// fill `width` bytes exactly, so they are packed a word at a time.
+    pub fn put_packed(&mut self, values: &[u8], width: u32) {
+        debug_assert!((1..=8).contains(&width));
+        for eight in values.chunks(8) {
+            let mut word = 0u64;
+            for (i, &v) in eight.iter().enumerate() {
+                debug_assert!(u32::from(v) < 1 << width, "{v} is wider than {width} bits");
+                word |= u64::from(v) << (i as u32 * width);
+            }
+            let len = (eight.len() * width as usize).div_ceil(8);
+            self.buf.put_slice(&word.to_le_bytes()[..len]);
+        }
     }
 }
 
@@ -85,15 +200,20 @@ impl Default for WireWriter {
     }
 }
 
-/// Streaming reader over a byte slice.
+/// Streaming reader over the bytes of one frame.
 pub struct WireReader {
     buf: Bytes,
+    /// What is left of the frame's [`MAX_COUNTS`] expansion budget.
+    counts_left: usize,
 }
 
 impl WireReader {
     /// Wrap bytes for reading.
     pub fn new(buf: Bytes) -> Self {
-        WireReader { buf }
+        WireReader {
+            buf,
+            counts_left: MAX_COUNTS,
+        }
     }
 
     /// Bytes remaining.
@@ -101,27 +221,52 @@ impl WireReader {
         self.buf.remaining()
     }
 
-    /// Read an unsigned varint.
+    /// Read an unsigned varint, refusing every spelling
+    /// [`WireWriter::put_varint`] does not write: a padded value and one
+    /// with bits past the 64th.
     pub fn get_varint(&mut self) -> Result<u64> {
+        match self.get_leb128()? {
+            (v, false) => Ok(v),
+            (_, true) => Err(Error::NotCanonical {
+                context: "padded varint",
+            }),
+        }
+    }
+
+    /// Read LEB128 groups up to a byte that does not continue: the value,
+    /// and whether it was *padded* — spelt in full by continuing bytes and
+    /// closed by one `0x00`, the form a zero run takes in a count vector.
+    /// Padding beyond that byte and bits past the 64th are refused.
+    fn get_leb128(&mut self) -> Result<(u64, bool)> {
         let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
+        let mut group = 0;
+        for shift in (0..64).step_by(7) {
             if !self.buf.has_remaining() {
                 return Err(Error::Truncated { context: "varint" });
             }
             let b = self.buf.get_u8();
-            if shift >= 64 {
-                return Err(Error::BadLength {
-                    context: "varint overflow",
-                    len: v,
-                });
+            let before = std::mem::replace(&mut group, (b & 0x7F) as u64);
+            // The tenth byte holds the 64th bit and nothing else.
+            if shift == 63 && group > 1 {
+                break;
             }
-            v |= ((b & 0x7F) as u64) << shift;
+            v |= group << shift;
             if b & 0x80 == 0 {
-                return Ok(v);
+                let padded = b == 0 && shift > 0;
+                // `0x80 0x00` pads zero; anywhere else an empty group
+                // before the closing byte is padding too.
+                if padded && before == 0 && shift > 7 {
+                    return Err(Error::NotCanonical {
+                        context: "varint padded twice",
+                    });
+                }
+                return Ok((v, padded));
             }
-            shift += 7;
         }
+        Err(Error::BadLength {
+            context: "varint overflow",
+            len: v,
+        })
     }
 
     /// Read a zigzag-varint signed integer.
@@ -155,6 +300,12 @@ impl WireReader {
     /// string copies and allocates nothing here.
     pub fn get_str_with<T>(&mut self, f: impl FnOnce(&str) -> T) -> Result<T> {
         let len = self.get_len("string")?;
+        self.get_utf8(len, f)
+    }
+
+    /// Read `len` bytes of UTF-8 in place, as [`WireReader::get_str_with`]
+    /// does once it has read the length.
+    pub(crate) fn get_utf8<T>(&mut self, len: usize, f: impl FnOnce(&str) -> T) -> Result<T> {
         let raw = self
             .buf
             .chunk()
@@ -183,13 +334,97 @@ impl WireReader {
         }
         Ok(len as usize)
     }
+
+    /// Read the length of a collection whose every item takes at least one
+    /// byte: a count the remaining bytes cannot hold is refused here, so
+    /// the caller may allocate for what is returned.
+    pub fn get_count(&mut self, context: &'static str) -> Result<usize> {
+        let len = self.get_len(context)?;
+        if len > self.remaining() {
+            return Err(Error::Truncated { context });
+        }
+        Ok(len)
+    }
+
+    /// Read the `n` counts [`WireWriter::put_counts`] wrote, charging them
+    /// to the frame's expansion budget before allocating.
+    pub fn get_counts(&mut self, n: usize) -> Result<Vec<u64>> {
+        self.counts_left = self.counts_left.checked_sub(n).ok_or(Error::BadLength {
+            context: "counts past the frame's expansion budget",
+            len: n as u64,
+        })?;
+        let mut counts = Vec::with_capacity(n);
+        let mut after_zeros = false;
+        while counts.len() < n {
+            let zeros = match self.get_leb128()? {
+                (0, false) => 1,
+                (c, false) => {
+                    counts.push(c);
+                    after_zeros = false;
+                    continue;
+                }
+                (run, true) => run.saturating_add(2),
+            };
+            if after_zeros {
+                return Err(Error::NotCanonical {
+                    context: "adjacent zero runs",
+                });
+            }
+            if zeros > (n - counts.len()) as u64 {
+                return Err(Error::BadLength {
+                    context: "zero run past the end of its counts",
+                    len: zeros,
+                });
+            }
+            counts.resize(counts.len() + zeros as usize, 0);
+            after_zeros = true;
+        }
+        Ok(counts)
+    }
+
+    /// Read the `n` `width`-bit integers [`WireWriter::put_packed`] wrote.
+    pub fn get_packed(&mut self, n: usize, width: u32) -> Result<Vec<u8>> {
+        debug_assert!((1..=8).contains(&width));
+        let context = "packed integers";
+        let len = n
+            .checked_mul(width as usize)
+            .ok_or(Error::BadLength {
+                context,
+                len: n as u64,
+            })?
+            .div_ceil(8);
+        let raw = self
+            .buf
+            .chunk()
+            .get(..len)
+            .ok_or(Error::Truncated { context })?;
+        let mut values = vec![0u8; n];
+        for (bytes, eight) in raw.chunks(width as usize).zip(values.chunks_mut(8)) {
+            let mut word = [0u8; 8];
+            word[..bytes.len()].copy_from_slice(bytes);
+            let mut word = u64::from_le_bytes(word);
+            for v in eight {
+                *v = (word & ((1 << width) - 1)) as u8;
+                word >>= width;
+            }
+            // Eight values leave nothing of their bytes; fewer leave the
+            // padding.
+            if word != 0 {
+                return Err(Error::NotCanonical {
+                    context: "packed padding bits",
+                });
+            }
+        }
+        self.buf.advance(len);
+        Ok(values)
+    }
 }
 
-fn zigzag(v: i64) -> u64 {
+pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
-fn unzigzag(v: u64) -> i64 {
+pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
@@ -310,8 +545,8 @@ impl<T: Wire> Wire for Vec<T> {
         }
     }
     fn decode(r: &mut WireReader) -> Result<Self> {
-        let len = r.get_len("Vec")?;
-        let mut out = Vec::with_capacity(len.min(4096));
+        let len = r.get_count("Vec")?;
+        let mut out = Vec::with_capacity(len);
         for _ in 0..len {
             out.push(T::decode(r)?);
         }
@@ -460,6 +695,186 @@ mod tests {
         let mut w = WireWriter::new();
         w.put_bytes(&[0xFF, 0xFE]);
         assert_eq!(String::from_bytes(w.finish()), Err(Error::BadUtf8));
+    }
+
+    fn reader(bytes: &[u8]) -> WireReader {
+        WireReader::new(Bytes::from(bytes.to_vec()))
+    }
+
+    #[test]
+    fn varint_decoder_accepts_one_spelling_only() {
+        let max = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        assert_eq!(reader(&max).get_varint(), Ok(u64::MAX));
+        assert_eq!(reader(&[0x00]).get_varint(), Ok(0));
+        // Padded: the same value with a needless final group, or several.
+        let mut ten = [0x80; 10];
+        ten[9] = 0x00;
+        for padded in [&[0x80, 0x00][..], &[0xFF, 0x00], &[0xFF, 0x80, 0x00], &ten] {
+            assert!(
+                matches!(reader(padded).get_varint(), Err(Error::NotCanonical { .. })),
+                "{padded:02x?}"
+            );
+        }
+        // Overflowing: a tenth byte with bits past the 64th, or an eleventh.
+        for last in [0x02, 0x03, 0x7F, 0x81] {
+            let mut over = max;
+            over[9] = last;
+            assert!(
+                matches!(
+                    reader(&over).get_varint(),
+                    Err(Error::BadLength {
+                        context: "varint overflow",
+                        ..
+                    })
+                ),
+                "{last:#x}"
+            );
+        }
+    }
+
+    fn counts_bytes(counts: &[u64]) -> Bytes {
+        let mut w = WireWriter::new();
+        w.put_counts(counts);
+        w.finish()
+    }
+
+    #[test]
+    fn counts_spell_zero_runs_once() {
+        let cases: [(&[u64], &[u8]); 9] = [
+            (&[], &[]),
+            (&[7], &[7]),
+            (&[0], &[0]),
+            (&[0, 0], &[0x80, 0]),
+            (&[0, 0, 0, 5, 0], &[0x81, 0, 5, 0]),
+            (&[1, 0, 2, 0, 0, 300], &[1, 0, 2, 0x80, 0, 0xAC, 0x02]),
+            (&[0; 129], &[0xFF, 0]),
+            (&[0; 200], &[0xC6, 0x81, 0]),
+            (
+                &[u64::MAX, 0],
+                &[
+                    0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0,
+                ],
+            ),
+        ];
+        for (counts, bytes) in cases {
+            assert_eq!(&counts_bytes(counts)[..], bytes, "{counts:?}");
+            let mut r = reader(bytes);
+            assert_eq!(r.get_counts(counts.len()).unwrap(), counts);
+            assert_eq!(r.remaining(), 0);
+        }
+    }
+
+    #[test]
+    fn counts_decoder_accepts_one_spelling_only() {
+        // A run one past the end, and far past it.
+        for run in [&[0x82u8, 0][..], &[0xFF, 0xFF, 0xFF, 0xFF, 0x8F, 0]] {
+            assert!(matches!(
+                reader(run).get_counts(3),
+                Err(Error::BadLength { .. })
+            ));
+        }
+        // Zeros that were one run: two lone ones, a lone one beside a run,
+        // two runs.
+        for split in [
+            &[0u8, 0, 7, 7][..],
+            &[0, 0x80, 0, 7],
+            &[0x80, 0, 0, 7],
+            &[0x80, 0, 0x80, 0],
+        ] {
+            assert_eq!(
+                reader(split).get_counts(4),
+                Err(Error::NotCanonical {
+                    context: "adjacent zero runs"
+                }),
+                "{split:02x?}"
+            );
+        }
+        // A run whose length is itself padded.
+        assert_eq!(
+            reader(&[0x81, 0x80, 0]).get_counts(3),
+            Err(Error::NotCanonical {
+                context: "varint padded twice"
+            })
+        );
+        // A run may follow a count, and the next vector starts afresh.
+        let mut r = reader(&[0x80, 0, 0]);
+        assert_eq!(r.get_counts(2).unwrap(), [0, 0]);
+        assert_eq!(r.get_counts(1).unwrap(), [0]);
+        assert!(matches!(
+            reader(&[5, 0]).get_counts(3),
+            Err(Error::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn counts_share_one_expansion_budget_per_reader() {
+        let half = MAX_COUNTS / 2;
+        let mut w = WireWriter::new();
+        for _ in 0..3 {
+            w.put_counts(&vec![0; half]);
+        }
+        let mut r = WireReader::new(w.finish());
+        assert_eq!(r.get_counts(half).unwrap().len(), half);
+        assert_eq!(r.get_counts(half).unwrap().len(), half);
+        // The third vector is as well-formed as the first two.
+        assert!(matches!(
+            r.get_counts(half),
+            Err(Error::BadLength { len, .. }) if len == half as u64
+        ));
+        assert!(matches!(
+            reader(&[0x80, 0]).get_counts(MAX_COUNTS + 1),
+            Err(Error::BadLength { .. })
+        ));
+    }
+
+    #[test]
+    fn packed_integers_roundtrip_at_every_width() {
+        for width in 1..=8u32 {
+            for n in [0usize, 1, 7, 8, 9, 64, 100] {
+                let values: Vec<u8> = (0..n).map(|i| (i * 37 % (1 << width)) as u8).collect();
+                let mut w = WireWriter::new();
+                w.put_packed(&values, width);
+                assert_eq!(w.len(), (n * width as usize).div_ceil(8));
+                let mut r = WireReader::new(w.finish());
+                assert_eq!(r.get_packed(n, width).unwrap(), values, "{width} x {n}");
+                assert_eq!(r.remaining(), 0);
+            }
+        }
+        // Least significant bit first: 1 | 2 << 6 | 3 << 12.
+        let mut w = WireWriter::new();
+        w.put_packed(&[1, 2, 3], 6);
+        assert_eq!(&w.finish()[..], &[0x81, 0x30, 0x00]);
+    }
+
+    #[test]
+    fn packed_decoder_refuses_short_input_and_padding_bits() {
+        assert_eq!(
+            reader(&[0x81, 0x30]).get_packed(3, 6),
+            Err(Error::Truncated {
+                context: "packed integers"
+            })
+        );
+        for padding in [0x04, 0x80] {
+            assert_eq!(
+                reader(&[0x81, 0x30, padding]).get_packed(3, 6),
+                Err(Error::NotCanonical {
+                    context: "packed padding bits"
+                })
+            );
+        }
+        // Sized from the bytes at hand, not from the claim.
+        assert!(reader(&[0xFF]).get_packed(usize::MAX / 2, 6).is_err());
+    }
+
+    #[test]
+    fn counts_the_frame_cannot_hold_are_refused_before_allocation() {
+        let mut w = WireWriter::new();
+        w.put_varint(1 << 27);
+        w.put_u8(1);
+        assert_eq!(
+            Vec::<u64>::from_bytes(w.finish()),
+            Err(Error::Truncated { context: "Vec" })
+        );
     }
 
     #[test]

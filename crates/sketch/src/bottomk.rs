@@ -109,28 +109,17 @@ impl Summary for BottomKSummary {
     }
 }
 
+/// Layout: `k`, entry count, each entry's hash and string, `rows`.
 impl Wire for BottomKSummary {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.k as u64);
-        w.put_varint(self.entries.len() as u64);
-        for (h, v) in &self.entries {
-            w.put_varint(*h);
-            w.put_str(v);
-        }
+        self.entries.encode(w);
         w.put_varint(self.rows);
     }
     fn decode(r: &mut WireReader) -> WireResult<Self> {
-        let k = r.get_len("bottomk k")?;
-        let n = r.get_len("bottomk entries")?;
-        let mut entries = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            let h = r.get_varint()?;
-            let v = r.get_str()?;
-            entries.push((h, v));
-        }
         Ok(BottomKSummary {
-            k,
-            entries,
+            k: r.get_len("bottomk k")?,
+            entries: Vec::decode(r)?,
             rows: r.get_varint()?,
         })
     }

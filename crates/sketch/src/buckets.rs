@@ -5,8 +5,26 @@
 //! explicit boundary strings computed by the bottom-k quantile sketch
 //! (App. B.1 "Equi-width buckets for string data").
 
-use hillview_net::{Error as WireError, Result as WireResult, Wire, WireReader, WireWriter};
+use crate::traits::{SketchError, SketchResult};
+use hillview_net::{
+    Error as WireError, Result as WireResult, Wire, WireReader, WireWriter, MAX_COUNTS,
+};
 use std::sync::Arc;
+
+/// The number of cells in a `dims[0] × dims[1] × …` grid of counts, refused
+/// as a configuration error when no frame could carry a summary that large:
+/// a decoder expands at most [`MAX_COUNTS`] cells per frame, a bound sized
+/// for displays, so such a sketch fails here instead of at the first merge.
+pub fn grid_cells(dims: &[usize]) -> SketchResult<usize> {
+    dims.iter()
+        .try_fold(1usize, |cells, &d| cells.checked_mul(d))
+        .filter(|&cells| cells <= MAX_COUNTS)
+        .ok_or_else(|| {
+            SketchError::BadConfig(format!(
+                "a grid of {dims:?} counts is past the {MAX_COUNTS} cells a summary may hold"
+            ))
+        })
+}
 
 /// How values map to histogram/heatmap buckets.
 #[derive(Debug, Clone, PartialEq)]

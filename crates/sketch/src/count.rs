@@ -54,6 +54,7 @@ impl Summary for CountSummary {
     }
 }
 
+/// Layout: `rows`, `missing`.
 impl Wire for CountSummary {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.rows);

@@ -8,8 +8,14 @@ use crate::hashutil::hash_value;
 use crate::traits::{Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::scan::{scan_rows, scan_values};
-use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
+use hillview_net::{Error as WireError, Result as WireResult, Wire, WireReader, WireWriter};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
+
+/// Register-count exponents a sketch may be built with.
+const PRECISIONS: RangeInclusive<u8> = 4..=16;
+/// Bits per register on the wire: a rank is at most `64 - p ≤ 60`.
+const REGISTER_BITS: u32 = 6;
 
 /// HLL sketch of one column's distinct value count.
 #[derive(Debug, Clone)]
@@ -35,7 +41,7 @@ impl DistinctSketch {
 
     /// Override precision.
     pub fn with_precision(mut self, p: u8) -> Self {
-        assert!((4..=16).contains(&p), "p out of range");
+        assert!(PRECISIONS.contains(&p), "p out of range");
         self.p = p;
         self
     }
@@ -110,19 +116,28 @@ impl Summary for DistinctSummary {
     }
 }
 
+/// Layout: `p` (one byte), the `2^p` registers packed six bits each,
+/// `missing`.
 impl Wire for DistinctSummary {
     fn encode(&self, w: &mut WireWriter) {
         w.put_u8(self.p);
-        w.put_bytes(&self.registers);
+        w.put_packed(&self.registers, REGISTER_BITS);
         w.put_varint(self.missing);
     }
     fn decode(r: &mut WireReader) -> WireResult<Self> {
+        // Checked before it sizes anything: `p` is a byte off the wire.
         let p = r.get_u8()?;
-        let registers = r.get_bytes()?;
-        if registers.len() != 1usize << p {
-            return Err(hillview_net::Error::BadLength {
-                context: "HLL registers",
-                len: registers.len() as u64,
+        if !PRECISIONS.contains(&p) {
+            return Err(WireError::BadTag {
+                context: "HLL precision",
+                tag: p,
+            });
+        }
+        let registers = r.get_packed(1 << p, REGISTER_BITS)?;
+        if let Some(&rank) = registers.iter().find(|&&rank| rank > 64 - p) {
+            return Err(WireError::BadTag {
+                context: "HLL register above its maximal rank",
+                tag: rank,
             });
         }
         Ok(DistinctSummary {

@@ -83,27 +83,27 @@ impl Summary for FindSummary {
     }
 }
 
+/// Layout: a key list of no key or one, the key followed by its row; then
+/// `matches_after`, `matches_total`.
 impl Wire for FindSummary {
     fn encode(&self, w: &mut WireWriter) {
-        match &self.first {
-            None => w.put_u8(0),
-            Some((key, row)) => {
-                w.put_u8(1);
-                key.encode(w);
-                row.encode(w);
-            }
+        let key = self.first.as_ref().map(|(key, _)| key);
+        w.put_key_header(usize::from(key.is_some()), key);
+        if let Some((key, row)) = &self.first {
+            w.put_key(None, key);
+            row.encode(w);
         }
         w.put_varint(self.matches_after);
         w.put_varint(self.matches_total);
     }
     fn decode(r: &mut WireReader) -> WireResult<Self> {
-        let first = match r.get_u8()? {
-            0 => None,
-            1 => Some((RowKey::decode(r)?, Row::decode(r)?)),
-            tag => {
-                return Err(hillview_net::Error::BadTag {
-                    context: "FindSummary",
-                    tag,
+        let first = match r.get_key_header()? {
+            (0, _) => None,
+            (1, descending) => Some((r.get_key(&descending, None)?, Row::decode(r)?)),
+            (n, _) => {
+                return Err(hillview_net::Error::BadLength {
+                    context: "find matches",
+                    len: n as u64,
                 })
             }
         };

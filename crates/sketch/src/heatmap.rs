@@ -5,7 +5,7 @@
 //! of Bx×By bin counts. The merge function adds two such matrices."*
 
 use crate::bind::{BoundColumn, Cell, FrameCells};
-use crate::buckets::BucketSpec;
+use crate::buckets::{grid_cells, BucketSpec};
 use crate::traits::{Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::{scan_frames, FrameEvent, BLOCK_ROWS};
@@ -113,13 +113,13 @@ impl Summary for HeatmapSummary {
     }
 }
 
+/// Layout: `bx`, `by`, the `bx · by` cells as zero-run counts, `missing`,
+/// `out_of_range`, `rows_inspected`.
 impl Wire for HeatmapSummary {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.bx as u64);
         w.put_varint(self.by as u64);
-        for &c in &self.counts {
-            w.put_varint(c);
-        }
+        w.put_counts(&self.counts);
         w.put_varint(self.missing);
         w.put_varint(self.out_of_range);
         w.put_varint(self.rows_inspected);
@@ -127,18 +127,10 @@ impl Wire for HeatmapSummary {
     fn decode(r: &mut WireReader) -> WireResult<Self> {
         let bx = r.get_len("heatmap bx")?;
         let by = r.get_len("heatmap by")?;
-        let n = bx.checked_mul(by).ok_or(hillview_net::Error::BadLength {
-            context: "heatmap size",
-            len: u64::MAX,
-        })?;
-        let mut counts = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            counts.push(r.get_varint()?);
-        }
         Ok(HeatmapSummary {
             bx,
             by,
-            counts,
+            counts: r.get_counts(bx.saturating_mul(by))?,
             missing: r.get_varint()?,
             out_of_range: r.get_varint()?,
             rows_inspected: r.get_varint()?,
@@ -172,6 +164,7 @@ impl Sketch for HeatmapSketch {
         // Bind once: raw storage + null bitmaps, no per-row enum dispatch.
         let bx = BoundColumn::bind(cx, &self.buckets_x)?;
         let by = BoundColumn::bind(cy, &self.buckets_y)?;
+        grid_cells(&[self.buckets_x.count(), self.buckets_y.count()])?;
         let mut out = HeatmapSummary::zero(self.buckets_x.count(), self.buckets_y.count());
         let width_y = out.by;
         let mut fx = FrameCells::new(&bx, out.bx);

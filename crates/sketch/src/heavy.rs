@@ -111,28 +111,17 @@ impl Summary for MisraGriesSummary {
     }
 }
 
+/// Layout: `k`, counter count, each counter's value and count, `total`.
 impl Wire for MisraGriesSummary {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.k as u64);
-        w.put_varint(self.counters.len() as u64);
-        for (v, c) in &self.counters {
-            v.encode(w);
-            w.put_varint(*c);
-        }
+        self.counters.encode(w);
         w.put_varint(self.total);
     }
     fn decode(r: &mut WireReader) -> WireResult<Self> {
-        let k = r.get_len("MG k")?;
-        let n = r.get_len("MG counters")?;
-        let mut counters = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            let v = Value::decode(r)?;
-            let c = r.get_varint()?;
-            counters.push((v, c));
-        }
         Ok(MisraGriesSummary {
-            k,
-            counters,
+            k: r.get_len("MG k")?,
+            counters: Vec::decode(r)?,
             total: r.get_varint()?,
         })
     }
@@ -341,25 +330,15 @@ impl Summary for SampledHeavyHittersSummary {
     }
 }
 
+/// Layout: value count, each value and its sample count, `sampled`.
 impl Wire for SampledHeavyHittersSummary {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_varint(self.counts.len() as u64);
-        for (v, c) in &self.counts {
-            v.encode(w);
-            w.put_varint(*c);
-        }
+        self.counts.encode(w);
         w.put_varint(self.sampled);
     }
     fn decode(r: &mut WireReader) -> WireResult<Self> {
-        let n = r.get_len("HH counts")?;
-        let mut counts = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            let v = Value::decode(r)?;
-            let c = r.get_varint()?;
-            counts.push((v, c));
-        }
         Ok(SampledHeavyHittersSummary {
-            counts,
+            counts: Vec::decode(r)?,
             sampled: r.get_varint()?,
         })
     }

@@ -16,7 +16,7 @@
 //! [`HistogramSketch::summarize_rowwise`] keeps the per-row scan as the
 //! reference implementation for the equivalence property tests.
 
-use crate::buckets::BucketSpec;
+use crate::buckets::{grid_cells, BucketSpec};
 use crate::traits::{Sketch, SketchError, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::scan::{scan_values, Selection};
@@ -109,24 +109,20 @@ impl Summary for HistogramSummary {
     }
 }
 
+/// Layout: bucket count, the buckets as zero-run counts, `missing`,
+/// `out_of_range`, `rows_inspected`.
 impl Wire for HistogramSummary {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.buckets.len() as u64);
-        for &b in &self.buckets {
-            w.put_varint(b);
-        }
+        w.put_counts(&self.buckets);
         w.put_varint(self.missing);
         w.put_varint(self.out_of_range);
         w.put_varint(self.rows_inspected);
     }
     fn decode(r: &mut WireReader) -> WireResult<Self> {
         let n = r.get_len("histogram buckets")?;
-        let mut buckets = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            buckets.push(r.get_varint()?);
-        }
         Ok(HistogramSummary {
-            buckets,
+            buckets: r.get_counts(n)?,
             missing: r.get_varint()?,
             out_of_range: r.get_varint()?,
             rows_inspected: r.get_varint()?,
@@ -154,7 +150,7 @@ impl Sketch for HistogramSketch {
         seed: u64,
     ) -> SketchResult<HistogramSummary> {
         let col = view.table().column_by_name(&self.column)?;
-        let mut out = HistogramSummary::zero(self.buckets.count());
+        let mut out = HistogramSummary::zero(grid_cells(&[self.buckets.count()])?);
         let sample = (self.rate < 1.0).then_some((self.rate, seed));
         let (scanned, rows) = view.scan(scope, sample, |sel| match (&self.buckets, col) {
             // Numeric buckets over numeric columns: block frames with one

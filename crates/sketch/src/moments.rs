@@ -110,6 +110,8 @@ impl Summary for MomentsSummary {
     }
 }
 
+/// Layout: `present`, `missing`, `min` and `max` each behind a presence
+/// byte, the number of power sums and the sums.
 impl Wire for MomentsSummary {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.present);

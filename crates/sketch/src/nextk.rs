@@ -106,23 +106,27 @@ impl Summary for NextKSummary {
     }
 }
 
+/// Layout: `k`, a key list (the page ascends strictly by key), each key
+/// followed by its display row and its count; then `matched`.
 impl Wire for NextKSummary {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.k as u64);
-        w.put_varint(self.rows.len() as u64);
+        w.put_key_header(self.rows.len(), self.rows.first().map(|(key, _, _)| key));
+        let mut prev = None;
         for (key, row, count) in &self.rows {
-            key.encode(w);
+            w.put_key(prev, key);
             row.encode(w);
             w.put_varint(*count);
+            prev = Some(key);
         }
         w.put_varint(self.matched);
     }
     fn decode(r: &mut WireReader) -> WireResult<Self> {
         let k = r.get_len("nextk k")?;
-        let n = r.get_len("nextk rows")?;
-        let mut rows = Vec::with_capacity(n.min(4096));
+        let (n, descending) = r.get_key_header()?;
+        let mut rows: Vec<(RowKey, Row, u64)> = Vec::with_capacity(n);
         for _ in 0..n {
-            let key = RowKey::decode(r)?;
+            let key = r.get_key(&descending, rows.last().map(|(key, _, _)| key))?;
             let row = Row::decode(r)?;
             let count = r.get_varint()?;
             rows.push((key, row, count));

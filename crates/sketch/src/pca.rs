@@ -132,6 +132,7 @@ impl Summary for PcaSummary {
     }
 }
 
+/// Layout: `m`, `count`, the `m` sums, the `m(m+1)/2` products.
 impl Wire for PcaSummary {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.m as u64);
@@ -140,12 +141,22 @@ impl Wire for PcaSummary {
         self.prods.encode(w);
     }
     fn decode(r: &mut WireReader) -> WireResult<Self> {
-        Ok(PcaSummary {
+        let s = PcaSummary {
             m: r.get_len("pca m")?,
             count: r.get_varint()?,
             sums: Vec::<f64>::decode(r)?,
             prods: Vec::<f64>::decode(r)?,
-        })
+        };
+        // `covariance` indexes both by `m`; the sums decoded, so their
+        // number is bounded by the frame and its square cannot wrap.
+        let m = s.sums.len();
+        if m != s.m || s.prods.len() != m * (m + 1) / 2 {
+            return Err(hillview_net::Error::BadLength {
+                context: "pca sums",
+                len: m as u64,
+            });
+        }
+        Ok(s)
     }
 }
 

@@ -42,8 +42,8 @@
 use crate::traits::{Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::scan::scan_rows;
-use hillview_columnar::{row_sampled, RowKey, SortOrder, Value};
-use hillview_net::{Error as WireError, Result as WireResult, Wire, WireReader, WireWriter};
+use hillview_columnar::{row_sampled, RowKey, SortOrder};
+use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
 use std::cmp::Ordering;
 
 /// Sampled quantile sketch over a sort order.
@@ -214,23 +214,17 @@ impl Summary for QuantileSummary {
     }
 }
 
-/// Every key of one summary has the same arity and per-column directions
-/// (they come from one sort order), so the schema is written once and each
-/// key is its values and its weight.
+/// Layout: a key list — the keys come from one sort order and ascend
+/// strictly, which `merge` relies on and the decoder checks — each key
+/// followed by its weight; then `population`, `cap`, `resolution`.
 impl Wire for QuantileSummary {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_varint(self.keys.len() as u64);
-        if let Some((first, _)) = self.keys.first() {
-            w.put_varint(first.descending().len() as u64);
-            for d in first.descending() {
-                d.encode(w);
-            }
-        }
+        w.put_key_header(self.keys.len(), self.keys.first().map(|(key, _)| key));
+        let mut prev = None;
         for (key, weight) in &self.keys {
-            for v in key.values() {
-                v.encode(w);
-            }
+            w.put_key(prev, key);
             w.put_varint(*weight);
+            prev = Some(key);
         }
         w.put_varint(self.population);
         w.put_varint(self.cap as u64);
@@ -238,26 +232,11 @@ impl Wire for QuantileSummary {
     }
 
     fn decode(r: &mut WireReader) -> WireResult<Self> {
-        let len = r.get_len("quantile keys")?;
-        let mut keys = Vec::new();
-        if len > 0 {
-            let descending = Vec::<bool>::decode(r)?;
-            // At least one byte per value and one per weight: a key count
-            // the remaining bytes cannot hold is refused before anything
-            // is allocated for it.
-            let arity = descending.len();
-            if len > r.remaining() / (arity + 1) {
-                return Err(WireError::Truncated {
-                    context: "quantile keys",
-                });
-            }
-            keys.reserve_exact(len);
-            for _ in 0..len {
-                let values = (0..arity)
-                    .map(|_| Value::decode(r))
-                    .collect::<WireResult<Vec<Value>>>()?;
-                keys.push((RowKey::new(values, descending.clone()), r.get_varint()?));
-            }
+        let (len, descending) = r.get_key_header()?;
+        let mut keys: Vec<(RowKey, u64)> = Vec::with_capacity(len);
+        for _ in 0..len {
+            let key = r.get_key(&descending, keys.last().map(|(key, _)| key))?;
+            keys.push((key, r.get_varint()?));
         }
         Ok(QuantileSummary {
             keys,
@@ -500,19 +479,48 @@ mod tests {
             .summarize(&view(64), Scope::ALL, 0)
             .unwrap();
         let per_key: usize = s.keys.iter().map(|(k, _)| k.to_bytes().len()).sum();
-        // Each stand-alone key repeats arity and direction (2 bytes here)
-        // where the summary spends 1 on the weight.
+        // Each stand-alone key repeats count, arity and direction (3 bytes
+        // here) where the summary spends 2 on the shared count and the
+        // weight.
         assert!(s.to_bytes().len() < per_key, "{} bytes", s.to_bytes().len());
     }
 
     #[test]
+    fn wire_shares_the_leading_columns_of_neighbouring_keys() {
+        let t = Table::builder()
+            .column(
+                "Day",
+                ColumnKind::Int,
+                Column::Int(I64Column::from_options(
+                    (0..400).map(|i| Some(20_160_101 + i / 100)),
+                )),
+            )
+            .column(
+                "X",
+                ColumnKind::Int,
+                Column::Int(I64Column::from_options((0..400).map(Some))),
+            )
+            .build()
+            .unwrap();
+        let s = QuantileSketch::new(SortOrder::ascending(&["Day", "X"]), 1.0, 400, 400)
+            .summarize(&TableView::full(Arc::new(t)), Scope::ALL, 0)
+            .unwrap();
+        assert_eq!(s.keys.len(), 400);
+        // Share count, X (two bytes from 8 up), weight; the four-byte day
+        // travels four times.
+        let bytes = s.to_bytes();
+        assert!(bytes.len() < 400 * 4 + 4 * 4 + 16, "{} bytes", bytes.len());
+        assert_eq!(QuantileSummary::from_bytes(bytes).unwrap(), s);
+    }
+
+    #[test]
     fn decode_refuses_lengths_the_bytes_cannot_hold() {
+        use hillview_net::Error as WireError;
         let mut w = WireWriter::new();
         w.put_varint(1 << 20); // keys
         w.put_varint(1); // arity
         w.put_u8(0);
-        w.put_u8(1); // one Int value...
-        w.put_varint(2);
+        Value::Int(1).encode(&mut w); // one key...
         w.put_varint(1); // ...and its weight
         assert!(matches!(
             QuantileSummary::from_bytes(w.finish()),

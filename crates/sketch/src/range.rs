@@ -94,6 +94,8 @@ fn merge_opt_clone<T: Clone>(a: &Option<T>, b: &Option<T>, f: impl Fn(T, T) -> T
     }
 }
 
+/// Layout: `present`, `missing`, then `min`, `max`, `min_str`, `max_str`,
+/// each behind a presence byte.
 impl Wire for RangeSummary {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.present);

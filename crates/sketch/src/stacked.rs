@@ -8,7 +8,7 @@
 //! uses this same kernel without sampling (App. B.1).
 
 use crate::bind::{BoundColumn, Cell, FrameCells};
-use crate::buckets::BucketSpec;
+use crate::buckets::{grid_cells, BucketSpec};
 use crate::traits::{Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::{scan_frames, FrameEvent, BLOCK_ROWS};
@@ -115,16 +115,15 @@ fn add(a: &[u64], b: &[u64]) -> Vec<u64> {
     a.iter().zip(b).map(|(x, y)| x + y).collect()
 }
 
+/// Layout: `bx`, `by`, the `bx` bar totals and then the `bx · by`
+/// subdivisions, each as zero-run counts, `missing`, `out_of_range`,
+/// `rows_inspected`.
 impl Wire for StackedSummary {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.bx as u64);
         w.put_varint(self.by as u64);
-        for &c in &self.x_counts {
-            w.put_varint(c);
-        }
-        for &c in &self.xy_counts {
-            w.put_varint(c);
-        }
+        w.put_counts(&self.x_counts);
+        w.put_counts(&self.xy_counts);
         w.put_varint(self.missing);
         w.put_varint(self.out_of_range);
         w.put_varint(self.rows_inspected);
@@ -132,23 +131,11 @@ impl Wire for StackedSummary {
     fn decode(r: &mut WireReader) -> WireResult<Self> {
         let bx = r.get_len("stacked bx")?;
         let by = r.get_len("stacked by")?;
-        let mut x_counts = Vec::with_capacity(bx.min(4096));
-        for _ in 0..bx {
-            x_counts.push(r.get_varint()?);
-        }
-        let n = bx.checked_mul(by).ok_or(hillview_net::Error::BadLength {
-            context: "stacked size",
-            len: u64::MAX,
-        })?;
-        let mut xy_counts = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            xy_counts.push(r.get_varint()?);
-        }
         Ok(StackedSummary {
             bx,
             by,
-            x_counts,
-            xy_counts,
+            x_counts: r.get_counts(bx)?,
+            xy_counts: r.get_counts(bx.saturating_mul(by))?,
             missing: r.get_varint()?,
             out_of_range: r.get_varint()?,
             rows_inspected: r.get_varint()?,
@@ -175,7 +162,10 @@ impl Sketch for StackedHistogramSketch {
         let cy = view.table().column_by_name(&self.col_y)?;
         let bound_x = BoundColumn::bind(cx, &self.buckets_x)?;
         let bound_y = BoundColumn::bind(cy, &self.buckets_y)?;
-        let mut out = StackedSummary::zero(self.buckets_x.count(), self.buckets_y.count());
+        // Bar totals and subdivisions together.
+        let (bx, by) = (self.buckets_x.count(), self.buckets_y.count());
+        grid_cells(&[bx, by.saturating_add(1)])?;
+        let mut out = StackedSummary::zero(bx, by);
         let width_y = out.by;
         // Dense selections stream as 64-row block frames of precomputed
         // bucket cells (see the heat-map kernel); sparse rows keep the

@@ -1,0 +1,488 @@
+//! Every summary decoder is total and canonical: whatever bytes arrive —
+//! over a link the frame checksum guards, or out of the sketch cache — the
+//! `Wire` impl ends in an error or in a summary whose own encoding is
+//! exactly those bytes. Never a panic, never an allocation sized by a length
+//! the frame merely claims.
+//!
+//! One test per `impl Sketch` of this crate (the `sketch-registry` lint rule
+//! fails a sketch this file does not name; `crates/viz/tests` holds the
+//! trellis): the identity, summaries of `hillview_data` flights, and the
+//! edge shapes of its layout, each round-tripped to an equal value *and* to
+//! equal bytes; then a seeded mutation loop over those frames, where every
+//! mutant is refused or re-encodes to itself; then the frames a hostile
+//! peer would craft.
+
+mod totality;
+
+use hillview_columnar::{Row, RowKey, SortOrder, StrMatchKind, Table, Value};
+use hillview_data::{generate_flights, FlightsConfig};
+use hillview_net::{Wire, WireWriter};
+use hillview_sketch::bottomk::{BottomKSketch, BottomKSummary};
+use hillview_sketch::buckets::BucketSpec;
+use hillview_sketch::count::{CountSketch, CountSummary};
+use hillview_sketch::distinct::{DistinctSketch, DistinctSummary};
+use hillview_sketch::find::{FindSketch, FindSummary};
+use hillview_sketch::heatmap::{HeatmapSketch, HeatmapSummary};
+use hillview_sketch::heavy::{
+    MisraGriesSketch, MisraGriesSummary, SampledHeavyHittersSketch, SampledHeavyHittersSummary,
+};
+use hillview_sketch::histogram::{HistogramSketch, HistogramSummary};
+use hillview_sketch::moments::{MomentsSketch, MomentsSummary};
+use hillview_sketch::nextk::{NextKSketch, NextKSummary};
+use hillview_sketch::pca::{PcaSketch, PcaSummary};
+use hillview_sketch::quantile::{QuantileSketch, QuantileSummary};
+use hillview_sketch::range::{RangeSketch, RangeSummary};
+use hillview_sketch::stacked::{StackedHistogramSketch, StackedSummary};
+use hillview_sketch::{Scope, Sketch, SketchError, TableView};
+use std::sync::{Arc, OnceLock};
+use totality::{bomb, refused, roundtrip, total_and_canonical, zero_run};
+
+const BY_DATE: [&str; 5] = ["Year", "Month", "DayOfMonth", "CRSDepTime", "FlightNum"];
+
+fn flights() -> TableView {
+    static TABLE: OnceLock<Arc<Table>> = OnceLock::new();
+    let table = TABLE.get_or_init(|| Arc::new(generate_flights(&FlightsConfig::new(3_000, 7))));
+    TableView::full(table.clone())
+}
+
+fn summary<S: Sketch>(sketch: &S) -> S::Summary {
+    sketch.summarize(&flights(), Scope::ALL, 11).unwrap()
+}
+
+/// Count vectors at the edges of the zero-run codec.
+fn count_shapes(n: usize) -> Vec<Vec<u64>> {
+    vec![
+        vec![0; n],
+        (0..n as u64).map(|i| i % 2).collect(),
+        (0..n as u64).map(|i| (i + 1) % 2 * 300).collect(),
+        (0..n as u64)
+            .map(|i| if i == n as u64 / 2 { u64::MAX } else { 0 })
+            .collect(),
+        (1..=n as u64).collect(),
+    ]
+}
+
+fn key(values: Vec<Value>) -> RowKey {
+    let descending = vec![false; values.len()];
+    RowKey::new(values, descending)
+}
+
+/// Key lists at the edges of the prefix-sharing codec: the pairs
+/// `Value::eq` conflates in a position the next key would share, strings
+/// with common prefixes, a missing value, no columns at all.
+fn key_shapes() -> Vec<Vec<RowKey>> {
+    let s = Value::str;
+    vec![
+        vec![key(vec![])],
+        vec![
+            key(vec![Value::Double(0.0), Value::Int(1)]),
+            key(vec![Value::Double(-0.0), Value::Int(2)]),
+            key(vec![Value::Double(1.0), Value::Int(0)]),
+            key(vec![Value::Int(1), Value::Int(1)]),
+            key(vec![Value::Int(1), Value::Int(i64::MAX)]),
+        ],
+        vec![
+            key(vec![Value::Missing, s("")]),
+            key(vec![s("N100"), s("SFO")]),
+            key(vec![s("N100"), s("SJC")]),
+            key(vec![s("N1000"), s("SJC")]),
+            key(vec![s("N1000"), s("SJC ")]),
+            key(vec![s("日本"), s("SJC")]),
+        ],
+        vec![
+            key(vec![Value::Date(i64::MIN), Value::Int(i64::MIN)]),
+            key(vec![Value::Date(i64::MIN), Value::Int(-1)]),
+            key(vec![Value::Date(0), Value::Int(-1)]),
+        ],
+    ]
+}
+
+#[test]
+fn count_is_total_and_canonical() {
+    let edge = CountSummary {
+        rows: u64::MAX,
+        missing: 0,
+    };
+    let summaries = [
+        CountSketch::rows().identity(),
+        summary(&CountSketch::rows()),
+        summary(&CountSketch::of_column("DepDelay")),
+        edge,
+    ];
+    total_and_canonical("count", &summaries);
+}
+
+#[test]
+fn moments_is_total_and_canonical() {
+    let sketch = MomentsSketch::new("DepDelay", 3);
+    let edge = MomentsSummary {
+        present: 1,
+        missing: u64::MAX,
+        min: Some(-0.0),
+        max: Some(f64::INFINITY),
+        sums: vec![0.0, -0.0, f64::MIN_POSITIVE],
+    };
+    total_and_canonical("moments", &[sketch.identity(), summary(&sketch), edge]);
+}
+
+#[test]
+fn range_is_total_and_canonical() {
+    let numeric = RangeSketch::new("DepDelay");
+    let strings = RangeSketch::new("Origin");
+    let edge = RangeSummary {
+        present: 2,
+        missing: 0,
+        min: Some(-0.0),
+        max: Some(0.0),
+        min_str: Some(String::new()),
+        max_str: Some("日本".into()),
+    };
+    let summaries = [
+        numeric.identity(),
+        summary(&numeric),
+        summary(&strings),
+        edge,
+    ];
+    total_and_canonical("range", &summaries);
+}
+
+#[test]
+fn distinct_is_total_and_canonical() {
+    let sketch = DistinctSketch::new("FlightNum");
+    let small = DistinctSketch::new("Carrier").with_precision(4);
+    roundtrip(&summary(&DistinctSketch::new("TailNum").with_precision(16)));
+    let mut full = small.identity();
+    full.registers.fill(60);
+    let summaries = [
+        sketch.identity(),
+        summary(&sketch),
+        small.identity(),
+        summary(&small),
+        full,
+    ];
+    total_and_canonical("distinct", &summaries);
+
+    // `p` sizes the register array: it is bounded before it shifts.
+    let frame = |p: u8, register: u8| {
+        let mut w = WireWriter::new();
+        w.put_u8(p);
+        w.put_packed(&vec![register; 1 << p.min(16)], 6);
+        w.put_varint(0);
+        w.finish().to_vec()
+    };
+    assert!(DistinctSummary::from_bytes(frame(12, 52).into()).is_ok());
+    for p in [0, 3, 17, 64, 255] {
+        refused::<DistinctSummary>(&format!("p = {p}"), &frame(p, 0));
+        bomb::<DistinctSummary>(&format!("p = {p}, no body"), &[p], 4 << 10);
+    }
+    // A rank past `64 - p` is no register `observe` can produce.
+    refused::<DistinctSummary>("register 63 at p = 12", &frame(12, 63));
+    refused::<DistinctSummary>("register 53 at p = 12", &frame(12, 53));
+    // A truncated body is refused before the registers are allocated.
+    bomb::<DistinctSummary>("p = 16, 3 bytes", &[16, 1, 2], 4 << 10);
+}
+
+#[test]
+fn histogram_is_total_and_canonical() {
+    let buckets = BucketSpec::numeric(-60.0, 600.0, 50);
+    let exact = HistogramSketch::streaming("DepDelay", buckets.clone());
+    let sampled = HistogramSketch::sampled("DepDelay", buckets, 0.3);
+    // A CDF is the same kernel with a bucket per horizontal pixel.
+    let cdf = HistogramSketch::streaming("DepDelay", BucketSpec::numeric(-60.0, 600.0, 600));
+    let mut summaries = vec![
+        exact.identity(),
+        HistogramSummary::zero(0),
+        summary(&exact),
+        summary(&sampled),
+        summary(&cdf),
+    ];
+    summaries.extend(count_shapes(9).into_iter().map(|buckets| HistogramSummary {
+        buckets,
+        missing: 1,
+        out_of_range: 2,
+        rows_inspected: 3,
+    }));
+    total_and_canonical("histogram", &summaries);
+
+    // 2^28 buckets in one run token.
+    let mut w = WireWriter::new();
+    w.put_varint(1 << 28);
+    let frame = [&w.finish()[..], &zero_run(1 << 28), &[0, 0, 0]].concat();
+    bomb::<HistogramSummary>("2^28 empty buckets", &frame, 4 << 10);
+    // A histogram no frame could carry is refused where it is configured.
+    let wide = HistogramSketch::streaming("DepDelay", BucketSpec::numeric(0.0, 1.0, (1 << 22) + 1));
+    assert!(matches!(
+        wide.summarize(&flights(), Scope::ALL, 0),
+        Err(SketchError::BadConfig(_))
+    ));
+}
+
+#[test]
+fn heatmap_is_total_and_canonical() {
+    let sketch = HeatmapSketch::streaming(
+        "Distance",
+        "AirTime",
+        BucketSpec::numeric(0.0, 3_000.0, 40),
+        BucketSpec::numeric(0.0, 400.0, 20),
+    );
+    let mut summaries = vec![
+        sketch.identity(),
+        HeatmapSummary::zero(0, 0),
+        HeatmapSummary::zero(0, 7),
+        summary(&sketch),
+    ];
+    summaries.extend(count_shapes(12).into_iter().map(|counts| HeatmapSummary {
+        bx: 3,
+        by: 4,
+        counts,
+        missing: 0,
+        out_of_range: u64::MAX,
+        rows_inspected: 5,
+    }));
+    total_and_canonical("heatmap", &summaries);
+
+    // A five-byte grid claiming 2^14 × 2^14 empty cells.
+    let mut w = WireWriter::new();
+    w.put_varint(1 << 14);
+    w.put_varint(1 << 14);
+    let frame = [&w.finish()[..], &zero_run(1 << 28), &[0, 0, 0]].concat();
+    bomb::<HeatmapSummary>("2^28 empty cells", &frame, 4 << 10);
+    let wide = HeatmapSketch::streaming(
+        "Distance",
+        "AirTime",
+        BucketSpec::numeric(0.0, 3_000.0, 1 << 12),
+        BucketSpec::numeric(0.0, 400.0, (1 << 10) + 1),
+    );
+    assert!(matches!(
+        wide.summarize(&flights(), Scope::ALL, 0),
+        Err(SketchError::BadConfig(_))
+    ));
+}
+
+#[test]
+fn stacked_is_total_and_canonical() {
+    let carriers = ["AA", "DL", "UA", "WN"].map(Arc::from).to_vec();
+    let sketch = StackedHistogramSketch::streaming(
+        "CRSDepTime",
+        "Carrier",
+        BucketSpec::numeric(0.0, 2_400.0, 24),
+        BucketSpec::strings(carriers),
+    );
+    let mut summaries = vec![
+        sketch.identity(),
+        StackedSummary::zero(0, 0),
+        StackedSummary::zero(5, 0),
+        summary(&sketch),
+    ];
+    let shapes = count_shapes(3).into_iter().zip(count_shapes(12));
+    summaries.extend(shapes.map(|(x_counts, xy_counts)| StackedSummary {
+        bx: 3,
+        by: 4,
+        x_counts,
+        xy_counts,
+        missing: 7,
+        out_of_range: 0,
+        rows_inspected: 9,
+    }));
+    total_and_canonical("stacked", &summaries);
+
+    // Honest bars, then 2^28 subdivisions in one run token.
+    let mut w = WireWriter::new();
+    w.put_varint(1 << 14);
+    w.put_varint(1 << 14);
+    w.put_counts(&vec![0; 1 << 14]);
+    let frame = [&w.finish()[..], &zero_run(1 << 28)].concat();
+    // The bars are within budget and are allocated; nothing else is.
+    bomb::<StackedSummary>("2^28 empty subdivisions", &frame, (8 << 14) + (4 << 10));
+}
+
+#[test]
+fn misra_gries_is_total_and_canonical() {
+    let strings = MisraGriesSketch::new("Carrier", 5);
+    let ints = MisraGriesSketch::new("FlightNum", 8);
+    let edge = MisraGriesSummary {
+        k: 3,
+        counters: vec![
+            (Value::Double(-0.0), u64::MAX),
+            (Value::Int(i64::MIN), 2),
+            (Value::Missing, 1),
+        ],
+        total: 0,
+    };
+    let summaries = [strings.identity(), summary(&strings), summary(&ints), edge];
+    total_and_canonical("misra-gries", &summaries);
+    bomb::<MisraGriesSummary>(
+        "2^27 counters",
+        &[3, 0x80, 0x80, 0x80, 0x40, 0, 1, 0],
+        4 << 10,
+    );
+}
+
+#[test]
+fn sampled_heavy_hitters_is_total_and_canonical() {
+    let sketch = SampledHeavyHittersSketch::new("Carrier", 5, 0.5);
+    let edge = SampledHeavyHittersSummary {
+        counts: vec![
+            (Value::Int(1), 4),
+            (Value::Double(1.5), 3),
+            (Value::Date(-1), 2),
+            (Value::str("日本"), 1),
+        ],
+        sampled: 10,
+    };
+    total_and_canonical("sampled-hh", &[sketch.identity(), summary(&sketch), edge]);
+}
+
+#[test]
+fn bottomk_is_total_and_canonical() {
+    let sketch = BottomKSketch::new("TailNum", 20);
+    let edge = BottomKSummary {
+        k: 2,
+        entries: vec![(0, String::new()), (u64::MAX, "日本".into())],
+        rows: 2,
+    };
+    total_and_canonical("bottomk", &[sketch.identity(), summary(&sketch), edge]);
+}
+
+#[test]
+fn pca_is_total_and_canonical() {
+    let sketch = PcaSketch::new(&["DepDelay", "ArrDelay", "Distance"], 1.0);
+    total_and_canonical("pca", &[sketch.identity(), summary(&sketch)]);
+    // Three columns cannot have two sums.
+    let torn = PcaSummary {
+        sums: vec![0.0; 2],
+        ..sketch.identity()
+    };
+    refused::<PcaSummary>("m = 3 with two sums", &torn.to_bytes());
+}
+
+/// A quantile summary over `keys`, the `i`-th standing for `i + 1` rows.
+fn weighted(keys: Vec<RowKey>) -> QuantileSummary {
+    QuantileSummary {
+        keys: keys.into_iter().zip(1..).collect(),
+        population: 1_000,
+        cap: 400,
+        resolution: 100,
+    }
+}
+
+#[test]
+fn quantile_is_total_and_canonical() {
+    let by_date = QuantileSketch::new(SortOrder::ascending(&BY_DATE), 1.0, 400, 100);
+    let strings = QuantileSketch::new(
+        SortOrder::with_directions(&[("Origin", true), ("TailNum", false)]),
+        0.5,
+        200,
+        50,
+    );
+    let mut summaries = vec![
+        by_date.identity(),
+        summary(&by_date),
+        by_date
+            .summarize(&flights(), Scope::ALL, 0)
+            .unwrap()
+            .compress(100),
+        summary(&strings),
+        summary(&QuantileSketch::new(SortOrder::ascending(&[]), 1.0, 10, 10)),
+    ];
+    summaries.extend(key_shapes().into_iter().map(weighted));
+    total_and_canonical("quantile", &summaries);
+
+    // Keys out of order: the encoder writes what it is given, the decoder
+    // refuses what `merge` could not fold.
+    let sorted = summary(&by_date).compress(8);
+    let mut unsorted = sorted.clone();
+    unsorted.keys.swap(2, 5);
+    refused::<QuantileSummary>("unsorted keys", &unsorted.to_bytes());
+    let mut repeated = sorted.clone();
+    repeated.keys[4].0 = repeated.keys[3].0.clone();
+    refused::<QuantileSummary>("a key twice", &repeated.to_bytes());
+
+    // The same list with one key sharing a value less than it could.
+    let frame = |shorten: usize| {
+        let mut w = WireWriter::new();
+        w.put_key_header(sorted.keys.len(), sorted.keys.first().map(|(k, _)| k));
+        let mut prev: Option<&RowKey> = None;
+        for (i, (key, weight)) in sorted.keys.iter().enumerate() {
+            match prev {
+                Some(p) if i == 3 => {
+                    let both = p.values().iter().zip(key.values());
+                    let shared = both.take_while(|(a, b)| format!("{a:?}") == format!("{b:?}"));
+                    let shared = shared.count() - shorten;
+                    w.put_varint(shared as u64);
+                    for v in &key.values()[shared..] {
+                        v.encode(&mut w);
+                    }
+                }
+                _ => w.put_key(prev, key),
+            }
+            w.put_varint(*weight);
+            prev = Some(key);
+        }
+        w.put_varint(sorted.population);
+        w.put_varint(sorted.cap as u64);
+        w.put_varint(sorted.resolution as u64);
+        w.finish().to_vec()
+    };
+    assert_eq!(frame(0), sorted.to_bytes().to_vec());
+    refused::<QuantileSummary>("a shared count that is not maximal", &frame(1));
+
+    bomb::<QuantileSummary>("2^27 keys", &[0x80, 0x80, 0x80, 0x40, 1, 0, 1, 1], 4 << 10);
+    bomb::<QuantileSummary>("2^27 columns", &[1, 0x80, 0x80, 0x80, 0x40, 0, 0], 4 << 10);
+}
+
+#[test]
+fn nextk_is_total_and_canonical() {
+    let first = NextKSketch::first_page(SortOrder::ascending(&BY_DATE), 20)
+        .with_display(&["Carrier", "DepDelay"]);
+    let page = summary(&first);
+    let start = page.rows[9].0.clone();
+    let after = NextKSketch::after(SortOrder::ascending(&BY_DATE), start, 20);
+    let strings = NextKSketch::first_page(
+        SortOrder::with_directions(&[("TailNum", true), ("Origin", false)]),
+        20,
+    );
+    let mut summaries = vec![
+        first.identity(),
+        page.clone(),
+        summary(&after),
+        summary(&strings),
+        summary(&NextKSketch::first_page(SortOrder::ascending(&[]), 5)),
+    ];
+    summaries.extend(key_shapes().into_iter().map(|keys| {
+        NextKSummary {
+            k: 20,
+            rows: keys
+                .into_iter()
+                .map(|k| (k.clone(), Row::new(k.values().to_vec()), 1))
+                .collect(),
+            matched: 9,
+        }
+    }));
+    total_and_canonical("nextk", &summaries);
+
+    let mut unsorted = page.clone();
+    unsorted.rows.swap(0, 1);
+    refused::<NextKSummary>("unsorted page", &unsorted.to_bytes());
+    bomb::<NextKSummary>("2^27 rows", &[20, 0x80, 0x80, 0x80, 0x40, 1, 0, 1], 4 << 10);
+}
+
+#[test]
+fn find_is_total_and_canonical() {
+    let order = SortOrder::ascending(&["Origin", "FlightNum"]);
+    let hit = FindSketch::new("Origin", "S", StrMatchKind::Substring, order.clone());
+    let miss = FindSketch::new("Origin", "no such airport", StrMatchKind::Exact, order);
+    assert!(summary(&hit).first.is_some() && summary(&miss).first.is_none());
+    let mut summaries = vec![hit.identity(), summary(&hit), summary(&miss)];
+    summaries.extend(key_shapes().into_iter().map(|mut keys| {
+        let k = keys.pop().unwrap();
+        FindSummary {
+            first: Some((k.clone(), Row::new(k.values().to_vec()))),
+            matches_after: 1,
+            matches_total: u64::MAX,
+        }
+    }));
+    total_and_canonical("find", &summaries);
+    // "First match" is one row.
+    refused::<FindSummary>("two first matches", &[2, 0, 0, 0, 0, 0, 0]);
+}

@@ -12,7 +12,7 @@ use crate::render::ColorGrid;
 use crate::samples;
 use hillview_columnar::MembershipSet;
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use hillview_sketch::buckets::BucketSpec;
+use hillview_sketch::buckets::{grid_cells, BucketSpec};
 use hillview_sketch::heatmap::{HeatmapSketch, HeatmapSummary};
 use hillview_sketch::traits::{Sketch, SketchError, SketchResult, Summary};
 use hillview_sketch::view::two_pass;
@@ -68,22 +68,16 @@ impl Summary for TrellisSummary {
     }
 }
 
+/// Layout: group count, each group's heat map — all of them against the
+/// frame's one expansion budget — then `dropped`.
 impl Wire for TrellisSummary {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_varint(self.groups.len() as u64);
-        for g in &self.groups {
-            g.encode(w);
-        }
+        self.groups.encode(w);
         w.put_varint(self.dropped);
     }
     fn decode(r: &mut WireReader) -> WireResult<Self> {
-        let n = r.get_len("trellis groups")?;
-        let mut groups = Vec::with_capacity(n.min(256));
-        for _ in 0..n {
-            groups.push(HeatmapSummary::decode(r)?);
-        }
         Ok(TrellisSummary {
-            groups,
+            groups: Vec::decode(r)?,
             dropped: r.get_varint()?,
         })
     }
@@ -102,6 +96,8 @@ impl Sketch for TrellisSketch {
         scope: Scope<'_>,
         seed: u64,
     ) -> SketchResult<TrellisSummary> {
+        let (w, x, y) = (&self.buckets_w, &self.buckets_x, &self.buckets_y);
+        grid_cells(&[w.count(), x.count(), y.count()])?;
         let view = &two_pass(self.name(), view, scope)?;
         // Reuse the heat-map kernel per group by restricting rows: simple
         // and correct, though it scans W once per group. Group counts are
