@@ -8,21 +8,29 @@
 //! of an encoded double column against its raw form and against its
 //! integer codes alone — the difference to the codes is the 64-lane
 //! code → `f64` convert. Every pass covers 1M rows, so ns/row is a
-//! median over 1e6. `dict_open` is the open path instead: `hvc::decode` of
-//! a one-column part whose header is all dictionary (a 65 000-row slice of
-//! flights' `TailNum`), per dictionary entry — read it when touching
-//! `DictionaryBuilder::intern` or the header parse.
+//! median over 1e6. `dict_open` and `header_parse` are the open path
+//! instead. `dict_open` opens a one-column part that is all dictionary (a
+//! 65 000-row slice of flights' `TailNum`): decoded on the heap, which
+//! parses the section at once; opened mapped and left alone, which only
+//! locates it; and opened mapped and asked for one string, which parses it
+//! then — per dictionary entry; read it when touching
+//! `DictionaryBuilder::intern` or `hvc`'s dictionary parser. `header_parse`
+//! splits what a mapped open of all 29 flights columns still costs, by
+//! opening the same part with one ingredient of its header taken away at a
+//! time: null runs, inline run-length tables, then all but one block of
+//! every zone map — read it before making any of them lazy.
 
 use super::data::{self, ROWS as N};
 use super::filter;
 use hillview_bench::harness::{Registered, Suite};
-use hillview_columnar::column::{Column, DictColumn};
+use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
 use hillview_columnar::{
-    ColumnKind, F64Storage, I64Storage, Predicate, ScanSource, StrMatchKind, Table, BLOCK_ROWS,
+    BlockCache, CodeStorage, ColumnKind, EncodingKind, F64Storage, I64Storage, NullMask, Predicate,
+    ScanSource, SegmentMode, StrMatchKind, Table, TempDir, BLOCK_ROWS,
 };
 use hillview_data::{generate_flights, FlightsConfig};
-use hillview_storage::hvc;
 use hillview_storage::partition::slice_table;
+use hillview_storage::{hvc, read_file_mapped};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,8 +38,10 @@ pub const SUITE: Registered = Registered {
     name: "decode",
     about: "decoder probes over 1M rows: bit-unpack per width, text filter rowwise vs block, \
             integral-double frame decode vs plain vs codes only (median ns per pass; ns/row for \
-            the double decode); dict_open: hvc::decode of a 65 000-row TailNum part, ns per \
-            dictionary entry",
+            the double decode); dict_open: a 65 000-row TailNum part decoded on the heap, opened \
+            mapped and left alone, opened mapped and asked for a string, ns per dictionary entry; \
+            header_parse: a mapped open of a 65 000-row, 29-column flights part, whole and with \
+            null runs, run-length tables and zone-map blocks taken away in turn",
     run,
 };
 
@@ -112,10 +122,99 @@ fn run(suite: &mut Suite) {
     };
     assert_eq!(strings(&opened), strings(&part));
     let entries = opened.column(0).as_dict_col().unwrap().dictionary().len();
+    let dir = TempDir::new("bench-decode");
+    let cache = &BlockCache::unbounded();
+    let open_mapped = |t: &Table, name: &str| {
+        let path = dir.join(name);
+        hvc::write_file(t, &path).unwrap();
+        move || read_file_mapped(&path, cache, SegmentMode::Auto).unwrap()
+    };
+    let untouched = open_mapped(&part, "tails.hvc");
+    let first_touch = || {
+        let t = untouched();
+        let first = t.column(0).as_dict_col().unwrap().dictionary().get(0).len();
+        (t, first)
+    };
+    assert_eq!(strings(&untouched()), strings(&part));
     let case = suite.case("dict_open");
-    case.fact("entries", entries as f64).time("decode", open);
-    case.fact(
-        "ns_per_entry",
-        case.median_ns("decode") as f64 / entries as f64,
-    );
+    case.fact("entries", entries as f64)
+        .time("decode", open)
+        .time("mapped_open_untouched", &untouched)
+        .time("first_touch", first_touch);
+    let per_entry = |ns: u64| ns as f64 / entries as f64;
+    case.fact("ns_per_entry", per_entry(case.median_ns("decode")));
+    let parse = case.median_ns("first_touch") - case.median_ns("mapped_open_untouched");
+    case.fact("first_touch_ns_per_entry", per_entry(parse));
+
+    // The same part of the same flights, every column.
+    let whole = slice_table(&flights, rows, 2 * rows);
+    // `t` with every null mask cleared, and (`unrun`) every run-length table
+    // re-stored bit-packed: what is left of the header is names, descriptors
+    // and zone maps.
+    let stripped = |t: &Table, unrun: bool| {
+        let ints = |s: &I64Storage| match s.kind() {
+            EncodingKind::RunLength if unrun => {
+                I64Storage::bit_packed_of(&s.decode_range(0, s.len())).unwrap()
+            }
+            _ => s.clone(),
+        };
+        let codes = |s: &CodeStorage| match s.kind() {
+            EncodingKind::RunLength if unrun => {
+                CodeStorage::bit_packed_of(&s.decode_range(0, s.len())).unwrap()
+            }
+            _ => s.clone(),
+        };
+        let mut b = Table::builder();
+        for (c, desc) in t.schema().descs().iter().enumerate() {
+            let none = NullMask::none();
+            let col = match t.column(c) {
+                Column::Int(c) => Column::Int(I64Column::with_storage(ints(c.storage()), none)),
+                Column::Date(c) => Column::Date(I64Column::with_storage(ints(c.storage()), none)),
+                Column::Double(c) => {
+                    let data = match c.data() {
+                        F64Storage::Integral(s) => F64Storage::Integral(ints(s)),
+                        plain => plain.clone(),
+                    };
+                    Column::Double(F64Column::from_parts(data, none, c.zones().clone()))
+                }
+                Column::Str(c) | Column::Cat(c) => {
+                    let dc =
+                        DictColumn::with_storage(codes(c.codes()), c.dictionary().clone(), none);
+                    if desc.kind == ColumnKind::String {
+                        Column::Str(dc)
+                    } else {
+                        Column::Cat(dc)
+                    }
+                }
+            };
+            b = b.column(&desc.name, desc.kind, col);
+        }
+        b.build().unwrap()
+    };
+    let without_nulls = stripped(&whole, false);
+    let without_runs = stripped(&whole, true);
+    let one_block = slice_table(&without_runs, 0, BLOCK_ROWS);
+    let case = suite.case("header_parse");
+    case.fact("columns", whole.num_columns() as f64)
+        .time("open", open_mapped(&whole, "whole.hvc"))
+        .time(
+            "without_null_runs",
+            open_mapped(&without_nulls, "nulls.hvc"),
+        )
+        .time(
+            "without_null_runs_or_run_length",
+            open_mapped(&without_runs, "runs.hvc"),
+        )
+        .time("one_block", open_mapped(&one_block, "block.hvc"));
+    let us = |case: &hillview_bench::harness::Case, from: &str, to: &str| {
+        (case.median_ns(from) as f64 - case.median_ns(to) as f64) / 1e3
+    };
+    let null_runs = us(case, "open", "without_null_runs");
+    let run_length = us(case, "without_null_runs", "without_null_runs_or_run_length");
+    let zone_maps = us(case, "without_null_runs_or_run_length", "one_block");
+    let rest = case.median_ns("one_block") as f64 / 1e3;
+    case.fact("null_runs_us", null_runs)
+        .fact("inline_run_length_us", run_length)
+        .fact("zone_maps_us", zone_maps)
+        .fact("rest_us", rest);
 }

@@ -17,6 +17,19 @@
 //! limit: passing it is [`Error::DictionaryTooLarge`], never a wrapped
 //! offset.
 //!
+//! **Who pays, and when.** A dictionary built in memory
+//! ([`DictionaryBuilder::finish`]) holds its strings from the start. One
+//! that describes bytes elsewhere — a section of a mapped file — is made
+//! [`Dictionary::deferred`]: it knows how many strings it has, which is all
+//! that opening a file, planning over it and scanning its codes ask, and
+//! fetches them through its loader when [`Dictionary::get`],
+//! [`Dictionary::iter`] or [`Dictionary::code_of`] is first called. That
+//! first reader pays the whole parse; the readers racing it wait on the same
+//! [`OnceLock`] and none parses twice; every later one pays a load and a
+//! branch. [`Dictionary::heap_bytes`] says 0 before and the exact footprint
+//! after, so a table's heap side follows the string columns that have been
+//! presented, not the ones it has.
+//!
 //! **Who builds a `Value::Str`.** Strings inside a column are `&str` slices
 //! of the arena: kernels, predicates and the file codec read them in place.
 //! A reference-counted [`crate::Value::Str`] is built only where a value
@@ -27,47 +40,111 @@
 
 use crate::error::{Error, Result};
 use std::hash::{BuildHasher, RandomState};
+use std::sync::{Arc, OnceLock};
 
-/// String `code` of an arena laid out as the module doc describes.
-#[inline]
-fn entry<'a>(arena: &'a str, offsets: &[u32], code: u32) -> &'a str {
-    let c = code as usize;
-    &arena[offsets[c] as usize..offsets[c + 1] as usize]
-}
-
-/// An immutable, deduplicated code → string mapping.
+/// The strings of a dictionary, laid out as the module doc describes.
 #[derive(Debug, Clone)]
-pub struct Dictionary {
+struct Strings {
     /// Every string, concatenated in code order.
     arena: Box<str>,
     /// `len + 1` ascending byte offsets into `arena`, starting at 0.
     offsets: Box<[u32]>,
 }
 
+/// Fetches a deferred dictionary's strings; see [`Dictionary::deferred`].
+type Loader = Arc<dyn Fn() -> Dictionary + Send + Sync>;
+
+/// An immutable, deduplicated code → string mapping.
+#[derive(Clone)]
+pub struct Dictionary {
+    /// Number of distinct strings: known before any of them is.
+    len: usize,
+    /// Set at construction, or by the first reader of a deferred dictionary.
+    strings: OnceLock<Strings>,
+    loader: Option<Loader>,
+}
+
 impl Default for Dictionary {
     fn default() -> Self {
-        Dictionary {
-            arena: Box::default(),
-            offsets: Box::new([0]),
-        }
+        Dictionary::loaded(Box::default(), Box::new([0]))
+    }
+}
+
+impl std::fmt::Debug for Dictionary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Dictionary")
+            .field("len", &self.len)
+            .field("strings", &self.strings.get())
+            .finish()
     }
 }
 
 impl Dictionary {
-    /// Number of distinct strings.
+    fn loaded(arena: Box<str>, offsets: Box<[u32]>) -> Dictionary {
+        Dictionary {
+            len: offsets.len() - 1,
+            strings: OnceLock::from(Strings { arena, offsets }),
+            loader: None,
+        }
+    }
+
+    /// A dictionary of `len` strings that `load` fetches when one is first
+    /// asked for: [`Dictionary::len`] answers at once, and the first
+    /// [`Dictionary::get`], [`Dictionary::iter`] or [`Dictionary::code_of`]
+    /// runs `load` — once, whichever thread gets there first; the others
+    /// wait for it and read the same strings. `load` must return `len`
+    /// strings. It may panic instead; the reader that ran it unwinds, nothing
+    /// is kept, and the next reader runs it again.
+    pub fn deferred(len: usize, load: impl Fn() -> Dictionary + Send + Sync + 'static) -> Self {
+        Dictionary {
+            len,
+            strings: OnceLock::new(),
+            loader: Some(Arc::new(load)),
+        }
+    }
+
+    #[inline]
+    fn strings(&self) -> &Strings {
+        match self.strings.get() {
+            Some(strings) => strings,
+            None => self.load(),
+        }
+    }
+
+    #[cold]
+    fn load(&self) -> &Strings {
+        self.strings.get_or_init(|| {
+            let load = self
+                .loader
+                .as_ref()
+                .expect("built with strings or a loader");
+            let loaded = load();
+            assert_eq!(
+                loaded.len, self.len,
+                "a deferred dictionary's loader returned another count of strings"
+            );
+            // Moved, not copied — once a loader that itself defers has run.
+            loaded.strings();
+            loaded.strings.into_inner().expect("just read")
+        })
+    }
+
+    /// Number of distinct strings. Never loads them.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.len
     }
 
     /// True if the dictionary holds no strings.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// The string for `code`. Panics on unknown codes (column invariant).
     #[inline]
     pub fn get(&self, code: u32) -> &str {
-        entry(&self.arena, &self.offsets, code)
+        let Strings { arena, offsets } = self.strings();
+        let c = code as usize;
+        &arena[offsets[c] as usize..offsets[c + 1] as usize]
     }
 
     /// Find the code of `s` by linear scan over the arena. This is how
@@ -79,13 +156,19 @@ impl Dictionary {
 
     /// Iterate all strings in code order.
     pub fn iter(&self) -> impl Iterator<Item = &str> {
-        (0..self.len() as u32).map(|code| self.get(code))
+        let Strings { arena, offsets } = self.strings();
+        offsets
+            .windows(2)
+            .map(move |w| &arena[w[0] as usize..w[1] as usize])
     }
 
     /// Exact heap footprint in bytes: the arena plus its offsets, both
-    /// allocated to length.
+    /// allocated to length — and nothing while a deferred dictionary's
+    /// strings have not been asked for.
     pub fn heap_bytes(&self) -> usize {
-        self.arena.len() + std::mem::size_of_val(&*self.offsets)
+        self.strings
+            .get()
+            .map_or(0, |s| s.arena.len() + std::mem::size_of_val(&*s.offsets))
     }
 }
 
@@ -197,10 +280,7 @@ impl DictionaryBuilder {
     /// Finish building; drops the intern index and trims both allocations
     /// to length.
     pub fn finish(self) -> Dictionary {
-        Dictionary {
-            arena: self.arena.into_boxed_str(),
-            offsets: self.offsets.into_boxed_slice(),
-        }
+        Dictionary::loaded(self.arena.into_boxed_str(), self.offsets.into_boxed_slice())
     }
 }
 

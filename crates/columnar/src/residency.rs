@@ -377,6 +377,38 @@ impl Segment {
         }
     }
 
+    /// Copy bytes `off..off + len` of the file out in one positioned read
+    /// that goes around the [`BlockCache`]: no chunk is marked resident and
+    /// nothing is counted. For bytes a reader parses once into a form of its
+    /// own and never windows — faulting their chunks in beside that form
+    /// would hold them twice.
+    pub fn read_uncached(&self, off: usize, len: usize) -> io::Result<Vec<u8>> {
+        if off.checked_add(len).is_none_or(|end| end > self.len) {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("{len} bytes at {off} exceed segment length {}", self.len),
+            ));
+        }
+        match &self.backing {
+            #[cfg(unix)]
+            Backing::Pread { file, .. } => {
+                use std::os::unix::fs::FileExt;
+                let mut bytes = vec![0u8; len];
+                file.read_exact_at(&mut bytes, off as u64)?;
+                Ok(bytes)
+            }
+            // Mapped, or read whole at open: the bytes are there to copy.
+            _ => {
+                // SAFETY: a mapping and a heap backing both span `self.len`
+                // readable bytes from `base_ptr` for as long as `self`
+                // lives, and neither is ever written; `off + len` was
+                // checked against `self.len` above.
+                let bytes = unsafe { std::slice::from_raw_parts(self.base_ptr().add(off), len) };
+                Ok(bytes.to_vec())
+            }
+        }
+    }
+
     /// Drop the physical pages of chunk `c`. Only called for evictable
     /// (mmap) backings; returns false if the kernel refused.
     #[cfg_attr(not(all(feature = "ooc", unix)), allow(unused_variables))]

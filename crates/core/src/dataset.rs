@@ -193,13 +193,19 @@ impl fmt::Debug for FnSource {
 ///
 /// Planning is header-only: parts are dealt to workers round-robin and
 /// each worker opens its share with [`hillview_storage::read_file_mapped`],
-/// which parses the header (schema, row count, dictionaries, zone maps) and
-/// reads no payload. An opened part stays *mapped*:
-/// its columns are windows over the file, faulted in block-granular
-/// through the worker's [`BlockCache`] as scans touch them, so loading a
-/// dataset costs O(headers) and querying it costs only the blocks zone
-/// maps cannot prune. A big-endian host loads each part eagerly onto the
-/// heap instead and answers identically.
+/// which parses the header (schema, row count, null runs, zone maps, and
+/// for each string column how many entries its dictionary has and where in
+/// the file they are) and reads neither payload nor strings. An opened part
+/// stays *mapped*: its columns are windows over the file, faulted in
+/// block-granular through the worker's [`BlockCache`] as scans touch them,
+/// and a string column's dictionary is parsed onto the heap when a query
+/// first presents one of its strings — so loading a dataset costs
+/// O(headers), and querying it costs only the blocks zone maps cannot prune
+/// and the dictionaries of the columns it shows. A dictionary section that
+/// turns out damaged then fails that query as
+/// [`EngineError::LeafPanicked`], and no
+/// query on another column. A big-endian host loads each part eagerly onto
+/// the heap instead and answers identically.
 ///
 /// The directory must be immutable while browsed (paper §2); the snapshot
 /// tag is ignored because the directory *is* one snapshot, which keeps

@@ -36,7 +36,8 @@
 //!   bit-identical to heap-resident execution.
 //!   [`Cluster::dataset_mapped_bytes`] and [`Cluster::block_cache_stats`]
 //!   surface the accounting ([`Cluster::dataset_heap_bytes`] counts only
-//!   owned payloads). With the `ooc` cargo feature, mapped columns are
+//!   owned payloads, and of a mapped dataset's dictionaries those a query
+//!   has presented so far). With the `ooc` cargo feature, mapped columns are
 //!   zero-copy mmap windows and cold chunks are evicted past the budget;
 //!   without it, a portable pread path lazily fills pinned buffers.
 //! * **Caches** ([`worker`], [`cache`]): an in-memory column/data cache

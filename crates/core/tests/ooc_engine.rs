@@ -14,20 +14,30 @@
 //!   reproduces the heap answer exactly,
 //! * heap/mapped accounting split: mapped datasets report `mapped_bytes`,
 //!   not `heap_bytes`,
-//! * double columns fault frame by frame, raw and encoded alike.
+//! * double columns fault frame by frame, raw and encoded alike,
+//! * a mapped dataset's heap side holds the dictionaries its queries have
+//!   presented and no other, each parsed once however many leaf tasks meet
+//!   it first, and a damaged one fails the queries that present it — as a
+//!   structured error — and no other query.
 
 use hillview_columnar::column::{Column, F64Column, I64Column};
+use hillview_columnar::dictionary::{Dictionary, DictionaryBuilder};
 use hillview_columnar::udf::UdfRegistry;
 use hillview_columnar::{ColumnKind, EncodingKind, Predicate, SegmentMode, Table, TempDir};
 use hillview_core::dataset::SourceRegistry;
 use hillview_core::{
-    Cluster, ClusterConfig, Engine, FaultAction, FaultPlan, FaultSite, HvcDirSource, QueryOptions,
+    Cluster, ClusterConfig, DatasetId, Engine, EngineError, FaultAction, FaultPlan, FaultSite,
+    HvcDirSource, QueryOptions,
 };
+use hillview_data::{generate_flights, FlightsConfig};
+use hillview_sketch::distinct::DistinctSketch;
 use hillview_sketch::histogram::{HistogramSketch, HistogramSummary};
 use hillview_sketch::BucketSpec;
-use hillview_storage::SpillingWriter;
+use hillview_storage::spill::list_parts;
+use hillview_storage::{hvc, SpillingWriter};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 
 const ROWS: usize = 200_000;
 const ROWS_PER_PART: usize = 20_000;
@@ -297,4 +307,185 @@ fn tiny_block_cache_survives_eviction_and_kill_chaos() {
             stats.budget
         );
     }
+}
+
+/// 40 000 flights in four parts: seven string columns beside the numbers.
+fn spill_flights(tag: &str) -> TempDir {
+    let dir = TempDir::new(tag);
+    let mut w = SpillingWriter::new(dir.path(), 10_000).unwrap();
+    w.push(&generate_flights(&FlightsConfig::new(40_000, 7)))
+        .unwrap();
+    w.finish().unwrap();
+    dir
+}
+
+fn delays(e: &Engine, dataset: DatasetId) -> HistogramSummary {
+    let sketch = HistogramSketch::streaming("DepDelay", BucketSpec::numeric(-60.0, 600.0, 20));
+    e.run(dataset, sketch, &QueryOptions::default()).unwrap().0
+}
+
+#[test]
+fn a_mapped_dataset_holds_the_dictionaries_its_queries_presented() {
+    let dir = spill_flights("ooc-engine-dictionaries");
+    // What each string column's dictionaries weigh once parsed, all parts
+    // together: the same files decoded onto the heap say.
+    let parts: Vec<Table> = list_parts(dir.path())
+        .unwrap()
+        .iter()
+        .map(|p| hvc::read_file(p).unwrap())
+        .collect();
+    let weigh = |column: &str| -> usize {
+        let dict = |t: &Table| {
+            let col = t.column_by_name(column).unwrap();
+            col.as_dict_col().unwrap().dictionary().heap_bytes()
+        };
+        parts.iter().map(dict).sum()
+    };
+    let strings: Vec<String> = parts[0]
+        .schema()
+        .descs()
+        .iter()
+        .filter(|d| matches!(d.kind, ColumnKind::String | ColumnKind::Category))
+        .map(|d| d.name.to_string())
+        .collect();
+    assert!(strings.iter().any(|s| s == "TailNum") && strings.len() > 3);
+
+    let e = ooc_engine(dir.path(), 64 << 20);
+    let mapped = e.load("mapped", 0).unwrap();
+    if cfg!(target_endian = "big") {
+        return; // big-endian hosts load heap everywhere: nothing is deferred
+    }
+    let heap_side = || e.cluster().dataset_heap_bytes(mapped);
+    let opened = heap_side();
+    let present = |column: &str| {
+        let sketch = DistinctSketch::new(column);
+        e.run(mapped, sketch, &QueryOptions::default()).unwrap();
+    };
+
+    // Numbers present no string.
+    delays(&e, mapped);
+    assert_eq!(heap_side(), opened, "a numeric query parsed a dictionary");
+    // One string column costs its own dictionaries, to the byte, once.
+    present("Origin");
+    assert_eq!(heap_side(), opened + weigh("Origin"));
+    present("Origin");
+    assert_eq!(heap_side(), opened + weigh("Origin"));
+    // All of them cost all of them: `opened` held none.
+    for column in &strings {
+        present(column);
+    }
+    let all: usize = strings.iter().map(|s| weigh(s)).sum();
+    assert!(
+        all > 10 * opened,
+        "{all} B of dictionaries, {opened} B beside"
+    );
+    assert_eq!(heap_side(), opened + all);
+    // A replayed open starts over.
+    e.cluster().evict_all();
+    delays(&e, mapped);
+    assert_eq!(heap_side(), opened, "the replayed open kept a dictionary");
+}
+
+#[test]
+fn concurrent_first_touches_parse_a_dictionary_once() {
+    const THREADS: usize = 8;
+    let words: Vec<String> = (0..5_000).map(|i| format!("N{i}é")).collect();
+    let loads = Arc::new(AtomicUsize::new(0));
+    let dict = {
+        let (words, loads) = (words.clone(), Arc::clone(&loads));
+        Dictionary::deferred(words.len(), move || {
+            loads.fetch_add(1, Ordering::SeqCst);
+            let mut db = DictionaryBuilder::with_capacity(words.len());
+            for w in &words {
+                db.intern(w).unwrap();
+            }
+            db.finish()
+        })
+    };
+    assert_eq!((dict.len(), dict.heap_bytes()), (words.len(), 0));
+    assert_eq!(loads.load(Ordering::SeqCst), 0, "len() ran the loader");
+    // Every thread arrives at its first string together, each by another
+    // door.
+    let barrier = Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (dict, words, barrier) = (&dict, &words, &barrier);
+            s.spawn(move || {
+                barrier.wait();
+                match t % 3 {
+                    0 => assert_eq!(dict.get(t as u32), words[t]),
+                    1 => assert_eq!(dict.code_of(&words[t]), Some(t as u32)),
+                    _ => assert!(dict.iter().eq(words.iter().map(String::as_str))),
+                }
+                assert!(dict.iter().eq(words.iter().map(String::as_str)));
+            });
+        }
+    });
+    assert_eq!(loads.load(Ordering::SeqCst), 1);
+    let bytes: usize = words.iter().map(String::len).sum();
+    assert_eq!(dict.heap_bytes(), bytes + 4 * (words.len() + 1));
+}
+
+#[test]
+fn a_damaged_dictionary_fails_the_queries_that_present_it_and_no_other() {
+    let dir = spill_flights("ooc-engine-damaged");
+    let e = ooc_engine(dir.path(), 64 << 20);
+    // The reference, read while the files are sound.
+    let heap = e.load("heap", 0).unwrap();
+
+    // Break the first part's `TailNum` section: its first entry's first byte
+    // becomes one no UTF-8 string holds.
+    let part = &list_parts(dir.path()).unwrap()[0];
+    let sound = hvc::read_file(part).unwrap();
+    let tails = sound.column_by_name("TailNum").unwrap();
+    let first = tails.as_dict_col().unwrap().dictionary().get(0).to_owned();
+    let second = tails.as_dict_col().unwrap().dictionary().get(1).to_owned();
+    let mut entries = vec![first.len() as u8];
+    entries.extend(
+        first
+            .bytes()
+            .chain([second.len() as u8])
+            .chain(second.bytes()),
+    );
+    let mut image = std::fs::read(part).unwrap();
+    let at = image
+        .windows(entries.len())
+        .rposition(|w| w == entries)
+        .expect("the section starts with its first two entries");
+    image[at + 1] = 0xFF;
+    std::fs::write(part, &image).unwrap();
+    assert!(hvc::read_file(part).is_err(), "the heap reader refuses it");
+    if cfg!(target_endian = "big") {
+        return; // big-endian hosts read every part on the heap
+    }
+
+    // The mapped open never reads the section; numbers and the other
+    // strings answer as before.
+    let mapped = e.load("mapped", 0).unwrap();
+    assert_eq!(delays(&e, mapped), delays(&e, heap));
+    let distinct = |dataset, column: &str| {
+        e.run(
+            dataset,
+            DistinctSketch::new(column),
+            &QueryOptions::default(),
+        )
+        .map(|(summary, _)| summary)
+    };
+    assert_eq!(distinct(mapped, "Origin"), distinct(heap, "Origin"));
+    // The column itself ends in the structured error of a panicked leaf,
+    // which names it — every attempt of the recovery loop, replay included.
+    let err = distinct(mapped, "TailNum").unwrap_err();
+    let last = match err {
+        EngineError::RetriesExhausted { last, .. } => *last,
+        other => other,
+    };
+    match last {
+        EngineError::LeafPanicked { message, .. } => {
+            assert!(message.contains("\"TailNum\""), "{message}");
+            assert!(message.contains("UTF-8"), "{message}");
+        }
+        other => panic!("expected a panicked leaf, got {other}"),
+    }
+    // And the workers are still there.
+    assert_eq!(delays(&e, mapped), delays(&e, heap));
 }

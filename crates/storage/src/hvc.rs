@@ -4,14 +4,18 @@
 //! "reads a column completely from the data repository taking advantage of
 //! fast sequential access and columnar access" (paper §5.4).
 //!
-//! The layout is built for the *file*: all variable-length metadata lives
-//! in a self-contained header, and the bulk payloads (plain values, packed
-//! words, doubles) are raw little-endian sections aligned to 64 bytes, so
-//! an [`hillview_columnar::residency::Segment`] can hand out zero-copy
-//! [`ValueBuf`] windows over them without any decode pass:
+//! The layout is built for the *file*: what every open needs — schema, null
+//! runs, encodings, zone maps — lives in a self-contained header; the bulk
+//! payloads (plain values, packed words, doubles) are raw little-endian
+//! sections aligned to 64 bytes, so an
+//! [`hillview_columnar::residency::Segment`] can hand out zero-copy
+//! [`ValueBuf`] windows over them without any decode pass; and the strings,
+//! which only an operation that *shows* one needs, are byte sections at the
+//! file's tail that an open merely locates:
 //!
 //! ```text
-//! magic "HVC4" | header_len u32 LE | header blob | pad | payload sections
+//! magic "HVC5" | header_len u32 LE | header blob | pad | payload sections
+//!   | dictionary sections
 //! header blob (all integers varint unless noted):
 //!   column_count | row_count
 //!   per column:
@@ -26,11 +30,13 @@
 //!       Double:   enc byte, then the Int descriptor: encodings 1..3
 //!                 hold the column's sign-magnitude codes, 0 = the section
 //!                 holds the raw f64 values
-//!       Str/Cat:  dict_len, dict strings (varint length, UTF-8 bytes),
-//!                 codes descriptor (same four encodings, code values as
-//!                 plain varints)
+//!       Str/Cat:  dictionary entry count, byte length, and offset within
+//!                 the dictionary area; codes descriptor (same four
+//!                 encodings, code values as plain varints)
 //!     zone map: block count, per block (min, max)
 //!       (zigzag varints for i64, plain varints for codes, raw LE for f64)
+//!   dictionary base: where the dictionary area starts, as a section offset
+//! dictionary section: per entry, varint length then UTF-8 bytes
 //! ```
 //!
 //! The encoding byte mirrors the column's *in-memory*
@@ -46,16 +52,27 @@
 //! renumbers a column that carries more, such as a slice sharing its parent
 //! table's dictionary; null rows sit on code 0). So a file is a function of
 //! its rows, a reader never parses a string no row can show, and entries are
-//! distinct — a reader refuses a repeat. The reader moves the entries
-//! straight from the header bytes into the column's string arena
+//! distinct — a reader refuses a repeat. One parser (`decode_dictionary`)
+//! moves the entries of a section straight into the column's string arena
 //! ([`hillview_columnar::dictionary`]): one pass, no allocation per entry.
+//! *When* it runs is the only thing the two tiers differ in. The heap
+//! readers ([`decode`], [`read_file`], `SegmentMode::Heap`) run it at open.
+//! A mapped open hands the column a [`Dictionary::deferred`] that knows its
+//! entry count from the header, and the parser runs when a string is first
+//! asked for — over bytes fetched with one positioned read that goes around
+//! the block cache ([`Segment::read_uncached`]), since the parsed arena is
+//! what stays resident. A part's open and its heap footprint therefore
+//! follow the string columns a query presents, not the ones the file stores.
 //!
 //! Section offsets are relative to the *payload base* — the first 64-byte
-//! boundary at or after the header — and each section starts on a 64-byte
-//! boundary of its own, so every `i64`/`u64`/`f64` payload is naturally
-//! aligned however long the header is. Sections hold raw fixed-width
-//! values a scan can borrow in place (packed encodings still compress, and
-//! their word sections map as well).
+//! boundary at or after the header — and each payload section starts on a
+//! 64-byte boundary of its own, so every `i64`/`u64`/`f64` payload is
+//! naturally aligned however long the header is. Sections hold raw
+//! fixed-width values a scan can borrow in place (packed encodings still
+//! compress, and their word sections map as well). The dictionary area
+//! follows the last payload section, unaligned and back to back: nothing
+//! windows it, and keeping it out of the way leaves the payload sections
+//! packed as tightly as a file without strings would have them.
 //!
 //! Null masks are run-length encoded (alternating present/missing run
 //! lengths, starting with present), which collapses the common all-present
@@ -63,21 +80,30 @@
 //!
 //! Because the header also persists each column's zone map, a mapped open
 //! ([`read_file_mapped`]) constructs every column without touching one
-//! payload byte: residency is faulted in chunk-at-a-time by the scans
-//! themselves, and blocks the zone maps rule out are never read at all.
+//! payload or dictionary byte: residency is faulted in chunk-at-a-time by
+//! the scans themselves, and blocks the zone maps rule out are never read at
+//! all.
 //! [`probe_file`] goes one step further and reads *only* the header —
 //! enough for partition planning (schema + row count) at O(header) I/O.
 //!
 //! Integrity: decoding is total. Every length the file declares is checked
 //! against the bytes that could back it before anything is allocated or
 //! sliced, and a broken structural invariant (declared counts vs. rows,
-//! run structure, encoding invariants, zone-map block counts) is a
-//! structured [`Error`]. The heap path ([`decode`]) additionally validates
-//! every dictionary code; the mapped path must not (that would fault in
-//! the payload laziness exists to avoid), so it bounds codes by the
-//! persisted per-block zone maxima instead — O(header) — and a file whose
-//! payload contradicts its zone maps surfaces as a worker-isolated panic
-//! at decode time rather than a quiet out-of-bounds.
+//! run structure, encoding invariants, zone-map block counts, a dictionary
+//! section the file is too short to hold) is a structured [`Error`]. The
+//! heap path ([`decode`]) additionally validates every dictionary code and
+//! every dictionary entry. The mapped path must not — that would read the
+//! bytes laziness exists to avoid — so it checks what the header alone can
+//! settle (codes bounded by the persisted per-block zone maxima, sections
+//! bounded by the file's length) and leaves two faults to the moment a scan
+//! meets them, both as a panic the worker's pool isolates into
+//! `LeafPanicked` rather than a quiet out-of-bounds or a wrong string: a
+//! payload that contradicts its zone maps, when the code is dereferenced;
+//! and a dictionary section that fails the parser's validation (or cannot
+//! be read), when the column's first string is asked for — the panic names
+//! the column and the file, and every query that does not present that
+//! column is answered as if nothing were wrong. Both become a structured
+//! storage error with ROADMAP item 5.
 //!
 //! Endianness: mapped windows reinterpret file bytes in place and are only
 //! correct on little-endian targets; big-endian hosts transparently fall
@@ -92,11 +118,11 @@ use hillview_columnar::encoding::{EncodingKind, F64Storage, IntStorage, PackedIn
 use hillview_columnar::residency::{BlockCache, Pod, Segment, SegmentMode, ValueBuf};
 use hillview_columnar::{ColumnDesc, ColumnKind, NullMask, Schema, Table, BLOCK_ROWS};
 use hillview_net::{WireReader, WireWriter};
-use std::io::{Read, Write};
+use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 
-const MAGIC: &[u8; 4] = b"HVC4";
+const MAGIC: &[u8; 4] = b"HVC5";
 
 const ENC_PLAIN: u8 = 0;
 const ENC_BIT_PACKED: u8 = 1;
@@ -158,10 +184,13 @@ fn row_count_mismatch(column: &str, declared: usize, actual: usize) -> Error {
 
 /// Raw payload sections accumulated while the header is written; each is
 /// placed at the next 64-byte-aligned offset relative to the payload base.
+/// The dictionary area — every string column's entries, back to back — goes
+/// after the last of them, at offset `rel`.
 #[derive(Default)]
 struct Sections {
     rel: usize,
     parts: Vec<(usize, Vec<u8>)>,
+    dictionaries: WireWriter,
 }
 
 impl Sections {
@@ -302,7 +331,7 @@ fn pruned(dc: &DictColumn) -> Option<DictColumn> {
 fn assemble(hdr: &[u8], sections: Sections) -> Vec<u8> {
     assert!(hdr.len() <= u32::MAX as usize, "hvc header exceeds u32");
     let payload_base = align_up(8 + hdr.len());
-    let mut out = Vec::with_capacity(payload_base + sections.rel);
+    let mut out = Vec::with_capacity(payload_base + sections.rel + sections.dictionaries.len());
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&(hdr.len() as u32).to_le_bytes());
     out.extend_from_slice(hdr);
@@ -311,6 +340,7 @@ fn assemble(hdr: &[u8], sections: Sections) -> Vec<u8> {
         out.resize(payload_base + rel, 0);
         out.extend_from_slice(&bytes);
     }
+    out.extend_from_slice(&sections.dictionaries.finish());
     out
 }
 
@@ -350,10 +380,13 @@ pub fn encode(table: &Table) -> Vec<u8> {
             Column::Str(dc) | Column::Cat(dc) => {
                 let pruned = pruned(dc);
                 let dc = pruned.as_ref().unwrap_or(dc);
-                h.put_varint(dc.dictionary().len() as u64);
+                let at = sections.dictionaries.len();
                 for s in dc.dictionary().iter() {
-                    h.put_str(s);
+                    sections.dictionaries.put_str(s);
                 }
+                h.put_varint(dc.dictionary().len() as u64);
+                h.put_varint((sections.dictionaries.len() - at) as u64);
+                h.put_varint(at as u64);
                 encode_int_storage(&mut h, &mut sections, dc.codes(), |w, code| {
                     w.put_varint(code as u64)
                 });
@@ -361,6 +394,7 @@ pub fn encode(table: &Table) -> Vec<u8> {
             }
         }
     }
+    h.put_varint(sections.rel as u64);
     assemble(&h.finish(), sections)
 }
 
@@ -537,10 +571,18 @@ enum PayloadMeta {
         zones: ZoneMap<f64>,
     },
     Dict {
-        dict: Arc<Dictionary>,
+        dict: DictMeta,
         codes: IntMeta<u32>,
         zones: ZoneMap<u32>,
     },
+}
+
+/// Where a column's dictionary section is and how many entries it holds.
+struct DictMeta {
+    entries: usize,
+    bytes: usize,
+    /// Offset within the dictionary area.
+    rel: usize,
 }
 
 struct Header {
@@ -548,6 +590,8 @@ struct Header {
     columns: Vec<ColMeta>,
     /// Absolute byte offset of the first payload section.
     payload_base: usize,
+    /// Offset of the dictionary area from `payload_base`.
+    dict_base: usize,
 }
 
 /// Read one dictionary code, rejecting an oversized varint instead of
@@ -560,31 +604,39 @@ fn get_code(r: &mut WireReader) -> std::result::Result<u32, hillview_net::Error>
     })
 }
 
-/// Parse a dictionary section in one pass that moves each entry from the
-/// header bytes straight into the arena: length against the bytes left,
-/// UTF-8 entry by entry (a character split across two entries is invalid in
-/// both), append, and uniqueness through the builder's index of codes — no
-/// per-entry allocation.
-fn decode_dictionary(r: &mut WireReader, column: &str) -> Result<Dictionary> {
-    let dict_len = r.get_len("dict").map_err(wire_err)?;
+/// Read a byte length or offset the file's own length will be held against.
+fn get_extent(r: &mut WireReader) -> Result<usize> {
+    let v = r.get_varint().map_err(wire_err)?;
+    usize::try_from(v).map_err(|_| parse_err(format!("extent {v} overflows")))
+}
+
+/// Parse a dictionary section of `entries` entries in one pass that moves
+/// each from the file's bytes straight into the arena: length against the
+/// bytes left, UTF-8 entry by entry (a character split across two entries is
+/// invalid in both), append, and uniqueness through the builder's index of
+/// codes — no per-entry allocation. The section must end with its last entry.
+fn decode_dictionary(section: Bytes, entries: usize, column: &str) -> Result<Dictionary> {
+    let fault = |what: String| parse_err(format!("column {column:?}: dictionary section: {what}"));
     // An entry takes at least its length byte.
-    if dict_len > r.remaining() {
-        return Err(parse_err(format!(
-            "column {column:?}: {dict_len} dictionary entries exceed the header"
-        )));
+    if entries > section.len() {
+        let bytes = section.len();
+        return Err(fault(format!("{entries} entries exceed its {bytes} bytes")));
     }
-    let mut db = DictionaryBuilder::with_capacity(dict_len);
-    for code in 0..dict_len {
+    let mut r = WireReader::new(section);
+    let mut db = DictionaryBuilder::with_capacity(entries);
+    for code in 0..entries {
         let interned = r
             .get_str_with(|s| db.intern(s))
-            .map_err(wire_err)?
-            .map_err(|e| parse_err(format!("column {column:?}: {e}")))?;
+            .map_err(|e| fault(format!("entry {code}: {e}")))?
+            .map_err(|e| fault(e.to_string()))?;
         // A repeat interns to its first code, which would shift every later one.
         if interned as usize != code {
-            return Err(parse_err(format!(
-                "column {column:?}: duplicate dictionary entries"
-            )));
+            return Err(fault(format!("entry {code} repeats entry {interned}")));
         }
+    }
+    if r.remaining() > 0 {
+        let left = r.remaining();
+        return Err(fault(format!("{left} bytes follow its {entries} entries")));
     }
     Ok(db.finish())
 }
@@ -620,7 +672,11 @@ fn parse_header(hdr: Bytes, payload_base: usize) -> Result<Header> {
                 PayloadMeta::Double { storage, zones }
             }
             ColumnKind::String | ColumnKind::Category => {
-                let dict = Arc::new(decode_dictionary(&mut r, &name)?);
+                let dict = DictMeta {
+                    entries: r.get_len("dict").map_err(wire_err)?,
+                    bytes: get_extent(&mut r)?,
+                    rel: get_extent(&mut r)?,
+                };
                 let codes = decode_int_meta(&mut r, rows, &name, get_code)?;
                 let zones = decode_zones(&mut r, rows, &name, get_code)?;
                 PayloadMeta::Dict { dict, codes, zones }
@@ -633,10 +689,12 @@ fn parse_header(hdr: Bytes, payload_base: usize) -> Result<Header> {
             payload,
         });
     }
+    let dict_base = get_extent(&mut r)?;
     Ok(Header {
         rows,
         columns,
         payload_base,
+        dict_base,
     })
 }
 
@@ -685,6 +743,49 @@ impl Source<'_> {
             }
             Source::Mapped(seg) => ValueBuf::mapped(Arc::clone(seg), off, len)
                 .map_err(|e| parse_err(format!("column {column:?}: {e}"))),
+        }
+    }
+
+    /// The dictionary `meta` locates in the dictionary area at `area`:
+    /// parsed here and now from bytes already in memory, handed out deferred
+    /// over a lazily resident segment.
+    fn dictionary(&self, area: usize, meta: &DictMeta, column: &str) -> Result<Dictionary> {
+        let file_len = match self {
+            Source::Owned(image) => image.len(),
+            Source::Mapped(seg) => seg.len(),
+        };
+        let DictMeta {
+            entries,
+            bytes,
+            rel,
+        } = *meta;
+        let off = area.checked_add(rel);
+        let Some(off) = off.filter(|off| off.checked_add(bytes).is_some_and(|e| e <= file_len))
+        else {
+            return Err(parse_err(format!(
+                "column {column:?}: dictionary section of {bytes} bytes at {area}+{rel} exceeds file length {file_len}"
+            )));
+        };
+        match self {
+            Source::Owned(image) => {
+                let section = Bytes::copy_from_slice(&image[off..off + bytes]);
+                decode_dictionary(section, entries, column)
+            }
+            Source::Mapped(seg) if seg.is_heap() => {
+                decode_dictionary(seg.read_uncached(off, bytes)?.into(), entries, column)
+            }
+            Source::Mapped(seg) => {
+                let (seg, column) = (Arc::clone(seg), column.to_string());
+                Ok(Dictionary::deferred(entries, move || {
+                    seg.read_uncached(off, bytes)
+                        .map_err(Error::from)
+                        .and_then(|section| decode_dictionary(section.into(), entries, &column))
+                        .unwrap_or_else(|e| {
+                            let path = seg.path();
+                            panic!("first touch of column {column:?}'s dictionary in {path:?}: {e}")
+                        })
+                }))
+            }
         }
     }
 }
@@ -766,6 +867,8 @@ fn validate_codes(codes: &IntStorage<u32>, dict_len: usize, column: &str) -> Res
 /// never touches payload bytes.
 fn build_table(header: Header, src: &Source<'_>, deep_validate: bool) -> Result<Table> {
     let base = header.payload_base;
+    // Saturated, a base that overflows puts every dictionary past the end.
+    let dictionaries = base.saturating_add(header.dict_base);
     let rows = header.rows;
     let mut builder = Table::builder();
     for cm in header.columns {
@@ -792,6 +895,7 @@ fn build_table(header: Header, src: &Source<'_>, deep_validate: bool) -> Result<
             }
             PayloadMeta::Dict { dict, codes, zones } => {
                 let st = build_int_storage(codes, rows, src, base, &cm.name)?;
+                let dict = Arc::new(src.dictionary(dictionaries, &dict, &cm.name)?);
                 if dict.is_empty() {
                     // Only an all-null column can do without entries: a
                     // present row would dereference one.
@@ -854,13 +958,18 @@ pub fn decode(bytes: &[u8]) -> Result<Table> {
     build_table(header, &Source::Owned(bytes), true)
 }
 
-/// Write a table to a file.
+/// Write a table to a file. The image goes to `<path>.tmp` and is renamed
+/// into place, so whoever lists the directory meanwhile finds the file whole
+/// or not at all ([`crate::spill::list_parts`] goes by the `hvc` extension).
 pub fn write_file(table: &Table, path: impl AsRef<Path>) -> Result<()> {
-    let bytes = encode(table);
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    f.write_all(&bytes)?;
-    f.flush()?;
-    Ok(())
+    let path = path.as_ref();
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let written = std::fs::write(&tmp, encode(table)).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    Ok(written?)
 }
 
 /// Read a table from a file into fully heap-resident columns. For lazy,
@@ -1257,7 +1366,7 @@ mod tests {
         assert_eq!(&img[0..4], MAGIC);
         let old = d.join("old.hvc");
         let cache = BlockCache::unbounded();
-        for magic in [b"HVC2", b"HVC3"] {
+        for magic in [b"HVC2", b"HVC3", b"HVC4"] {
             let foreign = [magic, &img[4..]].concat();
             std::fs::write(&old, &foreign).unwrap();
             for err in [
@@ -1410,6 +1519,18 @@ mod tests {
         payload: Vec<u8>,
         body: impl FnOnce(&mut WireWriter),
     ) -> Vec<u8> {
+        let mut sections = Sections::default();
+        sections.push(payload);
+        crafted_over(kind, rows, sections, body)
+    }
+
+    /// [`crafted`] over sections laid out by the caller.
+    fn crafted_over(
+        kind: u8,
+        rows: u64,
+        sections: Sections,
+        body: impl FnOnce(&mut WireWriter),
+    ) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.put_varint(1); // columns
         w.put_varint(rows);
@@ -1418,8 +1539,7 @@ mod tests {
         w.put_varint(1); // one null run...
         w.put_varint(rows); // ...of present rows
         body(&mut w);
-        let mut sections = Sections::default();
-        sections.push(payload);
+        w.put_varint(sections.rel as u64); // dictionary base
         assemble(&w.finish(), sections)
     }
 
@@ -1492,12 +1612,16 @@ mod tests {
     /// Two String rows with plain codes: well-formed when `entries` are
     /// distinct and cover both codes.
     fn dict_image(entries: &[&str], codes: [u32; 2]) -> Vec<u8> {
-        let payload = codes.iter().flat_map(|c| c.to_le_bytes()).collect();
-        crafted(kind_byte(ColumnKind::String), 2, payload, |w| {
+        let mut sections = Sections::default();
+        sections.push(codes.iter().flat_map(|c| c.to_le_bytes()).collect());
+        for e in entries {
+            sections.dictionaries.put_str(e);
+        }
+        let bytes = sections.dictionaries.len();
+        crafted_over(kind_byte(ColumnKind::String), 2, sections, |w| {
             w.put_varint(entries.len() as u64);
-            for e in entries {
-                w.put_str(e);
-            }
+            w.put_varint(bytes as u64);
+            w.put_varint(0);
             w.put_u8(ENC_PLAIN);
             w.put_varint(2);
             w.put_varint(0);
@@ -1563,10 +1687,7 @@ mod tests {
         decode(&dict_image(&["a", "b"], [0, 1])).unwrap();
         assert_fault(&dict_image(&["a", "b"], [0, 2]), "out of dictionary range");
         // Interning would dedup the entries and shift every later code.
-        assert_fault(
-            &dict_image(&["a", "a"], [0, 0]),
-            "duplicate dictionary entries",
-        );
+        assert_fault(&dict_image(&["a", "a"], [0, 0]), "entry 1 repeats entry 0");
     }
 
     #[test]
@@ -1582,8 +1703,9 @@ mod tests {
         // An inline code above u32::MAX must error instead of silently
         // wrapping into a small (possibly in-range) code.
         let img = crafted(kind_byte(ColumnKind::String), 2, vec![], |w| {
-            w.put_varint(1);
-            w.put_str("a");
+            w.put_varint(1); // one entry...
+            w.put_varint(2); // ...of two bytes...
+            w.put_varint(0); // ...first in the dictionary area
             w.put_u8(ENC_RUN_LENGTH);
             w.put_varint(2);
             w.put_varint(1); // one run...
@@ -1689,9 +1811,13 @@ mod tests {
         write_file(&t, &p).unwrap();
         let mut bytes = std::fs::read(&p).unwrap();
         let header_len = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-        // The zone map is the header's tail: 10 blocks of (min=0, max=4)
-        // varint pairs. Set every max to 127 (still a one-byte varint).
-        let tail = &mut bytes[8 + header_len - 20..8 + header_len];
+        // The zone map is the last thing in the header but the dictionary
+        // base: 10 blocks of (min=0, max=4) varint pairs. Set every max to
+        // 127 (still a one-byte varint).
+        let mut base = WireWriter::new();
+        base.put_varint((bytes.len() - "abcde".len() * 2 - align_up(8 + header_len)) as u64);
+        let zones_end = 8 + header_len - base.len();
+        let tail = &mut bytes[zones_end - 20..zones_end];
         assert!(tail.iter().step_by(2).all(|&b| b == 0), "zone mins");
         assert!(tail[1..].iter().step_by(2).all(|&b| b == 4), "zone maxs");
         for b in tail[1..].iter_mut().step_by(2) {

@@ -239,6 +239,7 @@ mod tests {
     use hillview_columnar::{BlockCache, ColumnKind, NullMask, SegmentMode, Table, TempDir};
     use hillview_data::{generate_flights, FlightsConfig};
     use std::collections::HashSet;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     fn rows(n: usize, base: usize) -> Table {
@@ -386,6 +387,40 @@ mod tests {
             assert_eq!(info.schema.descs(), rows(1, 0).schema().descs());
         }
         assert_eq!(list_parts(d.path()).unwrap().len(), m.parts.len());
+    }
+
+    #[test]
+    fn a_listed_part_is_whole_while_the_writer_seals() {
+        // A part comes to exist by rename: whoever lists the directory while
+        // parts are being sealed opens every one it finds.
+        let d = TempDir::new("spill-listed");
+        let t = rows(600_000, 0);
+        let sealing = AtomicBool::new(true);
+        let cache = BlockCache::unbounded();
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut opened = HashSet::new();
+                while sealing.load(Ordering::SeqCst) || opened.is_empty() {
+                    for p in list_parts(d.path()).unwrap() {
+                        let whole = hvc::read_file(&p)
+                            .and_then(|_| hvc::read_file_mapped(&p, &cache, SegmentMode::Auto));
+                        assert_eq!(
+                            whole.map(|t| t.num_rows()).map_err(|e| e.to_string()),
+                            Ok(50_000)
+                        );
+                        opened.insert(p);
+                    }
+                }
+                opened.len()
+            });
+            let mut w = SpillingWriter::new(d.path(), 50_000).unwrap();
+            w.push(&t).unwrap();
+            assert_eq!(w.finish().unwrap().parts.len(), 12);
+            sealing.store(false, Ordering::SeqCst);
+            assert!(reader.join().unwrap() > 0);
+        });
+        // Nothing of the temporary names is left behind.
+        assert_eq!(std::fs::read_dir(d.path()).unwrap().count(), 12);
     }
 
     #[test]

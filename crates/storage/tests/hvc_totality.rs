@@ -4,16 +4,17 @@
 //!
 //! A seeded mutation loop over valid images of every encoding × column
 //! kind. The mutations know the container's shape — preamble, header blob,
-//! payload sections — and aim at what a reader trusts: bits anywhere,
-//! truncation, the header-length word, varint length fields spliced over
-//! or into the header, and payloads cut short so section offsets point
-//! past the end of the file.
+//! payload sections, dictionary sections — and aim at what a reader trusts:
+//! bits anywhere, truncation, the header-length word, varint length fields
+//! spliced over or into the header, payloads cut short so section offsets
+//! point past the end of the file, and the dictionary area flipped or cut.
 //!
-//! The one panic a reader may raise is the documented one: a *mapped* open
-//! bounds dictionary codes by the header's zone maps instead of reading
-//! the payload, so a payload that contradicts them surfaces when a scan
-//! dereferences the code. The loop accepts that panic only when the heap
-//! decoder, which does read the payload, names the same fault.
+//! The one panic a reader may raise is the documented one, and only a
+//! *mapped* reader: its open settles what the header alone can, so a payload
+//! that contradicts its zone maps surfaces when a scan dereferences the
+//! code, and a dictionary section that fails the parser surfaces when the
+//! column's first string is asked for. The loop accepts that panic only when
+//! the heap decoder, which reads both at open, names one of those two faults.
 
 use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
 use hillview_columnar::dictionary::DictionaryBuilder;
@@ -30,6 +31,18 @@ use std::sync::Arc;
 
 const ROWS: usize = 200;
 const MUTANTS_PER_IMAGE: usize = 250;
+
+/// The strings of both dictionary columns: every one is referenced, so each
+/// column's dictionary section is [`dictionary_section`] whole.
+const WORDS: [&str; 5] = ["ash", "birch", "cedar", "elm", "fir"];
+
+fn dictionary_section() -> Vec<u8> {
+    let mut w = WireWriter::new();
+    for s in WORDS {
+        w.put_str(s);
+    }
+    w.finish().to_vec()
+}
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -52,7 +65,7 @@ fn images() -> Vec<Vec<u8>> {
     let values: Vec<i64> = (0..ROWS as i64).map(|i| 1_000 + i / 3).collect();
     let codes: Vec<u32> = (0..ROWS as u32).map(|i| i / 40).collect();
     let mut db = DictionaryBuilder::new();
-    for s in ["ash", "birch", "cedar", "elm", "fir"] {
+    for s in WORDS {
         db.intern(s).unwrap();
     }
     let dict = Arc::new(db.finish());
@@ -150,6 +163,8 @@ fn mutate(img: &[u8], state: &mut u64) -> Vec<u8> {
     let header_len = u32::from_le_bytes(img[4..8].try_into().unwrap()) as usize;
     let header_end = 8 + header_len;
     let payload_base = header_end.div_ceil(64) * 64;
+    // The file's tail: one section per dictionary column, back to back.
+    let dictionaries = img.len() - 2 * dictionary_section().len();
     let mut m = img.to_vec();
     // Lengths a reader might trust: small, block-sized, the wire cap and
     // just past it, the integer edges, and this file's own dimensions.
@@ -169,7 +184,7 @@ fn mutate(img: &[u8], state: &mut u64) -> Vec<u8> {
         img.len() as u64,
         (img.len() - payload_base) as u64 + 1,
     ];
-    match below(state, 7) {
+    match below(state, 9) {
         // A bit in the preamble or header…
         0 => m[below(state, header_end)] ^= 1 << below(state, 8),
         // …or in a payload section.
@@ -210,7 +225,14 @@ fn mutate(img: &[u8], state: &mut u64) -> Vec<u8> {
         }
         // The header intact, the payload cut short: section offsets that
         // were valid now point past the end of the file.
-        _ => m.truncate(payload_base + below(state, img.len() - payload_base)),
+        6 => m.truncate(payload_base + below(state, img.len() - payload_base)),
+        // A bit in a dictionary section: a length, a UTF-8 byte, a repeat…
+        7 => {
+            let at = dictionaries + below(state, img.len() - dictionaries);
+            m[at] ^= 1 << below(state, 8);
+        }
+        // …or the file cut inside one.
+        _ => m.truncate(dictionaries + below(state, img.len() - dictionaries)),
     }
     m
 }
@@ -244,7 +266,8 @@ enum Verdict {
 /// Put `m` to every reader: the heap decode ends in an error or a table
 /// that scans; the header-only and mapped opens end in any verdict, but a
 /// verdict; and a mapped table that opened scans too — or panics over a
-/// fault the heap decoder named (`contradiction`).
+/// fault the heap decoder named (`contradiction`): a code its zone map does
+/// not cover, or a dictionary section the parser refuses.
 fn verdict(m: &[u8], path: &Path, cache: &Arc<BlockCache>, label: &str) -> (Verdict, bool) {
     let heap = match hvc::decode(m) {
         Ok(t) => {
@@ -263,7 +286,7 @@ fn verdict(m: &[u8], path: &Path, cache: &Arc<BlockCache>, label: &str) -> (Verd
                 Verdict::Opened => "",
             };
             assert!(
-                fault.contains("out of dictionary range"),
+                fault.contains("out of dictionary range") || fault.contains("dictionary section"),
                 "{label}: mapped scan panicked, heap decode said {fault:?}"
             );
             contradiction = true;
@@ -281,6 +304,8 @@ fn every_mutant_ends_in_an_error_or_a_table_that_scans() {
     let (mut rejected, mut opened, mut contradictions) = (0usize, 0usize, 0usize);
     for (which, img) in images().iter().enumerate() {
         hvc::decode(img).expect("the unmutated image decodes");
+        let section = dictionary_section();
+        assert!(img.ends_with(&[&section[..], &section[..]].concat()));
         for n in 0..MUTANTS_PER_IMAGE {
             let m = mutate(img, &mut state);
             let label = format!("image {which} mutant {n}");
@@ -295,128 +320,209 @@ fn every_mutant_ends_in_an_error_or_a_table_that_scans() {
     // The loop must have exercised both outcomes, or it proves nothing.
     assert!(rejected > 100, "only {rejected} mutants rejected");
     assert!(opened > 100, "only {opened} mutants opened");
-    eprintln!("{rejected} rejected, {opened} opened, {contradictions} zone-map contradictions");
+    assert!(
+        contradictions > 10,
+        "only {contradictions} faults left to a scan"
+    );
+    eprintln!("{rejected} rejected, {opened} opened, {contradictions} faults a mapped scan met");
 }
 
-/// A two-row String column with plain codes `[0, 1]`, whose dictionary
-/// section — the entry count, then each entry's length and bytes — is
-/// written by `dict`.
-fn dict_image(dict: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
+/// Two rows of an Int column `n` = `[7, 9]` and a String column `s` with plain
+/// codes `[0, 1]`, whose dictionary is `section` at the file's tail — `entries`
+/// entries in `bytes` bytes at `rel` into the dictionary area, says the header.
+fn dict_image(section: &[u8], entries: u64, bytes: u64, rel: u64) -> Vec<u8> {
     let mut w = WireWriter::new();
-    w.put_varint(1); // columns
+    w.put_varint(2); // columns
     w.put_varint(2); // rows
-    w.put_str("s");
-    w.put_u8(3); // String
-    w.put_varint(1); // one null run...
-    w.put_varint(2); // ...of present rows
-    dict(&mut w);
-    w.put_u8(0); // plain codes
-    w.put_varint(2); // values
-    w.put_varint(0); // section offset
-    w.put_varint(1); // one zone block
-    w.put_varint(0);
-    w.put_varint(1);
+    for (name, kind) in [("n", 0), ("s", 3)] {
+        w.put_str(name);
+        w.put_u8(kind);
+        w.put_varint(1); // one null run...
+        w.put_varint(2); // ...of present rows
+        if kind == 3 {
+            w.put_varint(entries);
+            w.put_varint(bytes);
+            w.put_varint(rel);
+        }
+        w.put_u8(0); // plain
+        w.put_varint(2); // values
+        w.put_varint(if kind == 3 { 64 } else { 0 }); // section offset
+        w.put_varint(1); // one zone block: Int (7, 9) zigzagged, codes (0, 1)
+        w.put_varint(if kind == 3 { 0 } else { 14 });
+        w.put_varint(if kind == 3 { 1 } else { 18 });
+    }
+    w.put_varint(72); // dictionary base: where the codes end
     let header = w.finish();
-    let mut img = b"HVC4".to_vec();
+    let mut img = b"HVC5".to_vec();
     img.extend((header.len() as u32).to_le_bytes());
     img.extend(&header[..]);
     img.resize(img.len().div_ceil(64) * 64, 0);
+    img.extend([7i64, 9].iter().flat_map(|v| v.to_le_bytes()));
+    img.resize(img.len().div_ceil(64) * 64, 0);
     img.extend([0u32, 1].iter().flat_map(|c| c.to_le_bytes()));
+    img.extend(section);
     img
 }
 
-fn entry(w: &mut WireWriter, declared_len: u64, bytes: &[u8]) {
-    w.put_varint(declared_len);
-    for &b in bytes {
-        w.put_u8(b);
+/// A dictionary section of two entries, each a declared length and bytes.
+fn two(first: (u64, &[u8]), second: (u64, &[u8])) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    for (declared_len, bytes) in [first, second] {
+        w.put_varint(declared_len);
+        for &b in bytes {
+            w.put_u8(b);
+        }
     }
+    w.finish().to_vec()
 }
 
 #[test]
 fn crafted_dictionaries_end_in_an_error_or_a_table_that_scans() {
-    // The dictionary parse moves entries from the header straight into an
-    // arena, so every length, every byte and the entry count are the
-    // file's word against the parser's checks.
+    // The dictionary parse moves entries from the file straight into an
+    // arena, so every length, every byte, the entry count and the section's
+    // place are the file's word against the parser's checks. The heap decode
+    // runs them at open. A mapped open runs the ones the header can settle;
+    // the rest wait for the first string, and until then every other column
+    // answers.
     let dir = TempDir::new("hvc-dicts");
     let path = dir.join("crafted.hvc");
     let cache = BlockCache::unbounded();
-    let sound = dict_image(|w| {
-        w.put_varint(2);
-        entry(w, 2, "é".as_bytes());
-        entry(w, 1, b"b");
-    });
-    let t = hvc::decode(&sound).expect("the well-formed image decodes");
-    assert_eq!(t.full_row(0).values[0].as_str(), Some("é"));
-    assert_eq!(t.full_row(1).values[0].as_str(), Some("b"));
-
-    type Dict = Box<dyn Fn(&mut WireWriter)>;
-    let two = |first: (u64, &'static [u8]), second: (u64, &'static [u8])| -> Dict {
-        Box::new(move |w| {
-            w.put_varint(2);
-            entry(w, first.0, first.1);
-            entry(w, second.0, second.1);
-        })
+    let whole = |section: Vec<u8>, entries: u64| {
+        let bytes = section.len() as u64;
+        dict_image(&section, entries, bytes, 0)
     };
-    let refused: [(&str, Dict, &str); 8] = [
+    let sound = whole(two((2, "é".as_bytes()), (1, b"b")), 2);
+    for t in [
+        hvc::decode(&sound).expect("the well-formed image decodes"),
+        {
+            std::fs::write(&path, &sound).unwrap();
+            read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap()
+        },
+    ] {
+        assert_eq!(t.full_row(0).values[1].as_str(), Some("é"));
+        assert_eq!(t.full_row(1).values[1].as_str(), Some("b"));
+    }
+
+    let ab = || two((1, b"a"), (1, b"b"));
+    // (what is wrong, the image, the fault the readers name, whether a mapped
+    // open can name it from the header and the file's length alone)
+    let refused: [(&str, Vec<u8>, &str, bool); 13] = [
         (
-            "an entry running past the header",
-            two((1, b"a"), (1 << 20, b"b")),
+            "an entry running past the section",
+            whole(two((1, b"a"), (1 << 20, b"b")), 2),
             "truncated",
+            false,
         ),
         (
-            // The bytes are there, but they are the next entry's: the
-            // declared count then reads entries out of the codes section.
+            // The bytes are there, but they are the next entry's.
             "an entry swallowing its successor",
-            two((3, b"a"), (1, b"b")),
-            "encodes 0 rows",
+            whole(two((3, b"a"), (1, b"b")), 2),
+            "entry 1: truncated",
+            false,
         ),
         (
             "an entry of u64::MAX bytes",
-            two((u64::MAX, b"a"), (1, b"b")),
+            whole(two((u64::MAX, b"a"), (1, b"b")), 2),
             "length",
+            false,
         ),
         (
             "invalid UTF-8 inside an entry",
-            two((2, b"a\xFF"), (1, b"b")),
+            whole(two((2, b"a\xFF"), (1, b"b")), 2),
             "UTF-8",
+            false,
         ),
         (
             // Valid as a whole arena ("é"), invalid entry by entry.
             "a character split across two entries",
-            two((1, b"\xC3"), (1, b"\xA9")),
+            whole(two((1, b"\xC3"), (1, b"\xA9")), 2),
             "UTF-8",
+            false,
         ),
         (
             "a duplicate entry",
-            two((1, b"a"), (1, b"a")),
-            "duplicate dictionary entries",
+            whole(two((1, b"a"), (1, b"a")), 2),
+            "entry 1 repeats entry 0",
+            false,
         ),
         (
-            "more entries than the header has bytes",
-            Box::new(|w| {
-                w.put_varint(1 << 27);
-                entry(w, 1, b"a");
-                entry(w, 1, b"b");
-            }),
-            "exceed the header",
+            "more entries than the section has bytes",
+            whole(ab(), 1 << 27),
+            "entries exceed its 4 bytes",
+            false,
         ),
         (
             "one entry more than was written",
-            Box::new(|w| {
-                w.put_varint(3);
-                entry(w, 1, b"a");
-                entry(w, 1, b"b");
-            }),
-            "encodes 0 rows",
+            whole(ab(), 3),
+            "entry 2: truncated",
+            false,
+        ),
+        (
+            "two entries fewer than were written",
+            whole([ab(), two((1, b"c"), (1, b"d"))].concat(), 2),
+            "4 bytes follow its 2 entries",
+            false,
+        ),
+        (
+            "a section cut inside its last entry",
+            dict_image(&ab(), 2, 3, 0),
+            "entry 1: truncated",
+            false,
+        ),
+        (
+            "a section longer than the file",
+            dict_image(&ab(), 2, 5, 0),
+            "exceeds file length",
+            true,
+        ),
+        (
+            "a section offset past the end of the file",
+            dict_image(&ab(), 2, 4, 1),
+            "exceeds file length",
+            true,
+        ),
+        (
+            "a section offset that overflows",
+            dict_image(&ab(), 2, 4, u64::MAX),
+            "exceeds file length",
+            true,
         ),
     ];
-    for (label, dict, fault) in refused {
-        match verdict(&dict_image(dict), &path, &cache, label).0 {
-            Verdict::Rejected(e) => assert!(
-                e.to_lowercase().contains(&fault.to_lowercase()),
-                "{label}: expected {fault:?}, got {e}"
-            ),
+    for (label, img, fault, at_open) in refused {
+        let names_fault = |e: &str| e.to_lowercase().contains(&fault.to_lowercase());
+        match verdict(&img, &path, &cache, label).0 {
+            Verdict::Rejected(e) => {
+                assert!(names_fault(&e), "{label}: expected {fault:?}, got {e}")
+            }
             Verdict::Opened => panic!("{label}: accepted"),
         }
+        let mapped = match read_file_mapped(&path, &cache, SegmentMode::Auto) {
+            Err(e) => {
+                assert!(
+                    at_open,
+                    "{label}: a mapped open read the section to say {e}"
+                );
+                assert!(
+                    names_fault(&e.to_string()),
+                    "{label}: expected {fault:?}, got {e}"
+                );
+                continue;
+            }
+            Ok(t) => t,
+        };
+        assert!(!at_open, "{label}: a mapped open let it through");
+        // Nothing of the section has been parsed, and the column beside it
+        // scans as if nothing were wrong.
+        let strings = mapped.column_by_name("s").unwrap().as_dict_col().unwrap();
+        assert_eq!(strings.dictionary().heap_bytes(), 0, "{label}");
+        let n = mapped.column_by_name("n").unwrap().as_i64_col().unwrap();
+        assert_eq!((n.get(0), n.get(1)), (Some(7), Some(9)), "{label}");
+        // The first string asked for runs the parser, which says what the
+        // heap decoder said — and names the column.
+        let touched = catch_unwind(AssertUnwindSafe(|| strings.get(0).map(str::to_owned)));
+        let panic = touched.expect_err("the first touch must not hand out a string");
+        let said = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert!(said.contains("column \"s\""), "{label}: {said}");
+        assert!(names_fault(said), "{label}: expected {fault:?}, got {said}");
     }
 }

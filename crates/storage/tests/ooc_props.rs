@@ -112,6 +112,59 @@ proptest! {
         assert_tiers_identical(&heap, &mapped, &pred, seed);
     }
 
+    /// A mapped table parses a dictionary when its column first shows a
+    /// string, so the tiers must agree whichever column comes up first and
+    /// whatever was parsed before it: four string columns compared in an
+    /// order drawn from `seed`, each weighing nothing until its turn and
+    /// what the heap tier's weighs after it.
+    #[test]
+    fn mapped_equals_heap_with_string_columns_touched_in_any_order(
+        rows in proptest::collection::vec(
+            proptest::collection::vec(proptest::option::weighted(0.8, "[a-z]{0,3}"), 4),
+            1..200,
+        ),
+        seed in any::<u64>(),
+    ) {
+        let mut builder = Table::builder();
+        for c in 0..4 {
+            let kind = [ColumnKind::String, ColumnKind::Category][c % 2];
+            let col = DictColumn::from_strings(rows.iter().map(|r| r[c].as_deref()));
+            let col = if c % 2 == 0 { Column::Str(col) } else { Column::Cat(col) };
+            builder = builder.column(&format!("S{c}"), kind, col);
+        }
+        let (_dir, path) = write_temp(&builder.build().unwrap(), "ooc-props-strings");
+        let heap = hvc::read_file(&path).unwrap();
+        let cache = BlockCache::new(64 << 10);
+        let mapped = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
+        let mut order = [0, 1, 2, 3];
+        let mut state = seed;
+        for i in (1..4).rev() {
+            state = state.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(1);
+            order.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        let lazy = cfg!(target_endian = "little");
+        for c in order {
+            let h = heap.column(c).as_dict_col().unwrap();
+            let m = mapped.column(c).as_dict_col().unwrap();
+            prop_assert_eq!(m.dictionary().len(), h.dictionary().len());
+            prop_assert!(!lazy || m.dictionary().heap_bytes() == 0, "column {} parsed early", c);
+            // By row, by string, or all at once: whichever door comes first.
+            match (state >> 7) as usize % 3 {
+                0 => {}
+                1 => {
+                    let found = |d: &DictColumn| d.dictionary().code_of("a");
+                    prop_assert_eq!(found(m), found(h));
+                }
+                _ => prop_assert!(m.dictionary().iter().eq(h.dictionary().iter())),
+            }
+            for r in 0..heap.num_rows() {
+                prop_assert_eq!(m.get(r), h.get(r), "column {} row {}", c, r);
+            }
+            prop_assert!(m.dictionary().iter().eq(h.dictionary().iter()));
+            prop_assert_eq!(m.dictionary().heap_bytes(), h.dictionary().heap_bytes());
+        }
+    }
+
     /// Every encoding survives the mapped tier: plain, bit-packed,
     /// run-length, delta — each forced explicitly, over an integer column
     /// and over the codes of an integral double column (zeros at odd rows
