@@ -2,12 +2,14 @@
 //! block-cache budget, queried through `HvcDirSource` with lazy block
 //! residency and, as the baseline, fully heap-resident. What to read: the
 //! zone-skippable filtered histogram (a 5% band of the sorted column)
-//! faults in ≤ 20% of the file bytes — I/O pruning reaches disk — and
-//! warm mapped latency lands within 1.2x of the heap-resident baseline:
-//! residency bookkeeping is not a steady-state tax. With `--features ooc`
-//! the mapped tier is zero-copy mmap with eviction; without it, the same
-//! suite exercises the portable pread fallback (the `mode` label says
-//! which one a file recorded).
+//! faults in ≤ 20% of the file bytes — I/O pruning reaches disk (asserted)
+//! — and warm mapped latency stays near the heap-resident baseline:
+//! residency bookkeeping is not a steady-state tax (recorded, not asserted:
+//! a ≈ 1 ms query on this 2-core host moves ±10 % sample to sample, and four
+//! recordings put either tier anywhere from 0.94x to 1.29x of heap). Both
+//! lazy tiers are measured in one run, each on an engine of its own:
+//! `pread` (`SegmentMode::Auto`: lazily filled, pinned buffers) and `mmap`
+//! (`SegmentMode::Mmap`: zero-copy windows the block cache evicts).
 
 use super::data::uncached;
 use hillview_bench::harness::{mix, Registered, Suite};
@@ -17,7 +19,7 @@ use hillview_columnar::udf::UdfRegistry;
 use hillview_columnar::{ColumnKind, NullMask, Predicate, SegmentMode, Table, TempDir};
 use hillview_core::dataset::SourceRegistry;
 use hillview_core::erased::erase;
-use hillview_core::{Cluster, ClusterConfig, Engine, HvcDirSource};
+use hillview_core::{Cluster, ClusterConfig, DatasetId, Engine, HvcDirSource};
 use hillview_sketch::histogram::HistogramSketch;
 use hillview_sketch::BucketSpec;
 use hillview_storage::SpillingWriter;
@@ -28,9 +30,10 @@ use std::time::Instant;
 pub const SUITE: Registered = Registered {
     name: "ooc",
     about: "out-of-core tiered storage, 4M rows: cold vs warm filtered histogram through lazy \
-            block residency at a block-cache budget one tenth of the file, vs the heap-resident \
-            baseline (median ns); mapped ≡ heap and ≤ 20% of file bytes faulted for a \
-            zone-skippable 5% band asserted before timing",
+            block residency — the pinned pread tier and the evictable mmap tier — at a \
+            block-cache budget one tenth of the file, vs the heap-resident baseline (median \
+            ns); mapped ≡ heap and ≤ 20% of file bytes faulted for a zone-skippable 5% band \
+            asserted for each tier before timing",
     run,
 };
 
@@ -63,13 +66,15 @@ fn spill_dataset() -> (TempDir, u64) {
     (dir, bytes)
 }
 
-/// A cluster whose per-worker block cache holds one tenth of the file:
-/// the dataset is 10x "RAM" and residency must stay partial.
-fn ooc_engine(dir: &Path, block_cache_bytes: usize) -> Engine {
+/// The lazy tiers, as the variants and cases name them.
+const TIERS: [(&str, SegmentMode); 2] = [("pread", SegmentMode::Auto), ("mmap", SegmentMode::Mmap)];
+
+/// A cluster over the part directory opened under `mode`, whose per-worker
+/// block cache holds one tenth of the file: the dataset is 10x "RAM" and
+/// residency must stay partial.
+fn ooc_engine(dir: &Path, mode: SegmentMode, block_cache_bytes: usize) -> Engine {
     let mut sources = SourceRegistry::new();
-    sources.register(Arc::new(HvcDirSource::new("mapped", dir)));
-    let heap = HvcDirSource::with_mode("heap", dir, SegmentMode::Heap);
-    sources.register(Arc::new(heap));
+    sources.register(Arc::new(HvcDirSource::with_mode("parts", dir, mode)));
     let cfg = ClusterConfig {
         block_cache_bytes,
         ..cluster_config(2, 4, 125_000)
@@ -77,46 +82,68 @@ fn ooc_engine(dir: &Path, block_cache_bytes: usize) -> Engine {
     Engine::new(Cluster::new(cfg, sources, UdfRegistry::with_builtins()))
 }
 
+/// One lazy tier after its cold query: an engine of its own, so the block
+/// cache counters are the tier's alone.
+struct Tier {
+    name: &'static str,
+    engine: Engine,
+    dataset: DatasetId,
+    cold_ns: u128,
+    bytes_faulted: u64,
+}
+
 fn run(suite: &mut Suite) {
     let (dir, total_file_bytes) = spill_dataset();
     let budget = (total_file_bytes / 10) as usize;
-    let engine = ooc_engine(dir.path(), budget);
     let sk = erase(HistogramSketch::streaming(
         "X",
         BucketSpec::numeric(0.0, ROWS as f64, 32),
     ));
     // The zone-skippable drill-down: 5% of the sorted ramp, result cache
     // off so every query really scans.
-    let band = |dataset| {
+    let band = |engine: &Engine, dataset| {
         let band = Predicate::range("X", 1_000_000.0, 1_200_000.0);
         engine
             .run_filtered_erased(dataset, band, &sk, &uncached())
             .unwrap()
     };
 
-    // Cold: fresh engine, headers just probed, zero payload bytes
-    // resident — the first drill-down pays the pruned disk reads.
-    let mapped = engine.load("mapped", 0).unwrap();
-    let started = Instant::now();
-    let cold_outcome = band(mapped);
-    let cold_ns = started.elapsed().as_nanos();
-    let bytes_faulted = engine.cluster().block_cache_stats().bytes_faulted;
-    let fault_fraction = bytes_faulted as f64 / total_file_bytes as f64;
-    assert!(
-        fault_fraction <= 0.20,
-        "zone-skippable band faulted {:.1}% of file bytes (> 20%)",
-        fault_fraction * 100.0
-    );
-    let heap = engine.load("heap", 0).unwrap();
-    assert!(
-        cold_outcome.bytes == band(heap).bytes,
-        "mapped result diverged from heap-resident"
-    );
+    let heap_engine = ooc_engine(dir.path(), SegmentMode::Heap, budget);
+    let heap = heap_engine.load("parts", 0).unwrap();
+    let heap_answer = band(&heap_engine, heap).bytes;
+    // Cold, per tier: fresh engine, headers just probed, zero payload
+    // bytes resident — the first drill-down pays the pruned disk reads.
+    let tiers = TIERS.map(|(name, mode)| {
+        let engine = ooc_engine(dir.path(), mode, budget);
+        let dataset = engine.load("parts", 0).unwrap();
+        let started = Instant::now();
+        let cold_outcome = band(&engine, dataset);
+        let cold_ns = started.elapsed().as_nanos();
+        let bytes_faulted = engine.cluster().block_cache_stats().bytes_faulted;
+        assert!(
+            bytes_faulted * 5 <= total_file_bytes,
+            "{name}: zone-skippable band faulted {bytes_faulted} of {total_file_bytes} file \
+             bytes (> 20%)"
+        );
+        assert!(
+            cold_outcome.bytes == heap_answer,
+            "{name} result diverged from heap-resident"
+        );
+        Tier {
+            name,
+            engine,
+            dataset,
+            cold_ns,
+            bytes_faulted,
+        }
+    });
 
-    let cluster = engine.cluster();
     let file_over_budget = total_file_bytes as f64 / budget.max(1) as f64;
-    let mapped_span = cluster.dataset_mapped_bytes(mapped);
-    let heap_baseline = cluster.dataset_heap_bytes(heap);
+    let mapped_span = tiers[0]
+        .engine
+        .cluster()
+        .dataset_mapped_bytes(tiers[0].dataset);
+    let heap_baseline = heap_engine.cluster().dataset_heap_bytes(heap);
     suite
         .case("dataset")
         .fact("rows", ROWS as f64)
@@ -125,25 +152,28 @@ fn run(suite: &mut Suite) {
         .fact("file_over_budget", file_over_budget)
         .fact("mapped_span_bytes", mapped_span as f64)
         .fact("heap_baseline_bytes", heap_baseline as f64);
-    // Warm mapped vs heap-resident baseline: the identical query once
+    // Warm lazy tiers vs heap-resident baseline: the identical query once
     // residency (resp. the heap) is populated.
-    let mode = if cfg!(feature = "ooc") {
-        "mmap (zero-copy, evictable)"
-    } else {
-        "pread (lazy, pinned)"
-    };
-    suite
-        .case("filtered_histogram")
-        .label("mode", mode)
-        .fact("cold_ns", cold_ns as f64)
-        .time("warm_mapped", || band(mapped))
-        .time("warm_heap", || band(heap))
-        .ratio("warm_over_heap", "warm_mapped", "warm_heap");
-    let evictions = cluster.block_cache_stats().evictions;
-    suite
-        .case("io_pruning")
-        .fact("bytes_faulted", bytes_faulted as f64)
-        .fact("total_file_bytes", total_file_bytes as f64)
-        .fact("fault_fraction", fault_fraction)
-        .fact("evictions", evictions as f64);
+    let warm = suite.case("filtered_histogram");
+    for t in &tiers {
+        warm.time(&format!("warm_{}", t.name), || band(&t.engine, t.dataset));
+    }
+    warm.time("warm_heap", || band(&heap_engine, heap));
+    for t in &tiers {
+        let variant = format!("warm_{}", t.name);
+        warm.ratio(&format!("{}_over_heap", t.name), &variant, "warm_heap");
+    }
+    for t in &tiers {
+        let evictions = t.engine.cluster().block_cache_stats().evictions;
+        suite
+            .case(&format!("io_pruning_{}", t.name))
+            .fact("cold_ns", t.cold_ns as f64)
+            .fact("bytes_faulted", t.bytes_faulted as f64)
+            .fact("total_file_bytes", total_file_bytes as f64)
+            .fact(
+                "fault_fraction",
+                t.bytes_faulted as f64 / total_file_bytes as f64,
+            )
+            .fact("evictions", evictions as f64);
+    }
 }

@@ -99,17 +99,11 @@ pub fn forced_scalar<R>(f: impl FnOnce() -> R) -> R {
 /// Where and from what a run was recorded: the envelope lines every suite
 /// of the run shares, named as `benchmark/` names them.
 fn envelope() -> String {
-    let features = if cfg!(feature = "ooc") {
-        "ooc"
-    } else {
-        "none (default features)"
-    };
     format!(
-        "  \"host_cores\": {},\n  \"simd_active\": {},\n  \"cargo_features\": {},\n  \
-         \"rustc\": {},\n  \"git_revision\": {},\n  \"samples\": {SAMPLES},\n",
+        "  \"host_cores\": {},\n  \"simd_active\": {},\n  \"rustc\": {},\n  \
+         \"git_revision\": {},\n  \"samples\": {SAMPLES},\n",
         host_cores(),
         simd::active(),
-        quote(features),
         quote(env!("HILLVIEW_BENCH_RUSTC")),
         quote(&git_revision())
     )
@@ -431,7 +425,7 @@ mod tests {
         assert_eq!(s.to_json(env), want);
         assert_eq!(s.to_json(env), want, "a second rendering differs");
         let real = envelope();
-        for field in "host_cores simd_active cargo_features rustc git_revision samples".split(' ') {
+        for field in "host_cores simd_active rustc git_revision samples".split(' ') {
             assert!(real.contains(&format!("  \"{field}\": ")), "{field}");
         }
         assert_eq!(s.table().render().lines().count(), 2 + 6);

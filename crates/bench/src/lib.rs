@@ -24,7 +24,7 @@
 //! **The file.** `schema` (1), `suite`, `about`; where it was recorded:
 //! `host_cores` (nothing here is a scaling result on 2), `simd_active`
 //! (whether runtime dispatch found a vector tier; `*_scalar` variants pin
-//! the fallback either way), `cargo_features`, `rustc`, `git_revision`
+//! the fallback either way), `rustc`, `git_revision`
 //! (`+dirty` when the tree differed from it in more than these files);
 //! `samples` per timed variant; then per case its `labels` (strings),
 //! `facts` (numbers that are not medians of the harness's samples: sizes,

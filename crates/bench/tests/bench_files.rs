@@ -28,6 +28,8 @@ fn committed_bench_files_are_the_registered_suites() {
         let text = std::fs::read_to_string(bench_json_path(suite)).unwrap();
         let head = format!("{{\n  \"schema\": 1,\n  \"suite\": \"{suite}\",\n");
         assert!(text.starts_with(&head), "BENCH_{suite}.json: {text:.60}");
-        assert!(!text.contains("simd_available"), "BENCH_{suite}.json");
+        for retired in ["simd_available", "cargo_features"] {
+            assert!(!text.contains(retired), "BENCH_{suite}.json: {retired}");
+        }
     }
 }

@@ -430,16 +430,11 @@ impl<T: PackedInt> IntStorage<T> {
         }
     }
 
-    /// Rebuild a storage from its parts (used by `hvc` decode, which
-    /// preserves the encoded representation instead of re-analyzing).
-    /// Returns `None` if the parts are structurally inconsistent.
-    pub fn from_bit_packed(base: T, width: u8, len: usize, words: Vec<u64>) -> Option<Self> {
-        Self::from_bit_packed_buf(base, width, len, words.into())
-    }
-
-    /// [`IntStorage::from_bit_packed`] over an arbitrary word buffer —
-    /// the mapped-file (`hvc`) construction path. Validation never
-    /// touches the buffer's bytes, only its length.
+    /// Rebuild a bit-packed storage from its parts (used by `hvc` decode,
+    /// which preserves the encoded representation instead of
+    /// re-analyzing), over an owned or a mapped word buffer. Returns `None`
+    /// if the parts are structurally inconsistent; validation never touches
+    /// the buffer's bytes, only its length.
     pub fn from_bit_packed_buf(
         base: T,
         width: u8,
@@ -467,15 +462,10 @@ impl<T: PackedInt> IntStorage<T> {
         Some(IntStorage::RunLength { values, ends })
     }
 
-    /// Rebuild a delta storage from its parts (`hvc` decode); `None` if
-    /// the anchor or word counts are inconsistent with `len`/`width`.
-    pub fn from_delta(anchors: Vec<T>, width: u8, len: usize, words: Vec<u64>) -> Option<Self> {
-        Self::from_delta_buf(anchors, width, len, words.into())
-    }
-
-    /// [`IntStorage::from_delta`] over an arbitrary word buffer — the
-    /// mapped-file (`hvc`) construction path. Anchors stay owned: every
-    /// frame decode starts from one, so they are resident by design.
+    /// Rebuild a delta storage from its parts (`hvc` decode), over an
+    /// owned or a mapped word buffer; `None` if the anchor or word counts
+    /// are inconsistent with `len`/`width`. Anchors stay owned: every frame
+    /// decode starts from one, so they are resident by design.
     pub fn from_delta_buf(
         anchors: Vec<T>,
         width: u8,
@@ -1740,19 +1730,25 @@ mod tests {
 
     #[test]
     fn from_parts_validates() {
-        assert!(I64Storage::from_bit_packed(0, 64, 10, vec![]).is_none());
-        assert!(I64Storage::from_bit_packed(0, 3, 10, vec![0]).is_some());
-        assert!(I64Storage::from_bit_packed(0, 3, 100, vec![0]).is_none());
+        let packed = |width, len, words: Vec<u64>| {
+            I64Storage::from_bit_packed_buf(0, width, len, words.into())
+        };
+        assert!(packed(64, 10, vec![]).is_none());
+        assert!(packed(3, 10, vec![0]).is_some());
+        assert!(packed(3, 100, vec![0]).is_none());
         assert!(I64Storage::from_run_length(vec![1, 2], vec![5, 3]).is_none());
         assert!(I64Storage::from_run_length(vec![1], vec![5, 9]).is_none());
         let s = I64Storage::from_run_length(vec![1, 2], vec![3, 5]).unwrap();
         assert_eq!(s.to_vec(), vec![1, 1, 1, 2, 2]);
         // Delta parts: anchor count and word count must match len/width.
-        assert!(I64Storage::from_delta(vec![0], 64, 10, vec![]).is_none());
-        assert!(I64Storage::from_delta(vec![0], 1, 10, vec![0]).is_some());
-        assert!(I64Storage::from_delta(vec![0, 0], 1, 10, vec![0]).is_none());
-        assert!(I64Storage::from_delta(vec![0], 1, 100, vec![0]).is_none());
-        let s = I64Storage::from_delta(vec![5], 0, 3, vec![]).unwrap();
+        let delta = |anchors, width, len, words: Vec<u64>| {
+            I64Storage::from_delta_buf(anchors, width, len, words.into())
+        };
+        assert!(delta(vec![0], 64, 10, vec![]).is_none());
+        assert!(delta(vec![0], 1, 10, vec![0]).is_some());
+        assert!(delta(vec![0, 0], 1, 10, vec![0]).is_none());
+        assert!(delta(vec![0], 1, 100, vec![0]).is_none());
+        let s = delta(vec![5], 0, 3, vec![]).unwrap();
         assert_eq!(s.to_vec(), vec![5, 5, 5]);
     }
 

@@ -124,7 +124,7 @@
 //! ## Safety & invariants
 //!
 //! This is the only workspace crate (outside `vendor/`) that uses `unsafe`,
-//! and every use falls into one of three audited families:
+//! and every use falls into one of four audited families:
 //!
 //! 1. **SIMD intrinsics** (`simd.rs`, `encoding.rs`): every `#[target_feature]`
 //!    kernel is called only behind a runtime `is_x86_feature_detected!` check,
@@ -140,6 +140,14 @@
 //! 3. **`Pod` reinterpretation** (`residency.rs`): byte-slice casts are
 //!    restricted to the sealed `Pod` trait (`u32`/`i64`/`f64`/`u64`), whose
 //!    implementations have no padding and accept any bit pattern.
+//! 4. **The mapping FFI** (`residency/mmap.rs`, unix): `mmap`, `munmap` and
+//!    `madvise` declared against the libc `std` already links. A mapping is
+//!    read-only and private, made only over sealed part files (the contract
+//!    of the one `unsafe fn`, `Mmap::map`), unmapped once in `Drop`, and
+//!    `MADV_DONTNEED` is advised only on ranges clipped to it — dropped
+//!    pages refault identical bytes, so eviction is sound under outstanding
+//!    borrows. Miri never reaches the calls: [`Segment::open`] skips the
+//!    mapping under `cfg(miri)`.
 //!
 //! Every `unsafe` site carries a `// SAFETY:` comment; `hillview-lint`
 //! (rule `safety-comment`) fails CI when one is missing, and

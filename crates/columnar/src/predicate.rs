@@ -1371,11 +1371,6 @@ impl Predicate {
         canon_node(self, false, table).encode(&mut out);
         out
     }
-
-    /// 64-bit identity hash of [`Predicate::canonical_bytes`].
-    pub fn identity_hash(&self, table: Option<&Table>) -> u64 {
-        fnv1a(FNV_OFFSET, &self.canonical_bytes(table))
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -2147,7 +2142,7 @@ mod tests {
     // --- canonicalization + identity hashing ---
 
     fn hash_of(p: &Predicate, t: Option<&Table>) -> u64 {
-        p.identity_hash(t)
+        fnv1a(FNV_OFFSET, &p.canonical_bytes(t))
     }
 
     #[test]

@@ -10,22 +10,24 @@
 //!
 //! # Residency tiers
 //!
-//! A segment opens in one of three backings, best first:
+//! Every build compiles all three backings; a [`SegmentMode`] picks one
+//! per open, at run time:
 //!
-//! * **Mmap** (`ooc` feature, unix): the file is mapped read-only and
-//!   column buffers borrow file bytes directly — zero copies, zero heap.
-//!   Chunks are *evictable*: eviction is `madvise(MADV_DONTNEED)`, which
-//!   drops the physical pages; the kernel refaults identical bytes from the
-//!   file on the next access, so eviction is always safe even under
-//!   outstanding borrows.
-//! * **Pread** (unix, no feature needed): a lazily-committed anonymous
+//! * **Mmap** (unix, [`SegmentMode::Mmap`]): the file is mapped read-only
+//!   (the private `mmap` module) and column buffers borrow file bytes
+//!   directly — zero copies, zero heap. Chunks are *evictable*: eviction is
+//!   `madvise(MADV_DONTNEED)`, which drops the physical pages; the kernel
+//!   refaults identical bytes from the file on the next access, so eviction
+//!   is always safe even under outstanding borrows. A refused mapping (and
+//!   Miri, which has no `mmap`) falls through to the pread backing.
+//! * **Pread** (unix, [`SegmentMode::Auto`]): a lazily-committed anonymous
 //!   buffer the size of the file, filled chunk-at-a-time with
 //!   `pread(2)`-style `read_at` on first touch. Chunks fault lazily but are
 //!   *pinned* once resident (overwriting them under outstanding borrows
 //!   would race), so the cache budget is best-effort for this tier.
-//! * **Heap**: the whole file is read at open. Fully resident, no faulting,
-//!   no cache participation — the fallback for non-unix targets and
-//!   `SegmentMode::Heap` callers.
+//! * **Heap** ([`SegmentMode::Heap`], and every mode off unix): the whole
+//!   file is read at open. Fully resident, no faulting, no cache
+//!   participation.
 //!
 //! # Touch-for-accounting
 //!
@@ -55,22 +57,22 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
+#[cfg(unix)]
+mod mmap;
+
 /// Residency/fault granularity in bytes. A multiple of every common page
 /// size so chunk boundaries are always `madvise`-alignable.
 pub const CHUNK_BYTES: usize = 64 * 1024;
 
-/// How [`Segment::open`] should back the file. `Auto` picks the best tier
-/// available (mmap under the `ooc` feature, else pread, else heap).
+/// How [`Segment::open`] should back the file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SegmentMode {
-    /// Best available backing.
+    /// Lazily-faulted, pinned pread buffer (heap off-unix).
     #[default]
     Auto,
-    /// Require zero-copy mapping; falls back to pread when the `ooc`
-    /// feature is off (or mapping fails), to heap off-unix.
+    /// Zero-copy file mapping whose chunks the block cache evicts (unix);
+    /// opens as `Auto` does when the mapping is refused.
     Mmap,
-    /// Lazily-faulted pread buffer (heap off-unix).
-    Pread,
     /// Read the whole file eagerly; no lazy residency.
     Heap,
 }
@@ -127,8 +129,8 @@ impl Drop for RawBuf {
 
 enum Backing {
     /// Zero-copy read-only file mapping (evictable chunks).
-    #[cfg(all(feature = "ooc", unix))]
-    Mmap(memmap2::Mmap),
+    #[cfg(unix)]
+    Mmap(mmap::Mmap),
     /// Anonymous buffer filled by `read_at` on first touch (pinned chunks).
     #[cfg(unix)]
     Pread { file: File, buf: RawBuf },
@@ -181,23 +183,23 @@ impl Segment {
         Ok(seg)
     }
 
-    #[allow(unused_mut, unused_variables)]
     fn pick_backing(file: File, len: usize, mode: SegmentMode) -> io::Result<Backing> {
-        if matches!(mode, SegmentMode::Heap) {
+        if mode == SegmentMode::Heap {
             return Self::heap_backing(file, len);
-        }
-        #[cfg(all(feature = "ooc", unix))]
-        if matches!(mode, SegmentMode::Auto | SegmentMode::Mmap) {
-            // On failure fall through to the pread tier.
-            // SAFETY: segment files are immutable once written (the store
-            // never rewrites a sealed column file), which is the contract
-            // `Mmap::map` needs — no live mutation can race the mapping.
-            if let Ok(map) = unsafe { memmap2::Mmap::map(&file) } {
-                return Ok(Backing::Mmap(map));
-            }
         }
         #[cfg(unix)]
         {
+            // Miri has no `mmap`: it skips the call and falls through to
+            // the pread tier, as a refused mapping does.
+            if mode == SegmentMode::Mmap && !cfg!(miri) {
+                // SAFETY: segment files are immutable once written (the
+                // store never rewrites a sealed column file), which is the
+                // contract `Mmap::map` needs — no live mutation can race
+                // the mapping.
+                if let Ok(map) = unsafe { mmap::Mmap::map(&file) } {
+                    return Ok(Backing::Mmap(map));
+                }
+            }
             Ok(Backing::Pread {
                 file,
                 buf: RawBuf::zeroed(len),
@@ -253,13 +255,10 @@ impl Segment {
     /// True when chunks of this segment can be evicted and refaulted
     /// (mmap backing only).
     fn evictable(&self) -> bool {
-        #[cfg(all(feature = "ooc", unix))]
-        {
-            matches!(self.backing, Backing::Mmap(_))
-        }
-        #[cfg(not(all(feature = "ooc", unix)))]
-        {
-            false
+        match self.backing {
+            #[cfg(unix)]
+            Backing::Mmap(_) => true,
+            _ => false,
         }
     }
 
@@ -270,8 +269,8 @@ impl Segment {
 
     fn base_ptr(&self) -> *const u8 {
         match &self.backing {
-            #[cfg(all(feature = "ooc", unix))]
-            Backing::Mmap(m) => m.as_ptr(),
+            #[cfg(unix)]
+            Backing::Mmap(m) => m.as_slice().as_ptr(),
             #[cfg(unix)]
             Backing::Pread { buf, .. } => buf.ptr,
             Backing::Heap(buf) => buf.ptr,
@@ -351,7 +350,7 @@ impl Segment {
     /// the pages on first access; we only account).
     fn populate(&self, c: usize) {
         match &self.backing {
-            #[cfg(all(feature = "ooc", unix))]
+            #[cfg(unix)]
             Backing::Mmap(_) => {}
             #[cfg(unix)]
             Backing::Pread { file, buf } => {
@@ -411,14 +410,13 @@ impl Segment {
 
     /// Drop the physical pages of chunk `c`. Only called for evictable
     /// (mmap) backings; returns false if the kernel refused.
-    #[cfg_attr(not(all(feature = "ooc", unix)), allow(unused_variables))]
+    #[cfg_attr(not(unix), allow(unused_variables))]
     fn evict_chunk(&self, c: usize) -> bool {
         match &self.backing {
-            #[cfg(all(feature = "ooc", unix))]
+            #[cfg(unix)]
             Backing::Mmap(m) => m
                 .advise_dontneed(c * CHUNK_BYTES, self.chunk_len(c))
                 .is_ok(),
-            #[allow(unreachable_patterns)]
             _ => false,
         }
     }
@@ -905,18 +903,20 @@ mod tests {
         vals.iter().flat_map(|v| v.to_le_bytes()).collect()
     }
 
+    /// The two lazily-resident tiers: every residency property holds under
+    /// both.
+    const LAZY: [SegmentMode; 2] = [SegmentMode::Auto, SegmentMode::Mmap];
+
     #[test]
     fn mapped_buf_reads_file_values_in_every_mode() {
         let vals: Vec<i64> = (0..50_000).map(|i| i * 3 - 7).collect();
         let (_dir, path) = write_tmp("modes.bin", &le_bytes(&vals));
-        for mode in [
-            SegmentMode::Auto,
-            SegmentMode::Mmap,
-            SegmentMode::Pread,
-            SegmentMode::Heap,
-        ] {
+        for mode in [SegmentMode::Auto, SegmentMode::Mmap, SegmentMode::Heap] {
             let cache = BlockCache::unbounded();
             let seg = Segment::open(&path, mode, &cache).unwrap();
+            assert_eq!(seg.is_heap(), mode == SegmentMode::Heap || cfg!(not(unix)));
+            let mapped = mode == SegmentMode::Mmap && cfg!(all(unix, not(miri)));
+            assert_eq!(seg.is_mapped(), mapped, "{mode:?}");
             let buf = ValueBuf::<i64>::mapped(seg, 0, vals.len()).unwrap();
             assert_eq!(buf.slice(), &vals[..], "{mode:?}");
             assert_eq!(buf.hot(100..164)[100..164], vals[100..164], "{mode:?}");
@@ -927,39 +927,43 @@ mod tests {
     fn untouched_chunks_never_fault() {
         let vals: Vec<i64> = (0..100_000).collect(); // 800 KB ≈ 13 chunks
         let (_dir, path) = write_tmp("lazy.bin", &le_bytes(&vals));
-        let cache = BlockCache::unbounded();
-        let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
-        let buf = ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, vals.len()).unwrap();
-        // Touch one 64-row frame: at most 2 chunks fault.
-        assert_eq!(buf.hot(0..64)[0..64], vals[0..64]);
-        let s = cache.stats();
-        assert!(s.faults <= 2, "faulted {} chunks for one frame", s.faults);
-        assert!(
-            (s.bytes_faulted as usize) < seg.len() / 4,
-            "one frame faulted {} of {} file bytes",
-            s.bytes_faulted,
-            seg.len()
-        );
+        for mode in LAZY {
+            let cache = BlockCache::unbounded();
+            let seg = Segment::open(&path, mode, &cache).unwrap();
+            let buf = ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, vals.len()).unwrap();
+            // Touch one 64-row frame: at most 2 chunks fault.
+            assert_eq!(buf.hot(0..64)[0..64], vals[0..64]);
+            let s = cache.stats();
+            assert!(s.faults <= 2, "faulted {} chunks for one frame", s.faults);
+            assert!(
+                (s.bytes_faulted as usize) < seg.len() / 4,
+                "one frame faulted {} of {} file bytes under {mode:?}",
+                s.bytes_faulted,
+                seg.len()
+            );
+        }
     }
 
     #[test]
     fn repeated_touches_hit_not_fault() {
         let vals: Vec<i64> = (0..20_000).collect();
         let (_dir, path) = write_tmp("hits.bin", &le_bytes(&vals));
-        let cache = BlockCache::unbounded();
-        let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
-        let buf = ValueBuf::<i64>::mapped(seg, 0, vals.len()).unwrap();
-        buf.slice();
-        let faults_once = cache.stats().faults;
-        buf.slice();
-        buf.hot(5..500);
-        let s = cache.stats();
-        assert_eq!(s.faults, faults_once, "re-touch refaulted");
-        assert!(s.hits >= 2);
+        for mode in LAZY {
+            let cache = BlockCache::unbounded();
+            let seg = Segment::open(&path, mode, &cache).unwrap();
+            let buf = ValueBuf::<i64>::mapped(seg, 0, vals.len()).unwrap();
+            buf.slice();
+            let faults_once = cache.stats().faults;
+            buf.slice();
+            buf.hot(5..500);
+            let s = cache.stats();
+            assert_eq!(s.faults, faults_once, "re-touch refaulted under {mode:?}");
+            assert!(s.hits >= 2);
+        }
     }
 
-    #[cfg(feature = "ooc")]
     #[test]
+    #[cfg_attr(any(miri, not(unix)), ignore)]
     fn tiny_budget_evicts_and_rereads_correctly() {
         let vals: Vec<i64> = (0..200_000i64)
             .map(|i| i.wrapping_mul(0x9E37_79B9))
@@ -968,15 +972,18 @@ mod tests {
         // 1.6 MB file, 128 KiB budget (2 chunks): heavy churn.
         let cache = BlockCache::new(2 * CHUNK_BYTES);
         let seg = Segment::open(&path, SegmentMode::Mmap, &cache).unwrap();
-        assert!(seg.is_mapped(), "mmap backing expected under ooc");
+        assert!(seg.is_mapped(), "mmap backing expected");
         let buf = ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, vals.len()).unwrap();
+        let heap_seg = Segment::open(&path, SegmentMode::Heap, &cache).unwrap();
+        let heap = ValueBuf::<i64>::mapped(heap_seg, 0, vals.len()).unwrap();
+        assert_eq!(heap.slice(), &vals[..]);
         for round in 0..3 {
             let mut i = 0;
             while i < vals.len() {
                 let end = (i + 64).min(vals.len());
                 assert_eq!(
                     buf.hot(i..end)[i..end],
-                    vals[i..end],
+                    heap.slice()[i..end],
                     "round {round} at {i}"
                 );
                 i = end;
@@ -996,23 +1003,26 @@ mod tests {
         let vals: Vec<i64> = (0..50_000).collect();
         let (_dir, path) = write_tmp("drop.bin", &le_bytes(&vals));
         let cache = BlockCache::unbounded();
-        {
-            let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
+        for mode in LAZY {
+            let seg = Segment::open(&path, mode, &cache).unwrap();
             let buf = ValueBuf::<i64>::mapped(seg, 0, vals.len()).unwrap();
             buf.slice();
             assert!(cache.stats().resident_bytes > 0);
+            drop(buf);
+            assert_eq!(cache.stats().resident_bytes, 0, "{mode:?}");
         }
-        assert_eq!(cache.stats().resident_bytes, 0);
     }
 
     #[test]
     fn mapped_window_validation() {
         let (_dir, path) = write_tmp("valid.bin", &le_bytes(&[1, 2, 3, 4]));
         let cache = BlockCache::unbounded();
-        let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
-        assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, 4).is_ok());
-        assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, 5).is_err());
-        assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 3, 1).is_err());
+        for mode in LAZY {
+            let seg = Segment::open(&path, mode, &cache).unwrap();
+            assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, 4).is_ok());
+            assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, 5).is_err());
+            assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 3, 1).is_err());
+        }
     }
 
     #[test]
@@ -1020,15 +1030,17 @@ mod tests {
         let vals: Vec<i64> = (0..5_000).map(|i| i * i).collect();
         let (_dir, path) = write_tmp("eq.bin", &le_bytes(&vals));
         let cache = BlockCache::unbounded();
-        let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
-        let mapped = ValueBuf::<i64>::mapped(seg, 0, vals.len()).unwrap();
         let owned: ValueBuf<i64> = vals.into();
-        assert_eq!(owned, mapped);
         assert_eq!(owned.heap_bytes(), 5_000 * 8);
-        #[cfg(unix)]
-        {
-            assert_eq!(mapped.heap_bytes(), 0);
-            assert_eq!(mapped.mapped_bytes(), 5_000 * 8);
+        for mode in LAZY {
+            let seg = Segment::open(&path, mode, &cache).unwrap();
+            let mapped = ValueBuf::<i64>::mapped(seg, 0, owned.len()).unwrap();
+            assert_eq!(owned, mapped);
+            #[cfg(unix)]
+            {
+                assert_eq!(mapped.heap_bytes(), 0, "{mode:?}");
+                assert_eq!(mapped.mapped_bytes(), 5_000 * 8, "{mode:?}");
+            }
         }
     }
 

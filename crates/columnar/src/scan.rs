@@ -22,12 +22,11 @@
 //!   row-weighted sub-ranges (halving recursively) *without materializing
 //!   row ids*, so a work-stealing executor can fan a single partition out
 //!   across cores and fold the partial summaries back in range order.
-//! * [`scan_values`] / [`scan_value_runs`] / [`scan_rows`] /
-//!   [`count_missing`] — typed drivers built on **one block loop**
-//!   ([`crate::block::scan_blocks`]): every selection shape decodes into
-//!   64-row-aligned [`Block`] frames (value lanes +
-//!   selection word + validity word), with one null-word fetch per frame
-//!   and a branch-free inner loop whenever a frame is fully live (the
+//! * [`scan_values`] / [`scan_rows`] / [`count_missing`] — typed drivers
+//!   built on **one block loop** ([`crate::block::scan_blocks`]): every
+//!   selection shape decodes into 64-row-aligned [`Block`] frames (value
+//!   lanes + selection word + validity word), with one null-word fetch per
+//!   frame and a branch-free inner loop whenever a frame is fully live (the
 //!   *dense fast path*). Plain storage borrows its lanes zero-copy; packed
 //!   storages decode whole frames through the encoding layer's block
 //!   decoders. There is no per-variant driver duplication — the `Block`
@@ -596,18 +595,6 @@ impl<'a> SplittableSelection<'a> {
         }
     }
 
-    /// A bounded piece; the weight is computed (O(words) worst case).
-    pub fn with_bounds(members: &'a MembershipSet, start: usize, end: usize) -> Self {
-        let end = end.min(members.universe());
-        let start = start.min(end);
-        SplittableSelection {
-            members,
-            start,
-            end,
-            weight: members.count_range(start, end),
-        }
-    }
-
     /// Rebuild a piece from bounds plus an already-known weight (executors
     /// ship `(start, end, weight)` across task boundaries).
     pub fn with_weight(
@@ -751,62 +738,6 @@ pub fn scan_values<T: Copy + Default, S: ScanSource<T> + ?Sized>(
         _t: std::marker::PhantomData,
     };
     scan_blocks(sel, data, nulls, missing, &mut sink);
-}
-
-/// Receiver for [`scan_value_runs`]: dense null-free runs arrive as whole
-/// slices via [`RunSink::run`], everything else (masked words, null
-/// neighborhoods, sparse rows) value-at-a-time via [`RunSink::one`].
-pub trait RunSink<T> {
-    /// A dense, null-free run of selected values.
-    fn run(&mut self, run: &[T]);
-    /// A single selected, non-null value.
-    fn one(&mut self, v: T);
-}
-
-/// Like [`scan_values`], but fully-live frames are handed to the sink as
-/// whole decoded slices (at most 64 values) instead of value-at-a-time —
-/// the slice-level face of the block pipeline for consumers that want
-/// blocked arithmetic without tracking words. The in-tree hot kernels
-/// (histogram, moments) implement [`BlockSink`] directly instead, which
-/// additionally exposes each frame's selection and validity words.
-///
-/// Every selected non-null value reaches exactly one of the sink's two
-/// methods, in ascending row order overall.
-pub fn scan_value_runs<T: Copy + Default, D: ScanSource<T> + ?Sized, S: RunSink<T>>(
-    sel: &Selection<'_>,
-    data: &D,
-    nulls: Option<&Bitmap>,
-    missing: &mut u64,
-    sink: &mut S,
-) {
-    struct Runs<'s, T, S: RunSink<T>> {
-        sink: &'s mut S,
-        _t: std::marker::PhantomData<fn(T)>,
-    }
-    impl<T: Copy, S: RunSink<T>> BlockSink<T> for Runs<'_, T, S> {
-        #[inline]
-        fn block(&mut self, b: &Block<'_, T>) {
-            if b.all_live() {
-                self.sink.run(b.values);
-            } else {
-                let mut live = b.live();
-                while live != 0 {
-                    let k = live.trailing_zeros() as usize;
-                    live &= live - 1;
-                    self.sink.one(b.values[k]);
-                }
-            }
-        }
-        #[inline]
-        fn one(&mut self, _row: usize, v: T) {
-            self.sink.one(v);
-        }
-    }
-    let mut adapter = Runs {
-        sink,
-        _t: std::marker::PhantomData,
-    };
-    scan_blocks(sel, data, nulls, missing, &mut adapter);
 }
 
 /// Enumerate the selected row indexes, ascending. For kernels that must
@@ -1144,16 +1075,6 @@ mod tests {
         assert_eq!(r.weight(), 100);
         let (_, mid) = l.bounds();
         assert!((850..=950).contains(&mid), "cut at {mid}");
-    }
-
-    #[test]
-    fn with_bounds_and_with_weight_agree() {
-        for m in memberships() {
-            let a = SplittableSelection::with_bounds(&m, 10, 200);
-            let b = SplittableSelection::with_weight(&m, 10, 200, m.count_range(10, 200));
-            assert_eq!(a.bounds(), b.bounds());
-            assert_eq!(a.weight(), b.weight());
-        }
     }
 
     #[test]

@@ -94,11 +94,10 @@ pub struct ClusterConfig {
     pub cache_budget_bytes: usize,
     /// Byte budget of each worker's block-residency cache: chunks of
     /// mapped (out-of-core) columns faulted in by scans are charged here,
-    /// and — under the `ooc` feature — evicted LRU past this bound so a
-    /// worker can browse datasets far larger than its memory. `0` means
-    /// unbounded. Overridable at cluster construction with the
-    /// `HILLVIEW_BLOCK_CACHE_BYTES` environment variable (CI shrinks it to
-    /// force eviction churn without rebuilding configs).
+    /// and those of a source opened with
+    /// [`SegmentMode::Mmap`](hillview_columnar::SegmentMode) are evicted
+    /// LRU past this bound, so a worker can browse datasets far larger
+    /// than its memory. `0` means unbounded.
     pub block_cache_bytes: usize,
 }
 
@@ -132,16 +131,6 @@ impl ClusterConfig {
             cache_budget_bytes: 32 << 20,
             block_cache_bytes: 256 << 20,
         }
-    }
-
-    /// The effective block-cache budget: the `HILLVIEW_BLOCK_CACHE_BYTES`
-    /// environment variable when set and parseable, else
-    /// [`ClusterConfig::block_cache_bytes`].
-    pub fn effective_block_cache_bytes(&self) -> usize {
-        std::env::var("HILLVIEW_BLOCK_CACHE_BYTES")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(self.block_cache_bytes)
     }
 }
 

@@ -218,14 +218,15 @@ pub struct HvcDirSource {
 
 impl HvcDirSource {
     /// A source named `name` over the `hvc` files in `dir`, opened with
-    /// the default residency policy ([`SegmentMode::Auto`]: mmap when
-    /// compiled in, lazy pread otherwise).
+    /// the default residency policy ([`SegmentMode::Auto`]: lazily faulted,
+    /// pinned pread buffers).
     pub fn new(name: &str, dir: impl Into<PathBuf>) -> Self {
         Self::with_mode(name, dir, SegmentMode::Auto)
     }
 
-    /// Same, pinning how part files are opened (tests force `Heap` to get
-    /// an eager baseline, `Pread`/`Mmap` to pin a tier).
+    /// Same, choosing how part files are opened: `Mmap` for zero-copy
+    /// windows whose chunks the block cache evicts, `Heap` for an eager
+    /// baseline.
     pub fn with_mode(name: &str, dir: impl Into<PathBuf>, mode: SegmentMode) -> Self {
         HvcDirSource {
             name: name.to_string(),

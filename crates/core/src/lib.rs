@@ -29,17 +29,18 @@
 //!   `hvc` part files loads *mapped* — headers only at load time, column
 //!   payloads faulted in block-granular through a per-worker byte-budgeted
 //!   [`BlockCache`](hillview_columnar::BlockCache)
-//!   ([`ClusterConfig::block_cache_bytes`], env-overridable with
-//!   `HILLVIEW_BLOCK_CACHE_BYTES`) as scans touch them. Zone-map-skipped
+//!   ([`ClusterConfig::block_cache_bytes`]) as scans touch them. Zone-map-skipped
 //!   blocks are never read at all, so a filtered query over a dataset far
 //!   larger than memory faults in only the selected band; results are
 //!   bit-identical to heap-resident execution.
 //!   [`Cluster::dataset_mapped_bytes`] and [`Cluster::block_cache_stats`]
 //!   surface the accounting ([`Cluster::dataset_heap_bytes`] counts only
 //!   owned payloads, and of a mapped dataset's dictionaries those a query
-//!   has presented so far). With the `ooc` cargo feature, mapped columns are
-//!   zero-copy mmap windows and cold chunks are evicted past the budget;
-//!   without it, a portable pread path lazily fills pinned buffers.
+//!   has presented so far). The tier is the source's choice, at run time:
+//!   [`HvcDirSource::new`] fills pinned buffers lazily with positioned
+//!   reads; [`HvcDirSource::with_mode`] with `SegmentMode::Mmap` makes the
+//!   columns zero-copy mmap windows whose cold chunks are evicted past the
+//!   budget.
 //! * **Caches** ([`worker`], [`cache`]): an in-memory column/data cache
 //!   in front of the repository, plus a bounded per-worker LRU
 //!   sketch-result cache for deterministic summaries (§5.4), keyed by

@@ -47,9 +47,9 @@ pub struct Worker {
     datasets: Mutex<HashMap<DatasetId, DatasetEntry>>,
     comp_cache: SketchCache,
     /// Byte-budgeted residency cache for out-of-core (mapped) datasets:
-    /// every chunk a scan faults in is charged here, and under the `ooc`
-    /// feature cold chunks past the budget are evicted back to the file.
-    /// Unused (zero-cost) when every source is in-memory.
+    /// every chunk a scan faults in is charged here, and cold chunks of
+    /// `SegmentMode::Mmap` sources past the budget are evicted back to the
+    /// file. Unused (zero-cost) when every source is in-memory.
     block_cache: Arc<BlockCache>,
     alive: AtomicBool,
     sources: SourceRegistry,
@@ -71,7 +71,7 @@ pub struct Worker {
 impl Worker {
     /// Create worker `id` of the cluster `cfg` describes: its pool
     /// threads, its sketch-result cache budget, and its block-residency
-    /// budget ([`ClusterConfig::effective_block_cache_bytes`]; `0` means
+    /// budget ([`ClusterConfig::block_cache_bytes`]; `0` means
     /// unbounded).
     pub fn new(id: usize, cfg: &ClusterConfig, sources: SourceRegistry, udfs: UdfRegistry) -> Self {
         Worker {
@@ -84,7 +84,7 @@ impl Worker {
             )),
             datasets: Mutex::new(HashMap::new()),
             comp_cache: SketchCache::new(cfg.cache_budget_bytes),
-            block_cache: match cfg.effective_block_cache_bytes() {
+            block_cache: match cfg.block_cache_bytes {
                 0 => BlockCache::unbounded(),
                 budget => BlockCache::new(budget),
             },

@@ -20,21 +20,29 @@
 //! so every assertion message carries the seed: re-run with
 //! `CHAOS_SEED_BASE=<seed> CHAOS_SEEDS=1` to replay a failure exactly.
 //! CI sets `CHAOS_SEEDS=64`; the local default keeps the suite quick.
+//!
+//! The grid runs twice: over in-memory shards, and over spilled `hvc`
+//! parts opened through each lazy residency tier under a 4 KiB block
+//! cache, where the bytes a leaf scans are faulted — and on the mapped
+//! tier evicted — while the adversary is at work.
 
+use bytes::Bytes;
 use hillview_columnar::column::{Column, I64Column};
 use hillview_columnar::udf::UdfRegistry;
-use hillview_columnar::{ColumnKind, Table};
+use hillview_columnar::{ColumnKind, SegmentMode, Table, TempDir};
 use hillview_core::cluster::ClusterConfig;
 use hillview_core::dataset::SourceRegistry;
 use hillview_core::erased::erase;
 use hillview_core::{
-    Cluster, Engine, EngineError, FaultPlan, FaultSpec, FnSource, QueryOptions, RetryPolicy,
+    Cluster, DatasetId, Engine, EngineError, FaultPlan, FaultSpec, FnSource, HvcDirSource,
+    QueryOptions, RetryPolicy,
 };
 use hillview_sketch::count::CountSketch;
 use hillview_sketch::heavy::MisraGriesSketch;
 use hillview_sketch::histogram::HistogramSketch;
 use hillview_sketch::moments::MomentsSketch;
 use hillview_sketch::BucketSpec;
+use hillview_storage::SpillingWriter;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -67,12 +75,17 @@ fn chaos_engine_with_cache_budget(cache_budget_bytes: usize) -> Engine {
     cfg.cache_budget_bytes = cache_budget_bytes;
     let cluster = Cluster::new(cfg, sources, UdfRegistry::with_builtins());
     let mut engine = Engine::new(cluster);
-    engine.retry = RetryPolicy {
+    engine.retry = chaos_retry();
+    engine
+}
+
+/// A tight retry budget, so even pathological schedules stay fast.
+fn chaos_retry() -> RetryPolicy {
+    RetryPolicy {
         attempts: 4,
         base_backoff: Duration::from_micros(200),
         max_backoff: Duration::from_millis(5),
-    };
-    engine
+    }
 }
 
 /// The sketch grid: one representative per summary shape (scalar count,
@@ -104,138 +117,235 @@ fn seed_range() -> impl Iterator<Item = u64> {
     (0..count).map(move |i| base.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
+/// Outcome tallies across a whole grid, printed for CI triage and used to
+/// assert the adversary is not a silent no-op.
+#[derive(Default)]
+struct Tally {
+    complete: u32,
+    degraded: u32,
+    errored: u32,
+    /// Seeds under which at least one fault fired.
+    fired: u32,
+}
+
+/// Fault-free answers of the sketch grid over `data`.
+fn clean_baselines(engine: &Engine, data: DatasetId) -> Vec<Bytes> {
+    sketch_grid()
+        .iter()
+        .map(|(name, sk)| {
+            let opts = QueryOptions {
+                seed: 42,
+                ..Default::default()
+            };
+            let outcome = engine
+                .run_erased(data, sk, &opts)
+                .unwrap_or_else(|e| panic!("clean baseline {name} failed: {e}"));
+            outcome.bytes
+        })
+        .collect()
+}
+
+/// Arm the plan `plan_seed` draws, put the sketch grid over `data` through
+/// it — each query complete and equal to its baseline, a structured error,
+/// or degraded with opt-in — then disarm and hold the healed engine to the
+/// baselines bit for bit.
+fn chaos_then_heal(
+    engine: &Engine,
+    data: DatasetId,
+    baselines: &[Bytes],
+    (nth, plan_seed): (usize, u64),
+    tally: &mut Tally,
+) {
+    // Hard per-query wall-clock bound: worker_timeout (500ms in the test
+    // config) × 4 attempts plus stalls and backoffs sits well under this.
+    const QUERY_BOUND: Duration = Duration::from_secs(30);
+    let grid = sketch_grid();
+    engine
+        .cluster()
+        .arm_faults(FaultPlan::seeded(plan_seed, FaultSpec::chaos()));
+    for (i, (name, sk)) in grid.iter().enumerate() {
+        // Alternate the degradation opt-in across the grid so both
+        // the strict and the tolerant contract get exercised.
+        let allow_degraded = (nth + i) % 2 == 0;
+        let opts = QueryOptions {
+            seed: 42,
+            deadline: Some(Duration::from_secs(20)),
+            allow_degraded,
+            ..Default::default()
+        };
+        let started = Instant::now();
+        let result = engine.run_erased(data, sk, &opts);
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < QUERY_BOUND,
+            "seed {plan_seed:#x} sketch {name}: query took {elapsed:?} — not bounded"
+        );
+        match result {
+            Ok(outcome) if outcome.coverage >= 1.0 => {
+                tally.complete += 1;
+                assert_eq!(
+                    outcome.bytes, baselines[i],
+                    "seed {plan_seed:#x} sketch {name}: complete result diverged from \
+                     fault-free baseline"
+                );
+                assert!(
+                    outcome.failed_workers.is_empty(),
+                    "seed {plan_seed:#x} sketch {name}: full coverage but failed \
+                     workers {:?}",
+                    outcome.failed_workers
+                );
+            }
+            Ok(outcome) => {
+                tally.degraded += 1;
+                assert!(
+                    allow_degraded,
+                    "seed {plan_seed:#x} sketch {name}: degraded result \
+                     (coverage {}) without opt-in",
+                    outcome.coverage
+                );
+                assert!(
+                    !outcome.failed_workers.is_empty(),
+                    "seed {plan_seed:#x} sketch {name}: coverage {} < 1 but no \
+                     failed workers named",
+                    outcome.coverage
+                );
+                assert!(
+                    outcome.coverage > 0.0,
+                    "seed {plan_seed:#x} sketch {name}: zero-coverage result \
+                     should have been an error"
+                );
+            }
+            // Any structured error is within contract; specific
+            // classes are pinned by unit tests. What must never
+            // happen — hangs, escaped panics, aborts — fails the
+            // bound above or the harness itself.
+            Err(_e) => tally.errored += 1,
+        }
+    }
+    tally.fired += engine
+        .cluster()
+        .fault_plan()
+        .map_or(0, |p| u32::from(p.faults_fired() > 0));
+
+    // Heal: disarm and re-run the grid. The cache keys every query
+    // structurally, so the healed re-runs address the very entries
+    // the chaos runs would have written. Whatever the chaos run did —
+    // succeeded (cache holds complete folds), failed (cache must hold
+    // nothing) — the healed engine must reconverge to the clean
+    // baseline bit-for-bit.
+    engine.cluster().disarm_faults();
+    for (i, (name, sk)) in grid.iter().enumerate() {
+        let opts = QueryOptions {
+            seed: 42,
+            ..Default::default()
+        };
+        let outcome = engine.run_erased(data, sk, &opts).unwrap_or_else(|e| {
+            panic!("seed {plan_seed:#x} sketch {name}: healed engine failed: {e}")
+        });
+        assert_eq!(
+            outcome.bytes, baselines[i],
+            "seed {plan_seed:#x} sketch {name}: healed re-run diverged — \
+             a faulted query polluted the computation cache"
+        );
+        assert!(
+            (outcome.coverage - 1.0).abs() < f64::EPSILON,
+            "seed {plan_seed:#x} sketch {name}: healed run not full coverage"
+        );
+    }
+}
+
 /// Every query under chaos terminates with a complete bit-identical
 /// result, a structured error, or an opted-in labelled degraded result —
 /// and the healed engine always reconverges to the clean baseline.
 #[test]
 fn seeded_chaos_grid_preserves_failure_semantics() {
-    // Hard per-query wall-clock bound: worker_timeout (500ms in the test
-    // config) × 4 attempts plus stalls and backoffs sits well under this.
-    const QUERY_BOUND: Duration = Duration::from_secs(30);
-    // Outcome tallies across the whole grid, printed for CI triage and
-    // used to assert the adversary is not a silent no-op.
-    let (mut complete, mut degraded, mut errored, mut healed_from_fault) = (0u32, 0u32, 0u32, 0u32);
-    for (nth, plan_seed) in seed_range().enumerate() {
+    let mut tally = Tally::default();
+    for seed in seed_range().enumerate() {
         let engine = chaos_engine();
-        let data = engine.load("chaos", plan_seed).unwrap();
+        let data = engine.load("chaos", seed.1).unwrap();
         // Clean baselines first, before any fault is armed.
-        let grid = sketch_grid();
-        let baselines: Vec<_> = grid
-            .iter()
-            .map(|(name, sk)| {
-                let opts = QueryOptions {
-                    seed: 42,
-                    ..Default::default()
-                };
-                let outcome = engine
-                    .run_erased(data, sk, &opts)
-                    .unwrap_or_else(|e| panic!("clean baseline {name} failed: {e}"));
-                outcome.bytes
-            })
-            .collect();
-
-        engine
-            .cluster()
-            .arm_faults(FaultPlan::seeded(plan_seed, FaultSpec::chaos()));
-        for (i, (name, sk)) in grid.iter().enumerate() {
-            // Alternate the degradation opt-in across the grid so both
-            // the strict and the tolerant contract get exercised.
-            let allow_degraded = (nth + i) % 2 == 0;
-            let opts = QueryOptions {
-                seed: 42,
-                deadline: Some(Duration::from_secs(20)),
-                allow_degraded,
-                ..Default::default()
-            };
-            let started = Instant::now();
-            let result = engine.run_erased(data, sk, &opts);
-            let elapsed = started.elapsed();
-            assert!(
-                elapsed < QUERY_BOUND,
-                "seed {plan_seed:#x} sketch {name}: query took {elapsed:?} — not bounded"
-            );
-            match result {
-                Ok(outcome) if outcome.coverage >= 1.0 => {
-                    complete += 1;
-                    assert_eq!(
-                        outcome.bytes, baselines[i],
-                        "seed {plan_seed:#x} sketch {name}: complete result diverged from \
-                         fault-free baseline"
-                    );
-                    assert!(
-                        outcome.failed_workers.is_empty(),
-                        "seed {plan_seed:#x} sketch {name}: full coverage but failed \
-                         workers {:?}",
-                        outcome.failed_workers
-                    );
-                }
-                Ok(outcome) => {
-                    degraded += 1;
-                    assert!(
-                        allow_degraded,
-                        "seed {plan_seed:#x} sketch {name}: degraded result \
-                         (coverage {}) without opt-in",
-                        outcome.coverage
-                    );
-                    assert!(
-                        !outcome.failed_workers.is_empty(),
-                        "seed {plan_seed:#x} sketch {name}: coverage {} < 1 but no \
-                         failed workers named",
-                        outcome.coverage
-                    );
-                    assert!(
-                        outcome.coverage > 0.0,
-                        "seed {plan_seed:#x} sketch {name}: zero-coverage result \
-                         should have been an error"
-                    );
-                }
-                // Any structured error is within contract; specific
-                // classes are pinned by unit tests. What must never
-                // happen — hangs, escaped panics, aborts — fails the
-                // bound above or the harness itself.
-                Err(_e) => errored += 1,
-            }
-        }
-        healed_from_fault += engine
-            .cluster()
-            .fault_plan()
-            .map_or(0, |p| u32::from(p.faults_fired() > 0));
-
-        // Heal: disarm and re-run the grid. The cache keys every query
-        // structurally, so the healed re-runs address the very entries
-        // the chaos runs would have written. Whatever the chaos run did —
-        // succeeded (cache holds complete folds), failed (cache must hold
-        // nothing) — the healed engine must reconverge to the clean
-        // baseline bit-for-bit.
-        engine.cluster().disarm_faults();
-        for (i, (name, sk)) in grid.iter().enumerate() {
-            let opts = QueryOptions {
-                seed: 42,
-                ..Default::default()
-            };
-            let outcome = engine.run_erased(data, sk, &opts).unwrap_or_else(|e| {
-                panic!("seed {plan_seed:#x} sketch {name}: healed engine failed: {e}")
-            });
-            assert_eq!(
-                outcome.bytes, baselines[i],
-                "seed {plan_seed:#x} sketch {name}: healed re-run diverged — \
-                 a faulted query polluted the computation cache"
-            );
-            assert!(
-                (outcome.coverage - 1.0).abs() < f64::EPSILON,
-                "seed {plan_seed:#x} sketch {name}: healed run not full coverage"
-            );
-        }
+        let baselines = clean_baselines(&engine, data);
+        chaos_then_heal(&engine, data, &baselines, seed, &mut tally);
     }
     eprintln!(
-        "chaos grid: {complete} complete, {degraded} degraded, {errored} errored; \
-         faults fired in {healed_from_fault} seed(s)"
+        "chaos grid: {} complete, {} degraded, {} errored; faults fired in {} seed(s)",
+        tally.complete, tally.degraded, tally.errored, tally.fired
     );
     assert!(
-        healed_from_fault > 0,
+        tally.fired > 0,
         "the seeded adversary never injected a single fault — the chaos \
          suite is vacuous; check FaultSpec::chaos() rates and site wiring"
     );
+}
+
+/// The same grid over bytes a scan faults in: spilled `hvc` parts opened
+/// through each lazy tier under a 4 KiB block cache, so every part a query
+/// touches pushes out — on the mapped tier, evicts — the one before it
+/// while leaves panic, workers die and datasets are dropped and replayed.
+/// The baseline is the heap-resident answer: complete means equal to it.
+#[test]
+#[cfg_attr(miri, ignore)]
+fn seeded_chaos_grid_over_spilled_parts_under_a_tiny_block_cache() {
+    const ROWS: i64 = 40_000;
+    // A part is a micropartition under every tier (the heap loader splits
+    // at `micropartition_rows`, the lazy ones never split), so the
+    // order-sensitive sketches of the grid see the same row sequences.
+    const PART_ROWS: usize = 5_000;
+    let dir = TempDir::new("chaos-parts");
+    let mut w = SpillingWriter::new(dir.path(), PART_ROWS).unwrap();
+    let x = (0..ROWS).map(|i| Some((i * 7 + i / 1_000 * 13) % 100));
+    let t = Table::builder()
+        .column(
+            "X",
+            ColumnKind::Int,
+            Column::Int(I64Column::from_options(x)),
+        )
+        .build()
+        .unwrap();
+    w.push(&t).unwrap();
+    w.finish().unwrap();
+
+    let engine_over = |mode| {
+        let mut sources = SourceRegistry::new();
+        sources.register(Arc::new(HvcDirSource::with_mode("parts", dir.path(), mode)));
+        let cfg = ClusterConfig {
+            block_cache_bytes: 4096,
+            micropartition_rows: PART_ROWS,
+            ..ClusterConfig::test()
+        };
+        let mut engine = Engine::new(Cluster::new(cfg, sources, UdfRegistry::with_builtins()));
+        engine.retry = chaos_retry();
+        engine
+    };
+    let heap = engine_over(SegmentMode::Heap);
+    let baselines = clean_baselines(&heap, heap.load("parts", 0).unwrap());
+
+    for mode in [SegmentMode::Auto, SegmentMode::Mmap] {
+        let mut tally = Tally::default();
+        let mut evictions = 0;
+        for seed in seed_range().enumerate() {
+            let engine = engine_over(mode);
+            let lazy = engine.load("parts", 0).unwrap();
+            assert_eq!(
+                clean_baselines(&engine, lazy),
+                baselines,
+                "{mode:?}: fault-free answer diverged from heap-resident"
+            );
+            chaos_then_heal(&engine, lazy, &baselines, seed, &mut tally);
+            evictions += engine.cluster().block_cache_stats().evictions;
+        }
+        eprintln!(
+            "chaos grid over {mode:?} parts: {} complete, {} degraded, {} errored; faults \
+             fired in {} seed(s); {evictions} chunks evicted",
+            tally.complete, tally.degraded, tally.errored, tally.fired
+        );
+        assert!(tally.fired > 0, "{mode:?}: no fault was ever injected");
+        if mode == SegmentMode::Mmap && cfg!(all(unix, target_endian = "little")) {
+            assert!(evictions > 0, "a 4 KiB budget over mapped parts must evict");
+        } else {
+            assert_eq!(evictions, 0, "{mode:?} chunks are pinned");
+        }
+    }
 }
 
 /// The outcome trichotomy holds on the **fused** filtered-query path too:

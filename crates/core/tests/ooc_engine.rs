@@ -1,7 +1,9 @@
 //! End-to-end out-of-core execution: a spilled `hvc` part directory loaded
 //! through [`HvcDirSource`] under a deliberately tiny per-worker block
 //! cache, queried fused, faulted, recovered — and bit-identical to the
-//! heap-resident baseline throughout.
+//! heap-resident baseline throughout, under both lazy tiers (the pinned
+//! pread buffers `SegmentMode::Auto` opens and the evictable mapping
+//! `SegmentMode::Mmap` asks for).
 //!
 //! What this pins down, beyond the storage-level property tests:
 //!
@@ -75,17 +77,18 @@ fn spill_dataset(tag: &str) -> TempDir {
     dir
 }
 
+/// The two lazily-resident tiers; every test below runs under both, each
+/// on an engine (and so on block caches) of its own.
+const LAZY: [SegmentMode; 2] = [SegmentMode::Auto, SegmentMode::Mmap];
+
 /// An engine whose "mapped" source opens the part directory through the
-/// residency tiers and whose "heap" source decodes the same files eagerly.
+/// lazy tier `mode` and whose "heap" source decodes the same files eagerly.
 /// The block cache is tiny relative to the dataset so residency churns.
-fn ooc_engine(dir: &Path, block_cache_bytes: usize) -> Engine {
+fn ooc_engine(dir: &Path, mode: SegmentMode, block_cache_bytes: usize) -> Engine {
     let mut sources = SourceRegistry::new();
-    sources.register(Arc::new(HvcDirSource::new("mapped", dir)));
-    sources.register(Arc::new(HvcDirSource::with_mode(
-        "heap",
-        dir,
-        SegmentMode::Heap,
-    )));
+    for (name, mode) in [("mapped", mode), ("heap", SegmentMode::Heap)] {
+        sources.register(Arc::new(HvcDirSource::with_mode(name, dir, mode)));
+    }
     let cfg = ClusterConfig {
         micropartition_rows: 25_000,
         block_cache_bytes,
@@ -106,7 +109,13 @@ fn band() -> Predicate {
 #[test]
 fn mapped_scan_is_bit_identical_to_heap_and_prunes_io() {
     let dir = spill_dataset("ooc-engine-identity");
-    let e = ooc_engine(dir.path(), 64 << 10);
+    for mode in LAZY {
+        identical_and_pruned(dir.path(), mode);
+    }
+}
+
+fn identical_and_pruned(dir: &Path, mode: SegmentMode) {
+    let e = ooc_engine(dir, mode, 64 << 10);
     let mapped = e.load("mapped", 0).unwrap();
     let heap = e.load("heap", 0).unwrap();
 
@@ -130,7 +139,7 @@ fn mapped_scan_is_bit_identical_to_heap_and_prunes_io() {
         let (h, _) = e
             .run_filtered(heap, band(), histogram(), &QueryOptions::default())
             .unwrap();
-        assert_eq!(m, h, "mapped result diverged from heap-resident");
+        assert_eq!(m, h, "{mode:?} result diverged from heap-resident");
         let m: HistogramSummary = m;
         assert_eq!(m.buckets.iter().sum::<u64>(), 10_000, "5% band");
 
@@ -140,7 +149,7 @@ fn mapped_scan_is_bit_identical_to_heap_and_prunes_io() {
         assert!(faulted > 0, "a cold mapped scan must fault something");
         assert!(
             faulted * 5 <= span as u64,
-            "zone-skippable band faulted {faulted} of {span} mapped bytes \
+            "zone-skippable band faulted {faulted} of {span} {mode:?} bytes \
              (> 20%) — block pruning is not reaching the I/O layer"
         );
     } else {
@@ -193,51 +202,61 @@ fn double_columns_fault_frame_by_frame() {
     assert_eq!(kind("P"), EncodingKind::Plain);
     assert_eq!(kind("E"), EncodingKind::BitPacked);
 
-    // A cache that holds everything: faults count first touches only.
-    let e = ooc_engine(dir.path(), 64 << 20);
-    let mapped = e.load("mapped", 0).unwrap();
-    let heap = e.load("heap", 0).unwrap();
     if cfg!(target_endian = "big") {
         return; // big-endian hosts load heap everywhere: nothing to fault
     }
-    let span = e.cluster().dataset_mapped_bytes(mapped) as u64;
-    let plain_span = (ROWS * 8) as u64;
-    for (column, value, column_span) in [
-        ("P", &plain as &dyn Fn(usize) -> f64, plain_span),
-        ("E", &encoded, span - plain_span),
-    ] {
-        let sketch =
-            || HistogramSketch::streaming(column, BucketSpec::numeric(0.0, value(ROWS), 20));
-        let band = Predicate::range(column, value(ROWS / 2), value(ROWS / 2 + ROWS / 20));
-        let before = e.cluster().block_cache_stats().bytes_faulted;
-        let (m, _) = e
-            .run_filtered(mapped, band.clone(), sketch(), &QueryOptions::default())
-            .unwrap();
-        let faulted = e.cluster().block_cache_stats().bytes_faulted - before;
-        let (h, _) = e
-            .run_filtered(heap, band, sketch(), &QueryOptions::default())
-            .unwrap();
-        assert_eq!(m, h, "{column}: mapped result diverged from heap-resident");
-        assert!(m.buckets.iter().sum::<u64>() > 0, "{column}: empty band");
-        assert!(
-            faulted > 0,
-            "{column}: a cold mapped scan must fault something"
-        );
-        assert!(
-            faulted * 2 <= column_span,
-            "{column}: a 5% band faulted {faulted} of the column's {column_span} mapped \
+    for mode in LAZY {
+        // A cache that holds everything: faults count first touches only.
+        let e = ooc_engine(dir.path(), mode, 64 << 20);
+        let mapped = e.load("mapped", 0).unwrap();
+        let heap = e.load("heap", 0).unwrap();
+        let span = e.cluster().dataset_mapped_bytes(mapped) as u64;
+        let plain_span = (ROWS * 8) as u64;
+        for (column, value, column_span) in [
+            ("P", &plain as &dyn Fn(usize) -> f64, plain_span),
+            ("E", &encoded, span - plain_span),
+        ] {
+            let sketch =
+                || HistogramSketch::streaming(column, BucketSpec::numeric(0.0, value(ROWS), 20));
+            let band = Predicate::range(column, value(ROWS / 2), value(ROWS / 2 + ROWS / 20));
+            let before = e.cluster().block_cache_stats().bytes_faulted;
+            let (m, _) = e
+                .run_filtered(mapped, band.clone(), sketch(), &QueryOptions::default())
+                .unwrap();
+            let faulted = e.cluster().block_cache_stats().bytes_faulted - before;
+            let (h, _) = e
+                .run_filtered(heap, band, sketch(), &QueryOptions::default())
+                .unwrap();
+            assert_eq!(m, h, "{column}: mapped result diverged from heap-resident");
+            assert!(m.buckets.iter().sum::<u64>() > 0, "{column}: empty band");
+            assert!(
+                faulted > 0,
+                "{column}: a cold mapped scan must fault something"
+            );
+            assert!(
+                faulted * 2 <= column_span,
+                "{column}: a 5% band faulted {faulted} of the column's {column_span} mapped \
              bytes — doubles are not read frame by frame"
-        );
+            );
+        }
     }
 }
 
 #[test]
+#[cfg_attr(miri, ignore)]
 fn tiny_block_cache_survives_eviction_and_kill_chaos() {
     let dir = spill_dataset("ooc-engine-chaos");
+    for mode in LAZY {
+        eviction_and_kill_chaos(dir.path(), mode);
+    }
+}
+
+fn eviction_and_kill_chaos(dir: &Path, mode: SegmentMode) {
     // 4 KiB per worker: far below one 64 KiB residency chunk, so every
     // fault of a *different* part file must evict the previous one.
-    let e = ooc_engine(dir.path(), 4 << 10);
+    let e = ooc_engine(dir, mode, 4 << 10);
     let mapped = e.load("mapped", 0).unwrap();
+    let heap = e.load("heap", 0).unwrap();
     // Four 5% bands in four different part files, spread across both
     // workers by the round-robin part deal — the drill-down sweep that
     // forces residency churn (one band's chunks cannot stay resident
@@ -248,16 +267,19 @@ fn tiny_block_cache_survives_eviction_and_kill_chaos() {
             Predicate::range("X", lo, lo + 10_000.0)
         })
         .collect();
-    let references: Vec<HistogramSummary> = bands
-        .iter()
-        .map(|b| {
-            e.run_filtered(mapped, b.clone(), histogram(), &QueryOptions::default())
-                .unwrap()
-                .0
-        })
-        .collect();
-    for r in &references {
+    let answer = |dataset, b: &Predicate| -> HistogramSummary {
+        e.run_filtered(dataset, b.clone(), histogram(), &QueryOptions::default())
+            .unwrap()
+            .0
+    };
+    let references: Vec<HistogramSummary> = bands.iter().map(|b| answer(heap, b)).collect();
+    for (b, r) in bands.iter().zip(&references) {
         assert_eq!(r.buckets.iter().sum::<u64>(), 10_000);
+        assert_eq!(
+            &answer(mapped, b),
+            r,
+            "{mode:?} diverged from heap-resident"
+        );
     }
 
     // Evict the dataset on worker 0 mid-sequence, then kill worker 1:
@@ -286,8 +308,8 @@ fn tiny_block_cache_survives_eviction_and_kill_chaos() {
                 .unwrap();
             assert_eq!(
                 &s, reference,
-                "round {round}: recovered mapped scan diverged from the \
-                 pre-fault answer"
+                "round {round}: recovered {mode:?} scan diverged from the \
+                 heap-resident answer"
             );
         }
     }
@@ -297,15 +319,18 @@ fn tiny_block_cache_survives_eviction_and_kill_chaos() {
     if cfg!(target_endian = "little") {
         assert!(stats.faults > 0, "mapped scans never faulted");
         // Under the mmap tier a 4 KiB budget cannot hold the touched
-        // band, so eviction must actually churn. (The pread tier pins
-        // resident chunks; eviction needs `ooc`.)
-        #[cfg(feature = "ooc")]
-        assert!(
-            stats.evictions > 0,
-            "tiny budget never evicted (resident {} / budget {})",
-            stats.resident_bytes,
-            stats.budget
-        );
+        // band, so eviction must actually churn; the pread tier pins
+        // resident chunks.
+        if mode == SegmentMode::Mmap && cfg!(unix) {
+            assert!(
+                stats.evictions > 0,
+                "tiny budget never evicted (resident {} / budget {})",
+                stats.resident_bytes,
+                stats.budget
+            );
+        } else {
+            assert_eq!(stats.evictions, 0, "{mode:?} chunks are pinned");
+        }
     }
 }
 
@@ -350,40 +375,42 @@ fn a_mapped_dataset_holds_the_dictionaries_its_queries_presented() {
         .collect();
     assert!(strings.iter().any(|s| s == "TailNum") && strings.len() > 3);
 
-    let e = ooc_engine(dir.path(), 64 << 20);
-    let mapped = e.load("mapped", 0).unwrap();
     if cfg!(target_endian = "big") {
         return; // big-endian hosts load heap everywhere: nothing is deferred
     }
-    let heap_side = || e.cluster().dataset_heap_bytes(mapped);
-    let opened = heap_side();
-    let present = |column: &str| {
-        let sketch = DistinctSketch::new(column);
-        e.run(mapped, sketch, &QueryOptions::default()).unwrap();
-    };
+    for mode in LAZY {
+        let e = ooc_engine(dir.path(), mode, 64 << 20);
+        let mapped = e.load("mapped", 0).unwrap();
+        let heap_side = || e.cluster().dataset_heap_bytes(mapped);
+        let opened = heap_side();
+        let present = |column: &str| {
+            let sketch = DistinctSketch::new(column);
+            e.run(mapped, sketch, &QueryOptions::default()).unwrap();
+        };
 
-    // Numbers present no string.
-    delays(&e, mapped);
-    assert_eq!(heap_side(), opened, "a numeric query parsed a dictionary");
-    // One string column costs its own dictionaries, to the byte, once.
-    present("Origin");
-    assert_eq!(heap_side(), opened + weigh("Origin"));
-    present("Origin");
-    assert_eq!(heap_side(), opened + weigh("Origin"));
-    // All of them cost all of them: `opened` held none.
-    for column in &strings {
-        present(column);
+        // Numbers present no string.
+        delays(&e, mapped);
+        assert_eq!(heap_side(), opened, "a numeric query parsed a dictionary");
+        // One string column costs its own dictionaries, to the byte, once.
+        present("Origin");
+        assert_eq!(heap_side(), opened + weigh("Origin"));
+        present("Origin");
+        assert_eq!(heap_side(), opened + weigh("Origin"));
+        // All of them cost all of them: `opened` held none.
+        for column in &strings {
+            present(column);
+        }
+        let all: usize = strings.iter().map(|s| weigh(s)).sum();
+        assert!(
+            all > 10 * opened,
+            "{all} B of dictionaries, {opened} B beside"
+        );
+        assert_eq!(heap_side(), opened + all);
+        // A replayed open starts over.
+        e.cluster().evict_all();
+        delays(&e, mapped);
+        assert_eq!(heap_side(), opened, "the replayed open kept a dictionary");
     }
-    let all: usize = strings.iter().map(|s| weigh(s)).sum();
-    assert!(
-        all > 10 * opened,
-        "{all} B of dictionaries, {opened} B beside"
-    );
-    assert_eq!(heap_side(), opened + all);
-    // A replayed open starts over.
-    e.cluster().evict_all();
-    delays(&e, mapped);
-    assert_eq!(heap_side(), opened, "the replayed open kept a dictionary");
 }
 
 #[test]
@@ -429,9 +456,9 @@ fn concurrent_first_touches_parse_a_dictionary_once() {
 #[test]
 fn a_damaged_dictionary_fails_the_queries_that_present_it_and_no_other() {
     let dir = spill_flights("ooc-engine-damaged");
-    let e = ooc_engine(dir.path(), 64 << 20);
+    let engines = LAZY.map(|mode| ooc_engine(dir.path(), mode, 64 << 20));
     // The reference, read while the files are sound.
-    let heap = e.load("heap", 0).unwrap();
+    let heaps = [0, 1].map(|i| engines[i].load("heap", 0).unwrap());
 
     // Break the first part's `TailNum` section: its first entry's first byte
     // becomes one no UTF-8 string holds.
@@ -459,33 +486,35 @@ fn a_damaged_dictionary_fails_the_queries_that_present_it_and_no_other() {
         return; // big-endian hosts read every part on the heap
     }
 
-    // The mapped open never reads the section; numbers and the other
-    // strings answer as before.
-    let mapped = e.load("mapped", 0).unwrap();
-    assert_eq!(delays(&e, mapped), delays(&e, heap));
-    let distinct = |dataset, column: &str| {
-        e.run(
-            dataset,
-            DistinctSketch::new(column),
-            &QueryOptions::default(),
-        )
-        .map(|(summary, _)| summary)
-    };
-    assert_eq!(distinct(mapped, "Origin"), distinct(heap, "Origin"));
-    // The column itself ends in the structured error of a panicked leaf,
-    // which names it — every attempt of the recovery loop, replay included.
-    let err = distinct(mapped, "TailNum").unwrap_err();
-    let last = match err {
-        EngineError::RetriesExhausted { last, .. } => *last,
-        other => other,
-    };
-    match last {
-        EngineError::LeafPanicked { message, .. } => {
-            assert!(message.contains("\"TailNum\""), "{message}");
-            assert!(message.contains("UTF-8"), "{message}");
+    for (e, heap) in engines.iter().zip(heaps) {
+        // The mapped open never reads the section; numbers and the other
+        // strings answer as before.
+        let mapped = e.load("mapped", 0).unwrap();
+        assert_eq!(delays(e, mapped), delays(e, heap));
+        let distinct = |dataset, column: &str| {
+            e.run(
+                dataset,
+                DistinctSketch::new(column),
+                &QueryOptions::default(),
+            )
+            .map(|(summary, _)| summary)
+        };
+        assert_eq!(distinct(mapped, "Origin"), distinct(heap, "Origin"));
+        // The column itself ends in the structured error of a panicked leaf,
+        // which names it — every attempt of the recovery loop, replay included.
+        let err = distinct(mapped, "TailNum").unwrap_err();
+        let last = match err {
+            EngineError::RetriesExhausted { last, .. } => *last,
+            other => other,
+        };
+        match last {
+            EngineError::LeafPanicked { message, .. } => {
+                assert!(message.contains("\"TailNum\""), "{message}");
+                assert!(message.contains("UTF-8"), "{message}");
+            }
+            other => panic!("expected a panicked leaf, got {other}"),
         }
-        other => panic!("expected a panicked leaf, got {other}"),
+        // And the workers are still there.
+        assert_eq!(delays(e, mapped), delays(e, heap));
     }
-    // And the workers are still there.
-    assert_eq!(delays(&e, mapped), delays(&e, heap));
 }

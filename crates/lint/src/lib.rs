@@ -17,7 +17,6 @@
 //! | `panic-site` | no `.unwrap()` / `.expect(` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` in non-test code of `crates/core` and `crates/net` without a `// lint: allow(panic, reason)` marker |
 //! | `simd-registry` | every `tier_dispatch!` entry in `columnar/src/simd.rs` has its scalar body defined and appears by name in a forced-scalar equivalence test |
 //! | `sketch-registry` | every `impl Sketch for T` appears in the `fused_equivalence`, `scan_equivalence`, `merge_laws` and `wire_totality` suites |
-//! | `cfg-fallback` | every feature referenced by a positive `#[cfg]` in a crate's non-test sources has a `not(...)` fallback path somewhere in that crate (or a `// lint: allow(cfg, reason)` marker) |
 //! | `temp-dir` | no `temp_dir()` call in first-party code (tests and benches included) outside `columnar/src/tempdir.rs`: scratch paths come from `hillview_columnar::TempDir`, unique per use and removed on drop |
 //! | `relaxed-ordering` | `Ordering::Relaxed` only in the counters allowlist ([`rules::RELAXED_COUNTER_FILES`]) or under a `// lint: allow(relaxed, reason)` marker |
 //! | `error-classified` | every `EngineError` variant is named in `is_retryable()` and the match has no wildcard arm |
@@ -30,9 +29,9 @@
 //! ## Markers
 //!
 //! A justified exception is a trailing or preceding-line comment of the
-//! form `// lint: allow(<rule>, <reason>)` where `<rule>` is `panic`,
-//! `relaxed`, or `cfg` and `<reason>` is non-empty. The reason is the
-//! point: the marker records *why* the site is sound, next to the site.
+//! form `// lint: allow(<rule>, <reason>)` where `<rule>` is `panic` or
+//! `relaxed` and `<reason>` is non-empty. The reason is the point: the
+//! marker records *why* the site is sound, next to the site.
 //!
 //! ## Adding a rule
 //!
@@ -362,7 +361,6 @@ impl Workspace {
         out.extend(rules::rule_panic_site(self));
         out.extend(rules::rule_simd_registry(self));
         out.extend(rules::rule_sketch_registry(self));
-        out.extend(rules::rule_cfg_fallback(self));
         out.extend(rules::rule_temp_dir(self));
         out.extend(rules::rule_relaxed_ordering(self));
         out.extend(rules::rule_error_classified(self));

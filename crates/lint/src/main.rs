@@ -100,7 +100,7 @@ fn check(root: &Path) -> ExitCode {
     }
     if findings.is_empty() {
         println!(
-            "hillview-lint: {} files clean across 8 rules",
+            "hillview-lint: {} files clean across 7 rules",
             ws.files.len()
         );
         ExitCode::SUCCESS

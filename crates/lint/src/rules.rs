@@ -1,10 +1,9 @@
-//! The eight invariant rules. Each is a pure function of the lexed
+//! The seven invariant rules. Each is a pure function of the lexed
 //! [`Workspace`] returning [`Finding`]s; see the crate docs for the rule
 //! table and the marker grammar.
 
 use crate::lexer::{TokKind, Token};
 use crate::{Finding, SourceFile, Workspace};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Files whose `Ordering::Relaxed` uses are all monotonic diagnostic
 /// counters with no load/store pairing — the explicit allowlist of the
@@ -275,146 +274,6 @@ pub fn rule_sketch_registry(ws: &Workspace) -> Vec<Finding> {
         }
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// Rule: cfg-fallback
-// ---------------------------------------------------------------------------
-
-/// Every feature named by a positive `#[cfg(...)]`/`#[cfg_attr(...)]` in
-/// a crate's non-test sources must have a `not(...)` fallback mention (or
-/// a `cfg!` runtime test, which compiles both branches) somewhere in the
-/// same crate — or carry a `// lint: allow(cfg, reason)` marker. This
-/// pins the "every `ooc` item has a non-feature path" invariant at crate
-/// granularity, the level at which the fallback is meaningful.
-pub fn rule_cfg_fallback(ws: &Workspace) -> Vec<Finding> {
-    // (crate, feature) -> first positive unmarked site / any negative.
-    let mut pos: BTreeMap<(String, String), (String, usize, u32)> = BTreeMap::new();
-    let mut neg: BTreeSet<(String, String)> = BTreeSet::new();
-    for f in &ws.files {
-        let Some(krate) = f
-            .path
-            .strip_prefix("crates/")
-            .and_then(|r| r.split('/').next())
-        else {
-            continue;
-        };
-        if !f.path.contains("/src/") {
-            continue;
-        }
-        let krate = krate.to_string();
-        for site in cfg_feature_sites(f) {
-            let key = (krate.clone(), site.feature.clone());
-            if site.negative || site.runtime {
-                neg.insert(key.clone());
-            }
-            if !site.negative {
-                let line = f.line_of(site.off);
-                if f.in_test(site.off) || f.has_allow_marker(line, "cfg") {
-                    continue;
-                }
-                pos.entry(key).or_insert((f.path.clone(), site.off, line));
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for ((krate, feature), (path, _off, line)) in pos {
-        if neg.contains(&(krate.clone(), feature.clone())) {
-            continue;
-        }
-        out.push(Finding {
-            rule: "cfg-fallback",
-            path,
-            line,
-            msg: format!(
-                "feature \"{feature}\" is used positively in crate `{krate}` but no \
-                 `not(...)` fallback path exists anywhere in the crate"
-            ),
-        });
-    }
-    out
-}
-
-struct CfgSite {
-    feature: String,
-    /// Inside a `not(...)` scope.
-    negative: bool,
-    /// A `cfg!(...)` macro use: both branches compile.
-    runtime: bool,
-    off: usize,
-}
-
-/// Extract every `feature = "..."` mention inside `cfg`/`cfg_attr`
-/// attributes and `cfg!` macro calls, with its `not(...)` polarity.
-fn cfg_feature_sites(f: &SourceFile) -> Vec<CfgSite> {
-    let idx = f.code_idx();
-    let texts: Vec<&str> = idx.iter().map(|&i| f.toks[i].text(&f.text)).collect();
-    let mut sites = Vec::new();
-    let mut k = 0usize;
-    while k < texts.len() {
-        let runtime = texts[k] == "cfg" && texts.get(k + 1) == Some(&"!");
-        let attr = texts[k] == "#"
-            && texts.get(k + 1) == Some(&"[")
-            && matches!(texts.get(k + 2), Some(&"cfg") | Some(&"cfg_attr"));
-        // Inner attribute form `#![cfg_attr(...)]`.
-        let inner_attr = texts[k] == "#"
-            && texts.get(k + 1) == Some(&"!")
-            && texts.get(k + 2) == Some(&"[")
-            && matches!(texts.get(k + 3), Some(&"cfg") | Some(&"cfg_attr"));
-        if !(runtime || attr || inner_attr) {
-            k += 1;
-            continue;
-        }
-        // Find the opening paren of the cfg list.
-        let mut j = k + if runtime {
-            2
-        } else if attr {
-            3
-        } else {
-            4
-        };
-        if texts.get(j) != Some(&"(") {
-            k += 1;
-            continue;
-        }
-        // Walk the parenthesized list tracking a `not(...)` scope stack.
-        let mut not_stack: Vec<bool> = Vec::new();
-        let mut prev_ident_not = false;
-        while let Some(&t) = texts.get(j) {
-            match t {
-                "(" => {
-                    let parent = not_stack.last().copied().unwrap_or(false);
-                    not_stack.push(parent || prev_ident_not);
-                    prev_ident_not = false;
-                }
-                ")" => {
-                    not_stack.pop();
-                    if not_stack.is_empty() {
-                        break;
-                    }
-                }
-                "not" => prev_ident_not = true,
-                "feature" => {
-                    prev_ident_not = false;
-                    if texts.get(j + 1) == Some(&"=")
-                        && f.toks.get(idx[j + 2]).map(|t| t.kind) == Some(TokKind::Str)
-                    {
-                        let lit = texts[j + 2].trim_matches('"').to_string();
-                        sites.push(CfgSite {
-                            feature: lit,
-                            negative: not_stack.last().copied().unwrap_or(false),
-                            runtime,
-                            off: f.toks[idx[j]].lo,
-                        });
-                    }
-                }
-                _ => prev_ident_not = false,
-            }
-            j += 1;
-        }
-        k = j + 1;
-    }
-    sites
 }
 
 // ---------------------------------------------------------------------------

@@ -122,58 +122,6 @@ fn sketch_registry_fires_and_clears() {
 }
 
 #[test]
-fn cfg_fallback_fires_and_clears() {
-    let bad = check(&[(
-        "crates/columnar/src/fix.rs",
-        include_str!("fixtures/cfg_fallback/bad.rs"),
-    )]);
-    let hits = of_rule(&bad, "cfg-fallback");
-    assert_eq!(hits.len(), 1, "{bad:?}");
-    assert!(hits[0].msg.contains("\"ooc\""));
-    let good = check(&[(
-        "crates/columnar/src/fix.rs",
-        include_str!("fixtures/cfg_fallback/good.rs"),
-    )]);
-    assert_clean(&good);
-    // The fallback may live in a sibling file of the same crate.
-    let split = check(&[
-        (
-            "crates/columnar/src/fix.rs",
-            include_str!("fixtures/cfg_fallback/bad.rs"),
-        ),
-        (
-            "crates/columnar/src/other.rs",
-            "#[cfg(not(feature = \"ooc\"))]\npub fn mapped() -> u64 { 42 }\n",
-        ),
-    ]);
-    assert_clean(&split);
-    // A `cfg!` runtime check counts too: both branches compile.
-    let runtime = check(&[
-        (
-            "crates/columnar/src/fix.rs",
-            include_str!("fixtures/cfg_fallback/bad.rs"),
-        ),
-        (
-            "crates/columnar/src/other.rs",
-            "pub fn runtime_gated() -> bool { cfg!(feature = \"ooc\") }\n",
-        ),
-    ]);
-    assert_clean(&runtime);
-    // …but not in a different crate.
-    let cross = check(&[
-        (
-            "crates/columnar/src/fix.rs",
-            include_str!("fixtures/cfg_fallback/bad.rs"),
-        ),
-        (
-            "crates/core/src/other.rs",
-            "#[cfg(not(feature = \"ooc\"))]\npub fn mapped() -> u64 { 42 }\n",
-        ),
-    ]);
-    assert_eq!(of_rule(&cross, "cfg-fallback").len(), 1, "{cross:?}");
-}
-
-#[test]
 fn temp_dir_fires_and_clears() {
     let bad = check(&[(
         "crates/storage/tests/fix.rs",
@@ -189,7 +137,7 @@ fn temp_dir_fires_and_clears() {
     // and vendored shims (which cannot depend on it) are not patrolled.
     for exempt in [
         "crates/columnar/src/tempdir.rs",
-        "vendor/memmap2/src/lib.rs",
+        "vendor/proptest/src/lib.rs",
     ] {
         assert_clean(&check(&[(
             exempt,

@@ -199,15 +199,6 @@ impl LinkReceiver {
         }
     }
 
-    /// Non-blocking poll; `Ok(None)` when no frame is waiting.
-    pub fn try_recv(&self) -> Result<Option<Bytes>> {
-        match self.rx.try_recv() {
-            Ok(b) => Ok(Some(b)),
-            Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Err(Error::Disconnected),
-        }
-    }
-
     /// Traffic counters for this endpoint.
     pub fn metrics(&self) -> &NetMetrics {
         &self.metrics
@@ -250,12 +241,12 @@ mod tests {
     }
 
     #[test]
-    fn timeout_and_try_recv() {
+    fn recv_timeout_waits_out_an_empty_link() {
         let (tx, rx) = link_pair(LinkConfig::instant());
-        assert_eq!(rx.try_recv().unwrap(), None);
         assert_eq!(rx.recv_timeout(Duration::from_millis(5)).unwrap(), None);
         tx.send(Bytes::from_static(b"x")).unwrap();
-        assert_eq!(rx.try_recv().unwrap(), Some(Bytes::from_static(b"x")));
+        let got = rx.recv_timeout(Duration::from_millis(5)).unwrap();
+        assert_eq!(got, Some(Bytes::from_static(b"x")));
     }
 
     #[test]

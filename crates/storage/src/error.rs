@@ -9,7 +9,7 @@ pub enum Error {
     Io(std::io::Error),
     /// Malformed input at a given line/offset.
     Parse {
-        /// Format being parsed ("csv", "jsonl", "hvc").
+        /// Format being parsed ("csv", "hvc").
         format: &'static str,
         /// 1-based line (text formats) or byte offset (binary).
         at: usize,

@@ -9,8 +9,6 @@
 //!
 //! * [`csv`] — a from-scratch CSV reader/writer (quoting, headers, type
 //!   inference) — the paper's most common input format.
-//! * [`jsonl`] — a JSON-lines reader (one object per row) with a small
-//!   self-contained JSON parser.
 //! * [`hvc`] — our columnar binary format ("HillView Columnar"), the
 //!   substitute for ORC/Parquet: a self-contained header (schema,
 //!   dictionaries, zone maps) over per-column raw sections that map and
@@ -23,21 +21,23 @@
 //!
 //! ## Storage tiers
 //!
-//! An `hvc` file can be opened three ways, trading memory for I/O:
+//! An `hvc` file can be opened three ways, trading memory for I/O — every
+//! build has all three, and a caller picks one per open with a
+//! [`hillview_columnar::SegmentMode`]:
 //!
-//! 1. **Heap** ([`hvc::read_file`]) — the whole payload is decoded into
-//!    owned columns. Fastest scans, O(dataset) memory; also the only
-//!    correct path on big-endian hosts.
-//! 2. **Lazy pread** ([`hvc::read_file_mapped`] without the `ooc`
-//!    feature) — columns are windows over an anonymous buffer filled
-//!    64 KiB chunks at a time by `pread` as scans touch them. Untouched
-//!    columns and zone-skipped blocks cost no I/O; resident chunks are
-//!    pinned (eviction needs `ooc`).
-//! 3. **Zero-copy mmap** ([`hvc::read_file_mapped`] with `ooc`) — columns
-//!    borrow the page cache directly; a byte-budgeted
-//!    [`hillview_columnar::BlockCache`] evicts cold chunks with
-//!    `MADV_DONTNEED`, so a worker scans datasets far larger than its
-//!    budget.
+//! 1. **Heap** ([`hvc::read_file`], or [`hvc::read_file_mapped`] under
+//!    `SegmentMode::Heap`) — the whole payload is decoded into owned
+//!    columns. Fastest scans, O(dataset) memory; also the only correct
+//!    path on big-endian hosts.
+//! 2. **Lazy pread** ([`hvc::read_file_mapped`] under `SegmentMode::Auto`)
+//!    — columns are windows over an anonymous buffer filled 64 KiB chunks
+//!    at a time by `pread` as scans touch them. Untouched columns and
+//!    zone-skipped blocks cost no I/O; resident chunks are pinned.
+//! 3. **Zero-copy mmap** ([`hvc::read_file_mapped`] under
+//!    `SegmentMode::Mmap`, unix) — columns borrow the page cache directly;
+//!    a byte-budgeted [`hillview_columnar::BlockCache`] evicts cold chunks
+//!    with `MADV_DONTNEED`, so a worker scans datasets far larger than its
+//!    budget. A refused mapping opens as tier 2.
 //!
 //! Under every tier a column keeps the encoding it was written with —
 //! integers, dictionary codes and integral doubles as packed words or run
@@ -57,7 +57,6 @@
 pub mod csv;
 pub mod error;
 pub mod hvc;
-pub mod jsonl;
 pub mod partition;
 pub mod spill;
 

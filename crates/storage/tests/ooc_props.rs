@@ -1,8 +1,10 @@
 //! Residency-tier equivalence: a table read back *mapped* (lazily
 //! resident, block-granular faults through a [`BlockCache`]) must be
 //! bit-identical to the same file decoded onto the heap — across every
-//! column encoding, every membership representation, both simd modes, and
-//! under a block cache small enough that chunks evict mid-scan.
+//! column encoding, every membership representation, both simd modes, both
+//! lazy tiers (the pinned pread buffer `Auto` opens and the evictable
+//! mapping `Mmap` asks for), and under a block cache small enough that
+//! chunks evict mid-scan.
 //!
 //! This is the storage-level contract the engine's out-of-core path
 //! stands on: residency is an I/O concern only, never a semantics one.
@@ -25,6 +27,9 @@ fn write_temp(t: &Table, tag: &str) -> (TempDir, PathBuf) {
     hvc::write_file(t, &path).unwrap();
     (dir, path)
 }
+
+/// The two lazily-resident tiers; every property holds under both.
+const LAZY: [SegmentMode; 2] = [SegmentMode::Auto, SegmentMode::Mmap];
 
 fn rows_of(m: &MembershipSet) -> Vec<usize> {
     m.iter().collect()
@@ -105,11 +110,13 @@ proptest! {
     fn mapped_equals_heap_for_mixed_tables(t in table_strategy(), seed in any::<u64>()) {
         let (_dir, path) = write_temp(&t, "ooc-props-mixed");
         let heap = hvc::read_file(&path).unwrap();
-        let cache = BlockCache::new(64 << 10);
-        let mapped = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
         let pred = Predicate::range("I", -1500.0, 1500.0)
             .and(Predicate::range("F", -5e8, 5e8));
-        assert_tiers_identical(&heap, &mapped, &pred, seed);
+        for mode in LAZY {
+            let cache = BlockCache::new(64 << 10);
+            let mapped = read_file_mapped(&path, &cache, mode).unwrap();
+            assert_tiers_identical(&heap, &mapped, &pred, seed);
+        }
     }
 
     /// A mapped table parses a dictionary when its column first shows a
@@ -134,8 +141,6 @@ proptest! {
         }
         let (_dir, path) = write_temp(&builder.build().unwrap(), "ooc-props-strings");
         let heap = hvc::read_file(&path).unwrap();
-        let cache = BlockCache::new(64 << 10);
-        let mapped = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
         let mut order = [0, 1, 2, 3];
         let mut state = seed;
         for i in (1..4).rev() {
@@ -143,25 +148,29 @@ proptest! {
             order.swap(i, (state >> 33) as usize % (i + 1));
         }
         let lazy = cfg!(target_endian = "little");
-        for c in order {
-            let h = heap.column(c).as_dict_col().unwrap();
-            let m = mapped.column(c).as_dict_col().unwrap();
-            prop_assert_eq!(m.dictionary().len(), h.dictionary().len());
-            prop_assert!(!lazy || m.dictionary().heap_bytes() == 0, "column {} parsed early", c);
-            // By row, by string, or all at once: whichever door comes first.
-            match (state >> 7) as usize % 3 {
-                0 => {}
-                1 => {
-                    let found = |d: &DictColumn| d.dictionary().code_of("a");
-                    prop_assert_eq!(found(m), found(h));
+        for mode in LAZY {
+            let cache = BlockCache::new(64 << 10);
+            let mapped = read_file_mapped(&path, &cache, mode).unwrap();
+            for c in order {
+                let h = heap.column(c).as_dict_col().unwrap();
+                let m = mapped.column(c).as_dict_col().unwrap();
+                prop_assert_eq!(m.dictionary().len(), h.dictionary().len());
+                prop_assert!(!lazy || m.dictionary().heap_bytes() == 0, "column {} parsed early", c);
+                // By row, by string, or all at once: whichever door comes first.
+                match (state >> 7) as usize % 3 {
+                    0 => {}
+                    1 => {
+                        let found = |d: &DictColumn| d.dictionary().code_of("a");
+                        prop_assert_eq!(found(m), found(h));
+                    }
+                    _ => prop_assert!(m.dictionary().iter().eq(h.dictionary().iter())),
                 }
-                _ => prop_assert!(m.dictionary().iter().eq(h.dictionary().iter())),
+                for r in 0..heap.num_rows() {
+                    prop_assert_eq!(m.get(r), h.get(r), "column {} row {}", c, r);
+                }
+                prop_assert!(m.dictionary().iter().eq(h.dictionary().iter()));
+                prop_assert_eq!(m.dictionary().heap_bytes(), h.dictionary().heap_bytes());
             }
-            for r in 0..heap.num_rows() {
-                prop_assert_eq!(m.get(r), h.get(r), "column {} row {}", c, r);
-            }
-            prop_assert!(m.dictionary().iter().eq(h.dictionary().iter()));
-            prop_assert_eq!(m.dictionary().heap_bytes(), h.dictionary().heap_bytes());
         }
     }
 
@@ -208,14 +217,16 @@ proptest! {
             let t = Table::builder().column("V", col.kind(), col).build().unwrap();
             let (_dir, path) = write_temp(&t, "ooc-props-enc");
             let heap = hvc::read_file(&path).unwrap();
-            let cache = BlockCache::new(64 << 10);
-            let mapped = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
             let pred = Predicate::range("V", -1000.0, 1000.0);
-            for scalar in [false, true] {
-                simd::set_force_scalar(scalar);
-                assert_tiers_identical(&heap, &mapped, &pred, seed);
+            for mode in LAZY {
+                let cache = BlockCache::new(64 << 10);
+                let mapped = read_file_mapped(&path, &cache, mode).unwrap();
+                for scalar in [false, true] {
+                    simd::set_force_scalar(scalar);
+                    assert_tiers_identical(&heap, &mapped, &pred, seed);
+                }
+                simd::set_force_scalar(false);
             }
-            simd::set_force_scalar(false);
         }
     }
 }
@@ -224,9 +235,16 @@ proptest! {
 /// `seeded_cache_churn_evicts_without_corrupting_results`: five part
 /// files scanned by a splitmix-seeded predicate grid through one shared
 /// 2 KiB cache. Every answer must match the heap ground truth while
-/// chunks continuously fault (and, under `ooc`, evict).
+/// chunks continuously fault and — the mapped tier's — evict.
 #[test]
+#[cfg_attr(miri, ignore)]
 fn tiny_cache_churn_grid_never_corrupts_results() {
+    for mode in LAZY {
+        churn_grid(mode);
+    }
+}
+
+fn churn_grid(mode: SegmentMode) {
     const ROWS: usize = 50_000;
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -261,7 +279,7 @@ fn tiny_cache_churn_grid_never_corrupts_results() {
         .map(|p| {
             let (dir, path) = write_temp(p, "ooc-props-churn");
             let heap = hvc::read_file(&path).unwrap();
-            let mapped = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
+            let mapped = read_file_mapped(&path, &cache, mode).unwrap();
             (heap, mapped, dir)
         })
         .collect();
@@ -282,7 +300,7 @@ fn tiny_cache_churn_grid_never_corrupts_results() {
             assert_eq!(
                 rows_of(&h),
                 rows_of(&m),
-                "query {q} part {part} corrupted by churn"
+                "query {q} part {part} corrupted by churn under {mode:?}"
             );
         }
     }
@@ -292,13 +310,14 @@ fn tiny_cache_churn_grid_never_corrupts_results() {
         assert!(stats.faults > 0, "mapped scans never faulted");
         assert!(stats.hits > 0, "repeated scans never hit residency");
         // Only the mmap tier can drop pages; the pread tier pins chunks.
-        #[cfg(feature = "ooc")]
-        {
+        if mode == SegmentMode::Mmap && cfg!(unix) {
             assert!(
                 stats.evictions > 0,
                 "2 KiB budget over five mapped parts must evict (resident {})",
                 stats.resident_bytes
             );
+        } else {
+            assert_eq!(stats.evictions, 0, "{mode:?} chunks are pinned");
         }
     }
 }
