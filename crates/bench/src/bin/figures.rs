@@ -459,7 +459,7 @@ fn loc() {
         ),
         (
             "Heatmap trellis",
-            count(include_str!("../../../viz/src/trellis.rs")),
+            count(include_str!("../../../sketch/src/trellis.rs")),
             127,
         ),
         (

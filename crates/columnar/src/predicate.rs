@@ -786,6 +786,70 @@ fn live_word(nulls: Option<&Bitmap>, base: usize, sel: u64) -> u64 {
     sel & !nulls.map_or(0, |nb| nb.word(base / 64))
 }
 
+/// How a block classifies against the zone maps.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Tri {
+    AllPass,
+    AllFail,
+    Mixed,
+}
+
+impl Tri {
+    /// The verdict, given whether no value of the block can pass and
+    /// whether every one must.
+    #[inline]
+    fn of(none: bool, all: bool) -> Tri {
+        if none {
+            Tri::AllFail
+        } else if all {
+            Tri::AllPass
+        } else {
+            Tri::Mixed
+        }
+    }
+}
+
+// What a block's zone-map entry `(min, max)` alone settles for each value
+// leaf — the one statement of the short-circuits `eval_node` acts on and
+// `classify_node` counts: `AllFail` when no value of the block can pass,
+// `AllPass` when every *present* one must, `Mixed` when the lanes have to
+// be decoded.
+
+#[inline]
+fn zone_range_f64((zmin, zmax): (f64, f64), lo: f64, hi: f64) -> Tri {
+    Tri::of(zmax < lo || zmin >= hi, zmin >= lo && zmax < hi)
+}
+
+/// All-pass is a constant block equal to the target.
+#[inline]
+fn zone_equals_f64((zmin, zmax): (f64, f64), value: f64) -> Tri {
+    Tri::of(value < zmin || value > zmax, zmin == zmax && zmin == value)
+}
+
+#[inline]
+fn zone_range_i64((zmin, zmax): (i64, i64), lo: i64, hi: i64) -> Tri {
+    Tri::of(zmax < lo || zmin > hi, zmin >= lo && zmax <= hi)
+}
+
+/// All-pass is a constant block: its one code lies in `zmin..=zmax`, so it
+/// is the target.
+#[inline]
+fn zone_equals_code((zmin, zmax): (u32, u32), code: u32) -> Tri {
+    Tri::of(code < zmin || code > zmax, zmin == zmax)
+}
+
+/// Sweep the match bitmap over the block's code interval: sorted or
+/// low-cardinality categorical data has narrow per-block code ranges, so a
+/// cheap sweep decides whole blocks. Wide intervals skip the sweep rather
+/// than pay O(interval) per block.
+fn zone_match_codes((zmin, zmax): (u32, u32), bits: &[u64]) -> Tri {
+    if zmax - zmin >= 256 {
+        return Tri::Mixed;
+    }
+    let hit = |c: u32| bits[c as usize / 64] >> (c % 64) & 1 == 1;
+    Tri::of(!(zmin..=zmax).any(hit), (zmin..=zmax).all(hit))
+}
+
 fn eval_node(node: &mut BNode<'_>, base: usize, len: usize, sel: u64) -> u64 {
     if sel == 0 {
         return 0;
@@ -813,14 +877,14 @@ fn eval_node(node: &mut BNode<'_>, base: usize, len: usize, sel: u64) -> u64 {
             if live == 0 {
                 return 0;
             }
-            let (zmin, zmax) = zones.block(base / 64);
-            if zmax < *lo || zmin >= *hi {
-                return 0; // zone map: no value in this block can pass
+            match zone_range_f64(zones.block(base / 64), *lo, *hi) {
+                Tri::AllFail => 0,
+                Tri::AllPass => live,
+                Tri::Mixed => {
+                    let lanes = data.decode_frame(cursor, base, len, buf);
+                    simd::range_word_half(lanes, *lo, *hi) & live
+                }
             }
-            if zmin >= *lo && zmax < *hi {
-                return live; // zone map: every value passes
-            }
-            simd::range_word_half(data.decode_frame(cursor, base, len, buf), *lo, *hi) & live
         }
         BNode::EqualsF64 {
             data,
@@ -834,14 +898,13 @@ fn eval_node(node: &mut BNode<'_>, base: usize, len: usize, sel: u64) -> u64 {
             if live == 0 {
                 return 0;
             }
-            let (zmin, zmax) = zones.block(base / 64);
-            if *value < zmin || *value > zmax {
-                return 0;
+            match zone_equals_f64(zones.block(base / 64), *value) {
+                Tri::AllFail => 0,
+                Tri::AllPass => live,
+                Tri::Mixed => {
+                    simd::eq_word(data.decode_frame(cursor, base, len, buf), *value) & live
+                }
             }
-            if zmin == zmax && zmin == *value {
-                return live; // constant block equal to the target
-            }
-            simd::eq_word(data.decode_frame(cursor, base, len, buf), *value) & live
         }
         BNode::RangeI64 {
             storage,
@@ -856,14 +919,11 @@ fn eval_node(node: &mut BNode<'_>, base: usize, len: usize, sel: u64) -> u64 {
             if live == 0 {
                 return 0;
             }
-            let (zmin, zmax) = zones.block(base / 64);
-            if zmax < *lo || zmin > *hi {
-                return 0;
+            match zone_range_i64(zones.block(base / 64), *lo, *hi) {
+                Tri::AllFail => 0,
+                Tri::AllPass => live,
+                Tri::Mixed => storage.range_frame_word(cursor, base, len, *lo, *hi, buf) & live,
             }
-            if zmin >= *lo && zmax <= *hi {
-                return live;
-            }
-            storage.range_frame_word(cursor, base, len, *lo, *hi, buf) & live
         }
         BNode::EqualsCode {
             codes,
@@ -877,14 +937,11 @@ fn eval_node(node: &mut BNode<'_>, base: usize, len: usize, sel: u64) -> u64 {
             if live == 0 {
                 return 0;
             }
-            let (zmin, zmax) = zones.block(base / 64);
-            if *code < zmin || *code > zmax {
-                return 0; // zone map: the target code never occurs here
+            match zone_equals_code(zones.block(base / 64), *code) {
+                Tri::AllFail => 0,
+                Tri::AllPass => live,
+                Tri::Mixed => codes.range_frame_word(cursor, base, len, *code, *code, buf) & live,
             }
-            if zmin == zmax {
-                return live; // constant block equal to the target
-            }
-            codes.range_frame_word(cursor, base, len, *code, *code, buf) & live
         }
         BNode::MatchCodes {
             codes,
@@ -898,29 +955,13 @@ fn eval_node(node: &mut BNode<'_>, base: usize, len: usize, sel: u64) -> u64 {
             if live == 0 {
                 return 0;
             }
-            // Zone check over the block's code interval: sorted or
-            // low-cardinality categorical data has narrow per-block code
-            // ranges, so a cheap bitmap sweep decides whole blocks. Wide
-            // intervals skip the sweep rather than pay O(interval) per
-            // block.
-            let (zmin, zmax) = zones.block(base / 64);
-            if zmax - zmin < 256 {
-                let mut any = false;
-                let mut all = true;
-                for c in zmin..=zmax {
-                    let hit = bits[c as usize / 64] >> (c % 64) & 1 == 1;
-                    any |= hit;
-                    all &= hit;
-                }
-                if !any {
-                    return 0; // no code of this block matches
-                }
-                if all {
-                    return live; // every code of this block matches
+            match zone_match_codes(zones.block(base / 64), bits) {
+                Tri::AllFail => 0,
+                Tri::AllPass => live,
+                Tri::Mixed => {
+                    simd::probe_word(codes.decode_frame(cursor, base, len, buf), bits) & live
                 }
             }
-            let lanes = codes.decode_frame(cursor, base, len, buf);
-            simd::probe_word(lanes, bits) & live
         }
         BNode::MatchDisplay {
             col,
@@ -1443,17 +1484,9 @@ impl SelectivityEstimate {
     }
 }
 
-/// How a block classifies against the zone maps.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Tri {
-    AllPass,
-    AllFail,
-    Mixed,
-}
-
-/// Classify one 64-row block using only zone maps and null words — the
-/// decision mirrors the short-circuit tests in `eval_node`, conservatively
-/// answering `Mixed` wherever that function would decode. Null rows are
+/// Classify one 64-row block using only zone maps and null words: the
+/// `zone_*` verdicts at the value leaves — so `Mixed` exactly where
+/// `eval_node` would decode — folded through the connectives. Null rows are
 /// ignored (they affect which rows pass, not whether a decode happens),
 /// so `AllPass` means "every *present* row passes".
 fn classify_node(node: &BNode<'_>, block: usize) -> Tri {
@@ -1465,66 +1498,11 @@ fn classify_node(node: &BNode<'_>, block: usize) -> Tri {
             0 => Tri::AllFail,
             _ => Tri::Mixed,
         },
-        BNode::RangeF64 { zones, lo, hi, .. } => {
-            let (zmin, zmax) = zones.block(block);
-            if zmax < *lo || zmin >= *hi {
-                Tri::AllFail
-            } else if zmin >= *lo && zmax < *hi {
-                Tri::AllPass
-            } else {
-                Tri::Mixed
-            }
-        }
-        BNode::EqualsF64 { zones, value, .. } => {
-            let (zmin, zmax) = zones.block(block);
-            if *value < zmin || *value > zmax {
-                Tri::AllFail
-            } else if zmin == zmax && zmin == *value {
-                Tri::AllPass
-            } else {
-                Tri::Mixed
-            }
-        }
-        BNode::RangeI64 { zones, lo, hi, .. } => {
-            let (zmin, zmax) = zones.block(block);
-            if zmax < *lo || zmin > *hi {
-                Tri::AllFail
-            } else if zmin >= *lo && zmax <= *hi {
-                Tri::AllPass
-            } else {
-                Tri::Mixed
-            }
-        }
-        BNode::EqualsCode { zones, code, .. } => {
-            let (zmin, zmax) = zones.block(block);
-            if *code < zmin || *code > zmax {
-                Tri::AllFail
-            } else if zmin == zmax {
-                Tri::AllPass
-            } else {
-                Tri::Mixed
-            }
-        }
-        BNode::MatchCodes { zones, bits, .. } => {
-            let (zmin, zmax) = zones.block(block);
-            if zmax - zmin >= 256 {
-                return Tri::Mixed;
-            }
-            let mut any = false;
-            let mut all = true;
-            for c in zmin..=zmax {
-                let hit = bits[c as usize / 64] >> (c % 64) & 1 == 1;
-                any |= hit;
-                all &= hit;
-            }
-            if !any {
-                Tri::AllFail
-            } else if all {
-                Tri::AllPass
-            } else {
-                Tri::Mixed
-            }
-        }
+        BNode::RangeF64 { zones, lo, hi, .. } => zone_range_f64(zones.block(block), *lo, *hi),
+        BNode::EqualsF64 { zones, value, .. } => zone_equals_f64(zones.block(block), *value),
+        BNode::RangeI64 { zones, lo, hi, .. } => zone_range_i64(zones.block(block), *lo, *hi),
+        BNode::EqualsCode { zones, code, .. } => zone_equals_code(zones.block(block), *code),
+        BNode::MatchCodes { zones, bits, .. } => zone_match_codes(zones.block(block), bits),
         BNode::MatchDisplay { .. } => Tri::Mixed,
         BNode::And(a, b) => match (classify_node(a, block), classify_node(b, block)) {
             (Tri::AllFail, _) | (_, Tri::AllFail) => Tri::AllFail,

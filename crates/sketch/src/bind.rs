@@ -1,27 +1,50 @@
-//! Internal helper binding a column to a bucket spec for fast row→bucket
-//! lookup, shared by the heatmap and stacked-histogram kernels.
+//! The one row → bucket-cell kernel behind the bucketed charts.
 //!
-//! Binding resolves the column to its raw storage once — encoded
-//! float/integer/code storage plus optional null bitmap — so the per-row
-//! `bucket()` probe costs a storage read and a bitmap bit test instead of a
-//! `Column` enum dispatch and an `Option` round-trip.
+//! Histogram, heat map, stacked histogram and trellis all "count rows into
+//! a display-sized grid" (paper §4.3, App. B.1); what differs is how many
+//! columns pick the cell and what a cell adds to. [`scan_cells`] is the
+//! scan the multi-column ones share, const-generic over the column count
+//! `N`:
 //!
-//! [`FrameCells`] is the block-ABI face of a binding: for each 64-row
-//! frame it decodes the column's value lanes through a
-//! [`BlockCursor`](hillview_columnar::BlockCursor) (zero-copy for plain
-//! storage) and produces one `u32` cell per lane — the bucket index, an
-//! out-of-range sentinel, or a missing sentinel — so two-column kernels
-//! (heat maps, stacked histograms) combine whole frames of cells instead
-//! of dispatching per row. Numeric cells go through the lane-parallel
-//! [`hillview_columnar::simd::bucket_indexes`] primitive; results are
-//! bit-identical to the per-row [`BoundColumn::bucket`] reference under
-//! either codegen.
+//! | `N` | caller | what the cells pick |
+//! |-----|--------|---------------------|
+//! | 2 | [`heatmap`](crate::heatmap), [`stacked`](crate::stacked) | (x, y) of the matrix; bar and subdivision |
+//! | 3 | [`trellis`](crate::trellis) | the group's heat map, then its (x, y) |
+//!
+//! The one-column [`histogram`](crate::histogram) binds here too — its
+//! dictionary table and hoisted arithmetic are [`BoundColumn::bind`]'s and
+//! [`numeric_params`]' — but keeps single-column loops over the bound
+//! storage: with one column there is nothing to combine per row, and
+//! streaming the values beats computing cell frames first.
+//!
+//! Each caller binds its columns ([`BoundColumn::bind`] resolves a column
+//! to raw storage — encoded values or dictionary codes plus the null
+//! bitmap — and, for strings, buckets the dictionary once into a
+//! code → bucket table) and passes a tally closure; the driver owns the
+//! scan: `TableView::scan` resolves the scope, `scan_frames` walks the
+//! selection, and every selected row reaches the closure as one `u32`
+//! *cell* per column — the bucket index, the column's bucket count when the
+//! value is out of range, or the count plus one when it is missing.
+//!
+//! A frame that is **at least half selected** computes the cells of all 64
+//! lanes per column ([`FrameCells`]: one decode through a
+//! [`BlockCursor`](hillview_columnar::BlockCursor), zero-copy for plain
+//! storage, numeric cells through the lane-parallel
+//! [`hillview_columnar::simd::bucket_indexes`]) and reads the selected
+//! lanes; a sparser frame, and every row of a sparse list or sample,
+//! probes [`BoundColumn::bucket`] per row — decoding `N`×64 lanes to
+//! consume a couple of rows would cost more than the probes. The threshold
+//! is a property of that trade, not of any one chart, so it lives here.
+//! Both paths produce the same cell for the same row under either codegen;
+//! the `summarize_rowwise` oracles and the equivalence suites pin it.
 
 use crate::buckets::BucketSpec;
 use crate::traits::{SketchError, SketchResult};
+use crate::view::{Scope, TableView};
 use hillview_columnar::simd::{self, BucketParams};
 use hillview_columnar::{
-    Bitmap, BlockCursor, CodeStorage, Column, F64Storage, I64Storage, BLOCK_ROWS,
+    scan_frames, Bitmap, BlockCursor, CodeStorage, Column, F64Storage, FrameEvent, I64Storage,
+    BLOCK_ROWS,
 };
 
 /// Where a row's value landed.
@@ -50,6 +73,7 @@ pub(crate) enum BoundColumn<'a> {
     Dict {
         codes: &'a CodeStorage,
         nulls: Option<&'a Bitmap>,
+        spec: &'a BucketSpec,
         /// Bucket of each dictionary code, precomputed once.
         code_bucket: Vec<Option<usize>>,
     },
@@ -79,6 +103,7 @@ impl<'a> BoundColumn<'a> {
                 Ok(BoundColumn::Dict {
                     codes: c.codes(),
                     nulls: c.nulls().bitmap(),
+                    spec,
                     code_bucket,
                 })
             }
@@ -117,6 +142,7 @@ impl<'a> BoundColumn<'a> {
                 codes,
                 nulls,
                 code_bucket,
+                ..
             } => {
                 if nulls.is_some_and(|nb| nb.get(row)) {
                     Cell::Missing
@@ -129,16 +155,73 @@ impl<'a> BoundColumn<'a> {
             }
         }
     }
+
+    /// The bound spec's bucket count — the out-of-range cell; one more is
+    /// the missing cell.
+    fn out(&self) -> u32 {
+        let (BoundColumn::F64 { spec, .. }
+        | BoundColumn::I64 { spec, .. }
+        | BoundColumn::Dict { spec, .. }) = self;
+        spec.count() as u32
+    }
 }
 
-/// The block-ABI face of a [`BoundColumn`]: per-frame cell computation.
-///
-/// A *cell* is a `u32`: `< n_buckets` is a bucket index, [`FrameCells::out`]
-/// marks an in-range-but-unbucketed (out-of-range) row, [`FrameCells::miss`]
-/// a missing row — the same classification [`Cell`] models per row.
-pub(crate) struct FrameCells<'a> {
+/// Hand `tally` the cells of the `N` bound columns at every row of `view`
+/// that `scope` selects — of the partition-wide sample, when `sample` is
+/// `Some((rate, seed))` — in ascending row order, and return the number of
+/// rows inspected. A cell is the column's bucket index, its bucket count
+/// for an out-of-range value, or the count plus one for a missing one.
+pub(crate) fn scan_cells<const N: usize>(
+    view: &TableView,
+    scope: Scope<'_>,
+    sample: Option<(f64, u64)>,
+    cols: [&BoundColumn<'_>; N],
+    mut tally: impl FnMut([u32; N]),
+) -> SketchResult<u64> {
+    let outs = cols.map(BoundColumn::out);
+    let mut frames = cols.map(FrameCells::new);
+    let mut lanes = [[0u32; BLOCK_ROWS]; N];
+    let probe = |row: usize| -> [u32; N] {
+        std::array::from_fn(|c| match cols[c].bucket(row) {
+            Cell::In(b) => b as u32,
+            Cell::Out => outs[c],
+            Cell::Missing => outs[c] + 1,
+        })
+    };
+    let ((), rows) = view.scan(scope, sample, |sel| {
+        scan_frames(sel, |ev| match ev {
+            // At least half selected: one full-frame cell computation per
+            // column, amortized over the selected lanes (module doc).
+            FrameEvent::Frame { base, len, word } if word.count_ones() as usize * 2 >= len => {
+                for (frame, cells) in frames.iter_mut().zip(&mut lanes) {
+                    frame.frame(base, len, cells);
+                }
+                let mut m = word;
+                while m != 0 {
+                    let k = m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    tally(std::array::from_fn(|c| lanes[c][k]));
+                }
+            }
+            FrameEvent::Frame { base, word, .. } => {
+                let mut m = word;
+                while m != 0 {
+                    let k = m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    tally(probe(base + k));
+                }
+            }
+            FrameEvent::Row(row) => tally(probe(row)),
+        })
+    })?;
+    Ok(rows)
+}
+
+/// The block-ABI face of a [`BoundColumn`]: the cells of a whole 64-row
+/// frame — the same classification [`Cell`] models per row.
+struct FrameCells<'a> {
     inner: FrameInner<'a>,
-    /// Out-of-range sentinel (= bucket count).
+    /// Out-of-range cell (= bucket count).
     out: u32,
 }
 
@@ -166,10 +249,9 @@ enum FrameInner<'a> {
 }
 
 impl<'a> FrameCells<'a> {
-    /// Wrap a binding for frame-wise cell computation; `n_buckets` is the
-    /// spec's bucket count (the out-of-range sentinel).
-    pub(crate) fn new(bound: &'a BoundColumn<'a>, n_buckets: usize) -> Self {
-        let out = n_buckets as u32;
+    /// Wrap a binding for frame-wise cell computation.
+    fn new(bound: &'a BoundColumn<'a>) -> Self {
+        let out = bound.out();
         let inner = match bound {
             BoundColumn::F64 { data, nulls, spec } => FrameInner::F64 {
                 cursor: BlockCursor::new(*data),
@@ -185,6 +267,7 @@ impl<'a> FrameCells<'a> {
                 codes,
                 nulls,
                 code_bucket,
+                ..
             } => FrameInner::Dict {
                 cursor: BlockCursor::new(*codes),
                 nulls: *nulls,
@@ -197,21 +280,9 @@ impl<'a> FrameCells<'a> {
         FrameCells { inner, out }
     }
 
-    /// The out-of-range sentinel cell.
-    #[inline]
-    pub(crate) fn out(&self) -> u32 {
-        self.out
-    }
-
-    /// The missing sentinel cell.
-    #[inline]
-    pub(crate) fn miss(&self) -> u32 {
-        self.out + 1
-    }
-
     /// Compute the cells of frame `base .. base + len` into `cells[..len]`.
     /// Frames must be requested in ascending order.
-    pub(crate) fn frame(&mut self, base: usize, len: usize, cells: &mut [u32; BLOCK_ROWS]) {
+    fn frame(&mut self, base: usize, len: usize, cells: &mut [u32; BLOCK_ROWS]) {
         let miss = self.out + 1;
         match &mut self.inner {
             FrameInner::F64 {
@@ -251,9 +322,10 @@ impl<'a> FrameCells<'a> {
     }
 }
 
-/// Hoisted numeric bucket arithmetic; panics on a string spec (bindings
+/// Hoisted numeric bucket arithmetic — `scale` has the bits of the per-call
+/// value `index_of_f64` computes; panics on a string spec (bindings
 /// guarantee numeric specs for numeric columns).
-fn numeric_params(spec: &BucketSpec) -> BucketParams {
+pub(crate) fn numeric_params(spec: &BucketSpec) -> BucketParams {
     match spec {
         BucketSpec::Numeric { lo, hi, count } => BucketParams {
             lo: *lo,

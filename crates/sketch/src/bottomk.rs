@@ -77,20 +77,6 @@ impl BottomKSummary {
         out.dedup();
         out
     }
-
-    /// Estimated number of distinct values: if the sketch saturated at k
-    /// entries, the k-th smallest hash h estimates k·2⁶⁴/h distinct values;
-    /// otherwise the count is exact.
-    pub fn distinct_estimate(&self) -> f64 {
-        if self.entries.len() < self.k {
-            return self.entries.len() as f64;
-        }
-        let kth = self.entries.last().expect("k > 0").0;
-        if kth == 0 {
-            return self.entries.len() as f64;
-        }
-        (self.k as f64 - 1.0) * (u64::MAX as f64 / kth as f64)
-    }
 }
 
 impl Summary for BottomKSummary {
@@ -262,7 +248,6 @@ mod tests {
             .summarize(&v, Scope::ALL, 0)
             .unwrap();
         assert_eq!(s.entries.len(), 7);
-        assert_eq!(s.distinct_estimate(), 7.0);
         let b = s.bucket_boundaries(50);
         assert_eq!(b.len(), 7, "one bucket per value for small domains");
         assert!(b.windows(2).all(|w| w[0] < w[1]), "alphabetical");
@@ -304,19 +289,6 @@ mod tests {
         assert!(b.windows(2).all(|w| w[0] < w[1]));
         let mid: &str = &b[5];
         assert!(("key0300".."key0700").contains(&mid), "median-ish: {mid}");
-    }
-
-    #[test]
-    fn distinct_estimate_tracks_cardinality() {
-        let v = view((0..5000).map(|i| format!("key{i:05}")).collect());
-        let s = BottomKSketch::new("S", 128)
-            .summarize(&v, Scope::ALL, 0)
-            .unwrap();
-        let est = s.distinct_estimate();
-        assert!(
-            (2500.0..10_000.0).contains(&est),
-            "estimate {est} for 5000 distinct"
-        );
     }
 
     #[test]

@@ -26,6 +26,13 @@ pub fn grid_cells(dims: &[usize]) -> SketchResult<usize> {
         })
 }
 
+/// Cell-wise sum of two count vectors of one shape: the merge of every
+/// bucketed summary.
+pub(crate) fn add_counts(a: &[u64], b: &[u64]) -> Vec<u64> {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter().zip(b).map(|(x, y)| x + y).collect()
+}
+
 /// How values map to histogram/heatmap buckets.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BucketSpec {
@@ -112,7 +119,7 @@ impl BucketSpec {
     }
 
     /// The numeric sub-range covered by bucket `i` (numeric specs only).
-    pub fn numeric_bounds(&self, i: usize) -> Option<(f64, f64)> {
+    pub(crate) fn numeric_bounds(&self, i: usize) -> Option<(f64, f64)> {
         match self {
             BucketSpec::Numeric { lo, hi, count } => {
                 if i >= *count {

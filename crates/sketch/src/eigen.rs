@@ -5,7 +5,8 @@
 //! tens at most — so the classic Jacobi rotation method is ideal: simple,
 //! numerically robust, and exact enough for visualization.
 
-/// A dense symmetric matrix stored row-major.
+/// A dense symmetric matrix stored row-major (`pub`: what
+/// `PcaSummary::correlation` returns).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SymMatrix {
     n: usize,
@@ -48,7 +49,7 @@ impl SymMatrix {
     }
 
     /// Symmetry check within a tolerance.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
+    pub(crate) fn is_symmetric(&self, tol: f64) -> bool {
         for i in 0..self.n {
             for j in 0..i {
                 if (self.get(i, j) - self.get(j, i)).abs() > tol {
@@ -73,7 +74,8 @@ impl SymMatrix {
     }
 }
 
-/// Result of an eigendecomposition: pairs sorted by descending eigenvalue.
+/// Result of an eigendecomposition: pairs sorted by descending eigenvalue
+/// (`pub`: what `PcaSummary::principal_components` returns).
 #[derive(Debug, Clone)]
 pub struct Eigen {
     /// Eigenvalues, descending.
@@ -87,7 +89,7 @@ pub struct Eigen {
 /// Iterates sweeps of 2×2 rotations until the off-diagonal mass drops below
 /// `1e-12 · n²` or 100 sweeps pass (always converges long before that for
 /// the matrix sizes PCA produces).
-pub fn jacobi_eigen(m: &SymMatrix) -> Eigen {
+pub(crate) fn jacobi_eigen(m: &SymMatrix) -> Eigen {
     let n = m.n();
     let mut a = m.clone();
     // Eigenvector accumulator starts as identity.

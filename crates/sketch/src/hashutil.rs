@@ -33,7 +33,7 @@ pub fn mix(mut x: u64) -> u64 {
 
 /// Stable 64-bit hash of a string, optionally seeded.
 #[inline]
-pub fn hash_str(s: &str, seed: u64) -> u64 {
+pub(crate) fn hash_str(s: &str, seed: u64) -> u64 {
     mix(fnv1a(s.as_bytes()) ^ seed)
 }
 
@@ -42,7 +42,7 @@ pub fn hash_str(s: &str, seed: u64) -> u64 {
 /// Value order, but never co-occur within one column, which is the only
 /// place sketch hashing is applied).
 #[inline]
-pub fn hash_value(v: &Value, seed: u64) -> u64 {
+pub(crate) fn hash_value(v: &Value, seed: u64) -> u64 {
     let h = match v {
         Value::Missing => fnv1a(&[0xFF]),
         Value::Int(x) => fnv1a(&x.to_le_bytes()) ^ 0x01,

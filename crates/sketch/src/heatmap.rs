@@ -4,11 +4,10 @@
 //! counting the number of values that fall in each bin. It outputs a matrix
 //! of Bx×By bin counts. The merge function adds two such matrices."*
 
-use crate::bind::{BoundColumn, Cell, FrameCells};
-use crate::buckets::{grid_cells, BucketSpec};
+use crate::bind::{scan_cells, BoundColumn, Cell};
+use crate::buckets::{add_counts, grid_cells, BucketSpec};
 use crate::traits::{Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
-use hillview_columnar::{scan_frames, FrameEvent, BLOCK_ROWS};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
 use std::sync::Arc;
 
@@ -86,6 +85,20 @@ impl HeatmapSummary {
     pub fn max_count(&self) -> u64 {
         self.counts.iter().copied().max().unwrap_or(0)
     }
+
+    /// Count one row whose X and Y *cells* (see [`scan_cells`]) are `x` and
+    /// `y`: missing if either is, else out of range if either is.
+    #[inline]
+    pub(crate) fn tally(&mut self, x: u32, y: u32) {
+        let (x, y) = (x as usize, y as usize);
+        if x > self.bx || y > self.by {
+            self.missing += 1;
+        } else if x == self.bx || y == self.by {
+            self.out_of_range += 1;
+        } else {
+            self.counts[x * self.by + y] += 1;
+        }
+    }
 }
 
 impl Summary for HeatmapSummary {
@@ -100,12 +113,7 @@ impl Summary for HeatmapSummary {
         HeatmapSummary {
             bx: self.bx,
             by: self.by,
-            counts: self
-                .counts
-                .iter()
-                .zip(&other.counts)
-                .map(|(a, b)| a + b)
-                .collect(),
+            counts: add_counts(&self.counts, &other.counts),
             missing: self.missing + other.missing,
             out_of_range: self.out_of_range + other.out_of_range,
             rows_inspected: self.rows_inspected + other.rows_inspected,
@@ -147,12 +155,6 @@ impl Sketch for HeatmapSketch {
 
     /// Matrix counts are integers, so split partials fold back to exactly
     /// the unsplit summary.
-    ///
-    /// Dense selections stream as 64-row block frames: each bound column
-    /// decodes its lanes once per frame (zero-copy for plain storage) and
-    /// produces a frame of bucket cells through the lane-parallel binding,
-    /// so the per-row work is two array reads and a matrix increment.
-    /// Sparse row lists keep the per-row binding probe.
     fn summarize(
         &self,
         view: &TableView,
@@ -161,60 +163,12 @@ impl Sketch for HeatmapSketch {
     ) -> SketchResult<HeatmapSummary> {
         let cx = view.table().column_by_name(&self.col_x)?;
         let cy = view.table().column_by_name(&self.col_y)?;
-        // Bind once: raw storage + null bitmaps, no per-row enum dispatch.
         let bx = BoundColumn::bind(cx, &self.buckets_x)?;
         let by = BoundColumn::bind(cy, &self.buckets_y)?;
         grid_cells(&[self.buckets_x.count(), self.buckets_y.count()])?;
-        let mut out = HeatmapSummary::zero(self.buckets_x.count(), self.buckets_y.count());
-        let width_y = out.by;
-        let mut fx = FrameCells::new(&bx, out.bx);
-        let mut fy = FrameCells::new(&by, out.by);
-        let (x_out, x_miss) = (fx.out(), fx.miss());
-        let (y_out, y_miss) = (fy.out(), fy.miss());
-        let mut xs = [0u32; BLOCK_ROWS];
-        let mut ys = [0u32; BLOCK_ROWS];
-        let tally_row =
-            |out: &mut HeatmapSummary, row: usize| match (bx.bucket(row), by.bucket(row)) {
-                (Cell::In(x), Cell::In(y)) => out.counts[x * width_y + y] += 1,
-                (Cell::Missing, _) | (_, Cell::Missing) => out.missing += 1,
-                _ => out.out_of_range += 1,
-            };
+        let mut out = self.identity();
         let sample = (self.rate < 1.0).then_some((self.rate, seed));
-        let ((), rows) = view.scan(scope, sample, |sel| {
-            scan_frames(sel, |ev| match ev {
-                // Mostly-selected frames amortize two full-frame cell
-                // computations; sparser ones keep the per-row probe (decoding
-                // 2×64 lanes to consume a couple of rows would cost more than
-                // the probes).
-                FrameEvent::Frame { base, len, word } if word.count_ones() as usize * 2 >= len => {
-                    fx.frame(base, len, &mut xs);
-                    fy.frame(base, len, &mut ys);
-                    let mut m = word;
-                    while m != 0 {
-                        let k = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        let (x, y) = (xs[k], ys[k]);
-                        if x == x_miss || y == y_miss {
-                            out.missing += 1;
-                        } else if x == x_out || y == y_out {
-                            out.out_of_range += 1;
-                        } else {
-                            out.counts[x as usize * width_y + y as usize] += 1;
-                        }
-                    }
-                }
-                FrameEvent::Frame { base, word, .. } => {
-                    let mut m = word;
-                    while m != 0 {
-                        let k = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        tally_row(&mut out, base + k);
-                    }
-                }
-                FrameEvent::Row(row) => tally_row(&mut out, row),
-            })
-        })?;
-        out.rows_inspected = rows;
+        out.rows_inspected = scan_cells(view, scope, sample, [&bx, &by], |[x, y]| out.tally(x, y))?;
         Ok(out)
     }
 

@@ -282,12 +282,6 @@ impl SampledHeavyHittersSketch {
             rate,
         }
     }
-
-    /// The paper's target sample size: `n = K² log(K/δ)`.
-    pub fn target_sample_size(k: usize, delta: f64) -> u64 {
-        let k = k.max(1) as f64;
-        (k * k * (k / delta).ln()).ceil() as u64
-    }
 }
 
 /// Exact counts over the sampled rows.
@@ -625,14 +619,6 @@ mod tests {
         assert_eq!(merged.sampled, a.sampled + b.sampled);
         let hh = merged.heavy_hitters(4);
         assert_eq!(hh[0].0, Value::str("whale"));
-    }
-
-    #[test]
-    fn target_sample_size_formula() {
-        // n = K² log(K/δ)
-        let n = SampledHeavyHittersSketch::target_sample_size(10, 0.01);
-        assert_eq!(n, (100.0 * (1000.0f64).ln()).ceil() as u64);
-        assert!(SampledHeavyHittersSketch::target_sample_size(100, 0.01) > n);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! [`HistogramSketch::summarize_rowwise`] keeps the per-row scan as the
 //! reference implementation for the equivalence property tests.
 
-use crate::buckets::{grid_cells, BucketSpec};
+use crate::bind::{numeric_params, BoundColumn};
+use crate::buckets::{add_counts, grid_cells, BucketSpec};
 use crate::traits::{Sketch, SketchError, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::scan::{scan_values, Selection};
@@ -96,12 +97,7 @@ impl Summary for HistogramSummary {
         }
         debug_assert_eq!(self.buckets.len(), other.buckets.len());
         HistogramSummary {
-            buckets: self
-                .buckets
-                .iter()
-                .zip(&other.buckets)
-                .map(|(a, b)| a + b)
-                .collect(),
+            buckets: add_counts(&self.buckets, &other.buckets),
             missing: self.missing + other.missing,
             out_of_range: self.out_of_range + other.out_of_range,
             rows_inspected: self.rows_inspected + other.rows_inspected,
@@ -150,9 +146,10 @@ impl Sketch for HistogramSketch {
         seed: u64,
     ) -> SketchResult<HistogramSummary> {
         let col = view.table().column_by_name(&self.column)?;
+        let bound = BoundColumn::bind(col, &self.buckets)?;
         let mut out = HistogramSummary::zero(grid_cells(&[self.buckets.count()])?);
         let sample = (self.rate < 1.0).then_some((self.rate, seed));
-        let (scanned, rows) = view.scan(scope, sample, |sel| match (&self.buckets, col) {
+        let ((), rows) = view.scan(scope, sample, |sel| match &bound {
             // Numeric buckets over numeric columns: block frames with one
             // null-word check per 64 rows. Bucket indexes of a whole frame
             // are computed by the lane-parallel primitive (dead lanes to a
@@ -161,53 +158,32 @@ impl Sketch for HistogramSketch {
             // identical expression order, and counter additions commute, so
             // the result is bit-identical to the reference path under
             // either codegen.
-            (BucketSpec::Numeric { lo, hi, count }, Column::Double(c)) => {
-                scan_numeric_blocks(
-                    sel,
-                    c.data(),
-                    c.nulls().bitmap(),
-                    (*lo, *hi, *count),
-                    &mut out,
-                );
-                Ok(())
+            BoundColumn::F64 { data, nulls, spec } => {
+                scan_numeric_blocks(sel, *data, *nulls, numeric_params(spec), &mut out)
             }
-            (BucketSpec::Numeric { lo, hi, count }, Column::Int(c) | Column::Date(c)) => {
-                scan_numeric_blocks(
-                    sel,
-                    c.storage(),
-                    c.nulls().bitmap(),
-                    (*lo, *hi, *count),
-                    &mut out,
-                );
-                Ok(())
+            BoundColumn::I64 { data, nulls, spec } => {
+                scan_numeric_blocks(sel, *data, *nulls, numeric_params(spec), &mut out)
             }
-            // String buckets over dictionary columns: bucket the dictionary
-            // once, then count by code — O(dict) lookups instead of O(rows).
-            (BucketSpec::Strings { .. }, Column::Str(c) | Column::Cat(c)) => {
-                let code_bucket: Vec<Option<usize>> = c
-                    .dictionary()
-                    .iter()
-                    .map(|s| self.buckets.index_of_str(s))
-                    .collect();
-                scan_values(
-                    sel,
-                    c.codes(),
-                    c.nulls().bitmap(),
-                    &mut out.missing,
-                    |code| match code_bucket[code as usize] {
-                        Some(b) => out.buckets[b] += 1,
-                        None => out.out_of_range += 1,
-                    },
-                );
-                Ok(())
-            }
-            (spec, col) => Err(SketchError::BadConfig(format!(
-                "bucket spec {:?} incompatible with column kind {}",
-                spec.count(),
-                col.kind()
-            ))),
+            // String buckets over dictionary columns: the binding bucketed
+            // the dictionary once, rows count by code. One column needs no
+            // cell frames, so this streams the codes themselves — measured
+            // at two thirds the time of `scan_cells` with one column.
+            BoundColumn::Dict {
+                codes,
+                nulls,
+                code_bucket,
+                ..
+            } => scan_values(
+                sel,
+                *codes,
+                *nulls,
+                &mut out.missing,
+                |code| match code_bucket[code as usize] {
+                    Some(b) => out.buckets[b] += 1,
+                    None => out.out_of_range += 1,
+                },
+            ),
         })?;
-        scanned?;
         out.rows_inspected = rows;
         Ok(out)
     }
@@ -240,7 +216,7 @@ fn scan_numeric_blocks<T: LaneValue + Default, S: hillview_columnar::ScanSource<
     sel: &Selection<'_>,
     data: &S,
     nulls: Option<&hillview_columnar::Bitmap>,
-    (lo, hi, cnt): (f64, f64, usize),
+    params: BucketParams,
     out: &mut HistogramSummary,
 ) {
     struct Sink {
@@ -302,16 +278,10 @@ fn scan_numeric_blocks<T: LaneValue + Default, S: hillview_columnar::ScanSource<
         }
     }
 
+    let cnt = params.cnt as usize;
     let stride = cnt + 2;
     let mut sink = Sink {
-        params: BucketParams {
-            lo,
-            hi,
-            // Hoisted; identical bits to the per-call value `index_of_f64`
-            // computes.
-            scale: cnt as f64 / (hi - lo),
-            cnt: cnt as u32,
-        },
+        params,
         counts: vec![0u64; stride * 4],
         stride,
         idxs: [0u32; 64],

@@ -39,8 +39,11 @@
 //! of display resolution (the `hillview-viz` crate layers the
 //! visualization-driven parameter choices on top):
 //!
-//! * [`histogram`]/[`heatmap`]/[`stacked`] — bucket-count kernels, exact
-//!   (streaming) and sampled.
+//! * [`histogram`]/[`heatmap`]/[`stacked`]/[`trellis`] — bucket-count
+//!   kernels, exact (streaming) and sampled: one row → bucket-cell driver
+//!   (the private `bind` module) called with one, two and three columns,
+//!   each kernel keeping its grid check and a tally closure; [`buckets`]
+//!   holds the [`BucketSpec`] they share.
 //! * [`count`]/[`moments`]/[`range`] — column statistics (App. B.3
 //!   "Moments").
 //! * [`distinct`] — HyperLogLog distinct counting (App. B.3).
@@ -75,6 +78,7 @@ pub mod quantile;
 pub mod range;
 pub mod stacked;
 pub mod traits;
+pub mod trellis;
 pub mod view;
 
 pub use buckets::BucketSpec;

@@ -65,7 +65,7 @@ impl PcaSummary {
     }
 
     /// Assemble the covariance matrix (population covariance).
-    pub fn covariance(&self) -> Option<SymMatrix> {
+    pub(crate) fn covariance(&self) -> Option<SymMatrix> {
         if self.count == 0 {
             return None;
         }

@@ -71,12 +71,6 @@ impl QuantileSketch {
             resolution: resolution.max(1),
         }
     }
-
-    /// The paper's sample budget for a `v`-pixel scroll bar: `O(V²)`;
-    /// we use 4V² which keeps the rank error well under one pixel.
-    pub fn sample_budget(scrollbar_pixels: usize) -> usize {
-        4 * scrollbar_pixels * scrollbar_pixels
-    }
 }
 
 /// A uniform sample of sort keys, as a sorted weighted list, plus the
@@ -449,12 +443,6 @@ mod tests {
     fn empty_has_no_quantile() {
         let sk = sketch(0.5, 10, 10);
         assert!(sk.identity().quantile(0.5).is_none());
-    }
-
-    #[test]
-    fn sample_budget_is_quadratic() {
-        assert_eq!(QuantileSketch::sample_budget(10), 400);
-        assert_eq!(QuantileSketch::sample_budget(100), 40_000);
     }
 
     #[test]

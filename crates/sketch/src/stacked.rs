@@ -7,11 +7,10 @@
 //! outputs a small vector of Bx + Bx×By bin counts."* The normalized variant
 //! uses this same kernel without sampling (App. B.1).
 
-use crate::bind::{BoundColumn, Cell, FrameCells};
-use crate::buckets::{grid_cells, BucketSpec};
+use crate::bind::{scan_cells, BoundColumn, Cell};
+use crate::buckets::{add_counts, grid_cells, BucketSpec};
 use crate::traits::{Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
-use hillview_columnar::{scan_frames, FrameEvent, BLOCK_ROWS};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
 use std::sync::Arc;
 
@@ -102,17 +101,13 @@ impl Summary for StackedSummary {
         StackedSummary {
             bx: self.bx,
             by: self.by,
-            x_counts: add(&self.x_counts, &other.x_counts),
-            xy_counts: add(&self.xy_counts, &other.xy_counts),
+            x_counts: add_counts(&self.x_counts, &other.x_counts),
+            xy_counts: add_counts(&self.xy_counts, &other.xy_counts),
             missing: self.missing + other.missing,
             out_of_range: self.out_of_range + other.out_of_range,
             rows_inspected: self.rows_inspected + other.rows_inspected,
         }
     }
-}
-
-fn add(a: &[u64], b: &[u64]) -> Vec<u64> {
-    a.iter().zip(b).map(|(x, y)| x + y).collect()
 }
 
 /// Layout: `bx`, `by`, the `bx` bar totals and then the `bx · by`
@@ -166,68 +161,24 @@ impl Sketch for StackedHistogramSketch {
         let (bx, by) = (self.buckets_x.count(), self.buckets_y.count());
         grid_cells(&[bx, by.saturating_add(1)])?;
         let mut out = StackedSummary::zero(bx, by);
-        let width_y = out.by;
-        // Dense selections stream as 64-row block frames of precomputed
-        // bucket cells (see the heat-map kernel); sparse rows keep the
-        // per-row binding probe.
-        let mut fx = FrameCells::new(&bound_x, out.bx);
-        let mut fy = FrameCells::new(&bound_y, out.by);
-        let (x_out, x_miss) = (fx.out(), fx.miss());
-        let y_out = fy.out();
-        let mut xs = [0u32; BLOCK_ROWS];
-        let mut ys = [0u32; BLOCK_ROWS];
-        let tally_row = |out: &mut StackedSummary, row: usize| match bound_x.bucket(row) {
-            Cell::Missing => out.missing += 1,
-            Cell::Out => out.out_of_range += 1,
-            Cell::In(x) => {
+        let sample = (self.rate < 1.0).then_some((self.rate, seed));
+        let cols = [&bound_x, &bound_y];
+        out.rows_inspected = scan_cells(view, scope, sample, cols, |[x, y]| {
+            let (x, y) = (x as usize, y as usize);
+            if x > bx {
+                out.missing += 1;
+            } else if x == bx {
+                out.out_of_range += 1;
+            } else {
+                // The bar counts every row in the X bucket, even when Y is
+                // missing or out of range (paper: bar height is the X
+                // histogram); only in-range Y contributes a subdivision.
                 out.x_counts[x] += 1;
-                if let Cell::In(y) = bound_y.bucket(row) {
-                    out.xy_counts[x * width_y + y] += 1;
+                if y < by {
+                    out.xy_counts[x * by + y] += 1;
                 }
             }
-        };
-        let sample = (self.rate < 1.0).then_some((self.rate, seed));
-        let ((), rows) = view.scan(scope, sample, |sel| {
-            scan_frames(sel, |ev| match ev {
-                // Mostly-selected frames amortize the full-frame cell
-                // computations; sparser ones keep the per-row probe (see the
-                // heat-map kernel).
-                FrameEvent::Frame { base, len, word } if word.count_ones() as usize * 2 >= len => {
-                    fx.frame(base, len, &mut xs);
-                    fy.frame(base, len, &mut ys);
-                    let mut m = word;
-                    while m != 0 {
-                        let k = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        let x = xs[k];
-                        if x == x_miss {
-                            out.missing += 1;
-                        } else if x == x_out {
-                            out.out_of_range += 1;
-                        } else {
-                            // The bar counts every row in the X bucket, even
-                            // when Y is missing or out of range (paper: bar
-                            // height is the X histogram); only in-range Y
-                            // contributes a subdivision.
-                            out.x_counts[x as usize] += 1;
-                            if ys[k] < y_out {
-                                out.xy_counts[x as usize * width_y + ys[k] as usize] += 1;
-                            }
-                        }
-                    }
-                }
-                FrameEvent::Frame { base, word, .. } => {
-                    let mut m = word;
-                    while m != 0 {
-                        let k = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        tally_row(&mut out, base + k);
-                    }
-                }
-                FrameEvent::Row(row) => tally_row(&mut out, row),
-            })
         })?;
-        out.rows_inspected = rows;
         Ok(out)
     }
 

@@ -127,8 +127,15 @@ pub trait Sketch: Send + Sync + 'static {
 
 /// Check the mergeability law on concrete data: summarizing the union must
 /// equal merging the parts. Exact sketches satisfy this bit-for-bit when
-/// given the same effective sampling behaviour; used by tests.
-pub fn merge_law_holds<S>(sketch: &S, whole: &TableView, parts: &[TableView], seed: u64) -> bool
+/// given the same effective sampling behaviour; used by this crate's unit
+/// tests.
+#[cfg(test)]
+pub(crate) fn merge_law_holds<S>(
+    sketch: &S,
+    whole: &TableView,
+    parts: &[TableView],
+    seed: u64,
+) -> bool
 where
     S: Sketch,
     S::Summary: PartialEq,

@@ -151,7 +151,7 @@ impl TableView {
     /// guarantees — only the first actually walks the membership; the rest
     /// share the `Arc`. Sampling is a pure function of
     /// `(members, rate, seed)`, so a racing double-draw is harmless.
-    pub fn sample_rows(&self, rate: f64, seed: u64) -> Arc<Vec<u32>> {
+    pub(crate) fn sample_rows(&self, rate: f64, seed: u64) -> Arc<Vec<u32>> {
         let key = (rate.to_bits(), seed);
         if let Some((k, sample)) = &*self.sample_memo.lock().unwrap() {
             if *k == key {
@@ -204,15 +204,6 @@ impl TableView {
             }
         }
     }
-
-    /// Derive a narrower view by intersecting membership.
-    pub fn restrict(&self, members: &MembershipSet) -> TableView {
-        TableView {
-            table: self.table.clone(),
-            members: Arc::new(self.members.intersect(members)),
-            sample_memo: Arc::new(Mutex::new(None)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -248,15 +239,6 @@ mod tests {
         let v = TableView::with_members(t, m);
         assert_eq!(v.len(), 3);
         assert_eq!(v.iter_rows().collect::<Vec<_>>(), vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn restrict_intersects() {
-        let v = TableView::full(table(10));
-        let v2 = v.restrict(&MembershipSet::from_rows(vec![0, 2, 9], 10));
-        assert_eq!(v2.iter_rows().collect::<Vec<_>>(), vec![0, 2, 9]);
-        let v3 = v2.restrict(&MembershipSet::from_rows(vec![2, 3], 10));
-        assert_eq!(v3.iter_rows().collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]

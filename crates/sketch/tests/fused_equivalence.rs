@@ -34,6 +34,7 @@ use hillview_sketch::stacked::StackedHistogramSketch;
 use hillview_sketch::traits::{
     fused_law_holds, summarize_split, Sketch, SketchError, SketchResult,
 };
+use hillview_sketch::trellis::TrellisSketch;
 use hillview_sketch::view::{filtered_view, two_pass};
 use hillview_sketch::{Scope, TableView};
 use proptest::prelude::*;
@@ -186,10 +187,23 @@ fn str_spec() -> BucketSpec {
     BucketSpec::strings(vec!["aa".into(), "cc".into(), "ee".into()])
 }
 
+/// A heat map of X × I per bucket of C (as in `scan_equivalence.rs`).
+fn trellis(rate: f64) -> TrellisSketch {
+    TrellisSketch {
+        col_w: Arc::from("C"),
+        col_x: Arc::from("X"),
+        col_y: Arc::from("I"),
+        buckets_w: BucketSpec::strings(vec!["cc".into(), "dd".into(), "ff".into()]),
+        buckets_x: num_spec(),
+        buckets_y: BucketSpec::numeric(-80.0, 80.0, 5),
+        rate,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The fusion law, all 14 kernels: fused ≡ two-pass, whole-partition
+    /// The fusion law, all 15 kernels: fused ≡ two-pass, whole-partition
     /// and per parent-planned leaf range. `fused_law_holds` compares the
     /// range summaries leaf by leaf, so this also pins the fused split
     /// plumbing the cluster's work-stealing leaves run on.
@@ -226,6 +240,7 @@ proptest! {
         law!(HistogramSketch::streaming("C", str_spec()));
         law!(HeatmapSketch::sampled("X", "C", num_spec(), str_spec(), 1.0));
         law!(StackedHistogramSketch::streaming("I", "C", num_spec(), str_spec()));
+        law!(trellis(1.0));
         law!(MomentsSketch::new("X", 4));
         law!(BottomKSketch::new("C", 8));
         law!(NextKSketch::first_page(SortOrder::ascending(&["C", "I"]), 5).with_display(&["X"]));
@@ -278,6 +293,7 @@ proptest! {
         }
         law!(HistogramSketch::sampled("X", num_spec(), rate));
         law!(HeatmapSketch::sampled("X", "C", num_spec(), str_spec(), rate));
+        law!(trellis(rate));
         law!(PcaSketch::new(&["X", "I"], rate));
         // Hash-threshold samplers: no fusion law (see below), same resolver.
         prop_assert!(resolver_contract_holds(
@@ -461,6 +477,7 @@ proptest! {
         split_law!(HistogramSketch::streaming("X", num_spec()));
         split_law!(HistogramSketch::streaming("C", str_spec()));
         split_law!(StackedHistogramSketch::streaming("I", "C", num_spec(), str_spec()));
+        split_law!(trellis(1.0));
         split_law!(BottomKSketch::new("C", 8));
         split_law!(DistinctSketch::new("I"));
         split_law!(NextKSketch::first_page(SortOrder::ascending(&["C", "I"]), 5));

@@ -22,6 +22,7 @@ use hillview_sketch::quantile::QuantileSketch;
 use hillview_sketch::range::RangeSketch;
 use hillview_sketch::stacked::StackedHistogramSketch;
 use hillview_sketch::traits::{Sketch, Summary};
+use hillview_sketch::trellis::TrellisSketch;
 use hillview_sketch::{Scope, TableView};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -168,6 +169,20 @@ proptest! {
             BucketSpec::numeric(0.0, 100.0, 4),
             BucketSpec::strings(vec!["aa".into(), "bb".into(), "cc".into()]),
         );
+        check_exact_sketch(&sk, Arc::new(t), c1, c2)?;
+    }
+
+    #[test]
+    fn trellis_merge_laws(t in table_strategy(), c1 in 0usize..200, c2 in 0usize..200) {
+        let sk = TrellisSketch {
+            col_w: Arc::from("C"),
+            col_x: Arc::from("X"),
+            col_y: Arc::from("X"),
+            buckets_w: BucketSpec::strings(vec!["bb".into(), "cc".into(), "ee".into()]),
+            buckets_x: BucketSpec::numeric(0.0, 100.0, 5),
+            buckets_y: BucketSpec::numeric(20.0, 90.0, 3),
+            rate: 1.0,
+        };
         check_exact_sketch(&sk, Arc::new(t), c1, c2)?;
     }
 

@@ -24,6 +24,7 @@ use hillview_sketch::pca::PcaSketch;
 use hillview_sketch::quantile::{QuantileSketch, QuantileSummary};
 use hillview_sketch::stacked::StackedHistogramSketch;
 use hillview_sketch::traits::Sketch;
+use hillview_sketch::trellis::TrellisSketch;
 use hillview_sketch::{Scope, TableView};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -110,6 +111,19 @@ fn str_spec() -> BucketSpec {
     BucketSpec::strings(vec!["aa".into(), "cc".into(), "ee".into()])
 }
 
+/// A heat map of X × I per bucket of C ("bb" and nulls are dropped).
+fn trellis(rate: f64) -> TrellisSketch {
+    TrellisSketch {
+        col_w: Arc::from("C"),
+        col_x: Arc::from("X"),
+        col_y: Arc::from("I"),
+        buckets_w: BucketSpec::strings(vec!["cc".into(), "dd".into(), "ff".into()]),
+        buckets_x: num_spec(),
+        buckets_y: BucketSpec::numeric(-80.0, 80.0, 5),
+        rate,
+    }
+}
+
 /// `data` as a double column — zeros at odd rows negative — under every
 /// storage that can hold it: raw, the automatic choice, and each code
 /// encoding forced.
@@ -137,6 +151,52 @@ fn double_columns(data: &[i64], nulls: &NullMask) -> Vec<Column> {
             Column::Double(F64Column::from_parts(s, nulls.clone(), zones))
         })
         .collect()
+}
+
+/// The exact trellis over flights — a heat map of Distance × AirTime per
+/// month — is the reference's bytes whole, split at grain 1 000, and fused
+/// under a filter; and it does split.
+#[test]
+fn trellis_over_flights_is_the_reference_whole_split_and_fused() {
+    use hillview_columnar::Predicate;
+    use hillview_data::{generate_flights, FlightsConfig};
+    use hillview_net::Wire;
+    use hillview_sketch::filtered_view;
+    use hillview_sketch::traits::summarize_split;
+
+    let flights = TableView::full(Arc::new(generate_flights(&FlightsConfig::new(20_000, 7))));
+    let sk = TrellisSketch {
+        col_w: Arc::from("Month"),
+        col_x: Arc::from("Distance"),
+        col_y: Arc::from("AirTime"),
+        buckets_w: BucketSpec::numeric(1.0, 13.0, 6),
+        buckets_x: BucketSpec::numeric(0.0, 3_000.0, 20),
+        buckets_y: BucketSpec::numeric(0.0, 400.0, 10),
+        rate: 1.0,
+    };
+    assert!(sk.splittable());
+    let reference = sk.summarize_rowwise(&flights, 0).unwrap().to_bytes();
+    assert_eq!(
+        sk.summarize(&flights, Scope::ALL, 0).unwrap().to_bytes(),
+        reference
+    );
+    let split = summarize_split(&sk, &flights, None, 1_000, 0).unwrap();
+    assert_eq!(split.to_bytes(), reference);
+
+    let late = Predicate::range("DepDelay", 15.0, 1e9);
+    let scope = Scope {
+        rows: None,
+        filter: Some(&late),
+    };
+    let narrowed = filtered_view(&flights, &late).unwrap();
+    assert!(narrowed.len() > 1_000 && narrowed.len() < flights.len());
+    let reference = sk.summarize_rowwise(&narrowed, 0).unwrap().to_bytes();
+    assert_eq!(
+        sk.summarize(&flights, scope, 0).unwrap().to_bytes(),
+        reference
+    );
+    let split = summarize_split(&sk, &flights, Some(&late), 1_000, 0).unwrap();
+    assert_eq!(split.to_bytes(), reference);
 }
 
 proptest! {
@@ -225,6 +285,27 @@ proptest! {
         prop_assert_eq!(
             sk.summarize(&v, Scope::ALL, 0).unwrap(),
             sk.summarize_rowwise(&v, 0).unwrap()
+        );
+    }
+
+    /// The one-pass trellis against the reference that partitions the rows
+    /// by group and runs the heat map's reference on each: same groups,
+    /// same `dropped`, same per-group `rows_inspected`, exact and sampled.
+    #[test]
+    fn trellis_matches_reference(
+        t in table_strategy(),
+        kind in 0usize..5,
+        raw in proptest::collection::vec(any::<u32>(), 0..200),
+        cuts in (0.0f64..1.0, 0.0f64..1.0),
+        rate in 0.3f64..1.2, // crosses the streaming/sampled boundary
+        seed in any::<u64>(),
+    ) {
+        let n = t.num_rows();
+        let v = TableView::with_members(Arc::new(t), Arc::new(membership(kind, &raw, cuts, n)));
+        let sk = trellis(rate);
+        prop_assert_eq!(
+            sk.summarize(&v, Scope::ALL, seed).unwrap(),
+            sk.summarize_rowwise(&v, seed).unwrap()
         );
     }
 
@@ -426,7 +507,7 @@ proptest! {
     /// results whichever physical encoding backs the column — integers and
     /// integral doubles alike; the chunk decoder is invisible to kernels.
     /// Covers every kernel that binds a numeric column's storage: histogram,
-    /// moments, range, and the two-column cell kernels (heat map, stacked).
+    /// moments, range, and the cell kernels (heat map, stacked, trellis).
     #[test]
     fn kernels_agree_across_encodings(
         vals in proptest::collection::vec((0.0f64..1.0, -40i64..40), 1..300),
@@ -460,6 +541,7 @@ proptest! {
         let range = hillview_sketch::range::RangeSketch::new("V");
         let heat = HeatmapSketch::sampled("V", "C", num_spec(), str_spec(), 1.0);
         let stack = StackedHistogramSketch::streaming("V", "C", num_spec(), str_spec());
+        let trellis = TrellisSketch { col_x: Arc::from("V"), col_y: Arc::from("V"), ..trellis(1.0) };
         for group in [
             columns,
             delta_columns,
@@ -483,8 +565,10 @@ proptest! {
                 prop_assert_eq!(&hm, &heat.summarize_rowwise(&v, 0).unwrap());
                 let st = stack.summarize(&v, Scope::ALL, 0).unwrap();
                 prop_assert_eq!(&st, &stack.summarize_rowwise(&v, 0).unwrap());
+                let tr = trellis.summarize(&v, Scope::ALL, 0).unwrap();
+                prop_assert_eq!(&tr, &trellis.summarize_rowwise(&v, 0).unwrap());
                 let zero_signs = (r.min.map(f64::to_bits), r.max.map(f64::to_bits));
-                results.push((h, m.present, m.missing, zero_signs, r, hm, st,
+                results.push((h, m.present, m.missing, zero_signs, r, hm, st, tr,
                     m.sums.iter().map(|s| s.to_bits()).collect::<Vec<_>>()));
             }
             for r in &results[1..] {
@@ -522,6 +606,7 @@ proptest! {
             &HeatmapSketch::sampled("X", "C", num_spec(), str_spec(), rate), &v, grain, seed));
         prop_assert!(split_law_holds(
             &StackedHistogramSketch::streaming("I", "C", num_spec(), str_spec()), &v, grain, seed));
+        prop_assert!(split_law_holds(&trellis(rate), &v, grain, seed));
         prop_assert!(split_law_holds(&CountSketch::of_column("X"), &v, grain, seed));
         prop_assert!(split_law_holds(&CountSketch::rows(), &v, grain, seed));
         prop_assert!(split_law_holds(&BottomKSketch::new("C", 8), &v, grain, seed));
@@ -669,6 +754,7 @@ proptest! {
         let mom_i = MomentsSketch::new("I", 4);
         let heat = HeatmapSketch::sampled("X", "C", num_spec(), str_spec(), rate);
         let stack = StackedHistogramSketch::streaming("I", "C", num_spec(), str_spec());
+        let trellis = trellis(rate);
         let count = CountSketch::of_column("X");
         let hh = SampledHeavyHittersSketch::new("C", 4, rate);
         let run = |scalar: bool| {
@@ -691,6 +777,7 @@ proptest! {
                 mom_bits(&mom_i.summarize(&v, Scope::ALL, seed).unwrap()),
                 heat.summarize(&v, Scope::ALL, seed).unwrap(),
                 stack.summarize(&v, Scope::ALL, seed).unwrap(),
+                trellis.summarize(&v, Scope::ALL, seed).unwrap(),
                 count.summarize(&v, Scope::ALL, seed).unwrap(),
                 hh.summarize(&v, Scope::ALL, seed).unwrap(),
             );

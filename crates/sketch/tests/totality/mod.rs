@@ -1,5 +1,4 @@
-//! The shared half of the `wire_totality` suites (this crate's, and
-//! `crates/viz/tests` for the trellis): round-trip and canonical-form
+//! The tools of the `wire_totality` suite: round-trip and canonical-form
 //! assertions, the seeded mutation loop, and an allocator that reports how
 //! much a decode asked for.
 

@@ -5,18 +5,17 @@
 //! the frame merely claims.
 //!
 //! One test per `impl Sketch` of this crate (the `sketch-registry` lint rule
-//! fails a sketch this file does not name; `crates/viz/tests` holds the
-//! trellis): the identity, summaries of `hillview_data` flights, and the
-//! edge shapes of its layout, each round-tripped to an equal value *and* to
-//! equal bytes; then a seeded mutation loop over those frames, where every
-//! mutant is refused or re-encodes to itself; then the frames a hostile
-//! peer would craft.
+//! fails a sketch this file does not name): the identity, summaries of
+//! `hillview_data` flights, and the edge shapes of its layout, each
+//! round-tripped to an equal value *and* to equal bytes; then a seeded
+//! mutation loop over those frames, where every mutant is refused or
+//! re-encodes to itself; then the frames a hostile peer would craft.
 
 mod totality;
 
 use hillview_columnar::{Row, RowKey, SortOrder, StrMatchKind, Table, Value};
 use hillview_data::{generate_flights, FlightsConfig};
-use hillview_net::{Wire, WireWriter};
+use hillview_net::{Wire, WireWriter, MAX_COUNTS};
 use hillview_sketch::bottomk::{BottomKSketch, BottomKSummary};
 use hillview_sketch::buckets::BucketSpec;
 use hillview_sketch::count::{CountSketch, CountSummary};
@@ -33,6 +32,7 @@ use hillview_sketch::pca::{PcaSketch, PcaSummary};
 use hillview_sketch::quantile::{QuantileSketch, QuantileSummary};
 use hillview_sketch::range::{RangeSketch, RangeSummary};
 use hillview_sketch::stacked::{StackedHistogramSketch, StackedSummary};
+use hillview_sketch::trellis::{TrellisSketch, TrellisSummary};
 use hillview_sketch::{Scope, Sketch, SketchError, TableView};
 use std::sync::{Arc, OnceLock};
 use totality::{bomb, refused, roundtrip, total_and_canonical, zero_run};
@@ -294,6 +294,73 @@ fn stacked_is_total_and_canonical() {
     let frame = [&w.finish()[..], &zero_run(1 << 28)].concat();
     // The bars are within budget and are allocated; nothing else is.
     bomb::<StackedSummary>("2^28 empty subdivisions", &frame, (8 << 14) + (4 << 10));
+}
+
+fn trellis(groups: usize, bx: usize, by: usize) -> TrellisSketch {
+    TrellisSketch {
+        col_w: Arc::from("Month"),
+        col_x: Arc::from("Distance"),
+        col_y: Arc::from("AirTime"),
+        buckets_w: BucketSpec::numeric(1.0, 13.0, groups),
+        buckets_x: BucketSpec::numeric(0.0, 3_000.0, bx),
+        buckets_y: BucketSpec::numeric(0.0, 400.0, by),
+        rate: 1.0,
+    }
+}
+
+/// The trellis's heat maps draw on one expansion budget per frame, not one
+/// each.
+#[test]
+fn trellis_is_total_and_canonical() {
+    let sketch = trellis(4, 20, 10);
+    let summaries = [
+        sketch.identity(),
+        summary(&sketch),
+        TrellisSummary {
+            groups: Vec::new(),
+            dropped: u64::MAX,
+        },
+        TrellisSummary {
+            groups: vec![HeatmapSummary::zero(0, 0), HeatmapSummary::zero(2, 0)],
+            dropped: 0,
+        },
+    ];
+    total_and_canonical("trellis", &summaries);
+    // A group count one above the groups that follow: the last one is read
+    // out of `dropped` and whatever is not there.
+    let mut short = summaries[1].to_bytes().to_vec();
+    short[0] += 1;
+    refused::<TrellisSummary>("a group count past its groups", &short);
+
+    // Each group is within the budget; together they are past it. The
+    // first is decoded (80 bytes of cells), the second refused unallocated.
+    let group = |w: &mut WireWriter, bx: usize, by: usize| {
+        w.put_varint(bx as u64);
+        w.put_varint(by as u64);
+        for b in [zero_run((bx * by) as u64), vec![0; 3]].concat() {
+            w.put_u8(b);
+        }
+    };
+    let mut w = WireWriter::new();
+    w.put_varint(2);
+    group(&mut w, 5, 2);
+    group(&mut w, MAX_COUNTS / 4, 4);
+    w.put_varint(0);
+    bomb::<TrellisSummary>("groups past the budget together", &w.finish(), 4 << 10);
+    // One group fewer cells, and the frame is a summary.
+    let mut w = WireWriter::new();
+    w.put_varint(2);
+    group(&mut w, 5, 2);
+    group(&mut w, MAX_COUNTS / 4 - 3, 4);
+    w.put_varint(0);
+    assert!(TrellisSummary::from_bytes(w.finish()).is_ok());
+    bomb::<TrellisSummary>("2^27 groups", &[0x80, 0x80, 0x80, 0x40, 0, 0, 0], 4 << 10);
+
+    // And a trellis that large is refused where it is configured.
+    assert!(matches!(
+        trellis(16, 1 << 10, (1 << 8) + 1).summarize(&flights(), Scope::ALL, 0),
+        Err(SketchError::BadConfig(_))
+    ));
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! empirically.
 
 use crate::cdf::CdfRendering;
-use crate::render::{BarChart, ColorGrid};
+use crate::render::BarChart;
 
 /// Largest per-bar pixel difference between two bar charts of equal width.
 pub fn max_bar_pixel_error(a: &BarChart, b: &BarChart) -> u32 {
@@ -30,31 +30,6 @@ pub fn max_cdf_pixel_error(a: &CdfRendering, b: &CdfRendering) -> u32 {
         .map(|(x, y)| x.abs_diff(*y))
         .max()
         .unwrap_or(0)
-}
-
-/// Largest per-cell shade difference between two color grids.
-pub fn max_shade_error(a: &ColorGrid, b: &ColorGrid) -> u8 {
-    assert_eq!((a.bx, a.by), (b.bx, b.by), "grid shape mismatch");
-    a.cells
-        .iter()
-        .zip(&b.cells)
-        .map(|(x, y)| x.abs_diff(*y))
-        .max()
-        .unwrap_or(0)
-}
-
-/// Fraction of bars whose error exceeds `tolerance_px` — the empirical δ.
-pub fn bar_error_rate(a: &BarChart, b: &BarChart, tolerance_px: u32) -> f64 {
-    if a.heights_px.is_empty() {
-        return 0.0;
-    }
-    let bad = a
-        .heights_px
-        .iter()
-        .zip(&b.heights_px)
-        .filter(|(x, y)| x.abs_diff(**y) > tolerance_px)
-        .count();
-    bad as f64 / a.heights_px.len() as f64
 }
 
 #[cfg(test)]
@@ -105,8 +80,6 @@ mod tests {
             labels: vec![],
         };
         assert_eq!(max_bar_pixel_error(&a, &b), 2);
-        assert_eq!(bar_error_rate(&a, &b, 1), 1.0 / 3.0);
-        assert_eq!(bar_error_rate(&a, &a, 0), 0.0);
     }
 
     /// The paper's guarantee, tested end to end: a sampled histogram's

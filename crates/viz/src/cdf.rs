@@ -7,11 +7,11 @@
 //! most one pixel off.
 
 use crate::display::DisplaySpec;
+use crate::heatmap::numeric_spec;
 use crate::samples;
-use hillview_sketch::buckets::BucketSpec;
 use hillview_sketch::histogram::{HistogramSketch, HistogramSummary};
 use hillview_sketch::range::RangeSummary;
-use hillview_sketch::traits::{SketchError, SketchResult};
+use hillview_sketch::traits::SketchResult;
 use std::sync::Arc;
 
 /// CDF vizketch configuration.
@@ -58,21 +58,7 @@ impl CdfViz {
     /// Phase-2 sketch from the phase-1 range: a histogram with one bucket
     /// per horizontal pixel.
     pub fn prepare(&self, range: &RangeSummary) -> SketchResult<HistogramSketch> {
-        let (min, max) = match (range.min, range.max) {
-            (Some(a), Some(b)) => (a, b),
-            _ => {
-                return Err(SketchError::BadConfig(format!(
-                    "column {} has no numeric range",
-                    self.column
-                )))
-            }
-        };
-        let hi = if max > min {
-            max + (max - min) * 1e-9
-        } else {
-            min + 1.0
-        };
-        let spec = BucketSpec::numeric(min, hi, self.display.width_px);
+        let spec = numeric_spec(range, self.display.width_px, &self.column)?;
         if self.exact {
             Ok(HistogramSketch::streaming(&self.column, spec))
         } else {

@@ -7,21 +7,21 @@
 
 /// Maximum number of histogram bars regardless of screen width (paper §1:
 /// "limits the number of bars to ≈100").
-pub const MAX_HISTOGRAM_BARS: usize = 100;
+const MAX_HISTOGRAM_BARS: usize = 100;
 
 /// Maximum buckets for string-valued axes (paper App. B.1: 50).
-pub const MAX_STRING_BUCKETS: usize = 50;
+pub(crate) const MAX_STRING_BUCKETS: usize = 50;
 
 /// Discernible colors in a heat-map density scale (paper §4.3: c ≈ 20).
-pub const COLOR_SHADES: usize = 20;
+pub(crate) const COLOR_SHADES: usize = 20;
 
 /// Maximum subdivisions (colors) in a stacked histogram (paper App. B.1:
 /// "By is limited to ≈20").
-pub const MAX_STACK_COLORS: usize = 20;
+pub(crate) const MAX_STACK_COLORS: usize = 20;
 
 /// Heat-map bin size in pixels (paper App. B.1: "each bin consumes b×b
 /// pixels, where b = 3").
-pub const HEATMAP_BIN_PX: usize = 3;
+const HEATMAP_BIN_PX: usize = 3;
 
 /// A target drawing surface in pixels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,13 +44,13 @@ impl DisplaySpec {
 
     /// The paper's default chart surface (§4.2 example: "at most 50 buckets
     /// ... when the screen width is 200 pixels" ⇒ bars are ≥ 4 px wide).
-    pub fn default_chart() -> Self {
+    pub(crate) fn default_chart() -> Self {
         DisplaySpec::new(600, 200)
     }
 
     /// Number of histogram bars that fit: one per 4 horizontal pixels,
     /// capped at [`MAX_HISTOGRAM_BARS`] and at the caller's request.
-    pub fn histogram_buckets(&self, requested: Option<usize>) -> usize {
+    pub(crate) fn histogram_buckets(&self, requested: Option<usize>) -> usize {
         let fit = (self.width_px / 4).clamp(1, MAX_HISTOGRAM_BARS);
         match requested {
             Some(r) => r.clamp(1, fit),
@@ -59,12 +59,12 @@ impl DisplaySpec {
     }
 
     /// String-axis bucket budget (≤ 50).
-    pub fn string_buckets(&self) -> usize {
+    pub(crate) fn string_buckets(&self) -> usize {
         self.histogram_buckets(None).min(MAX_STRING_BUCKETS)
     }
 
     /// Heat-map bins along X and Y: Bx = H/b, By = V/b (paper §4.3).
-    pub fn heatmap_bins(&self) -> (usize, usize) {
+    pub(crate) fn heatmap_bins(&self) -> (usize, usize) {
         (
             (self.width_px / HEATMAP_BIN_PX).max(1),
             (self.height_px / HEATMAP_BIN_PX).max(1),
@@ -73,7 +73,7 @@ impl DisplaySpec {
 
     /// Sub-display for one cell of a `rows × cols` trellis grid (paper App.
     /// B.1: "a large number of heat maps means that each heat map is small").
-    pub fn trellis_cell(&self, rows: usize, cols: usize) -> DisplaySpec {
+    pub(crate) fn trellis_cell(&self, rows: usize, cols: usize) -> DisplaySpec {
         DisplaySpec::new(
             (self.width_px / cols.max(1)).max(1),
             (self.height_px / rows.max(1)).max(1),

@@ -1,20 +1,19 @@
 //! Heavy-hitters visualization (paper §4.3, App. B.2).
 //!
 //! Subsumes pie charts (§3.4): the rendering is a ranked table of the most
-//! frequent values with counts and percentages, plus a bar chart. Two
+//! frequent values with counts and percentages. Two
 //! back-end algorithms are available — Misra-Gries (exact guarantee, full
 //! scan) and sampling (cheaper; "better ... when K ≥ 1/100", App. B.2).
 
-use crate::display::DisplaySpec;
-use crate::render::BarChart;
 use crate::samples;
 use hillview_columnar::Value;
 use hillview_sketch::heavy::{
-    MisraGriesSketch, MisraGriesSummary, SampledHeavyHittersSketch, SampledHeavyHittersSummary,
+    MisraGriesSummary, SampledHeavyHittersSketch, SampledHeavyHittersSummary,
 };
 use std::sync::Arc;
 
-/// Which heavy-hitter algorithm to run.
+/// Which heavy-hitter algorithm to run (`pub`: the type of the public
+/// field [`HeavyHittersViz::mode`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HeavyHittersMode {
     /// Misra-Gries streaming counters.
@@ -62,11 +61,6 @@ impl HeavyHittersViz {
             mode: HeavyHittersMode::Sampling,
             ..Self::streaming(column, k)
         }
-    }
-
-    /// The Misra-Gries sketch (streaming mode).
-    pub fn prepare_streaming(&self) -> MisraGriesSketch {
-        MisraGriesSketch::new(&self.column, self.k)
     }
 
     /// The sampling sketch, with rate derived from K, δ and the population
@@ -130,13 +124,6 @@ impl HeavyHittersViz {
 }
 
 impl HeavyHittersRendering {
-    /// Bar chart of the ranked counts (pie-chart substitute).
-    pub fn to_bar_chart(&self, display: DisplaySpec) -> BarChart {
-        let counts: Vec<u64> = self.items.iter().map(|(_, c, _)| *c).collect();
-        let labels = self.items.iter().map(|(v, _, _)| v.to_string()).collect();
-        BarChart::from_counts(&counts, display.height_px, labels)
-    }
-
     /// Text table for the spreadsheet UI.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
@@ -152,6 +139,7 @@ mod tests {
     use super::*;
     use hillview_columnar::column::{Column, DictColumn};
     use hillview_columnar::{ColumnKind, Table};
+    use hillview_sketch::heavy::MisraGriesSketch;
     use hillview_sketch::traits::Sketch;
     use hillview_sketch::{Scope, TableView};
     use std::sync::Arc as StdArc;
@@ -182,8 +170,7 @@ mod tests {
     fn streaming_mode_end_to_end() {
         let v = view();
         let viz = HeavyHittersViz::streaming("Carrier", 5);
-        let s = viz
-            .prepare_streaming()
+        let s = MisraGriesSketch::new("Carrier", 5)
             .summarize(&v, Scope::ALL, 0)
             .unwrap();
         let r = viz.render_streaming(&s);
@@ -218,14 +205,10 @@ mod tests {
     fn renderings_export() {
         let v = view();
         let viz = HeavyHittersViz::streaming("Carrier", 4);
-        let s = viz
-            .prepare_streaming()
+        let s = MisraGriesSketch::new("Carrier", 4)
             .summarize(&v, Scope::ALL, 0)
             .unwrap();
-        let r = viz.render_streaming(&s);
-        let chart = r.to_bar_chart(DisplaySpec::new(100, 50));
-        assert_eq!(chart.heights_px[0], 50, "top item fills the chart");
-        let text = r.to_text();
+        let text = viz.render_streaming(&s).to_text();
         assert!(text.contains("UA"));
         assert!(text.contains('%'));
     }

@@ -6,13 +6,14 @@
 //! occupies the full height and every bar is within ±½ pixel w.h.p.
 
 use crate::display::DisplaySpec;
+use crate::heatmap::{numeric_spec, string_spec};
 use crate::render::BarChart;
 use crate::samples;
 use hillview_sketch::bottomk::BottomKSummary;
 use hillview_sketch::buckets::BucketSpec;
 use hillview_sketch::histogram::{HistogramSketch, HistogramSummary};
 use hillview_sketch::range::RangeSummary;
-use hillview_sketch::traits::{SketchError, SketchResult};
+use hillview_sketch::traits::SketchResult;
 use std::sync::Arc;
 
 /// Histogram vizketch configuration.
@@ -56,30 +57,10 @@ impl HistogramViz {
         self
     }
 
-    /// Build a numeric bucket spec covering `[min, max]` (phase-1 range).
-    /// The upper edge is nudged above `max` so the maximum lands in the last
-    /// bucket ([`BucketSpec`] ranges are half-open).
-    pub fn numeric_spec(&self, range: &RangeSummary) -> SketchResult<BucketSpec> {
-        let (min, max) = match (range.min, range.max) {
-            (Some(a), Some(b)) => (a, b),
-            _ => {
-                return Err(SketchError::BadConfig(format!(
-                    "column {} has no numeric range (empty or non-numeric)",
-                    self.column
-                )))
-            }
-        };
-        let hi = bump_above(min, max);
-        Ok(BucketSpec::numeric(
-            min,
-            hi,
-            self.display.histogram_buckets(self.requested_buckets),
-        ))
-    }
-
     /// Phase-2 sketch for a numeric column, given the phase-1 range.
     pub fn prepare_numeric(&self, range: &RangeSummary) -> SketchResult<HistogramSketch> {
-        let spec = self.numeric_spec(range)?;
+        let bars = self.display.histogram_buckets(self.requested_buckets);
+        let spec = numeric_spec(range, bars, &self.column)?;
         Ok(self.finish_prepare(spec, range.present))
     }
 
@@ -90,14 +71,8 @@ impl HistogramViz {
             .display
             .string_buckets()
             .min(self.requested_buckets.unwrap_or(usize::MAX));
-        let boundaries = bottomk.bucket_boundaries(budget);
-        if boundaries.is_empty() {
-            return Err(SketchError::BadConfig(format!(
-                "column {} has no string values",
-                self.column
-            )));
-        }
-        Ok(self.finish_prepare(BucketSpec::strings(boundaries), bottomk.rows))
+        let spec = string_spec(bottomk, budget, &self.column)?;
+        Ok(self.finish_prepare(spec, bottomk.rows))
     }
 
     fn finish_prepare(&self, spec: BucketSpec, population: u64) -> HistogramSketch {
@@ -119,20 +94,10 @@ impl HistogramViz {
     }
 }
 
-/// The smallest double strictly above `max` that still gives a non-empty
-/// `[min, hi)` interval; widens degenerate ranges to one unit.
-fn bump_above(min: f64, max: f64) -> f64 {
-    if max > min {
-        let width = max - min;
-        max + width * 1e-9 + f64::EPSILON * max.abs().max(1.0)
-    } else {
-        min + 1.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heatmap::bump_above;
     use hillview_columnar::column::{Column, F64Column};
     use hillview_columnar::{ColumnKind, Table};
     use hillview_sketch::bottomk::BottomKSketch;

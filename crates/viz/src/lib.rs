@@ -18,7 +18,9 @@
 //! * One module per visualization — [`histogram`], [`cdf`], [`stacked`],
 //!   [`heatmap`], [`trellis`], [`heavyviz`], [`tableview`] — each pairing a
 //!   `prepare` step (phase-1 range/count → parameterized sketch) with a
-//!   `render` step (summary → pixel-level rendering).
+//!   `render` step (summary → pixel-level rendering). Every sketch they
+//!   prepare lives in `hillview-sketch`; the bucketed charts all cut an
+//!   axis into buckets by one rule, [`heatmap::AxisInfo::bucket_spec`].
 //! * [`render`] — rendering data structures (bar charts in pixels, color
 //!   grids in shades) plus ASCII output for the examples.
 //! * [`accuracy`] — verification that sampled renderings stay within the

@@ -57,7 +57,7 @@ impl BarChart {
 
 /// Scale `count` into `0..=height_px` pixels relative to `max_count`,
 /// rounding to the nearest pixel (the ±½ px quantization of Fig. 3).
-pub fn scale_to_pixels(count: u64, max_count: u64, height_px: usize) -> u32 {
+pub(crate) fn scale_to_pixels(count: u64, max_count: u64, height_px: usize) -> u32 {
     if max_count == 0 {
         return 0;
     }
@@ -122,7 +122,7 @@ impl ColorGrid {
 }
 
 /// Linear count→shade quantization.
-pub fn shade_of(count: u64, max_count: u64, shades: usize) -> u8 {
+pub(crate) fn shade_of(count: u64, max_count: u64, shades: usize) -> u8 {
     if count == 0 || max_count == 0 {
         return 0;
     }

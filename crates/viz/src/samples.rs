@@ -12,7 +12,7 @@
 //! validated empirically by the accuracy tests in [`crate::accuracy`].
 
 /// Default error probability δ.
-pub const DEFAULT_DELTA: f64 = 0.01;
+pub(crate) const DEFAULT_DELTA: f64 = 0.01;
 
 /// Calibration constant for the CV² histogram rule.
 const HISTOGRAM_C: f64 = 5.0;
@@ -46,7 +46,7 @@ pub fn heatmap(shades: usize, p_max_estimate: f64, delta: f64) -> u64 {
 /// Upper bound on heat-map sampling: past this, streaming the data is
 /// cheaper than sampling it (sampling is an optimization, not a cap on
 /// correctness — the engine falls back to exact scans).
-pub fn heatmap_budget() -> u64 {
+fn heatmap_budget() -> u64 {
     8_000_000
 }
 
@@ -63,7 +63,7 @@ pub fn quantile(v_px: usize, delta: f64) -> u64 {
 /// `10·V`. The screen tells `V` positions apart; ten equi-depth keys per
 /// pixel keep the key a pixel maps to within 1/(20·V) of the rank the
 /// whole O(V²) sample would give it, at O(V) bytes per worker.
-pub fn quantile_resolution(v_px: usize) -> usize {
+pub(crate) fn quantile_resolution(v_px: usize) -> usize {
     10 * v_px
 }
 

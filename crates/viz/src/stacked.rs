@@ -4,9 +4,8 @@ use crate::display::{DisplaySpec, MAX_STACK_COLORS};
 use crate::heatmap::AxisInfo;
 use crate::render::scale_to_pixels;
 use crate::samples;
-use hillview_sketch::buckets::BucketSpec;
 use hillview_sketch::stacked::{StackedHistogramSketch, StackedSummary};
-use hillview_sketch::traits::{SketchError, SketchResult};
+use hillview_sketch::traits::SketchResult;
 use std::sync::Arc;
 
 /// Stacked-histogram vizketch configuration.
@@ -74,8 +73,8 @@ impl StackedViz {
         population: u64,
     ) -> SketchResult<StackedHistogramSketch> {
         let bx = self.display.histogram_buckets(self.requested_buckets);
-        let sx = axis_spec(x, bx, "X")?;
-        let sy = axis_spec(y, MAX_STACK_COLORS, "Y")?;
+        let sx = x.bucket_spec(bx, "X axis")?;
+        let sy = y.bucket_spec(MAX_STACK_COLORS, "Y axis")?;
         if self.normalized {
             // Normalized bars need exact counts (App. B.1).
             Ok(StackedHistogramSketch::streaming(
@@ -135,36 +134,6 @@ impl StackedViz {
             segments_px,
             height_px: v,
             max_count,
-        }
-    }
-}
-
-fn axis_spec(info: &AxisInfo, bins: usize, which: &str) -> SketchResult<BucketSpec> {
-    match info {
-        AxisInfo::Numeric(range) => {
-            let (min, max) = match (range.min, range.max) {
-                (Some(a), Some(b)) => (a, b),
-                _ => {
-                    return Err(SketchError::BadConfig(format!(
-                        "{which} axis has no numeric range"
-                    )))
-                }
-            };
-            let hi = if max > min {
-                max + (max - min) * 1e-9
-            } else {
-                min + 1.0
-            };
-            Ok(BucketSpec::numeric(min, hi, bins))
-        }
-        AxisInfo::Strings(bk) => {
-            let boundaries = bk.bucket_boundaries(bins);
-            if boundaries.is_empty() {
-                return Err(SketchError::BadConfig(format!(
-                    "{which} axis has no string values"
-                )));
-            }
-            Ok(BucketSpec::strings(boundaries))
         }
     }
 }

@@ -3,169 +3,17 @@
 //! *"A heat map trellis plot produces k heat maps, each for a fixed range
 //! of values wᵢ in column W. ... because the rendering area is limited to
 //! H×V, a large number of heat maps means that each heat map is small."*
-//! The trellis sketch computes all k heat maps in one pass; its summary is
-//! a vector of heat-map summaries and merges group-wise.
+//! The kernel is [`hillview_sketch::trellis`]; this module sizes it to the
+//! display — near-square grid, per-cell bins, the smaller sample — and
+//! renders its groups.
 
 use crate::display::{DisplaySpec, COLOR_SHADES};
 use crate::heatmap::AxisInfo;
 use crate::render::ColorGrid;
 use crate::samples;
-use hillview_columnar::MembershipSet;
-use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use hillview_sketch::buckets::{grid_cells, BucketSpec};
-use hillview_sketch::heatmap::{HeatmapSketch, HeatmapSummary};
-use hillview_sketch::traits::{Sketch, SketchError, SketchResult, Summary};
-use hillview_sketch::view::two_pass;
-use hillview_sketch::{Scope, TableView};
+use hillview_sketch::traits::SketchResult;
+use hillview_sketch::trellis::{TrellisSketch, TrellisSummary};
 use std::sync::Arc;
-
-/// Trellis-of-heat-maps sketch: group column W, then X×Y per group.
-#[derive(Debug, Clone)]
-pub struct TrellisSketch {
-    /// Grouping column W.
-    pub col_w: Arc<str>,
-    /// X column of each inner heat map.
-    pub col_x: Arc<str>,
-    /// Y column of each inner heat map.
-    pub col_y: Arc<str>,
-    /// Buckets for W (one heat map per bucket).
-    pub buckets_w: BucketSpec,
-    /// Shared X buckets.
-    pub buckets_x: BucketSpec,
-    /// Shared Y buckets.
-    pub buckets_y: BucketSpec,
-    /// Sampling rate (`>= 1.0` exact).
-    pub rate: f64,
-}
-
-/// One heat map per W bucket.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrellisSummary {
-    /// Per-group heat maps, indexed by W bucket.
-    pub groups: Vec<HeatmapSummary>,
-    /// Rows whose W was missing or out of range.
-    pub dropped: u64,
-}
-
-impl Summary for TrellisSummary {
-    fn merge(&self, other: &Self) -> Self {
-        if self.groups.is_empty() {
-            return other.clone();
-        }
-        if other.groups.is_empty() {
-            return self.clone();
-        }
-        debug_assert_eq!(self.groups.len(), other.groups.len());
-        TrellisSummary {
-            groups: self
-                .groups
-                .iter()
-                .zip(&other.groups)
-                .map(|(a, b)| a.merge(b))
-                .collect(),
-            dropped: self.dropped + other.dropped,
-        }
-    }
-}
-
-/// Layout: group count, each group's heat map — all of them against the
-/// frame's one expansion budget — then `dropped`.
-impl Wire for TrellisSummary {
-    fn encode(&self, w: &mut WireWriter) {
-        self.groups.encode(w);
-        w.put_varint(self.dropped);
-    }
-    fn decode(r: &mut WireReader) -> WireResult<Self> {
-        Ok(TrellisSummary {
-            groups: Vec::decode(r)?,
-            dropped: r.get_varint()?,
-        })
-    }
-}
-
-impl Sketch for TrellisSketch {
-    type Summary = TrellisSummary;
-
-    fn name(&self) -> &'static str {
-        "trellis-heatmap"
-    }
-
-    fn summarize(
-        &self,
-        view: &TableView,
-        scope: Scope<'_>,
-        seed: u64,
-    ) -> SketchResult<TrellisSummary> {
-        let (w, x, y) = (&self.buckets_w, &self.buckets_x, &self.buckets_y);
-        grid_cells(&[w.count(), x.count(), y.count()])?;
-        let view = &two_pass(self.name(), view, scope)?;
-        // Reuse the heat-map kernel per group by restricting rows: simple
-        // and correct, though it scans W once per group. Group counts are
-        // small (k ≤ ~16 on any real display).
-        let table = view.table();
-        let bound = bind_w(table.column_by_name(&self.col_w)?, &self.buckets_w)?;
-        // Partition rows by W bucket.
-        let mut groups_rows: Vec<Vec<u32>> = vec![Vec::new(); self.buckets_w.count()];
-        let mut dropped = 0u64;
-        for row in view.iter_rows() {
-            match bound(row) {
-                Some(g) => groups_rows[g].push(row as u32),
-                None => dropped += 1,
-            }
-        }
-        let (bx, by) = (self.buckets_x.clone(), self.buckets_y.clone());
-        let inner = HeatmapSketch::sampled(&self.col_x, &self.col_y, bx, by, self.rate);
-        let mut groups = Vec::with_capacity(groups_rows.len());
-        for (g, rows) in groups_rows.into_iter().enumerate() {
-            let members = MembershipSet::from_rows(rows, table.num_rows());
-            let sub = TableView::with_members(table.clone(), Arc::new(members));
-            let group_seed = seed ^ (g as u64).wrapping_mul(0x9E37);
-            groups.push(inner.summarize(&sub, Scope::ALL, group_seed)?);
-        }
-        Ok(TrellisSummary { groups, dropped })
-    }
-
-    fn identity(&self) -> TrellisSummary {
-        TrellisSummary {
-            groups: (0..self.buckets_w.count())
-                .map(|_| HeatmapSummary::zero(self.buckets_x.count(), self.buckets_y.count()))
-                .collect(),
-            dropped: 0,
-        }
-    }
-}
-
-/// Bind the W column to its bucket spec, returning a row→group closure.
-fn bind_w<'a>(
-    col: &'a hillview_columnar::Column,
-    spec: &'a BucketSpec,
-) -> SketchResult<Box<dyn Fn(usize) -> Option<usize> + 'a>> {
-    match (spec, col.as_dict_col()) {
-        (BucketSpec::Strings { .. }, Some(dict)) => {
-            let code_bucket: Vec<Option<usize>> = dict
-                .dictionary()
-                .iter()
-                .map(|s| spec.index_of_str(s))
-                .collect();
-            Ok(Box::new(move |row: usize| {
-                if dict.nulls().is_null(row) {
-                    None
-                } else {
-                    code_bucket[dict.code(row) as usize]
-                }
-            }))
-        }
-        (BucketSpec::Numeric { .. }, None) if col.kind().is_numeric() => {
-            Ok(Box::new(move |row: usize| {
-                col.as_f64(row).and_then(|v| spec.index_of_f64(v))
-            }))
-        }
-        _ => Err(SketchError::BadConfig(format!(
-            "trellis group column {} incompatible with its bucket spec",
-            col.kind()
-        ))),
-    }
-}
 
 /// Trellis vizketch configuration.
 #[derive(Debug, Clone)]
@@ -215,35 +63,6 @@ impl TrellisViz {
         let (rows, cols) = self.layout();
         let cell = self.display.trellis_cell(rows, cols);
         let (bx, by) = cell.heatmap_bins();
-        let spec_of = |info: &AxisInfo, bins: usize, which: &str| -> SketchResult<BucketSpec> {
-            match info {
-                AxisInfo::Numeric(range) => {
-                    let (min, max) = match (range.min, range.max) {
-                        (Some(a), Some(b)) => (a, b),
-                        _ => {
-                            return Err(SketchError::BadConfig(format!(
-                                "{which} axis has no numeric range"
-                            )))
-                        }
-                    };
-                    let hi = if max > min {
-                        max + (max - min) * 1e-9
-                    } else {
-                        min + 1.0
-                    };
-                    Ok(BucketSpec::numeric(min, hi, bins))
-                }
-                AxisInfo::Strings(bk) => {
-                    let b = bk.bucket_boundaries(bins);
-                    if b.is_empty() {
-                        return Err(SketchError::BadConfig(format!(
-                            "{which} axis has no string values"
-                        )));
-                    }
-                    Ok(BucketSpec::strings(b))
-                }
-            }
-        };
         // Smaller cells ⇒ fewer bins ⇒ smaller sample (paper: "this
         // requires a smaller sample size than rendering a single heat map").
         let cells = (bx * by) as f64;
@@ -253,9 +72,9 @@ impl TrellisViz {
             col_w: self.col_w.clone(),
             col_x: self.col_x.clone(),
             col_y: self.col_y.clone(),
-            buckets_w: spec_of(w, self.groups, "W")?,
-            buckets_x: spec_of(x, bx, "X")?,
-            buckets_y: spec_of(y, by, "Y")?,
+            buckets_w: w.bucket_spec(self.groups, "W axis")?,
+            buckets_x: x.bucket_spec(bx, "X axis")?,
+            buckets_y: y.bucket_spec(by, "Y axis")?,
             rate,
         })
     }
@@ -275,8 +94,11 @@ mod tests {
     use super::*;
     use hillview_columnar::column::{Column, DictColumn, F64Column};
     use hillview_columnar::{ColumnKind, MembershipSet, Table};
+    use hillview_net::Wire;
     use hillview_sketch::bottomk::BottomKSketch;
     use hillview_sketch::range::RangeSketch;
+    use hillview_sketch::traits::{Sketch, Summary};
+    use hillview_sketch::{Scope, TableView};
     use std::sync::Arc as StdArc;
 
     /// Three datacenters; dc0 rows cluster low-X, dc2 rows high-X.
