@@ -1,11 +1,13 @@
 //! The sketch-result cache over a live cluster: cold fused execution vs a
 //! warm per-worker cache hit on the drill-down shape (`packed_selective`,
-//! the same sorted-jitter column and range the `fused` suite reads),
+//! the same sorted-jitter column and range the `fused` suite reads), a
+//! revisit answered by a tree of worker hits vs by the root's memo,
 //! single-flight coalescing under concurrent identical queries, and the
 //! cost-based fuse-vs-materialize planner against both static strategies
 //! on a repeated-query sequence. What to read: the warm hit beats the cold
-//! miss by ≥ 10x, and on every planner scenario the cost-based plan lands
-//! within 1.3x of the better static strategy.
+//! miss by ≥ 10x, the memo beats the tree of hits by ≥ 4x, and on every
+//! planner scenario the cost-based plan lands within 1.3x of the better
+//! static strategy.
 
 use super::data::{self, uncached, ROWS};
 use hillview_bench::harness::{Registered, Suite};
@@ -25,7 +27,8 @@ use std::time::Instant;
 pub const SUITE: Registered = Registered {
     name: "cache",
     about: "sketch-result cache over a 2-worker cluster, 1M rows: cold fused drill-down vs warm \
-            per-worker hit, single-flight coalescing, and cost-based fuse-vs-materialize planner \
+            per-worker hit, a revisit as a tree of worker hits vs answered by the root's memo, \
+            single-flight coalescing, and cost-based fuse-vs-materialize planner \
             regret vs both static strategies (median ns); the warm run is asserted to hit every \
             worker's cache and the coalescing run to lose no query",
     run,
@@ -75,12 +78,14 @@ fn run(suite: &mut Suite) {
         for w in 0..cluster.num_workers() {
             cluster.worker(w).cache().clear();
         }
+        cluster.memo().clear();
     };
     let cached = QueryOptions::default();
 
     // Cold vs warm: the same fused filtered-histogram drill-down, timed as
     // a pure computation (`cache: false`), as a cache miss (caches cleared
-    // inside the measured call), and as a warm hit.
+    // inside the measured call), and as a warm hit at the workers (the
+    // root's memo cleared inside the call, so the tree launches).
     suite
         .case("packed_selective")
         .time("uncached", || drill_down(&uncached()))
@@ -89,16 +94,42 @@ fn run(suite: &mut Suite) {
             drill_down(&cached)
         })
         // The warm-up primes the worker caches; every timed call hits.
-        .time("warm_hit", || drill_down(&cached))
+        .time("warm_hit", || {
+            cluster.memo().clear();
+            drill_down(&cached)
+        })
         .ratio("warm_over_cold", "cold_miss", "warm_hit");
 
     // The warm path actually hits.
+    cluster.memo().clear();
     let before = cluster.cache_stats();
-    drill_down(&cached);
+    let tree = drill_down(&cached);
     assert_eq!(
         cluster.cache_stats().hits - before.hits,
         cluster.num_workers() as u64,
         "warm drill-down was not served from every worker's cache"
+    );
+
+    // A chart already drawn, drawn again — the exact histogram of the
+    // whole column: a tree whose every worker answers from its cache
+    // against the root's memo answering before any tree exists.
+    let revisit = || engine.run_erased(packed, &sk, &cached).unwrap();
+    suite
+        .case("revisit")
+        .time("tree_of_hits", || {
+            cluster.memo().clear();
+            revisit()
+        })
+        .time("root_memo", revisit)
+        .ratio("tree_over_memo", "tree_of_hits", "root_memo");
+    let memo = revisit();
+    assert!(
+        tree.root_messages > 0 && !tree.memo,
+        "a tree of hits launches"
+    );
+    assert!(
+        memo.memo && memo.root_messages == 0,
+        "the memo launches none"
     );
 
     // Single-flight coalescing: N threads fire the identical cold query;

@@ -87,6 +87,25 @@ impl Bitmap {
         self.words[i / 64] |= 1u64 << (i % 64);
     }
 
+    /// Set bits `lo..hi` to 1, a word at a time: the first and the last
+    /// word masked, every word between them filled.
+    pub fn set_range(&mut self, lo: usize, hi: usize) {
+        assert!(lo <= hi && hi <= self.len, "{lo}..{hi} of {}", self.len);
+        if lo == hi {
+            return;
+        }
+        let (first, last) = (lo / 64, (hi - 1) / 64);
+        // Bits of the last word the run reaches: 1..=64.
+        let upto = (hi - 1) % 64 + 1;
+        if first == last {
+            self.words[first] |= span_mask(lo % 64, upto);
+        } else {
+            self.words[first] |= span_mask(lo % 64, 64);
+            self.words[first + 1..last].fill(u64::MAX);
+            self.words[last] |= span_mask(0, upto);
+        }
+    }
+
     /// Clear bit `i`.
     #[inline]
     pub fn clear(&mut self, i: usize) {
@@ -242,6 +261,32 @@ mod tests {
             let b = Bitmap::all_set(len);
             assert_eq!(b.count_ones(), len, "len={len}");
         }
+    }
+
+    /// Every `(lo % 64, hi % 64)` pair, runs inside one word and across up
+    /// to five, over bits already set: the word fill is the bit loop.
+    #[test]
+    fn set_range_equals_the_bit_loop() {
+        const LEN: usize = 5 * 64;
+        let mut seeded = Bitmap::new(LEN);
+        (0..LEN).step_by(7).for_each(|i| seeded.set(i));
+        for lo in 0..128 {
+            for hi in lo..=LEN {
+                let (mut filled, mut looped) = (seeded.clone(), seeded.clone());
+                filled.set_range(lo, hi);
+                (lo..hi).for_each(|i| looped.set(i));
+                assert_eq!(filled, looped, "{lo}..{hi}");
+            }
+        }
+        let mut tail = Bitmap::new(70);
+        tail.set_range(3, 70);
+        assert_eq!(tail.count_ones(), 67, "nothing set past the length");
+    }
+
+    #[test]
+    #[should_panic(expected = "of 70")]
+    fn set_range_refuses_a_run_past_the_length() {
+        Bitmap::new(70).set_range(60, 71);
     }
 
     #[test]

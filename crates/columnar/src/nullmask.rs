@@ -44,6 +44,15 @@ impl NullMask {
         self.mask.get_or_insert_with(|| Bitmap::new(len)).set(i);
     }
 
+    /// Mark rows `lo..hi` (of a column with `len` rows) as missing — one
+    /// run of nulls, filled by the word. An empty run allocates nothing.
+    pub fn set_null_range(&mut self, lo: usize, hi: usize, len: usize) {
+        if lo < hi {
+            let mask = self.mask.get_or_insert_with(|| Bitmap::new(len));
+            mask.set_range(lo, hi);
+        }
+    }
+
     /// Number of missing rows.
     pub fn null_count(&self) -> usize {
         self.mask.as_ref().map_or(0, |b| b.count_ones())

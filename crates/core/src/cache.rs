@@ -1,5 +1,8 @@
-//! Per-worker sketch-result cache: a bounded LRU with byte accounting and
-//! single-flight coalescing.
+//! The sketch-result cache: a bounded LRU with byte accounting and
+//! single-flight coalescing. Each worker holds one, of its merged
+//! summaries; the root holds one more, of final folds, and answers a
+//! repeated query from it before any tree is launched
+//! ([`crate::cluster`], "A chart already drawn costs no tree").
 //!
 //! The paper's computation cache (§5.4) is "indexed by what mergeable
 //! summary was used and what dataset was operated on". Here that identity
@@ -33,7 +36,8 @@ pub struct CacheKey {
     /// Lineage-derived content version of that dataset on this worker; a
     /// fused query folds its canonical predicate bytes into the parent's
     /// version, so canonically-equal predicates share an entry and
-    /// semantically distinct ones never collide.
+    /// semantically distinct ones never collide. In the root's memo, the
+    /// workers' versions folded together.
     pub version: u64,
     /// 128-bit structural query hash over the sketch name and its
     /// parameter identity ([`crate::erased::ErasedSketch::cache_identity`]).
@@ -104,6 +108,20 @@ struct Inner {
     coalesced: u64,
 }
 
+impl Inner {
+    /// Serve `key` if it is stored: count the hit and make the entry the
+    /// most recently used.
+    fn hit(&mut self, key: &CacheKey) -> Option<Bytes> {
+        let entry = self.map.get_mut(key)?;
+        self.tick += 1;
+        self.order.remove(&entry.tick);
+        self.order.insert(self.tick, *key);
+        entry.tick = self.tick;
+        self.hits += 1;
+        Some(entry.value.clone())
+    }
+}
+
 /// The outcome of one cache lookup.
 pub enum Lookup<'a> {
     /// A stored summary; recency was bumped.
@@ -153,7 +171,7 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// Bounded per-worker cache of merged worker-level summaries.
+/// Bounded cache of merged summaries: a worker's, or the root's final folds.
 pub struct SketchCache {
     budget: usize,
     inner: Mutex<Inner>,
@@ -188,14 +206,8 @@ impl SketchCache {
         // and the counters split per-field (a second `map` lookup would
         // otherwise be needed just to satisfy the borrow checker).
         let inner = &mut *guard;
-        if let Some(entry) = inner.map.get_mut(&key) {
-            inner.tick += 1;
-            let tick = inner.tick;
-            inner.order.remove(&entry.tick);
-            inner.order.insert(tick, key);
-            entry.tick = tick;
-            inner.hits += 1;
-            return Lookup::Hit(entry.value.clone());
+        if let Some(value) = inner.hit(&key) {
+            return Lookup::Hit(value);
         }
         if inner.inflight.contains(&key) {
             return Lookup::InFlight;
@@ -207,6 +219,20 @@ impl SketchCache {
             key,
             done: false,
         })
+    }
+
+    /// Whether `key` is stored, changing nothing: no counter, no recency.
+    pub fn contains(&self, key: &CacheKey) -> bool {
+        self.inner.lock().map.contains_key(key)
+    }
+
+    /// Credit `key` with a hit it served without being read — a query
+    /// answered above this cache from a value folded from this entry:
+    /// counted and made most recently used exactly as a [`Lookup::Hit`]
+    /// would, so the entry is not evicted from under the copy that spares
+    /// it the lookups. `false`, and nothing counted, if it is not stored.
+    pub fn touch(&self, key: &CacheKey) -> bool {
+        self.inner.lock().hit(key).is_some()
     }
 
     /// Block until `key`'s flight resolves (complete or abandoned) or
@@ -377,6 +403,23 @@ mod tests {
         assert!(matches!(c.lookup(key(0)), Lookup::Hit(_)), "recently used");
         assert!(matches!(c.lookup(key(1)), Lookup::Miss(_)), "LRU evicted");
         assert!((s.bytes as usize) <= budget);
+    }
+
+    #[test]
+    fn touch_counts_and_refreshes_like_a_hit_and_contains_does_neither() {
+        let c = SketchCache::new(2 * (100 + ENTRY_OVERHEAD));
+        put(&c, 0, 100);
+        put(&c, 1, 100);
+        assert!(c.contains(&key(0)) && !c.contains(&key(9)));
+        assert_eq!(c.stats().hits, 0, "a probe is not a hit");
+        // Probed but not touched, key 0 is still the LRU victim...
+        put(&c, 2, 100);
+        assert!(!c.contains(&key(0)) && c.contains(&key(1)));
+        // ...and touched, key 1 is not.
+        assert!(c.touch(&key(1)) && !c.touch(&key(0)));
+        assert_eq!(c.stats().hits, 1, "an absent key counts nothing");
+        put(&c, 3, 100);
+        assert!(c.contains(&key(1)) && !c.contains(&key(2)));
     }
 
     #[test]

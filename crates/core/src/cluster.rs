@@ -23,6 +23,32 @@
 //! liveness sweep, link hang-up) and the single estimate of outstanding
 //! work that the progress fraction and degraded coverage both read.
 //!
+//! ## A chart already drawn costs no tree
+//!
+//! The computation cache (§5.4: "indexed by what mergeable summary was
+//! used and what dataset was operated on") has two levels with one key
+//! expression. Each worker caches its merged summary under the content
+//! version of the data the tree reads there
+//! (`Worker::entry_version`: the dataset's, with a fused
+//! predicate's canonical bytes folded in) crossed with the sketch's
+//! identity. The root keeps a memo of final folds — a second instance of
+//! the same [`SketchCache`] — under the same key with the workers' versions
+//! folded together, and consults it at the top of a launch, before a link,
+//! a fault epoch or a thread exists: a repeated query is a key fold and a
+//! map probe, and puts nothing on the root link.
+//!
+//! An entry is a fact about immutable data and never needs invalidating.
+//! But the memo *serves* one only while every worker still holds the entry
+//! it was folded from — clearing a worker's cache, evicting a dataset, a
+//! crash or the LRU make the next query launch its tree — so "drop the
+//! caches" keeps meaning "the next query computes", and a dead worker or a
+//! missing dataset is found by a tree and recovered from as ever. Here the
+//! root checks by probing the workers' caches in-process (a fault boundary
+//! like any worker operation); between machines the same rule would be a
+//! lease each worker grants with its final frame and revokes when it drops
+//! the entry. Hits are credited where they were spared — at the workers —
+//! so the counters read as if every tree launched.
+//!
 //! ## Intra-partition parallelism
 //!
 //! A leaf is no longer one task per micropartition: for splittable
@@ -46,7 +72,7 @@
 //! counts, steal interleavings, and replay after failures (§5.8). Progress
 //! is reported in row-weighted work units per completed sub-task.
 
-use crate::cache::{CacheKey, CacheStats, Lookup};
+use crate::cache::{CacheKey, CacheStats, Lookup, SketchCache};
 use crate::dataset::{DatasetId, Lineage, SourceRegistry};
 use crate::erased::ErasedSketch;
 use crate::error::{EngineError, EngineResult};
@@ -143,7 +169,9 @@ pub struct QueryOptions {
     pub cancel: CancellationToken,
     /// Client callback for progressive results.
     pub on_partial: Option<PartialCallback>,
-    /// Use the per-worker sketch-result cache (on by default). The key is
+    /// Use the sketch-result cache — the workers' entries and the root's
+    /// memo over them (on by default); off, a query reads and writes
+    /// neither. The key is
     /// *structural* — dataset lineage version (canonical predicate bytes
     /// folded in for fused trees) × 128-bit sketch identity — so this is
     /// purely an off-switch for measurements and degraded attempts, never
@@ -192,11 +220,13 @@ pub struct QueryOutcome {
     pub bytes: Bytes,
     /// Wall-clock duration.
     pub duration: Duration,
-    /// Bytes received by the root across the query.
+    /// Bytes received by the root across the query: `0` when the root's
+    /// memo answered it.
     pub root_bytes: u64,
-    /// Messages received by the root.
+    /// Messages received by the root: `0` when no tree was launched.
     pub root_messages: u64,
-    /// Time until the first partial result reached the client.
+    /// Time until the first partial result reached the client — for a
+    /// memo-answered query, until the complete one did.
     pub first_partial: Option<Duration>,
     /// Number of partial updates delivered.
     pub partials: usize,
@@ -209,6 +239,8 @@ pub struct QueryOutcome {
     /// Workers whose contribution is missing from a degraded result
     /// (empty for complete results).
     pub failed_workers: Vec<usize>,
+    /// Whether the root's memo answered the query: no tree was launched.
+    pub memo: bool,
 }
 
 /// The simulated cluster: N workers plus the root's view of them.
@@ -216,6 +248,9 @@ pub struct Cluster {
     cfg: ClusterConfig,
     workers: Vec<Arc<Worker>>,
     faults: parking_lot::Mutex<Option<Arc<FaultPlan>>>,
+    /// The root's level of the computation cache: final folds, keyed by
+    /// the workers' entry versions folded together (see the module docs).
+    memo: SketchCache,
 }
 
 impl Cluster {
@@ -225,6 +260,7 @@ impl Cluster {
             .map(|id| Arc::new(Worker::new(id, &cfg, sources.clone(), udfs.clone())))
             .collect();
         Arc::new(Cluster {
+            memo: SketchCache::new(cfg.cache_budget_bytes),
             cfg,
             workers,
             faults: parking_lot::Mutex::new(None),
@@ -313,17 +349,34 @@ impl Cluster {
         for w in &self.workers {
             w.evict_all();
         }
+        self.memo.clear();
     }
 
-    /// Aggregate sketch-result cache counters across all workers
-    /// (hits/misses/insertions/evictions/coalesced flights, resident
-    /// entries and bytes). Budgets sum, so `bytes <= budget` still holds
-    /// cluster-wide.
+    /// The root's memo (tests and benches: clearing it alone makes the
+    /// next query launch a tree over the workers' warm caches).
+    pub fn memo(&self) -> &SketchCache {
+        &self.memo
+    }
+
+    /// Sketch-result cache counters of the whole cluster. `hits`, `misses`
+    /// and `insertions` are the workers' own, summed: a query the root's
+    /// memo answers is credited as one hit at each worker — the lookup it
+    /// was spared — so the hit ratio reads what it would if every tree
+    /// launched. `entries`, `bytes`, `budget`, `evictions` and `coalesced`
+    /// include the root's memo: `bytes <= budget` still holds cluster-wide,
+    /// and a query that waited on another's tree at the root counts as
+    /// coalesced once.
     pub fn cache_stats(&self) -> CacheStats {
+        let root = CacheStats {
+            hits: 0,
+            misses: 0,
+            insertions: 0,
+            ..self.memo.stats()
+        };
         self.workers
             .iter()
             .map(|w| w.cache_stats())
-            .fold(CacheStats::default(), CacheStats::merge)
+            .fold(root, CacheStats::merge)
     }
 
     /// Fingerprint of `dataset`'s lineage-derived content version across
@@ -433,8 +486,60 @@ impl Cluster {
         opts: &QueryOptions,
         tolerate: bool,
     ) -> EngineResult<QueryOutcome> {
-        let filter: Option<Arc<Predicate>> = filter.map(|p| Arc::new(p.clone()));
         let started = Instant::now();
+        // Structural query identity: half of the sketch-result cache key.
+        // `None` (caller opted out, or the sketch has no deterministic
+        // identity) disables caching for this tree at both levels.
+        let query: Option<[u64; 2]> = if opts.cache {
+            sketch
+                .cache_identity()
+                .map(|ident| query_hash(sketch.name(), &ident))
+        } else {
+            None
+        };
+
+        // The root's memo, before anything of a tree exists. A degraded
+        // attempt neither reads nor writes it: its fold is of survivors.
+        let memo = query
+            .filter(|_| !tolerate)
+            .and_then(|query| self.memo_keys(dataset, filter, query));
+        // The flight is held until this tree is over, however it ends:
+        // dropping it wakes the queries waiting on the key, to find the
+        // entry or take over.
+        let mut waited = false;
+        let _flight = loop {
+            let Some((key, held)) = &memo else {
+                break None;
+            };
+            match self.memo.lookup(*key) {
+                Lookup::Hit(bytes) => {
+                    if self.workers_hold(dataset, held) {
+                        if waited {
+                            self.memo.note_coalesced();
+                        }
+                        return Ok(self.answered_by_memo(dataset, bytes, opts, started));
+                    }
+                    // Some worker dropped its entry: the tree below
+                    // computes, and overwrites this one.
+                    break None;
+                }
+                Lookup::Miss(guard) => break Some(guard),
+                Lookup::InFlight => {
+                    // Another query's tree is computing this key: one tree
+                    // for N analysts opening the same chart. The tree below
+                    // observes a cancel or a spent deadline at once, and
+                    // reports it as it always has.
+                    let late = opts.deadline.is_some_and(|d| started.elapsed() > d);
+                    if late || opts.cancel.is_cancelled() {
+                        break None;
+                    }
+                    waited = true;
+                    self.memo.wait(key, self.cfg.batch_interval);
+                }
+            }
+        };
+
+        let filter: Option<Arc<Predicate>> = filter.map(|p| Arc::new(p.clone()));
         let (tx, rx) = link_pair(self.cfg.link);
         // Internal token: stops this tree's outstanding work on errors
         // without cancelling the caller's query (which may retry after
@@ -449,16 +554,6 @@ impl Cluster {
             p.bump_epoch();
         }
 
-        // Structural query identity: half of the sketch-result cache key.
-        // `None` (caller opted out, or the sketch has no deterministic
-        // identity) disables caching for this tree on every worker.
-        let query: Option<[u64; 2]> = if opts.cache {
-            sketch
-                .cache_identity()
-                .map(|ident| query_hash(sketch.name(), &ident))
-        } else {
-            None
-        };
         // Non-splittable sketches run one task per partition.
         let grain = if sketch.splittable() {
             self.cfg.leaf_grain_rows.max(1)
@@ -618,8 +713,16 @@ impl Cluster {
         if !root.failed.is_empty() && root.failed.len() == n {
             return Err(EngineError::WorkerDown(root.failed[0]));
         }
+        let bytes = root.fold(sketch)?;
+        // Memoize only what the workers cache: the fold of every worker's
+        // complete, uncancelled summary.
+        if let Some((key, _)) = memo {
+            if root.pending == 0 && root.failed.is_empty() && !opts.cancel.is_cancelled() {
+                self.memo.insert(key, bytes.clone());
+            }
+        }
         Ok(QueryOutcome {
-            bytes: root.fold(sketch)?,
+            bytes,
             duration: started.elapsed(),
             root_bytes,
             root_messages,
@@ -627,7 +730,90 @@ impl Cluster {
             partials,
             coverage: root.coverage(),
             failed_workers: root.failed,
+            memo: false,
         })
+    }
+
+    /// The memo key of a tree — what the workers key their entries on,
+    /// folded over the workers — beside each worker's own key. `None`
+    /// unless every worker is up and holds the dataset: what a tree would
+    /// find out (a dead worker, a missing dataset) it must be launched to
+    /// report, so recovery is reached exactly as without a memo.
+    fn memo_keys(
+        &self,
+        dataset: DatasetId,
+        filter: Option<&Predicate>,
+        query: [u64; 2],
+    ) -> Option<(CacheKey, Vec<CacheKey>)> {
+        let key = |version| CacheKey {
+            dataset,
+            version,
+            query,
+        };
+        let mut folded = FNV_OFFSET;
+        let mut held = Vec::with_capacity(self.workers.len());
+        for w in &self.workers {
+            let version = w
+                .is_alive()
+                .then(|| w.entry_version(dataset, filter))
+                .flatten()?;
+            folded = fnv1a(folded, &version.to_le_bytes());
+            held.push(key(version));
+        }
+        Some((key(folded), held))
+    }
+
+    /// Whether every worker still holds the entry a memoized fold was made
+    /// from; if so each is credited with the hit it is spared. The probe is
+    /// a worker operation boundary like the head of an aggregation node, so
+    /// an armed fault plan can kill a worker or evict the dataset at it —
+    /// which drops the entry, and the tree launches.
+    fn workers_hold(&self, dataset: DatasetId, held: &[CacheKey]) -> bool {
+        let probes = || self.workers.iter().zip(held);
+        let all = probes().all(|(w, key)| {
+            w.fault_op(Some(dataset));
+            w.cache().contains(key)
+        });
+        if all {
+            for (w, key) in probes() {
+                w.cache().touch(key);
+            }
+        }
+        all
+    }
+
+    /// The outcome of a query the memo answered: the stored fold, nothing
+    /// on the root link, and — for a client that asked for progress — one
+    /// partial carrying the complete summary.
+    fn answered_by_memo(
+        &self,
+        dataset: DatasetId,
+        bytes: Bytes,
+        opts: &QueryOptions,
+        started: Instant,
+    ) -> QueryOutcome {
+        if let Some(cb) = &opts.on_partial {
+            // What the workers' trees would have reported.
+            let views = self.workers.iter().filter_map(|w| w.partitions(dataset));
+            let work = views.map(|views| work_units(&views)).sum();
+            cb(&Partial {
+                fraction: 1.0,
+                work_done: work,
+                work_total: work,
+                summary: bytes.clone(),
+            });
+        }
+        QueryOutcome {
+            bytes,
+            duration: started.elapsed(),
+            root_bytes: 0,
+            root_messages: 0,
+            first_partial: Some(started.elapsed()),
+            partials: usize::from(opts.on_partial.is_some()),
+            coverage: 1.0,
+            failed_workers: Vec::new(),
+            memo: true,
+        }
     }
 }
 
@@ -944,6 +1130,12 @@ fn run_leaf_task(
     });
 }
 
+/// The work units of one worker's part of a tree: selected rows plus one per
+/// partition (the +1 keeps empty partitions observable).
+fn work_units(views: &[hillview_sketch::TableView]) -> u64 {
+    views.iter().map(|v| v.len() as u64 + 1).sum()
+}
+
 /// 128-bit query identity for the sketch-result cache: two independent
 /// FNV-1a streams over (stream tag, sketch name, 0, cache-identity bytes).
 /// Two streams because 64 bits of FNV over arbitrary parameter encodings
@@ -1010,12 +1202,14 @@ fn aggregate(ctx: &Arc<TreeCtx>, tx: &LinkSender) {
         return;
     }
 
-    // Work units: selected rows plus one per partition (the +1 keeps empty
-    // partitions observable). Split halves conserve their weight exactly,
-    // so completion is "reported work == precomputed total".
-    let total_work: u64 = views.iter().map(|v| v.len() as u64 + 1).sum();
+    // Split halves conserve their weight exactly, so completion is
+    // "reported work == precomputed total".
+    let total_work = work_units(&views);
 
-    // Sketch-result cache (paper §5.4), keyed structurally: the dataset's
+    // Sketch-result cache (paper §5.4), the workers' level of two (the
+    // root's memo, consulted before this tree was launched, folds the same
+    // key expression over the workers and is served only while this entry
+    // is held — see the module docs). Keyed structurally: the dataset's
     // lineage version — with the fused predicate's *canonical* bytes
     // folded in exactly as materializing it would — crossed with the
     // sketch's 128-bit query identity. A fused tree therefore shares
@@ -1026,16 +1220,7 @@ fn aggregate(ctx: &Arc<TreeCtx>, tx: &LinkSender) {
     // total as the compute path would, so the root's progress fraction
     // never mixes incomparable units across workers.
     let cache_key: Option<CacheKey> = ctx.query.and_then(|query| {
-        let version = match &ctx.filter {
-            Some(p) => {
-                let step = Lineage::Filtered {
-                    parent: dataset,
-                    predicate: Predicate::clone(p),
-                };
-                worker.derivation(&step).map(|(_, version)| version)
-            }
-            None => worker.dataset_version(dataset),
-        }?;
+        let version = worker.entry_version(dataset, ctx.filter.as_deref())?;
         Some(CacheKey {
             dataset,
             version,
@@ -1708,6 +1893,52 @@ mod tests {
         assert_eq!(stats.insertions, 2, "{stats:?}");
         assert_eq!(stats.misses, 2, "{stats:?}");
         assert_eq!(stats.hits, 6, "{stats:?}");
+    }
+
+    #[test]
+    fn memo_answer_delivers_one_complete_partial() {
+        let c = cluster(2);
+        let ds = load(&c);
+        let sk = erase(CountSketch::rows());
+        let first = c
+            .run_erased(ds, None, &sk, &QueryOptions::default())
+            .unwrap();
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::<Partial>::new()));
+        let seen2 = seen.clone();
+        let opts = QueryOptions {
+            on_partial: Some(Arc::new(move |p: &Partial| seen2.lock().push(p.clone()))),
+            ..Default::default()
+        };
+        let again = c.run_erased(ds, None, &sk, &opts).unwrap();
+        assert!(again.memo && again.root_messages == 0 && again.root_bytes == 0);
+        assert_eq!((again.partials, again.coverage), (1, 1.0));
+        assert!(again.first_partial.is_some());
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 1);
+        assert_eq!(seen[0].summary, first.bytes);
+        assert_eq!(seen[0].fraction, 1.0);
+        // 10k rows and ten partitions on each worker, as a tree reports.
+        assert_eq!((seen[0].work_done, seen[0].work_total), (20_020, 20_020));
+    }
+
+    #[test]
+    fn degraded_attempt_neither_reads_nor_writes_the_memo() {
+        let c = cluster(2);
+        let ds = load(&c);
+        let sk = erase(CountSketch::rows());
+        let opts = QueryOptions::default();
+        // Healthy, but asked to tolerate: a tree, and nothing memoized.
+        for _ in 0..2 {
+            let o = c.run_tree(ds, None, &sk, &opts, true).unwrap();
+            assert!(!o.memo && o.root_messages > 0);
+        }
+        assert!(!c.run_erased(ds, None, &sk, &opts).unwrap().memo);
+        assert!(c.run_erased(ds, None, &sk, &opts).unwrap().memo);
+        let o = c.run_tree(ds, None, &sk, &opts, true).unwrap();
+        assert!(
+            !o.memo && o.root_messages > 0,
+            "not served to a tolerant tree"
+        );
     }
 
     #[test]

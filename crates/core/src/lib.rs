@@ -44,7 +44,10 @@
 //! * **Caches** ([`worker`], [`cache`]): an in-memory column/data cache
 //!   in front of the repository, plus a bounded per-worker LRU
 //!   sketch-result cache for deterministic summaries (§5.4), keyed by
-//!   structural query identity with single-flight coalescing.
+//!   structural query identity with single-flight coalescing — and at the
+//!   root a memo of final folds under the same key, which answers a
+//!   repeated query before any tree is launched, for as long as every
+//!   worker still holds the entry it was folded from.
 //! * **Fault tolerance** ([`redo`], [`engine`]): the root logs every
 //!   dataset-producing operation (with seeds); when a worker reports a
 //!   missing dataset — eviction or restart — the root lazily replays the
@@ -146,7 +149,11 @@
 //! make results cache-state-dependent). Identical in-flight queries
 //! coalesce onto one scan (single-flight); degraded, cancelled, or
 //! failed trees abandon their flight without writing, so the cache only
-//! ever stores complete, uncancelled folds. Counters are surfaced via
+//! ever stores complete, uncancelled folds. The root memoizes the final
+//! fold of such a tree under the workers' keys folded together
+//! ([`cluster`], "A chart already drawn costs no tree"): concurrent
+//! identical queries coalesce there first — one tree, not one per query —
+//! and a repeated one launches none. Counters are surfaced via
 //! [`Cluster::cache_stats`].
 
 #![deny(missing_docs)]

@@ -50,8 +50,12 @@ pub struct OpStats {
     pub first_partial: Option<Duration>,
     /// Partial updates delivered to the client.
     pub partials: usize,
-    /// Execution trees launched.
+    /// Sketch queries issued — the trees the operation asked for, whether
+    /// each one launched or the root's memo answered it.
     pub trees: usize,
+    /// How many of them the root's memo answered: `trees - memo_hits`
+    /// execution trees were launched.
+    pub memo_hits: usize,
 }
 
 impl OpStats {
@@ -68,6 +72,7 @@ impl OpStats {
         self.root_messages += other.root_messages;
         self.partials += other.partials;
         self.trees += other.trees;
+        self.memo_hits += other.memo_hits;
     }
 }
 
@@ -139,9 +144,9 @@ impl Spreadsheet {
         }
     }
 
-    /// Launch one execution tree of an operation: a typed sketch over the
+    /// Issue one sketch query of an operation: a typed sketch over the
     /// sheet's dataset, its outcome added to the operation's `stats`. The
-    /// only place a sheet runs a tree, so no operation can launch one and
+    /// only place a sheet runs a query, so no operation can issue one and
     /// forget to count it.
     fn tree<S: Sketch>(
         &self,
@@ -157,6 +162,7 @@ impl Spreadsheet {
             first_partial: o.first_partial,
             partials: o.partials,
             trees: 1,
+            memo_hits: usize::from(o.memo),
         });
         Ok(summary)
     }
@@ -517,9 +523,10 @@ mod tests {
         assert!(stats.trees >= 2, "quantile + next-items trees");
     }
 
-    /// Every tree of an operation is counted, preparation trees included:
-    /// with no batch tick inside a tree, each of the two workers sends the
-    /// root exactly its final frame.
+    /// Every query of an operation is counted, preparation trees included,
+    /// and so is each one the root's memo answered: with no batch tick
+    /// inside a tree, each of the two workers sends the root exactly its
+    /// final frame for every tree that launched.
     #[test]
     fn stats_count_the_messages_of_every_tree() {
         let cfg = ClusterConfig {
@@ -540,11 +547,15 @@ mod tests {
             ),
             ("O11", s.heatmap("Distance", "AirTime").unwrap().1, 4),
         ];
-        for (op, stats, trees) in ops {
-            assert_eq!(stats.trees, trees, "{op} trees");
-            assert_eq!(stats.root_messages, 2 * trees as u64, "{op} messages");
+        for (op, stats, trees) in &ops {
+            assert_eq!(stats.trees, *trees, "{op} trees");
+            let launched = (stats.trees - stats.memo_hits) as u64;
+            assert_eq!(stats.root_messages, 2 * launched, "{op} messages");
             assert!(stats.first_partial.is_some(), "{op} first frame");
         }
+        // O11 counts rows as O4 did, on the same sheet: the memo answers.
+        assert_eq!(ops[0].1.memo_hits, 0, "nothing to repeat yet");
+        assert!(ops[3].1.memo_hits >= 1, "O11 repeats O4's row count");
     }
 
     /// O4's page is a pure function of (data, seed): the quantile tree's

@@ -23,7 +23,7 @@ use crate::fault::{FaultAction, FaultPlan, FaultSite};
 use crate::pool::ThreadPool;
 use hillview_columnar::predicate::filter_members;
 use hillview_columnar::udf::UdfRegistry;
-use hillview_columnar::{BlockCache, BlockCacheStats};
+use hillview_columnar::{BlockCache, BlockCacheStats, Predicate};
 use hillview_sketch::TableView;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -244,6 +244,29 @@ impl Worker {
         Some((parent, version))
     }
 
+    /// The content version this worker's sketch-cache entries carry for a
+    /// tree over `dataset`: the dataset's own for a plain tree, and for one
+    /// narrowed by a fused `filter` the version materializing that filter
+    /// would assign — so a canonically-equal respelling of the predicate
+    /// shares the entry. The one expression behind both levels of the
+    /// computation cache: the aggregation node keys its entry on it, and
+    /// the root folds it over the workers into the key of its memo. `None`
+    /// when the dataset is not materialized here.
+    pub(crate) fn entry_version(
+        &self,
+        dataset: DatasetId,
+        filter: Option<&Predicate>,
+    ) -> Option<u64> {
+        let Some(predicate) = filter else {
+            return self.dataset_version(dataset);
+        };
+        let step = Lineage::Filtered {
+            parent: dataset,
+            predicate: predicate.clone(),
+        };
+        self.derivation(&step).map(|(_, version)| version)
+    }
+
     /// Total rows across this worker's partitions of `id`.
     pub fn dataset_rows(&self, id: DatasetId) -> usize {
         self.partitions(id)
@@ -459,7 +482,7 @@ mod tests {
     use super::*;
     use crate::dataset::FnSource;
     use hillview_columnar::column::{Column, I64Column};
-    use hillview_columnar::{ColumnKind, Predicate, Table, Value};
+    use hillview_columnar::{ColumnKind, Table, Value};
 
     fn test_worker() -> Arc<Worker> {
         let mut sources = SourceRegistry::new();

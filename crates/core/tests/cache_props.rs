@@ -1,4 +1,5 @@
-//! Property tests for the per-worker sketch-result cache.
+//! Property tests for the sketch-result cache, both levels of it: each
+//! worker's entries and the root's memo over them.
 //!
 //! The contract under test: a cache **hit is bit-identical to the
 //! computation it replaced** — across integer encodings (plain /
@@ -9,21 +10,35 @@
 //! query shape three ways: uncached reference, cold miss (populates the
 //! cache, possibly under the *other* simd mode), and warm hit; all three
 //! summaries must agree byte-for-byte, and the counters must prove the
-//! hit actually came from the cache.
+//! hit actually came from the cache — from the root's memo, with nothing
+//! on the root link, credited at every worker.
+//!
+//! The tests below the property pin the memo's own contract: it answers
+//! only while every worker still holds the entry it was folded from, so
+//! dropping one — by hand, by eviction, by a crash, by the LRU — makes the
+//! next query launch its tree, and recovery is reached as if there were no
+//! memo; and what must not be memoized (degraded, uncached, sampled) is not.
 
+use bytes::Bytes;
 use hillview_columnar::column::{Column, I64Column};
 use hillview_columnar::udf::UdfRegistry;
 use hillview_columnar::{simd, ColumnKind, I64Storage, NullMask, Predicate, SortOrder, Table};
 use hillview_core::cluster::ClusterConfig;
 use hillview_core::dataset::SourceRegistry;
 use hillview_core::erased::{erase, ErasedSketch};
-use hillview_core::{Cluster, DatasetId, FnSource, Lineage, QueryOptions, SourceSpec};
+use hillview_core::{
+    CacheKey, Cluster, DatasetId, Engine, EngineResult, FaultAction, FaultPlan, FaultSite,
+    FnSource, Lineage, QueryOptions, QueryOutcome, SourceSpec,
+};
+use hillview_sketch::count::CountSketch;
 use hillview_sketch::histogram::HistogramSketch;
 use hillview_sketch::moments::MomentsSketch;
 use hillview_sketch::quantile::QuantileSketch;
-use hillview_sketch::BucketSpec;
+use hillview_sketch::{BucketSpec, Scope, TableView};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Force one of the representable storages for `data`: every variant that
 /// can hold the values, indexed stably so proptest shrinks meaningfully.
@@ -127,6 +142,13 @@ fn assert_hit_equals_miss(
     let hits_after = c.cache_stats().hits;
     simd::set_force_scalar(false);
 
+    assert!(cold.root_messages > 0 && !cold.memo, "{ctx}: cold run");
+    assert!(
+        warm.memo && warm.root_messages == 0 && warm.root_bytes == 0,
+        "{ctx}: warm run launched a tree ({} frames)",
+        warm.root_messages
+    );
+
     assert_eq!(
         reference.bytes, cold.bytes,
         "{ctx}: cached computation diverged from uncached reference"
@@ -193,4 +215,312 @@ proptest! {
             );
         }
     }
+}
+
+/// An engine over two workers, 4 000 rows each in four partitions; the
+/// snapshot shifts the values.
+fn engine_with_budget(cache_budget_bytes: usize) -> Engine {
+    let mut sources = SourceRegistry::new();
+    sources.register(Arc::new(FnSource::new("memo", |w, _n, _mp, snap| {
+        let x = (0..4_000i64).map(|i| Some((i * 7 + w as i64 * 13) % 50 + 10 * snap as i64));
+        let t = Table::builder()
+            .column(
+                "X",
+                ColumnKind::Int,
+                Column::Int(I64Column::from_options(x)),
+            )
+            .build()
+            .unwrap();
+        Ok(vec![t])
+    })));
+    let cfg = ClusterConfig {
+        cache_budget_bytes,
+        ..ClusterConfig::test()
+    };
+    Engine::new(Cluster::new(cfg, sources, UdfRegistry::with_builtins()))
+}
+
+fn engine() -> Engine {
+    engine_with_budget(ClusterConfig::test().cache_budget_bytes)
+}
+
+fn histogram() -> Arc<dyn ErasedSketch> {
+    erase(HistogramSketch::streaming(
+        "X",
+        BucketSpec::numeric(0.0, 100.0, 10),
+    ))
+}
+
+/// One plain query through the engine, caches on.
+fn ask(e: &Engine, ds: DatasetId, sk: &Arc<dyn ErasedSketch>) -> QueryOutcome {
+    e.run_erased(ds, sk, &QueryOptions::default()).unwrap()
+}
+
+/// Dropping any one worker's entry — by hand, with its dataset, with
+/// everything, with the worker itself, or to the LRU — makes the next
+/// identical query launch its tree and compute the same bytes; and where
+/// the dataset went too, the missing-dataset replay is reached, not masked.
+#[test]
+fn memo_answers_only_while_every_worker_holds_its_entry() {
+    type Drop = fn(&Engine, DatasetId);
+    let drops: [(&str, bool, Drop); 5] = [
+        ("clear one worker's cache", false, |e, _| {
+            e.cluster().worker(1).cache().clear()
+        }),
+        ("evict on one worker", true, |e, ds| {
+            e.cluster().worker(0).evict(ds)
+        }),
+        ("evict_all", true, |e, _| e.cluster().evict_all()),
+        ("kill and restart", true, |e, _| {
+            e.cluster().worker(1).kill();
+            e.cluster().worker(1).restart();
+        }),
+        ("LRU eviction", false, |e, ds| {
+            // One entry more than worker 0's budget holds.
+            let filler = CacheKey {
+                dataset: ds,
+                version: 0,
+                query: [0, 0],
+            };
+            let cache = e.cluster().worker(0).cache();
+            cache.insert(filler, Bytes::from(vec![0u8; 150]));
+            assert_eq!(cache.stats().evictions, 1, "the filler evicted the entry");
+        }),
+    ];
+    for (what, replays, drop_entry) in drops {
+        // 256 bytes hold one histogram entry (64 of overhead) and no more.
+        let e = engine_with_budget(256);
+        let ds = e.load("memo", 0).unwrap();
+        let sk = histogram();
+        let first = ask(&e, ds, &sk);
+        let again = ask(&e, ds, &sk);
+        assert!(first.root_messages > 0, "{what}: first run");
+        assert!(again.memo && again.root_messages == 0, "{what}: repeat");
+        assert_eq!(first.bytes, again.bytes, "{what}");
+
+        drop_entry(&e, ds);
+        let loaded_before =
+            e.cluster().worker(0).rows_loaded() + e.cluster().worker(1).rows_loaded();
+        let after = ask(&e, ds, &sk);
+        let loaded = e.cluster().worker(0).rows_loaded() + e.cluster().worker(1).rows_loaded();
+        assert!(
+            !after.memo && after.root_messages > 0,
+            "{what}: the memo outlived a worker's entry"
+        );
+        assert_eq!(after.bytes, first.bytes, "{what}");
+        assert_eq!(after.coverage, 1.0, "{what}");
+        assert_eq!(loaded > loaded_before, replays, "{what}: lineage replay");
+        // Recomputed and held everywhere again: the memo answers again.
+        assert!(ask(&e, ds, &sk).memo, "{what}: after the recompute");
+    }
+}
+
+/// A reload under the same id is new content under a new version: the memo
+/// misses, the tree computes the new bytes, and going back finds the old.
+#[test]
+fn reload_at_a_new_snapshot_misses_the_memo() {
+    let e = engine();
+    let ds = e.load("memo", 0).unwrap();
+    let sk = histogram();
+    let old = ask(&e, ds, &sk);
+    assert!(ask(&e, ds, &sk).memo);
+    e.reload(ds, 3).unwrap();
+    let new = ask(&e, ds, &sk);
+    assert!(!new.memo && new.root_messages > 0, "new snapshot, new key");
+    assert_ne!(new.bytes, old.bytes, "the snapshot shifts every value");
+    assert!(ask(&e, ds, &sk).memo);
+    e.reload(ds, 0).unwrap();
+    assert_eq!(ask(&e, ds, &sk).bytes, old.bytes);
+}
+
+/// A degraded result is neither stored nor served: with one worker
+/// persistently killed the opted-in query is a labelled partial, and the
+/// healthy identical query after it computes the complete answer.
+#[test]
+fn degraded_result_is_neither_memoized_nor_served_from_the_memo() {
+    let mut e = engine();
+    e.retry.attempts = 2;
+    let ds = e.load("memo", 0).unwrap();
+    let sk = histogram();
+    let complete = ask(&e, ds, &sk);
+    assert!(ask(&e, ds, &sk).memo);
+
+    e.cluster()
+        .arm_faults(FaultPlan::scripted((0..10_000).map(|index| {
+            let site = FaultSite::WorkerOp { worker: 1, index };
+            (site, FaultAction::Kill)
+        })));
+    let opts = QueryOptions {
+        allow_degraded: true,
+        ..Default::default()
+    };
+    let degraded = e.run_erased(ds, &sk, &opts).unwrap();
+    assert!(
+        !degraded.memo,
+        "the probe is a fault boundary: worker 1 died at it"
+    );
+    assert!(degraded.coverage < 1.0 && degraded.failed_workers == vec![1]);
+    assert_ne!(degraded.bytes, complete.bytes);
+
+    e.cluster().disarm_faults();
+    let healed = ask(&e, ds, &sk);
+    assert!(!healed.memo && healed.root_messages > 0, "nothing to serve");
+    assert_eq!(healed.coverage, 1.0);
+    assert_eq!(healed.bytes, complete.bytes);
+}
+
+/// `cache: false` neither reads nor writes the memo, and a sampled sketch —
+/// no cache identity — never reaches it.
+#[test]
+fn uncached_and_sampled_queries_bypass_the_memo() {
+    let e = engine();
+    let ds = e.load("memo", 0).unwrap();
+    let sk = histogram();
+    let uncached = QueryOptions {
+        cache: false,
+        ..Default::default()
+    };
+    for _ in 0..2 {
+        let o = e.run_erased(ds, &sk, &uncached).unwrap();
+        assert!(!o.memo && o.root_messages > 0, "uncached");
+    }
+    assert!(!ask(&e, ds, &sk).memo, "the uncached runs wrote nothing");
+    assert!(ask(&e, ds, &sk).memo);
+    let o = e.run_erased(ds, &sk, &uncached).unwrap();
+    assert!(!o.memo && o.root_messages > 0, "uncached reads nothing");
+    assert_eq!(
+        e.cluster().cache_stats().entries,
+        3,
+        "two workers and the root"
+    );
+
+    let sampled = erase(HistogramSketch::sampled(
+        "X",
+        BucketSpec::numeric(0.0, 100.0, 10),
+        0.5,
+    ));
+    let runs: Vec<_> = (0..3).map(|_| ask(&e, ds, &sampled)).collect();
+    assert!(runs.iter().all(|o| !o.memo && o.root_messages > 0));
+    assert_eq!(runs[0].bytes, runs[1].bytes, "same seed, same sample");
+    assert_eq!(e.cluster().cache_stats().entries, 3);
+}
+
+/// The hit and miss counters read what they read before there was a memo —
+/// a memo-answered query is one hit at every worker, and a query that
+/// launches counts nothing twice — for a sequence that takes every path:
+/// miss, memo hit, fused, a respelled predicate, a dropped entry.
+#[test]
+fn hit_and_miss_counters_are_those_of_a_cluster_without_a_memo() {
+    let e = engine();
+    let ds = e.load("memo", 0).unwrap();
+    let (hist, count) = (histogram(), erase(CountSketch::rows()));
+    let pred = Predicate::range("X", 10.0, 60.0);
+    let respelled = pred.clone().and(Predicate::True);
+    let fused = |p: &Predicate, sk| {
+        let opts = QueryOptions::default();
+        e.run_filtered_erased(ds, p.clone(), sk, &opts).unwrap()
+    };
+    let counters = || {
+        let s = e.cluster().cache_stats();
+        (s.hits, s.misses)
+    };
+    ask(&e, ds, &hist);
+    assert_eq!(counters(), (0, 2));
+    ask(&e, ds, &hist);
+    assert_eq!(counters(), (2, 2));
+    fused(&pred, &hist);
+    assert_eq!(counters(), (2, 4));
+    ask(&e, ds, &count);
+    assert_eq!(counters(), (2, 6));
+    assert!(
+        fused(&respelled, &hist).memo,
+        "one canonical predicate, one key"
+    );
+    assert_eq!(counters(), (4, 6));
+    ask(&e, ds, &hist);
+    assert_eq!(counters(), (6, 6));
+    e.cluster().worker(0).cache().clear();
+    ask(&e, ds, &hist);
+    assert_eq!(counters(), (7, 7), "worker 1 hit, worker 0 recomputed");
+    ask(&e, ds, &count);
+    assert_eq!(counters(), (8, 8));
+    ask(&e, ds, &hist);
+    ask(&e, ds, &count);
+    assert_eq!(counters(), (12, 8));
+    let stats = e.cluster().cache_stats();
+    assert_eq!(stats.insertions, 8, "the workers' own");
+    // Three queries at worker 1 and the root; worker 0 lost the fused one.
+    assert_eq!(stats.entries, 2 + 3 + 3);
+    assert_eq!(stats.coalesced, 0);
+}
+
+/// Counts the queries that asked for its identity — each then a step from
+/// the memo's door — and holds every leaf until all `expect` have.
+struct HeldUntilAllAsk {
+    inner: Arc<dyn ErasedSketch>,
+    expect: u64,
+    asked: AtomicU64,
+}
+
+impl ErasedSketch for HeldUntilAllAsk {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn summarize_bytes(
+        &self,
+        view: &TableView,
+        scope: Scope<'_>,
+        seed: u64,
+    ) -> EngineResult<Bytes> {
+        while self.asked.load(Ordering::SeqCst) < self.expect {
+            std::thread::yield_now();
+        }
+        // The last to ask is a key fold and a map probe from the memo.
+        std::thread::sleep(Duration::from_millis(5));
+        self.inner.summarize_bytes(view, scope, seed)
+    }
+    fn splittable(&self) -> bool {
+        self.inner.splittable()
+    }
+    fn merge_bytes(&self, a: &Bytes, b: &Bytes) -> EngineResult<Bytes> {
+        self.inner.merge_bytes(a, b)
+    }
+    fn identity_bytes(&self) -> Bytes {
+        self.inner.identity_bytes()
+    }
+    fn cache_identity(&self) -> Option<Vec<u8>> {
+        self.asked.fetch_add(1, Ordering::SeqCst);
+        self.inner.cache_identity()
+    }
+}
+
+/// Eight analysts open one chart on cold caches: one tree, not eight — the
+/// other seven wait on its flight at the root and are answered by the memo.
+#[test]
+fn concurrent_identical_queries_on_cold_caches_launch_one_tree() {
+    const ANALYSTS: u64 = 8;
+    let e = engine();
+    let ds = e.load("memo", 0).unwrap();
+    let sk: Arc<dyn ErasedSketch> = Arc::new(HeldUntilAllAsk {
+        inner: histogram(),
+        expect: ANALYSTS,
+        asked: AtomicU64::new(0),
+    });
+    let outcomes: Vec<QueryOutcome> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..ANALYSTS)
+            .map(|_| scope.spawn(|| ask(&e, ds, &sk)))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert!(outcomes.iter().all(|o| o.bytes == outcomes[0].bytes));
+    assert_eq!(outcomes.iter().filter(|o| !o.memo).count(), 1, "one leader");
+    // One tree's leaf tasks: four partitions on each of two workers.
+    let c = e.cluster();
+    let leaves: u64 = (0..2).map(|w| c.worker(w).leaf_tasks_executed()).sum();
+    assert_eq!(leaves, 8);
+    let stats = c.cache_stats();
+    assert_eq!(stats.coalesced, ANALYSTS - 1, "{stats:?}");
+    // One scan per worker; every other query is a hit it was spared.
+    assert_eq!((stats.insertions, stats.misses), (2, 2), "{stats:?}");
+    assert_eq!(stats.hits, 2 * (ANALYSTS - 1), "{stats:?}");
 }

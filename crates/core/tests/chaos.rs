@@ -14,7 +14,14 @@
 //! Afterwards the *same* engine — faults disarmed — must heal completely:
 //! a re-run with the same cache key returns bytes bit-identical to the
 //! clean baseline, proving no partial summary polluted the computation
-//! cache.
+//! cache — the root's memo, or a worker's entries under it.
+//!
+//! The clean baselines fill both levels of that cache, and a query the
+//! root's memo answers consults one fault site per worker (the probe) and
+//! no leaf or frame. So each seed's plan meets the grid twice: once with
+//! the caches as the baselines left them, once with every worker's cache
+//! cleared so each tree launches and computes; which comes first alternates
+//! with the seed.
 //!
 //! The schedule is a pure function of the plan seed (§5.8 determinism),
 //! so every assertion message carries the seed: re-run with
@@ -32,10 +39,10 @@ use hillview_columnar::udf::UdfRegistry;
 use hillview_columnar::{ColumnKind, SegmentMode, Table, TempDir};
 use hillview_core::cluster::ClusterConfig;
 use hillview_core::dataset::SourceRegistry;
-use hillview_core::erased::erase;
+use hillview_core::erased::{erase, ErasedSketch};
 use hillview_core::{
-    Cluster, DatasetId, Engine, EngineError, FaultPlan, FaultSpec, FnSource, HvcDirSource,
-    QueryOptions, RetryPolicy,
+    Cluster, Engine, EngineError, EngineResult, FaultPlan, FaultSpec, FnSource, HvcDirSource,
+    QueryOptions, QueryOutcome, RetryPolicy,
 };
 use hillview_sketch::count::CountSketch;
 use hillview_sketch::heavy::MisraGriesSketch;
@@ -90,7 +97,7 @@ fn chaos_retry() -> RetryPolicy {
 
 /// The sketch grid: one representative per summary shape (scalar count,
 /// bucketed histogram, bounded-size heavy hitters, numeric moments).
-fn sketch_grid() -> Vec<(&'static str, Arc<dyn hillview_core::erased::ErasedSketch>)> {
+fn sketch_grid() -> Vec<(&'static str, Arc<dyn ErasedSketch>)> {
     vec![
         ("count", erase(CountSketch::rows())),
         (
@@ -128,8 +135,8 @@ struct Tally {
     fired: u32,
 }
 
-/// Fault-free answers of the sketch grid over `data`.
-fn clean_baselines(engine: &Engine, data: DatasetId) -> Vec<Bytes> {
+/// Fault-free answers of the sketch grid.
+fn clean_baselines(run: Query<'_>) -> Vec<Bytes> {
     sketch_grid()
         .iter()
         .map(|(name, sk)| {
@@ -137,21 +144,23 @@ fn clean_baselines(engine: &Engine, data: DatasetId) -> Vec<Bytes> {
                 seed: 42,
                 ..Default::default()
             };
-            let outcome = engine
-                .run_erased(data, sk, &opts)
-                .unwrap_or_else(|e| panic!("clean baseline {name} failed: {e}"));
+            let outcome =
+                run(sk, &opts).unwrap_or_else(|e| panic!("clean baseline {name} failed: {e}"));
             outcome.bytes
         })
         .collect()
 }
 
-/// Arm the plan `plan_seed` draws, put the sketch grid over `data` through
-/// it — each query complete and equal to its baseline, a structured error,
-/// or degraded with opt-in — then disarm and hold the healed engine to the
-/// baselines bit for bit.
+/// One query of the grid, plain or fused, through the engine.
+type Query<'a> = &'a dyn Fn(&Arc<dyn ErasedSketch>, &QueryOptions) -> EngineResult<QueryOutcome>;
+
+/// Arm the plan `plan_seed` draws and put the sketch grid through it twice,
+/// memo-guarded and launching — each query complete and equal to its
+/// baseline, a structured error, or degraded with opt-in — then disarm and
+/// hold the healed engine to the baselines bit for bit.
 fn chaos_then_heal(
     engine: &Engine,
-    data: DatasetId,
+    run: Query<'_>,
     baselines: &[Bytes],
     (nth, plan_seed): (usize, u64),
     tally: &mut Tally,
@@ -160,70 +169,74 @@ fn chaos_then_heal(
     // config) × 4 attempts plus stalls and backoffs sits well under this.
     const QUERY_BOUND: Duration = Duration::from_secs(30);
     let grid = sketch_grid();
-    engine
-        .cluster()
-        .arm_faults(FaultPlan::seeded(plan_seed, FaultSpec::chaos()));
-    for (i, (name, sk)) in grid.iter().enumerate() {
-        // Alternate the degradation opt-in across the grid so both
-        // the strict and the tolerant contract get exercised.
-        let allow_degraded = (nth + i) % 2 == 0;
-        let opts = QueryOptions {
-            seed: 42,
-            deadline: Some(Duration::from_secs(20)),
-            allow_degraded,
-            ..Default::default()
-        };
-        let started = Instant::now();
-        let result = engine.run_erased(data, sk, &opts);
-        let elapsed = started.elapsed();
-        assert!(
-            elapsed < QUERY_BOUND,
-            "seed {plan_seed:#x} sketch {name}: query took {elapsed:?} — not bounded"
-        );
-        match result {
-            Ok(outcome) if outcome.coverage >= 1.0 => {
-                tally.complete += 1;
-                assert_eq!(
-                    outcome.bytes, baselines[i],
-                    "seed {plan_seed:#x} sketch {name}: complete result diverged from \
-                     fault-free baseline"
-                );
-                assert!(
-                    outcome.failed_workers.is_empty(),
-                    "seed {plan_seed:#x} sketch {name}: full coverage but failed \
-                     workers {:?}",
-                    outcome.failed_workers
-                );
+    let cluster = engine.cluster();
+    let forget = |w: usize| cluster.worker(w).cache().clear();
+    cluster.arm_faults(FaultPlan::seeded(plan_seed, FaultSpec::chaos()));
+    for round in 0..2 {
+        if (nth + round) % 2 == 1 {
+            (0..cluster.num_workers()).for_each(forget);
+        }
+        for (i, (name, sk)) in grid.iter().enumerate() {
+            // Alternate the degradation opt-in across the grid so both
+            // the strict and the tolerant contract get exercised.
+            let allow_degraded = (nth + round + i) % 2 == 0;
+            let opts = QueryOptions {
+                seed: 42,
+                deadline: Some(Duration::from_secs(20)),
+                allow_degraded,
+                ..Default::default()
+            };
+            let started = Instant::now();
+            let result = run(sk, &opts);
+            let elapsed = started.elapsed();
+            assert!(
+                elapsed < QUERY_BOUND,
+                "seed {plan_seed:#x} sketch {name}: query took {elapsed:?} — not bounded"
+            );
+            match result {
+                Ok(outcome) if outcome.coverage >= 1.0 => {
+                    tally.complete += 1;
+                    assert_eq!(
+                        outcome.bytes, baselines[i],
+                        "seed {plan_seed:#x} sketch {name}: complete result diverged from \
+                         fault-free baseline"
+                    );
+                    assert!(
+                        outcome.failed_workers.is_empty(),
+                        "seed {plan_seed:#x} sketch {name}: full coverage but failed \
+                         workers {:?}",
+                        outcome.failed_workers
+                    );
+                }
+                Ok(outcome) => {
+                    tally.degraded += 1;
+                    assert!(
+                        allow_degraded,
+                        "seed {plan_seed:#x} sketch {name}: degraded result \
+                         (coverage {}) without opt-in",
+                        outcome.coverage
+                    );
+                    assert!(
+                        !outcome.failed_workers.is_empty(),
+                        "seed {plan_seed:#x} sketch {name}: coverage {} < 1 but no \
+                         failed workers named",
+                        outcome.coverage
+                    );
+                    assert!(
+                        outcome.coverage > 0.0,
+                        "seed {plan_seed:#x} sketch {name}: zero-coverage result \
+                         should have been an error"
+                    );
+                }
+                // Any structured error is within contract; specific
+                // classes are pinned by unit tests. What must never
+                // happen — hangs, escaped panics, aborts — fails the
+                // bound above or the harness itself.
+                Err(_e) => tally.errored += 1,
             }
-            Ok(outcome) => {
-                tally.degraded += 1;
-                assert!(
-                    allow_degraded,
-                    "seed {plan_seed:#x} sketch {name}: degraded result \
-                     (coverage {}) without opt-in",
-                    outcome.coverage
-                );
-                assert!(
-                    !outcome.failed_workers.is_empty(),
-                    "seed {plan_seed:#x} sketch {name}: coverage {} < 1 but no \
-                     failed workers named",
-                    outcome.coverage
-                );
-                assert!(
-                    outcome.coverage > 0.0,
-                    "seed {plan_seed:#x} sketch {name}: zero-coverage result \
-                     should have been an error"
-                );
-            }
-            // Any structured error is within contract; specific
-            // classes are pinned by unit tests. What must never
-            // happen — hangs, escaped panics, aborts — fails the
-            // bound above or the harness itself.
-            Err(_e) => tally.errored += 1,
         }
     }
-    tally.fired += engine
-        .cluster()
+    tally.fired += cluster
         .fault_plan()
         .map_or(0, |p| u32::from(p.faults_fired() > 0));
 
@@ -232,25 +245,32 @@ fn chaos_then_heal(
     // the chaos runs would have written. Whatever the chaos run did —
     // succeeded (cache holds complete folds), failed (cache must hold
     // nothing) — the healed engine must reconverge to the clean
-    // baseline bit-for-bit.
-    engine.cluster().disarm_faults();
-    for (i, (name, sk)) in grid.iter().enumerate() {
-        let opts = QueryOptions {
-            seed: 42,
-            ..Default::default()
-        };
-        let outcome = engine.run_erased(data, sk, &opts).unwrap_or_else(|e| {
-            panic!("seed {plan_seed:#x} sketch {name}: healed engine failed: {e}")
-        });
-        assert_eq!(
-            outcome.bytes, baselines[i],
-            "seed {plan_seed:#x} sketch {name}: healed re-run diverged — \
-             a faulted query polluted the computation cache"
-        );
-        assert!(
-            (outcome.coverage - 1.0).abs() < f64::EPSILON,
-            "seed {plan_seed:#x} sketch {name}: healed run not full coverage"
-        );
+    // baseline bit-for-bit. The first pass reads the root's memo wherever
+    // every worker still holds its entry; with the memo alone cleared, the
+    // second launches every tree over the workers' entries.
+    cluster.disarm_faults();
+    for pass in ["memo", "worker entries"] {
+        if pass == "worker entries" {
+            cluster.memo().clear();
+        }
+        for (i, (name, sk)) in grid.iter().enumerate() {
+            let opts = QueryOptions {
+                seed: 42,
+                ..Default::default()
+            };
+            let outcome = run(sk, &opts).unwrap_or_else(|e| {
+                panic!("seed {plan_seed:#x} sketch {name}: healed engine failed: {e}")
+            });
+            assert_eq!(
+                outcome.bytes, baselines[i],
+                "seed {plan_seed:#x} sketch {name}: healed re-run diverged — \
+                 a faulted query polluted the computation cache ({pass})"
+            );
+            assert!(
+                (outcome.coverage - 1.0).abs() < f64::EPSILON,
+                "seed {plan_seed:#x} sketch {name}: healed run not full coverage"
+            );
+        }
     }
 }
 
@@ -263,9 +283,10 @@ fn seeded_chaos_grid_preserves_failure_semantics() {
     for seed in seed_range().enumerate() {
         let engine = chaos_engine();
         let data = engine.load("chaos", seed.1).unwrap();
+        let run: Query<'_> = &|sk, opts| engine.run_erased(data, sk, opts);
         // Clean baselines first, before any fault is armed.
-        let baselines = clean_baselines(&engine, data);
-        chaos_then_heal(&engine, data, &baselines, seed, &mut tally);
+        let baselines = clean_baselines(run);
+        chaos_then_heal(&engine, run, &baselines, seed, &mut tally);
     }
     eprintln!(
         "chaos grid: {} complete, {} degraded, {} errored; faults fired in {} seed(s)",
@@ -318,7 +339,8 @@ fn seeded_chaos_grid_over_spilled_parts_under_a_tiny_block_cache() {
         engine
     };
     let heap = engine_over(SegmentMode::Heap);
-    let baselines = clean_baselines(&heap, heap.load("parts", 0).unwrap());
+    let resident = heap.load("parts", 0).unwrap();
+    let baselines = clean_baselines(&|sk, opts| heap.run_erased(resident, sk, opts));
 
     for mode in [SegmentMode::Auto, SegmentMode::Mmap] {
         let mut tally = Tally::default();
@@ -326,12 +348,13 @@ fn seeded_chaos_grid_over_spilled_parts_under_a_tiny_block_cache() {
         for seed in seed_range().enumerate() {
             let engine = engine_over(mode);
             let lazy = engine.load("parts", 0).unwrap();
+            let run: Query<'_> = &|sk, opts| engine.run_erased(lazy, sk, opts);
             assert_eq!(
-                clean_baselines(&engine, lazy),
+                clean_baselines(run),
                 baselines,
                 "{mode:?}: fault-free answer diverged from heap-resident"
             );
-            chaos_then_heal(&engine, lazy, &baselines, seed, &mut tally);
+            chaos_then_heal(&engine, run, &baselines, seed, &mut tally);
             evictions += engine.cluster().block_cache_stats().evictions;
         }
         eprintln!(
@@ -350,105 +373,29 @@ fn seeded_chaos_grid_over_spilled_parts_under_a_tiny_block_cache() {
 
 /// The outcome trichotomy holds on the **fused** filtered-query path too:
 /// under an armed plan every one-shot `(predicate, sketch)` query — which
-/// runs the filter fused into `summarize` at the leaves and bypasses the computation
-/// cache — completes bit-identical to the fault-free fused baseline,
+/// runs the filter fused into `summarize` at the leaves, under cache keys
+/// of its own — completes bit-identical to the fault-free fused baseline,
 /// errors structurally, or degrades only with opt-in; and the healed
 /// engine reconverges.
 #[test]
 fn seeded_chaos_fused_queries_preserve_failure_semantics() {
     use hillview_columnar::Predicate;
-    const QUERY_BOUND: Duration = Duration::from_secs(30);
-    let (mut complete, mut degraded, mut errored, mut fired) = (0u32, 0u32, 0u32, 0u32);
-    for (nth, plan_seed) in seed_range().enumerate() {
+    let mut tally = Tally::default();
+    for seed in seed_range().enumerate() {
         let engine = chaos_engine();
-        let data = engine.load("chaos", plan_seed).unwrap();
-        let grid = sketch_grid();
-        let pred = || Predicate::range("X", 20.0, 70.0);
-        let baselines: Vec<_> = grid
-            .iter()
-            .map(|(name, sk)| {
-                let opts = QueryOptions {
-                    seed: 42,
-                    ..Default::default()
-                };
-                engine
-                    .run_filtered_erased(data, pred(), sk, &opts)
-                    .unwrap_or_else(|e| panic!("clean fused baseline {name} failed: {e}"))
-                    .bytes
-            })
-            .collect();
-
-        engine
-            .cluster()
-            .arm_faults(FaultPlan::seeded(plan_seed, FaultSpec::chaos()));
-        for (i, (name, sk)) in grid.iter().enumerate() {
-            let allow_degraded = (nth + i) % 2 == 0;
-            let opts = QueryOptions {
-                seed: 42,
-                deadline: Some(Duration::from_secs(20)),
-                allow_degraded,
-                ..Default::default()
-            };
-            let started = Instant::now();
-            let result = engine.run_filtered_erased(data, pred(), sk, &opts);
-            let elapsed = started.elapsed();
-            assert!(
-                elapsed < QUERY_BOUND,
-                "seed {plan_seed:#x} fused {name}: query took {elapsed:?} — not bounded"
-            );
-            match result {
-                Ok(outcome) if outcome.coverage >= 1.0 => {
-                    complete += 1;
-                    assert_eq!(
-                        outcome.bytes, baselines[i],
-                        "seed {plan_seed:#x} fused {name}: complete result diverged \
-                         from fault-free fused baseline"
-                    );
-                }
-                Ok(outcome) => {
-                    degraded += 1;
-                    assert!(
-                        allow_degraded,
-                        "seed {plan_seed:#x} fused {name}: degraded result without opt-in"
-                    );
-                    assert!(
-                        !outcome.failed_workers.is_empty(),
-                        "seed {plan_seed:#x} fused {name}: coverage {} < 1 but no \
-                         failed workers named",
-                        outcome.coverage
-                    );
-                }
-                Err(_e) => errored += 1,
-            }
-        }
-        fired += engine
-            .cluster()
-            .fault_plan()
-            .map_or(0, |p| u32::from(p.faults_fired() > 0));
-
-        engine.cluster().disarm_faults();
-        for (i, (name, sk)) in grid.iter().enumerate() {
-            let opts = QueryOptions {
-                seed: 42,
-                ..Default::default()
-            };
-            let outcome = engine
-                .run_filtered_erased(data, pred(), sk, &opts)
-                .unwrap_or_else(|e| {
-                    panic!("seed {plan_seed:#x} fused {name}: healed engine failed: {e}")
-                });
-            assert_eq!(
-                outcome.bytes, baselines[i],
-                "seed {plan_seed:#x} fused {name}: healed fused re-run diverged"
-            );
-        }
+        let data = engine.load("chaos", seed.1).unwrap();
+        let run: Query<'_> = &|sk, opts| {
+            engine.run_filtered_erased(data, Predicate::range("X", 20.0, 70.0), sk, opts)
+        };
+        let baselines = clean_baselines(run);
+        chaos_then_heal(&engine, run, &baselines, seed, &mut tally);
     }
     eprintln!(
-        "fused chaos grid: {complete} complete, {degraded} degraded, {errored} errored; \
-         faults fired in {fired} seed(s)"
+        "fused chaos grid: {} complete, {} degraded, {} errored; faults fired in {} seed(s)",
+        tally.complete, tally.degraded, tally.errored, tally.fired
     );
     assert!(
-        fired > 0,
+        tally.fired > 0,
         "the seeded adversary never injected a fault into a fused query run"
     );
 }
@@ -649,8 +596,13 @@ fn seeded_cache_churn_evicts_without_corrupting_results() {
             stats.hits > 0,
             "seed {plan_seed:#x}: warm repeats never hit the cache"
         );
+        // Each worker's cache and the root's memo hold one budget each.
+        assert_eq!(
+            stats.budget,
+            2048 * (engine.cluster().num_workers() as u64 + 1)
+        );
         assert!(
-            stats.bytes <= 2048 * engine.cluster().num_workers() as u64,
+            stats.bytes <= stats.budget,
             "seed {plan_seed:#x}: cache grew past its budget ({} bytes)",
             stats.bytes
         );

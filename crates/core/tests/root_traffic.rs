@@ -52,42 +52,48 @@ fn every_operation_ships_a_display_sized_summary() {
     // encodings they replaced shipped O4 29 530, O5 1 732, O6 1 653, O9
     // 8 253, O10 5 569 and O11 26 815 bytes), and for the other five what
     // they shipped then.
-    let ops: Vec<(&str, u64, OpStats)> = vec![
-        ("O1", 933, sheet.sort_view(&["DepDelay"], 20).unwrap().1),
-        ("O2", 1_422, sheet.sort_view(&by_date, 20).unwrap().1),
-        ("O3", 836, sheet.sort_view(&["TailNum"], 20).unwrap().1),
-        ("O4", 22_000, sheet.scroll_to(&by_date, 50, 20).unwrap().1),
-        (
-            "O5",
-            1_300,
-            sheet.histogram_with_cdf("DepDelay", None).unwrap().2,
-        ),
-        (
-            "O6",
-            1_300,
-            ua.histogram_with_cdf("DepDelay", None).unwrap().2,
-        ),
-        ("O7", 1_940, sheet.string_histogram("Origin").unwrap().1),
-        (
-            "O8",
-            251,
-            sheet.heavy_hitters_sampling("Carrier", 10).unwrap().1,
-        ),
-        ("O9", 6_500, sheet.distinct_count("FlightNum").unwrap().1),
-        (
-            "O10",
-            5_300,
-            sheet
-                .stacked_histogram_with_cdf("CRSDepTime", "Carrier")
-                .unwrap()
-                .2,
-        ),
-        (
-            "O11",
-            8_192,
-            sheet.heatmap("Distance", "AirTime").unwrap().1,
-        ),
-    ];
+    let cycle = || -> Vec<(&str, u64, OpStats)> {
+        // The same seeds each time round: a sampled tree draws one sample.
+        sheet.set_seed(7);
+        ua.set_seed(7);
+        vec![
+            ("O1", 933, sheet.sort_view(&["DepDelay"], 20).unwrap().1),
+            ("O2", 1_422, sheet.sort_view(&by_date, 20).unwrap().1),
+            ("O3", 836, sheet.sort_view(&["TailNum"], 20).unwrap().1),
+            ("O4", 22_000, sheet.scroll_to(&by_date, 50, 20).unwrap().1),
+            (
+                "O5",
+                1_300,
+                sheet.histogram_with_cdf("DepDelay", None).unwrap().2,
+            ),
+            (
+                "O6",
+                1_300,
+                ua.histogram_with_cdf("DepDelay", None).unwrap().2,
+            ),
+            ("O7", 1_940, sheet.string_histogram("Origin").unwrap().1),
+            (
+                "O8",
+                251,
+                sheet.heavy_hitters_sampling("Carrier", 10).unwrap().1,
+            ),
+            ("O9", 6_500, sheet.distinct_count("FlightNum").unwrap().1),
+            (
+                "O10",
+                5_300,
+                sheet
+                    .stacked_histogram_with_cdf("CRSDepTime", "Carrier")
+                    .unwrap()
+                    .2,
+            ),
+            (
+                "O11",
+                8_192,
+                sheet.heatmap("Distance", "AirTime").unwrap().1,
+            ),
+        ]
+    };
+    let ops = cycle();
     let total: u64 = ops.iter().map(|(_, _, stats)| stats.root_bytes).sum();
     let table: String = ops
         .iter()
@@ -105,4 +111,31 @@ fn every_operation_ships_a_display_sized_summary() {
         );
     }
     assert!(total <= CYCLE_BYTES, "the eleven together\n{table}");
+
+    // The same eleven again, on the same sheets: a chart already drawn
+    // costs no tree. An operation whose queries are all deterministic puts
+    // nothing on the root link; the others ship again only the trees the
+    // memo cannot answer — a sampled or positional sketch's, and O6's range,
+    // which the planner now runs over the membership it materialized.
+    let again = cycle();
+    let table: String = ops
+        .iter()
+        .zip(&again)
+        .map(|((op, _, first), (_, _, second))| {
+            let (bytes, was) = (second.root_bytes, first.root_bytes);
+            let (memo, trees) = (second.memo_hits, second.trees);
+            format!("{op:>4} {bytes:>7} B after {was:>6}, the memo answered {memo} of {trees}\n")
+        })
+        .collect();
+    let deterministic = ["O5", "O7", "O9", "O10", "O11"];
+    for ((op, _, first), (_, _, second)) in ops.iter().zip(&again) {
+        assert_eq!(second.trees, first.trees, "{op}\n{table}");
+        if deterministic.contains(op) {
+            let answered = (second.memo_hits, second.root_bytes);
+            assert_eq!(answered, (second.trees, 0), "{op}\n{table}");
+        } else {
+            assert!(second.memo_hits < second.trees, "{op}\n{table}");
+            assert!(second.root_bytes <= first.root_bytes, "{op}\n{table}");
+        }
+    }
 }

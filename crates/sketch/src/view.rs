@@ -65,7 +65,10 @@ pub fn filtered_view(view: &TableView, predicate: &Predicate) -> SketchResult<Ta
 
 /// Resolve `scope` for a sketch that neither fuses nor splits (it walks the
 /// whole view itself): the filter is materialized into the returned view,
-/// and row bounds short of the whole partition are refused.
+/// and row bounds short of the whole partition are refused. This is where a
+/// sketch written outside this crate starts — `TableView::scan`, which every
+/// kernel here goes through, is crate-private — and no kernel here calls it:
+/// `tests/fused_equivalence.rs` holds such a sketch to the fusion law.
 pub fn two_pass(sketch: &str, view: &TableView, scope: Scope<'_>) -> SketchResult<TableView> {
     if scope
         .rows

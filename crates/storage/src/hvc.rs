@@ -443,9 +443,7 @@ fn decode_null_runs(r: &mut WireReader, rows: usize, column: &str) -> Result<Nul
             return Err(row_count_mismatch(column, rows, end));
         }
         if is_null {
-            for i in idx..end {
-                mask.set_null(i, rows);
-            }
+            mask.set_null_range(idx, end, rows);
         }
         idx = end;
         is_null = !is_null;

@@ -12,26 +12,18 @@ use hillview_sketch::heavy::{
 };
 use std::sync::Arc;
 
-/// Which heavy-hitter algorithm to run (`pub`: the type of the public
-/// field [`HeavyHittersViz::mode`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HeavyHittersMode {
-    /// Misra-Gries streaming counters.
-    Streaming,
-    /// Uniform sampling (paper Theorem 4).
-    Sampling,
-}
-
-/// Heavy-hitters vizketch configuration.
+/// Heavy-hitters vizketch configuration. The algorithm is the caller's
+/// choice of method pair: [`prepare_sampling`](Self::prepare_sampling) and
+/// [`render_sampling`](Self::render_sampling) (uniform sampling, paper
+/// Theorem 4), or a Misra-Gries sketch and
+/// [`render_streaming`](Self::render_streaming).
 #[derive(Debug, Clone)]
 pub struct HeavyHittersViz {
     /// Column to analyze.
     pub column: Arc<str>,
     /// Maximum number of heavy hitters (the paper's K).
     pub k: usize,
-    /// Algorithm choice.
-    pub mode: HeavyHittersMode,
-    /// Error probability δ (sampling mode).
+    /// Error probability δ (sampling).
     pub delta: f64,
 }
 
@@ -50,17 +42,13 @@ impl HeavyHittersViz {
         HeavyHittersViz {
             column: Arc::from(column),
             k: k.max(1),
-            mode: HeavyHittersMode::Streaming,
             delta: samples::DEFAULT_DELTA,
         }
     }
 
-    /// Sampling heavy hitters.
+    /// Sampling heavy hitters: the same configuration, at the default δ.
     pub fn sampling(column: &str, k: usize) -> Self {
-        HeavyHittersViz {
-            mode: HeavyHittersMode::Sampling,
-            ..Self::streaming(column, k)
-        }
+        Self::streaming(column, k)
     }
 
     /// The sampling sketch, with rate derived from K, δ and the population
