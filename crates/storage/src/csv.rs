@@ -1,14 +1,23 @@
 //! CSV reading and writing, from scratch.
 //!
-//! Handles RFC-4180 quoting (embedded commas, quotes, newlines), optional
-//! headers, and per-column type inference (Int → Double → String fallback;
-//! empty fields become missing values). The reader is buffered and builds
-//! columns directly — no per-row allocation of records.
+//! Handles RFC-4180 quoting (embedded delimiters, quotes, newlines),
+//! optional headers, and per-column type inference (Int → Double → String
+//! fallback; empty fields become missing values).
+//!
+//! [`read_csv`] and [`crate::spill::spill_csv`] read through one record
+//! loop and build columns by one cell → column rule. The loop reads bytes
+//! into one reused line buffer, checks each line's UTF-8 once, and appends
+//! each field straight to its column's text arena — no per-row allocation
+//! of records, and no `String` per cell: only a quoted field passes through
+//! a scratch buffer, to unescape it. A quote opens a field only at its
+//! start, `""` inside one is a literal quote, and a quoted field keeps its
+//! bytes verbatim, line ends included.
 
 use crate::error::{Error, Result};
 use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
-use hillview_columnar::{ColumnKind, Table};
+use hillview_columnar::{ColumnDesc, ColumnKind, Table};
 use std::io::{BufRead, Write};
+use std::str::FromStr;
 
 /// Options for [`read_csv`].
 #[derive(Debug, Clone)]
@@ -28,218 +37,280 @@ impl Default for CsvOptions {
     }
 }
 
-/// Parse one CSV record starting at `first_line`; returns its fields.
-/// Handles quoted fields spanning multiple lines by pulling more lines.
-pub(crate) fn parse_record(
-    first_line: String,
-    lines: &mut impl Iterator<Item = std::io::Result<String>>,
+/// One column's cells as read: their text end to end in one arena, and
+/// where each cell ends. An empty cell is a missing value.
+#[derive(Default)]
+pub(crate) struct Cells {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl Cells {
+    fn push(&mut self, cell: &str) {
+        self.text.push_str(cell);
+        self.ends.push(self.text.len());
+    }
+
+    /// Cells held.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Each cell in order, `None` where it is empty.
+    fn iter(&self) -> impl Iterator<Item = Option<&str>> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let cell = &self.text[start..end];
+            start = end;
+            (!cell.is_empty()).then_some(cell)
+        })
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.text.clear();
+        self.ends.clear();
+    }
+}
+
+fn parse_error(at: usize, message: impl Into<String>) -> Error {
+    Error::Parse {
+        format: "csv",
+        at,
+        message: message.into(),
+    }
+}
+
+/// The byte side of the record loop: one reused line buffer and the
+/// scratch a quoted field is unescaped into.
+struct Lines<R> {
+    reader: R,
     delimiter: u8,
+    /// The current physical line, its line end included.
+    line: String,
+    /// Where its content ends: before the `\n` or `\r\n` that ends it, as
+    /// `BufRead::lines` strips them.
+    end: usize,
+    /// The current line's 1-based number.
     line_no: usize,
-) -> Result<Vec<String>> {
-    let mut fields = Vec::new();
-    let mut field = String::new();
-    let mut buf: Vec<char> = first_line.chars().collect();
-    let mut i = 0usize;
-    let mut in_quotes = false;
-    loop {
-        if i >= buf.len() {
-            if in_quotes {
-                // Quoted newline: continue with the next physical line.
-                match lines.next() {
-                    Some(Ok(next)) => {
-                        field.push('\n');
-                        buf = next.chars().collect();
-                        i = 0;
-                        continue;
-                    }
-                    Some(Err(e)) => return Err(e.into()),
-                    None => {
-                        return Err(Error::Parse {
-                            format: "csv",
-                            at: line_no,
-                            message: "unterminated quoted field".into(),
-                        })
-                    }
-                }
-            }
-            fields.push(field);
-            return Ok(fields);
+    /// The quoted field being read, unescaped.
+    quoted: String,
+}
+
+impl<R: BufRead> Lines<R> {
+    /// Read the next physical line; `false` at the end of input.
+    fn advance(&mut self) -> Result<bool> {
+        let mut bytes = std::mem::take(&mut self.line).into_bytes();
+        bytes.clear();
+        if self.reader.read_until(b'\n', &mut bytes)? == 0 {
+            return Ok(false);
         }
-        let c = buf[i];
-        i += 1;
-        match c {
-            '"' if !in_quotes && field.is_empty() => in_quotes = true,
-            '"' if in_quotes => {
-                if buf.get(i) == Some(&'"') {
-                    i += 1;
-                    field.push('"');
-                } else {
-                    in_quotes = false;
+        self.line_no += 1;
+        self.line = String::from_utf8(bytes).map_err(|_| parse_error(self.line_no, "not UTF-8"))?;
+        let content = self.line.strip_suffix('\n');
+        self.end = content.map_or(self.line.len(), |l| l.strip_suffix('\r').unwrap_or(l).len());
+        Ok(true)
+    }
+
+    /// Append the fields of the record that starts on the current line to
+    /// `cells`, one per column (growing it as needed); return how many
+    /// there were.
+    fn split(&mut self, cells: &mut Vec<Cells>) -> Result<usize> {
+        let at = self.line_no;
+        let (mut pos, mut n) = (0, 0);
+        loop {
+            if n == cells.len() {
+                cells.push(Cells::default());
+            }
+            let quoted = pos < self.end && self.line.as_bytes()[pos] == b'"';
+            if quoted {
+                pos = self.unquote(pos + 1, at)?;
+            }
+            let line = &self.line[..self.end];
+            let tail = line[pos..]
+                .bytes()
+                .position(|b| b == self.delimiter)
+                .map_or(line.len(), |i| pos + i);
+            if quoted {
+                self.quoted.push_str(&line[pos..tail]);
+                cells[n].push(&self.quoted);
+            } else {
+                cells[n].push(&line[pos..tail]);
+            }
+            n += 1;
+            if tail == line.len() {
+                return Ok(n);
+            }
+            pos = tail + 1;
+        }
+    }
+
+    /// Unescape into `quoted` the quoted field whose text starts at `pos`,
+    /// reading on while the quote stays open; return where the line that
+    /// closes it goes on.
+    fn unquote(&mut self, mut pos: usize, at: usize) -> Result<usize> {
+        self.quoted.clear();
+        loop {
+            let line = &self.line[..self.end];
+            let Some(close) = line[pos..].find('"') else {
+                self.quoted.push_str(&self.line[pos..]);
+                if !self.advance()? {
+                    return Err(parse_error(at, "unterminated quoted field"));
                 }
+                pos = 0;
+                continue;
+            };
+            self.quoted.push_str(&line[pos..pos + close]);
+            pos += close + 1;
+            if line.as_bytes().get(pos) != Some(&b'"') {
+                return Ok(pos);
             }
-            c if c == delimiter as char && !in_quotes => {
-                fields.push(std::mem::take(&mut field));
-            }
-            c => field.push(c),
+            self.quoted.push('"');
+            pos += 1;
         }
     }
 }
 
-/// What a column's values could all be parsed as so far.
-#[derive(Clone, Copy, PartialEq)]
-enum Inferred {
-    Int,
-    Double,
-    Text,
-}
-
-/// Read a CSV stream into a [`Table`], inferring column types.
-pub fn read_csv(reader: impl BufRead, options: &CsvOptions) -> Result<Table> {
-    let mut lines = reader.lines();
-    let mut line_no = 0usize;
-
-    // Collect raw string fields column-wise.
-    let mut names: Vec<String> = Vec::new();
-    let mut cells: Vec<Vec<Option<String>>> = Vec::new();
-
-    if options.has_header {
-        match lines.next() {
-            None => return Ok(Table::empty()),
-            Some(line) => {
-                line_no += 1;
-                let header = parse_record(line?, &mut lines, options.delimiter, line_no)?;
-                names = header;
-                cells = names.iter().map(|_| Vec::new()).collect();
-            }
-        }
+/// The one CSV record loop, under [`read_csv`] and
+/// [`crate::spill::spill_csv`]. Hands the header's names (when
+/// `options.has_header`) to `header`; then appends each non-blank record
+/// after it to one `Cells` per column, calling `record` after each, and
+/// returns the columns. Every record has `width` fields — by default as
+/// many as the header, or else the first record, has.
+pub(crate) fn read_records(
+    reader: impl BufRead,
+    options: &CsvOptions,
+    mut width: Option<usize>,
+    header: impl FnOnce(Vec<&str>) -> Result<()>,
+    mut record: impl FnMut(&mut [Cells]) -> Result<()>,
+) -> Result<Vec<Cells>> {
+    if !options.delimiter.is_ascii() {
+        return Err(parse_error(0, "the delimiter is not ASCII"));
     }
-
-    while let Some(line) = lines.next() {
-        line_no += 1;
-        let line = line?;
-        if line.is_empty() {
+    let mut lines = Lines {
+        reader,
+        delimiter: options.delimiter,
+        line: String::new(),
+        end: 0,
+        line_no: 0,
+        quoted: String::new(),
+    };
+    if options.has_header && lines.advance()? {
+        let mut names = Vec::new();
+        lines.split(&mut names)?;
+        header(names.iter().map(|c| c.text.as_str()).collect())?;
+        width = width.or(Some(names.len()));
+    }
+    let mut cells = Vec::new();
+    cells.resize_with(width.unwrap_or(0), Cells::default);
+    while lines.advance()? {
+        if lines.end == 0 {
             continue;
         }
-        let record = parse_record(line, &mut lines, options.delimiter, line_no)?;
-        if names.is_empty() {
-            names = (0..record.len()).map(|i| format!("Column{i}")).collect();
-            cells = names.iter().map(|_| Vec::new()).collect();
+        let at = lines.line_no;
+        let found = lines.split(&mut cells)?;
+        let expected = *width.get_or_insert(found);
+        if found != expected {
+            let message = format!("expected {expected} fields, found {found}");
+            return Err(parse_error(at, message));
         }
-        if record.len() != names.len() {
-            return Err(Error::Parse {
-                format: "csv",
-                at: line_no,
-                message: format!("expected {} fields, found {}", names.len(), record.len()),
-            });
-        }
-        for (col, value) in cells.iter_mut().zip(record) {
-            col.push(if value.is_empty() { None } else { Some(value) });
-        }
+        record(&mut cells)?;
     }
+    Ok(cells)
+}
 
-    // Infer each column's type from its non-missing values.
+/// The one cell → column rule. Numbers and dates are trimmed and parsed,
+/// and a cell that does not parse is missing — under a declared schema
+/// too, without a word (ROADMAP 1(f)); strings are kept as read.
+pub(crate) fn column(kind: ColumnKind, cells: &Cells) -> Column {
+    fn parsed<T: FromStr>(cells: &Cells) -> impl Iterator<Item = Option<T>> + '_ {
+        cells.iter().map(|c| c.and_then(|s| s.trim().parse().ok()))
+    }
+    match kind {
+        ColumnKind::Int => Column::Int(I64Column::from_options(parsed(cells))),
+        ColumnKind::Date => Column::Date(I64Column::from_options(parsed(cells))),
+        ColumnKind::Double => Column::Double(F64Column::from_options(parsed(cells))),
+        ColumnKind::String => Column::Str(DictColumn::from_strings(cells.iter())),
+        ColumnKind::Category => Column::Cat(DictColumn::from_strings(cells.iter())),
+    }
+}
+
+/// A table of `cells` under [`column`], column `i` described by `descs[i]`.
+pub(crate) fn table(descs: &[ColumnDesc], cells: &[Cells]) -> Result<Table> {
     let mut builder = Table::builder();
-    for (name, col) in names.iter().zip(&cells) {
-        let mut kind = Inferred::Int;
-        for v in col.iter().flatten() {
-            let v = v.trim();
-            match kind {
-                Inferred::Int if v.parse::<i64>().is_err() => {
-                    kind = if v.parse::<f64>().is_ok() {
-                        Inferred::Double
-                    } else {
-                        Inferred::Text
-                    };
-                }
-                Inferred::Double if v.parse::<f64>().is_err() => kind = Inferred::Text,
-                _ => {}
-            }
-            if kind == Inferred::Text {
-                break;
-            }
-        }
-        let column = match kind {
-            Inferred::Int => Column::Int(I64Column::from_options(
-                col.iter()
-                    .map(|v| v.as_deref().and_then(|s| s.trim().parse().ok())),
-            )),
-            Inferred::Double => Column::Double(F64Column::from_options(
-                col.iter()
-                    .map(|v| v.as_deref().and_then(|s| s.trim().parse().ok())),
-            )),
-            Inferred::Text => {
-                Column::Str(DictColumn::from_strings(col.iter().map(|v| v.as_deref())))
-            }
-        };
-        builder = builder.column(name, column.kind(), column);
+    for (desc, cells) in descs.iter().zip(cells) {
+        builder = builder.column(&desc.name, desc.kind, column(desc.kind, cells));
     }
     Ok(builder.build()?)
 }
 
+/// The kind [`read_csv`] gives a column: Int while every present cell
+/// parses as one, then Double while every one parses as that, else String.
+fn infer(cells: &Cells) -> ColumnKind {
+    let mut kind = ColumnKind::Int;
+    for cell in cells.iter().flatten().map(str::trim) {
+        if kind == ColumnKind::Int && cell.parse::<i64>().is_err() {
+            kind = ColumnKind::Double;
+        }
+        if kind == ColumnKind::Double && cell.parse::<f64>().is_err() {
+            return ColumnKind::String;
+        }
+    }
+    kind
+}
+
+/// Read a CSV stream into a [`Table`], inferring column types.
+pub fn read_csv(reader: impl BufRead, options: &CsvOptions) -> Result<Table> {
+    let mut names = Vec::new();
+    let take_names = |header: Vec<&str>| {
+        names = header.into_iter().map(String::from).collect();
+        Ok(())
+    };
+    let cells = read_records(reader, options, None, take_names, |_| Ok(()))?;
+    if !options.has_header {
+        names = (0..cells.len()).map(|i| format!("Column{i}")).collect();
+    }
+    let descs: Vec<ColumnDesc> = names
+        .iter()
+        .zip(&cells)
+        .map(|(name, c)| ColumnDesc::new(name, infer(c)))
+        .collect();
+    table(&descs, &cells)
+}
+
 /// Write a table as CSV with a header row.
 pub fn write_csv(table: &Table, mut out: impl Write) -> Result<()> {
-    let names: Vec<&str> = table
+    let names = table
         .schema()
         .descs()
         .iter()
-        .map(|d| d.name.as_ref())
-        .collect();
-    writeln!(
-        out,
-        "{}",
-        names.iter().map(|n| quote(n)).collect::<Vec<_>>().join(",")
-    )?;
+        .map(|d| Some(d.name.to_string()));
+    write_record(&mut out, names)?;
     for row in 0..table.num_rows() {
-        let mut first = true;
-        for c in 0..table.num_columns() {
-            if !first {
-                write!(out, ",")?;
-            }
-            first = false;
-            let v = table.column(c).value(row);
-            if !v.is_missing() {
-                write!(out, "{}", quote(&v.to_string()))?;
-            }
-        }
-        writeln!(out)?;
+        let values = (0..table.num_columns()).map(|c| table.column(c).value(row));
+        write_record(
+            &mut out,
+            values.map(|v| (!v.is_missing()).then(|| v.to_string())),
+        )?;
     }
     Ok(())
 }
 
-fn quote(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-/// Build a [`Column`] of the declared kind from raw string cells (used by
-/// callers that know the schema, bypassing inference).
-pub fn column_from_strings(kind: ColumnKind, cells: &[Option<String>]) -> Column {
-    match kind {
-        ColumnKind::Int => Column::Int(I64Column::from_options(
-            cells
-                .iter()
-                .map(|v| v.as_deref().and_then(|s| s.trim().parse().ok())),
-        )),
-        ColumnKind::Date => Column::Date(I64Column::from_options(
-            cells
-                .iter()
-                .map(|v| v.as_deref().and_then(|s| s.trim().parse().ok())),
-        )),
-        ColumnKind::Double => Column::Double(F64Column::from_options(
-            cells
-                .iter()
-                .map(|v| v.as_deref().and_then(|s| s.trim().parse().ok())),
-        )),
-        ColumnKind::String => {
-            Column::Str(DictColumn::from_strings(cells.iter().map(|v| v.as_deref())))
+/// Write one record: a missing cell as nothing, and a cell holding the
+/// delimiter, a quote or a line end quoted.
+fn write_record(out: &mut impl Write, cells: impl Iterator<Item = Option<String>>) -> Result<()> {
+    for (i, cell) in cells.enumerate() {
+        if i > 0 {
+            out.write_all(b",")?;
         }
-        ColumnKind::Category => {
-            Column::Cat(DictColumn::from_strings(cells.iter().map(|v| v.as_deref())))
+        match cell {
+            Some(s) if s.contains([',', '"', '\n', '\r']) => {
+                write!(out, "\"{}\"", s.replace('"', "\"\""))?
+            }
+            Some(s) => out.write_all(s.as_bytes())?,
+            None => {}
         }
     }
+    Ok(out.write_all(b"\n")?)
 }
 
 #[cfg(test)]
@@ -345,12 +416,129 @@ mod tests {
 
     #[test]
     fn explicit_schema_builder() {
-        let col = column_from_strings(
-            ColumnKind::Date,
-            &[Some("1000".into()), None, Some("2000".into())],
-        );
+        let mut cells = Cells::default();
+        for cell in ["1000", "", " 2000 ", "@3000"] {
+            cells.push(cell);
+        }
+        let col = column(ColumnKind::Date, &cells);
         assert_eq!(col.kind(), ColumnKind::Date);
         assert_eq!(col.value(0), Value::Date(1000));
         assert!(col.is_null(1));
+        assert_eq!(col.value(2), Value::Date(2000));
+        assert!(
+            col.is_null(3),
+            "ROADMAP 1(f): `write_csv`'s dates stay missing"
+        );
+    }
+
+    /// `input` as [`read_csv`] reads it: each column's name and kind, then
+    /// each row's cells as displayed; or the line a parse error names.
+    fn shown(input: &str, has_header: bool) -> std::result::Result<Vec<Vec<String>>, usize> {
+        let options = CsvOptions {
+            has_header,
+            delimiter: b',',
+        };
+        let t = match read_csv(Cursor::new(input), &options) {
+            Ok(t) => t,
+            Err(Error::Parse { at, .. }) => return Err(at),
+            Err(e) => panic!("{input:?}: {e}"),
+        };
+        let descs = t.schema().descs();
+        let mut rows = vec![descs
+            .iter()
+            .map(|d| format!("{}:{:?}", d.name, d.kind))
+            .collect()];
+        for r in 0..t.num_rows() {
+            rows.push(
+                (0..descs.len())
+                    .map(|c| t.column(c).value(r).to_string())
+                    .collect(),
+            );
+        }
+        Ok(rows)
+    }
+
+    #[test]
+    fn quoting_edges_read_as_the_replaced_reader_read_them() {
+        // Each expectation is what the reader before the byte loop (`lines`
+        // + a `Vec<char>` per record) returned for the same input.
+        let ok = |rows: &[&[&str]]| -> std::result::Result<Vec<Vec<String>>, usize> {
+            Ok(rows
+                .iter()
+                .map(|r| r.iter().map(|c| c.to_string()).collect())
+                .collect())
+        };
+        let cases: [(&str, bool, _); 14] = [
+            // Text after a closing quote is literal, quotes included.
+            (
+                "t\n\"ab\"c\"d\"\n",
+                true,
+                ok(&[&["t:String"], &["abc\"d\""]]),
+            ),
+            ("t\nx\"y\"\n", true, ok(&[&["t:String"], &["x\"y\""]])),
+            ("t\n\"\"\"\"\n", true, ok(&[&["t:String"], &["\""]])),
+            (
+                "a,b\n\"\",1\n",
+                true,
+                ok(&[&["a:Int", "b:Int"], &["(missing)", "1"]]),
+            ),
+            ("t\n\"abc\nde\n", true, Err(2)),
+            ("t\nx\n\"abc", true, Err(3)),
+            // Blank lines, `\r\n` ones too, are skipped; a blank header is
+            // one column named "".
+            ("a\n\n1\r\n\r\n2\n", true, ok(&[&["a:Int"], &["1"], &["2"]])),
+            ("\nx\ny\n", true, ok(&[&[":String"], &["x"], &["y"]])),
+            ("a\n \n", true, ok(&[&["a:String"], &[" "]])),
+            // CRLF endings; a last line's `\r` without `\n` is text.
+            (
+                "a,b\r\n1,x\r\n2,y\r",
+                true,
+                ok(&[&["a:Int", "b:String"], &["1", "x"], &["2", "y\r"]]),
+            ),
+            (
+                "1,\"x\"\n2,y\n",
+                false,
+                ok(&[&["Column0:Int", "Column1:String"], &["1", "x"], &["2", "y"]]),
+            ),
+            ("", false, ok(&[&[]])),
+            ("a,b\n1,2\n3\n", true, Err(3)),
+            ("a,b\n1,2,3\n", true, Err(2)),
+        ];
+        for (input, has_header, want) in cases {
+            assert_eq!(shown(input, has_header), want, "{input:?}");
+        }
+    }
+
+    #[test]
+    fn errors_name_the_physical_line() {
+        // The quoted record spans lines 2 and 3, so the short one is line 4.
+        assert_eq!(shown("a,b\n\"x\ny\",1\n2\n", true), Err(4));
+        assert_eq!(shown("a\n\"x\ny\"\n\"z\n", true), Err(4));
+    }
+
+    #[test]
+    fn a_quoted_field_keeps_its_line_ends() {
+        let t = read("s,n\n\"a\r\nb\",1\n\"c\r\",2\n");
+        assert_eq!(t.get(0, "s").unwrap(), Value::str("a\r\nb"));
+        assert_eq!(t.get(1, "s").unwrap(), Value::str("c\r"));
+        let mut buf = Vec::new();
+        write_csv(&t, &mut buf).unwrap();
+        let back = read_csv(Cursor::new(buf), &CsvOptions::default()).unwrap();
+        for r in 0..2 {
+            assert_eq!(back.full_row(r), t.full_row(r));
+        }
+    }
+
+    #[test]
+    fn refused_input_is_a_parse_error() {
+        let input = b"a\n\"x\ny\"\n\xff\n".as_slice();
+        let utf8 = read_csv(Cursor::new(input), &CsvOptions::default());
+        assert!(matches!(utf8, Err(Error::Parse { at: 4, .. })), "{utf8:?}");
+        let options = CsvOptions {
+            has_header: true,
+            delimiter: 0xa7,
+        };
+        let delimiter = read_csv(Cursor::new("a\n1\n"), &options);
+        assert!(matches!(delimiter, Err(Error::Parse { .. })));
     }
 }

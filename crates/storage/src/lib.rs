@@ -7,8 +7,10 @@
 //! optimizations", requiring only that data is horizontally partitioned and
 //! immutable while browsed. This crate provides that layer:
 //!
-//! * [`csv`] — a from-scratch CSV reader/writer (quoting, headers, type
-//!   inference) — the paper's most common input format.
+//! * [`csv`] — a from-scratch CSV reader/writer, the paper's most common
+//!   input format: one record loop over bytes and one cell → column rule,
+//!   under both [`csv::read_csv`] (types inferred) and [`spill::spill_csv`]
+//!   (types declared).
 //! * [`hvc`] — our columnar binary format ("HillView Columnar"), the
 //!   substitute for ORC/Parquet: a self-contained header (schema,
 //!   dictionaries, zone maps) over per-column raw sections that map and
@@ -62,5 +64,5 @@ pub mod spill;
 
 pub use error::{Error, Result};
 pub use hvc::{probe_file, read_file_mapped, FileInfo};
-pub use partition::{concat_tables, partition_table};
+pub use partition::partition_table;
 pub use spill::{SpillManifest, SpilledPart, SpillingWriter};

@@ -97,21 +97,17 @@ pub(crate) fn renumber(
 }
 
 fn slice(table: &Table, start: usize, end: usize, prune: bool) -> Table {
+    let slice_nulls = |nulls: &NullMask| {
+        NullMask::from_flags((start..end).map(|i| nulls.is_null(i)), end - start)
+    };
     let mut builder = Table::builder();
     for c in 0..table.num_columns() {
         let desc = table.schema().desc(c);
         let col = table.column(c);
-        let rows = start..end;
         let sliced = match col {
             Column::Int(ic) | Column::Date(ic) => {
                 let data: Vec<i64> = ic.storage().decode_range(start, end);
-                let mut nulls = NullMask::none();
-                for (j, i) in rows.clone().enumerate() {
-                    if ic.nulls().is_null(i) {
-                        nulls.set_null(j, end - start);
-                    }
-                }
-                let nc = I64Column::new(data, nulls);
+                let nc = I64Column::new(data, slice_nulls(ic.nulls()));
                 if matches!(col, Column::Int(_)) {
                     Column::Int(nc)
                 } else {
@@ -120,24 +116,13 @@ fn slice(table: &Table, start: usize, end: usize, prune: bool) -> Table {
             }
             Column::Double(fc) => {
                 let data: Vec<f64> = fc.data().decode_range(start, end);
-                let mut nulls = NullMask::none();
-                for (j, i) in rows.clone().enumerate() {
-                    if fc.nulls().is_null(i) {
-                        nulls.set_null(j, end - start);
-                    }
-                }
-                Column::Double(F64Column::new(data, nulls))
+                Column::Double(F64Column::new(data, slice_nulls(fc.nulls())))
             }
             Column::Str(dc) | Column::Cat(dc) => {
                 // Slice only the codes (decoded and re-encoded, so each
                 // micropartition re-analyzes its slice).
                 let mut codes: Vec<u32> = dc.codes().decode_range(start, end);
-                let mut nulls = NullMask::none();
-                for (j, i) in rows.clone().enumerate() {
-                    if dc.nulls().is_null(i) {
-                        nulls.set_null(j, end - start);
-                    }
-                }
+                let nulls = slice_nulls(dc.nulls());
                 let own = if prune {
                     renumber(&mut codes, &nulls, dc.dictionary())
                 } else {
@@ -164,7 +149,7 @@ fn slice(table: &Table, start: usize, end: usize, prune: bool) -> Table {
 ///
 /// Values are materialized row-wise (dictionaries are re-interned, since
 /// each part may carry its own), so the result is always fully owned.
-pub fn concat_tables(parts: &[Table]) -> Result<Table> {
+pub(crate) fn concat_tables(parts: &[Table]) -> Result<Table> {
     let Some(first) = parts.first() else {
         return Ok(Table::empty());
     };
@@ -176,9 +161,6 @@ pub fn concat_tables(parts: &[Table]) -> Result<Table> {
                 first.schema().descs()
             )));
         }
-    }
-    if parts.len() == 1 {
-        return Ok(first.clone());
     }
     let mut builder = Table::builder();
     for c in 0..first.num_columns() {
@@ -217,16 +199,6 @@ pub fn concat_tables(parts: &[Table]) -> Result<Table> {
         builder = builder.column(&desc.name, desc.kind, column);
     }
     Ok(builder.build()?)
-}
-
-/// Deal partitions round-robin to `workers` buckets (how a cluster spreads
-/// shards; paper Fig. 1 "data repository" → workers).
-pub fn assign_round_robin<T>(items: Vec<T>, workers: usize) -> Vec<Vec<T>> {
-    let mut out: Vec<Vec<T>> = (0..workers.max(1)).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        out[i % workers.max(1)].push(item);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -303,14 +275,5 @@ mod tests {
         assert_eq!(partition_table(&t, 1).len(), 5);
         let empty = Table::empty();
         assert_eq!(partition_table(&empty, 10).len(), 1);
-    }
-
-    #[test]
-    fn round_robin_assignment() {
-        let parts: Vec<i32> = (0..7).collect();
-        let buckets = assign_round_robin(parts, 3);
-        assert_eq!(buckets[0], vec![0, 3, 6]);
-        assert_eq!(buckets[1], vec![1, 4]);
-        assert_eq!(buckets[2], vec![2, 5]);
     }
 }

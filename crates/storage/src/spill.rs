@@ -19,10 +19,10 @@
 //! reader parse) the strings of rows that live in other parts.
 //!
 //! [`spill_csv`] drives the same writer from a CSV stream with a declared
-//! schema, so text ingest never materializes more than one micropartition
-//! of cells at a time.
+//! schema, through the CSV reader's one record loop, so text ingest never
+//! materializes more than one micropartition of cells at a time.
 
-use crate::csv::{column_from_strings, parse_record, CsvOptions};
+use crate::csv::{self, read_records, Cells, CsvOptions};
 use crate::error::{Error, Result};
 use crate::hvc;
 use crate::partition::{concat_tables, slice_for_file};
@@ -107,16 +107,6 @@ impl SpillingWriter {
         Ok(())
     }
 
-    /// Micropartitions sealed so far.
-    pub fn sealed_parts(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// Rows currently buffered (always `< rows_per_part` after a `push`).
-    pub fn buffered_rows(&self) -> usize {
-        self.pending_rows
-    }
-
     fn seal(&mut self) -> Result<()> {
         if self.pending_rows == 0 {
             return Ok(());
@@ -126,7 +116,6 @@ impl SpillingWriter {
         } else {
             concat_tables(&std::mem::take(&mut self.pending))?
         };
-        self.pending.clear();
         self.pending_rows = 0;
         let path = self.dir.join(format!("part-{:05}.hvc", self.parts.len()));
         hvc::write_file(&table, &path)?;
@@ -160,60 +149,29 @@ pub fn spill_csv(
 ) -> Result<SpillManifest> {
     let rows_per_part = rows_per_part.max(1);
     let mut writer = SpillingWriter::new(dir, rows_per_part)?;
-    let mut lines = reader.lines();
-    let mut line_no = 0usize;
-    if options.has_header {
-        if let Some(line) = lines.next() {
-            line_no += 1;
-            let header = parse_record(line?, &mut lines, options.delimiter, line_no)?;
-            let names: Vec<&str> = schema.descs().iter().map(|d| d.name.as_ref()).collect();
-            if header != names {
-                return Err(Error::Schema(format!(
-                    "CSV header {header:?} does not match declared schema {names:?}"
-                )));
-            }
-        }
-    }
-    let ncols = schema.len();
-    let mut cells: Vec<Vec<Option<String>>> = (0..ncols).map(|_| Vec::new()).collect();
-    let mut buffered = 0usize;
-    let flush = |cells: &mut Vec<Vec<Option<String>>>, writer: &mut SpillingWriter| {
-        let mut builder = Table::builder();
-        for (desc, col) in schema.descs().iter().zip(cells.iter()) {
-            let column = column_from_strings(desc.kind, col);
-            builder = builder.column(&desc.name, desc.kind, column);
-        }
-        for col in cells.iter_mut() {
-            col.clear();
-        }
-        writer.push(&builder.build()?)
+    let names: Vec<&str> = schema.descs().iter().map(|d| d.name.as_ref()).collect();
+    let flush = |cells: &mut [Cells], writer: &mut SpillingWriter| -> Result<()> {
+        writer.push(&csv::table(schema.descs(), cells)?)?;
+        cells.iter_mut().for_each(Cells::clear);
+        Ok(())
     };
-    while let Some(line) = lines.next() {
-        line_no += 1;
-        let line = line?;
-        if line.is_empty() {
-            continue;
+    let check_header = |header: Vec<&str>| {
+        if header != names {
+            return Err(Error::Schema(format!(
+                "CSV header {header:?} does not match declared schema {names:?}"
+            )));
         }
-        let record = parse_record(line, &mut lines, options.delimiter, line_no)?;
-        if record.len() != ncols {
-            return Err(Error::Parse {
-                format: "csv",
-                at: line_no,
-                message: format!("expected {ncols} fields, found {}", record.len()),
-            });
+        Ok(())
+    };
+    // A record has at least one field, so `cells[0]` counts the rows held.
+    let mut rest = read_records(reader, options, Some(names.len()), check_header, |cells| {
+        if cells[0].len() < rows_per_part {
+            return Ok(());
         }
-        for (col, value) in cells.iter_mut().zip(record) {
-            col.push(if value.is_empty() { None } else { Some(value) });
-        }
-        buffered += 1;
-        if buffered == rows_per_part {
-            flush(&mut cells, &mut writer)?;
-            buffered = 0;
-        }
-    }
-    if buffered > 0 {
-        flush(&mut cells, &mut writer)?;
-    }
+        flush(cells, &mut writer)
+    })?;
+    // The rows left over (a table of none is not pushed).
+    flush(&mut rest, &mut writer)?;
     writer.finish()
 }
 
@@ -279,8 +237,8 @@ mod tests {
             w.push(&rows(n, base)).unwrap();
             base += n;
         }
-        assert_eq!(w.sealed_parts(), 4, "450 rows → 4 sealed parts");
-        assert_eq!(w.buffered_rows(), 50);
+        // 450 rows: four parts are sealed as they fill, the last by `finish`.
+        assert_eq!(list_parts(d.path()).unwrap().len(), 4);
         let m = w.finish().unwrap();
         assert_eq!(m.parts.len(), 5);
         assert_eq!(m.total_rows(), 450);

@@ -1,12 +1,15 @@
 //! Property tests: every storage format must round-trip arbitrary tables.
 
 use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
-use hillview_columnar::{ColumnKind, Table};
+use hillview_columnar::{ColumnKind, Table, TempDir};
 use hillview_storage::csv::{read_csv, write_csv, CsvOptions};
 use hillview_storage::hvc;
 use hillview_storage::partition::{partition_table, slice_table};
+use hillview_storage::spill::{list_parts, spill_csv};
+use hillview_storage::SpillingWriter;
 use proptest::prelude::*;
 use std::io::Cursor;
+use std::path::Path;
 
 /// Row `r` of double column `name`, as bits: `Value` equality cannot tell
 /// the two zeros apart.
@@ -17,12 +20,15 @@ fn double_bits(t: &Table, name: &str, r: usize) -> Option<u64> {
 
 /// Arbitrary mixed-type tables with nulls. `F` is fractional (stored raw);
 /// `W` holds the same draws rounded to whole numbers — small negatives to
-/// `-0.0` — so it is stored as encoded integer codes.
+/// `-0.0` — so it is stored as encoded integer codes. Strings hold every
+/// character CSV must quote, and are never empty: CSV cannot tell an empty
+/// string from a missing one.
 fn table_strategy() -> impl Strategy<Value = Table> {
     let row = (
         proptest::option::weighted(0.85, any::<i64>()),
         proptest::option::weighted(0.85, -1e12f64..1e12),
-        proptest::option::weighted(0.85, "[a-zA-Z0-9 ,\"']{0,12}"),
+        proptest::option::weighted(0.85, "[a-zA-Z0-9 ,\"'\r\n]{1,12}"),
+        proptest::option::weighted(0.85, "[ab,\"\r\n]{1,2}"),
     );
     proptest::collection::vec(row, 1..80).prop_map(|rows| {
         Table::builder()
@@ -50,9 +56,22 @@ fn table_strategy() -> impl Strategy<Value = Table> {
                     rows.iter().map(|r| r.2.as_deref()),
                 )),
             )
+            .column(
+                "C",
+                ColumnKind::Category,
+                Column::Cat(DictColumn::from_strings(
+                    rows.iter().map(|r| r.3.as_deref()),
+                )),
+            )
             .build()
             .unwrap()
     })
+}
+
+/// The bytes of every part spilled into `dir`, in row order.
+fn part_bytes(dir: &Path) -> Vec<Vec<u8>> {
+    let parts = list_parts(dir).unwrap();
+    parts.iter().map(|p| std::fs::read(p).unwrap()).collect()
 }
 
 proptest! {
@@ -105,8 +124,8 @@ proptest! {
         }
     }
 
-    /// CSV round-trips values it can represent. Empty strings decode as
-    /// missing (CSV cannot distinguish them), so inputs avoid them.
+    /// CSV round-trips values it can represent: integers, strings (quoted
+    /// line ends included) and missing values exactly.
     #[test]
     fn csv_roundtrip(t in table_strategy()) {
         let mut buf = Vec::new();
@@ -114,16 +133,27 @@ proptest! {
         let back = read_csv(Cursor::new(buf), &CsvOptions::default()).unwrap();
         prop_assert_eq!(back.num_rows(), t.num_rows());
         for r in 0..t.num_rows() {
-            // Int/missing round-trip exactly.
-            prop_assert_eq!(back.get(r, "I").unwrap(), t.get(r, "I").unwrap());
-            // Strings round-trip except empty → missing.
-            let orig = t.get(r, "S").unwrap();
-            let got = back.get(r, "S").unwrap();
-            match orig.as_str() {
-                Some("") => prop_assert!(got.is_missing()),
-                _ => prop_assert_eq!(got, orig),
+            for name in ["I", "S", "C"] {
+                prop_assert_eq!(back.get(r, name).unwrap(), t.get(r, name).unwrap());
             }
         }
+    }
+
+    /// The differential oracle (VisiGrid's fingerprint, SNIPPETS.md §3): a
+    /// table's CSV, spilled under the table's schema, seals the very part
+    /// bytes the table itself spills to. No `Date` column: `write_csv`
+    /// prints a date as `@<ms>`, which reads back missing (ROADMAP 1(f)).
+    #[test]
+    fn spill_csv_seals_the_parts_the_table_seals(t in table_strategy(), rpp in 1usize..40) {
+        let (from_csv, from_table) = (TempDir::new("rt-csv"), TempDir::new("rt-table"));
+        let mut csv = Vec::new();
+        write_csv(&t, &mut csv).unwrap();
+        let options = CsvOptions::default();
+        spill_csv(Cursor::new(csv), &options, t.schema(), rpp, from_csv.path()).unwrap();
+        let mut writer = SpillingWriter::new(from_table.path(), rpp).unwrap();
+        writer.push(&t).unwrap();
+        writer.finish().unwrap();
+        prop_assert!(part_bytes(from_csv.path()) == part_bytes(from_table.path()));
     }
 
     #[test]
