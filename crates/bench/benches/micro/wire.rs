@@ -17,8 +17,9 @@ use hillview_sketch::distinct::{DistinctSketch, DistinctSummary};
 use hillview_sketch::heatmap::HeatmapSummary;
 use hillview_sketch::histogram::HistogramSummary;
 use hillview_sketch::nextk::{NextKSketch, NextKSummary};
-use hillview_sketch::quantile::{QuantileSketch, QuantileSummary};
+use hillview_sketch::quantile::QuantileSummary;
 use hillview_sketch::{Scope, Sketch, TableView};
+use hillview_viz::tableview::TableViewViz;
 use std::fmt::Debug;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -332,14 +333,22 @@ fn run(suite: &mut Suite) {
             .fact("scattered_codec_bytes", scattered.to_bytes().len() as f64);
     }
 
-    let flights = TableView::full(Arc::new(generate_flights(&FlightsConfig::new(50_000, 7))));
+    let rows = 50_000;
+    let flights = TableView::full(Arc::new(generate_flights(&FlightsConfig::new(rows, 7))));
     let by_date = ["Year", "Month", "DayOfMonth", "CRSDepTime", "FlightNum"];
     let order = SortOrder::ascending(&by_date);
-    let scroll = QuantileSketch::new(order.clone(), 1.0, 40_000, 1_000);
+    // What one worker ships for O4: the scroll bar's own sketch, whose
+    // resolution is the shipped key count.
+    let scroll = TableViewViz::new(order.clone(), 20).scrollbar_quantile(rows as u64);
+    let keys = scroll.resolution;
     let scroll = scroll.summarize(&flights, Scope::ALL, 0).unwrap();
     let scroll = hillview_sketch::Summary::compact(scroll);
-    assert_eq!(scroll.keys.len(), 1_000);
-    case(suite, "quantile_1000_keys_5_columns", &scroll);
+    assert_eq!(scroll.keys.len(), keys);
+    case(
+        suite,
+        &format!("quantile_scrollbar_{keys}_keys_5_columns"),
+        &scroll,
+    );
 
     let page = NextKSketch::first_page(order, 20).with_display(&["Carrier", "DepDelay"]);
     let page = page.summarize(&flights, Scope::ALL, 0).unwrap();

@@ -233,12 +233,17 @@ impl Spreadsheet {
     }
 
     /// O4: scroll-bar drag — quantile probe, then the page at that rank.
+    /// Pixel 0 is the first page: the page after the smallest *sampled*
+    /// key would hide every row up to and including it.
     pub fn scroll_to(
         &self,
         columns: &[&str],
         scrollbar_pixel: usize,
         rows: usize,
     ) -> EngineResult<(TablePage, OpStats)> {
+        if scrollbar_pixel == 0 {
+            return self.sort_view(columns, rows);
+        }
         let mut stats = OpStats::default();
         let count = self.count(&mut stats)?;
 
@@ -521,6 +526,16 @@ mod tests {
         let (page, stats) = s.scroll_to(&["Distance"], 50, 5).unwrap();
         assert!(!page.rows.is_empty());
         assert!(stats.trees >= 2, "quantile + next-items trees");
+    }
+
+    /// Dragging the scroll bar to the top shows the first page, not the
+    /// page after the smallest sampled key, and needs no count or quantile.
+    #[test]
+    fn o4_at_pixel_zero_is_the_first_page() {
+        let s = sheet();
+        let (top, stats) = s.scroll_to(&["Distance"], 0, 5).unwrap();
+        assert_eq!(top, s.sort_view(&["Distance"], 5).unwrap().0);
+        assert_eq!(stats.trees, 1);
     }
 
     /// Every query of an operation is counted, preparation trees included,

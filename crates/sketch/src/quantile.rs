@@ -10,8 +10,10 @@
 //!   their sort keys; the budget bounds what a summary may hold in memory.
 //! * The **resolution budget** (`resolution`, `K = O(V)`) bounds what a
 //!   worker may put on a network link. The screen tells `V` scroll
-//!   positions apart, so `K = 10·V` equi-depth keys place every pixel
-//!   within a twentieth of a pixel of where the full sample would.
+//!   positions apart, so `K = 2·V` equi-depth keys place every pixel
+//!   within a quarter of a pixel of where the full sample would — the
+//!   share of the `1/V` contract the sample's own error leaves over
+//!   (`hillview_viz::samples` derives both budgets from that contract).
 //!
 //! A summary is a *sorted, weighted* key list: distinct keys ascending, each
 //! with the number of sampled rows it stands for. That form is canonical —
@@ -29,15 +31,16 @@
 //! per worker, on the worker's own finished fold as it leaves for the root.
 //! Worker `i` then misplaces at most `W_i/(2K)` of its weight around any
 //! threshold, and the root only merges weighted runs, so the merged rank
-//! error is at most `Σ W_i/(2K) = W/(2K)` of the sample — 1/(20·V) of the
-//! population, 0.05 px — whatever the number of workers, partitions, split
+//! error is at most `Σ W_i/(2K) = W/(2K)` of the sample — 1/(4·V) of the
+//! population, 0.25 px — whatever the number of workers, partitions, split
 //! grain or fold order (plus at most half a rank per worker, from rounding
 //! bucket widths to whole rows). Compressing inside `merge` instead would
 //! add that error once per merge: a worker folds its pieces sequentially,
 //! so the error would grow linearly with the length of the fold and the
 //! result would depend on the split grain. That is why the resolution is
 //! not simply a smaller `cap`: `merge` compresses only past the sample
-//! budget, where `W/(2·cap)` is a hundredth of the ship-time error.
+//! budget, where `W/(2·cap)` is `K/cap` — 1/290 at V = 100 — of the
+//! ship-time error.
 
 use crate::traits::{Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
