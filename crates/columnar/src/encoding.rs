@@ -12,10 +12,13 @@
 //!
 //! * [`IntStorage::Plain`] — the raw `Vec<T>`, for high-entropy data.
 //! * [`IntStorage::BitPacked`] — frame-of-reference + bit-packing: values
-//!   are stored as `value - base` deltas in `width` bits each, packed
-//!   little-endian into `u64` words. A column of small-range integers
+//!   are stored as `(value - base) / step` in `width` bits each, packed
+//!   little-endian into `u64` words, where `step` is the stride every
+//!   value's offset from `base` shares (see [*Common
+//!   stride*](self#common-stride)). A column of small-range integers
 //!   (ports, bucket ids, year/month fields, dictionary codes) shrinks to
-//!   `width/64` of its plain size.
+//!   `width/64` of its plain size, and so does a column of wide values on
+//!   a coarse grid (day-granular epoch milliseconds).
 //! * [`IntStorage::RunLength`] — run-length encoding for sorted or
 //!   low-cardinality data: `(value, end)` pairs where `ends` is the
 //!   cumulative (exclusive) end row of each run.
@@ -73,6 +76,35 @@
 //! with any fraction, infinity, stored NaN or larger magnitude, or whose
 //! codes would not save [`IntStorage::encode`]'s 25 %, stays
 //! [`F64Storage::Plain`], bit for bit.
+//!
+//! ## Common stride
+//!
+//! A bit-packed row is `base + packed · step`, where `step` is the greatest
+//! common divisor of every value's offset from the minimum, so `width` is
+//! sized from `(max − min) / step`. Epoch-millisecond dates that fall on
+//! day boundaries share 86 400 000 and pack 730 days in 10 bits instead of
+//! 36; dictionary codes, ports and other dense ranges share nothing and keep
+//! `step = 1`, bit for bit the plain frame of reference. The stride is read
+//! off the data like `width` is: there is no knob.
+//!
+//! Finding it costs no `div` per value and no pass of its own.
+//! [`IntStorage::encode`] takes a candidate from the GCD of the first 64
+//! nonzero offsets among the first 4 096 values (dense data reaches 1 within
+//! a few and stops there) and packs at it, dividing by multiplication: the step splits as `odd <<
+//! shift`, and a multiple `o` of it is `(o >> shift) · odd⁻¹ mod 2⁶⁴`. The
+//! same arithmetic verifies the candidate on every value it packs. A multiple
+//! has its low `shift` bits clear and a quotient that fits `width`; a
+//! non-multiple's product lands above `u64::MAX / odd` (the
+//! multiply-by-inverse divisibility test), which no `width`-bit quotient
+//! reaches. Only a candidate that fails falls back to the exact GCD and a
+//! second packing.
+//!
+//! Decoding folds the power-of-two part of the step into the unpackers'
+//! frame-of-reference add as one more shift, in the scalar body and every
+//! vector tier alike; only an odd factor above 1 pays a multiply per value.
+//! That recovers the sign-magnitude layout's wasted bit: the integer codes
+//! of a non-negative double column are `|v| << 1`, all even, so they pack at
+//! `step = 2` with one bit less per row and no multiply on the read path.
 
 use crate::scan::ScanSource;
 use crate::simd::integral_value;
@@ -172,12 +204,15 @@ pub enum IntStorage<T> {
     /// Raw values.
     Plain(crate::residency::ValueBuf<T>),
     /// Frame-of-reference bit-packing: value `i` is
-    /// `base + bits[i*width .. (i+1)*width]`, packed little-endian across
-    /// `words`. `width` is at most 63 (a 64-bit range stays plain); width 0
-    /// means every row equals `base`.
+    /// `base + step · bits[i*width .. (i+1)*width]` (wrapping), packed
+    /// little-endian across `words`. `width` is at most 63 (a 64-bit range
+    /// stays plain); width 0 means every row equals `base`, with `step` 1.
     BitPacked {
         /// The minimum value (frame of reference).
         base: T,
+        /// The stride every value's offset from `base` is a multiple of
+        /// (at least 1; see the module docs' *Common stride*).
+        step: u64,
         /// Bits per packed delta (0..=63).
         width: u8,
         /// Number of rows.
@@ -255,6 +290,120 @@ fn packed_at(words: &[u64], width: usize, i: usize) -> u64 {
     d & low_mask(width)
 }
 
+/// `len` deltas in `width` bits each (< 64), packed little-endian: the
+/// layout [`packed_at`] reads. Width 0 packs (and draws) nothing.
+#[inline(always)]
+fn pack_words(len: usize, width: usize, deltas: impl Iterator<Item = u64>) -> Vec<u64> {
+    let mut words = vec![0u64; (len * width).div_ceil(64)];
+    if width > 0 {
+        let mut bit = 0usize;
+        for d in deltas {
+            let w = bit >> 6;
+            let off = bit & 63;
+            words[w] |= d << off;
+            if off + width > 64 {
+                words[w + 1] |= d >> (64 - off);
+            }
+            bit += width;
+        }
+    }
+    words
+}
+
+/// Greatest common divisor, binary (Stein's): no `div`. `gcd(0, b) == b`.
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let twos = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << twos;
+        }
+    }
+}
+
+/// A step split for division-free arithmetic on its multiples: `step = odd
+/// << shift` and `inv` is `odd`'s inverse modulo 2⁶⁴, so a multiple `o`
+/// divides exactly as `(o >> shift) · inv`.
+#[derive(Debug, Clone, Copy)]
+struct Stride {
+    shift: u32,
+    inv: u64,
+}
+
+impl Stride {
+    fn new(step: u64) -> Self {
+        debug_assert!(step != 0);
+        let shift = step.trailing_zeros();
+        let odd = step >> shift;
+        // Newton's iteration doubles the correct low bits of the inverse,
+        // from the 3 that `odd · odd ≡ 1 (mod 8)` gives: 6, 12, 24, 48, 96.
+        let mut inv = odd;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(odd.wrapping_mul(inv)));
+        }
+        Stride { shift, inv }
+    }
+
+    /// `o / step`, exact when `o` is a multiple of the step.
+    #[inline]
+    fn quotient(self, o: u64) -> u64 {
+        (o >> self.shift).wrapping_mul(self.inv)
+    }
+
+    /// Nonzero unless `o` is a multiple of the step whose quotient fits
+    /// `width` bits, for any `width` with `2^width · step <= 2⁶⁴` (packing
+    /// sizes it from a range below 2⁶³, so it has one): a multiple has its
+    /// low `shift` bits clear, and a non-multiple's product by the inverse
+    /// exceeds `u64::MAX / odd` (Granlund–Montgomery), which bounds every
+    /// `width`-bit quotient. Branch-free, so packing ORs it over every value.
+    #[inline]
+    fn off_grid(self, o: u64, width: usize) -> u64 {
+        (o & low_mask(self.shift as usize)) | self.quotient(o) >> width
+    }
+}
+
+/// A candidate for the largest step every value's offset from `min` is a
+/// multiple of: the GCD of the first 64 nonzero offsets among the first
+/// 4 096 values, or 1 when they share none or all equal `min` — a column
+/// that is mostly its minimum is not scanned for a stride — and when the
+/// `range` needs all 64 bits, which packing refuses anyway. Packing verifies
+/// the candidate on every value, and only one that fails pays
+/// [`exact_stride`]. See the module docs' *Common stride*.
+fn sampled_stride<T: PackedInt>(values: &[T], min: T, range: u64) -> u64 {
+    if bits_needed(range) >= 64 {
+        return 1;
+    }
+    let mut g = 0u64;
+    let offsets = values.iter().take(4096).map(|&v| v.offset_from(min));
+    for o in offsets.filter(|&o| o != 0).take(64) {
+        g = gcd(g, o);
+        if g == 1 {
+            break;
+        }
+    }
+    g.max(1)
+}
+
+/// The GCD of every offset from `min`, starting from a `candidate` stride
+/// some offset is not a multiple of.
+fn exact_stride<T: PackedInt>(values: &[T], min: T, candidate: u64) -> u64 {
+    values
+        .iter()
+        .try_fold(candidate, |g, &v| match gcd(g, v.offset_from(min)) {
+            1 => None,
+            g => Some(g),
+        })
+        .unwrap_or(1)
+}
+
 impl<T: PackedInt> IntStorage<T> {
     /// Analyze `values` (min/max range, run structure, adjacent deltas) and
     /// store them under the cheapest encoding, keeping them plain unless a
@@ -286,12 +435,6 @@ impl<T: PackedInt> IntStorage<T> {
             }
         }
         let plain_cost = n * T::BYTES;
-        let width = bits_needed(max.offset_from(min));
-        let packed_cost = if width >= 64 {
-            usize::MAX
-        } else {
-            (n * width).div_ceil(64) * 8
-        };
         let rl_cost = if n > u32::MAX as usize {
             usize::MAX
         } else {
@@ -304,14 +447,30 @@ impl<T: PackedInt> IntStorage<T> {
         };
         // Only leave plain when the saving is real (>= 25%).
         let budget = plain_cost - plain_cost / 4;
-        if rl_cost <= packed_cost && rl_cost <= delta_cost && rl_cost <= budget {
-            Self::run_length_from(&values)
-        } else if delta_cost < packed_cost && delta_cost <= budget {
-            Self::delta_from(&values, delta_width)
-        } else if packed_cost <= budget {
-            Self::bit_packed_from(&values, min, width)
-        } else {
-            IntStorage::Plain(values.into())
+        let range = max.offset_from(min);
+        let mut step = sampled_stride(&values, min, range);
+        // Twice at most: a candidate stride that packing refuses is replaced
+        // by the exact one, whose wider packing may lose to another encoding.
+        loop {
+            let width = bits_needed(range / step);
+            let packed_cost = if width >= 64 {
+                usize::MAX
+            } else {
+                (n * width).div_ceil(64) * 8
+            };
+            if rl_cost <= packed_cost && rl_cost <= delta_cost && rl_cost <= budget {
+                return Self::run_length_from(&values);
+            }
+            if delta_cost < packed_cost && delta_cost <= budget {
+                return Self::delta_from(&values, delta_width);
+            }
+            if packed_cost > budget {
+                return IntStorage::Plain(values.into());
+            }
+            match Self::bit_packed_from(&values, min, step, width) {
+                Some(packed) => return packed,
+                None => step = exact_stride(&values, min, step),
+            }
         }
     }
 
@@ -321,21 +480,27 @@ impl<T: PackedInt> IntStorage<T> {
         IntStorage::Plain(values.into())
     }
 
-    /// Force frame-of-reference bit-packing. `None` when the value range
-    /// needs all 64 bits (only possible for `i64` extremes).
+    /// Force frame-of-reference bit-packing at the values' common stride.
+    /// `None` when the value range needs all 64 bits (only possible for
+    /// `i64` extremes).
     pub fn bit_packed_of(values: &[T]) -> Option<Self> {
         let Some(&first) = values.first() else {
             return Some(IntStorage::BitPacked {
                 base: T::default(),
+                step: 1,
                 width: 0,
                 len: 0,
                 words: crate::residency::ValueBuf::default(),
             });
         };
         let min = values.iter().copied().fold(first, T::min);
-        let max = values.iter().copied().fold(first, T::max);
-        let width = bits_needed(max.offset_from(min));
-        (width < 64).then(|| Self::bit_packed_from(values, min, width))
+        let range = values.iter().copied().fold(first, T::max).offset_from(min);
+        let step = sampled_stride(values, min, range);
+        if bits_needed(range / step) >= 64 {
+            return None;
+        }
+        let pack = |step| Self::bit_packed_from(values, min, step, bits_needed(range / step));
+        pack(step).or_else(|| pack(exact_stride(values, min, step)))
     }
 
     /// Force run-length encoding. `None` when there are more rows than
@@ -356,29 +521,34 @@ impl<T: PackedInt> IntStorage<T> {
         (delta_width < 64).then(|| Self::delta_from(values, delta_width))
     }
 
-    fn bit_packed_from(values: &[T], base: T, width: usize) -> Self {
+    /// Pack `(v - base) / step` in `width` bits, verifying on the way that
+    /// every offset is a multiple of `step` — `None` when one is not, so a
+    /// candidate stride costs no pass of its own.
+    fn bit_packed_from(values: &[T], base: T, step: u64, width: usize) -> Option<Self> {
         debug_assert!(width < 64);
-        let n = values.len();
-        let mut words = vec![0u64; (n * width).div_ceil(64)];
-        if width > 0 {
-            let mut bit = 0usize;
-            for &v in values {
-                let d = v.offset_from(base);
-                let w = bit >> 6;
-                let off = bit & 63;
-                words[w] |= d << off;
-                if off + width > 64 {
-                    words[w + 1] |= d >> (64 - off);
-                }
-                bit += width;
+        let offsets = values.iter().map(|&v| v.offset_from(base));
+        let words = if step == 1 {
+            pack_words(values.len(), width, offsets)
+        } else {
+            let stride = Stride::new(step);
+            let mut off_grid = 0u64;
+            let quotients = offsets.map(|o| {
+                off_grid |= stride.off_grid(o, width);
+                stride.quotient(o)
+            });
+            let words = pack_words(values.len(), width, quotients);
+            if off_grid != 0 {
+                return None;
             }
-        }
-        IntStorage::BitPacked {
+            words
+        };
+        Some(IntStorage::BitPacked {
             base,
+            step,
             width: width as u8,
-            len: n,
+            len: values.len(),
             words: words.into(),
-        }
+        })
     }
 
     fn run_length_from(values: &[T]) -> Self {
@@ -400,52 +570,48 @@ impl<T: PackedInt> IntStorage<T> {
 
     fn delta_from(values: &[T], width: usize) -> Self {
         debug_assert!(width < 64);
-        let n = values.len();
-        let mut anchors = Vec::with_capacity(n.div_ceil(BLOCK_ROWS));
-        let mut words = vec![0u64; (n * width).div_ceil(64)];
-        let mut bit = 0usize;
-        for (i, &v) in values.iter().enumerate() {
+        let deltas = values.iter().enumerate().map(|(i, &v)| {
+            // Block starts pack a zero: their value is the anchor.
             let d = if i.is_multiple_of(BLOCK_ROWS) {
-                anchors.push(v);
                 0
             } else {
                 v.offset_from(values[i - 1])
             };
-            if width > 0 {
-                debug_assert!(bits_needed(d) <= width);
-                let w = bit >> 6;
-                let off = bit & 63;
-                words[w] |= d << off;
-                if off + width > 64 {
-                    words[w + 1] |= d >> (64 - off);
-                }
-                bit += width;
-            }
-        }
+            debug_assert!(bits_needed(d) <= width);
+            d
+        });
         IntStorage::Delta {
-            anchors,
+            anchors: values.iter().step_by(BLOCK_ROWS).copied().collect(),
             width: width as u8,
-            len: n,
-            words: words.into(),
+            len: values.len(),
+            words: pack_words(values.len(), width, deltas).into(),
         }
     }
 
     /// Rebuild a bit-packed storage from its parts (used by `hvc` decode,
     /// which preserves the encoded representation instead of
     /// re-analyzing), over an owned or a mapped word buffer. Returns `None`
-    /// if the parts are structurally inconsistent; validation never touches
-    /// the buffer's bytes, only its length.
+    /// if the parts are structurally inconsistent — a zero step, a step
+    /// other than 1 at width 0 (the encoder never writes one), a width of 64
+    /// or a word count that disagrees with `len` — and never touches the
+    /// buffer's bytes, only its length.
     pub fn from_bit_packed_buf(
         base: T,
+        step: u64,
         width: u8,
         len: usize,
         words: crate::residency::ValueBuf<u64>,
     ) -> Option<Self> {
-        if width >= 64 || words.len() != (len * width as usize).div_ceil(64) {
+        if step == 0
+            || (width == 0 && step != 1)
+            || width >= 64
+            || words.len() != (len * width as usize).div_ceil(64)
+        {
             return None;
         }
         Some(IntStorage::BitPacked {
             base,
+            step,
             width,
             len,
             words,
@@ -531,6 +697,7 @@ impl<T: PackedInt> IntStorage<T> {
             IntStorage::Plain(v) => v.hot(i..i + 1)[i],
             IntStorage::BitPacked {
                 base,
+                step,
                 width,
                 len,
                 words,
@@ -541,7 +708,7 @@ impl<T: PackedInt> IntStorage<T> {
                     return *base;
                 }
                 let words = words.hot(word_range(width, i, i + 1));
-                T::add_offset(*base, packed_at(words, width, i))
+                T::add_offset(*base, packed_at(words, width, i).wrapping_mul(*step))
             }
             IntStorage::RunLength { values, ends } => {
                 values[ends.partition_point(|&e| e as usize <= i)]
@@ -621,14 +788,18 @@ impl<T: PackedInt> IntStorage<T> {
                 out.copy_from_slice(&v.hot(start..end)[start..end]);
             }
             IntStorage::BitPacked {
-                base, width, words, ..
+                base,
+                step,
+                width,
+                words,
+                ..
             } => {
                 let width = *width as usize;
                 if width == 0 {
                     out.fill(*base);
                 } else {
                     let ws = words.hot(word_range(width, start, start + out.len()));
-                    unpack_span(ws, *base, width, start, out);
+                    unpack_span(ws, *base, *step, width, start, out);
                 }
             }
             IntStorage::RunLength { .. } => {
@@ -688,6 +859,7 @@ impl<T: PackedInt> IntStorage<T> {
             IntStorage::Plain(v) => &v.hot(base..base + len)[base..base + len],
             IntStorage::BitPacked {
                 base: b,
+                step,
                 width,
                 words,
                 ..
@@ -698,7 +870,7 @@ impl<T: PackedInt> IntStorage<T> {
                     out.fill(*b);
                 } else {
                     let ws = words.hot(word_range(width, base, base + len));
-                    unpack_span(ws, *b, width, base, out);
+                    unpack_span(ws, *b, *step, width, base, out);
                 }
                 &buf[..len]
             }
@@ -728,7 +900,7 @@ impl<T: PackedInt> IntStorage<T> {
                     // Unpack the packed deltas of the frame (anchor rows
                     // packed zero), then prefix-sum from the anchor.
                     let ws = words.hot(word_range(width, base, base + len));
-                    unpack_span(ws, T::default(), width, base, out);
+                    unpack_span(ws, T::default(), 1, width, base, out);
                     prefix_frame(anchors[base / BLOCK_ROWS], out);
                 }
                 &buf[..len]
@@ -813,6 +985,7 @@ impl<T: PackedInt> IntStorage<T> {
             }
             IntStorage::BitPacked {
                 base: b,
+                step,
                 width,
                 words,
                 ..
@@ -829,17 +1002,27 @@ impl<T: PackedInt> IntStorage<T> {
                     return 0;
                 }
                 // Translate the bounds into the packed-delta domain: value
-                // is `b + d` with `d < 2^width`, so `lo <= value <= hi`
-                // iff `dlo <= d <= dhi`.
-                let dlo = if lo <= *b { 0 } else { lo.offset_from(*b) };
-                let top = (1u64 << width) - 1;
+                // is `b + d·step` with `d < 2^width`, so `lo <= value <= hi`
+                // iff `⌈(lo − b)/step⌉ <= d <= ⌊(hi − b)/step⌋` (no `div`
+                // at step 1).
+                let per_step = |o: u64, round_up: bool| match *step {
+                    1 => o,
+                    s if round_up => o.div_ceil(s),
+                    s => o / s,
+                };
+                let dlo = if lo <= *b {
+                    0
+                } else {
+                    per_step(lo.offset_from(*b), true)
+                };
+                let top = low_mask(width);
                 if dlo > top {
                     return 0;
                 }
-                let dhi = hi.offset_from(*b).min(top);
+                let dhi = per_step(hi.offset_from(*b), false).min(top);
                 let out = &mut buf[..len];
                 let ws = words.hot(word_range(width, base, base + len));
-                unpack_span(ws, T::default(), width, base, out);
+                unpack_span(ws, T::default(), 1, width, base, out);
                 crate::simd::range_word_incl(
                     out,
                     T::add_offset(T::default(), dlo),
@@ -878,8 +1061,11 @@ impl<T: PackedInt> IntStorage<T> {
 /// after encoding selection) and fold the *stored* value of every row,
 /// including the placeholder values of null rows — so a skip decision is
 /// conservative but always sound once combined with the validity word.
-/// They are derived acceleration state: excluded from heap-footprint
-/// accounting and never serialized.
+/// They are derived acceleration state, excluded from heap-footprint
+/// accounting, and they stay in the value domain whatever the encoding
+/// (a bit-packed column's stride never reaches them). `hvc` persists them
+/// in every part's header, so a mapped open rebuilds them without touching
+/// the payload ([`ZoneMap::from_parts`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ZoneMap<T> {
     mins: Vec<T>,
@@ -997,27 +1183,32 @@ impl ZoneMap<f64> {
     }
 }
 
-/// Unpack `out.len()` width-`W` values starting at value index `start`:
-/// the const-generic unpacker body, generalized to every width 1..=63.
+/// Unpack `out.len()` width-`W` values starting at value index `start`
+/// into `base + (d << shift)`: the const-generic unpacker body, generalized
+/// to every width 1..=63, with the power-of-two part of a common stride
+/// folded into the frame-of-reference add. `SHIFTED` is false for the
+/// stride-free columns, whose `shift` is 0: they compile without the shift.
 ///
 /// Aligned 64-value groups span exactly `W` whole words, so the body loop
 /// reads a `W`-word window with compile-time-constant shifts (the straddle
 /// branch folds away for widths dividing 64). Produces bit-identical values
 /// to the per-value [`packed_at`] reference at every offset.
 #[inline(always)]
-fn unpack_span_body<T: PackedInt, const W: usize>(
+fn unpack_span_body<T: PackedInt, const W: usize, const SHIFTED: bool>(
     words: &[u64],
     base: T,
+    shift: u32,
     start: usize,
     out: &mut [T],
 ) {
-    debug_assert!((1..64).contains(&W));
+    debug_assert!((1..64).contains(&W) && shift < 64 && (SHIFTED || shift == 0));
+    let shift = if SHIFTED { shift } else { 0 };
     let mask = low_mask(W);
     let mut i = start;
     let mut o = 0usize;
     // Head: reach a 64-value (W-word) group boundary.
     while o < out.len() && !i.is_multiple_of(64) {
-        out[o] = T::add_offset(base, packed_at(words, W, i));
+        out[o] = T::add_offset(base, packed_at(words, W, i) << shift);
         i += 1;
         o += 1;
     }
@@ -1032,14 +1223,14 @@ fn unpack_span_body<T: PackedInt, const W: usize>(
             if off + W > 64 {
                 d |= grp[wi + 1] << (64 - off);
             }
-            out[o + k] = T::add_offset(base, d & mask);
+            out[o + k] = T::add_offset(base, (d & mask) << shift);
         }
         i += 64;
         o += 64;
     }
     // Tail.
     while o < out.len() {
-        out[o] = T::add_offset(base, packed_at(words, W, i));
+        out[o] = T::add_offset(base, packed_at(words, W, i) << shift);
         i += 1;
         o += 1;
     }
@@ -1050,24 +1241,26 @@ fn unpack_span_body<T: PackedInt, const W: usize>(
 /// construction (same source, integer ops only).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn unpack_span_avx2<T: PackedInt, const W: usize>(
+fn unpack_span_avx2<T: PackedInt, const W: usize, const SHIFTED: bool>(
     words: &[u64],
     base: T,
+    shift: u32,
     start: usize,
     out: &mut [T],
 ) {
-    unpack_span_body::<T, W>(words, base, start, out);
+    unpack_span_body::<T, W, SHIFTED>(words, base, shift, start, out);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512bw")]
-fn unpack_span_avx512<T: PackedInt, const W: usize>(
+fn unpack_span_avx512<T: PackedInt, const W: usize, const SHIFTED: bool>(
     words: &[u64],
     base: T,
+    shift: u32,
     start: usize,
     out: &mut [T],
 ) {
-    unpack_span_body::<T, W>(words, base, start, out);
+    unpack_span_body::<T, W, SHIFTED>(words, base, shift, start, out);
 }
 
 /// Byte-gather unpack for widths ≤ 25 on AVX-512 + VBMI: at 16-value
@@ -1107,13 +1300,15 @@ mod vbmi {
     }
 
     #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vbmi")]
-    pub(super) fn unpack_span_vbmi<T: PackedInt, const W: usize>(
+    pub(super) fn unpack_span_vbmi<T: PackedInt, const W: usize, const SHIFTED: bool>(
         words: &[u64],
         base: T,
+        shift: u32,
         start: usize,
         out: &mut [T],
     ) {
-        debug_assert!((1..=25).contains(&W));
+        debug_assert!((1..=25).contains(&W) && shift < 64 && (SHIFTED || shift == 0));
+        let shift = if SHIFTED { shift } else { 0 };
         let (idx, sh) = const { tables::<W>() };
         // Safety: every intrinsic below is gated by this function's target
         // features; loads are masked to the words slice.
@@ -1121,13 +1316,17 @@ mod vbmi {
             let idxv = _mm512_loadu_si512(idx.as_ptr() as *const _);
             let shv = _mm512_loadu_si512(sh.as_ptr() as *const _);
             let maskv = _mm512_set1_epi32(low_mask(W) as i32);
+            // The stride's power of two, one uniform shift per lane. A
+            // 32-bit lane shifted by 32 or more is 0, which is the low half
+            // of the scalar `u64` shift the lane stands for.
+            let stride = _mm_cvtsi32_si128(shift as i32);
             let bytes = words.as_ptr() as *const u8;
             let nbytes = words.len() * 8;
             let mut i = start;
             let mut o = 0usize;
             // Head: reach 16-value (2·W-byte) alignment.
             while o < out.len() && !i.is_multiple_of(16) {
-                out[o] = T::add_offset(base, packed_at(words, W, i));
+                out[o] = T::add_offset(base, packed_at(words, W, i) << shift);
                 i += 1;
                 o += 1;
             }
@@ -1152,11 +1351,21 @@ mod vbmi {
                     let basev = _mm512_set1_epi64(base_bits as i64);
                     let lo = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(masked));
                     let hi = _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64::<1>(masked));
+                    let (lo, hi) = if SHIFTED {
+                        (_mm512_sll_epi64(lo, stride), _mm512_sll_epi64(hi, stride))
+                    } else {
+                        (lo, hi)
+                    };
                     let p = out.as_mut_ptr().add(o) as *mut __m512i;
                     _mm512_storeu_si512(p, _mm512_add_epi64(lo, basev));
                     _mm512_storeu_si512(p.add(1), _mm512_add_epi64(hi, basev));
                 } else {
                     let basev = _mm512_set1_epi32(base_bits as u32 as i32);
+                    let masked = if SHIFTED {
+                        _mm512_sll_epi32(masked, stride)
+                    } else {
+                        masked
+                    };
                     _mm512_storeu_si512(
                         out.as_mut_ptr().add(o) as *mut __m512i,
                         _mm512_add_epi32(masked, basev),
@@ -1167,7 +1376,7 @@ mod vbmi {
             }
             // Tail.
             while o < out.len() {
-                out[o] = T::add_offset(base, packed_at(words, W, i));
+                out[o] = T::add_offset(base, packed_at(words, W, i) << shift);
                 i += 1;
                 o += 1;
             }
@@ -1245,9 +1454,10 @@ fn prefix_frame<T: PackedInt>(anchor: T, out: &mut [T]) {
 }
 
 #[inline]
-fn unpack_span_w<T: PackedInt, const W: usize>(
+fn unpack_span_w<T: PackedInt, const W: usize, const SHIFTED: bool>(
     words: &[u64],
     base: T,
+    shift: u32,
     start: usize,
     out: &mut [T],
 ) {
@@ -1258,30 +1468,67 @@ fn unpack_span_w<T: PackedInt, const W: usize>(
                 // SAFETY: guarded by `vbmi_available()` (runtime
                 // avx512vbmi detection) on top of the Avx512 tier, which
                 // itself implies avx512f/dq/vl/bw were detected.
-                return unsafe { vbmi::unpack_span_vbmi::<T, W>(words, base, start, out) };
+                return unsafe {
+                    vbmi::unpack_span_vbmi::<T, W, SHIFTED>(words, base, shift, start, out)
+                };
             }
             // SAFETY: `Tier::Avx512` is only reported after runtime
             // detection confirmed avx512f/dq/vl/bw — the features the
             // callee enables.
-            return unsafe { unpack_span_avx512::<T, W>(words, base, start, out) };
+            return unsafe { unpack_span_avx512::<T, W, SHIFTED>(words, base, shift, start, out) };
         }
         crate::simd::Tier::Avx2 => {
             // SAFETY: `Tier::Avx2` is only reported after runtime detection
             // confirmed avx2, the one feature the callee enables.
-            return unsafe { unpack_span_avx2::<T, W>(words, base, start, out) };
+            return unsafe { unpack_span_avx2::<T, W, SHIFTED>(words, base, shift, start, out) };
         }
         crate::simd::Tier::Scalar => {}
     }
-    unpack_span_body::<T, W>(words, base, start, out);
+    unpack_span_body::<T, W, SHIFTED>(words, base, shift, start, out);
 }
 
-/// Width-dispatched unpack: monomorphizes [`unpack_span_body`] for every
-/// width so each instantiation sees compile-time shifts.
-fn unpack_span<T: PackedInt>(words: &[u64], base: T, width: usize, start: usize, out: &mut [T]) {
+/// Width-dispatched unpack of `base + d · step` (wrapping, `step >= 1`):
+/// monomorphizes [`unpack_span_body`] for every width so each instantiation
+/// sees compile-time shifts. A stride-free column runs the kernels without
+/// a shift; otherwise the step's power-of-two part rides in the kernels'
+/// add, and an odd part above 1 is the one multiply per value.
+#[inline]
+fn unpack_span<T: PackedInt>(
+    words: &[u64],
+    base: T,
+    step: u64,
+    width: usize,
+    start: usize,
+    out: &mut [T],
+) {
+    if step == 1 {
+        return unpack_span_at::<T, false>(words, base, 0, width, start, out);
+    }
+    let shift = step.trailing_zeros();
+    let odd = step >> shift;
+    let frame = if odd == 1 { base } else { T::default() };
+    unpack_span_at::<T, true>(words, frame, shift, width, start, out);
+    if odd != 1 {
+        for v in out.iter_mut() {
+            let scaled = v.offset_from(T::default()).wrapping_mul(odd);
+            *v = T::add_offset(base, scaled);
+        }
+    }
+}
+
+#[inline(always)]
+fn unpack_span_at<T: PackedInt, const SHIFTED: bool>(
+    words: &[u64],
+    base: T,
+    shift: u32,
+    width: usize,
+    start: usize,
+    out: &mut [T],
+) {
     macro_rules! w {
         ($($W:literal)*) => {
             match width {
-                $($W => unpack_span_w::<T, $W>(words, base, start, out),)*
+                $($W => unpack_span_w::<T, $W, SHIFTED>(words, base, shift, start, out),)*
                 _ => unreachable!("width {width} out of range"),
             }
         };
@@ -1730,12 +1977,18 @@ mod tests {
 
     #[test]
     fn from_parts_validates() {
-        let packed = |width, len, words: Vec<u64>| {
-            I64Storage::from_bit_packed_buf(0, width, len, words.into())
+        let packed = |step, width, len, words: Vec<u64>| {
+            I64Storage::from_bit_packed_buf(0, step, width, len, words.into())
         };
-        assert!(packed(64, 10, vec![]).is_none());
-        assert!(packed(3, 10, vec![0]).is_some());
-        assert!(packed(3, 100, vec![0]).is_none());
+        assert!(packed(1, 64, 10, vec![]).is_none());
+        assert!(packed(1, 3, 10, vec![0]).is_some());
+        assert!(packed(1, 3, 100, vec![0]).is_none());
+        // A step is at least 1, and exactly 1 at width 0 (the canonical
+        // constant column); any other step is the file's to choose.
+        assert!(packed(0, 3, 10, vec![0]).is_none());
+        assert!(packed(1, 0, 10, vec![]).is_some());
+        assert!(packed(2, 0, 10, vec![]).is_none());
+        assert!(packed(u64::MAX, 3, 10, vec![0]).is_some());
         assert!(I64Storage::from_run_length(vec![1, 2], vec![5, 3]).is_none());
         assert!(I64Storage::from_run_length(vec![1], vec![5, 9]).is_none());
         let s = I64Storage::from_run_length(vec![1, 2], vec![3, 5]).unwrap();
@@ -2012,5 +2265,188 @@ mod tests {
         }
         let s = I64Storage::delta_of(&v).unwrap();
         assert_eq!(s.to_vec(), v);
+    }
+
+    /// `(step, width)` of a bit-packed storage.
+    fn packing<T>(s: &IntStorage<T>) -> (u64, u8) {
+        match s {
+            IntStorage::BitPacked { step, width, .. } => (*step, *width),
+            _ => panic!("expected bit-packed"),
+        }
+    }
+
+    const DAY_MS: i64 = 86_400_000;
+
+    #[test]
+    fn gcd_and_stride_division_match_the_reference() {
+        assert_eq!(gcd(0, 0), 0);
+        assert_eq!(gcd(0, 12), 12);
+        assert_eq!(gcd(12, 18), 6);
+        assert_eq!(gcd(u64::MAX, u64::MAX - 1), 1);
+        assert_eq!(gcd(DAY_MS as u64 * 730, DAY_MS as u64 * 3), DAY_MS as u64);
+        for step in [1u64, 2, 3, 12, 1000, DAY_MS as u64, 1 << 40, 3 << 40] {
+            let stride = Stride::new(step);
+            for width in [1usize, 5, 10, 23] {
+                if (1u128 << width) * u128::from(step) > 1 << 64 {
+                    continue;
+                }
+                for k in [0u64, 1, 2, 7, (1 << width) - 1, 1 << width] {
+                    for off in [0, 1, step / 2 + 1, step - 1] {
+                        let Some(o) = k.checked_mul(step).and_then(|o| o.checked_add(off)) else {
+                            continue;
+                        };
+                        let on_grid = o % step == 0 && o / step < 1 << width;
+                        let ctx = format!("{o} at step {step}, width {width}");
+                        assert_eq!(stride.off_grid(o, width) == 0, on_grid, "{ctx}");
+                        if o % step == 0 {
+                            assert_eq!(stride.quotient(o), o / step, "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn day_granular_dates_pack_at_their_stride() {
+        // 730 distinct days of epoch milliseconds, shuffled: 36 bits as
+        // offsets, 10 as day numbers.
+        let start = 1_420_070_400_000i64;
+        let dates: Vec<i64> = (0..20_000i64)
+            .map(|i| start + (i * 7919 % 730) * DAY_MS)
+            .collect();
+        let s = IntStorage::encode(dates.clone());
+        assert_eq!(packing(&s), (DAY_MS as u64, 10));
+        assert_eq!(s.heap_bytes(), (dates.len() * 10).div_ceil(64) * 8);
+        assert_eq!(s.to_vec(), dates);
+        assert_eq!(s.get(12_345), dates[12_345]);
+        assert_eq!(IntStorage::bit_packed_of(&dates), Some(s));
+    }
+
+    #[test]
+    fn non_negative_integral_doubles_drop_the_sign_bit() {
+        // Sign-magnitude codes of non-negative values are all even.
+        let minutes: Vec<f64> = (0..5000).map(|i| f64::from((i * 7919) % 300)).collect();
+        let F64Storage::Integral(codes) = F64Storage::encode(minutes.clone()) else {
+            panic!("integral minutes stay plain");
+        };
+        assert_eq!(packing(&codes), (2, 9));
+        let with_negatives: Vec<f64> = minutes.iter().map(|m| m - 20.0).collect();
+        let F64Storage::Integral(codes) = F64Storage::encode(with_negatives) else {
+            panic!("integral delays stay plain");
+        };
+        assert_eq!(packing(&codes).0, 1, "odd codes share no stride");
+    }
+
+    #[test]
+    fn columns_without_a_common_factor_pack_as_before() {
+        for values in [
+            (0..1000i64).map(|i| (i * 7919) % 4096).collect::<Vec<_>>(),
+            (0..1000i64).map(|i| (i * 7919) % 257 - 100).collect(),
+            vec![7; 100],
+            vec![5, 6],
+        ] {
+            let s = IntStorage::bit_packed_of(&values).unwrap();
+            let min = *values.iter().min().unwrap();
+            let max = *values.iter().max().unwrap();
+            assert_eq!(packing(&s), (1, bits_needed(max.offset_from(min)) as u8));
+        }
+    }
+
+    #[test]
+    fn a_candidate_stride_that_fails_past_the_sample_falls_back() {
+        // 100 multiples of 6 around one multiple of 3 that is not: the
+        // sampled candidate is 6, the column's stride 3.
+        let mut values: Vec<i64> = (0..200).map(|i| (i * 37 % 100) * 6).collect();
+        values[150] = 3 * 41;
+        let s = IntStorage::bit_packed_of(&values).unwrap();
+        assert_eq!(packing(&s), (3, 8));
+        assert_eq!(s.to_vec(), values);
+        assert_eq!(IntStorage::encode(values.clone()), s);
+        // And a candidate that drops to 1 past the sample.
+        values[170] = 1;
+        assert_eq!(packing(&IntStorage::bit_packed_of(&values).unwrap()).0, 1);
+    }
+
+    /// Values on a `step` grid around zero, shuffled, for every step the
+    /// stride paths distinguish: 1, powers of two (shift only), odd (the
+    /// multiply), mixed, and wide.
+    fn strided(step: i64, n: i64) -> Vec<i64> {
+        (0..n).map(|i| ((i * 7919) % 97 - 40) * step).collect()
+    }
+
+    const STEPS: [i64; 8] = [1, 2, 3, 12, 1000, DAY_MS, 1 << 40, 3 << 50];
+
+    #[test]
+    fn strided_decode_is_tier_identical_at_every_offset() {
+        for step in STEPS {
+            let values = strided(step, 700);
+            let s = IntStorage::bit_packed_of(&values).unwrap();
+            assert_eq!(packing(&s).0, step as u64);
+            let mut buf = vec![0i64; 700];
+            for scalar in [false, true] {
+                crate::simd::set_force_scalar(scalar);
+                for start in [0usize, 1, 15, 16, 17, 63, 64, 65, 321, 699] {
+                    for len in [1usize, 15, 16, 17, 64, 130] {
+                        let len = len.min(700 - start);
+                        s.decode_into(start, &mut buf[..len]);
+                        assert_eq!(&buf[..len], &values[start..start + len], "step {step}");
+                    }
+                }
+                let mut cursor = 0;
+                let mut frame = [0i64; BLOCK_ROWS];
+                for base in (0..700).step_by(BLOCK_ROWS) {
+                    let len = BLOCK_ROWS.min(700 - base);
+                    let lanes = s.decode_frame(&mut cursor, base, len, &mut frame);
+                    assert_eq!(lanes, &values[base..base + len], "step {step} frame {base}");
+                }
+            }
+            crate::simd::set_force_scalar(false);
+            // Dictionary-code lanes take the same paths at 32 bits.
+            if 96 * step <= i64::from(u32::MAX) {
+                let codes: Vec<u32> = values.iter().map(|&v| (v + 40 * step) as u32).collect();
+                let s = CodeStorage::bit_packed_of(&codes).unwrap();
+                assert_eq!(packing(&s).0, step as u64);
+                for scalar in [false, true] {
+                    crate::simd::set_force_scalar(scalar);
+                    assert_eq!(s.to_vec(), codes, "u32 step {step}");
+                }
+                crate::simd::set_force_scalar(false);
+            }
+        }
+    }
+
+    #[test]
+    fn strided_range_words_match_per_row_with_bounds_off_the_grid() {
+        for step in STEPS {
+            let values = strided(step, 300);
+            let s = IntStorage::bit_packed_of(&values).unwrap();
+            for (lo, hi) in [
+                (-3 * step, 5 * step),
+                (-3 * step + 1, 5 * step - 1),
+                (-3 * step - 1, 5 * step + 1),
+                (step / 2, step / 2),
+                (step + 1, 2 * step - 1),
+                (0, 0),
+                (i64::MIN, i64::MAX),
+                (i64::MIN, -40 * step),
+                (56 * step, i64::MAX),
+            ] {
+                let mut cursor = 0usize;
+                let mut buf = [0i64; BLOCK_ROWS];
+                for base in (0..300).step_by(BLOCK_ROWS) {
+                    let len = BLOCK_ROWS.min(300 - base);
+                    let w = s.range_frame_word(&mut cursor, base, len, lo, hi, &mut buf);
+                    for k in 0..len {
+                        let v = values[base + k];
+                        assert_eq!(
+                            w >> k & 1 == 1,
+                            lo <= v && v <= hi,
+                            "step {step} [{lo}, {hi}]"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

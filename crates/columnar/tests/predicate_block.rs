@@ -29,6 +29,12 @@ fn all_storages(data: &[i64]) -> Vec<I64Storage> {
     out
 }
 
+/// The strides a generator draws from: none, the sign-magnitude bit, odd,
+/// decimal, and a day in milliseconds. Bit-packed storage compares in the
+/// packed domain, so bounds that fall between two multiples of the stride
+/// must round the way the per-row compare does.
+const STEPS: [i64; 5] = [1, 2, 3, 1_000, 86_400_000];
+
 /// A membership set of the requested shape over `n` rows, covering all
 /// frame decompositions (full range / sparse rows / dense bitmap / empty).
 fn membership(kind: usize, raw: &[u32], n: usize) -> MembershipSet {
@@ -128,9 +134,11 @@ proptest! {
         span in 0.0f64..80.0,
         probe in any::<u64>(),
         query_pick in 0usize..4,
+        step in 0usize..5,
     ) {
         let n = rows.len();
-        let ints: Vec<i64> = rows.iter().map(|r| r.0).collect();
+        let step = STEPS[step];
+        let ints: Vec<i64> = rows.iter().map(|r| r.0 * step).collect();
         let int_nulls = NullMask::from_flags(rows.iter().map(|r| r.3 < null_p), n);
         let f_opts: Vec<Option<f64>> =
             rows.iter().map(|r| (r.4 >= null_p).then_some(r.1)).collect();
@@ -141,6 +149,8 @@ proptest! {
         let members = membership(kind, &raw, n);
         let eq_target = ints[(probe % n as u64) as usize] as f64;
         let query = ["a", "AMM", "eta", "15"][query_pick];
+        // Scaled with the data, the drawn bounds fall off the grid.
+        let (lo, span) = (lo * step as f64, span * step as f64);
         let preds = predicate_set(lo, lo + span, eq_target, query);
         for storage in all_storages(&ints) {
             let enc = storage.kind();
@@ -178,10 +188,12 @@ proptest! {
         lo_frac in 0.0f64..1.2,
         span_frac in 0.0f64..0.6,
         probe in any::<u64>(),
+        step in 0usize..5,
     ) {
         let n = deltas.len();
-        let mut v = -37i64;
-        let ints: Vec<i64> = deltas.iter().map(|d| { v += d; v }).collect();
+        let step = STEPS[step];
+        let mut v = -37 * step;
+        let ints: Vec<i64> = deltas.iter().map(|d| { v += d * step; v }).collect();
         let int_nulls = NullMask::from_flags((0..n).map(|i| nulls_seed[i] < null_p), n);
         let members = membership(kind, &raw, n);
         let top = *ints.last().unwrap() as f64;
@@ -223,15 +235,17 @@ proptest! {
         lo_frac in -0.1f64..1.1,
         span_frac in 0.0f64..0.7,
         probe in any::<u64>(),
+        stride in 0usize..5,
     ) {
         let n = steps.len();
+        let stride = STEPS[stride] as f64;
         let mut acc = -25i32;
         let values: Vec<f64> = steps
             .iter()
             .map(|&(d, _)| {
                 acc = if sorted { acc + d } else { d - 20 };
                 // Small negatives round to the negative zero real data holds.
-                if acc == -1 { -0.0 } else { f64::from(acc) }
+                if acc == -1 { -0.0 } else { f64::from(acc) * stride }
             })
             .collect();
         let nulls = NullMask::from_flags(steps.iter().map(|s| s.1 < null_p), n);

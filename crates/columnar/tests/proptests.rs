@@ -24,11 +24,18 @@ fn all_storages(data: &[i64]) -> Vec<I64Storage> {
     out
 }
 
+/// The strides a generator draws from: none, the sign-magnitude bit, odd,
+/// decimal, and a day in milliseconds. A bit-packed storage divides the
+/// common one out, so every property below also runs on data that packs
+/// at `step > 1`.
+const STEPS: [i64; 5] = [1, 2, 3, 1_000, 86_400_000];
+
 /// One double of an ingest-shaped mix: mostly small integers, with the
 /// values that decide whether a column may ride the integer encodings —
 /// both zeros, the 2^53 edge and just past it, a fraction, a subnormal,
-/// infinities and NaN. `odd` admits the non-integral ones.
-fn mixed_double(pick: u8, small: i16, odd: bool) -> f64 {
+/// infinities and NaN. `odd` admits the non-integral ones; `step` scales the
+/// small integers.
+fn mixed_double(pick: u8, small: i16, odd: bool, step: i64) -> f64 {
     const TWO_53: f64 = 9_007_199_254_740_992.0;
     match pick % 24 {
         0 => -0.0,
@@ -42,7 +49,7 @@ fn mixed_double(pick: u8, small: i16, odd: bool) -> f64 {
         8 if odd => f64::INFINITY,
         9 if odd => f64::NEG_INFINITY,
         10 if odd => f64::NAN,
-        _ => f64::from(small),
+        _ => (i64::from(small) * step) as f64,
     }
 }
 
@@ -69,9 +76,17 @@ proptest! {
     /// row, per decoded block, and over the whole column.
     #[test]
     fn encodings_are_value_preserving(
-        data in proptest::collection::vec(any::<i64>(), 0..400),
+        raw in proptest::collection::vec(any::<i64>(), 0..400),
         probe in any::<u64>(),
+        step in 0usize..5,
+        wide in any::<bool>(),
     ) {
+        // Full-range values, or 31-bit signed ones on a stride.
+        let data: Vec<i64> = if wide {
+            raw
+        } else {
+            raw.iter().map(|v| (v >> 33) * STEPS[step]).collect()
+        };
         for s in all_storages(&data) {
             prop_assert_eq!(s.len(), data.len(), "{} len", s.kind());
             prop_assert_eq!(&s.to_vec(), &data, "{} to_vec", s.kind());
@@ -98,8 +113,19 @@ proptest! {
         cells in proptest::collection::vec((any::<u8>(), -300i16..300), 0..400),
         odd in any::<bool>(),
         probe in any::<u64>(),
+        step in 0usize..5,
+        magnitudes in any::<bool>(),
     ) {
-        let data: Vec<f64> = cells.iter().map(|&(p, s)| mixed_double(p, s, odd)).collect();
+        // The ingest mix, or non-negative multiples of a stride alone, whose
+        // codes pack at twice the stride.
+        let data: Vec<f64> = cells
+            .iter()
+            .map(|&(p, s)| if magnitudes {
+                (i64::from(s.unsigned_abs()) * STEPS[step]) as f64
+            } else {
+                mixed_double(p, s, odd, STEPS[step])
+            })
+            .collect();
         let want = bits(&data);
         let col = F64Column::new(data.clone(), NullMask::none());
         for (i, v) in data.iter().enumerate() {
@@ -151,9 +177,14 @@ proptest! {
         n in 64usize..600,
         spread in 1i64..1000,
     ) {
-        // Sorted low-cardinality with wide values (so bit-packing cannot
-        // undercut the run encoding) → run-length.
-        let sorted: Vec<i64> = (0..n).map(|i| (i / run) as i64 * 1_234_567_890_123).collect();
+        // Sorted low-cardinality with wide values that share no stride (so
+        // bit-packing cannot undercut the run encoding) → run-length. Two
+        // values always share one, their difference, so there are three runs
+        // at least.
+        let sorted: Vec<i64> = (0..n.max(3 * run))
+            .map(|i| (i / run) as i64)
+            .map(|k| k * 1_234_567_890_123 + k / 2)
+            .collect();
         let s = I64Storage::encode(sorted.clone());
         prop_assert_eq!(s.kind(), EncodingKind::RunLength);
         prop_assert_eq!(s.to_vec(), sorted);
@@ -177,9 +208,10 @@ proptest! {
         kind in 0usize..4,
         raw in proptest::collection::vec(any::<u32>(), 0..150),
         null_p in 0.0f64..0.5,
+        step in 0usize..5,
     ) {
         let n = rows.len();
-        let data: Vec<i64> = rows.iter().map(|r| r.1).collect();
+        let data: Vec<i64> = rows.iter().map(|r| r.1 * STEPS[step]).collect();
         let nulls = NullMask::from_flags(rows.iter().map(|r| r.0 < null_p), n);
         let m = membership(kind, &raw, n);
         let sel = Selection::Members(&m);
@@ -375,7 +407,9 @@ proptest! {
     fn ascending_cursor_agrees_with_get(
         data in proptest::collection::vec(-50i64..50, 1..400),
         probes in proptest::collection::vec(any::<u32>(), 1..100),
+        step in 0usize..5,
     ) {
+        let data: Vec<i64> = data.iter().map(|v| v * STEPS[step]).collect();
         for s in all_storages(&data) {
             let mut sorted: Vec<usize> =
                 probes.iter().map(|&p| p as usize % data.len()).collect();
@@ -485,7 +519,9 @@ proptest! {
     #[test]
     fn decode_frame_matches_reference(
         data in proptest::collection::vec(-300i64..300, 1..400),
+        step in 0usize..5,
     ) {
+        let data: Vec<i64> = data.iter().map(|v| v * STEPS[step]).collect();
         for s in all_storages(&data) {
             let mut buf = [0i64; BLOCK_ROWS];
             let mut cursor = 0usize;
@@ -510,6 +546,7 @@ proptest! {
         lohi in (-100.0f64..100.0, 1.0f64..500.0),
         cnt in 1u32..200,
         data in proptest::collection::vec(0i64..(1 << 20), 1..300),
+        step in 0usize..5,
     ) {
         use hillview_columnar::simd::{
             bucket_indexes, expand_word, integral_lanes, moments_frame, set_force_scalar,
@@ -530,8 +567,9 @@ proptest! {
             let mut acc = MomentLanes::new(3);
             moments_frame(&vals, &mut acc);
             let mut packed_out = Vec::new();
-            if let Some(s) = I64Storage::bit_packed_of(&data) {
-                packed_out = s.to_vec();
+            let strided: Vec<i64> = data.iter().map(|v| v * STEPS[step] - (1 << 40)).collect();
+            for values in [&data, &strided] {
+                packed_out.extend(I64Storage::bit_packed_of(values).unwrap().to_vec());
             }
             // Any i64 may stand where a code should (a damaged file).
             let codes: Vec<i64> = data.iter().map(|&d| d.wrapping_mul(word as i64)).collect();
@@ -628,7 +666,7 @@ proptest! {
         };
         // Whole-valued doubles, forced onto the integer codes however few
         // rows there are; `raw` admits fractions and stays plain.
-        let whole: Vec<f64> = cells.iter().map(|c| mixed_double(c.0, c.1 % 4, false)).collect();
+        let whole: Vec<f64> = cells.iter().map(|c| mixed_double(c.0, c.1 % 4, false, 1)).collect();
         let whole_nulls = NullMask::from_flags(cells.iter().map(missing(2)), n);
         let codes = I64Storage::bit_packed_of(&F64Storage::codes_of(&whole).unwrap()).unwrap();
         let whole = F64Column::from_parts(
@@ -637,7 +675,7 @@ proptest! {
             ZoneMap::from_f64(&whole),
         );
         let raw = F64Column::from_options(cells.iter().map(|c| {
-            (!missing(3)(c)).then_some(mixed_double(c.0, c.1 % 4, true))
+            (!missing(3)(c)).then_some(mixed_double(c.0, c.1 % 4, true, 1))
         }));
         let names = ["int", "date", "whole", "raw", "str", "cat"];
         let t = Table::builder()

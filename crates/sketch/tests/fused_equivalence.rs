@@ -42,6 +42,10 @@ use std::sync::Arc;
 
 const CATS: [&str; 6] = ["aa", "bb", "cc", "dd", "ee", "ff"];
 
+/// The strides the encoding suites draw from: bit-packed storage divides
+/// the common one out of a column, and no fused scan may notice.
+const STEPS: [i64; 5] = [1, 2, 3, 1_000, 86_400_000];
+
 /// Random mixed-type table (same shape as `scan_equivalence.rs`): `null_p`
 /// drives the Double column's null density from 0% to ~100%, and half the
 /// tables round it to whole numbers so it is stored as encoded codes.
@@ -499,10 +503,12 @@ proptest! {
         cuts in (0.0f64..1.0, 0.0f64..1.0),
         bounds in (-50.0f64..50.0, -50.0f64..50.0),
         grain in 1usize..96,
+        step in 0usize..5,
     ) {
         use hillview_columnar::{F64Storage, I64Storage, NullMask, ZoneMap};
         let n = vals.len();
-        let data: Vec<i64> = vals.iter().map(|r| r.1).collect();
+        let step = STEPS[step];
+        let data: Vec<i64> = vals.iter().map(|r| r.1 * step).collect();
         let nulls = NullMask::from_flags(vals.iter().map(|r| r.0 < 0.15), n);
         let mut columns = vec![Column::Int(I64Column::plain(data.clone(), nulls.clone()))];
         let forced = [I64Storage::bit_packed_of(&data), I64Storage::run_length_of(&data)];
@@ -545,13 +551,16 @@ proptest! {
                 })
                 .collect()
         };
-        let shifted: Vec<i64> = ascending.iter().map(|v| v + 40).collect();
+        let shifted: Vec<i64> = ascending.iter().map(|v| v + 40 * step).collect();
         let members = Arc::new(membership(kind, &raw, cuts, n));
-        let (a, b) = bounds;
+        // Scaled with the data, the drawn bounds and bucket edges fall off
+        // the stride's grid.
+        let s = step as f64;
+        let (a, b) = (bounds.0 * s, bounds.1 * s);
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         let p = Predicate::range("V", lo, hi);
         let zero = Predicate::equals("V", 0.0);
-        let hist = HistogramSketch::streaming("V", num_spec());
+        let hist = HistogramSketch::streaming("V", BucketSpec::numeric(-50.0 * s, 150.0 * s, 17));
         let mo = MomentsSketch::new("V", 3);
         let range = RangeSketch::new("V");
         for group in [columns, delta_columns, doubles(&data), doubles(&shifted)] {

@@ -31,6 +31,10 @@ use std::sync::Arc;
 
 const CATS: [&str; 6] = ["aa", "bb", "cc", "dd", "ee", "ff"];
 
+/// The strides the encoding suites draw from: bit-packed storage divides
+/// the common one out of a column, and every kernel must not notice.
+const STEPS: [i64; 5] = [1, 2, 3, 1_000, 86_400_000];
+
 /// Random mixed-type table. `null_p` drives the Double column's null
 /// density anywhere from 0% to ~100%; the Int and Category columns carry
 /// their own sparser null flags. Half the tables round the Double column to
@@ -514,9 +518,11 @@ proptest! {
         kind in 0usize..5,
         raw in proptest::collection::vec(any::<u32>(), 0..200),
         cuts in (0.0f64..1.0, 0.0f64..1.0),
+        step in 0usize..5,
     ) {
         let n = vals.len();
-        let data: Vec<i64> = vals.iter().map(|r| r.1).collect();
+        let step = STEPS[step];
+        let data: Vec<i64> = vals.iter().map(|r| r.1 * step).collect();
         let nulls = NullMask::from_flags(vals.iter().map(|r| r.0 < 0.15), n);
         let mut columns = vec![Column::Int(I64Column::plain(data.clone(), nulls.clone()))];
         let forced = [I64Storage::bit_packed_of(&data), I64Storage::run_length_of(&data)];
@@ -533,15 +539,26 @@ proptest! {
         if let Some(s) = I64Storage::delta_of(&ascending) {
             delta_columns.push(Column::Int(I64Column::with_storage(s, nulls.clone())));
         }
-        let shifted: Vec<i64> = ascending.iter().map(|v| v + 40).collect();
-        let cats = DictColumn::from_strings(data.iter().map(|v| Some(CATS[v.rem_euclid(6) as usize])));
+        let shifted: Vec<i64> = ascending.iter().map(|v| v + 40 * step).collect();
+        let cats = DictColumn::from_strings(
+            vals.iter().map(|r| Some(CATS[r.1.rem_euclid(6) as usize])));
         let members = Arc::new(membership(kind, &raw, cuts, n));
-        let hist = HistogramSketch::streaming("V", num_spec());
+        // The buckets scale with the values, so the bucket edges fall off
+        // the stride's grid.
+        let s = step as f64;
+        let spec = BucketSpec::numeric(-50.0 * s, 150.0 * s, 17);
+        let hist = HistogramSketch::streaming("V", spec.clone());
         let moments = MomentsSketch::new("V", 3);
         let range = hillview_sketch::range::RangeSketch::new("V");
-        let heat = HeatmapSketch::sampled("V", "C", num_spec(), str_spec(), 1.0);
-        let stack = StackedHistogramSketch::streaming("V", "C", num_spec(), str_spec());
-        let trellis = TrellisSketch { col_x: Arc::from("V"), col_y: Arc::from("V"), ..trellis(1.0) };
+        let heat = HeatmapSketch::sampled("V", "C", spec.clone(), str_spec(), 1.0);
+        let stack = StackedHistogramSketch::streaming("V", "C", spec.clone(), str_spec());
+        let trellis = TrellisSketch {
+            col_x: Arc::from("V"),
+            col_y: Arc::from("V"),
+            buckets_x: spec,
+            buckets_y: BucketSpec::numeric(-80.0 * s, 80.0 * s, 5),
+            ..trellis(1.0)
+        };
         for group in [
             columns,
             delta_columns,
@@ -689,10 +706,11 @@ proptest! {
         raw in proptest::collection::vec(any::<u32>(), 0..200),
         cuts in (0.0f64..1.0, 0.0f64..1.0),
         grain in 1usize..96,
+        step in 0usize..5,
     ) {
         use hillview_sketch::traits::summarize_split;
         let n = vals.len();
-        let data: Vec<i64> = vals.iter().map(|r| r.1).collect();
+        let data: Vec<i64> = vals.iter().map(|r| r.1 * STEPS[step]).collect();
         let nulls = NullMask::from_flags(vals.iter().map(|r| r.0 < 0.15), n);
         let mut columns: Vec<I64Column> = vec![I64Column::plain(data.clone(), nulls.clone())];
         if let Some(s) = I64Storage::bit_packed_of(&data) {

@@ -14,7 +14,7 @@
 //! file's tail that an open merely locates:
 //!
 //! ```text
-//! magic "HVC5" | header_len u32 LE | header blob | pad | payload sections
+//! magic "HVC6" | header_len u32 LE | header blob | pad | payload sections
 //!   | dictionary sections
 //! header blob (all integers varint unless noted):
 //!   column_count | row_count
@@ -23,7 +23,12 @@
 //!     payload descriptor:
 //!       Int/Date: enc byte, declared value count, then
 //!         0 (plain):      section offset
-//!         1 (bit-packed): base zigzag, width u8, word count, section offset
+//!         1 (bit-packed): base zigzag, width u8, [step], word count,
+//!                         section offset — row i is base + step · packed[i]
+//!                         (wrapping). Bit 7 of the width byte says a step
+//!                         ≥ 2 follows; clear, the step is 1 and the
+//!                         descriptor is byte for byte a stride-free one. A
+//!                         width-0 (constant) column has step 1.
 //!         2 (run-length): run count, (value zigzag, run length) pairs inline
 //!         3 (delta):      anchor count, anchors zigzag, width u8,
 //!                         word count, section offset
@@ -122,12 +127,15 @@ use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 
-const MAGIC: &[u8; 4] = b"HVC5";
+const MAGIC: &[u8; 4] = b"HVC6";
 
 const ENC_PLAIN: u8 = 0;
 const ENC_BIT_PACKED: u8 = 1;
 const ENC_RUN_LENGTH: u8 = 2;
 const ENC_DELTA: u8 = 3;
+
+/// Width-byte flag of a bit-packed descriptor: a step varint follows.
+const STRIDED: u8 = 0x80;
 
 /// Payload section alignment: covers every lane type and leaves room for
 /// cache-line-aligned SIMD loads.
@@ -246,6 +254,7 @@ fn encode_int_storage<T: PackedInt + Pod>(
         }
         IntStorage::BitPacked {
             base,
+            step,
             width,
             len,
             words,
@@ -253,7 +262,12 @@ fn encode_int_storage<T: PackedInt + Pod>(
             w.put_u8(ENC_BIT_PACKED);
             w.put_varint(*len as u64);
             put(w, *base);
-            w.put_u8(*width);
+            if *step == 1 {
+                w.put_u8(*width);
+            } else {
+                w.put_u8(*width | STRIDED);
+                w.put_varint(*step);
+            }
             w.put_varint(words.len() as u64);
             let mut bytes = Vec::with_capacity(words.len() * 8);
             for &word in words.slice() {
@@ -415,6 +429,7 @@ enum IntMeta<T> {
     BitPacked {
         base: T,
         width: u8,
+        step: u64,
         nwords: usize,
         rel: usize,
     },
@@ -472,11 +487,24 @@ fn decode_int_meta<T>(
         ENC_BIT_PACKED => {
             let base = get(r).map_err(wire_err)?;
             let width = r.get_u8().map_err(wire_err)?;
+            let (width, step) = if width & STRIDED == 0 {
+                (width, 1)
+            } else {
+                match r.get_varint().map_err(wire_err)? {
+                    step @ (0 | 1) => {
+                        return Err(parse_err(format!(
+                            "column {column:?}: non-canonical bit-packed step {step}"
+                        )))
+                    }
+                    step => (width & !STRIDED, step),
+                }
+            };
             let nwords = r.get_len("packed words").map_err(wire_err)?;
             let rel = r.get_len("section offset").map_err(wire_err)?;
             Ok(IntMeta::BitPacked {
                 base,
                 width,
+                step,
                 nwords,
                 rel,
             })
@@ -800,13 +828,14 @@ fn build_int_storage<T: Pod + PackedInt>(
         IntMeta::BitPacked {
             base: frame,
             width,
+            step,
             nwords,
             rel,
         } => {
             let words = src.buf::<u64>(base, rel, nwords, column)?;
-            IntStorage::from_bit_packed_buf(frame, width, rows, words).ok_or_else(|| {
+            IntStorage::from_bit_packed_buf(frame, step, width, rows, words).ok_or_else(|| {
                 parse_err(format!(
-                    "column {column:?}: inconsistent bit-packed section (width {width}, {nwords} words for {rows} rows)"
+                    "column {column:?}: inconsistent bit-packed section (width {width}, step {step}, {nwords} words for {rows} rows)"
                 ))
             })
         }
@@ -1153,6 +1182,17 @@ mod tests {
                     (0..n).map(|i| Some(["a", "bb", "", "dddd", "e,\"e"][i % 5])),
                 )),
             )
+            // Day-granular dates, shuffled: bit-packed at a stride of a day.
+            .column(
+                "day",
+                ColumnKind::Date,
+                Column::Date(I64Column::new(
+                    (0..n as i64)
+                        .map(|i| 1_420_070_400_000 + (i * 7919 % 730) * 86_400_000)
+                        .collect(),
+                    NullMask::none(),
+                )),
+            )
             .build()
             .unwrap()
     }
@@ -1193,6 +1233,7 @@ mod tests {
             ("bucket", EncodingKind::BitPacked),
             ("rl", EncodingKind::RunLength),
             ("noise", EncodingKind::Plain),
+            ("day", EncodingKind::BitPacked),
         ] {
             let a = t.column_by_name(name).unwrap().as_i64_col().unwrap();
             let b = t2.column_by_name(name).unwrap().as_i64_col().unwrap();
@@ -1368,7 +1409,7 @@ mod tests {
         assert_eq!(&img[0..4], MAGIC);
         let old = d.join("old.hvc");
         let cache = BlockCache::unbounded();
-        for magic in [b"HVC2", b"HVC3", b"HVC4"] {
+        for magic in [b"HVC2", b"HVC3", b"HVC4", b"HVC5"] {
             let foreign = [magic, &img[4..]].concat();
             std::fs::write(&old, &foreign).unwrap();
             for err in [
@@ -1429,7 +1470,7 @@ mod tests {
             let m = read_file_mapped(&p, &cache, mode).unwrap();
             assert_tables_identical(&heap, &m);
             // Storage-level equality: same variant, same decoded values.
-            for name in ["seq", "bucket", "rl", "noise"] {
+            for name in ["seq", "bucket", "rl", "noise", "day"] {
                 let a = heap.column_by_name(name).unwrap().as_i64_col().unwrap();
                 let b = m.column_by_name(name).unwrap().as_i64_col().unwrap();
                 assert_eq!(a.storage(), b.storage(), "{name} under {mode:?}");
@@ -1467,7 +1508,7 @@ mod tests {
         write_file(&t, &p).unwrap();
         let info = probe_file(&p).unwrap();
         assert_eq!(info.rows, 600);
-        assert_eq!(info.columns, 11);
+        assert_eq!(info.columns, 12);
         assert_eq!(info.schema.descs(), t.schema().descs());
         // Truncate the file to magic + header: the probe still succeeds
         // (proof it never reads payload), while a full read fails.
@@ -1562,13 +1603,21 @@ mod tests {
     /// `i64` values: a `Double`'s codes share it byte for byte.
     const INT_CODED: [ColumnKind; 2] = [ColumnKind::Int, ColumnKind::Double];
 
-    /// Two rows of `kind`, bit-packed: well-formed at `(4, 1)`.
-    fn bit_packed_image(kind: ColumnKind, width: u8, nwords: u64) -> Vec<u8> {
+    /// Two rows of `kind`, bit-packed, with the step written after the
+    /// width when there is one: well-formed at `(4, None, 1)`, and at a
+    /// step ≥ 2 unless the width is 0.
+    fn bit_packed_image(kind: ColumnKind, width: u8, step: Option<u64>, nwords: u64) -> Vec<u8> {
         crafted(kind_byte(kind), 2, vec![0; 16], |w| {
             w.put_u8(ENC_BIT_PACKED);
             w.put_varint(2);
             w.put_i64(5);
-            w.put_u8(width);
+            match step {
+                None => w.put_u8(width),
+                Some(step) => {
+                    w.put_u8(width | STRIDED);
+                    w.put_varint(step);
+                }
+            }
             w.put_varint(nwords);
             w.put_varint(0);
             zones_of(w, kind);
@@ -1657,10 +1706,19 @@ mod tests {
     #[test]
     fn corrupt_packed_sections_rejected() {
         for kind in INT_CODED {
-            decode(&bit_packed_image(kind, 4, 1)).unwrap();
+            decode(&bit_packed_image(kind, 4, None, 1)).unwrap();
+            decode(&bit_packed_image(kind, 4, Some(86_400_000), 1)).unwrap();
+            decode(&bit_packed_image(kind, 0, None, 0)).unwrap();
             let fault = "inconsistent bit-packed section";
-            assert_fault(&bit_packed_image(kind, 64, 2), fault);
-            assert_fault(&bit_packed_image(kind, 4, 2), fault);
+            assert_fault(&bit_packed_image(kind, 64, None, 2), fault);
+            assert_fault(&bit_packed_image(kind, 4, None, 2), fault);
+            assert_fault(&bit_packed_image(kind, 64, Some(2), 2), fault);
+            // A zero step; a step of 1 spelled out, which the flag-clear
+            // width byte already says; a step at width 0, where the encoder
+            // writes a constant column at step 1.
+            assert_fault(&bit_packed_image(kind, 4, Some(0), 1), "step 0");
+            assert_fault(&bit_packed_image(kind, 4, Some(1), 1), "non-canonical");
+            assert_fault(&bit_packed_image(kind, 0, Some(2), 0), "width 0, step 2");
             decode(&run_length_image(kind, &[1, 1])).unwrap();
             assert_fault(&run_length_image(kind, &[2, 0]), "zero-length run");
             assert_fault(

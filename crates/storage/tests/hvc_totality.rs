@@ -62,9 +62,11 @@ fn below(state: &mut u64, n: usize) -> usize {
 /// encoding is forced on the Int and Date values, on the Category and
 /// String codes, and on the codes of an integral Double column alike (beside
 /// a fractional one, stored raw). The data is ascending with repeats, which
-/// all four encodings accept.
+/// all four encodings accept; the dates fall on day boundaries, so their
+/// bit-packed descriptor carries a step.
 fn images() -> Vec<Vec<u8>> {
     let values: Vec<i64> = (0..ROWS as i64).map(|i| 1_000 + i / 3).collect();
+    let days: Vec<i64> = values.iter().map(|v| v * 86_400_000).collect();
     let codes: Vec<u32> = (0..ROWS as u32).map(|i| i / 40).collect();
     let mut db = DictionaryBuilder::new();
     for s in WORDS {
@@ -107,7 +109,7 @@ fn images() -> Vec<Vec<u8>> {
                 .column(
                     "d",
                     ColumnKind::Date,
-                    Column::Date(I64Column::with_storage(int(&values), NullMask::none())),
+                    Column::Date(I64Column::with_storage(int(&days), NullMask::none())),
                 )
                 .column(
                     "c",
@@ -359,7 +361,7 @@ fn dict_image(section: &[u8], entries: u64, bytes: u64, rel: u64) -> Vec<u8> {
     }
     w.put_varint(72); // dictionary base: where the codes end
     let header = w.finish();
-    let mut img = b"HVC5".to_vec();
+    let mut img = b"HVC6".to_vec();
     img.extend((header.len() as u32).to_le_bytes());
     img.extend(&header[..]);
     img.resize(img.len().div_ceil(64) * 64, 0);
@@ -368,6 +370,95 @@ fn dict_image(section: &[u8], entries: u64, bytes: u64, rel: u64) -> Vec<u8> {
     img.extend([0u32, 1].iter().flat_map(|c| c.to_le_bytes()));
     img.extend(section);
     img
+}
+
+/// Two rows of an Int column `n`, bit-packed from `base` at `width` bits and
+/// `step` (flagged in the width byte and written out unless it is 1), over
+/// the one packed word `word`; zone map `(base, base)`.
+fn strided_image(base: i64, width: u8, step: u64, word: u64) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_varint(1); // columns
+    w.put_varint(2); // rows
+    w.put_str("n");
+    w.put_u8(0); // Int
+    w.put_varint(1); // one null run...
+    w.put_varint(2); // ...of present rows
+    w.put_u8(1); // bit-packed
+    w.put_varint(2); // values
+    w.put_i64(base);
+    if step == 1 {
+        w.put_u8(width);
+    } else {
+        w.put_u8(width | 0x80);
+        w.put_varint(step);
+    }
+    w.put_varint(u64::from(width > 0)); // words
+    w.put_varint(0); // section offset
+    w.put_varint(1); // one zone block
+    w.put_i64(base);
+    w.put_i64(base);
+    w.put_varint(8); // dictionary base: where the word ends
+    let header = w.finish();
+    let mut img = b"HVC6".to_vec();
+    img.extend((header.len() as u32).to_le_bytes());
+    img.extend(&header[..]);
+    img.resize(img.len().div_ceil(64) * 64, 0);
+    img.extend(word.to_le_bytes());
+    img
+}
+
+#[test]
+fn hostile_steps_end_in_an_error_or_a_table_that_scans() {
+    // A step is the file's word, and `base + d · step` wraps wherever the
+    // file says it does: no step may make a reader divide by zero, shift by
+    // 64 or overflow, and a step the encoder never writes is refused.
+    let dir = TempDir::new("hvc-steps");
+    let path = dir.join("strided.hvc");
+    let cache = BlockCache::unbounded();
+    // (what, base, width, step): rows `d = 1` and `d = 2^width − 1`, or
+    // two rows of `base` at width 0.
+    let opened = [
+        ("a day's stride", 0, 10, 86_400_000),
+        ("step u64::MAX", 5, 4, u64::MAX),
+        ("step 2^63", -3, 5, 1 << 63),
+        ("base + top · step wraps", i64::MAX - 10, 3, 1 << 62),
+        (
+            "an odd step wrapping at width 31",
+            i64::MIN,
+            31,
+            u64::MAX - 2,
+        ),
+        ("width 0 at step 1", 1_050, 0, 1),
+    ];
+    let rows = |width: u8| match width {
+        0 => (0, 0),
+        w => (1, (1u64 << w) - 1),
+    };
+    let image = |base, width, step| {
+        let (first, second) = rows(width);
+        strided_image(base, width, step, first | second << width)
+    };
+    for (label, base, width, step) in opened {
+        let img = image(base, width, step);
+        match verdict(&img, &path, &cache, label).0 {
+            Verdict::Opened => {}
+            Verdict::Rejected(e) => panic!("{label}: refused with {e}"),
+        }
+        let t = hvc::decode(&img).unwrap();
+        let n = t.column_by_name("n").unwrap().as_i64_col().unwrap();
+        let row = |d: u64| Some(base.wrapping_add(d.wrapping_mul(step) as i64));
+        let (first, second) = rows(width);
+        assert_eq!((n.get(0), n.get(1)), (row(first), row(second)), "{label}");
+    }
+    for (label, img, fault) in [
+        ("step 0", image(0, 4, 0), "step 0"),
+        ("a step at width 0", image(0, 0, 2), "width 0, step 2"),
+    ] {
+        match verdict(&img, &path, &cache, label).0 {
+            Verdict::Rejected(e) => assert!(e.contains(fault), "{label}: {e}"),
+            Verdict::Opened => panic!("{label}: accepted"),
+        }
+    }
 }
 
 /// A dictionary section of two entries, each a declared length and bytes.

@@ -31,6 +31,11 @@ fn write_temp(t: &Table, tag: &str) -> (TempDir, PathBuf) {
 /// The two lazily-resident tiers; every property holds under both.
 const LAZY: [SegmentMode; 2] = [SegmentMode::Auto, SegmentMode::Mmap];
 
+/// The strides the encoding property draws from: a bit-packed column
+/// stores its values divided by the one they share, in the file as on the
+/// heap.
+const STEPS: [i64; 5] = [1, 2, 3, 1_000, 86_400_000];
+
 fn rows_of(m: &MembershipSet) -> Vec<usize> {
     m.iter().collect()
 }
@@ -177,13 +182,17 @@ proptest! {
     /// Every encoding survives the mapped tier: plain, bit-packed,
     /// run-length, delta — each forced explicitly, over an integer column
     /// and over the codes of an integral double column (zeros at odd rows
-    /// negative), each compared under both simd modes (the mapped windows
-    /// feed the same kernels the heap buffers do).
+    /// negative), on a drawn stride, each compared under both simd modes
+    /// (the mapped windows feed the same kernels the heap buffers do) and
+    /// under a range whose bounds fall off the stride's grid.
     #[test]
     fn mapped_equals_heap_for_every_encoding_and_simd_mode(
         data in proptest::collection::vec(-3000i64..3000, 1..400),
         seed in any::<u64>(),
+        step in 0usize..5,
     ) {
+        let step = STEPS[step];
+        let data: Vec<i64> = data.iter().map(|v| v * step).collect();
         let mut ascending = data.clone();
         ascending.sort_unstable();
         let storages = [
@@ -208,7 +217,7 @@ proptest! {
             Column::Double(F64Column::from_parts(storage, NullMask::none(), zones))
         };
         // Codes ascend with the magnitude: delta over the non-negative shift.
-        let shifted: Vec<i64> = ascending.iter().map(|v| v + 3000).collect();
+        let shifted: Vec<i64> = ascending.iter().map(|v| v + 3000 * step).collect();
         columns.push(doubles(&data, |_| None));
         columns.push(doubles(&data, I64Storage::bit_packed_of));
         columns.push(doubles(&data, I64Storage::run_length_of));
@@ -217,7 +226,8 @@ proptest! {
             let t = Table::builder().column("V", col.kind(), col).build().unwrap();
             let (_dir, path) = write_temp(&t, "ooc-props-enc");
             let heap = hvc::read_file(&path).unwrap();
-            let pred = Predicate::range("V", -1000.0, 1000.0);
+            let s = step as f64;
+            let pred = Predicate::range("V", -1000.5 * s, 999.5 * s);
             for mode in LAZY {
                 let cache = BlockCache::new(64 << 10);
                 let mapped = read_file_mapped(&path, &cache, mode).unwrap();

@@ -94,8 +94,10 @@ proptest! {
     #[test]
     fn hvc_roundtrip_preserves_every_encoding(
         data in proptest::collection::vec(-3000i64..3000, 1..200),
+        step in prop_oneof![Just(1i64), Just(2), Just(3), Just(1_000), Just(86_400_000)],
     ) {
         use hillview_columnar::{I64Storage, NullMask};
+        let data: Vec<i64> = data.iter().map(|v| v * step).collect();
         let mut ascending = data.clone();
         ascending.sort_unstable();
         let storages = [
@@ -182,4 +184,50 @@ proptest! {
             prop_assert_eq!(b.full_row(0), t.full_row(cut));
         }
     }
+}
+
+/// The gated footprint in miniature: one 65 000-row flights part, spilled
+/// and read back onto the heap. Its epoch-millisecond dates fall on day
+/// boundaries and pack at a day's stride, 10 bits where their offsets took
+/// 36; the integer codes of every non-negative integral double are even
+/// and pack at step 2, without the sign bit.
+#[test]
+fn a_flights_part_packs_at_its_strides() {
+    use hillview_columnar::{F64Storage, IntStorage, PackedInt};
+    use hillview_data::{generate_flights, FlightsConfig};
+    let rows = 65_000;
+    let dir = TempDir::new("rt-flights");
+    let mut writer = SpillingWriter::new(dir.path(), rows).unwrap();
+    writer
+        .push(&generate_flights(&FlightsConfig::new(rows, 7)))
+        .unwrap();
+    writer.finish().unwrap();
+    let part = hvc::read_file(&list_parts(dir.path()).unwrap()[0]).unwrap();
+    fn packing<T: PackedInt>(storage: &IntStorage<T>) -> (u64, u8) {
+        match storage {
+            IntStorage::BitPacked { step, width, .. } => (*step, *width),
+            other => panic!("{} storage", other.kind()),
+        }
+    }
+    let dates = part.column_by_name("FlightDate").unwrap();
+    assert_eq!(
+        packing(dates.as_i64_col().unwrap().storage()),
+        (86_400_000, 10)
+    );
+    for name in [
+        "TaxiOut",
+        "TaxiIn",
+        "AirTime",
+        "CarrierDelay",
+        "NASDelay",
+        "LateAircraftDelay",
+    ] {
+        let col = part.column_by_name(name).unwrap().as_f64_col().unwrap();
+        let F64Storage::Integral(codes) = col.data() else {
+            panic!("{name} stored raw");
+        };
+        assert_eq!(packing(codes).0, 2, "{name}");
+    }
+    let per_row = part.heap_bytes() as f64 / rows as f64;
+    assert!(per_row <= 32.4, "{per_row:.4} B/row decoded");
 }
