@@ -131,12 +131,11 @@
 //!    and every vector path has a scalar fallback that must produce
 //!    byte-identical output (pinned by the forced-scalar equivalence tests
 //!    and the `simd-registry` lint rule).
-//! 2. **Out-of-core residency** (`residency.rs`): raw page-aligned buffers
-//!    and mmap-backed `ValueBuf`s. Exclusive write access during `populate`
-//!    is guaranteed by the block cache's residency protocol (a chunk is
-//!    written only while non-resident and only under the cache lock), and
-//!    mapped reads borrow an `Arc`-kept segment whose bounds and alignment
-//!    were validated at construction.
+//! 2. **Out-of-core residency** (`residency.rs`): the 64-byte-aligned raw
+//!    buffer behind the heap tier, written only through `&mut` while it is
+//!    filled at open, and mapped `ValueBuf`s, whose reads borrow an
+//!    `Arc`-kept segment whose bounds and alignment were validated at
+//!    construction.
 //! 3. **`Pod` reinterpretation** (`residency.rs`): byte-slice casts are
 //!    restricted to the sealed `Pod` trait (`u32`/`i64`/`f64`/`u64`), whose
 //!    implementations have no padding and accept any bit pattern.
@@ -146,8 +145,8 @@
 //!    of the one `unsafe fn`, `Mmap::map`), unmapped once in `Drop`, and
 //!    `MADV_DONTNEED` is advised only on ranges clipped to it — dropped
 //!    pages refault identical bytes, so eviction is sound under outstanding
-//!    borrows. Miri never reaches the calls: [`Segment::open`] skips the
-//!    mapping under `cfg(miri)`.
+//!    borrows. Miri never reaches the calls: under `cfg(miri)` the mapping
+//!    behind [`Segment::open`] is a heap copy of the file read at open.
 //!
 //! Every `unsafe` site carries a `// SAFETY:` comment; `hillview-lint`
 //! (rule `safety-comment`) fails CI when one is missing, and

@@ -10,21 +10,19 @@
 //!
 //! # Residency tiers
 //!
-//! Every build compiles all three backings; a [`SegmentMode`] picks one
-//! per open, at run time:
+//! Every build compiles both backings; a [`SegmentMode`] picks one per
+//! open, at run time:
 //!
-//! * **Mmap** (unix, [`SegmentMode::Mmap`]): the file is mapped read-only
+//! * **Lazy** (unix, [`SegmentMode::Auto`]): the file is mapped read-only
 //!   (the private `mmap` module) and column buffers borrow file bytes
-//!   directly — zero copies, zero heap. Chunks are *evictable*: eviction is
-//!   `madvise(MADV_DONTNEED)`, which drops the physical pages; the kernel
-//!   refaults identical bytes from the file on the next access, so eviction
-//!   is always safe even under outstanding borrows. A refused mapping (and
-//!   Miri, which has no `mmap`) falls through to the pread backing.
-//! * **Pread** (unix, [`SegmentMode::Auto`]): a lazily-committed anonymous
-//!   buffer the size of the file, filled chunk-at-a-time with
-//!   `pread(2)`-style `read_at` on first touch. Chunks fault lazily but are
-//!   *pinned* once resident (overwriting them under outstanding borrows
-//!   would race), so the cache budget is best-effort for this tier.
+//!   directly — zero copies, zero heap. Chunks fault in as scans touch them
+//!   and are *evictable*: eviction is `madvise(MADV_DONTNEED)`, which drops
+//!   the physical pages; the kernel refaults identical bytes from the file
+//!   on the next access, so eviction is always safe even under outstanding
+//!   borrows, and the cache keeps its budget. A refused mapping opens as
+//!   `Heap` does. Under Miri, which has no `mmap`, the mapping is a heap
+//!   copy read at open and eviction advice is a no-op, so touch, fault,
+//!   eviction accounting and drop run there unchanged.
 //! * **Heap** ([`SegmentMode::Heap`], and every mode off unix): the whole
 //!   file is read at open. Fully resident, no faulting, no cache
 //!   participation.
@@ -32,22 +30,34 @@
 //! # Touch-for-accounting
 //!
 //! Every read of mapped bytes goes through [`ValueBuf::slice`] /
-//! [`ValueBuf::hot`], which *touch* the covered chunks first. For the mmap
-//! backing a touch is pure bookkeeping (the OS demand-pages regardless);
-//! for the pread backing it is load-bearing (it performs the read). Either
-//! way the touch stream is what gives the cache its fault/hit/eviction
-//! counters and its recency order — and what makes zone-map block skipping
-//! an *I/O* optimization: a block the predicate rejects is never decoded,
-//! so its chunks are never touched, so they are never faulted in.
+//! [`ValueBuf::hot`], which *touch* the covered chunks first. A touch is
+//! bookkeeping — the OS demand-pages the mapping regardless — but the
+//! touch stream is what gives the cache its fault/hit/eviction counters
+//! and its recency order, and what makes zone-map block skipping an *I/O*
+//! optimization: a block the predicate rejects is never decoded, so its
+//! chunks are never touched, so they are never faulted in.
 //!
 //! Accounting is deliberately approximate at the margins: the resident-byte
 //! gauge is maintained under the cache lock, but recency stamps race
 //! benignly with eviction (a chunk evicted just after a reader revalidated
 //! it simply refaults), and the OS may drop or keep pages on its own.
 //!
-//! A failed fault (I/O error under a scan that cannot return `Result`)
-//! panics with a descriptive message; the worker's leaf-task panic
-//! isolation (PR 6) turns that into a structured query error.
+//! # A file that changes under its mapping
+//!
+//! A positioned read of a truncated file fails with an error; a load
+//! through a mapping of one raises `SIGBUS`, which no unwinding catches. So
+//! a lazy segment records the file's length and modification time at open,
+//! and every fault re-checks them with one `fstat` before it marks a chunk
+//! resident. A changed file — or a failed `fstat` — panics with a
+//! descriptive message, as a failed read would, and the worker's leaf-task
+//! panic isolation turns that into a structured query error.
+//!
+//! The residual risk: a file truncated *after* a chunk is resident (or
+//! between the check and the load) is not seen, and a load from a page it
+//! took away faults the process. Part files are sealed and never rewritten
+//! (the directory is immutable while browsed, paper §2), so the check
+//! guards against outside interference, not against anything the store
+//! does.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -67,19 +77,18 @@ pub const CHUNK_BYTES: usize = 64 * 1024;
 /// How [`Segment::open`] should back the file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SegmentMode {
-    /// Lazily-faulted, pinned pread buffer (heap off-unix).
+    /// Lazily faulted file mapping whose chunks the block cache evicts
+    /// (unix); a refused mapping, and every open off unix, reads the file
+    /// as `Heap` does.
     #[default]
     Auto,
-    /// Zero-copy file mapping whose chunks the block cache evicts (unix);
-    /// opens as `Auto` does when the mapping is refused.
-    Mmap,
     /// Read the whole file eagerly; no lazy residency.
     Heap,
 }
 
-/// An aligned, lazily-committed raw allocation (pread and heap backings).
-/// 64-byte aligned so typed windows at the format's 64-byte section offsets
-/// are always well-aligned.
+/// An aligned, lazily-committed raw allocation: the heap backing, and the
+/// mapping's stand-in under Miri. 64-byte aligned so typed windows at the
+/// format's 64-byte section offsets are always well-aligned.
 struct RawBuf {
     ptr: *mut u8,
     len: usize,
@@ -88,9 +97,8 @@ struct RawBuf {
 // SAFETY: RawBuf is a uniquely-owned heap allocation (no aliasing, no
 // thread affinity); sending it just moves ownership of the pointer.
 unsafe impl Send for RawBuf {}
-// SAFETY: shared access is read-only except through `&mut self` or the
-// chunk-residency protocol in `fault_pread`, whose writes are confined to
-// chunks that the state word proves no reader has been handed yet.
+// SAFETY: shared access is read-only: the bytes are written only through
+// `&mut self`, while `RawBuf::read` fills a buffer no one else holds yet.
 unsafe impl Sync for RawBuf {}
 
 impl RawBuf {
@@ -113,6 +121,26 @@ impl RawBuf {
         }
         RawBuf { ptr, len }
     }
+
+    /// The first `len` bytes of `file`, read whole into a fresh buffer.
+    fn read(mut file: &File, len: usize) -> io::Result<RawBuf> {
+        let mut buf = RawBuf::zeroed(len);
+        io::Read::read_exact(&mut file, buf.as_mut_slice())?;
+        Ok(buf)
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        // SAFETY: `ptr` is either a live `len`-byte allocation owned by
+        // self (freed only in Drop) or dangling with `len == 0`, which
+        // `from_raw_parts` permits; shared access never writes.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [u8] {
+        // SAFETY: as for `as_slice`, and `&mut self` makes this the only
+        // access to the bytes while the borrow lives.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len) }
+    }
 }
 
 impl Drop for RawBuf {
@@ -128,12 +156,16 @@ impl Drop for RawBuf {
 }
 
 enum Backing {
-    /// Zero-copy read-only file mapping (evictable chunks).
+    /// Read-only file mapping whose chunks fault in and evict.
     #[cfg(unix)]
-    Mmap(mmap::Mmap),
-    /// Anonymous buffer filled by `read_at` on first touch (pinned chunks).
-    #[cfg(unix)]
-    Pread { file: File, buf: RawBuf },
+    Mapped {
+        map: mmap::Mmap,
+        /// Kept open for positioned reads around the cache and for the
+        /// `fstat` each fault makes.
+        file: File,
+        /// The file's `(length, modification time)` at open.
+        stamp: (u64, Option<std::time::SystemTime>),
+    },
     /// Whole file read at open (no cache participation).
     Heap(RawBuf),
 }
@@ -159,9 +191,10 @@ impl Segment {
     ) -> io::Result<Arc<Segment>> {
         let path = path.as_ref();
         let file = File::open(path)?;
-        let len = usize::try_from(file.metadata()?.len())
+        let meta = file.metadata()?;
+        let len = usize::try_from(meta.len())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "file too large"))?;
-        let backing = Self::pick_backing(file, len, mode)?;
+        let backing = Self::pick_backing(file, &meta, len, mode)?;
         let lazy = !matches!(backing, Backing::Heap(_));
         let nchunks = len.div_ceil(CHUNK_BYTES);
         let seg = Arc::new(Segment {
@@ -183,53 +216,26 @@ impl Segment {
         Ok(seg)
     }
 
-    fn pick_backing(file: File, len: usize, mode: SegmentMode) -> io::Result<Backing> {
-        if mode == SegmentMode::Heap {
-            return Self::heap_backing(file, len);
-        }
+    #[cfg_attr(not(unix), allow(unused_variables))]
+    fn pick_backing(
+        file: File,
+        meta: &std::fs::Metadata,
+        len: usize,
+        mode: SegmentMode,
+    ) -> io::Result<Backing> {
         #[cfg(unix)]
-        {
-            // Miri has no `mmap`: it skips the call and falls through to
-            // the pread tier, as a refused mapping does.
-            if mode == SegmentMode::Mmap && !cfg!(miri) {
-                // SAFETY: segment files are immutable once written (the
-                // store never rewrites a sealed column file), which is the
-                // contract `Mmap::map` needs — no live mutation can race
-                // the mapping.
-                if let Ok(map) = unsafe { mmap::Mmap::map(&file) } {
-                    return Ok(Backing::Mmap(map));
-                }
+        if mode == SegmentMode::Auto {
+            // SAFETY: segment files are immutable once written (the store
+            // never rewrites a sealed column file), which is the contract
+            // `Mmap::map` needs, and `len` is the length `meta` just read;
+            // a file changed from outside anyway is caught by the `fstat`
+            // each fault makes, up to the window the module doc states.
+            if let Ok(map) = unsafe { mmap::Mmap::map(&file, len) } {
+                let stamp = (meta.len(), meta.modified().ok());
+                return Ok(Backing::Mapped { map, file, stamp });
             }
-            Ok(Backing::Pread {
-                file,
-                buf: RawBuf::zeroed(len),
-            })
         }
-        #[cfg(not(unix))]
-        {
-            Self::heap_backing(file, len)
-        }
-    }
-
-    fn heap_backing(mut file: File, len: usize) -> io::Result<Backing> {
-        use std::io::Read;
-        let buf = RawBuf::zeroed(len);
-        let mut read = 0usize;
-        while read < len {
-            // SAFETY: `buf` is a fresh, uniquely-owned allocation of `len`
-            // bytes, so `ptr + read .. ptr + len` is in bounds and nothing
-            // else aliases it during this fill loop.
-            let dst = unsafe { std::slice::from_raw_parts_mut(buf.ptr.add(read), len - read) };
-            let n = file.read(dst)?;
-            if n == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "segment file shrank while reading",
-                ));
-            }
-            read += n;
-        }
-        Ok(Backing::Heap(buf))
+        RawBuf::read(&file, len).map(Backing::Heap)
     }
 
     /// File length in bytes.
@@ -252,27 +258,16 @@ impl Segment {
         matches!(self.backing, Backing::Heap(_))
     }
 
-    /// True when chunks of this segment can be evicted and refaulted
-    /// (mmap backing only).
-    fn evictable(&self) -> bool {
-        match self.backing {
-            #[cfg(unix)]
-            Backing::Mmap(_) => true,
-            _ => false,
-        }
-    }
-
-    /// True when the backing borrows file bytes zero-copy (mmap).
+    /// True when the backing is the lazy mapping, whose chunks the block
+    /// cache faults in and evicts: exactly when it is not the heap.
     pub fn is_mapped(&self) -> bool {
-        self.evictable()
+        !self.is_heap()
     }
 
     fn base_ptr(&self) -> *const u8 {
         match &self.backing {
             #[cfg(unix)]
-            Backing::Mmap(m) => m.as_slice().as_ptr(),
-            #[cfg(unix)]
-            Backing::Pread { buf, .. } => buf.ptr,
+            Backing::Mapped { map, .. } => map.as_slice().as_ptr(),
             Backing::Heap(buf) => buf.ptr,
         }
     }
@@ -307,10 +302,10 @@ impl Segment {
         let c1 = (end - 1) / CHUNK_BYTES;
         let mut all_resident = true;
         for c in c0..=c1 {
-            // Acquire: reading a resident bit must synchronize with the
-            // Release store that published it, so the pread tier's buffer
-            // writes in `populate` are visible before the caller
-            // dereferences the window.
+            // Acquire: reading a resident bit synchronizes with the Release
+            // store in `fault` that published it, so a reader that finds a
+            // chunk resident also sees the fault that made it so — the
+            // file check included.
             if self.chunks[c].load(Ordering::Acquire) & 1 == 0 {
                 all_resident = false;
                 break;
@@ -322,17 +317,16 @@ impl Segment {
             for c in c0..=c1 {
                 // The recency bump must be an RMW, not a plain store: a
                 // store would terminate the release sequence headed by the
-                // populating thread's Release store, so a later reader
-                // acquiring this value would NOT synchronize with
-                // `populate`'s buffer writes. An RMW continues the
-                // sequence. AcqRel also makes the returned value reliable
-                // for the race check below.
+                // faulting thread's Release store, so a later reader
+                // acquiring this value would NOT synchronize with that
+                // fault. An RMW continues the sequence. AcqRel also makes
+                // the returned value reliable for the race check below.
                 let prev = self.chunks[c].swap(tick << 1 | 1, Ordering::AcqRel);
                 if prev & 1 == 0 {
                     // Lost a race with the evictor between the scan above
                     // and here: our swap resurrected a chunk whose pages
                     // and accounting are gone. Put the evicted state back
-                    // and take the slow path, which repopulates and
+                    // and take the slow path, which refaults and
                     // re-accounts under the cache lock.
                     self.chunks[c].store(0, Ordering::Release);
                     self.cache.fault(self, c0, c1);
@@ -346,33 +340,33 @@ impl Segment {
         self.cache.fault(self, c0, c1);
     }
 
-    /// Read chunk `c` into the pread buffer (no-op for mmap: the OS faults
-    /// the pages on first access; we only account).
-    fn populate(&self, c: usize) {
+    /// Panic unless the file still has the length and modification time it
+    /// had at open: a load through the mapping of a truncated file raises
+    /// `SIGBUS`, so a fault of chunks `c0..=c1` is refused here instead, as
+    /// a failed read would be.
+    #[cfg_attr(not(unix), allow(unused_variables))]
+    fn check_unchanged(&self, c0: usize, c1: usize) {
         match &self.backing {
             #[cfg(unix)]
-            Backing::Mmap(_) => {}
-            #[cfg(unix)]
-            Backing::Pread { file, buf } => {
-                use std::os::unix::fs::FileExt;
-                let off = c * CHUNK_BYTES;
-                let n = self.chunk_len(c);
-                // SAFETY: `off + n <= buf.len` by `chunk_len`, and the
-                // residency protocol guarantees exclusive write access: the
-                // caller (`BlockCache::fault`, under the cache lock) only
-                // populates chunks whose resident bit is clear, so no
-                // reader has been handed a window over these bytes yet and
-                // no other populater can run concurrently.
-                let dst = unsafe { std::slice::from_raw_parts_mut(buf.ptr.add(off), n) };
-                file.read_exact_at(dst, off as u64).unwrap_or_else(|e| {
-                    panic!(
-                        "block fault failed reading {:?} at {off}..{}: {e}",
-                        self.path,
-                        off + n
-                    )
-                });
+            Backing::Mapped { file, stamp, .. } => {
+                let now = file.metadata().map(|m| (m.len(), m.modified().ok()));
+                if now.as_ref().ok() == Some(stamp) {
+                    return;
+                }
+                let cause = match now {
+                    Ok((len, _)) => format!(
+                        "the file changed since it was opened ({} bytes then, {len} now)",
+                        stamp.0
+                    ),
+                    Err(e) => e.to_string(),
+                };
+                let (off, end) = (c0 * CHUNK_BYTES, c1 * CHUNK_BYTES + self.chunk_len(c1));
+                panic!(
+                    "block fault failed reading {:?} at {off}..{end}: {cause}",
+                    self.path
+                );
             }
-            Backing::Heap(_) => unreachable!("heap segments never fault"),
+            Backing::Heap(_) => {}
         }
     }
 
@@ -390,34 +384,26 @@ impl Segment {
         }
         match &self.backing {
             #[cfg(unix)]
-            Backing::Pread { file, .. } => {
+            Backing::Mapped { file, .. } => {
                 use std::os::unix::fs::FileExt;
                 let mut bytes = vec![0u8; len];
                 file.read_exact_at(&mut bytes, off as u64)?;
                 Ok(bytes)
             }
-            // Mapped, or read whole at open: the bytes are there to copy.
-            _ => {
-                // SAFETY: a mapping and a heap backing both span `self.len`
-                // readable bytes from `base_ptr` for as long as `self`
-                // lives, and neither is ever written; `off + len` was
-                // checked against `self.len` above.
-                let bytes = unsafe { std::slice::from_raw_parts(self.base_ptr().add(off), len) };
-                Ok(bytes.to_vec())
-            }
+            Backing::Heap(buf) => Ok(buf.as_slice()[off..off + len].to_vec()),
         }
     }
 
-    /// Drop the physical pages of chunk `c`. Only called for evictable
-    /// (mmap) backings; returns false if the kernel refused.
+    /// Drop the physical pages of chunk `c`; false if the kernel refused
+    /// (or the backing is the heap, which never evicts).
     #[cfg_attr(not(unix), allow(unused_variables))]
     fn evict_chunk(&self, c: usize) -> bool {
         match &self.backing {
             #[cfg(unix)]
-            Backing::Mmap(m) => m
+            Backing::Mapped { map, .. } => map
                 .advise_dontneed(c * CHUNK_BYTES, self.chunk_len(c))
                 .is_ok(),
-            _ => false,
+            Backing::Heap(_) => false,
         }
     }
 }
@@ -427,7 +413,6 @@ impl std::fmt::Debug for Segment {
         f.debug_struct("Segment")
             .field("path", &self.path)
             .field("len", &self.len)
-            .field("heap", &self.is_heap())
             .field("mapped", &self.is_mapped())
             .finish()
     }
@@ -496,8 +481,8 @@ struct CacheInner {
 }
 
 /// Byte-accounted bounded-LRU over the chunks of every lazy [`Segment`] a
-/// worker has open. Eviction (mmap chunks only) picks the least-recently
-/// touched resident chunk; pread chunks count against the budget but pin.
+/// worker has open. Eviction picks the least-recently touched resident
+/// chunk.
 pub struct BlockCache {
     budget: usize,
     tick: AtomicU64,
@@ -553,46 +538,47 @@ impl BlockCache {
     }
 
     /// Fault in chunks `c0..=c1` of `seg`, then evict least-recently-used
-    /// evictable chunks until the gauge is back under budget.
+    /// chunks until the gauge is back under budget.
     fn fault(&self, seg: &Segment, c0: usize, c1: usize) {
+        seg.check_unchanged(c0, c1);
+        // The segments the eviction scan upgrades. They are dropped after
+        // the guard, never under it: when one is the last reference to its
+        // segment (its owner dropped it meanwhile), its `Drop` locks
+        // `inner`, which this thread would still hold.
+        let mut live: Vec<Arc<Segment>> = Vec::new();
         let mut inner = self.inner.lock();
         // lint: allow(relaxed, recency clock; ticks only order evictions and publish nothing)
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
         for c in c0..=c1 {
             if seg.chunks[c].load(Ordering::Acquire) & 1 == 1 {
-                // Sound even though this thread did not populate: the
-                // Acquire load above synchronized with the Release store
-                // that published the chunk, so this Release store
-                // transitively republishes the populated bytes along with
-                // the new tick.
+                // Resident already (another fault got here first): only
+                // the tick moves. The Acquire load above synchronized with
+                // the Release store that published the chunk, so this
+                // Release store republishes that fault with the new tick.
                 seg.chunks[c].store(tick << 1 | 1, Ordering::Release);
                 continue;
             }
-            seg.populate(c);
-            // Release: publishes `populate`'s buffer writes to any thread
-            // that later Acquire-loads this state word.
+            // Release: publishes this fault — the file check above
+            // included — to any thread that later Acquire-loads this
+            // state word.
             seg.chunks[c].store(tick << 1 | 1, Ordering::Release);
             let bytes = seg.chunk_len(c);
             inner.resident += bytes;
             inner.faults += 1;
             inner.bytes_faulted += bytes as u64;
         }
+        if inner.resident > self.budget {
+            live.extend(inner.segments.values().filter_map(Weak::upgrade));
+            inner.segments.retain(|_, weak| weak.strong_count() > 0);
+        }
         while inner.resident > self.budget {
-            // Least-recently-touched resident evictable chunk, skipping the
-            // chunks just faulted (they carry the freshest tick anyway, but
-            // a tiny budget must never evict its own working set mid-touch).
-            let mut victim: Option<(Arc<Segment>, usize, u64)> = None;
-            let mut dead: Vec<u64> = Vec::new();
-            for (&sid, weak) in inner.segments.iter() {
-                let Some(s) = weak.upgrade() else {
-                    dead.push(sid);
-                    continue;
-                };
-                if !s.evictable() {
-                    continue;
-                }
+            // Least-recently-touched resident chunk, skipping the chunks
+            // just faulted (they carry the freshest tick anyway, but a tiny
+            // budget must never evict its own working set mid-touch).
+            let mut victim: Option<(&Arc<Segment>, usize, u64)> = None;
+            for s in &live {
                 for c in 0..s.chunks.len() {
-                    if sid == seg.id && (c0..=c1).contains(&c) {
+                    if s.id == seg.id && (c0..=c1).contains(&c) {
                         continue;
                     }
                     // lint: allow(relaxed, recency-tick read for victim selection under the cache lock; no payload is read through it)
@@ -601,16 +587,16 @@ impl BlockCache {
                         continue;
                     }
                     let t = state >> 1;
-                    if victim.as_ref().is_none_or(|(_, _, vt)| t < *vt) {
-                        victim = Some((Arc::clone(&s), c, t));
+                    if victim.is_none_or(|(_, _, vt)| t < vt) {
+                        victim = Some((s, c, t));
                     }
                 }
             }
-            for sid in dead {
-                inner.segments.remove(&sid);
-            }
             let Some((vseg, vc, _)) = victim else {
-                break; // nothing evictable (pread-only residency, tiny budget)
+                // Only this fault's own chunks are left (or the bytes of a
+                // segment whose `Drop` is waiting for the lock): overshoot
+                // until a later fault can evict them.
+                break;
             };
             if !vseg.evict_chunk(vc) {
                 break;
@@ -619,6 +605,8 @@ impl BlockCache {
             inner.resident = inner.resident.saturating_sub(vseg.chunk_len(vc));
             inner.evictions += 1;
         }
+        drop(inner);
+        drop(live);
     }
 }
 
@@ -687,8 +675,8 @@ enum Repr<T> {
 /// A typed column buffer: owned heap values, or a zero-copy window into a
 /// [`Segment`]. All reads go through [`ValueBuf::slice`] (touch
 /// everything) or [`ValueBuf::hot`] (touch a sub-range at chunk
-/// granularity) so residency accounting — and, for the pread tier, the
-/// reads themselves — always happen before bytes are dereferenced.
+/// granularity) so residency accounting — and the file check each fault
+/// makes — always happen before bytes are dereferenced.
 ///
 /// Mapped windows can only be constructed for [`Pod`] element types (file
 /// bytes are reinterpreted in place); the owned representation works for
@@ -811,8 +799,8 @@ impl<T> ValueBuf<T> {
         }
     }
 
-    /// Bytes this buffer addresses through a lazy (mmap or pread) segment
-    /// — file-backed capacity, not heap footprint.
+    /// Bytes this buffer addresses through a lazy (mapped) segment —
+    /// file-backed capacity, not heap footprint.
     pub fn mapped_bytes(&self) -> usize {
         match &self.repr {
             Repr::Owned(_) => 0,
@@ -903,20 +891,16 @@ mod tests {
         vals.iter().flat_map(|v| v.to_le_bytes()).collect()
     }
 
-    /// The two lazily-resident tiers: every residency property holds under
-    /// both.
-    const LAZY: [SegmentMode; 2] = [SegmentMode::Auto, SegmentMode::Mmap];
-
     #[test]
     fn mapped_buf_reads_file_values_in_every_mode() {
         let vals: Vec<i64> = (0..50_000).map(|i| i * 3 - 7).collect();
         let (_dir, path) = write_tmp("modes.bin", &le_bytes(&vals));
-        for mode in [SegmentMode::Auto, SegmentMode::Mmap, SegmentMode::Heap] {
+        for mode in [SegmentMode::Auto, SegmentMode::Heap] {
             let cache = BlockCache::unbounded();
             let seg = Segment::open(&path, mode, &cache).unwrap();
-            assert_eq!(seg.is_heap(), mode == SegmentMode::Heap || cfg!(not(unix)));
-            let mapped = mode == SegmentMode::Mmap && cfg!(all(unix, not(miri)));
+            let mapped = mode == SegmentMode::Auto && cfg!(unix);
             assert_eq!(seg.is_mapped(), mapped, "{mode:?}");
+            assert_eq!(seg.is_heap(), !mapped, "{mode:?}");
             let buf = ValueBuf::<i64>::mapped(seg, 0, vals.len()).unwrap();
             assert_eq!(buf.slice(), &vals[..], "{mode:?}");
             assert_eq!(buf.hot(100..164)[100..164], vals[100..164], "{mode:?}");
@@ -927,52 +911,48 @@ mod tests {
     fn untouched_chunks_never_fault() {
         let vals: Vec<i64> = (0..100_000).collect(); // 800 KB ≈ 13 chunks
         let (_dir, path) = write_tmp("lazy.bin", &le_bytes(&vals));
-        for mode in LAZY {
-            let cache = BlockCache::unbounded();
-            let seg = Segment::open(&path, mode, &cache).unwrap();
-            let buf = ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, vals.len()).unwrap();
-            // Touch one 64-row frame: at most 2 chunks fault.
-            assert_eq!(buf.hot(0..64)[0..64], vals[0..64]);
-            let s = cache.stats();
-            assert!(s.faults <= 2, "faulted {} chunks for one frame", s.faults);
-            assert!(
-                (s.bytes_faulted as usize) < seg.len() / 4,
-                "one frame faulted {} of {} file bytes under {mode:?}",
-                s.bytes_faulted,
-                seg.len()
-            );
-        }
+        let cache = BlockCache::unbounded();
+        let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
+        let buf = ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, vals.len()).unwrap();
+        // Touch one 64-row frame: at most 2 chunks fault.
+        assert_eq!(buf.hot(0..64)[0..64], vals[0..64]);
+        let s = cache.stats();
+        assert!(s.faults <= 2, "faulted {} chunks for one frame", s.faults);
+        assert!(
+            (s.bytes_faulted as usize) < seg.len() / 4,
+            "one frame faulted {} of {} file bytes",
+            s.bytes_faulted,
+            seg.len()
+        );
     }
 
     #[test]
     fn repeated_touches_hit_not_fault() {
         let vals: Vec<i64> = (0..20_000).collect();
         let (_dir, path) = write_tmp("hits.bin", &le_bytes(&vals));
-        for mode in LAZY {
-            let cache = BlockCache::unbounded();
-            let seg = Segment::open(&path, mode, &cache).unwrap();
-            let buf = ValueBuf::<i64>::mapped(seg, 0, vals.len()).unwrap();
-            buf.slice();
-            let faults_once = cache.stats().faults;
-            buf.slice();
-            buf.hot(5..500);
-            let s = cache.stats();
-            assert_eq!(s.faults, faults_once, "re-touch refaulted under {mode:?}");
-            assert!(s.hits >= 2);
-        }
+        let cache = BlockCache::unbounded();
+        let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
+        let buf = ValueBuf::<i64>::mapped(seg, 0, vals.len()).unwrap();
+        buf.slice();
+        let faults_once = cache.stats().faults;
+        buf.slice();
+        buf.hot(5..500);
+        let s = cache.stats();
+        assert_eq!(s.faults, faults_once, "re-touch refaulted");
+        assert!(s.hits >= 2);
     }
 
     #[test]
-    #[cfg_attr(any(miri, not(unix)), ignore)]
+    #[cfg_attr(not(unix), ignore)]
     fn tiny_budget_evicts_and_rereads_correctly() {
-        let vals: Vec<i64> = (0..200_000i64)
+        let vals: Vec<i64> = (0..50_000i64)
             .map(|i| i.wrapping_mul(0x9E37_79B9))
             .collect();
         let (_dir, path) = write_tmp("evict.bin", &le_bytes(&vals));
-        // 1.6 MB file, 128 KiB budget (2 chunks): heavy churn.
+        // 400 KB file (7 chunks), 128 KiB budget (2 chunks): heavy churn.
         let cache = BlockCache::new(2 * CHUNK_BYTES);
-        let seg = Segment::open(&path, SegmentMode::Mmap, &cache).unwrap();
-        assert!(seg.is_mapped(), "mmap backing expected");
+        let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
+        assert!(seg.is_mapped(), "lazy backing expected");
         let buf = ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, vals.len()).unwrap();
         let heap_seg = Segment::open(&path, SegmentMode::Heap, &cache).unwrap();
         let heap = ValueBuf::<i64>::mapped(heap_seg, 0, vals.len()).unwrap();
@@ -998,31 +978,89 @@ mod tests {
         );
     }
 
+    /// One thread opens a segment, touches it and drops it, over and over,
+    /// while another faults a second segment under a one-chunk budget, so
+    /// every fault's eviction scan meets the first segment. The first
+    /// thread lets go while the second holds the cache lock — mid-scan,
+    /// often, and then the scan's reference is the last one. Dropping that
+    /// reference under the lock ran `Segment::drop`, which takes the same
+    /// lock: a self-deadlock. The dropped file is a sparse 64 MiB, so a scan
+    /// holds it across 1 024 chunks; a watchdog turns a hang into a failure.
+    #[test]
+    #[cfg_attr(any(miri, not(unix)), ignore)]
+    fn a_segment_dropped_during_an_eviction_scan_never_deadlocks() {
+        use std::sync::mpsc::RecvTimeoutError;
+        use std::time::{Duration, Instant};
+        let vals: Vec<i64> = (0..100_000).collect(); // 800 KB ≈ 13 chunks
+        let (dir, kept) = write_tmp("kept.bin", &le_bytes(&vals));
+        let dropped = dir.join("dropped.bin");
+        File::create(&dropped).unwrap().set_len(64 << 20).unwrap();
+        let cache = BlockCache::new(CHUNK_BYTES);
+        let until = Instant::now() + Duration::from_secs(1);
+        let (done, finished) = std::sync::mpsc::channel();
+        let threads = [(kept, true), (dropped, false)].map(|(path, faults)| {
+            let (cache, done) = (Arc::clone(&cache), done.clone());
+            std::thread::spawn(move || {
+                let open = || {
+                    let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
+                    ValueBuf::<i64>::mapped(seg, 0, 100_000).unwrap()
+                };
+                if faults {
+                    let kept = open();
+                    while Instant::now() < until {
+                        for i in (0..100_000).step_by(CHUNK_BYTES / 8) {
+                            kept.hot(i..i + 1);
+                        }
+                    }
+                } else {
+                    while Instant::now() < until {
+                        let buf = open();
+                        buf.hot(0..64);
+                        while cache.inner.try_lock().is_some() && Instant::now() < until {
+                            std::hint::spin_loop();
+                        }
+                        drop(buf);
+                    }
+                }
+                done.send(()).unwrap();
+            })
+        });
+        // Not joined until both report: a deadlocked thread never would be.
+        drop(done);
+        for _ in 0..2 {
+            match finished.recv_timeout(Duration::from_secs(30)) {
+                Err(RecvTimeoutError::Timeout) => {
+                    panic!("a thread hung: a fault deadlocked on the cache lock")
+                }
+                Ok(()) | Err(RecvTimeoutError::Disconnected) => {}
+            }
+        }
+        for thread in threads {
+            thread.join().expect("a racing thread panicked");
+        }
+    }
+
     #[test]
     fn dropping_a_segment_releases_its_residency() {
         let vals: Vec<i64> = (0..50_000).collect();
         let (_dir, path) = write_tmp("drop.bin", &le_bytes(&vals));
         let cache = BlockCache::unbounded();
-        for mode in LAZY {
-            let seg = Segment::open(&path, mode, &cache).unwrap();
-            let buf = ValueBuf::<i64>::mapped(seg, 0, vals.len()).unwrap();
-            buf.slice();
-            assert!(cache.stats().resident_bytes > 0);
-            drop(buf);
-            assert_eq!(cache.stats().resident_bytes, 0, "{mode:?}");
-        }
+        let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
+        let buf = ValueBuf::<i64>::mapped(seg, 0, vals.len()).unwrap();
+        buf.slice();
+        assert!(cache.stats().resident_bytes > 0);
+        drop(buf);
+        assert_eq!(cache.stats().resident_bytes, 0);
     }
 
     #[test]
     fn mapped_window_validation() {
         let (_dir, path) = write_tmp("valid.bin", &le_bytes(&[1, 2, 3, 4]));
         let cache = BlockCache::unbounded();
-        for mode in LAZY {
-            let seg = Segment::open(&path, mode, &cache).unwrap();
-            assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, 4).is_ok());
-            assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, 5).is_err());
-            assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 3, 1).is_err());
-        }
+        let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
+        assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, 4).is_ok());
+        assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, 5).is_err());
+        assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 3, 1).is_err());
     }
 
     #[test]
@@ -1032,15 +1070,13 @@ mod tests {
         let cache = BlockCache::unbounded();
         let owned: ValueBuf<i64> = vals.into();
         assert_eq!(owned.heap_bytes(), 5_000 * 8);
-        for mode in LAZY {
-            let seg = Segment::open(&path, mode, &cache).unwrap();
-            let mapped = ValueBuf::<i64>::mapped(seg, 0, owned.len()).unwrap();
-            assert_eq!(owned, mapped);
-            #[cfg(unix)]
-            {
-                assert_eq!(mapped.heap_bytes(), 0, "{mode:?}");
-                assert_eq!(mapped.mapped_bytes(), 5_000 * 8, "{mode:?}");
-            }
+        let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
+        let mapped = ValueBuf::<i64>::mapped(seg, 0, owned.len()).unwrap();
+        assert_eq!(owned, mapped);
+        #[cfg(unix)]
+        {
+            assert_eq!(mapped.heap_bytes(), 0);
+            assert_eq!(mapped.mapped_bytes(), 5_000 * 8);
         }
     }
 

@@ -119,11 +119,9 @@ pub struct ClusterConfig {
     /// worker-level summaries, LRU-evicted past this bound.
     pub cache_budget_bytes: usize,
     /// Byte budget of each worker's block-residency cache: chunks of
-    /// mapped (out-of-core) columns faulted in by scans are charged here,
-    /// and those of a source opened with
-    /// [`SegmentMode::Mmap`](hillview_columnar::SegmentMode) are evicted
-    /// LRU past this bound, so a worker can browse datasets far larger
-    /// than its memory. `0` means unbounded.
+    /// mapped (out-of-core) columns faulted in by scans are charged here
+    /// and evicted LRU past this bound, so a worker can browse datasets far
+    /// larger than its memory. `0` means unbounded.
     pub block_cache_bytes: usize,
 }
 

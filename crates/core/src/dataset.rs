@@ -218,14 +218,14 @@ pub struct HvcDirSource {
 
 impl HvcDirSource {
     /// A source named `name` over the `hvc` files in `dir`, opened with
-    /// the default residency policy ([`SegmentMode::Auto`]: lazily faulted,
-    /// pinned pread buffers).
+    /// the default residency policy ([`SegmentMode::Auto`]: zero-copy
+    /// windows over the mapped files, faulted in as scans touch them and
+    /// evicted past the worker's block-cache budget).
     pub fn new(name: &str, dir: impl Into<PathBuf>) -> Self {
         Self::with_mode(name, dir, SegmentMode::Auto)
     }
 
-    /// Same, choosing how part files are opened: `Mmap` for zero-copy
-    /// windows whose chunks the block cache evicts, `Heap` for an eager
+    /// Same, choosing how part files are opened: `Heap` for an eager
     /// baseline.
     pub fn with_mode(name: &str, dir: impl Into<PathBuf>, mode: SegmentMode) -> Self {
         HvcDirSource {

@@ -36,11 +36,10 @@
 //!   [`Cluster::dataset_mapped_bytes`] and [`Cluster::block_cache_stats`]
 //!   surface the accounting ([`Cluster::dataset_heap_bytes`] counts only
 //!   owned payloads, and of a mapped dataset's dictionaries those a query
-//!   has presented so far). The tier is the source's choice, at run time:
-//!   [`HvcDirSource::new`] fills pinned buffers lazily with positioned
-//!   reads; [`HvcDirSource::with_mode`] with `SegmentMode::Mmap` makes the
-//!   columns zero-copy mmap windows whose cold chunks are evicted past the
-//!   budget.
+//!   has presented so far). [`HvcDirSource::new`] makes the columns
+//!   zero-copy windows over the mapped files whose cold chunks are evicted
+//!   past the budget; [`HvcDirSource::with_mode`] with `SegmentMode::Heap`
+//!   reads every part eagerly instead.
 //! * **Caches** ([`worker`], [`cache`]): an in-memory column/data cache
 //!   in front of the repository, plus a bounded per-worker LRU
 //!   sketch-result cache for deterministic summaries (§5.4), keyed by

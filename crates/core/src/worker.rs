@@ -47,9 +47,9 @@ pub struct Worker {
     datasets: Mutex<HashMap<DatasetId, DatasetEntry>>,
     comp_cache: SketchCache,
     /// Byte-budgeted residency cache for out-of-core (mapped) datasets:
-    /// every chunk a scan faults in is charged here, and cold chunks of
-    /// `SegmentMode::Mmap` sources past the budget are evicted back to the
-    /// file. Unused (zero-cost) when every source is in-memory.
+    /// every chunk a scan faults in is charged here, and cold chunks past
+    /// the budget are evicted back to the file. Unused (zero-cost) when
+    /// every source is in-memory.
     block_cache: Arc<BlockCache>,
     alive: AtomicBool,
     sources: SourceRegistry,

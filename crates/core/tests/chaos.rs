@@ -29,9 +29,8 @@
 //! CI sets `CHAOS_SEEDS=64`; the local default keeps the suite quick.
 //!
 //! The grid runs twice: over in-memory shards, and over spilled `hvc`
-//! parts opened through each lazy residency tier under a 4 KiB block
-//! cache, where the bytes a leaf scans are faulted — and on the mapped
-//! tier evicted — while the adversary is at work.
+//! parts opened lazily under a 4 KiB block cache, where the bytes a leaf
+//! scans are faulted and evicted while the adversary is at work.
 
 use bytes::Bytes;
 use hillview_columnar::column::{Column, I64Column};
@@ -300,16 +299,16 @@ fn seeded_chaos_grid_preserves_failure_semantics() {
 }
 
 /// The same grid over bytes a scan faults in: spilled `hvc` parts opened
-/// through each lazy tier under a 4 KiB block cache, so every part a query
-/// touches pushes out — on the mapped tier, evicts — the one before it
-/// while leaves panic, workers die and datasets are dropped and replayed.
-/// The baseline is the heap-resident answer: complete means equal to it.
+/// lazily under a 4 KiB block cache, so every part a query touches evicts
+/// the one before it while leaves panic, workers die and datasets are
+/// dropped and replayed. The baseline is the heap-resident answer:
+/// complete means equal to it.
 #[test]
 #[cfg_attr(miri, ignore)]
 fn seeded_chaos_grid_over_spilled_parts_under_a_tiny_block_cache() {
     const ROWS: i64 = 40_000;
-    // A part is a micropartition under every tier (the heap loader splits
-    // at `micropartition_rows`, the lazy ones never split), so the
+    // A part is a micropartition under both tiers (the heap loader splits
+    // at `micropartition_rows`, the lazy one never splits), so the
     // order-sensitive sketches of the grid see the same row sequences.
     const PART_ROWS: usize = 5_000;
     let dir = TempDir::new("chaos-parts");
@@ -342,32 +341,28 @@ fn seeded_chaos_grid_over_spilled_parts_under_a_tiny_block_cache() {
     let resident = heap.load("parts", 0).unwrap();
     let baselines = clean_baselines(&|sk, opts| heap.run_erased(resident, sk, opts));
 
-    for mode in [SegmentMode::Auto, SegmentMode::Mmap] {
-        let mut tally = Tally::default();
-        let mut evictions = 0;
-        for seed in seed_range().enumerate() {
-            let engine = engine_over(mode);
-            let lazy = engine.load("parts", 0).unwrap();
-            let run: Query<'_> = &|sk, opts| engine.run_erased(lazy, sk, opts);
-            assert_eq!(
-                clean_baselines(run),
-                baselines,
-                "{mode:?}: fault-free answer diverged from heap-resident"
-            );
-            chaos_then_heal(&engine, run, &baselines, seed, &mut tally);
-            evictions += engine.cluster().block_cache_stats().evictions;
-        }
-        eprintln!(
-            "chaos grid over {mode:?} parts: {} complete, {} degraded, {} errored; faults \
-             fired in {} seed(s); {evictions} chunks evicted",
-            tally.complete, tally.degraded, tally.errored, tally.fired
+    let mut tally = Tally::default();
+    let mut evictions = 0;
+    for seed in seed_range().enumerate() {
+        let engine = engine_over(SegmentMode::Auto);
+        let lazy = engine.load("parts", 0).unwrap();
+        let run: Query<'_> = &|sk, opts| engine.run_erased(lazy, sk, opts);
+        assert_eq!(
+            clean_baselines(run),
+            baselines,
+            "fault-free answer diverged from heap-resident"
         );
-        assert!(tally.fired > 0, "{mode:?}: no fault was ever injected");
-        if mode == SegmentMode::Mmap && cfg!(all(unix, target_endian = "little")) {
-            assert!(evictions > 0, "a 4 KiB budget over mapped parts must evict");
-        } else {
-            assert_eq!(evictions, 0, "{mode:?} chunks are pinned");
-        }
+        chaos_then_heal(&engine, run, &baselines, seed, &mut tally);
+        evictions += engine.cluster().block_cache_stats().evictions;
+    }
+    eprintln!(
+        "chaos grid over spilled parts: {} complete, {} degraded, {} errored; faults \
+         fired in {} seed(s); {evictions} chunks evicted",
+        tally.complete, tally.degraded, tally.errored, tally.fired
+    );
+    assert!(tally.fired > 0, "no fault was ever injected");
+    if cfg!(all(unix, target_endian = "little")) {
+        assert!(evictions > 0, "a 4 KiB budget over mapped parts must evict");
     }
 }
 

@@ -1,9 +1,7 @@
 //! End-to-end out-of-core execution: a spilled `hvc` part directory loaded
 //! through [`HvcDirSource`] under a deliberately tiny per-worker block
 //! cache, queried fused, faulted, recovered — and bit-identical to the
-//! heap-resident baseline throughout, under both lazy tiers (the pinned
-//! pread buffers `SegmentMode::Auto` opens and the evictable mapping
-//! `SegmentMode::Mmap` asks for).
+//! heap-resident baseline throughout.
 //!
 //! What this pins down, beyond the storage-level property tests:
 //!
@@ -13,7 +11,10 @@
 //!   sorted column faults in a small fraction of the mapped span, and the
 //!   untouched second column faults nothing,
 //! * lineage replay after evictions/kills re-opens part files and still
-//!   reproduces the heap answer exactly,
+//!   reproduces the heap answer exactly, while the block cache evicts
+//!   down to its budget,
+//! * a part truncated under its mapping fails the queries that fault it —
+//!   as a structured error, not a signal — and no other query,
 //! * heap/mapped accounting split: mapped datasets report `mapped_bytes`,
 //!   not `heap_bytes`,
 //! * double columns fault frame by frame, raw and encoded alike,
@@ -24,6 +25,7 @@
 
 use hillview_columnar::column::{Column, F64Column, I64Column};
 use hillview_columnar::dictionary::{Dictionary, DictionaryBuilder};
+use hillview_columnar::residency::CHUNK_BYTES;
 use hillview_columnar::udf::UdfRegistry;
 use hillview_columnar::{ColumnKind, EncodingKind, Predicate, SegmentMode, Table, TempDir};
 use hillview_core::dataset::SourceRegistry;
@@ -77,18 +79,18 @@ fn spill_dataset(tag: &str) -> TempDir {
     dir
 }
 
-/// The two lazily-resident tiers; every test below runs under both, each
-/// on an engine (and so on block caches) of its own.
-const LAZY: [SegmentMode; 2] = [SegmentMode::Auto, SegmentMode::Mmap];
-
-/// An engine whose "mapped" source opens the part directory through the
-/// lazy tier `mode` and whose "heap" source decodes the same files eagerly.
-/// The block cache is tiny relative to the dataset so residency churns.
-fn ooc_engine(dir: &Path, mode: SegmentMode, block_cache_bytes: usize) -> Engine {
+/// An engine whose "mapped" source opens the part directory as
+/// [`HvcDirSource::new`] does — lazily — and whose "heap" source decodes the
+/// same files eagerly. The block cache is tiny relative to the dataset so
+/// residency churns.
+fn ooc_engine(dir: &Path, block_cache_bytes: usize) -> Engine {
     let mut sources = SourceRegistry::new();
-    for (name, mode) in [("mapped", mode), ("heap", SegmentMode::Heap)] {
-        sources.register(Arc::new(HvcDirSource::with_mode(name, dir, mode)));
-    }
+    sources.register(Arc::new(HvcDirSource::new("mapped", dir)));
+    sources.register(Arc::new(HvcDirSource::with_mode(
+        "heap",
+        dir,
+        SegmentMode::Heap,
+    )));
     let cfg = ClusterConfig {
         micropartition_rows: 25_000,
         block_cache_bytes,
@@ -101,6 +103,12 @@ fn histogram() -> HistogramSketch {
     HistogramSketch::streaming("X", BucketSpec::numeric(0.0, ROWS as f64, 20))
 }
 
+/// Every row of the shuffled `Y`: a scan that meets every chunk of every
+/// part.
+fn full_scan() -> HistogramSketch {
+    HistogramSketch::streaming("Y", BucketSpec::numeric(0.0, 4096.0, 16))
+}
+
 /// The zone-skippable drill-down: a 5% contiguous band of the sorted ramp.
 fn band() -> Predicate {
     Predicate::range("X", 10_000.0, 20_000.0)
@@ -109,13 +117,7 @@ fn band() -> Predicate {
 #[test]
 fn mapped_scan_is_bit_identical_to_heap_and_prunes_io() {
     let dir = spill_dataset("ooc-engine-identity");
-    for mode in LAZY {
-        identical_and_pruned(dir.path(), mode);
-    }
-}
-
-fn identical_and_pruned(dir: &Path, mode: SegmentMode) {
-    let e = ooc_engine(dir, mode, 64 << 10);
+    let e = ooc_engine(dir.path(), 64 << 10);
     let mapped = e.load("mapped", 0).unwrap();
     let heap = e.load("heap", 0).unwrap();
 
@@ -139,7 +141,7 @@ fn identical_and_pruned(dir: &Path, mode: SegmentMode) {
         let (h, _) = e
             .run_filtered(heap, band(), histogram(), &QueryOptions::default())
             .unwrap();
-        assert_eq!(m, h, "{mode:?} result diverged from heap-resident");
+        assert_eq!(m, h, "mapped result diverged from heap-resident");
         let m: HistogramSummary = m;
         assert_eq!(m.buckets.iter().sum::<u64>(), 10_000, "5% band");
 
@@ -149,7 +151,7 @@ fn identical_and_pruned(dir: &Path, mode: SegmentMode) {
         assert!(faulted > 0, "a cold mapped scan must fault something");
         assert!(
             faulted * 5 <= span as u64,
-            "zone-skippable band faulted {faulted} of {span} {mode:?} bytes \
+            "zone-skippable band faulted {faulted} of {span} mapped bytes \
              (> 20%) — block pruning is not reaching the I/O layer"
         );
     } else {
@@ -205,40 +207,37 @@ fn double_columns_fault_frame_by_frame() {
     if cfg!(target_endian = "big") {
         return; // big-endian hosts load heap everywhere: nothing to fault
     }
-    for mode in LAZY {
-        // A cache that holds everything: faults count first touches only.
-        let e = ooc_engine(dir.path(), mode, 64 << 20);
-        let mapped = e.load("mapped", 0).unwrap();
-        let heap = e.load("heap", 0).unwrap();
-        let span = e.cluster().dataset_mapped_bytes(mapped) as u64;
-        let plain_span = (ROWS * 8) as u64;
-        for (column, value, column_span) in [
-            ("P", &plain as &dyn Fn(usize) -> f64, plain_span),
-            ("E", &encoded, span - plain_span),
-        ] {
-            let sketch =
-                || HistogramSketch::streaming(column, BucketSpec::numeric(0.0, value(ROWS), 20));
-            let band = Predicate::range(column, value(ROWS / 2), value(ROWS / 2 + ROWS / 20));
-            let before = e.cluster().block_cache_stats().bytes_faulted;
-            let (m, _) = e
-                .run_filtered(mapped, band.clone(), sketch(), &QueryOptions::default())
-                .unwrap();
-            let faulted = e.cluster().block_cache_stats().bytes_faulted - before;
-            let (h, _) = e
-                .run_filtered(heap, band, sketch(), &QueryOptions::default())
-                .unwrap();
-            assert_eq!(m, h, "{column}: mapped result diverged from heap-resident");
-            assert!(m.buckets.iter().sum::<u64>() > 0, "{column}: empty band");
-            assert!(
-                faulted > 0,
-                "{column}: a cold mapped scan must fault something"
-            );
-            assert!(
-                faulted * 2 <= column_span,
-                "{column}: a 5% band faulted {faulted} of the column's {column_span} mapped \
+    let e = ooc_engine(dir.path(), 64 << 20);
+    let mapped = e.load("mapped", 0).unwrap();
+    let heap = e.load("heap", 0).unwrap();
+    let span = e.cluster().dataset_mapped_bytes(mapped) as u64;
+    let plain_span = (ROWS * 8) as u64;
+    for (column, value, column_span) in [
+        ("P", &plain as &dyn Fn(usize) -> f64, plain_span),
+        ("E", &encoded, span - plain_span),
+    ] {
+        let sketch =
+            || HistogramSketch::streaming(column, BucketSpec::numeric(0.0, value(ROWS), 20));
+        let band = Predicate::range(column, value(ROWS / 2), value(ROWS / 2 + ROWS / 20));
+        let before = e.cluster().block_cache_stats().bytes_faulted;
+        let (m, _) = e
+            .run_filtered(mapped, band.clone(), sketch(), &QueryOptions::default())
+            .unwrap();
+        let faulted = e.cluster().block_cache_stats().bytes_faulted - before;
+        let (h, _) = e
+            .run_filtered(heap, band, sketch(), &QueryOptions::default())
+            .unwrap();
+        assert_eq!(m, h, "{column}: mapped result diverged from heap-resident");
+        assert!(m.buckets.iter().sum::<u64>() > 0, "{column}: empty band");
+        assert!(
+            faulted > 0,
+            "{column}: a cold mapped scan must fault something"
+        );
+        assert!(
+            faulted * 2 <= column_span,
+            "{column}: a 5% band faulted {faulted} of the column's {column_span} mapped \
              bytes — doubles are not read frame by frame"
-            );
-        }
+        );
     }
 }
 
@@ -246,15 +245,9 @@ fn double_columns_fault_frame_by_frame() {
 #[cfg_attr(miri, ignore)]
 fn tiny_block_cache_survives_eviction_and_kill_chaos() {
     let dir = spill_dataset("ooc-engine-chaos");
-    for mode in LAZY {
-        eviction_and_kill_chaos(dir.path(), mode);
-    }
-}
-
-fn eviction_and_kill_chaos(dir: &Path, mode: SegmentMode) {
     // 4 KiB per worker: far below one 64 KiB residency chunk, so every
     // fault of a *different* part file must evict the previous one.
-    let e = ooc_engine(dir, mode, 4 << 10);
+    let e = ooc_engine(dir.path(), 4 << 10);
     let mapped = e.load("mapped", 0).unwrap();
     let heap = e.load("heap", 0).unwrap();
     // Four 5% bands in four different part files, spread across both
@@ -278,7 +271,7 @@ fn eviction_and_kill_chaos(dir: &Path, mode: SegmentMode) {
         assert_eq!(
             &answer(mapped, b),
             r,
-            "{mode:?} diverged from heap-resident"
+            "mapped scan diverged from heap-resident"
         );
     }
 
@@ -308,30 +301,82 @@ fn eviction_and_kill_chaos(dir: &Path, mode: SegmentMode) {
                 .unwrap();
             assert_eq!(
                 &s, reference,
-                "round {round}: recovered {mode:?} scan diverged from the \
+                "round {round}: recovered mapped scan diverged from the \
                  heap-resident answer"
             );
         }
     }
     e.cluster().disarm_faults();
+    let (full, _) = e
+        .run(mapped, full_scan(), &QueryOptions::default())
+        .unwrap();
+    let (reference, _) = e.run(heap, full_scan(), &QueryOptions::default()).unwrap();
+    assert_eq!(full, reference, "the full scan diverged from heap-resident");
 
     let stats = e.cluster().block_cache_stats();
-    if cfg!(target_endian = "little") {
+    if cfg!(all(unix, target_endian = "little")) {
         assert!(stats.faults > 0, "mapped scans never faulted");
-        // Under the mmap tier a 4 KiB budget cannot hold the touched
-        // band, so eviction must actually churn; the pread tier pins
-        // resident chunks.
-        if mode == SegmentMode::Mmap && cfg!(unix) {
-            assert!(
-                stats.evictions > 0,
-                "tiny budget never evicted (resident {} / budget {})",
-                stats.resident_bytes,
-                stats.budget
-            );
-        } else {
-            assert_eq!(stats.evictions, 0, "{mode:?} chunks are pinned");
+        // A 4 KiB budget cannot hold the touched band, so eviction must
+        // actually churn — and it ends within the budget but for the
+        // chunks of each worker's last touch (a 64-row frame straddles at
+        // most two), which a fault never evicts. A tier that pinned its
+        // chunks would still hold every one the full scan met.
+        assert!(
+            stats.evictions > 0,
+            "tiny budget never evicted (resident {} / budget {})",
+            stats.resident_bytes,
+            stats.budget
+        );
+        let last_touches = (e.cluster().num_workers() * 2 * CHUNK_BYTES) as u64;
+        assert!(
+            stats.resident_bytes <= stats.budget + last_touches,
+            "resident {} over the {} B budget",
+            stats.resident_bytes,
+            stats.budget
+        );
+    }
+}
+
+/// A part cut short under its mapping, before any query touches it: the
+/// `fstat` every block fault makes sees the change, so the scan ends in the
+/// structured error of a panicked leaf — where a load through the mapping
+/// would have been a `SIGBUS` — and the process, its workers and every
+/// other dataset carry on.
+#[test]
+#[cfg_attr(miri, ignore)]
+fn a_part_truncated_under_its_mapping_is_an_error_not_a_signal() {
+    let cut = spill_dataset("ooc-engine-cut");
+    let whole = spill_dataset("ooc-engine-whole");
+    let mut sources = SourceRegistry::new();
+    sources.register(Arc::new(HvcDirSource::new("cut", cut.path())));
+    sources.register(Arc::new(HvcDirSource::new("whole", whole.path())));
+    let cfg = ClusterConfig {
+        block_cache_bytes: 4 << 10,
+        ..ClusterConfig::test()
+    };
+    let e = Engine::new(Cluster::new(cfg, sources, UdfRegistry::with_builtins()));
+    let (cut_id, whole_id) = (e.load("cut", 0).unwrap(), e.load("whole", 0).unwrap());
+    let part = &list_parts(cut.path()).unwrap()[0];
+    let len = std::fs::metadata(part).unwrap().len();
+    let file = std::fs::OpenOptions::new().write(true).open(part).unwrap();
+    file.set_len(len / 2).unwrap();
+
+    let run = |dataset| e.run(dataset, full_scan(), &QueryOptions::default());
+    if cfg!(all(unix, target_endian = "little")) {
+        let last = match run(cut_id).unwrap_err() {
+            EngineError::RetriesExhausted { last, .. } => *last,
+            other => other,
+        };
+        match last {
+            EngineError::LeafPanicked { message, .. } => {
+                assert!(message.contains("block fault failed"), "{message}");
+                assert!(message.contains("changed since it was opened"), "{message}");
+            }
+            other => panic!("expected a panicked leaf, got {other}"),
         }
     }
+    let (answer, _) = run(whole_id).unwrap();
+    assert_eq!(answer.buckets.iter().sum::<u64>(), ROWS as u64);
 }
 
 /// 40 000 flights in four parts: seven string columns beside the numbers.
@@ -378,39 +423,37 @@ fn a_mapped_dataset_holds_the_dictionaries_its_queries_presented() {
     if cfg!(target_endian = "big") {
         return; // big-endian hosts load heap everywhere: nothing is deferred
     }
-    for mode in LAZY {
-        let e = ooc_engine(dir.path(), mode, 64 << 20);
-        let mapped = e.load("mapped", 0).unwrap();
-        let heap_side = || e.cluster().dataset_heap_bytes(mapped);
-        let opened = heap_side();
-        let present = |column: &str| {
-            let sketch = DistinctSketch::new(column);
-            e.run(mapped, sketch, &QueryOptions::default()).unwrap();
-        };
+    let e = ooc_engine(dir.path(), 64 << 20);
+    let mapped = e.load("mapped", 0).unwrap();
+    let heap_side = || e.cluster().dataset_heap_bytes(mapped);
+    let opened = heap_side();
+    let present = |column: &str| {
+        let sketch = DistinctSketch::new(column);
+        e.run(mapped, sketch, &QueryOptions::default()).unwrap();
+    };
 
-        // Numbers present no string.
-        delays(&e, mapped);
-        assert_eq!(heap_side(), opened, "a numeric query parsed a dictionary");
-        // One string column costs its own dictionaries, to the byte, once.
-        present("Origin");
-        assert_eq!(heap_side(), opened + weigh("Origin"));
-        present("Origin");
-        assert_eq!(heap_side(), opened + weigh("Origin"));
-        // All of them cost all of them: `opened` held none.
-        for column in &strings {
-            present(column);
-        }
-        let all: usize = strings.iter().map(|s| weigh(s)).sum();
-        assert!(
-            all > 10 * opened,
-            "{all} B of dictionaries, {opened} B beside"
-        );
-        assert_eq!(heap_side(), opened + all);
-        // A replayed open starts over.
-        e.cluster().evict_all();
-        delays(&e, mapped);
-        assert_eq!(heap_side(), opened, "the replayed open kept a dictionary");
+    // Numbers present no string.
+    delays(&e, mapped);
+    assert_eq!(heap_side(), opened, "a numeric query parsed a dictionary");
+    // One string column costs its own dictionaries, to the byte, once.
+    present("Origin");
+    assert_eq!(heap_side(), opened + weigh("Origin"));
+    present("Origin");
+    assert_eq!(heap_side(), opened + weigh("Origin"));
+    // All of them cost all of them: `opened` held none.
+    for column in &strings {
+        present(column);
     }
+    let all: usize = strings.iter().map(|s| weigh(s)).sum();
+    assert!(
+        all > 10 * opened,
+        "{all} B of dictionaries, {opened} B beside"
+    );
+    assert_eq!(heap_side(), opened + all);
+    // A replayed open starts over.
+    e.cluster().evict_all();
+    delays(&e, mapped);
+    assert_eq!(heap_side(), opened, "the replayed open kept a dictionary");
 }
 
 #[test]
@@ -456,9 +499,9 @@ fn concurrent_first_touches_parse_a_dictionary_once() {
 #[test]
 fn a_damaged_dictionary_fails_the_queries_that_present_it_and_no_other() {
     let dir = spill_flights("ooc-engine-damaged");
-    let engines = LAZY.map(|mode| ooc_engine(dir.path(), mode, 64 << 20));
+    let e = ooc_engine(dir.path(), 64 << 20);
     // The reference, read while the files are sound.
-    let heaps = [0, 1].map(|i| engines[i].load("heap", 0).unwrap());
+    let heap = e.load("heap", 0).unwrap();
 
     // Break the first part's `TailNum` section: its first entry's first byte
     // becomes one no UTF-8 string holds.
@@ -486,35 +529,33 @@ fn a_damaged_dictionary_fails_the_queries_that_present_it_and_no_other() {
         return; // big-endian hosts read every part on the heap
     }
 
-    for (e, heap) in engines.iter().zip(heaps) {
-        // The mapped open never reads the section; numbers and the other
-        // strings answer as before.
-        let mapped = e.load("mapped", 0).unwrap();
-        assert_eq!(delays(e, mapped), delays(e, heap));
-        let distinct = |dataset, column: &str| {
-            e.run(
-                dataset,
-                DistinctSketch::new(column),
-                &QueryOptions::default(),
-            )
-            .map(|(summary, _)| summary)
-        };
-        assert_eq!(distinct(mapped, "Origin"), distinct(heap, "Origin"));
-        // The column itself ends in the structured error of a panicked leaf,
-        // which names it — every attempt of the recovery loop, replay included.
-        let err = distinct(mapped, "TailNum").unwrap_err();
-        let last = match err {
-            EngineError::RetriesExhausted { last, .. } => *last,
-            other => other,
-        };
-        match last {
-            EngineError::LeafPanicked { message, .. } => {
-                assert!(message.contains("\"TailNum\""), "{message}");
-                assert!(message.contains("UTF-8"), "{message}");
-            }
-            other => panic!("expected a panicked leaf, got {other}"),
+    // The mapped open never reads the section; numbers and the other
+    // strings answer as before.
+    let mapped = e.load("mapped", 0).unwrap();
+    assert_eq!(delays(&e, mapped), delays(&e, heap));
+    let distinct = |dataset, column: &str| {
+        e.run(
+            dataset,
+            DistinctSketch::new(column),
+            &QueryOptions::default(),
+        )
+        .map(|(summary, _)| summary)
+    };
+    assert_eq!(distinct(mapped, "Origin"), distinct(heap, "Origin"));
+    // The column itself ends in the structured error of a panicked leaf,
+    // which names it — every attempt of the recovery loop, replay included.
+    let err = distinct(mapped, "TailNum").unwrap_err();
+    let last = match err {
+        EngineError::RetriesExhausted { last, .. } => *last,
+        other => other,
+    };
+    match last {
+        EngineError::LeafPanicked { message, .. } => {
+            assert!(message.contains("\"TailNum\""), "{message}");
+            assert!(message.contains("UTF-8"), "{message}");
         }
-        // And the workers are still there.
-        assert_eq!(delays(e, mapped), delays(e, heap));
+        other => panic!("expected a panicked leaf, got {other}"),
     }
+    // And the workers are still there.
+    assert_eq!(delays(&e, mapped), delays(&e, heap));
 }

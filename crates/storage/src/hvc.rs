@@ -1073,10 +1073,6 @@ mod tests {
     use hillview_columnar::{TempDir, Value};
     use hillview_data::{generate_flights, generate_logs, FlightsConfig, LogsConfig};
 
-    /// The two lazily-resident tiers: a mapped open means the same under
-    /// both.
-    const LAZY: [SegmentMode; 2] = [SegmentMode::Auto, SegmentMode::Mmap];
-
     /// Every column kind, every integer encoding, nulls in each family.
     fn mixed_table(n: usize) -> Table {
         Table::builder()
@@ -1465,7 +1461,7 @@ mod tests {
         write_file(&t, &p).unwrap();
         let heap = read_file(&p).unwrap();
         assert_tables_identical(&t, &heap);
-        for mode in [SegmentMode::Auto, SegmentMode::Mmap, SegmentMode::Heap] {
+        for mode in [SegmentMode::Auto, SegmentMode::Heap] {
             let cache = BlockCache::unbounded();
             let m = read_file_mapped(&p, &cache, mode).unwrap();
             assert_tables_identical(&heap, &m);
@@ -1489,15 +1485,13 @@ mod tests {
         let t = mixed_table(5000);
         let p = d.join("lazy.hvc");
         write_file(&t, &p).unwrap();
-        for mode in LAZY {
-            let cache = BlockCache::unbounded();
-            let m = read_file_mapped(&p, &cache, mode).unwrap();
-            assert_eq!(cache.stats().faults, 0, "open faulted payload in");
-            assert!(m.mapped_bytes() > 0, "columns are file-backed");
-            // First actual access faults.
-            let _ = m.column_by_name("noise").unwrap().value(4321);
-            assert!(cache.stats().faults > 0, "{mode:?}");
-        }
+        let cache = BlockCache::unbounded();
+        let m = read_file_mapped(&p, &cache, SegmentMode::Auto).unwrap();
+        assert_eq!(cache.stats().faults, 0, "open faulted payload in");
+        assert!(m.mapped_bytes() > 0, "columns are file-backed");
+        // First actual access faults.
+        let _ = m.column_by_name("noise").unwrap().value(4321);
+        assert!(cache.stats().faults > 0);
     }
 
     #[test]
@@ -1880,13 +1874,11 @@ mod tests {
         }
         std::fs::write(&p, &bytes).unwrap();
         let cache = BlockCache::unbounded();
-        for mode in LAZY {
-            let err = read_file_mapped(&p, &cache, mode).unwrap_err();
-            assert!(
-                err.to_string().contains("out of dictionary range"),
-                "got {err}"
-            );
-        }
+        let err = read_file_mapped(&p, &cache, SegmentMode::Auto).unwrap_err();
+        assert!(
+            err.to_string().contains("out of dictionary range"),
+            "got {err}"
+        );
     }
 
     #[test]
@@ -1920,10 +1912,8 @@ mod tests {
         let p = d.join("allnull.hvc");
         write_file(&t, &p).unwrap();
         let cache = BlockCache::unbounded();
-        for mode in LAZY {
-            let m = read_file_mapped(&p, &cache, mode).unwrap();
-            assert_tables_identical(&t2, &m);
-        }
+        let m = read_file_mapped(&p, &cache, SegmentMode::Auto).unwrap();
+        assert_tables_identical(&t2, &m);
     }
 
     #[test]
@@ -1945,12 +1935,10 @@ mod tests {
         let p = d.join("nan.hvc");
         write_file(&t, &p).unwrap();
         let cache = BlockCache::unbounded();
-        for mode in LAZY {
-            let m = read_file_mapped(&p, &cache, mode).unwrap();
-            let c = m.column_by_name("x").unwrap().as_f64_col().unwrap();
-            assert_eq!(c.get(0), Some(1.0));
-            assert_eq!(c.get(1), None, "NaN row stays null");
-            assert_eq!(c.nulls().null_count(), 2);
-        }
+        let m = read_file_mapped(&p, &cache, SegmentMode::Auto).unwrap();
+        let c = m.column_by_name("x").unwrap().as_f64_col().unwrap();
+        assert_eq!(c.get(0), Some(1.0));
+        assert_eq!(c.get(1), None, "NaN row stays null");
+        assert_eq!(c.nulls().null_count(), 2);
     }
 }

@@ -23,32 +23,30 @@
 //!
 //! ## Storage tiers
 //!
-//! An `hvc` file can be opened three ways, trading memory for I/O — every
-//! build has all three, and a caller picks one per open with a
+//! An `hvc` file can be opened two ways, trading memory for I/O — every
+//! build has both, and a caller picks one per open with a
 //! [`hillview_columnar::SegmentMode`]:
 //!
 //! 1. **Heap** ([`hvc::read_file`], or [`hvc::read_file_mapped`] under
 //!    `SegmentMode::Heap`) — the whole payload is decoded into owned
 //!    columns. Fastest scans, O(dataset) memory; also the only correct
 //!    path on big-endian hosts.
-//! 2. **Lazy pread** ([`hvc::read_file_mapped`] under `SegmentMode::Auto`)
-//!    — columns are windows over an anonymous buffer filled 64 KiB chunks
-//!    at a time by `pread` as scans touch them. Untouched columns and
-//!    zone-skipped blocks cost no I/O; resident chunks are pinned.
-//! 3. **Zero-copy mmap** ([`hvc::read_file_mapped`] under
-//!    `SegmentMode::Mmap`, unix) — columns borrow the page cache directly;
-//!    a byte-budgeted [`hillview_columnar::BlockCache`] evicts cold chunks
-//!    with `MADV_DONTNEED`, so a worker scans datasets far larger than its
-//!    budget. A refused mapping opens as tier 2.
+//! 2. **Lazy** ([`hvc::read_file_mapped`] under `SegmentMode::Auto`, unix)
+//!    — columns are zero-copy windows over a read-only mapping of the file,
+//!    faulted in 64 KiB chunks as scans touch them. Untouched columns and
+//!    zone-skipped blocks cost no I/O, and a byte-budgeted
+//!    [`hillview_columnar::BlockCache`] evicts cold chunks with
+//!    `MADV_DONTNEED`, so a worker scans datasets far larger than its
+//!    budget. A refused mapping (and every open off unix) opens as tier 1.
 //!
-//! Under every tier a column keeps the encoding it was written with —
+//! Under both tiers a column keeps the encoding it was written with —
 //! integers, dictionary codes and integral doubles as packed words or run
 //! tables, everything else raw — and scans read it 64-row frame by frame,
 //! so "zone-skipped blocks cost no I/O" holds for every column kind,
 //! doubles included.
 //!
-//! All three tiers produce bit-identical query results; the property
-//! tests in `tests/ooc_props.rs` pin that equivalence across encodings.
+//! Both tiers produce bit-identical query results; the property tests in
+//! `tests/ooc_props.rs` pin that equivalence across encodings.
 //! [`hvc::probe_file`] reads none of the payload under any tier: the
 //! header carries the schema, row count, and per-block zone maps.
 

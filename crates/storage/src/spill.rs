@@ -322,8 +322,8 @@ mod tests {
             let shared = slice_table(&t, row, row + 10);
             assert!(std::fs::read(path).unwrap() == hvc::encode(&shared));
             let heap = hvc::read_file(path).unwrap();
-            let lazy = |mode| hvc::read_file_mapped(path, &cache, mode).unwrap();
-            for part in [heap, lazy(SegmentMode::Auto), lazy(SegmentMode::Mmap)] {
+            let lazy = hvc::read_file_mapped(path, &cache, SegmentMode::Auto).unwrap();
+            for part in [heap, lazy] {
                 let s = part.column(0).as_dict_col().unwrap();
                 assert_eq!(s.dictionary().len(), entries);
                 for r in 0..10 {

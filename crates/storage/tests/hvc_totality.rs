@@ -30,8 +30,6 @@ use std::path::Path;
 use std::sync::Arc;
 
 const ROWS: usize = 200;
-/// The two lazily-resident tiers a mapped open can land on.
-const LAZY: [SegmentMode; 2] = [SegmentMode::Auto, SegmentMode::Mmap];
 const MUTANTS_PER_IMAGE: usize = 250;
 
 /// The strings of both dictionary columns: every one is referenced, so each
@@ -269,8 +267,8 @@ enum Verdict {
 
 /// Put `m` to every reader: the heap decode ends in an error or a table
 /// that scans; the header-only and mapped opens end in any verdict, but a
-/// verdict; and a mapped table that opened scans too, under either lazy
-/// tier — or panics over a fault the heap decoder named (`contradiction`):
+/// verdict; and a mapped table that opened scans too — or panics over a
+/// fault the heap decoder named (`contradiction`):
 /// a code its zone map does not cover, or a dictionary section the parser
 /// refuses.
 fn verdict(m: &[u8], path: &Path, cache: &Arc<BlockCache>, label: &str) -> (Verdict, bool) {
@@ -284,10 +282,7 @@ fn verdict(m: &[u8], path: &Path, cache: &Arc<BlockCache>, label: &str) -> (Verd
     std::fs::write(path, m).unwrap();
     let _ = probe_file(path);
     let mut contradiction = false;
-    for mode in LAZY {
-        let Ok(mapped) = read_file_mapped(path, cache, mode) else {
-            continue;
-        };
+    if let Ok(mapped) = read_file_mapped(path, cache, SegmentMode::Auto) {
         if catch_unwind(AssertUnwindSafe(|| scan(&mapped))).is_err() {
             let fault = match &heap {
                 Verdict::Rejected(fault) => fault.as_str(),
@@ -295,7 +290,7 @@ fn verdict(m: &[u8], path: &Path, cache: &Arc<BlockCache>, label: &str) -> (Verd
             };
             assert!(
                 fault.contains("out of dictionary range") || fault.contains("dictionary section"),
-                "{label}: {mode:?} scan panicked, heap decode said {fault:?}"
+                "{label}: mapped scan panicked, heap decode said {fault:?}"
             );
             contradiction = true;
         }
@@ -485,21 +480,16 @@ fn crafted_dictionaries_end_in_an_error_or_a_table_that_scans() {
     let path = dir.join("crafted.hvc");
     // The mapped tier under a budget of one page: whatever else is resident
     // when a first touch comes is evictable.
-    let tiers = [
-        (SegmentMode::Auto, BlockCache::unbounded()),
-        (SegmentMode::Mmap, BlockCache::new(4096)),
-    ];
+    let cache = BlockCache::new(4096);
     let whole = |section: Vec<u8>, entries: u64| {
         let bytes = section.len() as u64;
         dict_image(&section, entries, bytes, 0)
     };
     let sound = whole(two((2, "é".as_bytes()), (1, b"b")), 2);
     std::fs::write(&path, &sound).unwrap();
-    let lazy = tiers
-        .iter()
-        .map(|(mode, cache)| read_file_mapped(&path, cache, *mode).unwrap());
+    let lazy = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
     let heap = hvc::decode(&sound).expect("the well-formed image decodes");
-    for t in std::iter::once(heap).chain(lazy) {
+    for t in [heap, lazy] {
         assert_eq!(t.full_row(0).values[1].as_str(), Some("é"));
         assert_eq!(t.full_row(1).values[1].as_str(), Some("b"));
     }
@@ -591,42 +581,39 @@ fn crafted_dictionaries_end_in_an_error_or_a_table_that_scans() {
     ];
     for (label, img, fault, at_open) in refused {
         let names_fault = |e: &str| e.to_lowercase().contains(&fault.to_lowercase());
-        match verdict(&img, &path, &tiers[0].1, label).0 {
+        match verdict(&img, &path, &cache, label).0 {
             Verdict::Rejected(e) => {
                 assert!(names_fault(&e), "{label}: expected {fault:?}, got {e}")
             }
             Verdict::Opened => panic!("{label}: accepted"),
         }
-        for (mode, cache) in &tiers {
-            let label = format!("{label} under {mode:?}");
-            let mapped = match read_file_mapped(&path, cache, *mode) {
-                Err(e) => {
-                    assert!(
-                        at_open,
-                        "{label}: a mapped open read the section to say {e}"
-                    );
-                    assert!(
-                        names_fault(&e.to_string()),
-                        "{label}: expected {fault:?}, got {e}"
-                    );
-                    continue;
-                }
-                Ok(t) => t,
-            };
-            assert!(!at_open, "{label}: a mapped open let it through");
-            // Nothing of the section has been parsed, and the column beside
-            // it scans as if nothing were wrong.
-            let strings = mapped.column_by_name("s").unwrap().as_dict_col().unwrap();
-            assert_eq!(strings.dictionary().heap_bytes(), 0, "{label}");
-            let n = mapped.column_by_name("n").unwrap().as_i64_col().unwrap();
-            assert_eq!((n.get(0), n.get(1)), (Some(7), Some(9)), "{label}");
-            // The first string asked for runs the parser, which says what
-            // the heap decoder said — and names the column.
-            let touched = catch_unwind(AssertUnwindSafe(|| strings.get(0).map(str::to_owned)));
-            let panic = touched.expect_err("the first touch must not hand out a string");
-            let said = panic.downcast_ref::<String>().expect("a formatted panic");
-            assert!(said.contains("column \"s\""), "{label}: {said}");
-            assert!(names_fault(said), "{label}: expected {fault:?}, got {said}");
-        }
+        let mapped = match read_file_mapped(&path, &cache, SegmentMode::Auto) {
+            Err(e) => {
+                assert!(
+                    at_open,
+                    "{label}: a mapped open read the section to say {e}"
+                );
+                assert!(
+                    names_fault(&e.to_string()),
+                    "{label}: expected {fault:?}, got {e}"
+                );
+                continue;
+            }
+            Ok(t) => t,
+        };
+        assert!(!at_open, "{label}: a mapped open let it through");
+        // Nothing of the section has been parsed, and the column beside
+        // it scans as if nothing were wrong.
+        let strings = mapped.column_by_name("s").unwrap().as_dict_col().unwrap();
+        assert_eq!(strings.dictionary().heap_bytes(), 0, "{label}");
+        let n = mapped.column_by_name("n").unwrap().as_i64_col().unwrap();
+        assert_eq!((n.get(0), n.get(1)), (Some(7), Some(9)), "{label}");
+        // The first string asked for runs the parser, which says what
+        // the heap decoder said — and names the column.
+        let touched = catch_unwind(AssertUnwindSafe(|| strings.get(0).map(str::to_owned)));
+        let panic = touched.expect_err("the first touch must not hand out a string");
+        let said = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert!(said.contains("column \"s\""), "{label}: {said}");
+        assert!(names_fault(said), "{label}: expected {fault:?}, got {said}");
     }
 }

@@ -1,10 +1,8 @@
 //! Residency-tier equivalence: a table read back *mapped* (lazily
 //! resident, block-granular faults through a [`BlockCache`]) must be
 //! bit-identical to the same file decoded onto the heap — across every
-//! column encoding, every membership representation, both simd modes, both
-//! lazy tiers (the pinned pread buffer `Auto` opens and the evictable
-//! mapping `Mmap` asks for), and under a block cache small enough that
-//! chunks evict mid-scan.
+//! column encoding, every membership representation, both simd modes, and
+//! under a block cache small enough that chunks evict mid-scan.
 //!
 //! This is the storage-level contract the engine's out-of-core path
 //! stands on: residency is an I/O concern only, never a semantics one.
@@ -27,9 +25,6 @@ fn write_temp(t: &Table, tag: &str) -> (TempDir, PathBuf) {
     hvc::write_file(t, &path).unwrap();
     (dir, path)
 }
-
-/// The two lazily-resident tiers; every property holds under both.
-const LAZY: [SegmentMode; 2] = [SegmentMode::Auto, SegmentMode::Mmap];
 
 /// The strides the encoding property draws from: a bit-packed column
 /// stores its values divided by the one they share, in the file as on the
@@ -117,11 +112,9 @@ proptest! {
         let heap = hvc::read_file(&path).unwrap();
         let pred = Predicate::range("I", -1500.0, 1500.0)
             .and(Predicate::range("F", -5e8, 5e8));
-        for mode in LAZY {
-            let cache = BlockCache::new(64 << 10);
-            let mapped = read_file_mapped(&path, &cache, mode).unwrap();
-            assert_tiers_identical(&heap, &mapped, &pred, seed);
-        }
+        let cache = BlockCache::new(64 << 10);
+        let mapped = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
+        assert_tiers_identical(&heap, &mapped, &pred, seed);
     }
 
     /// A mapped table parses a dictionary when its column first shows a
@@ -153,29 +146,27 @@ proptest! {
             order.swap(i, (state >> 33) as usize % (i + 1));
         }
         let lazy = cfg!(target_endian = "little");
-        for mode in LAZY {
-            let cache = BlockCache::new(64 << 10);
-            let mapped = read_file_mapped(&path, &cache, mode).unwrap();
-            for c in order {
-                let h = heap.column(c).as_dict_col().unwrap();
-                let m = mapped.column(c).as_dict_col().unwrap();
-                prop_assert_eq!(m.dictionary().len(), h.dictionary().len());
-                prop_assert!(!lazy || m.dictionary().heap_bytes() == 0, "column {} parsed early", c);
-                // By row, by string, or all at once: whichever door comes first.
-                match (state >> 7) as usize % 3 {
-                    0 => {}
-                    1 => {
-                        let found = |d: &DictColumn| d.dictionary().code_of("a");
-                        prop_assert_eq!(found(m), found(h));
-                    }
-                    _ => prop_assert!(m.dictionary().iter().eq(h.dictionary().iter())),
+        let cache = BlockCache::new(64 << 10);
+        let mapped = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
+        for c in order {
+            let h = heap.column(c).as_dict_col().unwrap();
+            let m = mapped.column(c).as_dict_col().unwrap();
+            prop_assert_eq!(m.dictionary().len(), h.dictionary().len());
+            prop_assert!(!lazy || m.dictionary().heap_bytes() == 0, "column {} parsed early", c);
+            // By row, by string, or all at once: whichever door comes first.
+            match (state >> 7) as usize % 3 {
+                0 => {}
+                1 => {
+                    let found = |d: &DictColumn| d.dictionary().code_of("a");
+                    prop_assert_eq!(found(m), found(h));
                 }
-                for r in 0..heap.num_rows() {
-                    prop_assert_eq!(m.get(r), h.get(r), "column {} row {}", c, r);
-                }
-                prop_assert!(m.dictionary().iter().eq(h.dictionary().iter()));
-                prop_assert_eq!(m.dictionary().heap_bytes(), h.dictionary().heap_bytes());
+                _ => prop_assert!(m.dictionary().iter().eq(h.dictionary().iter())),
             }
+            for r in 0..heap.num_rows() {
+                prop_assert_eq!(m.get(r), h.get(r), "column {} row {}", c, r);
+            }
+            prop_assert!(m.dictionary().iter().eq(h.dictionary().iter()));
+            prop_assert_eq!(m.dictionary().heap_bytes(), h.dictionary().heap_bytes());
         }
     }
 
@@ -228,15 +219,13 @@ proptest! {
             let heap = hvc::read_file(&path).unwrap();
             let s = step as f64;
             let pred = Predicate::range("V", -1000.5 * s, 999.5 * s);
-            for mode in LAZY {
-                let cache = BlockCache::new(64 << 10);
-                let mapped = read_file_mapped(&path, &cache, mode).unwrap();
-                for scalar in [false, true] {
-                    simd::set_force_scalar(scalar);
-                    assert_tiers_identical(&heap, &mapped, &pred, seed);
-                }
-                simd::set_force_scalar(false);
+            let cache = BlockCache::new(64 << 10);
+            let mapped = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
+            for scalar in [false, true] {
+                simd::set_force_scalar(scalar);
+                assert_tiers_identical(&heap, &mapped, &pred, seed);
             }
+            simd::set_force_scalar(false);
         }
     }
 }
@@ -245,16 +234,10 @@ proptest! {
 /// `seeded_cache_churn_evicts_without_corrupting_results`: five part
 /// files scanned by a splitmix-seeded predicate grid through one shared
 /// 2 KiB cache. Every answer must match the heap ground truth while
-/// chunks continuously fault and — the mapped tier's — evict.
+/// chunks continuously fault and evict.
 #[test]
 #[cfg_attr(miri, ignore)]
 fn tiny_cache_churn_grid_never_corrupts_results() {
-    for mode in LAZY {
-        churn_grid(mode);
-    }
-}
-
-fn churn_grid(mode: SegmentMode) {
     const ROWS: usize = 50_000;
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -289,7 +272,7 @@ fn churn_grid(mode: SegmentMode) {
         .map(|p| {
             let (dir, path) = write_temp(p, "ooc-props-churn");
             let heap = hvc::read_file(&path).unwrap();
-            let mapped = read_file_mapped(&path, &cache, mode).unwrap();
+            let mapped = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
             (heap, mapped, dir)
         })
         .collect();
@@ -310,24 +293,19 @@ fn churn_grid(mode: SegmentMode) {
             assert_eq!(
                 rows_of(&h),
                 rows_of(&m),
-                "query {q} part {part} corrupted by churn under {mode:?}"
+                "query {q} part {part} corrupted by churn"
             );
         }
     }
 
     let stats = cache.stats();
-    if cfg!(target_endian = "little") {
+    if cfg!(all(unix, target_endian = "little")) {
         assert!(stats.faults > 0, "mapped scans never faulted");
         assert!(stats.hits > 0, "repeated scans never hit residency");
-        // Only the mmap tier can drop pages; the pread tier pins chunks.
-        if mode == SegmentMode::Mmap && cfg!(unix) {
-            assert!(
-                stats.evictions > 0,
-                "2 KiB budget over five mapped parts must evict (resident {})",
-                stats.resident_bytes
-            );
-        } else {
-            assert_eq!(stats.evictions, 0, "{mode:?} chunks are pinned");
-        }
+        assert!(
+            stats.evictions > 0,
+            "2 KiB budget over five mapped parts must evict (resident {})",
+            stats.resident_bytes
+        );
     }
 }
