@@ -8,14 +8,22 @@
 //! predecessor and a key decode clones the shared prefix, registers are
 //! shifted into place instead of copied. Read it when touching
 //! `put_counts`, `put_packed`, `put_key` or a summary's layout.
+//!
+//! The `fold_*` cases time what a worker's final fold costs: the erased
+//! `fold_bytes` over [`LEAVES`] leaf summaries of the flights fixture —
+//! each decoded once, merged into the running summary, the result encoded
+//! once. Read them when touching a summary's `merge`.
 
 use hillview_bench::harness::{mix, Case, Registered, Suite};
 use hillview_columnar::{Row, RowKey, SortOrder, Value};
+use hillview_core::erased::{erase, ErasedSketch};
 use hillview_data::{generate_flights, FlightsConfig};
 use hillview_net::{Result, Wire, WireReader, WireWriter};
+use hillview_sketch::buckets::BucketSpec;
 use hillview_sketch::distinct::{DistinctSketch, DistinctSummary};
 use hillview_sketch::heatmap::HeatmapSummary;
-use hillview_sketch::histogram::HistogramSummary;
+use hillview_sketch::heavy::MisraGriesSketch;
+use hillview_sketch::histogram::{HistogramSketch, HistogramSummary};
 use hillview_sketch::nextk::{NextKSketch, NextKSummary};
 use hillview_sketch::quantile::QuantileSummary;
 use hillview_sketch::{Scope, Sketch, TableView};
@@ -29,13 +37,16 @@ pub const SUITE: Registered = Registered {
     about: "summary codecs (zero-run counts, 6-bit registers, prefix-shared keys) vs the plain \
             per-cell encodings they replaced: frame bytes, and median ns per 64 encodes / 64 \
             decodes (facts give ns per single one); plain ≡ codec ≡ the summary asserted before \
-            timing",
+            timing; fold_*: one erased fold of 32 leaf summaries, median ns",
     run,
 };
 
 /// Encodes or decodes per timed call: the small frames take under a
 /// microsecond each.
 const REPS: usize = 64;
+
+/// Leaf summaries a `fold_*` case folds: one worker's row-range pieces.
+const LEAVES: usize = 32;
 
 /// The encoding a summary had before the codecs, as its old `Wire` impl
 /// wrote it.
@@ -309,6 +320,29 @@ fn occupancy(h: &HeatmapSummary) -> f64 {
     h.counts.iter().filter(|&&c| c != 0).count() as f64 / h.counts.len() as f64
 }
 
+/// One worker's final fold: `fold_bytes` over the wire bytes of `sketch`'s
+/// summaries of [`LEAVES`] equal row ranges of `flights`, in range order.
+fn fold_case(suite: &mut Suite, name: &str, sketch: Arc<dyn ErasedSketch>, flights: &TableView) {
+    let n = flights.table().num_rows();
+    let leaves: Vec<_> = (0..LEAVES)
+        .map(|i| {
+            let rows = Some((i * n / LEAVES, (i + 1) * n / LEAVES));
+            let scope = Scope { rows, filter: None };
+            sketch.summarize_bytes(flights, scope, 0).unwrap()
+        })
+        .collect();
+    let folded = sketch.fold_bytes(&leaves).unwrap();
+    assert_eq!(sketch.fold_bytes(&leaves).unwrap(), folded, "{name}");
+    let case = suite.case(name);
+    case.fact("leaves", LEAVES as f64)
+        .fact(
+            "leaf_bytes",
+            leaves.iter().map(|b| b.len()).sum::<usize>() as f64,
+        )
+        .fact("folded_bytes", folded.len() as f64)
+        .time("fold", || sketch.fold_bytes(&leaves).unwrap());
+}
+
 fn run(suite: &mut Suite) {
     let dense = HistogramSummary {
         buckets: (0..600).map(|i| 1 + mix(i) % 5_000).collect(),
@@ -339,9 +373,9 @@ fn run(suite: &mut Suite) {
     let order = SortOrder::ascending(&by_date);
     // What one worker ships for O4: the scroll bar's own sketch, whose
     // resolution is the shipped key count.
-    let scroll = TableViewViz::new(order.clone(), 20).scrollbar_quantile(rows as u64);
-    let keys = scroll.resolution;
-    let scroll = scroll.summarize(&flights, Scope::ALL, 0).unwrap();
+    let scrollbar = TableViewViz::new(order.clone(), 20).scrollbar_quantile(rows as u64);
+    let keys = scrollbar.resolution;
+    let scroll = scrollbar.summarize(&flights, Scope::ALL, 0).unwrap();
     let scroll = hillview_sketch::Summary::compact(scroll);
     assert_eq!(scroll.keys.len(), keys);
     case(
@@ -350,8 +384,8 @@ fn run(suite: &mut Suite) {
         &scroll,
     );
 
-    let page = NextKSketch::first_page(order, 20).with_display(&["Carrier", "DepDelay"]);
-    let page = page.summarize(&flights, Scope::ALL, 0).unwrap();
+    let pager = NextKSketch::first_page(order, 20).with_display(&["Carrier", "DepDelay"]);
+    let page = pager.summarize(&flights, Scope::ALL, 0).unwrap();
     assert_eq!(page.rows.len(), 20);
     case(suite, "nextk_page_20_rows", &page);
 
@@ -361,4 +395,11 @@ fn run(suite: &mut Suite) {
         "hll_p12",
         &hll.summarize(&flights, Scope::ALL, 0).unwrap(),
     );
+
+    fold_case(suite, "fold_quantile_scrollbar", erase(scrollbar), &flights);
+    fold_case(suite, "fold_nextk_page_20_rows", erase(pager), &flights);
+    let mg = MisraGriesSketch::new("Origin", 20);
+    fold_case(suite, "fold_misra_gries_20", erase(mg), &flights);
+    let delays = HistogramSketch::streaming("DepDelay", BucketSpec::numeric(-60.0, 600.0, 600));
+    fold_case(suite, "fold_histogram_600", erase(delays), &flights);
 }

@@ -59,14 +59,17 @@
 //! threads steal the largest pending pieces, so one skewed micropartition
 //! saturates every core instead of serializing the query.
 //!
-//! Sub-task partials arrive in completion order. The partial stream folds
-//! them lazily: the running merge catches up with the pieces completed
-//! since the last tick only when a batch tick is due, so a worker that
-//! finishes inside one interval never builds it. The *final* worker
-//! summary is one fold of all pieces sorted by `(partition, range start)`
-//! — each decoded once, merged typed, encoded once
-//! ([`ErasedSketch::fold_bytes`]) — then compacted once, before it is
-//! cached or sent. Split boundaries depend only on the
+//! Every merge in a tree is one call to [`ErasedSketch::fold_bytes`]: the
+//! parts in order, each decoded once and merged by value into a running
+//! summary that starts at the identity, the result encoded once. Sub-task
+//! partials arrive in completion order. The partial stream folds them
+//! lazily: when a batch tick is due, the running merge is folded with the
+//! pieces completed since the last tick — it leads the parts, and the
+//! identity is a left unit bit for bit — so a worker that finishes inside
+//! one interval never builds it. The *final* worker summary is one fold of
+//! all pieces sorted by `(partition, range start)`, compacted once before
+//! it is cached or sent; the root folds the workers' summaries the same
+//! way. Split boundaries depend only on the
 //! membership shape and the (fixed) grain, so the folded result is a pure
 //! function of `(data, sketch, seed, grain)` — bit-identical across thread
 //! counts, steal interleavings, and replay after failures (§5.8). Progress
@@ -2172,8 +2175,8 @@ mod tests {
         fn splittable(&self) -> bool {
             false
         }
-        fn merge_bytes(&self, a: &Bytes, b: &Bytes) -> EngineResult<Bytes> {
-            self.inner.merge_bytes(a, b)
+        fn fold_bytes(&self, parts: &[Bytes]) -> EngineResult<Bytes> {
+            self.inner.fold_bytes(parts)
         }
         fn identity_bytes(&self) -> Bytes {
             self.inner.identity_bytes()

@@ -4,12 +4,18 @@
 //! exactly what the real system does over gRPC — so internally it handles
 //! queries through the object-safe [`ErasedSketch`] interface. Vizketch
 //! authors never see this: they implement the typed
-//! [`hillview_sketch::Sketch`] trait and the blanket adapter
-//! [`Erased`] does the rest (paper §5.5: developers "implement the
+//! [`hillview_sketch::Sketch`] trait and [`erase`] wraps it in the one
+//! adapter that does the rest (paper §5.5: developers "implement the
 //! summarize and merge functions ... the architecture handles all such
 //! issues in a uniform and transparent manner").
+//!
+//! Summaries cross this layer as bytes and merge in exactly one place,
+//! [`ErasedSketch::fold_bytes`]: every part decoded once, merged by value
+//! into a running summary that starts at the identity, the result encoded
+//! once. Every fold of a tree — leaf pieces into a worker, each partial
+//! tick, workers into the root — is a call to it.
 
-use crate::error::{EngineError, EngineResult};
+use crate::error::EngineResult;
 use bytes::Bytes;
 use hillview_net::Wire;
 use hillview_sketch::{Scope, Sketch, Summary, TableView};
@@ -40,17 +46,17 @@ pub trait ErasedSketch: Send + Sync + 'static {
     /// True when the sketch honours [`Scope::rows`]; the leaf executor only
     /// fans a partition into sub-range tasks for splittable sketches.
     fn splittable(&self) -> bool;
-    /// Merge two wire-encoded summaries.
-    fn merge_bytes(&self, a: &Bytes, b: &Bytes) -> EngineResult<Bytes>;
     /// The identity summary, wire-encoded.
     fn identity_bytes(&self) -> Bytes;
-    /// Fold wire-encoded summaries, in order, from the identity: the bytes
-    /// a [`merge_bytes`](ErasedSketch::merge_bytes) chain produces. The
-    /// adapter decodes each operand once, merges typed and encodes once.
-    fn fold_bytes(&self, parts: &[Bytes]) -> EngineResult<Bytes> {
-        parts.iter().try_fold(self.identity_bytes(), |acc, part| {
-            self.merge_bytes(&acc, part)
-        })
+    /// Fold wire-encoded summaries, in order, into the identity
+    /// ([`hillview_sketch::Summary::merge`] from
+    /// [`hillview_sketch::Sketch::identity`]).
+    fn fold_bytes(&self, parts: &[Bytes]) -> EngineResult<Bytes>;
+    /// Merge two wire-encoded summaries: the fold of `[a, b]`. The identity
+    /// is a left unit bit for bit, so these are the bytes of `b` merged
+    /// into `a`.
+    fn merge_bytes(&self, a: &Bytes, b: &Bytes) -> EngineResult<Bytes> {
+        self.fold_bytes(&[a.clone(), b.clone()])
     }
     /// The form of a summary that crosses a network link
     /// ([`hillview_sketch::Summary::compact`]). A summary that does not
@@ -66,8 +72,8 @@ pub trait ErasedSketch: Send + Sync + 'static {
     fn cache_identity(&self) -> Option<Vec<u8>>;
 }
 
-/// Adapter from a typed [`Sketch`] to [`ErasedSketch`].
-pub struct Erased<S: Sketch>(pub Arc<S>);
+/// Adapter from a typed [`Sketch`] to [`ErasedSketch`]; [`erase`] builds it.
+struct Erased<S>(S);
 
 impl<S: Sketch> ErasedSketch for Erased<S> {
     fn name(&self) -> &'static str {
@@ -87,16 +93,10 @@ impl<S: Sketch> ErasedSketch for Erased<S> {
         self.0.splittable()
     }
 
-    fn merge_bytes(&self, a: &Bytes, b: &Bytes) -> EngineResult<Bytes> {
-        let sa = S::Summary::from_bytes(a.clone()).map_err(EngineError::from)?;
-        let sb = S::Summary::from_bytes(b.clone()).map_err(EngineError::from)?;
-        Ok(sa.merge(&sb).to_bytes())
-    }
-
     fn fold_bytes(&self, parts: &[Bytes]) -> EngineResult<Bytes> {
         let mut acc = self.0.identity();
         for part in parts {
-            acc = acc.merge(&S::Summary::from_bytes(part.clone())?);
+            acc.merge(S::Summary::from_bytes(part.clone())?);
         }
         Ok(acc.to_bytes())
     }
@@ -119,12 +119,13 @@ impl<S: Sketch> ErasedSketch for Erased<S> {
 
 /// Convenience: erase a typed sketch.
 pub fn erase<S: Sketch>(sketch: S) -> Arc<dyn ErasedSketch> {
-    Arc::new(Erased(Arc::new(sketch)))
+    Arc::new(Erased(sketch))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::EngineError;
     use hillview_columnar::column::{Column, I64Column};
     use hillview_columnar::{ColumnKind, Table};
     use hillview_sketch::count::{CountSketch, CountSummary};

@@ -482,8 +482,8 @@ impl ErasedSketch for HeldUntilAllAsk {
     fn splittable(&self) -> bool {
         self.inner.splittable()
     }
-    fn merge_bytes(&self, a: &Bytes, b: &Bytes) -> EngineResult<Bytes> {
-        self.inner.merge_bytes(a, b)
+    fn fold_bytes(&self, parts: &[Bytes]) -> EngineResult<Bytes> {
+        self.inner.fold_bytes(parts)
     }
     fn identity_bytes(&self) -> Bytes {
         self.inner.identity_bytes()

@@ -8,10 +8,10 @@
 //! distinct-value domain, from which quantile boundaries are read off.
 
 use crate::hashutil::hash_str;
-use crate::traits::{Sketch, SketchError, SketchResult, Summary};
+use crate::traits::{merge_runs, Sketch, SketchError, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::scan::scan_values;
-use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
+use hillview_net::{Error as WireError, Result as WireResult, Wire, WireReader, WireWriter};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -80,22 +80,17 @@ impl BottomKSummary {
 }
 
 impl Summary for BottomKSummary {
-    fn merge(&self, other: &Self) -> Self {
-        let k = self.k.max(other.k);
-        let mut map: BTreeMap<u64, String> = BTreeMap::new();
-        for (h, v) in self.entries.iter().chain(&other.entries) {
-            map.entry(*h).or_insert_with(|| v.clone());
-        }
-        let entries: Vec<(u64, String)> = map.into_iter().take(k).collect();
-        BottomKSummary {
-            k,
-            entries,
-            rows: self.rows + other.rows,
-        }
+    fn merge(&mut self, other: Self) {
+        self.k = self.k.max(other.k);
+        let mine = std::mem::take(&mut self.entries);
+        self.entries = merge_runs(mine, other.entries, |(hash, _)| hash, |_, _| {});
+        self.entries.truncate(self.k);
+        self.rows += other.rows;
     }
 }
 
-/// Layout: `k`, entry count, each entry's hash and string, `rows`.
+/// Layout: `k`, entry count, each entry's hash and string — the hashes
+/// ascend strictly, which `merge` relies on and the decoder checks — `rows`.
 impl Wire for BottomKSummary {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.k as u64);
@@ -103,9 +98,15 @@ impl Wire for BottomKSummary {
         w.put_varint(self.rows);
     }
     fn decode(r: &mut WireReader) -> WireResult<Self> {
+        let k = r.get_len("bottomk k")?;
+        let entries: Vec<(u64, String)> = Vec::decode(r)?;
+        if entries.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+            let context = "bottom-k hashes are not strictly ascending";
+            return Err(WireError::NotCanonical { context });
+        }
         Ok(BottomKSummary {
-            k: r.get_len("bottomk k")?,
-            entries: Vec::decode(r)?,
+            k,
+            entries,
             rows: r.get_varint()?,
         })
     }

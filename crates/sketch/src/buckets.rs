@@ -15,7 +15,7 @@ use std::sync::Arc;
 /// as a configuration error when no frame could carry a summary that large:
 /// a decoder expands at most [`MAX_COUNTS`] cells per frame, a bound sized
 /// for displays, so such a sketch fails here instead of at the first merge.
-pub fn grid_cells(dims: &[usize]) -> SketchResult<usize> {
+pub(crate) fn grid_cells(dims: &[usize]) -> SketchResult<usize> {
     dims.iter()
         .try_fold(1usize, |cells, &d| cells.checked_mul(d))
         .filter(|&cells| cells <= MAX_COUNTS)
@@ -26,11 +26,23 @@ pub fn grid_cells(dims: &[usize]) -> SketchResult<usize> {
         })
 }
 
-/// Cell-wise sum of two count vectors of one shape: the merge of every
-/// bucketed summary.
-pub(crate) fn add_counts(a: &[u64], b: &[u64]) -> Vec<u64> {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x + y).collect()
+/// The merge of every bucketed summary: adds each of `other`'s count
+/// vectors into the matching one of `mine`, cell by cell, in place. A
+/// summary with no cells at all is the zero-width identity (`Default`, or a
+/// `zero` of width 0) and merges with any shape: when `other` is it nothing
+/// is added, and when `mine` is it takes `other`'s vectors and this returns
+/// `true`, so the caller adopts `other`'s shape too.
+pub(crate) fn add_counts<const N: usize>(mine: [&mut Vec<u64>; N], other: [Vec<u64>; N]) -> bool {
+    let adopt = mine.iter().all(|counts| counts.is_empty());
+    for (mine, other) in mine.into_iter().zip(other) {
+        if adopt {
+            *mine = other;
+        } else {
+            debug_assert!(other.is_empty() || other.len() == mine.len());
+            mine.iter_mut().zip(&other).for_each(|(m, o)| *m += o);
+        }
+    }
+    adopt
 }
 
 /// How values map to histogram/heatmap buckets.

@@ -46,11 +46,9 @@ pub struct CountSummary {
 }
 
 impl Summary for CountSummary {
-    fn merge(&self, other: &Self) -> Self {
-        CountSummary {
-            rows: self.rows + other.rows,
-            missing: self.missing + other.missing,
-        }
+    fn merge(&mut self, other: Self) {
+        self.rows += other.rows;
+        self.missing += other.missing;
     }
 }
 
@@ -116,6 +114,7 @@ impl Sketch for CountSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::merged;
     use hillview_columnar::column::{Column, F64Column};
     use hillview_columnar::{ColumnKind, MembershipSet, Table};
 
@@ -189,13 +188,13 @@ mod tests {
             missing: 1,
         };
         assert_eq!(
-            a.merge(&b),
+            merged(a, b),
             CountSummary {
                 rows: 5,
                 missing: 2
             }
         );
-        assert_eq!(a.merge(&s.identity()), a);
+        assert_eq!(merged(a, s.identity()), a);
     }
 
     #[test]

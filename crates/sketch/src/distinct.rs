@@ -101,18 +101,11 @@ impl DistinctSummary {
 }
 
 impl Summary for DistinctSummary {
-    fn merge(&self, other: &Self) -> Self {
+    fn merge(&mut self, other: Self) {
         debug_assert_eq!(self.p, other.p);
-        DistinctSummary {
-            p: self.p,
-            registers: self
-                .registers
-                .iter()
-                .zip(&other.registers)
-                .map(|(a, b)| *a.max(b))
-                .collect(),
-            missing: self.missing + other.missing,
-        }
+        let registers = self.registers.iter_mut().zip(other.registers);
+        registers.for_each(|(a, b)| *a = (*a).max(b));
+        self.missing += other.missing;
     }
 }
 
@@ -258,7 +251,7 @@ impl DistinctSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::merge_law_holds;
+    use crate::traits::{merge_law_holds, merged};
     use hillview_columnar::column::{Column, DictColumn, I64Column};
     use hillview_columnar::{ColumnKind, MembershipSet, Table};
 
@@ -337,7 +330,7 @@ mod tests {
                 0,
             )
             .unwrap();
-        let est = a.merge(&b).estimate();
+        let est = merged(a, b).estimate();
         assert!((est - 50.0).abs() < 5.0, "estimate {est}");
     }
 

@@ -7,6 +7,7 @@
 //! item vizketch above except that we eliminate all rows that do not match
 //! the search criteria."*
 
+use crate::range::merge_opt;
 use crate::traits::{Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::scan::scan_rows;
@@ -69,17 +70,14 @@ pub struct FindSummary {
 }
 
 impl Summary for FindSummary {
-    fn merge(&self, other: &Self) -> Self {
-        let first = match (&self.first, &other.first) {
-            (Some(a), Some(b)) => Some(if a.0 <= b.0 { a.clone() } else { b.clone() }),
-            (x, None) => x.clone(),
-            (None, x) => x.clone(),
-        };
-        FindSummary {
-            first,
-            matches_after: self.matches_after + other.matches_after,
-            matches_total: self.matches_total + other.matches_total,
-        }
+    fn merge(&mut self, other: Self) {
+        merge_opt(
+            &mut self.first,
+            other.first,
+            |a, b| if a.0 <= b.0 { a } else { b },
+        );
+        self.matches_after += other.matches_after;
+        self.matches_total += other.matches_total;
     }
 }
 
@@ -240,6 +238,7 @@ impl FindSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::merged;
     use hillview_columnar::column::{Column, DictColumn, I64Column};
     use hillview_columnar::{ColumnKind, MembershipSet, Table, Value};
 
@@ -349,7 +348,7 @@ mod tests {
                 0,
             )
             .unwrap();
-        let merged = a.merge(&b);
+        let merged = merged(a, b);
         let whole = sk.summarize(&view(), Scope::ALL, 0).unwrap();
         assert_eq!(merged, whole);
     }

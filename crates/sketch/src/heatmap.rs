@@ -102,22 +102,13 @@ impl HeatmapSummary {
 }
 
 impl Summary for HeatmapSummary {
-    fn merge(&self, other: &Self) -> Self {
-        if self.counts.is_empty() && self.bx == 0 {
-            return other.clone();
+    fn merge(&mut self, other: Self) {
+        if add_counts([&mut self.counts], [other.counts]) {
+            (self.bx, self.by) = (other.bx, other.by);
         }
-        if other.counts.is_empty() && other.bx == 0 {
-            return self.clone();
-        }
-        debug_assert_eq!((self.bx, self.by), (other.bx, other.by));
-        HeatmapSummary {
-            bx: self.bx,
-            by: self.by,
-            counts: add_counts(&self.counts, &other.counts),
-            missing: self.missing + other.missing,
-            out_of_range: self.out_of_range + other.out_of_range,
-            rows_inspected: self.rows_inspected + other.rows_inspected,
-        }
+        self.missing += other.missing;
+        self.out_of_range += other.out_of_range;
+        self.rows_inspected += other.rows_inspected;
     }
 }
 
@@ -225,7 +216,7 @@ impl HeatmapSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::merge_law_holds;
+    use crate::traits::{merge_law_holds, merged};
     use hillview_columnar::column::{Column, DictColumn, F64Column};
     use hillview_columnar::{ColumnKind, MembershipSet, Table};
 
@@ -288,7 +279,8 @@ mod tests {
     fn identity_is_unit() {
         let sk = sketch();
         let s = sk.summarize(&view(), Scope::ALL, 0).unwrap();
-        assert_eq!(sk.identity().merge(&s), s);
+        assert_eq!(merged(sk.identity(), s.clone()), s);
+        assert_eq!(merged(s.clone(), sk.identity()), s);
     }
 
     #[test]

@@ -77,38 +77,46 @@ impl MisraGriesSummary {
             .filter(|(_, c)| self.total > 0 && *c as f64 / self.total as f64 >= threshold)
             .cloned()
             .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        sort_by_count(&mut out);
         out
     }
 }
 
 impl Summary for MisraGriesSummary {
-    fn merge(&self, other: &Self) -> Self {
-        let k = self.k.max(other.k);
-        // Combine counters additively.
-        let mut map: HashMap<Value, u64> =
-            HashMap::with_capacity(self.counters.len() + other.counters.len());
-        for (v, c) in self.counters.iter().chain(&other.counters) {
-            *map.entry(v.clone()).or_insert(0) += c;
-        }
-        let mut counters: Vec<(Value, u64)> = map.into_iter().collect();
+    fn merge(&mut self, other: Self) {
+        self.k = self.k.max(other.k);
+        let counters = &mut self.counters;
+        add_counters(counters, other.counters);
         // If over capacity: subtract the (k+1)-th largest counter from all
         // and drop non-positive (the mergeable-summaries MG merge).
-        if counters.len() > k {
+        if counters.len() > self.k {
             counters.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-            let pivot = counters[k].1;
-            counters = counters
-                .into_iter()
-                .filter_map(|(v, c)| (c > pivot).then(|| (v, c - pivot)))
-                .collect();
+            let pivot = counters[self.k].1;
+            counters.retain_mut(|(_, c)| {
+                *c = c.saturating_sub(pivot);
+                *c > 0
+            });
         }
-        counters.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        MisraGriesSummary {
-            k,
-            counters,
-            total: self.total + other.total,
-        }
+        sort_by_count(counters);
+        self.total += other.total;
     }
+}
+
+/// Adds `other`'s counts into `mine` by value, in place, each value kept as
+/// it first occurs in `mine`, then `other`; leaves `mine` in no particular
+/// order.
+fn add_counters(mine: &mut Vec<(Value, u64)>, other: Vec<(Value, u64)>) {
+    let mut map: HashMap<Value, u64> = HashMap::with_capacity(mine.len() + other.len());
+    for (v, c) in mine.drain(..).chain(other) {
+        *map.entry(v).or_insert(0) += c;
+    }
+    mine.extend(map);
+}
+
+/// Count descending, then value ascending: the order every heavy-hitters
+/// summary lists its counts in.
+fn sort_by_count(counts: &mut [(Value, u64)]) {
+    counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
 }
 
 /// Layout: `k`, counter count, each counter's value and count, `total`.
@@ -198,7 +206,7 @@ impl Sketch for MisraGriesSketch {
                 val_counters.into_iter().collect()
             }
         })?;
-        counters.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        sort_by_count(&mut counters);
         Ok(MisraGriesSummary {
             k: self.k,
             counters,
@@ -248,7 +256,7 @@ impl MisraGriesSketch {
             }
         }
         let mut counters: Vec<(Value, u64)> = counters.into_iter().collect();
-        counters.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        sort_by_count(&mut counters);
         Ok(MisraGriesSummary {
             k: self.k,
             counters,
@@ -303,24 +311,16 @@ impl SampledHeavyHittersSummary {
             .filter(|(_, c)| *c as f64 >= threshold)
             .cloned()
             .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        sort_by_count(&mut out);
         out
     }
 }
 
 impl Summary for SampledHeavyHittersSummary {
-    fn merge(&self, other: &Self) -> Self {
-        let mut map: HashMap<Value, u64> =
-            HashMap::with_capacity(self.counts.len() + other.counts.len());
-        for (v, c) in self.counts.iter().chain(&other.counts) {
-            *map.entry(v.clone()).or_insert(0) += c;
-        }
-        let mut counts: Vec<(Value, u64)> = map.into_iter().collect();
-        counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        SampledHeavyHittersSummary {
-            counts,
-            sampled: self.sampled + other.sampled,
-        }
+    fn merge(&mut self, other: Self) {
+        add_counters(&mut self.counts, other.counts);
+        sort_by_count(&mut self.counts);
+        self.sampled += other.sampled;
     }
 }
 
@@ -438,7 +438,7 @@ impl Sketch for SampledHeavyHittersSketch {
             }
         })?;
         let sampled = selected - skipped;
-        counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        sort_by_count(&mut counts);
         Ok(SampledHeavyHittersSummary { counts, sampled })
     }
 
@@ -480,7 +480,7 @@ impl SampledHeavyHittersSketch {
             *map.entry(v).or_insert(0) += 1;
         }
         let mut counts: Vec<(Value, u64)> = map.into_iter().collect();
-        counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        sort_by_count(&mut counts);
         Ok(SampledHeavyHittersSummary { counts, sampled })
     }
 }
@@ -488,6 +488,7 @@ impl SampledHeavyHittersSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::merged;
     use hillview_columnar::column::{Column, DictColumn};
     use hillview_columnar::{ColumnKind, MembershipSet, Table};
 
@@ -553,7 +554,7 @@ mod tests {
                 0,
             )
             .unwrap();
-        let merged = a.merge(&b);
+        let merged = merged(a, b);
         assert_eq!(merged.total, 1000);
         let hh = merged.heavy_hitters(0.1);
         assert_eq!(hh[0].0, Value::str("whale"));
@@ -566,7 +567,7 @@ mod tests {
     fn mg_identity_is_unit() {
         let sk = MisraGriesSketch::new("S", 5);
         let s = sk.summarize(&skewed_view(), Scope::ALL, 0).unwrap();
-        let m = sk.identity().merge(&s);
+        let m = merged(sk.identity(), s.clone());
         assert_eq!(m.total, s.total);
         assert_eq!(m.heavy_hitters(0.1), s.heavy_hitters(0.1));
     }
@@ -615,7 +616,7 @@ mod tests {
                 2,
             )
             .unwrap();
-        let merged = a.merge(&b);
+        let merged = merged(a.clone(), b.clone());
         assert_eq!(merged.sampled, a.sampled + b.sampled);
         let hh = merged.heavy_hitters(4);
         assert_eq!(hh[0].0, Value::str("whale"));

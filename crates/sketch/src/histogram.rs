@@ -87,21 +87,11 @@ impl HistogramSummary {
 }
 
 impl Summary for HistogramSummary {
-    fn merge(&self, other: &Self) -> Self {
-        // The identity summary is zero-length; adopt the other's width.
-        if self.buckets.is_empty() {
-            return other.clone();
-        }
-        if other.buckets.is_empty() {
-            return self.clone();
-        }
-        debug_assert_eq!(self.buckets.len(), other.buckets.len());
-        HistogramSummary {
-            buckets: add_counts(&self.buckets, &other.buckets),
-            missing: self.missing + other.missing,
-            out_of_range: self.out_of_range + other.out_of_range,
-            rows_inspected: self.rows_inspected + other.rows_inspected,
-        }
+    fn merge(&mut self, other: Self) {
+        add_counts([&mut self.buckets], [other.buckets]);
+        self.missing += other.missing;
+        self.out_of_range += other.out_of_range;
+        self.rows_inspected += other.rows_inspected;
     }
 }
 
@@ -378,7 +368,7 @@ impl HistogramSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::merge_law_holds;
+    use crate::traits::{merge_law_holds, merged};
     use hillview_columnar::column::{DictColumn, F64Column, I64Column};
     use hillview_columnar::{ColumnKind, MembershipSet, Table};
 
@@ -548,8 +538,8 @@ mod tests {
             out_of_range: 5,
             rows_inspected: 15,
         };
-        assert_eq!(sk.identity().merge(&s), s);
-        assert_eq!(s.merge(&sk.identity()), s);
+        assert_eq!(merged(sk.identity(), s.clone()), s);
+        assert_eq!(merged(s.clone(), sk.identity()), s);
     }
 
     #[test]

@@ -23,8 +23,12 @@
 //!   whole view itself, starts from [`view::two_pass`]. The result must be
 //!   a deterministic function of the arguments — the engine replays seeds
 //!   after failures and expects the same bytes (paper §5.8).
-//! * [`Summary::merge`] — associative and commutative, with
-//! * [`Sketch::identity`] as its unit.
+//! * [`Summary::merge`]`(&mut self, other)` — fold the summary of a
+//!   disjoint partition into this one, in place, consuming it: move what
+//!   the result keeps, clone nothing. Associative and commutative, with
+//! * [`Sketch::identity`] as its unit on both sides — every fold starts
+//!   there. The trait doc says which laws hold bit for bit and which only
+//!   to rounding.
 //!
 //! Opt in to intra-partition parallelism with [`Sketch::splittable`] and to
 //! the engine's result cache with [`Sketch::cache_identity`]. The rules a

@@ -18,6 +18,7 @@
 //! at runtime on x86-64), the per-row reference, every encoding, and
 //! both codegens produce bit-identical power sums.
 
+use crate::range::merge_opt;
 use crate::traits::{Sketch, SketchError, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::simd::{self, LaneValue, MomentLanes};
@@ -87,26 +88,16 @@ impl MomentsSummary {
 }
 
 impl Summary for MomentsSummary {
-    fn merge(&self, other: &Self) -> Self {
+    fn merge(&mut self, other: Self) {
         debug_assert_eq!(self.sums.len(), other.sums.len());
-        MomentsSummary {
-            present: self.present + other.present,
-            missing: self.missing + other.missing,
-            min: match (self.min, other.min) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (x, None) | (None, x) => x,
-            },
-            max: match (self.max, other.max) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (x, None) | (None, x) => x,
-            },
-            sums: self
-                .sums
-                .iter()
-                .zip(&other.sums)
-                .map(|(a, b)| a + b)
-                .collect(),
-        }
+        self.present += other.present;
+        self.missing += other.missing;
+        merge_opt(&mut self.min, other.min, f64::min);
+        merge_opt(&mut self.max, other.max, f64::max);
+        self.sums
+            .iter_mut()
+            .zip(other.sums)
+            .for_each(|(a, b)| *a += b);
     }
 }
 
@@ -279,6 +270,7 @@ impl MomentsSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::merged;
     use hillview_columnar::column::{Column, F64Column};
     use hillview_columnar::{ColumnKind, MembershipSet, Table};
 
@@ -341,7 +333,7 @@ mod tests {
                 0,
             )
             .unwrap();
-        let merged = a.merge(&b).merge(&sk.identity());
+        let merged = merged(merged(a, b), sk.identity());
         assert_eq!(merged.present, whole.present);
         assert_eq!(merged.min, whole.min);
         assert_eq!(merged.max, whole.max);

@@ -12,7 +12,7 @@
 //! Duplicate rows (equal sort keys) are aggregated with repetition counts
 //! (§3.3 "Aggregate duplicates and show repetition counts").
 
-use crate::traits::{Sketch, SketchResult, Summary};
+use crate::traits::{merge_runs, Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::scan::scan_rows;
 use hillview_columnar::{Row, RowKey, SortOrder};
@@ -85,24 +85,16 @@ impl NextKSummary {
 }
 
 impl Summary for NextKSummary {
-    fn merge(&self, other: &Self) -> Self {
-        let k = self.k.max(other.k);
-        let mut map: BTreeMap<RowKey, (Row, u64)> = BTreeMap::new();
-        for (key, row, count) in self.rows.iter().chain(&other.rows) {
-            map.entry(key.clone())
-                .and_modify(|(_, c)| *c += count)
-                .or_insert_with(|| (row.clone(), *count));
-        }
-        let rows: Vec<(RowKey, Row, u64)> = map
-            .into_iter()
-            .take(k)
-            .map(|(key, (row, count))| (key, row, count))
-            .collect();
-        NextKSummary {
-            k,
-            rows,
-            matched: self.matched + other.matched,
-        }
+    fn merge(&mut self, other: Self) {
+        self.k = self.k.max(other.k);
+        self.rows = merge_runs(
+            std::mem::take(&mut self.rows),
+            other.rows,
+            |(key, _, _)| key,
+            |(_, _, count), (_, _, more)| *count += more,
+        );
+        self.rows.truncate(self.k);
+        self.matched += other.matched;
     }
 }
 
@@ -274,6 +266,7 @@ impl NextKSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::merged;
     use hillview_columnar::column::{Column, DictColumn, I64Column};
     use hillview_columnar::{ColumnKind, MembershipSet, Table, Value};
 
@@ -346,7 +339,7 @@ mod tests {
                 0,
             )
             .unwrap();
-        let merged = a.merge(&b);
+        let merged = merged(a, b);
         let whole = sk.summarize(&view(), Scope::ALL, 0).unwrap();
         assert_eq!(merged, whole, "merge law holds exactly");
     }
@@ -382,8 +375,8 @@ mod tests {
     fn identity_is_unit() {
         let sk = NextKSketch::first_page(SortOrder::ascending(&["Delay"]), 3);
         let s = sk.summarize(&view(), Scope::ALL, 0).unwrap();
-        assert_eq!(sk.identity().merge(&s), s);
-        assert_eq!(s.merge(&sk.identity()), s);
+        assert_eq!(merged(sk.identity(), s.clone()), s);
+        assert_eq!(merged(s.clone(), sk.identity()), s);
     }
 
     #[test]

@@ -111,24 +111,12 @@ impl PcaSummary {
 }
 
 impl Summary for PcaSummary {
-    fn merge(&self, other: &Self) -> Self {
+    fn merge(&mut self, other: Self) {
         debug_assert_eq!(self.m, other.m);
-        PcaSummary {
-            m: self.m,
-            count: self.count + other.count,
-            sums: self
-                .sums
-                .iter()
-                .zip(&other.sums)
-                .map(|(a, b)| a + b)
-                .collect(),
-            prods: self
-                .prods
-                .iter()
-                .zip(&other.prods)
-                .map(|(a, b)| a + b)
-                .collect(),
-        }
+        self.count += other.count;
+        let sums = self.sums.iter_mut().zip(other.sums);
+        sums.chain(self.prods.iter_mut().zip(other.prods))
+            .for_each(|(a, b)| *a += b);
     }
 }
 
@@ -286,6 +274,7 @@ impl PcaSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::merged;
     use hillview_columnar::column::{Column, F64Column};
     use hillview_columnar::{ColumnKind, MembershipSet, Table};
     use rand::rngs::SmallRng;
@@ -375,7 +364,7 @@ mod tests {
                 0,
             )
             .unwrap();
-        let merged = a.merge(&b);
+        let merged = merged(a, b);
         assert_eq!(merged.count, whole.count);
         for (x, y) in merged.sums.iter().zip(&whole.sums) {
             assert!((x - y).abs() < 1e-6);

@@ -42,12 +42,11 @@
 //! budget, where `W/(2·cap)` is `K/cap` — 1/290 at V = 100 — of the
 //! ship-time error.
 
-use crate::traits::{Sketch, SketchResult, Summary};
+use crate::traits::{merge_runs, Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::scan::scan_rows;
 use hillview_columnar::{row_sampled, RowKey, SortOrder};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use std::cmp::Ordering;
 
 /// Sampled quantile sketch over a sort order.
 #[derive(Debug, Clone)]
@@ -172,37 +171,21 @@ impl QuantileSummary {
 impl Summary for QuantileSummary {
     const COMPACTS: bool = true;
 
-    fn merge(&self, other: &Self) -> Self {
-        let (a, b) = (&self.keys, &other.keys);
-        let mut keys = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                Ordering::Less => {
-                    keys.push(a[i].clone());
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    keys.push(b[j].clone());
-                    j += 1;
-                }
-                Ordering::Equal => {
-                    keys.push((a[i].0.clone(), a[i].1.saturating_add(b[j].1)));
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        keys.extend_from_slice(&a[i..]);
-        keys.extend_from_slice(&b[j..]);
+    fn merge(&mut self, other: Self) {
+        let keys = merge_runs(
+            std::mem::take(&mut self.keys),
+            other.keys,
+            |(key, _)| key,
+            |(_, weight), (_, more)| *weight = weight.saturating_add(more),
+        );
         let cap = self.cap.max(other.cap);
-        QuantileSummary {
+        *self = QuantileSummary {
             keys,
             population: self.population + other.population,
             cap,
             resolution: self.resolution.max(other.resolution),
         }
-        .compress(cap)
+        .compress(cap);
     }
 
     fn compact(self) -> Self {
@@ -378,7 +361,8 @@ mod tests {
                 2,
             )
             .unwrap();
-        let m = a.merge(&b);
+        let mut m = a.clone();
+        m.merge(b.clone());
         assert_eq!(m.population, 50_000);
         assert!(m.keys.len() <= 2_000);
         assert_eq!(m.weight(), a.weight() + b.weight(), "weight conserved");

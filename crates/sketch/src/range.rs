@@ -47,51 +47,23 @@ pub struct RangeSummary {
 }
 
 impl Summary for RangeSummary {
-    fn merge(&self, other: &Self) -> Self {
-        RangeSummary {
-            present: self.present + other.present,
-            missing: self.missing + other.missing,
-            min: merge_opt(self.min, other.min, f64::min),
-            max: merge_opt(self.max, other.max, f64::max),
-            min_str: merge_opt_clone(
-                &self.min_str,
-                &other.min_str,
-                |a, b| {
-                    if a <= b {
-                        a
-                    } else {
-                        b
-                    }
-                },
-            ),
-            max_str: merge_opt_clone(
-                &self.max_str,
-                &other.max_str,
-                |a, b| {
-                    if a >= b {
-                        a
-                    } else {
-                        b
-                    }
-                },
-            ),
-        }
+    fn merge(&mut self, other: Self) {
+        self.present += other.present;
+        self.missing += other.missing;
+        merge_opt(&mut self.min, other.min, f64::min);
+        merge_opt(&mut self.max, other.max, f64::max);
+        merge_opt(&mut self.min_str, other.min_str, Ord::min);
+        merge_opt(&mut self.max_str, other.max_str, Ord::max);
     }
 }
 
-fn merge_opt<T: Copy>(a: Option<T>, b: Option<T>, f: impl Fn(T, T) -> T) -> Option<T> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(f(a, b)),
+/// `mine = pick(mine, other)` where both are present, else whichever is:
+/// the merge of an optional extreme.
+pub(crate) fn merge_opt<T>(mine: &mut Option<T>, other: Option<T>, pick: impl FnOnce(T, T) -> T) {
+    *mine = match (mine.take(), other) {
+        (Some(a), Some(b)) => Some(pick(a, b)),
         (x, None) | (None, x) => x,
-    }
-}
-
-fn merge_opt_clone<T: Clone>(a: &Option<T>, b: &Option<T>, f: impl Fn(T, T) -> T) -> Option<T> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(f(a.clone(), b.clone())),
-        (x, None) => x.clone(),
-        (None, x) => x.clone(),
-    }
+    };
 }
 
 /// Layout: `present`, `missing`, then `min`, `max`, `min_str`, `max_str`,

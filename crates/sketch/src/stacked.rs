@@ -90,23 +90,14 @@ impl StackedSummary {
 }
 
 impl Summary for StackedSummary {
-    fn merge(&self, other: &Self) -> Self {
-        if self.bx == 0 && self.by == 0 {
-            return other.clone();
+    fn merge(&mut self, other: Self) {
+        let mine = [&mut self.x_counts, &mut self.xy_counts];
+        if add_counts(mine, [other.x_counts, other.xy_counts]) {
+            (self.bx, self.by) = (other.bx, other.by);
         }
-        if other.bx == 0 && other.by == 0 {
-            return self.clone();
-        }
-        debug_assert_eq!((self.bx, self.by), (other.bx, other.by));
-        StackedSummary {
-            bx: self.bx,
-            by: self.by,
-            x_counts: add_counts(&self.x_counts, &other.x_counts),
-            xy_counts: add_counts(&self.xy_counts, &other.xy_counts),
-            missing: self.missing + other.missing,
-            out_of_range: self.out_of_range + other.out_of_range,
-            rows_inspected: self.rows_inspected + other.rows_inspected,
-        }
+        self.missing += other.missing;
+        self.out_of_range += other.out_of_range;
+        self.rows_inspected += other.rows_inspected;
     }
 }
 
@@ -240,7 +231,7 @@ impl StackedHistogramSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::merge_law_holds;
+    use crate::traits::{merge_law_holds, merged};
     use hillview_columnar::column::{Column, DictColumn, I64Column};
     use hillview_columnar::{ColumnKind, MembershipSet, Table};
 
@@ -315,8 +306,8 @@ mod tests {
     fn identity_is_unit() {
         let sk = sketch();
         let s = sk.summarize(&view(), Scope::ALL, 0).unwrap();
-        assert_eq!(sk.identity().merge(&s), s);
-        assert_eq!(s.merge(&sk.identity()), s);
+        assert_eq!(merged(sk.identity(), s.clone()), s);
+        assert_eq!(merged(s.clone(), sk.identity()), s);
     }
 
     #[test]

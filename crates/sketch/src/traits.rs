@@ -4,6 +4,7 @@
 use crate::view::{Scope, TableView};
 use hillview_columnar::{MembershipSet, Predicate, SplittableSelection};
 use hillview_net::Wire;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Errors a sketch can raise while summarizing a partition.
@@ -37,10 +38,26 @@ pub type SketchResult<T> = Result<T, SketchError>;
 
 /// A mergeable summary (paper §4.1).
 ///
-/// `merge` must be associative and commutative with the sketch's identity
-/// summary as unit — the execution tree merges summaries in whatever order
-/// partitions happen to complete, so any other behaviour would make results
-/// depend on timing. These laws are property-tested per summary type.
+/// [`Summary::merge`] folds the summary of a disjoint partition into this
+/// one, in place, and consumes it: what the result keeps of `other` is
+/// moved, and nothing of either operand is cloned. The execution tree
+/// merges summaries in whatever order partitions happen to complete, and
+/// every fold starts from [`Sketch::identity`], so `merge` must be
+/// commutative and associative with the identity as unit — otherwise
+/// results would depend on timing. `tests/merge_laws.rs` checks, per
+/// summary type, how exactly:
+///
+/// * the identity is a unit on both sides, bit for bit, for every summary —
+///   so a fold from the identity returns a lone summary's own bytes;
+/// * counts, ranges, bucket grids, HLL registers, bottom-k, next-K, find
+///   and exact heavy hitters obey every law bit for bit, and merging the
+///   summaries of the parts equals summarizing the whole;
+/// * moments and PCA merge counts and extrema exactly and commute bitwise,
+///   but their floating-point sums regroup only to rounding;
+/// * a quantile sample within its budget merges as a multiset union,
+///   exactly; past it `merge` compresses and only the rank-error bound holds;
+/// * Misra-Gries counters depend on arrival order: what survives merging is
+///   the heavy-hitter guarantee.
 pub trait Summary: Clone + Send + Sync + 'static {
     /// True exactly when [`Summary::compact`] is overridden. The engine
     /// moves summaries as wire bytes, and reads this to hand the bytes of
@@ -48,8 +65,8 @@ pub trait Summary: Clone + Send + Sync + 'static {
     /// no-op.
     const COMPACTS: bool = false;
 
-    /// Combine two summaries of disjoint data partitions.
-    fn merge(&self, other: &Self) -> Self;
+    /// Fold `other`, the summary of a disjoint data partition, into `self`.
+    fn merge(&mut self, other: Self);
 
     /// The form that crosses a network link: a summary that holds more
     /// than the display can resolve (a sample, say) drops to display size
@@ -61,6 +78,37 @@ pub trait Summary: Clone + Send + Sync + 'static {
     fn compact(self) -> Self {
         self
     }
+}
+
+/// Merge two runs, each ascending by `key` without repeats, into one, by
+/// value. On equal keys the left entry is kept and the right one is
+/// combined into it. The key-ordered summaries (quantile, next-K, bottom-k)
+/// merge through this, then cut the run to their budget.
+pub(crate) fn merge_runs<T, K: Ord>(
+    left: Vec<T>,
+    right: Vec<T>,
+    key: impl Fn(&T) -> &K,
+    mut combine: impl FnMut(&mut T, T),
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(left.len() + right.len());
+    let (mut left, mut right) = (left.into_iter().peekable(), right.into_iter().peekable());
+    while let (Some(l), Some(r)) = (left.peek(), right.peek()) {
+        let entry = match key(l).cmp(key(r)) {
+            Ordering::Less => left.next(),
+            Ordering::Greater => right.next(),
+            Ordering::Equal => {
+                let mut entry = left.next();
+                if let (Some(l), Some(r)) = (entry.as_mut(), right.next()) {
+                    combine(l, r);
+                }
+                entry
+            }
+        };
+        out.extend(entry);
+    }
+    out.extend(left);
+    out.extend(right);
+    out
 }
 
 /// A mergeable summarization method bound to concrete parameters
@@ -125,6 +173,14 @@ pub trait Sketch: Send + Sync + 'static {
     }
 }
 
+/// `a` with `b` merged into it: the unit tests' expression form of
+/// [`Summary::merge`].
+#[cfg(test)]
+pub(crate) fn merged<S: Summary>(mut a: S, b: S) -> S {
+    a.merge(b);
+    a
+}
+
 /// Check the mergeability law on concrete data: summarizing the union must
 /// equal merging the parts. Exact sketches satisfy this bit-for-bit when
 /// given the same effective sampling behaviour; used by this crate's unit
@@ -147,7 +203,7 @@ where
     let mut merged = sketch.identity();
     for p in parts {
         match sketch.summarize(p, Scope::ALL, seed) {
-            Ok(s) => merged = merged.merge(&s),
+            Ok(s) => merged.merge(s),
             Err(_) => return false,
         }
     }
@@ -199,7 +255,7 @@ pub fn summarize_split<S: Sketch>(
             rows: Some(rows),
             filter,
         };
-        acc = acc.merge(&sketch.summarize(view, scope, seed)?);
+        acc.merge(sketch.summarize(view, scope, seed)?);
     }
     Ok(acc)
 }

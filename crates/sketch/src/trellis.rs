@@ -46,23 +46,18 @@ pub struct TrellisSummary {
 }
 
 impl Summary for TrellisSummary {
-    fn merge(&self, other: &Self) -> Self {
+    /// Group-wise. A trellis with no groups (the zero-width identity) gets
+    /// zero-width heat maps first, which adopt the other's.
+    fn merge(&mut self, other: Self) {
         if self.groups.is_empty() {
-            return other.clone();
+            self.groups
+                .resize_with(other.groups.len(), Default::default);
         }
-        if other.groups.is_empty() {
-            return self.clone();
+        debug_assert!(other.groups.is_empty() || other.groups.len() == self.groups.len());
+        for (mine, theirs) in self.groups.iter_mut().zip(other.groups) {
+            mine.merge(theirs);
         }
-        debug_assert_eq!(self.groups.len(), other.groups.len());
-        TrellisSummary {
-            groups: self
-                .groups
-                .iter()
-                .zip(&other.groups)
-                .map(|(a, b)| a.merge(b))
-                .collect(),
-            dropped: self.dropped + other.dropped,
-        }
+        self.dropped += other.dropped;
     }
 }
 

@@ -1,9 +1,10 @@
 //! Property tests for the sketch merge laws (paper §4.1).
 //!
 //! For every summary type: merge is commutative, associative, and has the
-//! sketch identity as unit; and for exact (non-sampled) sketches,
-//! `summarize(D1 ⊎ D2) = merge(summarize(D1), summarize(D2))` over random
-//! data and random partition splits.
+//! sketch identity as unit on both sides; and for exact (non-sampled)
+//! sketches, `summarize(D1 ⊎ D2) = merge(summarize(D1), summarize(D2))` over
+//! random data and random partition splits. Last, the bytes every summary's
+//! fold produces over a flights table are pinned.
 
 use hillview_columnar::column::{Column, DictColumn, F64Column};
 use hillview_columnar::{ColumnKind, MembershipSet, SortOrder, StrMatchKind, Table, Value};
@@ -26,6 +27,17 @@ use hillview_sketch::trellis::TrellisSketch;
 use hillview_sketch::{Scope, TableView};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// `a` with `b` merged into it.
+fn merged<S: Summary>(mut a: S, b: S) -> S {
+    a.merge(b);
+    a
+}
+
+/// `parts` merged, in order, into `first`.
+fn fold<S: Summary>(first: S, parts: &[S]) -> S {
+    parts.iter().cloned().fold(first, merged)
+}
 
 /// Relative-tolerance comparison for merged f64 accumulators: partitioning
 /// regroups the additions, so sums agree to rounding, not bit-for-bit.
@@ -78,6 +90,22 @@ fn three_way_split(table: Arc<Table>, cut1: usize, cut2: usize) -> Vec<TableView
         .collect()
 }
 
+/// The identity is a unit on both sides, bit for bit — on the summary and
+/// on its wire bytes.
+fn check_units<S>(sketch: &S, s: &S::Summary) -> Result<(), TestCaseError>
+where
+    S: Sketch,
+    S::Summary: PartialEq + std::fmt::Debug,
+{
+    use hillview_net::Wire;
+    let right = merged(s.clone(), sketch.identity());
+    prop_assert_eq!(&right, s, "identity is a right unit");
+    let left = merged(sketch.identity(), s.clone());
+    prop_assert_eq!(&left, s, "identity is a left unit");
+    prop_assert_eq!(left.to_bytes(), s.to_bytes(), "left unit, byte for byte");
+    Ok(())
+}
+
 /// Assert the full merge-law battery for an exact sketch, returning the
 /// error string on failure so proptest can shrink.
 fn check_exact_sketch<S>(
@@ -98,18 +126,16 @@ where
         .map(|p| sketch.summarize(p, Scope::ALL, 7).unwrap())
         .collect();
     // Mergeability.
-    let merged = s[0].merge(&s[1]).merge(&s[2]);
-    prop_assert_eq!(&merged, &direct, "summarize(⊎) == fold(merge)");
+    let ab_c = fold(s[0].clone(), &s[1..]);
+    prop_assert_eq!(&ab_c, &direct, "summarize(⊎) == fold(merge)");
     // Commutativity & associativity.
-    let ab_c = s[0].merge(&s[1]).merge(&s[2]);
-    let a_bc = s[0].merge(&s[1].merge(&s[2]));
+    let a_bc = merged(s[0].clone(), merged(s[1].clone(), s[2].clone()));
     prop_assert_eq!(&ab_c, &a_bc, "associative");
-    let ba = s[1].merge(&s[0]);
-    let ab = s[0].merge(&s[1]);
+    let ba = merged(s[1].clone(), s[0].clone());
+    let ab = merged(s[0].clone(), s[1].clone());
     prop_assert_eq!(&ba, &ab, "commutative");
-    // Identity.
-    let with_id = direct.merge(&sketch.identity());
-    prop_assert_eq!(&with_id, &direct, "identity is unit");
+    // Identity, on either side.
+    check_units(sketch, &direct)?;
     // Split law: recursive range-split execution (the engine's parallel
     // leaf plan, run serially) reproduces the whole-partition summary
     // bit-for-bit for exact sketches.
@@ -228,8 +254,8 @@ proptest! {
 
     /// Moments power sums are f64 additions regrouped by the partitioning:
     /// counts and extrema merge exactly, the sums to rounding. Commutativity
-    /// and the identity unit stay bitwise (IEEE `a+b == b+a`, and the power
-    /// sums of X ∈ [0, 100) are non-negative so `x + 0.0 == x`).
+    /// and both identity units stay bitwise (IEEE `a+b == b+a`, and a sum
+    /// that starts at `0.0` is never `-0.0`, so `x + 0.0 == 0.0 + x == x`).
     #[test]
     fn moments_merge_laws(t in table_strategy(), c1 in 0usize..200, c2 in 0usize..200) {
         let table = Arc::new(t);
@@ -238,21 +264,25 @@ proptest! {
         let parts = three_way_split(table, c1, c2);
         let direct = sk.summarize(&whole, Scope::ALL, 7).unwrap();
         let s: Vec<_> = parts.iter().map(|p| sk.summarize(p, Scope::ALL, 7).unwrap()).collect();
-        let merged = s[0].merge(&s[1]).merge(&s[2]);
-        prop_assert_eq!(merged.present, direct.present);
-        prop_assert_eq!(merged.missing, direct.missing);
-        prop_assert_eq!(merged.min, direct.min);
-        prop_assert_eq!(merged.max, direct.max);
-        for (m, d) in merged.sums.iter().zip(&direct.sums) {
+        let ab_c = fold(s[0].clone(), &s[1..]);
+        prop_assert_eq!(ab_c.present, direct.present);
+        prop_assert_eq!(ab_c.missing, direct.missing);
+        prop_assert_eq!(ab_c.min, direct.min);
+        prop_assert_eq!(ab_c.max, direct.max);
+        for (m, d) in ab_c.sums.iter().zip(&direct.sums) {
             prop_assert!(close(*m, *d), "power sum {} vs {}", m, d);
         }
-        let a_bc = s[0].merge(&s[1].merge(&s[2]));
-        prop_assert_eq!(a_bc.present, merged.present);
-        for (g, m) in a_bc.sums.iter().zip(&merged.sums) {
+        let a_bc = merged(s[0].clone(), merged(s[1].clone(), s[2].clone()));
+        prop_assert_eq!(a_bc.present, ab_c.present);
+        for (g, m) in a_bc.sums.iter().zip(&ab_c.sums) {
             prop_assert!(close(*g, *m), "regrouped power sum {} vs {}", g, m);
         }
-        prop_assert_eq!(s[1].merge(&s[0]), s[0].merge(&s[1]), "commutative");
-        prop_assert_eq!(direct.merge(&sk.identity()), direct, "identity is unit");
+        prop_assert_eq!(
+            merged(s[1].clone(), s[0].clone()),
+            merged(s[0].clone(), s[1].clone()),
+            "commutative"
+        );
+        check_units(&sk, &direct)?;
     }
 
     /// Complete-case PCA accumulators behave like the moments sums: exact
@@ -265,17 +295,21 @@ proptest! {
         let parts = three_way_split(table, c1, c2);
         let direct = sk.summarize(&whole, Scope::ALL, 7).unwrap();
         let s: Vec<_> = parts.iter().map(|p| sk.summarize(p, Scope::ALL, 7).unwrap()).collect();
-        let merged = s[0].merge(&s[1]).merge(&s[2]);
-        prop_assert_eq!(merged.m, direct.m);
-        prop_assert_eq!(merged.count, direct.count);
-        for (m, d) in merged.sums.iter().zip(&direct.sums) {
+        let ab_c = fold(s[0].clone(), &s[1..]);
+        prop_assert_eq!(ab_c.m, direct.m);
+        prop_assert_eq!(ab_c.count, direct.count);
+        for (m, d) in ab_c.sums.iter().zip(&direct.sums) {
             prop_assert!(close(*m, *d), "column sum {} vs {}", m, d);
         }
-        for (m, d) in merged.prods.iter().zip(&direct.prods) {
+        for (m, d) in ab_c.prods.iter().zip(&direct.prods) {
             prop_assert!(close(*m, *d), "co-moment {} vs {}", m, d);
         }
-        prop_assert_eq!(s[1].merge(&s[0]), s[0].merge(&s[1]), "commutative");
-        prop_assert_eq!(direct.merge(&sk.identity()), direct, "identity is unit");
+        prop_assert_eq!(
+            merged(s[1].clone(), s[0].clone()),
+            merged(s[0].clone(), s[1].clone()),
+            "commutative"
+        );
+        check_units(&sk, &direct)?;
     }
 
     /// At rate 1.0 with the cap above any generated table, the quantile
@@ -298,13 +332,18 @@ proptest! {
             table.num_rows() as u64,
             "one unit of weight per sampled row"
         );
-        let merged = s[0].merge(&s[1]).merge(&s[2]);
-        prop_assert_eq!(merged.population, direct.population);
-        prop_assert_eq!(merged.cap, direct.cap);
-        prop_assert_eq!(&merged, &direct, "key multiset");
-        prop_assert_eq!(&s[0].merge(&s[1].merge(&s[2])), &merged, "associative");
-        prop_assert_eq!(s[1].merge(&s[0]), s[0].merge(&s[1]), "commutative");
-        prop_assert_eq!(direct.merge(&sk.identity()), direct, "identity is unit");
+        let ab_c = fold(s[0].clone(), &s[1..]);
+        prop_assert_eq!(ab_c.population, direct.population);
+        prop_assert_eq!(ab_c.cap, direct.cap);
+        prop_assert_eq!(&ab_c, &direct, "key multiset");
+        let a_bc = merged(s[0].clone(), merged(s[1].clone(), s[2].clone()));
+        prop_assert_eq!(&a_bc, &ab_c, "associative");
+        prop_assert_eq!(
+            merged(s[1].clone(), s[0].clone()),
+            merged(s[0].clone(), s[1].clone()),
+            "commutative"
+        );
+        check_units(&sk, &direct)?;
     }
 
     /// The compaction law. A key multiset is dealt to 1..=8 "workers" in
@@ -344,9 +383,7 @@ proptest! {
                 sk.summarize(&view, Scope::ALL, 0).unwrap()
             })
             .collect();
-        let fold = |parts: &[QuantileSummary]| {
-            parts.iter().fold(sk.identity(), |acc, s| acc.merge(s))
-        };
+        let fold = |parts: &[QuantileSummary]| fold(sk.identity(), parts);
         let compacted: Vec<QuantileSummary> =
             per_worker.iter().map(|s| s.clone().compact()).collect();
         for (s, c) in per_worker.iter().zip(&compacted) {
@@ -389,8 +426,9 @@ proptest! {
     }
 
     /// Misra-Gries is not exactly partition-invariant (the summary depends on
-    /// arrival order), but the heavy-hitter *guarantee* must survive merging:
-    /// any item with true frequency > total/k appears in the merged counters.
+    /// arrival order), but the identity is a unit on both sides and the
+    /// heavy-hitter *guarantee* must survive merging: any item with true
+    /// frequency > total/k appears in the merged counters.
     #[test]
     fn misra_gries_guarantee_survives_merge(
         t in table_strategy(),
@@ -401,10 +439,11 @@ proptest! {
         let k = 3usize;
         let sk = MisraGriesSketch::new("C", k);
         let parts = three_way_split(table.clone(), c1, c2);
-        let merged = parts
-            .iter()
-            .map(|p| sk.summarize(p, Scope::ALL, 0).unwrap())
-            .fold(sk.identity(), |acc, s| acc.merge(&s));
+        let s: Vec<_> = parts.iter().map(|p| sk.summarize(p, Scope::ALL, 0).unwrap()).collect();
+        for part in &s {
+            check_units(&sk, part)?;
+        }
+        let merged = fold(sk.identity(), &s);
         // Exact counts for comparison.
         let col = table.column_by_name("C").unwrap();
         let mut exact = std::collections::HashMap::new();
@@ -442,5 +481,153 @@ proptest! {
             hillview_sketch::nextk::NextKSummary::from_bytes(n.to_bytes()).unwrap(),
             n
         );
+    }
+}
+
+/// A seeded flights table, whole and dealt into three partitions (the
+/// middle one empty).
+struct Folds {
+    whole: TableView,
+    parts: Vec<TableView>,
+}
+
+impl Folds {
+    fn new() -> Self {
+        use hillview_data::{generate_flights, FlightsConfig};
+        let table = Arc::new(generate_flights(&FlightsConfig::new(6_000, 29)));
+        let n = table.num_rows();
+        let parts = [0..n / 3, n / 3..n / 3, n / 3..n]
+            .into_iter()
+            .map(|rows| {
+                let members = MembershipSet::from_rows(rows.map(|i| i as u32).collect(), n);
+                TableView::with_members(table.clone(), Arc::new(members))
+            })
+            .collect();
+        Folds {
+            whole: TableView::full(table),
+            parts,
+        }
+    }
+
+    /// FNV-1a over the wire bytes of `sketch`'s serial split folds
+    /// ([`summarize_split`]): of the whole table at two grains, then of
+    /// each partition.
+    fn fingerprint<S: Sketch>(&self, sketch: S) -> u64 {
+        use hillview_columnar::{fnv1a, FNV_OFFSET};
+        use hillview_net::Wire;
+        use hillview_sketch::traits::summarize_split;
+        let whole = [(&self.whole, 97), (&self.whole, 1_024)].into_iter();
+        let folds = whole.chain(self.parts.iter().map(|part| (part, 256)));
+        folds.fold(FNV_OFFSET, |h, (view, grain)| {
+            let summary = summarize_split(&sketch, view, None, grain, 11).unwrap();
+            fnv1a(h, &summary.to_bytes())
+        })
+    }
+}
+
+/// The bytes every summary's fold produces, pinned. Each sketch — the
+/// sampled ones at a fixed seed — is folded over a seeded `generate_flights`
+/// table by `summarize_split`, at two grains and across three partitions,
+/// one of them empty. The constants were recorded on commit `d280ef4`, whose
+/// `merge` took both operands by reference and returned a new summary: how a
+/// merge is written may change, the bytes it folds to may not.
+#[test]
+fn fold_fingerprints_are_pinned() {
+    let f = Folds::new();
+    let by_date = SortOrder::ascending(&["Year", "Month", "DayOfMonth", "CRSDepTime", "FlightNum"]);
+    let numeric = BucketSpec::numeric;
+    let carriers = || BucketSpec::strings(["AA", "DL", "UA", "WN"].map(Arc::from).to_vec());
+    let trellis = TrellisSketch {
+        col_w: Arc::from("Carrier"),
+        col_x: Arc::from("Distance"),
+        col_y: Arc::from("AirTime"),
+        buckets_w: carriers(),
+        buckets_x: numeric(0.0, 3_000.0, 12),
+        buckets_y: numeric(0.0, 400.0, 8),
+        rate: 0.7,
+    };
+    let page = NextKSketch::first_page(SortOrder::ascending(&["Origin", "DepDelay"]), 20);
+    let find_order = SortOrder::ascending(&["Origin", "FlightNum"]);
+    let got = [
+        ("count", f.fingerprint(CountSketch::of_column("DepDelay"))),
+        ("range", f.fingerprint(RangeSketch::new("ArrDelay"))),
+        ("range-strings", f.fingerprint(RangeSketch::new("TailNum"))),
+        (
+            "histogram-sampled",
+            f.fingerprint(HistogramSketch::sampled(
+                "DepDelay",
+                numeric(-60.0, 600.0, 600),
+                0.5,
+            )),
+        ),
+        (
+            "heatmap",
+            f.fingerprint(HeatmapSketch::streaming(
+                "Distance",
+                "AirTime",
+                numeric(0.0, 3_000.0, 40),
+                numeric(0.0, 400.0, 20),
+            )),
+        ),
+        (
+            "stacked",
+            f.fingerprint(StackedHistogramSketch::streaming(
+                "CRSDepTime",
+                "Carrier",
+                numeric(0.0, 2_400.0, 24),
+                carriers(),
+            )),
+        ),
+        ("trellis-sampled", f.fingerprint(trellis)),
+        ("moments", f.fingerprint(MomentsSketch::new("ArrDelay", 4))),
+        (
+            "pca-sampled",
+            f.fingerprint(PcaSketch::new(&["DepDelay", "ArrDelay", "Distance"], 0.6)),
+        ),
+        ("distinct", f.fingerprint(DistinctSketch::new("TailNum"))),
+        (
+            "misra-gries",
+            f.fingerprint(MisraGriesSketch::new("Origin", 8)),
+        ),
+        (
+            "sampled-hh",
+            f.fingerprint(SampledHeavyHittersSketch::new("Dest", 6, 0.4)),
+        ),
+        ("bottom-k", f.fingerprint(BottomKSketch::new("TailNum", 64))),
+        (
+            "quantile-sampled",
+            f.fingerprint(QuantileSketch::new(by_date, 0.5, 400, 80)),
+        ),
+        ("nextk", f.fingerprint(page.with_display(&["Carrier"]))),
+        (
+            "find",
+            f.fingerprint(FindSketch::new(
+                "Origin",
+                "S",
+                StrMatchKind::Substring,
+                find_order,
+            )),
+        ),
+    ];
+    let pinned = [
+        ("count", 0x9942b7754394befa),
+        ("range", 0xfe4847ac1694ac1e),
+        ("range-strings", 0x7985f778f4beb1ca),
+        ("histogram-sampled", 0x2abbe0e2234c7895),
+        ("heatmap", 0xb90441e3344f2751),
+        ("stacked", 0x8fa6a0dfe9685360),
+        ("trellis-sampled", 0xac06c5a4ca2e4a9a),
+        ("moments", 0x2afe95d435515c02),
+        ("pca-sampled", 0xd9df452e3d8ba0b8),
+        ("distinct", 0x5ff4b5b470e51f68),
+        ("misra-gries", 0x8cca0a484edd8546),
+        ("sampled-hh", 0xa7df86bd72579d1c),
+        ("bottom-k", 0xde366bfb57356c10),
+        ("quantile-sampled", 0x372eb0dade5839ef),
+        ("nextk", 0x969ad72a7869478b),
+        ("find", 0x2dfb21fe37116b53),
+    ];
+    for ((name, got), want) in got.into_iter().zip(pinned) {
+        assert_eq!((name, got), want, "{name}: {got:#018x}");
     }
 }

@@ -408,7 +408,21 @@ fn bottomk_is_total_and_canonical() {
         entries: vec![(0, String::new()), (u64::MAX, "日本".into())],
         rows: 2,
     };
-    total_and_canonical("bottomk", &[sketch.identity(), summary(&sketch), edge]);
+    total_and_canonical(
+        "bottomk",
+        &[sketch.identity(), summary(&sketch), edge.clone()],
+    );
+    // Hashes out of order, or twice: no run `merge` could unite.
+    for entries in [
+        vec![(7, "b".to_string()), (3, "a".to_string())],
+        vec![(3, "a".to_string()), (3, "b".to_string())],
+    ] {
+        let torn = BottomKSummary {
+            entries,
+            ..edge.clone()
+        };
+        refused::<BottomKSummary>("hashes not strictly ascending", &torn.to_bytes());
+    }
 }
 
 #[test]

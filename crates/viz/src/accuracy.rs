@@ -240,7 +240,10 @@ mod tests {
                                 .unwrap()
                                 .compact()
                         })
-                        .fold(sketch.identity(), |acc, s| acc.merge(&s));
+                        .fold(sketch.identity(), |mut acc, s| {
+                            acc.merge(s);
+                            acc
+                        });
                     assert!(merged.keys.len() <= workers * sketch.resolution);
                     let mut run_worst = 0.0f64;
                     for pixel in 0..=PX {

@@ -184,7 +184,7 @@ mod tests {
         let (_viz, sketch) = prepared(&v);
         let t = v.table().clone();
         let whole = sketch.summarize(&v, Scope::ALL, 0).unwrap();
-        let a = sketch
+        let mut a = sketch
             .summarize(
                 &TableView::with_members(
                     t.clone(),
@@ -204,7 +204,8 @@ mod tests {
                 0,
             )
             .unwrap();
-        assert_eq!(a.merge(&b), whole);
+        a.merge(b);
+        assert_eq!(a, whole);
     }
 
     #[test]
