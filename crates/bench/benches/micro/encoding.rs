@@ -6,12 +6,17 @@
 //! packed ns / plain ns) and the simd-vs-scalar speedup per side. The two
 //! strided cases price the common stride's read path: day-granular dates
 //! pay a multiply per value (an odd factor), non-negative integral doubles
-//! only a shift (step 2).
+//! only a shift (step 2). `mostly_zero_1M` prices the exceptions layout
+//! against the bit-packing it replaces on a column nine tenths one value:
+//! a whole-column frame decode, a range word per frame and the block
+//! histogram, each as exceptions and as bit-packed.
 
 use super::data::{self, ROWS};
 use hillview_bench::harness::{forced_scalar, mix, Registered, Suite};
 use hillview_columnar::column::{Column, F64Column, I64Column};
-use hillview_columnar::{ColumnKind, F64Storage, NullMask, Table, ZoneMap};
+use hillview_columnar::{
+    ColumnKind, EncodingKind, F64Storage, I64Storage, NullMask, Table, ZoneMap, BLOCK_ROWS,
+};
 use hillview_sketch::buckets::BucketSpec;
 use hillview_sketch::histogram::HistogramSketch;
 use hillview_sketch::traits::Sketch;
@@ -22,7 +27,8 @@ pub const SUITE: Registered = Registered {
     name: "encoding",
     about: "packed vs plain integer and integral-double columns over 1M rows: heap bytes and block \
             histogram median ns (simd + forced-scalar); packed ≡ plain asserted under both codegens \
-            before timing",
+            before timing; a mostly-zero column as exceptions vs bit-packed: decode, range word and \
+            histogram ns",
     run,
 };
 
@@ -122,4 +128,91 @@ fn run(suite: &mut Suite) {
         doubles(minutes.collect()),
         upto(300.0),
     );
+    mostly_one_value(suite);
+}
+
+/// Every frame of `s` decoded in order, folded so nothing is optimized out.
+fn decode(s: &I64Storage) -> i64 {
+    let mut cursor = 0;
+    let mut buf = [0i64; BLOCK_ROWS];
+    let mut sum = 0i64;
+    for base in (0..ROWS).step_by(BLOCK_ROWS) {
+        let lanes = s.decode_frame(&mut cursor, base, BLOCK_ROWS.min(ROWS - base), &mut buf);
+        sum = lanes.iter().fold(sum, |a, &v| a.wrapping_add(v));
+    }
+    sum
+}
+
+/// Rows of `s` in `[1, 150]`, one range word per frame: half the
+/// exceptions pass, the fill does not.
+fn range(s: &I64Storage) -> u32 {
+    let mut cursor = 0;
+    let mut buf = [0i64; BLOCK_ROWS];
+    (0..ROWS)
+        .step_by(BLOCK_ROWS)
+        .map(|base| {
+            let len = BLOCK_ROWS.min(ROWS - base);
+            s.range_frame_word(&mut cursor, base, len, 1, 150, &mut buf)
+                .count_ones()
+        })
+        .sum()
+}
+
+/// A delay column's values, nine rows in ten a null's 0: as ingest stores
+/// them (exceptions) and forced bit-packed.
+fn mostly_one_value(suite: &mut Suite) {
+    let values: Vec<i64> = (0..ROWS as u64)
+        .map(|i| match mix(i) % 10 {
+            0 => (mix(!i) % 300 + 1) as i64,
+            _ => 0,
+        })
+        .collect();
+    let exceptions = I64Storage::encode(values.clone());
+    assert_eq!(exceptions.kind(), EncodingKind::Exceptions);
+    let packed = I64Storage::bit_packed_of(&values).unwrap();
+    let view = |s: &I64Storage| {
+        let column = I64Column::with_storage(s.clone(), NullMask::none());
+        TableView::full(Arc::new(data::int_column_table(column)))
+    };
+    let (on_exceptions, on_packed) = (view(&exceptions), view(&packed));
+    let hist = HistogramSketch::streaming("X", BucketSpec::numeric(0.0, 301.0, 100));
+    let histogram = |v: &TableView| hist.summarize(v, Scope::ALL, 0).unwrap();
+    for scalar in [false, true] {
+        let agree = || {
+            assert_eq!(decode(&exceptions), decode(&packed));
+            assert_eq!(range(&exceptions), range(&packed));
+            assert_eq!(histogram(&on_exceptions), histogram(&on_packed));
+        };
+        if scalar {
+            forced_scalar(agree);
+        } else {
+            agree();
+        }
+    }
+    let (packed_bytes, exceptions_bytes) = (packed.heap_bytes(), exceptions.heap_bytes());
+    suite
+        .case("mostly_zero_1M")
+        .label("encoding", exceptions.kind())
+        .fact("packed_bytes", packed_bytes as f64)
+        .fact("exceptions_bytes", exceptions_bytes as f64)
+        .fact(
+            "footprint_ratio",
+            packed_bytes as f64 / exceptions_bytes as f64,
+        )
+        .time("decode_packed", || decode(&packed))
+        .time("decode_exceptions", || decode(&exceptions))
+        .time_scalar("decode_exceptions_scalar", || decode(&exceptions))
+        .time("range_packed", || range(&packed))
+        .time("range_exceptions", || range(&exceptions))
+        .time_scalar("range_exceptions_scalar", || range(&exceptions))
+        .time("histogram_packed", || histogram(&on_packed))
+        .time("histogram_exceptions", || histogram(&on_exceptions))
+        .time_scalar("histogram_exceptions_scalar", || histogram(&on_exceptions))
+        .ratio("decode_ratio", "decode_exceptions", "decode_packed")
+        .ratio("range_ratio", "range_exceptions", "range_packed")
+        .ratio(
+            "histogram_ratio",
+            "histogram_exceptions",
+            "histogram_packed",
+        );
 }

@@ -6,7 +6,8 @@
 //! Every column's values live behind the [`crate::encoding`] layer —
 //! integers, dictionary codes, and doubles (integral ones as integer codes):
 //! constructors analyze the data and pick a physical encoding (plain /
-//! frame-of-reference bit-packed / run-length / delta), and the chunked
+//! frame-of-reference bit-packed / run-length / delta / exceptions around
+//! one mostly-held value), and the chunked
 //! scan drivers decode 64-row blocks on the fly. Kernels that need raw
 //! access go through [`I64Column::storage`] / [`F64Column::data`] /
 //! [`DictColumn::codes`] (any [`crate::scan::ScanSource`]) or the per-row
@@ -603,7 +604,7 @@ mod tests {
     #[test]
     fn ingest_compresses_compressible_columns() {
         // Sorted, low-cardinality: run-length; small range: bit-packed;
-        // sequential unique: delta.
+        // sequential unique: delta; mostly one value: exceptions.
         let sorted = I64Column::new((0..4096).map(|i| i / 100).collect(), NullMask::none());
         assert_eq!(sorted.storage().kind(), EncodingKind::RunLength);
         let sequential = I64Column::new((0..4096).collect(), NullMask::none());
@@ -618,6 +619,13 @@ mod tests {
         assert_eq!(packed.storage().kind(), EncodingKind::BitPacked);
         let plain = I64Column::plain((0..4096).collect(), NullMask::none());
         assert_eq!(plain.storage().kind(), EncodingKind::Plain);
+        let sparse = I64Column::new(
+            (0..4096)
+                .map(|i| if i % 16 == 5 { i * 7919 % 1024 } else { 0 })
+                .collect(),
+            NullMask::none(),
+        );
+        assert_eq!(sparse.storage().kind(), EncodingKind::Exceptions);
         // Values identical under every encoding.
         for i in [0usize, 63, 64, 4095] {
             assert_eq!(sorted.get(i), Some(i as i64 / 100));

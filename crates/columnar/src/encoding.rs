@@ -8,7 +8,7 @@
 //! backs [`I64Column`](crate::column::I64Column) values,
 //! [`DictColumn`](crate::column::DictColumn) dictionary codes and — through
 //! [`F64Storage`] — integral [`F64Column`](crate::column::F64Column) values
-//! with one of four physical encodings:
+//! with one of five physical encodings:
 //!
 //! * [`IntStorage::Plain`] — the raw `Vec<T>`, for high-entropy data.
 //! * [`IntStorage::BitPacked`] — frame-of-reference + bit-packing: values
@@ -29,6 +29,11 @@
 //!   at a global `width` (block-anchor rows pack a zero). A million
 //!   sequential timestamps shrink from 8 bytes to ~1 bit per row plus one
 //!   anchor per block, matching what `hvc` already achieves on disk.
+//! * [`IntStorage::Exceptions`] — for a column that is mostly one value
+//!   (the placeholder every null row of a mostly-missing column stores, or
+//!   a real zero): that value once, one mark bit per row, and only the
+//!   marked rows' values, under one of the four encodings above (see
+//!   [*Exceptions*](self#exceptions)).
 //!
 //! ## Block-decoder contract
 //!
@@ -52,9 +57,15 @@
 //!
 //! ## Encoding selection
 //!
-//! [`IntStorage::encode`] analyzes min/max, run structure, and adjacent
-//! deltas in one pass and picks the cheapest encoding, but only if it saves
-//! at least 25% over plain — marginal wins are not worth the decode work.
+//! [`IntStorage::encode`] analyzes min/max, run structure, adjacent deltas
+//! and a Boyer–Moore majority vote in one pass and picks the cheapest of
+//! bit-packed, run-length and delta coding, but only if it saves at least
+//! 25% over plain — marginal wins are not worth the decode work. The same
+//! rule then weighs the exceptions layout against that choice: when a
+//! second count confirms the majority candidate, and marks, ranks and the
+//! exceptions' own cheapest encoding together cost at most three quarters
+//! of the best other encoding's bytes, the column stores its exceptions.
+//! No share of fill rows or other threshold is a setting.
 //! Selection happens at ingest wherever columns are built (`I64Column::new`,
 //! `DictColumn::new`, `F64Column::new`, and therefore CSV/JSONL/HVC readers
 //! and `partition_table` slices, which re-analyze each micropartition).
@@ -105,6 +116,31 @@
 //! That recovers the sign-magnitude layout's wasted bit: the integer codes
 //! of a non-negative double column are `|v| << 1`, all even, so they pack at
 //! `step = 2` with one bit less per row and no multiply on the read path.
+//!
+//! ## Exceptions
+//!
+//! A mostly-missing column pays its full width on every row: a null row's
+//! placeholder sits in the payload like any other value. The exceptions
+//! layout stores the most common value, `fill`, once, and then:
+//!
+//! * `marks` — one bit per row, set where the row differs from `fill`, in
+//!   the frame-aligned words a [`ValueBuf`](crate::residency::ValueBuf)
+//!   holds, so a mapped part faults them chunk by chunk like any payload;
+//! * `ranks` — the number of exceptions before each run of 64 mark words
+//!   (4 096 rows), always resident;
+//! * `values` — the exceptions in row order, under the cheapest of the
+//!   other four encodings. Exceptions never nest.
+//!
+//! A frame's mark word says everything: with no mark the frame is a splat
+//! of `fill`; fully marked, its values decode straight; otherwise its `k`
+//! exceptions decode from their rank and scatter to the marked lanes. The
+//! rank of a frame is its group's stored rank plus the popcounts of the
+//! words before it in the group; the ascending cursor carries the running
+//! rank, so a scan pays one popcount per frame and a forward jump at most
+//! 63. A range test compares `fill` once for every unmarked lane and only
+//! the `k` exceptions lane by lane. The layout reads no null mask: a real
+//! zero compresses like a placeholder, and storage stays independent of
+//! nulls. Decoded values are bit for bit those of every other encoding.
 
 use crate::scan::ScanSource;
 use crate::simd::integral_value;
@@ -121,6 +157,8 @@ pub enum EncodingKind {
     RunLength,
     /// Per-block anchors + bit-packed adjacent deltas.
     Delta,
+    /// One fill value, a mark per row, and the marked rows' values.
+    Exceptions,
 }
 
 impl std::fmt::Display for EncodingKind {
@@ -130,6 +168,7 @@ impl std::fmt::Display for EncodingKind {
             EncodingKind::BitPacked => "bit-packed",
             EncodingKind::RunLength => "run-length",
             EncodingKind::Delta => "delta",
+            EncodingKind::Exceptions => "exceptions",
         })
     }
 }
@@ -190,13 +229,13 @@ pub const BLOCK_ROWS: usize = 64;
 /// snapshot. See the [module docs](self) for the encoding inventory and the
 /// block-decoder contract.
 ///
-/// The bulk payloads — plain values and packed words — live in a
-/// [`ValueBuf`](crate::residency::ValueBuf), so they are either owned heap
+/// The bulk payloads — plain values, packed words and exception marks — live
+/// in a [`ValueBuf`](crate::residency::ValueBuf), so they are either owned heap
 /// vectors (ingest, heap-decoded files) or zero-copy windows into a mapped
 /// `hvc` [`Segment`](crate::residency::Segment) with lazy, chunk-granular
-/// residency. The small side structures (run values/ends, delta anchors) are
-/// always owned: they are consulted by every block decision, so keeping
-/// them resident is the point. Decode paths touch only the words of the
+/// residency. The small side structures (run values/ends, delta anchors,
+/// exception ranks) are always owned: they are consulted by every block
+/// decision, so keeping them resident is the point. Decode paths touch only the words of the
 /// frames they decode, which is what turns zone-map block skipping into
 /// skipped *I/O*.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -246,7 +285,26 @@ pub enum IntStorage<T> {
         /// `ceil(len * width / 64)` packed words.
         words: crate::residency::ValueBuf<u64>,
     },
+    /// Exceptions around one fill value: row `i` is `fill` unless bit `i`
+    /// of `marks` is set, and then it is `values[r]`, where `r` counts the
+    /// marks before `i` (see the module docs' *Exceptions*).
+    Exceptions {
+        /// The value of every unmarked row.
+        fill: T,
+        /// Number of rows.
+        len: usize,
+        /// `ceil(len / 64)` words, one bit per row; none set past `len`.
+        marks: crate::residency::ValueBuf<u64>,
+        /// Marks before each run of [`RANK_WORDS`] mark words.
+        ranks: Vec<u32>,
+        /// The marked rows' values in row order; never exceptions itself.
+        values: Box<IntStorage<T>>,
+    },
 }
+
+/// Mark words per entry of [`IntStorage::Exceptions`]' `ranks`: 4 096 rows,
+/// so finding a frame's rank costs at most 63 popcounts.
+pub const RANK_WORDS: usize = 64;
 
 impl<T> Default for IntStorage<T> {
     fn default() -> Self {
@@ -404,36 +462,268 @@ fn exact_stride<T: PackedInt>(values: &[T], min: T, candidate: u64) -> u64 {
         .unwrap_or(1)
 }
 
+/// What [`IntStorage::encode`]'s one analysis pass learns about a column.
+struct Shape<T> {
+    min: T,
+    max: T,
+    runs: usize,
+    /// Widest adjacent delta at non-anchor rows, as an unsigned offset;
+    /// descending data produces a huge offset and rules delta out.
+    delta_width: usize,
+    /// The Boyer–Moore majority candidate: the value more than half the
+    /// rows hold, if any does (a second count confirms it).
+    majority: T,
+}
+
+impl<T: PackedInt> Shape<T> {
+    /// `None` for an empty column. Its passes vectorize only where 64-bit
+    /// lanes compare in one instruction, so they run under AVX2 when the
+    /// host has it.
+    fn of(values: &[T]) -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::current_tier() != crate::simd::Tier::Scalar {
+            // SAFETY: both vector tiers are only reported after runtime
+            // detection confirmed at least avx2 — the one feature the callee
+            // enables.
+            return unsafe { shape_avx2(values) };
+        }
+        Self::analyze(values)
+    }
+
+    #[inline(always)]
+    fn analyze(values: &[T]) -> Option<Self> {
+        let &first = values.first()?;
+        let (min, max) = values
+            .iter()
+            .fold((first, first), |(min, max), &v| (min.min(v), max.max(v)));
+        let runs = 1 + values.windows(2).filter(|pair| pair[0] != pair[1]).count();
+        // A frame's first row is its delta anchor, which packs no delta; the
+        // widest delta is the width of all of them ORed together.
+        let mut deltas = 0u64;
+        for frame in values.chunks(BLOCK_ROWS) {
+            for pair in frame.windows(2) {
+                deltas |= pair[1].offset_from(pair[0]);
+            }
+        }
+        // Four interleaved votes, so no one chain of dependent votes sets
+        // the pace; a value on more than half the rows survives the merge
+        // of their summaries.
+        let mut lanes = [(first, 0usize); 4];
+        let mut quads = values.chunks_exact(4);
+        for quad in &mut quads {
+            for (lane, &v) in lanes.iter_mut().zip(quad) {
+                *lane = vote(*lane, v);
+            }
+        }
+        lanes[0] = quads
+            .remainder()
+            .iter()
+            .fold(lanes[0], |lane, &v| vote(lane, v));
+        let (majority, _) = lanes.into_iter().reduce(merge_votes).expect("four lanes");
+        Some(Shape {
+            min,
+            max,
+            runs,
+            delta_width: bits_needed(deltas),
+            majority,
+        })
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn shape_avx2<T: PackedInt>(values: &[T]) -> Option<Shape<T>> {
+    Shape::analyze(values)
+}
+
+/// One Boyer–Moore step: the `(candidate, votes)` summary after `v`.
+/// Branch-free: on data without a majority, which way a vote goes is a
+/// coin toss per row.
+#[inline(always)]
+fn vote<T: PackedInt>((candidate, votes): (T, usize), v: T) -> (T, usize) {
+    let (same, empty) = (v == candidate, votes == 0);
+    let candidate = if empty { v } else { candidate };
+    (candidate, votes + 2 * usize::from(same | empty) - 1)
+}
+
+/// Two vote summaries as one (the one-counter Misra–Gries merge): a value
+/// on more than half the rows of both survives it.
+fn merge_votes<T: PackedInt>(a: (T, usize), b: (T, usize)) -> (T, usize) {
+    match (a.0 == b.0, a.1 >= b.1) {
+        (true, _) => (a.0, a.1 + b.1),
+        (false, true) => (a.0, a.1 - b.1),
+        (false, false) => (b.0, b.1 - a.1),
+    }
+}
+
+/// Bytes of an exceptions layout's marks and ranks over `n` rows.
+fn marks_cost(n: usize) -> usize {
+    let words = n.div_ceil(BLOCK_ROWS);
+    words * 8 + words.div_ceil(RANK_WORDS) * 4
+}
+
+/// One mark word per frame of `values`: bit `k` set where the frame's row
+/// `k` differs from `fill` (the block predicate's compare, vectorized).
+fn marks_of<T: PackedInt>(values: &[T], fill: T) -> Vec<u64> {
+    values
+        .chunks(BLOCK_ROWS)
+        .map(|frame| {
+            let filled = crate::simd::range_word_incl(frame, fill, fill);
+            !filled & crate::bitmap::span_mask(0, frame.len())
+        })
+        .collect()
+}
+
+/// The marks before each run of [`RANK_WORDS`] words of `marks`.
+fn ranks_of(marks: &[u64]) -> Vec<u32> {
+    let mut rank = 0u32;
+    marks
+        .chunks(RANK_WORDS)
+        .map(|group| {
+            let before = rank;
+            rank += group.iter().map(|m| m.count_ones()).sum::<u32>();
+            before
+        })
+        .collect()
+}
+
+/// An exceptions cursor packs the mark word it stands before and the rank
+/// there into one `usize`: the word above bit 32 (rows fit `u32`, so ranks
+/// do too). A target whose `usize` cannot hold both never resumes.
+const CURSOR_PACKS: bool = usize::BITS >= 64;
+
+/// A cursor that never resumes: [`exception_word`] starts from `ranks`.
+const NO_CURSOR: usize = usize::MAX;
+
+/// The cursor standing before mark word `w`, where the rank is `rank`.
+#[inline]
+fn exception_cursor(w: usize, rank: usize) -> usize {
+    ((w as u64) << 32 | rank as u64) as usize
+}
+
+/// The rank before mark word `w` of a `rows`-row column, and the word:
+/// resumed from `cursor` when it stands at or before `w` in the same rank
+/// group, taken from `ranks` otherwise, so at most 63 popcounts either way
+/// and one per frame on an ascending scan. Leaves the cursor before word
+/// `w + 1`. `count` is the number of exceptions.
+///
+/// Panics when the marks contradict the ranks — more marks than the group
+/// holds, fewer at the group's end, or a mark past the last row — which
+/// only a damaged mapped file can bring about (a heap decode checks every
+/// word at open).
+#[inline]
+fn exception_word(
+    marks: &crate::residency::ValueBuf<u64>,
+    ranks: &[u32],
+    count: usize,
+    rows: usize,
+    cursor: &mut usize,
+    w: usize,
+) -> (usize, u64) {
+    let group = w / RANK_WORDS;
+    let (at, rank) = ((*cursor as u64 >> 32) as usize, *cursor as u32 as usize);
+    let (from, mut rank) = if CURSOR_PACKS && at <= w && at / RANK_WORDS == group {
+        (at, rank)
+    } else {
+        (group * RANK_WORDS, ranks[group] as usize)
+    };
+    let words = marks.hot(from..w + 1);
+    for &m in &words[from..w] {
+        rank += m.count_ones() as usize;
+    }
+    let mark = words[w];
+    let end = rank + mark.count_ones() as usize;
+    let limit = ranks.get(group + 1).map_or(count, |&r| r as usize);
+    let group_end = (w + 1).is_multiple_of(RANK_WORDS) || w + 1 == marks.len();
+    let tail = rows - w * BLOCK_ROWS;
+    assert!(
+        end <= limit && (end == limit || !group_end) && (tail >= BLOCK_ROWS || mark >> tail == 0),
+        "exception marks contradict their ranks at mark word {w}"
+    );
+    *cursor = exception_cursor(w + 1, end);
+    (rank, mark)
+}
+
+/// Write `lanes` to the set bits of `mark` in `out`, in order.
+#[inline]
+fn scatter<T: Copy>(mut mark: u64, lanes: &[T], out: &mut [T]) {
+    for &v in lanes {
+        out[mark.trailing_zeros() as usize] = v;
+        mark &= mark - 1;
+    }
+}
+
+/// Move bit `j` of `compact` to the `j`-th set bit of `mark` (a software
+/// `pdep`).
+#[inline]
+fn deposit(mut compact: u64, mut mark: u64) -> u64 {
+    let mut out = 0;
+    while mark != 0 {
+        let low = mark & mark.wrapping_neg();
+        out |= low & (compact & 1).wrapping_neg();
+        compact >>= 1;
+        mark ^= low;
+    }
+    out
+}
+
 impl<T: PackedInt> IntStorage<T> {
-    /// Analyze `values` (min/max range, run structure, adjacent deltas) and
-    /// store them under the cheapest encoding, keeping them plain unless a
-    /// packed form saves at least 25% of the bytes.
+    /// Analyze `values` (min/max range, run structure, adjacent deltas, a
+    /// majority vote) and store them under the cheapest encoding, keeping
+    /// them plain unless a packed form saves at least 25% of the bytes, and
+    /// storing their exceptions when that saves 25% over the best of the
+    /// others (see the module docs' *Encoding selection*).
     pub fn encode(values: Vec<T>) -> Self {
-        let n = values.len();
-        if n == 0 {
+        let Some(shape) = Shape::of(&values) else {
             return IntStorage::Plain(values.into());
+        };
+        let packed = Self::pack(&values, &shape);
+        let cost = packed
+            .as_ref()
+            .map_or(values.len() * T::BYTES, Self::heap_bytes);
+        Self::exceptions_within(&values, shape.majority, cost - cost / 4)
+            .or(packed)
+            .unwrap_or_else(|| IntStorage::Plain(values.into()))
+    }
+
+    /// [`IntStorage::encode`] without the exceptions layout: the encoding an
+    /// exceptions storage keeps its values under.
+    fn packed_or_plain(values: Vec<T>) -> Self {
+        match Shape::of(&values).and_then(|shape| Self::pack(&values, &shape)) {
+            Some(packed) => packed,
+            None => IntStorage::Plain(values.into()),
         }
-        let mut min = values[0];
-        let mut max = values[0];
-        let mut runs = 1usize;
-        // Widest adjacent delta at non-anchor rows, as an unsigned offset;
-        // descending data produces a huge offset and rules delta out.
-        let mut delta_width = 0usize;
-        for i in 1..n {
-            let v = values[i];
-            if v < min {
-                min = v;
-            }
-            if v > max {
-                max = v;
-            }
-            if v != values[i - 1] {
-                runs += 1;
-            }
-            if !i.is_multiple_of(BLOCK_ROWS) {
-                delta_width = delta_width.max(bits_needed(v.offset_from(values[i - 1])));
-            }
+    }
+
+    /// The exceptions layout around `fill`, when `fill` holds more than
+    /// half the rows and the layout costs at most `budget` bytes. Counting
+    /// waits until marks and ranks alone fit the budget.
+    fn exceptions_within(values: &[T], fill: T, budget: usize) -> Option<Self> {
+        let n = values.len();
+        if n > u32::MAX as usize || marks_cost(n) > budget {
+            return None;
         }
+        let marks = marks_of(values, fill);
+        let marked: usize = marks.iter().map(|m| m.count_ones() as usize).sum();
+        if marked * 2 >= n {
+            return None;
+        }
+        let storage = Self::exceptions_from(values, fill, marks);
+        (storage.heap_bytes() <= budget).then_some(storage)
+    }
+
+    /// The cheapest of bit-packing, run-length and delta coding for
+    /// `values`, of which `shape` is the analysis; `None` when none saves
+    /// 25% over plain.
+    fn pack(values: &[T], shape: &Shape<T>) -> Option<Self> {
+        let n = values.len();
+        let &Shape {
+            min,
+            max,
+            runs,
+            delta_width,
+            ..
+        } = shape;
         let plain_cost = n * T::BYTES;
         let rl_cost = if n > u32::MAX as usize {
             usize::MAX
@@ -448,7 +738,7 @@ impl<T: PackedInt> IntStorage<T> {
         // Only leave plain when the saving is real (>= 25%).
         let budget = plain_cost - plain_cost / 4;
         let range = max.offset_from(min);
-        let mut step = sampled_stride(&values, min, range);
+        let mut step = sampled_stride(values, min, range);
         // Twice at most: a candidate stride that packing refuses is replaced
         // by the exact one, whose wider packing may lose to another encoding.
         loop {
@@ -459,17 +749,17 @@ impl<T: PackedInt> IntStorage<T> {
                 (n * width).div_ceil(64) * 8
             };
             if rl_cost <= packed_cost && rl_cost <= delta_cost && rl_cost <= budget {
-                return Self::run_length_from(&values);
+                return Some(Self::run_length_from(values));
             }
             if delta_cost < packed_cost && delta_cost <= budget {
-                return Self::delta_from(&values, delta_width);
+                return Some(Self::delta_from(values, delta_width));
             }
             if packed_cost > budget {
-                return IntStorage::Plain(values.into());
+                return None;
             }
-            match Self::bit_packed_from(&values, min, step, width) {
-                Some(packed) => return packed,
-                None => step = exact_stride(&values, min, step),
+            match Self::bit_packed_from(values, min, step, width) {
+                Some(packed) => return Some(packed),
+                None => step = exact_stride(values, min, step),
             }
         }
     }
@@ -519,6 +809,16 @@ impl<T: PackedInt> IntStorage<T> {
             }
         }
         (delta_width < 64).then(|| Self::delta_from(values, delta_width))
+    }
+
+    /// Force the exceptions layout around the values' majority candidate
+    /// (any fill is correct; the majority leaves the fewest exceptions),
+    /// with the exceptions under their cheapest other encoding. `None` when
+    /// there are more rows than `u32` can index.
+    pub fn exceptions_of(values: &[T]) -> Option<Self> {
+        let fill = Shape::of(values).map_or(T::default(), |shape| shape.majority);
+        (values.len() <= u32::MAX as usize)
+            .then(|| Self::exceptions_from(values, fill, marks_of(values, fill)))
     }
 
     /// Pack `(v - base) / step` in `width` bits, verifying on the way that
@@ -588,6 +888,27 @@ impl<T: PackedInt> IntStorage<T> {
         }
     }
 
+    /// The exceptions layout of `values` around `fill`, whose marks
+    /// [`marks_of`] drew.
+    fn exceptions_from(values: &[T], fill: T, marks: Vec<u64>) -> Self {
+        let marked = marks.iter().map(|m| m.count_ones() as usize).sum();
+        let mut exceptions = Vec::with_capacity(marked);
+        for (frame, &mark) in values.chunks(BLOCK_ROWS).zip(&marks) {
+            let mut mark = mark;
+            while mark != 0 {
+                exceptions.push(frame[mark.trailing_zeros() as usize]);
+                mark &= mark - 1;
+            }
+        }
+        IntStorage::Exceptions {
+            fill,
+            len: values.len(),
+            ranks: ranks_of(&marks),
+            marks: marks.into(),
+            values: Box::new(Self::packed_or_plain(exceptions)),
+        }
+    }
+
     /// Rebuild a bit-packed storage from its parts (used by `hvc` decode,
     /// which preserves the encoded representation instead of
     /// re-analyzing), over an owned or a mapped word buffer. Returns `None`
@@ -652,11 +973,74 @@ impl<T: PackedInt> IntStorage<T> {
         })
     }
 
+    /// Rebuild an exceptions storage from its parts (`hvc` decode), over an
+    /// owned or a mapped mark buffer. `None` unless what the parts' sizes
+    /// alone can settle holds, without touching a mark: `values` is not
+    /// exceptions itself, the rows fit `u32`, there is one mark word per 64
+    /// rows and one rank per [`RANK_WORDS`] of them, the ranks start at 0
+    /// and rise by at most a group's rows, and the exceptions after the
+    /// last rank fit the last group. [`IntStorage::marks_match_ranks`] is
+    /// the check that reads the marks.
+    pub fn from_exceptions_buf(
+        fill: T,
+        len: usize,
+        marks: crate::residency::ValueBuf<u64>,
+        ranks: Vec<u32>,
+        values: Self,
+    ) -> Option<Self> {
+        let words = len.div_ceil(BLOCK_ROWS);
+        let group_rows = (BLOCK_ROWS * RANK_WORDS) as u32;
+        let sound = !matches!(values, IntStorage::Exceptions { .. })
+            && len <= u32::MAX as usize
+            && marks.len() == words
+            && ranks.len() == words.div_ceil(RANK_WORDS)
+            && ranks.first().is_none_or(|&r| r == 0)
+            && ranks
+                .windows(2)
+                .all(|w| w[0] <= w[1] && w[1] - w[0] <= group_rows)
+            && ranks.last().map_or(values.is_empty(), |&last| {
+                let tail = len - (ranks.len() - 1) * group_rows as usize;
+                (last as usize..=last as usize + tail).contains(&values.len())
+            });
+        sound.then(|| IntStorage::Exceptions {
+            fill,
+            len,
+            marks,
+            ranks,
+            values: Box::new(values),
+        })
+    }
+
+    /// Whether an exceptions storage's marks agree with its ranks and its
+    /// exception count, with no mark past the last row: the check a heap
+    /// `hvc` decode runs at open, reading every mark word. `true` for every
+    /// other encoding.
+    pub fn marks_match_ranks(&self) -> bool {
+        let IntStorage::Exceptions {
+            len,
+            marks,
+            ranks,
+            values,
+            ..
+        } = self
+        else {
+            return true;
+        };
+        let marks = marks.slice();
+        let total: usize = marks.iter().map(|m| m.count_ones() as usize).sum();
+        let tail = len % BLOCK_ROWS;
+        ranks_of(marks) == *ranks
+            && total == values.len()
+            && (tail == 0 || marks.last().is_none_or(|&m| m >> tail == 0))
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         match self {
             IntStorage::Plain(v) => v.len(),
-            IntStorage::BitPacked { len, .. } | IntStorage::Delta { len, .. } => *len,
+            IntStorage::BitPacked { len, .. }
+            | IntStorage::Delta { len, .. }
+            | IntStorage::Exceptions { len, .. } => *len,
             IntStorage::RunLength { ends, .. } => ends.last().map_or(0, |&e| e as usize),
         }
     }
@@ -673,6 +1057,7 @@ impl<T: PackedInt> IntStorage<T> {
             IntStorage::BitPacked { .. } => EncodingKind::BitPacked,
             IntStorage::RunLength { .. } => EncodingKind::RunLength,
             IntStorage::Delta { .. } => EncodingKind::Delta,
+            IntStorage::Exceptions { .. } => EncodingKind::Exceptions,
         }
     }
 
@@ -690,7 +1075,9 @@ impl<T: PackedInt> IntStorage<T> {
     }
 
     /// Value at row `i`. O(1) for plain and bit-packed storage,
-    /// O(log runs) for run-length, O(row-in-block) for delta.
+    /// O(log runs) for run-length, O(row-in-block) for delta, and for
+    /// exceptions a stored rank, at most 64 popcounts and the exception's
+    /// own lookup.
     #[inline]
     pub fn get(&self, i: usize) -> T {
         match self {
@@ -731,6 +1118,10 @@ impl<T: PackedInt> IntStorage<T> {
                 }
                 v
             }
+            IntStorage::Exceptions { .. } => {
+                let mut cursor = NO_CURSOR;
+                self.get_ascending(&mut cursor, i)
+            }
         }
     }
 
@@ -738,18 +1129,36 @@ impl<T: PackedInt> IntStorage<T> {
     /// `cursor` is opaque state (start at 0, reuse across the calls of one
     /// scan): run-length storage keeps the current run index there, so an
     /// ascending walk advances it O(1) amortized instead of binary-searching
-    /// per row. Backward jumps fall back to a binary re-seek, so the method
-    /// is correct for any access order.
+    /// per row, and exceptions storage its running rank. Backward jumps fall
+    /// back to a re-seek, so the method is correct for any access order.
     #[inline]
     pub fn get_ascending(&self, cursor: &mut usize, i: usize) -> T {
         match self {
             IntStorage::RunLength { .. } => self.run_at(cursor, i).0,
+            IntStorage::Exceptions {
+                fill,
+                len,
+                marks,
+                ranks,
+                values,
+            } => {
+                assert!(i < *len, "row {i} out of range {len}");
+                let (w, bit) = (i / BLOCK_ROWS, i % BLOCK_ROWS);
+                let (rank, mark) = exception_word(marks, ranks, values.len(), *len, cursor, w);
+                if mark >> bit & 1 == 1 {
+                    values.get(rank + (mark & low_mask(bit)).count_ones() as usize)
+                } else {
+                    *fill
+                }
+            }
             _ => self.get(i),
         }
     }
 
     /// Run-length lookup returning `(value, exclusive end of the run
-    /// containing row i)`; for every other encoding the "run" is the single
+    /// containing row i)`. Exceptions storage reports the run of fill rows
+    /// up to the next mark (looked for within the row's rank group) and an
+    /// exception as a single row; every other encoding reports the single
     /// row `(value, i + 1)`. Ascending callers (sparse scans, samples) use
     /// the returned end to serve *every remaining row of the run — and a
     /// run covering a whole 64-row frame serves the whole frame — without
@@ -773,6 +1182,35 @@ impl<T: PackedInt> IntStorage<T> {
                 }
                 *cursor = run;
                 (values[run], ends[run] as usize)
+            }
+            IntStorage::Exceptions {
+                fill,
+                len,
+                marks,
+                ranks,
+                values,
+            } => {
+                let (w, bit) = (i / BLOCK_ROWS, i % BLOCK_ROWS);
+                let (rank, mark) = exception_word(marks, ranks, values.len(), *len, cursor, w);
+                if mark >> bit & 1 == 1 {
+                    let at = rank + (mark & low_mask(bit)).count_ones() as usize;
+                    return (values.get(at), i + 1);
+                }
+                if mark >> bit != 0 {
+                    return (*fill, i + (mark >> bit).trailing_zeros() as usize);
+                }
+                // Past this word's last mark the run goes on across the
+                // unmarked words that follow, looked for up to the group's
+                // end; the cursor skips to the next marked word.
+                let group_end = ((w / RANK_WORDS + 1) * RANK_WORDS).min(marks.len());
+                let words = marks.hot(w + 1..group_end);
+                match (w + 1..group_end).find(|&x| words[x] != 0) {
+                    Some(x) => {
+                        *cursor = exception_cursor(x, rank + mark.count_ones() as usize);
+                        (*fill, x * BLOCK_ROWS + words[x].trailing_zeros() as usize)
+                    }
+                    None => (*fill, (group_end * BLOCK_ROWS).min(*len)),
+                }
             }
             _ => (self.get(i), i + 1),
         }
@@ -814,7 +1252,7 @@ impl<T: PackedInt> IntStorage<T> {
                     o += take;
                 }
             }
-            IntStorage::Delta { .. } => {
+            IntStorage::Delta { .. } | IntStorage::Exceptions { .. } => {
                 // Frame-wise: decode each overlapping 64-row block and copy
                 // the requested span.
                 let mut buf = [T::default(); BLOCK_ROWS];
@@ -840,7 +1278,9 @@ impl<T: PackedInt> IntStorage<T> {
     /// storage, materialized into `buf` otherwise. `cursor` is opaque
     /// ascending scan state shared with [`IntStorage::run_at`] (run-length
     /// storage resumes from the current run instead of re-seeking, so a run
-    /// covering the whole frame costs one `fill`).
+    /// covering the whole frame costs one `fill`; exceptions storage resumes
+    /// from the running rank, so a frame costs one popcount before its
+    /// exceptions decode).
     ///
     /// This is the block-decoder entry point of the scan pipeline: frames
     /// are always word-aligned in the packed bit stream (64 values × any
@@ -905,6 +1345,31 @@ impl<T: PackedInt> IntStorage<T> {
                 }
                 &buf[..len]
             }
+            IntStorage::Exceptions {
+                fill,
+                len: rows,
+                marks,
+                ranks,
+                values,
+            } => {
+                let w = base / BLOCK_ROWS;
+                let (rank, word) = exception_word(marks, ranks, values.len(), *rows, cursor, w);
+                // A caller may ask for fewer rows than the frame holds.
+                let mark = word & crate::bitmap::span_mask(0, len);
+                let out = &mut buf[..len];
+                if mark == 0 {
+                    out.fill(*fill);
+                } else if mark == crate::bitmap::span_mask(0, len) {
+                    values.decode_into(rank, out);
+                } else {
+                    let mut lanes = [T::default(); BLOCK_ROWS];
+                    let lanes = &mut lanes[..mark.count_ones() as usize];
+                    values.decode_into(rank, lanes);
+                    out.fill(*fill);
+                    scatter(mark, lanes, out);
+                }
+                &buf[..len]
+            }
         }
     }
 
@@ -931,6 +1396,12 @@ impl<T: PackedInt> IntStorage<T> {
             IntStorage::Delta { anchors, words, .. } => {
                 anchors.len() * T::BYTES + words.heap_bytes()
             }
+            IntStorage::Exceptions {
+                marks,
+                ranks,
+                values,
+                ..
+            } => marks.heap_bytes() + ranks.len() * 4 + values.heap_bytes(),
         }
     }
 
@@ -944,6 +1415,9 @@ impl<T: PackedInt> IntStorage<T> {
                 words.mapped_bytes()
             }
             IntStorage::RunLength { .. } => 0,
+            IntStorage::Exceptions { marks, values, .. } => {
+                marks.mapped_bytes() + values.mapped_bytes()
+            }
         }
     }
 
@@ -964,6 +1438,9 @@ impl<T: PackedInt> IntStorage<T> {
     ///   covering the whole frame costs a single compare.
     /// * **Delta** — decodes the frame (the prefix sum is inherent) and
     ///   compares lanes.
+    /// * **Exceptions** — one compare of `fill` answers every unmarked lane;
+    ///   only the frame's exceptions decode and compare, and their verdicts
+    ///   move to the marked lanes. A frame without a mark costs one compare.
     ///
     /// Bit-identical to testing `lo <= self.get(base + k) <= hi` per row.
     pub fn range_frame_word(
@@ -1046,6 +1523,29 @@ impl<T: PackedInt> IntStorage<T> {
             IntStorage::Delta { .. } => {
                 let lanes = self.decode_frame(cursor, base, len, buf);
                 crate::simd::range_word_incl(lanes, lo, hi)
+            }
+            IntStorage::Exceptions {
+                fill,
+                len: rows,
+                marks,
+                ranks,
+                values,
+            } => {
+                let w = base / BLOCK_ROWS;
+                let (rank, word) = exception_word(marks, ranks, values.len(), *rows, cursor, w);
+                // A caller may ask for fewer rows than the frame holds.
+                let mark = word & crate::bitmap::span_mask(0, len);
+                let unmarked = if lo <= *fill && *fill <= hi {
+                    crate::bitmap::span_mask(0, len) & !mark
+                } else {
+                    0
+                };
+                if mark == 0 {
+                    return unmarked;
+                }
+                let lanes = &mut buf[..mark.count_ones() as usize];
+                values.decode_into(rank, lanes);
+                unmarked | deposit(crate::simd::range_word_incl(lanes, lo, hi), mark)
             }
         }
     }
@@ -1723,6 +2223,19 @@ pub type CodeStorage = IntStorage<u32>;
 mod tests {
     use super::*;
 
+    /// `n` rows mostly of `fill`: a tenth of the rows differ, except that
+    /// every seventh frame differs throughout and another holds only fill.
+    fn sparse(n: usize, fill: i64) -> Vec<i64> {
+        (0..n as i64)
+            .map(|i| match (i / 64) % 7 {
+                2 => (i * 7919) % 257 - 100,
+                4 => fill,
+                _ if (i * 7919) % 10 == 3 => (i * 31) % 257 - 100,
+                _ => fill,
+            })
+            .collect()
+    }
+
     fn roundtrip(values: Vec<i64>) {
         for s in [
             IntStorage::plain_of(values.clone()),
@@ -1732,6 +2245,7 @@ mod tests {
         .chain(IntStorage::bit_packed_of(&values))
         .chain(IntStorage::run_length_of(&values))
         .chain(IntStorage::delta_of(&values))
+        .chain(IntStorage::exceptions_of(&values))
         {
             assert_eq!(s.len(), values.len(), "{:?}", s.kind());
             assert_eq!(s.to_vec(), values, "{:?}", s.kind());
@@ -1750,6 +2264,7 @@ mod tests {
         roundtrip((0..500).map(|i| i / 37).collect());
         roundtrip((0..500).map(|i| (i * 7919) % 101 - 50).collect());
         roundtrip(vec![i64::MIN, 0, i64::MAX, -1, 1]);
+        roundtrip(sparse(9_000, 5));
     }
 
     #[test]
@@ -1825,6 +2340,7 @@ mod tests {
             IntStorage::bit_packed_of(&values).unwrap(),
             IntStorage::run_length_of(&values).unwrap(),
             IntStorage::delta_of(&sorted).unwrap(),
+            IntStorage::exceptions_of(&values).unwrap(),
         ] {
             let reference = s.to_vec();
             let mut buf = [0i64; 64];
@@ -1896,6 +2412,8 @@ mod tests {
         all.extend(IntStorage::bit_packed_of(&mixed));
         all.extend(IntStorage::run_length_of(&mixed));
         all.extend(IntStorage::delta_of(&sorted));
+        all.extend(IntStorage::exceptions_of(&mixed));
+        all.extend(IntStorage::exceptions_of(&sparse(515, 0)));
         for s in all {
             let reference = s.to_vec();
             let n = s.len();
@@ -2003,6 +2521,49 @@ mod tests {
         assert!(delta(vec![0], 1, 100, vec![0]).is_none());
         let s = delta(vec![5], 0, 3, vec![]).unwrap();
         assert_eq!(s.to_vec(), vec![5, 5, 5]);
+        // Exceptions parts: 4 100 rows are 65 mark words in two rank
+        // groups, the second of 4 rows.
+        let exceptions = |len, words: usize, ranks: Vec<u32>, count: usize| {
+            let values = I64Storage::plain_of(vec![9; count]);
+            I64Storage::from_exceptions_buf(0, len, vec![0; words].into(), ranks, values)
+        };
+        assert!(exceptions(4_100, 65, vec![0, 7], 9).is_some());
+        assert!(exceptions(4_100, 65, vec![0, 7], 11).is_some());
+        assert!(
+            exceptions(4_100, 65, vec![0, 7], 12).is_none(),
+            "5 in 4 rows"
+        );
+        assert!(
+            exceptions(4_100, 65, vec![0, 7], 6).is_none(),
+            "under the last rank"
+        );
+        assert!(
+            exceptions(4_100, 64, vec![0, 7], 9).is_none(),
+            "a word short"
+        );
+        assert!(exceptions(4_100, 65, vec![0], 9).is_none(), "a rank short");
+        assert!(
+            exceptions(4_100, 65, vec![1, 7], 9).is_none(),
+            "a first rank of 1"
+        );
+        assert!(
+            exceptions(4_100, 65, vec![0, 4_097], 4_097).is_none(),
+            "4 097 in 4 096"
+        );
+        assert!(exceptions(0, 0, vec![], 0).is_some());
+        assert!(exceptions(0, 0, vec![], 1).is_none());
+        let nested = I64Storage::exceptions_of(&[1, 1, 2]).unwrap();
+        let buf = vec![0b100].into();
+        assert!(I64Storage::from_exceptions_buf(1, 3, buf, vec![0], nested).is_none());
+        // The marks themselves are the heap decode's to check.
+        let bad = exceptions(4_100, 65, vec![0, 7], 9).unwrap();
+        assert!(!bad.marks_match_ranks());
+        let good = I64Storage::exceptions_of(&sparse(4_100, 0)).unwrap();
+        assert!(good.marks_match_ranks());
+        let IntStorage::Exceptions { ranks, .. } = &good else {
+            panic!("exceptions_of built {}", good.kind());
+        };
+        assert_eq!(ranks.len(), 2);
     }
 
     #[test]
@@ -2016,6 +2577,7 @@ mod tests {
         all.extend(IntStorage::bit_packed_of(&mixed));
         all.extend(IntStorage::run_length_of(&mixed));
         all.extend(IntStorage::delta_of(&sorted));
+        all.extend(IntStorage::exceptions_of(&sparse(515, -3)));
         for s in all {
             let values = s.to_vec();
             let z = ZoneMap::build(&s);
@@ -2046,16 +2608,24 @@ mod tests {
     fn range_frame_word_matches_per_row() {
         let mixed: Vec<i64> = (0..515).map(|i| (i * 7919) % 257 - 100).collect();
         let sorted: Vec<i64> = (0..515).map(|i| i * 3 + (i % 5)).collect();
+        let mostly_zero = sparse(515, 0);
         for (values, storages) in [
             (mixed.clone(), {
                 let mut v = vec![IntStorage::plain_of(mixed.clone())];
                 v.extend(IntStorage::bit_packed_of(&mixed));
                 v.extend(IntStorage::run_length_of(&mixed));
+                v.extend(IntStorage::exceptions_of(&mixed));
                 v
             }),
             (sorted.clone(), {
                 let mut v = vec![IntStorage::encode(sorted.clone())];
                 v.extend(IntStorage::delta_of(&sorted));
+                v
+            }),
+            // The fill inside, at the edge of and outside each range.
+            (mostly_zero.clone(), {
+                let mut v = vec![IntStorage::encode(mostly_zero.clone())];
+                v.extend(IntStorage::exceptions_of(&mostly_zero));
                 v
             }),
         ] {
@@ -2064,6 +2634,10 @@ mod tests {
                 for (lo, hi) in [
                     (-50i64, 50i64),
                     (0, 0),
+                    (0, 90),
+                    (-90, 0),
+                    (1, 90),
+                    (-90, -1),
                     (10, 5),
                     (i64::MIN, i64::MAX),
                     (-1000, -200),
@@ -2448,5 +3022,144 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_column_that_is_mostly_one_value_stores_its_exceptions() {
+        // A delay column's integer codes: nine rows in ten a null's 0, the
+        // rest minutes from 1 to 255 (even codes, packed at step 2).
+        let codes: Vec<i64> = (0..65_000)
+            .map(|i| {
+                if i % 10 == 7 {
+                    (1 + i / 10 * 7919 % 255) << 1
+                } else {
+                    0
+                }
+            })
+            .collect();
+        let s = IntStorage::encode(codes.clone());
+        let IntStorage::Exceptions { fill, values, .. } = &s else {
+            panic!("{} storage", s.kind());
+        };
+        assert_eq!((*fill, values.kind()), (0, EncodingKind::BitPacked));
+        assert_eq!(s.to_vec(), codes);
+        // Marks, ranks and 6 500 exceptions at 8 bits, against 8 bits a row.
+        assert_eq!(s.heap_bytes(), 1_016 * 8 + 16 * 4 + 813 * 8);
+        let packed = IntStorage::bit_packed_of(&codes).unwrap();
+        assert_eq!(packed.heap_bytes(), 65_000);
+        // Real zeros compress like placeholders: the layout reads no nulls.
+        let doubles: Vec<f64> = codes.iter().map(|&c| (c >> 1) as f64).collect();
+        assert_eq!(F64Storage::encode(doubles).kind(), EncodingKind::Exceptions);
+    }
+
+    #[test]
+    fn exceptions_must_save_a_quarter_over_the_best_other_encoding() {
+        // A flag that is mostly 0 packs at one bit a row; marks alone cost
+        // that much, so the flag stays bit-packed.
+        let flags: Vec<i64> = (0..10_000).map(|i| i64::from(i % 50 == 0)).collect();
+        assert_eq!(IntStorage::encode(flags).kind(), EncodingKind::BitPacked);
+        // Half the rows one value is no majority.
+        let half: Vec<i64> = (0..10_000)
+            .map(|i| if i % 2 == 0 { 0 } else { i * 7919 % 256 })
+            .collect();
+        assert_eq!(IntStorage::encode(half).kind(), EncodingKind::BitPacked);
+        // A majority in long runs is cheaper as runs.
+        let runs: Vec<i64> = (0..10_000).map(|i| i64::from(i >= 9_000)).collect();
+        assert_eq!(IntStorage::encode(runs).kind(), EncodingKind::RunLength);
+        // Two-bit values around a fill of 0: marks and two bits for a fifth
+        // of the rows save a quarter of two bits a row, for three tenths
+        // they do not.
+        let two_bits = |marked: i64| -> Vec<i64> {
+            (0..65_000)
+                .map(|i| if i % 10 < marked { 1 + i % 3 } else { 0 })
+                .collect()
+        };
+        assert_eq!(
+            IntStorage::encode(two_bits(2)).kind(),
+            EncodingKind::Exceptions
+        );
+        assert_eq!(
+            IntStorage::encode(two_bits(3)).kind(),
+            EncodingKind::BitPacked
+        );
+        assert_eq!(
+            IntStorage::encode(vec![3i64; 9_000]).kind(),
+            EncodingKind::BitPacked
+        );
+    }
+
+    #[test]
+    fn exception_frames_resume_jump_and_report_fill_runs() {
+        // Three rank groups, fill-only stretches longer than a word.
+        let n = 9_000;
+        let values: Vec<i64> = sparse(n, 5)
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| if (1_000..3_000).contains(&i) { 5 } else { v })
+            .collect();
+        let s = IntStorage::exceptions_of(&values).unwrap();
+        let frames = n.div_ceil(BLOCK_ROWS);
+        let mut buf = [0i64; BLOCK_ROWS];
+        // From every frame start with a fresh cursor, and with one carried
+        // across a jump of every length.
+        for first in 0..frames {
+            for cursor in [0, NO_CURSOR] {
+                let mut cursor = cursor;
+                for f in (first..frames).step_by(1 + first % 67) {
+                    let base = f * BLOCK_ROWS;
+                    let len = BLOCK_ROWS.min(n - base);
+                    let lanes = s.decode_frame(&mut cursor, base, len, &mut buf);
+                    assert_eq!(lanes, &values[base..base + len], "frame {f} from {first}");
+                }
+            }
+        }
+        // Runs: every row of a reported run holds its value, and a stretch
+        // of fill rows is one run up to its next mark.
+        let mut cursor = 0;
+        let mut i = 0;
+        while i < n {
+            let (v, end) = s.run_at(&mut cursor, i);
+            assert!(
+                end > i && values[i..end].iter().all(|&x| x == v),
+                "run at {i}"
+            );
+            i = end;
+        }
+        let next = (3_000..n).find(|&r| values[r] != 5).unwrap();
+        assert!(next < 4_096);
+        assert_eq!(s.run_at(&mut 0, 1_000), (5, next));
+        let mut cursor = 0;
+        for i in (0..n).rev().step_by(7) {
+            assert_eq!(s.get_ascending(&mut cursor, i), values[i], "row {i}");
+        }
+    }
+
+    #[test]
+    fn exception_range_words_are_tier_identical() {
+        let values = sparse(5_000, -7);
+        let s = IntStorage::exceptions_of(&values).unwrap();
+        let words = |scalar: bool| {
+            crate::simd::set_force_scalar(scalar);
+            let mut out = Vec::new();
+            for (lo, hi) in [(-7, -7), (-50, 50), (-6, 300), (-300, -8)] {
+                let mut cursor = 0;
+                let mut buf = [0i64; BLOCK_ROWS];
+                for base in (0..5_000).step_by(BLOCK_ROWS) {
+                    let len = BLOCK_ROWS.min(5_000 - base);
+                    out.push(s.range_frame_word(&mut cursor, base, len, lo, hi, &mut buf));
+                }
+            }
+            crate::simd::set_force_scalar(false);
+            (out, s.to_vec())
+        };
+        assert_eq!(words(false), words(true));
+    }
+
+    #[test]
+    fn deposit_is_pdep() {
+        assert_eq!(deposit(0b101, 0b1011_0000), 0b1001_0000);
+        assert_eq!(deposit(u64::MAX, 0b1010), 0b1010);
+        assert_eq!(deposit(0, u64::MAX), 0);
+        assert_eq!(deposit(0x1234_5678, u64::MAX), 0x1234_5678);
     }
 }

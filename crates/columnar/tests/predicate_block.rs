@@ -1,8 +1,8 @@
 //! Property tests pinning block-wise predicate evaluation bit-identical to
 //! the rowwise `CompiledPredicate::eval` reference, across integer and
-//! integral-double encodings (plain / bit-packed / run-length / delta) ×
-//! membership representations × null densities × predicate shapes, in both
-//! simd-on and forced-scalar modes.
+//! integral-double encodings (plain / bit-packed / run-length / delta /
+//! exceptions) × membership representations × null densities × predicate
+//! shapes, in both simd-on and forced-scalar modes.
 
 use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
 use hillview_columnar::predicate::{filter_members, filter_members_rowwise};
@@ -26,6 +26,7 @@ fn all_storages(data: &[i64]) -> Vec<I64Storage> {
     out.extend(I64Storage::bit_packed_of(data));
     out.extend(I64Storage::run_length_of(data));
     out.extend(I64Storage::delta_of(data));
+    out.extend(I64Storage::exceptions_of(data));
     out
 }
 
@@ -135,10 +136,15 @@ proptest! {
         probe in any::<u64>(),
         query_pick in 0usize..4,
         step in 0usize..5,
+        sparse in any::<bool>(),
     ) {
         let n = rows.len();
         let step = STEPS[step];
-        let ints: Vec<i64> = rows.iter().map(|r| r.0 * step).collect();
+        // Or mostly zero, four rows in five: the shape exceptions store.
+        let ints: Vec<i64> = rows
+            .iter()
+            .map(|r| if sparse && r.0 % 5 != 0 { 0 } else { r.0 * step })
+            .collect();
         let int_nulls = NullMask::from_flags(rows.iter().map(|r| r.3 < null_p), n);
         let f_opts: Vec<Option<f64>> =
             rows.iter().map(|r| (r.4 >= null_p).then_some(r.1)).collect();

@@ -12,7 +12,8 @@ use proptest::prelude::*;
 /// Every `IntStorage` variant that can represent `data`, forced plus the
 /// automatic choice. (Delta only represents near-ascending data, so random
 /// vectors exercise it rarely; `delta_storages_agree_with_plain` covers it
-/// densely.)
+/// densely. Random vectors are rarely mostly one value either:
+/// `exceptions_agree_with_the_rows_they_store` covers that shape.)
 fn all_storages(data: &[i64]) -> Vec<I64Storage> {
     let mut out = vec![
         I64Storage::plain_of(data.to_vec()),
@@ -21,7 +22,43 @@ fn all_storages(data: &[i64]) -> Vec<I64Storage> {
     out.extend(I64Storage::bit_packed_of(data));
     out.extend(I64Storage::run_length_of(data));
     out.extend(I64Storage::delta_of(data));
+    out.extend(I64Storage::exceptions_of(data));
     out
+}
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// `n` rows mostly of `fill`, frame by frame: two frames in eight of fill
+/// alone, one of exceptions alone, the rest `percent` (< 40) exceptions,
+/// drawn from `seed` — so `fill` is the majority. Exceptions are multiples
+/// of `step` under 300 in magnitude, so some equal the fill.
+fn mostly(n: usize, fill: i64, percent: u64, step: i64, seed: u64) -> Vec<i64> {
+    let mut state = seed;
+    let mut frame = 0;
+    (0..n)
+        .map(|i| {
+            if i % BLOCK_ROWS == 0 {
+                frame = splitmix(&mut state) % 8;
+            }
+            let h = splitmix(&mut state);
+            let marked = match frame {
+                0 | 1 => false,
+                2 => true,
+                _ => h % 100 < percent,
+            };
+            if marked {
+                ((h >> 32) % 600) as i64 * step - 300 * step
+            } else {
+                fill
+            }
+        })
+        .collect()
 }
 
 /// The strides a generator draws from: none, the sign-magnitude bit, odd,
@@ -461,6 +498,89 @@ proptest! {
         let mut out = vec![0i64; n];
         s.decode_into(i, &mut out);
         prop_assert_eq!(&out[..], &data[i..i + n]);
+    }
+
+    /// Exceptions storage answers every access as the rows it stores, over
+    /// up to three rank groups: whole and shortened frames from every frame
+    /// start with a fresh cursor and with one carried across jumps;
+    /// arbitrary-offset decodes; `index`, `index_ascending` and the runs
+    /// `index_run` reports; and `range_frame_word` row by row, with the fill
+    /// inside, at either edge of and outside the range — under the vector
+    /// codegen or forced scalar.
+    #[test]
+    fn exceptions_agree_with_the_rows_they_store(
+        n in 1usize..9_000,
+        center in -3i64..3,
+        percent in 0u64..40,
+        step in 0usize..5,
+        seed in any::<u64>(),
+        jumps in proptest::collection::vec(any::<u16>(), 1..16),
+        scalar in any::<bool>(),
+    ) {
+        let data = mostly(n, center * STEPS[step], percent, STEPS[step], seed);
+        let s = I64Storage::exceptions_of(&data).unwrap();
+        // The majority's, or with none some value's: read it back.
+        let &hillview_columnar::IntStorage::Exceptions { fill, .. } = &s else {
+            panic!("exceptions_of built {}", s.kind());
+        };
+        hillview_columnar::simd::set_force_scalar(scalar);
+        prop_assert_eq!(s.len(), n);
+        prop_assert_eq!(&s.to_vec(), &data);
+        let frames = n.div_ceil(BLOCK_ROWS);
+        let mut buf = [0i64; BLOCK_ROWS];
+        for first in 0..frames {
+            let mut cursor = 0usize;
+            let mut frame = first;
+            for (k, &jump) in jumps.iter().cycle().take(frames).enumerate() {
+                if frame >= frames {
+                    break;
+                }
+                let base = frame * BLOCK_ROWS;
+                let rows = BLOCK_ROWS.min(n - base);
+                // Every other frame cut short, as a selection word's
+                // highest bit cuts it.
+                let len = if k % 2 == 1 { 1 + usize::from(jump) % rows } else { rows };
+                let lanes = s.decode_frame(&mut cursor, base, len, &mut buf);
+                prop_assert_eq!(lanes, &data[base..base + len], "frame {} from {}", frame, first);
+                frame += if jump % 3 == 0 { 1 } else { 1 + usize::from(jump) % 70 };
+            }
+        }
+        let start = usize::from(jumps[0]) % n;
+        let take = (n - start).min(usize::from(jumps[jumps.len() - 1]) % 300);
+        prop_assert_eq!(s.decode_range(start, start + take), &data[start..start + take]);
+        let mut cursor = 0usize;
+        for i in (0..n).step_by(1 + usize::from(jumps[0]) % 13) {
+            prop_assert_eq!(s.index(i), data[i], "index {}", i);
+            prop_assert_eq!(s.index_ascending(&mut cursor, i), data[i], "ascending {}", i);
+        }
+        let mut cursor = 0usize;
+        let mut i = start;
+        while i < n {
+            let (v, end) = s.index_run(&mut cursor, i);
+            prop_assert!(end > i && data[i..end].iter().all(|&x| x == v), "run at {}", i);
+            i = end;
+        }
+        let k = 40 * STEPS[step];
+        for (lo, hi) in [
+            (fill, fill),
+            (fill - k, fill + k),
+            (fill, fill + k),
+            (fill - k, fill),
+            (fill + 1, fill + k),
+            (fill - k, fill - 1),
+            (i64::MIN, i64::MAX),
+        ] {
+            let mut cursor = 0usize;
+            for base in (0..n).step_by(BLOCK_ROWS) {
+                let len = BLOCK_ROWS.min(n - base);
+                let w = s.range_frame_word(&mut cursor, base, len, lo, hi, &mut buf);
+                for (r, &v) in data[base..base + len].iter().enumerate() {
+                    prop_assert_eq!(w >> r & 1 == 1, lo <= v && v <= hi, "[{}, {}] row {}", lo, hi, base + r);
+                }
+                prop_assert!(len == BLOCK_ROWS || w >> len == 0, "stray bits");
+            }
+        }
+        hillview_columnar::simd::set_force_scalar(false);
     }
 
     /// Block-ABI tiling laws: the frames of any selection have 64-aligned,

@@ -50,6 +50,7 @@ fn storage_for(enc: usize, data: &[i64]) -> I64Storage {
     variants.extend(I64Storage::bit_packed_of(data));
     variants.extend(I64Storage::run_length_of(data));
     variants.extend(I64Storage::delta_of(data));
+    variants.extend(I64Storage::exceptions_of(data));
     let pick = enc % variants.len();
     variants.swap_remove(pick)
 }
@@ -174,7 +175,7 @@ proptest! {
     #[test]
     fn cache_hit_is_bit_identical_to_recomputation(
         values in proptest::collection::vec(-400i64..400, 64..1600),
-        enc in 0usize..6,
+        enc in 0usize..7,
         null_p in 0u32..30,
         lo in -300.0f64..300.0,
         span in 1.0f64..400.0,

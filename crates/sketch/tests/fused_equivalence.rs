@@ -511,7 +511,11 @@ proptest! {
         let data: Vec<i64> = vals.iter().map(|r| r.1 * step).collect();
         let nulls = NullMask::from_flags(vals.iter().map(|r| r.0 < 0.15), n);
         let mut columns = vec![Column::Int(I64Column::plain(data.clone(), nulls.clone()))];
-        let forced = [I64Storage::bit_packed_of(&data), I64Storage::run_length_of(&data)];
+        let forced = [
+            I64Storage::bit_packed_of(&data),
+            I64Storage::run_length_of(&data),
+            I64Storage::exceptions_of(&data),
+        ];
         for s in forced.into_iter().flatten() {
             columns.push(Column::Int(I64Column::with_storage(s, nulls.clone())));
         }
@@ -541,6 +545,7 @@ proptest! {
                 I64Storage::bit_packed_of(&codes),
                 I64Storage::run_length_of(&codes),
                 I64Storage::delta_of(&codes),
+                I64Storage::exceptions_of(&codes),
             ];
             storages.extend(forced.into_iter().flatten().map(F64Storage::Integral));
             storages

@@ -146,6 +146,7 @@ fn double_columns(data: &[i64], nulls: &NullMask) -> Vec<Column> {
         I64Storage::bit_packed_of(&codes),
         I64Storage::run_length_of(&codes),
         I64Storage::delta_of(&codes),
+        I64Storage::exceptions_of(&codes),
     ];
     storages.extend(forced.into_iter().flatten().map(F64Storage::Integral));
     storages
@@ -525,7 +526,11 @@ proptest! {
         let data: Vec<i64> = vals.iter().map(|r| r.1 * step).collect();
         let nulls = NullMask::from_flags(vals.iter().map(|r| r.0 < 0.15), n);
         let mut columns = vec![Column::Int(I64Column::plain(data.clone(), nulls.clone()))];
-        let forced = [I64Storage::bit_packed_of(&data), I64Storage::run_length_of(&data)];
+        let forced = [
+            I64Storage::bit_packed_of(&data),
+            I64Storage::run_length_of(&data),
+            I64Storage::exceptions_of(&data),
+        ];
         for s in forced.into_iter().flatten() {
             columns.push(Column::Int(I64Column::with_storage(s, nulls.clone())));
         }
@@ -717,6 +722,9 @@ proptest! {
             columns.push(I64Column::with_storage(s, nulls.clone()));
         }
         if let Some(s) = I64Storage::run_length_of(&data) {
+            columns.push(I64Column::with_storage(s, nulls.clone()));
+        }
+        if let Some(s) = I64Storage::exceptions_of(&data) {
             columns.push(I64Column::with_storage(s, nulls.clone()));
         }
         // Split boundaries land mid-block for delta storage too: compare

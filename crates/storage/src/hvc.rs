@@ -14,7 +14,7 @@
 //! file's tail that an open merely locates:
 //!
 //! ```text
-//! magic "HVC6" | header_len u32 LE | header blob | pad | payload sections
+//! magic "HVC7" | header_len u32 LE | header blob | pad | payload sections
 //!   | dictionary sections
 //! header blob (all integers varint unless noted):
 //!   column_count | row_count
@@ -32,11 +32,18 @@
 //!         2 (run-length): run count, (value zigzag, run length) pairs inline
 //!         3 (delta):      anchor count, anchors zigzag, width u8,
 //!                         word count, section offset
-//!       Double:   enc byte, then the Int descriptor: encodings 1..3
+//!         4 (exceptions): fill zigzag, rank count, ranks (varints, inline
+//!                         like delta anchors), mark word count, section
+//!                         offset of the marks, then the exceptions' own
+//!                         descriptor: enc byte 0..3 (a 4 is refused), its
+//!                         value count — the number of marks — and its
+//!                         fields as above
+//!       Double:   enc byte, then the Int descriptor: encodings 1..4
 //!                 hold the column's sign-magnitude codes, 0 = the section
-//!                 holds the raw f64 values
+//!                 holds the raw f64 values (inside an exceptions
+//!                 descriptor, 0 is plain codes)
 //!       Str/Cat:  dictionary entry count, byte length, and offset within
-//!                 the dictionary area; codes descriptor (same four
+//!                 the dictionary area; codes descriptor (same five
 //!                 encodings, code values as plain varints)
 //!     zone map: block count, per block (min, max)
 //!       (zigzag varints for i64, plain varints for codes, raw LE for f64)
@@ -46,8 +53,8 @@
 //!
 //! The encoding byte mirrors the column's *in-memory*
 //! [`hillview_columnar::IntStorage`] representation: a bit-packed,
-//! run-length, or delta column — integers, dictionary codes, and the
-//! integer codes of an integral double column
+//! run-length, delta or exceptions column — integers, dictionary codes, and
+//! the integer codes of an integral double column
 //! ([`hillview_columnar::F64Storage`]) alike — round-trips through a file
 //! without ever inflating to plain, and decode rebuilds the exact same
 //! variant instead of re-analyzing.
@@ -95,20 +102,23 @@
 //! against the bytes that could back it before anything is allocated or
 //! sliced, and a broken structural invariant (declared counts vs. rows,
 //! run structure, encoding invariants, zone-map block counts, a dictionary
-//! section the file is too short to hold) is a structured [`Error`]. The
-//! heap path ([`decode`]) additionally validates every dictionary code and
-//! every dictionary entry. The mapped path must not — that would read the
-//! bytes laziness exists to avoid — so it checks what the header alone can
-//! settle (codes bounded by the persisted per-block zone maxima, sections
-//! bounded by the file's length) and leaves two faults to the moment a scan
-//! meets them, both as a panic the worker's pool isolates into
-//! `LeafPanicked` rather than a quiet out-of-bounds or a wrong string: a
-//! payload that contradicts its zone maps, when the code is dereferenced;
-//! and a dictionary section that fails the parser's validation (or cannot
-//! be read), when the column's first string is asked for — the panic names
-//! the column and the file, and every query that does not present that
-//! column is answered as if nothing were wrong. Both become a structured
-//! storage error with ROADMAP item 5.
+//! section the file is too short to hold, exception ranks that fall or
+//! outrun their exceptions) is a structured [`Error`]. The heap path
+//! ([`decode`]) additionally validates every dictionary code, every
+//! dictionary entry, and every exception mark word against its ranks. The
+//! mapped path must not — that would read the bytes laziness exists to
+//! avoid — so it checks what the header alone can settle (codes bounded by
+//! the persisted per-block zone maxima, sections bounded by the file's
+//! length, ranks by the rows and the exception count) and leaves three
+//! faults to the moment a scan meets them, each as a panic the worker's
+//! pool isolates into `LeafPanicked` rather than a quiet out-of-bounds or a
+//! wrong string: a payload that contradicts its zone maps, when the code is
+//! dereferenced; exception marks that contradict their ranks, when the
+//! frame is decoded; and a dictionary section that fails the parser's
+//! validation (or cannot be read), when the column's first string is asked
+//! for — the panic names the column and the file, and every query that does
+//! not present that column is answered as if nothing were wrong. All three
+//! become a structured storage error with ROADMAP item 5.
 //!
 //! Endianness: mapped windows reinterpret file bytes in place and are only
 //! correct on little-endian targets; big-endian hosts transparently fall
@@ -127,12 +137,13 @@ use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 
-const MAGIC: &[u8; 4] = b"HVC6";
+const MAGIC: &[u8; 4] = b"HVC7";
 
 const ENC_PLAIN: u8 = 0;
 const ENC_BIT_PACKED: u8 = 1;
 const ENC_RUN_LENGTH: u8 = 2;
 const ENC_DELTA: u8 = 3;
+const ENC_EXCEPTIONS: u8 = 4;
 
 /// Width-byte flag of a bit-packed descriptor: a step varint follows.
 const STRIDED: u8 = 0x80;
@@ -209,6 +220,15 @@ impl Sections {
         self.parts.push((at, bytes));
         at
     }
+
+    /// [`Sections::push`] of `values` as raw little-endian lanes.
+    fn push_le<T: Pod>(&mut self, values: &[T]) -> usize {
+        let mut bytes = Vec::with_capacity(values.len() * T::BYTES);
+        for &v in values {
+            v.write_le(&mut bytes);
+        }
+        self.push(bytes)
+    }
 }
 
 fn encode_null_runs(w: &mut WireWriter, col: &Column, rows: usize) {
@@ -240,17 +260,13 @@ fn encode_int_storage<T: PackedInt + Pod>(
     w: &mut WireWriter,
     sections: &mut Sections,
     storage: &IntStorage<T>,
-    put: impl Fn(&mut WireWriter, T),
+    put: &impl Fn(&mut WireWriter, T),
 ) {
     match storage {
         IntStorage::Plain(values) => {
             w.put_u8(ENC_PLAIN);
             w.put_varint(values.len() as u64);
-            let mut bytes = Vec::with_capacity(values.len() * <T as Pod>::BYTES);
-            for &v in values.slice() {
-                v.write_le(&mut bytes);
-            }
-            w.put_varint(sections.push(bytes) as u64);
+            w.put_varint(sections.push_le(values.slice()) as u64);
         }
         IntStorage::BitPacked {
             base,
@@ -269,11 +285,7 @@ fn encode_int_storage<T: PackedInt + Pod>(
                 w.put_varint(*step);
             }
             w.put_varint(words.len() as u64);
-            let mut bytes = Vec::with_capacity(words.len() * 8);
-            for &word in words.slice() {
-                word.write_le(&mut bytes);
-            }
-            w.put_varint(sections.push(bytes) as u64);
+            w.put_varint(sections.push_le(words.slice()) as u64);
         }
         IntStorage::RunLength { values, ends } => {
             // Fully inline: run tables are consulted by every block
@@ -302,11 +314,25 @@ fn encode_int_storage<T: PackedInt + Pod>(
             }
             w.put_u8(*width);
             w.put_varint(words.len() as u64);
-            let mut bytes = Vec::with_capacity(words.len() * 8);
-            for &word in words.slice() {
-                word.write_le(&mut bytes);
+            w.put_varint(sections.push_le(words.slice()) as u64);
+        }
+        IntStorage::Exceptions {
+            fill,
+            len,
+            marks,
+            ranks,
+            values,
+        } => {
+            w.put_u8(ENC_EXCEPTIONS);
+            w.put_varint(*len as u64);
+            put(w, *fill);
+            w.put_varint(ranks.len() as u64);
+            for &rank in ranks {
+                w.put_varint(rank.into());
             }
-            w.put_varint(sections.push(bytes) as u64);
+            w.put_varint(marks.len() as u64);
+            w.put_varint(sections.push_le(marks.slice()) as u64);
+            encode_int_storage(w, sections, values, put);
         }
     }
 }
@@ -316,11 +342,7 @@ fn encode_int_storage<T: PackedInt + Pod>(
 fn encode_raw_doubles(w: &mut WireWriter, sections: &mut Sections, values: &[f64]) {
     w.put_u8(ENC_PLAIN);
     w.put_varint(values.len() as u64);
-    let mut bytes = Vec::with_capacity(values.len() * 8);
-    for &v in values {
-        v.write_le(&mut bytes);
-    }
-    w.put_varint(sections.push(bytes) as u64);
+    w.put_varint(sections.push_le(values) as u64);
 }
 
 fn encode_zones<T: Copy>(w: &mut WireWriter, zones: &ZoneMap<T>, put: impl Fn(&mut WireWriter, T)) {
@@ -372,7 +394,7 @@ pub fn encode(table: &Table) -> Vec<u8> {
         encode_null_runs(&mut h, col, table.num_rows());
         match col {
             Column::Int(ic) | Column::Date(ic) => {
-                encode_int_storage(&mut h, &mut sections, ic.storage(), |w, v| w.put_i64(v));
+                encode_int_storage(&mut h, &mut sections, ic.storage(), &|w, v| w.put_i64(v));
                 encode_zones(&mut h, ic.zones(), |w, v| w.put_i64(v));
             }
             Column::Double(fc) => {
@@ -386,7 +408,7 @@ pub fn encode(table: &Table) -> Vec<u8> {
                         encode_raw_doubles(&mut h, &mut sections, &fc.data().to_vec());
                     }
                     F64Storage::Integral(codes) => {
-                        encode_int_storage(&mut h, &mut sections, codes, |w, v| w.put_i64(v));
+                        encode_int_storage(&mut h, &mut sections, codes, &|w, v| w.put_i64(v));
                     }
                 }
                 encode_zones(&mut h, fc.zones(), |w, v| w.put_f64(v));
@@ -401,7 +423,7 @@ pub fn encode(table: &Table) -> Vec<u8> {
                 h.put_varint(dc.dictionary().len() as u64);
                 h.put_varint((sections.dictionaries.len() - at) as u64);
                 h.put_varint(at as u64);
-                encode_int_storage(&mut h, &mut sections, dc.codes(), |w, code| {
+                encode_int_storage(&mut h, &mut sections, dc.codes(), &|w, code| {
                     w.put_varint(code as u64)
                 });
                 encode_zones(&mut h, dc.zones(), |w, v| w.put_varint(v as u64));
@@ -443,6 +465,15 @@ enum IntMeta<T> {
         nwords: usize,
         rel: usize,
     },
+    Exceptions {
+        fill: T,
+        ranks: Vec<u32>,
+        nwords: usize,
+        rel: usize,
+        /// The exceptions' own descriptor, over `count` values.
+        count: usize,
+        values: Box<IntMeta<T>>,
+    },
 }
 
 fn decode_null_runs(r: &mut WireReader, rows: usize, column: &str) -> Result<NullMask> {
@@ -480,6 +511,18 @@ fn decode_int_meta<T>(
     if declared != rows {
         return Err(row_count_mismatch(column, rows, declared));
     }
+    decode_int_body(r, enc, rows, column, &get)
+}
+
+/// The fields of an integer-storage descriptor of encoding `enc` over
+/// `rows` values.
+fn decode_int_body<T>(
+    r: &mut WireReader,
+    enc: u8,
+    rows: usize,
+    column: &str,
+    get: &impl Fn(&mut WireReader) -> std::result::Result<T, hillview_net::Error>,
+) -> Result<IntMeta<T>> {
     match enc {
         ENC_PLAIN => Ok(IntMeta::Plain {
             rel: r.get_len("section offset").map_err(wire_err)?,
@@ -547,6 +590,45 @@ fn decode_int_meta<T>(
                 width,
                 nwords,
                 rel,
+            })
+        }
+        ENC_EXCEPTIONS => {
+            let fault = |what: String| parse_err(format!("column {column:?}: {what}"));
+            let fill = get(r).map_err(wire_err)?;
+            let nranks = r.get_len("exception ranks").map_err(wire_err)?;
+            let mut ranks = Vec::with_capacity(nranks.min(r.remaining()));
+            for _ in 0..nranks {
+                let rank = r.get_varint().map_err(wire_err)?;
+                let rank = u32::try_from(rank)
+                    .map_err(|_| fault(format!("exception rank {rank} overflows")))?;
+                ranks.push(rank);
+            }
+            let nwords = r.get_len("exception marks").map_err(wire_err)?;
+            let rel = r.get_len("section offset").map_err(wire_err)?;
+            let enc = r.get_u8().map_err(wire_err)?;
+            if enc == ENC_EXCEPTIONS {
+                return Err(fault("nested exceptions descriptor".into()));
+            }
+            let count = r.get_len("exceptions").map_err(wire_err)?;
+            if count > rows {
+                return Err(fault(format!("{count} exceptions in {rows} rows")));
+            }
+            if ranks.windows(2).any(|w| w[0] > w[1]) {
+                return Err(fault("exception ranks decrease".into()));
+            }
+            if let Some(&last) = ranks.last().filter(|&&last| last as usize > count) {
+                return Err(fault(format!(
+                    "exception rank {last} exceeds {count} exceptions"
+                )));
+            }
+            let values = decode_int_body(r, enc, count, column, get)?;
+            Ok(IntMeta::Exceptions {
+                fill,
+                ranks,
+                nwords,
+                rel,
+                count,
+                values: Box::new(values),
             })
         }
         b => Err(parse_err(format!(
@@ -816,12 +898,16 @@ impl Source<'_> {
     }
 }
 
+/// Build the storage `meta` describes over `rows` values. `deep_validate`
+/// also checks every exception mark against its ranks, reading them all
+/// (heap path).
 fn build_int_storage<T: Pod + PackedInt>(
     meta: IntMeta<T>,
     rows: usize,
     src: &Source<'_>,
     base: usize,
     column: &str,
+    deep_validate: bool,
 ) -> Result<IntStorage<T>> {
     match meta {
         IntMeta::Plain { rel } => Ok(IntStorage::Plain(src.buf::<T>(base, rel, rows, column)?)),
@@ -855,6 +941,30 @@ fn build_int_storage<T: Pod + PackedInt>(
                 ))
             })
         }
+        IntMeta::Exceptions {
+            fill,
+            ranks,
+            nwords,
+            rel,
+            count,
+            values,
+        } => {
+            let nranks = ranks.len();
+            let marks = src.buf::<u64>(base, rel, nwords, column)?;
+            let values = build_int_storage(*values, count, src, base, column, deep_validate)?;
+            let storage = IntStorage::from_exceptions_buf(fill, rows, marks, ranks, values)
+                .ok_or_else(|| {
+                    parse_err(format!(
+                        "column {column:?}: inconsistent exceptions section ({nranks} ranks, {nwords} mark words, {count} exceptions for {rows} rows)"
+                    ))
+                })?;
+            if deep_validate && !storage.marks_match_ranks() {
+                return Err(parse_err(format!(
+                    "column {column:?}: exception marks contradict their ranks"
+                )));
+            }
+            Ok(storage)
+        }
     }
 }
 
@@ -873,6 +983,11 @@ fn validate_codes(codes: &IntStorage<u32>, dict_len: usize, column: &str) -> Res
     match codes {
         // Run-length: one check per run is exhaustive.
         IntStorage::RunLength { values, .. } => values.iter().try_for_each(|&c| check(c)),
+        // Exceptions: the fill, then the exceptions alone.
+        IntStorage::Exceptions { fill, values, .. } => {
+            check(*fill)?;
+            validate_codes(values, dict_len, column)
+        }
         storage => {
             let mut buf = [0u32; 64];
             let len = storage.len();
@@ -901,7 +1016,7 @@ fn build_table(header: Header, src: &Source<'_>, deep_validate: bool) -> Result<
     for cm in header.columns {
         let column = match cm.payload {
             PayloadMeta::Int { storage, zones } => {
-                let st = build_int_storage(storage, rows, src, base, &cm.name)?;
+                let st = build_int_storage(storage, rows, src, base, &cm.name, deep_validate)?;
                 let ic = I64Column::with_storage_and_zones(st, cm.nulls, zones);
                 if cm.kind == ColumnKind::Int {
                     Column::Int(ic)
@@ -914,14 +1029,19 @@ fn build_table(header: Header, src: &Source<'_>, deep_validate: bool) -> Result<
                     IntMeta::Plain { rel } => {
                         F64Storage::Plain(src.buf::<f64>(base, rel, rows, &cm.name)?)
                     }
-                    codes => {
-                        F64Storage::Integral(build_int_storage(codes, rows, src, base, &cm.name)?)
-                    }
+                    codes => F64Storage::Integral(build_int_storage(
+                        codes,
+                        rows,
+                        src,
+                        base,
+                        &cm.name,
+                        deep_validate,
+                    )?),
                 };
                 Column::Double(F64Column::from_parts(data, cm.nulls, zones))
             }
             PayloadMeta::Dict { dict, codes, zones } => {
-                let st = build_int_storage(codes, rows, src, base, &cm.name)?;
+                let st = build_int_storage(codes, rows, src, base, &cm.name, deep_validate)?;
                 let dict = Arc::new(src.dictionary(dictionaries, &dict, &cm.name)?);
                 if dict.is_empty() {
                     // Only an all-null column can do without entries: a
@@ -1178,6 +1298,16 @@ mod tests {
                     (0..n).map(|i| Some(["a", "bb", "", "dddd", "e,\"e"][i % 5])),
                 )),
             )
+            // Mostly zero, some of it missing: exceptions.
+            .column(
+                "sparse",
+                ColumnKind::Int,
+                Column::Int(I64Column::from_options((0..n).map(|i| match i % 10 {
+                    _ if i % 23 == 9 => None,
+                    3 => Some((i as i64 * 7919) % 200 + 1),
+                    _ => Some(0),
+                }))),
+            )
             // Day-granular dates, shuffled: bit-packed at a stride of a day.
             .column(
                 "day",
@@ -1230,6 +1360,7 @@ mod tests {
             ("rl", EncodingKind::RunLength),
             ("noise", EncodingKind::Plain),
             ("day", EncodingKind::BitPacked),
+            ("sparse", EncodingKind::Exceptions),
         ] {
             let a = t.column_by_name(name).unwrap().as_i64_col().unwrap();
             let b = t2.column_by_name(name).unwrap().as_i64_col().unwrap();
@@ -1405,7 +1536,7 @@ mod tests {
         assert_eq!(&img[0..4], MAGIC);
         let old = d.join("old.hvc");
         let cache = BlockCache::unbounded();
-        for magic in [b"HVC2", b"HVC3", b"HVC4", b"HVC5"] {
+        for magic in [b"HVC2", b"HVC3", b"HVC4", b"HVC5", b"HVC6"] {
             let foreign = [magic, &img[4..]].concat();
             std::fs::write(&old, &foreign).unwrap();
             for err in [
@@ -1430,22 +1561,21 @@ mod tests {
         let payload_base = align_up(8 + header_len);
         let hdr = Bytes::copy_from_slice(&img[8..8 + header_len]);
         let header = parse_header(hdr, payload_base).unwrap();
+        fn rels<T>(meta: &IntMeta<T>) -> Vec<usize> {
+            match meta {
+                IntMeta::Plain { rel }
+                | IntMeta::BitPacked { rel, .. }
+                | IntMeta::Delta { rel, .. } => vec![*rel],
+                IntMeta::RunLength { .. } => vec![],
+                IntMeta::Exceptions { rel, values, .. } => [vec![*rel], rels(values)].concat(),
+            }
+        }
         for cm in &header.columns {
-            let rels: Vec<usize> = match &cm.payload {
+            let rels = match &cm.payload {
                 PayloadMeta::Int { storage, .. } | PayloadMeta::Double { storage, .. } => {
-                    match storage {
-                        IntMeta::Plain { rel }
-                        | IntMeta::BitPacked { rel, .. }
-                        | IntMeta::Delta { rel, .. } => vec![*rel],
-                        IntMeta::RunLength { .. } => vec![],
-                    }
+                    rels(storage)
                 }
-                PayloadMeta::Dict { codes, .. } => match codes {
-                    IntMeta::Plain { rel }
-                    | IntMeta::BitPacked { rel, .. }
-                    | IntMeta::Delta { rel, .. } => vec![*rel],
-                    IntMeta::RunLength { .. } => vec![],
-                },
+                PayloadMeta::Dict { codes, .. } => rels(codes),
             };
             for rel in rels {
                 assert_eq!(rel % ALIGN, 0, "column {:?} section at {rel}", cm.name);
@@ -1466,7 +1596,7 @@ mod tests {
             let m = read_file_mapped(&p, &cache, mode).unwrap();
             assert_tables_identical(&heap, &m);
             // Storage-level equality: same variant, same decoded values.
-            for name in ["seq", "bucket", "rl", "noise", "day"] {
+            for name in ["seq", "bucket", "rl", "noise", "day", "sparse"] {
                 let a = heap.column_by_name(name).unwrap().as_i64_col().unwrap();
                 let b = m.column_by_name(name).unwrap().as_i64_col().unwrap();
                 assert_eq!(a.storage(), b.storage(), "{name} under {mode:?}");
@@ -1502,7 +1632,7 @@ mod tests {
         write_file(&t, &p).unwrap();
         let info = probe_file(&p).unwrap();
         assert_eq!(info.rows, 600);
-        assert_eq!(info.columns, 12);
+        assert_eq!(info.columns, 13);
         assert_eq!(info.schema.descs(), t.schema().descs());
         // Truncate the file to magic + header: the probe still succeeds
         // (proof it never reads payload), while a full read fails.

@@ -12,9 +12,10 @@
 //! The one panic a reader may raise is the documented one, and only a
 //! *mapped* reader: its open settles what the header alone can, so a payload
 //! that contradicts its zone maps surfaces when a scan dereferences the
-//! code, and a dictionary section that fails the parser surfaces when the
+//! code, exception marks that contradict their ranks when the frame is
+//! decoded, and a dictionary section that fails the parser when the
 //! column's first string is asked for. The loop accepts that panic only when
-//! the heap decoder, which reads both at open, names one of those two faults.
+//! the heap decoder, which reads all three at open, names one of those faults.
 
 use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
 use hillview_columnar::dictionary::DictionaryBuilder;
@@ -60,7 +61,7 @@ fn below(state: &mut u64, n: usize) -> usize {
 /// encoding is forced on the Int and Date values, on the Category and
 /// String codes, and on the codes of an integral Double column alike (beside
 /// a fractional one, stored raw). The data is ascending with repeats, which
-/// all four encodings accept; the dates fall on day boundaries, so their
+/// all five encodings accept; the dates fall on day boundaries, so their
 /// bit-packed descriptor carries a step.
 fn images() -> Vec<Vec<u8>> {
     let values: Vec<i64> = (0..ROWS as i64).map(|i| 1_000 + i / 3).collect();
@@ -75,17 +76,19 @@ fn images() -> Vec<Vec<u8>> {
     for i in (5..ROWS).step_by(17) {
         nulls.set_null(i, ROWS);
     }
-    let ints: [fn(&[i64]) -> I64Storage; 4] = [
+    let ints: [fn(&[i64]) -> I64Storage; 5] = [
         |v| I64Storage::plain_of(v.to_vec()),
         |v| I64Storage::bit_packed_of(v).unwrap(),
         |v| I64Storage::run_length_of(v).unwrap(),
         |v| I64Storage::delta_of(v).unwrap(),
+        |v| I64Storage::exceptions_of(v).unwrap(),
     ];
-    let dicts: [fn(&[u32]) -> CodeStorage; 4] = [
+    let dicts: [fn(&[u32]) -> CodeStorage; 5] = [
         |v| CodeStorage::plain_of(v.to_vec()),
         |v| CodeStorage::bit_packed_of(v).unwrap(),
         |v| CodeStorage::run_length_of(v).unwrap(),
         |v| CodeStorage::delta_of(v).unwrap(),
+        |v| CodeStorage::exceptions_of(v).unwrap(),
     ];
     let whole: Vec<f64> = values.iter().map(|&v| v as f64).collect();
     let whole_codes = F64Storage::codes_of(&whole).unwrap();
@@ -269,8 +272,8 @@ enum Verdict {
 /// that scans; the header-only and mapped opens end in any verdict, but a
 /// verdict; and a mapped table that opened scans too — or panics over a
 /// fault the heap decoder named (`contradiction`):
-/// a code its zone map does not cover, or a dictionary section the parser
-/// refuses.
+/// a code its zone map does not cover, exception marks their ranks do not
+/// count, or a dictionary section the parser refuses.
 fn verdict(m: &[u8], path: &Path, cache: &Arc<BlockCache>, label: &str) -> (Verdict, bool) {
     let heap = match hvc::decode(m) {
         Ok(t) => {
@@ -289,7 +292,9 @@ fn verdict(m: &[u8], path: &Path, cache: &Arc<BlockCache>, label: &str) -> (Verd
                 Verdict::Opened => "",
             };
             assert!(
-                fault.contains("out of dictionary range") || fault.contains("dictionary section"),
+                fault.contains("out of dictionary range")
+                    || fault.contains("dictionary section")
+                    || fault.contains("marks contradict their ranks"),
                 "{label}: mapped scan panicked, heap decode said {fault:?}"
             );
             contradiction = true;
@@ -330,6 +335,17 @@ fn every_mutant_ends_in_an_error_or_a_table_that_scans() {
     eprintln!("{rejected} rejected, {opened} opened, {contradictions} faults a mapped scan met");
 }
 
+/// The magic, the length word and the header `w` holds, padded to the
+/// payload base.
+fn preamble(w: WireWriter) -> Vec<u8> {
+    let header = w.finish();
+    let mut img = b"HVC7".to_vec();
+    img.extend((header.len() as u32).to_le_bytes());
+    img.extend(&header[..]);
+    img.resize(img.len().div_ceil(64) * 64, 0);
+    img
+}
+
 /// Two rows of an Int column `n` = `[7, 9]` and a String column `s` with plain
 /// codes `[0, 1]`, whose dictionary is `section` at the file's tail — `entries`
 /// entries in `bytes` bytes at `rel` into the dictionary area, says the header.
@@ -355,11 +371,7 @@ fn dict_image(section: &[u8], entries: u64, bytes: u64, rel: u64) -> Vec<u8> {
         w.put_varint(if kind == 3 { 1 } else { 18 });
     }
     w.put_varint(72); // dictionary base: where the codes end
-    let header = w.finish();
-    let mut img = b"HVC6".to_vec();
-    img.extend((header.len() as u32).to_le_bytes());
-    img.extend(&header[..]);
-    img.resize(img.len().div_ceil(64) * 64, 0);
+    let mut img = preamble(w);
     img.extend([7i64, 9].iter().flat_map(|v| v.to_le_bytes()));
     img.resize(img.len().div_ceil(64) * 64, 0);
     img.extend([0u32, 1].iter().flat_map(|c| c.to_le_bytes()));
@@ -393,11 +405,7 @@ fn strided_image(base: i64, width: u8, step: u64, word: u64) -> Vec<u8> {
     w.put_i64(base);
     w.put_i64(base);
     w.put_varint(8); // dictionary base: where the word ends
-    let header = w.finish();
-    let mut img = b"HVC6".to_vec();
-    img.extend((header.len() as u32).to_le_bytes());
-    img.extend(&header[..]);
-    img.resize(img.len().div_ceil(64) * 64, 0);
+    let mut img = preamble(w);
     img.extend(word.to_le_bytes());
     img
 }
@@ -452,6 +460,153 @@ fn hostile_steps_end_in_an_error_or_a_table_that_scans() {
         match verdict(&img, &path, &cache, label).0 {
             Verdict::Rejected(e) => assert!(e.contains(fault), "{label}: {e}"),
             Verdict::Opened => panic!("{label}: accepted"),
+        }
+    }
+}
+
+/// Two rows of an Int column `n` around a fill of 3, in exceptions: `ranks`,
+/// the one mark word `mark` at `marks_at` into the payload, then the
+/// exceptions' descriptor, which `inner` writes, over a payload section at
+/// 64 holding the one value 9; zone map `(3, 9)`.
+fn exceptions_image(
+    ranks: &[u64],
+    mark: u64,
+    marks_at: u64,
+    inner: impl FnOnce(&mut WireWriter),
+) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_varint(1); // columns
+    w.put_varint(2); // rows
+    w.put_str("n");
+    w.put_u8(0); // Int
+    w.put_varint(1); // one null run...
+    w.put_varint(2); // ...of present rows
+    w.put_u8(4); // exceptions
+    w.put_varint(2); // values
+    w.put_i64(3); // fill
+    w.put_varint(ranks.len() as u64);
+    for &rank in ranks {
+        w.put_varint(rank);
+    }
+    w.put_varint(1); // mark words
+    w.put_varint(marks_at);
+    inner(&mut w);
+    w.put_varint(1); // one zone block
+    w.put_i64(3);
+    w.put_i64(9);
+    w.put_varint(72); // dictionary base: where the exception ends
+    let mut img = preamble(w);
+    img.extend(mark.to_le_bytes());
+    img.resize(img.len().div_ceil(64) * 64, 0);
+    img.extend(9i64.to_le_bytes());
+    img
+}
+
+/// The exceptions' descriptor: `count` plain values in the section at 64.
+fn plain(count: u64) -> impl FnOnce(&mut WireWriter) {
+    move |w| {
+        w.put_u8(0);
+        w.put_varint(count);
+        w.put_varint(64);
+    }
+}
+
+#[test]
+fn crafted_exceptions_end_in_an_error_or_a_table_that_scans() {
+    // Marks and ranks are the file's word: a structural contradiction the
+    // header settles is an error at every open; one in the mark words
+    // themselves is the heap decoder's to name at open, and a mapped scan's
+    // to meet when it decodes the frame — a panic, never a wrong row.
+    let dir = TempDir::new("hvc-exceptions");
+    let path = dir.join("exceptions.hvc");
+    let cache = BlockCache::unbounded();
+    for (label, img, rows) in [
+        (
+            "row 1 marked",
+            exceptions_image(&[0], 0b10, 0, plain(1)),
+            (3, 9),
+        ),
+        ("no marks", exceptions_image(&[0], 0, 0, plain(0)), (3, 3)),
+    ] {
+        match verdict(&img, &path, &cache, label).0 {
+            Verdict::Opened => {}
+            Verdict::Rejected(e) => panic!("{label}: refused with {e}"),
+        }
+        let mapped = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
+        for t in [hvc::decode(&img).unwrap(), mapped] {
+            let n = t.column_by_name("n").unwrap().as_i64_col().unwrap();
+            assert_eq!(
+                (n.get(0), n.get(1)),
+                (Some(rows.0), Some(rows.1)),
+                "{label}"
+            );
+        }
+    }
+    let nested = |w: &mut WireWriter| {
+        w.put_u8(4);
+        w.put_varint(1);
+    };
+    // (what is wrong, the image, the fault, whether a mapped open names it)
+    let refused: [(&str, Vec<u8>, &str, bool); 8] = [
+        (
+            "a nested exceptions descriptor",
+            exceptions_image(&[0], 0b10, 0, nested),
+            "nested exceptions descriptor",
+            true,
+        ),
+        (
+            "ranks that decrease",
+            exceptions_image(&[1, 0], 0b10, 0, plain(1)),
+            "exception ranks decrease",
+            true,
+        ),
+        (
+            "a rank past the exceptions",
+            exceptions_image(&[2], 0b10, 0, plain(1)),
+            "exception rank 2 exceeds 1 exceptions",
+            true,
+        ),
+        (
+            "more exceptions than rows",
+            exceptions_image(&[0], 0b10, 0, plain(3)),
+            "3 exceptions in 2 rows",
+            true,
+        ),
+        (
+            "a rank for a group that does not exist",
+            exceptions_image(&[0, 1], 0b10, 0, plain(1)),
+            "inconsistent exceptions section",
+            true,
+        ),
+        (
+            "marks the file cannot back",
+            exceptions_image(&[0], 0b10, 1 << 20, plain(1)),
+            "exceeds",
+            true,
+        ),
+        (
+            "two marks for one exception",
+            exceptions_image(&[0], 0b11, 0, plain(1)),
+            "exception marks contradict their ranks",
+            false,
+        ),
+        (
+            "a mark past the last row",
+            exceptions_image(&[0], 0b100, 0, plain(1)),
+            "exception marks contradict their ranks",
+            false,
+        ),
+    ];
+    for (label, img, fault, at_open) in refused {
+        match verdict(&img, &path, &cache, label) {
+            (Verdict::Rejected(e), contradiction) => {
+                assert!(e.contains(fault), "{label}: expected {fault:?}, got {e}");
+                match read_file_mapped(&path, &cache, SegmentMode::Auto) {
+                    Err(e) => assert!(at_open && e.to_string().contains(fault), "{label}: {e}"),
+                    Ok(_) => assert!(!at_open && contradiction, "{label}: scanned"),
+                }
+            }
+            (Verdict::Opened, _) => panic!("{label}: accepted"),
         }
     }
 }

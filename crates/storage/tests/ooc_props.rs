@@ -171,9 +171,10 @@ proptest! {
     }
 
     /// Every encoding survives the mapped tier: plain, bit-packed,
-    /// run-length, delta — each forced explicitly, over an integer column
-    /// and over the codes of an integral double column (zeros at odd rows
-    /// negative), on a drawn stride, each compared under both simd modes
+    /// run-length, delta, exceptions — each forced explicitly, over an
+    /// integer column and over the codes of an integral double column (zeros
+    /// at odd rows negative), on a drawn stride, each compared under both
+    /// simd modes
     /// (the mapped windows feed the same kernels the heap buffers do) and
     /// under a range whose bounds fall off the stride's grid.
     #[test]
@@ -186,11 +187,19 @@ proptest! {
         let data: Vec<i64> = data.iter().map(|v| v * step).collect();
         let mut ascending = data.clone();
         ascending.sort_unstable();
+        // Mostly zero, a ninth of the rows drawn: exceptions in their shape.
+        let sparse: Vec<i64> = data
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| if i % 9 == 4 { v } else { 0 })
+            .collect();
         let storages = [
             I64Storage::plain_of(data.clone()),
             I64Storage::bit_packed_of(&data).unwrap(),
             I64Storage::run_length_of(&data).unwrap(),
             I64Storage::delta_of(&ascending).unwrap(),
+            I64Storage::exceptions_of(&data).unwrap(),
+            I64Storage::exceptions_of(&sparse).unwrap(),
         ];
         let mut columns: Vec<Column> = storages
             .into_iter()
@@ -213,6 +222,7 @@ proptest! {
         columns.push(doubles(&data, I64Storage::bit_packed_of));
         columns.push(doubles(&data, I64Storage::run_length_of));
         columns.push(doubles(&shifted, I64Storage::delta_of));
+        columns.push(doubles(&sparse, I64Storage::exceptions_of));
         for col in columns {
             let t = Table::builder().column("V", col.kind(), col).build().unwrap();
             let (_dir, path) = write_temp(&t, "ooc-props-enc");
@@ -228,6 +238,44 @@ proptest! {
             simd::set_force_scalar(false);
         }
     }
+}
+
+/// A mapped open of a part whose column stores its exceptions reads no
+/// payload byte: the ranks are in the header, the marks and the exceptions
+/// are sections a scan faults in chunk by chunk, and only the ranks weigh
+/// on the heap.
+#[test]
+fn opening_an_exceptions_part_faults_nothing() {
+    let rows: usize = 100_000;
+    let t = Table::builder()
+        .column(
+            "late",
+            ColumnKind::Int,
+            Column::Int(I64Column::from_options((0..rows as i64).map(|i| {
+                (i % 11 != 4).then_some(if i % 11 == 7 { i * 7919 % 300 + 1 } else { 0 })
+            }))),
+        )
+        .build()
+        .unwrap();
+    let col = t.column_by_name("late").unwrap().as_i64_col().unwrap();
+    assert_eq!(
+        col.storage().kind(),
+        hillview_columnar::EncodingKind::Exceptions
+    );
+    let (_dir, path) = write_temp(&t, "ooc-props-exceptions");
+    let cache = BlockCache::unbounded();
+    let mapped = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
+    if cfg!(all(unix, target_endian = "little")) {
+        assert_eq!(cache.stats().faults, 0, "the open faulted payload in");
+        let ranks = rows.div_ceil(4_096) * 4;
+        assert_eq!(mapped.heap_bytes(), ranks);
+        assert_eq!(mapped.mapped_bytes(), col.storage().heap_bytes() - ranks);
+        let _ = mapped.column_by_name("late").unwrap().value(54_321);
+        let faults = cache.stats().faults;
+        assert!((1..=2).contains(&faults), "one row faulted {faults} chunks");
+    }
+    let heap = hvc::read_file(&path).unwrap();
+    assert_tiers_identical(&heap, &mapped, &Predicate::range("late", 1.0, 150.0), 7);
 }
 
 /// The storage-level mirror of the engine's
