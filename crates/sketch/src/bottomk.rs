@@ -42,7 +42,10 @@ impl BottomKSketch {
 pub struct BottomKSummary {
     /// Capacity.
     pub k: usize,
-    /// Ascending by hash; values are distinct.
+    /// Ascending by hash; values are distinct. When two distinct values
+    /// share a hash, the entry holds the smaller string (byte order), in
+    /// `summarize` and `merge` alike, so the summary is a function of the
+    /// values seen and not of the order they were met in.
     pub entries: Vec<(u64, String)>,
     /// Total distinct-or-not present rows observed (for diagnostics).
     pub rows: u64,
@@ -83,9 +86,32 @@ impl Summary for BottomKSummary {
     fn merge(&mut self, other: Self) {
         self.k = self.k.max(other.k);
         let mine = std::mem::take(&mut self.entries);
-        self.entries = merge_runs(mine, other.entries, |(hash, _)| hash, |_, _| {});
+        self.entries = merge_runs(mine, other.entries, |(hash, _)| hash, keep_smaller);
         self.entries.truncate(self.k);
         self.rows += other.rows;
+    }
+}
+
+/// The hash-collision rule of [`BottomKSummary::entries`]: of two values
+/// under one hash, keep the smaller string.
+fn keep_smaller(mine: &mut (u64, String), theirs: (u64, String)) {
+    if theirs.1 < mine.1 {
+        *mine = theirs;
+    }
+}
+
+/// Offer `(hash, value)` to a hash-keyed entry map under the collision rule
+/// of [`BottomKSummary::entries`].
+fn offer(map: &mut BTreeMap<u64, String>, hash: u64, value: &str) {
+    match map.entry(hash) {
+        std::collections::btree_map::Entry::Vacant(slot) => {
+            slot.insert(value.to_string());
+        }
+        std::collections::btree_map::Entry::Occupied(mut kept) => {
+            if value < kept.get().as_str() {
+                kept.insert(value.to_string());
+            }
+        }
     }
 }
 
@@ -153,8 +179,8 @@ impl Sketch for BottomKSketch {
         let mut map: BTreeMap<u64, String> = BTreeMap::new();
         for (code, &s) in seen.iter().enumerate() {
             if s {
-                map.entry(hash_str(dict.dictionary().get(code as u32), self.seed))
-                    .or_insert_with(|| dict.dictionary().get(code as u32).to_string());
+                let value = dict.dictionary().get(code as u32);
+                offer(&mut map, hash_str(value, self.seed), value);
             }
         }
         let entries: Vec<(u64, String)> = map.into_iter().take(self.k).collect();
@@ -208,8 +234,7 @@ impl BottomKSketch {
         let mut map: BTreeMap<u64, String> = BTreeMap::new();
         for (code, &s) in seen.iter().enumerate() {
             if s {
-                map.entry(hashes[code])
-                    .or_insert_with(|| dict.dictionary().get(code as u32).to_string());
+                offer(&mut map, hashes[code], dict.dictionary().get(code as u32));
             }
         }
         let entries: Vec<(u64, String)> = map.into_iter().take(self.k).collect();
@@ -290,6 +315,27 @@ mod tests {
         assert!(b.windows(2).all(|w| w[0] < w[1]));
         let mid: &str = &b[5];
         assert!(("key0300".."key0700").contains(&mid), "median-ish: {mid}");
+    }
+
+    #[test]
+    fn a_hash_collision_keeps_the_smaller_string() {
+        // Two values under one hash: whichever side of a merge, and
+        // whichever order a leaf met them in, the smaller string stays.
+        let one = |v: &str| BottomKSummary {
+            k: 4,
+            entries: vec![(9, v.to_string())],
+            rows: 1,
+        };
+        for (left, right) in [("N2", "N10"), ("N10", "N2")] {
+            let mut merged = one(left);
+            merged.merge(one(right));
+            assert_eq!(merged.entries, [(9, "N10".to_string())]);
+        }
+        let mut map = BTreeMap::new();
+        for v in ["b", "a", "c"] {
+            offer(&mut map, 3, v);
+        }
+        assert_eq!(map[&3], "a");
     }
 
     #[test]
