@@ -14,7 +14,11 @@
 //! parses the section at once; opened mapped and left alone, which only
 //! locates it; and opened mapped and asked for one string, which parses it
 //! then — per dictionary entry; read it when touching
-//! `DictionaryBuilder::intern` or `hvc`'s dictionary parser. `header_parse`
+//! `Dictionary::from_front_coded`, `hvc`'s dictionary parser.
+//! `dict_get_random` and `dict_walk` read that part's opened dictionary: a
+//! point read per entry in random code order (each walks up to 15
+//! front-coded predecessors), and one sequential `for_each` — what a random
+//! read costs against a walk, per entry. `header_parse`
 //! splits what a mapped open of all 29 flights columns still costs, by
 //! opening the same part with one ingredient of its header taken away at a
 //! time: null runs, inline run-length tables, then all but one block of
@@ -40,7 +44,8 @@ pub const SUITE: Registered = Registered {
             integral-double frame decode vs plain vs codes only (median ns per pass; ns/row for \
             the double decode); dict_open: a 65 000-row TailNum part decoded on the heap, opened \
             mapped and left alone, opened mapped and asked for a string, ns per dictionary entry; \
-            header_parse: a mapped open of a 65 000-row, 29-column flights part, whole and with \
+            dict_get_random / dict_walk: that dictionary's point reads in random code order vs one \
+            sequential walk, ns per entry; header_parse: a mapped open of a 65 000-row, 29-column flights part, whole and with \
             null runs, run-length tables and zone-map blocks taken away in turn",
     run,
 };
@@ -116,8 +121,9 @@ fn run(suite: &mut Suite) {
     let opened = open();
     let strings = |t: &Table| -> Vec<Option<String>> {
         let col = t.column(0).as_dict_col().unwrap();
+        let mut buf = String::new();
         (0..t.num_rows())
-            .map(|r| col.get(r).map(str::to_owned))
+            .map(|r| col.read(r, &mut buf).map(str::to_owned))
             .collect()
     };
     assert_eq!(strings(&opened), strings(&part));
@@ -132,7 +138,8 @@ fn run(suite: &mut Suite) {
     let untouched = open_mapped(&part, "tails.hvc");
     let first_touch = || {
         let t = untouched();
-        let first = t.column(0).as_dict_col().unwrap().dictionary().get(0).len();
+        let dict = t.column(0).as_dict_col().unwrap().dictionary();
+        let first = dict.read(0, &mut String::new()).len();
         (t, first)
     };
     assert_eq!(strings(&untouched()), strings(&part));
@@ -145,6 +152,30 @@ fn run(suite: &mut Suite) {
     case.fact("ns_per_entry", per_entry(case.median_ns("decode")));
     let parse = case.median_ns("first_touch") - case.median_ns("mapped_open_untouched");
     case.fact("first_touch_ns_per_entry", per_entry(parse));
+
+    // The opened dictionary read two ways: one point read per entry, in a
+    // random code order (each decodes from its bucket's first entry), and
+    // one sequential walk of every entry.
+    let dict = opened.column(0).as_dict_col().unwrap().dictionary();
+    let codes: Vec<u32> = (0..entries)
+        .map(|_| (rng.gen::<u64>() % entries as u64) as u32)
+        .collect();
+    let mut buf = String::new();
+    let case = suite.case("dict_get_random");
+    case.fact("entries", entries as f64).time("read", || {
+        codes
+            .iter()
+            .map(|&c| dict.read(c, &mut buf).len())
+            .sum::<usize>()
+    });
+    case.fact("ns_per_read", per_entry(case.median_ns("read")));
+    let case = suite.case("dict_walk");
+    case.fact("entries", entries as f64).time("for_each", || {
+        let mut bytes = 0;
+        dict.for_each(|_, s| bytes += s.len());
+        bytes
+    });
+    case.fact("ns_per_entry", per_entry(case.median_ns("for_each")));
 
     // The same part of the same flights, every column.
     let whole = slice_table(&flights, rows, 2 * rows);

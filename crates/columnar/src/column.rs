@@ -289,7 +289,8 @@ impl DictColumn {
         }
     }
 
-    /// Build by interning an iterator of optional strings.
+    /// Build by interning an iterator of optional strings: codes in byte
+    /// order of the strings, null rows parked on code 0.
     pub fn from_strings<'a>(vals: impl IntoIterator<Item = Option<&'a str>>) -> Self {
         let mut builder = DictionaryBuilder::new();
         let mut codes = Vec::new();
@@ -307,12 +308,14 @@ impl DictColumn {
                 }
             }
         }
+        let dict = builder.finish(&mut codes);
         let len = codes.len();
         let mut nulls = NullMask::none();
         for i in null_rows {
+            codes[i] = 0;
             nulls.set_null(i, len);
         }
-        Self::new(codes, Arc::new(builder.finish()), nulls)
+        Self::new(codes, Arc::new(dict), nulls)
     }
 
     /// Number of rows.
@@ -357,13 +360,14 @@ impl DictColumn {
         &self.nulls
     }
 
-    /// The string at row `i`, or `None` if missing.
+    /// The string at row `i`, decoded into `buf` (see
+    /// [`Dictionary::read`]), or `None` if missing.
     #[inline]
-    pub fn get(&self, i: usize) -> Option<&str> {
+    pub fn read<'b>(&self, i: usize, buf: &'b mut String) -> Option<&'b str> {
         if self.nulls.is_null(i) {
             None
         } else {
-            Some(self.dict.get(self.codes.get(i)))
+            Some(self.dict.read(self.codes.get(i), buf))
         }
     }
 }
@@ -447,19 +451,23 @@ impl Column {
             Column::Int(c) => c.get(i).map_or(Value::Missing, Value::Int),
             Column::Date(c) => c.get(i).map_or(Value::Missing, Value::Date),
             Column::Double(c) => c.get(i).map_or(Value::Missing, Value::Double),
-            Column::Str(c) | Column::Cat(c) => c.get(i).map_or(Value::Missing, Value::str),
+            Column::Str(c) | Column::Cat(c) => c
+                .read(i, &mut String::new())
+                .map_or(Value::Missing, Value::str),
         }
     }
 
     /// `self.value(i).cmp(other)`, computed on the typed read: a string
-    /// row is compared in place in its dictionary instead of being copied
-    /// out into a `Value` first.
+    /// row is compared in place in its dictionary ([`Dictionary::compare`])
+    /// instead of being decoded into a `Value` first.
     #[inline]
     pub fn cmp_value(&self, i: usize, other: &Value) -> Ordering {
         match self {
-            Column::Str(c) | Column::Cat(c) => match c.get(i) {
-                Some(s) => crate::value::cmp_str(s, other),
-                None => Value::Missing.cmp(other),
+            Column::Str(c) | Column::Cat(c) => match (c.nulls().is_null(i), other) {
+                (true, _) => Value::Missing.cmp(other),
+                (false, Value::Str(s)) => c.dictionary().compare(c.code(i), s),
+                // Strings rank above every other type (`Value::cmp`).
+                (false, _) => Ordering::Greater,
             },
             // The numeric kinds build their `Value` without allocating.
             _ => self.value(i).cmp(other),
@@ -556,9 +564,15 @@ mod tests {
     fn dict_column_round_trips() {
         let c = DictColumn::from_strings([Some("UA"), Some("AA"), None, Some("UA")]);
         assert_eq!(c.len(), 4);
-        assert_eq!(c.get(0), Some("UA"));
-        assert_eq!(c.get(1), Some("AA"));
-        assert!(c.get(2).is_none());
+        let mut buf = String::new();
+        assert_eq!(c.read(0, &mut buf), Some("UA"));
+        assert_eq!(c.read(1, &mut buf), Some("AA"));
+        assert!(c.read(2, &mut buf).is_none());
+        assert_eq!(
+            (c.code(1), c.code(0), c.code(2)),
+            (0, 1, 0),
+            "byte order; nulls on 0"
+        );
         assert_eq!(c.code(0), c.code(3), "repeated strings share codes");
         assert_eq!(c.dictionary().len(), 2);
     }

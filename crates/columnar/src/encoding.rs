@@ -129,7 +129,10 @@
 //! * `ranks` — the number of exceptions before each run of 64 mark words
 //!   (4 096 rows), always resident;
 //! * `values` — the exceptions in row order, under the cheapest of the
-//!   other four encodings. Exceptions never nest.
+//!   other four encodings. Exceptions never nest. No exception equals the
+//!   fill, so one above it is stored one lower: exceptions on both sides of
+//!   the fill span one value less — the codes of a category column but its
+//!   commonest pack as if that code were not there.
 //!
 //! A frame's mark word says everything: with no mark the frame is a splat
 //! of `fill`; fully marked, its values decode straight; otherwise its `k`
@@ -287,7 +290,9 @@ pub enum IntStorage<T> {
     },
     /// Exceptions around one fill value: row `i` is `fill` unless bit `i`
     /// of `marks` is set, and then it is `values[r]`, where `r` counts the
-    /// marks before `i` (see the module docs' *Exceptions*).
+    /// marks before `i` — plus one when `values[r] >= fill`, since a stored
+    /// exception has the fill's value cut out of its range (see the module
+    /// docs' *Exceptions*).
     Exceptions {
         /// The value of every unmarked row.
         fill: T,
@@ -644,6 +649,38 @@ fn exception_word(
     (rank, mark)
 }
 
+/// An exception as `values` stores it: never the fill, so the fill's value
+/// is cut out of the number line — one above it is stored one lower — and a
+/// set of exceptions on both sides of the fill packs one value narrower
+/// (the categories of a code column, numbered in byte order, are all
+/// exceptions but the commonest). [`open_gap`] is the inverse.
+#[inline]
+fn close_gap<T: PackedInt>(v: T, fill: T) -> T {
+    if v > fill {
+        T::add_offset(v, u64::MAX)
+    } else {
+        v
+    }
+}
+
+/// The exception a stored value stands for ([`close_gap`]'s inverse).
+#[inline]
+fn open_gap<T: PackedInt>(stored: T, fill: T) -> T {
+    if stored >= fill {
+        T::add_offset(stored, 1)
+    } else {
+        stored
+    }
+}
+
+/// [`open_gap`] over decoded lanes.
+#[inline]
+fn open_gaps<T: PackedInt>(lanes: &mut [T], fill: T) {
+    for v in lanes {
+        *v = open_gap(*v, fill);
+    }
+}
+
 /// Write `lanes` to the set bits of `mark` in `out`, in order.
 #[inline]
 fn scatter<T: Copy>(mut mark: u64, lanes: &[T], out: &mut [T]) {
@@ -896,7 +933,7 @@ impl<T: PackedInt> IntStorage<T> {
         for (frame, &mark) in values.chunks(BLOCK_ROWS).zip(&marks) {
             let mut mark = mark;
             while mark != 0 {
-                exceptions.push(frame[mark.trailing_zeros() as usize]);
+                exceptions.push(close_gap(frame[mark.trailing_zeros() as usize], fill));
                 mark &= mark - 1;
             }
         }
@@ -1117,7 +1154,8 @@ impl<T: PackedInt> IntStorage<T> {
                 let mut cursor = NO_CURSOR;
                 let (rank, mark) = exception_word(marks, ranks, values.len(), *len, &mut cursor, w);
                 if mark >> bit & 1 == 1 {
-                    values.get(rank + (mark & low_mask(bit)).count_ones() as usize)
+                    let at = rank + (mark & low_mask(bit)).count_ones() as usize;
+                    open_gap(values.get(at), *fill)
                 } else {
                     *fill
                 }
@@ -1164,7 +1202,7 @@ impl<T: PackedInt> IntStorage<T> {
                 let (rank, mark) = exception_word(marks, ranks, values.len(), *len, cursor, w);
                 if mark >> bit & 1 == 1 {
                     let at = rank + (mark & low_mask(bit)).count_ones() as usize;
-                    return (values.get(at), i + 1);
+                    return (open_gap(values.get(at), *fill), i + 1);
                 }
                 if mark >> bit != 0 {
                     return (*fill, i + (mark >> bit).trailing_zeros() as usize);
@@ -1331,10 +1369,12 @@ impl<T: PackedInt> IntStorage<T> {
                     out.fill(*fill);
                 } else if mark == crate::bitmap::span_mask(0, len) {
                     values.decode_into(rank, out);
+                    open_gaps(out, *fill);
                 } else {
                     let mut lanes = [T::default(); BLOCK_ROWS];
                     let lanes = &mut lanes[..mark.count_ones() as usize];
                     values.decode_into(rank, lanes);
+                    open_gaps(lanes, *fill);
                     out.fill(*fill);
                     scatter(mark, lanes, out);
                 }
@@ -1515,6 +1555,7 @@ impl<T: PackedInt> IntStorage<T> {
                 }
                 let lanes = &mut buf[..mark.count_ones() as usize];
                 values.decode_into(rank, lanes);
+                open_gaps(lanes, *fill);
                 unmarked | deposit(crate::simd::range_word_incl(lanes, lo, hi), mark)
             }
         }
@@ -2998,6 +3039,37 @@ mod tests {
         // Real zeros compress like placeholders: the layout reads no nulls.
         let doubles: Vec<f64> = codes.iter().map(|&c| (c >> 1) as f64).collect();
         assert_eq!(F64Storage::encode(doubles).kind(), EncodingKind::Exceptions);
+    }
+
+    #[test]
+    fn exceptions_cut_the_fill_out_of_their_range() {
+        // Five categories in byte order, the commonest (code 3) on 55 % of
+        // the rows, as a log's levels: the other four codes span 0..=4 but
+        // pack in two bits, since none of them is 3 — which is also what
+        // makes exceptions save their quarter over three bits a row.
+        let codes: Vec<u32> = (0..65_000u32)
+            .map(|i| match i % 20 {
+                0..=10 => 3,
+                11..=16 => 0,
+                17 | 18 => 4,
+                _ => 1 + i / 20 % 2,
+            })
+            .collect();
+        let s = IntStorage::encode(codes.clone());
+        let IntStorage::Exceptions { fill, values, .. } = &s else {
+            panic!("{} storage", s.kind());
+        };
+        let IntStorage::BitPacked { width, .. } = **values else {
+            panic!("{} exceptions", values.kind());
+        };
+        assert_eq!((*fill, width), (3, 2));
+        assert_eq!(s.to_vec(), codes);
+        let mut cursor = 0;
+        let word = s.range_frame_word(&mut cursor, 0, 64, 4, 4, &mut [0; 64]);
+        assert_eq!(
+            word,
+            (0..64).filter(|&k| codes[k] == 4).map(|k| 1u64 << k).sum()
+        );
     }
 
     #[test]

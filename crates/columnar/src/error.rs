@@ -38,6 +38,9 @@ pub enum Error {
     UnknownUdf(String),
     /// A dictionary's strings would pass the 4 GiB its `u32` offsets address.
     DictionaryTooLarge,
+    /// Front-coded dictionary bytes that break the layout: which entry,
+    /// and what is wrong with it.
+    BadDictionary(String),
 }
 
 impl fmt::Display for Error {
@@ -62,6 +65,7 @@ impl fmt::Display for Error {
             Error::BadRegex(msg) => write!(f, "invalid regex: {msg}"),
             Error::UnknownUdf(name) => write!(f, "unknown map function: {name:?}"),
             Error::DictionaryTooLarge => write!(f, "dictionary strings exceed 4 GiB"),
+            Error::BadDictionary(what) => write!(f, "malformed dictionary: {what}"),
         }
     }
 }

@@ -198,7 +198,7 @@ pub use residency::{BlockCache, BlockCacheStats, Segment, SegmentMode, ValueBuf}
 pub use rows::{Row, RowKey};
 pub use scan::{rows_in_range, ScanSource, Selection, SplittableSelection};
 pub use schema::{ColumnDesc, ColumnKind, Schema};
-pub use sort::{ResolvedSortOrder, SortColumn, SortOrder};
+pub use sort::{ResolvedSortOrder, RowBound, SortColumn, SortOrder};
 pub use table::Table;
 #[doc(hidden)]
 pub use tempdir::TempDir;

@@ -316,8 +316,8 @@ impl Predicate {
                         nulls: col.null_bitmap(),
                     },
                     Value::Str(s) => match col.as_dict_col() {
-                        Some(d) => match d.dictionary().code_of(s) {
-                            Some(code) => BNode::EqualsCode {
+                        Some(d) => match d.dictionary().rank(s) {
+                            Ok(code) => BNode::EqualsCode {
                                 codes: d.codes(),
                                 nulls: d.nulls().bitmap(),
                                 zones: d.zones(),
@@ -325,7 +325,7 @@ impl Predicate {
                                 cursor: 0,
                                 buf: Box::new([0; BLOCK_ROWS]),
                             },
-                            None => BNode::Always(false),
+                            Err(_) => BNode::Always(false),
                         },
                         None => BNode::Always(false),
                     },
@@ -399,12 +399,12 @@ impl Predicate {
                         let dict = d.dictionary();
                         let mut bits = vec![0u64; dict.len().max(1).div_ceil(64)];
                         let mut hits = 0usize;
-                        for (code, s) in dict.iter().enumerate() {
+                        dict.for_each(|code, s| {
                             if matcher.matches(s) {
-                                bits[code / 64] |= 1 << (code % 64);
+                                bits[code as usize / 64] |= 1 << (code % 64);
                                 hits += 1;
                             }
-                        }
+                        });
                         if hits == 0 {
                             BNode::Always(false)
                         } else if hits == dict.len() {
@@ -530,11 +530,11 @@ impl CompiledPredicate {
             CompiledPredicate::EqualsI64 { col, value } => {
                 table.column(*col).as_i64_col().and_then(|c| c.get(row)) == Some(*value)
             }
-            CompiledPredicate::EqualsStr { col, value } => table
-                .column(*col)
-                .as_dict_col()
-                .and_then(|d| d.get(row))
-                .is_some_and(|s| s == value.as_ref()),
+            CompiledPredicate::EqualsStr { col, value } => {
+                table.column(*col).as_dict_col().is_some_and(|d| {
+                    !d.nulls().is_null(row) && d.dictionary().compare(d.code(row), value).is_eq()
+                })
+            }
             CompiledPredicate::EqualsMissing { col } => table.column(*col).is_null(row),
             CompiledPredicate::Match {
                 col,
@@ -546,7 +546,7 @@ impl CompiledPredicate {
                     return false;
                 }
                 match c.as_dict_col() {
-                    Some(d) => matcher.matches(d.get(row).expect("checked non-null")),
+                    Some(d) => matcher.matches(d.read(row, scratch).expect("checked non-null")),
                     // Non-string columns are matched against their display
                     // text, like searching a spreadsheet.
                     None => {

@@ -7,6 +7,8 @@
 use crate::error::Result;
 use crate::rows::RowKey;
 use crate::table::Table;
+use crate::value::Value;
+use crate::Column;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -117,6 +119,58 @@ impl ResolvedSortOrder {
         Ordering::Equal
     }
 
+    /// `key` resolved against `table`'s columns once, so that rows compare
+    /// against it without reading a string: a string key on a string
+    /// column becomes its [`crate::Dictionary::rank`], which row codes
+    /// compare against as `u32`s. Valid for `table` only; a scan that moves
+    /// to another part binds again.
+    pub fn bind(&self, table: &Table, key: &RowKey) -> RowBound {
+        debug_assert_eq!(self.indexes.len(), key.values().len());
+        let parts = self
+            .indexes
+            .iter()
+            .zip(key.values())
+            .map(|(&c, value)| match (table.column(c), value) {
+                (Column::Str(d) | Column::Cat(d), Value::Str(s)) => BoundPart::Rank {
+                    rank: d.dictionary().rank(s),
+                    missing: Value::Missing.cmp(value),
+                },
+                _ => BoundPart::Value(value.clone()),
+            })
+            .collect();
+        RowBound { parts }
+    }
+
+    /// `self.cmp_row(table, row, key)` for the `key` that `bound` was bound
+    /// from ([`ResolvedSortOrder::bind`]) against this same `table`.
+    #[inline]
+    pub fn cmp_bound(&self, table: &Table, row: usize, bound: &RowBound) -> Ordering {
+        debug_assert_eq!(self.indexes.len(), bound.parts.len());
+        for ((&c, part), &desc) in self.indexes.iter().zip(&bound.parts).zip(&self.descending) {
+            let col = table.column(c);
+            let ord = match (part, col) {
+                (BoundPart::Rank { rank, missing }, Column::Str(d) | Column::Cat(d)) => {
+                    if d.nulls().is_null(row) {
+                        *missing
+                    } else {
+                        let code = d.code(row);
+                        match *rank {
+                            Ok(at) => code.cmp(&at),
+                            Err(at) if code < at => Ordering::Less,
+                            Err(_) => Ordering::Greater,
+                        }
+                    }
+                }
+                (BoundPart::Value(value), _) => col.cmp_value(row, value),
+                (BoundPart::Rank { .. }, _) => unreachable!("a rank is bound to a string column"),
+            };
+            if ord != Ordering::Equal {
+                return if desc { ord.reverse() } else { ord };
+            }
+        }
+        Ordering::Equal
+    }
+
     /// The resolved column indexes.
     pub fn indexes(&self) -> &[usize] {
         &self.indexes
@@ -126,6 +180,25 @@ impl ResolvedSortOrder {
     pub fn descending(&self) -> &[bool] {
         &self.descending
     }
+}
+
+/// A sort key bound to the columns of one table
+/// ([`ResolvedSortOrder::bind`]).
+#[derive(Debug, Clone)]
+pub struct RowBound {
+    parts: Vec<BoundPart>,
+}
+
+#[derive(Debug, Clone)]
+enum BoundPart {
+    /// A string key on a string column: where it falls among the column's
+    /// codes, and how a missing row compares with it.
+    Rank {
+        rank: std::result::Result<u32, u32>,
+        missing: Ordering,
+    },
+    /// Any other key value, compared through [`crate::Column::cmp_value`].
+    Value(Value),
 }
 
 #[cfg(test)]

@@ -294,7 +294,13 @@ impl UdfRegistry {
         self.register(name, ColumnKind::Int, move |t, r| {
             t.column_by_name(&src)
                 .ok()
-                .and_then(|c| c.as_dict_col()?.get(r)?.trim().parse().ok())
+                .and_then(|c| {
+                    c.as_dict_col()?
+                        .read(r, &mut String::new())?
+                        .trim()
+                        .parse()
+                        .ok()
+                })
                 .map_or(Value::Missing, Value::Int)
         });
     }

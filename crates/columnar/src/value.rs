@@ -79,16 +79,6 @@ impl Value {
     }
 }
 
-/// `Value::Str(s).cmp(other)`, for a string still inside its column's
-/// dictionary: the comparison without the reference-counted copy.
-pub(crate) fn cmp_str(s: &str, other: &Value) -> Ordering {
-    match other {
-        Value::Str(o) => s.cmp(o.as_ref()),
-        // Strings rank above every other type (see `type_rank`).
-        _ => Ordering::Greater,
-    }
-}
-
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal

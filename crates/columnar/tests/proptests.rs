@@ -911,10 +911,13 @@ proptest! {
         prop_assert_eq!(fast.5, slow.5, "probe_word");
     }
 
-    /// `cmp_row` is the order of the materialized keys: for every column
-    /// kind (nulls in each; doubles raw and integral-encoded, both zeros
-    /// included), every mix of directions, keys taken from other rows and
-    /// keys whose variants are foreign to their columns.
+    /// `cmp_row` is the order of the materialized keys, and a key bound to
+    /// the table (`bind`, which turns a string into a dictionary rank)
+    /// compares as `cmp_row` does: for every column kind (nulls in each;
+    /// doubles raw and integral-encoded, both zeros included), every mix of
+    /// directions, keys taken from other rows and keys whose variants are
+    /// foreign to their columns — strings among them that no row holds,
+    /// between two entries, before the first and after the last.
     #[test]
     fn cmp_row_is_the_materialized_order(
         cells in proptest::collection::vec((any::<u8>(), any::<i16>(), any::<u8>()), 1..40),
@@ -922,6 +925,10 @@ proptest! {
         probes in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..24),
     ) {
         const WORDS: [&str; 5] = ["", "a", "ab", "b", "é"];
+        // The rows' words, and strings no row can hold: below "a", between
+        // entries, between "b" and "é", and above everything.
+        const KEYS: [&str; 12] =
+            ["", "a", "ab", "b", "é", "\0", "aa", "ac", "c", "è", "éa", "\u{10FFFF}"];
         let n = cells.len();
         let missing = |bit: u8| move |&(_, _, nulls): &(u8, i16, u8)| nulls >> bit & 1 == 1;
         let ints = |bit: u8, modulus: i16| {
@@ -970,14 +977,20 @@ proptest! {
                     2 => Value::Double(f64::from(foreign % 5) - 0.5),
                     3 => Value::Double(-0.0),
                     4 => Value::Date(i64::from(foreign % 3)),
-                    _ => Value::str(WORDS[usize::from(foreign) % WORDS.len()]),
+                    _ => Value::str(KEYS[usize::from(foreign / 2) % KEYS.len()]),
                 });
                 key = RowKey::new(values.collect(), key.descending().to_vec());
             }
+            let want = resolved.key(&t, a).cmp(&key);
             prop_assert_eq!(
                 resolved.cmp_row(&t, a, &key),
-                resolved.key(&t, a).cmp(&key),
+                want,
                 "row {} against {:?} under {:?}", a, key, directions
+            );
+            prop_assert_eq!(
+                resolved.cmp_bound(&t, a, &resolved.bind(&t, &key)),
+                want,
+                "row {} against bound {:?} under {:?}", a, key, directions
             );
         }
     }
@@ -1000,5 +1013,184 @@ proptest! {
         for w in vals.windows(2) {
             prop_assert!(w[0] <= w[1]);
         }
+    }
+}
+
+/// Pieces the dictionary properties build strings from: the empty string,
+/// an embedded NUL, characters whose UTF-8 encodings share one, two and
+/// three leading bytes (so a shared run can stop inside a character), and
+/// runs of 15, 16 and 20 bytes (so prefix and suffix lengths escape their
+/// nibbles).
+const PIECES: [&str; 14] = [
+    "",
+    "\0",
+    "N",
+    "1",
+    "2",
+    "é",
+    "è",
+    "€",
+    "₤",
+    "𝄞",
+    "𝄢",
+    "ppppppppppppppp",
+    "pppppppppppppppp",
+    "qqqqqqqqqqqqqqqqqqqq",
+];
+
+fn pieced(picks: &[usize]) -> String {
+    picks.iter().map(|&p| PIECES[p % PIECES.len()]).collect()
+}
+
+/// The longest prefix `a` and `b` share that ends on a character boundary
+/// of both: what a front-coded entry keeps of its predecessor.
+fn char_shared(a: &str, b: &str) -> usize {
+    let mut n = a.bytes().zip(b.bytes()).take_while(|(x, y)| x == y).count();
+    while !(a.is_char_boundary(n) && b.is_char_boundary(n)) {
+        n -= 1;
+    }
+    n
+}
+
+/// The resident bytes of a dictionary of `sorted` (distinct, ascending),
+/// counted from the layout: per entry a header byte, a varint for each
+/// length of 15 or more (holding the length less 15), and the suffix; a
+/// bucket's first entry shares nothing; four bytes per bucket of 16.
+fn front_coded_bytes(sorted: &[String]) -> usize {
+    let varint = |n: usize| {
+        if n < 15 {
+            0
+        } else {
+            1 + (n - 15).max(1).ilog2() as usize / 7
+        }
+    };
+    let mut bytes = 4 * sorted.len().div_ceil(16);
+    for (i, s) in sorted.iter().enumerate() {
+        let prefix = if i % 16 == 0 {
+            0
+        } else {
+            char_shared(&sorted[i - 1], s)
+        };
+        let suffix = s.len() - prefix;
+        bytes += 1 + varint(prefix) + varint(suffix) + suffix;
+    }
+    bytes
+}
+
+/// Everything the one dictionary layout promises, for the column built
+/// from `strings` (a `None` is a null row).
+fn check_dictionary(strings: &[Option<String>]) -> Result<(), TestCaseError> {
+    use std::cmp::Ordering;
+    let col = DictColumn::from_strings(strings.iter().map(Option::as_deref));
+    let mut buf = String::new();
+    for (row, s) in strings.iter().enumerate() {
+        prop_assert_eq!(col.read(row, &mut buf), s.as_deref(), "row {}", row);
+    }
+    let dict = col.dictionary();
+    let mut sorted: Vec<String> = strings.iter().flatten().cloned().collect();
+    sorted.sort();
+    sorted.dedup();
+    let mut walked = Vec::new();
+    dict.for_each(|code, s| walked.push((code, s.to_string())));
+    prop_assert_eq!(walked.len(), sorted.len());
+    for (i, ((code, s), want)) in walked.iter().zip(&sorted).enumerate() {
+        prop_assert_eq!(*code as usize, i);
+        prop_assert_eq!(s, want);
+        prop_assert_eq!(
+            dict.read(*code, &mut buf),
+            want.as_str(),
+            "point read {}",
+            code
+        );
+        prop_assert_eq!(dict.rank(want), Ok(*code));
+    }
+    prop_assert_eq!(dict.heap_bytes(), front_coded_bytes(&sorted));
+    // Strings beside the entries: each one extended, cut short by a
+    // character, and the extremes of the order.
+    let mut probes: Vec<String> = vec![String::new(), "\0".into(), "\u{10FFFF}".into()];
+    for s in &sorted {
+        probes.push(format!("{s}\0"));
+        probes.push(format!("{s}é"));
+        let mut cut = s.clone();
+        cut.pop();
+        probes.push(cut);
+    }
+    for p in &probes {
+        let below = sorted.iter().filter(|s| s.as_str() < p.as_str()).count() as u32;
+        let want = if sorted.binary_search(p).is_ok() {
+            Ok(below)
+        } else {
+            Err(below)
+        };
+        prop_assert_eq!(dict.rank(p), want, "rank of {:?}", p);
+        for (code, s) in sorted.iter().enumerate() {
+            let order: Ordering = s.as_str().cmp(p.as_str());
+            prop_assert_eq!(
+                dict.compare(code as u32, p),
+                order,
+                "{:?} against {:?}",
+                s,
+                p
+            );
+        }
+    }
+    // The bytes are the one encoding, and they read back as they are.
+    let back =
+        hillview_columnar::Dictionary::from_front_coded(dict.front_coded().to_vec(), dict.len())
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+    prop_assert_eq!(back.front_coded(), dict.front_coded());
+    let keep: Vec<bool> = (0..dict.len()).map(|i| i % 3 != 1).collect();
+    let kept: Vec<String> = sorted
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| keep[*i])
+        .map(|(_, s)| s.clone())
+        .collect();
+    let subset = dict.subset(&keep);
+    let rebuilt = DictColumn::from_strings(kept.iter().map(|s| Some(s.as_str())));
+    prop_assert_eq!(subset.front_coded(), rebuilt.dictionary().front_coded());
+    Ok(())
+}
+
+proptest! {
+    /// One layout, whatever the strings: the entries are the sorted
+    /// distinct input, the walk and the point read agree at every code,
+    /// `rank` round-trips and places absent strings between their
+    /// neighbours (as `compare` orders them against every entry), the heap
+    /// footprint is the layout's exact size, the bytes parse back to
+    /// themselves, a subset is the dictionary of its strings, and the
+    /// column reads back its rows.
+    #[test]
+    fn a_dictionary_is_its_sorted_distinct_strings(
+        rows in proptest::collection::vec(
+            proptest::option::weighted(0.9, proptest::collection::vec(0usize..64, 0..5)),
+            0..80,
+        ),
+    ) {
+        let strings: Vec<Option<String>> =
+            rows.iter().map(|r| r.as_ref().map(|picks| pieced(picks))).collect();
+        check_dictionary(&strings)?;
+    }
+}
+
+#[test]
+fn dictionaries_of_every_bucket_edge() {
+    // 0, 1, 15, 16, 17 and 33 distinct strings: empty, one entry, a bucket
+    // one short, full, one over, and two full plus one.
+    for n in [0usize, 1, 15, 16, 17, 33] {
+        let mut state = n as u64;
+        let mut seen = std::collections::BTreeSet::new();
+        while seen.len() < n {
+            let picks: Vec<usize> = (0..4).map(|_| splitmix(&mut state) as usize % 64).collect();
+            seen.insert(pieced(&picks));
+        }
+        let strings: Vec<Option<String>> = seen.into_iter().rev().map(Some).collect();
+        check_dictionary(&strings).unwrap();
+        assert_eq!(
+            DictColumn::from_strings(strings.iter().map(Option::as_deref))
+                .dictionary()
+                .len(),
+            n
+        );
     }
 }

@@ -460,40 +460,49 @@ fn a_mapped_dataset_holds_the_dictionaries_its_queries_presented() {
 fn concurrent_first_touches_parse_a_dictionary_once() {
     const THREADS: usize = 8;
     let words: Vec<String> = (0..5_000).map(|i| format!("N{i}é")).collect();
+    let build = |words: &[String]| {
+        let mut db = DictionaryBuilder::with_capacity(words.len());
+        for w in words {
+            db.intern(w).unwrap();
+        }
+        db.finish(&mut [])
+    };
     let loads = Arc::new(AtomicUsize::new(0));
     let dict = {
         let (words, loads) = (words.clone(), Arc::clone(&loads));
         Dictionary::deferred(words.len(), move || {
             loads.fetch_add(1, Ordering::SeqCst);
-            let mut db = DictionaryBuilder::with_capacity(words.len());
-            for w in &words {
-                db.intern(w).unwrap();
-            }
-            db.finish()
+            build(&words)
         })
     };
     assert_eq!((dict.len(), dict.heap_bytes()), (words.len(), 0));
     assert_eq!(loads.load(Ordering::SeqCst), 0, "len() ran the loader");
+    let mut sorted = words.clone();
+    sorted.sort();
+    let entries = |dict: &Dictionary| {
+        let mut all = Vec::new();
+        dict.for_each(|_, s| all.push(s.to_string()));
+        all
+    };
     // Every thread arrives at its first string together, each by another
     // door.
     let barrier = Barrier::new(THREADS);
     std::thread::scope(|s| {
         for t in 0..THREADS {
-            let (dict, words, barrier) = (&dict, &words, &barrier);
+            let (dict, sorted, barrier) = (&dict, &sorted, &barrier);
             s.spawn(move || {
                 barrier.wait();
                 match t % 3 {
-                    0 => assert_eq!(dict.get(t as u32), words[t]),
-                    1 => assert_eq!(dict.code_of(&words[t]), Some(t as u32)),
-                    _ => assert!(dict.iter().eq(words.iter().map(String::as_str))),
+                    0 => assert_eq!(dict.read(t as u32, &mut String::new()), sorted[t]),
+                    1 => assert_eq!(dict.rank(&sorted[t]), Ok(t as u32)),
+                    _ => assert_eq!(entries(dict), *sorted),
                 }
-                assert!(dict.iter().eq(words.iter().map(String::as_str)));
+                assert_eq!(entries(dict), *sorted);
             });
         }
     });
     assert_eq!(loads.load(Ordering::SeqCst), 1);
-    let bytes: usize = words.iter().map(String::len).sum();
-    assert_eq!(dict.heap_bytes(), bytes + 4 * (words.len() + 1));
+    assert_eq!(dict.heap_bytes(), build(&words).heap_bytes());
 }
 
 #[test]
@@ -503,25 +512,25 @@ fn a_damaged_dictionary_fails_the_queries_that_present_it_and_no_other() {
     // The reference, read while the files are sound.
     let heap = e.load("heap", 0).unwrap();
 
-    // Break the first part's `TailNum` section: its first entry's first byte
-    // becomes one no UTF-8 string holds.
+    // Break the first part's `TailNum` section: its first entry's first
+    // byte becomes one no UTF-8 string holds.
     let part = &list_parts(dir.path()).unwrap()[0];
     let sound = hvc::read_file(part).unwrap();
     let tails = sound.column_by_name("TailNum").unwrap();
-    let first = tails.as_dict_col().unwrap().dictionary().get(0).to_owned();
-    let second = tails.as_dict_col().unwrap().dictionary().get(1).to_owned();
-    let mut entries = vec![first.len() as u8];
-    entries.extend(
-        first
-            .bytes()
-            .chain([second.len() as u8])
-            .chain(second.bytes()),
-    );
+    // The section is the dictionary's front-coded bytes, and its first
+    // entry is stored whole: a header byte, then the string.
+    let section = tails
+        .as_dict_col()
+        .unwrap()
+        .dictionary()
+        .front_coded()
+        .to_vec();
+    let head = &section[..section.len().min(32)];
     let mut image = std::fs::read(part).unwrap();
     let at = image
-        .windows(entries.len())
-        .rposition(|w| w == entries)
-        .expect("the section starts with its first two entries");
+        .windows(head.len())
+        .rposition(|w| w == head)
+        .expect("the section is in the file");
     image[at + 1] = 0xFF;
     std::fs::write(part, &image).unwrap();
     assert!(hvc::read_file(part).is_err(), "the heap reader refuses it");

@@ -551,9 +551,10 @@ mod tests {
         let t = generate_flights(&FlightsConfig::new(20_000, 3));
         let col = t.column_by_name("Carrier").unwrap().as_dict_col().unwrap();
         let mut counts = std::collections::HashMap::new();
+        let mut buf = String::new();
         for i in 0..t.num_rows() {
             *counts
-                .entry(col.get(i).unwrap().to_string())
+                .entry(col.read(i, &mut buf).unwrap().to_string())
                 .or_insert(0usize) += 1;
         }
         let wn = counts.get("WN").copied().unwrap_or(0);

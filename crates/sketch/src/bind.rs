@@ -95,11 +95,9 @@ impl<'a> BoundColumn<'a> {
                 })
             }
             (BucketSpec::Strings { .. }, Column::Str(c) | Column::Cat(c)) => {
-                let code_bucket = c
-                    .dictionary()
-                    .iter()
-                    .map(|s| spec.index_of_str(s))
-                    .collect();
+                let mut code_bucket = Vec::with_capacity(c.dictionary().len());
+                c.dictionary()
+                    .for_each(|_, s| code_bucket.push(spec.index_of_str(s)));
                 Ok(BoundColumn::Dict {
                     codes: c.codes(),
                     nulls: c.nulls().bitmap(),

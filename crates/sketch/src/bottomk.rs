@@ -177,12 +177,11 @@ impl Sketch for BottomKSketch {
         })?;
         // Hash each distinct dictionary entry once — O(dict), not O(rows).
         let mut map: BTreeMap<u64, String> = BTreeMap::new();
-        for (code, &s) in seen.iter().enumerate() {
-            if s {
-                let value = dict.dictionary().get(code as u32);
+        dict.dictionary().for_each(|code, value| {
+            if seen[code as usize] {
                 offer(&mut map, hash_str(value, self.seed), value);
             }
-        }
+        });
         let entries: Vec<(u64, String)> = map.into_iter().take(self.k).collect();
         Ok(BottomKSummary {
             k: self.k,
@@ -218,12 +217,7 @@ impl BottomKSketch {
                 col.kind()
             ))
         })?;
-        let hashes: Vec<u64> = dict
-            .dictionary()
-            .iter()
-            .map(|s| hash_str(s, self.seed))
-            .collect();
-        let mut seen = vec![false; hashes.len()];
+        let mut seen = vec![false; dict.dictionary().len()];
         let mut rows = 0u64;
         for row in view.iter_rows() {
             if !dict.nulls().is_null(row) {
@@ -232,10 +226,10 @@ impl BottomKSketch {
             }
         }
         let mut map: BTreeMap<u64, String> = BTreeMap::new();
-        for (code, &s) in seen.iter().enumerate() {
-            if s {
-                offer(&mut map, hashes[code], dict.dictionary().get(code as u32));
-            }
+        let mut buf = String::new();
+        for (code, _) in seen.iter().enumerate().filter(|&(_, &s)| s) {
+            let value = dict.dictionary().read(code as u32, &mut buf);
+            offer(&mut map, hash_str(value, self.seed), value);
         }
         let entries: Vec<(u64, String)> = map.into_iter().take(self.k).collect();
         Ok(BottomKSummary {

@@ -166,11 +166,9 @@ impl Sketch for DistinctSketch {
                 // Dictionary columns: hash each *code's* string once per
                 // partition, then observe per row via the chunked code scan
                 // (one null-word probe per 64 rows).
-                let hashes: Vec<u64> = dict
-                    .dictionary()
-                    .iter()
-                    .map(|s| crate::hashutil::hash_str(s, seed))
-                    .collect();
+                let mut hashes = Vec::with_capacity(dict.dictionary().len());
+                dict.dictionary()
+                    .for_each(|_, s| hashes.push(crate::hashutil::hash_str(s, seed)));
                 let mut missing = 0u64;
                 scan_values(
                     sel,
@@ -222,11 +220,9 @@ impl DistinctSketch {
         let mut out = DistinctSummary::zero(self.p);
         let seed = self.seed;
         if let Some(dict) = col.as_dict_col() {
-            let hashes: Vec<u64> = dict
-                .dictionary()
-                .iter()
-                .map(|s| crate::hashutil::hash_str(s, seed))
-                .collect();
+            let mut hashes = Vec::with_capacity(dict.dictionary().len());
+            dict.dictionary()
+                .for_each(|_, s| hashes.push(crate::hashutil::hash_str(s, seed)));
             for row in view.iter_rows() {
                 if dict.nulls().is_null(row) {
                     out.missing += 1;

@@ -11,7 +11,7 @@ use crate::range::merge_opt;
 use crate::traits::{Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::scan::scan_rows;
-use hillview_columnar::{Predicate, Row, RowKey, SortOrder, StrMatchKind};
+use hillview_columnar::{Predicate, Row, RowBound, RowKey, SortOrder, StrMatchKind};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
 use std::sync::Arc;
 
@@ -157,23 +157,31 @@ impl Sketch for FindSketch {
             matches_total: 0,
         };
         // Every surviving row already matches the criteria, so the scan
-        // body only maintains the minimum lattice — comparing rows in their
-        // columns and building a key just for a new best.
+        // body only maintains the minimum lattice — comparing rows against
+        // `start` and the best so far, each bound to this part once (the
+        // best again when it changes), and building a key just for a new
+        // best.
+        let start = self.start.as_ref().map(|key| resolved.bind(table, key));
+        let mut best: Option<RowBound> = None;
         view.scan(matching, None, |sel| {
             scan_rows(sel, |row| {
                 out.matches_total += 1;
-                if let Some(start) = &self.start {
-                    if resolved.cmp_row(table, row, start).is_le() {
+                if let Some(start) = &start {
+                    if resolved.cmp_bound(table, row, start).is_le() {
                         return;
                     }
                 }
                 out.matches_after += 1;
                 let better = match &out.first {
                     None => true,
-                    Some((best, _)) => resolved.cmp_row(table, row, best).is_lt(),
+                    Some((key, _)) => {
+                        let bound = best.get_or_insert_with(|| resolved.bind(table, key));
+                        resolved.cmp_bound(table, row, bound).is_lt()
+                    }
                 };
                 if better {
                     out.first = Some((resolved.key(table, row), table.full_row(row)));
+                    best = None;
                 }
             })
         })?;

@@ -181,9 +181,10 @@ impl Sketch for MisraGriesSketch {
                         }
                     },
                 );
+                let mut s = String::new();
                 code_counters
                     .into_iter()
-                    .map(|(code, c)| (Value::str(dict.dictionary().get(code)), c))
+                    .map(|(code, c)| (Value::str(dict.dictionary().read(code, &mut s)), c))
                     .collect()
             } else {
                 let mut val_counters: HashMap<Value, u64> = HashMap::with_capacity(self.k + 1);
@@ -411,13 +412,14 @@ impl Sketch for SampledHeavyHittersSketch {
                         &mut skipped,
                         &mut by_code,
                     );
-                    by_code
-                        .0
-                        .into_iter()
-                        .enumerate()
-                        .filter(|&(_, c)| c > 0)
-                        .map(|(code, c)| (Value::str(dict.dictionary().get(code as u32)), c))
-                        .collect()
+                    let mut counts = Vec::new();
+                    dict.dictionary().for_each(|code, s| {
+                        let c = by_code.0[code as usize];
+                        if c > 0 {
+                            counts.push((Value::str(s), c));
+                        }
+                    });
+                    counts
                 }
                 _ => {
                     let mut map: HashMap<Value, u64> = HashMap::new();

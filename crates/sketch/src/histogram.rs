@@ -299,11 +299,9 @@ impl HistogramSketch {
                 self.scan_numeric_rowwise(view, seed, &mut out, |r| c.get(r).map(|v| v as f64));
             }
             (BucketSpec::Strings { .. }, Column::Str(c) | Column::Cat(c)) => {
-                let code_bucket: Vec<Option<usize>> = c
-                    .dictionary()
-                    .iter()
-                    .map(|s| self.buckets.index_of_str(s))
-                    .collect();
+                let mut code_bucket: Vec<Option<usize>> = Vec::with_capacity(c.dictionary().len());
+                c.dictionary()
+                    .for_each(|_, s| code_bucket.push(self.buckets.index_of_str(s)));
                 let mut tally = |row: usize| {
                     out.rows_inspected += 1;
                     if c.nulls().is_null(row) {

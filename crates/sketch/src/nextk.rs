@@ -15,7 +15,7 @@
 use crate::traits::{merge_runs, Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::scan::scan_rows;
-use hillview_columnar::{Row, RowKey, SortOrder};
+use hillview_columnar::{Row, RowBound, RowKey, SortOrder};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -157,26 +157,32 @@ impl Sketch for NextKSketch {
         // Bounded "heap": at most k entries kept ascending by key; a row
         // past the k-th is dropped, exactly the paper's priority-heap
         // behaviour but with duplicate aggregation. A row is placed by
-        // comparing it in its columns (`cmp_row`), so the rows a page does
-        // not keep — nearly all of them — never build a key. Row
-        // enumeration is chunked so the per-row membership probe disappears
-        // on dense views.
+        // comparing it in its columns, so the rows a page does not keep —
+        // nearly all of them — never build a key. The two keys every row
+        // meets, `start` and the page's last entry, are bound to this part
+        // once each (`bind`; the last again only when it changes), so a
+        // string sort column compares codes against a rank there and never
+        // reads a string. Row enumeration is chunked so the per-row
+        // membership probe disappears on dense views.
+        let start = self.start.as_ref().map(|key| resolved.bind(table, key));
         let mut rows: Vec<(RowKey, Row, u64)> = Vec::new();
+        let mut last: Option<RowBound> = None;
         let mut matched = 0u64;
         view.scan(scope, None, |sel| {
             scan_rows(sel, |row| {
-                if let Some(start) = &self.start {
-                    if resolved.cmp_row(table, row, start).is_le() {
+                if let Some(start) = &start {
+                    if resolved.cmp_bound(table, row, start).is_le() {
                         return;
                     }
                 }
                 matched += 1;
                 // A full page turns most rows away at its last entry.
                 if rows.len() == self.k {
-                    let Some((last, _, count)) = rows.last_mut() else {
+                    let Some((key, _, count)) = rows.last_mut() else {
                         return; // k = 0 keeps nothing
                     };
-                    match resolved.cmp_row(table, row, last) {
+                    let bound = last.get_or_insert_with(|| resolved.bind(table, key));
+                    match resolved.cmp_bound(table, row, bound) {
                         Ordering::Greater => return,
                         Ordering::Equal => return *count += 1,
                         Ordering::Less => {}
@@ -192,6 +198,7 @@ impl Sketch for NextKSketch {
                         values.extend(display_idx.iter().map(|&c| table.column(c).value(row)));
                         rows.insert(at, (key, Row::new(values), 1));
                         rows.truncate(self.k);
+                        last = None;
                     }
                 }
             })

@@ -110,7 +110,7 @@ impl Sketch for RangeSketch {
         scope: Scope<'_>,
         _seed: u64,
     ) -> SketchResult<RangeSummary> {
-        use hillview_columnar::scan::scan_rows;
+        use hillview_columnar::scan::scan_values;
         use hillview_columnar::Column;
         let col = view.table().column_by_name(&self.column)?;
         let mut out = RangeSummary::default();
@@ -143,18 +143,26 @@ impl Sketch for RangeSketch {
                 );
             }
             Column::Str(dict) | Column::Cat(dict) => {
-                scan_rows(sel, |r| match dict.get(r) {
-                    None => out.missing += 1,
-                    Some(s) => {
-                        out.present += 1;
-                        if out.min_str.as_deref().is_none_or(|m| s < m) {
-                            out.min_str = Some(s.to_string());
-                        }
-                        if out.max_str.as_deref().is_none_or(|m| s > m) {
-                            out.max_str = Some(s.to_string());
-                        }
-                    }
+                // Codes sort as their strings do, so the extremes are the
+                // strings of the smallest and largest present code: one
+                // pass over codes, then two point reads.
+                let (mut lo, mut hi, mut present) = (u32::MAX, 0u32, 0u64);
+                let nulls = dict.nulls().bitmap();
+                scan_values(sel, dict.codes(), nulls, &mut out.missing, |code| {
+                    present += 1;
+                    lo = lo.min(code);
+                    hi = hi.max(code);
                 });
+                out.present += present;
+                if present > 0 {
+                    let string = |code| {
+                        let mut s = String::new();
+                        dict.dictionary().read(code, &mut s);
+                        s
+                    };
+                    out.min_str = Some(string(lo));
+                    out.max_str = Some(string(hi));
+                }
             }
         })?;
         Ok(out)

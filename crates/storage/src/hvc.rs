@@ -14,7 +14,7 @@
 //! file's tail that an open merely locates:
 //!
 //! ```text
-//! magic "HVC7" | header_len u32 LE | header blob | pad | payload sections
+//! magic "HVC8" | header_len u32 LE | header blob | pad | payload sections
 //!   | dictionary sections
 //! header blob (all integers varint unless noted):
 //!   column_count | row_count
@@ -37,18 +37,23 @@
 //!                         offset of the marks, then the exceptions' own
 //!                         descriptor: enc byte 0..3 (a 4 is refused), its
 //!                         value count — the number of marks — and its
-//!                         fields as above
+//!                         fields as above; an exception above the fill is
+//!                         stored one lower (the fill's value cut out)
 //!       Double:   enc byte, then the Int descriptor: encodings 1..4
 //!                 hold the column's sign-magnitude codes, 0 = the section
 //!                 holds the raw f64 values (inside an exceptions
 //!                 descriptor, 0 is plain codes)
 //!       Str/Cat:  dictionary entry count, byte length, and offset within
 //!                 the dictionary area; codes descriptor (same five
-//!                 encodings, code values as plain varints)
+//!                 encodings, code values as plain varints; a code is its
+//!                 string's rank among the entries)
 //!     zone map: block count, per block (min, max)
 //!       (zigzag varints for i64, plain varints for codes, raw LE for f64)
 //!   dictionary base: where the dictionary area starts, as a section offset
-//! dictionary section: per entry, varint length then UTF-8 bytes
+//! dictionary section: the entries in byte order, front-coded in buckets
+//!   of 16 — per entry a header byte (high nibble: bytes shared with the
+//!   previous entry, 0 for a bucket's first; low nibble: suffix length; a
+//!   nibble of 15 adds a varint that follows), then the suffix's UTF-8
 //! ```
 //!
 //! The encoding byte mirrors the column's *in-memory*
@@ -60,21 +65,25 @@
 //! variant instead of re-analyzing.
 //!
 //! A dictionary holds exactly the strings the column's non-null rows
-//! reference, in the order rows first reference them ([`encode`] prunes and
-//! renumbers a column that carries more, such as a slice sharing its parent
-//! table's dictionary; null rows sit on code 0). So a file is a function of
-//! its rows, a reader never parses a string no row can show, and entries are
-//! distinct — a reader refuses a repeat. One parser (`decode_dictionary`)
-//! moves the entries of a section straight into the column's string arena
-//! ([`hillview_columnar::dictionary`]): one pass, no allocation per entry.
-//! *When* it runs is the only thing the two tiers differ in. The heap
-//! readers ([`decode`], [`read_file`], `SegmentMode::Heap`) run it at open.
-//! A mapped open hands the column a [`Dictionary::deferred`] that knows its
-//! entry count from the header, and the parser runs when a string is first
-//! asked for — over bytes fetched with one positioned read that goes around
-//! the block cache ([`Segment::read_uncached`]), since the parsed arena is
-//! what stays resident. A part's open and its heap footprint therefore
-//! follow the string columns a query presents, not the ones the file stores.
+//! reference, sorted by their bytes, and a code is its string's rank
+//! ([`encode`] prunes and renumbers a column that carries more, such as a
+//! slice sharing its parent table's dictionary; null rows sit on code 0). So
+//! a file is a function of its rows and a reader never parses a string no
+//! row can show. The section's bytes are the in-memory layout of
+//! [`hillview_columnar::dictionary`] — written as [`Dictionary::front_coded`]
+//! returns them and taken back as the column's arena by the one parser
+//! (`decode_dictionary`, which is [`Dictionary::from_front_coded`]): one
+//! pass that validates every entry, checks that the entries strictly ascend
+//! (so they are distinct) and rebuilds the bucket offsets, with no
+//! allocation per entry. *When* it runs is the only thing the two tiers
+//! differ in. The heap readers ([`decode`], [`read_file`],
+//! `SegmentMode::Heap`) run it at open. A mapped open hands the column a
+//! [`Dictionary::deferred`] that knows its entry count from the header, and
+//! the parser runs when a string is first asked for — over bytes fetched
+//! with one positioned read that goes around the block cache
+//! ([`Segment::read_uncached`]), since the parsed arena is what stays
+//! resident. A part's open and its heap footprint therefore follow the
+//! string columns a query presents, not the ones the file stores.
 //!
 //! Section offsets are relative to the *payload base* — the first 64-byte
 //! boundary at or after the header — and each payload section starts on a
@@ -115,9 +124,12 @@
 //! wrong string: a payload that contradicts its zone maps, when the code is
 //! dereferenced; exception marks that contradict their ranks, when the
 //! frame is decoded; and a dictionary section that fails the parser's
-//! validation (or cannot be read), when the column's first string is asked
-//! for — the panic names the column and the file, and every query that does
-//! not present that column is answered as if nothing were wrong. All three
+//! validation (an entry the bytes cannot back, an escape that overflows, a
+//! prefix longer than its predecessor, ending mid-character or shorter than
+//! the longest shared, entries that do not strictly ascend) or cannot be
+//! read, when the column's first string is asked for — the panic names the
+//! column and the file, and every query that does not present that column
+//! is answered as if nothing were wrong. All three
 //! become a structured storage error with ROADMAP item 5.
 //!
 //! Endianness: mapped windows reinterpret file bytes in place and are only
@@ -128,7 +140,7 @@ use crate::error::{Error, Result};
 use crate::partition::renumber;
 use bytes::Bytes;
 use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
-use hillview_columnar::dictionary::{Dictionary, DictionaryBuilder};
+use hillview_columnar::dictionary::Dictionary;
 use hillview_columnar::encoding::{EncodingKind, F64Storage, IntStorage, PackedInt, ZoneMap};
 use hillview_columnar::residency::{BlockCache, Pod, Segment, SegmentMode, ValueBuf};
 use hillview_columnar::{ColumnDesc, ColumnKind, NullMask, Schema, Table, BLOCK_ROWS};
@@ -137,7 +149,7 @@ use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 
-const MAGIC: &[u8; 4] = b"HVC7";
+const MAGIC: &[u8; 4] = b"HVC8";
 
 const ENC_PLAIN: u8 = 0;
 const ENC_BIT_PACKED: u8 = 1;
@@ -209,7 +221,7 @@ fn row_count_mismatch(column: &str, declared: usize, actual: usize) -> Error {
 struct Sections {
     rel: usize,
     parts: Vec<(usize, Vec<u8>)>,
-    dictionaries: WireWriter,
+    dictionaries: Vec<u8>,
 }
 
 impl Sections {
@@ -376,7 +388,7 @@ fn assemble(hdr: &[u8], sections: Sections) -> Vec<u8> {
         out.resize(payload_base + rel, 0);
         out.extend_from_slice(&bytes);
     }
-    out.extend_from_slice(&sections.dictionaries.finish());
+    out.extend_from_slice(&sections.dictionaries);
     out
 }
 
@@ -416,13 +428,11 @@ pub fn encode(table: &Table) -> Vec<u8> {
             Column::Str(dc) | Column::Cat(dc) => {
                 let pruned = pruned(dc);
                 let dc = pruned.as_ref().unwrap_or(dc);
-                let at = sections.dictionaries.len();
-                for s in dc.dictionary().iter() {
-                    sections.dictionaries.put_str(s);
-                }
+                let entries = dc.dictionary().front_coded();
                 h.put_varint(dc.dictionary().len() as u64);
-                h.put_varint((sections.dictionaries.len() - at) as u64);
-                h.put_varint(at as u64);
+                h.put_varint(entries.len() as u64);
+                h.put_varint(sections.dictionaries.len() as u64);
+                sections.dictionaries.extend_from_slice(entries);
                 encode_int_storage(&mut h, &mut sections, dc.codes(), &|w, code| {
                     w.put_varint(code as u64)
                 });
@@ -718,35 +728,14 @@ fn get_extent(r: &mut WireReader) -> Result<usize> {
     usize::try_from(v).map_err(|_| parse_err(format!("extent {v} overflows")))
 }
 
-/// Parse a dictionary section of `entries` entries in one pass that moves
-/// each from the file's bytes straight into the arena: length against the
-/// bytes left, UTF-8 entry by entry (a character split across two entries is
-/// invalid in both), append, and uniqueness through the builder's index of
-/// codes — no per-entry allocation. The section must end with its last entry.
-fn decode_dictionary(section: Bytes, entries: usize, column: &str) -> Result<Dictionary> {
-    let fault = |what: String| parse_err(format!("column {column:?}: dictionary section: {what}"));
-    // An entry takes at least its length byte.
-    if entries > section.len() {
-        let bytes = section.len();
-        return Err(fault(format!("{entries} entries exceed its {bytes} bytes")));
-    }
-    let mut r = WireReader::new(section);
-    let mut db = DictionaryBuilder::with_capacity(entries);
-    for code in 0..entries {
-        let interned = r
-            .get_str_with(|s| db.intern(s))
-            .map_err(|e| fault(format!("entry {code}: {e}")))?
-            .map_err(|e| fault(e.to_string()))?;
-        // A repeat interns to its first code, which would shift every later one.
-        if interned as usize != code {
-            return Err(fault(format!("entry {code} repeats entry {interned}")));
-        }
-    }
-    if r.remaining() > 0 {
-        let left = r.remaining();
-        return Err(fault(format!("{left} bytes follow its {entries} entries")));
-    }
-    Ok(db.finish())
+/// Parse a dictionary section of `entries` front-coded entries: the one
+/// validation pass ([`Dictionary::from_front_coded`]) checks every header,
+/// suffix and prefix and that the entries strictly ascend — which settles
+/// that they are distinct — and rebuilds the bucket offsets on the way; the
+/// section's bytes become the dictionary's arena as they are.
+fn decode_dictionary(section: Vec<u8>, entries: usize, column: &str) -> Result<Dictionary> {
+    Dictionary::from_front_coded(section, entries)
+        .map_err(|e| parse_err(format!("column {column:?}: dictionary section: {e}")))
 }
 
 /// Parse a header blob (the bytes after magic + length word).
@@ -876,18 +865,17 @@ impl Source<'_> {
         };
         match self {
             Source::Owned(image) => {
-                let section = Bytes::copy_from_slice(&image[off..off + bytes]);
-                decode_dictionary(section, entries, column)
+                decode_dictionary(image[off..off + bytes].to_vec(), entries, column)
             }
             Source::Mapped(seg) if seg.is_heap() => {
-                decode_dictionary(seg.read_uncached(off, bytes)?.into(), entries, column)
+                decode_dictionary(seg.read_uncached(off, bytes)?, entries, column)
             }
             Source::Mapped(seg) => {
                 let (seg, column) = (Arc::clone(seg), column.to_string());
                 Ok(Dictionary::deferred(entries, move || {
                     seg.read_uncached(off, bytes)
                         .map_err(Error::from)
-                        .and_then(|section| decode_dictionary(section.into(), entries, &column))
+                        .and_then(|section| decode_dictionary(section, entries, &column))
                         .unwrap_or_else(|e| {
                             let path = seg.path();
                             panic!("first touch of column {column:?}'s dictionary in {path:?}: {e}")
@@ -983,11 +971,6 @@ fn validate_codes(codes: &IntStorage<u32>, dict_len: usize, column: &str) -> Res
     match codes {
         // Run-length: one check per run is exhaustive.
         IntStorage::RunLength { values, .. } => values.iter().try_for_each(|&c| check(c)),
-        // Exceptions: the fill, then the exceptions alone.
-        IntStorage::Exceptions { fill, values, .. } => {
-            check(*fill)?;
-            validate_codes(values, dict_len, column)
-        }
         storage => {
             let mut buf = [0u32; 64];
             let len = storage.len();
@@ -1478,8 +1461,10 @@ mod tests {
         let tails = back.column_by_name("TailNum").unwrap();
         let dict = tails.as_dict_col().unwrap().dictionary();
         assert!(dict.len() < 50_000, "{} entries", dict.len());
+        // Sorted and front-coded: a header byte and the digits that differ
+        // from the previous tail number, plus a quarter of an offset.
         assert!(
-            dict.heap_bytes() <= 11 * dict.len(),
+            dict.heap_bytes() <= 4 * dict.len(),
             "{} B/entry",
             dict.heap_bytes() as f64 / dict.len() as f64
         );
@@ -1536,7 +1521,7 @@ mod tests {
         assert_eq!(&img[0..4], MAGIC);
         let old = d.join("old.hvc");
         let cache = BlockCache::unbounded();
-        for magic in [b"HVC2", b"HVC3", b"HVC4", b"HVC5", b"HVC6"] {
+        for magic in [b"HVC2", b"HVC3", b"HVC4", b"HVC5", b"HVC6", b"HVC7"] {
             let foreign = [magic, &img[4..]].concat();
             std::fs::write(&old, &foreign).unwrap();
             for err in [
@@ -1779,13 +1764,16 @@ mod tests {
         })
     }
 
-    /// Two String rows with plain codes: well-formed when `entries` are
-    /// distinct and cover both codes.
+    /// Two String rows with plain codes: well-formed when `entries` ascend,
+    /// share no prefix and cover both codes. Each entry is written whole: a
+    /// header byte of prefix 0 and its length, then its bytes.
     fn dict_image(entries: &[&str], codes: [u32; 2]) -> Vec<u8> {
         let mut sections = Sections::default();
         sections.push(codes.iter().flat_map(|c| c.to_le_bytes()).collect());
         for e in entries {
-            sections.dictionaries.put_str(e);
+            assert!(e.len() < 15, "one nibble holds the length");
+            sections.dictionaries.push(e.len() as u8);
+            sections.dictionaries.extend_from_slice(e.as_bytes());
         }
         let bytes = sections.dictionaries.len();
         crafted_over(kind_byte(ColumnKind::String), 2, sections, |w| {
@@ -1865,8 +1853,9 @@ mod tests {
     fn corrupt_codes_stay_in_dictionary() {
         decode(&dict_image(&["a", "b"], [0, 1])).unwrap();
         assert_fault(&dict_image(&["a", "b"], [0, 2]), "out of dictionary range");
-        // Interning would dedup the entries and shift every later code.
-        assert_fault(&dict_image(&["a", "a"], [0, 0]), "entry 1 repeats entry 0");
+        // Entries strictly ascend, which also refuses a repeat.
+        assert_fault(&dict_image(&["a", "a"], [0, 0]), "entry 1: not ascending");
+        assert_fault(&dict_image(&["b", "a"], [0, 1]), "entry 1: not ascending");
     }
 
     #[test]

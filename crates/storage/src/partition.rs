@@ -47,53 +47,43 @@ pub(crate) fn slice_for_file(table: &Table, start: usize, end: usize) -> Table {
     slice(table, start, end, true)
 }
 
-/// Bring a string column's `codes` into the form a file stores: renumbered
-/// in order of first appearance among the non-null rows, null rows parked
-/// on code 0 (in range whenever a row is present). Returns the dictionary
-/// that goes with the new codes — exactly the referenced entries of `dict`
-/// — or `None`, leaving `codes` alone, when they have that form already and
-/// use all of `dict`, as any column built by interning its own rows does.
+/// Bring a string column's `codes` into the form a file stores: its
+/// dictionary cut down to the entries the non-null rows reference, kept in
+/// the order they had — a subset of a sorted dictionary is sorted, so this
+/// interns nothing and sorts nothing — each code shifted down by the
+/// entries dropped below it, null rows parked on code 0 (in range whenever
+/// a row is present). Returns the cut dictionary, or `None`, leaving
+/// `codes` alone, when every entry of `dict` is referenced already, as in
+/// any column built by interning its own rows.
 pub(crate) fn renumber(
     codes: &mut [u32],
     nulls: &NullMask,
     dict: &Dictionary,
 ) -> Option<Dictionary> {
-    // Codes in that form climb one at a time: each is at most one past the
-    // largest before it. Checked first because it needs no table, stops at
-    // the first code out of turn, and is all that writing costs a column
-    // already renumbered.
-    let mut next = 0u32;
-    let in_order = codes.iter().enumerate().all(|(row, &code)| {
-        if nulls.is_null(row) {
-            return true;
+    let mut keep = vec![false; dict.len()];
+    for (row, &code) in codes.iter().enumerate() {
+        if !nulls.is_null(row) {
+            keep[code as usize] = true;
         }
-        next += u32::from(code == next);
-        code < next
-    });
-    if in_order && next as usize == dict.len() {
+    }
+    if keep.iter().all(|&k| k) {
         return None;
     }
-    let mut renumbered = vec![u32::MAX; dict.len()];
-    // Old codes, in the order rows first reference them.
-    let mut kept: Vec<u32> = Vec::new();
+    // A kept entry's new code: how many kept entries sort below it.
+    let mut renumbered = Vec::with_capacity(dict.len());
+    let mut next = 0u32;
+    for &k in &keep {
+        renumbered.push(next);
+        next += u32::from(k);
+    }
     for (row, code) in codes.iter_mut().enumerate() {
-        if nulls.is_null(row) {
-            *code = 0;
-            continue;
-        }
-        let new = &mut renumbered[*code as usize];
-        if *new == u32::MAX {
-            *new = kept.len() as u32;
-            kept.push(*code);
-        }
-        *code = *new;
+        *code = if nulls.is_null(row) {
+            0
+        } else {
+            renumbered[*code as usize]
+        };
     }
-    let mut db = DictionaryBuilder::with_capacity(kept.len());
-    for &old in &kept {
-        db.intern(dict.get(old))
-            .expect("a subset of a dictionary fits where the dictionary did");
-    }
-    Some(db.finish())
+    Some(dict.subset(&keep))
 }
 
 fn slice(table: &Table, start: usize, end: usize, prune: bool) -> Table {
@@ -147,8 +137,9 @@ fn slice(table: &Table, start: usize, end: usize, prune: bool) -> Table {
 /// ([`crate::spill`]) to seal buffered row batches into one micropartition
 /// file, and by tests to check spilled parts reassemble exactly.
 ///
-/// Values are materialized row-wise (dictionaries are re-interned, since
-/// each part may carry its own), so the result is always fully owned.
+/// Values are materialized row-wise (each part's dictionary entries are
+/// re-interned once, since each part may carry its own), so the result is
+/// always fully owned.
 pub(crate) fn concat_tables(parts: &[Table]) -> Result<Table> {
     let Some(first) = parts.first() else {
         return Ok(Table::empty());
@@ -185,10 +176,11 @@ pub(crate) fn concat_tables(parts: &[Table]) -> Result<Table> {
                 })))
             }
             Column::Str(_) | Column::Cat(_) => {
-                let dc = DictColumn::from_strings(parts.iter().flat_map(|p| {
-                    let col = p.column(c).as_dict_col().expect("schema checked");
-                    (0..p.num_rows()).map(move |i| col.get(i))
-                }));
+                let dc = concat_strings(
+                    parts
+                        .iter()
+                        .map(|p| p.column(c).as_dict_col().expect("schema checked")),
+                );
                 if desc.kind == hillview_columnar::ColumnKind::String {
                     Column::Str(dc)
                 } else {
@@ -199,6 +191,42 @@ pub(crate) fn concat_tables(parts: &[Table]) -> Result<Table> {
         builder = builder.column(&desc.name, desc.kind, column);
     }
     Ok(builder.build()?)
+}
+
+/// The string columns `parts` one after another, under one dictionary:
+/// each part's entries are interned once, in its code order, and its rows
+/// carry their codes over; null rows park on code 0.
+fn concat_strings<'a>(parts: impl Iterator<Item = &'a DictColumn>) -> DictColumn {
+    let mut builder = DictionaryBuilder::new();
+    let (mut codes, mut null_flags) = (Vec::new(), Vec::new());
+    for part in parts {
+        let mut interned = Vec::with_capacity(part.dictionary().len());
+        part.dictionary().for_each(|_, s| {
+            let code = builder
+                .intern(s)
+                .expect("one column's distinct strings stay under 4 GiB");
+            interned.push(code);
+        });
+        for row in 0..part.len() {
+            let null = part.nulls().is_null(row);
+            codes.push(if null {
+                0
+            } else {
+                interned[part.code(row) as usize]
+            });
+            null_flags.push(null);
+        }
+    }
+    let dict = builder.finish(&mut codes);
+    for (code, _) in codes.iter_mut().zip(&null_flags).filter(|(_, &null)| null) {
+        *code = 0;
+    }
+    let rows = codes.len();
+    DictColumn::new(
+        codes,
+        Arc::new(dict),
+        NullMask::from_flags(null_flags, rows),
+    )
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! the heap decoder, which reads all three at open, names one of those faults.
 
 use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
-use hillview_columnar::dictionary::DictionaryBuilder;
+use hillview_columnar::dictionary::{Dictionary, DictionaryBuilder};
 use hillview_columnar::predicate::filter_members;
 use hillview_columnar::{
     BlockCache, CodeStorage, ColumnKind, F64Storage, I64Storage, MembershipSet, NullMask,
@@ -37,12 +37,17 @@ const MUTANTS_PER_IMAGE: usize = 250;
 /// column's dictionary section is [`dictionary_section`] whole.
 const WORDS: [&str; 5] = ["ash", "birch", "cedar", "elm", "fir"];
 
-fn dictionary_section() -> Vec<u8> {
-    let mut w = WireWriter::new();
+fn dictionary() -> Dictionary {
+    let mut db = DictionaryBuilder::new();
     for s in WORDS {
-        w.put_str(s);
+        db.intern(s).unwrap();
     }
-    w.finish().to_vec()
+    // Already in byte order, so the codes interning gave are final.
+    db.finish(&mut [])
+}
+
+fn dictionary_section() -> Vec<u8> {
+    dictionary().front_coded().to_vec()
 }
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -67,11 +72,7 @@ fn images() -> Vec<Vec<u8>> {
     let values: Vec<i64> = (0..ROWS as i64).map(|i| 1_000 + i / 3).collect();
     let days: Vec<i64> = values.iter().map(|v| v * 86_400_000).collect();
     let codes: Vec<u32> = (0..ROWS as u32).map(|i| i / 40).collect();
-    let mut db = DictionaryBuilder::new();
-    for s in WORDS {
-        db.intern(s).unwrap();
-    }
-    let dict = Arc::new(db.finish());
+    let dict = Arc::new(dictionary());
     let mut nulls = NullMask::none();
     for i in (5..ROWS).step_by(17) {
         nulls.set_null(i, ROWS);
@@ -231,7 +232,7 @@ fn mutate(img: &[u8], state: &mut u64) -> Vec<u8> {
         // The header intact, the payload cut short: section offsets that
         // were valid now point past the end of the file.
         6 => m.truncate(payload_base + below(state, img.len() - payload_base)),
-        // A bit in a dictionary section: a length, a UTF-8 byte, a repeat…
+        // A bit in a dictionary section: a header, a suffix byte, the order…
         7 => {
             let at = dictionaries + below(state, img.len() - dictionaries);
             m[at] ^= 1 << below(state, 8);
@@ -339,7 +340,7 @@ fn every_mutant_ends_in_an_error_or_a_table_that_scans() {
 /// payload base.
 fn preamble(w: WireWriter) -> Vec<u8> {
     let header = w.finish();
-    let mut img = b"HVC7".to_vec();
+    let mut img = b"HVC8".to_vec();
     img.extend((header.len() as u32).to_le_bytes());
     img.extend(&header[..]);
     img.resize(img.len().div_ceil(64) * 64, 0);
@@ -467,7 +468,7 @@ fn hostile_steps_end_in_an_error_or_a_table_that_scans() {
 /// Two rows of an Int column `n` around a fill of 3, in exceptions: `ranks`,
 /// the one mark word `mark` at `marks_at` into the payload, then the
 /// exceptions' descriptor, which `inner` writes, over a payload section at
-/// 64 holding the one value 9; zone map `(3, 9)`.
+/// 64 holding the one exception 9 (stored as 8); zone map `(3, 9)`.
 fn exceptions_image(
     ranks: &[u64],
     mark: u64,
@@ -498,7 +499,8 @@ fn exceptions_image(
     let mut img = preamble(w);
     img.extend(mark.to_le_bytes());
     img.resize(img.len().div_ceil(64) * 64, 0);
-    img.extend(9i64.to_le_bytes());
+    // 9 is above the fill, so it is stored one lower.
+    img.extend(8i64.to_le_bytes());
     img
 }
 
@@ -611,26 +613,21 @@ fn crafted_exceptions_end_in_an_error_or_a_table_that_scans() {
     }
 }
 
-/// A dictionary section of two entries, each a declared length and bytes.
-fn two(first: (u64, &[u8]), second: (u64, &[u8])) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    for (declared_len, bytes) in [first, second] {
-        w.put_varint(declared_len);
-        for &b in bytes {
-            w.put_u8(b);
-        }
-    }
-    w.finish().to_vec()
+/// A front-coded entry whose prefix and suffix lengths each fit a nibble:
+/// the header byte, then the suffix bytes.
+fn entry(prefix: u8, suffix: &[u8]) -> Vec<u8> {
+    assert!(prefix < 15 && suffix.len() < 15);
+    [&[prefix << 4 | suffix.len() as u8][..], suffix].concat()
 }
 
 #[test]
 fn crafted_dictionaries_end_in_an_error_or_a_table_that_scans() {
-    // The dictionary parse moves entries from the file straight into an
-    // arena, so every length, every byte, the entry count and the section's
-    // place are the file's word against the parser's checks. The heap decode
-    // runs them at open. A mapped open runs the ones the header can settle;
-    // the rest wait for the first string, and until then every other column
-    // answers.
+    // The dictionary parse takes a section's bytes as the column's arena,
+    // so every header, escape, prefix and suffix, the entry count and the
+    // section's place are the file's word against the parser's checks. The
+    // heap decode runs them at open. A mapped open runs the ones the header
+    // can settle; the rest wait for the first string, and until then every
+    // other column answers.
     let dir = TempDir::new("hvc-dicts");
     let path = dir.join("crafted.hvc");
     // The mapped tier under a budget of one page: whatever else is resident
@@ -640,55 +637,93 @@ fn crafted_dictionaries_end_in_an_error_or_a_table_that_scans() {
         let bytes = section.len() as u64;
         dict_image(&section, entries, bytes, 0)
     };
-    let sound = whole(two((2, "é".as_bytes()), (1, b"b")), 2);
+    // "é" whole, then "éa" as the two bytes it shares and one more.
+    let sound = whole([entry(0, "é".as_bytes()), entry(2, b"a")].concat(), 2);
     std::fs::write(&path, &sound).unwrap();
     let lazy = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
     let heap = hvc::decode(&sound).expect("the well-formed image decodes");
     for t in [heap, lazy] {
         assert_eq!(t.full_row(0).values[1].as_str(), Some("é"));
-        assert_eq!(t.full_row(1).values[1].as_str(), Some("b"));
+        assert_eq!(t.full_row(1).values[1].as_str(), Some("éa"));
     }
 
-    let ab = || two((1, b"a"), (1, b"b"));
+    let ab = || [entry(0, b"a"), entry(0, b"b")].concat();
+    let two = |first: Vec<u8>, second: Vec<u8>| whole([first, second].concat(), 2);
     // (what is wrong, the image, the fault the readers name, whether a mapped
     // open can name it from the header and the file's length alone)
-    let refused: [(&str, Vec<u8>, &str, bool); 13] = [
+    let refused: [(&str, Vec<u8>, &str, bool); 19] = [
         (
-            "an entry running past the section",
-            whole(two((1, b"a"), (1 << 20, b"b")), 2),
-            "truncated",
+            "a suffix running past the section",
+            two(entry(0, b"a"), vec![0x05, b'b']),
+            "entry 1: truncated",
             false,
         ),
         (
             // The bytes are there, but they are the next entry's.
             "an entry swallowing its successor",
-            whole(two((3, b"a"), (1, b"b")), 2),
+            two(vec![0x03, b'a'], entry(0, b"b")),
             "entry 1: truncated",
             false,
         ),
         (
-            "an entry of u64::MAX bytes",
-            whole(two((u64::MAX, b"a"), (1, b"b")), 2),
-            "length",
+            "an escape that overflows",
+            two(vec![0x0F, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F], entry(0, b"b")),
+            "entry 0: escape overflows",
             false,
         ),
         (
-            "invalid UTF-8 inside an entry",
-            whole(two((2, b"a\xFF"), (1, b"b")), 2),
+            "an escape spelt with a padding byte",
+            two(vec![0x0F, 0x80, 0x00], entry(0, b"b")),
+            "entry 0: non-canonical escape",
+            false,
+        ),
+        (
+            "invalid UTF-8 inside a suffix",
+            two(entry(0, b"a\xFF"), entry(0, b"b")),
             "UTF-8",
             false,
         ),
         (
             // Valid as a whole arena ("é"), invalid entry by entry.
             "a character split across two entries",
-            whole(two((1, b"\xC3"), (1, b"\xA9")), 2),
+            two(entry(0, b"\xC3"), entry(0, b"\xA9")),
             "UTF-8",
             false,
         ),
         (
             "a duplicate entry",
-            whole(two((1, b"a"), (1, b"a")), 2),
-            "entry 1 repeats entry 0",
+            two(entry(0, b"a"), entry(0, b"a")),
+            "entry 1: not ascending",
+            false,
+        ),
+        (
+            "entries out of order",
+            two(entry(0, b"b"), entry(0, b"a")),
+            "entry 1: not ascending",
+            false,
+        ),
+        (
+            "a prefix longer than the previous entry",
+            two(entry(0, b"a"), entry(2, b"b")),
+            "entry 1: prefix of 2 bytes exceeds the previous 1",
+            false,
+        ),
+        (
+            "a prefix that ends mid-character",
+            two(entry(0, "é".as_bytes()), entry(1, b"b")),
+            "entry 1: prefix of 1 bytes ends mid-character",
+            false,
+        ),
+        (
+            "a prefix shorter than the longest shared",
+            two(entry(0, b"ab"), entry(0, b"ac")),
+            "entry 1: prefix of 0 bytes is not the longest shared",
+            false,
+        ),
+        (
+            "a bucket's first entry that claims a prefix",
+            two(entry(1, b"a"), entry(0, b"b")),
+            "entry 0: opens a bucket",
             false,
         ),
         (
@@ -705,7 +740,7 @@ fn crafted_dictionaries_end_in_an_error_or_a_table_that_scans() {
         ),
         (
             "two entries fewer than were written",
-            whole([ab(), two((1, b"c"), (1, b"d"))].concat(), 2),
+            whole([ab(), entry(0, b"c"), entry(0, b"d")].concat(), 2),
             "4 bytes follow its 2 entries",
             false,
         ),
@@ -764,11 +799,14 @@ fn crafted_dictionaries_end_in_an_error_or_a_table_that_scans() {
         let n = mapped.column_by_name("n").unwrap().as_i64_col().unwrap();
         assert_eq!((n.get(0), n.get(1)), (Some(7), Some(9)), "{label}");
         // The first string asked for runs the parser, which says what
-        // the heap decoder said — and names the column.
-        let touched = catch_unwind(AssertUnwindSafe(|| strings.get(0).map(str::to_owned)));
+        // the heap decoder said — and names the column and the file.
+        let touched = catch_unwind(AssertUnwindSafe(|| {
+            strings.read(0, &mut String::new()).map(str::to_owned)
+        }));
         let panic = touched.expect_err("the first touch must not hand out a string");
         let said = panic.downcast_ref::<String>().expect("a formatted panic");
         assert!(said.contains("column \"s\""), "{label}: {said}");
+        assert!(said.contains("crafted.hvc"), "{label}: {said}");
         assert!(names_fault(said), "{label}: expected {fault:?}, got {said}");
     }
 }

@@ -153,19 +153,25 @@ proptest! {
             let m = mapped.column(c).as_dict_col().unwrap();
             prop_assert_eq!(m.dictionary().len(), h.dictionary().len());
             prop_assert!(!lazy || m.dictionary().heap_bytes() == 0, "column {} parsed early", c);
+            let entries = |d: &DictColumn| {
+                let mut all = Vec::new();
+                d.dictionary().for_each(|_, s| all.push(s.to_string()));
+                all
+            };
             // By row, by string, or all at once: whichever door comes first.
             match (state >> 7) as usize % 3 {
                 0 => {}
                 1 => {
-                    let found = |d: &DictColumn| d.dictionary().code_of("a");
+                    let found = |d: &DictColumn| d.dictionary().rank("a");
                     prop_assert_eq!(found(m), found(h));
                 }
-                _ => prop_assert!(m.dictionary().iter().eq(h.dictionary().iter())),
+                _ => prop_assert_eq!(entries(m), entries(h)),
             }
+            let (mut mb, mut hb) = (String::new(), String::new());
             for r in 0..heap.num_rows() {
-                prop_assert_eq!(m.get(r), h.get(r), "column {} row {}", c, r);
+                prop_assert_eq!(m.read(r, &mut mb), h.read(r, &mut hb), "column {} row {}", c, r);
             }
-            prop_assert!(m.dictionary().iter().eq(h.dictionary().iter()));
+            prop_assert_eq!(entries(m), entries(h));
             prop_assert_eq!(m.dictionary().heap_bytes(), h.dictionary().heap_bytes());
         }
     }
