@@ -374,7 +374,7 @@ fn pack_words(len: usize, width: usize, deltas: impl Iterator<Item = u64>) -> Ve
 }
 
 /// Greatest common divisor, binary (Stein's): no `div`. `gcd(0, b) == b`.
-fn gcd(mut a: u64, mut b: u64) -> u64 {
+pub fn gcd(mut a: u64, mut b: u64) -> u64 {
     if a == 0 || b == 0 {
         return a | b;
     }
@@ -1576,7 +1576,13 @@ impl<T: PackedInt> IntStorage<T> {
 /// accounting, and they stay in the value domain whatever the encoding
 /// (a bit-packed column's stride never reaches them). `hvc` persists them
 /// in every part's header, so a mapped open rebuilds them without touching
-/// the payload ([`ZoneMap::from_parts`]).
+/// the payload ([`ZoneMap::from_parts`]). On disk an extreme is written in
+/// its column's integer domain — the value of an integer column, the code
+/// of a dictionary column, the sign-magnitude code of an integral double
+/// ([`F64Storage::code_of`]) — as its offset from the part's smallest,
+/// divided by the offsets' common divisor; only a raw double column's
+/// extremes stay 8-byte doubles. In memory they are the values themselves,
+/// whatever the file said.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ZoneMap<T> {
     mins: Vec<T>,
@@ -2099,7 +2105,20 @@ impl F64Storage {
     /// [`IntStorage`] encoding under [`F64Storage::Integral`]
     /// (encoding-equivalence tests); `None` unless every value is integral.
     pub fn codes_of(values: &[f64]) -> Option<Vec<i64>> {
-        values.iter().map(|&v| integral_code(v)).collect()
+        values.iter().map(|&v| Self::code_of(v)).collect()
+    }
+
+    /// The sign-magnitude code of one value (`−0.0` has its own), `None`
+    /// unless it is an integer of magnitude ≤ 2^53 — how `hvc` writes an
+    /// `Integral` column's zone extremes.
+    pub fn code_of(v: f64) -> Option<i64> {
+        integral_code(v)
+    }
+
+    /// The value a sign-magnitude code stands for, the inverse of
+    /// [`F64Storage::code_of`]; total over every `i64`.
+    pub fn value_of(code: i64) -> f64 {
+        integral_value(code)
     }
 
     /// Number of rows.

@@ -14,12 +14,16 @@
 //! file's tail that an open merely locates:
 //!
 //! ```text
-//! magic "HVC8" | header_len u32 LE | header blob | pad | payload sections
+//! magic "HVC9" | header_len u32 LE | header blob | pad | payload sections
 //!   | dictionary sections
 //! header blob (all integers varint unless noted):
 //!   column_count | row_count
 //!   per column:
-//!     name | kind byte | null_run_lengths
+//!     name | kind byte | null runs
+//!     null runs: run count, then the run lengths (present, missing,
+//!       present, …; only the first may be 0) — or, when an earlier column
+//!       has the same runs, 0 (which no run count is) and the index of the
+//!       first such column
 //!     payload descriptor:
 //!       Int/Date: enc byte, declared value count, then
 //!         0 (plain):      section offset
@@ -47,8 +51,14 @@
 //!                 the dictionary area; codes descriptor (same five
 //!                 encodings, code values as plain varints; a code is its
 //!                 string's rank among the entries)
-//!     zone map: block count, per block (min, max)
-//!       (zigzag varints for i64, plain varints for codes, raw LE for f64)
+//!     zone map: block count, then per block (min, max) in the column's
+//!       integer domain — an Int/Date value itself, a Str/Cat code, the
+//!       sign-magnitude code of a Double whose enc byte is not 0 — as
+//!       m (the smallest image: zigzag for Int/Date, plain for codes),
+//!       g (the gcd of every image − m, wrapping in u64; 0 when all are
+//!       equal) and each extreme as (image − m) / g (0 when g is 0); m and
+//!       g are left out when there is no block. A Double with enc byte 0
+//!       writes raw LE f64 extremes instead
 //!   dictionary base: where the dictionary area starts, as a section offset
 //! dictionary section: the entries in byte order, front-coded in buckets
 //!   of 16 — per entry a header byte (high nibble: bytes shared with the
@@ -90,14 +100,26 @@
 //! 64-byte boundary of its own, so every `i64`/`u64`/`f64` payload is
 //! naturally aligned however long the header is. Sections hold raw
 //! fixed-width values a scan can borrow in place (packed encodings still
-//! compress, and their word sections map as well). The dictionary area
+//! compress, and their word sections map as well). A mapped scan faults the
+//! file in 64 KiB chunks counted from its first byte, so where a section
+//! falls against that grid decides how many chunks its scan holds: a
+//! section that fits in one chunk but would straddle two starts at the next
+//! chunk instead when 4 KiB of padding or less gets it there. That ties the
+//! layout to the header's length, which the writer settles by laying the
+//! file out again for the payload base the first pass found. The dictionary area
 //! follows the last payload section, unaligned and back to back: nothing
 //! windows it, and keeping it out of the way leaves the payload sections
 //! packed as tightly as a file without strings would have them.
 //!
 //! Null masks are run-length encoded (alternating present/missing run
 //! lengths, starting with present), which collapses the common all-present
-//! case to a single varint.
+//! case to a single varint, and a mask another column already wrote — the
+//! other all-present columns, the columns a data source nulls together —
+//! costs two varints. Zone extremes cost what their offset from the part's
+//! smallest needs at the offsets' common stride, not eight bytes: a column
+//! of epoch-millisecond days writes day numbers. Either way a reader
+//! rebuilds exactly what the writer held; the resident masks and maps do not
+//! change with the header's width.
 //!
 //! Because the header also persists each column's zone map, a mapped open
 //! ([`read_file_mapped`]) constructs every column without touching one
@@ -107,19 +129,28 @@
 //! [`probe_file`] goes one step further and reads *only* the header —
 //! enough for partition planning (schema + row count) at O(header) I/O.
 //!
-//! Integrity: decoding is total. Every length the file declares is checked
-//! against the bytes that could back it before anything is allocated or
-//! sliced, and a broken structural invariant (declared counts vs. rows,
-//! run structure, encoding invariants, zone-map block counts, a dictionary
-//! section the file is too short to hold, exception ranks that fall or
-//! outrun their exceptions) is a structured [`Error`]. The heap path
-//! ([`decode`]) additionally validates every dictionary code, every
-//! dictionary entry, and every exception mark word against its ranks. The
-//! mapped path must not — that would read the bytes laziness exists to
-//! avoid — so it checks what the header alone can settle (codes bounded by
-//! the persisted per-block zone maxima, sections bounded by the file's
-//! length, ranks by the rows and the exception count) and leaves three
-//! faults to the moment a scan meets them, each as a panic the worker's
+//! Integrity: decoding is total and every header field has one spelling.
+//! Every length the file declares is checked against the bytes that could
+//! back it before anything is allocated or sliced, and a broken structural
+//! invariant (declared counts vs. rows, run structure, null runs with an
+//! empty run past the first, written out in full when they repeat an
+//! earlier column's, or naming a column that is not an earlier one that
+//! wrote them, encoding invariants, zone-map block counts, a zone extreme
+//! outside its column's domain — past `i64`, a code at or past the entry
+//! count, a magnitude past 2^53 — or an integer-domain zone block whose
+//! minimum is above its maximum, a dictionary section the file is too short
+//! to hold, exception ranks that fall or outrun their exceptions) is a
+//! structured [`Error`]. The heap path ([`decode`]) additionally validates
+//! every dictionary code, every dictionary entry, every exception mark word
+//! against its ranks, and every zone map against the one its decoded
+//! payload folds to — reported after the column faults, so a header whose
+//! zone max sits below a row's value is refused rather than left to make a
+//! range predicate skip the row. The mapped path must not — that would read
+//! the bytes laziness exists to avoid — so it checks what the header alone
+//! can settle (codes bounded by the zone maxima, which the parse held to the
+//! entry count, sections bounded by the file's length, ranks by the rows and
+//! the exception count), trusts zone maps that pass the header's checks, and
+//! leaves three faults to the moment a scan meets them, each as a panic the worker's
 //! pool isolates into `LeafPanicked` rather than a quiet out-of-bounds or a
 //! wrong string: a payload that contradicts its zone maps, when the code is
 //! dereferenced; exception marks that contradict their ranks, when the
@@ -141,15 +172,16 @@ use crate::partition::renumber;
 use bytes::Bytes;
 use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
 use hillview_columnar::dictionary::Dictionary;
-use hillview_columnar::encoding::{EncodingKind, F64Storage, IntStorage, PackedInt, ZoneMap};
-use hillview_columnar::residency::{BlockCache, Pod, Segment, SegmentMode, ValueBuf};
+use hillview_columnar::encoding::{gcd, EncodingKind, F64Storage, IntStorage, PackedInt, ZoneMap};
+use hillview_columnar::residency::{BlockCache, Pod, Segment, SegmentMode, ValueBuf, CHUNK_BYTES};
 use hillview_columnar::{ColumnDesc, ColumnKind, NullMask, Schema, Table, BLOCK_ROWS};
 use hillview_net::{WireReader, WireWriter};
+use std::collections::HashMap;
 use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 
-const MAGIC: &[u8; 4] = b"HVC8";
+const MAGIC: &[u8; 4] = b"HVC9";
 
 const ENC_PLAIN: u8 = 0;
 const ENC_BIT_PACKED: u8 = 1;
@@ -163,6 +195,9 @@ const STRIDED: u8 = 0x80;
 /// Payload section alignment: covers every lane type and leaves room for
 /// cache-line-aligned SIMD loads.
 const ALIGN: usize = 64;
+
+/// The most padding spent to keep a section inside one residency chunk.
+const PAGE: usize = 4096;
 
 fn align_up(n: usize) -> usize {
     n.div_ceil(ALIGN) * ALIGN
@@ -219,16 +254,34 @@ fn row_count_mismatch(column: &str, declared: usize, actual: usize) -> Error {
 /// after the last of them, at offset `rel`.
 #[derive(Default)]
 struct Sections {
+    /// The file offset of the payload base the placement assumes.
+    base: usize,
     rel: usize,
     parts: Vec<(usize, Vec<u8>)>,
     dictionaries: Vec<u8>,
 }
 
 impl Sections {
+    /// Sections placed for a payload base at file offset `base`.
+    fn at(base: usize) -> Self {
+        Sections {
+            base,
+            ..Sections::default()
+        }
+    }
+
     /// Reserve an aligned slot for `bytes`, returning its relative offset.
+    /// A mapped scan faults a file in [`CHUNK_BYTES`] chunks, so a section
+    /// that fits in one but would straddle two starts at the next chunk
+    /// instead, when a page of padding or less gets it there.
     fn push(&mut self, bytes: Vec<u8>) -> usize {
-        let at = align_up(self.rel);
-        self.rel = at + bytes.len();
+        let mut at = align_up(self.rel);
+        let (start, len) = (self.base + at, bytes.len());
+        let next = (start / CHUNK_BYTES + 1) * CHUNK_BYTES;
+        if (1..=CHUNK_BYTES).contains(&len) && start + len > next && next - start <= PAGE {
+            at = next - self.base;
+        }
+        self.rel = at + len;
         self.parts.push((at, bytes));
         at
     }
@@ -243,26 +296,51 @@ impl Sections {
     }
 }
 
-fn encode_null_runs(w: &mut WireWriter, col: &Column, rows: usize) {
-    // Alternating run lengths: present, missing, present, ...
-    let mut runs: Vec<u64> = Vec::new();
-    let mut current_null = false;
-    let mut run = 0u64;
-    for i in 0..rows {
-        let null = col.is_null(i);
-        if null == current_null {
-            run += 1;
-        } else {
-            runs.push(run);
-            current_null = null;
-            run = 1;
+/// A column's null mask as alternating run lengths — present, missing,
+/// present, … — of which only the first can be 0.
+fn null_runs(col: &Column, rows: usize) -> Vec<u64> {
+    let Some(bits) = col.null_bitmap() else {
+        return vec![rows as u64];
+    };
+    let mut runs = Vec::new();
+    // Walk the mask a word at a time to each row whose bit differs from
+    // the run it would extend.
+    let (mut null, mut start, mut i) = (false, 0, 0);
+    while i < rows {
+        let word = bits.word(i / 64);
+        let differs = (if null { !word } else { word }) >> (i % 64);
+        if differs == 0 {
+            i = (i / 64 + 1) * 64;
+            continue;
+        }
+        i += differs.trailing_zeros() as usize;
+        if i < rows {
+            runs.push((i - start) as u64);
+            (null, start) = (!null, i);
         }
     }
-    runs.push(run);
+    runs.push((rows - start) as u64);
+    runs
+}
+
+/// Write column `c`'s null runs, or — when an earlier column's `written`
+/// were the same — a 0, which no run count can be, and that column.
+fn encode_null_runs<'a>(
+    w: &mut WireWriter,
+    runs: &'a [u64],
+    c: usize,
+    written: &mut HashMap<&'a [u64], usize>,
+) {
+    if let Some(&first) = written.get(runs) {
+        w.put_varint(0);
+        w.put_varint(first as u64);
+        return;
+    }
     w.put_varint(runs.len() as u64);
-    for r in runs {
+    for &r in runs {
         w.put_varint(r);
     }
+    written.insert(runs, c);
 }
 
 /// Write one integer-storage descriptor into the header, spilling bulk
@@ -357,11 +435,71 @@ fn encode_raw_doubles(w: &mut WireWriter, sections: &mut Sections, values: &[f64
     w.put_varint(sections.push_le(values) as u64);
 }
 
-fn encode_zones<T: Copy>(w: &mut WireWriter, zones: &ZoneMap<T>, put: impl Fn(&mut WireWriter, T)) {
+/// The integers a column's zone extremes are written as. A part's
+/// smallest image is zigzagged in `Int` and a plain varint in the other
+/// two, whose images are never negative.
+#[derive(Clone, Copy)]
+enum Domain {
+    /// Int and Date values, themselves.
+    Int,
+    /// Dictionary codes of a dictionary of this many entries (an all-null
+    /// column with none sits on code 0).
+    Codes(usize),
+    /// Sign-magnitude codes of integral doubles, magnitude ≤ 2^53.
+    Integral,
+}
+
+impl Domain {
+    /// The largest image the domain holds; the smallest a file can write
+    /// is the domain's own (`i64::MIN`, or 0 for a plain varint).
+    fn top(self) -> i128 {
+        match self {
+            Domain::Int => i64::MAX.into(),
+            Domain::Codes(entries) => (entries.max(1) - 1).min(u32::MAX as usize) as i128,
+            Domain::Integral => (1 << 54) + 1,
+        }
+    }
+}
+
+/// Write a zone map of raw doubles: per block `(min, max)` as LE `f64`s.
+fn encode_raw_zones(w: &mut WireWriter, zones: &ZoneMap<f64>) {
     w.put_varint(zones.len() as u64);
     for (&min, &max) in zones.mins().iter().zip(zones.maxs()) {
-        put(w, min);
-        put(w, max);
+        w.put_f64(min);
+        w.put_f64(max);
+    }
+}
+
+/// A zone map's extremes in their column's integer domain, interleaved
+/// `min, max` block by block; `None` when `image` has none for one of them.
+fn zone_images<T: Copy>(zones: &ZoneMap<T>, image: impl Fn(T) -> Option<i64>) -> Option<Vec<i64>> {
+    zones
+        .mins()
+        .iter()
+        .zip(zones.maxs())
+        .flat_map(|(&min, &max)| [image(min), image(max)])
+        .collect()
+}
+
+/// Write interleaved zone `images` of `domain`: the block count, then —
+/// unless there are none — the smallest image `m`, the gcd `g` of every
+/// `image − m` (0 when all are equal) and each extreme as `(image − m) / g`.
+/// The differences wrap in `u64`, so a column spanning
+/// `i64::MIN..=i64::MAX` needs no wider type.
+fn encode_zone_images(w: &mut WireWriter, images: &[i64], domain: Domain) {
+    w.put_varint((images.len() / 2) as u64);
+    let Some(&m) = images.iter().min() else {
+        return;
+    };
+    let offset = |v: i64| (v as u64).wrapping_sub(m as u64);
+    let g = images.iter().fold(0, |g, &v| gcd(g, offset(v)));
+    match domain {
+        Domain::Int => w.put_i64(m),
+        Domain::Codes(_) | Domain::Integral => w.put_varint(m as u64),
+    }
+    w.put_varint(g);
+    for &v in images {
+        w.put_varint(offset(v).checked_div(g).unwrap_or(0));
     }
 }
 
@@ -394,8 +532,41 @@ fn assemble(hdr: &[u8], sections: Sections) -> Vec<u8> {
 
 /// Encode a table as a complete HVC file image.
 pub fn encode(table: &Table) -> Vec<u8> {
+    // Where the sections go against the chunk grid depends on where the
+    // payload starts, which depends on the header's length: lay the file
+    // out again until the two agree — one more pass, nearly always.
+    let columns = 0..table.num_columns();
+    let runs: Vec<_> = columns
+        .clone()
+        .map(|c| null_runs(table.column(c), table.num_rows()))
+        .collect();
+    let dicts: Vec<_> = columns
+        .map(|c| table.column(c).as_dict_col().and_then(pruned))
+        .collect();
+    let (mut base, mut passes) = (0, 0);
+    loop {
+        let (hdr, sections) = encode_header(table, &runs, &dicts, base);
+        let payload_base = align_up(8 + hdr.len());
+        passes += 1;
+        if payload_base == base || passes == 4 {
+            return assemble(&hdr, sections);
+        }
+        base = payload_base;
+    }
+}
+
+/// The header blob of `table` and its sections, placed for a payload base
+/// at file offset `base`, given each column's null `runs` and the
+/// [`pruned`] form of each dictionary column that needs one.
+fn encode_header(
+    table: &Table,
+    runs: &[Vec<u64>],
+    dicts: &[Option<DictColumn>],
+    base: usize,
+) -> (Bytes, Sections) {
     let mut h = WireWriter::new();
-    let mut sections = Sections::default();
+    let mut sections = Sections::at(base);
+    let mut written_runs = HashMap::new();
     h.put_varint(table.num_columns() as u64);
     h.put_varint(table.num_rows() as u64);
     for c in 0..table.num_columns() {
@@ -403,31 +574,42 @@ pub fn encode(table: &Table) -> Vec<u8> {
         h.put_str(&desc.name);
         h.put_u8(kind_byte(desc.kind));
         let col = table.column(c);
-        encode_null_runs(&mut h, col, table.num_rows());
+        encode_null_runs(&mut h, &runs[c], c, &mut written_runs);
         match col {
             Column::Int(ic) | Column::Date(ic) => {
                 encode_int_storage(&mut h, &mut sections, ic.storage(), &|w, v| w.put_i64(v));
-                encode_zones(&mut h, ic.zones(), |w, v| w.put_i64(v));
+                let images = zone_images(ic.zones(), Some).expect("every i64 is its own image");
+                encode_zone_images(&mut h, &images, Domain::Int);
             }
             Column::Double(fc) => {
-                match fc.data() {
-                    F64Storage::Plain(values) => {
-                        encode_raw_doubles(&mut h, &mut sections, values.slice());
+                let integral = match fc.data() {
+                    F64Storage::Integral(codes) if codes.kind() != EncodingKind::Plain => {
+                        zone_images(fc.zones(), F64Storage::code_of).map(|images| (codes, images))
                     }
-                    // Byte 0 means raw doubles, so codes that happen to be
-                    // stored plain are written as the values they stand for.
-                    F64Storage::Integral(codes) if codes.kind() == EncodingKind::Plain => {
-                        encode_raw_doubles(&mut h, &mut sections, &fc.data().to_vec());
-                    }
-                    F64Storage::Integral(codes) => {
+                    _ => None,
+                };
+                match (integral, fc.data()) {
+                    (Some((codes, images)), _) => {
                         encode_int_storage(&mut h, &mut sections, codes, &|w, v| w.put_i64(v));
+                        encode_zone_images(&mut h, &images, Domain::Integral);
+                    }
+                    // Byte 0 means raw doubles and raw extremes, so codes
+                    // that happen to be stored plain — or whose zones hold
+                    // a value no code stands for — are written as the
+                    // values they stand for.
+                    (None, data) => {
+                        match data {
+                            F64Storage::Plain(values) => {
+                                encode_raw_doubles(&mut h, &mut sections, values.slice())
+                            }
+                            codes => encode_raw_doubles(&mut h, &mut sections, &codes.to_vec()),
+                        }
+                        encode_raw_zones(&mut h, fc.zones());
                     }
                 }
-                encode_zones(&mut h, fc.zones(), |w, v| w.put_f64(v));
             }
             Column::Str(dc) | Column::Cat(dc) => {
-                let pruned = pruned(dc);
-                let dc = pruned.as_ref().unwrap_or(dc);
+                let dc = dicts[c].as_ref().unwrap_or(dc);
                 let entries = dc.dictionary().front_coded();
                 h.put_varint(dc.dictionary().len() as u64);
                 h.put_varint(entries.len() as u64);
@@ -436,12 +618,14 @@ pub fn encode(table: &Table) -> Vec<u8> {
                 encode_int_storage(&mut h, &mut sections, dc.codes(), &|w, code| {
                     w.put_varint(code as u64)
                 });
-                encode_zones(&mut h, dc.zones(), |w, v| w.put_varint(v as u64));
+                let images = zone_images(dc.zones(), |code| Some(code.into())).expect("codes fit");
+                let domain = Domain::Codes(dc.dictionary().len());
+                encode_zone_images(&mut h, &images, domain);
             }
         }
     }
     h.put_varint(sections.rel as u64);
-    assemble(&h.finish(), sections)
+    (h.finish(), sections)
 }
 
 // ---------------------------------------------------------------------------
@@ -486,28 +670,56 @@ enum IntMeta<T> {
     },
 }
 
-fn decode_null_runs(r: &mut WireReader, rows: usize, column: &str) -> Result<NullMask> {
+/// A column's null runs as the header writes them.
+enum NullRuns {
+    /// Alternating run lengths, present first.
+    Written(Vec<u64>),
+    /// The same runs as the earlier column of this index.
+    Repeated(usize),
+}
+
+/// Read a column's null runs, holding them to `rows` and to their one
+/// spelling: a run count of 0 introduces a reference, and only the first
+/// run may be empty (the column starts missing, or has no rows).
+fn decode_null_runs(r: &mut WireReader, rows: usize, column: &str) -> Result<NullRuns> {
     let n = r.get_len("null runs").map_err(wire_err)?;
-    let mut mask = NullMask::none();
+    if n == 0 {
+        let k = r.get_varint().map_err(wire_err)?;
+        return Ok(NullRuns::Repeated(usize::try_from(k).unwrap_or(usize::MAX)));
+    }
+    let mut runs = Vec::with_capacity(n.min(r.remaining()));
     let mut idx = 0usize;
-    let mut is_null = false;
-    for _ in 0..n {
+    for i in 0..n {
         let run = r.get_varint().map_err(wire_err)?;
+        if run == 0 && i > 0 {
+            return Err(parse_err(format!("column {column:?}: empty null run {i}")));
+        }
         // Saturating: a run past `rows` is a mismatch whatever its size.
         let end = idx.saturating_add(usize::try_from(run).unwrap_or(usize::MAX));
         if end > rows {
             return Err(row_count_mismatch(column, rows, end));
         }
-        if is_null {
-            mask.set_null_range(idx, end, rows);
-        }
+        runs.push(run);
         idx = end;
-        is_null = !is_null;
     }
     if idx != rows {
         return Err(row_count_mismatch(column, rows, idx));
     }
-    Ok(mask)
+    Ok(NullRuns::Written(runs))
+}
+
+/// The mask validated `runs` spell over `rows` rows.
+fn null_mask(runs: &[u64], rows: usize) -> NullMask {
+    let mut mask = NullMask::none();
+    let mut idx = 0usize;
+    for (i, &run) in runs.iter().enumerate() {
+        let end = idx + run as usize;
+        if i % 2 == 1 {
+            mask.set_null_range(idx, end, rows);
+        }
+        idx = end;
+    }
+    mask
 }
 
 fn decode_int_meta<T>(
@@ -647,26 +859,84 @@ fn decode_int_body<T>(
     }
 }
 
-fn decode_zones<T: Copy>(
-    r: &mut WireReader,
-    rows: usize,
-    column: &str,
-    get: impl Fn(&mut WireReader) -> std::result::Result<T, hillview_net::Error>,
-) -> Result<ZoneMap<T>> {
+/// The number of zone blocks a column of `rows` rows must declare.
+fn zone_blocks(r: &mut WireReader, rows: usize, column: &str) -> Result<usize> {
     let n = r.get_len("zone blocks").map_err(wire_err)?;
     if n != rows.div_ceil(BLOCK_ROWS) {
         return Err(parse_err(format!(
             "column {column:?}: zone map covers {n} blocks for {rows} rows"
         )));
     }
+    Ok(n)
+}
+
+/// A raw double column's zone map: per block `(min, max)` as LE `f64`s,
+/// taken as written (an all-NaN block holds `(+∞, −∞)`).
+fn decode_raw_zones(r: &mut WireReader, rows: usize, column: &str) -> Result<ZoneMap<f64>> {
+    let n = zone_blocks(r, rows, column)?;
     let mut mins = Vec::with_capacity(n.min(r.remaining()));
     let mut maxs = Vec::with_capacity(n.min(r.remaining()));
     for _ in 0..n {
-        mins.push(get(r).map_err(wire_err)?);
-        maxs.push(get(r).map_err(wire_err)?);
+        mins.push(r.get_f64().map_err(wire_err)?);
+        maxs.push(r.get_f64().map_err(wire_err)?);
     }
-    ZoneMap::from_parts(mins, maxs)
-        .ok_or_else(|| parse_err(format!("column {column:?}: malformed zone map")))
+    Ok(ZoneMap::from_parts(mins, maxs).expect("as many maxima as minima"))
+}
+
+/// An integer-domain zone map ([`encode_zone_images`]): every image
+/// `m + g · q` recomputed exactly and refused outside `domain`, mapped to
+/// its value by `value`, and every block's minimum held to its maximum.
+fn decode_zone_images<T: Copy + PartialOrd + std::fmt::Debug>(
+    r: &mut WireReader,
+    rows: usize,
+    column: &str,
+    domain: Domain,
+    value: impl Fn(i64) -> T,
+) -> Result<ZoneMap<T>> {
+    let n = zone_blocks(r, rows, column)?;
+    // An empty column writes neither `m` nor `g`.
+    let (m, g) = if n == 0 {
+        (0, 0)
+    } else {
+        let m = match domain {
+            Domain::Int => i128::from(r.get_i64().map_err(wire_err)?),
+            Domain::Codes(_) | Domain::Integral => i128::from(r.get_varint().map_err(wire_err)?),
+        };
+        (m, r.get_varint().map_err(wire_err)?)
+    };
+    let out_of_domain = |q: u64| {
+        parse_err(match domain {
+            Domain::Codes(entries) => format!(
+                "column {column:?}: zone code {m} + {g} · {q} out of dictionary range {entries}"
+            ),
+            _ => format!("column {column:?}: zone extreme {m} + {g} · {q} out of its domain"),
+        })
+    };
+    // No image is below `m`, so one bound on the quotients keeps every
+    // `m + g·q` in the domain — and exact in `i64`.
+    let q_top = match u64::try_from(domain.top() - m) {
+        Ok(room) => room.checked_div(g).unwrap_or(u64::MAX),
+        Err(_) => return Err(out_of_domain(0)),
+    };
+    let image = |q: u64| value((m as i64).wrapping_add(g.wrapping_mul(q) as i64));
+    let mut mins = Vec::with_capacity(n.min(r.remaining()));
+    let mut maxs = Vec::with_capacity(n.min(r.remaining()));
+    for b in 0..n {
+        let q_min = r.get_varint().map_err(wire_err)?;
+        let q_max = r.get_varint().map_err(wire_err)?;
+        if q_min.max(q_max) > q_top {
+            return Err(out_of_domain(q_min.max(q_max)));
+        }
+        let (min, max) = (image(q_min), image(q_max));
+        if min > max {
+            return Err(parse_err(format!(
+                "column {column:?}: zone block {b} has min {min:?} above max {max:?}"
+            )));
+        }
+        mins.push(min);
+        maxs.push(max);
+    }
+    Ok(ZoneMap::from_parts(mins, maxs).expect("as many maxima as minima"))
 }
 
 /// One column's fully-parsed header metadata.
@@ -706,6 +976,9 @@ struct DictMeta {
 struct Header {
     rows: usize,
     columns: Vec<ColMeta>,
+    /// Header bytes spent on null runs and on zone maps, every column's.
+    null_run_bytes: usize,
+    zone_bytes: usize,
     /// Absolute byte offset of the first payload section.
     payload_base: usize,
     /// Offset of the dictionary area from `payload_base`.
@@ -752,20 +1025,66 @@ fn parse_header(hdr: Bytes, payload_base: usize) -> Result<Header> {
             "{rows} rows exceed what a {hdr_len}-byte header can describe"
         )));
     }
-    let mut columns = Vec::with_capacity(cols.min(r.remaining()));
-    for _ in 0..cols {
+    let mut columns: Vec<ColMeta> = Vec::with_capacity(cols.min(r.remaining()));
+    // Every run list written in full so far, with its column: a repeat
+    // must have been written as a reference to that column.
+    let mut written: HashMap<Vec<u64>, usize> = HashMap::new();
+    let mut wrote_runs = Vec::with_capacity(cols.min(r.remaining()));
+    let (mut null_run_bytes, mut zone_bytes) = (0, 0);
+    for c in 0..cols {
         let name = r.get_str().map_err(wire_err)?;
         let kind = byte_kind(r.get_u8().map_err(wire_err)?)?;
-        let nulls = decode_null_runs(&mut r, rows, &name)?;
+        let before_nulls = r.remaining();
+        let nulls = match decode_null_runs(&mut r, rows, &name)? {
+            NullRuns::Written(runs) => {
+                if let Some(k) = written.get(&runs) {
+                    return Err(parse_err(format!(
+                        "column {name:?}: null runs repeat column {k}'s in full"
+                    )));
+                }
+                let mask = null_mask(&runs, rows);
+                written.insert(runs, c);
+                wrote_runs.push(true);
+                mask
+            }
+            NullRuns::Repeated(k) if wrote_runs.get(k) == Some(&true) => {
+                wrote_runs.push(false);
+                columns[k].nulls.clone()
+            }
+            NullRuns::Repeated(k) if k >= c => {
+                return Err(parse_err(format!(
+                    "column {name:?}: null runs refer to column {k}, not an earlier one"
+                )))
+            }
+            NullRuns::Repeated(k) => {
+                return Err(parse_err(format!(
+                    "column {name:?}: null runs refer to column {k}, itself a reference"
+                )))
+            }
+        };
+        null_run_bytes += before_nulls - r.remaining();
+        let before_zones;
         let payload = match kind {
             ColumnKind::Int | ColumnKind::Date => {
                 let storage = decode_int_meta(&mut r, rows, &name, |r| r.get_i64())?;
-                let zones = decode_zones(&mut r, rows, &name, |r| r.get_i64())?;
+                before_zones = r.remaining();
+                let zones = decode_zone_images(&mut r, rows, &name, Domain::Int, |v| v)?;
                 PayloadMeta::Int { storage, zones }
             }
             ColumnKind::Double => {
                 let storage = decode_int_meta(&mut r, rows, &name, |r| r.get_i64())?;
-                let zones = decode_zones(&mut r, rows, &name, |r| r.get_f64())?;
+                before_zones = r.remaining();
+                // Byte 0, raw doubles, keeps raw extremes too.
+                let zones = match storage {
+                    IntMeta::Plain { .. } => decode_raw_zones(&mut r, rows, &name)?,
+                    _ => decode_zone_images(
+                        &mut r,
+                        rows,
+                        &name,
+                        Domain::Integral,
+                        F64Storage::value_of,
+                    )?,
+                };
                 PayloadMeta::Double { storage, zones }
             }
             ColumnKind::String | ColumnKind::Category => {
@@ -775,10 +1094,13 @@ fn parse_header(hdr: Bytes, payload_base: usize) -> Result<Header> {
                     rel: get_extent(&mut r)?,
                 };
                 let codes = decode_int_meta(&mut r, rows, &name, get_code)?;
-                let zones = decode_zones(&mut r, rows, &name, get_code)?;
+                before_zones = r.remaining();
+                let domain = Domain::Codes(dict.entries);
+                let zones = decode_zone_images(&mut r, rows, &name, domain, |v| v as u32)?;
                 PayloadMeta::Dict { dict, codes, zones }
             }
         };
+        zone_bytes += before_zones - r.remaining();
         columns.push(ColMeta {
             name,
             kind,
@@ -790,6 +1112,8 @@ fn parse_header(hdr: Bytes, payload_base: usize) -> Result<Header> {
     Ok(Header {
         rows,
         columns,
+        null_run_bytes,
+        zone_bytes,
         payload_base,
         dict_base,
     })
@@ -986,20 +1310,45 @@ fn validate_codes(codes: &IntStorage<u32>, dict_len: usize, column: &str) -> Res
     }
 }
 
+/// The heap path's zone check: the persisted map must be the one the
+/// decoded payload folds to, or a range predicate would skip a block that
+/// holds matching rows.
+fn check_zones<T: Copy + PartialEq + std::fmt::Debug>(
+    persisted: &ZoneMap<T>,
+    rebuilt: &ZoneMap<T>,
+    column: &str,
+) -> Result<()> {
+    match (0..persisted.len()).find(|&b| persisted.block(b) != rebuilt.block(b)) {
+        None => Ok(()),
+        Some(b) => Err(parse_err(format!(
+            "column {column:?}: zone block {b} says {:?} but its rows span {:?}",
+            persisted.block(b),
+            rebuilt.block(b)
+        ))),
+    }
+}
+
 /// Assemble a [`Table`] from a parsed header and a payload source.
-/// `deep_validate` runs the full dictionary-code check (heap path); the
-/// mapped path instead bounds codes by the persisted zone maxima, which
-/// never touches payload bytes.
+/// `deep_validate` (heap path) checks every dictionary code and rebuilds
+/// every zone map from the payload; the mapped path settles only what the
+/// header can — codes bounded by the zone maxima, which the parse already
+/// held to the dictionary — and never touches payload bytes.
 fn build_table(header: Header, src: &Source<'_>, deep_validate: bool) -> Result<Table> {
     let base = header.payload_base;
     // Saturated, a base that overflows puts every dictionary past the end.
     let dictionaries = base.saturating_add(header.dict_base);
     let rows = header.rows;
     let mut builder = Table::builder();
+    // A zone map that contradicts its payload is reported only after every
+    // column's other faults: those are the ones a mapped scan can meet.
+    let mut zones_hold = Ok(());
     for cm in header.columns {
         let column = match cm.payload {
             PayloadMeta::Int { storage, zones } => {
                 let st = build_int_storage(storage, rows, src, base, &cm.name, deep_validate)?;
+                if deep_validate && zones_hold.is_ok() {
+                    zones_hold = check_zones(&zones, &ZoneMap::build(&st), &cm.name);
+                }
                 let ic = I64Column::with_storage_and_zones(st, cm.nulls, zones);
                 if cm.kind == ColumnKind::Int {
                     Column::Int(ic)
@@ -1021,6 +1370,13 @@ fn build_table(header: Header, src: &Source<'_>, deep_validate: bool) -> Result<
                         deep_validate,
                     )?),
                 };
+                if deep_validate && zones_hold.is_ok() {
+                    let rebuilt = match &data {
+                        F64Storage::Plain(values) => ZoneMap::from_f64(values.slice()),
+                        codes => ZoneMap::from_f64(&codes.to_vec()),
+                    };
+                    zones_hold = check_zones(&zones, &rebuilt, &cm.name);
+                }
                 Column::Double(F64Column::from_parts(data, cm.nulls, zones))
             }
             PayloadMeta::Dict { dict, codes, zones } => {
@@ -1038,13 +1394,9 @@ fn build_table(header: Header, src: &Source<'_>, deep_validate: bool) -> Result<
                     }
                 } else if deep_validate {
                     validate_codes(&st, dict.len(), &cm.name)?;
-                } else if let Some(&max) = zones.maxs().iter().find(|&&m| m as usize >= dict.len())
-                {
-                    return Err(parse_err(format!(
-                        "column {:?}: zone max code {max} out of dictionary range {}",
-                        cm.name,
-                        dict.len()
-                    )));
+                }
+                if deep_validate && zones_hold.is_ok() {
+                    zones_hold = check_zones(&zones, &ZoneMap::build(&st), &cm.name);
                 }
                 let dc = DictColumn::with_storage_and_zones(st, dict, cm.nulls, zones);
                 if cm.kind == ColumnKind::String {
@@ -1056,6 +1408,7 @@ fn build_table(header: Header, src: &Source<'_>, deep_validate: bool) -> Result<
         };
         builder = builder.column(&cm.name, cm.kind, column);
     }
+    zones_hold?;
     Ok(builder.build()?)
 }
 
@@ -1150,6 +1503,10 @@ pub struct FileInfo {
     pub rows: usize,
     /// Full schema (the header is self-contained).
     pub schema: Schema,
+    /// Bytes of the header that hold the columns' null runs.
+    pub null_run_bytes: usize,
+    /// Bytes of the header that hold the columns' zone maps.
+    pub zone_bytes: usize,
 }
 
 /// Probe a file's dimensions and schema by reading only its header — never
@@ -1167,6 +1524,8 @@ pub fn probe_file(path: impl AsRef<Path>) -> Result<FileInfo> {
         columns: header.columns.len(),
         rows: header.rows,
         schema: Schema::from_descs(descs)?,
+        null_run_bytes: header.null_run_bytes,
+        zone_bytes: header.zone_bytes,
     })
 }
 
@@ -1366,9 +1725,84 @@ mod tests {
                 let (x, y) = (a.data().get(r), b.data().get(r));
                 assert_eq!(x.to_bits(), y.to_bits(), "{name} row {r}");
             }
-            assert_eq!(a.zones(), b.zones(), "{name} zones");
+            let bits = |z: &ZoneMap<f64>| {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                (bits(z.mins()), bits(z.maxs()))
+            };
+            assert_eq!(bits(a.zones()), bits(b.zones()), "{name} zones");
         }
         assert_eq!(encode(&t2), encode(&t), "image stable under decode→encode");
+    }
+
+    #[test]
+    fn a_section_that_fits_a_chunk_is_not_split_for_a_page_or_less() {
+        // A payload base of 64: the second section's start is `gap` bytes
+        // before a chunk boundary of the file.
+        let second = |gap: usize, len: usize| {
+            let mut s = Sections::at(64);
+            s.push(vec![0; CHUNK_BYTES - 64 - gap]);
+            s.push(vec![0; len])
+        };
+        let unmoved = |gap: usize| CHUNK_BYTES - 64 - gap;
+        assert_eq!(second(1024, 2048), CHUNK_BYTES - 64, "moved to the chunk");
+        assert_eq!(
+            second(PAGE, PAGE + 64),
+            CHUNK_BYTES - 64,
+            "a page of padding"
+        );
+        assert_eq!(
+            second(PAGE + 64, PAGE + 128),
+            unmoved(PAGE + 64),
+            "more than a page"
+        );
+        assert_eq!(second(1024, 1024), unmoved(1024), "fits where it is");
+        assert_eq!(
+            second(1024, CHUNK_BYTES + 64),
+            unmoved(1024),
+            "larger than a chunk"
+        );
+        assert_eq!(second(1024, 0), unmoved(1024), "empty");
+    }
+
+    #[test]
+    fn zone_images_round_trip_at_the_domain_edges() {
+        // Interleaved (min, max) images of two blocks, through the writer
+        // and back: codes up to u32::MAX of a dictionary that large, the
+        // ends of i64, and sign-magnitude codes at ±2^53 beside the zeros.
+        fn trip<T: Copy + PartialOrd + std::fmt::Debug>(
+            images: &[i64],
+            domain: Domain,
+            value: impl Fn(i64) -> T,
+        ) -> Result<ZoneMap<T>> {
+            let mut w = WireWriter::new();
+            encode_zone_images(&mut w, images, domain);
+            let mut r = WireReader::new(w.finish());
+            decode_zone_images(&mut r, 2 * BLOCK_ROWS, "X", domain, value)
+        }
+        let top = u32::MAX as i64;
+        let codes = [0, top, top - 1, top];
+        let z = trip(&codes, Domain::Codes(u32::MAX as usize + 1), |v| v as u32).unwrap();
+        assert_eq!(
+            (z.block(0), z.block(1)),
+            ((0, u32::MAX), (u32::MAX - 1, u32::MAX))
+        );
+        let err = trip(&codes, Domain::Codes(u32::MAX as usize), |v| v as u32).unwrap_err();
+        assert!(err.to_string().contains("out of dictionary range"), "{err}");
+
+        let ints = [i64::MIN, i64::MAX, -1, 0];
+        let z = trip(&ints, Domain::Int, |v| v).unwrap();
+        assert_eq!((z.block(0), z.block(1)), ((i64::MIN, i64::MAX), (-1, 0)));
+
+        let edge = (1u64 << 53) as f64;
+        let doubles = [-edge, edge, -0.0, 0.0];
+        let images: Vec<i64> = doubles
+            .iter()
+            .map(|&v| F64Storage::code_of(v).unwrap())
+            .collect();
+        let z = trip(&images, Domain::Integral, F64Storage::value_of).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(z.mins()), bits(&[-edge, -0.0]));
+        assert_eq!(bits(z.maxs()), bits(&[edge, 0.0]));
     }
 
     #[test]
@@ -1521,7 +1955,9 @@ mod tests {
         assert_eq!(&img[0..4], MAGIC);
         let old = d.join("old.hvc");
         let cache = BlockCache::unbounded();
-        for magic in [b"HVC2", b"HVC3", b"HVC4", b"HVC5", b"HVC6", b"HVC7"] {
+        for magic in [
+            b"HVC2", b"HVC3", b"HVC4", b"HVC5", b"HVC6", b"HVC7", b"HVC8",
+        ] {
             let foreign = [magic, &img[4..]].concat();
             std::fs::write(&old, &foreign).unwrap();
             for err in [
@@ -1690,22 +2126,19 @@ mod tests {
         assemble(&w.finish(), sections)
     }
 
-    /// One zone block of `(0, 0)` — the map of any column of ≤ 64 rows.
-    fn zones(w: &mut WireWriter) {
+    /// One zone block — the map of any column of ≤ 64 rows — spanning the
+    /// images `lo..=hi` of a column of `kind`: the smallest image (zigzag
+    /// for an Int, a plain varint for codes), the gcd, the two quotients.
+    fn zone(w: &mut WireWriter, kind: ColumnKind, lo: i64, hi: i64) {
         w.put_varint(1);
-        w.put_varint(0);
-        w.put_varint(0);
-    }
-
-    /// [`zones`] for a column of `kind`: doubles persist raw LE extremes.
-    fn zones_of(w: &mut WireWriter, kind: ColumnKind) {
-        if kind == ColumnKind::Double {
-            w.put_varint(1);
-            w.put_f64(0.0);
-            w.put_f64(0.0);
+        if kind == ColumnKind::Int {
+            w.put_i64(lo);
         } else {
-            zones(w);
+            w.put_varint(lo as u64);
         }
+        w.put_varint((hi - lo) as u64);
+        w.put_varint(0);
+        w.put_varint(u64::from(hi > lo));
     }
 
     /// The kinds whose payload is the integer-storage descriptor over
@@ -1729,7 +2162,8 @@ mod tests {
             }
             w.put_varint(nwords);
             w.put_varint(0);
-            zones_of(w, kind);
+            // Every row is the base: the packed words are zero.
+            zone(w, kind, 5, 5);
         })
     }
 
@@ -1744,7 +2178,7 @@ mod tests {
                 w.put_i64(1);
                 w.put_varint(len);
             }
-            zones_of(w, kind);
+            zone(w, kind, 1, 1);
         })
     }
 
@@ -1760,14 +2194,18 @@ mod tests {
             w.put_u8(width);
             w.put_varint(1);
             w.put_varint(0);
-            zones_of(w, kind);
+            zone(w, kind, 7, 7);
         })
     }
 
     /// Two String rows with plain codes: well-formed when `entries` ascend,
     /// share no prefix and cover both codes. Each entry is written whole: a
-    /// header byte of prefix 0 and its length, then its bytes.
+    /// header byte of prefix 0 and its length, then its bytes. The zone map
+    /// spans the codes as far as the dictionary reaches, so a code past it
+    /// is the payload's fault.
     fn dict_image(entries: &[&str], codes: [u32; 2]) -> Vec<u8> {
+        let top = entries.len().max(1) as i64 - 1;
+        let (lo, hi) = (codes[0].min(codes[1]) as i64, codes[0].max(codes[1]) as i64);
         let mut sections = Sections::default();
         sections.push(codes.iter().flat_map(|c| c.to_le_bytes()).collect());
         for e in entries {
@@ -1783,7 +2221,7 @@ mod tests {
             w.put_u8(ENC_PLAIN);
             w.put_varint(2);
             w.put_varint(0);
-            zones(w);
+            zone(w, ColumnKind::String, lo.min(top), hi.min(top));
         })
     }
 
@@ -1891,8 +2329,11 @@ mod tests {
                 w.put_varint(2);
                 w.put_varint(0);
                 w.put_varint(zone_blocks);
-                w.put_varint(0);
-                w.put_varint(0);
+                w.put_i64(0); // smallest image
+                w.put_varint(0); // gcd
+                for _ in 0..2 * zone_blocks {
+                    w.put_varint(0);
+                }
             })
         };
         decode(&plain(vec![0; 16], 1)).unwrap();
@@ -1980,14 +2421,15 @@ mod tests {
         let mut bytes = std::fs::read(&p).unwrap();
         let header_len = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
         // The zone map is the last thing in the header but the dictionary
-        // base: 10 blocks of (min=0, max=4) varint pairs. Set every max to
-        // 127 (still a one-byte varint).
+        // base: 10 blocks of (min=0, max=4), at a gcd of 4 the quotient
+        // pairs (0, 1). Set every max to 127 (still a one-byte varint), so
+        // the code it stands for is 508.
         let mut base = WireWriter::new();
         base.put_varint((bytes.len() - "abcde".len() * 2 - align_up(8 + header_len)) as u64);
         let zones_end = 8 + header_len - base.len();
         let tail = &mut bytes[zones_end - 20..zones_end];
         assert!(tail.iter().step_by(2).all(|&b| b == 0), "zone mins");
-        assert!(tail[1..].iter().step_by(2).all(|&b| b == 4), "zone maxs");
+        assert!(tail[1..].iter().step_by(2).all(|&b| b == 1), "zone maxs");
         for b in tail[1..].iter_mut().step_by(2) {
             *b = 127;
         }

@@ -21,11 +21,12 @@ use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
 use hillview_columnar::dictionary::{Dictionary, DictionaryBuilder};
 use hillview_columnar::predicate::filter_members;
 use hillview_columnar::{
-    BlockCache, CodeStorage, ColumnKind, F64Storage, I64Storage, MembershipSet, NullMask,
-    Predicate, SegmentMode, Table, TempDir, ZoneMap,
+    BlockCache, CodeStorage, ColumnKind, EncodingKind, F64Storage, I64Storage, MembershipSet,
+    NullMask, Predicate, SegmentMode, Table, TempDir, ZoneMap,
 };
 use hillview_net::WireWriter;
 use hillview_storage::{hvc, probe_file, read_file_mapped};
+use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
@@ -340,11 +341,22 @@ fn every_mutant_ends_in_an_error_or_a_table_that_scans() {
 /// payload base.
 fn preamble(w: WireWriter) -> Vec<u8> {
     let header = w.finish();
-    let mut img = b"HVC8".to_vec();
+    let mut img = b"HVC9".to_vec();
     img.extend((header.len() as u32).to_le_bytes());
     img.extend(&header[..]);
     img.resize(img.len().div_ceil(64) * 64, 0);
     img
+}
+
+/// One zone block in a column's integer domain: the block count, the
+/// smallest image `m` (zigzagged for an Int, which the caller has done), the
+/// gcd `g`, then the block's extremes as quotients `(image − m) / g`.
+fn zone(w: &mut WireWriter, m: u64, g: u64, min: u64, max: u64) {
+    w.put_varint(1);
+    w.put_varint(m);
+    w.put_varint(g);
+    w.put_varint(min);
+    w.put_varint(max);
 }
 
 /// Two rows of an Int column `n` = `[7, 9]` and a String column `s` with plain
@@ -357,9 +369,12 @@ fn dict_image(section: &[u8], entries: u64, bytes: u64, rel: u64) -> Vec<u8> {
     for (name, kind) in [("n", 0), ("s", 3)] {
         w.put_str(name);
         w.put_u8(kind);
-        w.put_varint(1); // one null run...
-        w.put_varint(2); // ...of present rows
-        if kind == 3 {
+        if kind == 0 {
+            w.put_varint(1); // one null run...
+            w.put_varint(2); // ...of present rows
+        } else {
+            w.put_varint(0); // the null runs of...
+            w.put_varint(0); // ...column 0
             w.put_varint(entries);
             w.put_varint(bytes);
             w.put_varint(rel);
@@ -367,9 +382,11 @@ fn dict_image(section: &[u8], entries: u64, bytes: u64, rel: u64) -> Vec<u8> {
         w.put_u8(0); // plain
         w.put_varint(2); // values
         w.put_varint(if kind == 3 { 64 } else { 0 }); // section offset
-        w.put_varint(1); // one zone block: Int (7, 9) zigzagged, codes (0, 1)
-        w.put_varint(if kind == 3 { 0 } else { 14 });
-        w.put_varint(if kind == 3 { 1 } else { 18 });
+        if kind == 3 {
+            zone(&mut w, 0, 1, 0, 1); // codes (0, 1)
+        } else {
+            zone(&mut w, 14, 2, 0, 1); // Int (7, 9): 7 zigzagged, a gcd of 2
+        }
     }
     w.put_varint(72); // dictionary base: where the codes end
     let mut img = preamble(w);
@@ -382,8 +399,8 @@ fn dict_image(section: &[u8], entries: u64, bytes: u64, rel: u64) -> Vec<u8> {
 
 /// Two rows of an Int column `n`, bit-packed from `base` at `width` bits and
 /// `step` (flagged in the width byte and written out unless it is 1), over
-/// the one packed word `word`; zone map `(base, base)`.
-fn strided_image(base: i64, width: u8, step: u64, word: u64) -> Vec<u8> {
+/// the one packed word `word`; zone map `(min, max)`.
+fn strided_image(base: i64, width: u8, step: u64, word: u64, (min, max): (i64, i64)) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_varint(1); // columns
     w.put_varint(2); // rows
@@ -402,9 +419,12 @@ fn strided_image(base: i64, width: u8, step: u64, word: u64) -> Vec<u8> {
     }
     w.put_varint(u64::from(width > 0)); // words
     w.put_varint(0); // section offset
-    w.put_varint(1); // one zone block
-    w.put_i64(base);
-    w.put_i64(base);
+    w.put_varint(1); // one zone block...
+    w.put_i64(min); // ...from its min...
+    let span = (max as u64).wrapping_sub(min as u64);
+    w.put_varint(span); // ...at a gcd of the whole span
+    w.put_varint(0);
+    w.put_varint(u64::from(span > 0));
     w.put_varint(8); // dictionary base: where the word ends
     let mut img = preamble(w);
     img.extend(word.to_le_bytes());
@@ -438,9 +458,17 @@ fn hostile_steps_end_in_an_error_or_a_table_that_scans() {
         0 => (0, 0),
         w => (1, (1u64 << w) - 1),
     };
+    let row = |base: i64, step: u64, d: u64| base.wrapping_add(d.wrapping_mul(step) as i64);
     let image = |base, width, step| {
         let (first, second) = rows(width);
-        strided_image(base, width, step, first | second << width)
+        let (a, b) = (row(base, step, first), row(base, step, second));
+        strided_image(
+            base,
+            width,
+            step,
+            first | second << width,
+            (a.min(b), a.max(b)),
+        )
     };
     for (label, base, width, step) in opened {
         let img = image(base, width, step);
@@ -450,9 +478,9 @@ fn hostile_steps_end_in_an_error_or_a_table_that_scans() {
         }
         let t = hvc::decode(&img).unwrap();
         let n = t.column_by_name("n").unwrap().as_i64_col().unwrap();
-        let row = |d: u64| Some(base.wrapping_add(d.wrapping_mul(step) as i64));
         let (first, second) = rows(width);
-        assert_eq!((n.get(0), n.get(1)), (row(first), row(second)), "{label}");
+        let rows = (Some(row(base, step, first)), Some(row(base, step, second)));
+        assert_eq!((n.get(0), n.get(1)), rows, "{label}");
     }
     for (label, img, fault) in [
         ("step 0", image(0, 4, 0), "step 0"),
@@ -468,7 +496,8 @@ fn hostile_steps_end_in_an_error_or_a_table_that_scans() {
 /// Two rows of an Int column `n` around a fill of 3, in exceptions: `ranks`,
 /// the one mark word `mark` at `marks_at` into the payload, then the
 /// exceptions' descriptor, which `inner` writes, over a payload section at
-/// 64 holding the one exception 9 (stored as 8); zone map `(3, 9)`.
+/// 64 holding the one exception 9 (stored as 8); zone map `(3, 9)`, or
+/// `(3, 3)` when no row is marked.
 fn exceptions_image(
     ranks: &[u64],
     mark: u64,
@@ -492,9 +521,7 @@ fn exceptions_image(
     w.put_varint(1); // mark words
     w.put_varint(marks_at);
     inner(&mut w);
-    w.put_varint(1); // one zone block
-    w.put_i64(3);
-    w.put_i64(9);
+    zone(&mut w, 6, 6, 0, u64::from(mark != 0)); // 3 zigzagged, 9 = 3 + 6 · 1
     w.put_varint(72); // dictionary base: where the exception ends
     let mut img = preamble(w);
     img.extend(mark.to_le_bytes());
@@ -808,5 +835,362 @@ fn crafted_dictionaries_end_in_an_error_or_a_table_that_scans() {
         assert!(said.contains("column \"s\""), "{label}: {said}");
         assert!(said.contains("crafted.hvc"), "{label}: {said}");
         assert!(names_fault(said), "{label}: expected {fault:?}, got {said}");
+    }
+}
+
+/// Per column, the varints of its null runs.
+type Runs<'a> = &'a [&'a [u64]];
+
+/// Two rows in each of the Int columns `n0`, `n1`, … — all of them the
+/// values `[7, 9]` of the one plain section they point at — whose null runs
+/// are written as the varints of `runs[c]`: a count and the lengths, or a 0
+/// and the column they repeat.
+fn null_runs_image(runs: Runs) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_varint(runs.len() as u64); // columns
+    w.put_varint(2); // rows
+    for (c, varints) in runs.iter().enumerate() {
+        w.put_str(&format!("n{c}"));
+        w.put_u8(0); // Int
+        for &v in *varints {
+            w.put_varint(v);
+        }
+        w.put_u8(0); // plain
+        w.put_varint(2); // values
+        w.put_varint(0); // section offset
+        zone(&mut w, 14, 2, 0, 1); // (7, 9)
+    }
+    w.put_varint(16); // dictionary base: where the values end
+    let mut img = preamble(w);
+    img.extend([7i64, 9].iter().flat_map(|v| v.to_le_bytes()));
+    img
+}
+
+/// Put `img` to every open and expect each to refuse it, naming `fault`.
+#[track_caller]
+fn refused_by_every_open(
+    img: &[u8],
+    path: &Path,
+    cache: &Arc<BlockCache>,
+    label: &str,
+    fault: &str,
+) {
+    match verdict(img, path, cache, label).0 {
+        Verdict::Rejected(e) => assert!(e.contains(fault), "{label}: expected {fault:?}, got {e}"),
+        Verdict::Opened => panic!("{label}: accepted"),
+    }
+    for e in [
+        read_file_mapped(path, cache, SegmentMode::Auto).map(drop),
+        probe_file(path).map(drop),
+    ] {
+        let e = e.expect_err(label).to_string();
+        assert!(e.contains(fault), "{label}: expected {fault:?}, got {e}");
+    }
+}
+
+#[test]
+fn crafted_null_runs_have_one_spelling() {
+    // A mask has one image: runs alternate, so only the first may be empty,
+    // and a column whose runs repeat an earlier column's names the first
+    // column that wrote them out. Any other spelling is refused by every
+    // open, from the header alone.
+    let dir = TempDir::new("hvc-null-runs");
+    let path = dir.join("nulls.hvc");
+    let cache = BlockCache::unbounded();
+    let opened: [(&str, Runs, &[[bool; 2]]); 4] = [
+        ("no row missing", &[&[1, 2]], &[[false, false]]),
+        ("the first row missing", &[&[3, 0, 1, 1]], &[[true, false]]),
+        ("every row missing", &[&[2, 0, 2]], &[[true, true]]),
+        (
+            "a repeat written as a reference",
+            &[&[2, 1, 1], &[1, 2], &[0, 0]],
+            &[[false, true], [false, false], [false, true]],
+        ),
+    ];
+    for (label, runs, missing) in opened {
+        let img = null_runs_image(runs);
+        match verdict(&img, &path, &cache, label).0 {
+            Verdict::Opened => {}
+            Verdict::Rejected(e) => panic!("{label}: refused with {e}"),
+        }
+        let mapped = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
+        for t in [hvc::decode(&img).unwrap(), mapped] {
+            for (c, missing) in missing.iter().enumerate() {
+                let col = t.column(c);
+                assert_eq!([col.is_null(0), col.is_null(1)], *missing, "{label}: n{c}");
+            }
+        }
+    }
+    let refused: [(&str, Runs, &str); 6] = [
+        ("an empty run inside", &[&[3, 1, 0, 1]], "empty null run 1"),
+        ("a trailing empty run", &[&[2, 2, 0]], "empty null run 1"),
+        (
+            "runs repeated in full",
+            &[&[1, 2], &[1, 2]],
+            "null runs repeat column 0's in full",
+        ),
+        (
+            "a reference to the column itself",
+            &[&[0, 0]],
+            "refer to column 0, not an earlier one",
+        ),
+        (
+            "a reference to a later column",
+            &[&[0, 1], &[1, 2]],
+            "refer to column 1, not an earlier one",
+        ),
+        (
+            "a reference to a reference",
+            &[&[1, 2], &[0, 0], &[0, 1]],
+            "refer to column 1, itself a reference",
+        ),
+    ];
+    for (label, runs, fault) in refused {
+        refused_by_every_open(&null_runs_image(runs), &path, &cache, label, fault);
+    }
+}
+
+/// Two rows of one column `n`, with the zone map `zones` writes: Int values
+/// `[7, 9]` in a plain section, or (`double`) the doubles `[3.0, -1.0]` as
+/// the run-length sign-magnitude codes `[6, 3]`.
+fn zoned_image(double: bool, zones: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_varint(1); // columns
+    w.put_varint(2); // rows
+    w.put_str("n");
+    w.put_u8(if double { 2 } else { 0 });
+    w.put_varint(1); // one null run...
+    w.put_varint(2); // ...of present rows
+    if double {
+        w.put_u8(2); // run-length
+        w.put_varint(2); // values
+        w.put_varint(2); // runs
+        for code in [6, 3] {
+            w.put_i64(code);
+            w.put_varint(1);
+        }
+    } else {
+        w.put_u8(0); // plain
+        w.put_varint(2); // values
+        w.put_varint(0); // section offset
+    }
+    zones(&mut w);
+    w.put_varint(16); // dictionary base: where the values end
+    let mut img = preamble(w);
+    img.extend([7i64, 9].iter().flat_map(|v| v.to_le_bytes()));
+    img
+}
+
+#[test]
+fn crafted_zone_maps_are_held_to_their_rows() {
+    // A zone map decides which blocks a range predicate reads, so a wrong
+    // one is a wrong chart, not a crash. Every open recomputes each extreme
+    // exactly, refuses one outside its column's domain and a block whose
+    // minimum sits above its maximum; the heap open also rebuilds the map
+    // from the payload it decodes and refuses any difference.
+    let dir = TempDir::new("hvc-zones");
+    let path = dir.join("zones.hvc");
+    let cache = BlockCache::unbounded();
+    for (label, img) in [
+        ("Int (7, 9)", zoned_image(false, |w| zone(w, 14, 2, 0, 1))),
+        (
+            "doubles (-1, 3)",
+            zoned_image(true, |w| zone(w, 3, 3, 0, 1)),
+        ),
+    ] {
+        match verdict(&img, &path, &cache, label).0 {
+            Verdict::Opened => {}
+            Verdict::Rejected(e) => panic!("{label}: refused with {e}"),
+        }
+    }
+
+    // The header alone cannot tell a zone max of 8 from the 9 the payload
+    // holds: a mapped open takes it, the heap open names column and block.
+    let low_max = zoned_image(false, |w| zone(w, 14, 1, 0, 1));
+    match verdict(&low_max, &path, &cache, "a zone max below a row").0 {
+        Verdict::Rejected(e) => assert!(
+            e.contains("column \"n\": zone block 0 says (7, 8) but its rows span (7, 9)"),
+            "{e}"
+        ),
+        Verdict::Opened => panic!("a zone max below a row: accepted"),
+    }
+    read_file_mapped(&path, &cache, SegmentMode::Auto).expect("a mapped open reads no row");
+
+    let refused: [(&str, Vec<u8>, &str); 6] = [
+        (
+            "an Int block whose min is above its max",
+            zoned_image(false, |w| zone(w, 14, 2, 1, 0)),
+            "zone block 0 has min 9 above max 7",
+        ),
+        (
+            // Codes 2 and 3 ascend, the values they stand for do not.
+            "a double block whose min is above its max",
+            zoned_image(true, |w| zone(w, 2, 1, 0, 1)),
+            "zone block 0 has min 1.0 above max -1.0",
+        ),
+        (
+            "an Int extreme past i64::MAX",
+            zoned_image(false, |w| zone(w, u64::MAX - 1, 1, 0, 1)),
+            "zone extreme 9223372036854775807 + 1 · 1 out of its domain",
+        ),
+        (
+            "a double extreme of magnitude 2^53 + 1",
+            zoned_image(true, |w| zone(w, (1 << 54) + 2, 0, 0, 0)),
+            "zone extreme 18014398509481986 + 0 · 0 out of its domain",
+        ),
+        (
+            "a gcd times a quotient past u64",
+            zoned_image(false, |w| zone(w, 14, u64::MAX, 0, 2)),
+            "out of its domain",
+        ),
+        (
+            "a double extreme written as a negative code",
+            zoned_image(true, |w| zone(w, u64::MAX, 1, 0, 0)),
+            "out of its domain",
+        ),
+    ];
+    for (label, img, fault) in refused {
+        refused_by_every_open(&img, &path, &cache, label, fault);
+    }
+}
+
+/// Tables whose zone extremes sit on every edge of their domains, above
+/// any drawn rows: an Int block spanning `i64::MIN..=i64::MAX`; integral
+/// doubles, stored as codes in a drawn encoding, with a block of only the
+/// two zeros and one spanning `±2^53`; raw doubles with an all-NaN block and
+/// one reaching both infinities; strings.
+fn edge_tables() -> impl Strategy<Value = Table> {
+    let row = (
+        any::<i64>(),
+        0u8..8,
+        -70i64..70,
+        proptest::option::weighted(0.9, "[a-c]{0,3}"),
+    );
+    let rows = proptest::collection::vec(row, 0..300);
+    (rows, 0usize..4).prop_map(|(rows, encoding)| {
+        const EDGE: usize = 128;
+        const TOP: f64 = (1u64 << 53) as f64;
+        let n = EDGE + rows.len();
+        let drawn = |i: usize| &rows[i - EDGE];
+        let ints: Vec<i64> = (0..n)
+            .map(|i| match i {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                _ if i < EDGE => 0,
+                _ => match drawn(i) {
+                    (_, 0, ..) => i64::MIN,
+                    (_, 1, ..) => i64::MAX,
+                    (_, 2 | 3, small, _) => *small,
+                    (any, ..) => *any,
+                },
+            })
+            .collect();
+        let whole: Vec<f64> = (0..n)
+            .map(|i| match i {
+                _ if i < 64 => [-0.0, 0.0][i % 2],
+                64 => TOP,
+                65 => -TOP,
+                _ if i < EDGE => 0.0,
+                _ => match drawn(i) {
+                    (_, 0, ..) => TOP,
+                    (_, 1, ..) => -TOP,
+                    (_, 2, ..) => -0.0,
+                    (_, _, small, _) => *small as f64,
+                },
+            })
+            .collect();
+        let codes = F64Storage::codes_of(&whole).unwrap();
+        let coded = match encoding {
+            0 => I64Storage::run_length_of(&codes),
+            1 => I64Storage::delta_of(&codes),
+            2 => I64Storage::exceptions_of(&codes),
+            _ => None,
+        };
+        let coded = coded.or_else(|| I64Storage::bit_packed_of(&codes)).unwrap();
+        let raw: Vec<f64> = (0..n)
+            .map(|i| match i {
+                _ if i < 64 => f64::NAN,
+                64 => f64::INFINITY,
+                65 => f64::NEG_INFINITY,
+                _ if i < EDGE => 0.5,
+                _ => match drawn(i) {
+                    (_, 0, ..) => f64::NAN,
+                    (_, 1, ..) => f64::INFINITY,
+                    (_, 2, ..) => f64::NEG_INFINITY,
+                    (_, 3, ..) => -0.0,
+                    (_, _, small, _) => *small as f64 + 0.5,
+                },
+            })
+            .collect();
+        let strings = (0..n).map(|i| {
+            if i < EDGE {
+                None
+            } else {
+                drawn(i).3.as_deref()
+            }
+        });
+        Table::builder()
+            .column(
+                "i",
+                ColumnKind::Int,
+                Column::Int(I64Column::new(ints, NullMask::none())),
+            )
+            .column(
+                "w",
+                ColumnKind::Double,
+                Column::Double(F64Column::from_parts(
+                    F64Storage::Integral(coded),
+                    NullMask::none(),
+                    ZoneMap::from_f64(&whole),
+                )),
+            )
+            .column(
+                "f",
+                ColumnKind::Double,
+                Column::Double(F64Column::new(raw, NullMask::none())),
+            )
+            .column(
+                "s",
+                ColumnKind::String,
+                Column::Str(DictColumn::from_strings(strings)),
+            )
+            .build()
+            .unwrap()
+    })
+}
+
+/// Every zone extreme of `col`, as bits: `f64` equality cannot tell the two
+/// zeros apart, nor a NaN from itself.
+fn zone_bits(col: &Column) -> Vec<u64> {
+    fn bits<T: Copy>(z: &ZoneMap<T>, bits: impl Fn(T) -> u64) -> Vec<u64> {
+        z.mins().iter().chain(z.maxs()).map(|&v| bits(v)).collect()
+    }
+    match col {
+        Column::Int(c) | Column::Date(c) => bits(c.zones(), |v| v as u64),
+        Column::Double(c) => bits(c.zones(), f64::to_bits),
+        Column::Str(c) | Column::Cat(c) => bits(c.zones(), u64::from),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A file gives back every zone extreme it was given, bit for bit, to
+    /// both opens — and the heap open, which rebuilds each map from the
+    /// payload, agrees with what the writer wrote.
+    #[test]
+    fn zone_extremes_round_trip_bit_for_bit(t in edge_tables()) {
+        let dir = TempDir::new("hvc-zone-trip");
+        let path = dir.join("edges.hvc");
+        hvc::write_file(&t, &path).unwrap();
+        let cache = BlockCache::unbounded();
+        let heap = hvc::read_file(&path).unwrap();
+        let mapped = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
+        prop_assert!(t.column(1).as_f64_col().unwrap().data().kind() != EncodingKind::Plain);
+        for back in [heap, mapped] {
+            for c in 0..t.num_columns() {
+                prop_assert_eq!(zone_bits(back.column(c)), zone_bits(t.column(c)));
+            }
+        }
     }
 }

@@ -6,10 +6,10 @@ use hillview_storage::csv::{read_csv, write_csv, CsvOptions};
 use hillview_storage::hvc;
 use hillview_storage::partition::{partition_table, slice_table};
 use hillview_storage::spill::{list_parts, spill_csv};
-use hillview_storage::SpillingWriter;
+use hillview_storage::{probe_file, SpillingWriter};
 use proptest::prelude::*;
 use std::io::Cursor;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Row `r` of double column `name`, as bits: `Value` equality cannot tell
 /// the two zeros apart.
@@ -187,9 +187,9 @@ proptest! {
     }
 }
 
-/// `parts` parts of flights at seed 7, 65 000 rows each, spilled and read
-/// back onto the heap: the shape of the gated `mem_bytes_per_row`.
-fn flights_parts(parts: usize) -> Vec<Table> {
+/// `parts` parts of flights at seed 7, 65 000 rows each, spilled to `hvc`
+/// files in the directory returned beside their paths.
+fn spilled_flights(parts: usize) -> (TempDir, Vec<PathBuf>) {
     use hillview_data::{generate_flights, FlightsConfig};
     let rows = 65_000;
     let dir = TempDir::new("rt-flights");
@@ -199,6 +199,13 @@ fn flights_parts(parts: usize) -> Vec<Table> {
         .unwrap();
     writer.finish().unwrap();
     let paths = list_parts(dir.path()).unwrap();
+    (dir, paths)
+}
+
+/// [`spilled_flights`] read back onto the heap: the shape of the gated
+/// `mem_bytes_per_row`.
+fn flights_parts(parts: usize) -> Vec<Table> {
+    let (_dir, paths) = spilled_flights(parts);
     paths.iter().map(|p| hvc::read_file(p).unwrap()).collect()
 }
 
@@ -329,4 +336,45 @@ fn the_flights_footprint_column_by_column() {
     let per_row = total as f64 / rows as f64;
     println!("{table}{:>18} {per_row:>7.3} B/row", "all");
     assert!(per_row <= HEAP_BYTES_PER_ROW, "{per_row:.4} B/row\n{table}");
+}
+
+/// The gated `stored_bytes_per_row` in miniature: two 65 000-row flights
+/// parts as files, with the two parts of their headers every open parses,
+/// the zone maps and the null runs, on their own lines. Zone extremes are
+/// written in each column's integer domain, as offsets from the part's
+/// smallest at their common divisor, and a column whose null runs repeat an
+/// earlier column's names that column instead. `cargo test --release -p
+/// hillview-storage --test roundtrips footprint -- --nocapture` prints them.
+#[test]
+fn the_flights_file_footprint_header_by_header() {
+    // 25.22 B/row, 1.087 of it zone maps and 0.291 null runs (0.04 is
+    // padding that keeps a section inside one residency chunk); the file
+    // took 28.53 while every extreme was a fixed-width double or a varint
+    // of its value and every column wrote its null runs out.
+    const FILE_BYTES_PER_ROW: f64 = 25.25;
+    const ZONE_BYTES_PER_ROW: f64 = 1.09;
+    const NULL_RUN_BYTES_PER_ROW: f64 = 0.3;
+    let (_dir, paths) = spilled_flights(2);
+    let (mut file, mut zones, mut null_runs, mut rows) = (0, 0, 0, 0);
+    for p in &paths {
+        let info = probe_file(p).unwrap();
+        file += std::fs::metadata(p).unwrap().len() as usize;
+        zones += info.zone_bytes;
+        null_runs += info.null_run_bytes;
+        rows += info.rows;
+    }
+    let per_row = |bytes: usize| bytes as f64 / rows as f64;
+    let table = format!(
+        "{:>18} {:>7.3} B/row\n{:>18} {:>7.3} B/row\n{:>18} {:>7.3} B/row",
+        "file",
+        per_row(file),
+        "of it zone maps",
+        per_row(zones),
+        "and null runs",
+        per_row(null_runs)
+    );
+    println!("{table}");
+    assert!(per_row(file) <= FILE_BYTES_PER_ROW, "{table}");
+    assert!(per_row(zones) <= ZONE_BYTES_PER_ROW, "{table}");
+    assert!(per_row(null_runs) <= NULL_RUN_BYTES_PER_ROW, "{table}");
 }
