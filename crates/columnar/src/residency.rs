@@ -6,7 +6,7 @@
 //! column buffer that is either owned heap data (`Vec<T>`, the classic
 //! fully-resident tier) or a zero-copy window into a segment; and the
 //! [`BlockCache`] is the per-worker, byte-accounted bounded-LRU that
-//! decides which 64 KiB file chunks stay physically resident.
+//! decides which chunks of those windows stay physically resident.
 //!
 //! # Residency tiers
 //!
@@ -27,15 +27,32 @@
 //!   file is read at open. Fully resident, no faulting, no cache
 //!   participation.
 //!
+//! # Windows and their chunks
+//!
+//! A segment is opened with the list of its *windows*: the byte ranges a
+//! [`ValueBuf`] may borrow — in an `hvc` file, its payload sections,
+//! exactly as the header declares them. Each window has a chunk grid of its
+//! own, starting at the page that holds its first byte: chunk *i* of a
+//! window whose first page starts at `P` covers the window's bytes in
+//! `P + i·CHUNK_BYTES .. P + (i + 1)·CHUNK_BYTES`. A chunk is charged to the
+//! gauge, and advised away on eviction, over its *page span* — the pages its
+//! bytes lie on, never more than [`CHUNK_BYTES`]. So a section of `S` bytes
+//! costs the pages it lies on wherever the file places it, and a scan of
+//! one section never pays for the neighbours beside it. A page shared by
+//! two windows is charged to both; evicting one window's chunk drops that
+//! page from under the other, which the kernel refaults unseen. Kernel
+//! fault-around and readahead are outside the gauge.
+//!
 //! # Touch-for-accounting
 //!
 //! Every read of mapped bytes goes through [`ValueBuf::slice`] /
-//! [`ValueBuf::hot`], which *touch* the covered chunks first. A touch is
-//! bookkeeping — the OS demand-pages the mapping regardless — but the
-//! touch stream is what gives the cache its fault/hit/eviction counters
-//! and its recency order, and what makes zone-map block skipping an *I/O*
-//! optimization: a block the predicate rejects is never decoded, so its
-//! chunks are never touched, so they are never faulted in.
+//! [`ValueBuf::hot`], which *touch* the covered chunks of the buffer's
+//! window first. A touch is bookkeeping — the OS demand-pages the mapping
+//! regardless — but the touch stream is what gives the cache its
+//! fault/hit/eviction counters and its recency order, and what makes
+//! zone-map block skipping an *I/O* optimization: a block the predicate
+//! rejects is never decoded, so its chunks are never touched, so they are
+//! never faulted in.
 //!
 //! Accounting is deliberately approximate at the margins: the resident-byte
 //! gauge is maintained under the cache lock, but recency stamps race
@@ -63,6 +80,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -70,9 +88,18 @@ use std::sync::{Arc, Weak};
 #[cfg(unix)]
 mod mmap;
 
-/// Residency/fault granularity in bytes. A multiple of every common page
-/// size so chunk boundaries are always `madvise`-alignable.
+/// Residency/fault granularity in bytes: the most one chunk of a window
+/// covers. A multiple of every common page size, so every chunk after a
+/// window's first starts on a page.
 pub const CHUNK_BYTES: usize = 64 * 1024;
+
+/// The host's page size: the grain a chunk is charged and advised in.
+fn page_bytes() -> usize {
+    #[cfg(unix)]
+    return mmap::page_size();
+    #[cfg(not(unix))]
+    4096
+}
 
 /// How [`Segment::open`] should back the file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -176,16 +203,77 @@ pub struct Segment {
     id: u64,
     len: usize,
     backing: Backing,
-    /// Per-chunk state word: `(recency tick << 1) | resident`.
-    chunks: Vec<AtomicU64>,
+    /// The byte ranges a [`ValueBuf`] may window, in file order.
+    windows: Vec<Window>,
+    /// Every window's chunks, window after window.
+    chunks: Vec<Chunk>,
     cache: Arc<BlockCache>,
     path: PathBuf,
 }
 
+/// One window of a segment and its chunk grid: chunk `i` covers the bytes
+/// of `start..end` in `grid + i·CHUNK_BYTES .. grid + (i + 1)·CHUNK_BYTES`.
+struct Window {
+    start: usize,
+    end: usize,
+    /// The first byte of the page holding `start`.
+    grid: usize,
+    /// Index of the window's chunk 0 in [`Segment::chunks`].
+    chunk0: usize,
+}
+
+/// One chunk of a window, charged and advised over the page span `at..at +
+/// len` of its bytes.
+struct Chunk {
+    /// `(recency tick << 1) | resident`.
+    state: AtomicU64,
+    at: usize,
+    len: usize,
+}
+
+/// The chunk grids of `windows` in a file of `len` bytes. Empty windows are
+/// dropped, and a window is cut at the file's end; the rest must ascend
+/// without overlapping.
+fn chunk_grids(windows: &[Range<usize>], len: usize) -> io::Result<(Vec<Window>, Vec<Chunk>)> {
+    let page = page_bytes();
+    let (mut grids, mut chunks) = (Vec::with_capacity(windows.len()), Vec::new());
+    let mut last_end = 0;
+    for w in windows.iter().filter(|w| !w.is_empty()) {
+        if w.start < last_end {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("window {w:?} overlaps or precedes one ending at {last_end}"),
+            ));
+        }
+        last_end = w.end;
+        let (start, end) = (w.start, w.end.min(len));
+        if start >= end {
+            continue;
+        }
+        let grid = start - start % page;
+        let pages_end = end.next_multiple_of(page);
+        grids.push(Window {
+            start,
+            end,
+            grid,
+            chunk0: chunks.len(),
+        });
+        chunks.extend((grid..end).step_by(CHUNK_BYTES).map(|at| Chunk {
+            state: AtomicU64::new(0),
+            at,
+            len: CHUNK_BYTES.min(pages_end - at),
+        }));
+    }
+    Ok((grids, chunks))
+}
+
 impl Segment {
     /// Open `path` under `mode`, attaching its residency to `cache`.
+    /// `windows` are the byte ranges [`ValueBuf`]s will borrow, ascending and
+    /// disjoint (empty ones aside); each faults in a chunk grid of its own.
     pub fn open(
         path: impl AsRef<Path>,
+        windows: &[Range<usize>],
         mode: SegmentMode,
         cache: &Arc<BlockCache>,
     ) -> io::Result<Arc<Segment>> {
@@ -194,15 +282,16 @@ impl Segment {
         let meta = file.metadata()?;
         let len = usize::try_from(meta.len())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "file too large"))?;
+        let (windows, chunks) = chunk_grids(windows, len)?;
         let backing = Self::pick_backing(file, &meta, len, mode)?;
         let lazy = !matches!(backing, Backing::Heap(_));
-        let nchunks = len.div_ceil(CHUNK_BYTES);
         let seg = Arc::new(Segment {
             // lint: allow(relaxed, unique-ID allocator; only uniqueness matters, not ordering)
             id: cache.next_id.fetch_add(1, Ordering::Relaxed),
             len,
             backing,
-            chunks: (0..nchunks).map(|_| AtomicU64::new(0)).collect(),
+            windows,
+            chunks,
             cache: Arc::clone(cache),
             path: path.to_path_buf(),
         });
@@ -272,8 +361,10 @@ impl Segment {
         }
     }
 
-    fn chunk_len(&self, c: usize) -> usize {
-        CHUNK_BYTES.min(self.len - c * CHUNK_BYTES)
+    /// The window holding all of `start..end`, which is not empty.
+    fn window_of(&self, start: usize, end: usize) -> Option<usize> {
+        let w = self.windows.partition_point(|w| w.start <= start);
+        w.checked_sub(1).filter(|&w| end <= self.windows[w].end)
     }
 
     /// Bytes of this segment currently marked resident.
@@ -283,30 +374,30 @@ impl Segment {
         }
         self.chunks
             .iter()
-            .enumerate()
             // lint: allow(relaxed, advisory gauge snapshot; racing touches can legitimately change it mid-sum)
-            .filter(|(_, s)| s.load(Ordering::Relaxed) & 1 == 1)
-            .map(|(c, _)| self.chunk_len(c))
+            .filter(|c| c.state.load(Ordering::Relaxed) & 1 == 1)
+            .map(|c| c.len)
             .sum()
     }
 
-    /// Ensure the chunks covering byte range `start..end` are resident,
-    /// recording hits/faults in the cache. The hot path (all chunks already
-    /// resident) is lock-free.
-    fn touch(&self, start: usize, end: usize) {
+    /// Ensure the chunks of window `win` covering byte range `start..end`
+    /// are resident, recording hits/faults in the cache. The hot path (all
+    /// chunks already resident) is lock-free.
+    fn touch(&self, win: usize, start: usize, end: usize) {
         if start >= end || self.is_heap() {
             return;
         }
-        debug_assert!(end <= self.len);
-        let c0 = start / CHUNK_BYTES;
-        let c1 = (end - 1) / CHUNK_BYTES;
+        let w = &self.windows[win];
+        debug_assert!(w.start <= start && end <= w.end);
+        let c0 = w.chunk0 + (start - w.grid) / CHUNK_BYTES;
+        let c1 = w.chunk0 + (end - 1 - w.grid) / CHUNK_BYTES;
         let mut all_resident = true;
         for c in c0..=c1 {
             // Acquire: reading a resident bit synchronizes with the Release
             // store in `fault` that published it, so a reader that finds a
             // chunk resident also sees the fault that made it so — the
             // file check included.
-            if self.chunks[c].load(Ordering::Acquire) & 1 == 0 {
+            if self.chunks[c].state.load(Ordering::Acquire) & 1 == 0 {
                 all_resident = false;
                 break;
             }
@@ -321,14 +412,14 @@ impl Segment {
                 // acquiring this value would NOT synchronize with that
                 // fault. An RMW continues the sequence. AcqRel also makes
                 // the returned value reliable for the race check below.
-                let prev = self.chunks[c].swap(tick << 1 | 1, Ordering::AcqRel);
+                let prev = self.chunks[c].state.swap(tick << 1 | 1, Ordering::AcqRel);
                 if prev & 1 == 0 {
                     // Lost a race with the evictor between the scan above
                     // and here: our swap resurrected a chunk whose pages
                     // and accounting are gone. Put the evicted state back
                     // and take the slow path, which refaults and
                     // re-accounts under the cache lock.
-                    self.chunks[c].store(0, Ordering::Release);
+                    self.chunks[c].state.store(0, Ordering::Release);
                     self.cache.fault(self, c0, c1);
                     return;
                 }
@@ -360,7 +451,7 @@ impl Segment {
                     ),
                     Err(e) => e.to_string(),
                 };
-                let (off, end) = (c0 * CHUNK_BYTES, c1 * CHUNK_BYTES + self.chunk_len(c1));
+                let (off, end) = (self.chunks[c0].at, self.chunks[c1].at + self.chunks[c1].len);
                 panic!(
                     "block fault failed reading {:?} at {off}..{end}: {cause}",
                     self.path
@@ -400,9 +491,10 @@ impl Segment {
     fn evict_chunk(&self, c: usize) -> bool {
         match &self.backing {
             #[cfg(unix)]
-            Backing::Mapped { map, .. } => map
-                .advise_dontneed(c * CHUNK_BYTES, self.chunk_len(c))
-                .is_ok(),
+            Backing::Mapped { map, .. } => {
+                let Chunk { at, len, .. } = self.chunks[c];
+                map.advise_dontneed(at, len).is_ok()
+            }
             Backing::Heap(_) => false,
         }
     }
@@ -428,10 +520,9 @@ impl Drop for Segment {
         let resident: usize = self
             .chunks
             .iter()
-            .enumerate()
             // lint: allow(relaxed, Drop has &mut self, so no touch can race this final sum)
-            .filter(|(_, s)| s.load(Ordering::Relaxed) & 1 == 1)
-            .map(|(c, _)| self.chunk_len(c))
+            .filter(|c| c.state.load(Ordering::Relaxed) & 1 == 1)
+            .map(|c| c.len)
             .sum();
         let mut inner = self.cache.inner.lock();
         inner.segments.remove(&self.id);
@@ -550,19 +641,20 @@ impl BlockCache {
         // lint: allow(relaxed, recency clock; ticks only order evictions and publish nothing)
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
         for c in c0..=c1 {
-            if seg.chunks[c].load(Ordering::Acquire) & 1 == 1 {
+            let state = &seg.chunks[c].state;
+            if state.load(Ordering::Acquire) & 1 == 1 {
                 // Resident already (another fault got here first): only
                 // the tick moves. The Acquire load above synchronized with
                 // the Release store that published the chunk, so this
                 // Release store republishes that fault with the new tick.
-                seg.chunks[c].store(tick << 1 | 1, Ordering::Release);
+                state.store(tick << 1 | 1, Ordering::Release);
                 continue;
             }
             // Release: publishes this fault — the file check above
             // included — to any thread that later Acquire-loads this
             // state word.
-            seg.chunks[c].store(tick << 1 | 1, Ordering::Release);
-            let bytes = seg.chunk_len(c);
+            state.store(tick << 1 | 1, Ordering::Release);
+            let bytes = seg.chunks[c].len;
             inner.resident += bytes;
             inner.faults += 1;
             inner.bytes_faulted += bytes as u64;
@@ -582,7 +674,7 @@ impl BlockCache {
                         continue;
                     }
                     // lint: allow(relaxed, recency-tick read for victim selection under the cache lock; no payload is read through it)
-                    let state = s.chunks[c].load(Ordering::Relaxed);
+                    let state = s.chunks[c].state.load(Ordering::Relaxed);
                     if state & 1 == 0 {
                         continue;
                     }
@@ -601,8 +693,8 @@ impl BlockCache {
             if !vseg.evict_chunk(vc) {
                 break;
             }
-            vseg.chunks[vc].store(0, Ordering::Release);
-            inner.resident = inner.resident.saturating_sub(vseg.chunk_len(vc));
+            vseg.chunks[vc].state.store(0, Ordering::Release);
+            inner.resident = inner.resident.saturating_sub(vseg.chunks[vc].len);
             inner.evictions += 1;
         }
         drop(inner);
@@ -669,6 +761,8 @@ enum Repr<T> {
         off: usize,
         /// Element count.
         len: usize,
+        /// The segment window the elements lie in (unused when `len` is 0).
+        win: usize,
     },
 }
 
@@ -687,8 +781,9 @@ pub struct ValueBuf<T> {
 
 impl<T: Pod> ValueBuf<T> {
     /// A window of `len` elements starting `off` bytes into `seg`.
-    /// Validates bounds and element alignment (segment bases are 64-byte
-    /// aligned, so `off` must be a multiple of the element size).
+    /// Validates bounds, element alignment (segment bases are 64-byte
+    /// aligned, so `off` must be a multiple of the element size) and that
+    /// the bytes lie inside one of the segment's windows.
     pub fn mapped(seg: Arc<Segment>, off: usize, len: usize) -> Result<ValueBuf<T>, String> {
         let bytes = len
             .checked_mul(std::mem::size_of::<T>())
@@ -705,8 +800,14 @@ impl<T: Pod> ValueBuf<T> {
         if !off.is_multiple_of(std::mem::align_of::<T>()) {
             return Err(format!("mapped window offset {off} misaligned"));
         }
+        let win = match bytes {
+            0 => usize::MAX,
+            _ => seg
+                .window_of(off, end)
+                .ok_or_else(|| format!("mapped window {off}..{end} is not inside one section"))?,
+        };
         Ok(ValueBuf {
-            repr: Repr::Mapped { seg, off, len },
+            repr: Repr::Mapped { seg, off, len, win },
         })
     }
 }
@@ -737,7 +838,7 @@ impl<T> ValueBuf<T> {
             // is sealed to plain-old-data lane types, every bit pattern of
             // which is a valid value. The segment is kept alive by the
             // `Arc` in `Mapped`, so the borrow cannot outlive the bytes.
-            Repr::Mapped { seg, off, len } => unsafe {
+            Repr::Mapped { seg, off, len, .. } => unsafe {
                 std::slice::from_raw_parts(seg.base_ptr().add(*off) as *const T, *len)
             },
         }
@@ -746,8 +847,8 @@ impl<T> ValueBuf<T> {
     /// The full element slice, touching every covered chunk.
     #[inline]
     pub fn slice(&self) -> &[T] {
-        if let Repr::Mapped { seg, off, len } = &self.repr {
-            seg.touch(*off, *off + *len * std::mem::size_of::<T>());
+        if let Repr::Mapped { seg, off, len, win } = &self.repr {
+            seg.touch(*win, *off, *off + *len * std::mem::size_of::<T>());
         }
         self.raw_slice()
     }
@@ -758,9 +859,9 @@ impl<T> ValueBuf<T> {
     /// within `r`. For owned buffers this is free.
     #[inline]
     pub fn hot(&self, r: std::ops::Range<usize>) -> &[T] {
-        if let Repr::Mapped { seg, off, .. } = &self.repr {
+        if let Repr::Mapped { seg, off, win, .. } = &self.repr {
             let sz = std::mem::size_of::<T>();
-            seg.touch(*off + r.start * sz, *off + r.end * sz);
+            seg.touch(*win, *off + r.start * sz, *off + r.end * sz);
         }
         self.raw_slice()
     }
@@ -830,10 +931,11 @@ impl<T: Clone> Clone for ValueBuf<T> {
         ValueBuf {
             repr: match &self.repr {
                 Repr::Owned(v) => Repr::Owned(v.clone()),
-                Repr::Mapped { seg, off, len } => Repr::Mapped {
+                Repr::Mapped { seg, off, len, win } => Repr::Mapped {
                     seg: Arc::clone(seg),
                     off: *off,
                     len: *len,
+                    win: *win,
                 },
             },
         }
@@ -852,7 +954,7 @@ impl<T: std::fmt::Debug> std::fmt::Debug for ValueBuf<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.repr {
             Repr::Owned(v) => f.debug_tuple("Owned").field(v).finish(),
-            Repr::Mapped { seg, off, len } => f
+            Repr::Mapped { seg, off, len, .. } => f
                 .debug_struct("Mapped")
                 .field("seg", seg)
                 .field("off", off)
@@ -876,6 +978,16 @@ mod tests {
         (dir, path)
     }
 
+    /// `path` opened with one window, over its first `bytes` bytes.
+    fn open_whole(
+        path: &Path,
+        bytes: usize,
+        mode: SegmentMode,
+        cache: &Arc<BlockCache>,
+    ) -> Arc<Segment> {
+        Segment::open(path, std::slice::from_ref(&(0..bytes)), mode, cache).unwrap()
+    }
+
     fn le_bytes(vals: &[i64]) -> Vec<u8> {
         vals.iter().flat_map(|v| v.to_le_bytes()).collect()
     }
@@ -886,7 +998,7 @@ mod tests {
         let (_dir, path) = write_tmp("modes.bin", &le_bytes(&vals));
         for mode in [SegmentMode::Auto, SegmentMode::Heap] {
             let cache = BlockCache::unbounded();
-            let seg = Segment::open(&path, mode, &cache).unwrap();
+            let seg = open_whole(&path, vals.len() * 8, mode, &cache);
             let mapped = mode == SegmentMode::Auto && cfg!(unix);
             assert_eq!(seg.is_mapped(), mapped, "{mode:?}");
             assert_eq!(seg.is_heap(), !mapped, "{mode:?}");
@@ -901,7 +1013,7 @@ mod tests {
         let vals: Vec<i64> = (0..100_000).collect(); // 800 KB ≈ 13 chunks
         let (_dir, path) = write_tmp("lazy.bin", &le_bytes(&vals));
         let cache = BlockCache::unbounded();
-        let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
+        let seg = open_whole(&path, vals.len() * 8, SegmentMode::Auto, &cache);
         let buf = ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, vals.len()).unwrap();
         // Touch one 64-row frame: at most 2 chunks fault.
         assert_eq!(buf.hot(0..64)[0..64], vals[0..64]);
@@ -920,7 +1032,7 @@ mod tests {
         let vals: Vec<i64> = (0..20_000).collect();
         let (_dir, path) = write_tmp("hits.bin", &le_bytes(&vals));
         let cache = BlockCache::unbounded();
-        let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
+        let seg = open_whole(&path, vals.len() * 8, SegmentMode::Auto, &cache);
         let buf = ValueBuf::<i64>::mapped(seg, 0, vals.len()).unwrap();
         buf.slice();
         let faults_once = cache.stats().faults;
@@ -940,10 +1052,10 @@ mod tests {
         let (_dir, path) = write_tmp("evict.bin", &le_bytes(&vals));
         // 400 KB file (7 chunks), 128 KiB budget (2 chunks): heavy churn.
         let cache = BlockCache::new(2 * CHUNK_BYTES);
-        let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
+        let seg = open_whole(&path, vals.len() * 8, SegmentMode::Auto, &cache);
         assert!(seg.is_mapped(), "lazy backing expected");
         let buf = ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, vals.len()).unwrap();
-        let heap_seg = Segment::open(&path, SegmentMode::Heap, &cache).unwrap();
+        let heap_seg = open_whole(&path, vals.len() * 8, SegmentMode::Heap, &cache);
         let heap = ValueBuf::<i64>::mapped(heap_seg, 0, vals.len()).unwrap();
         assert_eq!(heap.slice(), &vals[..]);
         for round in 0..3 {
@@ -991,7 +1103,7 @@ mod tests {
             let (cache, done) = (Arc::clone(&cache), done.clone());
             std::thread::spawn(move || {
                 let open = || {
-                    let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
+                    let seg = open_whole(&path, 800_000, SegmentMode::Auto, &cache);
                     ValueBuf::<i64>::mapped(seg, 0, 100_000).unwrap()
                 };
                 if faults {
@@ -1034,7 +1146,7 @@ mod tests {
         let vals: Vec<i64> = (0..50_000).collect();
         let (_dir, path) = write_tmp("drop.bin", &le_bytes(&vals));
         let cache = BlockCache::unbounded();
-        let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
+        let seg = open_whole(&path, vals.len() * 8, SegmentMode::Auto, &cache);
         let buf = ValueBuf::<i64>::mapped(seg, 0, vals.len()).unwrap();
         buf.slice();
         assert!(cache.stats().resident_bytes > 0);
@@ -1046,10 +1158,67 @@ mod tests {
     fn mapped_window_validation() {
         let (_dir, path) = write_tmp("valid.bin", &le_bytes(&[1, 2, 3, 4]));
         let cache = BlockCache::unbounded();
-        let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
-        assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, 4).is_ok());
-        assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, 5).is_err());
+        let seg = Segment::open(&path, &[0..16, 16..32], SegmentMode::Auto, &cache).unwrap();
+        assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 0, 2).is_ok());
+        assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 16, 2).is_ok());
+        assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 32, 0).is_ok());
+        assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 16, 3).is_err());
         assert!(ValueBuf::<i64>::mapped(Arc::clone(&seg), 3, 1).is_err());
+        let straddle = ValueBuf::<i64>::mapped(Arc::clone(&seg), 8, 2).unwrap_err();
+        assert!(straddle.contains("not inside one section"), "{straddle}");
+        for overlapping in [[0..16, 8..32], [16..32, 0..16]] {
+            let e = Segment::open(&path, &overlapping, SegmentMode::Auto, &cache).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{overlapping:?}");
+        }
+        // Empty windows may share an offset with anything.
+        assert!(Segment::open(&path, &[0..16, 8..8, 16..32], SegmentMode::Heap, &cache).is_ok());
+    }
+
+    /// Windows at every phase of the page and chunk grids of the file: each
+    /// is charged the pages it lies on, counted from its own first page, and
+    /// never a neighbour's.
+    #[test]
+    fn a_window_is_charged_the_pages_it_lies_on() {
+        let page = page_bytes();
+        let vals: Vec<i64> = (0..(3 * CHUNK_BYTES / 8) as i64).collect();
+        let (_dir, path) = write_tmp("grid.bin", &le_bytes(&vals));
+        // (first byte, bytes, pages charged, chunks)
+        let cases = [
+            (0, 64, 1, 1),
+            (page - 64, 128, 2, 1),
+            (CHUNK_BYTES - 64, 128, 2, 1),
+            (CHUNK_BYTES - 64, CHUNK_BYTES, CHUNK_BYTES / page + 1, 2),
+            (
+                CHUNK_BYTES + 64,
+                CHUNK_BYTES + 64,
+                CHUNK_BYTES / page + 1,
+                2,
+            ),
+        ];
+        for (start, bytes, pages, chunks) in cases {
+            // The window and one neighbour on either side, sharing its edge
+            // pages.
+            let windows = [
+                0..start,
+                start..start + bytes,
+                start + bytes..vals.len() * 8,
+            ];
+            let cache = BlockCache::unbounded();
+            let seg = Segment::open(&path, &windows, SegmentMode::Auto, &cache).unwrap();
+            let buf = ValueBuf::<i64>::mapped(Arc::clone(&seg), start, bytes / 8).unwrap();
+            assert_eq!(buf.slice(), &vals[start / 8..(start + bytes) / 8]);
+            let s = cache.stats();
+            let label = format!("{bytes} bytes at {start}");
+            if seg.is_mapped() {
+                assert_eq!(s.faults, chunks as u64, "{label}");
+                assert_eq!(s.resident_bytes, (pages * page) as u64, "{label}");
+                assert_eq!(s.bytes_faulted, s.resident_bytes, "{label}");
+                assert_eq!(seg.resident_bytes(), pages * page, "{label}");
+            }
+            drop(buf);
+            drop(seg);
+            assert_eq!(cache.stats().resident_bytes, 0, "{label}: dropped");
+        }
     }
 
     #[test]
@@ -1059,7 +1228,7 @@ mod tests {
         let cache = BlockCache::unbounded();
         let owned: ValueBuf<i64> = vals.into();
         assert_eq!(owned.heap_bytes(), 5_000 * 8);
-        let seg = Segment::open(&path, SegmentMode::Auto, &cache).unwrap();
+        let seg = open_whole(&path, owned.len() * 8, SegmentMode::Auto, &cache);
         let mapped = ValueBuf::<i64>::mapped(seg, 0, owned.len()).unwrap();
         assert_eq!(owned, mapped);
         #[cfg(unix)]

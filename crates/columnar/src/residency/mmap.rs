@@ -5,8 +5,9 @@
 //! bytes, drop the physical pages of a sub-range
 //! ([`Mmap::advise_dontneed`], the block cache's eviction primitive: the
 //! kernel refaults identical bytes from the file on the next access), unmap
-//! on drop. The libc symbols are the ones `std` already links; declaring
-//! them here keeps the crate free of a dependency for three calls.
+//! on drop — and the page size those ranges are counted in. The libc
+//! symbols are the ones `std` already links; declaring them here keeps the
+//! crate free of a dependency for four calls.
 //!
 //! Miri cannot run that FFI, so under `cfg(miri)` an [`Mmap`] is a heap
 //! copy of the file read at open and its advice is a no-op: the segment
@@ -15,7 +16,13 @@
 #[cfg(miri)]
 pub(super) use super::RawBuf as Mmap;
 #[cfg(not(miri))]
-pub(super) use mapped::Mmap;
+pub(super) use mapped::{page_size, Mmap};
+
+/// The page size the stand-in reports: the common one.
+#[cfg(miri)]
+pub(super) fn page_size() -> usize {
+    4096
+}
 
 #[cfg(not(miri))]
 mod mapped {
@@ -38,6 +45,15 @@ mod mapped {
         ) -> *mut c_void;
         fn munmap(addr: *mut c_void, len: usize) -> i32;
         fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
+        fn getpagesize() -> i32;
+    }
+
+    /// The host's page size: the grain `madvise` takes offsets in.
+    pub(in super::super) fn page_size() -> usize {
+        // SAFETY: `getpagesize` takes nothing and reads a constant of the
+        // process.
+        let page = unsafe { getpagesize() };
+        usize::try_from(page).expect("a positive page size")
     }
 
     /// A read-only, private memory map of an entire file.

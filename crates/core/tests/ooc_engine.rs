@@ -318,9 +318,11 @@ fn tiny_block_cache_survives_eviction_and_kill_chaos() {
         assert!(stats.faults > 0, "mapped scans never faulted");
         // A 4 KiB budget cannot hold the touched band, so eviction must
         // actually churn — and it ends within the budget but for the
-        // chunks of each worker's last touch (a 64-row frame straddles at
-        // most two), which a fault never evicts. A tier that pinned its
-        // chunks would still hold every one the full scan met.
+        // chunks of each worker's last touch, which a fault never evicts: a
+        // 64-row frame lies in one section and straddles at most two chunks
+        // of that section's grid, each charged its page span, at most
+        // `CHUNK_BYTES`. A tier that pinned its chunks would still hold every
+        // one the full scan met.
         assert!(
             stats.evictions > 0,
             "tiny budget never evicted (resident {} / budget {})",

@@ -100,16 +100,14 @@
 //! 64-byte boundary of its own, so every `i64`/`u64`/`f64` payload is
 //! naturally aligned however long the header is. Sections hold raw
 //! fixed-width values a scan can borrow in place (packed encodings still
-//! compress, and their word sections map as well). A mapped scan faults the
-//! file in 64 KiB chunks counted from its first byte, so where a section
-//! falls against that grid decides how many chunks its scan holds: a
-//! section that fits in one chunk but would straddle two starts at the next
-//! chunk instead when 4 KiB of padding or less gets it there. That ties the
-//! layout to the header's length, which the writer settles by laying the
-//! file out again for the payload base the first pass found. The dictionary area
-//! follows the last payload section, unaligned and back to back: nothing
-//! windows it, and keeping it out of the way leaves the payload sections
-//! packed as tightly as a file without strings would have them.
+//! compress, and their word sections map as well). In header order, a
+//! section that is not empty starts at or after the end of the one before,
+//! so each byte of the payload belongs to one section: a mapped open hands
+//! the sections to its [`Segment`] as the windows it faults in, each on a
+//! chunk grid of its own. The dictionary area follows the last payload
+//! section, unaligned and back to back: nothing windows it, and keeping it
+//! out of the way leaves the payload sections packed as tightly as a file
+//! without strings would have them.
 //!
 //! Null masks are run-length encoded (alternating present/missing run
 //! lengths, starting with present), which collapses the common all-present
@@ -173,11 +171,12 @@ use bytes::Bytes;
 use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
 use hillview_columnar::dictionary::Dictionary;
 use hillview_columnar::encoding::{gcd, EncodingKind, F64Storage, IntStorage, PackedInt, ZoneMap};
-use hillview_columnar::residency::{BlockCache, Pod, Segment, SegmentMode, ValueBuf, CHUNK_BYTES};
+use hillview_columnar::residency::{BlockCache, Pod, Segment, SegmentMode, ValueBuf};
 use hillview_columnar::{ColumnDesc, ColumnKind, NullMask, Schema, Table, BLOCK_ROWS};
 use hillview_net::{WireReader, WireWriter};
 use std::collections::HashMap;
 use std::io::Read;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -195,9 +194,6 @@ const STRIDED: u8 = 0x80;
 /// Payload section alignment: covers every lane type and leaves room for
 /// cache-line-aligned SIMD loads.
 const ALIGN: usize = 64;
-
-/// The most padding spent to keep a section inside one residency chunk.
-const PAGE: usize = 4096;
 
 fn align_up(n: usize) -> usize {
     n.div_ceil(ALIGN) * ALIGN
@@ -254,34 +250,16 @@ fn row_count_mismatch(column: &str, declared: usize, actual: usize) -> Error {
 /// after the last of them, at offset `rel`.
 #[derive(Default)]
 struct Sections {
-    /// The file offset of the payload base the placement assumes.
-    base: usize,
     rel: usize,
     parts: Vec<(usize, Vec<u8>)>,
     dictionaries: Vec<u8>,
 }
 
 impl Sections {
-    /// Sections placed for a payload base at file offset `base`.
-    fn at(base: usize) -> Self {
-        Sections {
-            base,
-            ..Sections::default()
-        }
-    }
-
     /// Reserve an aligned slot for `bytes`, returning its relative offset.
-    /// A mapped scan faults a file in [`CHUNK_BYTES`] chunks, so a section
-    /// that fits in one but would straddle two starts at the next chunk
-    /// instead, when a page of padding or less gets it there.
     fn push(&mut self, bytes: Vec<u8>) -> usize {
-        let mut at = align_up(self.rel);
-        let (start, len) = (self.base + at, bytes.len());
-        let next = (start / CHUNK_BYTES + 1) * CHUNK_BYTES;
-        if (1..=CHUNK_BYTES).contains(&len) && start + len > next && next - start <= PAGE {
-            at = next - self.base;
-        }
-        self.rel = at + len;
+        let at = align_up(self.rel);
+        self.rel = at + bytes.len();
         self.parts.push((at, bytes));
         at
     }
@@ -532,49 +510,20 @@ fn assemble(hdr: &[u8], sections: Sections) -> Vec<u8> {
 
 /// Encode a table as a complete HVC file image.
 pub fn encode(table: &Table) -> Vec<u8> {
-    // Where the sections go against the chunk grid depends on where the
-    // payload starts, which depends on the header's length: lay the file
-    // out again until the two agree — one more pass, nearly always.
-    let columns = 0..table.num_columns();
-    let runs: Vec<_> = columns
-        .clone()
+    let mut h = WireWriter::new();
+    let mut sections = Sections::default();
+    let runs: Vec<_> = (0..table.num_columns())
         .map(|c| null_runs(table.column(c), table.num_rows()))
         .collect();
-    let dicts: Vec<_> = columns
-        .map(|c| table.column(c).as_dict_col().and_then(pruned))
-        .collect();
-    let (mut base, mut passes) = (0, 0);
-    loop {
-        let (hdr, sections) = encode_header(table, &runs, &dicts, base);
-        let payload_base = align_up(8 + hdr.len());
-        passes += 1;
-        if payload_base == base || passes == 4 {
-            return assemble(&hdr, sections);
-        }
-        base = payload_base;
-    }
-}
-
-/// The header blob of `table` and its sections, placed for a payload base
-/// at file offset `base`, given each column's null `runs` and the
-/// [`pruned`] form of each dictionary column that needs one.
-fn encode_header(
-    table: &Table,
-    runs: &[Vec<u64>],
-    dicts: &[Option<DictColumn>],
-    base: usize,
-) -> (Bytes, Sections) {
-    let mut h = WireWriter::new();
-    let mut sections = Sections::at(base);
     let mut written_runs = HashMap::new();
     h.put_varint(table.num_columns() as u64);
     h.put_varint(table.num_rows() as u64);
-    for c in 0..table.num_columns() {
+    for (c, runs) in runs.iter().enumerate() {
         let desc = table.schema().desc(c);
         h.put_str(&desc.name);
         h.put_u8(kind_byte(desc.kind));
         let col = table.column(c);
-        encode_null_runs(&mut h, &runs[c], c, &mut written_runs);
+        encode_null_runs(&mut h, runs, c, &mut written_runs);
         match col {
             Column::Int(ic) | Column::Date(ic) => {
                 encode_int_storage(&mut h, &mut sections, ic.storage(), &|w, v| w.put_i64(v));
@@ -609,7 +558,8 @@ fn encode_header(
                 }
             }
             Column::Str(dc) | Column::Cat(dc) => {
-                let dc = dicts[c].as_ref().unwrap_or(dc);
+                let pruned = pruned(dc);
+                let dc = pruned.as_ref().unwrap_or(dc);
                 let entries = dc.dictionary().front_coded();
                 h.put_varint(dc.dictionary().len() as u64);
                 h.put_varint(entries.len() as u64);
@@ -625,7 +575,7 @@ fn encode_header(
         }
     }
     h.put_varint(sections.rel as u64);
-    (h.finish(), sections)
+    assemble(&h.finish(), sections)
 }
 
 // ---------------------------------------------------------------------------
@@ -722,8 +672,9 @@ fn null_mask(runs: &[u64], rows: usize) -> NullMask {
     mask
 }
 
-fn decode_int_meta<T>(
+fn decode_int_meta<T: Pod>(
     r: &mut WireReader,
+    layout: &mut Layout,
     rows: usize,
     column: &str,
     get: impl Fn(&mut WireReader) -> std::result::Result<T, hillview_net::Error>,
@@ -733,13 +684,14 @@ fn decode_int_meta<T>(
     if declared != rows {
         return Err(row_count_mismatch(column, rows, declared));
     }
-    decode_int_body(r, enc, rows, column, &get)
+    decode_int_body(r, layout, enc, rows, column, &get)
 }
 
 /// The fields of an integer-storage descriptor of encoding `enc` over
 /// `rows` values.
-fn decode_int_body<T>(
+fn decode_int_body<T: Pod>(
     r: &mut WireReader,
+    layout: &mut Layout,
     enc: u8,
     rows: usize,
     column: &str,
@@ -747,7 +699,7 @@ fn decode_int_body<T>(
 ) -> Result<IntMeta<T>> {
     match enc {
         ENC_PLAIN => Ok(IntMeta::Plain {
-            rel: r.get_len("section offset").map_err(wire_err)?,
+            rel: layout.section(r, rows, T::BYTES, column)?,
         }),
         ENC_BIT_PACKED => {
             let base = get(r).map_err(wire_err)?;
@@ -765,7 +717,7 @@ fn decode_int_body<T>(
                 }
             };
             let nwords = r.get_len("packed words").map_err(wire_err)?;
-            let rel = r.get_len("section offset").map_err(wire_err)?;
+            let rel = layout.section(r, nwords, u64::BYTES, column)?;
             Ok(IntMeta::BitPacked {
                 base,
                 width,
@@ -806,7 +758,7 @@ fn decode_int_body<T>(
             }
             let width = r.get_u8().map_err(wire_err)?;
             let nwords = r.get_len("delta words").map_err(wire_err)?;
-            let rel = r.get_len("section offset").map_err(wire_err)?;
+            let rel = layout.section(r, nwords, u64::BYTES, column)?;
             Ok(IntMeta::Delta {
                 anchors,
                 width,
@@ -826,7 +778,7 @@ fn decode_int_body<T>(
                 ranks.push(rank);
             }
             let nwords = r.get_len("exception marks").map_err(wire_err)?;
-            let rel = r.get_len("section offset").map_err(wire_err)?;
+            let rel = layout.section(r, nwords, u64::BYTES, column)?;
             let enc = r.get_u8().map_err(wire_err)?;
             if enc == ENC_EXCEPTIONS {
                 return Err(fault("nested exceptions descriptor".into()));
@@ -843,7 +795,7 @@ fn decode_int_body<T>(
                     "exception rank {last} exceeds {count} exceptions"
                 )));
             }
-            let values = decode_int_body(r, enc, count, column, get)?;
+            let values = decode_int_body(r, layout, enc, count, column, get)?;
             Ok(IntMeta::Exceptions {
                 fill,
                 ranks,
@@ -939,6 +891,45 @@ fn decode_zone_images<T: Copy + PartialOrd + std::fmt::Debug>(
     Ok(ZoneMap::from_parts(mins, maxs).expect("as many maxima as minima"))
 }
 
+/// The payload sections a header declares, as absolute byte ranges, held to
+/// one meaning each: in header order, a section that is not empty starts at
+/// or after the end of the one before. Empty sections are exempt — the
+/// writer places them all at its next offset.
+struct Layout {
+    payload_base: usize,
+    sections: Vec<Range<usize>>,
+}
+
+impl Layout {
+    /// Read the offset of a section of `count` lanes of `lane` bytes and
+    /// declare the section.
+    fn section(
+        &mut self,
+        r: &mut WireReader,
+        count: usize,
+        lane: usize,
+        column: &str,
+    ) -> Result<usize> {
+        let rel = r.get_len("section offset").map_err(wire_err)?;
+        let overflows = || parse_err(format!("column {column:?}: section at {rel} overflows"));
+        let start = self.payload_base.checked_add(rel).ok_or_else(overflows)?;
+        let end = (count.checked_mul(lane))
+            .and_then(|bytes| start.checked_add(bytes))
+            .ok_or_else(overflows)?;
+        match self.sections.last() {
+            _ if start == end => {}
+            Some(last) if start < last.end => {
+                return Err(parse_err(format!(
+                    "column {column:?}: payload section {start}..{end} starts before the previous one ends ({})",
+                    last.end
+                )))
+            }
+            _ => self.sections.push(start..end),
+        }
+        Ok(rel)
+    }
+}
+
 /// One column's fully-parsed header metadata.
 struct ColMeta {
     name: String,
@@ -981,6 +972,8 @@ struct Header {
     zone_bytes: usize,
     /// Absolute byte offset of the first payload section.
     payload_base: usize,
+    /// Every non-empty payload section, in file order.
+    sections: Vec<Range<usize>>,
     /// Offset of the dictionary area from `payload_base`.
     dict_base: usize,
 }
@@ -1031,6 +1024,10 @@ fn parse_header(hdr: Bytes, payload_base: usize) -> Result<Header> {
     let mut written: HashMap<Vec<u64>, usize> = HashMap::new();
     let mut wrote_runs = Vec::with_capacity(cols.min(r.remaining()));
     let (mut null_run_bytes, mut zone_bytes) = (0, 0);
+    let mut layout = Layout {
+        payload_base,
+        sections: Vec::new(),
+    };
     for c in 0..cols {
         let name = r.get_str().map_err(wire_err)?;
         let kind = byte_kind(r.get_u8().map_err(wire_err)?)?;
@@ -1066,13 +1063,14 @@ fn parse_header(hdr: Bytes, payload_base: usize) -> Result<Header> {
         let before_zones;
         let payload = match kind {
             ColumnKind::Int | ColumnKind::Date => {
-                let storage = decode_int_meta(&mut r, rows, &name, |r| r.get_i64())?;
+                let storage = decode_int_meta(&mut r, &mut layout, rows, &name, |r| r.get_i64())?;
                 before_zones = r.remaining();
                 let zones = decode_zone_images(&mut r, rows, &name, Domain::Int, |v| v)?;
                 PayloadMeta::Int { storage, zones }
             }
             ColumnKind::Double => {
-                let storage = decode_int_meta(&mut r, rows, &name, |r| r.get_i64())?;
+                // Plain here is raw `f64`s, as wide as the `i64` lanes.
+                let storage = decode_int_meta(&mut r, &mut layout, rows, &name, |r| r.get_i64())?;
                 before_zones = r.remaining();
                 // Byte 0, raw doubles, keeps raw extremes too.
                 let zones = match storage {
@@ -1093,7 +1091,7 @@ fn parse_header(hdr: Bytes, payload_base: usize) -> Result<Header> {
                     bytes: get_extent(&mut r)?,
                     rel: get_extent(&mut r)?,
                 };
-                let codes = decode_int_meta(&mut r, rows, &name, get_code)?;
+                let codes = decode_int_meta(&mut r, &mut layout, rows, &name, get_code)?;
                 before_zones = r.remaining();
                 let domain = Domain::Codes(dict.entries);
                 let zones = decode_zone_images(&mut r, rows, &name, domain, |v| v as u32)?;
@@ -1115,6 +1113,7 @@ fn parse_header(hdr: Bytes, payload_base: usize) -> Result<Header> {
         null_run_bytes,
         zone_bytes,
         payload_base,
+        sections: layout.sections,
         dict_base,
     })
 }
@@ -1132,6 +1131,8 @@ enum Source<'a> {
 }
 
 impl Source<'_> {
+    /// The section of `len` lanes at `rel` into the payload at `base`: one
+    /// the header parse declared, so its bounds do not overflow.
     fn buf<T: Pod>(
         &self,
         base: usize,
@@ -1139,17 +1140,10 @@ impl Source<'_> {
         len: usize,
         column: &str,
     ) -> Result<ValueBuf<T>> {
-        let off = base
-            .checked_add(rel)
-            .ok_or_else(|| parse_err(format!("column {column:?}: section offset overflows")))?;
+        let off = base + rel;
         match self {
             Source::Owned(bytes) => {
-                let nbytes = len.checked_mul(T::BYTES).ok_or_else(|| {
-                    parse_err(format!("column {column:?}: section length overflows"))
-                })?;
-                let end = off.checked_add(nbytes).ok_or_else(|| {
-                    parse_err(format!("column {column:?}: section length overflows"))
-                })?;
+                let end = off + len * T::BYTES;
                 if end > bytes.len() {
                     return Err(parse_err(format!(
                         "column {column:?}: section {off}..{end} exceeds file length {}",
@@ -1490,7 +1484,7 @@ pub fn read_file_mapped(
         return read_file(path);
     }
     let header = read_header(path)?;
-    let seg = Segment::open(path, mode, cache)?;
+    let seg = Segment::open(path, &header.sections, mode, cache)?;
     build_table(header, &Source::Mapped(seg), false)
 }
 
@@ -1732,36 +1726,6 @@ mod tests {
             assert_eq!(bits(a.zones()), bits(b.zones()), "{name} zones");
         }
         assert_eq!(encode(&t2), encode(&t), "image stable under decode→encode");
-    }
-
-    #[test]
-    fn a_section_that_fits_a_chunk_is_not_split_for_a_page_or_less() {
-        // A payload base of 64: the second section's start is `gap` bytes
-        // before a chunk boundary of the file.
-        let second = |gap: usize, len: usize| {
-            let mut s = Sections::at(64);
-            s.push(vec![0; CHUNK_BYTES - 64 - gap]);
-            s.push(vec![0; len])
-        };
-        let unmoved = |gap: usize| CHUNK_BYTES - 64 - gap;
-        assert_eq!(second(1024, 2048), CHUNK_BYTES - 64, "moved to the chunk");
-        assert_eq!(
-            second(PAGE, PAGE + 64),
-            CHUNK_BYTES - 64,
-            "a page of padding"
-        );
-        assert_eq!(
-            second(PAGE + 64, PAGE + 128),
-            unmoved(PAGE + 64),
-            "more than a page"
-        );
-        assert_eq!(second(1024, 1024), unmoved(1024), "fits where it is");
-        assert_eq!(
-            second(1024, CHUNK_BYTES + 64),
-            unmoved(1024),
-            "larger than a chunk"
-        );
-        assert_eq!(second(1024, 0), unmoved(1024), "empty");
     }
 
     #[test]

@@ -609,7 +609,11 @@ fn crafted_exceptions_end_in_an_error_or_a_table_that_scans() {
         ),
         (
             "marks the file cannot back",
-            exceptions_image(&[0], 0b10, 1 << 20, plain(1)),
+            exceptions_image(&[0], 0b10, 1 << 20, |w: &mut WireWriter| {
+                w.put_u8(0);
+                w.put_varint(1);
+                w.put_varint((1 << 20) + 64); // past the marks, in order
+            }),
             "exceeds",
             true,
         ),
@@ -842,10 +846,17 @@ fn crafted_dictionaries_end_in_an_error_or_a_table_that_scans() {
 type Runs<'a> = &'a [&'a [u64]];
 
 /// Two rows in each of the Int columns `n0`, `n1`, … — all of them the
-/// values `[7, 9]` of the one plain section they point at — whose null runs
-/// are written as the varints of `runs[c]`: a count and the lengths, or a 0
-/// and the column they repeat.
+/// values `[7, 9]`, each column's in a plain section of its own — whose null
+/// runs are written as the varints of `runs[c]`: a count and the lengths, or
+/// a 0 and the column they repeat.
 fn null_runs_image(runs: Runs) -> Vec<u8> {
+    let at: Vec<u64> = (0..runs.len() as u64).map(|c| 64 * c).collect();
+    sections_image(runs, &at)
+}
+
+/// The columns of [`null_runs_image`], column `c`'s plain section `at[c]`
+/// bytes into the payload.
+fn sections_image(runs: Runs, at: &[u64]) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_varint(runs.len() as u64); // columns
     w.put_varint(2); // rows
@@ -857,12 +868,18 @@ fn null_runs_image(runs: Runs) -> Vec<u8> {
         }
         w.put_u8(0); // plain
         w.put_varint(2); // values
-        w.put_varint(0); // section offset
+        w.put_varint(at[c]); // section offset
         zone(&mut w, 14, 2, 0, 1); // (7, 9)
     }
-    w.put_varint(16); // dictionary base: where the values end
+    let end = at.iter().max().map_or(0, |&a| a as usize + 16);
+    w.put_varint(end as u64); // dictionary base: where the values end
     let mut img = preamble(w);
-    img.extend([7i64, 9].iter().flat_map(|v| v.to_le_bytes()));
+    let base = img.len();
+    img.resize(base + end, 0);
+    for &a in at {
+        let a = base + a as usize;
+        img[a..a + 16].copy_from_slice(&[7i64, 9].map(i64::to_le_bytes).concat());
+    }
     img
 }
 
@@ -947,6 +964,40 @@ fn crafted_null_runs_have_one_spelling() {
     ];
     for (label, runs, fault) in refused {
         refused_by_every_open(&null_runs_image(runs), &path, &cache, label, fault);
+    }
+}
+
+#[test]
+fn crafted_sections_have_one_meaning() {
+    // A payload section is one column's and lies after the one before it in
+    // the header: then a mapped open can give each its own chunk grid. Two
+    // columns naming one section, a section starting inside another and
+    // sections out of order are refused by every open, from the header
+    // alone; sections back to back open.
+    let dir = TempDir::new("hvc-sections");
+    let path = dir.join("sections.hvc");
+    let cache = BlockCache::unbounded();
+    let runs: Runs = &[&[1, 2], &[0, 0]];
+    let img = sections_image(runs, &[0, 16]);
+    match verdict(&img, &path, &cache, "back to back").0 {
+        Verdict::Opened => {}
+        Verdict::Rejected(e) => panic!("back to back: refused with {e}"),
+    }
+    let mapped = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
+    for t in [hvc::decode(&img).unwrap(), mapped] {
+        for c in 0..2 {
+            let col = t.column(c).as_i64_col().unwrap();
+            assert_eq!((col.get(0), col.get(1)), (Some(7), Some(9)), "n{c}");
+        }
+    }
+    let refused: [(&str, &[u64]); 3] = [
+        ("two columns naming one section", &[0, 0]),
+        ("a section that starts inside another", &[0, 8]),
+        ("sections out of order", &[64, 0]),
+    ];
+    for (label, at) in refused {
+        let fault = "starts before the previous one ends";
+        refused_by_every_open(&sections_image(runs, at), &path, &cache, label, fault);
     }
 }
 

@@ -5,10 +5,13 @@
 //! under a block cache small enough that chunks evict mid-scan.
 //!
 //! This is the storage-level contract the engine's out-of-core path
-//! stands on: residency is an I/O concern only, never a semantics one.
+//! stands on: residency is an I/O concern only, never a semantics one. And
+//! what residency costs is the sections a scan reads, wherever the writer
+//! places them (`placement_cannot_move_residency`).
 
 use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
 use hillview_columnar::predicate::filter_members;
+use hillview_columnar::residency::CHUNK_BYTES;
 use hillview_columnar::{
     simd, BlockCache, ColumnKind, F64Storage, I64Storage, MembershipSet, NullMask, Predicate,
     SegmentMode, Table, TempDir, ZoneMap,
@@ -361,5 +364,117 @@ fn tiny_cache_churn_grid_never_corrupts_results() {
             "2 KiB budget over five mapped parts must evict (resident {})",
             stats.resident_bytes
         );
+    }
+}
+
+/// Rows of the placement part: each column's plain section is 64 KiB and
+/// 64 bytes, so at every 64-byte phase it lies on the same number of pages
+/// (of any size up to 64 KiB) and in two chunks of its own grid — the
+/// placement tests isolate where the file puts a section from how many
+/// pages it spans.
+const PLACED_ROWS: usize = (CHUNK_BYTES + 64) / 8;
+const PLACED_COLUMNS: usize = 3;
+
+/// The same rows written behind a first column name of `pad` bytes,
+/// stepped so the payload base moves 64 bytes at a time from 2 KiB below a
+/// 64 KiB boundary of the file to 2 KiB above it. Yields each part's
+/// payload base beside it.
+fn placed_parts() -> impl Iterator<Item = (usize, TempDir, PathBuf)> {
+    let mut s = 0x9ACE_u64;
+    let mut noise = || {
+        s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (s ^ (s >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        (z ^ (z >> 29)) as i64
+    };
+    let columns: Vec<Vec<i64>> = (0..PLACED_COLUMNS)
+        .map(|_| (0..PLACED_ROWS).map(|_| noise()).collect())
+        .collect();
+    let payload = PLACED_COLUMNS * PLACED_ROWS * 8;
+    let write = move |pad: usize| {
+        let mut b = Table::builder();
+        for (c, values) in columns.iter().enumerate() {
+            let name = if c == 0 {
+                "p".repeat(pad)
+            } else {
+                format!("c{c}")
+            };
+            let storage = I64Storage::plain_of(values.clone());
+            let col = Column::Int(I64Column::with_storage(storage, NullMask::none()));
+            b = b.column(&name, ColumnKind::Int, col);
+        }
+        let (dir, path) = write_temp(&b.build().unwrap(), "ooc-props-placed");
+        let base = std::fs::metadata(&path).unwrap().len() as usize - payload;
+        (base, dir, path)
+    };
+    // A name this long has a 3-byte length either way: the base follows the
+    // padding byte for byte, rounded to 64.
+    let first = CHUNK_BYTES - 2048;
+    let pad = first + 20_000 - write(20_000).0;
+    (0..64).map(move |step| write(pad + 64 * step))
+}
+
+/// Read every value of every column of `t`.
+fn scan_all(t: &Table) {
+    for c in 0..t.num_columns() {
+        let col = t.column(c).as_i64_col().unwrap();
+        for r in 0..col.len() {
+            std::hint::black_box(col.get(r));
+        }
+    }
+}
+
+/// Where the writer puts a part's payload decides nothing a mapped scan
+/// pays: behind headers of 64 lengths, the payload base stepping across a
+/// 64 KiB boundary of the file, the same scan faults the same chunks, the
+/// same bytes, and holds the same bytes resident.
+#[test]
+#[cfg_attr(miri, ignore)]
+fn placement_cannot_move_residency() {
+    let mut bases = Vec::new();
+    let mut seen = None;
+    for (base, _dir, path) in placed_parts() {
+        let cache = BlockCache::unbounded();
+        let mapped = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
+        scan_all(&mapped);
+        let s = cache.stats();
+        let paid = (s.faults, s.bytes_faulted, s.resident_bytes);
+        if cfg!(all(unix, target_endian = "little")) {
+            assert_eq!(s.faults, 2 * PLACED_COLUMNS as u64, "base {base}");
+            assert_eq!(*seen.get_or_insert(paid), paid, "base {base}");
+        }
+        bases.push(base);
+    }
+    assert!(bases.windows(2).all(|w| w[1] == w[0] + 64), "{bases:?}");
+    assert!(
+        bases[0] < CHUNK_BYTES && CHUNK_BYTES < bases[63],
+        "{bases:?}"
+    );
+}
+
+/// A block cache whose budget is the charge of the windows a scan reads
+/// holds them: at every placement, two passes evict nothing and the second
+/// faults nothing. The charge is measured once, at the first placement.
+#[test]
+#[cfg_attr(miri, ignore)]
+fn a_budget_of_the_scanned_windows_holds_them_at_every_placement() {
+    let mut charge = None;
+    for (base, _dir, path) in placed_parts() {
+        let budget = *charge.get_or_insert_with(|| {
+            let cache = BlockCache::unbounded();
+            let mapped = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
+            scan_all(&mapped);
+            cache.stats().resident_bytes as usize
+        });
+        let cache = BlockCache::new(budget);
+        let mapped = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
+        scan_all(&mapped);
+        let first = cache.stats();
+        scan_all(&mapped);
+        let second = cache.stats();
+        if cfg!(all(unix, target_endian = "little")) {
+            assert_eq!(second.evictions, 0, "base {base}: budget {budget}");
+            assert_eq!(second.faults, first.faults, "base {base}: refaulted");
+            assert_eq!(second.resident_bytes as usize, budget, "base {base}");
+        }
     }
 }
