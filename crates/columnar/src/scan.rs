@@ -20,12 +20,11 @@
 //! * [`ScanSource`] — the two reads a driver makes of a storage: a decoded
 //!   64-row frame, and the run holding one sparse row.
 //! * [`scan_values`] / [`scan_rows`] / [`count_missing`] — typed drivers,
-//!   each a consumer of the one selection walk,
-//!   [`scan_frames`](crate::block::scan_frames). It turns every selection
-//!   shape into 64-row-aligned frames (a base and a selection word) plus,
-//!   for sparse row lists, single rows. `scan_values` decodes those frames
-//!   into [`Block`]s through [`scan_blocks`](crate::block::scan_blocks),
-//!   with one null-word fetch per frame and a branch-free inner loop
+//!   each a consumer of the one selection walk, [`scan_frames`]. It turns
+//!   every selection shape into 64-row-aligned frames (a base and a
+//!   selection word) plus, for sparse row lists, single rows. `scan_values`
+//!   decodes those frames into [`Block`]s through [`scan_blocks`], with
+//!   one null-word fetch per frame and a branch-free inner loop
 //!   whenever a frame is fully live (the *dense fast path*); `scan_rows`
 //!   enumerates the selected rows; `count_missing` ANDs each selection word
 //!   with its null word and touches no column data. Plain storage lends its

@@ -13,7 +13,7 @@
 //!
 //! A part is a function of its rows: [`crate::hvc::encode`] stores each
 //! string column with exactly the dictionary entries the part's rows use,
-//! in the order they first appear, so the same rows seal to the same bytes
+//! sorted by their bytes, so the same rows seal to the same bytes
 //! whether they arrived as one table sharing a larger table's dictionary
 //! or as many small batches — and a part never carries (nor makes its
 //! reader parse) the strings of rows that live in other parts.

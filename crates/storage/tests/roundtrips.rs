@@ -1,6 +1,6 @@
 //! Property tests: every storage format must round-trip arbitrary tables.
 
-use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
+use hillview_columnar::column::{Column, I64Column};
 use hillview_columnar::{ColumnKind, Table, TempDir};
 use hillview_storage::csv::{read_csv, write_csv, CsvOptions};
 use hillview_storage::hvc;
@@ -11,61 +11,14 @@ use proptest::prelude::*;
 use std::io::Cursor;
 use std::path::{Path, PathBuf};
 
+mod common;
+use common::table_strategy;
+
 /// Row `r` of double column `name`, as bits: `Value` equality cannot tell
 /// the two zeros apart.
 fn double_bits(t: &Table, name: &str, r: usize) -> Option<u64> {
     let col = t.column_by_name(name).unwrap().as_f64_col().unwrap();
     col.get(r).map(f64::to_bits)
-}
-
-/// Arbitrary mixed-type tables with nulls. `F` is fractional (stored raw);
-/// `W` holds the same draws rounded to whole numbers — small negatives to
-/// `-0.0` — so it is stored as encoded integer codes. Strings hold every
-/// character CSV must quote, and are never empty: CSV cannot tell an empty
-/// string from a missing one.
-fn table_strategy() -> impl Strategy<Value = Table> {
-    let row = (
-        proptest::option::weighted(0.85, any::<i64>()),
-        proptest::option::weighted(0.85, -1e12f64..1e12),
-        proptest::option::weighted(0.85, "[a-zA-Z0-9 ,\"'\r\n]{1,12}"),
-        proptest::option::weighted(0.85, "[ab,\"\r\n]{1,2}"),
-    );
-    proptest::collection::vec(row, 1..80).prop_map(|rows| {
-        Table::builder()
-            .column(
-                "I",
-                ColumnKind::Int,
-                Column::Int(I64Column::from_options(rows.iter().map(|r| r.0))),
-            )
-            .column(
-                "F",
-                ColumnKind::Double,
-                Column::Double(F64Column::from_options(rows.iter().map(|r| r.1))),
-            )
-            .column(
-                "W",
-                ColumnKind::Double,
-                Column::Double(F64Column::from_options(
-                    rows.iter().map(|r| r.1.map(|v| (v / 1e10).round())),
-                )),
-            )
-            .column(
-                "S",
-                ColumnKind::String,
-                Column::Str(DictColumn::from_strings(
-                    rows.iter().map(|r| r.2.as_deref()),
-                )),
-            )
-            .column(
-                "C",
-                ColumnKind::Category,
-                Column::Cat(DictColumn::from_strings(
-                    rows.iter().map(|r| r.3.as_deref()),
-                )),
-            )
-            .build()
-            .unwrap()
-    })
 }
 
 /// The bytes of every part spilled into `dir`, in row order.
