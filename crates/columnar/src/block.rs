@@ -1,8 +1,8 @@
 //! The decoded-block ABI and the one walk over a selection.
 //!
 //! [`scan_frames`] is the only code that walks a [`Selection`]: every shape
-//! — a membership set, a bounded slice of one, a sampled row list, a fused
-//! filter over any of those — becomes 64-row-aligned frames (a base and a
+//! — a membership set, a bounded slice of one, a fused filter over either,
+//! a sample of any of these — becomes 64-row-aligned frames (a base and a
 //! selection word) plus, for unfiltered sparse row lists, single rows. The
 //! drivers are its consumers: [`scan_blocks`] here, `scan_values`,
 //! `scan_rows` and `count_missing` in [`crate::scan`], the fused and
@@ -13,7 +13,7 @@
 //! decoders otherwise), a *selection* word saying which rows of the frame
 //! the scan selects, and a *validity* word saying which rows are non-null.
 //! Kernels consume frames through [`BlockSink`], driven by [`scan_blocks`].
-//! Sparse rows (samples, sparse memberships) bypass frame decoding and
+//! The rows of an unfiltered sparse membership bypass frame decoding and
 //! arrive per value through [`BlockSink::one`], with run-length storage
 //! serving whole runs through one cursor probe.
 //!
@@ -30,7 +30,7 @@
 //! histograms) hold one per column.
 
 use crate::bitmap::{span_mask, Bitmap};
-use crate::membership::MembershipSet;
+use crate::membership::{row_sampled, sample_word, MembershipSet};
 use crate::scan::{rows_in_range, word_span, ScanSource, Selection};
 
 /// Rows per block frame.
@@ -123,7 +123,7 @@ impl<'a, T: Copy + Default, S: ScanSource<T> + ?Sized> BlockCursor<'a, T, S> {
 
     /// The value at `row`, for sparse rows read in ascending order: one
     /// storage probe per run ([`ScanSource::index_run`]), so a run covering
-    /// many sampled rows serves them all.
+    /// many selected rows serves them all.
     #[inline]
     pub fn value(&mut self, row: usize) -> T {
         if !self.run.contains(&row) {
@@ -149,7 +149,7 @@ pub enum FrameEvent {
         /// Selection bits of the frame; never zero.
         word: u64,
     },
-    /// One explicitly listed row (unfiltered sparse lists, samples).
+    /// One explicitly listed row (unfiltered sparse lists).
     Row(usize),
 }
 
@@ -167,13 +167,20 @@ fn frame(base: usize, word: u64) -> FrameEvent {
 ///
 /// This is the one walk over a [`Selection`]; every driver consumes it.
 /// Full and dense memberships (bounded or not) emit one frame per 64-row
-/// word with a selected row. Sparse memberships and samples emit one
+/// word with a selected row. Sparse memberships emit one
 /// [`FrameEvent::Row`] per row. A [`Selection::Filtered`] walks its base
 /// with sparse rows grouped into their word, runs every word through the
 /// [`FrameFilter`](crate::predicate::FrameFilter), and emits only non-zero
 /// match words — so a filtered selection is frames alone, and a block the
-/// predicate rejects is never seen, nor decoded, by the kernel.
+/// predicate rejects is never seen, nor decoded, by the kernel. A
+/// [`Selection::Sampled`] ANDs each word — the filter's match word, when it
+/// wraps a filter — with its sample word, drops the words that leave
+/// empty, and keeps a sparse row only if [`row_sampled`] admits it.
 pub fn scan_frames(sel: &Selection<'_>, mut f: impl FnMut(FrameEvent)) {
+    let (sel, sample) = match *sel {
+        Selection::Sampled { base, rate, seed } => (base, Some((rate, seed))),
+        _ => (sel, None),
+    };
     let (base, mut filter) = match sel {
         Selection::Filtered { base, filter } => {
             let mut filter = filter.borrow_mut();
@@ -182,16 +189,24 @@ pub fn scan_frames(sel: &Selection<'_>, mut f: impl FnMut(FrameEvent)) {
         }
         _ => (sel, None),
     };
+    let in_sample = |r: usize| sample.is_none_or(|(rate, seed)| row_sampled(r as u64, rate, seed));
     // One call of `f`, so the consumer's body inlines into this loop.
     let mut walk = Walk::new(base, filter.is_some());
     while let Some(ev) = walk.next() {
-        let ev = match (&mut filter, ev) {
-            (Some(filter), FrameEvent::Frame { base, word, .. }) => {
-                match filter.eval_word(base, word) {
+        let ev = match ev {
+            FrameEvent::Frame { base, mut word, .. } if filter.is_some() || sample.is_some() => {
+                if let Some(filter) = &mut filter {
+                    word = filter.eval_word(base, word);
+                }
+                if let Some((rate, seed)) = sample {
+                    word = sample_word(base, word, rate, seed);
+                }
+                match word {
                     0 => continue,
-                    matched => frame(base, matched),
+                    word => frame(base, word),
                 }
             }
+            FrameEvent::Row(r) if !in_sample(r) => continue,
             _ => ev,
         };
         f(ev);
@@ -225,7 +240,9 @@ impl<'a> Walk<'a> {
                 end,
             } => (members, start, end),
             Selection::Rows(rows) => return Walk::Rows { rows, grouped },
-            Selection::Filtered { .. } => panic!("a fused filter's base is never itself filtered"),
+            Selection::Filtered { .. } | Selection::Sampled { .. } => {
+                panic!("a sample wraps at most a filter, and a filter only a membership walk")
+            }
         };
         let hi = hi.min(members.universe());
         let bits = match members {

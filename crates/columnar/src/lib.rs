@@ -96,9 +96,11 @@
 //! materialize frame-at-a-time through the encodings' block decoders
 //! instead of a per-row closure.
 //!
-//! Sampled kernels run fused too: the selection word is thinned by the
-//! deterministic per-row hash *before* the kernel sees it, so a sampled
-//! filtered query samples the filtered rows in one pass. The two-pass
+//! Sampled kernels run fused too: a [`scan::Selection::Sampled`] thins each
+//! match word by the one sampling rule, the per-row hash [`row_sampled`],
+//! *before* the kernel sees it, so a sampled filtered query samples the
+//! filtered rows in one pass — the same rows a sample of the materialized
+//! membership holds. The two-pass
 //! execution ([`filter_members`] into a membership set, then a second
 //! scan) remains, deliberately — it is what materializing a derived table
 //! runs, when the engine's cost-based planner decides a filter will be

@@ -3,15 +3,13 @@
 //! Paper §5.6: *"tables share common data and store a 'membership set' data
 //! structure that identifies which rows are contained in the table. ... Dense
 //! tables that contain most rows store a bitmap, while sparse tables store a
-//! hashset of the row indexes."* Sampling must be efficient and uniform: *"For
-//! sparse tables, we generate the first sample by choosing a random row number
-//! for the first element; we generate the following samples by returning the
-//! next elements in sorted order of their hash values. For dense tables we
-//! walk randomly the bitmap in increasing index order."*
+//! hashset of the row indexes."* Sampling must be efficient and uniform; the
+//! paper takes a sparse table's sample *"in sorted order of their hash
+//! values"*. Here that hash rule, [`row_sampled`], is the only one: it
+//! decides every row of every representation, so which rows a sample holds
+//! never depends on how the membership is stored.
 
 use crate::bitmap::Bitmap;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// Fraction of rows below which a filtered set switches to the sparse
 /// representation.
@@ -160,91 +158,50 @@ impl MembershipSet {
             }
         }
     }
-
-    /// Draw a uniform sample of approximately `rate * len()` present rows,
-    /// deterministically from `seed`, following the paper's §5.6 strategies.
-    ///
-    /// Rows are returned in ascending index order. A `rate >= 1.0` returns
-    /// every present row (sampling never upsamples).
-    pub fn sample(&self, rate: f64, seed: u64) -> Vec<u32> {
-        if rate >= 1.0 {
-            return self.iter().map(|r| r as u32).collect();
-        }
-        if rate <= 0.0 || self.is_empty() {
-            return Vec::new();
-        }
-        let mut rng = SmallRng::seed_from_u64(seed);
-        match self {
-            // Full and dense: random walk in increasing index order. Skip
-            // lengths are geometric with success probability `rate`, giving
-            // each row inclusion probability `rate` without touching every
-            // row index.
-            MembershipSet::Full(n) => {
-                let mut out = Vec::with_capacity((*n as f64 * rate) as usize + 16);
-                let mut i = geometric_skip(&mut rng, rate);
-                while i < *n {
-                    out.push(i as u32);
-                    i += 1 + geometric_skip(&mut rng, rate);
-                }
-                out
-            }
-            MembershipSet::Dense(b) => {
-                let mut out = Vec::with_capacity((b.count_ones() as f64 * rate) as usize + 16);
-                let mut skip = geometric_skip(&mut rng, rate);
-                for r in b.iter_ones() {
-                    if skip == 0 {
-                        out.push(r as u32);
-                        skip = geometric_skip(&mut rng, rate);
-                    } else {
-                        skip -= 1;
-                    }
-                }
-                out
-            }
-            // Sparse: pick rows whose (seeded) hash falls below the rate
-            // threshold — "next elements in sorted order of their hash
-            // values" gives a uniform, deterministic subset.
-            MembershipSet::Sparse { rows, .. } => {
-                let threshold = (rate * u64::MAX as f64) as u64;
-                rows.iter()
-                    .copied()
-                    .filter(|&r| splitmix64(r as u64 ^ seed) <= threshold)
-                    .collect()
-            }
-        }
-    }
 }
 
-/// Geometric skip: number of failures before the next success with
-/// probability `p`. Used by the random-walk samplers.
-fn geometric_skip(rng: &mut SmallRng, p: f64) -> usize {
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let g = (u.ln() / (1.0 - p).ln()).floor();
-    if g.is_finite() && g >= 0.0 {
-        g as usize
-    } else {
-        0
-    }
-}
-
-/// Stateless per-row sampling decision: true when `row` belongs to the
-/// deterministic hash-order sample at `rate` under `seed` — the same test
-/// [`MembershipSet::sample`] applies to sparse sets. Because the decision
-/// is a pure function of `(row, rate, seed)`, it can be applied to a
-/// streaming row source (the fused filter pipeline) without materializing
-/// a membership set first, and any tiling of the row space selects exactly
-/// the same rows.
+/// The one sampling rule (§5.6): row `row` of a partition is in the
+/// sample at `rate` under `seed` iff its seeded hash falls at or below the
+/// rate's threshold — the paper's "sorted order of their hash values",
+/// applied whatever holds the row. The decision is a pure function of
+/// `(row, rate, seed)`, so no sample is ever drawn or stored: the selection
+/// walk ([`crate::block::scan_frames`]) thins each 64-row word by
+/// its sample word, and every tiling of the row space, every membership
+/// representation and every filter plan select the same rows. A `rate >=
+/// 1.0` samples every row (sampling never upsamples), `rate <= 0.0` none.
 pub fn row_sampled(row: u64, rate: f64, seed: u64) -> bool {
-    if rate >= 1.0 {
-        return true;
-    }
-    if rate <= 0.0 {
-        return false;
-    }
-    splitmix64(row ^ seed) <= (rate * u64::MAX as f64) as u64
+    threshold(rate).is_some_and(|t| splitmix64(row ^ seed) <= t)
 }
 
-/// A fast 64-bit mix used for hash-order sampling of sparse sets.
+/// The sample word of the 64-row frame at `base`: the bits of `word` whose
+/// rows [`row_sampled`] admits at `rate` under `seed` — one hash per
+/// selected row.
+pub(crate) fn sample_word(base: usize, word: u64, rate: f64, seed: u64) -> u64 {
+    match threshold(rate) {
+        None => 0,
+        Some(u64::MAX) => word,
+        Some(t) => {
+            let (mut m, mut out) = (word, 0);
+            while m != 0 {
+                let k = m.trailing_zeros();
+                m &= m - 1;
+                out |= u64::from(splitmix64((base as u64 + u64::from(k)) ^ seed) <= t) << k;
+            }
+            out
+        }
+    }
+}
+
+/// The hash threshold of `rate`; `None` samples nothing.
+fn threshold(rate: f64) -> Option<u64> {
+    if rate >= 1.0 {
+        Some(u64::MAX)
+    } else {
+        (rate > 0.0).then_some((rate * u64::MAX as f64) as u64)
+    }
+}
+
+/// A fast 64-bit mix: the row hash of [`row_sampled`].
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E3779B97F4A7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
@@ -337,35 +294,45 @@ mod tests {
         assert_eq!(a.intersect(&f).len(), a.len());
     }
 
+    /// The rows of `0..n` [`row_sampled`] admits.
+    fn sampled(n: usize, rate: f64, seed: u64) -> Vec<usize> {
+        (0..n)
+            .filter(|&r| row_sampled(r as u64, rate, seed))
+            .collect()
+    }
+
     #[test]
     fn sample_rate_one_returns_all() {
-        let m = MembershipSet::from_rows(vec![2, 4, 8], 10);
-        assert_eq!(m.sample(1.0, 7), vec![2, 4, 8]);
-        assert_eq!(m.sample(1.5, 7), vec![2, 4, 8]);
+        assert_eq!(sampled(10, 1.0, 7), (0..10).collect::<Vec<_>>());
+        assert_eq!(sampled(10, 1.5, 7), (0..10).collect::<Vec<_>>());
+        assert_eq!(sample_word(64, 0b1011, 1.0, 7), 0b1011);
     }
 
     #[test]
     fn sample_rate_zero_returns_none() {
-        let m = MembershipSet::full(1000);
-        assert!(m.sample(0.0, 7).is_empty());
-        assert!(m.sample(-1.0, 7).is_empty());
+        assert!(sampled(1000, 0.0, 7).is_empty());
+        assert!(sampled(1000, -1.0, 7).is_empty());
+        assert_eq!(sample_word(0, u64::MAX, 0.0, 7), 0);
     }
 
     #[test]
     fn sample_is_deterministic_per_seed() {
-        let m = MembershipSet::full(10_000);
-        assert_eq!(m.sample(0.1, 42), m.sample(0.1, 42));
-        assert_ne!(m.sample(0.1, 42), m.sample(0.1, 43));
+        assert_eq!(sampled(10_000, 0.1, 42), sampled(10_000, 0.1, 42));
+        assert_ne!(sampled(10_000, 0.1, 42), sampled(10_000, 0.1, 43));
     }
 
     #[test]
     fn sample_size_close_to_expected_full() {
-        let m = MembershipSet::full(100_000);
-        let s = m.sample(0.1, 1);
-        let got = s.len() as f64;
+        let got = sampled(100_000, 0.1, 1).len() as f64;
         assert!((8_000.0..12_000.0).contains(&got), "got {got}");
-        // Ascending order.
-        assert!(s.windows(2).all(|w| w[0] < w[1]));
+        // The frame word samples exactly the rows the per-row rule does.
+        for w in 0..100_000 / 64 {
+            let word = sample_word(w * 64, u64::MAX, 0.1, 1);
+            for k in 0..64 {
+                let r = (w * 64 + k) as u64;
+                assert_eq!(word >> k & 1 == 1, row_sampled(r, 0.1, 1), "row {r}");
+            }
+        }
     }
 
     #[test]
@@ -374,36 +341,37 @@ mod tests {
         for i in (0..100_000).step_by(2) {
             mask.set(i);
         }
-        let dense = MembershipSet::from_mask(&mask);
-        let s = dense.sample(0.2, 3);
+        let MembershipSet::Dense(bits) = MembershipSet::from_mask(&mask) else {
+            panic!("half the rows are dense");
+        };
+        let words: Vec<u64> = (0..bits.words().len())
+            .map(|w| sample_word(w * 64, bits.word(w), 0.2, 3))
+            .collect();
+        let got: usize = words.iter().map(|w| w.count_ones() as usize).sum();
         let expect = 0.2 * 50_000.0;
+        assert!((got as f64 - expect).abs() < expect * 0.2, "{got}");
         assert!(
-            (s.len() as f64 - expect).abs() < expect * 0.2,
-            "{}",
-            s.len()
+            words.iter().zip(bits.words()).all(|(s, w)| s & !w == 0),
+            "samples only present rows"
         );
-        assert!(s.iter().all(|r| r % 2 == 0), "samples only present rows");
 
         let sparse = MembershipSet::from_rows((0..100_000).step_by(17).collect(), 100_000);
         let n = sparse.len() as f64;
-        let s = sparse.sample(0.3, 9);
-        assert!(
-            (s.len() as f64 - 0.3 * n).abs() < 0.3 * n * 0.25,
-            "{}",
-            s.len()
-        );
-        assert!(s.windows(2).all(|w| w[0] < w[1]));
+        let got = sparse
+            .iter()
+            .filter(|&r| row_sampled(r as u64, 0.3, 9))
+            .count() as f64;
+        assert!((got - 0.3 * n).abs() < 0.3 * n * 0.25, "{got}");
     }
 
     #[test]
     fn sample_uniformity_rough_chi_square() {
         // Bucket 100k full-universe samples into 10 deciles; each decile
         // should receive roughly 10% of the samples.
-        let m = MembershipSet::full(100_000);
-        let s = m.sample(0.5, 11);
+        let s = sampled(100_000, 0.5, 11);
         let mut buckets = [0usize; 10];
         for r in &s {
-            buckets[(*r as usize) / 10_000] += 1;
+            buckets[r / 10_000] += 1;
         }
         let expect = s.len() as f64 / 10.0;
         for (i, &b) in buckets.iter().enumerate() {
@@ -442,6 +410,6 @@ mod tests {
         let m = MembershipSet::from_rows(vec![], 10);
         assert!(m.is_empty());
         assert_eq!(m.iter().count(), 0);
-        assert!(m.sample(0.5, 1).is_empty());
+        assert_eq!(sample_word(0, 0, 0.5, 1), 0);
     }
 }

@@ -9,9 +9,9 @@
 //!
 //! * [`Selection`] — what a kernel scans: a whole membership set, a
 //!   row-bounded slice of one ([`Selection::members_in`], which is how split
-//!   sub-ranges reuse the same drivers), a sampled row list, or a fused
-//!   selection that runs a compiled predicate over every 64-row word as the
-//!   scan proceeds.
+//!   sub-ranges reuse the same drivers), a fused selection that runs a
+//!   compiled predicate over every 64-row word as the scan proceeds, or a
+//!   sampled one that thins every word by the stateless sample rule.
 //! * [`SplittableSelection`] — the partitioner behind intra-partition
 //!   parallelism: it divides any membership representation into balanced,
 //!   row-weighted sub-ranges (halving recursively) *without materializing
@@ -22,10 +22,10 @@
 //! * [`scan_values`] / [`scan_rows`] / [`count_missing`] — typed drivers,
 //!   each a consumer of the one selection walk, [`scan_frames`]. It turns
 //!   every selection shape into 64-row-aligned frames (a base and a
-//!   selection word) plus, for sparse row lists, single rows. `scan_values`
-//!   decodes those frames into [`Block`]s through [`scan_blocks`], with
-//!   one null-word fetch per frame and a branch-free inner loop
-//!   whenever a frame is fully live (the *dense fast path*); `scan_rows`
+//!   selection word) plus, for unfiltered sparse row lists, single rows.
+//!   `scan_values` decodes those frames into [`Block`]s through
+//!   [`scan_blocks`], with one null-word fetch per frame and a branch-free
+//!   inner loop whenever a frame is fully live (the *dense fast path*); `scan_rows`
 //!   enumerates the selected rows; `count_missing` ANDs each selection word
 //!   with its null word and touches no column data. Plain storage lends its
 //!   lanes zero-copy, packed storages decode whole frames through the
@@ -51,8 +51,8 @@ use crate::predicate::FrameFilter;
 /// ([`IntStorage`], [`F64Storage`](crate::encoding::F64Storage)). A driver
 /// makes two reads, both ascending and both threading one opaque `cursor`
 /// (start it at 0 and reuse it across one scan): whole 64-row frames
-/// through [`ScanSource::decode_frame`], and the rows of sparse lists and
-/// samples through [`ScanSource::index_run`].
+/// through [`ScanSource::decode_frame`], and the rows of sparse lists
+/// through [`ScanSource::index_run`].
 ///
 /// A mapped (`hvc`) storage touches only the file chunks a requested frame
 /// covers (see [`crate::residency`]). The fused filter drops all-fail
@@ -126,8 +126,8 @@ pub(crate) fn word_span(idx: usize, lo: usize, hi: usize) -> u64 {
 }
 
 /// The sub-slice of a sorted row list whose rows lie in `lo..hi` — two
-/// binary searches, no copying. Used to clip pre-drawn samples (and sparse
-/// memberships) to a split sub-range.
+/// binary searches, no copying. Used to clip sparse memberships to a split
+/// sub-range.
 pub fn rows_in_range(rows: &[u32], lo: usize, hi: usize) -> &[u32] {
     let a = rows.partition_point(|&r| (r as usize) < lo);
     let b = rows.partition_point(|&r| (r as usize) < hi);
@@ -135,9 +135,9 @@ pub fn rows_in_range(rows: &[u32], lo: usize, hi: usize) -> &[u32] {
 }
 
 /// What a kernel scans: an entire membership set (streaming), a row-bounded
-/// slice of one (split sub-ranges), an explicit sampled row list, or a
-/// fused filter over one of those. Gives kernels one code path for all of
-/// them: [`scan_frames`] walks every shape.
+/// slice of one (split sub-ranges), a fused filter over one of those, and a
+/// sample of any of these. Gives kernels one code path for all of them:
+/// [`scan_frames`] walks every shape.
 #[derive(Debug, Clone, Copy)]
 pub enum Selection<'a> {
     /// Every row of the membership set.
@@ -153,8 +153,8 @@ pub enum Selection<'a> {
         /// One past the last row index of the bounds.
         end: usize,
     },
-    /// A pre-drawn ascending row sample (e.g. from
-    /// [`MembershipSet::sample`]).
+    /// The rows of a sparse membership within split bounds: an ascending
+    /// sub-slice of its row list, as [`Selection::members_in`] clips it.
     Rows(&'a [u32]),
     /// A **fused** selection: the rows of `base` that additionally pass a
     /// compiled predicate, evaluated lazily inside the walk.
@@ -175,6 +175,23 @@ pub enum Selection<'a> {
         /// The compiled filter (shared mutable state: decode cursors and
         /// the matched-row counter advance as the scan proceeds).
         filter: &'a core::cell::RefCell<FrameFilter<'a>>,
+    },
+    /// A **sampled** selection: the rows of `base` that
+    /// [`row_sampled`](crate::row_sampled) admits at `rate` under `seed`.
+    ///
+    /// The walk ANDs every 64-row word of `base` with its sample word —
+    /// after a fused filter's match, so [`FrameFilter::matched`] still
+    /// counts the rows before the sample — and tests each row of an
+    /// unfiltered sparse list alone. The sample is a pure function of the
+    /// row index, so it is the same whatever holds the rows, however they
+    /// are split and whether or not a filter is fused.
+    Sampled {
+        /// The selection being sampled; never itself `Sampled`.
+        base: &'a Selection<'a>,
+        /// Row sampling rate.
+        rate: f64,
+        /// Sample seed.
+        seed: u64,
     },
 }
 
@@ -202,8 +219,9 @@ impl<'a> Selection<'a> {
 
     /// Number of selected rows.
     ///
-    /// Panics on [`Selection::Filtered`]: the filtered row count only
-    /// exists after the (single) scan — read [`FrameFilter::matched`] then.
+    /// Panics on [`Selection::Filtered`] and [`Selection::Sampled`]: those
+    /// rows are only known by walking them, and a filter's count only after
+    /// its (single) scan — read [`FrameFilter::matched`] then.
     pub fn count(&self) -> usize {
         match self {
             Selection::Members(m) => m.len(),
@@ -213,9 +231,9 @@ impl<'a> Selection<'a> {
                 end,
             } => members.count_range(*start, *end),
             Selection::Rows(r) => r.len(),
-            Selection::Filtered { .. } => panic!(
-                "Selection::Filtered is single-pass: its row count is only known after \
-                 the scan — read FrameFilter::matched() instead of count()"
+            Selection::Filtered { .. } | Selection::Sampled { .. } => panic!(
+                "a filtered or sampled Selection is single-pass: its row count is only \
+                 known after the scan — read FrameFilter::matched() instead of count()"
             ),
         }
     }

@@ -6,8 +6,9 @@ use hillview_columnar::scan::{
     count_missing, scan_rows, scan_values, ScanSource, Selection, SplittableSelection,
 };
 use hillview_columnar::{
-    Bitmap, BlockCursor, ColumnKind, EncodingKind, F64Column, F64Storage, FrameFilter, I64Storage,
-    MembershipSet, NullMask, Predicate, RowKey, SortOrder, Table, Value, ZoneMap, BLOCK_ROWS,
+    row_sampled, Bitmap, BlockCursor, ColumnKind, EncodingKind, F64Column, F64Storage, FrameFilter,
+    I64Storage, MembershipSet, NullMask, Predicate, RowKey, SortOrder, Table, Value, ZoneMap,
+    BLOCK_ROWS,
 };
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -112,12 +113,13 @@ fn membership(kind: usize, raw: &[u32], n: usize) -> MembershipSet {
 }
 
 /// Run `body` over one selection shape of `m` — `Members` (kind 0),
-/// `MemberRange` over `bounds` (1) or the sampled `Rows` (2) — bare, or
-/// fused with a fresh filter of `fused` (a filter is single-pass); returns
-/// the result and the filter's matched count.
+/// `MemberRange` over `bounds` (1) or that range sampled at `sample =
+/// (rate, seed)` (2) — bare, or fused with a fresh filter of `fused` (a
+/// filter is single-pass, and a sample thins its matches); returns the
+/// result and the filter's matched count.
 fn over_shape<R>(
     m: &MembershipSet,
-    sample: &[u32],
+    sample: (f64, u64),
     bounds: (usize, usize),
     kind: usize,
     fused: Option<(&Predicate, &Table)>,
@@ -125,24 +127,41 @@ fn over_shape<R>(
 ) -> (R, Option<u64>) {
     let base = match kind {
         0 => Selection::Members(m),
-        1 => Selection::MemberRange {
+        _ => Selection::MemberRange {
             members: m,
             start: bounds.0,
             end: bounds.1,
         },
-        _ => Selection::Rows(sample),
     };
     match fused {
-        None => (body(&base), None),
+        None => (sampled_if(kind == 2, sample, &base, body), None),
         Some((predicate, table)) => {
             let filter = RefCell::new(FrameFilter::compile(predicate, table).unwrap());
-            let out = body(&Selection::Filtered {
+            let filtered = Selection::Filtered {
                 base: &base,
                 filter: &filter,
-            });
+            };
+            let out = sampled_if(kind == 2, sample, &filtered, body);
             let matched = filter.borrow().matched();
             (out, Some(matched))
         }
+    }
+}
+
+/// `body` over `sel`, or over `sel` sampled at `(rate, seed)` when `sample`.
+fn sampled_if<'a, R>(
+    sample: bool,
+    (rate, seed): (f64, u64),
+    sel: &'a Selection<'a>,
+    body: impl FnOnce(&Selection<'_>) -> R,
+) -> R {
+    match sample {
+        true => body(&Selection::Sampled {
+            base: sel,
+            rate,
+            seed,
+        }),
+        false => body(sel),
     }
 }
 
@@ -301,7 +320,7 @@ proptest! {
                 }
             }
         }
-        // Sampled row lists exercise the random-access path.
+        // Sparse row lists exercise the random-access path.
         let sample: Vec<u32> = (0..n as u32).step_by(3).collect();
         let sel = Selection::Rows(&sample);
         let mut reference: Option<(Vec<i64>, u64)> = None;
@@ -386,8 +405,9 @@ proptest! {
         prop_assert_eq!(i1, naive);
     }
 
-    /// Sampling returns a subset of present rows, in ascending order, and is
-    /// deterministic in the seed.
+    /// A sampled walk returns a subset of present rows, in ascending order:
+    /// exactly the members `row_sampled` admits, so it is deterministic in
+    /// the seed.
     #[test]
     fn membership_sample_is_subset(
         rows in proptest::collection::btree_set(0u32..5000, 1..2000),
@@ -395,12 +415,22 @@ proptest! {
         rate in 0.05f64..0.95,
     ) {
         let m = MembershipSet::from_rows(rows.iter().copied().collect(), 5000);
-        let s = m.sample(rate, seed);
+        let sample = |seed| {
+            let mut s = Vec::new();
+            scan_rows(&Selection::Sampled { base: &Selection::Members(&m), rate, seed }, |r| {
+                s.push(r as u32)
+            });
+            s
+        };
+        let s = sample(seed);
         prop_assert!(s.windows(2).all(|w| w[0] < w[1]), "ascending, no dups");
         for r in &s {
             prop_assert!(rows.contains(r), "sampled row {} not a member", r);
         }
-        prop_assert_eq!(s.clone(), m.sample(rate, seed), "deterministic");
+        let want: Vec<u32> =
+            rows.iter().copied().filter(|&r| row_sampled(u64::from(r), rate, seed)).collect();
+        prop_assert_eq!(&s, &want, "the members row_sampled admits");
+        prop_assert_eq!(s, sample(seed), "deterministic");
     }
 
     /// RowKey ordering is a total order consistent with reversal of the
@@ -671,14 +701,15 @@ proptest! {
     }
 
     /// The one selection walk over every shape: `Members`, `MemberRange`
-    /// with bounds anywhere in a word and sampled `Rows`, each over `Full`,
-    /// `Dense` and `Sparse` memberships, bare and under a fused filter.
-    /// Frames are 64-aligned with strictly ascending bases and end at their
-    /// highest selected bit; the rows emitted ascend strictly (so frames
-    /// and rows never overlap) and are exactly `MembershipSet::iter`
-    /// clipped to the bounds — and, fused, kept by `CompiledPredicate::eval`,
-    /// with only frames emitted and `matched` counting them. `scan_rows`,
-    /// `count_missing` and `scan_values` (over every encoding) agree.
+    /// with bounds anywhere in a word and that range `Sampled`, each over
+    /// `Full`, `Dense` and `Sparse` memberships, bare and under a fused
+    /// filter. Frames are 64-aligned with strictly ascending bases and end
+    /// at their highest selected bit; the rows emitted ascend strictly (so
+    /// frames and rows never overlap) and are exactly `MembershipSet::iter`
+    /// clipped to the bounds — kept, sampled, by `row_sampled` and, fused,
+    /// by `CompiledPredicate::eval`, with only frames emitted and `matched`
+    /// counting the rows before the sample. `scan_rows`, `count_missing`
+    /// and `scan_values` (over every encoding) agree.
     #[test]
     fn one_walk_tiles_every_selection_shape(
         shape in 0usize..3,
@@ -708,7 +739,6 @@ proptest! {
         };
         let (a, b) = (usize::from(cuts.0) % (n + 1), usize::from(cuts.1) % (n + 1));
         let bounds = (a.min(b), a.max(b));
-        let sample = m.sample(rate, seed);
         let x: Vec<Option<i64>> = (0..n as i64).map(|i| (i % 7 != 3).then_some(i * 7919 % 100)).collect();
         let nulls = NullMask::from_flags(x.iter().map(Option::is_none), n);
         let data: Vec<i64> = x.iter().map(|v| v.unwrap_or(0)).collect();
@@ -719,17 +749,22 @@ proptest! {
         let predicate = Predicate::range("X", range.0 as f64, (range.0 + range.1) as f64);
         let mut compiled = predicate.compile(&table).unwrap();
         let keep: Vec<bool> = (0..n).map(|r| compiled.eval(&table, r)).collect();
+        let sample = (rate, seed);
         for kind in 0..3 {
             let unfiltered: Vec<usize> = match kind {
                 0 => m.iter().collect(),
-                1 => m.iter().filter(|&r| bounds.0 <= r && r < bounds.1).collect(),
-                _ => sample.iter().map(|&r| r as usize).collect(),
+                _ => m.iter().filter(|&r| bounds.0 <= r && r < bounds.1).collect(),
             };
-            let sparse = kind == 2 || shape == 2;
+            let sparse = shape == 2;
             for fused in [None, Some((&predicate, &table))] {
-                let want: Vec<usize> =
+                let matches: Vec<usize> =
                     unfiltered.iter().copied().filter(|&r| fused.is_none() || keep[r]).collect();
-                let (events, matched) = over_shape(&m, &sample, bounds, kind, fused, |sel| {
+                let want: Vec<usize> = matches
+                    .iter()
+                    .copied()
+                    .filter(|&r| kind != 2 || row_sampled(r as u64, rate, seed))
+                    .collect();
+                let (events, matched) = over_shape(&m, sample, bounds, kind, fused, |sel| {
                     let mut events = Vec::new();
                     scan_frames(sel, |ev| events.push(ev));
                     events
@@ -757,9 +792,9 @@ proptest! {
                 prop_assert!(got.windows(2).all(|w| w[0] < w[1]), "rows ascend, never overlap");
                 prop_assert_eq!(&got, &want, "kind {} fused {}", kind, fused.is_some());
                 if let Some(matched) = matched {
-                    prop_assert_eq!(matched as usize, want.len(), "matched");
+                    prop_assert_eq!(matched as usize, matches.len(), "matched");
                 }
-                let (rows, _) = over_shape(&m, &sample, bounds, kind, fused, |sel| {
+                let (rows, _) = over_shape(&m, sample, bounds, kind, fused, |sel| {
                     let mut rows = Vec::new();
                     scan_rows(sel, |r| rows.push(r));
                     rows
@@ -767,12 +802,12 @@ proptest! {
                 prop_assert_eq!(&rows, &want, "scan_rows");
                 let want_missing = want.iter().filter(|&&r| x[r].is_none()).count() as u64;
                 let want_values: Vec<i64> = want.iter().filter_map(|&r| x[r]).collect();
-                let (missing, _) = over_shape(&m, &sample, bounds, kind, fused, |sel| {
+                let (missing, _) = over_shape(&m, sample, bounds, kind, fused, |sel| {
                     count_missing(sel, nulls.bitmap())
                 });
                 prop_assert_eq!(missing, want_missing, "count_missing");
                 for s in all_storages(&data) {
-                    let ((values, missing), _) = over_shape(&m, &sample, bounds, kind, fused, |sel| {
+                    let ((values, missing), _) = over_shape(&m, sample, bounds, kind, fused, |sel| {
                         let (mut values, mut missing) = (Vec::new(), 0u64);
                         scan_values(sel, &s, nulls.bitmap(), &mut missing, |v| values.push(v));
                         (values, missing)

@@ -1000,8 +1000,9 @@ impl TreeCtx {
 
     /// Leaf seed mixes the query seed with worker and partition indexes
     /// so samples are independent yet reproducible (§5.8). Sub-tasks of
-    /// one partition share its seed: each draws the partition-wide
-    /// sample and clips it to its range.
+    /// one partition share its seed, and a row is sampled by its index
+    /// under that seed, so each sub-task samples its range's share of the
+    /// one partition-wide sample.
     fn leaf_seed(&self, partition: u32) -> u64 {
         self.seed
             ^ (self.worker.id as u64).wrapping_mul(0x9E3779B97F4A7C15)
@@ -1760,13 +1761,17 @@ mod tests {
     }
 
     #[test]
-    fn fused_tree_matches_materialized_filter_for_exact_sketches() {
-        // Integer-merge sketches: a fused tree over the parent must equal
-        // a plain tree over the materialized filtered dataset byte-for-
-        // byte, even though the two trees split along different plans
-        // (fused splits the unfiltered membership, two-pass the narrowed
-        // one — both folds are exact sums, so the bytes agree).
+    fn fused_tree_matches_materialized_filter() {
+        // A fused tree over the parent must equal a plain tree over the
+        // materialized filtered dataset byte-for-byte, even though the two
+        // trees split along different plans (fused splits the unfiltered
+        // membership, two-pass the narrowed one). The exact sketches fold
+        // exact sums; the sampled ones read the same rows either way,
+        // since a row is sampled by its index and the partition's seed.
+        use hillview_columnar::SortOrder;
         use hillview_sketch::distinct::DistinctSketch;
+        use hillview_sketch::heavy::SampledHeavyHittersSketch;
+        use hillview_sketch::quantile::QuantileSketch;
         let c = split_cluster(4, 512);
         let ds = load_skewed(&c);
         let pred = Predicate::range("X", 10.0, 60.0);
@@ -1783,6 +1788,18 @@ mod tests {
                 BucketSpec::numeric(0.0, 100.0, 10),
             )),
             erase(DistinctSketch::new("X")),
+            erase(HistogramSketch::sampled(
+                "X",
+                BucketSpec::numeric(0.0, 100.0, 10),
+                0.3,
+            )),
+            erase(QuantileSketch::new(
+                SortOrder::ascending(&["X"]),
+                0.3,
+                100_000,
+                100_000,
+            )),
+            erase(SampledHeavyHittersSketch::new("X", 4, 0.3)),
         ];
         for sk in sketches {
             let opts = QueryOptions {

@@ -165,7 +165,7 @@ impl<'a> BoundColumn<'a> {
 }
 
 /// Hand `tally` the cells of the `N` bound columns at every row of `view`
-/// that `scope` selects — of the partition-wide sample, when `sample` is
+/// that `scope` selects — and that the sample admits, when `sample` is
 /// `Some((rate, seed))` — in ascending row order, and return the number of
 /// rows inspected. A cell is the column's bucket index, its bucket count
 /// for an out-of-range value, or the count plus one for a missing one.
@@ -176,6 +176,11 @@ pub(crate) fn scan_cells<const N: usize>(
     cols: [&BoundColumn<'_>; N],
     mut tally: impl FnMut([u32; N]),
 ) -> SketchResult<u64> {
+    let mut rows = 0u64;
+    let mut tally = |cells| {
+        rows += 1;
+        tally(cells)
+    };
     let outs = cols.map(BoundColumn::out);
     let mut frames = cols.map(FrameCells::new);
     let mut lanes = [[0u32; BLOCK_ROWS]; N];
@@ -186,7 +191,7 @@ pub(crate) fn scan_cells<const N: usize>(
             Cell::Missing => outs[c] + 1,
         })
     };
-    let ((), rows) = view.scan(scope, sample, |sel| {
+    view.scan(scope, sample, |sel| {
         scan_frames(sel, |ev| match ev {
             // At least half selected: one full-frame cell computation per
             // column, amortized over the selected lanes (module doc).

@@ -370,8 +370,8 @@ impl Sketch for SampledHeavyHittersSketch {
         "heavy-hitters-sampling"
     }
 
-    /// Counts are exact over the (clipped) sample, so split partials fold
-    /// back to exactly the unsplit summary.
+    /// Counts are exact over the sample, so split partials fold back to
+    /// exactly the unsplit summary.
     fn summarize(
         &self,
         view: &TableView,
@@ -379,37 +379,22 @@ impl Sketch for SampledHeavyHittersSketch {
         seed: u64,
     ) -> SketchResult<SampledHeavyHittersSummary> {
         let col = view.table().column_by_name(&self.column)?;
-        // rate >= 1.0 is exact: scan the membership frames directly instead
-        // of materializing every row index (sample_rows(1.0) returns all
-        // members ascending, so results are identical either way). The
-        // unfiltered sample is always drawn partition-wide and clipped to
-        // the bounds; under fusion the sample must come from the *filtered*
-        // stream, so each surviving row is instead tested with the
-        // stateless hash-threshold decision [`row_sampled`] in the same
-        // single pass — no materialized membership, and tiling stays exact
-        // because the decision is a pure function of the row index.
-        let sample = (self.rate < 1.0 && scope.filter.is_none()).then_some((self.rate, seed));
-        let hash_sample = self.rate < 1.0 && sample.is_none();
-        // Selected rows that did not reach a counter: missing values, and
-        // rows the hash-threshold sample passed over.
-        let mut skipped = 0u64;
-        let (mut counts, selected) = view.scan(scope, sample, |sel| -> Vec<(Value, u64)> {
+        let sample = (self.rate < 1.0).then_some((self.rate, seed));
+        let (mut counts, _) = view.scan(scope, sample, |sel| -> Vec<(Value, u64)> {
             match col.as_dict_col() {
                 // Dictionary fast path: exact counts into a dictionary-sized
                 // array, consumed frame-wise from the block pipeline — a
                 // fully-live frame is 64 unconditional array increments
                 // with no hashing, and values are materialized once per
                 // distinct code, not once per row. Increments commute, so
-                // the result is independent of frame shape. It consumes
-                // whole frames without row identities, so the fused
-                // *sampled* scan counts per row instead.
-                Some(dict) if !hash_sample => {
+                // the result is independent of frame shape.
+                Some(dict) => {
                     let mut by_code = CodeCounts(vec![0u64; dict.dictionary().len()]);
                     scan_blocks(
                         sel,
                         dict.codes(),
                         dict.nulls().bitmap(),
-                        &mut skipped,
+                        &mut 0,
                         &mut by_code,
                     );
                     let mut counts = Vec::new();
@@ -421,17 +406,11 @@ impl Sketch for SampledHeavyHittersSketch {
                     });
                     counts
                 }
-                _ => {
+                None => {
                     let mut map: HashMap<Value, u64> = HashMap::new();
                     scan_rows(sel, |row| {
-                        if hash_sample && !row_sampled(row as u64, self.rate, seed) {
-                            skipped += 1;
-                            return;
-                        }
                         let v = col.value(row);
-                        if v.is_missing() {
-                            skipped += 1;
-                        } else {
+                        if !v.is_missing() {
                             *map.entry(v).or_insert(0) += 1;
                         }
                     });
@@ -439,7 +418,8 @@ impl Sketch for SampledHeavyHittersSketch {
                 }
             }
         })?;
-        let sampled = selected - skipped;
+        // Each sampled row with a value is in exactly one count.
+        let sampled = counts.iter().map(|(_, c)| c).sum();
         sort_by_count(&mut counts);
         Ok(SampledHeavyHittersSummary { counts, sampled })
     }
@@ -473,8 +453,11 @@ impl SampledHeavyHittersSketch {
         let col = view.table().column_by_name(&self.column)?;
         let mut map: HashMap<Value, u64> = HashMap::new();
         let mut sampled = 0u64;
-        for &row in view.sample_rows(self.rate.min(1.0), seed).iter() {
-            let v = col.value(row as usize);
+        for row in view.iter_rows() {
+            if !row_sampled(row as u64, self.rate, seed) {
+                continue;
+            }
+            let v = col.value(row);
             if v.is_missing() {
                 continue;
             }
@@ -498,9 +481,9 @@ mod tests {
     fn skewed_view() -> TableView {
         let mut vals = Vec::new();
         for i in 0..1000 {
-            vals.push(if i % 10 < 4 {
+            vals.push(if i % 20 < 8 {
                 "whale".to_string()
-            } else if i % 10 < 6 {
+            } else if i % 20 < 13 {
                 "shark".to_string()
             } else {
                 format!("minnow{}", i)
@@ -642,7 +625,7 @@ mod tests {
     #[test]
     fn fused_sampling_rate_is_calibrated() {
         // 200k rows, half passing the filter, rate 0.3: the fused
-        // hash-threshold sample fraction concentrates around the rate
+        // sample fraction concentrates around the rate
         // (binomial std err ~0.0014 at n=100k; 3 sigma is well under the
         // 0.015 tolerance), and the draw is seed-deterministic.
         use hillview_columnar::column::I64Column;

@@ -22,7 +22,7 @@ use crate::traits::{Sketch, SketchError, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::scan::{scan_values, Selection};
 use hillview_columnar::simd::{self, BucketParams, LaneValue};
-use hillview_columnar::{scan_blocks, Block, BlockSink, Column};
+use hillview_columnar::{row_sampled, scan_blocks, Block, BlockSink, Column};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
 use std::sync::Arc;
 
@@ -139,7 +139,7 @@ impl Sketch for HistogramSketch {
         let bound = BoundColumn::bind(col, &self.buckets)?;
         let mut out = HistogramSummary::zero(grid_cells(&[self.buckets.count()])?);
         let sample = (self.rate < 1.0).then_some((self.rate, seed));
-        let ((), rows) = view.scan(scope, sample, |sel| match &bound {
+        view.scan(scope, sample, |sel| match &bound {
             // Numeric buckets over numeric columns: block frames with one
             // null-word check per 64 rows. Bucket indexes of a whole frame
             // are computed by the lane-parallel primitive (dead lanes to a
@@ -174,7 +174,8 @@ impl Sketch for HistogramSketch {
                 },
             ),
         })?;
-        out.rows_inspected = rows;
+        // Every inspected (sampled) row lands in exactly one counter.
+        out.rows_inspected = out.total_in_buckets() + out.missing + out.out_of_range;
         Ok(out)
     }
 
@@ -313,13 +314,9 @@ impl HistogramSketch {
                         None => out.out_of_range += 1,
                     }
                 };
-                if self.rate >= 1.0 {
-                    for row in view.iter_rows() {
+                for row in view.iter_rows() {
+                    if row_sampled(row as u64, self.rate, seed) {
                         tally(row);
-                    }
-                } else {
-                    for &row in view.sample_rows(self.rate, seed).iter() {
-                        tally(row as usize);
                     }
                 }
             }
@@ -351,13 +348,9 @@ impl HistogramSketch {
                 },
             }
         };
-        if self.rate >= 1.0 {
-            for row in view.iter_rows() {
+        for row in view.iter_rows() {
+            if row_sampled(row as u64, self.rate, seed) {
                 tally(row);
-            }
-        } else {
-            for &row in view.sample_rows(self.rate, seed).iter() {
-                tally(row as usize);
             }
         }
     }

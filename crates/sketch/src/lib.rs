@@ -18,7 +18,7 @@
 //!   partition [`TableView`] that the [`Scope`] selects. A kernel here
 //!   binds its columns, passes its block body to `TableView::scan` and
 //!   finishes the summary; `scan` owns everything about *which* rows — row
-//!   bounds, the pre-drawn sample, the fused or two-pass filter, the
+//!   bounds, the fused filter, the sample applied in the same walk, the
 //!   selected-row count. A sketch outside this crate, or one that walks the
 //!   whole view itself, starts from [`view::two_pass`]. The result must be
 //!   a deterministic function of the arguments — the engine replays seeds
@@ -32,8 +32,8 @@
 //!
 //! Opt in to intra-partition parallelism with [`Sketch::splittable`] and to
 //! the engine's result cache with [`Sketch::cache_identity`]. The rules a
-//! scoped summary obeys — range tiling, clip-never-resample, absolute row
-//! indexes, fusion ≡ two-pass — are stated once, on [`Scope`]; the
+//! scoped summary obeys — range tiling, a row sampled by its index alone,
+//! absolute row indexes, fusion ≡ two-pass — are stated once, on [`Scope`]; the
 //! equivalence suites under `tests/` hold every kernel here to them bit for
 //! bit, against the per-row `summarize_rowwise` reference implementations.
 //!

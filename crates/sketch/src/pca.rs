@@ -10,6 +10,7 @@
 use crate::eigen::{jacobi_eigen, Eigen, SymMatrix};
 use crate::traits::{Sketch, SketchError, SketchResult, Summary};
 use crate::view::{Scope, TableView};
+use hillview_columnar::row_sampled;
 use hillview_columnar::scan::scan_rows;
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
 use std::sync::Arc;
@@ -197,9 +198,9 @@ impl Sketch for PcaSketch {
                 }
             }
         };
-        // Chunked row enumeration, streaming or over a pre-drawn sample
-        // clipped to the bounds; sums accumulate in ascending row order
-        // either way, bit-identical to the per-row reference.
+        // Chunked row enumeration, streaming or sampled in the walk; sums
+        // accumulate in ascending row order either way, bit-identical to
+        // the per-row reference.
         let sample = (self.rate < 1.0).then_some((self.rate, seed));
         view.scan(scope, sample, |sel| {
             scan_rows(sel, |row| tally(row, &mut out, &mut vals))
@@ -258,13 +259,9 @@ impl PcaSketch {
                 }
             }
         };
-        if self.rate >= 1.0 {
-            for row in view.iter_rows() {
+        for row in view.iter_rows() {
+            if row_sampled(row as u64, self.rate, seed) {
                 tally(row, &mut out, &mut vals);
-            }
-        } else {
-            for &row in view.sample_rows(self.rate, seed).iter() {
-                tally(row as usize, &mut out, &mut vals);
             }
         }
         Ok(out)

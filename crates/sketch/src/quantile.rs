@@ -45,7 +45,7 @@
 use crate::traits::{merge_runs, Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::scan::scan_rows;
-use hillview_columnar::{row_sampled, RowKey, SortOrder};
+use hillview_columnar::{RowKey, SortOrder};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
 
 /// Sampled quantile sketch over a sort order.
@@ -244,30 +244,14 @@ impl Sketch for QuantileSketch {
         seed: u64,
     ) -> SketchResult<QuantileSummary> {
         let resolved = self.order.resolve(view.table())?;
-        // Unfiltered sampling pre-draws a partition-wide sample
-        // (representation-dependent walk, clipped to the bounds). Under
-        // fusion the sample must come from the *filtered* stream, so each
-        // surviving row is instead tested with the stateless hash-threshold
-        // decision [`row_sampled`] — a pure function of `(row, rate, seed)`,
-        // which keeps split tiling exact and the one-pass structure intact
-        // (no materialized membership, no second decode).
-        let sample = (self.rate < 1.0 && scope.filter.is_none()).then_some((self.rate, seed));
-        let hash_sample = self.rate < 1.0 && sample.is_none();
+        // The walk samples each frame after the filter, so the keys are
+        // those of the sampled rows and the count is the population they
+        // stand for: the bounded membership, or the filter's matches.
+        let sample = (self.rate < 1.0).then_some((self.rate, seed));
         let mut keys = Vec::new();
-        let ((), rows) = view.scan(scope, sample, |sel| {
-            scan_rows(sel, |row| {
-                if !hash_sample || row_sampled(row as u64, self.rate, seed) {
-                    keys.push(resolved.key(view.table(), row));
-                }
-            })
+        let ((), population) = view.scan(scope, sample, |sel| {
+            scan_rows(sel, |row| keys.push(resolved.key(view.table(), row)))
         })?;
-        // The population is the rows the summary speaks for — the scanned
-        // rows, or the bounded membership a pre-drawn sample came from.
-        let (lo, hi) = scope.rows.unwrap_or((0, usize::MAX));
-        let population = match sample {
-            Some(_) => view.members().count_range(lo, hi) as u64,
-            None => rows,
-        };
         Ok(QuantileSummary::from_sample(keys, population, self))
     }
 

@@ -11,6 +11,7 @@ use crate::bind::{scan_cells, BoundColumn, Cell};
 use crate::buckets::{add_counts, grid_cells, BucketSpec};
 use crate::traits::{Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
+use hillview_columnar::row_sampled;
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
 use std::sync::Arc;
 
@@ -215,13 +216,9 @@ impl StackedHistogramSketch {
                 }
             }
         };
-        if self.rate >= 1.0 {
-            for row in view.iter_rows() {
+        for row in view.iter_rows() {
+            if row_sampled(row as u64, self.rate, seed) {
                 tally(row);
-            }
-        } else {
-            for &row in view.sample_rows(self.rate, seed).iter() {
-                tally(row as usize);
             }
         }
         Ok(out)

@@ -132,8 +132,8 @@ pub trait Sketch: Send + Sync + 'static {
     /// rules a scoped summary must obey are stated on [`Scope`].
     ///
     /// A kernel in this crate binds its columns, hands its block body to
-    /// `TableView::scan` — which resolves `scope` (row bounds, sampling,
-    /// fused or two-pass filtering) to the selection the body consumes —
+    /// `TableView::scan` — which resolves `scope` (row bounds, the fused
+    /// filter, sampling) to the one selection the body consumes —
     /// and finishes the summary from what the scan accumulated. A sketch
     /// that walks the whole view itself starts from
     /// [`two_pass`](crate::view::two_pass) instead.

@@ -13,7 +13,7 @@ use crate::buckets::{grid_cells, BucketSpec};
 use crate::heatmap::{HeatmapSketch, HeatmapSummary};
 use crate::traits::{Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
-use hillview_columnar::MembershipSet;
+use hillview_columnar::{row_sampled, MembershipSet};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
 use std::sync::Arc;
 
@@ -139,7 +139,7 @@ impl Sketch for TrellisSketch {
 
 impl TrellisSketch {
     /// Per-row reference implementation, kept for the scan-equivalence
-    /// property tests: partition the rows — of the partition-wide sample,
+    /// property tests: partition the rows — those [`row_sampled`] admits,
     /// when sampling — by W bucket, then run the heat map's own reference
     /// over each group's rows. Must remain bit-identical to
     /// [`Sketch::summarize`].
@@ -152,13 +152,9 @@ impl TrellisSketch {
             Cell::In(g) => groups_rows[g].push(row as u32),
             _ => dropped += 1,
         };
-        if self.rate >= 1.0 {
-            view.iter_rows().for_each(&mut place);
-        } else {
-            for &row in view.sample_rows(self.rate, seed).iter() {
-                place(row as usize);
-            }
-        }
+        view.iter_rows()
+            .filter(|&row| row_sampled(row as u64, self.rate, seed))
+            .for_each(&mut place);
         let (bx, by) = (self.buckets_x.clone(), self.buckets_y.clone());
         let inner = HeatmapSketch::streaming(&self.col_x, &self.col_y, bx, by);
         let groups = groups_rows

@@ -7,10 +7,10 @@
 //! representation, where filtered tables share storage with their parents.
 
 use crate::traits::{SketchError, SketchResult};
-use hillview_columnar::scan::{rows_in_range, Selection};
+use hillview_columnar::scan::Selection;
 use hillview_columnar::{filter_members, FrameFilter, MembershipSet, Predicate, Table};
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Which rows of a partition view one [`Sketch::summarize`](crate::Sketch::summarize)
 /// call speaks for: an optional row range, an optional predicate, or both.
@@ -23,18 +23,20 @@ use std::sync::{Arc, Mutex};
 ///   summary of the whole partition — bit-identical to the unsplit call for
 ///   sketches with exact merges. A range covering the whole universe is the
 ///   same scope as no range at all.
-/// * **Clip, never resample.** A sampled sketch draws the *partition-wide*
-///   sample from the seed and clips it to `rows`; it never re-draws per
-///   sub-range, so split execution stays deterministic.
+/// * **A row is sampled by `(row index, rate, seed)`.** Whether a sampled
+///   sketch reads a row depends on nothing else
+///   ([`row_sampled`](hillview_columnar::row_sampled)): not on `rows`, not
+///   on how the membership is stored, not on `filter`. So split execution
+///   stays deterministic and every sub-range samples its share of the
+///   partition-wide sample.
 /// * **Absolute row indexes.** `rows` are row indexes into the partition.
 ///   Filtering narrows the membership but never renumbers rows, so a split
 ///   plan computed from the unfiltered membership stays valid under
 ///   `filter`.
 /// * **Fusion is invisible.** A `filter` scope must yield the bytes of the
 ///   two-pass execution — [`filtered_view`], then the same call without the
-///   filter. The resolver the kernels share (`TableView::scan`) fuses the
-///   predicate into the block pass where that holds and falls back to two
-///   passes where it does not.
+///   filter. The resolver the kernels share (`TableView::scan`) always fuses
+///   the predicate into the block pass, sampled or not.
 #[derive(Debug, Clone, Copy)]
 pub struct Scope<'a> {
     /// Only rows whose partition row index lies in `lo..hi`.
@@ -84,21 +86,11 @@ pub fn two_pass(sketch: &str, view: &TableView, scope: Scope<'_>) -> SketchResul
     }
 }
 
-/// A memoized sample draw: `((rate bits, seed), rows)`.
-type SampleMemo = Option<((u64, u64), Arc<Vec<u32>>)>;
-
 /// One partition's worth of (possibly filtered) data.
 #[derive(Debug, Clone)]
 pub struct TableView {
     table: Arc<Table>,
     members: Arc<MembershipSet>,
-    /// Memo for the most recent partition-wide sample, keyed by
-    /// `(rate bits, seed)` and shared across clones of this view. Split
-    /// sub-tasks all request the identical sample (the splitting contract
-    /// forbids re-drawing per range), so one draw serves every piece; a
-    /// single slot bounds memory on views that live across many queries in
-    /// the worker's dataset cache.
-    sample_memo: Arc<Mutex<SampleMemo>>,
 }
 
 impl TableView {
@@ -108,18 +100,13 @@ impl TableView {
         TableView {
             table,
             members: Arc::new(MembershipSet::full(n)),
-            sample_memo: Arc::new(Mutex::new(None)),
         }
     }
 
     /// View over a subset of rows.
     pub fn with_members(table: Arc<Table>, members: Arc<MembershipSet>) -> Self {
         debug_assert_eq!(members.universe(), table.num_rows());
-        TableView {
-            table,
-            members,
-            sample_memo: Arc::new(Mutex::new(None)),
-        }
+        TableView { table, members }
     }
 
     /// The underlying table.
@@ -147,65 +134,49 @@ impl TableView {
         self.members.iter()
     }
 
-    /// Uniform row sample at `rate`, deterministic in `seed` (§5.6).
-    ///
-    /// The draw is memoized: when split sub-tasks of one partition all ask
-    /// for the same `(rate, seed)` — which the splitting contract
-    /// guarantees — only the first actually walks the membership; the rest
-    /// share the `Arc`. Sampling is a pure function of
-    /// `(members, rate, seed)`, so a racing double-draw is harmless.
-    pub(crate) fn sample_rows(&self, rate: f64, seed: u64) -> Arc<Vec<u32>> {
-        let key = (rate.to_bits(), seed);
-        if let Some((k, sample)) = &*self.sample_memo.lock().unwrap() {
-            if *k == key {
-                return sample.clone();
-            }
-        }
-        let drawn = Arc::new(self.members.sample(rate, seed));
-        *self.sample_memo.lock().unwrap() = Some((key, drawn.clone()));
-        drawn
-    }
-
     /// Resolve `scope` to the [`Selection`] a kernel scans, run `body` over
-    /// it, and return `body`'s result with the number of rows selected.
+    /// it, and return `body`'s result with the number of rows the scope
+    /// selects.
     ///
-    /// `sample` of `Some((rate, seed))` scans the partition-wide sample
-    /// drawn at `rate` from `seed` instead of the membership. The sample
-    /// must come from the *filtered* membership, so sampling under a filter
-    /// runs two-pass; an unsampled filter is compiled once and fused into
-    /// the selection, evaluated per 64-row frame as `body` consumes it.
+    /// One pass, whatever the scope: a filter is compiled once and fused
+    /// into the selection, evaluated per 64-row frame as `body` consumes
+    /// it, and `sample` of `Some((rate, seed))` thins each frame after the
+    /// filter to the rows [`row_sampled`](hillview_columnar::row_sampled)
+    /// admits. The count is taken before the sample: the bounded membership,
+    /// or the filter's matches.
     pub(crate) fn scan<T>(
         &self,
         scope: Scope<'_>,
         sample: Option<(f64, u64)>,
         body: impl FnOnce(&Selection<'_>) -> T,
     ) -> SketchResult<(T, u64)> {
-        if let (Some(_), Some(predicate)) = (sample, scope.filter) {
-            let rows = Scope {
-                rows: scope.rows,
-                filter: None,
-            };
-            return filtered_view(self, predicate)?.scan(rows, sample, body);
-        }
-        let sampled = sample.map(|(rate, seed)| self.sample_rows(rate, seed));
         let (lo, hi) = scope.rows.unwrap_or((0, usize::MAX));
-        let base = match &sampled {
-            Some(rows) => Selection::Rows(rows_in_range(rows, lo, hi)),
-            None => Selection::members_in(&self.members, lo, hi),
+        let base = Selection::members_in(&self.members, lo, hi);
+        let filter = scope
+            .filter
+            .map(|p| FrameFilter::compile(p, &self.table).map(RefCell::new))
+            .transpose()?;
+        let filtered = match &filter {
+            Some(filter) => Selection::Filtered {
+                base: &base,
+                filter,
+            },
+            None => base,
         };
-        match scope.filter {
-            None => Ok((body(&base), base.count() as u64)),
-            Some(predicate) => {
-                let filter = RefCell::new(FrameFilter::compile(predicate, &self.table)?);
-                let out = body(&Selection::Filtered {
-                    base: &base,
-                    filter: &filter,
-                });
-                // Single-pass: the row count only exists after the scan.
-                let matched = filter.borrow().matched();
-                Ok((out, matched))
-            }
-        }
+        let out = body(&match sample {
+            Some((rate, seed)) => Selection::Sampled {
+                base: &filtered,
+                rate,
+                seed,
+            },
+            None => filtered,
+        });
+        // Fused, the row count only exists after the scan.
+        let rows = match &filter {
+            Some(filter) => filter.borrow().matched(),
+            None => base.count() as u64,
+        };
+        Ok((out, rows))
     }
 }
 
@@ -213,7 +184,8 @@ impl TableView {
 mod tests {
     use super::*;
     use hillview_columnar::column::{Column, I64Column};
-    use hillview_columnar::ColumnKind;
+    use hillview_columnar::scan::scan_rows;
+    use hillview_columnar::{row_sampled, ColumnKind};
 
     fn table(n: usize) -> Arc<Table> {
         Arc::new(
@@ -247,6 +219,22 @@ mod tests {
     #[test]
     fn sampling_is_deterministic() {
         let v = TableView::full(table(1000));
-        assert_eq!(v.sample_rows(0.3, 5), v.sample_rows(0.3, 5));
+        let rows = |seed| {
+            let (rows, n) = v
+                .scan(Scope::ALL, Some((0.3, seed)), |sel| {
+                    let mut rows = Vec::new();
+                    scan_rows(sel, |r| rows.push(r));
+                    rows
+                })
+                .unwrap();
+            assert_eq!(n, 1000, "the count is taken before the sample");
+            rows
+        };
+        assert_eq!(rows(5), rows(5));
+        assert_ne!(rows(5), rows(6));
+        let want: Vec<usize> = (0..1000)
+            .filter(|&r| row_sampled(r as u64, 0.3, 5))
+            .collect();
+        assert_eq!(rows(5), want);
     }
 }

@@ -15,7 +15,9 @@
 //! any filter has been materialized.
 
 use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
-use hillview_columnar::{ColumnKind, MembershipSet, Predicate, SortOrder, StrMatchKind, Table};
+use hillview_columnar::{
+    Bitmap, ColumnKind, MembershipSet, Predicate, SortOrder, StrMatchKind, Table,
+};
 use hillview_net::Wire;
 use hillview_sketch::bottomk::BottomKSketch;
 use hillview_sketch::buckets::BucketSpec;
@@ -24,7 +26,7 @@ use hillview_sketch::distinct::DistinctSketch;
 use hillview_sketch::find::FindSketch;
 use hillview_sketch::heatmap::HeatmapSketch;
 use hillview_sketch::heavy::{MisraGriesSketch, SampledHeavyHittersSketch};
-use hillview_sketch::histogram::HistogramSketch;
+use hillview_sketch::histogram::{HistogramSketch, HistogramSummary};
 use hillview_sketch::moments::MomentsSketch;
 use hillview_sketch::nextk::NextKSketch;
 use hillview_sketch::pca::PcaSketch;
@@ -157,6 +159,39 @@ fn resolver_contract_holds<S: Sketch>(sk: &S, v: &TableView, p: &Predicate, seed
         )
 }
 
+/// The rows of `m` in every representation that can hold them: `Dense`,
+/// `Sparse`, and `Full` when they are every row.
+fn representations(m: &MembershipSet) -> Vec<MembershipSet> {
+    let n = m.universe();
+    let rows: Vec<u32> = m.iter().map(|r| r as u32).collect();
+    let mut bits = Bitmap::new(n);
+    rows.iter().for_each(|&r| bits.set(r as usize));
+    let mut reps = vec![MembershipSet::Dense(bits)];
+    if rows.len() == n {
+        reps.push(MembershipSet::full(n));
+    }
+    reps.push(MembershipSet::Sparse { rows, universe: n });
+    reps
+}
+
+/// Representation independence: `sk` summarizes `v`'s rows to the same
+/// bytes whichever representation holds them, unfiltered and under `p`.
+fn representation_independent<S: Sketch>(sk: &S, v: &TableView, p: &Predicate, seed: u64) -> bool {
+    let reps = representations(v.members());
+    [None, Some(p)].into_iter().all(|filter| {
+        let bytes: Vec<_> = reps
+            .iter()
+            .map(|m| {
+                let view = TableView::with_members(v.table().clone(), Arc::new(m.clone()));
+                sk.summarize(&view, Scope { rows: None, filter }, seed)
+                    .map(|s| s.to_bytes())
+                    .ok()
+            })
+            .collect();
+        bytes.iter().all(|b| b.is_some() && *b == bytes[0])
+    })
+}
+
 /// A sketch that neither fuses nor splits: it walks the whole view itself,
 /// starting from [`two_pass`].
 struct WholeViewCount;
@@ -268,11 +303,12 @@ proptest! {
         }
     }
 
-    /// Sampled kernels that fuse by falling back to the two-pass filtered
-    /// view — samples must draw from the *filtered* membership — keep the
-    /// law bit-for-bit at every rate. (Quantile and sampled heavy hitters
-    /// now sample the filtered stream directly; their contract is pinned by
-    /// `fused_sampling_matches_hash_threshold_reference` below instead.)
+    /// Every sampled kernel keeps the fusion law bit-for-bit at every rate:
+    /// a row is sampled by its index alone, so sampling the fused filter's
+    /// matches takes the rows that sampling the materialized membership
+    /// does. The same rule makes a sample independent of how the membership
+    /// is stored: one row set as `Dense`, `Sparse` and (when it is every
+    /// row) `Full` gives identical summary bytes.
     #[test]
     fn fused_law_sampled_kernels(
         t in table_strategy(),
@@ -291,30 +327,35 @@ proptest! {
         let p = predicate(pick, bounds, cat);
         macro_rules! law {
             ($sk:expr) => {
-                prop_assert!(fused_law_holds(&$sk, &v, &p, grain, seed));
+                prop_assert!(fused_law_holds(&$sk, &v, &p, grain, seed), "fusion law: {}", $sk.name());
                 prop_assert!(resolver_contract_holds(&$sk, &v, &p, seed));
+                prop_assert!(
+                    representation_independent(&$sk, &v, &p, seed),
+                    "representation independence: {}", $sk.name()
+                );
             };
         }
         law!(HistogramSketch::sampled("X", num_spec(), rate));
+        law!(HistogramSketch::sampled("C", str_spec(), rate));
         law!(HeatmapSketch::sampled("X", "C", num_spec(), str_spec(), rate));
+        law!(StackedHistogramSketch::sampled("I", "C", num_spec(), str_spec(), rate));
         law!(trellis(rate));
         law!(PcaSketch::new(&["X", "I"], rate));
-        // Hash-threshold samplers: no fusion law (see below), same resolver.
-        prop_assert!(resolver_contract_holds(
-            &SampledHeavyHittersSketch::new("C", 4, rate), &v, &p, seed));
-        prop_assert!(resolver_contract_holds(
-            &QuantileSketch::new(SortOrder::ascending(&["I", "X"]), rate, 100_000, 100_000), &v, &p, seed));
+        law!(SampledHeavyHittersSketch::new("C", 4, rate));
+        law!(SampledHeavyHittersSketch::new("I", 4, rate));
+        law!(QuantileSketch::new(SortOrder::ascending(&["I", "X"]), rate, 100_000, 100_000));
     }
 
-    /// The fused-sampling distribution contract: under a fused plan,
-    /// quantile and sampled heavy hitters draw the sample from the filtered
-    /// stream with the stateless hash-threshold test
-    /// [`hillview_columnar::row_sampled`]. The sampled row *set* is pinned
-    /// exactly — it must equal the rowwise-filtered membership intersected
-    /// with `row_sampled` — which both fixes the per-row inclusion
-    /// probability (uniform at `rate`, independent across rows) and makes
-    /// the sample a pure function of `(membership, predicate, rate, seed)`.
-    /// Tiling is pinned too: leaf ranges fold to the unsplit summary.
+    /// The fused-sampling distribution contract: under a fused plan, a
+    /// sampled kernel reads the filtered rows that the one sampling rule,
+    /// [`hillview_columnar::row_sampled`], admits. The sampled row *set* is
+    /// pinned exactly — it must equal the rowwise-filtered membership
+    /// intersected with `row_sampled` — for row kernels (quantile, sampled
+    /// heavy hitters) and a frame kernel (the sampled histogram) alike,
+    /// which both fixes the per-row inclusion probability (uniform at
+    /// `rate`, independent across rows) and makes the sample a pure function
+    /// of `(membership, predicate, rate, seed)`. Tiling is pinned too: leaf
+    /// ranges fold to the unsplit summary.
     #[test]
     fn fused_sampling_matches_hash_threshold_reference(
         t in table_strategy(),
@@ -389,6 +430,24 @@ proptest! {
             summarize_split(&qs, &v, Some(&p), grain, seed).unwrap().keys,
             want_keys
         );
+
+        // Sampled histogram: bucket counts of the reference sample, exactly,
+        // and `rows_inspected` the sample size.
+        let hist = HistogramSketch::sampled("X", num_spec(), rate);
+        let Column::Double(xs) = table.column_by_name("X").unwrap() else {
+            panic!("X is a double column");
+        };
+        let mut want = HistogramSummary::zero(num_spec().count());
+        for &r in &sample {
+            want.rows_inspected += 1;
+            match xs.get(r).map(|x| num_spec().index_of_f64(x)) {
+                None => want.missing += 1,
+                Some(Some(b)) => want.buckets[b] += 1,
+                Some(None) => want.out_of_range += 1,
+            }
+        }
+        prop_assert_eq!(hist.summarize(&v, under(&p), seed).unwrap(), want.clone());
+        prop_assert_eq!(summarize_split(&hist, &v, Some(&p), grain, seed).unwrap(), want);
     }
 
     /// Chain the law to the per-row reference: the fused pass must equal
