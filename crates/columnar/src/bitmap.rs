@@ -118,26 +118,6 @@ impl Bitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Number of set bits with index in `lo..hi` (clamped to `len`).
-    /// Word-level popcounts with masked edge words — O(words in range).
-    pub fn count_range(&self, lo: usize, hi: usize) -> usize {
-        let hi = hi.min(self.len);
-        if lo >= hi {
-            return 0;
-        }
-        let (w_lo, w_hi) = (lo / 64, (hi - 1) / 64);
-        if w_lo == w_hi {
-            let mask = span_mask(lo % 64, hi - w_lo * 64);
-            return (self.words[w_lo] & mask).count_ones() as usize;
-        }
-        let mut count = (self.words[w_lo] & span_mask(lo % 64, 64)).count_ones() as usize;
-        for w in &self.words[w_lo + 1..w_hi] {
-            count += w.count_ones() as usize;
-        }
-        count += (self.words[w_hi] & span_mask(0, hi - w_hi * 64)).count_ones() as usize;
-        count
-    }
-
     /// Bitwise AND with another bitmap of identical length.
     pub fn and(&self, other: &Bitmap) -> Bitmap {
         assert_eq!(self.len, other.len, "bitmap length mismatch");
@@ -341,28 +321,6 @@ mod tests {
         let b = Bitmap::new(65);
         let n = b.not();
         assert_eq!(n.count_ones(), 65);
-    }
-
-    #[test]
-    fn count_range_matches_filtered_iter() {
-        let mut b = Bitmap::new(300);
-        for i in (0..300).step_by(7) {
-            b.set(i);
-        }
-        for (lo, hi) in [
-            (0, 300),
-            (0, 0),
-            (5, 5),
-            (0, 1),
-            (63, 65),
-            (64, 128),
-            (10, 290),
-            (128, 140),
-            (250, 400),
-        ] {
-            let naive = b.iter_ones().filter(|&i| i >= lo && i < hi).count();
-            assert_eq!(b.count_range(lo, hi), naive, "range {lo}..{hi}");
-        }
     }
 
     #[test]

@@ -31,7 +31,7 @@
 
 use crate::bitmap::{span_mask, Bitmap};
 use crate::membership::{row_sampled, sample_word, MembershipSet};
-use crate::scan::{rows_in_range, word_span, ScanSource, Selection};
+use crate::scan::{rows_in_range, ScanSource, Selection};
 
 /// Rows per block frame.
 pub const BLOCK_ROWS: usize = crate::encoding::BLOCK_ROWS;
@@ -151,6 +151,21 @@ pub enum FrameEvent {
     },
     /// One explicitly listed row (unfiltered sparse lists).
     Row(usize),
+}
+
+/// The selectable bits of word `idx` for rows clipped to `lo..hi`: the
+/// intersection of the word's 64-row span with the bounds. Zero only when
+/// the word lies entirely outside the bounds.
+#[inline]
+fn word_span(idx: usize, lo: usize, hi: usize) -> u64 {
+    let base = idx * 64;
+    let s = lo.max(base).min(base + 64) - base;
+    let e = hi.max(base).min(base + 64) - base;
+    if s >= e {
+        0
+    } else {
+        span_mask(s, e)
+    }
 }
 
 /// The frame of the 64-row word at `base` whose selected rows are `word`.

@@ -43,11 +43,12 @@
 //! order — which is what makes chunked and per-row kernel results
 //! bit-identical.
 //!
-//! For intra-partition parallelism, [`scan::SplittableSelection`] divides
-//! any membership set into balanced row-weighted sub-ranges without
-//! materializing row ids, and [`scan::Selection::members_in`] scans one
-//! such sub-range through the same drivers; adjacent sub-range scans
-//! concatenate to exactly the whole-partition row stream.
+//! For intra-partition parallelism, [`scan::split_ranges`] halves a
+//! partition's row span into pieces of at most a grain of rows — a plan
+//! that depends on the row count alone, never on the membership — and
+//! [`scan::Selection::members_in`] scans one piece through the same
+//! drivers; adjacent piece scans concatenate to exactly the
+//! whole-partition row stream.
 //!
 //! ## Compressed columns and the block ABI
 //!
@@ -198,7 +199,7 @@ pub use predicate::{
 };
 pub use residency::{BlockCache, BlockCacheStats, Segment, SegmentMode, ValueBuf};
 pub use rows::{Row, RowKey};
-pub use scan::{rows_in_range, ScanSource, Selection, SplittableSelection};
+pub use scan::{rows_in_range, split_ranges, ScanSource, Selection};
 pub use schema::{ColumnDesc, ColumnKind, Schema};
 pub use sort::{ResolvedSortOrder, RowBound, SortColumn, SortOrder};
 pub use table::Table;

@@ -97,27 +97,6 @@ impl MembershipSet {
         }
     }
 
-    /// Number of present rows with index in `lo..hi` (clamped to the
-    /// universe). O(1) for full sets, O(words) for dense, O(log n) for
-    /// sparse — never materializes row ids, which is what lets the
-    /// splittable-selection layer ([`crate::scan::SplittableSelection`])
-    /// weigh sub-ranges cheaply.
-    pub fn count_range(&self, lo: usize, hi: usize) -> usize {
-        let hi = hi.min(self.universe());
-        if lo >= hi {
-            return 0;
-        }
-        match self {
-            MembershipSet::Full(_) => hi - lo,
-            MembershipSet::Dense(b) => b.count_range(lo, hi),
-            MembershipSet::Sparse { rows, .. } => {
-                let a = rows.partition_point(|&r| (r as usize) < lo);
-                let b = rows.partition_point(|&r| (r as usize) < hi);
-                b - a
-            }
-        }
-    }
-
     /// True if row `i` is present.
     pub fn contains(&self, i: usize) -> bool {
         match self {
@@ -379,29 +358,6 @@ mod tests {
                 (b as f64 - expect).abs() < expect * 0.15,
                 "bucket {i}: {b} vs {expect}"
             );
-        }
-    }
-
-    #[test]
-    fn count_range_matches_filtered_iter() {
-        let sets = [
-            MembershipSet::full(200),
-            MembershipSet::from_rows((0..200).step_by(17).collect(), 200),
-            MembershipSet::from_rows((0..200).filter(|r| r % 3 != 0).collect(), 200),
-            MembershipSet::from_rows(vec![], 200),
-        ];
-        for m in &sets {
-            for (lo, hi) in [
-                (0, 200),
-                (0, 0),
-                (50, 130),
-                (63, 65),
-                (128, 500),
-                (199, 200),
-            ] {
-                let naive = m.iter().filter(|&r| r >= lo && r < hi).count();
-                assert_eq!(m.count_range(lo, hi), naive, "{m:?} range {lo}..{hi}");
-            }
         }
     }
 

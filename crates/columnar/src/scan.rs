@@ -12,11 +12,11 @@
 //!   sub-ranges reuse the same drivers), a fused selection that runs a
 //!   compiled predicate over every 64-row word as the scan proceeds, or a
 //!   sampled one that thins every word by the stateless sample rule.
-//! * [`SplittableSelection`] — the partitioner behind intra-partition
-//!   parallelism: it divides any membership representation into balanced,
-//!   row-weighted sub-ranges (halving recursively) *without materializing
-//!   row ids*, so a work-stealing executor can fan a single partition out
-//!   across cores and fold the partial summaries back in range order.
+//! * [`split_ranges`] — the split plan behind intra-partition parallelism:
+//!   a partition's row span halved recursively to the grain, a function of
+//!   its row count alone, so a work-stealing executor can fan a single
+//!   partition out across cores and fold the partial summaries back in
+//!   range order, whatever the membership or filter.
 //! * [`ScanSource`] — the two reads a driver makes of a storage: a decoded
 //!   64-row frame, and the run holding one sparse row.
 //! * [`scan_values`] / [`scan_rows`] / [`count_missing`] — typed drivers,
@@ -40,7 +40,7 @@
 //! concatenating the value streams of adjacent sub-ranges reproduces the
 //! whole-partition stream verbatim.
 
-use crate::bitmap::{span_mask, Bitmap};
+use crate::bitmap::Bitmap;
 use crate::block::{scan_blocks, scan_frames, Block, BlockSink, FrameEvent, BLOCK_ROWS};
 use crate::encoding::{IntStorage, PackedInt};
 use crate::membership::MembershipSet;
@@ -107,21 +107,6 @@ impl<T: PackedInt> ScanSource<T> for IntStorage<T> {
     #[inline]
     fn index_run(&self, cursor: &mut usize, i: usize) -> (T, usize) {
         self.run_at(cursor, i)
-    }
-}
-
-/// The selectable bits of word `idx` for rows clipped to `lo..hi`: the
-/// intersection of the word's 64-row span with the bounds. Zero only when
-/// the word lies entirely outside the bounds.
-#[inline]
-pub(crate) fn word_span(idx: usize, lo: usize, hi: usize) -> u64 {
-    let base = idx * 64;
-    let s = lo.max(base).min(base + 64) - base;
-    let e = hi.max(base).min(base + 64) - base;
-    if s >= e {
-        0
-    } else {
-        span_mask(s, e)
     }
 }
 
@@ -217,7 +202,8 @@ impl<'a> Selection<'a> {
         }
     }
 
-    /// Number of selected rows.
+    /// Number of selected rows. A row-bounded range is counted by walking
+    /// its frames.
     ///
     /// Panics on [`Selection::Filtered`] and [`Selection::Sampled`]: those
     /// rows are only known by walking them, and a filter's count only after
@@ -225,11 +211,16 @@ impl<'a> Selection<'a> {
     pub fn count(&self) -> usize {
         match self {
             Selection::Members(m) => m.len(),
-            Selection::MemberRange {
-                members,
-                start,
-                end,
-            } => members.count_range(*start, *end),
+            Selection::MemberRange { .. } => {
+                let mut rows = 0;
+                scan_frames(self, |ev| {
+                    rows += match ev {
+                        FrameEvent::Frame { word, .. } => word.count_ones() as usize,
+                        FrameEvent::Row(_) => 1,
+                    }
+                });
+                rows
+            }
             Selection::Rows(r) => r.len(),
             Selection::Filtered { .. } | Selection::Sampled { .. } => panic!(
                 "a filtered or sampled Selection is single-pass: its row count is only \
@@ -239,132 +230,29 @@ impl<'a> Selection<'a> {
     }
 }
 
-/// A row-bounded view of a membership set that an executor can divide into
-/// balanced, row-weighted halves — the partitioner for intra-partition
-/// parallelism.
+/// The split plan of a partition of `universe` rows: the row span `[0,
+/// universe)` halved until every piece spans at most `grain` rows, in
+/// ascending order. A partition of no rows is one empty piece.
 ///
-/// Splitting never materializes row ids: full sets halve their range,
-/// dense sets cut at a popcount-balanced 64-row word boundary, and sparse
-/// sets halve their row slice by index. Weights are conserved exactly
-/// (`left.weight() + right.weight() == self.weight()`), so an executor can
-/// detect completion by summing reported weights, and the leaf set produced
-/// by recursive splitting is a pure function of (membership, grain) —
-/// independent of thread count or stealing order, which is what pins
-/// parallel results bit-identical to the serial split fold.
-#[derive(Debug, Clone, Copy)]
-pub struct SplittableSelection<'a> {
-    members: &'a MembershipSet,
-    start: usize,
-    end: usize,
-    weight: usize,
-}
-
-impl<'a> SplittableSelection<'a> {
-    /// The whole membership set as one splittable piece.
-    pub fn new(members: &'a MembershipSet) -> Self {
-        SplittableSelection {
-            members,
-            start: 0,
-            end: members.universe(),
-            weight: members.len(),
+/// The plan depends on `(universe, grain)` alone — not on the membership,
+/// how it is stored, or a filter — so a fused tree over a parent and a
+/// tree over its materialized filter fold the same pieces in the same
+/// order, as do every thread count and steal order. Scanning
+/// [`Selection::members_in`] over the pieces reproduces the partition's
+/// row stream exactly.
+pub fn split_ranges(universe: usize, grain: usize) -> Vec<(usize, usize)> {
+    fn halve(lo: usize, hi: usize, grain: usize, out: &mut Vec<(usize, usize)>) {
+        if hi - lo > grain {
+            let mid = lo + (hi - lo) / 2;
+            halve(lo, mid, grain, out);
+            halve(mid, hi, grain, out);
+        } else {
+            out.push((lo, hi));
         }
     }
-
-    /// Rebuild a piece from bounds plus an already-known weight (executors
-    /// ship `(start, end, weight)` across task boundaries).
-    pub fn with_weight(
-        members: &'a MembershipSet,
-        start: usize,
-        end: usize,
-        weight: usize,
-    ) -> Self {
-        debug_assert_eq!(weight, members.count_range(start, end));
-        SplittableSelection {
-            members,
-            start,
-            end,
-            weight,
-        }
-    }
-
-    /// The universe row bounds `[start, end)` of this piece.
-    pub fn bounds(&self) -> (usize, usize) {
-        (self.start, self.end)
-    }
-
-    /// Selected rows within the bounds.
-    pub fn weight(&self) -> usize {
-        self.weight
-    }
-
-    /// The piece as a driver [`Selection`].
-    pub fn selection(&self) -> Selection<'a> {
-        Selection::members_in(self.members, self.start, self.end)
-    }
-
-    /// Split into two pieces of roughly equal weight. Returns `None` when
-    /// the piece cannot be split further (weight < 2, or — for dense sets —
-    /// all weight concentrated in a single 64-row word).
-    pub fn split(&self) -> Option<(Self, Self)> {
-        if self.weight < 2 {
-            return None;
-        }
-        let (mid, left_weight) = match self.members {
-            MembershipSet::Full(_) => {
-                let mid = self.start + (self.end - self.start) / 2;
-                (mid, mid - self.start)
-            }
-            MembershipSet::Sparse { rows, .. } => {
-                let a = rows.partition_point(|&r| (r as usize) < self.start);
-                let m = a + self.weight / 2;
-                (rows[m] as usize, self.weight / 2)
-            }
-            MembershipSet::Dense(b) => {
-                // Walk words accumulating popcount; cut at the first word
-                // boundary at or past half the weight that leaves both
-                // sides non-empty.
-                let target = (self.weight / 2).max(1);
-                let words = b.words();
-                let mut acc = 0usize;
-                let mut w = self.start / 64;
-                let mut cut = None;
-                while w * 64 < self.end {
-                    let span = word_span(w, self.start, self.end.min(b.len()));
-                    let prev = acc;
-                    acc += (words.get(w).copied().unwrap_or(0) & span).count_ones() as usize;
-                    if acc >= target {
-                        let after = ((w + 1) * 64).min(self.end);
-                        if after < self.end && acc < self.weight {
-                            cut = Some((after, acc));
-                        } else if prev > 0 && w * 64 > self.start {
-                            cut = Some((w * 64, prev));
-                        }
-                        break;
-                    }
-                    w += 1;
-                }
-                cut?
-            }
-        };
-        if left_weight == 0 || left_weight >= self.weight {
-            return None;
-        }
-        debug_assert!(self.start < mid && mid < self.end);
-        Some((
-            SplittableSelection {
-                members: self.members,
-                start: self.start,
-                end: mid,
-                weight: left_weight,
-            },
-            SplittableSelection {
-                members: self.members,
-                start: mid,
-                end: self.end,
-                weight: self.weight - left_weight,
-            },
-        ))
-    }
+    let mut pieces = Vec::new();
+    halve(0, universe, grain.max(1), &mut pieces);
+    pieces
 }
 
 /// Stream the non-null values of `data` at the selected rows into
@@ -450,6 +338,7 @@ pub fn count_missing(sel: &Selection<'_>, nulls: Option<&Bitmap>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitmap::span_mask;
 
     fn chunk_rows(m: &MembershipSet) -> Vec<usize> {
         let mut out = Vec::new();
@@ -684,26 +573,21 @@ mod tests {
 
     #[test]
     fn split_conserves_weight_and_orders_bounds() {
-        for m in memberships() {
-            let root = SplittableSelection::new(&m);
-            assert_eq!(root.weight(), m.len());
-            if let Some((l, r)) = root.split() {
-                assert_eq!(l.weight() + r.weight(), root.weight());
-                assert!(l.weight() > 0 && r.weight() > 0);
-                let (ls, le) = l.bounds();
-                let (rs, re) = r.bounds();
-                assert_eq!(ls, 0);
-                assert_eq!(le, rs);
-                assert_eq!(re, m.universe());
-                assert_eq!(l.weight(), m.count_range(ls, le));
-                assert_eq!(r.weight(), m.count_range(rs, re));
-            } else {
-                assert!(
-                    m.len() < 2 || matches!(m, MembershipSet::Dense(_)),
-                    "{m:?} should be splittable"
-                );
-            }
+        for (universe, grain) in [(0, 16), (1, 1), (300, 16), (300, 300), (301, 64), (7, 2)] {
+            let pieces = split_ranges(universe, grain);
+            assert_eq!(pieces.first().map(|p| p.0), Some(0));
+            assert_eq!(pieces.last().map(|p| p.1), Some(universe));
+            assert!(pieces
+                .windows(2)
+                .all(|w| w[0].1 == w[1].0 && w[0].0 < w[0].1));
+            assert!(pieces.iter().all(|&(lo, hi)| hi - lo <= grain));
         }
+        assert_eq!(
+            split_ranges(0, 16),
+            vec![(0, 0)],
+            "an empty partition is one piece"
+        );
+        assert_eq!(split_ranges(10, usize::MAX), vec![(0, 10)]);
     }
 
     #[test]
@@ -711,41 +595,23 @@ mod tests {
         // Split to a tiny grain and check the leaf selections tile the
         // original row stream exactly.
         for m in memberships() {
-            let mut stack = vec![SplittableSelection::new(&m)];
+            let pieces = split_ranges(m.universe(), 16);
             let mut rows = Vec::new();
-            let mut leaves = 0;
-            while let Some(part) = stack.pop() {
-                if part.weight() > 16 {
-                    if let Some((l, r)) = part.split() {
-                        // Process left first to keep ascending order with a
-                        // LIFO stack.
-                        stack.push(r);
-                        stack.push(l);
-                        continue;
-                    }
-                }
-                leaves += 1;
-                scan_rows(&part.selection(), |r| rows.push(r));
+            for &(lo, hi) in &pieces {
+                scan_rows(&Selection::members_in(&m, lo, hi), |r| rows.push(r));
             }
             let whole: Vec<usize> = m.iter().collect();
             assert_eq!(rows, whole, "{m:?}");
-            if m.len() > 64 {
-                assert!(leaves > 1, "{m:?} produced a single leaf");
-            }
         }
     }
 
     #[test]
-    fn splits_are_row_weighted_not_range_weighted() {
-        // All the weight sits in the back half of the range; a balanced
-        // split must cut inside that half, not at the naive midpoint.
+    fn splits_are_range_weighted_not_row_weighted() {
+        // All the members sit in the back half of the range; the plan cuts
+        // at the midpoint of the rows anyway, as it would for any other
+        // membership of 1 000 rows.
         let m = MembershipSet::from_rows((800..1000).collect(), 1000);
-        let root = SplittableSelection::new(&m);
-        let (l, r) = root.split().unwrap();
-        assert_eq!(l.weight(), 100);
-        assert_eq!(r.weight(), 100);
-        let (_, mid) = l.bounds();
-        assert!((850..=950).contains(&mid), "cut at {mid}");
+        assert_eq!(split_ranges(m.universe(), 999), vec![(0, 500), (500, 1000)]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use hillview_columnar::block::{scan_frames, FrameEvent};
 use hillview_columnar::column::{Column, DictColumn, I64Column};
 use hillview_columnar::scan::{
-    count_missing, scan_rows, scan_values, ScanSource, Selection, SplittableSelection,
+    count_missing, scan_rows, scan_values, split_ranges, ScanSource, Selection,
 };
 use hillview_columnar::{
     row_sampled, Bitmap, BlockCursor, ColumnKind, EncodingKind, F64Column, F64Storage, FrameFilter,
@@ -463,45 +463,33 @@ proptest! {
         let want: Vec<usize> = m.iter().filter(|&r| r >= lo && r < hi).collect();
         prop_assert_eq!(&got, &want);
         prop_assert_eq!(sel.count(), want.len());
-        prop_assert_eq!(m.count_range(lo, hi), want.len());
     }
 
-    /// Recursive splitting at any grain tiles the membership exactly: the
-    /// concatenated leaf scans reproduce the full row stream, weights are
-    /// conserved, and the plan is deterministic.
+    /// The split plan at any grain tiles the partition's rows exactly: the
+    /// pieces ascend, cover `[0, universe)` with no gap or overlap and span
+    /// at most the grain each. The plan is the same for every membership
+    /// kind over the universe, and the concatenated piece scans reproduce
+    /// each one's row stream.
     #[test]
-    fn splittable_selection_tiles_exactly(
-        kind in 0usize..4,
+    fn split_ranges_tile_exactly(
         raw in proptest::collection::vec(any::<u32>(), 0..200),
         n in 1usize..500,
         grain in 1usize..128,
     ) {
-        fn leaves(part: SplittableSelection<'_>, grain: usize, out: &mut Vec<(usize, usize, usize)>) {
-            if part.weight() > grain {
-                if let Some((l, r)) = part.split() {
-                    leaves(l, grain, out);
-                    leaves(r, grain, out);
-                    return;
-                }
+        let plan = split_ranges(n, grain);
+        prop_assert_eq!(plan.first().map(|p| p.0), Some(0));
+        prop_assert_eq!(plan.last().map(|p| p.1), Some(n));
+        prop_assert!(plan.windows(2).all(|w| w[0].1 == w[1].0), "pieces adjoin: {:?}", plan);
+        prop_assert!(plan.iter().all(|&(lo, hi)| lo < hi && hi - lo <= grain));
+        for kind in 0..4 {
+            let m = membership(kind, &raw, n);
+            let mut rows = Vec::new();
+            for &(lo, hi) in &plan {
+                scan_rows(&Selection::members_in(&m, lo, hi), |r| rows.push(r));
             }
-            let (lo, hi) = part.bounds();
-            out.push((lo, hi, part.weight()));
+            let whole: Vec<usize> = m.iter().collect();
+            prop_assert_eq!(rows, whole, "pieces tile the membership");
         }
-        let m = membership(kind, &raw, n);
-        let mut plan_a = Vec::new();
-        leaves(SplittableSelection::new(&m), grain, &mut plan_a);
-        let mut plan_b = Vec::new();
-        leaves(SplittableSelection::new(&m), grain, &mut plan_b);
-        prop_assert_eq!(&plan_a, &plan_b, "plan is deterministic");
-        let total: usize = plan_a.iter().map(|&(_, _, w)| w).sum();
-        prop_assert_eq!(total, m.len(), "weights conserved");
-        let mut rows = Vec::new();
-        for &(lo, hi, w) in &plan_a {
-            prop_assert_eq!(w, m.count_range(lo, hi));
-            scan_rows(&Selection::members_in(&m, lo, hi), |r| rows.push(r));
-        }
-        let whole: Vec<usize> = m.iter().collect();
-        prop_assert_eq!(rows, whole, "leaves tile the membership");
     }
 
     /// The ascending cursor agrees with plain `get` on arbitrary ascending

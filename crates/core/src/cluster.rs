@@ -51,13 +51,12 @@
 //!
 //! ## Intra-partition parallelism
 //!
-//! A leaf is no longer one task per micropartition: for splittable
-//! sketches, the initial per-partition task *recursively splits* its
-//! row range in balanced halves (`SplittableSelection`) until each piece
-//! holds at most [`ClusterConfig::leaf_grain_rows`] selected rows, pushing
-//! the peeled halves onto the pool's work-stealing deques. Idle pool
-//! threads steal the largest pending pieces, so one skewed micropartition
-//! saturates every core instead of serializing the query.
+//! A leaf is no longer one task per micropartition: the aggregation node
+//! halves each partition's row span until every piece spans at most
+//! [`ClusterConfig::leaf_grain_rows`] rows ([`split_ranges`]), and submits
+//! one pool task per piece up front. Idle pool threads steal pending
+//! pieces, so one large micropartition saturates every core instead of
+//! serializing the query.
 //!
 //! Every merge in a tree is one call to [`ErasedSketch::fold_bytes`]: the
 //! parts in order, each decoded once and merged by value into a running
@@ -70,10 +69,12 @@
 //! all pieces sorted by `(partition, range start)`, compacted once before
 //! it is cached or sent; the root folds the workers' summaries the same
 //! way. Split boundaries depend only on the
-//! membership shape and the (fixed) grain, so the folded result is a pure
-//! function of `(data, sketch, seed, grain)` — bit-identical across thread
-//! counts, steal interleavings, and replay after failures (§5.8). Progress
-//! is reported in row-weighted work units per completed sub-task.
+//! partition's row count and the (fixed) grain — not on its membership or
+//! a filter — so the folded result is a pure function of `(data, sketch,
+//! seed, grain)`: bit-identical across thread counts, steal interleavings,
+//! replay after failures (§5.8), and a fused or a materialized filter.
+//! Progress is reported in work units per completed piece: its span of
+//! rows plus one.
 
 use crate::cache::{CacheKey, CacheStats, Lookup, SketchCache};
 use crate::dataset::{DatasetId, Lineage, SourceRegistry};
@@ -85,7 +86,9 @@ use crate::progress::{CancellationToken, Partial, PartialCallback};
 use crate::worker::Worker;
 use bytes::Bytes;
 use hillview_columnar::udf::UdfRegistry;
-use hillview_columnar::{estimate_selectivity, fnv1a, Predicate, SelectivityEstimate, FNV_OFFSET};
+use hillview_columnar::{
+    estimate_selectivity, fnv1a, split_ranges, Predicate, SelectivityEstimate, FNV_OFFSET,
+};
 use hillview_net::{link_pair, FrameFault, LinkConfig, LinkSender};
 use hillview_sketch::Scope;
 use std::sync::Arc;
@@ -104,10 +107,10 @@ pub struct ClusterConfig {
     pub batch_interval: Duration,
     /// Tree-edge link configuration (links add no delay of their own).
     pub link: LinkConfig,
-    /// Target selected rows per leaf sub-task: a splittable sketch's
-    /// partition is recursively halved until each piece holds at most this
-    /// many rows. Must be a pure config constant (never derived from load
-    /// or thread count) — the split plan determines the floating-point
+    /// Largest row span of a leaf task: each partition's row span is
+    /// halved until every piece spans at most this many of its rows,
+    /// selected or not. Must be a pure config constant (never derived from
+    /// load or thread count) — the split plan determines the floating-point
     /// fold structure, so it must be identical across runs and replays for
     /// results to reproduce bit-for-bit (§5.8).
     pub leaf_grain_rows: usize,
@@ -555,13 +558,6 @@ impl Cluster {
             p.bump_epoch();
         }
 
-        // Non-splittable sketches run one task per partition.
-        let grain = if sketch.splittable() {
-            self.cfg.leaf_grain_rows.max(1)
-        } else {
-            usize::MAX
-        };
-
         // Launch one aggregation node per worker.
         let mut aggregators = Vec::with_capacity(self.workers.len());
         for worker in &self.workers {
@@ -593,7 +589,7 @@ impl Cluster {
                 seed: opts.seed,
                 cancel: opts.cancel.clone(),
                 tree: tree.clone(),
-                grain,
+                grain: self.cfg.leaf_grain_rows,
                 batch: self.cfg.batch_interval,
                 query,
             });
@@ -796,7 +792,8 @@ impl Cluster {
         if let Some(cb) = &opts.on_partial {
             // What the workers' trees would have reported.
             let views = self.workers.iter().filter_map(|w| w.partitions(dataset));
-            let work = views.map(|views| work_units(&views)).sum();
+            let grain = self.cfg.leaf_grain_rows;
+            let work = views.map(|views| work_units(&views, grain)).sum();
             cb(&Partial {
                 fraction: 1.0,
                 work_done: work,
@@ -973,8 +970,7 @@ struct TreeCtx {
     cancel: CancellationToken,
     /// This tree's own token (see [`Cluster::run_tree`]).
     tree: CancellationToken,
-    /// Largest piece a leaf summarizes whole (selected rows);
-    /// `usize::MAX` for a sketch that cannot be split.
+    /// Largest row span a leaf summarizes whole.
     grain: usize,
     batch: Duration,
     /// The sketch half of the cache key; `None` disables caching.
@@ -1010,7 +1006,7 @@ impl TreeCtx {
     }
 }
 
-/// One sub-task completion flowing from a pool thread to the aggregation
+/// One piece's completion flowing from a pool thread to the aggregation
 /// node: which partition, where its range started (the fold key), how many
 /// work units it covered, and the summary bytes (or `None` if skipped by
 /// cancellation).
@@ -1021,81 +1017,32 @@ struct LeafMsg {
     result: EngineResult<Option<Bytes>>,
 }
 
-/// The rows one leaf task is handed: `lo..hi` of a partition's universe,
-/// holding `weight` selected rows. `bonus` is 1 on the initial
-/// per-partition task (the extra work unit that makes empty partitions
-/// observable) and 0 on split-off halves; weights are conserved exactly
-/// across splits, so the aggregation node detects completion when reported
-/// work matches the precomputed total.
-struct Piece {
-    partition: u32,
-    lo: usize,
-    hi: usize,
-    weight: usize,
-    bonus: u64,
-}
-
-/// Execute one leaf sub-task. While the piece is larger than the grain,
-/// peel off balanced right halves onto the pool — they land on this
-/// thread's deque, where idle siblings steal them — then summarize the
-/// remaining leftmost piece and report it keyed by range start.
+/// Execute one leaf task: summarize the rows `lo..hi` of a partition and
+/// report them keyed by range start.
 ///
 /// With a fused filter, the leaf passes it in the sketch's [`Scope`]: the
 /// predicate is compiled once per leaf and evaluated inside the block
-/// scan, so no filtered membership ever exists. Split bounds and
-/// work weights stay those of the *unfiltered* membership — filtering
-/// narrows rows, never renumbers them — so the split plan (and therefore
-/// the deterministic fold order) is identical with and without a filter.
+/// scan, so no filtered membership ever exists. A piece is a span of the
+/// partition's rows, and filtering narrows rows, never renumbers them, so
+/// the pieces (and therefore the deterministic fold order) are the same
+/// with and without a filter, fused or materialized.
 fn run_leaf_task(
     ctx: Arc<TreeCtx>,
     view: hillview_sketch::TableView,
-    piece: Piece,
+    partition: u32,
+    (lo, hi): (usize, usize),
     tx: crossbeam::channel::Sender<LeafMsg>,
 ) {
-    use hillview_columnar::SplittableSelection;
-
     let worker = &ctx.worker;
     worker.note_leaf_task();
-    // Cancellation skips pieces not yet started (§5.3) — including any
-    // splitting they would have done.
-    let cancelled = ctx.cancelled();
-    let Piece {
-        partition,
-        mut lo,
-        mut hi,
-        mut weight,
-        bonus,
-    } = piece;
-    if !cancelled {
-        let mut part = SplittableSelection::with_weight(view.members(), lo, hi, weight);
-        while part.weight() > ctx.grain {
-            let Some((left, right)) = part.split() else {
-                break;
-            };
-            let (rlo, rhi) = right.bounds();
-            let half = Piece {
-                partition,
-                lo: rlo,
-                hi: rhi,
-                weight: right.weight(),
-                bonus: 0,
-            };
-            worker.pool().submit({
-                let (ctx, view, tx) = (ctx.clone(), view.clone(), tx.clone());
-                move || run_leaf_task(ctx, view, half, tx)
-            });
-            part = left;
-        }
-        (lo, hi) = part.bounds();
-        weight = part.weight();
-    }
-    let result = if cancelled {
+    // Cancellation skips pieces not yet started (§5.3).
+    let result = if ctx.cancelled() {
         Ok(None)
     } else {
         // Panic isolation: a panicking summarize (organic bug or injected
         // fault) must surface as a structured, retryable error that still
-        // carries this piece's work weight — weight conservation is what
-        // lets the aggregation node distinguish "done" from "lost".
+        // carries this piece's work — reported work adding up to the total
+        // is what lets the aggregation node distinguish "done" from "lost".
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             match worker.leaf_fault(partition, lo) {
                 // lint: allow(panic, deliberate fault injection; caught by the catch_unwind directly above)
@@ -1127,15 +1074,34 @@ fn run_leaf_task(
     let _ = tx.send(LeafMsg {
         partition,
         lo,
-        work: weight as u64 + bonus,
+        work: piece_work((lo, hi)),
         result,
     });
 }
 
-/// The work units of one worker's part of a tree: selected rows plus one per
-/// partition (the +1 keeps empty partitions observable).
-fn work_units(views: &[hillview_sketch::TableView]) -> u64 {
-    views.iter().map(|v| v.len() as u64 + 1).sum()
+/// The pieces of one worker's part of a tree, `(partition, rows)`: every
+/// partition's row span split at `grain`, in fold order.
+fn leaf_pieces(
+    views: &[hillview_sketch::TableView],
+    grain: usize,
+) -> impl Iterator<Item = (u32, (usize, usize))> + '_ {
+    views.iter().enumerate().flat_map(move |(i, v)| {
+        let pieces = split_ranges(v.members().universe(), grain);
+        pieces.into_iter().map(move |rows| (i as u32, rows))
+    })
+}
+
+/// The work units of one piece: its span of rows plus one, so a piece of
+/// an empty partition is still observed completing.
+fn piece_work((lo, hi): (usize, usize)) -> u64 {
+    (hi - lo) as u64 + 1
+}
+
+/// The work units of one worker's part of a tree: the sum over its pieces.
+fn work_units(views: &[hillview_sketch::TableView], grain: usize) -> u64 {
+    leaf_pieces(views, grain)
+        .map(|(_, rows)| piece_work(rows))
+        .sum()
 }
 
 /// 128-bit query identity for the sketch-result cache: two independent
@@ -1153,9 +1119,9 @@ fn query_hash(name: &str, identity: &[u8]) -> [u64; 2] {
     out
 }
 
-/// The aggregation node for one worker (paper Fig. 1): fan leaf tasks
-/// (splitting oversized partitions into sub-range tasks), collect
-/// completions, ship batched partials and the final fold to the root.
+/// The aggregation node for one worker (paper Fig. 1): fan one leaf task per
+/// piece of every partition, collect completions, ship batched partials and
+/// the final fold to the root.
 ///
 /// This wrapper is the node's crash barrier: if the body itself panics the
 /// root still receives a final frame carrying the panic message, so the
@@ -1204,9 +1170,9 @@ fn aggregate(ctx: &Arc<TreeCtx>, tx: &LinkSender) {
         return;
     }
 
-    // Split halves conserve their weight exactly, so completion is
-    // "reported work == precomputed total".
-    let total_work = work_units(&views);
+    // Every piece reports its work once, so completion is "reported work ==
+    // precomputed total".
+    let total_work = work_units(&views, ctx.grain);
 
     // Sketch-result cache (paper §5.4), the workers' level of two (the
     // root's memo, consulted before this tree was launched, folds the same
@@ -1216,11 +1182,13 @@ fn aggregate(ctx: &Arc<TreeCtx>, tx: &LinkSender) {
     // folded in exactly as materializing it would — crossed with the
     // sketch's 128-bit query identity. A fused tree therefore shares
     // entries with any canonically-equal respelling of itself, but never
-    // with the materialized two-pass plan (different fold boundaries may
-    // legally differ in float ulps; cross-plan sharing would make results
-    // cache-state-dependent). A hit reports the same row-weighted work
-    // total as the compute path would, so the root's progress fraction
-    // never mixes incomparable units across workers.
+    // with the materialized two-pass plan. Both plans fold the same pieces
+    // to the same bytes; the entries stay apart because the key names the
+    // dataset id, and a version alone — `(source name, tag)` — cannot yet
+    // tell a rewritten part directory from the one an entry was folded
+    // from. A hit reports the same work total as the compute path would,
+    // so the root's progress fraction never mixes incomparable units
+    // across workers.
     let cache_key: Option<CacheKey> = ctx.query.and_then(|query| {
         let version = worker.entry_version(dataset, ctx.filter.as_deref())?;
         Some(CacheKey {
@@ -1265,17 +1233,11 @@ fn aggregate(ctx: &Arc<TreeCtx>, tx: &LinkSender) {
     }
 
     let (leaf_tx, leaf_rx) = crossbeam::channel::unbounded::<LeafMsg>();
-    for (i, view) in views.iter().enumerate() {
-        let whole = Piece {
-            partition: i as u32,
-            lo: 0,
-            hi: view.members().universe(),
-            weight: view.len(),
-            bonus: 1,
-        };
+    for (partition, rows) in leaf_pieces(&views, ctx.grain) {
         worker.pool().submit({
-            let (ctx, view, tx) = (ctx.clone(), view.clone(), leaf_tx.clone());
-            move || run_leaf_task(ctx, view, whole, tx)
+            let (ctx, tx) = (ctx.clone(), leaf_tx.clone());
+            let view = views[partition as usize].clone();
+            move || run_leaf_task(ctx, view, partition, rows, tx)
         });
     }
     drop(leaf_tx);
@@ -1337,7 +1299,7 @@ fn aggregate(ctx: &Arc<TreeCtx>, tx: &LinkSender) {
     // The leaf channel can only disconnect short of the work total if
     // completions were *lost* — a pool thread died past every in-task
     // guard (the pool's own catch_unwind backstop swallows the panic but
-    // not the piece's weight). Folding the surviving pieces would
+    // not the piece's work). Folding the surviving pieces would
     // silently drop rows; report the loss instead.
     if done_work < total_work {
         let lost = format!(
@@ -1349,7 +1311,7 @@ fn aggregate(ctx: &Arc<TreeCtx>, tx: &LinkSender) {
 
     // Deterministic final fold — the only fold of `pieces` the final
     // summary sees: partials sorted by (partition, range start). The piece
-    // set is a pure function of (membership, grain), so this fold — unlike
+    // set is a pure function of (row counts, grain), so this fold — unlike
     // the completion-order `acc` — is bit-identical across thread counts,
     // steal orders, and replays, even for order-sensitive merges
     // (Misra-Gries) and floating-point sums. It is compacted once, here,
@@ -1379,7 +1341,7 @@ mod tests {
     use super::*;
     use crate::dataset::{FnSource, SourceSpec};
     use crate::erased::erase;
-    use hillview_columnar::column::{Column, I64Column};
+    use hillview_columnar::column::{Column, F64Column, I64Column};
     use hillview_columnar::{ColumnKind, Table};
     use hillview_net::Wire as _;
     use hillview_sketch::count::{CountSketch, CountSummary};
@@ -1610,6 +1572,30 @@ mod tests {
                 .unwrap();
             Ok(vec![t])
         })));
+        // The same X beside a column of fractional doubles, whose power
+        // sums round differently when folded at different boundaries.
+        sources.register(Arc::new(FnSource::new(
+            "fractional",
+            |_w, _n, _mp, _snap| {
+                let rows = || (0..40_000i64).map(|i| (i * 7919) % 1_000);
+                let t = Table::builder()
+                    .column(
+                        "X",
+                        ColumnKind::Int,
+                        Column::Int(I64Column::from_options(rows().map(|v| Some(v % 100)))),
+                    )
+                    .column(
+                        "F",
+                        ColumnKind::Double,
+                        Column::Double(F64Column::from_options(
+                            rows().map(|v| Some(v as f64 / 7.0)),
+                        )),
+                    )
+                    .build()
+                    .unwrap();
+                Ok(vec![t])
+            },
+        )));
         let cfg = ClusterConfig {
             workers: 1,
             threads_per_worker: threads,
@@ -1715,8 +1701,9 @@ mod tests {
         let partials = seen.lock().clone();
         assert!(!partials.is_empty());
         let (done, total) = *partials.last().unwrap();
-        // 40k rows + 8 partitions worth of work units.
-        assert_eq!(total, 40_000 + 8);
+        // 40k rows + one unit per piece: each of the 8 partitions of 5 000
+        // rows halves four times, to 16 pieces of at most 512 rows.
+        assert_eq!(total, 40_000 + 8 * 16);
         assert_eq!(done, total, "final partial reports complete work");
         assert!(
             partials.windows(2).all(|w| w[0].0 <= w[1].0),
@@ -1763,59 +1750,78 @@ mod tests {
     #[test]
     fn fused_tree_matches_materialized_filter() {
         // A fused tree over the parent must equal a plain tree over the
-        // materialized filtered dataset byte-for-byte, even though the two
-        // trees split along different plans (fused splits the unfiltered
-        // membership, two-pass the narrowed one). The exact sketches fold
-        // exact sums; the sampled ones read the same rows either way,
-        // since a row is sampled by its index and the partition's seed.
+        // materialized filtered dataset byte-for-byte: both split each
+        // partition's row span at the grain, whatever the membership, and
+        // each piece visits the same rows in the same order under both
+        // plans. So floating-point sums (moments, PCA) and order-sensitive
+        // merges (Misra-Gries) fold identically too, and the sampled
+        // sketches read the same rows, since a row is sampled by its index
+        // and the partition's seed.
         use hillview_columnar::SortOrder;
         use hillview_sketch::distinct::DistinctSketch;
-        use hillview_sketch::heavy::SampledHeavyHittersSketch;
+        use hillview_sketch::heavy::{MisraGriesSketch, SampledHeavyHittersSketch};
+        use hillview_sketch::moments::MomentsSketch;
+        use hillview_sketch::pca::PcaSketch;
         use hillview_sketch::quantile::QuantileSketch;
         let c = split_cluster(4, 512);
-        let ds = load_skewed(&c);
         let pred = Predicate::range("X", 10.0, 60.0);
-        let filtered = DatasetId(2);
-        let step = Lineage::Filtered {
-            parent: ds,
-            predicate: pred.clone(),
-        };
-        c.derive(filtered, &step, None).unwrap();
-        let sketches: Vec<Arc<dyn crate::erased::ErasedSketch>> = vec![
-            erase(CountSketch::rows()),
-            erase(HistogramSketch::streaming(
-                "X",
-                BucketSpec::numeric(0.0, 100.0, 10),
-            )),
-            erase(DistinctSketch::new("X")),
-            erase(HistogramSketch::sampled(
-                "X",
-                BucketSpec::numeric(0.0, 100.0, 10),
-                0.3,
-            )),
-            erase(QuantileSketch::new(
-                SortOrder::ascending(&["X"]),
-                0.3,
-                100_000,
-                100_000,
-            )),
-            erase(SampledHeavyHittersSketch::new("X", 4, 0.3)),
-        ];
-        for sk in sketches {
-            let opts = QueryOptions {
-                seed: 7,
-                ..Default::default()
+        let trees_agree = |source: &str, id: u64, sketches: Vec<Arc<dyn ErasedSketch>>| {
+            let ds = load_source(&c, DatasetId(id), source);
+            let filtered = DatasetId(id + 1);
+            let step = Lineage::Filtered {
+                parent: ds,
+                predicate: pred.clone(),
             };
-            let fused = c.run_erased(ds, Some(&pred), &sk, &opts).unwrap();
-            let two_pass = c.run_erased(filtered, None, &sk, &opts).unwrap();
-            assert_eq!(fused.bytes, two_pass.bytes, "sketch {}", sk.name());
-        }
+            c.derive(filtered, &step, None).unwrap();
+            for sk in sketches {
+                let opts = QueryOptions {
+                    seed: 7,
+                    ..Default::default()
+                };
+                let fused = c.run_erased(ds, Some(&pred), &sk, &opts).unwrap();
+                let two_pass = c.run_erased(filtered, None, &sk, &opts).unwrap();
+                assert_eq!(fused.bytes, two_pass.bytes, "sketch {}", sk.name());
+            }
+        };
+        trees_agree(
+            "skewed",
+            1,
+            vec![
+                erase(CountSketch::rows()),
+                erase(HistogramSketch::streaming(
+                    "X",
+                    BucketSpec::numeric(0.0, 100.0, 10),
+                )),
+                erase(DistinctSketch::new("X")),
+                erase(HistogramSketch::sampled(
+                    "X",
+                    BucketSpec::numeric(0.0, 100.0, 10),
+                    0.3,
+                )),
+                erase(QuantileSketch::new(
+                    SortOrder::ascending(&["X"]),
+                    0.3,
+                    100_000,
+                    100_000,
+                )),
+                erase(SampledHeavyHittersSketch::new("X", 4, 0.3)),
+            ],
+        );
+        trees_agree(
+            "fractional",
+            3,
+            vec![
+                erase(MomentsSketch::new("F", 4)),
+                erase(PcaSketch::new(&["F", "X"], 1.0)),
+                erase(MisraGriesSketch::new("F", 5)),
+            ],
+        );
     }
 
     #[test]
     fn fused_tree_deterministic_across_thread_counts() {
-        // The fused split plan derives from the *unfiltered* membership and
-        // the grain — both fixed — so order-sensitive (Misra-Gries) and
+        // The split plan derives from the partition's row count and the
+        // grain — both fixed — so order-sensitive (Misra-Gries) and
         // floating-point (moments) sketches produce identical bytes on 1
         // and 4 threads, exactly like the unfiltered trees do.
         use hillview_sketch::heavy::MisraGriesSketch;
@@ -2188,9 +2194,6 @@ mod tests {
                 .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             std::thread::sleep(Duration::from_millis(3));
             self.inner.summarize_bytes(view, scope, seed)
-        }
-        fn splittable(&self) -> bool {
-            false
         }
         fn fold_bytes(&self, parts: &[Bytes]) -> EngineResult<Bytes> {
             self.inner.fold_bytes(parts)

@@ -869,6 +869,63 @@ mod tests {
         assert_eq!(e.cluster().dataset_rows(lazy), 1_000);
     }
 
+    /// A chart on a lazy filter shows the same bytes before and after the
+    /// planner promotes it: the fused tree over the parent and the tree
+    /// over the materialized membership split every partition at the same
+    /// row boundaries, so even fractional power sums fold identically.
+    #[test]
+    fn lazy_filter_answers_the_same_bytes_before_and_after_promotion() {
+        use hillview_columnar::column::F64Column;
+        use hillview_net::Wire as _;
+        use hillview_sketch::moments::MomentsSketch;
+        let mut sources = SourceRegistry::new();
+        sources.register(Arc::new(FnSource::new(
+            "fractional",
+            |w, _n, _mp, _snap| {
+                let rows = || (0..5_000i64).map(|i| (i * 7_919 + w as i64) % 1_000);
+                let t = Table::builder()
+                    .column(
+                        "X",
+                        ColumnKind::Int,
+                        Column::Int(I64Column::from_options(rows().map(|v| Some(v % 100)))),
+                    )
+                    .column(
+                        "F",
+                        ColumnKind::Double,
+                        Column::Double(F64Column::from_options(
+                            rows().map(|v| Some(v as f64 / 7.0)),
+                        )),
+                    )
+                    .build()
+                    .unwrap();
+                Ok(vec![t])
+            },
+        )));
+        let cfg = ClusterConfig {
+            leaf_grain_rows: 256,
+            ..ClusterConfig::test()
+        };
+        let e = Engine::new(Cluster::new(cfg, sources, UdfRegistry::new()));
+        let base = e.load("fractional", 0).unwrap();
+        let lazy = e.filter_lazy(base, Predicate::range("X", 0.0, 10.0));
+        let moments = || {
+            let opts = QueryOptions::default();
+            let (summary, _) = e.run(lazy, MomentsSketch::new("F", 4), &opts).unwrap();
+            summary.to_bytes()
+        };
+        let fused = moments();
+        assert!(
+            !e.cluster().worker(0).has_dataset(lazy),
+            "the first query fuses"
+        );
+        let promoted = moments();
+        assert!(
+            e.cluster().worker(0).has_dataset(lazy),
+            "the second query promotes the filter"
+        );
+        assert_eq!(fused, promoted);
+    }
+
     #[test]
     fn lazy_filter_chain_composes_down_to_materialized_ancestor() {
         let e = engine();

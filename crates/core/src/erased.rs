@@ -43,9 +43,6 @@ pub trait ErasedSketch: Send + Sync + 'static {
         let filter = Some(predicate);
         self.summarize_bytes(view, Scope { rows: None, filter }, seed)
     }
-    /// True when the sketch honours [`Scope::rows`]; the leaf executor only
-    /// fans a partition into sub-range tasks for splittable sketches.
-    fn splittable(&self) -> bool;
     /// The identity summary, wire-encoded.
     fn identity_bytes(&self) -> Bytes;
     /// Fold wire-encoded summaries, in order, into the identity
@@ -87,10 +84,6 @@ impl<S: Sketch> ErasedSketch for Erased<S> {
         seed: u64,
     ) -> EngineResult<Bytes> {
         Ok(self.0.summarize(view, scope, seed)?.to_bytes())
-    }
-
-    fn splittable(&self) -> bool {
-        self.0.splittable()
     }
 
     fn fold_bytes(&self, parts: &[Bytes]) -> EngineResult<Bytes> {

@@ -93,8 +93,8 @@
 //!
 //! The mechanisms behind this: panics are isolated at the pool thread,
 //! the leaf task, the aggregation node, and the root's fan-out join
-//! (surfacing as retryable [`EngineError::LeafPanicked`], with leaf work
-//! weights conserved so lost completions are detected); root-link frames
+//! (surfacing as retryable [`EngineError::LeafPanicked`], with every
+//! piece's work reported once so lost completions are detected); root-link frames
 //! carry checksums so corruption is dropped, duplicated finals are
 //! guarded, and re-sends come from the batching loop; aggregation nodes
 //! heartbeat every batch tick so the root's per-worker liveness sweep
@@ -132,9 +132,10 @@
 //!    it.
 //!
 //! [`Engine::run_filtered`] exposes the one-shot (always-fused) form
-//! directly. Split plans and fold order under fusion are those of the
-//! *unfiltered* membership — filtering narrows rows, never renumbers
-//! them — so fused execution is deterministic across thread counts.
+//! directly. A partition splits by its row span, never by its membership
+//! — filtering narrows rows, never renumbers them — so fused and
+//! materialized trees fold the same pieces in the same order, and both are
+//! deterministic across thread counts.
 //!
 //! Deterministic summaries land in a per-worker, byte-bounded LRU
 //! [`SketchCache`] (§5.4) under a *structural* key: the dataset's
@@ -143,9 +144,10 @@
 //! materializing the filter would — crossed with the sketch's 128-bit
 //! parameter identity. Canonically-equal predicate respellings
 //! (AND-operand order, double negation) therefore share entries, while
-//! fused and two-pass plans for the same logical query never do (their
-//! fold boundaries may legally differ in float ulps, so sharing would
-//! make results cache-state-dependent). Identical in-flight queries
+//! fused and two-pass plans for the same logical query never do: their
+//! bytes are equal, but the key names the dataset id, and a version alone
+//! — `(source name, tag)` — cannot yet tell a rewritten part directory
+//! from the one a stale entry was folded from. Identical in-flight queries
 //! coalesce onto one scan (single-flight); degraded, cancelled, or
 //! failed trees abandon their flight without writing, so the cache only
 //! ever stores complete, uncancelled folds. The root memoizes the final

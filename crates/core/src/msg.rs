@@ -16,8 +16,8 @@ use hillview_columnar::{fnv1a, FNV_OFFSET};
 use hillview_net::{Wire as _, WireReader, WireWriter};
 
 /// One message from a worker's aggregation node to the root. Progress is
-/// in row-weighted work units (selected rows + 1 per micropartition), so
-/// split sub-tasks advance the bar smoothly.
+/// in row-weighted work units (each piece's span of rows + 1), so split
+/// pieces advance the bar smoothly.
 #[derive(Debug, PartialEq)]
 pub(crate) struct WorkerMsg {
     pub(crate) worker: u32,

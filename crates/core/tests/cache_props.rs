@@ -480,9 +480,6 @@ impl ErasedSketch for HeldUntilAllAsk {
         std::thread::sleep(Duration::from_millis(5));
         self.inner.summarize_bytes(view, scope, seed)
     }
-    fn splittable(&self) -> bool {
-        self.inner.splittable()
-    }
     fn fold_bytes(&self, parts: &[Bytes]) -> EngineResult<Bytes> {
         self.inner.fold_bytes(parts)
     }

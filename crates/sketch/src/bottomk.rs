@@ -190,10 +190,6 @@ impl Sketch for BottomKSketch {
         })
     }
 
-    fn splittable(&self) -> bool {
-        true
-    }
-
     fn identity(&self) -> BottomKSummary {
         BottomKSummary::zero(self.k)
     }

@@ -89,10 +89,6 @@ impl Sketch for CountSketch {
         Ok(CountSummary { rows, missing })
     }
 
-    fn splittable(&self) -> bool {
-        true
-    }
-
     fn identity(&self) -> CountSummary {
         CountSummary::default()
     }

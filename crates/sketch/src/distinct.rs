@@ -195,10 +195,6 @@ impl Sketch for DistinctSketch {
         Ok(out)
     }
 
-    fn splittable(&self) -> bool {
-        true
-    }
-
     fn identity(&self) -> DistinctSummary {
         DistinctSummary::zero(self.p)
     }

@@ -188,10 +188,6 @@ impl Sketch for FindSketch {
         Ok(out)
     }
 
-    fn splittable(&self) -> bool {
-        true
-    }
-
     fn identity(&self) -> FindSummary {
         FindSummary {
             first: None,

@@ -164,10 +164,6 @@ impl Sketch for HeatmapSketch {
         Ok(out)
     }
 
-    fn splittable(&self) -> bool {
-        true
-    }
-
     fn identity(&self) -> HeatmapSummary {
         HeatmapSummary::zero(self.buckets_x.count(), self.buckets_y.count())
     }

@@ -215,10 +215,6 @@ impl Sketch for MisraGriesSketch {
         })
     }
 
-    fn splittable(&self) -> bool {
-        true
-    }
-
     fn identity(&self) -> MisraGriesSummary {
         MisraGriesSummary::zero(self.k)
     }
@@ -422,10 +418,6 @@ impl Sketch for SampledHeavyHittersSketch {
         let sampled = counts.iter().map(|(_, c)| c).sum();
         sort_by_count(&mut counts);
         Ok(SampledHeavyHittersSummary { counts, sampled })
-    }
-
-    fn splittable(&self) -> bool {
-        true
     }
 
     fn identity(&self) -> SampledHeavyHittersSummary {

@@ -179,10 +179,6 @@ impl Sketch for HistogramSketch {
         Ok(out)
     }
 
-    fn splittable(&self) -> bool {
-        true
-    }
-
     fn identity(&self) -> HistogramSummary {
         HistogramSummary::zero(self.buckets.count())
     }

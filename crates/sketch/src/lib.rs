@@ -30,8 +30,10 @@
 //!   there. The trait doc says which laws hold bit for bit and which only
 //!   to rounding.
 //!
-//! Opt in to intra-partition parallelism with [`Sketch::splittable`] and to
-//! the engine's result cache with [`Sketch::cache_identity`]. The rules a
+//! Every sketch is split: the engine summarizes a partition piece by piece
+//! over its row span ([`summarize_split`](traits::summarize_split) is the
+//! serial reference) and folds the pieces in range order. Opt in to the
+//! engine's result cache with [`Sketch::cache_identity`]. The rules a
 //! scoped summary obeys — range tiling, a row sampled by its index alone,
 //! absolute row indexes, fusion ≡ two-pass — are stated once, on [`Scope`]; the
 //! equivalence suites under `tests/` hold every kernel here to them bit for

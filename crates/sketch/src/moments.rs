@@ -219,10 +219,6 @@ impl Sketch for MomentsSketch {
         Ok(out)
     }
 
-    fn splittable(&self) -> bool {
-        true
-    }
-
     fn identity(&self) -> MomentsSummary {
         MomentsSummary::zero(self.k)
     }

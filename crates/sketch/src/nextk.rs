@@ -210,10 +210,6 @@ impl Sketch for NextKSketch {
         })
     }
 
-    fn splittable(&self) -> bool {
-        true
-    }
-
     fn identity(&self) -> NextKSummary {
         NextKSummary::zero(self.k)
     }

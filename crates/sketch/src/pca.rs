@@ -208,10 +208,6 @@ impl Sketch for PcaSketch {
         Ok(out)
     }
 
-    fn splittable(&self) -> bool {
-        true
-    }
-
     fn identity(&self) -> PcaSummary {
         PcaSummary::zero(self.columns.len())
     }

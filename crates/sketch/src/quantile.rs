@@ -255,10 +255,6 @@ impl Sketch for QuantileSketch {
         Ok(QuantileSummary::from_sample(keys, population, self))
     }
 
-    fn splittable(&self) -> bool {
-        true
-    }
-
     fn identity(&self) -> QuantileSummary {
         QuantileSummary::from_sample(Vec::new(), 0, self)
     }

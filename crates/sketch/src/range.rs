@@ -168,10 +168,6 @@ impl Sketch for RangeSketch {
         Ok(out)
     }
 
-    fn splittable(&self) -> bool {
-        true
-    }
-
     fn identity(&self) -> RangeSummary {
         RangeSummary::default()
     }

@@ -174,10 +174,6 @@ impl Sketch for StackedHistogramSketch {
         Ok(out)
     }
 
-    fn splittable(&self) -> bool {
-        true
-    }
-
     fn identity(&self) -> StackedSummary {
         StackedSummary::zero(self.buckets_x.count(), self.buckets_y.count())
     }

@@ -2,7 +2,7 @@
 //! merge / split / fusion laws the property tests check against it.
 
 use crate::view::{Scope, TableView};
-use hillview_columnar::{MembershipSet, Predicate, SplittableSelection};
+use hillview_columnar::{split_ranges, Predicate};
 use hillview_net::Wire;
 use std::cmp::Ordering;
 use std::fmt;
@@ -144,14 +144,6 @@ pub trait Sketch: Send + Sync + 'static {
         seed: u64,
     ) -> SketchResult<Self::Summary>;
 
-    /// True when `summarize` honours [`Scope::rows`], letting the executor
-    /// split one partition into row-range sub-tasks and fold the partials
-    /// with [`Summary::merge`]. Defaults to `false`; the engine never
-    /// range-splits a sketch that does not opt in.
-    fn splittable(&self) -> bool {
-        false
-    }
-
     /// The merge identity (summary of an empty partition).
     fn identity(&self) -> Self::Summary;
 
@@ -210,38 +202,19 @@ where
     direct == merged
 }
 
-/// The leaf row ranges of the split execution plan: recursively halve the
-/// [`SplittableSelection`] over `members` until each piece holds at most
-/// `grain` selected rows. A pure function of `(members, grain)`, ascending.
-fn leaf_ranges(members: &MembershipSet, grain: usize) -> Vec<(usize, usize)> {
-    fn collect(part: SplittableSelection<'_>, grain: usize, out: &mut Vec<(usize, usize)>) {
-        if part.weight() > grain {
-            if let Some((l, r)) = part.split() {
-                collect(l, grain, out);
-                collect(r, grain, out);
-                return;
-            }
-        }
-        out.push(part.bounds());
-    }
-    let mut ranges = Vec::new();
-    collect(SplittableSelection::new(members), grain.max(1), &mut ranges);
-    ranges
-}
-
 /// The split execution plan the engine runs in parallel, executed serially:
-/// summarize every leaf range of the view's membership — recursively halved
-/// until each piece holds at most `grain` selected rows — under `filter`, if
-/// any, and fold the partials in ascending range order from
+/// summarize every piece of the partition's row span —
+/// [`split_ranges`] of its row count at `grain` — under `filter`, if any,
+/// and fold the partials in ascending range order from
 /// [`Sketch::identity`].
 ///
-/// The leaf set is computed from the *unfiltered* membership — the engine
-/// plans splits before any filter has run — and the fold order is fixed, so
-/// this is the *reference* the work-stealing executor must reproduce
-/// bit-for-bit whatever the thread count or steal order; the
-/// parallel-equivalence property tests compare against it. For sketches
-/// whose merge is exact (integer counts, lattices) the result also equals
-/// the unsplit [`Sketch::summarize`] bit-for-bit.
+/// The pieces depend on the partition's row count alone, never on its
+/// membership or the filter, and the fold order is fixed. So this is the
+/// *reference* the work-stealing executor must reproduce bit-for-bit
+/// whatever the thread count or steal order, and its bytes are the same
+/// fused or over the materialized filter, whatever holds the membership.
+/// For sketches whose merge is exact (integer counts, lattices) the result
+/// also equals the unsplit [`Sketch::summarize`] bit-for-bit.
 pub fn summarize_split<S: Sketch>(
     sketch: &S,
     view: &TableView,
@@ -250,7 +223,7 @@ pub fn summarize_split<S: Sketch>(
     seed: u64,
 ) -> SketchResult<S::Summary> {
     let mut acc = sketch.identity();
-    for rows in leaf_ranges(view.members(), grain) {
+    for rows in split_ranges(view.members().universe(), grain) {
         let scope = Scope {
             rows: Some(rows),
             filter,
@@ -281,41 +254,30 @@ where
 }
 
 /// Check the fusion law on concrete data: a filter scope must reproduce the
-/// two-pass execution (filter to a membership set, then sketch) bit-for-bit
-/// — both whole-partition and range-split from the parent membership. Used
+/// two-pass execution (filter to a membership set, then sketch) byte for
+/// byte — whole-partition, and folded over the split plan at `grain`. Each
+/// piece visits the same rows in the same order under both plans, so this
+/// holds even for floating-point-summing and order-sensitive kernels. Used
 /// by tests.
-pub fn fused_law_holds<S>(
+pub fn fused_law_holds<S: Sketch>(
     sketch: &S,
     view: &TableView,
     predicate: &Predicate,
     grain: usize,
     seed: u64,
-) -> bool
-where
-    S: Sketch,
-    S::Summary: PartialEq,
-{
+) -> bool {
     let Ok(narrowed) = crate::view::filtered_view(view, predicate) else {
         return false;
     };
-    // Per leaf the fused range summary must equal the two-pass range summary
-    // bit-for-bit over the *same* parent-derived ranges — each visits
-    // identical rows in identical order, so this holds even for
-    // floating-point-summing kernels.
-    let mut ranges = vec![None];
-    if sketch.splittable() {
-        ranges.extend(leaf_ranges(view.members(), grain).into_iter().map(Some));
-    }
-    ranges.into_iter().all(|rows| {
-        let filter = Some(predicate);
-        match (
-            sketch.summarize(view, Scope { rows, filter }, seed),
-            sketch.summarize(&narrowed, Scope { rows, filter: None }, seed),
-        ) {
-            (Ok(fused), Ok(two_pass)) => fused == two_pass,
-            _ => false,
-        }
-    })
+    let filter = Some(predicate);
+    let same = |a: SketchResult<S::Summary>, b: SketchResult<S::Summary>| matches!((a, b), (Ok(a), Ok(b)) if a.to_bytes() == b.to_bytes());
+    same(
+        sketch.summarize(view, Scope { rows: None, filter }, seed),
+        sketch.summarize(&narrowed, Scope::ALL, seed),
+    ) && same(
+        summarize_split(sketch, view, filter, grain, seed),
+        summarize_split(sketch, &narrowed, None, grain, seed),
+    )
 }
 
 #[cfg(test)]

@@ -113,10 +113,6 @@ impl Sketch for TrellisSketch {
         Ok(out)
     }
 
-    fn splittable(&self) -> bool {
-        true
-    }
-
     fn identity(&self) -> TrellisSummary {
         TrellisSummary {
             groups: (0..self.buckets_w.count())

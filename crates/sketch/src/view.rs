@@ -6,8 +6,8 @@
 //! current (possibly filtered) dataset — the paper's §5.6 derived-table
 //! representation, where filtered tables share storage with their parents.
 
-use crate::traits::{SketchError, SketchResult};
-use hillview_columnar::scan::Selection;
+use crate::traits::SketchResult;
+use hillview_columnar::scan::{scan_rows, Selection};
 use hillview_columnar::{filter_members, FrameFilter, MembershipSet, Predicate, Table};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -30,9 +30,11 @@ use std::sync::Arc;
 ///   stays deterministic and every sub-range samples its share of the
 ///   partition-wide sample.
 /// * **Absolute row indexes.** `rows` are row indexes into the partition.
-///   Filtering narrows the membership but never renumbers rows, so a split
-///   plan computed from the unfiltered membership stays valid under
-///   `filter`.
+///   Filtering narrows the membership but never renumbers rows, so the
+///   split plan comes from the partition's row count alone
+///   ([`split_ranges`](hillview_columnar::split_ranges)) and is the same
+///   under `filter`, over a materialized filter and whatever holds the
+///   membership.
 /// * **Fusion is invisible.** A `filter` scope must yield the bytes of the
 ///   two-pass execution — [`filtered_view`], then the same call without the
 ///   filter. The resolver the kernels share (`TableView::scan`) always fuses
@@ -65,24 +67,30 @@ pub fn filtered_view(view: &TableView, predicate: &Predicate) -> SketchResult<Ta
     ))
 }
 
-/// Resolve `scope` for a sketch that neither fuses nor splits (it walks the
-/// whole view itself): the filter is materialized into the returned view,
-/// and row bounds short of the whole partition are refused. This is where a
-/// sketch written outside this crate starts — `TableView::scan`, which every
-/// kernel here goes through, is crate-private — and no kernel here calls it:
-/// `tests/fused_equivalence.rs` holds such a sketch to the fusion law.
-pub fn two_pass(sketch: &str, view: &TableView, scope: Scope<'_>) -> SketchResult<TableView> {
-    if scope
-        .rows
-        .is_some_and(|(lo, hi)| lo > 0 || hi < view.members().universe())
-    {
-        return Err(SketchError::BadConfig(format!(
-            "sketch {sketch} does not support range splitting"
-        )));
-    }
-    match scope.filter {
-        Some(predicate) => filtered_view(view, predicate),
-        None => Ok(view.clone()),
+/// Resolve `scope` for a sketch that walks the whole view itself: the
+/// filter is materialized into the returned view and the view is clipped to
+/// the row bounds, so the sketch summarizes exactly the rows the scope
+/// selects and every split plan stays valid for it. This is where a sketch
+/// written outside this crate starts — `TableView::scan`, which every
+/// kernel here goes through, is crate-private — and no kernel here calls
+/// it: `tests/fused_equivalence.rs` holds such a sketch to the fusion and
+/// split laws.
+pub fn two_pass(view: &TableView, scope: Scope<'_>) -> SketchResult<TableView> {
+    let view = match scope.filter {
+        Some(predicate) => filtered_view(view, predicate)?,
+        None => view.clone(),
+    };
+    let universe = view.members().universe();
+    match scope.rows {
+        Some((lo, hi)) if lo > 0 || hi < universe => {
+            let mut rows = Vec::new();
+            scan_rows(&Selection::members_in(view.members(), lo, hi), |r| {
+                rows.push(r as u32)
+            });
+            let members = MembershipSet::from_rows(rows, universe);
+            Ok(TableView::with_members(view.table, Arc::new(members)))
+        }
+        _ => Ok(view),
     }
 }
 
@@ -184,7 +192,6 @@ impl TableView {
 mod tests {
     use super::*;
     use hillview_columnar::column::{Column, I64Column};
-    use hillview_columnar::scan::scan_rows;
     use hillview_columnar::{row_sampled, ColumnKind};
 
     fn table(n: usize) -> Arc<Table> {

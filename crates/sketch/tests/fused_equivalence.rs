@@ -10,9 +10,10 @@
 //! Float- and order-sensitive kernels (moments, PCA, Misra-Gries) are held
 //! to the same bit-exact bar: the fused pass visits the surviving rows in
 //! the same order the two-pass scan does, so even power sums agree to the
-//! last bit. Split laws are checked over leaf ranges planned from the
-//! *parent* membership — exactly how the engine plans fused leaves before
-//! any filter has been materialized.
+//! last bit. Split laws fold the pieces of the partition's row span
+//! (`summarize_split`), which depend on its row count alone: the fused
+//! split fold must equal the split fold over the materialized filter, and
+//! every membership representation of the same rows, byte for byte.
 
 use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
 use hillview_columnar::{
@@ -175,25 +176,31 @@ fn representations(m: &MembershipSet) -> Vec<MembershipSet> {
 }
 
 /// Representation independence: `sk` summarizes `v`'s rows to the same
-/// bytes whichever representation holds them, unfiltered and under `p`.
-fn representation_independent<S: Sketch>(sk: &S, v: &TableView, p: &Predicate, seed: u64) -> bool {
+/// bytes whichever representation holds them, unfiltered and under `p`,
+/// whole and folded over the split plan at `grain`.
+fn representation_independent<S: Sketch>(
+    sk: &S,
+    v: &TableView,
+    p: &Predicate,
+    grain: usize,
+    seed: u64,
+) -> bool {
     let reps = representations(v.members());
     [None, Some(p)].into_iter().all(|filter| {
         let bytes: Vec<_> = reps
             .iter()
             .map(|m| {
                 let view = TableView::with_members(v.table().clone(), Arc::new(m.clone()));
-                sk.summarize(&view, Scope { rows: None, filter }, seed)
-                    .map(|s| s.to_bytes())
-                    .ok()
+                let whole = sk.summarize(&view, Scope { rows: None, filter }, seed);
+                let split = summarize_split(sk, &view, filter, grain, seed);
+                Some((whole.ok()?.to_bytes(), split.ok()?.to_bytes()))
             })
             .collect();
         bytes.iter().all(|b| b.is_some() && *b == bytes[0])
     })
 }
 
-/// A sketch that neither fuses nor splits: it walks the whole view itself,
-/// starting from [`two_pass`].
+/// A sketch that walks the whole view itself, starting from [`two_pass`].
 struct WholeViewCount;
 
 impl Sketch for WholeViewCount {
@@ -209,7 +216,7 @@ impl Sketch for WholeViewCount {
         scope: Scope<'_>,
         _seed: u64,
     ) -> SketchResult<CountSummary> {
-        let rows = two_pass(self.name(), view, scope)?.len() as u64;
+        let rows = two_pass(view, scope)?.len() as u64;
         Ok(CountSummary { rows, missing: 0 })
     }
 
@@ -243,9 +250,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The fusion law, all 15 kernels: fused ≡ two-pass, whole-partition
-    /// and per parent-planned leaf range. `fused_law_holds` compares the
-    /// range summaries leaf by leaf, so this also pins the fused split
-    /// plumbing the cluster's work-stealing leaves run on.
+    /// and folded over the split plan, and the split fold is the same over
+    /// every representation of the membership. This pins the fused and the
+    /// materialized trees the cluster's work-stealing leaves run to the
+    /// same bytes.
     #[test]
     fn fused_law_all_kernels(
         t in table_strategy(),
@@ -271,6 +279,10 @@ proptest! {
                     resolver_contract_holds(&$sk, &v, &p, seed),
                     "scope resolution failed for {} under {:?}", $sk.name(), p
                 );
+                prop_assert!(
+                    representation_independent(&$sk, &v, &p, grain, seed),
+                    "representation independence failed for {} under {:?}", $sk.name(), p
+                );
             };
         }
         law!(CountSketch::rows());
@@ -290,16 +302,14 @@ proptest! {
         law!(PcaSketch::new(&["X", "I"], 1.0));
         law!(RangeSketch::new("X"));
         law!(QuantileSketch::new(SortOrder::ascending(&["I", "X"]), 1.0, 100_000, 100_000));
-        // An unsplittable sketch: a filter-only scope is the two-pass
-        // execution, and row bounds short of the partition are refused.
+        // A sketch that walks the whole view: `two_pass` materializes the
+        // filter and clips the view to the row bounds.
         law!(WholeViewCount);
-        for rows in [(0, n - 1), (1, n)] {
-            prop_assert_eq!(
-                WholeViewCount.summarize(&v, Scope { rows: Some(rows), filter: Some(&p) }, seed),
-                Err(SketchError::BadConfig(
-                    "sketch whole-view-count does not support range splitting".into()
-                ))
-            );
+        let narrowed = filtered_view(&v, &p).unwrap();
+        for (lo, hi) in [(0, n - 1), (1, n)] {
+            let scope = Scope { rows: Some((lo, hi)), filter: Some(&p) };
+            let want = narrowed.iter_rows().filter(|r| (lo..hi).contains(r)).count();
+            prop_assert_eq!(WholeViewCount.summarize(&v, scope, seed).unwrap().rows, want as u64);
         }
     }
 
@@ -330,7 +340,7 @@ proptest! {
                 prop_assert!(fused_law_holds(&$sk, &v, &p, grain, seed), "fusion law: {}", $sk.name());
                 prop_assert!(resolver_contract_holds(&$sk, &v, &p, seed));
                 prop_assert!(
-                    representation_independent(&$sk, &v, &p, seed),
+                    representation_independent(&$sk, &v, &p, grain, seed),
                     "representation independence: {}", $sk.name()
                 );
             };
@@ -405,7 +415,7 @@ proptest! {
         let mut want: Vec<_> = want.into_iter().collect();
         want.sort();
         prop_assert_eq!(got, want);
-        // Tiling: parent-planned leaves fold to the unsplit fused summary.
+        // Tiling: the split plan's pieces fold to the unsplit fused summary.
         prop_assert_eq!(
             summarize_split(&hh, &v, Some(&p), grain, seed).unwrap(),
             fused
@@ -506,8 +516,8 @@ proptest! {
         );
     }
 
-    /// Fused split law for exact-merge kernels: folding parent-planned
-    /// leaves of the filtered scope equals the unsplit fused pass
+    /// Fused split law for exact-merge kernels: folding the split plan's
+    /// pieces of the filtered scope equals the unsplit fused pass
     /// at every grain — what keeps PR 3's parallel leaves and PR 6's
     /// retry-on-failure sites correct under fusion.
     #[test]

@@ -179,7 +179,6 @@ fn trellis_over_flights_is_the_reference_whole_split_and_fused() {
         buckets_y: BucketSpec::numeric(0.0, 400.0, 10),
         rate: 1.0,
     };
-    assert!(sk.splittable());
     let reference = sk.summarize_rowwise(&flights, 0).unwrap().to_bytes();
     assert_eq!(
         sk.summarize(&flights, Scope::ALL, 0).unwrap().to_bytes(),
