@@ -2,12 +2,15 @@
 //! buy, summary by summary: bytes, encode ns and decode ns of the `Wire`
 //! impl (`codec`) against a local copy of the per-cell encoding it replaced
 //! (`plain`: a varint per count, a kind byte per value and every key in
-//! full, a byte per register). Bytes are where the codecs pay — the root
-//! link and the sketch cache hold them — and ns is where they charge: a
-//! dense vector pays a zero test per count, a key encode compares its
+//! full, a page row repeating its key, a byte per register, a hash beside
+//! every bottom-k string). Bytes are where the codecs pay — the root link
+//! and the sketch cache hold them — and ns is where they charge: a dense
+//! vector pays a zero test per count, a key encode compares its
 //! predecessor and a key decode clones the shared prefix, registers are
-//! shifted into place instead of copied. Read it when touching
-//! `put_counts`, `put_packed`, `put_key` or a summary's layout.
+//! patched (a floor, a width chosen by counting, slots shifted into place
+//! and escapes) instead of copied, a bottom-k decode hashes every string.
+//! Read it when touching `put_counts`, `put_packed`, `put_key` or a
+//! summary's layout.
 //!
 //! The `fold_*` cases time what a worker's final fold costs: the erased
 //! `fold_bytes` over [`LEAVES`] leaf summaries of the flights fixture —
@@ -19,6 +22,7 @@ use hillview_columnar::{Row, RowKey, SortOrder, Value};
 use hillview_core::erased::{erase, ErasedSketch};
 use hillview_data::{generate_flights, FlightsConfig};
 use hillview_net::{Result, Wire, WireReader, WireWriter};
+use hillview_sketch::bottomk::{BottomKSketch, BottomKSummary};
 use hillview_sketch::buckets::BucketSpec;
 use hillview_sketch::distinct::{DistinctSketch, DistinctSummary};
 use hillview_sketch::heatmap::HeatmapSummary;
@@ -34,10 +38,11 @@ use std::sync::Arc;
 
 pub const SUITE: Registered = Registered {
     name: "wire",
-    about: "summary codecs (zero-run counts, 6-bit registers, prefix-shared keys) vs the plain \
-            per-cell encodings they replaced: frame bytes, and median ns per 64 encodes / 64 \
-            decodes (facts give ns per single one); plain ≡ codec ≡ the summary asserted before \
-            timing; fold_*: one erased fold of 32 leaf summaries, median ns",
+    about: "summary codecs (zero-run counts, patched registers, prefix-shared keys, recomputed \
+            hashes) vs the plain per-cell encodings they replaced: frame bytes, and median ns \
+            per 64 encodes / 64 decodes (facts give ns per single one); plain ≡ codec ≡ the \
+            summary asserted before timing; fold_*: one erased fold of 32 leaf summaries, \
+            median ns",
     run,
 };
 
@@ -196,7 +201,8 @@ impl Plain for QuantileSummary {
     }
 }
 
-/// Every key with its arity and a direction byte per value, then the row.
+/// Every key with its arity and a direction byte per value, then the row:
+/// its key values again and its display values.
 impl Plain for NextKSummary {
     fn put(&self, w: &mut WireWriter) {
         put_all(w, &[self.k as u64, self.rows.len() as u64]);
@@ -206,8 +212,9 @@ impl Plain for NextKSummary {
                 put_value(w, v);
                 w.put_u8(*d as u8);
             }
-            w.put_varint(row.values.len() as u64);
-            row.values.iter().for_each(|v| put_value(w, v));
+            w.put_varint((key.values().len() + row.values.len()) as u64);
+            let cells = key.values().iter().chain(&row.values);
+            cells.for_each(|v| put_value(w, v));
             w.put_varint(*count);
         }
         w.put_varint(self.matched);
@@ -223,13 +230,31 @@ impl Plain for NextKSummary {
                 descending.push(r.get_u8()? != 0);
             }
             let width = r.get_len("row")?;
-            let row = Row::new(get_values(r, width)?);
+            let mut cells = get_values(r, width)?;
+            let row = Row::new(cells.split_off(arity.min(width)));
             rows.push((RowKey::new(values, descending), row, r.get_varint()?));
         }
         Ok(NextKSummary {
             k,
             rows,
             matched: r.get_varint()?,
+        })
+    }
+}
+
+/// `k`, the seed, each entry's hash and string, `rows`.
+impl Plain for BottomKSummary {
+    fn put(&self, w: &mut WireWriter) {
+        put_all(w, &[self.k as u64, self.seed]);
+        self.entries.encode(w);
+        w.put_varint(self.rows);
+    }
+    fn get(r: &mut WireReader) -> Result<Self> {
+        Ok(BottomKSummary {
+            k: r.get_len("k")?,
+            seed: r.get_varint()?,
+            entries: Vec::decode(r)?,
+            rows: r.get_varint()?,
         })
     }
 }
@@ -395,6 +420,12 @@ fn run(suite: &mut Suite) {
         "hll_p12",
         &hll.summarize(&flights, Scope::ALL, 0).unwrap(),
     );
+
+    // O7's first tree: every airport of the fixture, three letters each.
+    let origins = BottomKSketch::new("Origin", 512);
+    let origins = origins.summarize(&flights, Scope::ALL, 0).unwrap();
+    assert_eq!(origins.entries.len(), 60);
+    case(suite, "bottomk_60_strings", &origins);
 
     fold_case(suite, "fold_quantile_scrollbar", erase(scrollbar), &flights);
     fold_case(suite, "fold_nextk_page_20_rows", erase(pager), &flights);

@@ -11,11 +11,12 @@
 //!
 //! Most of what a summary holds has a shape the plain primitives spell out
 //! cell by cell: a grid of counts is mostly empty, a sorted key list repeats
-//! its leading columns, an HLL register never needs its top bits. Three
-//! codecs carry those shapes, and every summary is written in terms of them.
-//! Each is *canonical* — a value has exactly one byte string, and a decoder
-//! refuses every other spelling ([`Error::NotCanonical`]) — so a decoded
-//! summary re-encodes to the bytes it came from.
+//! its leading columns, the registers of an HLL crowd a few small values
+//! above a floor. Three codecs carry those shapes, and every summary is
+//! written in terms of them. Each is *canonical* — a value has exactly one
+//! byte string, and a decoder refuses every other spelling
+//! ([`Error::NotCanonical`]) — so a decoded summary re-encodes to the bytes
+//! it came from.
 //!
 //! **Varint.** LEB128, least significant group first, at most ten bytes.
 //! Refused: a final byte of `0x00` after a continuation byte (a padded
@@ -33,12 +34,20 @@
 //! `0x00`, and any zero or run directly after a zero or run (the two were
 //! one run).
 //!
-//! **Packed** ([`WireWriter::put_packed`] / [`WireReader::get_packed`]).
-//! `n` integers of `width ≤ 8` bits each, `n` and `width` known to the
-//! reader: value `i` occupies bits `i·width .. (i+1)·width` of a
-//! `⌈n·width / 8⌉`-byte string, bit `j` of the string being bit `j mod 8`
-//! (least significant first) of byte `j / 8`. Refused: a set bit in the
-//! padding after the last value.
+//! **Patched** ([`WireWriter::put_packed`] / [`WireReader::get_packed`]).
+//! `n` bytes, `n` known to the reader, as an offset, narrow slots and the
+//! exceptions that do not fit them — the "offset + narrow registers +
+//! exceptions" idea of HyperLogLog++ (Heule et al., EDBT 2013) and of
+//! DataSketches' HLL_4. `base`, the least value (`0` when `n = 0`),
+//! and `width ≤ 8`, each a byte; then slot `i`, `min(v_i − base, 2^width −
+//! 1)`, in bits `i·width .. (i+1)·width` of a `⌈n·width / 8⌉`-byte string,
+//! bit `j` of the string being bit `j mod 8` (least significant first) of
+//! byte `j / 8`; then, in index order, for every full slot, the varint of
+//! `v_i − base − (2^width − 1)`. At width 0 every value is its varint. The
+//! width is the one that spells the values in the fewest bytes, the
+//! narrower of two that tie. Refused: a width above 8, a set bit in the
+//! padding after the last slot, a value past 255, a `base` that is not the
+//! least value and a width that is not the shortest.
 //!
 //! **Key list** ([`WireWriter::put_key_header`] + [`WireWriter::put_key`] /
 //! [`WireReader::get_key_header`] + [`WireReader::get_key`], beside the
@@ -177,21 +186,70 @@ impl WireWriter {
         }
     }
 
-    /// Write small integers `width` bits each (`1..=8`, every value below
-    /// `1 << width`), packed least significant bit first. Eight values
-    /// fill `width` bytes exactly, so they are packed a word at a time.
-    pub fn put_packed(&mut self, values: &[u8], width: u32) {
-        debug_assert!((1..=8).contains(&width));
-        for eight in values.chunks(8) {
-            let mut word = 0u64;
-            for (i, &v) in eight.iter().enumerate() {
-                debug_assert!(u32::from(v) < 1 << width, "{v} is wider than {width} bits");
-                word |= u64::from(v) << (i as u32 * width);
+    /// Write bytes patched: the least value, the width that spells them
+    /// shortest, each value's slot above the least, and an escape varint
+    /// per full slot.
+    pub fn put_packed(&mut self, values: &[u8]) {
+        let counts = byte_counts(values);
+        let base = counts.iter().position(|&n| n > 0).unwrap_or(0);
+        let width = patched_width(&counts[base..], values.len());
+        let (base, full) = (base as u8, ((1u16 << width) - 1) as u8);
+        self.buf.put_slice(&[base, width as u8]);
+        // Eight slots fill `width` bytes: each eight is packed into a word
+        // and stored whole, the next overwriting its zero top bytes.
+        let mut slots: Vec<u8> = values.iter().map(|&v| (v - base).min(full)).collect();
+        slots.resize(values.len().next_multiple_of(8), 0);
+        let len = (values.len() * width as usize).div_ceil(8);
+        let mut packed = vec![0u8; len + 8];
+        for (at, eight) in (0..).map(|k| k * width as usize).zip(slots.chunks_exact(8)) {
+            let shifted = eight.iter().enumerate();
+            let word = shifted.fold(0u64, |word, (i, &s)| {
+                word | u64::from(s) << (i as u32 * width)
+            });
+            packed[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        }
+        self.buf.put_slice(&packed[..len]);
+        for &v in values {
+            if let Some(excess) = (v - base).checked_sub(full) {
+                self.put_varint(u64::from(excess));
             }
-            let len = (eight.len() * width as usize).div_ceil(8);
-            self.buf.put_slice(&word.to_le_bytes()[..len]);
         }
     }
+}
+
+/// How many of `values` hold each byte, tallied in four tables in turn so
+/// that a run of one value does not wait on its own count.
+fn byte_counts(values: &[u8]) -> [usize; 256] {
+    let mut tables = [[0usize; 256]; 4];
+    let mut fours = values.chunks_exact(4);
+    for four in &mut fours {
+        for (table, &v) in tables.iter_mut().zip(four) {
+            table[usize::from(v)] += 1;
+        }
+    }
+    for &v in fours.remainder() {
+        tables[0][usize::from(v)] += 1;
+    }
+    let [mut counts, rest @ ..] = tables;
+    for table in &rest {
+        counts.iter_mut().zip(table).for_each(|(n, m)| *n += m);
+    }
+    counts
+}
+
+/// The width at which [`WireWriter::put_packed`] spells `n` values in the
+/// fewest bytes, the narrower of two that tie, from `counts[d]`, the
+/// values `d` above the floor.
+fn patched_width(counts: &[usize], n: usize) -> u32 {
+    let bytes = |width: u32| {
+        let full = (1usize << width) - 1;
+        let escaped = counts.get(full..).unwrap_or_default().iter().enumerate();
+        let escapes: usize = escaped
+            .map(|(excess, &k)| k << usize::from(excess >= 0x80))
+            .sum();
+        (n * width as usize).div_ceil(8) + escapes
+    };
+    (0..=8).min_by_key(|&width| bytes(width)).unwrap_or(0)
 }
 
 impl Default for WireWriter {
@@ -382,10 +440,19 @@ impl WireReader {
         Ok(counts)
     }
 
-    /// Read the `n` `width`-bit integers [`WireWriter::put_packed`] wrote.
-    pub fn get_packed(&mut self, n: usize, width: u32) -> Result<Vec<u8>> {
-        debug_assert!((1..=8).contains(&width));
-        let context = "packed integers";
+    /// Read the `n` bytes [`WireWriter::put_packed`] wrote, refusing every
+    /// other spelling of them.
+    pub fn get_packed(&mut self, n: usize) -> Result<Vec<u8>> {
+        let context = "patched bytes";
+        let base = self.get_u8()?;
+        let width = self.get_u8()?;
+        if width > 8 {
+            return Err(Error::BadTag {
+                context: "patched width",
+                tag: width,
+            });
+        }
+        let width = u32::from(width);
         let len = n
             .checked_mul(width as usize)
             .ok_or(Error::BadLength {
@@ -393,29 +460,59 @@ impl WireReader {
                 len: n as u64,
             })?
             .div_ceil(8);
-        let raw = self
-            .buf
-            .chunk()
-            .get(..len)
-            .ok_or(Error::Truncated { context })?;
-        let mut values = vec![0u8; n];
-        for (bytes, eight) in raw.chunks(width as usize).zip(values.chunks_mut(8)) {
+        // Sized from the bytes at hand: at width 0 each value is a varint.
+        if self.remaining() < if width == 0 { n } else { len } {
+            return Err(Error::Truncated { context });
+        }
+        let full = ((1u16 << width) - 1) as u8;
+        // Eight slots are `width` bytes: each eight is read as a whole word,
+        // out of a copy with a word of zeros after the last byte.
+        let mut packed = vec![0u8; len + 8];
+        packed[..len].copy_from_slice(&self.buf.chunk()[..len]);
+        let mut values = vec![0u8; n.next_multiple_of(8)];
+        for (at, eight) in (0..)
+            .map(|k| k * width as usize)
+            .zip(values.chunks_exact_mut(8))
+        {
             let mut word = [0u8; 8];
-            word[..bytes.len()].copy_from_slice(bytes);
-            let mut word = u64::from_le_bytes(word);
-            for v in eight {
-                *v = (word & ((1 << width) - 1)) as u8;
-                word >>= width;
-            }
-            // Eight values leave nothing of their bytes; fewer leave the
-            // padding.
-            if word != 0 {
-                return Err(Error::NotCanonical {
-                    context: "packed padding bits",
-                });
+            word.copy_from_slice(&packed[at..at + 8]);
+            let word = u64::from_le_bytes(word);
+            for (i, v) in eight.iter_mut().enumerate() {
+                *v = (word >> (i as u32 * width)) as u8 & full;
             }
         }
+        // The slots past the last value hold the padding bits.
+        if values.drain(n..).any(|slot| slot != 0) {
+            return Err(Error::NotCanonical {
+                context: "packed padding bits",
+            });
+        }
         self.buf.advance(len);
+        // Each value its offset above `base` first, the escapes added in.
+        let past = |offset: u64| Error::BadLength {
+            context: "patched value past a byte",
+            len: offset,
+        };
+        for v in values.iter_mut().filter(|v| **v == full) {
+            let offset = u64::from(full).saturating_add(self.get_varint()?);
+            *v = u8::try_from(offset).map_err(|_| past(offset))?;
+        }
+        let counts = byte_counts(&values);
+        let top = counts.iter().rposition(|&k| k > 0).unwrap_or(0);
+        if top > usize::from(u8::MAX - base) {
+            return Err(past(top as u64));
+        }
+        if counts[0] == 0 && n > 0 || base > 0 && n == 0 {
+            return Err(Error::NotCanonical {
+                context: "patched base is not the least value",
+            });
+        }
+        if patched_width(&counts, n) != width {
+            return Err(Error::NotCanonical {
+                context: "patched width is not the shortest",
+            });
+        }
+        values.iter_mut().for_each(|v| *v += base);
         Ok(values)
     }
 }
@@ -829,41 +926,102 @@ mod tests {
 
     #[test]
     fn packed_integers_roundtrip_at_every_width() {
-        for width in 1..=8u32 {
+        for width in 0..=8u32 {
+            // Every slot but the full one, dealt evenly above a floor of 1:
+            // nothing escapes at `width`, and one bit narrower half would.
+            let slots = (1usize << width).saturating_sub(1).max(1);
             for n in [0usize, 1, 7, 8, 9, 64, 100] {
-                let values: Vec<u8> = (0..n).map(|i| (i * 37 % (1 << width)) as u8).collect();
+                let values: Vec<u8> = (0..n).map(|i| (1 + i * 37 % slots) as u8).collect();
                 let mut w = WireWriter::new();
-                w.put_packed(&values, width);
-                assert_eq!(w.len(), (n * width as usize).div_ceil(8));
-                let mut r = WireReader::new(w.finish());
-                assert_eq!(r.get_packed(n, width).unwrap(), values, "{width} x {n}");
+                w.put_packed(&values);
+                let bytes = w.finish();
+                if n >= 64 {
+                    assert_eq!(bytes[..2], [1, width.max(1) as u8], "{width} x {n}");
+                }
+                let mut r = WireReader::new(bytes);
+                assert_eq!(r.get_packed(n).unwrap(), values, "{width} x {n}");
                 assert_eq!(r.remaining(), 0);
             }
         }
-        // Least significant bit first: 1 | 2 << 6 | 3 << 12.
-        let mut w = WireWriter::new();
-        w.put_packed(&[1, 2, 3], 6);
-        assert_eq!(&w.finish()[..], &[0x81, 0x30, 0x00]);
+        let spell = |values: &[u8]| {
+            let mut w = WireWriter::new();
+            w.put_packed(values);
+            w.finish().to_vec()
+        };
+        // Base 1, width 2, least significant bit first: 0 | 1 << 2 | 2 << 4.
+        assert_eq!(spell(&[1, 2, 3]), [0x01, 0x02, 0x24]);
+        // One value far above eight at the floor: a one-bit slot, full,
+        // and its escape `200 − 0 − 1`.
+        let mut spike = [0u8; 9];
+        spike[8] = 200;
+        assert_eq!(spell(&spike), [0x00, 0x01, 0x00, 0x01, 0xC7, 0x01]);
+        // Nothing, and one value: width 0 ties the wider ones and wins.
+        assert_eq!(spell(&[]), [0, 0]);
+        assert_eq!(spell(&[7]), [7, 0, 0]);
     }
 
     #[test]
     fn packed_decoder_refuses_short_input_and_padding_bits() {
+        assert_eq!(reader(&[0x01, 0x02, 0x24]).get_packed(3), Ok(vec![1, 2, 3]));
+        let context = "patched bytes";
         assert_eq!(
-            reader(&[0x81, 0x30]).get_packed(3, 6),
-            Err(Error::Truncated {
-                context: "packed integers"
-            })
+            reader(&[0x01, 0x02]).get_packed(3),
+            Err(Error::Truncated { context })
         );
-        for padding in [0x04, 0x80] {
+        for padding in [0x40, 0x80] {
             assert_eq!(
-                reader(&[0x81, 0x30, padding]).get_packed(3, 6),
+                reader(&[0x01, 0x02, 0x24 | padding]).get_packed(3),
                 Err(Error::NotCanonical {
                     context: "packed padding bits"
                 })
             );
         }
+        assert_eq!(
+            reader(&[0x00, 0x09, 0x00, 0x00]).get_packed(1),
+            Err(Error::BadTag {
+                context: "patched width",
+                tag: 9
+            })
+        );
+        // The values 1, 2, 3 again: from a floor below the least value, and
+        // at a width wider than the shortest.
+        for (frame, context) in [
+            (
+                &[0x00, 0x02, 0x39, 0x00][..],
+                "patched base is not the least value",
+            ),
+            (
+                &[0x01, 0x03, 0x88, 0x00],
+                "patched width is not the shortest",
+            ),
+        ] {
+            assert_eq!(
+                reader(frame).get_packed(3),
+                Err(Error::NotCanonical { context }),
+                "{frame:02x?}"
+            );
+        }
+        // Values past 255, one by its escape and one by its slot, and an
+        // escape that is not there.
+        for (frame, offset) in [(&[250, 0, 6][..], 6), (&[250, 3, 6], 6)] {
+            assert_eq!(
+                reader(frame).get_packed(1),
+                Err(Error::BadLength {
+                    context: "patched value past a byte",
+                    len: offset
+                })
+            );
+        }
+        assert_eq!(
+            reader(&[0x00, 0x01, 0x00, 0x01]).get_packed(9),
+            Err(Error::Truncated { context: "varint" })
+        );
         // Sized from the bytes at hand, not from the claim.
-        assert!(reader(&[0xFF]).get_packed(usize::MAX / 2, 6).is_err());
+        assert!(reader(&[0, 6, 0xFF]).get_packed(usize::MAX / 2).is_err());
+        assert_eq!(
+            reader(&[0, 0, 0]).get_packed(1 << 40),
+            Err(Error::Truncated { context })
+        );
     }
 
     #[test]

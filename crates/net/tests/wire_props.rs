@@ -2,7 +2,7 @@
 //! frames never panic.
 
 use hillview_columnar::{Row, RowKey, Value};
-use hillview_net::{Wire, WireReader, WireWriter};
+use hillview_net::{Error, Wire, WireReader, WireWriter};
 use proptest::prelude::*;
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -233,6 +233,70 @@ proptest! {
         prop_assert_eq!(r.remaining(), 0);
         prop_assert_eq!(format!("{back:?}"), format!("{keys:?}"));
         prop_assert_eq!(encode(&back), bytes);
+    }
+}
+
+/// `values` patched at any floor and width, honest or not: `base`, `width`,
+/// the slots `min(v − base, 2^width − 1)` packed least significant bit
+/// first, then an escape varint per full slot.
+fn patched(values: &[u8], base: u8, width: u32) -> Vec<u8> {
+    let full = ((1u16 << width) - 1) as u8;
+    let mut bits = vec![0u8; (values.len() * width as usize).div_ceil(8)];
+    let mut escapes = WireWriter::new();
+    for (i, &v) in values.iter().enumerate() {
+        let offset = v - base;
+        for b in 0..width as usize {
+            let at = i * width as usize + b;
+            bits[at / 8] |= (offset.min(full) >> b & 1) << (at % 8);
+        }
+        if offset >= full {
+            escapes.put_varint(u64::from(offset - full));
+        }
+    }
+    [&[base, width as u8][..], &bits, &escapes.finish()].concat()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Patched bytes round-trip whatever they hold; the writer's floor is
+    /// the least value and its width spells them in the fewest bytes, the
+    /// narrower of two that tie; and every other floor and width that
+    /// spells them is refused.
+    #[test]
+    fn patched_bytes_roundtrip_at_their_shortest_spelling(
+        values in proptest::collection::vec(prop_oneof![0u8..4, 0u8..16, any::<u8>()], 0..80),
+        floor in 0u8..24,
+    ) {
+        let values: Vec<u8> = values.iter().map(|v| v.saturating_add(floor)).collect();
+        let n = values.len();
+        let mut w = WireWriter::new();
+        w.put_packed(&values);
+        let bytes = w.finish().to_vec();
+        let mut r = WireReader::new(bytes.clone().into());
+        prop_assert_eq!(r.get_packed(n).unwrap(), values.clone());
+        prop_assert_eq!(r.remaining(), 0);
+        let least = values.iter().copied().min().unwrap_or(0);
+        let (base, width) = (bytes[0], u32::from(bytes[1]));
+        prop_assert_eq!(base, least);
+        prop_assert_eq!(&patched(&values, base, width), &bytes);
+        for other_base in 0..=least {
+            for other_width in 0..=8 {
+                if (other_base, other_width) == (base, width) {
+                    continue;
+                }
+                let other = patched(&values, other_base, other_width);
+                if other_base == least {
+                    let longer = (other.len(), other_width) > (bytes.len(), width);
+                    prop_assert!(longer, "width {} spells {} bytes", other_width, other.len());
+                }
+                let refused = WireReader::new(other.into()).get_packed(n);
+                prop_assert!(
+                    matches!(refused, Err(Error::NotCanonical { .. })),
+                    "base {} width {}: {:?}", other_base, other_width, refused
+                );
+            }
+        }
     }
 }
 

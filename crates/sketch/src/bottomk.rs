@@ -42,6 +42,8 @@ impl BottomKSketch {
 pub struct BottomKSummary {
     /// Capacity.
     pub k: usize,
+    /// The sketch's hash seed: each entry's hash is `hash_str(value, seed)`.
+    pub seed: u64,
     /// Ascending by hash; values are distinct. When two distinct values
     /// share a hash, the entry holds the smaller string (byte order), in
     /// `summarize` and `merge` alike, so the summary is a function of the
@@ -52,9 +54,10 @@ pub struct BottomKSummary {
 }
 
 impl BottomKSummary {
-    fn zero(k: usize) -> Self {
+    fn zero(k: usize, seed: u64) -> Self {
         BottomKSummary {
             k,
+            seed,
             entries: Vec::new(),
             rows: 0,
         }
@@ -84,6 +87,7 @@ impl BottomKSummary {
 
 impl Summary for BottomKSummary {
     fn merge(&mut self, other: Self) {
+        debug_assert_eq!(self.seed, other.seed);
         self.k = self.k.max(other.k);
         let mine = std::mem::take(&mut self.entries);
         self.entries = merge_runs(mine, other.entries, |(hash, _)| hash, keep_smaller);
@@ -115,23 +119,37 @@ fn offer(map: &mut BTreeMap<u64, String>, hash: u64, value: &str) {
     }
 }
 
-/// Layout: `k`, entry count, each entry's hash and string — the hashes
-/// ascend strictly, which `merge` relies on and the decoder checks — `rows`.
+/// Layout: `k`, `seed`, the entry count, each entry's string in hash order,
+/// `rows`. A hash is not shipped: the decoder recomputes it from the string
+/// and the seed, and refuses a list whose hashes do not ascend strictly,
+/// which `merge` relies on.
 impl Wire for BottomKSummary {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.k as u64);
-        self.entries.encode(w);
+        w.put_varint(self.seed);
+        w.put_varint(self.entries.len() as u64);
+        for (hash, value) in &self.entries {
+            debug_assert_eq!(*hash, hash_str(value, self.seed));
+            w.put_str(value);
+        }
         w.put_varint(self.rows);
     }
     fn decode(r: &mut WireReader) -> WireResult<Self> {
         let k = r.get_len("bottomk k")?;
-        let entries: Vec<(u64, String)> = Vec::decode(r)?;
-        if entries.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
-            let context = "bottom-k hashes are not strictly ascending";
-            return Err(WireError::NotCanonical { context });
+        let seed = r.get_varint()?;
+        let n = r.get_count("bottom-k entries")?;
+        let mut entries: Vec<(u64, String)> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let entry = r.get_str_with(|s| (hash_str(s, seed), s.to_owned()))?;
+            if entries.last().is_some_and(|(prev, _)| *prev >= entry.0) {
+                let context = "bottom-k hashes are not strictly ascending";
+                return Err(WireError::NotCanonical { context });
+            }
+            entries.push(entry);
         }
         Ok(BottomKSummary {
             k,
+            seed,
             entries,
             rows: r.get_varint()?,
         })
@@ -185,13 +203,14 @@ impl Sketch for BottomKSketch {
         let entries: Vec<(u64, String)> = map.into_iter().take(self.k).collect();
         Ok(BottomKSummary {
             k: self.k,
+            seed: self.seed,
             entries,
             rows: selected - missing,
         })
     }
 
     fn identity(&self) -> BottomKSummary {
-        BottomKSummary::zero(self.k)
+        BottomKSummary::zero(self.k, self.seed)
     }
 
     fn cache_identity(&self) -> Option<Vec<u8>> {
@@ -230,6 +249,7 @@ impl BottomKSketch {
         let entries: Vec<(u64, String)> = map.into_iter().take(self.k).collect();
         Ok(BottomKSummary {
             k: self.k,
+            seed: self.seed,
             entries,
             rows,
         })
@@ -313,6 +333,7 @@ mod tests {
         // whichever order a leaf met them in, the smaller string stays.
         let one = |v: &str| BottomKSummary {
             k: 4,
+            seed: 0,
             entries: vec![(9, v.to_string())],
             rows: 1,
         };

@@ -14,8 +14,6 @@ use std::sync::Arc;
 
 /// Register-count exponents a sketch may be built with.
 const PRECISIONS: RangeInclusive<u8> = 4..=16;
-/// Bits per register on the wire: a rank is at most `64 - p ≤ 60`.
-const REGISTER_BITS: u32 = 6;
 
 /// HLL sketch of one column's distinct value count.
 #[derive(Debug, Clone)]
@@ -109,12 +107,14 @@ impl Summary for DistinctSummary {
     }
 }
 
-/// Layout: `p` (one byte), the `2^p` registers packed six bits each,
-/// `missing`.
+/// Layout: `p` (one byte), the `2^p` registers patched (their floor, the
+/// narrow slots above it and the ranks too high for a slot; see
+/// [`WireWriter::put_packed`]), `missing`. A register past `64 − p` is
+/// refused.
 impl Wire for DistinctSummary {
     fn encode(&self, w: &mut WireWriter) {
         w.put_u8(self.p);
-        w.put_packed(&self.registers, REGISTER_BITS);
+        w.put_packed(&self.registers);
         w.put_varint(self.missing);
     }
     fn decode(r: &mut WireReader) -> WireResult<Self> {
@@ -126,7 +126,7 @@ impl Wire for DistinctSummary {
                 tag: p,
             });
         }
-        let registers = r.get_packed(1 << p, REGISTER_BITS)?;
+        let registers = r.get_packed(1 << p)?;
         if let Some(&rank) = registers.iter().find(|&&rank| rank > 64 - p) {
             return Err(WireError::BadTag {
                 context: "HLL register above its maximal rank",

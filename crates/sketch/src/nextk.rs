@@ -15,7 +15,7 @@
 use crate::traits::{merge_runs, Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::scan::scan_rows;
-use hillview_columnar::{Row, RowBound, RowKey, SortOrder};
+use hillview_columnar::{Row, RowBound, RowKey, SortOrder, Value};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -67,7 +67,8 @@ impl NextKSketch {
 pub struct NextKSummary {
     /// Capacity.
     pub k: usize,
-    /// Ascending by sort key; counts aggregate duplicate keys.
+    /// Ascending by sort key; counts aggregate duplicate keys. A row holds
+    /// the display columns' values only: the sort columns' are its key's.
     pub rows: Vec<(RowKey, Row, u64)>,
     /// Rows matching (i.e. after `start`) in the scanned data, including
     /// those beyond the first K — drives the scroll-position indicator.
@@ -98,16 +99,22 @@ impl Summary for NextKSummary {
     }
 }
 
-/// Layout: `k`, a key list (the page ascends strictly by key), each key
-/// followed by its display row and its count; then `matched`.
+/// Layout: `k`, a key list (the page ascends strictly by key) — unless it is
+/// empty, the display width once after its header — each key followed by
+/// its display values and its count; then `matched`.
 impl Wire for NextKSummary {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.k as u64);
         w.put_key_header(self.rows.len(), self.rows.first().map(|(key, _, _)| key));
+        let width = self.rows.first().map(|(_, row, _)| row.values.len());
+        if let Some(width) = width {
+            w.put_varint(width as u64);
+        }
         let mut prev = None;
         for (key, row, count) in &self.rows {
+            debug_assert_eq!(Some(row.values.len()), width);
             w.put_key(prev, key);
-            row.encode(w);
+            row.values.iter().for_each(|v| v.encode(w));
             w.put_varint(*count);
             prev = Some(key);
         }
@@ -116,10 +123,15 @@ impl Wire for NextKSummary {
     fn decode(r: &mut WireReader) -> WireResult<Self> {
         let k = r.get_len("nextk k")?;
         let (n, descending) = r.get_key_header()?;
+        let width = match n {
+            0 => 0,
+            _ => r.get_count("nextk display width")?,
+        };
         let mut rows: Vec<(RowKey, Row, u64)> = Vec::with_capacity(n);
         for _ in 0..n {
             let key = r.get_key(&descending, rows.last().map(|(key, _, _)| key))?;
-            let row = Row::decode(r)?;
+            let values = (0..width).map(|_| Value::decode(r));
+            let row = Row::new(values.collect::<WireResult<_>>()?);
             let count = r.get_varint()?;
             rows.push((key, row, count));
         }
@@ -194,9 +206,8 @@ impl Sketch for NextKSketch {
                     Ok(at) => rows[at].2 += 1,
                     Err(at) => {
                         let key = resolved.key(table, row);
-                        let mut values = key.values().to_vec();
-                        values.extend(display_idx.iter().map(|&c| table.column(c).value(row)));
-                        rows.insert(at, (key, Row::new(values), 1));
+                        let values = display_idx.iter().map(|&c| table.column(c).value(row));
+                        rows.insert(at, (key, Row::new(values.collect()), 1));
                         rows.truncate(self.k);
                         last = None;
                     }
@@ -245,9 +256,8 @@ impl NextKSketch {
             match map.get_mut(&key) {
                 Some((_, c)) => *c += 1,
                 None => {
-                    let mut values = key.values().to_vec();
-                    values.extend(display_idx.iter().map(|&c| table.column(c).value(row)));
-                    map.insert(key, (Row::new(values), 1));
+                    let values = display_idx.iter().map(|&c| table.column(c).value(row));
+                    map.insert(key, (Row::new(values.collect()), 1));
                     if map.len() > self.k {
                         let largest = map.keys().next_back().expect("over capacity").clone();
                         map.remove(&largest);
@@ -362,8 +372,9 @@ mod tests {
         let order = SortOrder::ascending(&["Delay"]);
         let sk = NextKSketch::first_page(order, 1).with_display(&["Carrier"]);
         let s = sk.summarize(&view(), Scope::ALL, 0).unwrap();
-        // Row = sort key values + display values.
-        assert_eq!(s.rows[0].1.values, vec![Value::Int(2), Value::str("UA")]);
+        // The key holds the sort column, the row the display column.
+        assert_eq!(s.rows[0].0.values(), &[Value::Int(2)]);
+        assert_eq!(s.rows[0].1.values, vec![Value::str("UA")]);
     }
 
     #[test]

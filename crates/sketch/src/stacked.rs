@@ -12,7 +12,7 @@ use crate::buckets::{add_counts, grid_cells, BucketSpec};
 use crate::traits::{Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::row_sampled;
-use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
+use hillview_net::{Error as WireError, Result as WireResult, Wire, WireReader, WireWriter};
 use std::sync::Arc;
 
 /// Stacked histogram sketch over an X column subdivided by a Y column.
@@ -102,14 +102,26 @@ impl Summary for StackedSummary {
     }
 }
 
-/// Layout: `bx`, `by`, the `bx` bar totals and then the `bx · by`
-/// subdivisions, each as zero-run counts, `missing`, `out_of_range`,
-/// `rows_inspected`.
+/// Layout: `bx`, `by`, each bar's residual — its total less its
+/// subdivisions, the rows whose Y is missing or out of range — and then the
+/// `bx · by` subdivisions, each as zero-run counts, `missing`,
+/// `out_of_range`, `rows_inspected`. The decoder adds each bar's
+/// subdivisions back to its residual, and refuses a bar past `u64`.
 impl Wire for StackedSummary {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.bx as u64);
         w.put_varint(self.by as u64);
-        w.put_counts(&self.x_counts);
+        let bars = self.x_counts.iter().enumerate();
+        let residuals: Vec<u64> = bars
+            .map(|(x, &total)| {
+                let cells = self.xy_counts.get(x * self.by..(x + 1) * self.by);
+                let cells = cells.unwrap_or_default().iter();
+                let subdivided = cells.fold(0, |sum: u64, &c| sum.wrapping_add(c));
+                debug_assert!(subdivided <= total, "a bar counts its subdivisions");
+                total.wrapping_sub(subdivided)
+            })
+            .collect();
+        w.put_counts(&residuals);
         w.put_counts(&self.xy_counts);
         w.put_varint(self.missing);
         w.put_varint(self.out_of_range);
@@ -118,11 +130,20 @@ impl Wire for StackedSummary {
     fn decode(r: &mut WireReader) -> WireResult<Self> {
         let bx = r.get_len("stacked bx")?;
         let by = r.get_len("stacked by")?;
+        let mut x_counts = r.get_counts(bx)?;
+        let xy_counts = r.get_counts(bx.saturating_mul(by))?;
+        for (total, cells) in x_counts.iter_mut().zip(xy_counts.chunks(by.max(1))) {
+            let bar = cells.iter().try_fold(*total, |sum, &c| sum.checked_add(c));
+            *total = bar.ok_or(WireError::BadLength {
+                context: "stacked bar past u64",
+                len: *total,
+            })?;
+        }
         Ok(StackedSummary {
             bx,
             by,
-            x_counts: r.get_counts(bx)?,
-            xy_counts: r.get_counts(bx.saturating_mul(by))?,
+            x_counts,
+            xy_counts,
             missing: r.get_varint()?,
             out_of_range: r.get_varint()?,
             rows_inspected: r.get_varint()?,

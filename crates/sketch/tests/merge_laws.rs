@@ -513,15 +513,92 @@ impl Folds {
     /// ([`summarize_split`]): of the whole table at two grains, then of
     /// each partition.
     fn fingerprint<S: Sketch>(&self, sketch: S) -> u64 {
-        use hillview_columnar::{fnv1a, FNV_OFFSET};
         use hillview_net::Wire;
+        self.fingerprint_as(sketch, |summary| summary.to_bytes().to_vec())
+    }
+
+    /// The same, over the bytes `layout` spells each fold in.
+    fn fingerprint_as<S: Sketch>(&self, sketch: S, layout: impl Fn(&S::Summary) -> Vec<u8>) -> u64 {
+        use hillview_columnar::{fnv1a, FNV_OFFSET};
         use hillview_sketch::traits::summarize_split;
         let whole = [(&self.whole, 97), (&self.whole, 1_024)].into_iter();
         let folds = whole.chain(self.parts.iter().map(|part| (part, 256)));
         folds.fold(FNV_OFFSET, |h, (view, grain)| {
             let summary = summarize_split(&sketch, view, None, grain, 11).unwrap();
-            fnv1a(h, &summary.to_bytes())
+            fnv1a(h, &layout(&summary))
         })
+    }
+}
+
+/// The wire layouts four summaries had when their fingerprints were pinned:
+/// each spells out bytes its layout now leaves for the root to recompute.
+/// A fold written in them must still give the pinned bytes, so the
+/// summaries did not move when their layouts did.
+mod pinned_layouts {
+    use hillview_columnar::Row;
+    use hillview_net::{Wire, WireWriter};
+    use hillview_sketch::bottomk::BottomKSummary;
+    use hillview_sketch::distinct::DistinctSummary;
+    use hillview_sketch::nextk::NextKSummary;
+    use hillview_sketch::stacked::StackedSummary;
+
+    fn finish(w: WireWriter) -> Vec<u8> {
+        w.finish().to_vec()
+    }
+
+    /// `p`, every register in six bits, least significant bit first, `missing`.
+    pub fn distinct(s: &DistinctSummary) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_u8(s.p);
+        let mut bits = vec![0u8; (s.registers.len() * 6).div_ceil(8)];
+        for (i, &r) in s.registers.iter().enumerate() {
+            for b in 0..6 {
+                bits[(i * 6 + b) / 8] |= (r >> b & 1) << ((i * 6 + b) % 8);
+            }
+        }
+        bits.iter().for_each(|&b| w.put_u8(b));
+        w.put_varint(s.missing);
+        finish(w)
+    }
+
+    /// `k`, each entry's hash and string, `rows`.
+    pub fn bottom_k(s: &BottomKSummary) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_varint(s.k as u64);
+        s.entries.encode(&mut w);
+        w.put_varint(s.rows);
+        finish(w)
+    }
+
+    /// `bx`, `by`, the bar totals, the subdivisions, the three tallies.
+    pub fn stacked(s: &StackedSummary) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_varint(s.bx as u64);
+        w.put_varint(s.by as u64);
+        w.put_counts(&s.x_counts);
+        w.put_counts(&s.xy_counts);
+        for tally in [s.missing, s.out_of_range, s.rows_inspected] {
+            w.put_varint(tally);
+        }
+        finish(w)
+    }
+
+    /// `k`, the key list with each key's row — its key values, then its
+    /// display values — and count after it, `matched`.
+    pub fn nextk(s: &NextKSummary) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_varint(s.k as u64);
+        w.put_key_header(s.rows.len(), s.rows.first().map(|(key, _, _)| key));
+        let mut prev = None;
+        for (key, row, count) in &s.rows {
+            w.put_key(prev, key);
+            let values = key.values().iter().chain(&row.values).cloned();
+            Row::new(values.collect()).encode(&mut w);
+            w.put_varint(*count);
+            prev = Some(key);
+        }
+        w.put_varint(s.matched);
+        finish(w)
     }
 }
 
@@ -536,7 +613,10 @@ impl Folds {
 /// re-recorded when a partition came to split by its row span rather than
 /// by its selected rows: their merges depend on order or compress, and the
 /// sparse partitions here now fold at span boundaries. The ten other exact
-/// entries still hold `d280ef4`'s bytes.
+/// entries still hold `d280ef4`'s bytes. `distinct`, `bottom-k`, `stacked`
+/// and `nextk` ship less than they did then (registers patched, hashes and
+/// bar totals recomputed at the root, a page's keys sent once), so their
+/// folds are fingerprinted in the layouts of [`pinned_layouts`].
 #[test]
 fn fold_fingerprints_are_pinned() {
     let f = Folds::new();
@@ -577,12 +657,15 @@ fn fold_fingerprints_are_pinned() {
         ),
         (
             "stacked",
-            f.fingerprint(StackedHistogramSketch::streaming(
-                "CRSDepTime",
-                "Carrier",
-                numeric(0.0, 2_400.0, 24),
-                carriers(),
-            )),
+            f.fingerprint_as(
+                StackedHistogramSketch::streaming(
+                    "CRSDepTime",
+                    "Carrier",
+                    numeric(0.0, 2_400.0, 24),
+                    carriers(),
+                ),
+                pinned_layouts::stacked,
+            ),
         ),
         ("trellis-sampled", f.fingerprint(trellis)),
         ("moments", f.fingerprint(MomentsSketch::new("ArrDelay", 4))),
@@ -590,7 +673,10 @@ fn fold_fingerprints_are_pinned() {
             "pca-sampled",
             f.fingerprint(PcaSketch::new(&["DepDelay", "ArrDelay", "Distance"], 0.6)),
         ),
-        ("distinct", f.fingerprint(DistinctSketch::new("TailNum"))),
+        (
+            "distinct",
+            f.fingerprint_as(DistinctSketch::new("TailNum"), pinned_layouts::distinct),
+        ),
         (
             "misra-gries",
             f.fingerprint(MisraGriesSketch::new("Origin", 8)),
@@ -599,12 +685,18 @@ fn fold_fingerprints_are_pinned() {
             "sampled-hh",
             f.fingerprint(SampledHeavyHittersSketch::new("Dest", 6, 0.4)),
         ),
-        ("bottom-k", f.fingerprint(BottomKSketch::new("TailNum", 64))),
+        (
+            "bottom-k",
+            f.fingerprint_as(BottomKSketch::new("TailNum", 64), pinned_layouts::bottom_k),
+        ),
         (
             "quantile-sampled",
             f.fingerprint(QuantileSketch::new(by_date, 0.5, 400, 80)),
         ),
-        ("nextk", f.fingerprint(page.with_display(&["Carrier"]))),
+        (
+            "nextk",
+            f.fingerprint_as(page.with_display(&["Carrier"]), pinned_layouts::nextk),
+        ),
         (
             "find",
             f.fingerprint(FindSketch::new(

@@ -15,12 +15,13 @@ mod totality;
 
 use hillview_columnar::{Row, RowKey, SortOrder, StrMatchKind, Table, Value};
 use hillview_data::{generate_flights, FlightsConfig};
-use hillview_net::{Wire, WireWriter, MAX_COUNTS};
+use hillview_net::{Error as WireError, Wire, WireWriter, MAX_COUNTS};
 use hillview_sketch::bottomk::{BottomKSketch, BottomKSummary};
 use hillview_sketch::buckets::BucketSpec;
 use hillview_sketch::count::{CountSketch, CountSummary};
 use hillview_sketch::distinct::{DistinctSketch, DistinctSummary};
 use hillview_sketch::find::{FindSketch, FindSummary};
+use hillview_sketch::hashutil::{fnv1a, mix};
 use hillview_sketch::heatmap::{HeatmapSketch, HeatmapSummary};
 use hillview_sketch::heavy::{
     MisraGriesSketch, MisraGriesSummary, SampledHeavyHittersSketch, SampledHeavyHittersSummary,
@@ -163,23 +164,78 @@ fn distinct_is_total_and_canonical() {
     total_and_canonical("distinct", &summaries);
 
     // `p` sizes the register array: it is bounded before it shifts.
-    let frame = |p: u8, register: u8| {
+    let frame = |p: u8, registers: &[u8]| {
         let mut w = WireWriter::new();
         w.put_u8(p);
-        w.put_packed(&vec![register; 1 << p.min(16)], 6);
+        w.put_packed(registers);
         w.put_varint(0);
         w.finish().to_vec()
     };
-    assert!(DistinctSummary::from_bytes(frame(12, 52).into()).is_ok());
+    let flat = |p: u8, register: u8| frame(p, &vec![register; 1 << p.min(16)]);
+    assert!(DistinctSummary::from_bytes(flat(12, 52).into()).is_ok());
     for p in [0, 3, 17, 64, 255] {
-        refused::<DistinctSummary>(&format!("p = {p}"), &frame(p, 0));
+        refused::<DistinctSummary>(&format!("p = {p}"), &flat(p, 0));
         bomb::<DistinctSummary>(&format!("p = {p}, no body"), &[p], 4 << 10);
     }
     // A rank past `64 - p` is no register `observe` can produce.
-    refused::<DistinctSummary>("register 63 at p = 12", &frame(12, 63));
-    refused::<DistinctSummary>("register 53 at p = 12", &frame(12, 53));
+    refused::<DistinctSummary>("register 63 at p = 12", &flat(12, 63));
+    refused::<DistinctSummary>("register 53 at p = 12", &flat(12, 53));
     // A truncated body is refused before the registers are allocated.
     bomb::<DistinctSummary>("p = 16, 3 bytes", &[16, 1, 2], 4 << 10);
+    bomb::<DistinctSummary>("p = 16, width 0, 3 bytes", &[16, 1, 0], 4 << 10);
+
+    // Sixteen registers at 2 and 3 and one at 9 ship as 2 + slots of two
+    // bits, the 9 in a full slot and its escape 4. Every other floor or
+    // width spells the same registers, and is refused.
+    let mut registers: Vec<u8> = (0..16).map(|i| 2 + i % 2).collect();
+    registers[5] = 9;
+    let honest = frame(4, &registers);
+    assert_eq!(honest, hll_frame(4, &registers, 2, 2));
+    assert_eq!(&honest[1..3], [2, 2]);
+    assert_eq!(&honest[7..], [4, 0], "one escape, then `missing`");
+    for (base, width) in [(1, 2), (0, 2), (2, 1), (2, 3), (2, 0), (2, 8)] {
+        assert!(
+            matches!(
+                DistinctSummary::from_bytes(hll_frame(4, &registers, base, width).into()),
+                Err(WireError::NotCanonical { .. })
+            ),
+            "base {base}, width {width}"
+        );
+    }
+    // An escape that lifts a register past `64 − p`: 60 is the most a
+    // register holds at p = 4.
+    registers[5] = 60;
+    assert!(DistinctSummary::from_bytes(frame(4, &registers).into()).is_ok());
+    registers[5] = 61;
+    let lifted = frame(4, &registers);
+    assert_eq!(&lifted[7..], [56, 0], "the escape carries 61 − 2 − 3");
+    assert!(matches!(
+        DistinctSummary::from_bytes(lifted.into()),
+        Err(WireError::BadTag { tag: 61, .. })
+    ));
+    // Escapes cut short: the slot is full and its varint is missing.
+    refused::<DistinctSummary>("no escape", &honest[..7]);
+    refused::<DistinctSummary>("half an escape", &[&honest[..7], &[0x84]].concat());
+}
+
+/// An HLL frame spelt at any floor and width, honest or not: `p`, the
+/// registers patched at `base` and `width`, `missing = 0`.
+fn hll_frame(p: u8, registers: &[u8], base: u8, width: u32) -> Vec<u8> {
+    let full = ((1u16 << width) - 1) as u8;
+    let offsets = registers.iter().map(|&r| r - base);
+    let mut bits = vec![0u8; (registers.len() * width as usize).div_ceil(8)];
+    let mut w = WireWriter::new();
+    for (i, offset) in offsets.enumerate() {
+        let slot = offset.min(full);
+        for b in 0..width as usize {
+            let at = i * width as usize + b;
+            bits[at / 8] |= (slot >> b & 1) << (at % 8);
+        }
+        if offset >= full {
+            w.put_varint(u64::from(offset - full));
+        }
+    }
+    [&[p, base, width as u8][..], &bits, &w.finish(), &[0]].concat()
 }
 
 #[test]
@@ -274,17 +330,55 @@ fn stacked_is_total_and_canonical() {
         StackedSummary::zero(5, 0),
         summary(&sketch),
     ];
+    // A bar counts its subdivisions and the rows whose Y it could not
+    // place: the residuals take the shapes of the bars' counts, as far as
+    // `u64` lets them.
     let shapes = count_shapes(3).into_iter().zip(count_shapes(12));
-    summaries.extend(shapes.map(|(x_counts, xy_counts)| StackedSummary {
-        bx: 3,
-        by: 4,
-        x_counts,
-        xy_counts,
-        missing: 7,
-        out_of_range: 0,
-        rows_inspected: 9,
+    summaries.extend(shapes.map(|(residuals, xy_counts)| {
+        StackedSummary {
+            bx: 3,
+            by: 4,
+            x_counts: residuals
+                .iter()
+                .zip(xy_counts.chunks(4))
+                .map(|(r, cells)| cells.iter().sum::<u64>().saturating_add(*r))
+                .collect(),
+            xy_counts,
+            missing: 7,
+            out_of_range: 0,
+            rows_inspected: 9,
+        }
     }));
     total_and_canonical("stacked", &summaries);
+
+    // A residual and subdivisions that add up past `u64`: an error, not a
+    // bar that wrapped.
+    let bar = |residual: u64, cells: [u64; 2]| {
+        let mut w = WireWriter::new();
+        w.put_varint(1);
+        w.put_varint(2);
+        w.put_counts(&[residual]);
+        w.put_counts(&cells);
+        w.put_varint(0);
+        w.put_varint(0);
+        w.put_varint(0);
+        StackedSummary::from_bytes(w.finish())
+    };
+    assert_eq!(bar(1, [u64::MAX - 3, 2]).unwrap().x_counts, [u64::MAX]);
+    for (residual, cells) in [
+        (2, [u64::MAX - 3, 2]),
+        (0, [u64::MAX, 1]),
+        (u64::MAX, [1, 0]),
+    ] {
+        assert_eq!(
+            bar(residual, cells),
+            Err(WireError::BadLength {
+                context: "stacked bar past u64",
+                len: residual
+            }),
+            "{residual} + {cells:?}"
+        );
+    }
 
     // Honest bars, then 2^28 subdivisions in one run token.
     let mut w = WireWriter::new();
@@ -403,25 +497,60 @@ fn sampled_heavy_hitters_is_total_and_canonical() {
 #[test]
 fn bottomk_is_total_and_canonical() {
     let sketch = BottomKSketch::new("TailNum", 20);
+    // Strings with the hashes the decoder will compute for them.
+    let hashed = |seed: u64, values: &[&str]| {
+        let mut entries: Vec<(u64, String)> = values
+            .iter()
+            .map(|v| (mix(fnv1a(v.as_bytes()) ^ seed), v.to_string()))
+            .collect();
+        entries.sort();
+        entries
+    };
     let edge = BottomKSummary {
         k: 2,
-        entries: vec![(0, String::new()), (u64::MAX, "日本".into())],
+        seed: u64::MAX,
+        entries: hashed(u64::MAX, &["", "日本"]),
         rows: 2,
+    };
+    let reseeded = BottomKSketch {
+        seed: 0,
+        ..sketch.clone()
     };
     total_and_canonical(
         "bottomk",
-        &[sketch.identity(), summary(&sketch), edge.clone()],
+        &[
+            sketch.identity(),
+            summary(&sketch),
+            summary(&reseeded),
+            edge.clone(),
+        ],
     );
-    // Hashes out of order, or twice: no run `merge` could unite.
-    for entries in [
-        vec![(7, "b".to_string()), (3, "a".to_string())],
-        vec![(3, "a".to_string()), (3, "b".to_string())],
-    ] {
-        let torn = BottomKSummary {
-            entries,
-            ..edge.clone()
-        };
-        refused::<BottomKSummary>("hashes not strictly ascending", &torn.to_bytes());
+    // Strings whose hashes come out of order, or twice: no run `merge`
+    // could unite.
+    let frame = |values: &[&str]| {
+        let mut w = WireWriter::new();
+        w.put_varint(edge.k as u64);
+        w.put_varint(edge.seed);
+        w.put_varint(values.len() as u64);
+        values.iter().for_each(|v| w.put_str(v));
+        w.put_varint(edge.rows);
+        w.finish()
+    };
+    let ascending = hashed(edge.seed, &["a", "b"]);
+    let (first, second) = (ascending[0].1.as_str(), ascending[1].1.as_str());
+    let honest = BottomKSummary {
+        entries: ascending.clone(),
+        ..edge.clone()
+    };
+    assert_eq!(frame(&[first, second]), honest.to_bytes());
+    for values in [[second, first], [first, first]] {
+        assert_eq!(
+            BottomKSummary::from_bytes(frame(&values)),
+            Err(WireError::NotCanonical {
+                context: "bottom-k hashes are not strictly ascending"
+            }),
+            "{values:?}"
+        );
     }
 }
 
@@ -535,7 +664,13 @@ fn nextk_is_total_and_canonical() {
             k: 20,
             rows: keys
                 .into_iter()
-                .map(|k| (k.clone(), Row::new(k.values().to_vec()), 1))
+                .map(|k| {
+                    (
+                        k.clone(),
+                        Row::new(k.values().iter().rev().cloned().collect()),
+                        1,
+                    )
+                })
                 .collect(),
             matched: 9,
         }

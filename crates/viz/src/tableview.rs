@@ -87,14 +87,18 @@ impl TableViewViz {
         pixel.min(self.scrollbar_px) as f64 / self.scrollbar_px as f64
     }
 
-    /// Render a merged next-K summary as a page.
+    /// Render a merged next-K summary as a page: each row's key values,
+    /// then its display values.
     pub fn render(&self, summary: &NextKSummary) -> TablePage {
         let mut headers: Vec<String> = self.order.names().map(|n| n.to_string()).collect();
         headers.extend(self.display_cols.iter().cloned());
         let rows = summary
             .rows
             .iter()
-            .map(|(_, row, count)| (row.values.iter().map(|v| v.to_string()).collect(), *count))
+            .map(|(key, row, count)| {
+                let cells = key.values().iter().chain(&row.values);
+                (cells.map(|v| v.to_string()).collect(), *count)
+            })
             .collect();
         TablePage {
             headers,
