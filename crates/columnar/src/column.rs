@@ -14,9 +14,11 @@
 //! [`I64Column::get`] / [`F64Column::get`] / [`DictColumn::code`]
 //! accessors.
 
+use crate::block::BlockCursor;
 use crate::dictionary::{Dictionary, DictionaryBuilder};
-use crate::encoding::{CodeStorage, F64Storage, I64Storage, ZoneMap};
+use crate::encoding::{CodeStorage, Extreme, F64Storage, I64Storage, ZoneMap};
 use crate::nullmask::NullMask;
+use crate::scan::ScanSource;
 use crate::schema::ColumnKind;
 use crate::value::Value;
 use std::cmp::Ordering;
@@ -30,6 +32,9 @@ pub struct I64Column {
     /// Per-64-row-block min/max, recorded at ingest for block skipping
     /// (shared by clones; derived state, not counted in footprints).
     zones: Arc<ZoneMap<i64>>,
+    /// Min and max over the present rows, recorded beside the zones (see
+    /// [`I64Column::extremes`]).
+    extremes: Option<(i64, i64)>,
 }
 
 impl I64Column {
@@ -48,27 +53,32 @@ impl I64Column {
     /// Build from an already-encoded storage (e.g. `hvc` decode, which
     /// preserves the file's encoding instead of re-analyzing).
     pub fn with_storage(storage: I64Storage, nulls: NullMask) -> Self {
-        let zones = Arc::new(ZoneMap::build(&storage));
+        let zones = ZoneMap::build(&storage);
+        let extremes = present_extremes(&storage, storage.len(), &nulls, &zones);
         I64Column {
             storage,
             nulls,
-            zones,
+            zones: Arc::new(zones),
+            extremes,
         }
     }
 
-    /// Build from an already-encoded storage *and* its persisted zone map —
-    /// the mapped-file (`hvc`) open path, where rebuilding the zones
-    /// would fault in the very payload they exist to skip. The caller
-    /// asserts the zones describe `storage` exactly.
-    pub fn with_storage_and_zones(
+    /// Build from an already-encoded storage, its persisted zone map and
+    /// its present rows' extremes — the mapped-file (`hvc`) open path,
+    /// where rebuilding either would fault in the very payload they exist
+    /// to skip. The caller asserts the zones describe `storage` exactly and
+    /// `extremes` are what [`I64Column::extremes`] would compute.
+    pub fn from_persisted(
         storage: I64Storage,
         nulls: NullMask,
         zones: ZoneMap<i64>,
+        extremes: Option<(i64, i64)>,
     ) -> Self {
         I64Column {
             storage,
             nulls,
             zones: Arc::new(zones),
+            extremes,
         }
     }
 
@@ -112,6 +122,15 @@ impl I64Column {
         &self.zones
     }
 
+    /// The least and greatest value of the present rows (`None` when no row
+    /// is present) — exact, unlike the zones, which fold null rows'
+    /// placeholders too. Recorded at ingest like the zones, derived state
+    /// that no footprint counts.
+    #[inline]
+    pub fn extremes(&self) -> Option<(i64, i64)> {
+        self.extremes
+    }
+
     /// Value at row `i`, or `None` if missing.
     #[inline]
     pub fn get(&self, i: usize) -> Option<i64> {
@@ -137,6 +156,8 @@ pub struct F64Column {
     /// Per-64-row-block min/max (NaN-free folds), recorded at ingest for
     /// block skipping.
     zones: Arc<ZoneMap<f64>>,
+    /// Min and max over the present rows (see [`F64Column::extremes`]).
+    extremes: Option<(f64, f64)>,
 }
 
 impl F64Column {
@@ -164,24 +185,42 @@ impl F64Column {
     /// Record the zones of `data`, whose NaN rows `nulls` already marks,
     /// and choose its encoding.
     fn normalized(data: Vec<f64>, nulls: NullMask) -> Self {
-        let zones = Arc::new(ZoneMap::from_f64(&data));
+        let zones = ZoneMap::from_f64(&data);
+        let extremes = present_extremes(&data[..], data.len(), &nulls, &zones);
         F64Column {
             data: F64Storage::encode(data),
             nulls,
-            zones,
+            zones: Arc::new(zones),
+            extremes,
         }
     }
 
-    /// Build from an already-normalized storage and its persisted zone map
-    /// — the mapped-file (`hvc`) open path, and how tests force a specific
+    /// Build from an already-normalized storage and its zone map, deriving
+    /// the present rows' extremes (from the zones alone when no row is
+    /// null) — the heap `hvc` open, and how tests force a specific
     /// encoding. The caller asserts the invariant `new` establishes at
     /// ingest: every NaN row is already marked null (the writer stored the
     /// normalized payload), and the zones describe `data` exactly.
     pub fn from_parts(data: F64Storage, nulls: NullMask, zones: ZoneMap<f64>) -> Self {
+        let extremes = present_extremes(&data, data.len(), &nulls, &zones);
+        Self::from_persisted(data, nulls, zones, extremes)
+    }
+
+    /// [`F64Column::from_parts`] with the extremes persisted beside the
+    /// zones — the mapped `hvc` open, which must not read the payload to
+    /// derive them. The caller asserts they are what
+    /// [`F64Column::extremes`] would compute.
+    pub fn from_persisted(
+        data: F64Storage,
+        nulls: NullMask,
+        zones: ZoneMap<f64>,
+        extremes: Option<(f64, f64)>,
+    ) -> Self {
         F64Column {
             data,
             nulls,
             zones: Arc::new(zones),
+            extremes,
         }
     }
 
@@ -218,6 +257,15 @@ impl F64Column {
     #[inline]
     pub fn zones(&self) -> &ZoneMap<f64> {
         &self.zones
+    }
+
+    /// The least and greatest value of the present rows (`None` when no row
+    /// is present), folded by `f64::min` / `f64::max` in row order as the
+    /// range vizketch folds them — exact, unlike the zones, which fold null
+    /// rows' placeholders too. Derived state, like the zones.
+    #[inline]
+    pub fn extremes(&self) -> Option<(f64, f64)> {
+        self.extremes
     }
 
     /// Null mask.
@@ -274,7 +322,7 @@ impl DictColumn {
 
     /// Build from already-encoded code storage *and* its persisted zone map
     /// — the mapped-file (`hvc`) open path (see
-    /// [`I64Column::with_storage_and_zones`]).
+    /// [`I64Column::from_persisted`]).
     pub fn with_storage_and_zones(
         codes: CodeStorage,
         dict: Arc<Dictionary>,
@@ -370,6 +418,45 @@ impl DictColumn {
             Some(self.dict.read(self.codes.get(i), buf))
         }
     }
+}
+
+/// The least and greatest of the `len` values of `data` that `nulls` leaves
+/// present: a block whose every row is present gives its zone, any other
+/// block its present lanes from one frame decode — the walk the range
+/// vizketch takes over an unfiltered column, so the extremes are the ones
+/// it folds, bit for bit.
+fn present_extremes<T: Extreme + Default, S: ScanSource<T> + ?Sized>(
+    data: &S,
+    len: usize,
+    nulls: &NullMask,
+    zones: &ZoneMap<T>,
+) -> Option<(T, T)> {
+    let mut cursor = BlockCursor::new(data);
+    let mut out: Option<(T, T)> = None;
+    for b in 0..zones.len() {
+        let base = b * crate::BLOCK_ROWS;
+        let rows = crate::BLOCK_ROWS.min(len - base);
+        let full = u64::MAX >> (crate::BLOCK_ROWS - rows);
+        let mut live = !nulls.word(b) & full;
+        let (min, max) = match live {
+            0 => continue,
+            _ if live == full => zones.block(b),
+            _ => {
+                let lanes = cursor.lanes(base, rows);
+                let first = lanes[live.trailing_zeros() as usize];
+                live &= live - 1;
+                let mut fold = (first, first);
+                while live != 0 {
+                    let v = lanes[live.trailing_zeros() as usize];
+                    live &= live - 1;
+                    fold = (fold.0.least(v), fold.1.greatest(v));
+                }
+                fold
+            }
+        };
+        out = Some(out.map_or((min, max), |(lo, hi)| (lo.least(min), hi.greatest(max))));
+    }
+    out
 }
 
 /// A typed column. The kind tag distinguishes `Int` from `Date` and `String`

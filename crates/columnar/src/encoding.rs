@@ -1700,6 +1700,46 @@ impl ZoneMap<f64> {
     }
 }
 
+/// The lesser and the greater of two lane values: `Ord` for integers and
+/// codes, `f64::min` / `f64::max` for doubles — the folds the zone maps and
+/// the range vizketch take, so extremes folded with it are theirs bit for
+/// bit (a tie between `0.0` and `−0.0` resolves as it does there).
+pub trait Extreme: Copy {
+    /// The lesser of `self` and `other`.
+    fn least(self, other: Self) -> Self;
+    /// The greater of `self` and `other`.
+    fn greatest(self, other: Self) -> Self;
+}
+
+macro_rules! ord_extreme {
+    ($($t:ty),*) => {$(
+        impl Extreme for $t {
+            #[inline]
+            fn least(self, other: Self) -> Self {
+                self.min(other)
+            }
+            #[inline]
+            fn greatest(self, other: Self) -> Self {
+                self.max(other)
+            }
+        }
+    )*};
+}
+ord_extreme!(i64, u32, f64);
+
+impl<T: Extreme> ZoneMap<T> {
+    /// Every block's extremes folded, first block first: the exact minimum
+    /// and maximum of a column without nulls (its zones fold no
+    /// placeholder), `None` for an empty column.
+    pub fn span(&self) -> Option<(T, T)> {
+        let mut blocks = self.mins.iter().zip(&self.maxs);
+        let (&min, &max) = blocks.next()?;
+        Some(blocks.fold((min, max), |(min, max), (&lo, &hi)| {
+            (min.least(lo), max.greatest(hi))
+        }))
+    }
+}
+
 /// Unpack `out.len()` width-`W` values starting at value index `start`
 /// into `base + (d << shift)`: the const-generic unpacker body, generalized
 /// to every width 1..=63, with the power-of-two part of a common stride

@@ -83,6 +83,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::fault::{self, FaultAction, FaultPlan, FaultSite};
 use crate::msg::{MsgPayload, WorkerMsg};
 use crate::progress::{CancellationToken, Partial, PartialCallback};
+use crate::stats::DatasetStats;
 use crate::worker::Worker;
 use bytes::Bytes;
 use hillview_columnar::udf::UdfRegistry;
@@ -777,6 +778,23 @@ impl Cluster {
             }
         }
         all
+    }
+
+    /// The statistics of the load `dataset` at `version`, folded over the
+    /// workers in order — what an unfiltered count or range tree would fold —
+    /// or `None` unless every worker is up and holds it at that version. Each
+    /// probe is a worker operation boundary, as in [`Cluster::workers_hold`],
+    /// so an armed fault plan can kill a worker or evict the dataset at it,
+    /// and the tree the caller falls back to meets the failure; nothing
+    /// crosses the root link.
+    pub(crate) fn dataset_stats(&self, dataset: DatasetId, version: u64) -> Option<DatasetStats> {
+        self.workers
+            .iter()
+            .try_fold(DatasetStats::default(), |acc, w| {
+                w.fault_op(Some(dataset));
+                let (held, stats) = w.is_alive().then(|| w.dataset_stats(dataset))??;
+                (held == version).then(|| acc.merge(&stats))?
+            })
     }
 
     /// The outcome of a query the memo answered: the stored fold, nothing

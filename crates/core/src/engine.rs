@@ -21,7 +21,8 @@ use crate::dataset::{DatasetId, Lineage, SourceSpec};
 use crate::erased::{erase, ErasedSketch};
 use crate::error::{EngineError, EngineResult};
 use crate::redo::RedoLog;
-use hillview_columnar::{Predicate, SelectivityEstimate};
+use crate::stats::DatasetStats;
+use hillview_columnar::{ColumnKind, Predicate, SelectivityEstimate};
 use hillview_net::Wire;
 use hillview_sketch::Sketch;
 use std::collections::HashMap;
@@ -475,6 +476,42 @@ impl Engine {
             self.cluster.derive(id, &lineage, Some(worker))?;
         }
         Ok(())
+    }
+
+    /// What `dataset`'s part statistics say ([`DatasetStats`]): the bytes an
+    /// unfiltered count or range tree over it would fold, with no tree. Only
+    /// for a load (`Lineage::Loaded`) that every worker is up for and holds
+    /// at the version its lineage gives; `None` otherwise — a filtered or
+    /// mapped dataset, a dead worker or an evicted dataset is left to a
+    /// tree, which meets and recovers from it as ever. The probe is a worker
+    /// operation boundary on each worker and puts nothing on the root link.
+    pub fn stats(&self, dataset: DatasetId) -> Option<DatasetStats> {
+        let step @ Lineage::Loaded { .. } = self.log.lineage(dataset)? else {
+            return None;
+        };
+        let version = step.content_version(0, None);
+        self.cluster.dataset_stats(dataset, version)
+    }
+
+    /// The kind of `column` in `dataset`, read from a partition some live
+    /// worker holds of it — or, since a filter keeps its parent's columns,
+    /// of its nearest ancestor that one does. `None` when none is held, or
+    /// the dataset has no such column.
+    pub(crate) fn column_kind(&self, dataset: DatasetId, column: &str) -> Option<ColumnKind> {
+        let mut id = dataset;
+        loop {
+            let workers = (0..self.cluster.num_workers()).map(|w| self.cluster.worker(w));
+            let held = workers
+                .filter(|w| w.is_alive())
+                .find_map(|w| w.partitions(id).filter(|views| !views.is_empty()));
+            if let Some(views) = held {
+                return views[0].table().schema().kind_of(column).ok();
+            }
+            match self.log.lineage(id)? {
+                Lineage::Filtered { parent, .. } => id = parent,
+                _ => return None,
+            }
+        }
     }
 
     /// Run a typed sketch with automatic recovery; returns the summary and

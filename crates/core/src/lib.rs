@@ -52,6 +52,11 @@
 //!   missing dataset — eviction or restart — the root lazily replays the
 //!   lineage and retries (§5.7–5.8). Dataset operations (`load` included)
 //!   and queries run as attempts under the same bounded loop.
+//! * **Phase-1 statistics** ([`stats`]): a loaded dataset's row count and
+//!   numeric ranges were fixed when its parts were sealed; each worker
+//!   folds its partitions' column statistics at load and replay, and
+//!   [`Engine::stats`] answers an unfiltered count or range from them with
+//!   the bytes the tree would fold, launching no tree.
 //! * **Spreadsheet** ([`spreadsheet`]): the user-facing API — tabular
 //!   views, scrolling, filtering, charts, heavy hitters, PCA — implemented
 //!   exclusively with vizketches (§7.3: sketches are "the sole way to
@@ -173,6 +178,7 @@ pub mod pool;
 pub mod progress;
 pub mod redo;
 pub mod spreadsheet;
+pub mod stats;
 pub mod worker;
 
 pub use cache::{CacheKey, CacheStats, SketchCache};
@@ -185,3 +191,4 @@ pub use error::{EngineError, EngineResult};
 pub use fault::{FaultAction, FaultPlan, FaultSite, FaultSpec};
 pub use progress::CancellationToken;
 pub use spreadsheet::{OpStats, Spreadsheet};
+pub use stats::DatasetStats;

@@ -1,10 +1,14 @@
 //! The spreadsheet facade: user actions → vizketch executions.
 //!
 //! This is Hillview's public API surface. Every operation follows the
-//! paper's two-phase structure (§5.3): a *preparation* tree computes
+//! paper's two-phase structure (§5.3): a *preparation* phase computes
 //! data-wide parameters (row counts, ranges, string quantiles — all cached,
 //! since they are deterministic and reused), then a *rendering* tree runs
-//! the vizketch parameterized for the display. The operation names O1–O11
+//! the vizketch parameterized for the display. On a loaded dataset the row
+//! count and a numeric column's range were fixed when its parts were
+//! sealed, so they come from the part statistics ([`Engine::stats`]) with
+//! no tree; a filtered or derived sheet, a string column or a dataset some
+//! worker does not hold runs the preparation tree. The operation names O1–O11
 //! match Figure 4 of the paper and are exercised one-to-one by the
 //! benchmark harness.
 
@@ -13,7 +17,8 @@ use crate::dataset::DatasetId;
 use crate::engine::Engine;
 use crate::error::EngineResult;
 use crate::progress::{CancellationToken, PartialCallback};
-use hillview_columnar::{Predicate, RowKey, SortOrder, StrMatchKind};
+use crate::stats::DatasetStats;
+use hillview_columnar::{ColumnKind, Predicate, RowKey, SortOrder, StrMatchKind};
 use hillview_sketch::bottomk::{BottomKSketch, BottomKSummary};
 use hillview_sketch::count::CountSketch;
 use hillview_sketch::distinct::DistinctSketch;
@@ -56,6 +61,9 @@ pub struct OpStats {
     /// How many of them the root's memo answered: `trees - memo_hits`
     /// execution trees were launched.
     pub memo_hits: usize,
+    /// Preparation queries the part statistics answered, with no tree and
+    /// nothing on the root link; not counted in `trees`.
+    pub stats_answers: usize,
 }
 
 impl OpStats {
@@ -73,6 +81,7 @@ impl OpStats {
         self.partials += other.partials;
         self.trees += other.trees;
         self.memo_hits += other.memo_hits;
+        self.stats_answers += other.stats_answers;
     }
 }
 
@@ -163,31 +172,52 @@ impl Spreadsheet {
             partials: o.partials,
             trees: 1,
             memo_hits: usize::from(o.memo),
+            stats_answers: 0,
         });
         Ok(summary)
+    }
+
+    /// Answer a preparation query from the dataset's part statistics, if
+    /// they hold the answer; counted in `stats`.
+    fn answer_from_stats<T>(
+        &self,
+        stats: &mut OpStats,
+        answer: impl FnOnce(&DatasetStats) -> Option<T>,
+    ) -> Option<T> {
+        let answer = answer(&self.engine.stats(self.dataset)?)?;
+        stats.stats_answers += 1;
+        Some(answer)
     }
 
     // -----------------------------------------------------------------
     // Preparation-phase helpers (cached, deterministic).
     // -----------------------------------------------------------------
 
-    /// Total rows (cached).
+    /// Total rows: from the part statistics on a loaded dataset, else a
+    /// (cached) tree.
     pub fn row_count(&self) -> EngineResult<(u64, OpStats)> {
         let mut stats = OpStats::default();
         Ok((self.count(&mut stats)?, stats))
     }
 
     fn count(&self, stats: &mut OpStats) -> EngineResult<u64> {
+        if let Some(rows) = self.answer_from_stats(stats, |s| Some(s.rows())) {
+            return Ok(rows.rows);
+        }
         Ok(self.tree(stats, CountSketch::rows(), 0)?.rows)
     }
 
-    /// Numeric range of a column (cached).
+    /// Range of a column: a numeric column's from the part statistics on a
+    /// loaded dataset, else a (cached) tree.
     pub fn range_of(&self, column: &str) -> EngineResult<(RangeSummary, OpStats)> {
         let mut stats = OpStats::default();
         Ok((self.range(&mut stats, column)?, stats))
     }
 
     fn range(&self, stats: &mut OpStats, column: &str) -> EngineResult<RangeSummary> {
+        if let Some(range) = self.answer_from_stats(stats, |s| s.range(column).cloned()) {
+            return Ok(range);
+        }
         self.tree(stats, RangeSketch::new(column), 0)
     }
 
@@ -201,11 +231,21 @@ impl Spreadsheet {
         self.tree(stats, BottomKSketch::new(column, 512), 0)
     }
 
-    /// Phase-1 info for an axis: numeric range or string quantiles.
+    /// Phase-1 info for an axis: a numeric column's range, a string
+    /// column's bottom-k quantiles. The schema of a partition of the
+    /// dataset, or of the ancestor a filter narrows, says which
+    /// ([`Engine::column_kind`]), so a string axis runs no range tree. Only
+    /// when no worker holds one does the range find out, as a column
+    /// without a numeric minimum. On an unfiltered sheet a numeric range
+    /// comes from the part statistics, so such a chart learns a numeric
+    /// axis with no tree at all.
     fn axis_info(&self, stats: &mut OpStats, column: &str) -> EngineResult<AxisInfo> {
-        let range = self.range(stats, column)?;
-        if range.min.is_some() {
-            return Ok(AxisInfo::Numeric(range));
+        let kind = self.engine.column_kind(self.dataset, column);
+        if kind.is_none_or(ColumnKind::is_numeric) {
+            let range = self.range(stats, column)?;
+            if range.min.is_some() {
+                return Ok(AxisInfo::Numeric(range));
+            }
         }
         Ok(AxisInfo::Strings(self.quantiles(stats, column)?))
     }
@@ -541,7 +581,8 @@ mod tests {
     /// Every query of an operation is counted, preparation trees included,
     /// and so is each one the root's memo answered: with no batch tick
     /// inside a tree, each of the two workers sends the root exactly its
-    /// final frame for every tree that launched.
+    /// final frame for every tree that launched. A row count or numeric
+    /// range the part statistics answer is no tree and sends nothing.
     #[test]
     fn stats_count_the_messages_of_every_tree() {
         let cfg = ClusterConfig {
@@ -550,27 +591,41 @@ mod tests {
             ..ClusterConfig::test()
         };
         let s = sheet_on(cfg, 8_000);
+        // Each operation with its trees and its statistics answers: O4's
+        // row count, O5's range, O10's x range (its y axis, a string, runs
+        // quantiles and no range), and O11's two ranges and row count.
         let ops = [
-            ("O4", s.scroll_to(&["Distance"], 50, 5).unwrap().1, 3),
-            ("O5", s.histogram_with_cdf("DepDelay", None).unwrap().2, 3),
+            ("O4", s.scroll_to(&["Distance"], 50, 5).unwrap().1, 2, 1),
+            (
+                "O5",
+                s.histogram_with_cdf("DepDelay", None).unwrap().2,
+                2,
+                1,
+            ),
             (
                 "O10",
                 s.stacked_histogram_with_cdf("CRSDepTime", "Carrier")
                     .unwrap()
                     .2,
-                5,
+                3,
+                1,
             ),
-            ("O11", s.heatmap("Distance", "AirTime").unwrap().1, 4),
+            ("O11", s.heatmap("Distance", "AirTime").unwrap().1, 1, 3),
         ];
-        for (op, stats, trees) in &ops {
+        for (op, stats, trees, answers) in &ops {
             assert_eq!(stats.trees, *trees, "{op} trees");
+            assert_eq!(stats.stats_answers, *answers, "{op} statistics answers");
+            assert_eq!(stats.memo_hits, 0, "{op} repeats no query");
             let launched = (stats.trees - stats.memo_hits) as u64;
             assert_eq!(stats.root_messages, 2 * launched, "{op} messages");
             assert!(stats.first_partial.is_some(), "{op} first frame");
         }
-        // O11 counts rows as O4 did, on the same sheet: the memo answers.
-        assert_eq!(ops[0].1.memo_hits, 0, "nothing to repeat yet");
-        assert!(ops[3].1.memo_hits >= 1, "O11 repeats O4's row count");
+        // O11 counts rows as O4 did, on the same sheet: the statistics
+        // answer both times, and the same count.
+        let (rows, again) = s.row_count().unwrap();
+        assert_eq!(rows, 16_000);
+        assert_eq!((again.trees, again.stats_answers), (0, 1));
+        assert_eq!((again.root_bytes, again.root_messages), (0, 0));
     }
 
     /// O4's page is a pure function of (data, seed): the quantile tree's
@@ -604,7 +659,8 @@ mod tests {
         assert_eq!(chart.heights_px.len(), 20);
         assert_eq!(*chart.heights_px.iter().max().unwrap() as usize, 100);
         assert!(cdf.heights_px.windows(2).all(|w| w[0] <= w[1]));
-        assert!(stats.trees >= 3, "range + histogram + cdf");
+        assert_eq!(stats.trees, 2, "histogram + cdf");
+        assert_eq!(stats.stats_answers, 1, "the range, from the statistics");
     }
 
     #[test]
@@ -707,18 +763,73 @@ mod tests {
         assert!(eig.values[0] >= eig.values[1]);
     }
 
+    /// A preparation tree's summary is cached: here a string column's
+    /// quantiles, which no statistics answer.
     #[test]
     fn preparation_results_are_cached() {
         let s = sheet();
-        let _ = s.range_of("DepDelay").unwrap();
-        let hits_before: u64 = (0..s.engine().cluster().num_workers())
-            .map(|i| s.engine().cluster().worker(i).cache_hits())
-            .sum();
-        let _ = s.range_of("DepDelay").unwrap();
-        let hits_after: u64 = (0..s.engine().cluster().num_workers())
-            .map(|i| s.engine().cluster().worker(i).cache_hits())
-            .sum();
-        assert!(hits_after > hits_before, "second range served from cache");
+        let hits = || -> u64 {
+            let cluster = s.engine().cluster();
+            let workers = 0..cluster.num_workers();
+            workers.map(|i| cluster.worker(i).cache_hits()).sum()
+        };
+        let _ = s.string_quantiles("Origin").unwrap();
+        let hits_before = hits();
+        let _ = s.string_quantiles("Origin").unwrap();
+        assert!(hits() > hits_before, "second quantiles served from cache");
+    }
+
+    /// On an unfiltered sheet a row count and a numeric range come from the
+    /// part statistics, as the bytes the tree folds, and touch no cache.
+    #[test]
+    fn statistics_answer_what_the_tree_folds() {
+        use hillview_net::Wire as _;
+        let s = sheet();
+        let opts = QueryOptions::default();
+        let cache = s.engine().cluster().cache_stats();
+        let (rows, stats) = s.row_count().unwrap();
+        assert_eq!((stats.trees, stats.stats_answers), (0, 1));
+        for column in ["DepDelay", "Distance", "FlightDate", "Year"] {
+            let (range, stats) = s.range_of(column).unwrap();
+            assert_eq!((stats.trees, stats.stats_answers), (0, 1), "{column}");
+            let sketch = RangeSketch::new(column);
+            let (tree, _) = s.engine().run(s.dataset(), sketch, &opts).unwrap();
+            assert_eq!(range.to_bytes(), tree.to_bytes(), "{column}");
+        }
+        let after = s.engine().cluster().cache_stats();
+        assert_eq!(after.hits + after.misses, cache.hits + cache.misses + 8);
+        let (tree, _) = s
+            .engine()
+            .run(s.dataset(), CountSketch::rows(), &opts)
+            .unwrap();
+        assert_eq!(rows, tree.rows);
+    }
+
+    /// What the statistics cannot vouch for runs the tree: a filtered
+    /// sheet, a sheet with a derived column, and a sheet whose worker died
+    /// or whose data was evicted — which the tree recovers, and whose
+    /// replay folds the statistics again.
+    #[test]
+    fn every_fallback_launches_the_tree() {
+        let s = sheet();
+        let (want, _) = s.range_of("DepDelay").unwrap();
+        let tree = |stats: &OpStats| (stats.trees, stats.stats_answers);
+        let ua = s.filtered(Predicate::equals("Carrier", "UA")).unwrap();
+        assert_eq!(tree(&ua.range_of("DepDelay").unwrap().1), (1, 0));
+        assert_eq!(tree(&ua.row_count().unwrap().1), (1, 0));
+        let mapped = s.with_column("Speed", "Speed").unwrap();
+        assert_eq!(tree(&mapped.range_of("Speed").unwrap().1), (1, 0));
+        assert_eq!(tree(&mapped.range_of("DepDelay").unwrap().1), (1, 0));
+        let cluster = s.engine().cluster().clone();
+        for lose in [
+            |c: &Cluster| c.worker(1).kill(),
+            |c: &Cluster| c.evict_all(),
+        ] {
+            lose(&cluster);
+            let (range, stats) = s.range_of("DepDelay").unwrap();
+            assert_eq!((range, tree(&stats)), (want.clone(), (1, 0)));
+            assert_eq!(tree(&s.range_of("DepDelay").unwrap().1), (0, 1));
+        }
     }
 
     #[test]

@@ -21,6 +21,7 @@ use crate::dataset::{DatasetId, Lineage, LoadRequest, SourceRegistry, SourceSpec
 use crate::error::{EngineError, EngineResult};
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
 use crate::pool::ThreadPool;
+use crate::stats::DatasetStats;
 use hillview_columnar::predicate::filter_members;
 use hillview_columnar::udf::UdfRegistry;
 use hillview_columnar::{BlockCache, BlockCacheStats, Predicate};
@@ -31,10 +32,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One materialized dataset on a worker: its partitions plus the
-/// lineage-derived content version the sketch cache keys on.
+/// lineage-derived content version the sketch cache keys on, and — for a
+/// load — its partitions' statistics, folded in partition order.
 struct DatasetEntry {
     views: Arc<Vec<TableView>>,
     version: u64,
+    stats: Option<Arc<DatasetStats>>,
 }
 
 /// One simulated server.
@@ -222,6 +225,14 @@ impl Worker {
         self.datasets.lock().get(&id).map(|e| e.version)
     }
 
+    /// The version of `id` and the statistics of its partitions, if it is
+    /// a load materialized here.
+    pub(crate) fn dataset_stats(&self, id: DatasetId) -> Option<(u64, Arc<DatasetStats>)> {
+        let datasets = self.datasets.lock();
+        let entry = datasets.get(&id)?;
+        Some((entry.version, entry.stats.clone()?))
+    }
+
     /// What applying `step` here starts from and arrives at: the parent's
     /// partitions (none for a load) and the content version the derived
     /// dataset carries — exactly the one [`Worker::derive`] assigns,
@@ -358,6 +369,10 @@ impl Worker {
     /// * A **map** gives each partition's table a derived column computed
     ///   by the named UDF. The column lives only in this soft state,
     ///   recomputed on demand after eviction.
+    ///
+    /// A load also folds its partitions' statistics ([`DatasetStats`]),
+    /// which the root reads instead of launching an unfiltered count or
+    /// range tree.
     pub fn derive(&self, id: DatasetId, step: &Lineage) -> EngineResult<()> {
         // The dataset the step reads: its parent, or for a load the one
         // it (re)creates.
@@ -394,11 +409,16 @@ impl Worker {
                 })?
             }
         };
+        let stats = match step {
+            Lineage::Loaded { .. } => DatasetStats::of_parts(&views).map(Arc::new),
+            _ => None,
+        };
         self.datasets.lock().insert(
             id,
             DatasetEntry {
                 views: Arc::new(views),
                 version,
+                stats,
             },
         );
         Ok(())

@@ -23,12 +23,15 @@ use std::time::Duration;
 
 const ROWS_PER_WORKER: usize = 50_000;
 const ROOT_BYTES_PER_OP: u64 = 64 << 10;
-/// O1–O11 together: 20 565 bytes once a summary ships only what the root
-/// cannot recompute — a page's keys once, bottom-k strings without their
-/// hashes, stacked bars as residuals, HLL registers patched above their
-/// floor (26 727 before; 40 379 at the scroll bar's 10·V keys per worker;
-/// 78 934 at 10·V before the shape-aware codecs).
-const CYCLE_BYTES: u64 = 21_593;
+/// O1–O11 together: 19 354 bytes once an unfiltered row count or numeric
+/// range comes from the part statistics, with no tree, and the scroll bar
+/// ships its weights as offsets above their least (20 565 before; 26 727
+/// before a summary shipped only what the root cannot recompute — a page's
+/// keys once, bottom-k strings without their hashes, stacked bars as
+/// residuals, HLL registers patched above their floor; 40 379 at the scroll
+/// bar's 10·V keys per worker; 78 934 at 10·V before the shape-aware
+/// codecs).
+const CYCLE_BYTES: u64 = 20_300;
 
 #[test]
 fn every_operation_ships_a_display_sized_summary() {
@@ -59,7 +62,11 @@ fn every_operation_ships_a_display_sized_summary() {
     // per worker ship 5 298 bytes, where 10·V keys shipped 18 828. O1–O4,
     // O7, O9 and O10 then stopped shipping what the root recomputes, and
     // their ceilings are what they ship now plus under 5 %: they shipped
-    // 895, 793, 724, 5 168, 1 940, 6 200 and 4 797 bytes before.
+    // 895, 793, 724, 5 168, 1 940, 6 200 and 4 797 bytes before. O4, O5,
+    // O8, O10 and O11 then took their row counts and numeric ranges from
+    // the part statistics, and O4 its weights as offsets: their ceilings
+    // are again what they ship plus under 5 % (O4 shipped 4 728, O5 961,
+    // O10 4 212 and O11 4 205 bytes before; O8's count was a memo hit).
     let cycle = || -> Vec<(&str, u64, OpStats)> {
         // The same seeds each time round: a sampled tree draws one sample.
         sheet.set_seed(7);
@@ -68,10 +75,10 @@ fn every_operation_ships_a_display_sized_summary() {
             ("O1", 539, sheet.sort_view(&["DepDelay"], 20).unwrap().1),
             ("O2", 378, sheet.sort_view(&by_date, 20).unwrap().1),
             ("O3", 436, sheet.sort_view(&["TailNum"], 20).unwrap().1),
-            ("O4", 4_964, sheet.scroll_to(&by_date, 50, 20).unwrap().1),
+            ("O4", 4_180, sheet.scroll_to(&by_date, 50, 20).unwrap().1),
             (
                 "O5",
-                1_300,
+                905,
                 sheet.histogram_with_cdf("DepDelay", None).unwrap().2,
             ),
             (
@@ -82,13 +89,13 @@ fn every_operation_ships_a_display_sized_summary() {
             ("O7", 853, sheet.string_histogram("Origin").unwrap().1),
             (
                 "O8",
-                251,
+                175,
                 sheet.heavy_hitters_sampling("Carrier", 10).unwrap().1,
             ),
             ("O9", 3_477, sheet.distinct_count("FlightNum").unwrap().1),
             (
                 "O10",
-                4_422,
+                4_235,
                 sheet
                     .stacked_histogram_with_cdf("CRSDepTime", "Carrier")
                     .unwrap()
@@ -96,7 +103,7 @@ fn every_operation_ships_a_display_sized_summary() {
             ),
             (
                 "O11",
-                8_192,
+                4_204,
                 sheet.heatmap("Distance", "AirTime").unwrap().1,
             ),
         ]
@@ -106,8 +113,8 @@ fn every_operation_ships_a_display_sized_summary() {
     let table: String = ops
         .iter()
         .map(|(op, budget, stats)| {
-            let (bytes, trees) = (stats.root_bytes, stats.trees);
-            format!("{op:>4} {bytes:>7} B of {budget:>6} over {trees} trees\n")
+            let (bytes, trees, answers) = (stats.root_bytes, stats.trees, stats.stats_answers);
+            format!("{op:>4} {bytes:>7} B of {budget:>6} over {trees} trees, {answers} statistics answers\n")
         })
         .chain([format!(" all {total:>7} B of {CYCLE_BYTES:>6}")])
         .collect();

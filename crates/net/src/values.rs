@@ -143,8 +143,9 @@ impl WireReader {
     }
 }
 
-/// Same kind and same bits: what a key may share with its predecessor.
-fn same_repr(a: &Value, b: &Value) -> bool {
+/// Same kind and same bits: what a key may share with its predecessor, and
+/// what a summary may leave for the decoder to copy from elsewhere.
+pub fn same_repr(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Missing, Value::Missing) => true,
         (Value::Int(a), Value::Int(b)) | (Value::Date(a), Value::Date(b)) => a == b,

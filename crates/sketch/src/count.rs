@@ -12,6 +12,7 @@
 use crate::traits::{Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::scan::count_missing;
+use hillview_columnar::Table;
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
 use std::sync::Arc;
 
@@ -33,6 +34,19 @@ impl CountSketch {
         CountSketch {
             column: Some(Arc::from(name)),
         }
+    }
+
+    /// The summary [`Sketch::summarize`] gives over every row of `table`,
+    /// read from its row count and the column's null count.
+    pub fn summarize_stats(&self, table: &Table) -> SketchResult<CountSummary> {
+        let missing = match &self.column {
+            None => 0,
+            Some(name) => table.column_by_name(name)?.null_count() as u64,
+        };
+        Ok(CountSummary {
+            rows: table.num_rows() as u64,
+            missing,
+        })
     }
 }
 

@@ -11,7 +11,8 @@ use crate::range::merge_opt;
 use crate::traits::{Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::scan::scan_rows;
-use hillview_columnar::{Predicate, Row, RowBound, RowKey, SortOrder, StrMatchKind};
+use hillview_columnar::{Predicate, Row, RowBound, RowKey, SortOrder, StrMatchKind, Value};
+use hillview_net::values::same_repr;
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
 use std::sync::Arc;
 
@@ -81,15 +82,25 @@ impl Summary for FindSummary {
     }
 }
 
-/// Layout: a key list of no key or one, the key followed by its row; then
-/// `matches_after`, `matches_total`.
+/// Layout: a key list of no key or one; after the key, its row without the
+/// cells the key already holds — the row's width, the cell of each key
+/// value (`key_cells`), then every other cell in order — and the decoder
+/// puts the key's values back in their cells; then `matches_after`,
+/// `matches_total`.
 impl Wire for FindSummary {
     fn encode(&self, w: &mut WireWriter) {
         let key = self.first.as_ref().map(|(key, _)| key);
         w.put_key_header(usize::from(key.is_some()), key);
         if let Some((key, row)) = &self.first {
             w.put_key(None, key);
-            row.encode(w);
+            let cells = key_cells(key, row);
+            w.put_varint(row.values.len() as u64);
+            cells.iter().for_each(|&c| w.put_varint(c as u64));
+            for (c, v) in row.values.iter().enumerate() {
+                if !cells.contains(&c) {
+                    v.encode(w);
+                }
+            }
         }
         w.put_varint(self.matches_after);
         w.put_varint(self.matches_total);
@@ -97,7 +108,11 @@ impl Wire for FindSummary {
     fn decode(r: &mut WireReader) -> WireResult<Self> {
         let first = match r.get_key_header()? {
             (0, _) => None,
-            (1, descending) => Some((r.get_key(&descending, None)?, Row::decode(r)?)),
+            (1, descending) => {
+                let key = r.get_key(&descending, None)?;
+                let row = get_row(r, &key)?;
+                Some((key, row))
+            }
             (n, _) => {
                 return Err(hillview_net::Error::BadLength {
                     context: "find matches",
@@ -111,6 +126,52 @@ impl Wire for FindSummary {
             matches_total: r.get_varint()?,
         })
     }
+}
+
+/// The cell of `row` each value of `key` is written in: the first whose
+/// representation is the value's ([`same_repr`]) — the key column's own
+/// cell, or an equal one before it — or the row's width when none is.
+fn key_cells(key: &RowKey, row: &Row) -> Vec<usize> {
+    let width = row.values.len();
+    let cell = |v: &Value| row.values.iter().position(|c| same_repr(c, v));
+    key.values()
+        .iter()
+        .map(|v| cell(v).unwrap_or(width))
+        .collect()
+}
+
+/// Read the row [`FindSummary`]'s encoder wrote after `key`, refusing every
+/// other spelling of it: a cell past the width, and key cells that are not
+/// [`key_cells`] of the row they rebuild.
+fn get_row(r: &mut WireReader, key: &RowKey) -> WireResult<Row> {
+    let arity = key.values().len();
+    let width = r.get_len("find row width")?;
+    let cells = (0..arity)
+        .map(|_| r.get_len("find key cell"))
+        .collect::<WireResult<Vec<_>>>()?;
+    // Every cell the key does not fill takes a byte of its own at least.
+    if width > r.remaining().saturating_add(arity) || cells.iter().any(|&c| c > width) {
+        return Err(hillview_net::Error::BadLength {
+            context: "find row",
+            len: width as u64,
+        });
+    }
+    let mut values: Vec<Option<Value>> = vec![None; width];
+    for (&c, v) in cells.iter().zip(key.values()) {
+        if let Some(slot) = values.get_mut(c) {
+            slot.get_or_insert_with(|| v.clone());
+        }
+    }
+    for slot in values.iter_mut().filter(|slot| slot.is_none()) {
+        *slot = Some(Value::decode(r)?);
+    }
+    let row = Row::new(values.into_iter().flatten().collect());
+    if key_cells(key, &row) != cells {
+        return Err(hillview_net::Error::NotCanonical {
+            context: "find key cells",
+        });
+    }
+    Ok(row)
 }
 
 impl Sketch for FindSketch {
@@ -368,6 +429,27 @@ mod tests {
         let s = sk.summarize(&view(), Scope::ALL, 0).unwrap();
         assert!(s.first.is_none());
         assert_eq!(s.matches_total, 0);
+    }
+
+    /// The first match ships its key once: its row leaves out the cells the
+    /// key holds and names each in a byte, where the row used to repeat
+    /// them whole.
+    #[test]
+    fn first_ships_its_key_once() {
+        let order = SortOrder::ascending(&["Server", "Ord"]);
+        let sk = FindSketch::new("Server", "gandalf", StrMatchKind::Substring, order);
+        let s = sk.summarize(&view(), Scope::ALL, 0).unwrap();
+        let (key, row) = s.first.clone().unwrap();
+        let mut whole = WireWriter::new();
+        whole.put_key_header(1, Some(&key));
+        whole.put_key(None, &key);
+        row.encode(&mut whole);
+        whole.put_varint(s.matches_after);
+        whole.put_varint(s.matches_total);
+        let key_bytes: usize = key.values().iter().map(|v| v.to_bytes().len()).sum();
+        let shipped = s.to_bytes();
+        assert_eq!(shipped.len(), whole.len() - key_bytes + key.values().len());
+        assert_eq!(FindSummary::from_bytes(shipped).unwrap(), s);
     }
 
     #[test]

@@ -195,17 +195,18 @@ impl Summary for QuantileSummary {
 }
 
 /// Layout: a key list — the keys come from one sort order and ascend
-/// strictly, which `merge` relies on and the decoder checks — each key
-/// followed by its weight; then `population`, `cap`, `resolution`.
+/// strictly, which `merge` relies on and the decoder checks — then, unless
+/// it is empty, the keys' weights (`put_weights`); then `population`,
+/// `cap`, `resolution`.
 impl Wire for QuantileSummary {
     fn encode(&self, w: &mut WireWriter) {
         w.put_key_header(self.keys.len(), self.keys.first().map(|(key, _)| key));
         let mut prev = None;
-        for (key, weight) in &self.keys {
+        for (key, _) in &self.keys {
             w.put_key(prev, key);
-            w.put_varint(*weight);
             prev = Some(key);
         }
+        put_weights(w, &self.keys.iter().map(|(_, w)| *w).collect::<Vec<_>>());
         w.put_varint(self.population);
         w.put_varint(self.cap as u64);
         w.put_varint(self.resolution as u64);
@@ -213,18 +214,63 @@ impl Wire for QuantileSummary {
 
     fn decode(r: &mut WireReader) -> WireResult<Self> {
         let (len, descending) = r.get_key_header()?;
-        let mut keys: Vec<(RowKey, u64)> = Vec::with_capacity(len);
+        let mut keys: Vec<RowKey> = Vec::with_capacity(len);
         for _ in 0..len {
-            let key = r.get_key(&descending, keys.last().map(|(key, _)| key))?;
-            keys.push((key, r.get_varint()?));
+            keys.push(r.get_key(&descending, keys.last())?);
         }
+        let weights = get_weights(r, len)?;
         Ok(QuantileSummary {
-            keys,
+            keys: keys.into_iter().zip(weights).collect(),
             population: r.get_varint()?,
             cap: r.get_len("quantile cap")?,
             resolution: r.get_len("quantile resolution")?,
         })
     }
+}
+
+/// Write weights — an equi-depth summary's are nearly equal — as their
+/// least value and each one's offset above it: the varint of the least,
+/// then the offsets' low bytes patched ([`WireWriter::put_packed`]) and
+/// their higher bits as counts ([`WireWriter::put_counts`]), which a run of
+/// zeros makes two bytes. Nothing for no weights.
+fn put_weights(w: &mut WireWriter, weights: &[u64]) {
+    let Some(&least) = weights.iter().min() else {
+        return;
+    };
+    w.put_varint(least);
+    let offsets: Vec<u64> = weights.iter().map(|&v| v - least).collect();
+    w.put_packed(&offsets.iter().map(|&d| d as u8).collect::<Vec<_>>());
+    w.put_counts(&offsets.iter().map(|&d| d >> 8).collect::<Vec<_>>());
+}
+
+/// Read the `n` weights [`put_weights`] wrote, refusing every other
+/// spelling of them: a least value that no weight holds, and a weight past
+/// `u64`.
+fn get_weights(r: &mut WireReader, n: usize) -> WireResult<Vec<u64>> {
+    if n == 0 {
+        return Ok(Vec::new());
+    }
+    let least = r.get_varint()?;
+    let low = r.get_packed(n)?;
+    let high = r.get_counts(n)?;
+    if low.iter().zip(&high).all(|(&lo, &hi)| lo > 0 || hi > 0) {
+        return Err(hillview_net::Error::NotCanonical {
+            context: "quantile weights above a least value none holds",
+        });
+    }
+    let weight = |(&lo, &hi): (&u8, &u64)| {
+        let offset = (hi < 1 << 56).then(|| hi << 8 | u64::from(lo));
+        offset.and_then(|d| least.checked_add(d))
+    };
+    let past = hillview_net::Error::BadLength {
+        context: "quantile weight past u64",
+        len: least,
+    };
+    low.iter()
+        .zip(&high)
+        .map(weight)
+        .collect::<Option<_>>()
+        .ok_or(past)
 }
 
 impl Sketch for QuantileSketch {

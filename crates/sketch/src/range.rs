@@ -5,11 +5,21 @@
 //! range of the inputs; subsequently, this information can be cached").
 //! Numeric columns report numeric bounds; string columns report the
 //! lexicographic extremes.
+//!
+//! Over a loaded dataset's every row, a numeric column's range was fixed
+//! when its parts were sealed: each column records its present and missing
+//! rows and its present values' extremes (`hvc` keeps them in the part
+//! header), and [`RangeSketch::summarize_stats`] reads a part's summary from them
+//! without touching a row. Folded part by part in tree order, those
+//! summaries are the bytes the tree folds, so the spreadsheet answers an
+//! unfiltered numeric range from them and launches a tree only for a
+//! filtered or derived dataset, a string column, or a worker that is down
+//! or does not hold the data.
 
 use crate::traits::{Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::simd::LaneValue;
-use hillview_columnar::{BlockCursor, ScanSource};
+use hillview_columnar::{BlockCursor, ScanSource, Table};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
 use std::sync::Arc;
 
@@ -26,6 +36,31 @@ impl RangeSketch {
         RangeSketch {
             column: Arc::from(column),
         }
+    }
+
+    /// The summary [`Sketch::summarize`] gives over every row of `table`,
+    /// read from the column's statistics — its null count and its present
+    /// extremes — instead of its rows. `None` for a string column, whose
+    /// extremes are strings the statistics do not hold.
+    pub fn summarize_stats(&self, table: &Table) -> SketchResult<Option<RangeSummary>> {
+        use hillview_columnar::Column;
+        let col = table.column_by_name(&self.column)?;
+        let extremes = match col {
+            // i64 → f64 is monotone: the converted extremes are the
+            // extremes of the conversions the scan folds.
+            Column::Int(c) | Column::Date(c) => c.extremes().map(|(a, b)| (a as f64, b as f64)),
+            Column::Double(c) => c.extremes(),
+            Column::Str(_) | Column::Cat(_) => return Ok(None),
+        };
+        let missing = col.null_count() as u64;
+        Ok(Some(RangeSummary {
+            present: col.len() as u64 - missing,
+            missing,
+            min: extremes.map(|(min, _)| min),
+            max: extremes.map(|(_, max)| max),
+            min_str: None,
+            max_str: None,
+        }))
     }
 }
 
@@ -102,8 +137,7 @@ impl Sketch for RangeSketch {
     /// Numeric columns run frame-wise and consult the per-64-row-block
     /// zone maps recorded at ingest: a fully-selected, null-free frame
     /// contributes its pre-computed block extremes without decoding a
-    /// single value, so the initial range query on an unfiltered dataset
-    /// reads only the zone arrays.
+    /// single value.
     fn summarize(
         &self,
         view: &TableView,

@@ -530,7 +530,7 @@ impl Folds {
     }
 }
 
-/// The wire layouts four summaries had when their fingerprints were pinned:
+/// The wire layouts six summaries had when their fingerprints were pinned:
 /// each spells out bytes its layout now leaves for the root to recompute.
 /// A fold written in them must still give the pinned bytes, so the
 /// summaries did not move when their layouts did.
@@ -539,7 +539,9 @@ mod pinned_layouts {
     use hillview_net::{Wire, WireWriter};
     use hillview_sketch::bottomk::BottomKSummary;
     use hillview_sketch::distinct::DistinctSummary;
+    use hillview_sketch::find::FindSummary;
     use hillview_sketch::nextk::NextKSummary;
+    use hillview_sketch::quantile::QuantileSummary;
     use hillview_sketch::stacked::StackedSummary;
 
     fn finish(w: WireWriter) -> Vec<u8> {
@@ -600,6 +602,38 @@ mod pinned_layouts {
         w.put_varint(s.matched);
         finish(w)
     }
+
+    /// The key list with each key's weight after it, `population`, `cap`,
+    /// `resolution`.
+    pub fn quantile(s: &QuantileSummary) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_key_header(s.keys.len(), s.keys.first().map(|(key, _)| key));
+        let mut prev = None;
+        for (key, weight) in &s.keys {
+            w.put_key(prev, key);
+            w.put_varint(*weight);
+            prev = Some(key);
+        }
+        w.put_varint(s.population);
+        w.put_varint(s.cap as u64);
+        w.put_varint(s.resolution as u64);
+        finish(w)
+    }
+
+    /// A key list of no key or one, the key followed by its whole row,
+    /// `matches_after`, `matches_total`.
+    pub fn find(s: &FindSummary) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        let key = s.first.as_ref().map(|(key, _)| key);
+        w.put_key_header(usize::from(key.is_some()), key);
+        if let Some((key, row)) = &s.first {
+            w.put_key(None, key);
+            row.encode(&mut w);
+        }
+        w.put_varint(s.matches_after);
+        w.put_varint(s.matches_total);
+        finish(w)
+    }
 }
 
 /// The bytes every summary's fold produces, pinned. Each sketch — the
@@ -613,10 +647,12 @@ mod pinned_layouts {
 /// re-recorded when a partition came to split by its row span rather than
 /// by its selected rows: their merges depend on order or compress, and the
 /// sparse partitions here now fold at span boundaries. The ten other exact
-/// entries still hold `d280ef4`'s bytes. `distinct`, `bottom-k`, `stacked`
-/// and `nextk` ship less than they did then (registers patched, hashes and
-/// bar totals recomputed at the root, a page's keys sent once), so their
-/// folds are fingerprinted in the layouts of [`pinned_layouts`].
+/// entries still hold `d280ef4`'s bytes. `distinct`, `bottom-k`, `stacked`,
+/// `nextk`, `quantile-sampled` and `find` ship less than they did then
+/// (registers patched, hashes and bar totals recomputed at the root, a
+/// page's keys and a match's key cells sent once, weights as offsets above
+/// the least), so their folds are fingerprinted in the layouts of
+/// [`pinned_layouts`].
 #[test]
 fn fold_fingerprints_are_pinned() {
     let f = Folds::new();
@@ -691,7 +727,10 @@ fn fold_fingerprints_are_pinned() {
         ),
         (
             "quantile-sampled",
-            f.fingerprint(QuantileSketch::new(by_date, 0.5, 400, 80)),
+            f.fingerprint_as(
+                QuantileSketch::new(by_date, 0.5, 400, 80),
+                pinned_layouts::quantile,
+            ),
         ),
         (
             "nextk",
@@ -699,12 +738,10 @@ fn fold_fingerprints_are_pinned() {
         ),
         (
             "find",
-            f.fingerprint(FindSketch::new(
-                "Origin",
-                "S",
-                StrMatchKind::Substring,
-                find_order,
-            )),
+            f.fingerprint_as(
+                FindSketch::new("Origin", "S", StrMatchKind::Substring, find_order),
+                pinned_layouts::find,
+            ),
         ),
     ];
     let pinned = [

@@ -608,12 +608,15 @@ fn quantile_is_total_and_canonical() {
     repeated.keys[4].0 = repeated.keys[3].0.clone();
     refused::<QuantileSummary>("a key twice", &repeated.to_bytes());
 
-    // The same list with one key sharing a value less than it could.
-    let frame = |shorten: usize| {
+    // The same list with one key sharing `shorten` values less than it
+    // could, and its weights spelled as `least` and `offsets` above it: the
+    // least's varint, the offsets' low bytes patched, their high bits as
+    // counts.
+    let frame = |shorten: usize, least: u64, offsets: &[u64]| {
         let mut w = WireWriter::new();
         w.put_key_header(sorted.keys.len(), sorted.keys.first().map(|(k, _)| k));
         let mut prev: Option<&RowKey> = None;
-        for (i, (key, weight)) in sorted.keys.iter().enumerate() {
+        for (i, (key, _)) in sorted.keys.iter().enumerate() {
             match prev {
                 Some(p) if i == 3 => {
                     let both = p.values().iter().zip(key.values());
@@ -626,16 +629,37 @@ fn quantile_is_total_and_canonical() {
                 }
                 _ => w.put_key(prev, key),
             }
-            w.put_varint(*weight);
             prev = Some(key);
         }
+        w.put_varint(least);
+        w.put_packed(&offsets.iter().map(|&d| d as u8).collect::<Vec<_>>());
+        w.put_counts(&offsets.iter().map(|&d| d >> 8).collect::<Vec<_>>());
         w.put_varint(sorted.population);
         w.put_varint(sorted.cap as u64);
         w.put_varint(sorted.resolution as u64);
         w.finish().to_vec()
     };
-    assert_eq!(frame(0), sorted.to_bytes().to_vec());
-    refused::<QuantileSummary>("a shared count that is not maximal", &frame(1));
+    let weights: Vec<u64> = sorted.keys.iter().map(|(_, weight)| *weight).collect();
+    let least = *weights.iter().min().unwrap();
+    let offsets: Vec<u64> = weights.iter().map(|w| w - least).collect();
+    assert_eq!(frame(0, least, &offsets), sorted.to_bytes().to_vec());
+    refused::<QuantileSummary>(
+        "a shared count that is not maximal",
+        &frame(1, least, &offsets),
+    );
+    // The weights' least value is the least weight, and no weight is past
+    // `u64`; an offset past a byte carries its high bits as counts.
+    let above: Vec<u64> = offsets.iter().map(|d| d + 1).collect();
+    refused::<QuantileSummary>("a least no weight holds", &frame(0, least - 1, &above));
+    let mut one = vec![0; offsets.len()];
+    one[2] = 1;
+    refused::<QuantileSummary>("a weight past u64", &frame(0, u64::MAX, &one));
+    let mut wide = sorted.clone();
+    wide.keys[1].1 = u64::MAX;
+    wide.keys[4].1 += 300;
+    let least = wide.keys.iter().map(|(_, w)| *w).min().unwrap();
+    let spread: Vec<u64> = wide.keys.iter().map(|(_, w)| w - least).collect();
+    assert_eq!(roundtrip(&wide), frame(0, least, &spread));
 
     bomb::<QuantileSummary>("2^27 keys", &[0x80, 0x80, 0x80, 0x40, 1, 0, 1, 1], 4 << 10);
     bomb::<QuantileSummary>("2^27 columns", &[1, 0x80, 0x80, 0x80, 0x40, 0, 0], 4 << 10);
@@ -701,4 +725,44 @@ fn find_is_total_and_canonical() {
     total_and_canonical("find", &summaries);
     // "First match" is one row.
     refused::<FindSummary>("two first matches", &[2, 0, 0, 0, 0, 0, 0]);
+
+    // The first match's row leaves out the cells its key holds, naming each
+    // by its index — the first cell of the same representation, or the
+    // row's width when the row has none.
+    let k = key(vec![Value::Int(7), Value::str("SFO")]);
+    let frame = |width: u64, cells: &[u64], rest: &[Value]| {
+        let mut w = WireWriter::new();
+        w.put_key_header(1, Some(&k));
+        w.put_key(None, &k);
+        w.put_varint(width);
+        cells.iter().for_each(|&c| w.put_varint(c));
+        rest.iter().for_each(|v| v.encode(&mut w));
+        w.put_varint(1);
+        w.put_varint(1);
+        w.finish().to_vec()
+    };
+    let found = |row: Vec<Value>| FindSummary {
+        first: Some((k.clone(), Row::new(row))),
+        matches_after: 1,
+        matches_total: 1,
+    };
+    let (s, int, miss) = (Value::str("SFO"), Value::Int(7), Value::Missing);
+    let row = vec![miss.clone(), s.clone(), int.clone(), s.clone()];
+    assert_eq!(
+        roundtrip(&found(row)),
+        frame(4, &[2, 1], &[miss.clone(), s.clone()])
+    );
+    let no_key = vec![Value::Int(8)];
+    assert_eq!(
+        roundtrip(&found(no_key)),
+        frame(1, &[1, 1], &[Value::Int(8)])
+    );
+    // The later of two equal cells, a cell past the width, a key value
+    // left out of a row that holds it, and more cells than bytes.
+    let later = frame(4, &[2, 3], &[miss.clone(), s.clone()]);
+    refused::<FindSummary>("the later of two equal cells", &later);
+    refused::<FindSummary>("a cell past the width", &frame(2, &[5, 0], &[]));
+    let hidden = frame(2, &[2, 1], &[int.clone(), s.clone()]);
+    refused::<FindSummary>("a key value its row holds, left out", &hidden);
+    bomb::<FindSummary>("2^27 cells", &frame(1 << 27, &[0, 1], &[]), 4 << 10);
 }

@@ -14,7 +14,7 @@
 //! file's tail that an open merely locates:
 //!
 //! ```text
-//! magic "HVC9" | header_len u32 LE | header blob | pad | payload sections
+//! magic "HVC10" | header_len u32 LE | header blob | pad | payload sections
 //!   | dictionary sections
 //! header blob (all integers varint unless noted):
 //!   column_count | row_count
@@ -59,6 +59,13 @@
 //!       equal) and each extreme as (image − m) / g (0 when g is 0); m and
 //!       g are left out when there is no block. A Double with enc byte 0
 //!       writes raw LE f64 extremes instead
+//!     present extremes: only an Int/Date/Double column with rows both
+//!       null and present writes any — the least then the greatest present
+//!       value: an Int/Date's as its offset above m, an integral Double's
+//!       sign-magnitude codes as plain varints, a raw Double's as LE f64s.
+//!       Everything else the column's statistics hold, the header already
+//!       says: its present and missing rows are its null runs, and a column
+//!       without nulls has the fold of its zone map for extremes
 //!   dictionary base: where the dictionary area starts, as a section offset
 //! dictionary section: the entries in byte order, front-coded in buckets
 //!   of 16 — per entry a header byte (high nibble: bytes shared with the
@@ -119,11 +126,14 @@
 //! rebuilds exactly what the writer held; the resident masks and maps do not
 //! change with the header's width.
 //!
-//! Because the header also persists each column's zone map, a mapped open
-//! ([`read_file_mapped`]) constructs every column without touching one
-//! payload or dictionary byte: residency is faulted in chunk-at-a-time by
-//! the scans themselves, and blocks the zone maps rule out are never read at
-//! all.
+//! Because the header also persists each column's zone map and statistics, a
+//! mapped open ([`read_file_mapped`]) constructs every column without
+//! touching one payload or dictionary byte: residency is faulted in
+//! chunk-at-a-time by the scans themselves, and blocks the zone maps rule
+//! out are never read at all. The statistics — a column's present and
+//! missing rows and the extremes of its present values — are exact, so an
+//! unfiltered dataset's row count and numeric ranges are answered from the
+//! headers alone.
 //! [`probe_file`] goes one step further and reads *only* the header —
 //! enough for partition planning (schema + row count) at O(header) I/O.
 //!
@@ -136,14 +146,17 @@
 //! wrote them, encoding invariants, zone-map block counts, a zone extreme
 //! outside its column's domain — past `i64`, a code at or past the entry
 //! count, a magnitude past 2^53 — or an integer-domain zone block whose
-//! minimum is above its maximum, a dictionary section the file is too short
-//! to hold, exception ranks that fall or outrun their exceptions) is a
-//! structured [`Error`]. The heap path ([`decode`]) additionally validates
-//! every dictionary code, every dictionary entry, every exception mark word
-//! against its ranks, and every zone map against the one its decoded
-//! payload folds to — reported after the column faults, so a header whose
-//! zone max sits below a row's value is refused rather than left to make a
-//! range predicate skip the row. The mapped path must not — that would read
+//! minimum is above its maximum, present extremes outside their domain, out
+//! of order or outside the zones' span, a dictionary section the file is
+//! too short to hold, exception ranks that fall or outrun their exceptions)
+//! is a structured [`Error`]. The heap path ([`decode`]) additionally
+//! validates every dictionary code, every dictionary entry, every exception
+//! mark word against its ranks, and every zone map and every column's
+//! present extremes against the ones its decoded payload folds to —
+//! reported after the column faults, so a header whose zone max sits below
+//! a row's value, or whose extremes no present row holds, is refused rather
+//! than left to make a range predicate skip the row or a chart's axis
+//! wrong. The mapped path must not — that would read
 //! the bytes laziness exists to avoid — so it checks what the header alone
 //! can settle (codes bounded by the zone maxima, which the parse held to the
 //! entry count, sections bounded by the file's length, ranks by the rows and
@@ -170,7 +183,9 @@ use crate::partition::renumber;
 use bytes::Bytes;
 use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
 use hillview_columnar::dictionary::Dictionary;
-use hillview_columnar::encoding::{gcd, EncodingKind, F64Storage, IntStorage, PackedInt, ZoneMap};
+use hillview_columnar::encoding::{
+    gcd, EncodingKind, Extreme, F64Storage, IntStorage, PackedInt, ZoneMap,
+};
 use hillview_columnar::residency::{BlockCache, Pod, Segment, SegmentMode, ValueBuf};
 use hillview_columnar::{ColumnDesc, ColumnKind, NullMask, Schema, Table, BLOCK_ROWS};
 use hillview_net::{WireReader, WireWriter};
@@ -180,7 +195,10 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
-const MAGIC: &[u8; 4] = b"HVC9";
+const MAGIC: &[u8; 5] = b"HVC10";
+
+/// Bytes before the header blob: the magic and the blob's length word.
+const PREAMBLE: usize = MAGIC.len() + 4;
 
 const ENC_PLAIN: u8 = 0;
 const ENC_BIT_PACKED: u8 = 1;
@@ -481,6 +499,20 @@ fn encode_zone_images(w: &mut WireWriter, images: &[i64], domain: Domain) {
     }
 }
 
+/// Write a nullable column's present extremes, the minimum then the
+/// maximum, each by `put` — or nothing when no row is present, which the
+/// reader knows from the null runs.
+fn encode_extremes<T: Copy>(
+    w: &mut WireWriter,
+    extremes: Option<(T, T)>,
+    put: impl Fn(&mut WireWriter, T),
+) {
+    if let Some((min, max)) = extremes {
+        put(w, min);
+        put(w, max);
+    }
+}
+
 /// The column a file stores for `dc` — its dictionary cut down to the
 /// entries its rows reference, the codes renumbered to match
 /// ([`renumber`]) and re-encoded, the zones rebuilt — or `None` when `dc`
@@ -494,7 +526,7 @@ fn pruned(dc: &DictColumn) -> Option<DictColumn> {
 /// Lay a header blob and its payload sections out as a file image.
 fn assemble(hdr: &[u8], sections: Sections) -> Vec<u8> {
     assert!(hdr.len() <= u32::MAX as usize, "hvc header exceeds u32");
-    let payload_base = align_up(8 + hdr.len());
+    let payload_base = align_up(PREAMBLE + hdr.len());
     let mut out = Vec::with_capacity(payload_base + sections.rel + sections.dictionaries.len());
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&(hdr.len() as u32).to_le_bytes());
@@ -529,6 +561,11 @@ pub fn encode(table: &Table) -> Vec<u8> {
                 encode_int_storage(&mut h, &mut sections, ic.storage(), &|w, v| w.put_i64(v));
                 let images = zone_images(ic.zones(), Some).expect("every i64 is its own image");
                 encode_zone_images(&mut h, &images, Domain::Int);
+                if let Some(least) = images.iter().min().filter(|_| col.null_count() > 0) {
+                    // Above the least image, as the zone quotients are.
+                    let offset = |v: i64| (v as u64).wrapping_sub(*least as u64);
+                    encode_extremes(&mut h, ic.extremes(), |w, v| w.put_varint(offset(v)));
+                }
             }
             Column::Double(fc) => {
                 let integral = match fc.data() {
@@ -537,10 +574,17 @@ pub fn encode(table: &Table) -> Vec<u8> {
                     }
                     _ => None,
                 };
+                let nullable = col.null_count() > 0;
                 match (integral, fc.data()) {
                     (Some((codes, images)), _) => {
                         encode_int_storage(&mut h, &mut sections, codes, &|w, v| w.put_i64(v));
                         encode_zone_images(&mut h, &images, Domain::Integral);
+                        if nullable {
+                            encode_extremes(&mut h, fc.extremes(), |w, v| {
+                                let code = F64Storage::code_of(v).expect("an integral column");
+                                w.put_varint(code as u64)
+                            });
+                        }
                     }
                     // Byte 0 means raw doubles and raw extremes, so codes
                     // that happen to be stored plain — or whose zones hold
@@ -554,6 +598,9 @@ pub fn encode(table: &Table) -> Vec<u8> {
                             codes => encode_raw_doubles(&mut h, &mut sections, &codes.to_vec()),
                         }
                         encode_raw_zones(&mut h, fc.zones());
+                        if nullable {
+                            encode_extremes(&mut h, fc.extremes(), |w, v| w.put_f64(v));
+                        }
                     }
                 }
             }
@@ -891,6 +938,34 @@ fn decode_zone_images<T: Copy + PartialOrd + std::fmt::Debug>(
     Ok(ZoneMap::from_parts(mins, maxs).expect("as many maxima as minima"))
 }
 
+/// A numeric column's present extremes: a nullable column's read as
+/// [`encode_extremes`] wrote them, each by `get` — none when no row is
+/// present — and a null-free column's folded from `zones`, which then fold
+/// nothing else. Refused: a minimum above the maximum, or either outside
+/// the span of the zones, which fold every row.
+fn decode_extremes<T: Extreme + PartialOrd + std::fmt::Debug>(
+    r: &mut WireReader,
+    nulls: &NullMask,
+    rows: usize,
+    zones: &ZoneMap<T>,
+    column: &str,
+    get: impl Fn(&mut WireReader, (T, T)) -> Result<T>,
+) -> Result<Option<(T, T)>> {
+    let missing = nulls.null_count();
+    let span = zones.span();
+    let Some(span) = span.filter(|_| missing > 0 && missing < rows) else {
+        return Ok(span.filter(|_| missing == 0));
+    };
+    let (min, max) = (get(r, span)?, get(r, span)?);
+    if !(span.0 <= min && min <= max && max <= span.1) {
+        return Err(parse_err(format!(
+            "column {column:?}: present rows span {min:?}..={max:?}, not inside its zones' {:?}..={:?}",
+            span.0, span.1
+        )));
+    }
+    Ok(Some((min, max)))
+}
+
 /// The payload sections a header declares, as absolute byte ranges, held to
 /// one meaning each: in header order, a section that is not empty starts at
 /// or after the end of the one before. Empty sections are exempt — the
@@ -942,12 +1017,14 @@ enum PayloadMeta {
     Int {
         storage: IntMeta<i64>,
         zones: ZoneMap<i64>,
+        extremes: Option<(i64, i64)>,
     },
     Double {
         /// `Plain` locates a raw f64 section; the packed variants describe
         /// the column's sign-magnitude codes.
         storage: IntMeta<i64>,
         zones: ZoneMap<f64>,
+        extremes: Option<(f64, f64)>,
     },
     Dict {
         dict: DictMeta,
@@ -967,9 +1044,11 @@ struct DictMeta {
 struct Header {
     rows: usize,
     columns: Vec<ColMeta>,
-    /// Header bytes spent on null runs and on zone maps, every column's.
+    /// Header bytes spent on null runs, on zone maps and on present
+    /// extremes, every column's.
     null_run_bytes: usize,
     zone_bytes: usize,
+    extreme_bytes: usize,
     /// Absolute byte offset of the first payload section.
     payload_base: usize,
     /// Every non-empty payload section, in file order.
@@ -1023,7 +1102,7 @@ fn parse_header(hdr: Bytes, payload_base: usize) -> Result<Header> {
     // must have been written as a reference to that column.
     let mut written: HashMap<Vec<u64>, usize> = HashMap::new();
     let mut wrote_runs = Vec::with_capacity(cols.min(r.remaining()));
-    let (mut null_run_bytes, mut zone_bytes) = (0, 0);
+    let (mut null_run_bytes, mut zone_bytes, mut extreme_bytes) = (0, 0, 0);
     let mut layout = Layout {
         payload_base,
         sections: Vec::new(),
@@ -1060,30 +1139,60 @@ fn parse_header(hdr: Bytes, payload_base: usize) -> Result<Header> {
             }
         };
         null_run_bytes += before_nulls - r.remaining();
-        let before_zones;
+        // Where the zone map and the extremes start, counted from the end.
+        let (zones_at, extremes_at);
         let payload = match kind {
             ColumnKind::Int | ColumnKind::Date => {
                 let storage = decode_int_meta(&mut r, &mut layout, rows, &name, |r| r.get_i64())?;
-                before_zones = r.remaining();
+                zones_at = r.remaining();
                 let zones = decode_zone_images(&mut r, rows, &name, Domain::Int, |v| v)?;
-                PayloadMeta::Int { storage, zones }
+                extremes_at = r.remaining();
+                let extremes = decode_extremes(&mut r, &nulls, rows, &zones, &name, |r, span| {
+                    // Above the least image: no wider than the zones' span.
+                    let q = r.get_varint().map_err(wire_err)?;
+                    let room = span.1.abs_diff(span.0);
+                    let fault =
+                        || parse_err(format!("column {name:?}: extreme {q} past its zones"));
+                    (q <= room)
+                        .then(|| span.0.wrapping_add(q as i64))
+                        .ok_or_else(fault)
+                })?;
+                PayloadMeta::Int {
+                    storage,
+                    zones,
+                    extremes,
+                }
             }
             ColumnKind::Double => {
                 // Plain here is raw `f64`s, as wide as the `i64` lanes.
                 let storage = decode_int_meta(&mut r, &mut layout, rows, &name, |r| r.get_i64())?;
-                before_zones = r.remaining();
+                zones_at = r.remaining();
                 // Byte 0, raw doubles, keeps raw extremes too.
-                let zones = match storage {
-                    IntMeta::Plain { .. } => decode_raw_zones(&mut r, rows, &name)?,
-                    _ => decode_zone_images(
-                        &mut r,
-                        rows,
-                        &name,
-                        Domain::Integral,
-                        F64Storage::value_of,
-                    )?,
+                let (zones, extremes) = if let IntMeta::Plain { .. } = storage {
+                    let zones = decode_raw_zones(&mut r, rows, &name)?;
+                    extremes_at = r.remaining();
+                    let get = |r: &mut WireReader, _| r.get_f64().map_err(wire_err);
+                    let extremes = decode_extremes(&mut r, &nulls, rows, &zones, &name, get)?;
+                    (zones, extremes)
+                } else {
+                    let value = F64Storage::value_of;
+                    let zones = decode_zone_images(&mut r, rows, &name, Domain::Integral, value)?;
+                    extremes_at = r.remaining();
+                    let extremes = decode_extremes(&mut r, &nulls, rows, &zones, &name, |r, _| {
+                        let code = r.get_varint().map_err(wire_err)?;
+                        let fault = || parse_err(format!("column {name:?}: extreme code {code}"));
+                        let code = i64::try_from(code).map_err(|_| fault())?;
+                        (i128::from(code) <= Domain::Integral.top())
+                            .then(|| value(code))
+                            .ok_or_else(fault)
+                    })?;
+                    (zones, extremes)
                 };
-                PayloadMeta::Double { storage, zones }
+                PayloadMeta::Double {
+                    storage,
+                    zones,
+                    extremes,
+                }
             }
             ColumnKind::String | ColumnKind::Category => {
                 let dict = DictMeta {
@@ -1092,13 +1201,15 @@ fn parse_header(hdr: Bytes, payload_base: usize) -> Result<Header> {
                     rel: get_extent(&mut r)?,
                 };
                 let codes = decode_int_meta(&mut r, &mut layout, rows, &name, get_code)?;
-                before_zones = r.remaining();
+                zones_at = r.remaining();
                 let domain = Domain::Codes(dict.entries);
                 let zones = decode_zone_images(&mut r, rows, &name, domain, |v| v as u32)?;
+                extremes_at = r.remaining();
                 PayloadMeta::Dict { dict, codes, zones }
             }
         };
-        zone_bytes += before_zones - r.remaining();
+        zone_bytes += zones_at - extremes_at;
+        extreme_bytes += extremes_at - r.remaining();
         columns.push(ColMeta {
             name,
             kind,
@@ -1112,6 +1223,7 @@ fn parse_header(hdr: Bytes, payload_base: usize) -> Result<Header> {
         columns,
         null_run_bytes,
         zone_bytes,
+        extreme_bytes,
         payload_base,
         sections: layout.sections,
         dict_base,
@@ -1322,11 +1434,29 @@ fn check_zones<T: Copy + PartialEq + std::fmt::Debug>(
     }
 }
 
+/// The heap path's check of a column's present extremes, bit for bit: the
+/// persisted ones must be the ones its payload and null runs give.
+fn check_extremes<T: Copy + std::fmt::Debug>(
+    persisted: Option<(T, T)>,
+    rebuilt: Option<(T, T)>,
+    bits: impl Fn(T) -> u64,
+    column: &str,
+) -> Result<()> {
+    let spell = |e: Option<(T, T)>| e.map(|(min, max)| (bits(min), bits(max)));
+    if spell(persisted) == spell(rebuilt) {
+        return Ok(());
+    }
+    Err(parse_err(format!(
+        "column {column:?}: statistics say its present rows span {persisted:?} but they span {rebuilt:?}"
+    )))
+}
+
 /// Assemble a [`Table`] from a parsed header and a payload source.
 /// `deep_validate` (heap path) checks every dictionary code and rebuilds
-/// every zone map from the payload; the mapped path settles only what the
-/// header can — codes bounded by the zone maxima, which the parse already
-/// held to the dictionary — and never touches payload bytes.
+/// every zone map and every column's present extremes from the payload;
+/// the mapped path settles only what the header can — codes bounded by the
+/// zone maxima, which the parse already held to the dictionary — and never
+/// touches payload bytes.
 fn build_table(header: Header, src: &Source<'_>, deep_validate: bool) -> Result<Table> {
     let base = header.payload_base;
     // Saturated, a base that overflows puts every dictionary past the end.
@@ -1338,19 +1468,34 @@ fn build_table(header: Header, src: &Source<'_>, deep_validate: bool) -> Result<
     let mut zones_hold = Ok(());
     for cm in header.columns {
         let column = match cm.payload {
-            PayloadMeta::Int { storage, zones } => {
+            PayloadMeta::Int {
+                storage,
+                zones,
+                extremes,
+            } => {
                 let st = build_int_storage(storage, rows, src, base, &cm.name, deep_validate)?;
-                if deep_validate && zones_hold.is_ok() {
-                    zones_hold = check_zones(&zones, &ZoneMap::build(&st), &cm.name);
-                }
-                let ic = I64Column::with_storage_and_zones(st, cm.nulls, zones);
+                let ic = if deep_validate {
+                    let ic = I64Column::with_storage(st, cm.nulls);
+                    if zones_hold.is_ok() {
+                        zones_hold = check_zones(&zones, ic.zones(), &cm.name).and_then(|()| {
+                            check_extremes(extremes, ic.extremes(), |v| v as u64, &cm.name)
+                        });
+                    }
+                    ic
+                } else {
+                    I64Column::from_persisted(st, cm.nulls, zones, extremes)
+                };
                 if cm.kind == ColumnKind::Int {
                     Column::Int(ic)
                 } else {
                     Column::Date(ic)
                 }
             }
-            PayloadMeta::Double { storage, zones } => {
+            PayloadMeta::Double {
+                storage,
+                zones,
+                extremes,
+            } => {
                 let data = match storage {
                     IntMeta::Plain { rel } => {
                         F64Storage::Plain(src.buf::<f64>(base, rel, rows, &cm.name)?)
@@ -1364,14 +1509,22 @@ fn build_table(header: Header, src: &Source<'_>, deep_validate: bool) -> Result<
                         deep_validate,
                     )?),
                 };
-                if deep_validate && zones_hold.is_ok() {
+                let fc = if deep_validate {
                     let rebuilt = match &data {
                         F64Storage::Plain(values) => ZoneMap::from_f64(values.slice()),
                         codes => ZoneMap::from_f64(&codes.to_vec()),
                     };
-                    zones_hold = check_zones(&zones, &rebuilt, &cm.name);
-                }
-                Column::Double(F64Column::from_parts(data, cm.nulls, zones))
+                    let fc = F64Column::from_parts(data, cm.nulls, rebuilt);
+                    if zones_hold.is_ok() {
+                        zones_hold = check_zones(&zones, fc.zones(), &cm.name).and_then(|()| {
+                            check_extremes(extremes, fc.extremes(), f64::to_bits, &cm.name)
+                        });
+                    }
+                    fc
+                } else {
+                    F64Column::from_persisted(data, cm.nulls, zones, extremes)
+                };
+                Column::Double(fc)
             }
             PayloadMeta::Dict { dict, codes, zones } => {
                 let st = build_int_storage(codes, rows, src, base, &cm.name, deep_validate)?;
@@ -1418,10 +1571,10 @@ fn check_preamble(preamble: &[u8], image_len: u64) -> Result<usize> {
         return Err(parse_err("bad magic"));
     }
     let word = preamble
-        .get(4..8)
+        .get(MAGIC.len()..PREAMBLE)
         .ok_or_else(|| parse_err("file too short for header length"))?;
     let header_len = u32::from_le_bytes(word.try_into().expect("4 bytes"));
-    if 8 + u64::from(header_len) > image_len {
+    if PREAMBLE as u64 + u64::from(header_len) > image_len {
         return Err(parse_err("header exceeds file length"));
     }
     Ok(header_len as usize)
@@ -1430,8 +1583,8 @@ fn check_preamble(preamble: &[u8], image_len: u64) -> Result<usize> {
 /// Decode a complete HVC file image into fully heap-resident columns.
 pub fn decode(bytes: &[u8]) -> Result<Table> {
     let header_len = check_preamble(bytes, bytes.len() as u64)?;
-    let hdr = Bytes::copy_from_slice(&bytes[8..8 + header_len]);
-    let header = parse_header(hdr, align_up(8 + header_len))?;
+    let hdr = Bytes::copy_from_slice(&bytes[PREAMBLE..PREAMBLE + header_len]);
+    let header = parse_header(hdr, align_up(PREAMBLE + header_len))?;
     build_table(header, &Source::Owned(bytes), true)
 }
 
@@ -1460,13 +1613,15 @@ pub fn read_file(path: impl AsRef<Path>) -> Result<Table> {
 fn read_header(path: &Path) -> Result<Header> {
     let mut f = std::fs::File::open(path)?;
     let file_len = f.metadata()?.len();
-    let mut preamble = Vec::with_capacity(8);
-    Read::by_ref(&mut f).take(8).read_to_end(&mut preamble)?;
+    let mut preamble = Vec::with_capacity(PREAMBLE);
+    Read::by_ref(&mut f)
+        .take(PREAMBLE as u64)
+        .read_to_end(&mut preamble)?;
     let header_len = check_preamble(&preamble, file_len)?;
     let mut hdr = vec![0u8; header_len];
     f.read_exact(&mut hdr)
         .map_err(|_| parse_err("header exceeds file length"))?;
-    parse_header(Bytes::from(hdr), align_up(8 + header_len))
+    parse_header(Bytes::from(hdr), align_up(PREAMBLE + header_len))
 }
 
 /// Open a file as lazily-resident, file-backed columns: bulk payloads
@@ -1501,6 +1656,9 @@ pub struct FileInfo {
     pub null_run_bytes: usize,
     /// Bytes of the header that hold the columns' zone maps.
     pub zone_bytes: usize,
+    /// Bytes of the header that hold the nullable numeric columns' present
+    /// extremes.
+    pub extreme_bytes: usize,
 }
 
 /// Probe a file's dimensions and schema by reading only its header — never
@@ -1520,6 +1678,7 @@ pub fn probe_file(path: impl AsRef<Path>) -> Result<FileInfo> {
         schema: Schema::from_descs(descs)?,
         null_run_bytes: header.null_run_bytes,
         zone_bytes: header.zone_bytes,
+        extreme_bytes: header.extreme_bytes,
     })
 }
 
@@ -1827,7 +1986,7 @@ mod tests {
         let header_len = check_preamble(&img, img.len() as u64).unwrap();
         // The layout without the enc byte: a header one byte shorter, then
         // the raw section.
-        let raw_layout = align_up(8 + header_len - 1) + lat.len() * 8;
+        let raw_layout = align_up(PREAMBLE + header_len - 1) + lat.len() * 8;
         assert!(
             img.len() <= raw_layout + 64,
             "{} bytes against a raw layout of {raw_layout}",
@@ -1916,7 +2075,7 @@ mod tests {
         // every entry point.
         let d = TempDir::new("hvc-magic");
         let img = encode(&mixed_table(100));
-        assert_eq!(&img[0..4], MAGIC);
+        assert_eq!(&img[..MAGIC.len()], MAGIC);
         let old = d.join("old.hvc");
         let cache = BlockCache::unbounded();
         for magic in [
@@ -1943,8 +2102,8 @@ mod tests {
         let t = mixed_table(500);
         let img = encode(&t);
         let header_len = check_preamble(&img, img.len() as u64).unwrap();
-        let payload_base = align_up(8 + header_len);
-        let hdr = Bytes::copy_from_slice(&img[8..8 + header_len]);
+        let payload_base = align_up(PREAMBLE + header_len);
+        let hdr = Bytes::copy_from_slice(&img[PREAMBLE..PREAMBLE + header_len]);
         let header = parse_header(hdr, payload_base).unwrap();
         fn rels<T>(meta: &IntMeta<T>) -> Vec<usize> {
             match meta {
@@ -2022,9 +2181,10 @@ mod tests {
         // Truncate the file to magic + header: the probe still succeeds
         // (proof it never reads payload), while a full read fails.
         let bytes = std::fs::read(&p).unwrap();
-        let header_len = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
+        let header_len =
+            u32::from_le_bytes(bytes[MAGIC.len()..PREAMBLE].try_into().unwrap()) as usize;
         let cut = d.join("probe-cut.hvc");
-        std::fs::write(&cut, &bytes[..8 + header_len]).unwrap();
+        std::fs::write(&cut, &bytes[..PREAMBLE + header_len]).unwrap();
         assert_eq!(probe_file(&cut).unwrap().rows, 600);
         assert!(read_file(&cut).is_err());
     }
@@ -2036,7 +2196,8 @@ mod tests {
         let d = TempDir::new("hvc-hdrlen");
         let img = encode(&mixed_table(100));
         let mut one_past = img.clone();
-        one_past[4..8].copy_from_slice(&(img.len() as u32 - 8 + 1).to_le_bytes());
+        one_past[MAGIC.len()..PREAMBLE]
+            .copy_from_slice(&(img.len() as u32 - PREAMBLE as u32 + 1).to_le_bytes());
         let bare = [&MAGIC[..], &u32::MAX.to_le_bytes()].concat();
         let cache = BlockCache::unbounded();
         for (name, bytes) in [("one-past.hvc", one_past), ("bare.hvc", bare)] {
@@ -2317,11 +2478,12 @@ mod tests {
     fn row_count_mismatch_is_structured() {
         let t = one_int_column(0..200, ColumnKind::Int);
         let img = encode(&t);
-        // Header blob starts at byte 8: cols varint (1 byte) then rows
-        // varint 200 = [0xC8, 0x01]. Patch rows to 199.
-        assert_eq!(&img[9..11], &[0xC8, 0x01], "expected varint 200");
+        // The header blob follows the preamble: cols varint (1 byte) then
+        // rows varint 200 = [0xC8, 0x01]. Patch rows to 199.
+        let rows = PREAMBLE + 1;
+        assert_eq!(&img[rows..rows + 2], &[0xC8, 0x01], "expected varint 200");
         let mut bad = img.clone();
-        bad[9] = 0xC7;
+        bad[rows] = 0xC7;
         // Every per-column count is held to the table's: the null runs
         // (above), a declared value count, a double column's, the sum of a
         // run table, and a null run long enough to overflow the row index.
@@ -2383,14 +2545,15 @@ mod tests {
         let p = d.join("badzones.hvc");
         write_file(&t, &p).unwrap();
         let mut bytes = std::fs::read(&p).unwrap();
-        let header_len = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
+        let header_len =
+            u32::from_le_bytes(bytes[MAGIC.len()..PREAMBLE].try_into().unwrap()) as usize;
         // The zone map is the last thing in the header but the dictionary
         // base: 10 blocks of (min=0, max=4), at a gcd of 4 the quotient
         // pairs (0, 1). Set every max to 127 (still a one-byte varint), so
         // the code it stands for is 508.
         let mut base = WireWriter::new();
-        base.put_varint((bytes.len() - "abcde".len() * 2 - align_up(8 + header_len)) as u64);
-        let zones_end = 8 + header_len - base.len();
+        base.put_varint((bytes.len() - "abcde".len() * 2 - align_up(PREAMBLE + header_len)) as u64);
+        let zones_end = PREAMBLE + header_len - base.len();
         let tail = &mut bytes[zones_end - 20..zones_end];
         assert!(tail.iter().step_by(2).all(|&b| b == 0), "zone mins");
         assert!(tail[1..].iter().step_by(2).all(|&b| b == 1), "zone maxs");

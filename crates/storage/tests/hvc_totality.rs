@@ -165,10 +165,16 @@ fn varint(v: u64) -> bytes::Bytes {
     w.finish()
 }
 
-/// One mutant of `img`, whose header blob is `img[8..8 + header_len]`.
+/// The magic, then the header blob's length as a `u32` LE.
+const MAGIC: &[u8] = b"HVC10";
+const PREAMBLE: usize = MAGIC.len() + 4;
+
+/// One mutant of `img`, whose header blob is `img[PREAMBLE..PREAMBLE +
+/// header_len]`.
 fn mutate(img: &[u8], state: &mut u64) -> Vec<u8> {
-    let header_len = u32::from_le_bytes(img[4..8].try_into().unwrap()) as usize;
-    let header_end = 8 + header_len;
+    let length_word = MAGIC.len()..PREAMBLE;
+    let header_len = u32::from_le_bytes(img[length_word.clone()].try_into().unwrap()) as usize;
+    let header_end = PREAMBLE + header_len;
     let payload_base = header_end.div_ceil(64) * 64;
     // The file's tail: one section per dictionary column, back to back.
     let dictionaries = img.len() - 2 * dictionary_section().len();
@@ -207,16 +213,16 @@ fn mutate(img: &[u8], state: &mut u64) -> Vec<u8> {
                 0 => 0,
                 1 => header_len as u32 - 1,
                 2 => header_len as u32 + 1,
-                3 => (img.len() - 8) as u32,
-                4 => (img.len() - 8) as u32 + 1,
+                3 => (img.len() - PREAMBLE) as u32,
+                4 => (img.len() - PREAMBLE) as u32 + 1,
                 _ => u32::MAX,
             };
-            m[4..8].copy_from_slice(&word.to_le_bytes());
+            m[length_word].copy_from_slice(&word.to_le_bytes());
         }
         // A length field written over the header in place…
         4 => {
             let v = varint(lengths[below(state, lengths.len())]);
-            let at = 8 + below(state, header_len);
+            let at = PREAMBLE + below(state, header_len);
             let n = v.len().min(header_end - at);
             m[at..at + n].copy_from_slice(&v[..n]);
         }
@@ -224,11 +230,11 @@ fn mutate(img: &[u8], state: &mut u64) -> Vec<u8> {
         // runs on into fields that have all shifted.
         5 => {
             let v = varint(lengths[below(state, lengths.len())]);
-            let at = 8 + below(state, header_len);
+            let at = PREAMBLE + below(state, header_len);
             let drop = below(state, 3).min(header_end - at);
             m.splice(at..at + drop, v.iter().copied());
             let new_len = (header_len + v.len() - drop) as u32;
-            m[4..8].copy_from_slice(&new_len.to_le_bytes());
+            m[length_word].copy_from_slice(&new_len.to_le_bytes());
         }
         // The header intact, the payload cut short: section offsets that
         // were valid now point past the end of the file.
@@ -341,7 +347,7 @@ fn every_mutant_ends_in_an_error_or_a_table_that_scans() {
 /// payload base.
 fn preamble(w: WireWriter) -> Vec<u8> {
     let header = w.finish();
-    let mut img = b"HVC9".to_vec();
+    let mut img = MAGIC.to_vec();
     img.extend((header.len() as u32).to_le_bytes());
     img.extend(&header[..]);
     img.resize(img.len().div_ceil(64) * 64, 0);
@@ -848,15 +854,17 @@ type Runs<'a> = &'a [&'a [u64]];
 /// Two rows in each of the Int columns `n0`, `n1`, … — all of them the
 /// values `[7, 9]`, each column's in a plain section of its own — whose null
 /// runs are written as the varints of `runs[c]`: a count and the lengths, or
-/// a 0 and the column they repeat.
-fn null_runs_image(runs: Runs) -> Vec<u8> {
+/// a 0 and the column they repeat; a column with rows both null and present
+/// writes its present extremes after its zone map, as the varints of
+/// `extremes[c]` (offsets above 7).
+fn null_runs_image(runs: Runs, extremes: Runs) -> Vec<u8> {
     let at: Vec<u64> = (0..runs.len() as u64).map(|c| 64 * c).collect();
-    sections_image(runs, &at)
+    sections_image(runs, extremes, &at)
 }
 
 /// The columns of [`null_runs_image`], column `c`'s plain section `at[c]`
 /// bytes into the payload.
-fn sections_image(runs: Runs, at: &[u64]) -> Vec<u8> {
+fn sections_image(runs: Runs, extremes: Runs, at: &[u64]) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_varint(runs.len() as u64); // columns
     w.put_varint(2); // rows
@@ -870,6 +878,9 @@ fn sections_image(runs: Runs, at: &[u64]) -> Vec<u8> {
         w.put_varint(2); // values
         w.put_varint(at[c]); // section offset
         zone(&mut w, 14, 2, 0, 1); // (7, 9)
+        for &v in extremes.get(c).copied().unwrap_or_default() {
+            w.put_varint(v);
+        }
     }
     let end = at.iter().max().map_or(0, |&a| a as usize + 16);
     w.put_varint(end as u64); // dictionary base: where the values end
@@ -914,18 +925,26 @@ fn crafted_null_runs_have_one_spelling() {
     let dir = TempDir::new("hvc-null-runs");
     let path = dir.join("nulls.hvc");
     let cache = BlockCache::unbounded();
-    let opened: [(&str, Runs, &[[bool; 2]]); 4] = [
-        ("no row missing", &[&[1, 2]], &[[false, false]]),
-        ("the first row missing", &[&[3, 0, 1, 1]], &[[true, false]]),
-        ("every row missing", &[&[2, 0, 2]], &[[true, true]]),
+    // With the present rows' extremes of a column that has both: 9 alone,
+    // or 7 alone.
+    let opened: [(&str, Runs, Runs, &[[bool; 2]]); 4] = [
+        ("no row missing", &[&[1, 2]], &[], &[[false, false]]),
+        (
+            "the first row missing",
+            &[&[3, 0, 1, 1]],
+            &[&[2, 2]],
+            &[[true, false]],
+        ),
+        ("every row missing", &[&[2, 0, 2]], &[], &[[true, true]]),
         (
             "a repeat written as a reference",
             &[&[2, 1, 1], &[1, 2], &[0, 0]],
+            &[&[0, 0], &[], &[0, 0]],
             &[[false, true], [false, false], [false, true]],
         ),
     ];
-    for (label, runs, missing) in opened {
-        let img = null_runs_image(runs);
+    for (label, runs, extremes, missing) in opened {
+        let img = null_runs_image(runs, extremes);
         match verdict(&img, &path, &cache, label).0 {
             Verdict::Opened => {}
             Verdict::Rejected(e) => panic!("{label}: refused with {e}"),
@@ -963,7 +982,7 @@ fn crafted_null_runs_have_one_spelling() {
         ),
     ];
     for (label, runs, fault) in refused {
-        refused_by_every_open(&null_runs_image(runs), &path, &cache, label, fault);
+        refused_by_every_open(&null_runs_image(runs, &[]), &path, &cache, label, fault);
     }
 }
 
@@ -978,7 +997,7 @@ fn crafted_sections_have_one_meaning() {
     let path = dir.join("sections.hvc");
     let cache = BlockCache::unbounded();
     let runs: Runs = &[&[1, 2], &[0, 0]];
-    let img = sections_image(runs, &[0, 16]);
+    let img = sections_image(runs, &[], &[0, 16]);
     match verdict(&img, &path, &cache, "back to back").0 {
         Verdict::Opened => {}
         Verdict::Rejected(e) => panic!("back to back: refused with {e}"),
@@ -997,7 +1016,7 @@ fn crafted_sections_have_one_meaning() {
     ];
     for (label, at) in refused {
         let fault = "starts before the previous one ends";
-        refused_by_every_open(&sections_image(runs, at), &path, &cache, label, fault);
+        refused_by_every_open(&sections_image(runs, &[], at), &path, &cache, label, fault);
     }
 }
 
@@ -1098,6 +1117,118 @@ fn crafted_zone_maps_are_held_to_their_rows() {
             "a double extreme written as a negative code",
             zoned_image(true, |w| zone(w, u64::MAX, 1, 0, 0)),
             "out of its domain",
+        ),
+    ];
+    for (label, img, fault) in refused {
+        refused_by_every_open(&img, &path, &cache, label, fault);
+    }
+}
+
+/// Three rows of one column `n`, the middle one null, with the zone map of
+/// one block and the present extremes `extremes` writes: Int values `[7, _,
+/// 9]` (the null row holding 0) in a plain section, or (`double`) the raw
+/// doubles `[0.5, _, 2.5]` (the null row holding 0.0).
+fn extremes_image(double: bool, extremes: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_varint(1); // columns
+    w.put_varint(3); // rows
+    w.put_str("n");
+    w.put_u8(if double { 2 } else { 0 });
+    for run in [3, 1, 1, 1] {
+        w.put_varint(run); // three runs: present, missing, present
+    }
+    w.put_u8(0); // plain
+    w.put_varint(3); // values
+    w.put_varint(0); // section offset
+    if double {
+        w.put_varint(1); // one raw zone block
+        w.put_f64(0.0);
+        w.put_f64(2.5);
+    } else {
+        zone(&mut w, 0, 9, 0, 1); // (0, 9): from 0 at a gcd of 9
+    }
+    extremes(&mut w);
+    w.put_varint(24); // dictionary base: where the values end
+    let mut img = preamble(w);
+    if double {
+        img.extend([0.5f64, 0.0, 2.5].iter().flat_map(|v| v.to_le_bytes()));
+    } else {
+        img.extend([7i64, 0, 9].iter().flat_map(|v| v.to_le_bytes()));
+    }
+    img
+}
+
+#[test]
+fn crafted_statistics_are_held_to_their_rows() {
+    // A nullable numeric column's header holds its present rows' extremes,
+    // which answer a range with no scan — so a wrong pair is a wrong chart.
+    // Every open holds them in order and inside the zones, which fold every
+    // row; the heap open also recomputes them from the payload and refuses
+    // any difference, where a mapped open, which reads no row, trusts them.
+    let dir = TempDir::new("hvc-extremes");
+    let path = dir.join("extremes.hvc");
+    let cache = BlockCache::unbounded();
+    let (int, raw) = (
+        extremes_image(false, |w| [7, 9].into_iter().for_each(|q| w.put_varint(q))),
+        extremes_image(true, |w| [0.5, 2.5].into_iter().for_each(|v| w.put_f64(v))),
+    );
+    for (label, img, want) in [("Int", int, (7.0, 9.0)), ("raw", raw, (0.5, 2.5))] {
+        match verdict(&img, &path, &cache, label).0 {
+            Verdict::Opened => {}
+            Verdict::Rejected(e) => panic!("{label}: refused with {e}"),
+        }
+        let mapped = read_file_mapped(&path, &cache, SegmentMode::Auto).unwrap();
+        for t in [hvc::decode(&img).unwrap(), mapped] {
+            let extremes = match t.column(0) {
+                Column::Int(c) => c.extremes().map(|(a, b)| (a as f64, b as f64)),
+                Column::Double(c) => c.extremes(),
+                _ => None,
+            };
+            assert_eq!(extremes, Some(want), "{label}");
+        }
+    }
+
+    for (label, img, said) in [
+        (
+            "an Int minimum no row holds",
+            extremes_image(false, |w| [8, 9].into_iter().for_each(|q| w.put_varint(q))),
+            "Some((8, 9)) but they span Some((7, 9))",
+        ),
+        (
+            "a raw maximum no row holds",
+            extremes_image(true, |w| [0.5, 2.0].into_iter().for_each(|v| w.put_f64(v))),
+            "Some((0.5, 2.0)) but they span Some((0.5, 2.5))",
+        ),
+    ] {
+        match verdict(&img, &path, &cache, label).0 {
+            Verdict::Rejected(e) => assert!(e.contains(said), "{label}: {e}"),
+            Verdict::Opened => panic!("{label}: accepted"),
+        }
+        read_file_mapped(&path, &cache, SegmentMode::Auto).expect("a mapped open reads no row");
+    }
+
+    let refused: [(&str, Vec<u8>, &str); 4] = [
+        (
+            "an Int minimum above its maximum",
+            extremes_image(false, |w| [9, 7].into_iter().for_each(|q| w.put_varint(q))),
+            "present rows span 9..=7, not inside its zones' 0..=9",
+        ),
+        (
+            "an Int extreme past its zones",
+            extremes_image(false, |w| [7, 10].into_iter().for_each(|q| w.put_varint(q))),
+            "extreme 10 past its zones",
+        ),
+        (
+            "a raw extreme outside its zones",
+            extremes_image(true, |w| [-0.5, 2.5].into_iter().for_each(|v| w.put_f64(v))),
+            "present rows span -0.5..=2.5, not inside its zones' 0.0..=2.5",
+        ),
+        (
+            "a NaN extreme",
+            extremes_image(true, |w| {
+                [f64::NAN, 2.5].into_iter().for_each(|v| w.put_f64(v))
+            }),
+            "present rows span NaN..=2.5",
         ),
     ];
     for (label, img, fault) in refused {

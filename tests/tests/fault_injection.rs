@@ -68,12 +68,14 @@ fn computation_cache_survives_unrelated_evictions() {
     let sheet =
         hillview_core::Spreadsheet::open(engine.clone(), "flights", 0, DisplaySpec::new(100, 50))
             .unwrap();
-    let (r1, _) = sheet.range_of("Distance").unwrap();
+    // A string column's quantiles: a preparation tree the part statistics
+    // do not answer, so each call reaches the workers' caches.
+    let (r1, _) = sheet.string_quantiles("Origin").unwrap();
     // Cache hit on the second call.
     let hits0: u64 = (0..2)
         .map(|i| engine.cluster().worker(i).cache_hits())
         .sum();
-    let (r2, _) = sheet.range_of("Distance").unwrap();
+    let (r2, _) = sheet.string_quantiles("Origin").unwrap();
     let hits1: u64 = (0..2)
         .map(|i| engine.cluster().worker(i).cache_hits())
         .sum();
@@ -81,8 +83,13 @@ fn computation_cache_survives_unrelated_evictions() {
     assert!(hits1 > hits0);
     // After eviction the cache is cold but the answer is unchanged.
     engine.cluster().evict_all();
-    let (r3, _) = sheet.range_of("Distance").unwrap();
+    let (r3, stats) = sheet.string_quantiles("Origin").unwrap();
     assert_eq!(r1, r3);
+    assert_eq!(
+        (stats.trees, stats.memo_hits),
+        (1, 0),
+        "the tree recomputed"
+    );
 }
 
 #[test]
