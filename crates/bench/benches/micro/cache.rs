@@ -3,11 +3,11 @@
 //! the same sorted-jitter column and range the `fused` suite reads), a
 //! revisit answered by a tree of worker hits vs by the root's memo,
 //! single-flight coalescing under concurrent identical queries, and the
-//! cost-based fuse-vs-materialize planner against both static strategies
-//! on a repeated-query sequence. What to read: the warm hit beats the cold
-//! miss by ≥ 10x, the memo beats the tree of hits by ≥ 4x, and on every
-//! planner scenario the cost-based plan lands within 1.3x of the better
-//! static strategy.
+//! planner's promotion rule (fuse until a tree has launched over a lazy
+//! filter, then materialize) against both static strategies on a
+//! repeated-query sequence. What to read: the warm hit beats the cold miss
+//! by ≥ 10x, the memo beats the tree of hits by ≥ 4x, and on every planner
+//! scenario the rule lands within 1.3x of the better static strategy.
 
 use super::data::{self, uncached, ROWS};
 use hillview_bench::harness::{Registered, Suite};
@@ -28,7 +28,7 @@ pub const SUITE: Registered = Registered {
     name: "cache",
     about: "sketch-result cache over a 2-worker cluster, 1M rows: cold fused drill-down vs warm \
             per-worker hit, a revisit as a tree of worker hits vs answered by the root's memo, \
-            single-flight coalescing, and cost-based fuse-vs-materialize planner \
+            single-flight coalescing, and the fuse-then-materialize promotion rule's \
             regret vs both static strategies (median ns); the warm run is asserted to hit every \
             worker's cache and the coalescing run to lose no query",
     run,
@@ -161,7 +161,7 @@ fn run(suite: &mut Suite) {
         .fact("insertions", (now.insertions - base.insertions) as f64);
 
     // Planner regret: a burst of identical filtered queries (result cache
-    // off, so every query really executes) under the cost-based plan vs
+    // off, so every query really executes) under the promotion rule vs
     // both static strategies. `packed_selective` is the zone-skip regime
     // where staying fused wins; `shuffled_selective` (full decode, ~5%
     // selectivity) is the regime where materializing once wins.

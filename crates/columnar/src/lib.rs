@@ -101,28 +101,26 @@
 //! match word by the one sampling rule, the per-row hash [`row_sampled`],
 //! *before* the kernel sees it, so a sampled filtered query samples the
 //! filtered rows in one pass — the same rows a sample of the materialized
-//! membership holds. The two-pass
-//! execution ([`filter_members`] into a membership set, then a second
-//! scan) remains, deliberately — it is what materializing a derived table
-//! runs, when the engine's cost-based planner decides a filter will be
-//! queried often enough to pay for the membership set once. The fused and
-//! two-pass pipelines are property-tested bit-identical across encodings
-//! × membership representations × null densities × simd modes, so the
-//! planner's choice is invisible in results.
+//! membership holds. The two-pass execution ([`filter_members`] into a
+//! membership set, then a second scan) remains, deliberately — it is what
+//! materializing a derived table runs, when the engine promotes a filter a
+//! tree has already run over and pays for the membership set once. The
+//! fused and two-pass pipelines are property-tested bit-identical across
+//! encodings × membership representations × null densities × simd modes,
+//! so the planner's choice is invisible in results.
 //!
-//! Two predicate-layer services feed that planner. Every [`Predicate`]
-//! reduces to a **canonical form** ([`Predicate::canonical_bytes`]):
-//! negation-normal form, flattened and
+//! Two predicate-layer services serve that planner and the cache. Every
+//! [`Predicate`] reduces to a **canonical form**
+//! ([`Predicate::canonical_bytes`]): negation-normal form, flattened and
 //! sorted commutative operands, idempotence/absorption collapsed, numeric
 //! bounds snapped to the column's integer domain — so any two respellings
 //! of the same selection (operand order, double negation, De Morgan
 //! variants) yield byte-identical encodings. Those bytes are the
 //! *predicate identity* the engine hashes into structural cache keys: a
 //! canonically-equal query hits the sketch-result cache no matter how the
-//! caller spelled it. And [`estimate_selectivity`] probes a bounded prefix
-//! of each column's zone maps to report, without a full scan, both the
-//! fraction of rows a predicate keeps and the fraction of blocks it can
-//! skip — the two costs the fuse-vs-materialize decision weighs.
+//! caller spelled it. And [`estimate_selectivity`] classifies every block
+//! from the zone maps alone to report, without a scan, the fraction of
+//! blocks a predicate skips.
 
 //!
 //! ## Safety & invariants

@@ -1394,72 +1394,37 @@ impl Predicate {
 }
 
 // ---------------------------------------------------------------------
-// Zone-map selectivity estimation (the planner's cost input).
+// Zone-map block classification.
 // ---------------------------------------------------------------------
 
-/// Block-classification counts for a predicate over one table, the cost
-/// signal behind the engine's fuse-vs-materialize choice: `all_fail`
-/// blocks are skipped without decoding by both the fused pass and the
-/// filter pipeline, `all_pass` blocks pass every present row without a
-/// value test, and `mixed` blocks pay a decode. A deterministic probe of
-/// evenly-spaced mixed blocks refines the row-level selectivity estimate.
-/// Estimates from different partitions/workers sum with
-/// [`SelectivityEstimate::merge`].
+/// How many of a table's 64-row blocks the zone maps prove fully failing
+/// for a predicate — the blocks both the fused pass and the filter
+/// pipeline skip without decoding. Estimates from different
+/// partitions/workers sum with [`SelectivityEstimate::merge`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SelectivityEstimate {
-    /// Rows examined (the table sizes summed).
-    pub rows: u64,
     /// 64-row blocks examined.
     pub blocks: u64,
-    /// Blocks the zone maps prove fully passing (modulo nulls).
-    pub all_pass: u64,
     /// Blocks the zone maps prove fully failing.
     pub all_fail: u64,
-    /// Blocks needing a value test.
-    pub mixed: u64,
-    /// Rows evaluated by the mixed-block probe.
-    pub probed_rows: u64,
-    /// Probed rows that passed the predicate.
-    pub probed_hits: u64,
 }
 
 impl SelectivityEstimate {
     /// Combine estimates of disjoint data (summing every counter).
     pub fn merge(&self, other: &Self) -> Self {
         SelectivityEstimate {
-            rows: self.rows + other.rows,
             blocks: self.blocks + other.blocks,
-            all_pass: self.all_pass + other.all_pass,
             all_fail: self.all_fail + other.all_fail,
-            mixed: self.mixed + other.mixed,
-            probed_rows: self.probed_rows + other.probed_rows,
-            probed_hits: self.probed_hits + other.probed_hits,
         }
     }
 
-    /// Fraction of blocks the zone maps prove fully failing — work *both*
-    /// execution strategies skip without decoding.
+    /// Fraction of blocks the zone maps prove fully failing.
     pub fn skip_fraction(&self) -> f64 {
         if self.blocks == 0 {
             0.0
         } else {
             self.all_fail as f64 / self.blocks as f64
         }
-    }
-
-    /// Estimated fraction of rows selected: all-pass blocks contribute
-    /// fully, mixed blocks at the probed hit rate (0.5 when unprobed).
-    pub fn selectivity(&self) -> f64 {
-        if self.blocks == 0 {
-            return 1.0;
-        }
-        let mixed_rate = if self.probed_rows > 0 {
-            self.probed_hits as f64 / self.probed_rows as f64
-        } else {
-            0.5
-        };
-        let frac = (self.all_pass as f64 + mixed_rate * self.mixed as f64) / self.blocks as f64;
-        frac.clamp(0.0, 1.0)
     }
 }
 
@@ -1501,51 +1466,19 @@ fn classify_node(node: &BNode<'_>, block: usize) -> Tri {
     }
 }
 
-/// Estimate the selectivity of `predicate` over `table` from zone maps:
-/// classify every 64-row block as all-pass / all-fail / mixed without
-/// decoding anything, then evaluate the predicate for real on up to
-/// `probe_blocks` evenly-spaced mixed blocks to estimate the pass rate
-/// inside mixed blocks. Deterministic — the probe set is a pure function
-/// of the block classification — and cheap: classification touches only
-/// zone-map entries and null-mask words.
-pub fn estimate_selectivity(
-    table: &Table,
-    predicate: &Predicate,
-    probe_blocks: usize,
-) -> Result<SelectivityEstimate> {
-    let n = table.num_rows();
-    let blocks = n.div_ceil(64);
-    let mut bp = predicate.compile_blockwise(table)?;
-    let mut est = SelectivityEstimate {
-        rows: n as u64,
+/// Classify every 64-row block of `table` for `predicate` from zone maps
+/// and null words alone, decoding nothing, and count the ones that fail
+/// whole.
+pub fn estimate_selectivity(table: &Table, predicate: &Predicate) -> Result<SelectivityEstimate> {
+    let blocks = table.num_rows().div_ceil(64);
+    let bp = predicate.compile_blockwise(table)?;
+    let all_fail = (0..blocks)
+        .filter(|&b| classify_node(&bp.node, b) == Tri::AllFail)
+        .count();
+    Ok(SelectivityEstimate {
         blocks: blocks as u64,
-        ..Default::default()
-    };
-    let mut mixed_blocks: Vec<usize> = Vec::new();
-    for b in 0..blocks {
-        match classify_node(&bp.node, b) {
-            Tri::AllPass => est.all_pass += 1,
-            Tri::AllFail => est.all_fail += 1,
-            Tri::Mixed => {
-                est.mixed += 1;
-                mixed_blocks.push(b);
-            }
-        }
-    }
-    if !mixed_blocks.is_empty() && probe_blocks > 0 {
-        // Evenly-spaced ascending probe blocks: ascending order keeps the
-        // forward-only decode cursors valid.
-        let stride = mixed_blocks.len().div_ceil(probe_blocks).max(1);
-        for &b in mixed_blocks.iter().step_by(stride) {
-            let base = b * 64;
-            let len = (n - base).min(64);
-            let sel = crate::bitmap::span_mask(0, len);
-            let hits = bp.eval_frame(base, len, sel);
-            est.probed_rows += len as u64;
-            est.probed_hits += u64::from(hits.count_ones());
-        }
-    }
-    Ok(est)
+        all_fail: all_fail as u64,
+    })
 }
 
 #[cfg(test)]
@@ -2245,22 +2178,16 @@ mod tests {
         let t = sorted_int_table(64 * 10);
         // Covers blocks 2..6 fully, straddles nothing (block-aligned).
         let p = Predicate::range("X", 128.0, 384.0);
-        let est = estimate_selectivity(&t, &p, 4).unwrap();
-        assert_eq!(est.blocks, 10);
-        assert_eq!(est.all_pass, 4);
-        assert_eq!(est.all_fail, 6);
-        assert_eq!(est.mixed, 0);
-        assert!((est.selectivity() - 0.4).abs() < 1e-9);
+        let est = estimate_selectivity(&t, &p).unwrap();
+        assert_eq!((est.blocks, est.all_fail), (10, 6));
         assert!((est.skip_fraction() - 0.6).abs() < 1e-9);
-        // Unaligned bounds leave exactly the straddling blocks mixed, and
-        // the probe resolves the true rates inside them.
+        // Unaligned bounds leave the straddling blocks to a decode.
         let p = Predicate::range("X", 100.0, 400.0);
-        let est = estimate_selectivity(&t, &p, 4).unwrap();
-        assert_eq!(est.mixed, 2);
-        assert_eq!(est.probed_rows, 128);
-        assert_eq!(est.probed_hits, (128 - 100) + (400 - 384));
-        let exact = 300.0 / 640.0;
-        assert!((est.selectivity() - exact).abs() < 0.05);
+        let est = estimate_selectivity(&t, &p).unwrap();
+        assert_eq!((est.blocks, est.all_fail), (10, 4));
+        // A negation fails exactly the blocks its operand passes whole.
+        let p = Predicate::range("X", 128.0, 384.0).not();
+        assert_eq!(estimate_selectivity(&t, &p).unwrap().all_fail, 4);
     }
 
     #[test]
@@ -2268,31 +2195,27 @@ mod tests {
         let t1 = sorted_int_table(64 * 4);
         let t2 = sorted_int_table(64 * 4);
         let p = Predicate::range("X", 0.0, 128.0);
-        let e1 = estimate_selectivity(&t1, &p, 2).unwrap();
-        let e2 = estimate_selectivity(&t2, &p, 2).unwrap();
+        let e1 = estimate_selectivity(&t1, &p).unwrap();
+        let e2 = estimate_selectivity(&t2, &p).unwrap();
         let m = e1.merge(&e2);
-        assert_eq!(m.blocks, 8);
-        assert_eq!(m.all_pass, 4);
-        assert_eq!(m.rows, 512);
-        assert!((m.selectivity() - 0.5).abs() < 1e-9);
+        assert_eq!((m.blocks, m.all_fail), (8, 4));
+        assert!((m.skip_fraction() - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn estimator_handles_degenerate_and_tail_blocks() {
         // 70 rows: the tail block has 6 rows; True passes everything.
         let t = sorted_int_table(70);
-        let est = estimate_selectivity(&t, &Predicate::True, 2).unwrap();
-        assert_eq!(est.blocks, 2);
-        assert_eq!(est.all_pass, 2);
-        assert!((est.selectivity() - 1.0).abs() < 1e-9);
-        // A statically-false predicate fails every block without probing.
-        let est = estimate_selectivity(&t, &Predicate::range("X", 5.0, 5.0), 2).unwrap();
+        let est = estimate_selectivity(&t, &Predicate::True).unwrap();
+        assert_eq!((est.blocks, est.all_fail), (2, 0));
+        // A statically-false predicate fails every block.
+        let est = estimate_selectivity(&t, &Predicate::range("X", 5.0, 5.0)).unwrap();
         assert_eq!(est.all_fail, 2);
-        assert_eq!(est.probed_rows, 0);
-        assert!((est.selectivity()).abs() < 1e-9);
+        assert!((est.skip_fraction() - 1.0).abs() < 1e-9);
         // Empty table.
         let t = sorted_int_table(0);
-        let est = estimate_selectivity(&t, &Predicate::True, 2).unwrap();
+        let est = estimate_selectivity(&t, &Predicate::True).unwrap();
         assert_eq!(est.blocks, 0);
+        assert_eq!(est.skip_fraction(), 0.0);
     }
 }

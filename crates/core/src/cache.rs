@@ -5,13 +5,15 @@
 //! ([`crate::cluster`], "A chart already drawn costs no tree").
 //!
 //! The paper's computation cache (§5.4) is "indexed by what mergeable
-//! summary was used and what dataset was operated on". Here that identity
-//! is structural — a [`CacheKey`] combines the dataset id, its
-//! lineage-derived content *version* (which folds in the canonical bytes
-//! of every filter predicate on the chain), and a 128-bit hash of the
-//! sketch's parameter identity — so callers never invent keys and two
-//! queries agree on an entry exactly when their results are provably
-//! bit-identical.
+//! summary was used and what dataset was operated on". Here "what dataset"
+//! is the rows the summary was folded from, not the id that asked for it:
+//! a [`CacheKey`] is a lineage-derived content *version* (a load's source,
+//! snapshot and dataset id; every filter predicate's canonical bytes on
+//! the chain) crossed with a 128-bit hash of the sketch's parameter
+//! identity. So callers never invent keys, and two queries agree on an
+//! entry exactly when their results are provably bit-identical — a fused
+//! tree and the filter it would materialize share one. An entry is a fact
+//! about immutable content: evicting a dataset leaves it to the LRU.
 //!
 //! Unlike the unbounded map it replaces, the cache holds a hard byte
 //! budget: insertions charge `len + overhead` against it and evict the
@@ -22,7 +24,6 @@
 //! a second scan. A leader that fails or declines to publish drops its
 //! guard, waking waiters so one of them can take over.
 
-use crate::dataset::DatasetId;
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -31,11 +32,10 @@ use std::time::Duration;
 /// Structural identity of one cacheable per-worker summary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// Dataset the execution tree ran against.
-    pub dataset: DatasetId,
-    /// Lineage-derived content version of that dataset on this worker; a
-    /// fused query folds its canonical predicate bytes into the parent's
-    /// version, so canonically-equal predicates share an entry and
+    /// Lineage-derived content version of the rows the tree read on this
+    /// worker; a fused query folds its canonical predicate bytes into the
+    /// parent's version exactly as materializing the filter would, so the
+    /// two plans and every canonically-equal predicate share an entry and
     /// semantically distinct ones never collide. In the root's memo, the
     /// workers' versions folded together.
     pub version: u64,
@@ -58,7 +58,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries stored (leader completions).
     pub insertions: u64,
-    /// Entries dropped by the LRU byte budget (not dataset eviction).
+    /// Entries dropped by the LRU byte budget.
     pub evictions: u64,
     /// Hits that were served only after waiting on an in-flight leader —
     /// queries that shared one scan instead of running their own.
@@ -294,27 +294,6 @@ impl SketchCache {
         }
     }
 
-    /// Drop every entry belonging to `dataset` (worker-side dataset
-    /// eviction; not counted as LRU evictions).
-    pub fn evict_dataset(&self, dataset: DatasetId) {
-        let mut inner = self.inner.lock();
-        let victims: Vec<CacheKey> = inner
-            .map
-            .keys()
-            .filter(|k| k.dataset == dataset)
-            .copied()
-            .collect();
-        for key in victims {
-            // Keys were collected from `map` under this same lock, so the
-            // removal cannot miss; guard anyway so a future refactor that
-            // drops the lock between collect and remove degrades gracefully.
-            if let Some(e) = inner.map.remove(&key) {
-                inner.order.remove(&e.tick);
-                inner.bytes -= e.value.len() + ENTRY_OVERHEAD;
-            }
-        }
-    }
-
     /// Drop everything (worker kill / cold-start eviction). In-flight
     /// markers are left to their owning guards.
     pub fn clear(&self) {
@@ -358,7 +337,6 @@ mod tests {
 
     fn key(n: u64) -> CacheKey {
         CacheKey {
-            dataset: DatasetId(1),
             version: n,
             query: [n, !n],
         }
@@ -438,22 +416,6 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.entries, 1);
         assert_eq!(s.bytes, 50 + ENTRY_OVERHEAD as u64);
-    }
-
-    #[test]
-    fn dataset_eviction_is_scoped() {
-        let c = SketchCache::new(1 << 20);
-        put(&c, 1, 10);
-        let other = CacheKey {
-            dataset: DatasetId(2),
-            version: 9,
-            query: [9, 9],
-        };
-        c.insert(other, Bytes::from_static(b"keep"));
-        c.evict_dataset(DatasetId(1));
-        assert!(matches!(c.lookup(key(1)), Lookup::Miss(_)));
-        assert!(matches!(c.lookup(other), Lookup::Hit(_)));
-        assert_eq!(c.stats().evictions, 0, "scoped eviction is not LRU");
     }
 
     #[test]

@@ -28,21 +28,24 @@
 //! The computation cache (§5.4: "indexed by what mergeable summary was
 //! used and what dataset was operated on") has two levels with one key
 //! expression. Each worker caches its merged summary under the content
-//! version of the data the tree reads there
-//! (`Worker::entry_version`: the dataset's, with a fused
-//! predicate's canonical bytes folded in) crossed with the sketch's
-//! identity. The root keeps a memo of final folds — a second instance of
-//! the same [`SketchCache`] — under the same key with the workers' versions
-//! folded together, and consults it at the top of a launch, before a link,
-//! a fault epoch or a thread exists: a repeated query is a key fold and a
-//! map probe, and puts nothing on the root link.
+//! version of the rows the tree reads there (`Worker::entry_version`: the
+//! dataset's, with a fused predicate's canonical bytes folded in exactly
+//! as materializing the filter would) crossed with the sketch's identity —
+//! no dataset id, so a fused tree and the filter it would materialize
+//! share one entry. The root keeps a memo of final folds — a second
+//! instance of the same [`SketchCache`] — under the same key with the
+//! workers' versions folded together, and consults it at the top of a
+//! launch, before a link, a fault epoch or a thread exists: a repeated
+//! query is a key fold and a map probe, and puts nothing on the root link.
 //!
-//! An entry is a fact about immutable data and never needs invalidating.
-//! But the memo *serves* one only while every worker still holds the entry
-//! it was folded from — clearing a worker's cache, evicting a dataset, a
-//! crash or the LRU make the next query launch its tree — so "drop the
-//! caches" keeps meaning "the next query computes", and a dead worker or a
-//! missing dataset is found by a tree and recovered from as ever. Here the
+//! An entry is a fact about immutable content and never needs
+//! invalidating, so evicting a dataset leaves its entries to the LRU. But
+//! the memo is consulted only while every worker is up and holds the
+//! dataset — an evicted one is found by a tree and replayed as ever, and
+//! the memo may answer once it is back — and it *serves* an entry only
+//! while every worker still holds the one it was folded from: clearing a
+//! worker's cache, a crash or the LRU make the next query launch its tree,
+//! so "drop the caches" keeps meaning "the next query computes". Here the
 //! root checks by probing the workers' caches in-process (a fault boundary
 //! like any worker operation); between machines the same rule would be a
 //! lease each worker grants with its final frame and revokes when it drops
@@ -384,30 +387,12 @@ impl Cluster {
             .fold(root, CacheStats::merge)
     }
 
-    /// Fingerprint of `dataset`'s lineage-derived content version across
-    /// the workers currently materializing it. Changes exactly when the
-    /// dataset's contents change under the same id — e.g. a root-load
-    /// [`reload`](crate::engine::Engine::reload) at a new snapshot — so
-    /// cached planning artifacts (selectivity estimates) can detect
-    /// staleness without re-probing. Workers without the dataset
-    /// contribute nothing; a fully-evicted dataset fingerprints as the
-    /// empty fold, which conservatively invalidates.
-    pub fn dataset_version_fingerprint(&self, dataset: DatasetId) -> u64 {
-        let mut h = FNV_OFFSET;
-        for w in &self.workers {
-            if let Some(v) = w.dataset_version(dataset) {
-                h = fnv1a(h, &v.to_le_bytes());
-            }
-        }
-        h
-    }
-
-    /// Estimate the selectivity of `predicate` over `dataset` from zone
-    /// maps plus a bounded per-partition block probe — no full scan, no
-    /// execution tree. Dead workers and missing partitions contribute
-    /// nothing (a conservative estimate is fine: the planner only uses
-    /// this to rank fuse vs. materialize, and `blocks == 0` degrades to
-    /// "never promote").
+    /// The zone-map block classification of `predicate` over `dataset`:
+    /// how many of its 64-row blocks the zone maps prove fully failing,
+    /// without a scan or a tree. The planner does not read it (a lazy
+    /// filter promotes by rule, see [`crate::engine::Engine::filter_lazy`]);
+    /// it reports what a filter's zone maps skip. Dead workers and missing
+    /// partitions contribute nothing.
     pub fn estimate_filter(
         &self,
         dataset: DatasetId,
@@ -422,7 +407,7 @@ impl Cluster {
                 continue;
             };
             for v in views.iter() {
-                if let Ok(e) = estimate_selectivity(v.table(), predicate, 2) {
+                if let Ok(e) = estimate_selectivity(v.table(), predicate) {
                     est = est.merge(&e);
                 }
             }
@@ -743,11 +728,7 @@ impl Cluster {
         filter: Option<&Predicate>,
         query: [u64; 2],
     ) -> Option<(CacheKey, Vec<CacheKey>)> {
-        let key = |version| CacheKey {
-            dataset,
-            version,
-            query,
-        };
+        let key = |version| CacheKey { version, query };
         let mut folded = FNV_OFFSET;
         let mut held = Vec::with_capacity(self.workers.len());
         for w in &self.workers {
@@ -1195,25 +1176,20 @@ fn aggregate(ctx: &Arc<TreeCtx>, tx: &LinkSender) {
     // Sketch-result cache (paper §5.4), the workers' level of two (the
     // root's memo, consulted before this tree was launched, folds the same
     // key expression over the workers and is served only while this entry
-    // is held — see the module docs). Keyed structurally: the dataset's
-    // lineage version — with the fused predicate's *canonical* bytes
-    // folded in exactly as materializing it would — crossed with the
-    // sketch's 128-bit query identity. A fused tree therefore shares
-    // entries with any canonically-equal respelling of itself, but never
-    // with the materialized two-pass plan. Both plans fold the same pieces
-    // to the same bytes; the entries stay apart because the key names the
-    // dataset id, and a version alone — `(source name, tag)` — cannot yet
-    // tell a rewritten part directory from the one an entry was folded
-    // from. A hit reports the same work total as the compute path would,
-    // so the root's progress fraction never mixes incomparable units
-    // across workers.
+    // is held — see the module docs). Keyed by the rows the tree reads, not
+    // by the id that asked: the dataset's lineage version — with the fused
+    // predicate's *canonical* bytes folded in exactly as materializing it
+    // would — crossed with the sketch's 128-bit query identity. Both plans
+    // fold the same pieces to the same bytes, so a fused tree shares its
+    // entry with the materialized filter and with any canonically-equal
+    // respelling of itself; a load's version folds in its id, so two loads
+    // of one snapshot never share one. A hit reports the same work total
+    // as the compute path would (the split plan follows the row span, which
+    // a filter keeps), so the root's progress fraction never mixes
+    // incomparable units across workers.
     let cache_key: Option<CacheKey> = ctx.query.and_then(|query| {
         let version = worker.entry_version(dataset, ctx.filter.as_deref())?;
-        Some(CacheKey {
-            dataset,
-            version,
-            query,
-        })
+        Some(CacheKey { version, query })
     });
     let cache = worker.cache();
     let mut flight = None;
@@ -1792,8 +1768,11 @@ mod tests {
             };
             c.derive(filtered, &step, None).unwrap();
             for sk in sketches {
+                // Uncached: the two plans share one entry, and here both
+                // compute.
                 let opts = QueryOptions {
                     seed: 7,
+                    cache: false,
                     ..Default::default()
                 };
                 let fused = c.run_erased(ds, Some(&pred), &sk, &opts).unwrap();

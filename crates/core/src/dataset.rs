@@ -72,22 +72,33 @@ impl Lineage {
         }
     }
 
-    /// The content version of the dataset this step derives from a parent
-    /// at version `parent` (unused by a load, the leaf of every chain) —
-    /// what makes sketch-cache keys structural: two datasets share a
+    /// The content version of dataset `id`, which this step derives from a
+    /// parent at version `parent` (unused by a load, the leaf of every
+    /// chain) — what a sketch-cache key names: two datasets share a
     /// version exactly when their lineage proves identical contents. A
-    /// load hashes its source spec, so a reload after eviction revalidates
-    /// old cache entries; a filter chains the parent with the predicate's
-    /// *canonical* bytes under `schema` (a partition of the parent) —
-    /// And/Or order, double negation and compiler-equivalent numeric
-    /// bounds all collapse to one identity; a map folds in the UDF and the
-    /// column it names.
-    pub(crate) fn content_version(&self, parent: u64, schema: Option<&Table>) -> u64 {
+    /// load hashes its source spec and its id, so a replay after eviction
+    /// revalidates old cache entries while two loads of one snapshot never
+    /// share one (a spec alone cannot tell a rewritten part directory from
+    /// the one an entry was folded from). A filter chains the parent with
+    /// the predicate's *canonical* bytes under `schema` (a partition of the
+    /// parent) — And/Or order, double negation and compiler-equivalent
+    /// numeric bounds all collapse to one identity — and not its id, so a
+    /// fused tree over the parent names the entries of the filter it would
+    /// materialize; a map folds in the UDF and the column it names. The
+    /// one function behind every version: a worker's datasets, the fused
+    /// trees' entries and the root's statistics check.
+    pub(crate) fn content_version(
+        &self,
+        id: DatasetId,
+        parent: u64,
+        schema: Option<&Table>,
+    ) -> u64 {
         match self {
             Lineage::Loaded { spec } => {
                 let h = fnv1a(FNV_OFFSET, b"load\0");
                 let h = fnv1a(h, spec.source.as_bytes());
-                fnv1a(h, &spec.snapshot.to_le_bytes())
+                let h = fnv1a(h, &spec.snapshot.to_le_bytes());
+                fnv1a(h, &id.0.to_le_bytes())
             }
             Lineage::Filtered { predicate, .. } => {
                 let h = fnv1a(parent, b"filter\0");

@@ -22,7 +22,7 @@ use crate::erased::{erase, ErasedSketch};
 use crate::error::{EngineError, EngineResult};
 use crate::redo::RedoLog;
 use crate::stats::DatasetStats;
-use hillview_columnar::{ColumnKind, Predicate, SelectivityEstimate};
+use hillview_columnar::{ColumnKind, Predicate};
 use hillview_net::Wire;
 use hillview_sketch::Sketch;
 use std::collections::HashMap;
@@ -76,32 +76,16 @@ impl RetryPolicy {
     }
 }
 
-/// A filter derivation whose membership has not been materialized: queries
-/// against it compile the predicate into the sketch's own block pass.
-struct PendingFilter {
-    parent: DatasetId,
-    predicate: Predicate,
-    /// Queries served so far; from the second query on, the planner
-    /// weighs fused per-query cost against one-time materialization
-    /// ([`Engine::plan_query`]).
-    queries: u32,
-    /// Zone-map + probe selectivity estimate for the *composed* chain,
-    /// computed on the second query and reused for every later promotion
-    /// decision — tagged with the root dataset's version fingerprint at
-    /// estimation time, so a reload under the same id (new snapshot, new
-    /// lineage version) invalidates it instead of steering the planner
-    /// with statistics of data that no longer exists.
-    estimate: Option<(u64, SelectivityEstimate)>,
-}
-
 /// The root node: cluster + redo log + recovery.
 pub struct Engine {
     cluster: Arc<Cluster>,
     log: RedoLog,
     next_id: AtomicU64,
-    /// Lazily-derived filtered datasets ([`Engine::filter_lazy`]): the id
-    /// exists only in the redo log and this table until promoted.
-    pending_filters: parking_lot::Mutex<HashMap<DatasetId, PendingFilter>>,
+    /// Lazily-derived filtered datasets ([`Engine::filter_lazy`]) not yet
+    /// promoted, each with whether a tree has launched over it: the id
+    /// exists only in the redo log, which holds its parent and predicate,
+    /// and this table.
+    pending_filters: parking_lot::Mutex<HashMap<DatasetId, bool>>,
     /// Restart dead workers automatically during queries (on by default;
     /// tests can disable it to observe raw failures).
     pub auto_recover: bool,
@@ -161,11 +145,11 @@ impl Engine {
     /// Re-load a root dataset *in place* at a new snapshot: the id keeps
     /// naming "this source", but its contents — and its lineage-derived
     /// content version — change. The redo-log entry is rewritten so
-    /// replay reconstructs the new snapshot, every *derived* dataset
+    /// replay reconstructs the new snapshot, and every *derived* dataset
     /// (filtered/mapped descendants) is evicted cluster-wide so lazy
-    /// replay rebuilds it from the new data, and cached planning
-    /// artifacts keyed by version fingerprint (pending-filter
-    /// [`SelectivityEstimate`]s) invalidate themselves on next use.
+    /// replay rebuilds it from the new data. Cached summaries of the old
+    /// snapshot stay under its version — going back finds them — and a
+    /// pending lazy filter over the root fuses over the new contents.
     /// Errors on derived datasets: reload the chain's root instead.
     pub fn reload(&self, dataset: DatasetId, snapshot: u64) -> EngineResult<()> {
         let source = match self.log.lineage(dataset) {
@@ -204,36 +188,22 @@ impl Engine {
     }
 
     /// Derive a filtered dataset *lazily*: nothing is materialized now.
-    /// The first query against the returned id runs fused — the predicate
-    /// chain down to the nearest materialized ancestor is compiled into
-    /// the sketch's block pass, one decode per frame, no membership set.
-    /// From the second query on, a cost model built from zone maps and a
-    /// bounded probe ([`Cluster::estimate_filter`]) decides when to
-    /// promote the chain to materialized membership: promotion happens
-    /// once the projected fused overhead across the queries seen so far
-    /// exceeds the one-time materialization pass, so selective predicates
-    /// under sustained interaction get the cached two-pass path while
-    /// non-selective ones keep fusing forever.
+    /// Queries against the returned id run fused — the predicate chain down
+    /// to the nearest materialized ancestor is compiled into the sketch's
+    /// block pass, one decode per frame, no membership set — until one
+    /// tree has launched over it. Its next query promotes the chain to
+    /// materialized membership, ancestors first, and runs the cached
+    /// two-pass path from then on. A query the root's memo answers
+    /// launches nothing and does not count. A fused tree keys its cache
+    /// entries as the filter it would materialize, so what the first
+    /// query cached still answers after the promotion.
     pub fn filter_lazy(&self, parent: DatasetId, predicate: Predicate) -> DatasetId {
         let id = self.fresh_id();
-        // Logged like an eager filter: lineage replay materializes the
-        // chain identically if a worker ever needs it reconstructed.
-        self.log.record(
-            id,
-            Lineage::Filtered {
-                parent,
-                predicate: predicate.clone(),
-            },
-        );
-        self.pending_filters.lock().insert(
-            id,
-            PendingFilter {
-                parent,
-                predicate,
-                queries: 0,
-                estimate: None,
-            },
-        );
+        // Logged like an eager filter: the entry is what the pending
+        // filter fuses, and lineage replay materializes the chain
+        // identically if a worker ever needs it reconstructed.
+        self.log.record(id, Lineage::Filtered { parent, predicate });
+        self.pending_filters.lock().insert(id, false);
         id
     }
 
@@ -258,110 +228,60 @@ impl Engine {
     fn ensure_materialized(&self, dataset: DatasetId) -> EngineResult<()> {
         // Snapshot the chain under the lock, run cluster ops outside it
         // (they replay and retry, and can take arbitrarily long).
-        let chain: Vec<DatasetId> = {
-            let pending = self.pending_filters.lock();
-            let mut chain = Vec::new();
-            let mut cur = dataset;
-            while let Some(pf) = pending.get(&cur) {
-                chain.push(cur);
-                cur = pf.parent;
-            }
-            chain
-        };
-        for id in chain.into_iter().rev() {
-            // `filter_lazy` logged the step it deferred.
-            let step = self
-                .log
-                .lineage(id)
-                .ok_or(EngineError::UnknownDataset(id))?;
+        let lazy = self.lazy_suffix(&self.pending_filters.lock(), dataset);
+        for (id, step) in lazy {
             self.derive_logged(id, step)?;
             self.pending_filters.lock().remove(&id);
         }
         Ok(())
     }
 
+    /// The pending lazy filters of `dataset`'s lineage — from the one over
+    /// its nearest materialized ancestor down to `dataset` itself — each
+    /// with its logged step. Empty unless `dataset` is pending.
+    fn lazy_suffix(
+        &self,
+        pending: &HashMap<DatasetId, bool>,
+        dataset: DatasetId,
+    ) -> Vec<(DatasetId, Lineage)> {
+        let mut chain = self.log.chain(dataset);
+        let lazy = chain.iter().rev();
+        let lazy = lazy.take_while(|(id, _)| pending.contains_key(id)).count();
+        chain.split_off(chain.len() - lazy)
+    }
+
     /// Resolve `dataset` into an execution plan: the dataset to run the
     /// tree against plus an optional fused predicate. A pending lazy
-    /// filter composes its predicate chain (ancestor-first AND) down to
-    /// the nearest materialized dataset — cached-membership reuse: an
-    /// already-promoted ancestor anchors the chain, only the lazy suffix
-    /// fuses. From the second query on, a cost model decides whether to
-    /// keep fusing or promote the chain to materialized membership.
+    /// filter no tree has launched over composes its predicate chain
+    /// (ancestor-first AND) down to the nearest materialized dataset —
+    /// an already-promoted ancestor anchors the chain, only the lazy
+    /// suffix fuses. Once a tree has launched over it, the chain is
+    /// promoted to materialized membership and the tree runs over that.
     ///
-    /// The model, in units of one full scan of the parent: a fused query
-    /// reads every block the predicate cannot prove all-false, so it
-    /// costs `f = 1 − skip_fraction` *per query*. Materializing costs one
-    /// full pass *once*, after which each query touches only selected
-    /// rows: `s = selectivity` per query. With `q` queries so far, fusing
-    /// has spent `q·f` while the materialized plan would have spent
-    /// `f + q·s` (the first query always fuses); promote when the gap
-    /// `q·(f − s)` exceeds the materialization pass `f`. Non-selective
-    /// predicates (`f ≈ s`) never promote — materializing them buys
-    /// nothing per query — and an empty estimate (`blocks == 0`, e.g. all
-    /// workers dead) conservatively keeps fusing.
+    /// Why a launch is the whole rule: the first tree pays at most the one
+    /// pass materializing would, and a repeated chart is answered from
+    /// entries both plans share, so only a filter someone keeps charting
+    /// pays for its membership — once, after which each tree reads only
+    /// its rows.
     fn plan_query(&self, dataset: DatasetId) -> EngineResult<(DatasetId, Option<Predicate>)> {
-        let queries = {
-            let mut pending = self.pending_filters.lock();
-            match pending.get_mut(&dataset) {
-                None => return Ok((dataset, None)),
-                Some(pf) => {
-                    pf.queries += 1;
-                    pf.queries
-                }
-            }
-        };
-        let (root, composed) = {
-            let pending = self.pending_filters.lock();
-            let mut preds = Vec::new();
-            let mut cur = dataset;
-            while let Some(pf) = pending.get(&cur) {
-                preds.push(pf.predicate.clone());
-                cur = pf.parent;
-            }
+        let pending = self.pending_filters.lock();
+        if pending.get(&dataset) == Some(&false) {
+            let lazy = self.lazy_suffix(&pending, dataset);
+            let root = lazy.first().and_then(|(_, step)| step.parent());
             // Ancestor-first AND: the coarse (usually more selective in
-            // sequence) parent predicate short-circuits before child
-            // terms. Empty only if another thread promoted the chain
-            // between locks.
-            match preds.into_iter().rev().reduce(|a, b| a.and(b)) {
-                Some(p) => (cur, p),
-                None => return Ok((dataset, None)),
-            }
-        };
-        if queries >= 2 {
-            // Bind the cached estimate before matching: a guard temporary
-            // in the scrutinee would outlive the re-lock in the None arm.
-            // Only an estimate taken at the root's *current* version
-            // fingerprint counts — a reload changed the data under the
-            // same id, so stale statistics must re-probe, not steer.
-            let fingerprint = self.cluster.dataset_version_fingerprint(root);
-            let cached = self
-                .pending_filters
-                .lock()
-                .get(&dataset)
-                .and_then(|pf| pf.estimate)
-                .filter(|(v, _)| *v == fingerprint)
-                .map(|(_, e)| e);
-            let est = match cached {
-                Some(e) => e,
-                None => {
-                    // Estimate outside the lock (it probes real blocks),
-                    // then store it back; a racing query at worst
-                    // re-estimates the same chain.
-                    let e = self.cluster.estimate_filter(root, &composed);
-                    if let Some(pf) = self.pending_filters.lock().get_mut(&dataset) {
-                        pf.estimate = Some((fingerprint, e));
-                    }
-                    e
-                }
-            };
-            let fused_cost = 1.0 - est.skip_fraction();
-            let per_query = est.selectivity();
-            if (queries as f64) * (fused_cost - per_query) > fused_cost {
-                self.ensure_materialized(dataset)?;
-                return Ok((dataset, None));
-            }
+            // sequence) parent predicate short-circuits before child terms.
+            let composed = lazy.into_iter().filter_map(|(_, step)| match step {
+                Lineage::Filtered { predicate, .. } => Some(predicate),
+                _ => None,
+            });
+            return Ok((root.unwrap_or(dataset), composed.reduce(|a, b| a.and(b))));
         }
-        Ok((root, Some(composed)))
+        let launched = pending.contains_key(&dataset);
+        drop(pending);
+        if launched {
+            self.ensure_materialized(dataset)?;
+        }
+        Ok((dataset, None))
     }
 
     /// The one recovery loop (§5.7–5.8): run `attempt` until it succeeds,
@@ -489,7 +409,7 @@ impl Engine {
         let step @ Lineage::Loaded { .. } = self.log.lineage(dataset)? else {
             return None;
         };
-        let version = step.content_version(0, None);
+        let version = step.content_version(dataset, 0, None);
         self.cluster.dataset_stats(dataset, version)
     }
 
@@ -576,7 +496,8 @@ impl Engine {
     /// to a materialized root and a predicate chain, which composes under
     /// the ad-hoc `predicate` if there is one), then run `sketch` over the
     /// root, narrowed by the fused predicate, as attempts under
-    /// [`Engine::recover`].
+    /// [`Engine::recover`]. A tree launched over a pending lazy filter is
+    /// what promotes it at its next query.
     fn execute(
         &self,
         dataset: DatasetId,
@@ -602,6 +523,11 @@ impl Engine {
             self.cluster
                 .run_tree(root, fused.as_ref(), sketch, &attempt, degraded)
         })?;
+        if !outcome.memo {
+            if let Some(launched) = self.pending_filters.lock().get_mut(&dataset) {
+                *launched = true;
+            }
+        }
         let replay_overhead = started.elapsed().saturating_sub(outcome.duration);
         outcome.first_partial = outcome.first_partial.map(|fp| fp + replay_overhead);
         outcome.duration = started.elapsed();
@@ -945,8 +871,13 @@ mod tests {
         let e = Engine::new(Cluster::new(cfg, sources, UdfRegistry::new()));
         let base = e.load("fractional", 0).unwrap();
         let lazy = e.filter_lazy(base, Predicate::range("X", 0.0, 10.0));
+        // Uncached, or the promoted tree would be answered by the entries
+        // the fused one left.
         let moments = || {
-            let opts = QueryOptions::default();
+            let opts = QueryOptions {
+                cache: false,
+                ..Default::default()
+            };
             let (summary, _) = e.run(lazy, MomentsSketch::new("F", 4), &opts).unwrap();
             summary.to_bytes()
         };
@@ -988,14 +919,15 @@ mod tests {
     fn reload_swaps_snapshot_in_place_and_invalidates_descendants() {
         let e = engine();
         let base = e.load("nums", 0).unwrap();
-        let v0 = e.cluster().dataset_version_fingerprint(base);
+        let version = || e.cluster().worker(0).dataset_version(base);
+        let v0 = version();
         let filtered = e.filter(base, Predicate::range("X", 0.0, 10.0)).unwrap();
         assert_eq!(e.cluster().dataset_rows(filtered), 1_000);
         e.reload(base, 7).unwrap();
         assert_ne!(
-            e.cluster().dataset_version_fingerprint(base),
+            version(),
             v0,
-            "a new snapshot is new content, so the fingerprint must move"
+            "a new snapshot is new content, so the version must move"
         );
         assert!(
             !e.cluster().worker(0).has_dataset(filtered),
@@ -1016,11 +948,10 @@ mod tests {
 
     #[test]
     fn reload_refreshes_cached_selectivity_estimate() {
-        // A source whose selectivity flips with the snapshot: snapshot 0
-        // puts every value inside the predicate band (non-selective — the
-        // planner must never promote), snapshot 1 is a sorted ramp where
-        // the band selects a sliver and zone maps skip almost everything
-        // (strongly promotable).
+        // A lazy filter over a reloaded root answers the new snapshot,
+        // whether the reload finds it fused or promoted. Snapshot 0 puts
+        // every value inside both bands; snapshot 1 is a sorted ramp where
+        // each band selects a sliver.
         let mut sources = SourceRegistry::new();
         sources.register(Arc::new(FnSource::new("flip", |w, _n, _mp, snap| {
             let t = Table::builder()
@@ -1042,30 +973,19 @@ mod tests {
         let cluster = Cluster::new(ClusterConfig::test(), sources, UdfRegistry::with_builtins());
         let e = Engine::new(cluster);
         let base = e.load("flip", 0).unwrap();
-        let lazy = e.filter_lazy(base, Predicate::range("X", 0.0, 10.0));
-        for _ in 0..4 {
-            let (sum, _) = e
-                .run(lazy, CountSketch::rows(), &QueryOptions::default())
-                .unwrap();
-            assert_eq!(sum.rows, 10_000);
-        }
-        assert!(
-            !e.cluster().worker(0).has_dataset(lazy),
-            "non-selective predicate must keep fusing"
-        );
-        // Reload at the selective snapshot. The cached estimate was taken
-        // at the old fingerprint, so the next query must re-probe — and
-        // the fresh statistics promote immediately. A stale estimate
-        // (f ≈ s ≈ 1) would keep fusing forever.
+        let rows = |ds| {
+            let opts = QueryOptions::default();
+            e.run(ds, CountSketch::rows(), &opts).unwrap().0.rows
+        };
+        let fused = e.filter_lazy(base, Predicate::range("X", 0.0, 10.0));
+        let promoted = e.filter_lazy(base, Predicate::range("X", 0.0, 5.0));
+        assert_eq!(rows(fused), 10_000);
+        assert_eq!((rows(promoted), rows(promoted)), (5_000, 5_000));
+        assert!(!e.cluster().worker(0).has_dataset(fused));
+        assert!(e.cluster().worker(0).has_dataset(promoted));
         e.reload(base, 1).unwrap();
-        let (sum, _) = e
-            .run(lazy, CountSketch::rows(), &QueryOptions::default())
-            .unwrap();
-        assert_eq!(sum.rows, 10, "sorted ramp: only X in [0,10) survives");
-        assert!(
-            e.cluster().worker(0).has_dataset(lazy),
-            "refreshed estimate must promote the now-selective chain"
-        );
+        assert_eq!(rows(fused), 10, "sorted ramp: only X in [0,10) survives");
+        assert_eq!(rows(promoted), 5, "replayed over the new snapshot");
     }
 
     #[test]
@@ -1075,12 +995,17 @@ mod tests {
         let pred = Predicate::range("X", 20.0, 40.0);
         let sk = HistogramSketch::streaming("X", BucketSpec::numeric(0.0, 100.0, 10));
         let ops_before = e.redo_log().len();
+        // Uncached: the two plans share entries, and here both compute.
+        let opts = QueryOptions {
+            cache: false,
+            ..Default::default()
+        };
         let (fused, _) = e
-            .run_filtered(base, pred.clone(), sk.clone(), &QueryOptions::default())
+            .run_filtered(base, pred.clone(), sk.clone(), &opts)
             .unwrap();
         assert_eq!(e.redo_log().len(), ops_before, "no dataset derived");
         let materialized = e.filter(base, pred).unwrap();
-        let (two_pass, _) = e.run(materialized, sk, &QueryOptions::default()).unwrap();
+        let (two_pass, _) = e.run(materialized, sk, &opts).unwrap();
         assert_eq!(fused, two_pass);
     }
 
@@ -1119,24 +1044,42 @@ mod tests {
         );
     }
 
+    /// Promotion counts launched trees, not queries: a second lazy filter
+    /// of the same rows is answered by the entries the first one's tree
+    /// left, launches nothing, and is never materialized.
     #[test]
-    fn nonselective_lazy_filter_never_promotes() {
-        // X in [0,100) passes every row: fusing costs the same full pass
-        // a materialized membership would, so the planner keeps fusing no
-        // matter how often the dataset is queried.
+    fn a_re_derived_filter_the_memo_answers_is_never_materialized() {
         let e = engine();
         let base = e.load("nums", 0).unwrap();
-        let lazy = e.filter_lazy(base, Predicate::range("X", 0.0, 100.0));
-        for _ in 0..5 {
-            let (sum, _) = e
-                .run(lazy, CountSketch::rows(), &QueryOptions::default())
-                .unwrap();
-            assert_eq!(sum.rows, 10_000);
+        let opts = QueryOptions::default();
+        let pred = || Predicate::range("X", 0.0, 10.0);
+        let first = e.filter_lazy(base, pred());
+        let (_, launched) = e.run(first, CountSketch::rows(), &opts).unwrap();
+        assert!(!launched.memo);
+        let again = e.filter_lazy(base, pred());
+        for _ in 0..3 {
+            let (sum, outcome) = e.run(again, CountSketch::rows(), &opts).unwrap();
+            assert_eq!(sum.rows, 1_000);
+            assert!(outcome.memo && outcome.root_bytes == 0);
         }
-        assert!(
-            !e.cluster().worker(0).has_dataset(lazy),
-            "materializing a pass-everything predicate buys nothing"
-        );
+        assert!(!e.cluster().worker(0).has_dataset(again), "never launched");
+    }
+
+    /// One launched tree, of any sketch, and the next query materializes.
+    #[test]
+    fn a_filter_with_one_launched_tree_materializes_at_its_next_query() {
+        let e = engine();
+        let base = e.load("nums", 0).unwrap();
+        let opts = QueryOptions::default();
+        let lazy = e.filter_lazy(base, Predicate::range("X", 0.0, 100.0));
+        let histogram = HistogramSketch::streaming("X", BucketSpec::numeric(0.0, 100.0, 10));
+        let (_, outcome) = e.run(lazy, histogram, &opts).unwrap();
+        assert!(!outcome.memo && !e.cluster().worker(0).has_dataset(lazy));
+        let (sum, _) = e.run(lazy, CountSketch::rows(), &opts).unwrap();
+        assert_eq!(sum.rows, 10_000);
+        for w in 0..e.cluster().num_workers() {
+            assert!(e.cluster().worker(w).has_dataset(lazy), "worker {w}");
+        }
     }
 
     #[test]

@@ -113,28 +113,22 @@
 //! ## Fused filtered-query planning and the sketch-result cache
 //!
 //! [`Engine::filter_lazy`] records a filter's lineage without touching
-//! the cluster; each query against the lazy dataset makes a three-way,
-//! cost-based choice:
+//! the cluster; each query against the lazy dataset takes one of two plans
+//! by one rule:
 //!
-//! 1. **Fused** — ship the AND-composed predicate chain down the tree;
-//!    every leaf passes it in the sketch's `Scope` (predicate and
-//!    kernel in one block pass, no membership set materialized — see the
-//!    `hillview-columnar` crate docs, "Query execution pipeline"). The
-//!    first query always fuses: it pays at most one full pass and
-//!    materializing could not beat that.
-//! 2. **Materialize, then reuse** — from the second query on, the engine
-//!    estimates the predicate's per-block cost from zone maps plus a
-//!    bounded probe ([`Cluster::estimate_filter`]): fusing costs
-//!    `1 − skip_fraction` of a pass per query, while a materialized
-//!    membership costs one pass once and `selectivity` per query after.
-//!    When the projected fused overhead across the queries seen so far
-//!    exceeds the one-time materialization cost, the chain promotes
-//!    ancestors-first into cached membership sets and the classic
-//!    two-pass path takes over. Non-selective predicates (fused cost ≈
-//!    per-query materialized cost) never promote.
-//! 3. **Cached membership reuse** — once an ancestor is materialized,
-//!    later lazy chains compose only the unmaterialized suffix on top of
-//!    it.
+//! 1. **Fused** — until a tree has launched over the filter, ship the
+//!    AND-composed predicate chain down the tree; every leaf passes it in
+//!    the sketch's `Scope` (predicate and kernel in one block pass, no
+//!    membership set materialized — see the `hillview-columnar` crate
+//!    docs, "Query execution pipeline"). The first tree pays at most the
+//!    one full pass materializing would.
+//! 2. **Materialize, then reuse** — the next query promotes the chain
+//!    ancestors-first into cached membership sets, and the classic
+//!    two-pass path takes over: each later tree reads only the selected
+//!    rows. A query the root's memo answers launches nothing and does not
+//!    count, so a chart only re-drawn never pays for a membership. Once an
+//!    ancestor is materialized, later lazy chains compose only the
+//!    unmaterialized suffix on top of it.
 //!
 //! [`Engine::run_filtered`] exposes the one-shot (always-fused) form
 //! directly. A partition splits by its row span, never by its membership
@@ -143,24 +137,26 @@
 //! deterministic across thread counts.
 //!
 //! Deterministic summaries land in a per-worker, byte-bounded LRU
-//! [`SketchCache`] (§5.4) under a *structural* key: the dataset's
-//! lineage-derived content version — for fused trees, the parent version
-//! with the predicate's canonical bytes folded in, exactly as
-//! materializing the filter would — crossed with the sketch's 128-bit
-//! parameter identity. Canonically-equal predicate respellings
-//! (AND-operand order, double negation) therefore share entries, while
-//! fused and two-pass plans for the same logical query never do: their
-//! bytes are equal, but the key names the dataset id, and a version alone
-//! — `(source name, tag)` — cannot yet tell a rewritten part directory
-//! from the one a stale entry was folded from. Identical in-flight queries
-//! coalesce onto one scan (single-flight); degraded, cancelled, or
-//! failed trees abandon their flight without writing, so the cache only
-//! ever stores complete, uncancelled folds. The root memoizes the final
-//! fold of such a tree under the workers' keys folded together
-//! ([`cluster`], "A chart already drawn costs no tree"): concurrent
-//! identical queries coalesce there first — one tree, not one per query —
-//! and a repeated one launches none. Counters are surfaced via
-//! [`Cluster::cache_stats`].
+//! [`SketchCache`] (§5.4) under a *structural* key that names the rows a
+//! summary was folded from, not the dataset id that asked: the
+//! lineage-derived content version — a load's source, snapshot and id; for fused
+//! trees, the parent version with the predicate's canonical bytes folded
+//! in, exactly as materializing the filter would — crossed with the
+//! sketch's 128-bit parameter identity. Canonically-equal predicate
+//! respellings (AND-operand order, double negation) therefore share
+//! entries, and so do the fused and the two-pass plan of one filter: a
+//! promotion keeps every entry its fused trees cached. A multi-link chain
+//! is the exception: it versions link by link, so its fused conjunction
+//! and its materialized chain keep entries of their own. Evicting a
+//! dataset leaves its entries to the LRU; they are facts about immutable
+//! content. Identical in-flight queries coalesce onto one scan
+//! (single-flight); degraded, cancelled, or failed trees abandon their
+//! flight without writing, so the cache only ever stores complete,
+//! uncancelled folds. The root memoizes the final fold of such a tree
+//! under the workers' keys folded together ([`cluster`], "A chart already
+//! drawn costs no tree"): concurrent identical queries coalesce there
+//! first — one tree, not one per query — and a repeated one launches none.
+//! Counters are surfaced via [`Cluster::cache_stats`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -476,9 +476,11 @@ impl Spreadsheet {
     // -----------------------------------------------------------------
 
     /// Derive a filtered sheet (zooming a chart region, O6's first step).
-    /// Lazy: the first chart rendered on the new sheet runs fused (the
-    /// predicate rides inside the sketch's block pass); sustained
-    /// interaction materializes the membership for cached two-pass reuse.
+    /// Lazy: charts on the new sheet run fused (the predicate rides inside
+    /// the sketch's block pass) until one tree has launched over it; the
+    /// next chart materializes the membership for two-pass reuse. Both
+    /// plans read the same cache entries, so a chart drawn fused is not
+    /// recomputed after the promotion.
     pub fn filtered(&self, predicate: Predicate) -> EngineResult<Spreadsheet> {
         let ds = self.engine.filter_lazy(self.dataset, predicate);
         let sheet = Spreadsheet::new(self.engine.clone(), ds, self.display);

@@ -204,10 +204,12 @@ impl Worker {
         self.comp_cache.clear();
     }
 
-    /// Drop one dataset and its cached summaries.
+    /// Drop one dataset's partitions. Its cached summaries stay: each is a
+    /// fact about immutable content, which a replay of the dataset's
+    /// lineage restores under the same version, and the LRU drops them if
+    /// nothing asks again.
     pub fn evict(&self, id: DatasetId) {
         self.datasets.lock().remove(&id);
-        self.comp_cache.evict_dataset(id);
     }
 
     /// Whether the worker currently materializes `id`.
@@ -233,15 +235,19 @@ impl Worker {
         Some((entry.version, entry.stats.clone()?))
     }
 
-    /// What applying `step` here starts from and arrives at: the parent's
-    /// partitions (none for a load) and the content version the derived
-    /// dataset carries — exactly the one [`Worker::derive`] assigns,
-    /// computed without materializing anything. `None` when the parent is
-    /// not materialized. Fused queries key their cache entries on the
+    /// What applying `step` to derive `id` here starts from and arrives at:
+    /// the parent's partitions (none for a load) and the content version
+    /// the derived dataset carries — exactly the one [`Worker::derive`]
+    /// assigns, computed without materializing anything. `None` when the
+    /// parent is not materialized. Fused queries key their cache entries on the
     /// version, so a canonically-equal predicate hits the same entry
     /// whether or not the membership was ever materialized under a
     /// different textual spelling.
-    pub(crate) fn derivation(&self, step: &Lineage) -> Option<(Arc<Vec<TableView>>, u64)> {
+    pub(crate) fn derivation(
+        &self,
+        id: DatasetId,
+        step: &Lineage,
+    ) -> Option<(Arc<Vec<TableView>>, u64)> {
         let (parent, version) = match step.parent() {
             Some(parent) => {
                 let d = self.datasets.lock();
@@ -251,18 +257,19 @@ impl Worker {
             None => (Arc::default(), 0),
         };
         let schema = parent.first().map(|v| v.table().as_ref());
-        let version = step.content_version(version, schema);
+        let version = step.content_version(id, version, schema);
         Some((parent, version))
     }
 
     /// The content version this worker's sketch-cache entries carry for a
     /// tree over `dataset`: the dataset's own for a plain tree, and for one
     /// narrowed by a fused `filter` the version materializing that filter
-    /// would assign — so a canonically-equal respelling of the predicate
-    /// shares the entry. The one expression behind both levels of the
-    /// computation cache: the aggregation node keys its entry on it, and
-    /// the root folds it over the workers into the key of its memo. `None`
-    /// when the dataset is not materialized here.
+    /// would assign — so the materialized filter and a canonically-equal
+    /// respelling of the predicate share the entry. The one expression
+    /// behind both levels of the computation cache: the aggregation node
+    /// keys its entry on it, and the root folds it over the workers into
+    /// the key of its memo. `None` when the dataset is not materialized
+    /// here.
     pub(crate) fn entry_version(
         &self,
         dataset: DatasetId,
@@ -275,7 +282,8 @@ impl Worker {
             parent: dataset,
             predicate: predicate.clone(),
         };
-        self.derivation(&step).map(|(_, version)| version)
+        // A filter's version does not read the id it would be derived as.
+        self.derivation(dataset, &step).map(|(_, version)| version)
     }
 
     /// Total rows across this worker's partitions of `id`.
@@ -379,10 +387,12 @@ impl Worker {
         let reads = step.parent().unwrap_or(id);
         self.fault_op(Some(reads));
         self.check_alive()?;
-        let (parent, version) = self.derivation(step).ok_or(EngineError::DatasetMissing {
-            worker: self.id,
-            dataset: reads,
-        })?;
+        let (parent, version) = self
+            .derivation(id, step)
+            .ok_or(EngineError::DatasetMissing {
+                worker: self.id,
+                dataset: reads,
+            })?;
         let views = match step {
             Lineage::Loaded { spec } => self.load(spec)?,
             Lineage::Filtered { predicate, .. } => {
@@ -743,8 +753,8 @@ mod tests {
         use crate::cache::{CacheKey, Lookup};
         use bytes::Bytes;
         let w = test_worker();
+        w.derive(DatasetId(1), &load()).unwrap();
         let key = CacheKey {
-            dataset: DatasetId(1),
             version: 42,
             query: [7, 8],
         };
@@ -757,10 +767,13 @@ mod tests {
             _ => panic!("stored entry must hit"),
         }
         assert_eq!(w.cache_hits(), 1);
+        // An entry is a fact about content, not about who holds it.
         w.evict(DatasetId(1));
+        assert!(w.cache().contains(&key), "evicting a dataset keeps entries");
+        w.evict_all();
         assert!(
             matches!(w.cache().lookup(key), Lookup::Miss(_)),
-            "evicting the dataset drops its cache entries"
+            "evicting everything drops them"
         );
     }
 
@@ -773,15 +786,22 @@ mod tests {
         w.evict(DatasetId(1));
         w.derive(DatasetId(1), &load()).unwrap();
         assert_eq!(w.dataset_version(DatasetId(1)).unwrap(), base);
-        // A different snapshot is different content.
+        // A different snapshot is different content, and a second load of
+        // the same one is another dataset: their entries never meet.
         w.derive(DatasetId(5), &load_of("nums", 1)).unwrap();
         assert_ne!(w.dataset_version(DatasetId(5)).unwrap(), base);
+        w.derive(DatasetId(6), &load()).unwrap();
+        assert_ne!(w.dataset_version(DatasetId(6)).unwrap(), base);
         // Canonically-equal predicates derive the same filtered version;
         // semantically distinct ones never do.
         let a = Predicate::range("X", 0.0, 50.0).and(Predicate::range("X", 10.0, 100.0));
         let b = Predicate::range("X", 10.0, 100.0).and(Predicate::range("X", 0.0, 50.0));
         let c = Predicate::range("X", 0.0, 49.0);
-        let filtered_version = |p| w.derivation(&filter(DatasetId(1), p)).unwrap().1;
+        let filtered_version = |p| {
+            w.derivation(DatasetId(2), &filter(DatasetId(1), p))
+                .unwrap()
+                .1
+        };
         let va = filtered_version(&a);
         assert_eq!(va, filtered_version(&b));
         assert_ne!(va, filtered_version(&c));

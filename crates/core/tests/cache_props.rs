@@ -11,7 +11,9 @@
 //! cache, possibly under the *other* simd mode), and warm hit; all three
 //! summaries must agree byte-for-byte, and the counters must prove the
 //! hit actually came from the cache — from the root's memo, with nothing
-//! on the root link, credited at every worker.
+//! on the root link, credited at every worker. An entry names the rows it
+//! summarizes, so the materialized filter's first tree is answered by the
+//! fused tree's entries, at the memo and at every worker.
 //!
 //! The tests below the property pin the memo's own contract: it answers
 //! only while every worker still holds the entry it was folded from, so
@@ -210,12 +212,43 @@ proptest! {
                 &c, ds, Some(&pred), sk, scalar_first,
                 &format!("{} fused", sk.name()),
             );
-            assert_hit_equals_miss(
-                &c, narrowed, None, sk, scalar_first,
-                &format!("{} two-pass", sk.name()),
-            );
+            assert_plans_share(&c, narrowed, sk, &format!("{} two-pass", sk.name()));
         }
     }
+}
+
+/// The materialized filter's tree over entries the fused tree left: the
+/// uncached two-pass computation is their bytes, the memo answers with
+/// nothing on the root link, and with the memo cleared every worker hits.
+fn assert_plans_share(
+    c: &Arc<Cluster>,
+    narrowed: DatasetId,
+    sk: &Arc<dyn ErasedSketch>,
+    ctx: &str,
+) {
+    let uncached = QueryOptions {
+        cache: false,
+        ..Default::default()
+    };
+    let cached = QueryOptions::default();
+    let reference = c.run_erased(narrowed, None, sk, &uncached).unwrap();
+    let shared = c.run_erased(narrowed, None, sk, &cached).unwrap();
+    assert!(
+        shared.memo && shared.root_bytes == 0,
+        "{ctx}: the fused tree's memo entry did not answer"
+    );
+    assert_eq!(reference.bytes, shared.bytes, "{ctx}: shared entry");
+    c.memo().clear();
+    let before = c.cache_stats();
+    let tree = c.run_erased(narrowed, None, sk, &cached).unwrap();
+    let after = c.cache_stats();
+    assert!(!tree.memo && tree.root_messages > 0, "{ctx}: memo cleared");
+    assert_eq!(
+        (after.hits - before.hits, after.misses - before.misses),
+        (c.num_workers() as u64, 0),
+        "{ctx}: every worker holds the fused tree's entry"
+    );
+    assert_eq!(reference.bytes, tree.bytes, "{ctx}: tree of hits");
 }
 
 /// An engine over two workers, 4 000 rows each in four partitions; the
@@ -257,29 +290,32 @@ fn ask(e: &Engine, ds: DatasetId, sk: &Arc<dyn ErasedSketch>) -> QueryOutcome {
     e.run_erased(ds, sk, &QueryOptions::default()).unwrap()
 }
 
-/// Dropping any one worker's entry — by hand, with its dataset, with
-/// everything, with the worker itself, or to the LRU — makes the next
-/// identical query launch its tree and compute the same bytes; and where
-/// the dataset went too, the missing-dataset replay is reached, not masked.
+/// Dropping any one worker's entry — by hand, with everything, with the
+/// worker itself, or to the LRU — makes the next identical query launch
+/// its tree and compute the same bytes; and where the dataset went, the
+/// missing-dataset replay is reached, not masked. Evicting the dataset
+/// alone keeps the entries, facts about its content: the tree launched to
+/// find the eviction replays it, and the retry is the memo's answer.
 #[test]
 fn memo_answers_only_while_every_worker_holds_its_entry() {
     type Drop = fn(&Engine, DatasetId);
-    let drops: [(&str, bool, Drop); 5] = [
-        ("clear one worker's cache", false, |e, _| {
+    // What is dropped, whether the dataset is replayed, and whether the
+    // entries went with it.
+    let drops: [(&str, bool, bool, Drop); 5] = [
+        ("clear one worker's cache", false, true, |e, _| {
             e.cluster().worker(1).cache().clear()
         }),
-        ("evict on one worker", true, |e, ds| {
+        ("evict on one worker", true, false, |e, ds| {
             e.cluster().worker(0).evict(ds)
         }),
-        ("evict_all", true, |e, _| e.cluster().evict_all()),
-        ("kill and restart", true, |e, _| {
+        ("evict_all", true, true, |e, _| e.cluster().evict_all()),
+        ("kill and restart", true, true, |e, _| {
             e.cluster().worker(1).kill();
             e.cluster().worker(1).restart();
         }),
-        ("LRU eviction", false, |e, ds| {
+        ("LRU eviction", false, true, |e, _| {
             // One entry more than worker 0's budget holds.
             let filler = CacheKey {
-                dataset: ds,
                 version: 0,
                 query: [0, 0],
             };
@@ -288,7 +324,7 @@ fn memo_answers_only_while_every_worker_holds_its_entry() {
             assert_eq!(cache.stats().evictions, 1, "the filler evicted the entry");
         }),
     ];
-    for (what, replays, drop_entry) in drops {
+    for (what, replays, drops_entries, drop_entry) in drops {
         // 256 bytes hold one histogram entry (64 of overhead) and no more.
         let e = engine_with_budget(256);
         let ds = e.load("memo", 0).unwrap();
@@ -304,9 +340,10 @@ fn memo_answers_only_while_every_worker_holds_its_entry() {
             e.cluster().worker(0).rows_loaded() + e.cluster().worker(1).rows_loaded();
         let after = ask(&e, ds, &sk);
         let loaded = e.cluster().worker(0).rows_loaded() + e.cluster().worker(1).rows_loaded();
-        assert!(
+        assert_eq!(
             !after.memo && after.root_messages > 0,
-            "{what}: the memo outlived a worker's entry"
+            drops_entries,
+            "{what}: the memo outlived a worker's entry, or forgot a held one"
         );
         assert_eq!(after.bytes, first.bytes, "{what}");
         assert_eq!(after.coverage, 1.0, "{what}");
@@ -314,6 +351,79 @@ fn memo_answers_only_while_every_worker_holds_its_entry() {
         // Recomputed and held everywhere again: the memo answers again.
         assert!(ask(&e, ds, &sk).memo, "{what}: after the recompute");
     }
+}
+
+/// A lazy filter's first tree runs fused and its next query promotes it,
+/// and the promoted filter is answered by what the fused tree cached: by
+/// the memo with nothing on the root link, and with the memo cleared, by
+/// every worker. A one-shot fused query after an eager filter of the same
+/// rows shares that filter's entries the same way.
+#[test]
+fn fused_and_materialized_filters_share_one_entry() {
+    let e = engine();
+    let ds = e.load("memo", 0).unwrap();
+    let sk = histogram();
+    let workers = e.cluster().num_workers() as u64;
+    let hits = || e.cluster().cache_stats().hits;
+    let lazy = e.filter_lazy(ds, Predicate::range("X", 10.0, 40.0));
+    let fused = ask(&e, lazy, &sk);
+    assert!(!fused.memo && !e.cluster().worker(0).has_dataset(lazy));
+    let promoted = ask(&e, lazy, &sk);
+    assert!(e.cluster().worker(0).has_dataset(lazy), "promoted");
+    assert!(promoted.memo && promoted.root_bytes == 0, "memo answer");
+    assert_eq!(promoted.bytes, fused.bytes);
+    e.cluster().memo().clear();
+    let before = hits();
+    let tree = ask(&e, lazy, &sk);
+    assert!(
+        !tree.memo && hits() - before == workers,
+        "every worker hits"
+    );
+    assert_eq!(tree.bytes, fused.bytes);
+
+    let band = || Predicate::range("X", 20.0, 30.0);
+    let one_shot = || {
+        let opts = QueryOptions::default();
+        e.run_filtered_erased(ds, band(), &sk, &opts).unwrap()
+    };
+    let eager = e.filter(ds, band()).unwrap();
+    let two_pass = ask(&e, eager, &sk);
+    assert!(!two_pass.memo);
+    let shared = one_shot();
+    assert!(shared.memo && shared.root_bytes == 0, "memo answer");
+    assert_eq!(shared.bytes, two_pass.bytes);
+    e.cluster().memo().clear();
+    let before = hits();
+    let tree = one_shot();
+    assert!(
+        !tree.memo && hits() - before == workers,
+        "every worker hits"
+    );
+    assert_eq!(tree.bytes, two_pass.bytes);
+}
+
+/// Two loads of one source and snapshot are two datasets: a load's version
+/// folds in its id, so neither is answered from the other's entries — a
+/// plain or a fused tree.
+#[test]
+fn two_loads_of_one_snapshot_never_share_an_entry() {
+    let e = engine();
+    let (a, b) = (e.load("memo", 0).unwrap(), e.load("memo", 0).unwrap());
+    let sk = histogram();
+    let pred = Predicate::range("X", 10.0, 40.0);
+    let fused = |ds| {
+        let opts = QueryOptions::default();
+        e.run_filtered_erased(ds, pred.clone(), &sk, &opts).unwrap()
+    };
+    let (plain_a, fused_a) = (ask(&e, a, &sk), fused(a));
+    let (plain_b, fused_b) = (ask(&e, b, &sk), fused(b));
+    for o in [&plain_a, &fused_a, &plain_b, &fused_b] {
+        assert!(!o.memo && o.root_messages > 0);
+    }
+    let s = e.cluster().cache_stats();
+    assert_eq!((s.hits, s.misses), (0, 8), "every tree computed");
+    assert_eq!(plain_a.bytes, plain_b.bytes, "the same content");
+    assert_eq!(fused_a.bytes, fused_b.bytes, "the same content");
 }
 
 /// A reload under the same id is new content under a new version: the memo

@@ -28,9 +28,11 @@
 //! `CHAOS_SEED_BASE=<seed> CHAOS_SEEDS=1` to replay a failure exactly.
 //! CI sets `CHAOS_SEEDS=64`; the local default keeps the suite quick.
 //!
-//! The grid runs twice: over in-memory shards, and over spilled `hvc`
-//! parts opened lazily under a 4 KiB block cache, where the bytes a leaf
-//! scans are faulted and evicted while the adversary is at work.
+//! The grid runs over in-memory shards; over spilled `hvc` parts opened
+//! lazily under a 4 KiB block cache, where the bytes a leaf scans are
+//! faulted and evicted while the adversary is at work; fused under a
+//! one-shot predicate; and on a lazy filter, whose promotion to a
+//! materialized membership happens under the armed plan.
 
 use bytes::Bytes;
 use hillview_columnar::column::{Column, I64Column};
@@ -393,6 +395,43 @@ fn seeded_chaos_fused_queries_preserve_failure_semantics() {
         tally.fired > 0,
         "the seeded adversary never injected a fault into a fused query run"
     );
+}
+
+/// The trichotomy on a lazy filter, where the planner's promotion meets the
+/// armed plan: the first tree over the filter runs fused, and the next
+/// query materializes it — a logged derivation under the same recovery
+/// loop — while workers die, datasets are evicted and leaves panic at its
+/// operations. The fused and the materialized plan fold the same bytes, so
+/// a complete answer equals the fused baseline of a clean engine over the
+/// same snapshot; the baselines are taken there, so that no entry they
+/// left can answer a chaos query for free.
+#[test]
+fn seeded_chaos_lazy_filter_promotion_preserves_failure_semantics() {
+    use hillview_columnar::Predicate;
+    let band = || Predicate::range("X", 20.0, 70.0);
+    let mut tally = Tally::default();
+    let mut promoted = 0;
+    for seed in seed_range().enumerate() {
+        let clean = chaos_engine();
+        let data = clean.load("chaos", seed.1).unwrap();
+        let baselines =
+            clean_baselines(&|sk, opts| clean.run_filtered_erased(data, band(), sk, opts));
+        let engine = chaos_engine();
+        let data = engine.load("chaos", seed.1).unwrap();
+        let lazy = engine.filter_lazy(data, band());
+        let run: Query<'_> = &|sk, opts| engine.run_erased(lazy, sk, opts);
+        chaos_then_heal(&engine, run, &baselines, seed, &mut tally);
+        let cluster = engine.cluster();
+        promoted +=
+            u32::from((0..cluster.num_workers()).all(|w| cluster.worker(w).has_dataset(lazy)));
+    }
+    eprintln!(
+        "lazy filter chaos grid: {} complete, {} degraded, {} errored; faults fired in {} \
+         seed(s); the filter ended materialized in {promoted}",
+        tally.complete, tally.degraded, tally.errored, tally.fired
+    );
+    assert!(tally.fired > 0, "no fault was ever injected");
+    assert!(promoted > 0, "no seed ever promoted the filter");
 }
 
 /// The scripted (epoch-blind) side of the plan: a persistent kill schedule

@@ -42,13 +42,12 @@ fn deep_lineage_replays_in_order() {
     sheet.engine().cluster().evict_all();
     let (count_after, _) = d.row_count().unwrap();
     assert_eq!(count_before, count_after);
-    // Every materialized ancestor was reconstructed on demand. `d` itself
-    // stays a lazy filter: its predicate passes nearly every row, so the
-    // cost-based planner keeps fusing it instead of materializing a
-    // membership set.
+    // Every ancestor was reconstructed on demand, in order, and so was `d`
+    // itself: a tree had launched over the lazy filter, so its second
+    // query promoted it, replaying the chain beneath it.
     for w in 0..2 {
         assert!(sheet.engine().cluster().worker(w).has_dataset(c.dataset()));
-        assert!(!sheet.engine().cluster().worker(w).has_dataset(d.dataset()));
+        assert!(sheet.engine().cluster().worker(w).has_dataset(d.dataset()));
     }
 }
 
