@@ -113,7 +113,8 @@ impl RowDb {
     }
 
     /// Declare a secondary B-tree index on a column (before or after load).
-    pub fn create_index(&mut self, column: &str) {
+    #[cfg(test)]
+    pub(crate) fn create_index(&mut self, column: &str) {
         let c = self.column_index(column).expect("column exists");
         let mut tree: BTreeMap<IndexKey, Vec<u32>> = BTreeMap::new();
         for (i, row) in self.rows.iter().enumerate() {
@@ -125,7 +126,7 @@ impl RowDb {
     }
 
     /// Position of a named column.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn column_index(&self, name: &str) -> Option<usize> {
         self.column_names.iter().position(|n| n == name)
     }
 
@@ -165,7 +166,8 @@ impl RowDb {
     }
 
     /// Logical log length.
-    pub fn log_entries(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn log_entries(&self) -> u64 {
         self.log_entries
     }
 
@@ -209,7 +211,8 @@ impl RowDb {
     /// Index-assisted histogram: walks the B-tree in key order. Avoids the
     /// full scan but pays pointer-chasing and per-entry overhead — DBs
     /// don't win here either way.
-    pub fn histogram_via_index(
+    #[cfg(test)]
+    pub(crate) fn histogram_via_index(
         &self,
         column: &str,
         lo: f64,

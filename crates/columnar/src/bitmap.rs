@@ -33,7 +33,8 @@ impl Bitmap {
     }
 
     /// Create a bitmap of `len` bits, all set.
-    pub fn all_set(len: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn all_set(len: usize) -> Self {
         let mut b = Bitmap {
             words: vec![u64::MAX; len.div_ceil(64)],
             len,
@@ -46,7 +47,7 @@ impl Bitmap {
     /// `words[i / 64] >> (i % 64)`), the word-granular surface the block
     /// filter pipeline emits into. `words` is resized to the exact word
     /// count and tail bits beyond `len` are cleared.
-    pub fn from_words(mut words: Vec<u64>, len: usize) -> Self {
+    pub(crate) fn from_words(mut words: Vec<u64>, len: usize) -> Self {
         words.resize(len.div_ceil(64), 0);
         let mut b = Bitmap { words, len };
         b.clear_tail();
@@ -64,13 +65,8 @@ impl Bitmap {
     }
 
     /// Number of bits (rows) the bitmap covers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True if the bitmap covers zero rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Get bit `i`. Panics if out of range (callers own bounds).
@@ -89,7 +85,7 @@ impl Bitmap {
 
     /// Set bits `lo..hi` to 1, a word at a time: the first and the last
     /// word masked, every word between them filled.
-    pub fn set_range(&mut self, lo: usize, hi: usize) {
+    pub(crate) fn set_range(&mut self, lo: usize, hi: usize) {
         assert!(lo <= hi && hi <= self.len, "{lo}..{hi} of {}", self.len);
         if lo == hi {
             return;
@@ -104,13 +100,6 @@ impl Bitmap {
             self.words[first + 1..last].fill(u64::MAX);
             self.words[last] |= span_mask(0, upto);
         }
-    }
-
-    /// Clear bit `i`.
-    #[inline]
-    pub fn clear(&mut self, i: usize) {
-        debug_assert!(i < self.len);
-        self.words[i / 64] &= !(1u64 << (i % 64));
     }
 
     /// Number of set bits.
@@ -156,18 +145,9 @@ impl Bitmap {
         b
     }
 
-    /// The backing 64-bit words, little-endian within the vector: bit `i`
-    /// lives at `words()[i / 64] >> (i % 64)`. Bits at or beyond
-    /// [`Bitmap::len`] are always zero (maintained by `clear_tail`), so
-    /// word-level popcounts are exact. This is the raw surface the chunked
-    /// scan layer ([`crate::scan`]) builds on.
-    #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Word `i` of the backing storage, or 0 if `i` is past the end —
-    /// callers processing 64-row blocks need no bounds branch.
+    /// Word `i` of the backing storage (bit `j` at `word(j / 64) >> (j %
+    /// 64)`; bits at or beyond the length are zero), or 0 if `i` is past the
+    /// end — callers processing 64-row blocks need no bounds branch.
     #[inline]
     pub fn word(&self, i: usize) -> u64 {
         self.words.get(i).copied().unwrap_or(0)
@@ -277,9 +257,6 @@ mod tests {
         b.set(129);
         assert!(b.get(0) && b.get(64) && b.get(129));
         assert_eq!(b.count_ones(), 3);
-        b.clear(64);
-        assert!(!b.get(64));
-        assert_eq!(b.count_ones(), 2);
     }
 
     #[test]

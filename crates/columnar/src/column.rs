@@ -243,12 +243,12 @@ impl F64Column {
     }
 
     /// Heap bytes of the payload (zero when file-backed).
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.data.heap_bytes()
     }
 
     /// File-backed payload bytes (zero when owned).
-    pub fn mapped_bytes(&self) -> usize {
+    pub(crate) fn mapped_bytes(&self) -> usize {
         self.data.mapped_bytes()
     }
 
@@ -302,11 +302,6 @@ impl DictColumn {
     /// cheapest physical encoding for the code array automatically.
     pub fn new(codes: Vec<u32>, dict: Arc<Dictionary>, nulls: NullMask) -> Self {
         Self::with_storage(CodeStorage::encode(codes), dict, nulls)
-    }
-
-    /// Build keeping the codes uncompressed.
-    pub fn plain(codes: Vec<u32>, dict: Arc<Dictionary>, nulls: NullMask) -> Self {
-        Self::with_storage(CodeStorage::plain_of(codes), dict, nulls)
     }
 
     /// Build from already-encoded code storage (e.g. `hvc` decode).
@@ -548,7 +543,7 @@ impl Column {
     /// row is compared in place in its dictionary ([`Dictionary::compare`])
     /// instead of being decoded into a `Value` first.
     #[inline]
-    pub fn cmp_value(&self, i: usize, other: &Value) -> Ordering {
+    pub(crate) fn cmp_value(&self, i: usize, other: &Value) -> Ordering {
         match self {
             Column::Str(c) | Column::Cat(c) => match (c.nulls().is_null(i), other) {
                 (true, _) => Value::Missing.cmp(other),
@@ -601,7 +596,7 @@ impl Column {
     /// paper §5.4 and the worker's per-dataset footprint reports). Reflects
     /// the *encoded* payload, so compressed columns report their true size.
     /// File-backed (mapped) payloads count zero here — see
-    /// [`Column::mapped_bytes`] — and are never touched by the accounting.
+    /// `Column::mapped_bytes` — and are never touched by the accounting.
     pub fn heap_bytes(&self) -> usize {
         match self {
             Column::Int(c) | Column::Date(c) => c.storage().heap_bytes(),
@@ -614,7 +609,7 @@ impl Column {
     /// segment (zero for fully owned columns): the out-of-core capacity
     /// this column reaches without heap cost. Resident-chunk accounting
     /// lives in the block cache, not per column.
-    pub fn mapped_bytes(&self) -> usize {
+    pub(crate) fn mapped_bytes(&self) -> usize {
         match self {
             Column::Int(c) | Column::Date(c) => c.storage().mapped_bytes(),
             Column::Double(c) => c.mapped_bytes(),

@@ -632,13 +632,8 @@ impl DictionaryBuilder {
     }
 
     /// Current number of distinct strings.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.offsets.len() - 1
-    }
-
-    /// True if nothing has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Finish building: sort the strings into byte order, rewrite `codes` —

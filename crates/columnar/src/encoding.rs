@@ -300,7 +300,7 @@ pub enum IntStorage<T> {
         len: usize,
         /// `ceil(len / 64)` words, one bit per row; none set past `len`.
         marks: crate::residency::ValueBuf<u64>,
-        /// Marks before each run of [`RANK_WORDS`] mark words.
+        /// Marks before each run of `RANK_WORDS` mark words.
         ranks: Vec<u32>,
         /// The marked rows' values in row order; never exceptions itself.
         values: Box<IntStorage<T>>,
@@ -309,7 +309,7 @@ pub enum IntStorage<T> {
 
 /// Mark words per entry of [`IntStorage::Exceptions`]' `ranks`: 4 096 rows,
 /// so finding a frame's rank costs at most 63 popcounts.
-pub const RANK_WORDS: usize = 64;
+pub(crate) const RANK_WORDS: usize = 64;
 
 impl<T> Default for IntStorage<T> {
     fn default() -> Self {
@@ -579,7 +579,7 @@ fn marks_of<T: PackedInt>(values: &[T], fill: T) -> Vec<u64> {
         .collect()
 }
 
-/// The marks before each run of [`RANK_WORDS`] words of `marks`.
+/// The marks before each run of `RANK_WORDS` words of `marks`.
 fn ranks_of(marks: &[u64]) -> Vec<u32> {
     let mut rank = 0u32;
     marks
@@ -1014,7 +1014,7 @@ impl<T: PackedInt> IntStorage<T> {
     /// owned or a mapped mark buffer. `None` unless what the parts' sizes
     /// alone can settle holds, without touching a mark: `values` is not
     /// exceptions itself, the rows fit `u32`, there is one mark word per 64
-    /// rows and one rank per [`RANK_WORDS`] of them, the ranks start at 0
+    /// rows and one rank per `RANK_WORDS` of them, the ranks start at 0
     /// and rise by at most a group's rows, and the exceptions after the
     /// last rank fit the last group. [`IntStorage::marks_match_ranks`] is
     /// the check that reads the marks.
@@ -1397,7 +1397,7 @@ impl<T: PackedInt> IntStorage<T> {
 
     /// Approximate heap footprint in bytes of the encoded payload. Mapped
     /// (file-backed) payloads count zero here — see
-    /// [`IntStorage::mapped_bytes`].
+    /// `IntStorage::mapped_bytes`.
     pub fn heap_bytes(&self) -> usize {
         match self {
             IntStorage::Plain(v) => v.heap_bytes(),
@@ -1418,7 +1418,7 @@ impl<T: PackedInt> IntStorage<T> {
     /// Bytes of the payload addressed through a lazily-resident mapped
     /// segment (zero for fully owned storage) — the file-backed capacity a
     /// column can reach without holding it on the heap.
-    pub fn mapped_bytes(&self) -> usize {
+    pub(crate) fn mapped_bytes(&self) -> usize {
         match self {
             IntStorage::Plain(v) => v.mapped_bytes(),
             IntStorage::BitPacked { words, .. } | IntStorage::Delta { words, .. } => {
@@ -1622,12 +1622,6 @@ impl<T: Copy> ZoneMap<T> {
     #[inline]
     pub fn block(&self, b: usize) -> (T, T) {
         (self.mins[b], self.maxs[b])
-    }
-
-    /// Approximate heap footprint in bytes (diagnostics only; zone maps are
-    /// deliberately *not* part of column footprint accounting).
-    pub fn heap_bytes(&self) -> usize {
-        (self.mins.len() + self.maxs.len()) * std::mem::size_of::<T>()
     }
 }
 
@@ -2215,7 +2209,7 @@ impl F64Storage {
     }
 
     /// Heap bytes of the stored payload (mapped payloads count zero).
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         match self {
             F64Storage::Plain(v) => v.heap_bytes(),
             F64Storage::Integral(codes) => codes.heap_bytes(),
@@ -2223,7 +2217,7 @@ impl F64Storage {
     }
 
     /// File-backed payload bytes (zero when owned).
-    pub fn mapped_bytes(&self) -> usize {
+    pub(crate) fn mapped_bytes(&self) -> usize {
         match self {
             F64Storage::Plain(v) => v.mapped_bytes(),
             F64Storage::Integral(codes) => codes.mapped_bytes(),

@@ -81,7 +81,7 @@
 //! A filtered query — the paper's interactive zoom/search (§3.3) — is
 //! **fused** into a single memory pass over each 64-row frame:
 //!
-//! 1. the compiled [`BlockPredicate`] evaluates the frame into a 64-bit
+//! 1. the compiled `BlockPredicate` evaluates the frame into a 64-bit
 //!    *match word* (consulting zone maps first, so a block whose min/max
 //!    — value or dictionary code — sits outside the predicate's bounds
 //!    produces its word without decoding a single lane);
@@ -93,7 +93,7 @@
 //!
 //! No intermediate [`MembershipSet`] is materialized and no second decode
 //! happens — predicate word → selection word → kernel, one pass. Derived
-//! columns take the same path: block-compilable UDFs ([`udf::BlockUdf`])
+//! columns take the same path: block-compilable UDFs (`udf::BlockUdf`)
 //! materialize frame-at-a-time through the encodings' block decoders
 //! instead of a per-row closure.
 //!
@@ -160,26 +160,26 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(rust_2018_idioms)]
 
-pub mod bitmap;
+pub(crate) mod bitmap;
 pub mod block;
 pub mod column;
 pub mod dictionary;
 pub mod encoding;
-pub mod error;
-pub mod membership;
-pub mod nullmask;
+pub(crate) mod error;
+pub(crate) mod membership;
+pub(crate) mod nullmask;
 pub mod predicate;
-pub mod regexlite;
+pub(crate) mod regexlite;
 pub mod residency;
-pub mod rows;
+pub(crate) mod rows;
 pub mod scan;
-pub mod schema;
+pub(crate) mod schema;
 pub mod simd;
-pub mod sort;
-pub mod table;
+pub(crate) mod sort;
+pub(crate) mod table;
 mod tempdir;
 pub mod udf;
-pub mod value;
+pub(crate) mod value;
 
 pub use bitmap::Bitmap;
 pub use block::{scan_blocks, scan_frames, Block, BlockCursor, BlockSink, FrameEvent, BLOCK_ROWS};
@@ -192,14 +192,14 @@ pub use error::{Error, Result};
 pub use membership::{row_sampled, MembershipSet};
 pub use nullmask::NullMask;
 pub use predicate::{
-    estimate_selectivity, filter_members, filter_members_rowwise, fnv1a, BlockPredicate,
-    CompiledPredicate, FrameFilter, Predicate, SelectivityEstimate, StrMatchKind, FNV_OFFSET,
+    estimate_selectivity, filter_members, filter_members_rowwise, fnv1a, CompiledPredicate,
+    FrameFilter, Predicate, SelectivityEstimate, StrMatchKind, FNV_OFFSET,
 };
 pub use residency::{BlockCache, BlockCacheStats, Segment, SegmentMode, ValueBuf};
 pub use rows::{Row, RowKey};
-pub use scan::{rows_in_range, split_ranges, ScanSource, Selection};
+pub use scan::{split_ranges, ScanSource, Selection};
 pub use schema::{ColumnDesc, ColumnKind, Schema};
-pub use sort::{ResolvedSortOrder, RowBound, SortColumn, SortOrder};
+pub use sort::{ResolvedSortOrder, RowBound, SortOrder};
 pub use table::Table;
 #[doc(hidden)]
 pub use tempdir::TempDir;

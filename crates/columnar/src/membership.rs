@@ -39,7 +39,7 @@ impl MembershipSet {
 
     /// Build from a per-row boolean mask, choosing dense or sparse
     /// representation by selectivity (paper §5.6).
-    pub fn from_mask(mask: &Bitmap) -> Self {
+    pub(crate) fn from_mask(mask: &Bitmap) -> Self {
         let n = mask.len();
         let count = mask.count_ones();
         if count == n {
@@ -323,14 +323,17 @@ mod tests {
         let MembershipSet::Dense(bits) = MembershipSet::from_mask(&mask) else {
             panic!("half the rows are dense");
         };
-        let words: Vec<u64> = (0..bits.words().len())
+        let words: Vec<u64> = (0..bits.len().div_ceil(64))
             .map(|w| sample_word(w * 64, bits.word(w), 0.2, 3))
             .collect();
         let got: usize = words.iter().map(|w| w.count_ones() as usize).sum();
         let expect = 0.2 * 50_000.0;
         assert!((got as f64 - expect).abs() < expect * 0.2, "{got}");
         assert!(
-            words.iter().zip(bits.words()).all(|(s, w)| s & !w == 0),
+            words
+                .iter()
+                .enumerate()
+                .all(|(w, s)| s & !bits.word(w) == 0),
             "samples only present rows"
         );
 

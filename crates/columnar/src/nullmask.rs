@@ -58,11 +58,6 @@ impl NullMask {
         self.mask.as_ref().map_or(0, |b| b.count_ones())
     }
 
-    /// True if the column has no missing values at all.
-    pub fn is_empty(&self) -> bool {
-        self.null_count() == 0
-    }
-
     /// The underlying bitmap, if any nulls exist.
     pub fn bitmap(&self) -> Option<&Bitmap> {
         self.mask.as_ref()
@@ -91,7 +86,6 @@ mod tests {
         assert!(!m.is_null(0));
         assert!(!m.is_null(1_000_000));
         assert_eq!(m.null_count(), 0);
-        assert!(m.is_empty());
     }
 
     #[test]

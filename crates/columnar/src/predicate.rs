@@ -13,8 +13,8 @@
 //!   reuses a scratch buffer for display-text matching, but it still pays
 //!   a dispatch per row. The block form below is pinned bit-identical to
 //!   it by property tests.
-//! * [`BlockPredicate`] — the *block-wise* form the filter pipeline runs:
-//!   [`BlockPredicate::eval_frame`] turns the selection word of one
+//! * `BlockPredicate` — the *block-wise* form the filter pipeline runs:
+//!   `BlockPredicate::eval_frame` turns the selection word of one
 //!   64-row-aligned frame into the word of matching rows. Numeric
 //!   `Range`/`Equals` leaves are lane comparisons over decoded frames
 //!   (SIMD-dispatched at runtime on x86-64, with the mandatory
@@ -200,7 +200,7 @@ impl Predicate {
     /// Compile to the per-row reference form: column names resolved to
     /// indexes, regexes pre-compiled, queries case-folded once, so per-row
     /// evaluation is cheap. The filter pipeline itself runs the block form
-    /// ([`Predicate::compile_blockwise`]); this form is the semantic
+    /// (`Predicate::compile_blockwise`); this form is the semantic
     /// reference the block form is property-tested against, and the
     /// fallback for per-row consumers (the find vizketch).
     pub fn compile(&self, table: &Table) -> Result<CompiledPredicate> {
@@ -259,11 +259,11 @@ impl Predicate {
     }
 
     /// Compile to the block-wise form bound to `table`'s columns: per
-    /// 64-row frame, [`BlockPredicate::eval_frame`] turns a selection word
+    /// 64-row frame, `BlockPredicate::eval_frame` turns a selection word
     /// into the word of matching rows. See the module docs for the leaf
     /// strategies (lane compares, packed-domain bounds, dictionary match
     /// bitmaps, zone-map skipping).
-    pub fn compile_blockwise<'a>(&self, table: &'a Table) -> Result<BlockPredicate<'a>> {
+    pub(crate) fn compile_blockwise<'a>(&self, table: &'a Table) -> Result<BlockPredicate<'a>> {
         Ok(BlockPredicate {
             node: self.block_node(table)?,
         })
@@ -691,7 +691,7 @@ impl Matcher {
 /// be requested in ascending base order within one scan; leaves keep
 /// ascending decode cursors, which tolerate skipped frames.
 #[derive(Debug)]
-pub struct BlockPredicate<'a> {
+pub(crate) struct BlockPredicate<'a> {
     node: BNode<'a>,
 }
 
@@ -700,7 +700,7 @@ impl BlockPredicate<'_> {
     /// given the word of rows the caller has selected (`sel`), returns the
     /// subset whose rows satisfy the predicate. Bit-identical to testing
     /// [`CompiledPredicate::eval`] on every set bit of `sel`.
-    pub fn eval_frame(&mut self, base: usize, len: usize, sel: u64) -> u64 {
+    pub(crate) fn eval_frame(&mut self, base: usize, len: usize, sel: u64) -> u64 {
         eval_node(&mut self.node, base, len, sel)
     }
 }
@@ -1004,7 +1004,7 @@ fn eval_node(node: &mut BNode<'_>, base: usize, len: usize, sel: u64) -> u64 {
 /// This is the fused walk with a bitmap for its kernel: the parent
 /// membership is walked as a [`Selection::Filtered`], so every 64-row
 /// selection word (sparse parents grouped into per-block words) goes
-/// through [`BlockPredicate::eval_frame`], and each non-zero match word is
+/// through `BlockPredicate::eval_frame`, and each non-zero match word is
 /// stored into the result's bitmap directly — no per-row id list is ever
 /// materialized by the evaluation loop. The final representation
 /// (full/dense/sparse) is chosen by the usual §5.6 selectivity rule.
@@ -1044,7 +1044,7 @@ pub fn filter_members(
 /// The filter counts matching rows as a side effect ([`FrameFilter::matched`]
 /// replaces the pre-scan `Selection::count()` kernels use on materialized
 /// memberships) and is strictly **single-pass**: the underlying
-/// [`BlockPredicate`] decode cursors only move forward, so a second walk
+/// `BlockPredicate` decode cursors only move forward, so a second walk
 /// or a `count()` on the filtered selection panics instead of silently
 /// returning garbage.
 pub struct FrameFilter<'a> {
@@ -1419,6 +1419,8 @@ impl SelectivityEstimate {
     }
 
     /// Fraction of blocks the zone maps prove fully failing.
+    ///
+    /// Public only for the frozen `benchmark/`; ROADMAP 1 demotes it.
     pub fn skip_fraction(&self) -> f64 {
         if self.blocks == 0 {
             0.0

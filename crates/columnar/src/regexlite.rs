@@ -42,7 +42,7 @@ pub struct Regex {
 impl Regex {
     /// Compile `pattern`. `case_insensitive` folds ASCII case on both the
     /// pattern and the input.
-    pub fn compile(pattern: &str, case_insensitive: bool) -> Result<Regex> {
+    pub(crate) fn compile(pattern: &str, case_insensitive: bool) -> Result<Regex> {
         let mut chars: Vec<char> = pattern.chars().collect();
         let mut anchored_start = false;
         let mut anchored_end = false;
@@ -116,7 +116,7 @@ impl Regex {
     }
 
     /// True if the pattern matches anywhere in `text` (respecting anchors).
-    pub fn is_match(&self, text: &str) -> bool {
+    pub(crate) fn is_match(&self, text: &str) -> bool {
         let hay: Vec<char> = if self.case_insensitive {
             text.chars().map(|c| fold(c, true)).collect()
         } else {

@@ -46,7 +46,7 @@
 //! # Touch-for-accounting
 //!
 //! Every read of mapped bytes goes through [`ValueBuf::slice`] /
-//! [`ValueBuf::hot`], which *touch* the covered chunks of the buffer's
+//! `ValueBuf::hot`, which *touch* the covered chunks of the buffer's
 //! window first. A touch is bookkeeping — the OS demand-pages the mapping
 //! regardless — but the touch stream is what gives the cache its
 //! fault/hit/eviction counters and its recency order, and what makes
@@ -349,7 +349,7 @@ impl Segment {
 
     /// True when the backing is the lazy mapping, whose chunks the block
     /// cache faults in and evicts: exactly when it is not the heap.
-    pub fn is_mapped(&self) -> bool {
+    pub(crate) fn is_mapped(&self) -> bool {
         !self.is_heap()
     }
 
@@ -368,7 +368,8 @@ impl Segment {
     }
 
     /// Bytes of this segment currently marked resident.
-    pub fn resident_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn resident_bytes(&self) -> usize {
         if self.is_heap() {
             return self.len;
         }
@@ -605,11 +606,6 @@ impl BlockCache {
         Self::new(usize::MAX)
     }
 
-    /// The configured byte budget.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
     /// Snapshot of the counters.
     pub fn stats(&self) -> BlockCacheStats {
         let inner = self.inner.lock();
@@ -768,7 +764,7 @@ enum Repr<T> {
 
 /// A typed column buffer: owned heap values, or a zero-copy window into a
 /// [`Segment`]. All reads go through [`ValueBuf::slice`] (touch
-/// everything) or [`ValueBuf::hot`] (touch a sub-range at chunk
+/// everything) or `ValueBuf::hot` (touch a sub-range at chunk
 /// granularity) so residency accounting — and the file check each fault
 /// makes — always happen before bytes are dereferenced.
 ///
@@ -858,7 +854,7 @@ impl<T> ValueBuf<T> {
     /// callers index absolutely into the returned slice but must stay
     /// within `r`. For owned buffers this is free.
     #[inline]
-    pub fn hot(&self, r: std::ops::Range<usize>) -> &[T] {
+    pub(crate) fn hot(&self, r: std::ops::Range<usize>) -> &[T] {
         if let Repr::Mapped { seg, off, win, .. } = &self.repr {
             let sz = std::mem::size_of::<T>();
             seg.touch(*win, *off + r.start * sz, *off + r.end * sz);
@@ -866,17 +862,9 @@ impl<T> ValueBuf<T> {
         self.raw_slice()
     }
 
-    /// Copy out every element (touches everything).
-    pub fn to_vec(&self) -> Vec<T>
-    where
-        T: Clone,
-    {
-        self.slice().to_vec()
-    }
-
     /// Heap bytes owned by this buffer (mapped windows into heap-backed
     /// segments count here: the segment holds the bytes on the heap).
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         match &self.repr {
             Repr::Owned(v) => v.len() * std::mem::size_of::<T>(),
             Repr::Mapped { seg, len, .. } => {
@@ -891,7 +879,7 @@ impl<T> ValueBuf<T> {
 
     /// Bytes this buffer addresses through a lazy (mapped) segment —
     /// file-backed capacity, not heap footprint.
-    pub fn mapped_bytes(&self) -> usize {
+    pub(crate) fn mapped_bytes(&self) -> usize {
         match &self.repr {
             Repr::Owned(_) => 0,
             Repr::Mapped { seg, len, .. } => {
@@ -902,11 +890,6 @@ impl<T> ValueBuf<T> {
                 }
             }
         }
-    }
-
-    /// True when backed by a segment (any backing) rather than owned heap.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.repr, Repr::Mapped { .. })
     }
 }
 

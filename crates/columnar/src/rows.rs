@@ -20,16 +20,6 @@ impl Row {
     pub fn new(values: Vec<Value>) -> Self {
         Row { values }
     }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True if the row has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
 }
 
 impl fmt::Display for Row {
@@ -142,6 +132,6 @@ mod tests {
     fn row_display() {
         let r = Row::new(vec![Value::str("SFO"), Value::Int(42), Value::Missing]);
         assert_eq!(r.to_string(), "SFO | 42 | (missing)");
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.values.len(), 3);
     }
 }

@@ -113,7 +113,7 @@ impl<T: PackedInt> ScanSource<T> for IntStorage<T> {
 /// The sub-slice of a sorted row list whose rows lie in `lo..hi` — two
 /// binary searches, no copying. Used to clip sparse memberships to a split
 /// sub-range.
-pub fn rows_in_range(rows: &[u32], lo: usize, hi: usize) -> &[u32] {
+pub(crate) fn rows_in_range(rows: &[u32], lo: usize, hi: usize) -> &[u32] {
     let a = rows.partition_point(|&r| (r as usize) < lo);
     let b = rows.partition_point(|&r| (r as usize) < hi);
     &rows[a..b]

@@ -31,11 +31,6 @@ impl ColumnKind {
             ColumnKind::Int | ColumnKind::Double | ColumnKind::Date
         )
     }
-
-    /// True for kinds backed by a dictionary of strings.
-    pub fn is_textual(self) -> bool {
-        matches!(self, ColumnKind::String | ColumnKind::Category)
-    }
 }
 
 impl fmt::Display for ColumnKind {
@@ -79,7 +74,7 @@ pub struct Schema {
 
 impl Schema {
     /// Empty schema.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -93,23 +88,13 @@ impl Schema {
     }
 
     /// Append a column descriptor; fails on duplicate names.
-    pub fn push(&mut self, desc: ColumnDesc) -> Result<()> {
+    pub(crate) fn push(&mut self, desc: ColumnDesc) -> Result<()> {
         if self.by_name.contains_key(&desc.name) {
             return Err(Error::DuplicateColumn(desc.name.to_string()));
         }
         self.by_name.insert(desc.name.clone(), self.columns.len());
         self.columns.push(desc);
         Ok(())
-    }
-
-    /// Number of columns.
-    pub fn len(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// True if the schema has no columns.
-    pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
     }
 
     /// Descriptor at position `i`.
@@ -136,7 +121,7 @@ impl Schema {
     }
 
     /// A new schema containing only the named columns, in the given order.
-    pub fn project(&self, names: &[&str]) -> Result<Schema> {
+    pub(crate) fn project(&self, names: &[&str]) -> Result<Schema> {
         let mut out = Schema::new();
         for n in names {
             let i = self.index_of(n)?;
@@ -190,7 +175,7 @@ mod tests {
     fn project_preserves_order_given() {
         let s = sample();
         let p = s.project(&["FlightDate", "Carrier"]).unwrap();
-        assert_eq!(p.len(), 2);
+        assert_eq!(p.descs().len(), 2);
         assert_eq!(p.desc(0).name.as_ref(), "FlightDate");
         assert_eq!(p.desc(1).name.as_ref(), "Carrier");
         assert!(s.project(&["Missing"]).is_err());
@@ -201,8 +186,6 @@ mod tests {
         assert!(ColumnKind::Int.is_numeric());
         assert!(ColumnKind::Date.is_numeric());
         assert!(!ColumnKind::String.is_numeric());
-        assert!(ColumnKind::Category.is_textual());
-        assert!(!ColumnKind::Double.is_textual());
     }
 
     #[test]

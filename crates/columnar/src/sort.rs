@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 /// One column of a sort order.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SortColumn {
+pub(crate) struct SortColumn {
     /// Column name.
     pub name: Arc<str>,
     /// True for descending order.
@@ -54,19 +54,9 @@ impl SortOrder {
         }
     }
 
-    /// The sort columns.
-    pub fn columns(&self) -> &[SortColumn] {
-        &self.columns
-    }
-
     /// Column names in order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.columns.iter().map(|c| c.name.as_ref())
-    }
-
-    /// True if no sort columns are set.
-    pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
     }
 
     /// Resolve column names to indexes within `table`, for fast key
@@ -105,7 +95,7 @@ impl ResolvedSortOrder {
 
     /// `self.key(table, row).cmp(key)` without building the row's key:
     /// each sort column is compared through its typed read
-    /// ([`crate::Column::cmp_value`]), stopping at the first that differs. A
+    /// (`crate::Column::cmp_value`), stopping at the first that differs. A
     /// scan tests every row against a bound this way and materializes a
     /// [`RowKey`] only for the few it keeps.
     pub fn cmp_row(&self, table: &Table, row: usize, key: &RowKey) -> Ordering {
@@ -170,16 +160,6 @@ impl ResolvedSortOrder {
         }
         Ordering::Equal
     }
-
-    /// The resolved column indexes.
-    pub fn indexes(&self) -> &[usize] {
-        &self.indexes
-    }
-
-    /// The per-column descending flags.
-    pub fn descending(&self) -> &[bool] {
-        &self.descending
-    }
 }
 
 /// A sort key bound to the columns of one table
@@ -197,7 +177,7 @@ enum BoundPart {
         rank: std::result::Result<u32, u32>,
         missing: Ordering,
     },
-    /// Any other key value, compared through [`crate::Column::cmp_value`].
+    /// Any other key value, compared through `crate::Column::cmp_value`.
     Value(Value),
 }
 

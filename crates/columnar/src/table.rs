@@ -60,11 +60,6 @@ impl Table {
         &self.columns[i]
     }
 
-    /// Shared handle to column `i` (for zero-copy projections).
-    pub fn column_arc(&self, i: usize) -> &Arc<Column> {
-        &self.columns[i]
-    }
-
     /// Column by name.
     pub fn column_by_name(&self, name: &str) -> Result<&Column> {
         Ok(&self.columns[self.schema.index_of(name)?])
@@ -79,11 +74,6 @@ impl Table {
             });
         }
         Ok(self.column_by_name(name)?.value(row))
-    }
-
-    /// Materialize row `row` across the given column indexes.
-    pub fn row(&self, row: usize, cols: &[usize]) -> Row {
-        Row::new(cols.iter().map(|&c| self.columns[c].value(row)).collect())
     }
 
     /// Materialize row `row` across all columns.
@@ -260,8 +250,6 @@ mod tests {
         let r = t.full_row(1);
         assert_eq!(r.values.len(), 3);
         assert_eq!(r.values[0], Value::str("AA"));
-        let r = t.row(1, &[2, 0]);
-        assert_eq!(r.values, vec![Value::Int(300), Value::str("AA")]);
     }
 
     #[test]
@@ -271,8 +259,8 @@ mod tests {
         assert_eq!(p.num_columns(), 2);
         assert_eq!(p.num_rows(), 4);
         assert!(Arc::ptr_eq(
-            p.column_arc(1),
-            t.column_arc(t.schema().index_of("Carrier").unwrap())
+            &p.columns[1],
+            &t.columns[t.schema().index_of("Carrier").unwrap()]
         ));
     }
 

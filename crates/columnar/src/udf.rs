@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A map function: given a table and row index, produce the derived value.
-pub type MapFn = Arc<dyn Fn(&Table, usize) -> Value + Send + Sync>;
+pub(crate) type MapFn = Arc<dyn Fn(&Table, usize) -> Value + Send + Sync>;
 
 /// The block-compilable UDF shapes: arithmetic over two numeric input
 /// columns, evaluated 64 decoded lanes at a time. Functions of this shape
@@ -31,29 +31,16 @@ pub type MapFn = Arc<dyn Fn(&Table, usize) -> Value + Send + Sync>;
 /// computed columns cost one fused arithmetic pass, not a per-row closure
 /// call with two hash lookups.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BlockOp {
+pub(crate) enum BlockOp {
     /// `a + b`; missing where either input is missing.
     Add,
     /// `a / b`; missing where either input is missing or `b == 0`.
     Ratio,
-    /// `a < b` as `1.0`/`0.0`; missing where either input is missing.
-    Lt,
-    /// `a <= b` as `1.0`/`0.0`; missing where either input is missing.
-    Le,
-    /// Floor the date/integer column `a` to a multiple of `width_ms`
-    /// (toward negative infinity), producing a `Date` column — the
-    /// histogram-friendly time bucketing of §3.3 drill-downs. Unary: the
-    /// `b` input is ignored. Runs on the dedicated i64 lane path, so
-    /// epoch-millisecond timestamps never round-trip through f64.
-    DateBucket {
-        /// Bucket width in the column's integer unit (epoch ms for dates).
-        width_ms: i64,
-    },
 }
 
 /// A UDF's block compilation: the op plus its named input columns.
 #[derive(Clone, Debug)]
-pub struct BlockUdf {
+pub(crate) struct BlockUdf {
     /// The 64-lane operation.
     pub op: BlockOp,
     /// Left input column.
@@ -64,7 +51,7 @@ pub struct BlockUdf {
 
 /// A named user-defined map function with a declared output kind.
 #[derive(Clone)]
-pub struct Udf {
+pub(crate) struct Udf {
     /// Registry name.
     pub name: Arc<str>,
     /// Kind of the derived column.
@@ -129,15 +116,10 @@ impl UdfRegistry {
     }
 
     /// Look up a UDF by name.
-    pub fn get(&self, name: &str) -> Result<&Udf> {
+    pub(crate) fn get(&self, name: &str) -> Result<&Udf> {
         self.fns
             .get(name)
             .ok_or_else(|| Error::UnknownUdf(name.to_string()))
-    }
-
-    /// Names of all registered functions (unordered).
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.fns.keys().map(|k| k.as_ref())
     }
 
     /// Evaluate the named UDF over every row of `table`, producing the
@@ -188,7 +170,7 @@ impl UdfRegistry {
     }
 
     /// Register a ratio UDF `name = numer / denom` over two numeric
-    /// columns; block-compiled ([`BlockOp::Ratio`]).
+    /// columns; block-compiled (`BlockOp::Ratio`).
     pub fn register_ratio(&mut self, name: &str, numer: &str, denom: &str) {
         let (numer, denom) = (Arc::<str>::from(numer), Arc::<str>::from(denom));
         let block = BlockUdf {
@@ -208,7 +190,7 @@ impl UdfRegistry {
     }
 
     /// Register a sum UDF `name = a + b` over two numeric columns;
-    /// block-compiled ([`BlockOp::Add`]).
+    /// block-compiled (`BlockOp::Add`).
     pub fn register_sum(&mut self, name: &str, a: &str, b: &str) {
         let (a, b) = (Arc::<str>::from(a), Arc::<str>::from(b));
         let block = BlockUdf {
@@ -223,66 +205,6 @@ impl UdfRegistry {
                 (Some(x), Some(y)) => Value::Double(x + y),
                 _ => Value::Missing,
             }
-        });
-        self.set_block(name, block);
-    }
-
-    /// Register a comparison UDF `name = (a < b)` over two numeric
-    /// columns, `1.0`/`0.0` with missing inputs propagating; block-compiled
-    /// ([`BlockOp::Lt`]).
-    pub fn register_lt(&mut self, name: &str, a: &str, b: &str) {
-        self.register_cmp(name, a, b, BlockOp::Lt);
-    }
-
-    /// Register a comparison UDF `name = (a <= b)`; block-compiled
-    /// ([`BlockOp::Le`]).
-    pub fn register_le(&mut self, name: &str, a: &str, b: &str) {
-        self.register_cmp(name, a, b, BlockOp::Le);
-    }
-
-    fn register_cmp(&mut self, name: &str, a: &str, b: &str, op: BlockOp) {
-        let (a, b) = (Arc::<str>::from(a), Arc::<str>::from(b));
-        let block = BlockUdf {
-            op,
-            a: a.clone(),
-            b: b.clone(),
-        };
-        self.register(name, ColumnKind::Double, move |t, r| {
-            let x = t.column_by_name(&a).ok().and_then(|c| c.as_f64(r));
-            let y = t.column_by_name(&b).ok().and_then(|c| c.as_f64(r));
-            match (x, y) {
-                (Some(x), Some(y)) => Value::Double(f64::from(match op {
-                    BlockOp::Le => x <= y,
-                    _ => x < y,
-                })),
-                _ => Value::Missing,
-            }
-        });
-        self.set_block(name, block);
-    }
-
-    /// Register a date-bucket UDF flooring the date/integer column `src`
-    /// to multiples of `width_ms` (toward negative infinity) — "histogram
-    /// on a time column, one bucket per hour" stays on the block path.
-    /// Block-compiled on the i64 lane path ([`BlockOp::DateBucket`]); a
-    /// non-positive width yields an all-missing column.
-    pub fn register_date_bucket(&mut self, name: &str, src: &str, width_ms: i64) {
-        let src = Arc::<str>::from(src);
-        let block = BlockUdf {
-            op: BlockOp::DateBucket { width_ms },
-            a: src.clone(),
-            b: src.clone(),
-        };
-        self.register(name, ColumnKind::Date, move |t, r| {
-            if width_ms <= 0 {
-                return Value::Missing;
-            }
-            t.column_by_name(&src)
-                .ok()
-                .and_then(|c| c.value(r).as_i64())
-                .map_or(Value::Missing, |v| {
-                    Value::Date(v.div_euclid(width_ms) * width_ms)
-                })
         });
         self.set_block(name, block);
     }
@@ -351,9 +273,6 @@ impl<'a> NumLanes<'a> {
 /// same row order, so the two paths are bit-identical (computed NaNs
 /// become nulls in both, via [`F64Column::new`]).
 fn materialize_block(bu: &BlockUdf, table: &Table) -> Option<Column> {
-    if let BlockOp::DateBucket { width_ms } = bu.op {
-        return materialize_date_bucket(table, &bu.a, width_ms);
-    }
     let ca = table.column_by_name(&bu.a).ok()?;
     let cb = table.column_by_name(&bu.b).ok()?;
     let (mut la, na) = NumLanes::new(ca)?;
@@ -389,17 +308,6 @@ fn materialize_block(bu: &BlockUdf, table: &Table) -> Option<Column> {
                 }
                 live &= nonzero;
             }
-            BlockOp::Lt => {
-                for i in 0..len {
-                    out[i] = f64::from(a_buf[i] < b_buf[i]);
-                }
-            }
-            BlockOp::Le => {
-                for i in 0..len {
-                    out[i] = f64::from(a_buf[i] <= b_buf[i]);
-                }
-            }
-            BlockOp::DateBucket { .. } => unreachable!("dedicated i64 path"),
         }
         // Dead lanes revert to the storage convention (null rows hold 0.0).
         for (i, o) in out.iter_mut().enumerate() {
@@ -411,37 +319,6 @@ fn materialize_block(bu: &BlockUdf, table: &Table) -> Option<Column> {
     }
     let nulls = NullMask::from_flags((0..n).map(|r| valid[r / 64] >> (r % 64) & 1 == 0), n);
     Some(Column::Double(F64Column::new(data, nulls)))
-}
-
-/// The i64 lane path for [`BlockOp::DateBucket`]: decode the source's
-/// integer storage frame-at-a-time and floor each live lane to a bucket
-/// boundary, keeping the result in the i64 domain end to end (epoch
-/// milliseconds beyond 2^53 stay exact). Returns `None` for non-integer
-/// sources or a degenerate width — the rowwise closure defines those
-/// semantics.
-fn materialize_date_bucket(table: &Table, src: &str, width_ms: i64) -> Option<Column> {
-    if width_ms <= 0 {
-        return None;
-    }
-    let (storage, nulls) = match table.column_by_name(src).ok()? {
-        Column::Int(c) | Column::Date(c) => (c.storage(), c.nulls()),
-        _ => return None,
-    };
-    let n = table.num_rows();
-    let mut cursor: BlockCursor<'_, i64, crate::encoding::I64Storage> = BlockCursor::new(storage);
-    let mut data = vec![0i64; n];
-    for base in (0..n).step_by(64) {
-        let len = (n - base).min(64);
-        let lanes = cursor.lanes(base, len);
-        let null_w = nulls.bitmap().map_or(0, |b| b.word(base / 64));
-        for (i, (o, &v)) in data[base..base + len].iter_mut().zip(lanes).enumerate() {
-            // Null lanes keep the storage convention (zero).
-            if null_w >> i & 1 == 0 {
-                *o = v.div_euclid(width_ms) * width_ms;
-            }
-        }
-    }
-    Some(Column::Date(I64Column::new(data, nulls.clone())))
 }
 
 #[cfg(test)]
@@ -636,105 +513,6 @@ mod tests {
             for r in 0..t.num_rows() {
                 assert_eq!(col.value(r), Value::Missing, "{name} row {r}");
             }
-        }
-    }
-
-    #[test]
-    fn comparison_udfs_block_match_rowwise() {
-        let t = wide_table();
-        for (name, mk) in [
-            (
-                "Lt",
-                UdfRegistry::register_lt as fn(&mut UdfRegistry, &str, &str, &str),
-            ),
-            ("Le", UdfRegistry::register_le),
-        ] {
-            for (a, b) in OPERANDS {
-                let mut blocked = UdfRegistry::new();
-                mk(&mut blocked, name, a, b);
-                assert!(blocked.get(name).unwrap().block.is_some());
-                let mut rowwise = UdfRegistry::new();
-                mk(&mut rowwise, name, a, b);
-                rowwise.fns.get_mut(name).unwrap().block = None;
-                let cb = blocked.materialize(name, &t).unwrap();
-                let cr = rowwise.materialize(name, &t).unwrap();
-                for r in 0..t.num_rows() {
-                    assert_eq!(cb.value(r), cr.value(r), "{name}({a}, {b}) row {r}");
-                }
-            }
-        }
-        // Lt vs Le differ exactly on equal inputs.
-        let eq = Table::builder()
-            .column(
-                "I",
-                ColumnKind::Int,
-                Column::Int(I64Column::from_options([Some(3), Some(2), None])),
-            )
-            .column(
-                "D",
-                ColumnKind::Double,
-                Column::Double(F64Column::from_options([Some(3.0), Some(5.0), Some(1.0)])),
-            )
-            .build()
-            .unwrap();
-        let mut reg = UdfRegistry::new();
-        reg.register_lt("Lt", "I", "D");
-        reg.register_le("Le", "I", "D");
-        let lt = reg.materialize("Lt", &eq).unwrap();
-        let le = reg.materialize("Le", &eq).unwrap();
-        assert_eq!(lt.value(0), Value::Double(0.0));
-        assert_eq!(le.value(0), Value::Double(1.0));
-        assert_eq!(lt.value(1), Value::Double(1.0));
-        assert_eq!(lt.value(2), Value::Missing);
-    }
-
-    #[test]
-    fn date_bucket_floors_on_the_i64_path() {
-        let n = 130usize;
-        // Epoch-ms style values, some beyond 2^53 (f64 would lose them),
-        // some negative (pre-epoch floors toward -inf), plus nulls.
-        let vals = (0..n).map(|i| match i {
-            40 => Some((1i64 << 55) + 12_345),
-            41 => Some(-7_200_000 - 1),
-            i if i % 9 == 4 => None,
-            i => Some(i as i64 * 3_600_000 / 7 - 1_800_000),
-        });
-        let t = Table::builder()
-            .column(
-                "Ts",
-                ColumnKind::Date,
-                Column::Date(I64Column::from_options(vals)),
-            )
-            .build()
-            .unwrap();
-        let hour = 3_600_000i64;
-        let mut blocked = UdfRegistry::new();
-        blocked.register_date_bucket("Bucket", "Ts", hour);
-        assert!(matches!(
-            blocked.get("Bucket").unwrap().block,
-            Some(BlockUdf {
-                op: BlockOp::DateBucket { .. },
-                ..
-            })
-        ));
-        let mut rowwise = UdfRegistry::new();
-        rowwise.register_date_bucket("Bucket", "Ts", hour);
-        rowwise.fns.get_mut("Bucket").unwrap().block = None;
-        let cb = blocked.materialize("Bucket", &t).unwrap();
-        let cr = rowwise.materialize("Bucket", &t).unwrap();
-        assert_eq!(cb.kind(), ColumnKind::Date);
-        for r in 0..n {
-            assert_eq!(cb.value(r), cr.value(r), "row {r}");
-        }
-        // 2^55 + 12345 floors to an exact hour boundary f64 couldn't hold.
-        assert_eq!(cb.value(40), Value::Date(36_028_797_015_600_000));
-        assert_eq!(cb.value(41), Value::Date(-3 * hour), "floors toward -inf");
-        // Degenerate width: all-missing, via the rowwise fallback.
-        let mut bad = UdfRegistry::new();
-        bad.register_date_bucket("B", "Ts", 0);
-        let cb = bad.materialize("B", &t).unwrap();
-        for r in 0..n {
-            assert_eq!(cb.value(r), Value::Missing);
         }
     }
 

@@ -73,6 +73,8 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Sum two snapshots (cluster-wide aggregation over workers).
+    ///
+    /// Public only for the frozen `benchmark/`; ROADMAP 1 demotes it.
     pub fn merge(self, o: CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits + o.hits,
@@ -123,7 +125,7 @@ impl Inner {
 }
 
 /// The outcome of one cache lookup.
-pub enum Lookup<'a> {
+pub(crate) enum Lookup<'a> {
     /// A stored summary; recency was bumped.
     Hit(Bytes),
     /// Nothing stored and nobody computing: the caller is now the leader
@@ -138,7 +140,7 @@ pub enum Lookup<'a> {
 /// Leadership token for a single-flight computation. Dropping it without
 /// [`FlightGuard::complete`] abandons the flight (wakes waiters, stores
 /// nothing) — the path taken by cancelled, degraded, or failed trees.
-pub struct FlightGuard<'a> {
+pub(crate) struct FlightGuard<'a> {
     cache: &'a SketchCache,
     key: CacheKey,
     done: bool,
@@ -147,18 +149,13 @@ pub struct FlightGuard<'a> {
 impl FlightGuard<'_> {
     /// Publish the computed summary: store it (evicting LRU entries past
     /// the byte budget) and wake every query waiting on this key.
-    pub fn complete(mut self, value: Bytes) {
+    pub(crate) fn complete(mut self, value: Bytes) {
         self.done = true;
         let mut inner = self.cache.inner.lock();
         inner.inflight.remove(&self.key);
         self.cache.insert_locked(&mut inner, self.key, value);
         drop(inner);
         self.cache.flights.notify_all();
-    }
-
-    /// The key this flight owns.
-    pub fn key(&self) -> CacheKey {
-        self.key
     }
 }
 
@@ -180,7 +177,7 @@ pub struct SketchCache {
 
 impl SketchCache {
     /// An empty cache holding at most `budget` accounted bytes.
-    pub fn new(budget: usize) -> Self {
+    pub(crate) fn new(budget: usize) -> Self {
         SketchCache {
             budget,
             inner: Mutex::new(Inner {
@@ -200,7 +197,7 @@ impl SketchCache {
     }
 
     /// Look up `key`, becoming the computing leader on a miss.
-    pub fn lookup(&self, key: CacheKey) -> Lookup<'_> {
+    pub(crate) fn lookup(&self, key: CacheKey) -> Lookup<'_> {
         let mut guard = self.inner.lock();
         // Reborrow through the guard once so the borrows of `map`, `order`,
         // and the counters split per-field (a second `map` lookup would
@@ -222,7 +219,7 @@ impl SketchCache {
     }
 
     /// Whether `key` is stored, changing nothing: no counter, no recency.
-    pub fn contains(&self, key: &CacheKey) -> bool {
+    pub(crate) fn contains(&self, key: &CacheKey) -> bool {
         self.inner.lock().map.contains_key(key)
     }
 
@@ -231,14 +228,14 @@ impl SketchCache {
     /// counted and made most recently used exactly as a [`Lookup::Hit`]
     /// would, so the entry is not evicted from under the copy that spares
     /// it the lookups. `false`, and nothing counted, if it is not stored.
-    pub fn touch(&self, key: &CacheKey) -> bool {
+    pub(crate) fn touch(&self, key: &CacheKey) -> bool {
         self.inner.lock().hit(key).is_some()
     }
 
     /// Block until `key`'s flight resolves (complete or abandoned) or
     /// `timeout` elapses — callers loop around [`SketchCache::lookup`] so
     /// they can keep heartbeating and observe cancellation between waits.
-    pub fn wait(&self, key: &CacheKey, timeout: Duration) {
+    pub(crate) fn wait(&self, key: &CacheKey, timeout: Duration) {
         let mut inner = self.inner.lock();
         if !inner.inflight.contains(key) {
             return;
@@ -248,7 +245,7 @@ impl SketchCache {
 
     /// Record that a query was served by another query's in-flight scan
     /// (called by the executor when a wait ended in a hit).
-    pub fn note_coalesced(&self) {
+    pub(crate) fn note_coalesced(&self) {
         self.inner.lock().coalesced += 1;
     }
 

@@ -302,6 +302,8 @@ impl Cluster {
     }
 
     /// The configuration.
+    ///
+    /// Public only for the frozen `benchmark/`; ROADMAP 1 demotes it.
     pub fn config(&self) -> &ClusterConfig {
         &self.cfg
     }
@@ -393,6 +395,8 @@ impl Cluster {
     /// filter promotes by rule, see [`crate::engine::Engine::filter_lazy`]);
     /// it reports what a filter's zone maps skip. Dead workers and missing
     /// partitions contribute nothing.
+    ///
+    /// Public only for the frozen `benchmark/`; ROADMAP 1 demotes it.
     pub fn estimate_filter(
         &self,
         dataset: DatasetId,

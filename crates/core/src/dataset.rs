@@ -65,7 +65,7 @@ pub enum Lineage {
 
 impl Lineage {
     /// The parent dataset, if any.
-    pub fn parent(&self) -> Option<DatasetId> {
+    pub(crate) fn parent(&self) -> Option<DatasetId> {
         match self {
             Lineage::Loaded { .. } => None,
             Lineage::Filtered { parent, .. } | Lineage::Mapped { parent, .. } => Some(*parent),
@@ -154,7 +154,8 @@ pub trait DataSource: Send + Sync + 'static {
 
 /// Signature of a [`FnSource`] closure: `f(worker, num_workers,
 /// micropartition_rows, snapshot)` produces that worker's partitions.
-pub type SourceFn = dyn Fn(usize, usize, usize, u64) -> EngineResult<Vec<Table>> + Send + Sync;
+pub(crate) type SourceFn =
+    dyn Fn(usize, usize, usize, u64) -> EngineResult<Vec<Table>> + Send + Sync;
 
 /// A [`DataSource`] built from a closure — the usual way benches and tests
 /// plug in generated or file-backed data.
@@ -246,11 +247,6 @@ impl HvcDirSource {
         }
     }
 
-    /// The directory this source reads.
-    pub fn dir(&self) -> &std::path::Path {
-        &self.dir
-    }
-
     fn storage_err(e: hillview_storage::Error) -> EngineError {
         EngineError::Source(e.to_string())
     }
@@ -302,7 +298,7 @@ impl SourceRegistry {
     }
 
     /// Look up by name.
-    pub fn get(&self, name: &str) -> EngineResult<Arc<dyn DataSource>> {
+    pub(crate) fn get(&self, name: &str) -> EngineResult<Arc<dyn DataSource>> {
         self.sources
             .get(name)
             .cloned()

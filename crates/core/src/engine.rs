@@ -58,17 +58,9 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (tests observing raw failures).
-    pub fn none() -> Self {
-        RetryPolicy {
-            attempts: 1,
-            ..Default::default()
-        }
-    }
-
     /// Backoff before 1-based retry number `retry`:
     /// `base_backoff * 2^(retry-1)`, capped at `max_backoff`.
-    pub fn backoff(&self, retry: u32) -> Duration {
+    pub(crate) fn backoff(&self, retry: u32) -> Duration {
         let exp = retry.saturating_sub(1).min(20);
         self.base_backoff
             .saturating_mul(1u32 << exp)
@@ -208,7 +200,12 @@ impl Engine {
     }
 
     /// Derive a mapped dataset with a UDF column; logged (§5.6).
-    pub fn map(&self, parent: DatasetId, udf: &str, new_column: &str) -> EngineResult<DatasetId> {
+    pub(crate) fn map(
+        &self,
+        parent: DatasetId,
+        udf: &str,
+        new_column: &str,
+    ) -> EngineResult<DatasetId> {
         self.ensure_materialized(parent)?;
         let id = self.fresh_id();
         let (udf, new_column) = (Arc::from(udf), Arc::from(new_column));
@@ -376,7 +373,7 @@ impl Engine {
     /// (paper §5.7: "This may require re-executing other queries, that
     /// produced the source objects; the recursion ends when data is read
     /// from disk").
-    pub fn replay(&self, worker: usize, dataset: DatasetId) -> EngineResult<()> {
+    pub(crate) fn replay(&self, worker: usize, dataset: DatasetId) -> EngineResult<()> {
         let chain = self.log.chain(dataset);
         if chain.is_empty() {
             return Err(EngineError::UnknownDataset(dataset));
@@ -450,6 +447,8 @@ impl Engine {
     /// predicate compiles into the sketch's block pass at every leaf (one
     /// decode per frame, zone maps pruning both stages); no membership is
     /// materialized and no dataset id is allocated.
+    ///
+    /// Public only for the frozen `benchmark/`; ROADMAP 1(b)/9(a) removes it.
     pub fn run_filtered<S: Sketch>(
         &self,
         dataset: DatasetId,
@@ -462,6 +461,8 @@ impl Engine {
 
     /// Erased form of [`Engine::run_filtered`]. If `dataset` is itself a
     /// pending lazy filter, its chain composes under the ad-hoc predicate.
+    ///
+    /// Public only for the frozen `benchmark/`; ROADMAP 1(b)/9(a) removes it.
     pub fn run_filtered_erased(
         &self,
         dataset: DatasetId,
@@ -483,6 +484,8 @@ impl Engine {
     /// final attempt that excludes failed workers and returns the
     /// survivors' merge labelled with [`QueryOutcome::coverage`]` < 1`;
     /// otherwise the caller gets [`EngineError::RetriesExhausted`].
+    ///
+    /// Public only for the frozen `benchmark/`; ROADMAP 1(b)/9(a) removes it.
     pub fn run_erased(
         &self,
         dataset: DatasetId,

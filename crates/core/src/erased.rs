@@ -30,10 +30,14 @@ pub trait ErasedSketch: Send + Sync + 'static {
     fn summarize_bytes(&self, view: &TableView, scope: Scope<'_>, seed: u64)
         -> EngineResult<Bytes>;
     /// Summarize one whole partition to wire bytes.
+    ///
+    /// Public only for the frozen `benchmark/`; ROADMAP 1(b)/9(a) removes it.
     fn summarize_to_bytes(&self, view: &TableView, seed: u64) -> EngineResult<Bytes> {
         self.summarize_bytes(view, Scope::ALL, seed)
     }
     /// Summarize the rows of one whole partition that satisfy `predicate`.
+    ///
+    /// Public only for the frozen `benchmark/`; ROADMAP 1(b)/9(a) removes it.
     fn summarize_filtered_to_bytes(
         &self,
         view: &TableView,
@@ -52,6 +56,8 @@ pub trait ErasedSketch: Send + Sync + 'static {
     /// Merge two wire-encoded summaries: the fold of `[a, b]`. The identity
     /// is a left unit bit for bit, so these are the bytes of `b` merged
     /// into `a`.
+    ///
+    /// Public only for the frozen `benchmark/`; ROADMAP 1(b)/9(a) removes it.
     fn merge_bytes(&self, a: &Bytes, b: &Bytes) -> EngineResult<Bytes> {
         self.fold_bytes(&[a.clone(), b.clone()])
     }

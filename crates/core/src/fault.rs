@@ -140,7 +140,8 @@ impl FaultSpec {
 
     /// A spec that injects nothing (baseline runs through the same code
     /// path).
-    pub fn none() -> Self {
+    #[cfg(test)]
+    pub(crate) fn none() -> Self {
         FaultSpec {
             leaf_panic: 0.0,
             leaf_stall: 0.0,
@@ -211,21 +212,10 @@ impl FaultPlan {
         }
     }
 
-    /// The plan's seed (printed by the chaos harness on failure so the
-    /// schedule replays locally).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Advance the epoch. Called once per execution-tree launch; under a
     /// random plan this re-rolls every site so retries can heal.
-    pub fn bump_epoch(&self) {
+    pub(crate) fn bump_epoch(&self) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Current epoch (diagnostics).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
     }
 
     /// Total decisions that fired (any `Some`) over the plan's lifetime.
@@ -235,7 +225,7 @@ impl FaultPlan {
     }
 
     /// The decision for `site`, or `None` to proceed normally.
-    pub fn decide(&self, site: FaultSite) -> Option<FaultAction> {
+    pub(crate) fn decide(&self, site: FaultSite) -> Option<FaultAction> {
         let action = match &self.mode {
             Mode::Scripted(rules) => rules.iter().find(|r| r.site == site).map(|r| r.action),
             Mode::Random(spec) => self.decide_random(spec, site),
@@ -321,7 +311,7 @@ fn mix(seed: u64, epoch: u64, site: FaultSite) -> u64 {
 
 /// Render a panic payload into a printable message (the `Any` from
 /// `catch_unwind` is almost always a `&str` or `String`).
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -16,7 +16,7 @@
 //!   leaf tasks share one tree context, every frame on the root link is
 //!   built in one place and encoded by one codec, and the root's merge
 //!   loop keeps one state with one failure transition.
-//! * **Workers** ([`worker`]): per-server thread pools executing leaf
+//! * **Workers** ([`Cluster::worker`]): per-server thread pools executing leaf
 //!   summarize calls; all state is soft (§5.7) — datasets live in a cache
 //!   keyed by [`DatasetId`] and can vanish at any time. A dataset comes to
 //!   exist in exactly one way: [`Cluster::derive`] applies a [`Lineage`]
@@ -40,19 +40,19 @@
 //!   zero-copy windows over the mapped files whose cold chunks are evicted
 //!   past the budget; [`HvcDirSource::with_mode`] with `SegmentMode::Heap`
 //!   reads every part eagerly instead.
-//! * **Caches** ([`worker`], [`cache`]): an in-memory column/data cache
+//! * **Caches** ([`SketchCache`]): an in-memory column/data cache
 //!   in front of the repository, plus a bounded per-worker LRU
 //!   sketch-result cache for deterministic summaries (§5.4), keyed by
 //!   structural query identity with single-flight coalescing — and at the
 //!   root a memo of final folds under the same key, which answers a
 //!   repeated query before any tree is launched, for as long as every
 //!   worker still holds the entry it was folded from.
-//! * **Fault tolerance** ([`redo`], [`engine`]): the root logs every
+//! * **Fault tolerance** ([`Engine`], [`Engine::redo_log`]): the root logs every
 //!   dataset-producing operation (with seeds); when a worker reports a
 //!   missing dataset — eviction or restart — the root lazily replays the
 //!   lineage and retries (§5.7–5.8). Dataset operations (`load` included)
 //!   and queries run as attempts under the same bounded loop.
-//! * **Phase-1 statistics** ([`stats`]): a loaded dataset's row count and
+//! * **Phase-1 statistics** ([`DatasetStats`]): a loaded dataset's row count and
 //!   numeric ranges were fixed when its parts were sealed; each worker
 //!   folds its partitions' column statistics at load and replay, and
 //!   [`Engine::stats`] answers an unfiltered count or range from them with
@@ -61,7 +61,7 @@
 //!   views, scrolling, filtering, charts, heavy hitters, PCA — implemented
 //!   exclusively with vizketches (§7.3: sketches are "the sole way to
 //!   access data in the system").
-//! * **Fault injection** ([`fault`]): a seeded, deterministic adversary
+//! * **Fault injection** ([`FaultPlan`]): a seeded, deterministic adversary
 //!   for the whole tree — frame drops/duplicates/corruption/delays, leaf
 //!   panics and stalls, worker kills and evictions — every decision a
 //!   pure function of `(seed, epoch, site)` so failing chaos schedules
@@ -91,7 +91,7 @@
 //!    reporting `coverage < 1.0` and the excluded
 //!    [`QueryOutcome::failed_workers`].
 //!
-//! One loop in [`engine`] produces all three: it retries, replays and
+//! One loop in [`Engine`] produces all three: it retries, replays and
 //! restarts within the budget (outcome 1, or outcome 2 as soon as a failure
 //! is one no retry can heal), and its tail is the degraded attempt
 //! (outcome 3, else outcome 2).
@@ -162,20 +162,20 @@
 #![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
-pub mod cache;
+pub(crate) mod cache;
 pub mod cluster;
 pub mod dataset;
-pub mod engine;
+pub(crate) mod engine;
 pub mod erased;
 pub mod error;
-pub mod fault;
+pub(crate) mod fault;
 mod msg;
-pub mod pool;
+pub(crate) mod pool;
 pub mod progress;
-pub mod redo;
+pub(crate) mod redo;
 pub mod spreadsheet;
-pub mod stats;
-pub mod worker;
+pub(crate) mod stats;
+pub(crate) mod worker;
 
 pub use cache::{CacheKey, CacheStats, SketchCache};
 pub use cluster::{Cluster, ClusterConfig, QueryOptions, QueryOutcome};

@@ -105,7 +105,7 @@ pub struct ThreadPool {
 
 impl ThreadPool {
     /// Spawn `threads` worker threads named after `label`.
-    pub fn new(threads: usize, label: &str) -> Self {
+    pub(crate) fn new(threads: usize, label: &str) -> Self {
         let threads = threads.max(1);
         let deques: Vec<Deque<Task>> = (0..threads).map(|_| Deque::new_lifo()).collect();
         let shared = Arc::new(Shared {
@@ -143,7 +143,7 @@ impl ThreadPool {
     /// task goes to that thread's deque (stealable by idle siblings) —
     /// the recursive-split path; called from outside, it goes to the
     /// global injector FIFO.
-    pub fn submit(&self, task: impl FnOnce() + Send + 'static) {
+    pub(crate) fn submit(&self, task: impl FnOnce() + Send + 'static) {
         let mut task = Some(Box::new(task) as Task);
         // Count before pushing: a worker that pops the task immediately
         // must never decrement the counter below zero.
@@ -164,14 +164,11 @@ impl ThreadPool {
         self.shared.notify_one();
     }
 
-    /// Number of threads.
-    pub fn size(&self) -> usize {
-        self.threads.len()
-    }
-
     /// Tasks whose panic the executor caught so far. Pool threads survive
     /// panicking tasks; this counter is how tests and diagnostics observe
     /// that isolation fired.
+    ///
+    /// Public only for the frozen `benchmark/`; ROADMAP 1 demotes it.
     pub fn tasks_panicked(&self) -> usize {
         self.shared.panicked.load(Ordering::SeqCst)
     }
@@ -296,7 +293,7 @@ mod tests {
     #[test]
     fn zero_threads_clamps_to_one() {
         let pool = ThreadPool::new(0, "one");
-        assert_eq!(pool.size(), 1);
+        assert_eq!(pool.threads.len(), 1);
     }
 
     #[test]

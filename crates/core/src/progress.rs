@@ -19,7 +19,7 @@ pub struct CancellationToken {
 
 impl CancellationToken {
     /// A token that is not cancelled.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -29,7 +29,7 @@ impl CancellationToken {
     }
 
     /// True once cancelled.
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::SeqCst)
     }
 }
@@ -55,7 +55,7 @@ pub struct Partial {
 
 /// Callback invoked on each partial result (the "client web browser" side
 /// of Fig. 1).
-pub type PartialCallback = Arc<dyn Fn(&Partial) + Send + Sync>;
+pub(crate) type PartialCallback = Arc<dyn Fn(&Partial) + Send + Sync>;
 
 #[cfg(test)]
 mod tests {

@@ -24,12 +24,12 @@ struct LogInner {
 
 impl RedoLog {
     /// Empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record the operation that produced `id`.
-    pub fn record(&self, id: DatasetId, lineage: Lineage) {
+    pub(crate) fn record(&self, id: DatasetId, lineage: Lineage) {
         let mut inner = self.entries.lock();
         if inner.by_id.insert(id, lineage).is_none() {
             inner.order.push(id);
@@ -37,13 +37,13 @@ impl RedoLog {
     }
 
     /// The lineage of `id`, if logged.
-    pub fn lineage(&self, id: DatasetId) -> Option<Lineage> {
+    pub(crate) fn lineage(&self, id: DatasetId) -> Option<Lineage> {
         self.entries.lock().by_id.get(&id).cloned()
     }
 
     /// The chain of operations needed to rebuild `id`, root-first
     /// (Load before its Filters/Maps).
-    pub fn chain(&self, id: DatasetId) -> Vec<(DatasetId, Lineage)> {
+    pub(crate) fn chain(&self, id: DatasetId) -> Vec<(DatasetId, Lineage)> {
         let inner = self.entries.lock();
         let mut chain = Vec::new();
         let mut cursor = Some(id);
@@ -71,7 +71,7 @@ impl RedoLog {
     }
 
     /// All operations in log order (root-node restart reads this, §5.8).
-    pub fn all(&self) -> Vec<(DatasetId, Lineage)> {
+    pub(crate) fn all(&self) -> Vec<(DatasetId, Lineage)> {
         let inner = self.entries.lock();
         inner
             .order

@@ -69,7 +69,7 @@ pub struct OpStats {
 impl OpStats {
     /// Add the trees of a later phase of this operation (a preparation
     /// helper's, or one more tree's) to its totals.
-    pub fn merge(&mut self, other: &OpStats) {
+    pub(crate) fn merge(&mut self, other: &OpStats) {
         // `first_partial` is relative to its own phase; offset by the time
         // already spent in earlier phases of this operation.
         if self.first_partial.is_none() {

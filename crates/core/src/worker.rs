@@ -76,7 +76,12 @@ impl Worker {
     /// threads, its sketch-result cache budget, and its block-residency
     /// budget ([`ClusterConfig::block_cache_bytes`]; `0` means
     /// unbounded).
-    pub fn new(id: usize, cfg: &ClusterConfig, sources: SourceRegistry, udfs: UdfRegistry) -> Self {
+    pub(crate) fn new(
+        id: usize,
+        cfg: &ClusterConfig,
+        sources: SourceRegistry,
+        udfs: UdfRegistry,
+    ) -> Self {
         Worker {
             id,
             num_workers: cfg.workers,
@@ -104,17 +109,17 @@ impl Worker {
 
     /// Arm a fault plan on this worker (kill/evict at operation
     /// boundaries, panic/stall at leaf tasks).
-    pub fn arm_faults(&self, plan: Arc<FaultPlan>) {
+    pub(crate) fn arm_faults(&self, plan: Arc<FaultPlan>) {
         *self.faults.lock() = Some(plan);
     }
 
     /// Remove any armed fault plan.
-    pub fn disarm_faults(&self) {
+    pub(crate) fn disarm_faults(&self) {
         *self.faults.lock() = None;
     }
 
     /// The armed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
+    pub(crate) fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
         self.faults.lock().clone()
     }
 
@@ -160,6 +165,8 @@ impl Worker {
 
     /// The worker's thread pool (used by the execution tree for leaves).
     /// Shared so leaf tasks can re-submit their split halves.
+    ///
+    /// Public only for the frozen `benchmark/`; ROADMAP 1 demotes it.
     pub fn pool(&self) -> &Arc<ThreadPool> {
         &self.pool
     }
@@ -199,7 +206,7 @@ impl Worker {
 
     /// Drop all cached datasets but stay alive — models cache expiry or
     /// memory pressure; the next query triggers lazy reconstruction.
-    pub fn evict_all(&self) {
+    pub(crate) fn evict_all(&self) {
         self.datasets.lock().clear();
         self.comp_cache.clear();
     }
@@ -223,7 +230,7 @@ impl Worker {
     }
 
     /// The lineage-derived content version of `id`, if materialized.
-    pub fn dataset_version(&self, id: DatasetId) -> Option<u64> {
+    pub(crate) fn dataset_version(&self, id: DatasetId) -> Option<u64> {
         self.datasets.lock().get(&id).map(|e| e.version)
     }
 
@@ -287,7 +294,7 @@ impl Worker {
     }
 
     /// Total rows across this worker's partitions of `id`.
-    pub fn dataset_rows(&self, id: DatasetId) -> usize {
+    pub(crate) fn dataset_rows(&self, id: DatasetId) -> usize {
         self.partitions(id)
             .map(|p| p.iter().map(|v| v.len()).sum())
             .unwrap_or(0)
@@ -299,7 +306,7 @@ impl Worker {
     /// the compression ratio a load achieved. Mapped (out-of-core) columns
     /// are *excluded* — they are file windows, not heap; see
     /// [`Worker::dataset_mapped_bytes`].
-    pub fn dataset_heap_bytes(&self, id: DatasetId) -> usize {
+    pub(crate) fn dataset_heap_bytes(&self, id: DatasetId) -> usize {
         self.partitions(id)
             .map(|p| p.iter().map(|v| v.table().heap_bytes()).sum())
             .unwrap_or(0)
@@ -310,20 +317,14 @@ impl Worker {
     /// [`Worker::dataset_heap_bytes`]. Counts the *addressable* span;
     /// how much of it is actually resident is a property of the
     /// [`Worker::block_cache`], not the dataset.
-    pub fn dataset_mapped_bytes(&self, id: DatasetId) -> usize {
+    pub(crate) fn dataset_mapped_bytes(&self, id: DatasetId) -> usize {
         self.partitions(id)
             .map(|p| p.iter().map(|v| v.table().mapped_bytes()).sum())
             .unwrap_or(0)
     }
 
-    /// The worker's block-residency cache (out-of-core sources charge
-    /// faulted chunks here).
-    pub fn block_cache(&self) -> &Arc<BlockCache> {
-        &self.block_cache
-    }
-
     /// Counter snapshot of the block-residency cache.
-    pub fn block_cache_stats(&self) -> BlockCacheStats {
+    pub(crate) fn block_cache_stats(&self) -> BlockCacheStats {
         self.block_cache.stats()
     }
 
@@ -335,7 +336,8 @@ impl Worker {
 
     /// Encoded bytes of datasets loaded from sources so far (the in-memory
     /// footprint counterpart of [`Worker::rows_loaded`]).
-    pub fn bytes_loaded(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn bytes_loaded(&self) -> u64 {
         // lint: allow(relaxed, monotonic diagnostics counter; no data is published through it)
         self.bytes_loaded.load(Ordering::Relaxed)
     }
@@ -381,7 +383,7 @@ impl Worker {
     /// A load also folds its partitions' statistics ([`DatasetStats`]),
     /// which the root reads instead of launching an unfiltered count or
     /// range tree.
-    pub fn derive(&self, id: DatasetId, step: &Lineage) -> EngineResult<()> {
+    pub(crate) fn derive(&self, id: DatasetId, step: &Lineage) -> EngineResult<()> {
         // The dataset the step reads: its parent, or for a load the one
         // it (re)creates.
         let reads = step.parent().unwrap_or(id);

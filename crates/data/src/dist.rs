@@ -56,7 +56,8 @@ impl Zipf {
     }
 
     /// The probability mass of rank `k`.
-    pub fn pmf(&self, k: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn pmf(&self, k: usize) -> f64 {
         if k == 0 {
             self.cdf[0]
         } else {
@@ -122,7 +123,7 @@ impl Lognormal {
 }
 
 /// One standard-normal draw via Box–Muller.
-pub fn standard_normal(rng: &mut SmallRng) -> f64 {
+pub(crate) fn standard_normal(rng: &mut SmallRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()

@@ -49,7 +49,7 @@ impl Token {
     }
 
     /// True for comment tokens (line or block).
-    pub fn is_comment(&self) -> bool {
+    pub(crate) fn is_comment(&self) -> bool {
         matches!(self.kind, TokKind::LineComment | TokKind::BlockComment)
     }
 }
@@ -107,7 +107,7 @@ fn scan_raw_string(b: &[u8], mut i: usize) -> usize {
 }
 
 /// Lex `src` into a lossless token stream (whitespace omitted).
-pub fn lex(src: &str) -> Vec<Token> {
+pub(crate) fn lex(src: &str) -> Vec<Token> {
     let b = src.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0usize;

@@ -20,6 +20,7 @@
 //! | `temp-dir` | no `temp_dir()` call in first-party code (tests and benches included) outside `columnar/src/tempdir.rs`: scratch paths come from `hillview_columnar::TempDir`, unique per use and removed on drop |
 //! | `relaxed-ordering` | `Ordering::Relaxed` only in the counters allowlist ([`rules::RELAXED_COUNTER_FILES`]) or under a `// lint: allow(relaxed, reason)` marker |
 //! | `error-classified` | every `EngineError` variant is named in `is_retryable()` and the match has no wildcard arm |
+//! | `pub-unused` | every `pub fn` in the library code of a `crates/*` or `vendor/*` package is named outside that package's `src/` (another crate, a `tests/`, `benches/` or `examples/` file, a binary target, or `benchmark/`), or carries a `// lint: allow(pub-unused, reason)` marker |
 //!
 //! ## Size ledger
 //!
@@ -29,8 +30,8 @@
 //! ## Markers
 //!
 //! A justified exception is a trailing or preceding-line comment of the
-//! form `// lint: allow(<rule>, <reason>)` where `<rule>` is `panic` or
-//! `relaxed` and `<reason>` is non-empty. The reason is the point: the
+//! form `// lint: allow(<rule>, <reason>)` where `<rule>` is `panic`,
+//! `relaxed` or `pub-unused` and `<reason>` is non-empty. The reason is the point: the
 //! marker records *why* the site is sound, next to the site.
 //!
 //! ## Adding a rule
@@ -114,7 +115,7 @@ impl SourceFile {
     }
 
     /// 1-based line number of byte offset `off`.
-    pub fn line_of(&self, off: usize) -> u32 {
+    pub(crate) fn line_of(&self, off: usize) -> u32 {
         match self.line_starts.binary_search(&off) {
             Ok(i) => i as u32 + 1,
             Err(i) => i as u32,
@@ -122,7 +123,7 @@ impl SourceFile {
     }
 
     /// The text of 1-based line `line` (without the newline), or `""`.
-    pub fn line_text(&self, line: u32) -> &str {
+    pub(crate) fn line_text(&self, line: u32) -> &str {
         if line == 0 {
             return "";
         }
@@ -139,7 +140,7 @@ impl SourceFile {
     }
 
     /// True when the whole file is test/bench/example code by location.
-    pub fn is_test_file(&self) -> bool {
+    pub(crate) fn is_test_file(&self) -> bool {
         self.path.contains("/tests/")
             || self.path.contains("/benches/")
             || self.path.starts_with("tests/")
@@ -149,7 +150,7 @@ impl SourceFile {
 
     /// True when byte offset `off` falls inside test-gated code (or the
     /// whole file is test code).
-    pub fn in_test(&self, off: usize) -> bool {
+    pub(crate) fn in_test(&self, off: usize) -> bool {
         self.is_test_file()
             || self
                 .test_spans
@@ -159,7 +160,7 @@ impl SourceFile {
 
     /// True when line `line` or the line above carries a
     /// `// lint: allow(<kind>, <reason>)` marker with a non-empty reason.
-    pub fn has_allow_marker(&self, line: u32, kind: &str) -> bool {
+    pub(crate) fn has_allow_marker(&self, line: u32, kind: &str) -> bool {
         if comment_has_marker(self.line_text(line), kind) {
             return true;
         }
@@ -173,7 +174,7 @@ impl SourceFile {
     }
 
     /// Indices (into `toks`) of non-comment tokens.
-    pub fn code_idx(&self) -> Vec<usize> {
+    pub(crate) fn code_idx(&self) -> Vec<usize> {
         self.toks
             .iter()
             .enumerate()
@@ -314,30 +315,36 @@ fn find_test_spans(src: &str, toks: &[Token]) -> Vec<(usize, usize)> {
 pub struct Workspace {
     /// All files, paths workspace-relative.
     pub files: Vec<SourceFile>,
+    /// The frozen `benchmark/` package: read only to count uses of public
+    /// items; no rule reports findings in it.
+    pub benchmark: Vec<SourceFile>,
 }
 
 impl Workspace {
-    /// Build a workspace from in-memory `(path, text)` pairs (fixtures).
+    /// Build a workspace from in-memory `(path, text)` pairs (fixtures);
+    /// paths under `benchmark/` go to [`Workspace::benchmark`].
     pub fn from_sources(sources: Vec<(String, String)>) -> Workspace {
-        Workspace {
-            files: sources
-                .into_iter()
-                .map(|(p, t)| SourceFile::new(p, t))
-                .collect(),
-        }
+        let (benchmark, files) = sources
+            .into_iter()
+            .map(|(p, t)| SourceFile::new(p, t))
+            .partition(|f| f.path.starts_with("benchmark/"));
+        Workspace { files, benchmark }
     }
 
     /// Walk `root` and lex every `.rs` file under `crates/`, `vendor/`,
     /// `tests/`, and `examples/`, skipping build output and the lint
-    /// fixture corpus (which contains known-bad snippets on purpose).
+    /// fixture corpus (which contains known-bad snippets on purpose), plus
+    /// `benchmark/` into [`Workspace::benchmark`].
     pub fn load(root: &Path) -> io::Result<Workspace> {
-        Workspace::load_dirs(root, &["crates", "vendor", "tests", "examples"])
+        let mut ws = Workspace::load_dirs(root, &["crates", "vendor", "tests", "examples"])?;
+        ws.benchmark = Workspace::load_dirs(root, &["benchmark"])?.files;
+        Ok(ws)
     }
 
     /// [`Workspace::load`] over the given top-level directories (the size
     /// ledger also counts the standalone `benchmark/` package, which the
     /// rules do not patrol).
-    pub fn load_dirs(root: &Path, tops: &[&str]) -> io::Result<Workspace> {
+    pub(crate) fn load_dirs(root: &Path, tops: &[&str]) -> io::Result<Workspace> {
         let mut files = Vec::new();
         for top in tops {
             let dir = root.join(top);
@@ -346,7 +353,10 @@ impl Workspace {
             }
         }
         files.sort_by(|a, b| a.path.cmp(&b.path));
-        Ok(Workspace { files })
+        Ok(Workspace {
+            files,
+            benchmark: Vec::new(),
+        })
     }
 
     /// File by exact workspace-relative path.
@@ -364,6 +374,7 @@ impl Workspace {
         out.extend(rules::rule_temp_dir(self));
         out.extend(rules::rule_relaxed_ordering(self));
         out.extend(rules::rule_error_classified(self));
+        out.extend(rules::rule_pub_unused(self));
         out.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
         out
     }

@@ -1,9 +1,10 @@
-//! The seven invariant rules. Each is a pure function of the lexed
+//! The eight invariant rules. Each is a pure function of the lexed
 //! [`Workspace`] returning [`Finding`]s; see the crate docs for the rule
 //! table and the marker grammar.
 
 use crate::lexer::{TokKind, Token};
 use crate::{Finding, SourceFile, Workspace};
+use std::collections::{HashMap, HashSet};
 
 /// Files whose `Ordering::Relaxed` uses are all monotonic diagnostic
 /// counters with no load/store pairing — the explicit allowlist of the
@@ -40,7 +41,7 @@ fn finding(rule: &'static str, f: &SourceFile, off: usize, msg: String) -> Findi
 /// immediately preceded by a comment block containing `SAFETY` (attribute
 /// lines may sit between the comment and the item). Doc `# Safety`
 /// sections directly above an `unsafe fn` count.
-pub fn rule_safety_comment(ws: &Workspace) -> Vec<Finding> {
+pub(crate) fn rule_safety_comment(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
     for f in &ws.files {
         for t in &f.toks {
@@ -101,7 +102,7 @@ fn preceded_by_safety_comment(f: &SourceFile, t: &Token) -> bool {
 /// No `.unwrap()` / `.expect(` / `panic!` / `unreachable!` / `todo!` /
 /// `unimplemented!` in non-test code under [`PANIC_FREE_PREFIXES`],
 /// except sites carrying a `// lint: allow(panic, reason)` marker.
-pub fn rule_panic_site(ws: &Workspace) -> Vec<Finding> {
+pub(crate) fn rule_panic_site(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
     for f in &ws.files {
         if !PANIC_FREE_PREFIXES.iter().any(|p| f.path.starts_with(p)) {
@@ -163,7 +164,7 @@ pub fn rule_panic_site(ws: &Workspace) -> Vec<Finding> {
 /// equivalence suite (a `tests/` file calling `set_force_scalar`), so a
 /// new SIMD primitive cannot ship without a byte-equality test pinning
 /// its scalar fallback.
-pub fn rule_simd_registry(ws: &Workspace) -> Vec<Finding> {
+pub(crate) fn rule_simd_registry(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
     let Some(f) = ws.file("crates/columnar/src/simd.rs") else {
         return out;
@@ -230,7 +231,7 @@ pub fn rule_simd_registry(ws: &Workspace) -> Vec<Finding> {
 /// rowwise), `scan_equivalence` (chunked ≡ rowwise across encodings),
 /// `merge_laws` (merge associativity/commutativity/split laws), and
 /// `wire_totality` (its summary's decoder is total and canonical).
-pub fn rule_sketch_registry(ws: &Workspace) -> Vec<Finding> {
+pub(crate) fn rule_sketch_registry(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
     let suites = [
         "crates/sketch/tests/fused_equivalence.rs",
@@ -290,7 +291,7 @@ pub const TEMP_DIR_HELPER: &str = "crates/columnar/src/tempdir.rs";
 /// picks the same name and outlives the run; the helper's are unique per
 /// use and removed on drop. Vendored shims cannot depend on the helper and
 /// are not patrolled.
-pub fn rule_temp_dir(ws: &Workspace) -> Vec<Finding> {
+pub(crate) fn rule_temp_dir(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
     for f in &ws.files {
         if f.path.starts_with("vendor/") || f.path == TEMP_DIR_HELPER {
@@ -320,7 +321,7 @@ pub fn rule_temp_dir(ws: &Workspace) -> Vec<Finding> {
 /// ([`RELAXED_COUNTER_FILES`]); every other non-test site must carry a
 /// `// lint: allow(relaxed, reason)` marker justifying why no
 /// acquire/release pairing is needed.
-pub fn rule_relaxed_ordering(ws: &Workspace) -> Vec<Finding> {
+pub(crate) fn rule_relaxed_ordering(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
     for f in &ws.files {
         if RELAXED_COUNTER_FILES.contains(&f.path.as_str()) {
@@ -363,7 +364,7 @@ pub fn rule_relaxed_ordering(ws: &Workspace) -> Vec<Finding> {
 /// the classification match must have no wildcard arm — adding a variant
 /// without deciding its retry semantics is a lint failure (and, with the
 /// wildcard gone, a compile failure too).
-pub fn rule_error_classified(ws: &Workspace) -> Vec<Finding> {
+pub(crate) fn rule_error_classified(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
     let Some(f) = ws.file("crates/core/src/error.rs") else {
         return out;
@@ -472,6 +473,86 @@ pub fn rule_error_classified(ws: &Workspace) -> Vec<Finding> {
                 "is_retryable() has a wildcard arm; every variant must be classified \
                  explicitly so new variants fail to compile until classified"
                     .to_string(),
+            ));
+        }
+    }
+    out
+}
+
+// ---------------------------------------------------------------------------
+// Rule: pub-unused
+// ---------------------------------------------------------------------------
+
+/// The package whose library code `path` is: `crates/<name>` or
+/// `vendor/<name>` for a file under its `src/`, except a binary target
+/// (`src/main.rs`, `src/bin/`), which is a crate of its own.
+fn library_unit(path: &str) -> Option<&str> {
+    let mut parts = path.splitn(4, '/');
+    let (top, name, src, rest) = (parts.next()?, parts.next()?, parts.next()?, parts.next()?);
+    let library = matches!(top, "crates" | "vendor")
+        && src == "src"
+        && rest != "main.rs"
+        && !rest.starts_with("bin/");
+    library.then(|| &path[..top.len() + 1 + name.len()])
+}
+
+/// Every `pub fn` — a free function or an inherent method; `pub(crate)`
+/// and the other restricted forms are not public — in the non-test library
+/// code of a `crates/*` or `vendor/*` package must be named by a file
+/// outside that package's `src/`: another crate, any `tests/`, `benches/`
+/// or `examples/` file, a binary target, or the frozen `benchmark/`
+/// package, which is read only to count uses. A name that appears only in
+/// a comment or a string does not count. A `// lint: allow(pub-unused,
+/// reason)` marker clears a finding. Public types are left to rustc's
+/// `private_interfaces` lint.
+pub(crate) fn rule_pub_unused(ws: &Workspace) -> Vec<Finding> {
+    // Identifier → the library packages whose own `src/` names it; `None`
+    // stands for any other file.
+    let mut namers: HashMap<&str, HashSet<Option<&str>>> = HashMap::new();
+    for f in ws.files.iter().chain(&ws.benchmark) {
+        let unit = library_unit(&f.path);
+        for t in f.toks.iter().filter(|t| t.kind == TokKind::Ident) {
+            namers.entry(t.text(&f.text)).or_default().insert(unit);
+        }
+    }
+    let mut out = Vec::new();
+    for f in &ws.files {
+        let Some(unit) = library_unit(&f.path) else {
+            continue;
+        };
+        let idx = f.code_idx();
+        let text = |k: usize| idx.get(k).map_or("", |&i| f.toks[i].text(&f.text));
+        for (k, &i) in idx.iter().enumerate() {
+            let t = &f.toks[i];
+            if text(k) != "pub" || f.in_test(t.lo) {
+                continue;
+            }
+            // `pub [const] [async] [unsafe] [extern "abi"] fn name`.
+            let mut m = k + 1;
+            while matches!(text(m), "const" | "async" | "unsafe" | "extern")
+                || idx.get(m).is_some_and(|&j| f.toks[j].kind == TokKind::Str)
+            {
+                m += 1;
+            }
+            let is_name = idx
+                .get(m + 1)
+                .is_some_and(|&j| f.toks[j].kind == TokKind::Ident);
+            if text(m) != "fn" || !is_name {
+                continue;
+            }
+            let name = text(m + 1);
+            let named_outside = namers[name].iter().any(|&u| u != Some(unit));
+            if named_outside || f.has_allow_marker(f.line_of(t.lo), "pub-unused") {
+                continue;
+            }
+            out.push(finding(
+                "pub-unused",
+                f,
+                t.lo,
+                format!(
+                    "`pub fn {name}` is named nowhere outside {unit}/src; make it \
+                     `pub(crate)`, delete it, or add `// lint: allow(pub-unused, reason)`"
+                ),
             ));
         }
     }

@@ -6,7 +6,7 @@ pub enum EngineError {
 }
 
 impl EngineError {
-    pub fn is_retryable(&self) -> bool {
+    fn is_retryable(&self) -> bool {
         match self {
             EngineError::Alpha => true,
             _ => false,

@@ -5,7 +5,7 @@ pub enum EngineError {
 }
 
 impl EngineError {
-    pub fn is_retryable(&self) -> bool {
+    fn is_retryable(&self) -> bool {
         match self {
             EngineError::Alpha => true,
             EngineError::Beta(_) => false,

@@ -1,13 +1,13 @@
 // Fixture (virtual path crates/core/src/…): panicking calls in non-test
 // engine code must fire, one finding per site.
-pub fn first(x: Option<u32>) -> u32 {
+fn first(x: Option<u32>) -> u32 {
     x.unwrap()
 }
 
-pub fn second(x: Option<u32>) -> u32 {
+fn second(x: Option<u32>) -> u32 {
     x.expect("present")
 }
 
-pub fn third() -> u32 {
+fn third() -> u32 {
     unreachable!("fixture")
 }

@@ -1,14 +1,14 @@
 // Fixture: marked sites and test code are exempt.
-pub fn marked(x: Option<u32>) -> u32 {
+fn marked(x: Option<u32>) -> u32 {
     // lint: allow(panic, fixture demonstrating a justified site)
     x.expect("fixture")
 }
 
-pub fn trailing(x: Option<u32>) -> u32 {
+fn trailing(x: Option<u32>) -> u32 {
     x.unwrap() // lint: allow(panic, trailing marker form)
 }
 
-pub fn structured(x: Option<u32>) -> Result<u32, String> {
+fn structured(x: Option<u32>) -> Result<u32, String> {
     x.ok_or_else(|| "missing".to_string())
 }
 

@@ -2,6 +2,6 @@
 // Ordering::Relaxed must fire.
 use std::sync::atomic::{AtomicU64, Ordering};
 
-pub fn bump(c: &AtomicU64) {
+fn bump(c: &AtomicU64) {
     c.fetch_add(1, Ordering::Relaxed);
 }

@@ -1,7 +1,7 @@
 // Fixture: a justified marker exempts the site; test code is exempt too.
 use std::sync::atomic::{AtomicU64, Ordering};
 
-pub fn bump(c: &AtomicU64) {
+fn bump(c: &AtomicU64) {
     // lint: allow(relaxed, monotonic diagnostics counter with no paired load)
     c.fetch_add(1, Ordering::Relaxed);
 }

@@ -1,4 +1,4 @@
 // Fixture: an `unsafe` block with no justification comment must fire.
-pub fn read(p: *const u8) -> u8 {
+fn read(p: *const u8) -> u8 {
     unsafe { *p }
 }

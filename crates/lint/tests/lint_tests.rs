@@ -183,6 +183,50 @@ fn error_classified_fires_and_clears() {
     assert_clean(&good);
 }
 
+#[test]
+fn pub_unused_fires_and_clears() {
+    let bad = check(&[
+        (
+            "crates/alpha/src/lib.rs",
+            include_str!("fixtures/pub_unused/bad.rs"),
+        ),
+        (
+            "crates/beta/src/lib.rs",
+            "// Calls in_comment() elsewhere.\nfn f() -> &'static str { \"in_string\" }\n",
+        ),
+    ]);
+    let hits = of_rule(&bad, "pub-unused");
+    assert_eq!(hits.len(), 4, "{bad:?}");
+    for name in ["only_here", "in_comment", "in_string", "empty_reason"] {
+        assert!(
+            hits.iter().any(|f| f.msg.contains(&format!("fn {name}`"))),
+            "{name}"
+        );
+    }
+    let good = check(&[
+        (
+            "crates/alpha/src/lib.rs",
+            include_str!("fixtures/pub_unused/good.rs"),
+        ),
+        ("crates/beta/src/lib.rs", "fn f() { used_by_beta(); }\n"),
+        ("crates/alpha/tests/t.rs", "fn t() { used_by_tests(); }\n"),
+        ("examples/e.rs", "fn main() { used_by_examples(); }\n"),
+        (
+            "benchmark/src/main.rs",
+            "fn main() { drop(used_by_benchmark()); }\n",
+        ),
+        // The benchmark package is read for uses, never patrolled.
+        ("benchmark/src/lib.rs", "pub fn nobody_calls_this() {}\n"),
+    ]);
+    assert_clean(&good);
+    // A binary target is a crate of its own: its calls count as outside.
+    let bin = check(&[
+        ("crates/alpha/src/lib.rs", "pub fn run() {}\n"),
+        ("crates/alpha/src/main.rs", "fn main() { run(); }\n"),
+    ]);
+    assert_clean(&bin);
+}
+
 /// The real workspace passes every rule. This is the same check CI runs
 /// via `cargo run -p hillview-lint -- check`, pinned here so plain
 /// `cargo test` catches regressions too.

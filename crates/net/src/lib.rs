@@ -10,25 +10,25 @@
 //! (Figure 5's "data received by the root node" is measured, not estimated),
 //! and links can inject faults — drops, duplicates, bit flips and delays.
 //!
-//! * [`wire`] — compact binary serialization ([`Wire`] trait) for all
+//! * `wire` — compact binary serialization ([`Wire`] trait) for all
 //!   summary payloads: varints and the shape-aware codecs (zero-run counts,
 //!   bit-packed registers, prefix-shared key lists), every decoder total
 //!   and canonical.
-//! * [`link`] — simulated point-to-point links over crossbeam channels with
+//! * `link` — simulated point-to-point links over crossbeam channels with
 //!   byte accounting and seeded fault injection.
-//! * [`metrics`] — shared atomic counters for bytes/messages per endpoint.
+//! * `metrics` — shared atomic counters for bytes/messages per endpoint.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
-pub mod error;
-pub mod link;
-pub mod metrics;
+pub(crate) mod error;
+pub(crate) mod link;
+pub(crate) mod metrics;
 pub mod values;
-pub mod wire;
+pub(crate) mod wire;
 
 pub use error::{Error, Result};
-pub use link::{link_pair, FrameFault, FrameFaultHook, LinkConfig, LinkReceiver, LinkSender};
+pub use link::{link_pair, FrameFault, LinkConfig, LinkReceiver, LinkSender};
 pub use metrics::NetMetrics;
 pub use wire::{Wire, WireReader, WireWriter, MAX_COUNTS};

@@ -28,6 +28,8 @@ use std::time::Duration;
 
 /// A link's configuration: empty, since links add no delay of their own
 /// (a straggler frame is a [`FrameFault::Delay`]).
+///
+/// Public only for the frozen `benchmark/`; ROADMAP 1(b)/9(a) removes it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LinkConfig;
 
@@ -61,7 +63,7 @@ pub enum FrameFault {
 /// Per-frame fault decision function: `(frame sequence number, payload
 /// length) → fault`. Must be pure in its inputs so a failing schedule
 /// replays identically.
-pub type FrameFaultHook = Arc<dyn Fn(u64, usize) -> FrameFault + Send + Sync>;
+pub(crate) type FrameFaultHook = Arc<dyn Fn(u64, usize) -> FrameFault + Send + Sync>;
 
 /// Sending half of a link.
 #[derive(Clone)]
@@ -158,11 +160,6 @@ impl LinkSender {
     fn send_frame(&self, payload: Bytes) -> Result<()> {
         self.metrics.record(payload.len() as u64);
         self.tx.send(payload).map_err(|_| Error::Disconnected)
-    }
-
-    /// The metrics this link reports into.
-    pub fn metrics(&self) -> &NetMetrics {
-        &self.metrics
     }
 }
 

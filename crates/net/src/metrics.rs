@@ -22,12 +22,12 @@ struct Counters {
 
 impl NetMetrics {
     /// Fresh zeroed counters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record one message of `bytes` payload (plus 4-byte frame header).
-    pub fn record(&self, bytes: u64) {
+    pub(crate) fn record(&self, bytes: u64) {
         self.inner.bytes.fetch_add(bytes + 4, Ordering::Relaxed);
         self.inner.messages.fetch_add(1, Ordering::Relaxed);
     }
@@ -43,21 +43,15 @@ impl NetMetrics {
     }
 
     /// Record one injected link fault (drop/duplicate/corrupt/delay).
-    pub fn record_fault(&self) {
+    pub(crate) fn record_fault(&self) {
         self.inner.faults.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total link faults injected on this endpoint — lets tests assert a
     /// fault schedule actually fired.
-    pub fn faults(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn faults(&self) -> u64 {
         self.inner.faults.load(Ordering::Relaxed)
-    }
-
-    /// Reset to zero (between benchmark operations).
-    pub fn reset(&self) {
-        self.inner.bytes.store(0, Ordering::Relaxed);
-        self.inner.messages.store(0, Ordering::Relaxed);
-        self.inner.faults.store(0, Ordering::Relaxed);
     }
 }
 
@@ -80,15 +74,6 @@ mod tests {
         let m2 = m.clone();
         m2.record(10);
         assert_eq!(m.bytes(), 14);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let m = NetMetrics::new();
-        m.record(10);
-        m.reset();
-        assert_eq!(m.bytes(), 0);
-        assert_eq!(m.messages(), 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! `x = 0`) and eight little-endian bytes; `Str` (4) with `x` the byte
 //! length and the UTF-8 bytes. Kinds 5–7, a non-zero `x` under `Missing` or
 //! `Double`, and a padded or overlong varint are refused. The key list that
-//! sorted summaries share is laid out in the [`wire`](crate::wire) module
+//! sorted summaries share is laid out in the `wire` module
 //! docs.
 
 use crate::error::{Error, Result};

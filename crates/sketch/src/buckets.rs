@@ -116,6 +116,8 @@ impl BucketSpec {
 
     /// Bucket index of a string value, or `None` if below the first
     /// boundary or the spec is numeric.
+    ///
+    /// Public only for the frozen `benchmark/`; ROADMAP 1 demotes it.
     #[inline]
     pub fn index_of_str(&self, s: &str) -> Option<usize> {
         match self {

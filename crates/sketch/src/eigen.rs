@@ -15,7 +15,7 @@ pub struct SymMatrix {
 
 impl SymMatrix {
     /// Zero matrix of size n×n.
-    pub fn zeros(n: usize) -> Self {
+    pub(crate) fn zeros(n: usize) -> Self {
         SymMatrix {
             n,
             data: vec![0.0; n * n],
@@ -23,7 +23,8 @@ impl SymMatrix {
     }
 
     /// Build from a row-major buffer (must be symmetric; enforced in debug).
-    pub fn from_rows(n: usize, data: Vec<f64>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_rows(n: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), n * n);
         let m = SymMatrix { n, data };
         debug_assert!(m.is_symmetric(1e-9), "matrix is not symmetric");
@@ -31,7 +32,7 @@ impl SymMatrix {
     }
 
     /// Matrix dimension.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
     }
 
@@ -43,13 +44,14 @@ impl SymMatrix {
 
     /// Set both (i, j) and (j, i).
     #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
+    pub(crate) fn set(&mut self, i: usize, j: usize, v: f64) {
         self.data[i * self.n + j] = v;
         self.data[j * self.n + i] = v;
     }
 
     /// Symmetry check within a tolerance.
-    pub(crate) fn is_symmetric(&self, tol: f64) -> bool {
+    #[cfg(test)]
+    fn is_symmetric(&self, tol: f64) -> bool {
         for i in 0..self.n {
             for j in 0..i {
                 if (self.get(i, j) - self.get(j, i)).abs() > tol {

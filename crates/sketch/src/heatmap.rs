@@ -78,13 +78,9 @@ impl HeatmapSummary {
     }
 
     /// Count in cell (x, y).
-    pub fn get(&self, x: usize, y: usize) -> u64 {
+    #[cfg(test)]
+    fn get(&self, x: usize, y: usize) -> u64 {
         self.counts[x * self.by + y]
-    }
-
-    /// Largest cell count.
-    pub fn max_count(&self) -> u64 {
-        self.counts.iter().copied().max().unwrap_or(0)
     }
 
     /// Count one row whose X and Y *cells* (see [`scan_cells`]) are `x` and
@@ -251,7 +247,6 @@ mod tests {
         assert_eq!(s.get(1, 1), 3);
         assert_eq!(s.missing, 1);
         assert_eq!(s.out_of_range, 1);
-        assert_eq!(s.max_count(), 3);
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub mod bottomk;
 pub mod buckets;
 pub mod count;
 pub mod distinct;
-pub mod eigen;
+pub(crate) mod eigen;
 pub mod find;
 pub mod hashutil;
 pub mod heatmap;

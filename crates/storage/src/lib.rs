@@ -55,7 +55,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod csv;
-pub mod error;
+pub(crate) mod error;
 pub mod hvc;
 pub mod partition;
 pub mod spill;

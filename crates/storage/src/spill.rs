@@ -50,6 +50,8 @@ pub struct SpillManifest {
 
 impl SpillManifest {
     /// Total rows across all parts.
+    ///
+    /// Public only for the frozen `benchmark/`; ROADMAP 1 demotes it.
     pub fn total_rows(&self) -> usize {
         self.parts.iter().map(|p| p.rows).sum()
     }

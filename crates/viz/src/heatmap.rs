@@ -1,6 +1,6 @@
 //! The heat-map vizketch (paper §4.3, Fig. 13(d)), and the one rule by
 //! which every bucketed chart turns a phase-1 axis summary into the
-//! [`BucketSpec`] its phase-2 sketch counts into ([`AxisInfo::bucket_spec`]).
+//! [`BucketSpec`] its phase-2 sketch counts into (`AxisInfo::bucket_spec`).
 
 use crate::display::{DisplaySpec, COLOR_SHADES, MAX_STRING_BUCKETS};
 use crate::render::ColorGrid;
@@ -40,7 +40,7 @@ pub enum AxisInfo {
 impl AxisInfo {
     /// The axis cut into (at most) `bins` buckets; `which` names the axis
     /// or column in the error an empty one gets.
-    pub fn bucket_spec(&self, bins: usize, which: &str) -> SketchResult<BucketSpec> {
+    pub(crate) fn bucket_spec(&self, bins: usize, which: &str) -> SketchResult<BucketSpec> {
         match self {
             AxisInfo::Numeric(range) => numeric_spec(range, bins, which),
             AxisInfo::Strings(bottomk) => string_spec(bottomk, bins, which),
@@ -105,7 +105,8 @@ impl HeatmapViz {
     }
 
     /// Use the exact streaming kernel.
-    pub fn exact(mut self) -> Self {
+    #[cfg(test)]
+    pub(crate) fn exact(mut self) -> Self {
         self.exact = true;
         self
     }

@@ -25,6 +25,8 @@ impl BarChart {
     /// Render counts to pixel heights: the largest count maps to the full
     /// height ("to maximize use of screen, we should scale the bars so that
     /// the largest one has V pixels", §4.3); others round to nearest pixel.
+    ///
+    /// Public only for the frozen `benchmark/`; ROADMAP 1 demotes it.
     pub fn from_counts(counts: &[u64], height_px: usize, labels: Vec<String>) -> Self {
         let max_count = counts.iter().copied().max().unwrap_or(0);
         let heights_px = counts
@@ -84,7 +86,7 @@ impl ColorGrid {
     /// from count to color is linear", §4.3): 0 stays 0, the maximum maps to
     /// `shades`, everything else rounds to the nearest shade, minimum 1 so
     /// that presence is always visible.
-    pub fn from_counts(counts: &[u64], bx: usize, by: usize, shades: usize) -> Self {
+    pub(crate) fn from_counts(counts: &[u64], bx: usize, by: usize, shades: usize) -> Self {
         debug_assert_eq!(counts.len(), bx * by);
         let max_count = counts.iter().copied().max().unwrap_or(0);
         let cells = counts
@@ -101,23 +103,9 @@ impl ColorGrid {
     }
 
     /// Shade at (x, y).
-    pub fn get(&self, x: usize, y: usize) -> u8 {
+    #[cfg(test)]
+    pub(crate) fn get(&self, x: usize, y: usize) -> u8 {
         self.cells[x * self.by + y]
-    }
-
-    /// ASCII rendering with a density ramp, y growing upward.
-    pub fn to_ascii(&self) -> String {
-        const RAMP: &[u8] = b" .:-=+*#%@";
-        let mut out = String::new();
-        for y in (0..self.by).rev() {
-            for x in 0..self.bx {
-                let s = self.get(x, y) as usize;
-                let idx = s * (RAMP.len() - 1) / self.shades.max(1);
-                out.push(RAMP[idx] as char);
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -178,8 +166,5 @@ mod tests {
         assert_eq!(g.get(0, 0), 0);
         assert_eq!(g.get(0, 1), 10);
         assert_eq!(g.get(1, 0), 5);
-        let art = g.to_ascii();
-        assert_eq!(art.lines().count(), 2);
-        assert!(art.starts_with('@'), "densest cell renders darkest:\n{art}");
     }
 }

@@ -26,7 +26,7 @@ pub fn histogram(v_px: usize, delta: f64) -> u64 {
 
 /// Samples for a CDF over `v_px` vertical pixels: `O(V² log 1/δ)`
 /// (App. B.1). The CDF needs accuracy ±0.1/V per horizontal pixel.
-pub fn cdf(v_px: usize, delta: f64) -> u64 {
+pub(crate) fn cdf(v_px: usize, delta: f64) -> u64 {
     let v = v_px as f64;
     (25.0 * v * v * (1.0 / delta).ln()).ceil() as u64
 }
@@ -36,7 +36,7 @@ pub fn cdf(v_px: usize, delta: f64) -> u64 {
 /// is unknown before the scan, so callers pass an estimate (1 / number of
 /// populated cells is a reasonable prior); the result is clamped to a
 /// budget because the theoretical bound explodes for tiny `p_max`.
-pub fn heatmap(shades: usize, p_max_estimate: f64, delta: f64) -> u64 {
+pub(crate) fn heatmap(shades: usize, p_max_estimate: f64, delta: f64) -> u64 {
     let c = shades as f64;
     let p = p_max_estimate.clamp(1e-6, 1.0);
     let n = (c * c / (p * p) * (1.0 / delta).ln()).ceil() as u64;
@@ -56,7 +56,7 @@ fn heatmap_budget() -> u64 {
 /// sample complexity O(V²)", App. C.1). δ sharpens the constant mildly.
 /// This is the sample half of the scroll bar's error budget, which
 /// `quantile_resolution` states whole.
-pub fn quantile(v_px: usize, delta: f64) -> u64 {
+pub(crate) fn quantile(v_px: usize, delta: f64) -> u64 {
     let v = v_px as f64;
     ((4.0 * v * v) * (1.0 + (1.0 / delta).ln() / 10.0)).ceil() as u64
 }
@@ -87,7 +87,7 @@ pub(crate) fn quantile_resolution(v_px: usize) -> usize {
 }
 
 /// Samples for sampled heavy hitters: `K² log(K/δ)` (Theorem 4).
-pub fn heavy_hitters(k: usize, delta: f64) -> u64 {
+pub(crate) fn heavy_hitters(k: usize, delta: f64) -> u64 {
     let k = k.max(1) as f64;
     (k * k * (k / delta).ln()).ceil() as u64
 }

@@ -54,13 +54,15 @@ impl StackedViz {
     }
 
     /// Normalize bars to 100% (forces the exact kernel).
-    pub fn normalized(mut self) -> Self {
+    #[cfg(test)]
+    pub(crate) fn normalized(mut self) -> Self {
         self.normalized = true;
         self
     }
 
     /// Request a specific number of X buckets.
-    pub fn with_buckets(mut self, b: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_buckets(mut self, b: usize) -> Self {
         self.requested_buckets = Some(b);
         self
     }

@@ -47,13 +47,15 @@ impl TableViewViz {
     }
 
     /// Add display columns.
-    pub fn with_display(mut self, cols: &[&str]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_display(mut self, cols: &[&str]) -> Self {
         self.display_cols = cols.iter().map(|c| c.to_string()).collect();
         self
     }
 
     /// Sketch for the first page.
-    pub fn first_page(&self) -> NextKSketch {
+    #[cfg(test)]
+    pub(crate) fn first_page(&self) -> NextKSketch {
         self.page_after(None)
     }
 

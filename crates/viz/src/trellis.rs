@@ -46,7 +46,7 @@ impl TrellisViz {
     }
 
     /// Grid layout: near-square `rows × cols ≥ groups`.
-    pub fn layout(&self) -> (usize, usize) {
+    pub(crate) fn layout(&self) -> (usize, usize) {
         let cols = (self.groups as f64).sqrt().ceil() as usize;
         let rows = self.groups.div_ceil(cols);
         (rows, cols)

@@ -136,3 +136,120 @@ fn results_scale_invariant_for_sampled_charts() {
         );
     }
 }
+
+/// Fig. 2: a trellis draws one heat map per group — the requested count
+/// over a numeric grouping column, and one per value over a categorical
+/// column with fewer distinct values than requested, every one of them
+/// holding rows.
+#[test]
+fn trellis_draws_one_heat_map_per_group() {
+    let sheet = flights_sheet(2, 10_000);
+    let (grids, _) = sheet
+        .trellis_heatmap("Distance", "DepDelay", "ArrDelay", 4)
+        .unwrap();
+    assert_eq!(grids.len(), 4);
+
+    let carriers: std::collections::BTreeSet<String> = (0..2)
+        .flat_map(|w| {
+            let t = hillview_data::generate_flights(&hillview_data::FlightsConfig::new(10_000, w));
+            let col = t.column_by_name("Carrier").unwrap();
+            (0..t.num_rows())
+                .map(|r| col.value(r).to_string())
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    assert!(carriers.len() < 16, "{} carriers", carriers.len());
+    let (grids, _) = sheet
+        .trellis_heatmap("Carrier", "Distance", "AirTime", 16)
+        .unwrap();
+    assert_eq!(grids.len(), carriers.len());
+    assert!(grids.iter().all(|g| g.max_count > 0));
+}
+
+/// App. B.3: the spectrum of a correlation matrix is non-negative, sorted
+/// descending, and sums to its trace — the number of columns.
+#[test]
+fn pca_spectrum_is_a_correlation_spectrum() {
+    let sheet = flights_sheet(2, 10_000);
+    let columns = ["DepDelay", "ArrDelay", "Distance", "AirTime"];
+    let (pca, _) = sheet.pca(&columns, 1.0).unwrap();
+    let eigen = pca.principal_components().unwrap();
+    let values = &eigen.values;
+    assert_eq!(values.len(), columns.len());
+    assert!(values.iter().all(|&v| v >= -1e-9), "{values:?}");
+    assert!(values.windows(2).all(|w| w[0] >= w[1]), "{values:?}");
+    let trace: f64 = values.iter().sum();
+    assert!((trace - columns.len() as f64).abs() < 1e-6, "{values:?}");
+}
+
+/// §3.5 "converting strings to integers": the built-in parse and a user
+/// closure doing the same by hand derive equal columns, whose values are
+/// the ones parsed here from the source rows.
+#[test]
+fn parsed_string_column_matches_a_hand_parse() {
+    use hillview_columnar::column::{Column, DictColumn};
+    use hillview_columnar::udf::UdfRegistry;
+    use hillview_columnar::{ColumnKind, Table, Value};
+    use hillview_core::dataset::{FnSource, SourceRegistry};
+    use hillview_core::{Cluster, ClusterConfig, Engine, Spreadsheet};
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    const ROWS: usize = 3_000;
+    let code = |w: usize, r: usize| match (r + w) % 11 {
+        0 => None,
+        1 => Some("n/a".to_string()),
+        _ => Some(format!(" {} ", (r * 7 + w) as i64 % 50 - 10)),
+    };
+    let table = move |w: usize| {
+        let codes: Vec<Option<String>> = (0..ROWS).map(|r| code(w, r)).collect();
+        Table::builder()
+            .column(
+                "Code",
+                ColumnKind::String,
+                Column::Str(DictColumn::from_strings(codes.iter().map(|c| c.as_deref()))),
+            )
+            .build()
+            .unwrap()
+    };
+    let mut sources = SourceRegistry::new();
+    sources.register(Arc::new(FnSource::new("codes", move |w, _n, mp, _snap| {
+        Ok(hillview_storage::partition_table(&table(w), mp))
+    })));
+    let mut udfs = UdfRegistry::new();
+    udfs.register_parse_int("Parsed", "Code");
+    udfs.register("ByHand", ColumnKind::Int, |t, r| {
+        match t.column_by_name("Code").unwrap().value(r) {
+            Value::Str(s) => s.trim().parse().map_or(Value::Missing, Value::Int),
+            _ => Value::Missing,
+        }
+    });
+    let config = ClusterConfig {
+        workers: 2,
+        micropartition_rows: 1_000,
+        ..Default::default()
+    };
+    let engine = Arc::new(Engine::new(Cluster::new(config, sources, udfs)));
+    let sheet = Spreadsheet::open(engine, "codes", 0, DisplaySpec::new(120, 60))
+        .unwrap()
+        .with_column("Parsed", "Parsed")
+        .unwrap()
+        .with_column("ByHand", "ByHand")
+        .unwrap();
+
+    let mut expected: BTreeMap<String, u64> = BTreeMap::new();
+    for w in 0..2 {
+        for r in 0..ROWS {
+            let parsed = code(w, r).and_then(|c| c.trim().parse::<i64>().ok());
+            let shown = parsed.map_or(Value::Missing, Value::Int).to_string();
+            *expected.entry(shown).or_default() += 1;
+        }
+    }
+    let (page, _) = sheet.sort_view(&["Parsed", "ByHand"], 100).unwrap();
+    let mut got: BTreeMap<String, u64> = BTreeMap::new();
+    for (cells, n) in &page.rows {
+        assert_eq!(cells[0], cells[1], "built-in and hand parse disagree");
+        *got.entry(cells[0].clone()).or_default() += n;
+    }
+    assert_eq!(got, expected);
+}
