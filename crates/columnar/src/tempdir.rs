@@ -2,8 +2,8 @@
 //!
 //! Tests run on parallel threads and CI repeats them, so every scratch
 //! path must be unique per use and gone afterwards. This is the one place
-//! that names such paths: `hillview-lint`'s `temp-dir` rule rejects a bare
-//! `std::env::temp_dir()` anywhere else in the first-party tree.
+//! that names such paths: `clippy.toml` bans `std::env::temp_dir`
+//! everywhere else in the workspace, tests, benches and examples included.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,6 +25,10 @@ impl TempDir {
         static NEXT: AtomicU64 = AtomicU64::new(0);
         // lint: allow(relaxed, unique-id counter; publishes no other data)
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the one place scratch paths are named"
+        )]
         let path = std::env::temp_dir().join(format!("hillview-{tag}-{}-{n}", std::process::id()));
         // A killed process that had this pid may have left the name behind.
         let _ = std::fs::remove_dir_all(&path);

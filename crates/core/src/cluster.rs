@@ -1048,7 +1048,10 @@ fn run_leaf_task(
         // is what lets the aggregation node distinguish "done" from "lost".
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             match worker.leaf_fault(partition, lo) {
-                // lint: allow(panic, deliberate fault injection; caught by the catch_unwind directly above)
+                #[expect(
+                    clippy::panic,
+                    reason = "deliberate fault injection; caught by the catch_unwind directly above"
+                )]
                 Some(FaultAction::PanicLeaf) => panic!(
                     "injected leaf panic (worker {}, partition {partition}, lo {lo})",
                     worker.id

@@ -78,9 +78,6 @@ pub struct Engine {
     /// exists only in the redo log, which holds its parent and predicate,
     /// and this table.
     pending_filters: parking_lot::Mutex<HashMap<DatasetId, bool>>,
-    /// Restart dead workers automatically during queries (on by default;
-    /// tests can disable it to observe raw failures).
-    pub auto_recover: bool,
     /// Retry budget of the recovery loop (queries and dataset-producing
     /// operations).
     pub retry: RetryPolicy,
@@ -94,7 +91,6 @@ impl Engine {
             log: RedoLog::new(),
             next_id: AtomicU64::new(1),
             pending_filters: parking_lot::Mutex::new(HashMap::new()),
-            auto_recover: true,
             retry: RetryPolicy::default(),
         }
     }
@@ -330,13 +326,10 @@ impl Engine {
             };
             let replay = match &failure {
                 EngineError::DatasetMissing { worker, dataset } => Some((*worker, *dataset)),
-                EngineError::WorkerDown(w) if self.auto_recover => {
+                EngineError::WorkerDown(w) => {
                     self.cluster.worker(*w).restart();
                     replay_at_once.map(|dataset| (*w, dataset))
                 }
-                // Without auto-restart a dead worker stays dead: the
-                // failure is deterministic, so surface it raw.
-                EngineError::WorkerDown(_) => return Err(failure),
                 _ if failure.is_retryable() => None,
                 _ => return Err(failure),
             };
@@ -380,11 +373,7 @@ impl Engine {
         }
         let w = self.cluster.worker(worker);
         if !w.is_alive() {
-            if self.auto_recover {
-                w.restart();
-            } else {
-                return Err(EngineError::WorkerDown(worker));
-            }
+            w.restart();
         }
         for (id, lineage) in chain {
             if w.has_dataset(id) {
@@ -635,18 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_recovery_disabled_surfaces_error() {
-        let mut e = engine();
-        e.auto_recover = false;
-        let base = e.load("nums", 0).unwrap();
-        e.cluster().worker(0).kill();
-        let err = e
-            .run(base, CountSketch::rows(), &QueryOptions::default())
-            .unwrap_err();
-        assert_eq!(err, EngineError::WorkerDown(0));
-    }
-
-    #[test]
     fn load_recovers_from_a_worker_killed_during_it() {
         use crate::fault::{FaultAction, FaultPlan, FaultSite};
         // Worker 1 dies at its first operation: the load itself.
@@ -669,11 +646,17 @@ mod tests {
         e.cluster().arm_faults(kill());
         let base = e.load("nums", 0).unwrap();
         assert_eq!(rows(&e, base), fault_free, "restarted, then loaded whole");
-        // Without auto-restart the worker stays dead and says so, raw.
-        let mut e = engine();
-        e.auto_recover = false;
+        // Below the recovery loop the worker stays dead and says so, raw.
+        let e = engine();
         e.cluster().arm_faults(kill());
-        assert_eq!(e.load("nums", 0).unwrap_err(), EngineError::WorkerDown(1));
+        let spec = SourceSpec {
+            source: Arc::from("nums"),
+            snapshot: 0,
+        };
+        let raw = e
+            .cluster()
+            .derive(DatasetId(1), &Lineage::Loaded { spec }, None);
+        assert_eq!(raw.unwrap_err(), EngineError::WorkerDown(1));
         // A failure no retry can heal is the first attempt's own error.
         let err = engine().load("nope", 0).unwrap_err();
         assert!(matches!(err, EngineError::Unregistered(_)), "{err}");

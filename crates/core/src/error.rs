@@ -94,8 +94,12 @@ impl EngineError {
     /// fail identically on every attempt.
     ///
     /// Deliberately an exhaustive match with no wildcard arm, enforced by
-    /// `hillview-lint` (`error-classified`): adding a variant without
-    /// deciding its retry class is a compile error, not a silent default.
+    /// the two clippy denies below: adding a variant without deciding its
+    /// retry class is a compile error, not a silent default.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn is_retryable(&self) -> bool {
         match self {
             // Transient: soft state can be replayed, workers restart, and

@@ -105,6 +105,10 @@ pub struct ThreadPool {
 
 impl ThreadPool {
     /// Spawn `threads` worker threads named after `label`.
+    #[expect(
+        clippy::expect_used,
+        reason = "startup-time OS resource exhaustion has no caller to report to"
+    )]
     pub(crate) fn new(threads: usize, label: &str) -> Self {
         let threads = threads.max(1);
         let deques: Vec<Deque<Task>> = (0..threads).map(|_| Deque::new_lifo()).collect();
@@ -132,7 +136,6 @@ impl ThreadPool {
                     })
                     // Thread spawning fails only on OS resource exhaustion
                     // at pool construction; there is no query to fail yet.
-                    // lint: allow(panic, startup-time OS resource exhaustion has no caller to report to)
                     .expect("spawn pool thread")
             })
             .collect();

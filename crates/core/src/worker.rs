@@ -59,8 +59,6 @@ pub struct Worker {
     udfs: UdfRegistry,
     /// Cumulative rows loaded from sources (diagnostics).
     rows_loaded: AtomicU64,
-    /// Cumulative encoded bytes of loaded datasets (footprint diagnostics).
-    bytes_loaded: AtomicU64,
     /// Leaf sub-tasks executed on this worker's pool (diagnostics: a value
     /// above the partition count proves intra-partition splitting ran).
     leaf_tasks: AtomicU64,
@@ -100,7 +98,6 @@ impl Worker {
             sources,
             udfs,
             rows_loaded: AtomicU64::new(0),
-            bytes_loaded: AtomicU64::new(0),
             leaf_tasks: AtomicU64::new(0),
             faults: Mutex::new(None),
             ops: AtomicU64::new(0),
@@ -334,14 +331,6 @@ impl Worker {
         self.rows_loaded.load(Ordering::Relaxed)
     }
 
-    /// Encoded bytes of datasets loaded from sources so far (the in-memory
-    /// footprint counterpart of [`Worker::rows_loaded`]).
-    #[cfg(test)]
-    pub(crate) fn bytes_loaded(&self) -> u64 {
-        // lint: allow(relaxed, monotonic diagnostics counter; no data is published through it)
-        self.bytes_loaded.load(Ordering::Relaxed)
-    }
-
     /// Sketch-result cache hits so far.
     pub fn cache_hits(&self) -> u64 {
         self.comp_cache.stats().hits
@@ -460,11 +449,8 @@ impl Worker {
             }
         }
         let rows: usize = views.iter().map(|v| v.len()).sum();
-        let bytes: usize = views.iter().map(|v| v.table().heap_bytes()).sum();
-        // lint: allow(relaxed, monotonic diagnostics counters; the dataset itself is published via the mutex in `derive`)
+        // lint: allow(relaxed, monotonic diagnostics counter; the dataset itself is published via the mutex in `derive`)
         self.rows_loaded.fetch_add(rows as u64, Ordering::Relaxed);
-        // lint: allow(relaxed, monotonic diagnostics counters; the dataset itself is published via the mutex in `derive`)
-        self.bytes_loaded.fetch_add(bytes as u64, Ordering::Relaxed);
         Ok(views)
     }
 
@@ -615,7 +601,6 @@ mod tests {
             actual * 4 <= plain_bytes,
             "footprint {actual} not >=4x below plain {plain_bytes}"
         );
-        assert_eq!(w.bytes_loaded(), actual as u64);
         w.evict(DatasetId(1));
         assert_eq!(w.dataset_heap_bytes(DatasetId(1)), 0);
     }

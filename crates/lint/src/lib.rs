@@ -14,13 +14,20 @@
 //! | id | invariant |
 //! |----|-----------|
 //! | `safety-comment` | every `unsafe` block/fn/impl is immediately preceded by a comment containing `SAFETY` |
-//! | `panic-site` | no `.unwrap()` / `.expect(` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` in non-test code of `crates/core` and `crates/net` without a `// lint: allow(panic, reason)` marker |
 //! | `simd-registry` | every `tier_dispatch!` entry in `columnar/src/simd.rs` has its scalar body defined and appears by name in a forced-scalar equivalence test |
 //! | `sketch-registry` | every `impl Sketch for T` appears in the `fused_equivalence`, `scan_equivalence`, `merge_laws` and `wire_totality` suites |
-//! | `temp-dir` | no `temp_dir()` call in first-party code (tests and benches included) outside `columnar/src/tempdir.rs`: scratch paths come from `hillview_columnar::TempDir`, unique per use and removed on drop |
 //! | `relaxed-ordering` | `Ordering::Relaxed` only in the counters allowlist ([`rules::RELAXED_COUNTER_FILES`]) or under a `// lint: allow(relaxed, reason)` marker |
-//! | `error-classified` | every `EngineError` variant is named in `is_retryable()` and the match has no wildcard arm |
 //! | `pub-unused` | every `pub fn` in the library code of a `crates/*` or `vendor/*` package is named outside that package's `src/` (another crate, a `tests/`, `benches/` or `examples/` file, a binary target, or `benchmark/`), or carries a `// lint: allow(pub-unused, reason)` marker |
+//!
+//! Three invariants live in clippy instead, run by CI's `cargo clippy
+//! --all-targets -- -D warnings`: no panic site in the non-test code of
+//! `crates/core` and `crates/net` (crate-level `clippy::unwrap_used` and
+//! siblings), no `std::env::temp_dir` outside `hillview_columnar::TempDir`
+//! (`disallowed-methods` in the root `clippy.toml`), and no wildcard arm in
+//! `EngineError::is_retryable` (two `deny`s on the fn). A justified site
+//! there is an `#[expect(<lint>, reason = "...")]`. `safety-comment` stays
+//! here because clippy's `undocumented_unsafe_blocks` does not cover an
+//! `unsafe fn` inside a trait impl.
 //!
 //! ## Size ledger
 //!
@@ -30,17 +37,18 @@
 //! ## Markers
 //!
 //! A justified exception is a trailing or preceding-line comment of the
-//! form `// lint: allow(<rule>, <reason>)` where `<rule>` is `panic`,
-//! `relaxed` or `pub-unused` and `<reason>` is non-empty. The reason is the point: the
+//! form `// lint: allow(<rule>, <reason>)` where `<rule>` is `relaxed` or
+//! `pub-unused` and `<reason>` is non-empty. The reason is the point: the
 //! marker records *why* the site is sound, next to the site.
 //!
 //! ## Adding a rule
 //!
-//! Write a `fn rule_<name>(ws: &Workspace) -> Vec<Finding>` in
-//! [`rules`], register it in [`Workspace::check`], and add a bad/good
-//! fixture pair under `tests/fixtures/<name>/` plus a case in
-//! `tests/lint_tests.rs`. The live-tree self-check test will hold the
-//! workspace to it from then on.
+//! Try a clippy lint first: an attribute or a `clippy.toml` setting checks
+//! the resolved program, which a token match cannot. Otherwise write a
+//! `fn rule_<name>(ws: &Workspace) -> Vec<Finding>` in [`rules`], list it
+//! in [`rules::RULES`], and add a bad/good fixture pair under
+//! `tests/fixtures/<name>/` plus a case in `tests/lint_tests.rs`. The
+//! live-tree self-check test will hold the workspace to it from then on.
 
 #![forbid(unsafe_code)]
 
@@ -366,15 +374,7 @@ impl Workspace {
 
     /// Run every rule; findings sorted by path then line.
     pub fn check(&self) -> Vec<Finding> {
-        let mut out = Vec::new();
-        out.extend(rules::rule_safety_comment(self));
-        out.extend(rules::rule_panic_site(self));
-        out.extend(rules::rule_simd_registry(self));
-        out.extend(rules::rule_sketch_registry(self));
-        out.extend(rules::rule_temp_dir(self));
-        out.extend(rules::rule_relaxed_ordering(self));
-        out.extend(rules::rule_error_classified(self));
-        out.extend(rules::rule_pub_unused(self));
+        let mut out: Vec<Finding> = rules::RULES.iter().flat_map(|rule| rule(self)).collect();
         out.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
         out
     }
@@ -439,10 +439,10 @@ fn also_live() {}
     fn markers_require_reasons() {
         let f = SourceFile::new(
             "x.rs",
-            "a(); // lint: allow(panic, lock poisoning is unrecoverable)\nb(); // lint: allow(panic,)\n",
+            "a(); // lint: allow(relaxed, diagnostic counter)\nb(); // lint: allow(relaxed,)\n",
         );
-        assert!(f.has_allow_marker(1, "panic"));
-        assert!(!f.has_allow_marker(2, "panic"), "empty reason rejected");
+        assert!(f.has_allow_marker(1, "relaxed"));
+        assert!(!f.has_allow_marker(2, "relaxed"), "empty reason rejected");
     }
 
     #[test]
@@ -452,6 +452,6 @@ fn also_live() {}
             "// lint: allow(relaxed, diagnostic counter)\nc.load(Ordering::Relaxed);\n",
         );
         assert!(f.has_allow_marker(2, "relaxed"));
-        assert!(!f.has_allow_marker(2, "panic"));
+        assert!(!f.has_allow_marker(2, "pub-unused"));
     }
 }

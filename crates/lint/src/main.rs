@@ -8,7 +8,7 @@
 //! `stats --json` prints the size ledger committed as `SIZE.json` (JSON is
 //! its only format; the flag says so at the call site).
 
-use hillview_lint::{stats, Workspace};
+use hillview_lint::{rules, stats, Workspace};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -100,8 +100,9 @@ fn check(root: &Path) -> ExitCode {
     }
     if findings.is_empty() {
         println!(
-            "hillview-lint: {} files clean across 8 rules",
-            ws.files.len()
+            "hillview-lint: {} files clean across {} rules",
+            ws.files.len(),
+            rules::RULES.len()
         );
         ExitCode::SUCCESS
     } else {

@@ -1,21 +1,25 @@
-//! The eight invariant rules. Each is a pure function of the lexed
-//! [`Workspace`] returning [`Finding`]s; see the crate docs for the rule
-//! table and the marker grammar.
+//! The invariant rules no compiler lint covers. Each is a pure function
+//! of the lexed [`Workspace`] returning [`Finding`]s, listed once in
+//! [`RULES`]; see the crate docs for the rule table and the marker grammar.
 
 use crate::lexer::{TokKind, Token};
 use crate::{Finding, SourceFile, Workspace};
 use std::collections::{HashMap, HashSet};
+
+/// Every rule, in the order [`Workspace::check`] runs them.
+pub const RULES: &[fn(&Workspace) -> Vec<Finding>] = &[
+    rule_safety_comment,
+    rule_simd_registry,
+    rule_sketch_registry,
+    rule_relaxed_ordering,
+    rule_pub_unused,
+];
 
 /// Files whose `Ordering::Relaxed` uses are all monotonic diagnostic
 /// counters with no load/store pairing — the explicit allowlist of the
 /// `relaxed-ordering` rule. Every `Relaxed` anywhere else needs a
 /// `// lint: allow(relaxed, reason)` marker at the site.
 pub const RELAXED_COUNTER_FILES: &[&str] = &["crates/net/src/metrics.rs"];
-
-/// Crates whose non-test code must not contain panicking calls without a
-/// `// lint: allow(panic, reason)` marker (PR 6 contract: panics never
-/// kill the query tree, so core/net code paths return structured errors).
-pub const PANIC_FREE_PREFIXES: &[&str] = &["crates/core/src/", "crates/net/src/"];
 
 /// The forced-scalar equivalence suites a `tier_dispatch!` entry must
 /// appear in by name: any file under a `tests/` directory that calls
@@ -41,7 +45,7 @@ fn finding(rule: &'static str, f: &SourceFile, off: usize, msg: String) -> Findi
 /// immediately preceded by a comment block containing `SAFETY` (attribute
 /// lines may sit between the comment and the item). Doc `# Safety`
 /// sections directly above an `unsafe fn` count.
-pub(crate) fn rule_safety_comment(ws: &Workspace) -> Vec<Finding> {
+fn rule_safety_comment(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
     for f in &ws.files {
         for t in &f.toks {
@@ -96,65 +100,6 @@ fn preceded_by_safety_comment(f: &SourceFile, t: &Token) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Rule: panic-site
-// ---------------------------------------------------------------------------
-
-/// No `.unwrap()` / `.expect(` / `panic!` / `unreachable!` / `todo!` /
-/// `unimplemented!` in non-test code under [`PANIC_FREE_PREFIXES`],
-/// except sites carrying a `// lint: allow(panic, reason)` marker.
-pub(crate) fn rule_panic_site(ws: &Workspace) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for f in &ws.files {
-        if !PANIC_FREE_PREFIXES.iter().any(|p| f.path.starts_with(p)) {
-            continue;
-        }
-        let idx = f.code_idx();
-        for (k, &i) in idx.iter().enumerate() {
-            let t = &f.toks[i];
-            if t.kind != TokKind::Ident || f.in_test(t.lo) {
-                continue;
-            }
-            let name = t.text(&f.text);
-            let prev = k
-                .checked_sub(1)
-                .map(|p| f.toks[idx[p]].text(&f.text))
-                .unwrap_or("");
-            let next = idx
-                .get(k + 1)
-                .map(|&n| f.toks[n].text(&f.text))
-                .unwrap_or("");
-            let hit = match name {
-                "unwrap" | "expect" => prev == "." && next == "(",
-                "panic" | "unreachable" | "todo" | "unimplemented" => next == "!",
-                _ => false,
-            };
-            if !hit {
-                continue;
-            }
-            if f.has_allow_marker(f.line_of(t.lo), "panic") {
-                continue;
-            }
-            let spelled = if next == "!" {
-                format!("{name}!")
-            } else {
-                format!(".{name}()")
-            };
-            out.push(finding(
-                "panic-site",
-                f,
-                t.lo,
-                format!(
-                    "`{spelled}` in non-test {} code; return a structured error or add \
-                     `// lint: allow(panic, reason)`",
-                    &f.path[..f.path.find("/src/").unwrap_or(0)]
-                ),
-            ));
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Rule: simd-registry
 // ---------------------------------------------------------------------------
 
@@ -164,7 +109,7 @@ pub(crate) fn rule_panic_site(ws: &Workspace) -> Vec<Finding> {
 /// equivalence suite (a `tests/` file calling `set_force_scalar`), so a
 /// new SIMD primitive cannot ship without a byte-equality test pinning
 /// its scalar fallback.
-pub(crate) fn rule_simd_registry(ws: &Workspace) -> Vec<Finding> {
+fn rule_simd_registry(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
     let Some(f) = ws.file("crates/columnar/src/simd.rs") else {
         return out;
@@ -231,7 +176,7 @@ pub(crate) fn rule_simd_registry(ws: &Workspace) -> Vec<Finding> {
 /// rowwise), `scan_equivalence` (chunked ≡ rowwise across encodings),
 /// `merge_laws` (merge associativity/commutativity/split laws), and
 /// `wire_totality` (its summary's decoder is total and canonical).
-pub(crate) fn rule_sketch_registry(ws: &Workspace) -> Vec<Finding> {
+fn rule_sketch_registry(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
     let suites = [
         "crates/sketch/tests/fused_equivalence.rs",
@@ -278,42 +223,6 @@ pub(crate) fn rule_sketch_registry(ws: &Workspace) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule: temp-dir
-// ---------------------------------------------------------------------------
-
-/// The one file allowed to call `std::env::temp_dir()`: the shared
-/// `hillview_columnar::TempDir` helper.
-pub const TEMP_DIR_HELPER: &str = "crates/columnar/src/tempdir.rs";
-
-/// No `temp_dir` identifier in first-party code — tests, benches and
-/// examples included, since that is where scratch paths are made — outside
-/// [`TEMP_DIR_HELPER`]. A hand-rolled path is shared by every test that
-/// picks the same name and outlives the run; the helper's are unique per
-/// use and removed on drop. Vendored shims cannot depend on the helper and
-/// are not patrolled.
-pub(crate) fn rule_temp_dir(ws: &Workspace) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for f in &ws.files {
-        if f.path.starts_with("vendor/") || f.path == TEMP_DIR_HELPER {
-            continue;
-        }
-        for t in &f.toks {
-            if t.kind == TokKind::Ident && t.text(&f.text) == "temp_dir" {
-                out.push(finding(
-                    "temp-dir",
-                    f,
-                    t.lo,
-                    "bare `temp_dir()`; take scratch space from `hillview_columnar::TempDir` \
-                     (unique per use, removed on drop)"
-                        .to_string(),
-                ));
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Rule: relaxed-ordering
 // ---------------------------------------------------------------------------
 
@@ -321,7 +230,7 @@ pub(crate) fn rule_temp_dir(ws: &Workspace) -> Vec<Finding> {
 /// ([`RELAXED_COUNTER_FILES`]); every other non-test site must carry a
 /// `// lint: allow(relaxed, reason)` marker justifying why no
 /// acquire/release pairing is needed.
-pub(crate) fn rule_relaxed_ordering(ws: &Workspace) -> Vec<Finding> {
+fn rule_relaxed_ordering(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
     for f in &ws.files {
         if RELAXED_COUNTER_FILES.contains(&f.path.as_str()) {
@@ -357,129 +266,6 @@ pub(crate) fn rule_relaxed_ordering(ws: &Workspace) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule: error-classified
-// ---------------------------------------------------------------------------
-
-/// Every variant of `EngineError` must be named in `is_retryable()`, and
-/// the classification match must have no wildcard arm — adding a variant
-/// without deciding its retry semantics is a lint failure (and, with the
-/// wildcard gone, a compile failure too).
-pub(crate) fn rule_error_classified(ws: &Workspace) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let Some(f) = ws.file("crates/core/src/error.rs") else {
-        return out;
-    };
-    let idx = f.code_idx();
-    let texts: Vec<&str> = idx.iter().map(|&i| f.toks[i].text(&f.text)).collect();
-    let Some(enum_k) =
-        (0..texts.len()).find(|&k| texts[k] == "enum" && texts.get(k + 1) == Some(&"EngineError"))
-    else {
-        return out;
-    };
-    // Collect variant names: idents at brace depth 1 directly after `{`
-    // or `,` (attributes skipped).
-    let mut variants: Vec<(String, usize)> = Vec::new();
-    let mut k = enum_k + 2;
-    let mut depth = 0isize;
-    let mut expect_variant = false;
-    while k < texts.len() {
-        match texts[k] {
-            "{" => {
-                depth += 1;
-                if depth == 1 {
-                    expect_variant = true;
-                }
-            }
-            "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            "," if depth == 1 => expect_variant = true,
-            "#" if depth == 1 && texts.get(k + 1) == Some(&"[") => {
-                // Skip the attribute tokens.
-                let mut d = 0isize;
-                k += 1;
-                while k < texts.len() {
-                    match texts[k] {
-                        "[" => d += 1,
-                        "]" => {
-                            d -= 1;
-                            if d == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    k += 1;
-                }
-            }
-            t if depth == 1 && expect_variant && f.toks[idx[k]].kind == TokKind::Ident => {
-                variants.push((t.to_string(), f.toks[idx[k]].lo));
-                expect_variant = false;
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    // Locate the is_retryable body.
-    let Some(fn_k) =
-        (0..texts.len()).find(|&k| texts[k] == "fn" && texts.get(k + 1) == Some(&"is_retryable"))
-    else {
-        out.push(Finding {
-            rule: "error-classified",
-            path: f.path.clone(),
-            line: 1,
-            msg: "EngineError has no is_retryable() classifier".to_string(),
-        });
-        return out;
-    };
-    let Some(body_open) = (fn_k..texts.len()).find(|&k| texts[k] == "{") else {
-        return out;
-    };
-    let mut body_close = texts.len();
-    let mut d = 0isize;
-    for (k, &t) in texts.iter().enumerate().skip(body_open) {
-        match t {
-            "{" => d += 1,
-            "}" => {
-                d -= 1;
-                if d == 0 {
-                    body_close = k;
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let body = &texts[body_open..body_close];
-    for (v, off) in &variants {
-        if !body.contains(&v.as_str()) {
-            out.push(finding(
-                "error-classified",
-                f,
-                *off,
-                format!("EngineError::{v} is not classified in is_retryable()"),
-            ));
-        }
-    }
-    for k in body_open..body_close {
-        if texts[k] == "_" && texts.get(k + 1) == Some(&"=") && texts.get(k + 2) == Some(&">") {
-            out.push(finding(
-                "error-classified",
-                f,
-                f.toks[idx[k]].lo,
-                "is_retryable() has a wildcard arm; every variant must be classified \
-                 explicitly so new variants fail to compile until classified"
-                    .to_string(),
-            ));
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Rule: pub-unused
 // ---------------------------------------------------------------------------
 
@@ -505,7 +291,7 @@ fn library_unit(path: &str) -> Option<&str> {
 /// a comment or a string does not count. A `// lint: allow(pub-unused,
 /// reason)` marker clears a finding. Public types are left to rustc's
 /// `private_interfaces` lint.
-pub(crate) fn rule_pub_unused(ws: &Workspace) -> Vec<Finding> {
+fn rule_pub_unused(ws: &Workspace) -> Vec<Finding> {
     // Identifier → the library packages whose own `src/` names it; `None`
     // stands for any other file.
     let mut namers: HashMap<&str, HashSet<Option<&str>>> = HashMap::new();

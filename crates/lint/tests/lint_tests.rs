@@ -3,6 +3,7 @@
 //! workspace to every invariant.
 
 use hillview_lint::{Finding, Workspace};
+use std::path::{Path, PathBuf};
 
 /// Build a virtual workspace and run every rule.
 fn check(sources: &[(&str, &str)]) -> Vec<Finding> {
@@ -13,6 +14,15 @@ fn check(sources: &[(&str, &str)]) -> Vec<Finding> {
             .collect(),
     )
     .check()
+}
+
+/// The repository root, two levels above this crate.
+fn workspace_root() -> PathBuf {
+    let lint = Path::new(env!("CARGO_MANIFEST_DIR"));
+    lint.ancestors()
+        .nth(2)
+        .expect("workspace root above crates/lint")
+        .to_path_buf()
 }
 
 /// Findings restricted to one rule id.
@@ -44,27 +54,6 @@ fn safety_comment_fires_and_clears() {
         include_str!("fixtures/safety_comment/good.rs"),
     )]);
     assert_clean(&good);
-}
-
-#[test]
-fn panic_site_fires_and_clears() {
-    let bad = check(&[(
-        "crates/core/src/fix.rs",
-        include_str!("fixtures/panic_site/bad.rs"),
-    )]);
-    assert_eq!(of_rule(&bad, "panic-site").len(), 3, "{bad:?}");
-    let good = check(&[(
-        "crates/net/src/fix.rs",
-        include_str!("fixtures/panic_site/good.rs"),
-    )]);
-    assert_clean(&good);
-    // The rule only patrols core and net: the same panicky source is fine
-    // in, say, the viz crate.
-    let elsewhere = check(&[(
-        "crates/viz/src/fix.rs",
-        include_str!("fixtures/panic_site/bad.rs"),
-    )]);
-    assert_clean(&elsewhere);
 }
 
 #[test]
@@ -122,31 +111,6 @@ fn sketch_registry_fires_and_clears() {
 }
 
 #[test]
-fn temp_dir_fires_and_clears() {
-    let bad = check(&[(
-        "crates/storage/tests/fix.rs",
-        include_str!("fixtures/temp_dir/bad.rs"),
-    )]);
-    assert_eq!(of_rule(&bad, "temp-dir").len(), 1, "{bad:?}");
-    let good = check(&[(
-        "crates/storage/tests/fix.rs",
-        include_str!("fixtures/temp_dir/good.rs"),
-    )]);
-    assert_clean(&good);
-    // The helper itself is the one place allowed to name the system dir,
-    // and vendored shims (which cannot depend on it) are not patrolled.
-    for exempt in [
-        "crates/columnar/src/tempdir.rs",
-        "vendor/proptest/src/lib.rs",
-    ] {
-        assert_clean(&check(&[(
-            exempt,
-            include_str!("fixtures/temp_dir/bad.rs"),
-        )]));
-    }
-}
-
-#[test]
 fn relaxed_ordering_fires_and_clears() {
     let bad = check(&[(
         "crates/core/src/fix.rs",
@@ -164,23 +128,6 @@ fn relaxed_ordering_fires_and_clears() {
         include_str!("fixtures/relaxed_ordering/bad.rs"),
     )]);
     assert_clean(&allowlisted);
-}
-
-#[test]
-fn error_classified_fires_and_clears() {
-    let bad = check(&[(
-        "crates/core/src/error.rs",
-        include_str!("fixtures/error_classified/bad.rs"),
-    )]);
-    let hits = of_rule(&bad, "error-classified");
-    assert_eq!(hits.len(), 2, "{bad:?}");
-    assert!(hits.iter().any(|f| f.msg.contains("Beta")));
-    assert!(hits.iter().any(|f| f.msg.contains("wildcard")));
-    let good = check(&[(
-        "crates/core/src/error.rs",
-        include_str!("fixtures/error_classified/good.rs"),
-    )]);
-    assert_clean(&good);
 }
 
 #[test]
@@ -232,11 +179,7 @@ fn pub_unused_fires_and_clears() {
 /// `cargo test` catches regressions too.
 #[test]
 fn live_workspace_is_clean() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root above crates/lint");
-    let ws = Workspace::load(root).expect("walk workspace sources");
+    let ws = Workspace::load(&workspace_root()).expect("walk workspace sources");
     assert!(
         ws.files.len() > 100,
         "workspace walk looks truncated: {} files",
@@ -254,13 +197,87 @@ fn live_workspace_is_clean() {
     );
 }
 
+/// `text` without its whole-line comments (`comment` opens one) and with
+/// no whitespace, so a setting reads the same however it is formatted.
+fn squashed(text: &str, comment: &str) -> String {
+    text.lines()
+        .filter(|l| !l.trim_start().starts_with(comment))
+        .flat_map(str::split_whitespace)
+        .collect()
+}
+
+/// The comma-separated items of every `<open>...<close>` span in `code`.
+fn items_in<'a>(code: &'a str, open: &str, close: &str) -> Vec<&'a str> {
+    code.match_indices(open)
+        .filter_map(|(i, _)| code[i + open.len()..].split_once(close))
+        .flat_map(|(body, _)| body.split(','))
+        .collect()
+}
+
+/// Three invariants are clippy's, not this crate's: no panic site in the
+/// non-test code of core and net, no `std::env::temp_dir` outside
+/// `TempDir`, no wildcard arm in `is_retryable`. The settings that carry
+/// them are pinned here, so deleting one fails a test the way deleting a
+/// rule fails its fixture case.
+#[test]
+fn compiler_lints_hold_the_moved_invariants() {
+    let root = workspace_root();
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect(rel);
+
+    let clippy = squashed(&read("clippy.toml"), "#");
+    let banned = items_in(&clippy, "disallowed-methods=[", "]");
+    assert!(
+        banned
+            .iter()
+            .any(|m| m.contains(r#"path="std::env::temp_dir""#)),
+        "clippy.toml no longer bans std::env::temp_dir: {banned:?}"
+    );
+
+    for lib in ["crates/core/src/lib.rs", "crates/net/src/lib.rs"] {
+        let code = squashed(&read(lib), "//");
+        let warned = items_in(&code, "#![warn(", ")]");
+        for lint in [
+            "unwrap_used",
+            "expect_used",
+            "panic",
+            "unreachable",
+            "todo",
+            "unimplemented",
+        ] {
+            let lint = format!("clippy::{lint}");
+            assert!(
+                warned.contains(&lint.as_str()),
+                "{lib} no longer warns on {lint}"
+            );
+        }
+    }
+
+    let error = squashed(&read("crates/core/src/error.rs"), "//");
+    let before_fn = error
+        .split_once("fnis_retryable(")
+        .expect("EngineError::is_retryable exists")
+        .0;
+    // The fn's own attributes: everything after the previous item or brace.
+    let attrs = &before_fn[before_fn.rfind(['{', '}', ';']).map_or(0, |i| i + 1)..];
+    let denied = items_in(attrs, "#[deny(", ")]");
+    for lint in [
+        "clippy::wildcard_enum_match_arm",
+        "clippy::match_wildcard_for_single_variants",
+    ] {
+        assert!(
+            denied.contains(&lint),
+            "is_retryable no longer denies {lint}: {attrs}"
+        );
+    }
+}
+
 /// The size ledger is a pure function of the tree: two runs over the
 /// fixture tree give equal bytes, and those bytes are the committed
 /// golden file (sorted keys, one unit per line, a `total`).
 #[test]
 fn stats_are_deterministic_on_a_fixture_tree() {
     use hillview_lint::stats;
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/stats");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/stats");
     let run = || stats::to_json(&stats::collect(&root).expect("walk the fixture tree"));
     let first = run();
     assert_eq!(first, run());

@@ -21,6 +21,16 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
+// Non-test code returns structured errors: a panic site must be an
+// `#[expect(..., reason = "...")]` that says why it is sound.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub(crate) mod error;
 pub(crate) mod link;

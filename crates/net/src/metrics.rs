@@ -17,7 +17,6 @@ pub struct NetMetrics {
 struct Counters {
     bytes: AtomicU64,
     messages: AtomicU64,
-    faults: AtomicU64,
 }
 
 impl NetMetrics {
@@ -40,18 +39,6 @@ impl NetMetrics {
     /// Total messages recorded.
     pub fn messages(&self) -> u64 {
         self.inner.messages.load(Ordering::Relaxed)
-    }
-
-    /// Record one injected link fault (drop/duplicate/corrupt/delay).
-    pub(crate) fn record_fault(&self) {
-        self.inner.faults.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total link faults injected on this endpoint — lets tests assert a
-    /// fault schedule actually fired.
-    #[cfg(test)]
-    pub(crate) fn faults(&self) -> u64 {
-        self.inner.faults.load(Ordering::Relaxed)
     }
 }
 

@@ -92,21 +92,21 @@ fn computation_cache_survives_unrelated_evictions() {
 }
 
 #[test]
-fn disabled_auto_recovery_surfaces_worker_down() {
+fn killed_worker_is_raw_below_the_recovery_loop_and_healed_above_it() {
     let engine = test_engine(2, 5_000);
     let ds = engine.load("flights", 0).unwrap();
-    // Engine with recovery off must report the failure.
-    let mut raw = hillview_core::Engine::new(engine.cluster().clone());
-    raw.auto_recover = false;
-    let ds2 = raw.load("flights", 1).unwrap();
-    let _ = ds;
-    raw.cluster().worker(1).kill();
-    let err = raw
-        .run(
-            ds2,
-            hillview_sketch::count::CountSketch::rows(),
-            &hillview_core::QueryOptions::default(),
-        )
+    let rows = hillview_sketch::count::CountSketch::rows();
+    let opts = hillview_core::QueryOptions::default();
+    let (whole, _) = engine.run(ds, rows.clone(), &opts).unwrap();
+    engine.cluster().worker(1).kill();
+    // The cluster runs one tree and reports the dead worker as it is.
+    let erased = hillview_core::erased::erase(rows.clone());
+    let err = engine
+        .cluster()
+        .run_erased(ds, None, &erased, &opts)
         .unwrap_err();
     assert_eq!(err, hillview_core::EngineError::WorkerDown(1));
+    // The engine restarts it, replays the lineage and answers in full.
+    let (healed, _) = engine.run(ds, rows, &opts).unwrap();
+    assert_eq!(healed.rows, whole.rows);
 }
