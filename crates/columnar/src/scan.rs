@@ -14,9 +14,9 @@
 //!   sampled one that thins every word by the stateless sample rule.
 //! * [`split_ranges`] — the split plan behind intra-partition parallelism:
 //!   a partition's row span halved recursively to the grain, a function of
-//!   its row count alone, so a work-stealing executor can fan a single
-//!   partition out across cores and fold the partial summaries back in
-//!   range order, whatever the membership or filter.
+//!   its row count alone, so an executor can run a single partition's
+//!   pieces as separate tasks across cores and fold the partial summaries
+//!   back in range order, whatever the membership or filter.
 //! * [`ScanSource`] — the two reads a driver makes of a storage: a decoded
 //!   64-row frame, and the run holding one sparse row.
 //! * [`scan_values`] / [`scan_rows`] / [`count_missing`] — typed drivers,
@@ -237,7 +237,7 @@ impl<'a> Selection<'a> {
 /// The plan depends on `(universe, grain)` alone — not on the membership,
 /// how it is stored, or a filter — so a fused tree over a parent and a
 /// tree over its materialized filter fold the same pieces in the same
-/// order, as do every thread count and steal order. Scanning
+/// order, as do every thread count and completion order. Scanning
 /// [`Selection::members_in`] over the pieces reproduces the partition's
 /// row stream exactly.
 pub fn split_ranges(universe: usize, grain: usize) -> Vec<(usize, usize)> {

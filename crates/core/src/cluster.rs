@@ -57,9 +57,9 @@
 //! A leaf is no longer one task per micropartition: the aggregation node
 //! halves each partition's row span until every piece spans at most
 //! [`ClusterConfig::leaf_grain_rows`] rows ([`split_ranges`]), and submits
-//! one pool task per piece up front. Idle pool threads steal pending
-//! pieces, so one large micropartition saturates every core instead of
-//! serializing the query.
+//! one pool task per piece up front. The pool's threads take pieces off
+//! its one FIFO queue as they free up, so one large micropartition
+//! saturates every core instead of serializing the query.
 //!
 //! Every merge in a tree is one call to [`ErasedSketch::fold_bytes`]: the
 //! parts in order, each decoded once and merged by value into a running
@@ -74,7 +74,7 @@
 //! way. Split boundaries depend only on the
 //! partition's row count and the (fixed) grain — not on its membership or
 //! a filter — so the folded result is a pure function of `(data, sketch,
-//! seed, grain)`: bit-identical across thread counts, steal interleavings,
+//! seed, grain)`: bit-identical across thread counts, completion orders,
 //! replay after failures (§5.8), and a fused or a materialized filter.
 //! Progress is reported in work units per completed piece: its span of
 //! rows plus one.
@@ -1314,7 +1314,7 @@ fn aggregate(ctx: &Arc<TreeCtx>, tx: &LinkSender) {
     // summary sees: partials sorted by (partition, range start). The piece
     // set is a pure function of (row counts, grain), so this fold — unlike
     // the completion-order `acc` — is bit-identical across thread counts,
-    // steal orders, and replays, even for order-sensitive merges
+    // completion orders, and replays, even for order-sensitive merges
     // (Misra-Gries) and floating-point sums. It is compacted once, here,
     // after the last merge and before it is cached or sent.
     pieces.sort_by_key(|&(p, lo, _)| (p, lo));

@@ -14,8 +14,8 @@
 //!   `hillview_net::LinkSender` through a frame-fault hook): drop,
 //!   duplicate, corrupt, or delay the Nth frame a worker's aggregation
 //!   node ships to the root.
-//! * **The work-stealing pool** ([`FaultSite::Leaf`], consulted at the
-//!   head of every leaf sub-task): panic or stall a chosen leaf,
+//! * **Leaves** ([`FaultSite::Leaf`], consulted at the head of every leaf
+//!   sub-task on a worker's pool): panic or stall a chosen leaf,
 //!   identified by its deterministic `(worker, partition, range-start)`
 //!   coordinates.
 //! * **Workers** ([`FaultSite::WorkerOp`], consulted at every

@@ -1,105 +1,41 @@
-//! The per-server work-stealing executor.
+//! The per-server executor: a fixed set of threads draining one FIFO queue.
 //!
 //! Each simulated server runs one pool; leaves are tasks on it (paper §5.3:
-//! "there is a thread pool that serves leafs with work to do"). The seed
-//! implementation was a FIFO channel feeding fixed threads, which serialized
-//! a query on its largest micropartition: one pool thread summarized one
-//! partition, however big. This pool replaces it with the classic
-//! work-stealing shape (per-thread deques over the vendored
-//! [`crossbeam::deque`], a global injector, steal-on-idle):
+//! "there is a thread pool that serves leafs with work to do"). A worker's
+//! aggregation node splits each partition into grain-sized pieces *before*
+//! it submits them (see [`crate::cluster`]), so the pool needs no scheduling
+//! of its own: every thread takes the oldest queued task, and one large
+//! micropartition spreads across every thread because its pieces are
+//! already separate tasks. What the pool guarantees:
 //!
-//! * **External submissions** ([`ThreadPool::submit`] from a non-pool
-//!   thread) land in the global [`Injector`] FIFO, preserving the seed
-//!   pool's fairness for coarse tasks (partition filters, maps, unsplit
-//!   leaves).
-//! * **Recursive splits**: a task that calls `submit` *from a pool thread*
-//!   pushes onto that thread's own deque instead. The owner pops LIFO — it
-//!   keeps refining the freshest, smallest half it just split — while idle
-//!   threads steal FIFO from the opposite end, taking the oldest and
-//!   therefore largest pending piece. That is exactly the
-//!   divide-and-conquer schedule the leaf executor in
-//!   [`crate::cluster`] relies on: a single oversized micropartition
-//!   recursively splits into ~grain-sized sub-ranges that spread across
-//!   every core without any central coordination.
-//! * **Parking**: idle threads sleep on a condvar; every submission
-//!   notifies one sleeper. A thread re-checks the queued-task count under
-//!   the sleep lock before parking, so wakeups cannot be lost.
-//! * **Shutdown** drains: dropping the pool closes submissions and joins
-//!   the threads, which exit only once every queued task has run.
+//! * **FIFO order**: tasks leave the queue in the order they were
+//!   submitted, from any thread; a one-thread pool runs them in that order.
+//!   A task may submit more tasks — they queue behind the ones already
+//!   there, and the other threads take them while it runs.
+//! * **Panic isolation**: a panicking task unwinds into the pool thread's
+//!   `catch_unwind`, which counts it ([`ThreadPool::tasks_panicked`]) and
+//!   takes the next task, so a pool never shrinks. Callers that need the
+//!   panic's message catch it inside their task; this is the backstop.
+//! * **Drain on drop**: dropping the pool closes the queue and joins the
+//!   threads, which exit only once every queued task has run.
 //!
-//! Scheduling order is deliberately *not* deterministic — stealing is a
-//! race. Result determinism is the execution tree's job: it folds leaf
-//! partials in range order, so any interleaving produces identical bytes
-//! (see `cluster::aggregate_worker`).
+//! Completion order is *not* deterministic — it depends on how long each
+//! task runs. Result determinism is the execution tree's job: it folds leaf
+//! partials in range order, so any interleaving produces identical bytes.
 
-use crossbeam::deque::{Injector, Stealer, Worker as Deque};
-use parking_lot::{Condvar, Mutex};
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use crossbeam::channel::{Receiver, Sender};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
-thread_local! {
-    /// The deque of the pool thread running the current code, if any:
-    /// `(shared-state address, local deque)`. Lets `submit` route
-    /// recursive-split tasks to the local deque without an extra API.
-    static CURRENT: RefCell<Option<(usize, Deque<Task>)>> = const { RefCell::new(None) };
-}
-
-struct Shared {
-    injector: Injector<Task>,
-    stealers: Vec<Stealer<Task>>,
-    /// Tasks sitting in the injector or any deque (not ones executing).
-    queued: AtomicUsize,
-    /// Tasks whose panic was caught by the executor (diagnostics).
-    panicked: AtomicUsize,
-    shutdown: AtomicBool,
-    sleep: Mutex<()>,
-    wake: Condvar,
-}
-
-impl Shared {
-    /// Address used as the pool identity for the thread-local routing.
-    fn id(self: &Arc<Self>) -> usize {
-        Arc::as_ptr(self) as usize
-    }
-
-    /// Wake one sleeper. Sleepers re-check the queued count under the
-    /// sleep lock before parking, so with the count incremented before the
-    /// push a submission can never slip past a parking thread.
-    fn notify_one(&self) {
-        let _guard = self.sleep.lock();
-        self.wake.notify_one();
-    }
-
-    /// Find a task: own deque first (LIFO), then the injector, then other
-    /// threads' deques (FIFO steals).
-    fn find_task(&self, me: usize) -> Option<Task> {
-        let local = CURRENT.with(|c| c.borrow().as_ref().and_then(|(_, deque)| deque.pop()));
-        if let Some(t) = local {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            return Some(t);
-        }
-        if let Some(t) = self.injector.steal().success() {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            return Some(t);
-        }
-        let n = self.stealers.len();
-        for k in 1..n {
-            if let Some(t) = self.stealers[(me + k) % n].steal().success() {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                return Some(t);
-            }
-        }
-        None
-    }
-}
-
-/// A work-stealing thread pool with a fixed number of threads.
+/// A thread pool with a fixed number of threads and one FIFO queue.
 pub struct ThreadPool {
-    shared: Arc<Shared>,
+    /// The queue's only sender; `Drop` takes it to close the queue.
+    queue: Option<Sender<Task>>,
+    /// Tasks whose panic was caught by the executor (diagnostics).
+    panicked: Arc<AtomicUsize>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -110,61 +46,34 @@ impl ThreadPool {
         reason = "startup-time OS resource exhaustion has no caller to report to"
     )]
     pub(crate) fn new(threads: usize, label: &str) -> Self {
-        let threads = threads.max(1);
-        let deques: Vec<Deque<Task>> = (0..threads).map(|_| Deque::new_lifo()).collect();
-        let shared = Arc::new(Shared {
-            injector: Injector::new(),
-            stealers: deques.iter().map(|d| d.stealer()).collect(),
-            queued: AtomicUsize::new(0),
-            panicked: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            sleep: Mutex::new(()),
-            wake: Condvar::new(),
-        });
-        let threads = deques
-            .into_iter()
-            .enumerate()
-            .map(|(i, deque)| {
-                let shared = shared.clone();
+        let (queue, tasks) = crossbeam::channel::unbounded::<Task>();
+        let panicked = Arc::new(AtomicUsize::new(0));
+        let threads = (0..threads.max(1))
+            .map(|i| {
+                let (tasks, panicked) = (tasks.clone(), panicked.clone());
                 std::thread::Builder::new()
                     .name(format!("{label}-{i}"))
-                    .spawn(move || {
-                        let id = shared.id();
-                        CURRENT.with(|c| *c.borrow_mut() = Some((id, deque)));
-                        worker_loop(&shared, i);
-                        CURRENT.with(|c| *c.borrow_mut() = None);
-                    })
+                    .spawn(move || run_tasks(&tasks, &panicked))
                     // Thread spawning fails only on OS resource exhaustion
                     // at pool construction; there is no query to fail yet.
                     .expect("spawn pool thread")
             })
             .collect();
-        ThreadPool { shared, threads }
+        ThreadPool {
+            queue: Some(queue),
+            panicked,
+            threads,
+        }
     }
 
-    /// Enqueue a task. Called from one of this pool's own threads, the
-    /// task goes to that thread's deque (stealable by idle siblings) —
-    /// the recursive-split path; called from outside, it goes to the
-    /// global injector FIFO.
+    /// Enqueue a task behind every task already queued.
     pub(crate) fn submit(&self, task: impl FnOnce() + Send + 'static) {
-        let mut task = Some(Box::new(task) as Task);
-        // Count before pushing: a worker that pops the task immediately
-        // must never decrement the counter below zero.
-        self.shared.queued.fetch_add(1, Ordering::SeqCst);
-        let my_id = self.shared.id();
-        CURRENT.with(|c| {
-            if let Some((id, deque)) = c.borrow().as_ref() {
-                if *id == my_id {
-                    if let Some(t) = task.take() {
-                        deque.push(t);
-                    }
-                }
-            }
-        });
-        if let Some(t) = task {
-            self.shared.injector.push(t);
+        // The send fails only once every pool thread has exited, which
+        // happens only after the queue closed in `drop`; the unsent task is
+        // then dropped, and its owner sees its result channel close.
+        if let Some(queue) = &self.queue {
+            let _ = queue.send(Box::new(task));
         }
-        self.shared.notify_one();
     }
 
     /// Tasks whose panic the executor caught so far. Pool threads survive
@@ -173,51 +82,34 @@ impl ThreadPool {
     ///
     /// Public only for the frozen `benchmark/`; ROADMAP 1 demotes it.
     pub fn tasks_panicked(&self) -> usize {
-        self.shared.panicked.load(Ordering::SeqCst)
+        self.panicked.load(Ordering::SeqCst)
     }
 }
 
-fn worker_loop(shared: &Shared, me: usize) {
-    loop {
-        if let Some(task) = shared.find_task(me) {
-            // Panic isolation: a poisoned task must not take down its
-            // pool thread (which would strand the thread's deque and
-            // shrink the pool for the process lifetime). The task's owner
-            // observes the failure through its own channel going dead —
-            // the leaf executor additionally catches panics *inside* the
-            // task to report a structured error; this is the backstop.
-            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).is_err() {
-                shared.panicked.fetch_add(1, Ordering::SeqCst);
-            }
-            continue;
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            if shared.queued.load(Ordering::SeqCst) == 0 {
-                return;
-            }
-            continue;
-        }
-        // Park until new work arrives; re-check under the lock so a
-        // submission between `find_task` and here is never missed.
-        let mut guard = shared.sleep.lock();
-        if shared.queued.load(Ordering::SeqCst) == 0 && !shared.shutdown.load(Ordering::SeqCst) {
-            shared.wake.wait(&mut guard);
+/// A pool thread's life: run queued tasks until the queue is closed and
+/// empty.
+fn run_tasks(tasks: &Receiver<Task>, panicked: &AtomicUsize) {
+    while let Ok(task) = tasks.recv() {
+        // Panic isolation: a poisoned task must not take down its pool
+        // thread (which would shrink the pool for the process lifetime).
+        // The task's owner observes the failure through its own channel
+        // going dead.
+        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).is_err() {
+            panicked.fetch_add(1, Ordering::SeqCst);
         }
     }
 }
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        {
-            let _guard = self.shared.sleep.lock();
-            self.shared.wake.notify_all();
-        }
+        // Closing the queue lets each thread's `recv` fail once the queue
+        // is empty, so every queued task still runs.
+        self.queue = None;
         // The pool can be dropped *from one of its own threads*: a leaf
         // task may hold the last `Arc<Worker>` when the query's caller has
         // already moved on. Joining ourselves would deadlock (EDEADLK) —
         // detach the current thread instead; it exits on its own once its
-        // task returns and the loop observes the shutdown flag.
+        // task returns and the queue is drained.
         let me = std::thread::current().id();
         for t in self.threads.drain(..) {
             if t.thread().id() == me {
@@ -239,6 +131,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn all_tasks_run() {
@@ -274,8 +167,22 @@ mod tests {
             });
         }
         for _ in 0..4 {
-            assert!(rx.recv_timeout(std::time::Duration::from_secs(5)).is_ok());
+            assert!(rx.recv_timeout(Duration::from_secs(5)).is_ok());
         }
+    }
+
+    #[test]
+    fn one_thread_runs_submissions_in_order() {
+        let pool = ThreadPool::new(1, "fifo");
+        let (tx, rx) = crossbeam::channel::unbounded();
+        for i in 0..64 {
+            let tx = tx.clone();
+            pool.submit(move || tx.send(i).unwrap());
+        }
+        drop(tx);
+        drop(pool);
+        let order: Vec<i32> = std::iter::from_fn(|| rx.recv().ok()).collect();
+        assert_eq!(order, (0..64).collect::<Vec<_>>());
     }
 
     #[test]
@@ -294,6 +201,54 @@ mod tests {
     }
 
     #[test]
+    fn dropping_the_last_handle_inside_a_task_drains_and_exits() {
+        // The task that drops the pool runs on a pool thread, so `drop`
+        // must detach that thread rather than join it. Every task queued
+        // behind it still runs, and the detached thread exits once the
+        // queue is drained — its `JoinHandle` is gone, so it reports its
+        // exit by dropping a sender when its thread-locals are destroyed.
+        thread_local! {
+            static EXIT: std::cell::RefCell<Option<crossbeam::channel::Sender<()>>> =
+                const { std::cell::RefCell::new(None) };
+        }
+        for threads in [1usize, 3] {
+            let pool = Arc::new(ThreadPool::new(threads, "selfdrop"));
+            let (gate_tx, gate_rx) = crossbeam::channel::bounded::<()>(1);
+            let (exit_tx, exit_rx) = crossbeam::channel::unbounded::<()>();
+            let (dropped_tx, dropped_rx) = crossbeam::channel::unbounded();
+            let ran = Arc::new(AtomicUsize::new(0));
+            let handle = pool.clone();
+            pool.submit(move || {
+                EXIT.with(|e| *e.borrow_mut() = Some(exit_tx));
+                // Hold the task until the queue behind it is filled and the
+                // test's own handle is gone, then drop the last one here.
+                gate_rx.recv().unwrap();
+                drop(handle);
+                dropped_tx.send(()).unwrap();
+            });
+            for _ in 0..32 {
+                let ran = ran.clone();
+                pool.submit(move || {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            drop(pool);
+            gate_tx.send(()).unwrap();
+            assert_eq!(
+                dropped_rx.recv_timeout(Duration::from_secs(10)),
+                Ok(()),
+                "threads={threads}: drop from a pool thread returned"
+            );
+            assert_eq!(
+                exit_rx.recv_timeout(Duration::from_secs(10)),
+                Err(crossbeam::channel::RecvTimeoutError::Disconnected),
+                "threads={threads}: the dropping thread exited"
+            );
+            assert_eq!(ran.load(Ordering::SeqCst), 32, "threads={threads}");
+        }
+    }
+
+    #[test]
     fn zero_threads_clamps_to_one() {
         let pool = ThreadPool::new(0, "one");
         assert_eq!(pool.threads.len(), 1);
@@ -301,10 +256,9 @@ mod tests {
 
     #[test]
     fn recursive_submission_from_pool_threads_completes() {
-        // A task that splits itself in half down to unit pieces — the
-        // executor shape the leaf runner uses. All pieces must run, on any
-        // number of threads, with the splits flowing through the local
-        // deques.
+        // A task that splits itself in half down to unit pieces, submitting
+        // one half from the pool thread it runs on. All pieces must run, on
+        // any number of threads.
         for threads in [1usize, 4] {
             let pool = Arc::new(ThreadPool::new(threads, "rec"));
             let done = Arc::new(AtomicUsize::new(0));
@@ -330,7 +284,7 @@ mod tests {
             let mut got = 0usize;
             while got < 64 {
                 got += rx
-                    .recv_timeout(std::time::Duration::from_secs(10))
+                    .recv_timeout(Duration::from_secs(10))
                     .expect("recursive pieces complete");
             }
             assert_eq!(done.load(Ordering::Relaxed), 64, "threads={threads}");
@@ -356,14 +310,14 @@ mod tests {
         let mut got = 0;
         while got < 32 {
             assert!(
-                rx.recv_timeout(std::time::Duration::from_secs(10)).is_ok(),
+                rx.recv_timeout(Duration::from_secs(10)).is_ok(),
                 "pool stopped executing after panics"
             );
             got += 1;
         }
         // The last panicking task may still be unwinding on the sibling
         // thread when the follow-ups finish; give the counter a moment.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while pool.tasks_panicked() < 8 && std::time::Instant::now() < deadline {
             std::thread::yield_now();
         }
@@ -371,11 +325,11 @@ mod tests {
     }
 
     #[test]
-    fn idle_threads_steal_from_a_busy_thread() {
-        // One task floods its own local deque then blocks until every
-        // flooded piece has run — impossible unless other threads steal
-        // from its deque.
-        let pool = Arc::new(ThreadPool::new(4, "steal"));
+    fn a_task_blocked_on_its_own_pieces_is_not_starved() {
+        // One task submits 16 pieces, then blocks its thread until every
+        // piece has run — which happens only because the other threads
+        // take the pieces off the queue while it waits.
+        let pool = Arc::new(ThreadPool::new(4, "pieces"));
         let (tx, rx) = crossbeam::channel::unbounded();
         let p2 = pool.clone();
         pool.submit(move || {
@@ -387,25 +341,16 @@ mod tests {
                 });
             }
             drop(done_tx);
-            // Block this pool thread until all 16 pieces ran elsewhere (or
-            // here, after this task—which can't happen while we wait).
             let mut seen = 0;
-            while seen < 16 {
-                if done_rx
-                    .recv_timeout(std::time::Duration::from_secs(10))
-                    .is_ok()
-                {
-                    seen += 1;
-                } else {
-                    break;
-                }
+            while seen < 16 && done_rx.recv_timeout(Duration::from_secs(10)).is_ok() {
+                seen += 1;
             }
             let _ = tx.send(seen);
         });
         assert_eq!(
-            rx.recv_timeout(std::time::Duration::from_secs(15)),
+            rx.recv_timeout(Duration::from_secs(15)),
             Ok(16),
-            "pieces pushed to a blocked thread's deque were stolen"
+            "the other threads ran the blocked task's pieces"
         );
     }
 }

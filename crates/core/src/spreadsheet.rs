@@ -505,6 +505,7 @@ mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
     use crate::dataset::{FnSource, SourceRegistry};
+    use crate::error::EngineError;
     use hillview_columnar::udf::UdfRegistry;
     use hillview_data::{generate_flights, FlightsConfig};
     use hillview_storage::partition_table;
@@ -525,6 +526,9 @@ mod tests {
         )));
         let mut udfs = UdfRegistry::with_builtins();
         udfs.register_ratio("Speed", "Distance", "AirTime");
+        udfs.register("Boom", ColumnKind::Double, |_, row| {
+            panic!("udf boom at row {row}")
+        });
         let cluster = Cluster::new(cfg, sources, udfs);
         let engine = Arc::new(Engine::new(cluster));
         Spreadsheet::open(engine, "flights", 1, DisplaySpec::new(200, 100)).unwrap()
@@ -743,6 +747,28 @@ mod tests {
         let with_speed = s.with_column("Speed", "Speed").unwrap();
         let (chart, _, _) = with_speed.histogram_with_cdf("Speed", Some(10)).unwrap();
         assert_eq!(chart.heights_px.len(), 10);
+    }
+
+    /// A UDF that panics while a map step derives its column is a
+    /// `LeafPanicked` carrying the panic's text, caught inside the task:
+    /// the workers stay up and the pool's backstop never fires.
+    #[test]
+    fn a_panicking_udf_is_a_leaf_panic_not_a_dead_worker() {
+        let s = sheet();
+        let err = s.with_column("Boom", "Boom").unwrap_err();
+        let EngineError::RetriesExhausted { attempts, last } = err else {
+            panic!("expected RetriesExhausted, got {err:?}");
+        };
+        assert_eq!(attempts, 8);
+        let EngineError::LeafPanicked { message, .. } = *last else {
+            panic!("expected LeafPanicked, got {last:?}");
+        };
+        assert!(message.starts_with("udf boom at row"), "{message}");
+        let cluster = s.engine().cluster();
+        for w in 0..cluster.num_workers() {
+            assert!(cluster.worker(w).is_alive());
+            assert_eq!(cluster.worker(w).pool().tasks_panicked(), 0);
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::cache::{CacheStats, SketchCache};
 use crate::cluster::ClusterConfig;
 use crate::dataset::{DatasetId, Lineage, LoadRequest, SourceRegistry, SourceSpec};
 use crate::error::{EngineError, EngineResult};
-use crate::fault::{FaultAction, FaultPlan, FaultSite};
+use crate::fault::{self, FaultAction, FaultPlan, FaultSite};
 use crate::pool::ThreadPool;
 use crate::stats::DatasetStats;
 use hillview_columnar::predicate::filter_members;
@@ -46,7 +46,7 @@ pub struct Worker {
     pub id: usize,
     num_workers: usize,
     micropartition_rows: usize,
-    pool: Arc<ThreadPool>,
+    pool: ThreadPool,
     datasets: Mutex<HashMap<DatasetId, DatasetEntry>>,
     comp_cache: SketchCache,
     /// Byte-budgeted residency cache for out-of-core (mapped) datasets:
@@ -84,10 +84,7 @@ impl Worker {
             id,
             num_workers: cfg.workers,
             micropartition_rows: cfg.micropartition_rows,
-            pool: Arc::new(ThreadPool::new(
-                cfg.threads_per_worker,
-                &format!("worker{id}"),
-            )),
+            pool: ThreadPool::new(cfg.threads_per_worker, &format!("worker{id}")),
             datasets: Mutex::new(HashMap::new()),
             comp_cache: SketchCache::new(cfg.cache_budget_bytes),
             block_cache: match cfg.block_cache_bytes {
@@ -161,10 +158,9 @@ impl Worker {
     }
 
     /// The worker's thread pool (used by the execution tree for leaves).
-    /// Shared so leaf tasks can re-submit their split halves.
     ///
     /// Public only for the frozen `benchmark/`; ROADMAP 1 demotes it.
-    pub fn pool(&self) -> &Arc<ThreadPool> {
+    pub fn pool(&self) -> &ThreadPool {
         &self.pool
     }
 
@@ -462,20 +458,29 @@ impl Worker {
         parent: &[TableView],
         f: impl Fn(&TableView) -> EngineResult<TableView> + Send + Sync + 'static,
     ) -> EngineResult<Vec<TableView>> {
-        let f = Arc::new(f);
+        let (f, worker) = (Arc::new(f), self.id);
         let (tx, rx) = crossbeam::channel::bounded(parent.len().max(1));
         for (i, view) in parent.iter().enumerate() {
             let (view, f, tx) = (view.clone(), f.clone(), tx.clone());
             self.pool.submit(move || {
-                let _ = tx.send((i, f(&view)));
+                // A panicking step (a UDF, say) is a structured error
+                // carrying its message, like a panicking leaf.
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&view)))
+                    .unwrap_or_else(|payload| {
+                        Err(EngineError::LeafPanicked {
+                            worker,
+                            message: fault::panic_message(payload),
+                        })
+                    });
+                let _ = tx.send((i, result));
             });
         }
         drop(tx);
         let mut out = Vec::with_capacity(parent.len());
         for _ in parent {
-            // A task that panics drops its sender unsent (the pool
-            // isolates the panic), so the channel closes short of the count.
-            let (i, view) = rx.recv().map_err(|_| EngineError::WorkerDown(self.id))?;
+            // Backstop: a task lost past its own guard drops its sender
+            // unsent, so the channel closes short of the count.
+            let (i, view) = rx.recv().map_err(|_| EngineError::WorkerDown(worker))?;
             out.push((i, view?));
         }
         out.sort_by_key(|&(i, _)| i);

@@ -210,8 +210,8 @@ where
 ///
 /// The pieces depend on the partition's row count alone, never on its
 /// membership or the filter, and the fold order is fixed. So this is the
-/// *reference* the work-stealing executor must reproduce bit-for-bit
-/// whatever the thread count or steal order, and its bytes are the same
+/// *reference* the engine's leaf executor must reproduce bit-for-bit
+/// whatever the thread count or completion order, and its bytes are the same
 /// fused or over the materialized filter, whatever holds the membership.
 /// For sketches whose merge is exact (integer counts, lattices) the result
 /// also equals the unsplit [`Sketch::summarize`] bit-for-bit.

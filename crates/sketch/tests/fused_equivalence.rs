@@ -252,8 +252,8 @@ proptest! {
     /// The fusion law, all 15 kernels: fused ≡ two-pass, whole-partition
     /// and folded over the split plan, and the split fold is the same over
     /// every representation of the membership. This pins the fused and the
-    /// materialized trees the cluster's work-stealing leaves run to the
-    /// same bytes.
+    /// materialized trees the cluster's leaf tasks run to the same
+    /// bytes.
     #[test]
     fn fused_law_all_kernels(
         t in table_strategy(),

@@ -598,9 +598,9 @@ proptest! {
         }
     }
 
-    /// Work-stealing split execution must be bit-identical to the serial
-    /// per-partition summary for every kernel with an exact merge:
-    /// recursively split at any grain, summarize each sub-range, fold in
+    /// Split execution must be bit-identical to the serial per-partition
+    /// summary for every kernel with an exact merge: split the row span
+    /// at any grain, summarize each sub-range, fold in
     /// range order — same bytes as one unsplit pass. Covers split grain ×
     /// membership representations × null densities; sampled variants pin
     /// that partition-wide samples are clipped (not re-drawn) per range.
