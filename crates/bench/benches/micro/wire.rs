@@ -5,10 +5,15 @@
 //! full, a page row repeating its key, a byte per register, a hash beside
 //! every bottom-k string). Bytes are where the codecs pay — the root link
 //! and the sketch cache hold them — and ns is where they charge: a dense
-//! vector pays a zero test per count, a key encode compares its
-//! predecessor and a key decode clones the shared prefix, registers are
-//! patched (a floor, a width chosen by counting, slots shifted into place
-//! and escapes) instead of copied, a bottom-k decode hashes every string.
+//! vector pays a zero test per count, a count vector is sized in both its
+//! spellings (zero runs, and sparse: the non-empty cells' gaps and counts
+//! patched) and the decoder sizes the one it did not get, a key encode
+//! compares its predecessor and a key decode clones the shared prefix,
+//! registers are patched (a floor, a width chosen by counting, slots
+//! shifted into place and escapes) instead of copied, a bottom-k decode
+//! hashes every string. The heat-map cases also report the bytes of their
+//! cells' zero-run spelling alone (`zero_runs_bytes`), what they shipped
+//! before a count vector could be sparse.
 //! Read it when touching `put_counts`, `put_packed`, `put_key` or a
 //! summary's layout.
 //!
@@ -38,8 +43,8 @@ use std::sync::Arc;
 
 pub const SUITE: Registered = Registered {
     name: "wire",
-    about: "summary codecs (zero-run counts, patched registers, prefix-shared keys, recomputed \
-            hashes) vs the plain per-cell encodings they replaced: frame bytes, and median ns \
+    about: "summary codecs (counts in zero runs or sparse, patched registers, prefix-shared keys, \
+            recomputed hashes) vs the plain per-cell encodings they replaced: frame bytes, and median ns \
             per 64 encodes / 64 decodes (facts give ns per single one); plain ≡ codec ≡ the \
             summary asserted before timing; fold_*: one erased fold of 32 leaf summaries, \
             median ns",
@@ -341,6 +346,46 @@ fn scattered(percent: u64) -> HeatmapSummary {
     heatmap(|_, _, i| (mix(i) % 100 < percent).then_some(0.5))
 }
 
+/// A filtered heat map of a few thousand rows: ≈ 12 % of the cells
+/// occupied, scattered, three in four of them holding one row.
+fn singletons() -> HeatmapSummary {
+    let mut h = heatmap(|_, _, i| (mix(i) % 100 < 12).then_some(0.0));
+    for (i, c) in (0..).zip(h.counts.iter_mut()).filter(|(_, c)| **c > 0) {
+        *c = 1 + u64::from(mix(i ^ 0x5EED).is_multiple_of(4)) * (1 + mix(i ^ 0xFACE) % 3);
+    }
+    h
+}
+
+/// The bytes of `h` with its cells in zero runs, as `put_counts` wrote
+/// every count vector before it could choose the sparse spelling.
+fn zero_runs_bytes(h: &HeatmapSummary) -> f64 {
+    let mut w = WireWriter::new();
+    w.put_varint(h.bx as u64);
+    w.put_varint(h.by as u64);
+    let mut rest = &h.counts[..];
+    while let Some((&c, tail)) = rest.split_first() {
+        let run = match c {
+            0 => 1 + tail.iter().take_while(|&&c| c == 0).count(),
+            _ => 0,
+        };
+        if run < 2 {
+            w.put_varint(c);
+            rest = tail;
+        } else {
+            let mut v = run as u64 - 2;
+            while v >= 0x80 {
+                w.put_u8(v as u8 | 0x80);
+                v >>= 7;
+            }
+            w.put_u8(v as u8 | 0x80);
+            w.put_u8(0);
+            rest = &rest[run..];
+        }
+    }
+    put_all(&mut w, &[h.missing, h.out_of_range, h.rows_inspected]);
+    w.len() as f64
+}
+
 fn occupancy(h: &HeatmapSummary) -> f64 {
     h.counts.iter().filter(|&&c| c != 0).count() as f64 / h.counts.len() as f64
 }
@@ -385,12 +430,19 @@ fn run(suite: &mut Suite) {
         assert!((occupancy(&scattered) * 100.0 - percent as f64).abs() < 1.0);
         case(suite, name, &band)
             .fact("occupancy", occupancy(&band))
+            .fact("zero_runs_bytes", zero_runs_bytes(&band))
             .fact(
                 "scattered_plain_bytes",
                 plain_writer(&scattered).len() as f64,
             )
-            .fact("scattered_codec_bytes", scattered.to_bytes().len() as f64);
+            .fact("scattered_codec_bytes", scattered.to_bytes().len() as f64)
+            .fact("scattered_zero_runs_bytes", zero_runs_bytes(&scattered));
     }
+    let singletons = singletons();
+    assert!((occupancy(&singletons) * 100.0 - 12.0).abs() < 1.0);
+    case(suite, "heatmap_200x66_12pct_singletons", &singletons)
+        .fact("occupancy", occupancy(&singletons))
+        .fact("zero_runs_bytes", zero_runs_bytes(&singletons));
 
     let rows = 50_000;
     let flights = TableView::full(Arc::new(generate_flights(&FlightsConfig::new(rows, 7))));

@@ -15,7 +15,7 @@ use hillview_core::cluster::ClusterConfig;
 use hillview_core::dataset::SourceRegistry;
 use hillview_core::spreadsheet::{OpStats, Spreadsheet};
 use hillview_core::{Cluster, Engine, FnSource};
-use hillview_data::{generate_flights, FlightsConfig};
+use hillview_data::{generate_flights, generate_logs, FlightsConfig, LogsConfig};
 use hillview_storage::partition_table;
 use hillview_viz::display::DisplaySpec;
 use std::sync::Arc;
@@ -23,15 +23,16 @@ use std::time::Duration;
 
 const ROWS_PER_WORKER: usize = 50_000;
 const ROOT_BYTES_PER_OP: u64 = 64 << 10;
-/// O1–O11 together: 19 354 bytes once an unfiltered row count or numeric
-/// range comes from the part statistics, with no tree, and the scroll bar
-/// ships its weights as offsets above their least (20 565 before; 26 727
-/// before a summary shipped only what the root cannot recompute — a page's
-/// keys once, bottom-k strings without their hashes, stacked bars as
-/// residuals, HLL registers patched above their floor; 40 379 at the scroll
-/// bar's 10·V keys per worker; 78 934 at 10·V before the shape-aware
-/// codecs).
-const CYCLE_BYTES: u64 = 20_300;
+/// O1–O11 together: 18 553 bytes once a count vector ships sparse where
+/// that is shorter than its zero runs (19 354 before; 20 565 before an
+/// unfiltered row count or numeric range came from the part statistics,
+/// with no tree, and the scroll bar shipped its weights as offsets above
+/// their least; 26 727 before a summary shipped only what the root cannot
+/// recompute — a page's keys once, bottom-k strings without their hashes,
+/// stacked bars as residuals, HLL registers patched above their floor;
+/// 40 379 at the scroll bar's 10·V keys per worker; 78 934 at 10·V before
+/// the shape-aware codecs).
+const CYCLE_BYTES: u64 = 19_480;
 
 #[test]
 fn every_operation_ships_a_display_sized_summary() {
@@ -67,6 +68,9 @@ fn every_operation_ships_a_display_sized_summary() {
     // the part statistics, and O4 its weights as offsets: their ceilings
     // are again what they ship plus under 5 % (O4 shipped 4 728, O5 961,
     // O10 4 212 and O11 4 205 bytes before; O8's count was a memo hit).
+    // O5, O6, O10 and O11 then shipped their count vectors sparse where
+    // that is shorter, and their ceilings are what they ship plus under
+    // 5 % (they shipped 863, 877, 4 038 and 4 008 bytes before).
     let cycle = || -> Vec<(&str, u64, OpStats)> {
         // The same seeds each time round: a sampled tree draws one sample.
         sheet.set_seed(7);
@@ -78,12 +82,12 @@ fn every_operation_ships_a_display_sized_summary() {
             ("O4", 4_180, sheet.scroll_to(&by_date, 50, 20).unwrap().1),
             (
                 "O5",
-                905,
+                857,
                 sheet.histogram_with_cdf("DepDelay", None).unwrap().2,
             ),
             (
                 "O6",
-                1_300,
+                697,
                 ua.histogram_with_cdf("DepDelay", None).unwrap().2,
             ),
             ("O7", 853, sheet.string_histogram("Origin").unwrap().1),
@@ -95,7 +99,7 @@ fn every_operation_ships_a_display_sized_summary() {
             ("O9", 3_477, sheet.distinct_count("FlightNum").unwrap().1),
             (
                 "O10",
-                4_235,
+                4_072,
                 sheet
                     .stacked_histogram_with_cdf("CRSDepTime", "Carrier")
                     .unwrap()
@@ -103,7 +107,7 @@ fn every_operation_ships_a_display_sized_summary() {
             ),
             (
                 "O11",
-                4_204,
+                3_806,
                 sheet.heatmap("Distance", "AirTime").unwrap().1,
             ),
         ]
@@ -156,4 +160,57 @@ fn every_operation_ships_a_display_sized_summary() {
             assert!(second.root_bytes <= first.root_bytes, "{op}\n{table}");
         }
     }
+}
+
+/// Log rows each worker holds for the filtered heat map.
+const LOG_ROWS_PER_WORKER: usize = 100_000;
+/// Its ceiling, over the four trees of the chart: what it ships plus under
+/// 5 % (3 942 bytes while every count vector shipped in zero runs).
+const FILTERED_HEATMAP_BYTES: u64 = 1_620;
+
+/// What a drill-down's heat map ships: a 5 % time window of the logs and a
+/// 20 ms latency band within it, a few hundred rows per worker scattered
+/// over a 200 × 66 grid, most cells empty and most of the rest holding one
+/// row. Those cells ship sparse — each one's gap and count, patched — where
+/// zero runs spelt each of them in about three bytes.
+#[test]
+fn a_filtered_scattered_heat_map_ships_its_occupied_cells() {
+    let config = |w: usize, snap: u64| LogsConfig::new(LOG_ROWS_PER_WORKER, snap ^ w as u64);
+    let mut sources = SourceRegistry::new();
+    sources.register(Arc::new(FnSource::new("logs", move |w, _n, mp, snap| {
+        Ok(partition_table(&generate_logs(&config(w, snap)), mp))
+    })));
+    let cfg = ClusterConfig {
+        workers: 2,
+        batch_interval: Duration::from_secs(30),
+        worker_timeout: Duration::from_secs(120),
+        ..ClusterConfig::default()
+    };
+    let cluster = Cluster::new(cfg, sources, UdfRegistry::with_builtins());
+    let engine = Arc::new(Engine::new(cluster));
+    let sheet = Spreadsheet::open(engine, "logs", 1, DisplaySpec::new(600, 200)).unwrap();
+
+    // The window covers 5 % of the first worker's span, from 40 % in.
+    let logs = generate_logs(&config(0, 1));
+    let ts = logs.column_by_name("Timestamp").unwrap();
+    let (first, last) = (
+        ts.as_f64(0).unwrap(),
+        ts.as_f64(logs.num_rows() - 1).unwrap(),
+    );
+    let lo = first + 0.4 * (last - first);
+    let window = Predicate::range("Timestamp", lo, lo + 0.05 * (last - first));
+    let band = Predicate::range("LatencyMs", 35.0, 55.0);
+    let f3 = sheet.filtered(window).unwrap().filtered(band).unwrap();
+    f3.set_seed(7);
+    let (_, stats) = f3.heatmap("LatencyMs", "Bytes").unwrap();
+    println!(
+        "filtered heat map: {} B over {} trees",
+        stats.root_bytes, stats.trees
+    );
+    assert!(stats.root_bytes > 0);
+    assert!(
+        stats.root_bytes <= FILTERED_HEATMAP_BYTES,
+        "{} B",
+        stats.root_bytes
+    );
 }

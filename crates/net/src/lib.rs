@@ -11,9 +11,9 @@
 //! and links can inject faults — drops, duplicates, bit flips and delays.
 //!
 //! * `wire` — compact binary serialization ([`Wire`] trait) for all
-//!   summary payloads: varints and the shape-aware codecs (zero-run counts,
-//!   bit-packed registers, prefix-shared key lists), every decoder total
-//!   and canonical.
+//!   summary payloads: varints and the shape-aware codecs (counts in zero
+//!   runs or sparse, patched values, prefix-shared key lists), every
+//!   decoder total and canonical.
 //! * `link` — simulated point-to-point links over crossbeam channels with
 //!   byte accounting and seeded fault injection.
 //! * `metrics` — shared atomic counters for bytes/messages per endpoint.

@@ -12,42 +12,59 @@
 //! Most of what a summary holds has a shape the plain primitives spell out
 //! cell by cell: a grid of counts is mostly empty, a sorted key list repeats
 //! its leading columns, the registers of an HLL crowd a few small values
-//! above a floor. Three codecs carry those shapes, and every summary is
-//! written in terms of them. Each is *canonical* — a value has exactly one
-//! byte string, and a decoder refuses every other spelling
-//! ([`Error::NotCanonical`]) — so a decoded summary re-encodes to the bytes
-//! it came from.
+//! above a floor. Three codecs carry those shapes — counts, patched values
+//! and key lists, the first spelling a scattered vector through the second
+//! — and every summary is written in terms of them. Each is *canonical* — a
+//! value has exactly one byte string, and a decoder refuses every other
+//! spelling ([`Error::NotCanonical`]) — so a decoded summary re-encodes to
+//! the bytes it came from.
 //!
 //! **Varint.** LEB128, least significant group first, at most ten bytes.
 //! Refused: a final byte of `0x00` after a continuation byte (a padded
 //! value) and a tenth byte other than `0x01` (bits past the 64th).
 //!
 //! **Counts** ([`WireWriter::put_counts`] / [`WireReader::get_counts`]). A
-//! vector of `n` counts, `n` known to the reader beforehand, as a sequence
-//! of tokens. A non-zero count is its varint, and a zero between two
-//! counts is the byte `0x00` — both as a varint per count would spell
-//! them. A *maximal* run of `k ≥ 2` zeros is the one spelling that leaves
-//! unused: `varint(k − 2)` *padded* — the continuation bit set on its every
-//! byte, then `0x00` — so two bytes stand for up to 129 zeros, three for
-//! 16 513, and no vector is longer than its varint-per-count encoding.
-//! Refused: a run that reaches past `n`, padding of more than the one
-//! `0x00`, and any zero or run directly after a zero or run (the two were
-//! one run).
+//! vector of `n` counts, `n` known to the reader beforehand, in the shorter
+//! of two spellings, zero runs on a tie.
+//!
+//! *Zero runs*: a sequence of tokens. A non-zero count is its varint, and a
+//! zero between two counts is the byte `0x00` — both as a varint per count
+//! would spell them. A *maximal* run of `k ≥ 2` zeros is the one spelling
+//! that leaves unused: `varint(k − 2)` *padded* — the continuation bit set
+//! on its every byte, then `0x00` — so two bytes stand for up to 129 zeros,
+//! three for 16 513, and no vector is longer than its varint-per-count
+//! encoding. Refused: a run that reaches past `n`, padding of more than the
+//! one `0x00`, and any zero or run directly after a zero or run (the two
+//! were one run).
+//!
+//! *Sparse*, for `n ≥ 2`: the marker `0x00 0x00`, `varint(m)` for the `m`
+//! non-empty cells, then each one's *gap* — the zeros since the previous
+//! one — patched, then each one's count less one patched; the zeros after
+//! the last are what `n` leaves. A scattered grid pays about a byte per
+//! non-empty cell here where zero runs pay three. Zero runs never open a
+//! vector of two or more with `0x00 0x00` — a lone zero is followed by a
+//! non-zero count — so the marker is the one the reader looks for. Refused:
+//! more non-empty cells than `n`, a gap that reaches past `n`, a count past
+//! `u64::MAX`, and this spelling where zero runs are as short or shorter —
+//! as zero runs are where this one is shorter. Both lengths come from the
+//! non-empty cells, so choosing and checking cost a pass over them.
 //!
 //! **Patched** ([`WireWriter::put_packed`] / [`WireReader::get_packed`]).
-//! `n` bytes, `n` known to the reader, as an offset, narrow slots and the
+//! `n` values, `n` known to the reader, as an offset, narrow slots and the
 //! exceptions that do not fit them — the "offset + narrow registers +
 //! exceptions" idea of HyperLogLog++ (Heule et al., EDBT 2013) and of
-//! DataSketches' HLL_4. `base`, the least value (`0` when `n = 0`),
-//! and `width ≤ 8`, each a byte; then slot `i`, `min(v_i − base, 2^width −
+//! DataSketches' HLL_4. `varint(base)`, the least value (`0` when `n = 0`),
+//! and `width ≤ 8` in a byte; then slot `i`, `min(v_i − base, 2^width −
 //! 1)`, in bits `i·width .. (i+1)·width` of a `⌈n·width / 8⌉`-byte string,
 //! bit `j` of the string being bit `j mod 8` (least significant first) of
-//! byte `j / 8`; then, in index order, for every full slot, the varint of
-//! `v_i − base − (2^width − 1)`. At width 0 every value is its varint. The
-//! width is the one that spells the values in the fewest bytes, the
-//! narrower of two that tie. Refused: a width above 8, a set bit in the
-//! padding after the last slot, a value past 255, a `base` that is not the
-//! least value and a width that is not the shortest.
+//! byte `j / 8`, packed and unpacked eight slots to a word; then, in index
+//! order, for every full slot, the varint of `v_i − base − (2^width − 1)`.
+//! At width 0 every value is its varint. The width is the one that spells
+//! the values in the fewest bytes, the narrower of two that tie. Refused: a
+//! width above 8, a set bit in the padding after the last slot, a value
+//! past `u64::MAX`, a `base` that is not the least value and a width that
+//! is not the shortest. A caller whose values have a narrower range (HLL
+//! ranks, a weight's low byte) refuses the rest itself.
 //!
 //! **Key list** ([`WireWriter::put_key_header`] + [`WireWriter::put_key`] /
 //! [`WireReader::get_key_header`] + [`WireReader::get_key`], beside the
@@ -66,8 +83,9 @@
 //!
 //! # The expansion budget
 //!
-//! A zero run makes a two-byte token stand for a vector of any length, so
-//! the frame's length no longer bounds what decoding it allocates. A
+//! A zero run makes a two-byte token stand for a vector of any length, and
+//! a sparse header leaves every cell after its last gap empty, so the
+//! frame's length no longer bounds what decoding it allocates. A
 //! [`WireReader`] therefore carries one budget of [`MAX_COUNTS`] cells for
 //! everything [`WireReader::get_counts`] expands, charged before the vector
 //! is allocated. The budget belongs to the reader — to one frame — and not
@@ -159,97 +177,325 @@ impl WireWriter {
         self.put_raw(b);
     }
 
-    /// Write a count vector (its length is the reader's to know): counts
-    /// and lone zeros as varints, each maximal run of `k ≥ 2` zeros as the
-    /// padded varint of `k − 2`.
+    /// Write a count vector (its length is the reader's to know) in the
+    /// shorter of its two spellings, zero runs on a tie: counts and lone
+    /// zeros as varints, each maximal run of `k ≥ 2` zeros as the padded
+    /// varint of `k − 2`; or, for two counts or more, the marker `0x00
+    /// 0x00`, the number of non-empty cells, and those cells' gaps and
+    /// counts less one, each patched.
     pub fn put_counts(&mut self, counts: &[u64]) {
-        let mut rest = counts;
-        while let Some((&c, tail)) = rest.split_first() {
-            let run = match c {
-                0 => 1 + tail.iter().take_while(|&&c| c == 0).count(),
-                _ => 0,
-            };
-            if run < 2 {
-                self.put_varint(c);
-                rest = tail;
-            } else {
-                // Every byte continues, and the byte they continue to
-                // adds nothing: a spelling `put_varint` never writes.
-                let mut v = run as u64 - 2;
+        let cells = Cells::of(counts);
+        match cells.sparse(counts.len(), cells.zero_runs) {
+            Some((gaps, less_one)) => {
+                self.buf.put_slice(&[0, 0]);
+                self.put_varint(cells.gaps.len() as u64);
+                self.put_patched(cells.gaps.iter().copied(), gaps);
+                self.put_patched(cells.counts.iter().copied(), less_one);
+            }
+            None => {
+                for (&gap, &count) in cells.gaps.iter().zip(&cells.counts) {
+                    self.put_zeros(gap);
+                    self.put_varint(count);
+                }
+                self.put_zeros(cells.trailing);
+            }
+        }
+    }
+
+    /// Write `k` zeros of a zero-run count vector: nothing, a lone `0x00`,
+    /// or the run token.
+    fn put_zeros(&mut self, k: u64) {
+        match k {
+            0 => {}
+            1 => self.buf.put_u8(0),
+            _ => {
+                // Every byte continues, and the byte they continue to adds
+                // nothing: a spelling `put_varint` never writes.
+                let mut v = k - 2;
                 while v >= 0x80 {
                     self.buf.put_u8(v as u8 | 0x80);
                     v >>= 7;
                 }
                 self.buf.put_slice(&[v as u8 | 0x80, 0]);
-                rest = &rest[run..];
             }
         }
     }
 
-    /// Write bytes patched: the least value, the width that spells them
+    /// Write values patched: the least value, the width that spells them
     /// shortest, each value's slot above the least, and an escape varint
     /// per full slot.
-    pub fn put_packed(&mut self, values: &[u8]) {
-        let counts = byte_counts(values);
-        let base = counts.iter().position(|&n| n > 0).unwrap_or(0);
-        let width = patched_width(&counts[base..], values.len());
-        let (base, full) = (base as u8, ((1u16 << width) - 1) as u8);
-        self.buf.put_slice(&[base, width as u8]);
+    pub fn put_packed<I>(&mut self, values: I)
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: Clone,
+    {
+        let values = values.into_iter();
+        let least = values.clone().min().unwrap_or(0);
+        self.put_patched(values.clone(), Patch::of(values, least, 0));
+    }
+
+    /// Write `values` at `patch`, their shortest spelling.
+    fn put_patched(&mut self, values: impl Iterator<Item = u64>, patch: Patch) {
+        let Patch {
+            count,
+            least,
+            base,
+            width,
+            ..
+        } = patch;
+        let full = FULL[width as usize];
+        self.put_varint(base);
+        self.buf.put_u8(width as u8);
         // Eight slots fill `width` bytes: each eight is packed into a word
-        // and stored whole, the next overwriting its zero top bytes.
-        let mut slots: Vec<u8> = values.iter().map(|&v| (v - base).min(full)).collect();
-        slots.resize(values.len().next_multiple_of(8), 0);
-        let len = (values.len() * width as usize).div_ceil(8);
+        // and stored whole, the next overwriting its zero top bytes. The
+        // escapes wait their turn.
+        let len = (count * width as usize).div_ceil(8);
         let mut packed = vec![0u8; len + 8];
-        for (at, eight) in (0..).map(|k| k * width as usize).zip(slots.chunks_exact(8)) {
-            let shifted = eight.iter().enumerate();
-            let word = shifted.fold(0u64, |word, (i, &s)| {
-                word | u64::from(s) << (i as u32 * width)
-            });
-            packed[at..at + 8].copy_from_slice(&word.to_le_bytes());
-        }
-        self.buf.put_slice(&packed[..len]);
-        for &v in values {
-            if let Some(excess) = (v - base).checked_sub(full) {
-                self.put_varint(u64::from(excess));
+        let (mut word, mut slots, mut at) = (0u64, 0, 0);
+        let mut escapes = WireWriter::new();
+        for v in values {
+            let offset = v - least;
+            word |= offset.min(full) << (slots * width);
+            slots += 1;
+            if slots == 8 {
+                packed[at..at + 8].copy_from_slice(&word.to_le_bytes());
+                (word, slots, at) = (0, 0, at + width as usize);
+            }
+            if let Some(excess) = offset.checked_sub(full) {
+                escapes.put_varint(excess);
             }
         }
+        packed[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        self.buf.put_slice(&packed[..len]);
+        self.buf.put_slice(escapes.buf.as_ref());
     }
 }
 
-/// How many of `values` hold each byte, tallied in four tables in turn so
-/// that a run of one value does not wait on its own count.
-fn byte_counts(values: &[u8]) -> [usize; 256] {
-    let mut tables = [[0usize; 256]; 4];
-    let mut fours = values.chunks_exact(4);
-    for four in &mut fours {
-        for (table, &v) in tables.iter_mut().zip(four) {
-            table[usize::from(v)] += 1;
+/// The bytes of `v`'s varint.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// The bytes of `k` zeros in a zero-run count vector.
+fn zeros_len(k: u64) -> usize {
+    match k {
+        0 | 1 => k as usize,
+        _ => varint_len(k - 2) + 1,
+    }
+}
+
+/// A count vector by its non-empty cells — each one's gap, the zeros since
+/// the previous one, and its count — and the zeros after the last.
+struct Cells {
+    gaps: Vec<u64>,
+    counts: Vec<u64>,
+    trailing: u64,
+    /// The least gap and the least count, `u64::MAX` when there is none.
+    least: (u64, u64),
+    /// The bytes of the zero-run spelling.
+    zero_runs: usize,
+}
+
+impl Cells {
+    /// Split in two passes, one to count the non-empty cells and one to
+    /// place them, each skipping eight empty cells at a time.
+    fn of(counts: &[u64]) -> Cells {
+        let occupied = |eight: &[u64]| eight.iter().fold(0, |any, &c| any | c) != 0;
+        let nonzero = |cells: &[u64]| cells.iter().filter(|&&c| c != 0).count();
+        let mut eights = counts.chunks_exact(8);
+        let occupied_eights = eights.by_ref().filter(|eight| occupied(eight));
+        let m = occupied_eights.map(nonzero).sum::<usize>() + nonzero(eights.remainder());
+        let (mut gaps, mut nonzero) = (vec![0; m], vec![0; m]);
+        let mut places = gaps.iter_mut().zip(nonzero.iter_mut());
+        let (mut gap, mut least, mut zero_runs) = (0, (u64::MAX, u64::MAX), 0);
+        let mut cell = |count: u64, gap: &mut u64| {
+            if count == 0 {
+                *gap += 1;
+            } else if let Some((g, c)) = places.next() {
+                (*g, *c) = (*gap, count);
+                least = (least.0.min(*gap), least.1.min(count));
+                zero_runs += zeros_len(*gap) + varint_len(count);
+                *gap = 0;
+            }
+        };
+        let mut eights = counts.chunks_exact(8);
+        for eight in &mut eights {
+            match occupied(eight) {
+                true => eight.iter().for_each(|&count| cell(count, &mut gap)),
+                false => gap += 8,
+            }
+        }
+        let rest = eights.remainder();
+        rest.iter().for_each(|&count| cell(count, &mut gap));
+        Cells {
+            gaps,
+            counts: nonzero,
+            trailing: gap,
+            least,
+            zero_runs: zero_runs + zeros_len(gap),
         }
     }
-    for &v in fours.remainder() {
-        tables[0][usize::from(v)] += 1;
+
+    /// The patches of the gaps and of the counts less one, if the sparse
+    /// spelling of these `n` cells is shorter than `zero_runs` bytes.
+    fn sparse(&self, n: usize, zero_runs: usize) -> Option<(Patch, Patch)> {
+        let m = self.gaps.len();
+        if zero_runs <= sparse_floor(n, m) {
+            return None;
+        }
+        let gaps = Patch::of(self.gaps.iter().copied(), self.least.0, 0);
+        let header = 2 + varint_len(m as u64);
+        if zero_runs <= header + gaps.bytes + patch_floor(m) {
+            return None;
+        }
+        let less_one = Patch::of(self.counts.iter().copied(), self.least.1, 1);
+        (header + gaps.bytes + less_one.bytes < zero_runs).then_some((gaps, less_one))
     }
-    let [mut counts, rest @ ..] = tables;
-    for table in &rest {
-        counts.iter_mut().zip(table).for_each(|(n, m)| *n += m);
-    }
-    counts
 }
 
-/// The width at which [`WireWriter::put_packed`] spells `n` values in the
-/// fewest bytes, the narrower of two that tie, from `counts[d]`, the
-/// values `d` above the floor.
-fn patched_width(counts: &[usize], n: usize) -> u32 {
-    let bytes = |width: u32| {
-        let full = (1usize << width) - 1;
-        let escaped = counts.get(full..).unwrap_or_default().iter().enumerate();
-        let escapes: usize = escaped
-            .map(|(excess, &k)| k << usize::from(excess >= 0x80))
-            .sum();
-        (n * width as usize).div_ceil(8) + escapes
-    };
-    (0..=8).min_by_key(|&width| bytes(width)).unwrap_or(0)
+/// The fewest bytes a patch of `m` values takes: a base, a width and a bit
+/// per value.
+fn patch_floor(m: usize) -> usize {
+    2 + m.div_ceil(8)
+}
+
+/// The fewest bytes the sparse spelling of `m` non-empty cells takes — all
+/// of them when `n < 2`, which it never spells.
+fn sparse_floor(n: usize, m: usize) -> usize {
+    match n {
+        0 | 1 => usize::MAX,
+        _ => 2 + varint_len(m as u64) + 2 * patch_floor(m),
+    }
+}
+
+/// How [`WireWriter::put_packed`] spells some values less a constant: how
+/// many there are, the least, the base written (the least less the
+/// constant), the width that spells them in the fewest bytes, and those
+/// bytes.
+#[derive(Clone, Copy)]
+struct Patch {
+    count: usize,
+    least: u64,
+    base: u64,
+    width: u32,
+    bytes: usize,
+}
+
+impl Patch {
+    /// The patch of `values` less `less`, `least` being the least of them
+    /// and not below `less`.
+    fn of(values: impl Iterator<Item = u64>, least: u64, less: u64) -> Patch {
+        let mut spread = Spread::new();
+        values.for_each(|v| spread.add(v - least));
+        let (width, body) = spread.shortest();
+        let base = least - less;
+        Patch {
+            count: spread.count,
+            least,
+            base,
+            width,
+            bytes: varint_len(base) + 1 + body,
+        }
+    }
+}
+
+/// The full slot of each width, `2^width − 1`.
+const FULL: [u64; 9] = [0, 1, 3, 7, 15, 31, 63, 127, 255];
+
+/// Where an offset below `2^14` gains an escape byte: at each full slot it
+/// escapes in one byte, and from 128 above it in two.
+const STEPS: [u64; 17] = [
+    0, 1, 3, 7, 15, 31, 63, 127, 128, 129, 131, 135, 143, 159, 191, 255, 383,
+];
+
+/// How many [`STEPS`] an offset is at least, for every offset to the last
+/// step; any offset above it, to `2^14`, is at least all of them.
+static STEPS_BELOW: [u8; 384] = {
+    let mut below = [0u8; 384];
+    let mut d = 0;
+    while d < below.len() {
+        let mut k = 0;
+        while k < STEPS.len() {
+            below[d] += (STEPS[k] <= d as u64) as u8;
+            k += 1;
+        }
+        d += 1;
+    }
+    below
+};
+
+/// The index of `step` in [`STEPS`].
+fn step(step: u64) -> usize {
+    STEPS.iter().position(|&s| s == step).unwrap_or(STEPS.len())
+}
+
+/// What the escapes of some offsets cost at each width.
+struct Spread {
+    count: usize,
+    /// How many offsets below `2^14` are at least `k` of [`STEPS`], in
+    /// four tables to be added up (32 wide, so that an index masked to
+    /// five bits needs no bounds check).
+    tables: [[usize; 32]; 4],
+    /// The varint bytes of the offsets from `2^14` up: each escapes at
+    /// every width, and its escape is as long as its varint —
+    high: usize,
+    /// — but for those less than 255 above a power of `2^7`, whose escape
+    /// falls below that power at each width whose full slot is more than
+    /// that distance: how many do, width by width.
+    shorter: [usize; 9],
+}
+
+impl Spread {
+    fn new() -> Spread {
+        Spread {
+            count: 0,
+            tables: [[0; 32]; 4],
+            high: 0,
+            shorter: [0; 9],
+        }
+    }
+
+    /// One more offset, tallied in four tables in turn so that a run of one
+    /// offset does not wait on its own count.
+    #[inline]
+    fn add(&mut self, d: u64) {
+        if d < 1 << 14 {
+            let at = STEPS_BELOW[d.min(383) as usize];
+            self.tables[self.count & 3][usize::from(at) & 31] += 1;
+        } else {
+            let len = varint_len(d);
+            self.high += len;
+            let above = d - (1 << (7 * (len - 1)));
+            if above < 255 {
+                let widths = self.shorter.iter_mut().zip(FULL);
+                widths.for_each(|(n, full)| *n += usize::from(above < full));
+            }
+        }
+        self.count += 1;
+    }
+
+    /// The width that spells the values in the fewest bytes, the narrower
+    /// of two that tie, and those bytes after the base and the width byte.
+    fn shortest(&self) -> (u32, usize) {
+        // `at_least[k]`: the offsets below `2^14` at least `STEPS[k]`.
+        let [mut steps, rest @ ..] = self.tables;
+        for table in &rest {
+            steps.iter_mut().zip(table).for_each(|(n, m)| *n += m);
+        }
+        let mut at_least = [0usize; STEPS.len() + 1];
+        for k in (0..STEPS.len()).rev() {
+            at_least[k] = at_least[k + 1] + steps[k + 1];
+        }
+        let bytes = |width: usize| {
+            let full = FULL[width];
+            let low = at_least[step(full)] + at_least[step(full + 128)];
+            let escapes = low + self.high - self.shorter[width];
+            (self.count * width).div_ceil(8) + escapes
+        };
+        let widths = (0..=8).map(|width| (bytes(width), width as u32));
+        let (body, width) = widths.min().unwrap_or((0, 0));
+        (width, body)
+    }
 }
 
 impl Default for WireWriter {
@@ -405,20 +651,26 @@ impl WireReader {
     }
 
     /// Read the `n` counts [`WireWriter::put_counts`] wrote, charging them
-    /// to the frame's expansion budget before allocating.
+    /// to the frame's expansion budget before allocating, and refusing
+    /// either spelling where the other is shorter.
     pub fn get_counts(&mut self, n: usize) -> Result<Vec<u64>> {
         self.counts_left = self.counts_left.checked_sub(n).ok_or(Error::BadLength {
             context: "counts past the frame's expansion budget",
             len: n as u64,
         })?;
+        let start = self.remaining();
+        if n >= 2 && self.buf.chunk().starts_with(&[0, 0]) {
+            self.buf.advance(2);
+            return self.get_sparse(n, start);
+        }
         let mut counts = Vec::with_capacity(n);
-        let mut after_zeros = false;
+        let (mut occupied, mut after_zeros) = (0, false);
         while counts.len() < n {
             let zeros = match self.get_leb128()? {
                 (0, false) => 1,
                 (c, false) => {
                     counts.push(c);
-                    after_zeros = false;
+                    (occupied, after_zeros) = (occupied + 1, false);
                     continue;
                 }
                 (run, true) => run.saturating_add(2),
@@ -437,14 +689,62 @@ impl WireReader {
             counts.resize(counts.len() + zeros as usize, 0);
             after_zeros = true;
         }
+        let zero_runs = start - self.remaining();
+        if zero_runs > sparse_floor(n, occupied)
+            && Cells::of(&counts).sparse(n, zero_runs).is_some()
+        {
+            return Err(Error::NotCanonical {
+                context: "zero runs where the sparse counts are shorter",
+            });
+        }
         Ok(counts)
     }
 
-    /// Read the `n` bytes [`WireWriter::put_packed`] wrote, refusing every
+    /// Read the sparse spelling of `n` counts after its marker, `start`
+    /// being what remained before the marker.
+    fn get_sparse(&mut self, n: usize, start: usize) -> Result<Vec<u64>> {
+        let m = self.get_varint()?;
+        if m > n as u64 {
+            return Err(Error::BadLength {
+                context: "non-empty counts past their vector",
+                len: m,
+            });
+        }
+        let gaps = self.get_packed(m as usize)?;
+        let less_one = self.get_packed(m as usize)?;
+        let mut counts = vec![0; n];
+        // Where the next cell may start, and the zero-run spelling's bytes.
+        let (mut next, mut zero_runs) = (0, 0);
+        for (gap, less_one) in gaps.into_iter().zip(less_one) {
+            let at = gap
+                .checked_add(next as u64)
+                .filter(|&at| at < n as u64)
+                .ok_or(Error::BadLength {
+                    context: "sparse gap past the end of its counts",
+                    len: gap,
+                })?;
+            let count = less_one.checked_add(1).ok_or(Error::BadLength {
+                context: "sparse count past u64",
+                len: less_one,
+            })?;
+            counts[at as usize] = count;
+            next = at as usize + 1;
+            zero_runs += zeros_len(gap) + varint_len(count);
+        }
+        zero_runs += zeros_len((n - next) as u64);
+        if zero_runs <= start - self.remaining() {
+            return Err(Error::NotCanonical {
+                context: "sparse counts where zero runs are no longer",
+            });
+        }
+        Ok(counts)
+    }
+
+    /// Read the `n` values [`WireWriter::put_packed`] wrote, refusing every
     /// other spelling of them.
-    pub fn get_packed(&mut self, n: usize) -> Result<Vec<u8>> {
-        let context = "patched bytes";
-        let base = self.get_u8()?;
+    pub fn get_packed(&mut self, n: usize) -> Result<Vec<u64>> {
+        let context = "patched values";
+        let base = self.get_varint()?;
         let width = self.get_u8()?;
         if width > 8 {
             return Err(Error::BadTag {
@@ -452,9 +752,9 @@ impl WireReader {
                 tag: width,
             });
         }
-        let width = u32::from(width);
+        let width = usize::from(width);
         let len = n
-            .checked_mul(width as usize)
+            .checked_mul(width)
             .ok_or(Error::BadLength {
                 context,
                 len: n as u64,
@@ -464,55 +764,66 @@ impl WireReader {
         if self.remaining() < if width == 0 { n } else { len } {
             return Err(Error::Truncated { context });
         }
-        let full = ((1u16 << width) - 1) as u8;
+        let full = FULL[width];
         // Eight slots are `width` bytes: each eight is read as a whole word,
         // out of a copy with a word of zeros after the last byte.
         let mut packed = vec![0u8; len + 8];
         packed[..len].copy_from_slice(&self.buf.chunk()[..len]);
-        let mut values = vec![0u8; n.next_multiple_of(8)];
-        for (at, eight) in (0..)
-            .map(|k| k * width as usize)
-            .zip(values.chunks_exact_mut(8))
-        {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(&packed[at..at + 8]);
-            let word = u64::from_le_bytes(word);
-            for (i, v) in eight.iter_mut().enumerate() {
-                *v = (word >> (i as u32 * width)) as u8 & full;
-            }
-        }
-        // The slots past the last value hold the padding bits.
-        if values.drain(n..).any(|slot| slot != 0) {
+        self.buf.advance(len);
+        // The bits past the last slot are padding.
+        let used = n * width % 8;
+        if used != 0 && packed[len - 1] >> used != 0 {
             return Err(Error::NotCanonical {
                 context: "packed padding bits",
             });
         }
-        self.buf.advance(len);
-        // Each value its offset above `base` first, the escapes added in.
-        let past = |offset: u64| Error::BadLength {
-            context: "patched value past a byte",
-            len: offset,
+        // Each value its offset above `base`, a full slot's escape added in.
+        let past = |len: u64| Error::BadLength {
+            context: "patched value past u64",
+            len,
         };
-        for v in values.iter_mut().filter(|v| **v == full) {
-            let offset = u64::from(full).saturating_add(self.get_varint()?);
-            *v = u8::try_from(offset).map_err(|_| past(offset))?;
+        let mut values = vec![0; n];
+        let (mut spread, mut least, mut top) = (Spread::new(), u64::MAX, 0);
+        let mut value = |slot: u64, value: &mut u64| {
+            let d = match slot == full {
+                true => {
+                    let escape = self.get_varint()?;
+                    full.checked_add(escape).ok_or(past(escape))?
+                }
+                false => slot,
+            };
+            (least, top) = (least.min(d), top.max(d));
+            spread.add(d);
+            *value = base.wrapping_add(d);
+            Ok(())
+        };
+        let word = |at: usize| {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(&packed[at..at + 8]);
+            u64::from_le_bytes(word)
+        };
+        let mut eights = values.chunks_exact_mut(8);
+        for (k, eight) in (&mut eights).enumerate() {
+            let word = word(k * width);
+            for (i, v) in eight.iter_mut().enumerate() {
+                value(word >> (i * width) & full, v)?;
+            }
         }
-        let counts = byte_counts(&values);
-        let top = counts.iter().rposition(|&k| k > 0).unwrap_or(0);
-        if top > usize::from(u8::MAX - base) {
-            return Err(past(top as u64));
+        let word = word(n / 8 * width);
+        for (i, v) in eights.into_remainder().iter_mut().enumerate() {
+            value(word >> (i * width) & full, v)?;
         }
-        if counts[0] == 0 && n > 0 || base > 0 && n == 0 {
+        if least > 0 && n > 0 || base > 0 && n == 0 {
             return Err(Error::NotCanonical {
                 context: "patched base is not the least value",
             });
         }
-        if patched_width(&counts, n) != width {
+        if spread.shortest().0 as usize != width {
             return Err(Error::NotCanonical {
                 context: "patched width is not the shortest",
             });
         }
-        values.iter_mut().for_each(|v| *v += base);
+        base.checked_add(top).ok_or(past(base))?;
         Ok(values)
     }
 }
@@ -871,9 +1182,10 @@ mod tests {
             ));
         }
         // Zeros that were one run: two lone ones, a lone one beside a run,
-        // two runs.
+        // two runs. Two lone zeros cannot open a vector to show it: there,
+        // `00 00` is the sparse spelling's marker.
         for split in [
-            &[0u8, 0, 7, 7][..],
+            &[7u8, 0, 0, 7][..],
             &[0, 0x80, 0, 7],
             &[0x80, 0, 0, 7],
             &[0x80, 0, 0x80, 0],
@@ -903,6 +1215,185 @@ mod tests {
         ));
     }
 
+    /// `values` patched at any base and width, honest or not, a bit at a
+    /// time: `base`, `width`, the slots `min(v − base, 2^width − 1)`, then
+    /// an escape varint per full slot.
+    fn patched(values: &[u64], base: u64, width: u32) -> Vec<u8> {
+        let full = (1u64 << width) - 1;
+        let mut w = WireWriter::new();
+        w.put_varint(base);
+        w.put_u8(width as u8);
+        let mut bits = vec![0u8; (values.len() * width as usize).div_ceil(8)];
+        for (i, &v) in values.iter().enumerate() {
+            for b in 0..width as usize {
+                let at = i * width as usize + b;
+                bits[at / 8] |= (((v - base).min(full) >> b & 1) as u8) << (at % 8);
+            }
+        }
+        w.put_raw(&bits);
+        for &v in values {
+            if let Some(excess) = (v - base).checked_sub(full) {
+                w.put_varint(excess);
+            }
+        }
+        w.finish().to_vec()
+    }
+
+    /// A sparse spelling of `m` cells from whatever patches.
+    fn sparse(m: u64, gaps: &[u8], less_one: &[u8]) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_raw(&[0, 0]);
+        w.put_varint(m);
+        w.put_raw(gaps);
+        w.put_raw(less_one);
+        w.finish().to_vec()
+    }
+
+    #[test]
+    fn counts_take_the_shorter_spelling_zero_runs_on_a_tie() {
+        // Ones two zeros apart: each is `80 00 01` in zero runs; sparse,
+        // each gap is 2 and each count 1, a bit apiece.
+        let spaced = |m: usize| [0, 0, 1].repeat(m);
+        let runs = |m: usize| [0x80, 0, 1].repeat(m);
+        let marked = |m: u8| vec![0, 0, m, 2, 1, 0, 0, 1, 0];
+        // Three tie at nine bytes, and zero runs win; four are shorter sparse.
+        assert_eq!(&counts_bytes(&spaced(3))[..], runs(3));
+        assert_eq!(&counts_bytes(&spaced(4))[..], marked(4));
+        for (m, bytes) in [(3, runs(3)), (4, marked(4))] {
+            let mut r = reader(&bytes);
+            assert_eq!(r.get_counts(3 * m).unwrap(), spaced(m));
+            assert_eq!(r.remaining(), 0);
+        }
+        // Each spelling where the other is shorter, or ties with it.
+        assert_eq!(
+            reader(&marked(3)).get_counts(9),
+            Err(Error::NotCanonical {
+                context: "sparse counts where zero runs are no longer"
+            })
+        );
+        assert_eq!(
+            reader(&runs(4)).get_counts(12),
+            Err(Error::NotCanonical {
+                context: "zero runs where the sparse counts are shorter"
+            })
+        );
+        // One count is never sparse: `00 00` is a zero and the next vector.
+        let mut r = reader(&[0, 0]);
+        assert_eq!(r.get_counts(1).unwrap(), [0]);
+        assert_eq!(r.get_counts(1).unwrap(), [0]);
+        // Scattered counts, a zero run past the last; each spelling is
+        // never longer than a varint per count.
+        let mut scattered = vec![0u64; 300];
+        for (i, c) in [(3, 1), (40, 2), (41, 1), (150, 300), (151, 1), (160, 1)] {
+            scattered[i] = c;
+        }
+        // Four bits would leave two gaps to escape: five bytes, as one bit
+        // and four escapes take, and the narrower wins.
+        let gaps = patched(&[3, 36, 0, 108, 0, 8], 0, 1);
+        let less_one = patched(&[0, 1, 0, 299, 0, 0], 0, 1);
+        let bytes = sparse(6, &gaps, &less_one);
+        assert_eq!(&counts_bytes(&scattered)[..], bytes);
+        assert_eq!(reader(&bytes).get_counts(300).unwrap(), scattered);
+        assert!(bytes.len() < 300 + 1);
+    }
+
+    #[test]
+    fn sparse_counts_refuse_every_other_spelling() {
+        // Ones at 2, 7, 12, 17 and 22 of 24: 16 bytes of zero runs.
+        let mut ones = vec![0u64; 24];
+        for i in [2, 7, 12, 17, 22] {
+            ones[i] = 1;
+        }
+        let gaps = [2, 4, 4, 4, 4];
+        let honest_gaps = patched(&gaps, 2, 2);
+        let counts = patched(&[0; 5], 0, 1);
+        let honest = sparse(5, &honest_gaps, &counts);
+        assert_eq!(honest, [0, 0, 5, 2, 2, 0xA8, 0x02, 0, 1, 0]);
+        assert_eq!(&counts_bytes(&ones)[..], honest);
+        assert_eq!(reader(&honest).get_counts(24).unwrap(), ones);
+        // One cell shorter the vector ends at its last one.
+        assert_eq!(reader(&honest).get_counts(23).unwrap(), &ones[..23]);
+
+        let refusals: [(usize, Vec<u8>, Error); 8] = [
+            // More non-empty cells than the vector has.
+            (
+                4,
+                honest.clone(),
+                Error::BadLength {
+                    context: "non-empty counts past their vector",
+                    len: 5,
+                },
+            ),
+            // A gap that reaches past the end.
+            (
+                22,
+                honest.clone(),
+                Error::BadLength {
+                    context: "sparse gap past the end of its counts",
+                    len: 4,
+                },
+            ),
+            // A count one past `u64::MAX`.
+            (
+                2,
+                sparse(1, &patched(&[0], 0, 0), &patched(&[u64::MAX], u64::MAX, 0)),
+                Error::BadLength {
+                    context: "sparse count past u64",
+                    len: u64::MAX,
+                },
+            ),
+            (
+                24,
+                sparse(5, &[2, 9, 0xA8, 0x02], &counts),
+                Error::BadTag {
+                    context: "patched width",
+                    tag: 9,
+                },
+            ),
+            (
+                24,
+                sparse(5, &[2, 2, 0xA8, 0x06], &counts),
+                Error::NotCanonical {
+                    context: "packed padding bits",
+                },
+            ),
+            (
+                24,
+                sparse(5, &patched(&gaps, 1, 2), &counts),
+                Error::NotCanonical {
+                    context: "patched base is not the least value",
+                },
+            ),
+            // Width 3 spells the gaps in two bytes too, and is the wider.
+            (
+                24,
+                sparse(5, &patched(&gaps, 2, 3), &counts),
+                Error::NotCanonical {
+                    context: "patched width is not the shortest",
+                },
+            ),
+            // No count at all: seven bytes, where zero runs take two.
+            (
+                24,
+                sparse(0, &patched(&[], 0, 0), &patched(&[], 0, 0)),
+                Error::NotCanonical {
+                    context: "sparse counts where zero runs are no longer",
+                },
+            ),
+        ];
+        for (n, frame, error) in refusals {
+            assert_eq!(reader(&frame).get_counts(n), Err(error), "{frame:02x?}");
+        }
+        // The budget is charged before the marker is read.
+        assert_eq!(
+            reader(&honest).get_counts(MAX_COUNTS + 1),
+            Err(Error::BadLength {
+                context: "counts past the frame's expansion budget",
+                len: MAX_COUNTS as u64 + 1,
+            })
+        );
+    }
+
     #[test]
     fn counts_share_one_expansion_budget_per_reader() {
         let half = MAX_COUNTS / 2;
@@ -924,46 +1415,54 @@ mod tests {
         ));
     }
 
+    fn spell(values: &[u64]) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_packed(values.iter().copied());
+        w.finish().to_vec()
+    }
+
     #[test]
     fn packed_integers_roundtrip_at_every_width() {
         for width in 0..=8u32 {
             // Every slot but the full one, dealt evenly above a floor of 1:
             // nothing escapes at `width`, and one bit narrower half would.
-            let slots = (1usize << width).saturating_sub(1).max(1);
-            for n in [0usize, 1, 7, 8, 9, 64, 100] {
-                let values: Vec<u8> = (0..n).map(|i| (1 + i * 37 % slots) as u8).collect();
-                let mut w = WireWriter::new();
-                w.put_packed(&values);
-                let bytes = w.finish();
+            let slots = (1u64 << width).saturating_sub(1).max(1);
+            for n in [0u64, 1, 7, 8, 9, 64, 100] {
+                let values: Vec<u64> = (0..n).map(|i| 1 + i * 37 % slots).collect();
+                let bytes = spell(&values);
                 if n >= 64 {
                     assert_eq!(bytes[..2], [1, width.max(1) as u8], "{width} x {n}");
                 }
-                let mut r = WireReader::new(bytes);
-                assert_eq!(r.get_packed(n).unwrap(), values, "{width} x {n}");
+                assert_eq!(bytes, patched(&values, 1.min(n), bytes[1].into()));
+                let mut r = reader(&bytes);
+                assert_eq!(r.get_packed(n as usize).unwrap(), values, "{width} x {n}");
                 assert_eq!(r.remaining(), 0);
             }
         }
-        let spell = |values: &[u8]| {
-            let mut w = WireWriter::new();
-            w.put_packed(values);
-            w.finish().to_vec()
-        };
         // Base 1, width 2, least significant bit first: 0 | 1 << 2 | 2 << 4.
         assert_eq!(spell(&[1, 2, 3]), [0x01, 0x02, 0x24]);
         // One value far above eight at the floor: a one-bit slot, full,
         // and its escape `200 − 0 − 1`.
-        let mut spike = [0u8; 9];
+        let mut spike = [0u64; 9];
         spike[8] = 200;
         assert_eq!(spell(&spike), [0x00, 0x01, 0x00, 0x01, 0xC7, 0x01]);
         // Nothing, and one value: width 0 ties the wider ones and wins.
         assert_eq!(spell(&[]), [0, 0]);
         assert_eq!(spell(&[7]), [7, 0, 0]);
+        // A base of any size is its varint; 3 above it needs two bits and a
+        // full slot, or three bits.
+        let far = [1 << 40, (1 << 40) + 3];
+        assert_eq!(spell(&far), patched(&far, 1 << 40, 3));
+        assert_eq!(spell(&far)[6..], [3, 0x18]);
+        assert_eq!(reader(&spell(&far)).get_packed(2).unwrap(), far);
+        let top = [u64::MAX, 0];
+        assert_eq!(reader(&spell(&top)).get_packed(2).unwrap(), top);
     }
 
     #[test]
     fn packed_decoder_refuses_short_input_and_padding_bits() {
         assert_eq!(reader(&[0x01, 0x02, 0x24]).get_packed(3), Ok(vec![1, 2, 3]));
-        let context = "patched bytes";
+        let context = "patched values";
         assert_eq!(
             reader(&[0x01, 0x02]).get_packed(3),
             Err(Error::Truncated { context })
@@ -1001,17 +1500,22 @@ mod tests {
                 "{frame:02x?}"
             );
         }
-        // Values past 255, one by its escape and one by its slot, and an
-        // escape that is not there.
-        for (frame, offset) in [(&[250, 0, 6][..], 6), (&[250, 3, 6], 6)] {
-            assert_eq!(
-                reader(frame).get_packed(1),
-                Err(Error::BadLength {
-                    context: "patched value past a byte",
-                    len: offset
-                })
-            );
-        }
+        // Values past `u64`: an escape past it, and a base it lifts past.
+        let past = |len| {
+            Err(Error::BadLength {
+                context: "patched value past u64",
+                len,
+            })
+        };
+        let escape = [
+            &patched(&[0], 0, 8)[..2],
+            &[0xFF],
+            &spell(&[u64::MAX])[..10],
+        ]
+        .concat();
+        assert_eq!(reader(&escape).get_packed(1), past(u64::MAX));
+        let lifted = [&spell(&[u64::MAX])[..10], &spell(&[0, 1])[1..]].concat();
+        assert_eq!(reader(&lifted).get_packed(2), past(u64::MAX));
         assert_eq!(
             reader(&[0x00, 0x01, 0x00, 0x01]).get_packed(9),
             Err(Error::Truncated { context: "varint" })

@@ -176,12 +176,20 @@ proptest! {
         }
     }
 
-    /// Count vectors of every mix of zeros round-trip, never longer than a
-    /// varint per count, and arbitrary bytes decode to an error or to
-    /// counts that encode back to the bytes consumed.
+    /// Count vectors of every mix of zeros round-trip in the shorter of
+    /// their two spellings — zero runs on a tie, never longer than a varint
+    /// per count — the decoder refuses the longer, and arbitrary bytes
+    /// decode to an error or to counts that encode back to the bytes
+    /// consumed.
     #[test]
     fn counts_roundtrip_and_decode_canonically(
-        counts in proptest::collection::vec(prop_oneof![Just(0u64), Just(0u64), any::<u64>()], 0..64),
+        counts in prop_oneof![
+            proptest::collection::vec(prop_oneof![Just(0u64), Just(0u64), any::<u64>()], 0..64),
+            proptest::collection::vec(
+                prop_oneof![Just(0u64), Just(0u64), Just(0u64), Just(0u64), 1u64..3, 1u64..300],
+                0..200,
+            ),
+        ],
         soup in proptest::collection::vec(prop_oneof![Just(0u8), Just(0x80u8), any::<u8>()], 0..24),
         n in 0usize..40,
     ) {
@@ -189,9 +197,18 @@ proptest! {
         w.put_counts(&counts);
         let plain: usize = counts.iter().map(|c| c.to_bytes().len()).sum();
         prop_assert!(w.len() <= plain, "{} bytes against {plain}", w.len());
-        let mut r = WireReader::new(w.finish());
-        prop_assert_eq!(r.get_counts(counts.len()).unwrap(), counts);
+        let bytes = w.finish();
+        let (runs, sparse) = (zero_runs(&counts), sparse(&counts));
+        let sparse_wins = counts.len() >= 2 && sparse.len() < runs.len();
+        let (shorter, longer) = if sparse_wins { (sparse, runs) } else { (runs, sparse) };
+        prop_assert_eq!(&bytes[..], &shorter[..]);
+        let mut r = WireReader::new(bytes);
+        prop_assert_eq!(r.get_counts(counts.len()).unwrap(), counts.clone());
         prop_assert_eq!(r.remaining(), 0);
+        if counts.len() >= 2 {
+            let refused = WireReader::new(longer.into()).get_counts(counts.len());
+            prop_assert!(matches!(refused, Err(Error::NotCanonical { .. })), "{:?}", refused);
+        }
 
         let mut r = WireReader::new(bytes::Bytes::from(soup.clone()));
         if let Ok(decoded) = r.get_counts(n) {
@@ -236,53 +253,127 @@ proptest! {
     }
 }
 
-/// `values` patched at any floor and width, honest or not: `base`, `width`,
-/// the slots `min(v − base, 2^width − 1)` packed least significant bit
-/// first, then an escape varint per full slot.
-fn patched(values: &[u8], base: u8, width: u32) -> Vec<u8> {
-    let full = ((1u16 << width) - 1) as u8;
+fn varint(v: u64) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_varint(v);
+    w.finish().to_vec()
+}
+
+/// `values` patched at any floor and width, honest or not, a bit at a
+/// time: `varint(base)`, `width`, the slots `min(v − base, 2^width − 1)`
+/// packed least significant bit first, then an escape varint per full
+/// slot.
+fn patched(values: &[u64], base: u64, width: u32) -> Vec<u8> {
+    let full = (1u64 << width) - 1;
     let mut bits = vec![0u8; (values.len() * width as usize).div_ceil(8)];
-    let mut escapes = WireWriter::new();
+    let mut escapes = Vec::new();
     for (i, &v) in values.iter().enumerate() {
         let offset = v - base;
         for b in 0..width as usize {
             let at = i * width as usize + b;
-            bits[at / 8] |= (offset.min(full) >> b & 1) << (at % 8);
+            bits[at / 8] |= ((offset.min(full) >> b & 1) as u8) << (at % 8);
         }
         if offset >= full {
-            escapes.put_varint(u64::from(offset - full));
+            escapes.extend(varint(offset - full));
         }
     }
-    [&[base, width as u8][..], &bits, &escapes.finish()].concat()
+    [varint(base), vec![width as u8], bits, escapes].concat()
+}
+
+/// The shortest of `values`' patched spellings at their least value, the
+/// narrower of two widths that tie.
+fn shortest_patched(values: &[u64]) -> Vec<u8> {
+    let least = values.iter().copied().min().unwrap_or(0);
+    let spellings = (0..=8).map(|width| patched(values, least, width));
+    spellings.min_by_key(Vec::len).unwrap_or_default()
+}
+
+/// `counts` in zero runs: each count and lone zero its varint, each
+/// maximal run of `k ≥ 2` zeros the varint of `k − 2` padded.
+fn zero_runs(counts: &[u64]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut rest = counts;
+    while let Some((&c, tail)) = rest.split_first() {
+        let run = if c == 0 {
+            1 + tail.iter().take_while(|&&c| c == 0).count()
+        } else {
+            0
+        };
+        if run < 2 {
+            out.extend(varint(c));
+            rest = tail;
+        } else {
+            let mut token = varint(run as u64 - 2);
+            *token.last_mut().unwrap() |= 0x80;
+            out.extend(token);
+            out.push(0);
+            rest = &rest[run..];
+        }
+    }
+    out
+}
+
+/// `counts` sparse: `00 00`, the number of non-empty cells, the zeros
+/// before each patched, each one's count less one patched.
+fn sparse(counts: &[u64]) -> Vec<u8> {
+    let (mut gaps, mut less_one, mut gap) = (Vec::new(), Vec::new(), 0);
+    for &c in counts {
+        if c == 0 {
+            gap += 1;
+        } else {
+            gaps.push(gap);
+            less_one.push(c - 1);
+            gap = 0;
+        }
+    }
+    let m = varint(gaps.len() as u64);
+    [
+        vec![0, 0],
+        m,
+        shortest_patched(&gaps),
+        shortest_patched(&less_one),
+    ]
+    .concat()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Patched bytes round-trip whatever they hold; the writer's floor is
+    /// Patched values round-trip whatever they hold; the writer's floor is
     /// the least value and its width spells them in the fewest bytes, the
     /// narrower of two that tie; and every other floor and width that
     /// spells them is refused.
     #[test]
     fn patched_bytes_roundtrip_at_their_shortest_spelling(
-        values in proptest::collection::vec(prop_oneof![0u8..4, 0u8..16, any::<u8>()], 0..80),
-        floor in 0u8..24,
+        values in proptest::collection::vec(
+            prop_oneof![
+                0u64..4,
+                0u64..16,
+                0u64..256,
+                0u64..70_000,
+                any::<u64>(),
+                // Near a power of 2^7, where an escape may be a byte shorter
+                // than its offset's varint.
+                (1u32..10, 0u64..600).prop_map(|(k, r)| (1u64 << (7 * k)) + r - 300.min(1 << (7 * k))),
+            ],
+            0..80,
+        ),
+        floor in prop_oneof![0u64..24, Just(1 << 40)],
     ) {
-        let values: Vec<u8> = values.iter().map(|v| v.saturating_add(floor)).collect();
+        let values: Vec<u64> = values.iter().map(|v| v.saturating_add(floor)).collect();
         let n = values.len();
         let mut w = WireWriter::new();
-        w.put_packed(&values);
+        w.put_packed(values.iter().copied());
         let bytes = w.finish().to_vec();
         let mut r = WireReader::new(bytes.clone().into());
         prop_assert_eq!(r.get_packed(n).unwrap(), values.clone());
         prop_assert_eq!(r.remaining(), 0);
+        prop_assert_eq!(&shortest_patched(&values), &bytes);
         let least = values.iter().copied().min().unwrap_or(0);
-        let (base, width) = (bytes[0], u32::from(bytes[1]));
-        prop_assert_eq!(base, least);
-        prop_assert_eq!(&patched(&values, base, width), &bytes);
-        for other_base in 0..=least {
+        let width = u32::from(bytes[varint(least).len()]);
+        for other_base in least.saturating_sub(2)..=least {
             for other_width in 0..=8 {
-                if (other_base, other_width) == (base, width) {
+                if (other_base, other_width) == (least, width) {
                     continue;
                 }
                 let other = patched(&values, other_base, other_width);

@@ -114,7 +114,7 @@ impl Summary for DistinctSummary {
 impl Wire for DistinctSummary {
     fn encode(&self, w: &mut WireWriter) {
         w.put_u8(self.p);
-        w.put_packed(&self.registers);
+        w.put_packed(self.registers.iter().map(|&rank| u64::from(rank)));
         w.put_varint(self.missing);
     }
     fn decode(r: &mut WireReader) -> WireResult<Self> {
@@ -127,15 +127,15 @@ impl Wire for DistinctSummary {
             });
         }
         let registers = r.get_packed(1 << p)?;
-        if let Some(&rank) = registers.iter().find(|&&rank| rank > 64 - p) {
+        if let Some(&rank) = registers.iter().find(|&&rank| rank > u64::from(64 - p)) {
             return Err(WireError::BadTag {
                 context: "HLL register above its maximal rank",
-                tag: rank,
+                tag: u8::try_from(rank).unwrap_or(u8::MAX),
             });
         }
         Ok(DistinctSummary {
             p,
-            registers,
+            registers: registers.into_iter().map(|rank| rank as u8).collect(),
             missing: r.get_varint()?,
         })
     }

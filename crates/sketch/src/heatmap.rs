@@ -109,8 +109,10 @@ impl Summary for HeatmapSummary {
     }
 }
 
-/// Layout: `bx`, `by`, the `bx · by` cells as zero-run counts, `missing`,
-/// `out_of_range`, `rows_inspected`.
+/// Layout: `bx`, `by`, the `bx · by` cells as counts (zero runs, or
+/// sparse — the non-empty cells' gaps and counts patched — where that is
+/// shorter; see [`WireWriter::put_counts`]), `missing`, `out_of_range`,
+/// `rows_inspected`.
 impl Wire for HeatmapSummary {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.bx as u64);

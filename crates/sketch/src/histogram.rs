@@ -95,7 +95,8 @@ impl Summary for HistogramSummary {
     }
 }
 
-/// Layout: bucket count, the buckets as zero-run counts, `missing`,
+/// Layout: bucket count, the buckets as counts (zero runs, or sparse
+/// where that is shorter; see [`WireWriter::put_counts`]), `missing`,
 /// `out_of_range`, `rows_inspected`.
 impl Wire for HistogramSummary {
     fn encode(&self, w: &mut WireWriter) {

@@ -239,27 +239,33 @@ fn put_weights(w: &mut WireWriter, weights: &[u64]) {
     };
     w.put_varint(least);
     let offsets: Vec<u64> = weights.iter().map(|&v| v - least).collect();
-    w.put_packed(&offsets.iter().map(|&d| d as u8).collect::<Vec<_>>());
+    w.put_packed(offsets.iter().map(|&d| d & 0xFF));
     w.put_counts(&offsets.iter().map(|&d| d >> 8).collect::<Vec<_>>());
 }
 
 /// Read the `n` weights [`put_weights`] wrote, refusing every other
-/// spelling of them: a least value that no weight holds, and a weight past
-/// `u64`.
+/// spelling of them: a low byte past a byte, a least value that no weight
+/// holds, and a weight past `u64`.
 fn get_weights(r: &mut WireReader, n: usize) -> WireResult<Vec<u64>> {
     if n == 0 {
         return Ok(Vec::new());
     }
     let least = r.get_varint()?;
     let low = r.get_packed(n)?;
+    if let Some(&lo) = low.iter().find(|&&lo| lo > 0xFF) {
+        return Err(hillview_net::Error::BadLength {
+            context: "quantile weight's low byte past a byte",
+            len: lo,
+        });
+    }
     let high = r.get_counts(n)?;
     if low.iter().zip(&high).all(|(&lo, &hi)| lo > 0 || hi > 0) {
         return Err(hillview_net::Error::NotCanonical {
             context: "quantile weights above a least value none holds",
         });
     }
-    let weight = |(&lo, &hi): (&u8, &u64)| {
-        let offset = (hi < 1 << 56).then(|| hi << 8 | u64::from(lo));
+    let weight = |(&lo, &hi): (&u64, &u64)| {
+        let offset = (hi < 1 << 56).then_some(hi << 8 | lo);
         offset.and_then(|d| least.checked_add(d))
     };
     let past = hillview_net::Error::BadLength {

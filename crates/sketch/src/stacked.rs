@@ -104,7 +104,8 @@ impl Summary for StackedSummary {
 
 /// Layout: `bx`, `by`, each bar's residual — its total less its
 /// subdivisions, the rows whose Y is missing or out of range — and then the
-/// `bx · by` subdivisions, each as zero-run counts, `missing`,
+/// `bx · by` subdivisions, each as counts (zero runs, or sparse where that
+/// is shorter; see [`WireWriter::put_counts`]), `missing`,
 /// `out_of_range`, `rows_inspected`. The decoder adds each bar's
 /// subdivisions back to its residual, and refuses a bar past `u64`.
 impl Wire for StackedSummary {

@@ -530,22 +530,89 @@ impl Folds {
     }
 }
 
-/// The wire layouts six summaries had when their fingerprints were pinned:
-/// each spells out bytes its layout now leaves for the root to recompute.
-/// A fold written in them must still give the pinned bytes, so the
-/// summaries did not move when their layouts did.
+/// The wire layouts nine summaries had when their fingerprints were pinned:
+/// each spells out bytes its layout now leaves for the root to recompute,
+/// or spells its counts in zero runs where they now ship sparse. A fold
+/// written in them must still give the pinned bytes, so the summaries did
+/// not move when their layouts did.
 mod pinned_layouts {
     use hillview_columnar::Row;
     use hillview_net::{Wire, WireWriter};
     use hillview_sketch::bottomk::BottomKSummary;
     use hillview_sketch::distinct::DistinctSummary;
     use hillview_sketch::find::FindSummary;
+    use hillview_sketch::heatmap::HeatmapSummary;
+    use hillview_sketch::histogram::HistogramSummary;
     use hillview_sketch::nextk::NextKSummary;
     use hillview_sketch::quantile::QuantileSummary;
     use hillview_sketch::stacked::StackedSummary;
+    use hillview_sketch::trellis::TrellisSummary;
 
     fn finish(w: WireWriter) -> Vec<u8> {
         w.finish().to_vec()
+    }
+
+    /// `counts` in zero runs: each count and lone zero its varint, each
+    /// maximal run of `k ≥ 2` zeros the varint of `k − 2` with every byte
+    /// continued, then `0x00`.
+    fn zero_runs(w: &mut WireWriter, counts: &[u64]) {
+        let mut rest = counts;
+        while let Some((&c, tail)) = rest.split_first() {
+            let run = match c {
+                0 => 1 + tail.iter().take_while(|&&c| c == 0).count(),
+                _ => 0,
+            };
+            if run < 2 {
+                w.put_varint(c);
+                rest = tail;
+            } else {
+                let mut v = run as u64 - 2;
+                while v >= 0x80 {
+                    w.put_u8(v as u8 | 0x80);
+                    v >>= 7;
+                }
+                w.put_u8(v as u8 | 0x80);
+                w.put_u8(0);
+                rest = &rest[run..];
+            }
+        }
+    }
+
+    /// The bucket count, the buckets in zero runs, the three tallies.
+    pub fn histogram(s: &HistogramSummary) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_varint(s.buckets.len() as u64);
+        zero_runs(&mut w, &s.buckets);
+        for tally in [s.missing, s.out_of_range, s.rows_inspected] {
+            w.put_varint(tally);
+        }
+        finish(w)
+    }
+
+    fn put_heatmap(w: &mut WireWriter, s: &HeatmapSummary) {
+        w.put_varint(s.bx as u64);
+        w.put_varint(s.by as u64);
+        zero_runs(w, &s.counts);
+        for tally in [s.missing, s.out_of_range, s.rows_inspected] {
+            w.put_varint(tally);
+        }
+    }
+
+    /// `bx`, `by`, the cells in zero runs, the three tallies.
+    pub fn heatmap(s: &HeatmapSummary) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        put_heatmap(&mut w, s);
+        finish(w)
+    }
+
+    /// The group count, each group's heat map as [`heatmap`] spells it,
+    /// `dropped`.
+    pub fn trellis(s: &TrellisSummary) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_varint(s.groups.len() as u64);
+        s.groups.iter().for_each(|group| put_heatmap(&mut w, group));
+        w.put_varint(s.dropped);
+        finish(w)
     }
 
     /// `p`, every register in six bits, least significant bit first, `missing`.
@@ -572,13 +639,14 @@ mod pinned_layouts {
         finish(w)
     }
 
-    /// `bx`, `by`, the bar totals, the subdivisions, the three tallies.
+    /// `bx`, `by`, the bar totals and the subdivisions in zero runs, the
+    /// three tallies.
     pub fn stacked(s: &StackedSummary) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.put_varint(s.bx as u64);
         w.put_varint(s.by as u64);
-        w.put_counts(&s.x_counts);
-        w.put_counts(&s.xy_counts);
+        zero_runs(&mut w, &s.x_counts);
+        zero_runs(&mut w, &s.xy_counts);
         for tally in [s.missing, s.out_of_range, s.rows_inspected] {
             w.put_varint(tally);
         }
@@ -648,11 +716,12 @@ mod pinned_layouts {
 /// by its selected rows: their merges depend on order or compress, and the
 /// sparse partitions here now fold at span boundaries. The ten other exact
 /// entries still hold `d280ef4`'s bytes. `distinct`, `bottom-k`, `stacked`,
-/// `nextk`, `quantile-sampled` and `find` ship less than they did then
-/// (registers patched, hashes and bar totals recomputed at the root, a
-/// page's keys and a match's key cells sent once, weights as offsets above
-/// the least), so their folds are fingerprinted in the layouts of
-/// [`pinned_layouts`].
+/// `nextk`, `quantile-sampled`, `find`, `histogram-sampled`, `heatmap` and
+/// `trellis-sampled` ship less than they did then (registers patched,
+/// hashes and bar totals recomputed at the root, a page's keys and a
+/// match's key cells sent once, weights as offsets above the least, counts
+/// sparse where that is shorter than zero runs), so their folds are
+/// fingerprinted in the layouts of [`pinned_layouts`].
 #[test]
 fn fold_fingerprints_are_pinned() {
     let f = Folds::new();
@@ -676,20 +745,22 @@ fn fold_fingerprints_are_pinned() {
         ("range-strings", f.fingerprint(RangeSketch::new("TailNum"))),
         (
             "histogram-sampled",
-            f.fingerprint(HistogramSketch::sampled(
-                "DepDelay",
-                numeric(-60.0, 600.0, 600),
-                0.5,
-            )),
+            f.fingerprint_as(
+                HistogramSketch::sampled("DepDelay", numeric(-60.0, 600.0, 600), 0.5),
+                pinned_layouts::histogram,
+            ),
         ),
         (
             "heatmap",
-            f.fingerprint(HeatmapSketch::streaming(
-                "Distance",
-                "AirTime",
-                numeric(0.0, 3_000.0, 40),
-                numeric(0.0, 400.0, 20),
-            )),
+            f.fingerprint_as(
+                HeatmapSketch::streaming(
+                    "Distance",
+                    "AirTime",
+                    numeric(0.0, 3_000.0, 40),
+                    numeric(0.0, 400.0, 20),
+                ),
+                pinned_layouts::heatmap,
+            ),
         ),
         (
             "stacked",
@@ -703,7 +774,10 @@ fn fold_fingerprints_are_pinned() {
                 pinned_layouts::stacked,
             ),
         ),
-        ("trellis-sampled", f.fingerprint(trellis)),
+        (
+            "trellis-sampled",
+            f.fingerprint_as(trellis, pinned_layouts::trellis),
+        ),
         ("moments", f.fingerprint(MomentsSketch::new("ArrDelay", 4))),
         (
             "pca-sampled",

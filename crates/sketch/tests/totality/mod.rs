@@ -31,10 +31,37 @@ fn below(state: &mut u64, n: usize) -> usize {
     (splitmix(state) % n.max(1) as u64) as usize
 }
 
-fn varint(v: u64) -> Vec<u8> {
+pub fn varint(v: u64) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_varint(v);
     w.finish().to_vec()
+}
+
+/// `values` patched at any floor and width, honest or not, a bit at a
+/// time: `varint(base)`, `width`, the slots `min(v − base, 2^width − 1)`
+/// least significant bit first, then an escape varint per full slot.
+pub fn patched(values: &[u64], base: u64, width: u32) -> Vec<u8> {
+    let full = (1u64 << width) - 1;
+    let mut bits = vec![0u8; (values.len() * width as usize).div_ceil(8)];
+    let mut escapes = Vec::new();
+    for (i, &v) in values.iter().enumerate() {
+        let offset = v - base;
+        for b in 0..width as usize {
+            let at = i * width as usize + b;
+            bits[at / 8] |= ((offset.min(full) >> b & 1) as u8) << (at % 8);
+        }
+        if offset >= full {
+            escapes.extend(varint(offset - full));
+        }
+    }
+    [varint(base), vec![width as u8], bits, escapes].concat()
+}
+
+/// The sparse spelling of a count vector from whatever parts: the marker
+/// `00 00`, `m` non-empty cells, their gaps and their counts less one,
+/// each already patched.
+pub fn sparse(m: u64, gaps: &[u8], less_one: &[u8]) -> Vec<u8> {
+    [&[0, 0][..], &varint(m), gaps, less_one].concat()
 }
 
 /// The token of a maximal run of `k ≥ 2` zeros in a count vector:

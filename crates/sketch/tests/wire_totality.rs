@@ -36,7 +36,7 @@ use hillview_sketch::stacked::{StackedHistogramSketch, StackedSummary};
 use hillview_sketch::trellis::{TrellisSketch, TrellisSummary};
 use hillview_sketch::{Scope, Sketch, SketchError, TableView};
 use std::sync::{Arc, OnceLock};
-use totality::{bomb, refused, roundtrip, total_and_canonical, zero_run};
+use totality::{bomb, patched, refused, roundtrip, sparse, total_and_canonical, varint, zero_run};
 
 const BY_DATE: [&str; 5] = ["Year", "Month", "DayOfMonth", "CRSDepTime", "FlightNum"];
 
@@ -167,7 +167,7 @@ fn distinct_is_total_and_canonical() {
     let frame = |p: u8, registers: &[u8]| {
         let mut w = WireWriter::new();
         w.put_u8(p);
-        w.put_packed(registers);
+        w.put_packed(registers.iter().map(|&rank| u64::from(rank)));
         w.put_varint(0);
         w.finish().to_vec()
     };
@@ -213,6 +213,12 @@ fn distinct_is_total_and_canonical() {
         DistinctSummary::from_bytes(lifted.into()),
         Err(WireError::BadTag { tag: 61, .. })
     ));
+    // An escape that lifts a register past a byte: 2 + 3 + 295.
+    let past = [&frame(4, &registers)[..7], &varint(295), &[0]].concat();
+    assert!(matches!(
+        DistinctSummary::from_bytes(past.into()),
+        Err(WireError::BadTag { tag: u8::MAX, .. })
+    ));
     // Escapes cut short: the slot is full and its varint is missing.
     refused::<DistinctSummary>("no escape", &honest[..7]);
     refused::<DistinctSummary>("half an escape", &[&honest[..7], &[0x84]].concat());
@@ -221,21 +227,8 @@ fn distinct_is_total_and_canonical() {
 /// An HLL frame spelt at any floor and width, honest or not: `p`, the
 /// registers patched at `base` and `width`, `missing = 0`.
 fn hll_frame(p: u8, registers: &[u8], base: u8, width: u32) -> Vec<u8> {
-    let full = ((1u16 << width) - 1) as u8;
-    let offsets = registers.iter().map(|&r| r - base);
-    let mut bits = vec![0u8; (registers.len() * width as usize).div_ceil(8)];
-    let mut w = WireWriter::new();
-    for (i, offset) in offsets.enumerate() {
-        let slot = offset.min(full);
-        for b in 0..width as usize {
-            let at = i * width as usize + b;
-            bits[at / 8] |= (slot >> b & 1) << (at % 8);
-        }
-        if offset >= full {
-            w.put_varint(u64::from(offset - full));
-        }
-    }
-    [&[p, base, width as u8][..], &bits, &w.finish(), &[0]].concat()
+    let registers: Vec<u64> = registers.iter().map(|&r| u64::from(r)).collect();
+    [&[p][..], &patched(&registers, base.into(), width), &[0]].concat()
 }
 
 #[test]
@@ -260,11 +253,72 @@ fn histogram_is_total_and_canonical() {
     }));
     total_and_canonical("histogram", &summaries);
 
-    // 2^28 buckets in one run token.
+    // 2^28 buckets in one run token, and in a sparse header.
+    let frame = |n: u64, counts: &[u8]| [&varint(n)[..], counts, &[0, 0, 0]].concat();
+    bomb::<HistogramSummary>(
+        "2^28 empty buckets",
+        &frame(1 << 28, &zero_run(1 << 28)),
+        4 << 10,
+    );
+    let one = sparse(1, &patched(&[0], 0, 0), &patched(&[0], 0, 0));
+    bomb::<HistogramSummary>("2^28 sparse buckets", &frame(1 << 28, &one), 4 << 10);
+
+    // Ones at 2, 7, 12, 17 and 22 of 24 buckets ship sparse: in ten bytes
+    // where zero runs take sixteen.
+    let mut ones = HistogramSummary::zero(24);
+    for i in [2, 7, 12, 17, 22] {
+        ones.buckets[i] = 1;
+    }
+    let gaps = [2, 4, 4, 4, 4];
+    let counts = patched(&[0; 5], 0, 1);
+    let honest = sparse(5, &patched(&gaps, 2, 2), &counts);
+    let mut runs = [zero_run(2), vec![1]].concat();
+    runs.extend([zero_run(4), vec![1]].concat().repeat(4));
+    runs.push(0);
+    assert_eq!((honest.len(), runs.len()), (10, 16));
     let mut w = WireWriter::new();
-    w.put_varint(1 << 28);
-    let frame = [&w.finish()[..], &zero_run(1 << 28), &[0, 0, 0]].concat();
-    bomb::<HistogramSummary>("2^28 empty buckets", &frame, 4 << 10);
+    ones.encode(&mut w);
+    assert_eq!(w.finish().to_vec(), frame(24, &honest));
+    // Every other spelling of those buckets, and the lies a sparse header
+    // can tell.
+    let cases = [
+        ("more non-empty buckets than buckets", frame(4, &honest)),
+        ("a gap past the last bucket", frame(22, &honest)),
+        (
+            "a bucket past u64::MAX",
+            frame(
+                2,
+                &sparse(1, &patched(&[0], 0, 0), &patched(&[u64::MAX], u64::MAX, 0)),
+            ),
+        ),
+        (
+            "a width above 8",
+            frame(24, &sparse(5, &[2, 9, 0xA8, 2], &counts)),
+        ),
+        (
+            "set padding bits",
+            frame(24, &sparse(5, &[2, 2, 0xA8, 6], &counts)),
+        ),
+        (
+            "a base below the least gap",
+            frame(24, &sparse(5, &patched(&gaps, 1, 2), &counts)),
+        ),
+        (
+            "a width wider than the shortest",
+            frame(24, &sparse(5, &patched(&gaps, 2, 3), &counts)),
+        ),
+        ("zero runs where sparse is shorter", frame(24, &runs)),
+        (
+            "sparse where zero runs are no longer",
+            frame(
+                9,
+                &sparse(3, &patched(&[2; 3], 2, 1), &patched(&[0; 3], 0, 1)),
+            ),
+        ),
+    ];
+    for (label, frame) in cases {
+        refused::<HistogramSummary>(label, &frame);
+    }
     // A histogram no frame could carry is refused where it is configured.
     let wide = HistogramSketch::streaming("DepDelay", BucketSpec::numeric(0.0, 1.0, (1 << 22) + 1));
     assert!(matches!(
@@ -612,7 +666,7 @@ fn quantile_is_total_and_canonical() {
     // could, and its weights spelled as `least` and `offsets` above it: the
     // least's varint, the offsets' low bytes patched, their high bits as
     // counts.
-    let frame = |shorten: usize, least: u64, offsets: &[u64]| {
+    let spelled = |shorten: usize, least: u64, low: &[u64], high: &[u64]| {
         let mut w = WireWriter::new();
         w.put_key_header(sorted.keys.len(), sorted.keys.first().map(|(k, _)| k));
         let mut prev: Option<&RowKey> = None;
@@ -632,12 +686,22 @@ fn quantile_is_total_and_canonical() {
             prev = Some(key);
         }
         w.put_varint(least);
-        w.put_packed(&offsets.iter().map(|&d| d as u8).collect::<Vec<_>>());
-        w.put_counts(&offsets.iter().map(|&d| d >> 8).collect::<Vec<_>>());
+        w.put_packed(low.iter().copied());
+        w.put_counts(high);
         w.put_varint(sorted.population);
         w.put_varint(sorted.cap as u64);
         w.put_varint(sorted.resolution as u64);
         w.finish().to_vec()
+    };
+    let split = |offsets: &[u64]| -> (Vec<u64>, Vec<u64>) {
+        (
+            offsets.iter().map(|&d| d & 0xFF).collect(),
+            offsets.iter().map(|&d| d >> 8).collect(),
+        )
+    };
+    let frame = |shorten: usize, least: u64, offsets: &[u64]| {
+        let (low, high) = split(offsets);
+        spelled(shorten, least, &low, &high)
     };
     let weights: Vec<u64> = sorted.keys.iter().map(|(_, weight)| *weight).collect();
     let least = *weights.iter().min().unwrap();
@@ -660,6 +724,12 @@ fn quantile_is_total_and_canonical() {
     let least = wide.keys.iter().map(|(_, w)| *w).min().unwrap();
     let spread: Vec<u64> = wide.keys.iter().map(|(_, w)| w - least).collect();
     assert_eq!(roundtrip(&wide), frame(0, least, &spread));
+    // The same weights with one offset's low part past a byte and its high
+    // bits one lower: the patch holds it, the weights refuse it.
+    let (mut low, mut high) = split(&spread);
+    low[1] += 256;
+    high[1] -= 1;
+    refused::<QuantileSummary>("a low byte past a byte", &spelled(0, least, &low, &high));
 
     bomb::<QuantileSummary>("2^27 keys", &[0x80, 0x80, 0x80, 0x40, 1, 0, 1, 1], 4 << 10);
     bomb::<QuantileSummary>("2^27 columns", &[1, 0x80, 0x80, 0x80, 0x40, 0, 0], 4 << 10);
