@@ -29,7 +29,7 @@ use hillview_data::{generate_flights, FlightsConfig};
 use hillview_net::{Result, Wire, WireReader, WireWriter};
 use hillview_sketch::bottomk::{BottomKSketch, BottomKSummary};
 use hillview_sketch::buckets::BucketSpec;
-use hillview_sketch::distinct::{DistinctSketch, DistinctSummary};
+use hillview_sketch::distinct::{Counter, DistinctSketch, DistinctSummary};
 use hillview_sketch::heatmap::HeatmapSummary;
 use hillview_sketch::heavy::MisraGriesSketch;
 use hillview_sketch::histogram::{HistogramSketch, HistogramSummary};
@@ -117,14 +117,17 @@ impl Plain for HeatmapSummary {
 
 impl Plain for DistinctSummary {
     fn put(&self, w: &mut WireWriter) {
+        let Counter::Registers(registers) = &self.counter else {
+            panic!("the plain layout is the HLL's");
+        };
         w.put_u8(self.p);
-        w.put_bytes(&self.registers);
+        w.put_bytes(registers);
         w.put_varint(self.missing);
     }
     fn get(r: &mut WireReader) -> Result<Self> {
         Ok(DistinctSummary {
             p: r.get_u8()?,
-            registers: r.get_bytes()?,
+            counter: Counter::Registers(r.get_bytes()?),
             missing: r.get_varint()?,
         })
     }

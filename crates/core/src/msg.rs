@@ -1,8 +1,11 @@
 //! The root-link frame: what a worker's aggregation node sends the root.
 //!
-//! A frame is `varint(checksum) ‖ bytes(body)`, the body `worker`,
-//! `work_done`, `work_total` as varints, a final flag byte, a payload tag
-//! byte and the payload. The checksum is FNV-1a over the body, so a
+//! A frame is `checksum ‖ body`: the checksum in 8 little-endian bytes, the
+//! body the rest of the frame — `worker`, `work_done`, `work_total` as
+//! varints, a final flag byte, a payload tag byte and the payload. A
+//! summary payload is the rest of the body, so neither carries a length
+//! prefix; an error's text is a length-prefixed string. The checksum is
+//! FNV-1a over the body, so a
 //! corrupted frame (fault injection or a real flaky transport) is
 //! *detected* and dropped instead of silently merging garbage — a single
 //! flipped bit inside summary bytes would otherwise decode fine and skew
@@ -44,11 +47,7 @@ pub(crate) enum MsgPayload {
 
 impl WorkerMsg {
     pub(crate) fn encode(&self) -> Bytes {
-        let body = self.encode_body();
-        let mut framed = WireWriter::new();
-        framed.put_varint(fnv1a(FNV_OFFSET, &body));
-        framed.put_bytes(&body);
-        framed.finish()
+        seal(&self.encode_body())
     }
 
     fn encode_body(&self) -> Bytes {
@@ -60,7 +59,7 @@ impl WorkerMsg {
         match &self.payload {
             MsgPayload::Summary(b) => {
                 w.put_u8(0);
-                w.put_bytes(b);
+                w.put_raw(b);
             }
             MsgPayload::DatasetMissing(d) => {
                 w.put_u8(1);
@@ -81,19 +80,22 @@ impl WorkerMsg {
     }
 
     pub(crate) fn decode(bytes: Bytes) -> EngineResult<Self> {
-        let mut r = WireReader::new(bytes);
-        let sum = r.get_varint()?;
-        let body = Bytes::from(r.get_bytes()?);
-        if fnv1a(FNV_OFFSET, &body) != sum {
+        let Some((sum, body)) = bytes.split_first_chunk::<8>() else {
+            return Err(EngineError::Wire(
+                "WorkerMsg shorter than its checksum".into(),
+            ));
+        };
+        if fnv1a(FNV_OFFSET, body) != u64::from_le_bytes(*sum) {
             return Err(EngineError::Wire("WorkerMsg checksum mismatch".into()));
         }
+        let body = bytes.slice(8..);
         let mut r = WireReader::new(body.clone());
         let worker = u32::decode(&mut r)?;
         let work_done = r.get_varint()?;
         let work_total = r.get_varint()?;
         let is_final = r.get_u8()? != 0;
         let payload = match r.get_u8()? {
-            0 => MsgPayload::Summary(r.get_bytes()?),
+            0 => MsgPayload::Summary(body[body.len() - r.remaining()..].to_vec()),
             1 => MsgPayload::DatasetMissing(r.get_varint()?),
             2 => MsgPayload::WorkerDown,
             3 => MsgPayload::Error(r.get_str()?),
@@ -120,6 +122,14 @@ impl WorkerMsg {
         }
         Ok(msg)
     }
+}
+
+/// The frame around `body`: its checksum, then the body.
+fn seal(body: &[u8]) -> Bytes {
+    let mut frame = Vec::with_capacity(8 + body.len());
+    frame.extend_from_slice(&fnv1a(FNV_OFFSET, body).to_le_bytes());
+    frame.extend_from_slice(body);
+    Bytes::from(frame)
 }
 
 #[cfg(test)]
@@ -163,27 +173,19 @@ mod tests {
         ]
     }
 
-    /// A frame around `body` with a checksum that matches it.
-    fn seal(body: &[u8]) -> Bytes {
-        let mut w = WireWriter::new();
-        w.put_varint(fnv1a(FNV_OFFSET, body));
-        w.put_bytes(body);
-        w.finish()
-    }
-
-    /// Golden frames: [`samples`] as the encoder of the commit before the
-    /// codec had a module of its own wrote them (private checksum, literals
-    /// at every send site). Bytes at the root are a gated benchmark metric;
-    /// neither a move nor a checksum swap may change one.
+    /// Golden frames: [`samples`] in the frame that writes its checksum in
+    /// 8 fixed bytes and no length prefix for the body or a summary
+    /// payload, each the rest of what holds it. Bytes at the root are a
+    /// gated benchmark metric: a change here moves `root_kb_per_op`.
     #[test]
     fn frames_are_pinned_byte_for_byte() {
         let golden = [
-            "e0f1bca9d2e4e899331d01b9609f8d06010014000102030405060708090a0b0c0d0e0f10111213",
-            "e983e2a5a2bfc09fcf010600000001012a",
-            "c1f4f893bae0a6b7f101050300000102",
-            "e394b9c2f5b7e6cef4011602050a0103106e6f20636f6c756d6e20224e6f706522",
-            "d5d5f5ffb6f1c1b5d301070107c8b8020004",
-            "9d82d788c7a7ef855e1aac020000010513696e6a6563746564206c6561662070616e6963",
+            "14196498ef42a40d01b9609f8d060100000102030405060708090a0b0c0d0e0f10111213",
+            "e981b824fa013fcf00000001012a",
+            "413a7ea2039b6ef10300000102",
+            "634a4e58bf999df402050a0103106e6f20636f6c756d6e20224e6f706522",
+            "d56afd6f8b076bd30107c8b8020004",
+            "1dc115713cbd0b5eac020000010513696e6a6563746564206c6561662070616e6963",
         ];
         for (msg, hex) in samples().iter().zip(golden) {
             let frame = msg.encode();
@@ -233,15 +235,31 @@ mod tests {
     }
 
     /// A correctly sealed body is still only a message if the payload ends
-    /// where the body does.
+    /// where the body does. A summary payload is the rest of the body, so
+    /// a byte after it is one more byte of the summary.
     #[test]
     fn trailing_bytes_after_the_payload_are_rejected() {
         for msg in samples() {
             let mut body = msg.encode_body().to_vec();
             assert_eq!(WorkerMsg::decode(seal(&body)).unwrap(), msg);
             body.push(0);
-            let e = WorkerMsg::decode(seal(&body)).unwrap_err();
-            assert!(matches!(e, EngineError::Wire(_)), "{msg:?}: {e}");
+            match (&msg.payload, WorkerMsg::decode(seal(&body))) {
+                (MsgPayload::Summary(b), Ok(longer)) => {
+                    let b = [&b[..], &[0]].concat();
+                    assert_eq!(longer.payload, MsgPayload::Summary(b));
+                }
+                (_, Err(e)) => assert!(matches!(e, EngineError::Wire(_)), "{msg:?}: {e}"),
+                (_, Ok(other)) => panic!("{msg:?} took a trailing byte: {other:?}"),
+            }
+        }
+    }
+
+    /// A frame shorter than its checksum is refused, whatever it holds.
+    #[test]
+    fn a_frame_shorter_than_its_checksum_is_refused() {
+        for len in 0..8 {
+            let e = WorkerMsg::decode(Bytes::from(vec![0u8; len])).unwrap_err();
+            assert!(matches!(e, EngineError::Wire(_)), "{len} bytes: {e}");
         }
     }
 
@@ -294,8 +312,9 @@ mod tests {
                         let at = if round % 2 == 0 { 0 } else { at };
                         m.splice(at..at + 1, max_varint);
                     }
-                    // The string / bytes length right after the tag
-                    // inflated past what the body holds.
+                    // The string length right after the tag inflated past
+                    // what the body holds. A summary payload has no length:
+                    // there the varint is more payload bytes.
                     4 => {
                         let grow = 1 + next() % 200;
                         m.splice(tag_at + 1..(tag_at + 2).min(m.len()), {
@@ -306,7 +325,8 @@ mod tests {
                     }
                     // A tag no payload has.
                     5 => m[tag_at] = 6 + (next() % 250) as u8,
-                    // Another payload's tag over this payload's bytes.
+                    // Another payload's tag over this payload's bytes: as a
+                    // summary, they are its payload.
                     _ => m[tag_at] = (next() % 6) as u8,
                 }
                 let frame = seal(&m);

@@ -8,7 +8,11 @@
 //! count and a numeric column's range were fixed when its parts were
 //! sealed, so they come from the part statistics ([`Engine::stats`]) with
 //! no tree; a filtered or derived sheet, a string column or a dataset some
-//! worker does not hold runs the preparation tree. The operation names O1–O11
+//! worker does not hold runs the preparation tree. The same statistics bound
+//! O9: over an `Int` column whose extremes span no more values than the
+//! HyperLogLog's registers hold bits, the distinct count is the exact set of
+//! present values, smaller and cheaper than the registers
+//! ([`hillview_sketch::distinct`]). The operation names O1–O11
 //! match Figure 4 of the paper and are exercised one-to-one by the
 //! benchmark harness.
 
@@ -444,11 +448,31 @@ impl Spreadsheet {
         Ok((viz.render_streaming(&summary), stats))
     }
 
-    /// O9: approximate distinct count (HyperLogLog).
+    /// O9: distinct count — exact where the part statistics bound an `Int`
+    /// column within the HyperLogLog's register bits, else a HyperLogLog
+    /// estimate.
     pub fn distinct_count(&self, column: &str) -> EngineResult<(f64, OpStats)> {
         let mut stats = OpStats::default();
-        let summary = self.tree(&mut stats, DistinctSketch::new(column), 0)?;
+        let summary = self.tree(&mut stats, self.distinct_sketch(column), 0)?;
         Ok((summary.estimate(), stats))
+    }
+
+    /// O9's sketch: the exact set of an `Int` column's values when the part
+    /// statistics hold its extremes and they span no more values than the
+    /// HLL registers hold bits; the HLL otherwise. Not counted as a
+    /// statistics answer: the tree still runs.
+    fn distinct_sketch(&self, column: &str) -> DistinctSketch {
+        let hll = DistinctSketch::new(column);
+        if self.engine.column_kind(self.dataset, column) != Some(ColumnKind::Int) {
+            return hll;
+        }
+        let stats = self.engine.stats(self.dataset);
+        let range = stats.as_ref().and_then(|s| s.range(column));
+        let bounds = range.and_then(|r| Some((integer(r.min?)?, integer(r.max?)?)));
+        match bounds {
+            Some((lo, hi)) => hll.clone().with_domain(lo, hi).unwrap_or(hll),
+            None => hll,
+        }
     }
 
     /// Column summary: count, missing, min/max, mean, variance (App. B.3).
@@ -492,6 +516,14 @@ impl Spreadsheet {
         let ds = self.engine.map(self.dataset, udf, new_column)?;
         Ok(Spreadsheet::new(self.engine.clone(), ds, self.display))
     }
+}
+
+/// The integer an extreme of an `Int` column's range was converted from:
+/// every `i64` of magnitude below `2^53` converts to `f64` exactly, and
+/// past that a statistic no longer names one integer.
+fn integer(x: f64) -> Option<i64> {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    (x.fract() == 0.0 && x.abs() < EXACT).then_some(x as i64)
 }
 
 impl std::fmt::Debug for Spreadsheet {
@@ -702,6 +734,71 @@ mod tests {
         let s = sheet();
         let (est, _) = s.distinct_count("Carrier").unwrap();
         assert!((est - 14.0).abs() < 1.5, "14 carriers, estimated {est}");
+    }
+
+    /// O9 takes the exact form where the part statistics bound an `Int`
+    /// column within the registers' bits, and the HLL everywhere else.
+    #[test]
+    fn o9_is_exact_where_the_statistics_bound_an_int_column() {
+        let s = sheet();
+        let domain = |sheet: &Spreadsheet, column| sheet.distinct_sketch(column).domain();
+        let (range, _) = s.range_of("FlightNum").unwrap();
+        let bounds = (range.min.unwrap() as i64, range.max.unwrap() as i64);
+        assert_eq!(domain(&s, "FlightNum"), Some(bounds));
+        assert!(domain(&s, "DepTime").is_some(), "nullable, and bounded");
+        for other_kind in ["FlightDate", "DepDelay", "Carrier", "TailNum", "Nope"] {
+            assert_eq!(domain(&s, other_kind), None, "{other_kind}");
+        }
+        let ua = s.filtered(Predicate::equals("Carrier", "UA")).unwrap();
+        assert_eq!(domain(&ua, "FlightNum"), None);
+        let mapped = s.with_column("Speed", "Speed").unwrap();
+        assert_eq!(domain(&mapped, "FlightNum"), None);
+        // The exact count of the flight numbers the workers generated.
+        let mut flights = std::collections::HashSet::new();
+        for w in 0..s.engine().cluster().num_workers() {
+            let t = generate_flights(&FlightsConfig::new(8_000, 1 ^ w as u64));
+            let num = t.column_by_name("FlightNum").unwrap();
+            flights.extend((0..t.num_rows()).map(|r| num.value(r)));
+        }
+        let (count, stats) = s.distinct_count("FlightNum").unwrap();
+        assert_eq!(count, flights.len() as f64);
+        assert_eq!((stats.trees, stats.stats_answers), (1, 0));
+        // A worker down leaves the statistics to a tree: the HLL.
+        s.engine().cluster().worker(1).kill();
+        assert_eq!(domain(&s, "FlightNum"), None);
+
+        // A column wider than the registers' 24 576 bits.
+        let mut sources = SourceRegistry::new();
+        sources.register(Arc::new(FnSource::new("wide", |w, _n, mp, _snap| {
+            let t = hillview_columnar::Table::builder()
+                .column(
+                    "Wide",
+                    ColumnKind::Int,
+                    hillview_columnar::Column::Int(
+                        hillview_columnar::column::I64Column::from_options(
+                            (0..1_000).map(|i| Some(i * 25 + w as i64)),
+                        ),
+                    ),
+                )
+                .build()?;
+            Ok(partition_table(&t, mp))
+        })));
+        let cluster = Cluster::new(ClusterConfig::test(), sources, UdfRegistry::with_builtins());
+        let engine = Arc::new(Engine::new(cluster));
+        let wide = Spreadsheet::open(engine, "wide", 1, DisplaySpec::new(200, 100)).unwrap();
+        assert_eq!(wide.range_of("Wide").unwrap().0.max, Some(24_976.0));
+        assert_eq!(domain(&wide, "Wide"), None);
+    }
+
+    #[test]
+    fn only_integers_below_2_pow_53_bound_a_domain() {
+        let edge = (1u64 << 53) as f64;
+        assert_eq!(integer(-3.0), Some(-3));
+        assert_eq!(integer(edge - 1.0), Some((1 << 53) - 1));
+        assert_eq!(integer(-edge + 1.0), Some(1 - (1 << 53)));
+        for x in [edge, -edge, 0.5, f64::NAN, f64::INFINITY, i64::MAX as f64] {
+            assert_eq!(integer(x), None, "{x}");
+        }
     }
 
     #[test]

@@ -14,8 +14,9 @@ use hillview_columnar::Predicate;
 use hillview_core::cluster::ClusterConfig;
 use hillview_core::dataset::SourceRegistry;
 use hillview_core::spreadsheet::{OpStats, Spreadsheet};
-use hillview_core::{Cluster, Engine, FnSource};
+use hillview_core::{Cluster, Engine, FnSource, QueryOptions};
 use hillview_data::{generate_flights, generate_logs, FlightsConfig, LogsConfig};
+use hillview_sketch::distinct::DistinctSketch;
 use hillview_storage::partition_table;
 use hillview_viz::display::DisplaySpec;
 use std::sync::Arc;
@@ -23,8 +24,10 @@ use std::time::Duration;
 
 const ROWS_PER_WORKER: usize = 50_000;
 const ROOT_BYTES_PER_OP: u64 = 64 << 10;
-/// O1–O11 together: 18 553 bytes once a count vector ships sparse where
-/// that is shorter than its zero runs (19 354 before; 20 565 before an
+/// O1–O11 together: 15 139 bytes once O9 counts `FlightNum` exactly and a
+/// root-link frame writes its checksum in 8 bytes and no length prefixes
+/// (18 553 before; 19 354 before a count vector shipped sparse where that
+/// is shorter than its zero runs; 20 565 before an
 /// unfiltered row count or numeric range came from the part statistics,
 /// with no tree, and the scroll bar shipped its weights as offsets above
 /// their least; 26 727 before a summary shipped only what the root cannot
@@ -32,7 +35,7 @@ const ROOT_BYTES_PER_OP: u64 = 64 << 10;
 /// stacked bars as residuals, HLL registers patched above their floor;
 /// 40 379 at the scroll bar's 10·V keys per worker; 78 934 at 10·V before
 /// the shape-aware codecs).
-const CYCLE_BYTES: u64 = 19_480;
+const CYCLE_BYTES: u64 = 15_895;
 
 #[test]
 fn every_operation_ships_a_display_sized_summary() {
@@ -70,36 +73,41 @@ fn every_operation_ships_a_display_sized_summary() {
     // O10 4 212 and O11 4 205 bytes before; O8's count was a memo hit).
     // O5, O6, O10 and O11 then shipped their count vectors sparse where
     // that is shorter, and their ceilings are what they ship plus under
-    // 5 % (they shipped 863, 877, 4 038 and 4 008 bytes before).
+    // 5 % (they shipped 863, 877, 4 038 and 4 008 bytes before). O9 then
+    // shipped the exact set of FlightNum's values, one run, instead of
+    // HLL registers, and every frame its checksum in 8 fixed bytes with no
+    // length prefix on its body or summary: each ceiling is again what it
+    // ships plus under 5 % (O1–O11 shipped 514, 360, 416, 3 986, 817, 664,
+    // 813, 167, 3 312, 3 879 and 3 625 bytes before).
     let cycle = || -> Vec<(&str, u64, OpStats)> {
         // The same seeds each time round: a sampled tree draws one sample.
         sheet.set_seed(7);
         ua.set_seed(7);
         vec![
-            ("O1", 539, sheet.sort_view(&["DepDelay"], 20).unwrap().1),
-            ("O2", 378, sheet.sort_view(&by_date, 20).unwrap().1),
-            ("O3", 436, sheet.sort_view(&["TailNum"], 20).unwrap().1),
-            ("O4", 4_180, sheet.scroll_to(&by_date, 50, 20).unwrap().1),
+            ("O1", 528, sheet.sort_view(&["DepDelay"], 20).unwrap().1),
+            ("O2", 366, sheet.sort_view(&by_date, 20).unwrap().1),
+            ("O3", 426, sheet.sort_view(&["TailNum"], 20).unwrap().1),
+            ("O4", 4_161, sheet.scroll_to(&by_date, 50, 20).unwrap().1),
             (
                 "O5",
-                857,
+                838,
                 sheet.histogram_with_cdf("DepDelay", None).unwrap().2,
             ),
             (
                 "O6",
-                697,
+                669,
                 ua.histogram_with_cdf("DepDelay", None).unwrap().2,
             ),
-            ("O7", 853, sheet.string_histogram("Origin").unwrap().1),
+            ("O7", 833, sheet.string_histogram("Origin").unwrap().1),
             (
                 "O8",
-                175,
+                168,
                 sheet.heavy_hitters_sampling("Carrier", 10).unwrap().1,
             ),
-            ("O9", 3_477, sheet.distinct_count("FlightNum").unwrap().1),
+            ("O9", 66, sheet.distinct_count("FlightNum").unwrap().1),
             (
                 "O10",
-                4_072,
+                4_043,
                 sheet
                     .stacked_histogram_with_cdf("CRSDepTime", "Carrier")
                     .unwrap()
@@ -107,7 +115,7 @@ fn every_operation_ships_a_display_sized_summary() {
             ),
             (
                 "O11",
-                3_806,
+                3_793,
                 sheet.heatmap("Distance", "AirTime").unwrap().1,
             ),
         ]
@@ -160,13 +168,35 @@ fn every_operation_ships_a_display_sized_summary() {
             assert!(second.root_bytes <= first.root_bytes, "{op}\n{table}");
         }
     }
+
+    // O9 counted FlightNum exactly — the statistics bound it to [1, 5 999],
+    // within the 24 576 bits of the HLL's registers — and the set it
+    // shipped is never longer than the registers would have been.
+    let (_, hll) = sheet
+        .engine()
+        .run(
+            sheet.dataset(),
+            DistinctSketch::new("FlightNum"),
+            &QueryOptions::default(),
+        )
+        .unwrap();
+    let o9 = ops
+        .iter()
+        .find(|(op, _, _)| *op == "O9")
+        .unwrap()
+        .2
+        .root_bytes;
+    println!("O9 exact {o9} B, as HLL registers {} B", hll.root_bytes);
+    assert!(o9 < hll.root_bytes, "{o9} B against {} B", hll.root_bytes);
 }
 
 /// Log rows each worker holds for the filtered heat map.
 const LOG_ROWS_PER_WORKER: usize = 100_000;
 /// Its ceiling, over the four trees of the chart: what it ships plus under
-/// 5 % (3 942 bytes while every count vector shipped in zero runs).
-const FILTERED_HEATMAP_BYTES: u64 = 1_620;
+/// 5 % (1 543 bytes while a frame spelt its checksum as a varint and
+/// prefixed its body and summary with their lengths; 3 942 while every
+/// count vector shipped in zero runs).
+const FILTERED_HEATMAP_BYTES: u64 = 1_586;
 
 /// What a drill-down's heat map ships: a 5 % time window of the logs and a
 /// 20 ms latency band within it, a few hundred rows per worker scattered

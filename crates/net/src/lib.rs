@@ -12,7 +12,8 @@
 //!
 //! * `wire` — compact binary serialization ([`Wire`] trait) for all
 //!   summary payloads: varints and the shape-aware codecs (counts in zero
-//!   runs or sparse, patched values, prefix-shared key lists), every
+//!   runs or sparse, patched values, bit sets in raw bits or runs,
+//!   prefix-shared key lists), every
 //!   decoder total and canonical.
 //! * `link` — simulated point-to-point links over crossbeam channels with
 //!   byte accounting and seeded fault injection.

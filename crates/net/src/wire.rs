@@ -12,9 +12,10 @@
 //! Most of what a summary holds has a shape the plain primitives spell out
 //! cell by cell: a grid of counts is mostly empty, a sorted key list repeats
 //! its leading columns, the registers of an HLL crowd a few small values
-//! above a floor. Three codecs carry those shapes — counts, patched values
-//! and key lists, the first spelling a scattered vector through the second
-//! — and every summary is written in terms of them. Each is *canonical* — a
+//! above a floor, the values present in a known integer domain fill it in a
+//! few long runs. Four codecs carry those shapes — counts, patched values,
+//! bit sets and key lists, the first spelling a scattered vector through
+//! the second — and every summary is written in terms of them. Each is *canonical* — a
 //! value has exactly one byte string, and a decoder refuses every other
 //! spelling ([`Error::NotCanonical`]) — so a decoded summary re-encodes to
 //! the bytes it came from.
@@ -47,7 +48,11 @@
 //! more non-empty cells than `n`, a gap that reaches past `n`, a count past
 //! `u64::MAX`, and this spelling where zero runs are as short or shorter —
 //! as zero runs are where this one is shorter. Both lengths come from the
-//! non-empty cells, so choosing and checking cost a pass over them.
+//! non-empty cells, so choosing and checking cost a pass over them; the
+//! pass that finds those cells also tallies a floor under the sparse
+//! length (how many counts sit 128, 255 and 383 above the least), so a
+//! dense vector whose zero runs are no longer than that floor is never
+//! priced sparse.
 //!
 //! **Patched** ([`WireWriter::put_packed`] / [`WireReader::get_packed`]).
 //! `n` values, `n` known to the reader, as an offset, narrow slots and the
@@ -66,6 +71,18 @@
 //! is not the shortest. A caller whose values have a narrower range (HLL
 //! ranks, a weight's low byte) refuses the rest itself.
 //!
+//! **Bit set** ([`WireWriter::put_bits`] / [`WireReader::get_bits`]). A set
+//! of `len` bits, `len` known to the reader, in the shorter of two
+//! spellings, raw bits on a tie. *Raw*: `0x00`, then `⌈len / 8⌉` bytes, bit
+//! `j` of the set being bit `j mod 8` of byte `j / 8`. *Runs*: `0x01`, then
+//! the varints of its alternating runs — absent first, then present, and so
+//! on — that sum to `len`, the way a run container of Roaring bitmaps
+//! spells a set (Lemire et al., 2016); only the first run may be empty (bit
+//! 0 is present). Refused: a set padding bit after the last, an empty run
+//! after the first, runs that stop short of `len` or reach past it, any
+//! other marker, and either spelling where the other is shorter (runs where
+//! they tie). The words decoded are charged to the expansion budget below.
+//!
 //! **Key list** ([`WireWriter::put_key_header`] + [`WireWriter::put_key`] /
 //! [`WireReader::get_key_header`] + [`WireReader::get_key`], beside the
 //! tagged-varint `Value` encoding in [`values`](crate::values)). Keys of one
@@ -83,12 +100,13 @@
 //!
 //! # The expansion budget
 //!
-//! A zero run makes a two-byte token stand for a vector of any length, and
-//! a sparse header leaves every cell after its last gap empty, so the
-//! frame's length no longer bounds what decoding it allocates. A
-//! [`WireReader`] therefore carries one budget of [`MAX_COUNTS`] cells for
-//! everything [`WireReader::get_counts`] expands, charged before the vector
-//! is allocated. The budget belongs to the reader — to one frame — and not
+//! A zero run makes a two-byte token stand for a vector of any length, a
+//! sparse header leaves every cell after its last gap empty, and one run
+//! fills a bit set, so the frame's length no longer bounds what decoding it
+//! allocates. A [`WireReader`] therefore carries one budget of
+//! [`MAX_COUNTS`] cells for everything [`WireReader::get_counts`] expands
+//! and every 64-bit word [`WireReader::get_bits`] does, charged before the
+//! vector is allocated. The budget belongs to the reader — to one frame — and not
 //! to a call, so the nested summaries of one frame (a trellis of heat maps)
 //! share it instead of multiplying it: a frame of `F` bytes decodes to at
 //! most `O(F) + 8·MAX_COUNTS` bytes, whatever it claims. Every other length
@@ -166,8 +184,9 @@ impl WireWriter {
         self.put_raw(s.as_bytes());
     }
 
-    /// Write bytes whose length the reader learns elsewhere.
-    pub(crate) fn put_raw(&mut self, b: &[u8]) {
+    /// Write bytes whose length the reader learns elsewhere (the rest of
+    /// a frame, say).
+    pub fn put_raw(&mut self, b: &[u8]) {
         self.buf.put_slice(b);
     }
 
@@ -269,6 +288,79 @@ impl WireWriter {
         self.buf.put_slice(&packed[..len]);
         self.buf.put_slice(escapes.buf.as_ref());
     }
+
+    /// Write a set of `len` bits (its length is the reader's to know), bit
+    /// `j` being bit `j mod 64` of `words[j / 64]` and every bit past `len`
+    /// clear, in the shorter of its two spellings, raw bits on a tie: `0x00`
+    /// and its `⌈len / 8⌉` bytes; or `0x01` and the varints of its
+    /// alternating runs, absent first.
+    pub fn put_bits(&mut self, words: &[u64], len: usize) {
+        debug_assert_eq!(words.len(), len.div_ceil(64));
+        let raw = len.div_ceil(8);
+        if runs_len(words, len, raw) < raw {
+            self.buf.put_u8(BITS_IN_RUNS);
+            for_each_run(words, len, |run| {
+                self.put_varint(run);
+                true
+            });
+        } else {
+            self.buf.put_u8(BITS_RAW);
+            let bytes = words.iter().flat_map(|w| w.to_le_bytes());
+            bytes.take(raw).for_each(|b| self.buf.put_u8(b));
+        }
+    }
+}
+
+/// The markers of a bit set's two spellings.
+const BITS_RAW: u8 = 0;
+const BITS_IN_RUNS: u8 = 1;
+
+/// Call `f` with the length of each run of the first `len` bits of `words`,
+/// absent and present in turn, absent first — that one empty when bit 0 is
+/// set, every later one not — until the runs reach `len` or `f` returns
+/// false.
+fn for_each_run(words: &[u64], len: usize, mut f: impl FnMut(u64) -> bool) {
+    let (mut at, mut present) = (0, false);
+    while at < len {
+        // The first bit from `at` on that is not `present`.
+        let flip = |w: u64| if present { !w } else { w };
+        let mut i = at / 64;
+        let mut word = flip(words[i]) & (!0 << (at % 64));
+        while word == 0 && i + 1 < words.len() {
+            i += 1;
+            word = flip(words[i]);
+        }
+        let end = match word {
+            0 => len,
+            _ => (i * 64 + word.trailing_zeros() as usize).min(len),
+        };
+        if !f((end - at) as u64) {
+            return;
+        }
+        (at, present) = (end, !present);
+    }
+}
+
+/// The bytes of the runs of the first `len` bits of `words`, or `cap` if
+/// they are at least that many.
+fn runs_len(words: &[u64], len: usize, cap: usize) -> usize {
+    let mut bytes = 0;
+    for_each_run(words, len, |run| {
+        bytes += varint_len(run);
+        bytes < cap
+    });
+    bytes.min(cap)
+}
+
+/// Set bits `from..to` of `words`.
+fn set_bits(words: &mut [u64], from: usize, to: usize) {
+    let mut at = from;
+    while at < to {
+        let (i, shift) = (at / 64, at % 64);
+        let span = (to - at).min(64 - shift);
+        words[i] |= (!0 >> (64 - span)) << shift;
+        at += span;
+    }
 }
 
 /// The bytes of `v`'s varint.
@@ -294,20 +386,32 @@ struct Cells {
     least: (u64, u64),
     /// The bytes of the zero-run spelling.
     zero_runs: usize,
+    /// How many counts are at least 128, 255 and 383 above the least: what
+    /// bounds their patch below ([`counts_floor`]).
+    high: [usize; 3],
 }
 
 impl Cells {
-    /// Split in two passes, one to count the non-empty cells and one to
-    /// place them, each skipping eight empty cells at a time.
+    /// Split in two passes, one to count the non-empty cells and find the
+    /// least count, one to place them and tally how far each count is
+    /// above the least, each skipping eight empty cells at a time.
     fn of(counts: &[u64]) -> Cells {
         let occupied = |eight: &[u64]| eight.iter().fold(0, |any, &c| any | c) != 0;
-        let nonzero = |cells: &[u64]| cells.iter().filter(|&&c| c != 0).count();
+        // An empty cell less one wraps to the top, past every count.
+        let mut least_less_one = u64::MAX;
+        let mut nonzero = |cells: &[u64]| {
+            let less_one = cells.iter().map(|c| c.wrapping_sub(1));
+            least_less_one = less_one.fold(least_less_one, u64::min);
+            cells.iter().filter(|&&c| c != 0).count()
+        };
         let mut eights = counts.chunks_exact(8);
         let occupied_eights = eights.by_ref().filter(|eight| occupied(eight));
-        let m = occupied_eights.map(nonzero).sum::<usize>() + nonzero(eights.remainder());
+        let m = occupied_eights.map(&mut nonzero).sum::<usize>() + nonzero(eights.remainder());
+        let least_count = least_less_one.wrapping_add(1);
         let (mut gaps, mut nonzero) = (vec![0; m], vec![0; m]);
         let mut places = gaps.iter_mut().zip(nonzero.iter_mut());
         let (mut gap, mut least, mut zero_runs) = (0, (u64::MAX, u64::MAX), 0);
+        let mut high = [0; 3];
         let mut cell = |count: u64, gap: &mut u64| {
             if count == 0 {
                 *gap += 1;
@@ -315,6 +419,9 @@ impl Cells {
                 (*g, *c) = (*gap, count);
                 least = (least.0.min(*gap), least.1.min(count));
                 zero_runs += zeros_len(*gap) + varint_len(count);
+                let above = count - least_count;
+                let steps = high.iter_mut().zip([128, 255, 383]);
+                steps.for_each(|(h, step)| *h += usize::from(above >= step));
                 *gap = 0;
             }
         };
@@ -333,19 +440,22 @@ impl Cells {
             trailing: gap,
             least,
             zero_runs: zero_runs + zeros_len(gap),
+            high,
         }
     }
 
     /// The patches of the gaps and of the counts less one, if the sparse
-    /// spelling of these `n` cells is shorter than `zero_runs` bytes.
+    /// spelling of these `n` cells is shorter than `zero_runs` bytes. Each
+    /// patch is priced only while a floor under the sparse spelling's
+    /// length still leaves it shorter.
     fn sparse(&self, n: usize, zero_runs: usize) -> Option<(Patch, Patch)> {
         let m = self.gaps.len();
-        if zero_runs <= sparse_floor(n, m) {
+        let (header, counts) = (2 + varint_len(m as u64), counts_floor(m, self.high));
+        if n < 2 || zero_runs <= header + patch_floor(m) + counts {
             return None;
         }
         let gaps = Patch::of(self.gaps.iter().copied(), self.least.0, 0);
-        let header = 2 + varint_len(m as u64);
-        if zero_runs <= header + gaps.bytes + patch_floor(m) {
+        if zero_runs <= header + gaps.bytes + counts {
             return None;
         }
         let less_one = Patch::of(self.counts.iter().copied(), self.least.1, 1);
@@ -357,6 +467,20 @@ impl Cells {
 /// per value.
 fn patch_floor(m: usize) -> usize {
     2 + m.div_ceil(8)
+}
+
+/// The fewest bytes `m` counts take patched less the least, `high[k]` of
+/// them at least 128, 255 and 383 above it: a base and a width byte, and
+/// the least of what each width could spell them in. At width 0 each is a
+/// varint, two bytes from 128; at widths 1–7 a slot of at least a bit each,
+/// and an escape from 128 (the full slot is at most 127), of two bytes from
+/// 255; at width 8 a byte each, and an escape from 255, of two bytes from
+/// 383.
+fn counts_floor(m: usize, [from_128, from_255, from_383]: [usize; 3]) -> usize {
+    let varints = m + from_128;
+    let narrow = m.div_ceil(8) + from_128 + from_255;
+    let bytes = m + from_255 + from_383;
+    2 + varints.min(narrow).min(bytes)
 }
 
 /// The fewest bytes the sparse spelling of `m` non-empty cells takes — all
@@ -738,6 +862,83 @@ impl WireReader {
             });
         }
         Ok(counts)
+    }
+
+    /// Read the set of `len` bits [`WireWriter::put_bits`] wrote, charging
+    /// its words to the frame's expansion budget before reading it, and
+    /// refusing either spelling where the other is shorter, set padding
+    /// bits, an empty run after the first, and runs that stop short of
+    /// `len` or reach past it.
+    pub fn get_bits(&mut self, len: usize) -> Result<Vec<u64>> {
+        let n = len.div_ceil(64);
+        self.counts_left = self.counts_left.checked_sub(n).ok_or(Error::BadLength {
+            context: "bit set past the frame's expansion budget",
+            len: len as u64,
+        })?;
+        let raw = len.div_ceil(8);
+        // The words are allocated once the spelling has been read whole, so
+        // a refused one costs at most what the frame holds.
+        match self.get_u8()? {
+            BITS_RAW => {
+                let bytes = self.buf.chunk().get(..raw).ok_or(Error::Truncated {
+                    context: "raw bit set",
+                })?;
+                let mut words = vec![0u64; n];
+                for (i, &b) in bytes.iter().enumerate() {
+                    words[i / 8] |= u64::from(b) << (i % 8 * 8);
+                }
+                self.buf.advance(raw);
+                if !len.is_multiple_of(64) && words[n - 1] >> (len % 64) != 0 {
+                    return Err(Error::NotCanonical {
+                        context: "bit set padding bits",
+                    });
+                }
+                if runs_len(&words, len, raw) < raw {
+                    return Err(Error::NotCanonical {
+                        context: "raw bits where the runs are shorter",
+                    });
+                }
+                Ok(words)
+            }
+            BITS_IN_RUNS => {
+                let start = self.remaining();
+                // The present runs, as bit ranges.
+                let (mut at, mut present, mut ranges) = (0, false, Vec::new());
+                while at < len {
+                    let run = self.get_varint()?;
+                    if run == 0 && (at > 0 || present) {
+                        return Err(Error::NotCanonical {
+                            context: "empty run inside a bit set",
+                        });
+                    }
+                    let end = (at as u64)
+                        .checked_add(run)
+                        .filter(|&end| end <= len as u64)
+                        .ok_or(Error::BadLength {
+                            context: "bit-set run past the end of its set",
+                            len: run,
+                        })? as usize;
+                    if present {
+                        ranges.push((at, end));
+                    }
+                    (at, present) = (end, !present);
+                }
+                if start - self.remaining() >= raw {
+                    return Err(Error::NotCanonical {
+                        context: "runs where the raw bits are no longer",
+                    });
+                }
+                let mut words = vec![0u64; n];
+                ranges
+                    .into_iter()
+                    .for_each(|(from, to)| set_bits(&mut words, from, to));
+                Ok(words)
+            }
+            tag => Err(Error::BadTag {
+                context: "bit-set spelling",
+                tag,
+            }),
+        }
     }
 
     /// Read the `n` values [`WireWriter::put_packed`] wrote, refusing every
@@ -1394,6 +1595,59 @@ mod tests {
         );
     }
 
+    /// The floor that spares a dense vector the sparse pricing is never
+    /// above what its counts take patched.
+    #[test]
+    fn the_counts_floor_is_never_above_their_patch() {
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z ^ (z >> 29)
+        };
+        let scales = [2, 129, 256, 384, 600, 70_000, u64::MAX / 2];
+        for round in 0..3_000 {
+            let m = 1 + (next() % 200) as usize;
+            let (scale, floor) = (scales[round % scales.len()], next() % 1_000);
+            let counts: Vec<u64> = (0..m).map(|_| 1 + floor + next() % scale).collect();
+            let cells = Cells::of(&counts);
+            let patch = Patch::of(counts.iter().copied(), cells.least.1, 1);
+            let bound = counts_floor(m, cells.high);
+            assert!(
+                bound <= patch.bytes,
+                "{bound} > {}: {counts:?}",
+                patch.bytes
+            );
+        }
+    }
+
+    /// A dense vector of large counts — every cell non-empty, most counts
+    /// hundreds above the least — ships in zero runs, and the floor tallied
+    /// with its cells says so before either patch is priced.
+    #[test]
+    fn a_dense_vector_of_large_counts_is_not_priced_sparse() {
+        let mut state = 0x600_u64;
+        let counts: Vec<u64> = (0..600)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                1 + (state >> 33) % 5_000
+            })
+            .collect();
+        let cells = Cells::of(&counts);
+        let m = counts.len();
+        let floor = 2 + varint_len(m as u64) + patch_floor(m) + counts_floor(m, cells.high);
+        assert!(cells.zero_runs <= floor, "{} > {floor}", cells.zero_runs);
+        assert!(
+            cells.zero_runs > sparse_floor(m, m),
+            "the old floor priced it"
+        );
+        let bytes = counts_bytes(&counts);
+        assert_ne!(bytes[..2], [0, 0], "no sparse marker");
+        assert_eq!(bytes.len(), cells.zero_runs);
+    }
+
     #[test]
     fn counts_share_one_expansion_budget_per_reader() {
         let half = MAX_COUNTS / 2;
@@ -1412,6 +1666,105 @@ mod tests {
         assert!(matches!(
             reader(&[0x80, 0]).get_counts(MAX_COUNTS + 1),
             Err(Error::BadLength { .. })
+        ));
+    }
+
+    /// The words of a `len`-bit set holding `members`.
+    fn bit_words(len: usize, members: impl IntoIterator<Item = usize>) -> Vec<u64> {
+        let mut words = vec![0u64; len.div_ceil(64)];
+        members
+            .into_iter()
+            .for_each(|j| words[j / 64] |= 1 << (j % 64));
+        words
+    }
+
+    fn bits_bytes(words: &[u64], len: usize) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_bits(words, len);
+        w.finish().to_vec()
+    }
+
+    #[test]
+    fn bits_take_the_shorter_spelling_raw_on_a_tie() {
+        // A domain every value of which is present: one empty absent run
+        // and one present run.
+        let full = bit_words(5_999, 0..5_999);
+        assert_eq!(bits_bytes(&full, 5_999), [1, 0, 0xEF, 0x2E]);
+        // Nothing present: one absent run.
+        assert_eq!(bits_bytes(&bit_words(300, []), 300), [1, 0xAC, 0x02]);
+        // Bits 3..16 of 16: runs 3 and 13 tie the two raw bytes.
+        let tie = bit_words(16, 3..16);
+        assert_eq!(bits_bytes(&tie, 16), [0, 0xF8, 0xFF]);
+        // Every other bit: raw, the runs would take a byte a bit.
+        let every_other = bit_words(100, (0..100).step_by(2));
+        let raw = bits_bytes(&every_other, 100);
+        assert_eq!(raw.len(), 1 + 13);
+        assert_eq!(raw[1..13], [0x55; 12]);
+        assert_eq!(raw[13], 0x05, "the padding bits past 100 are clear");
+        // Runs crossing word boundaries, ending present and absent.
+        for (len, members) in [
+            (200, vec![63, 64, 65, 127, 128, 199]),
+            (129, (60..129).collect::<Vec<_>>()),
+            (1, vec![0]),
+            (1, vec![]),
+            (64, (0..64).collect()),
+        ] {
+            let words = bit_words(len, members.iter().copied());
+            let bytes = bits_bytes(&words, len);
+            let mut r = reader(&bytes);
+            assert_eq!(r.get_bits(len).unwrap(), words, "{len} {members:?}");
+            assert_eq!(r.remaining(), 0);
+        }
+    }
+
+    #[test]
+    fn bits_refuse_every_other_spelling() {
+        let refused = |bytes: &[u8], len: usize| reader(bytes).get_bits(len).unwrap_err();
+        let not_canonical = |bytes: &[u8], len: usize| {
+            assert!(
+                matches!(refused(bytes, len), Error::NotCanonical { .. }),
+                "{bytes:02x?} at {len}"
+            );
+        };
+        // Runs short of the set, or past it.
+        assert!(matches!(
+            refused(&[1, 0, 0xEE, 0x2E], 5_999),
+            Error::Truncated { .. }
+        ));
+        assert!(matches!(
+            refused(&[1, 0, 0xF0, 0x2E], 5_999),
+            Error::BadLength { .. }
+        ));
+        assert!(matches!(
+            refused(
+                &[1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01],
+                300
+            ),
+            Error::BadLength { .. }
+        ));
+        // An empty run after the first: present, absent and present again.
+        not_canonical(&[1, 0, 100, 0, 200], 300);
+        not_canonical(&[1, 100, 0, 200], 300);
+        // Raw bits where the runs are shorter: the full and the empty set.
+        let mut full = vec![0, 0xFF, 0xFF, 0xFF];
+        assert!(reader(&[1, 0, 24]).get_bits(24).is_ok());
+        not_canonical(&full, 24);
+        not_canonical(&[0, 0, 0, 0], 24);
+        // Runs where raw bits are as short: the tie above, spelt in runs.
+        not_canonical(&[1, 3, 13], 16);
+        not_canonical(&[1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1], 9);
+        // A padding bit past the last.
+        assert!(reader(&[0, 0x55, 0x05]).get_bits(11).is_ok());
+        not_canonical(&[0, 0x55, 0x0D], 11);
+        full.truncate(3);
+        assert!(matches!(refused(&full, 24), Error::Truncated { .. }));
+        // A marker neither spelling has, and none at all.
+        assert!(matches!(refused(&[2, 0], 8), Error::BadTag { tag: 2, .. }));
+        assert!(matches!(refused(&[], 8), Error::Truncated { .. }));
+        // The words are charged to the frame's budget before allocating.
+        assert!(matches!(
+            refused(&[1, 0], 64 * MAX_COUNTS + 1),
+            Error::BadLength { .. }
         ));
     }
 

@@ -391,6 +391,80 @@ proptest! {
     }
 }
 
+/// A test-local reference of a bit set's raw spelling: `0x00` and the
+/// bytes of its bits, least significant first.
+fn raw_bits(bits: &[bool]) -> Vec<u8> {
+    let mut bytes = vec![0u8; bits.len().div_ceil(8)];
+    for (j, _) in bits.iter().enumerate().filter(|(_, &b)| b) {
+        bytes[j / 8] |= 1 << (j % 8);
+    }
+    [vec![0], bytes].concat()
+}
+
+/// And of its runs: `0x01` and the varint of each run, absent first.
+fn bit_runs(bits: &[bool]) -> Vec<u8> {
+    let mut out = vec![1];
+    let (mut at, mut present) = (0, false);
+    while at < bits.len() {
+        let run = bits[at..].iter().take_while(|&&b| b == present).count();
+        out.extend(varint(run as u64));
+        (at, present) = (at + run, !present);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A bit set round-trips in the shorter of its two spellings, raw bits
+    /// on a tie; the decoder refuses the longer, and arbitrary bytes decode
+    /// to an error or to a set that encodes back to the bytes consumed.
+    #[test]
+    fn bit_sets_roundtrip_and_decode_canonically(
+        runs in proptest::collection::vec((1usize..40, prop_oneof![Just(1usize), 1usize..300]), 0..12),
+        noise in proptest::collection::vec(any::<bool>(), 0..150),
+        first_present in any::<bool>(),
+        soup in proptest::collection::vec(prop_oneof![Just(0u8), Just(1u8), any::<u8>()], 0..24),
+        n in 0usize..200,
+    ) {
+        // Long runs, or noise, or both.
+        let mut bits: Vec<bool> = Vec::new();
+        let mut present = first_present;
+        for (absent, run) in runs {
+            bits.extend(std::iter::repeat_n(present, absent));
+            bits.extend(std::iter::repeat_n(!present, run));
+            present = !present;
+        }
+        bits.extend(noise);
+        let len = bits.len();
+        let mut words = vec![0u64; len.div_ceil(64)];
+        for (j, _) in bits.iter().enumerate().filter(|(_, &b)| b) {
+            words[j / 64] |= 1 << (j % 64);
+        }
+        let mut w = WireWriter::new();
+        w.put_bits(&words, len);
+        let bytes = w.finish();
+        let (raw, runs) = (raw_bits(&bits), bit_runs(&bits));
+        let (shorter, longer) = if runs.len() < raw.len() { (runs, raw) } else { (raw, runs) };
+        prop_assert_eq!(&bytes[..], &shorter[..]);
+        let mut r = WireReader::new(bytes);
+        prop_assert_eq!(r.get_bits(len).unwrap(), words);
+        prop_assert_eq!(r.remaining(), 0);
+        if longer != shorter {
+            let refused = WireReader::new(longer.into()).get_bits(len);
+            prop_assert!(matches!(refused, Err(Error::NotCanonical { .. })), "{:?}", refused);
+        }
+
+        let mut r = WireReader::new(bytes::Bytes::from(soup.clone()));
+        if let Ok(decoded) = r.get_bits(n) {
+            prop_assert_eq!(decoded.len(), n.div_ceil(64));
+            let mut w = WireWriter::new();
+            w.put_bits(&decoded, n);
+            prop_assert_eq!(&w.finish()[..], &soup[..soup.len() - r.remaining()]);
+        }
+    }
+}
+
 /// Values from a small domain, so sorted keys share prefixes, and with the
 /// pairs `Value::eq` conflates: `0.0` / `-0.0`, `Int(1)` / `Double(1.0)`.
 fn small_value_strategy() -> impl Strategy<Value = Value> {

@@ -229,6 +229,11 @@ fn num_spec() -> BucketSpec {
     BucketSpec::numeric(-50.0, 150.0, 17)
 }
 
+/// The exact distinct form over the integer column's domain.
+fn exact_distinct() -> DistinctSketch {
+    DistinctSketch::new("I").with_domain(-100, 99).unwrap()
+}
+
 fn str_spec() -> BucketSpec {
     BucketSpec::strings(vec!["aa".into(), "cc".into(), "ee".into()])
 }
@@ -298,6 +303,7 @@ proptest! {
         law!(MisraGriesSketch::new("C", 4));
         law!(SampledHeavyHittersSketch::new("C", 4, 1.0));
         law!(DistinctSketch::new("I"));
+        law!(exact_distinct());
         law!(FindSketch::new("C", "a", StrMatchKind::Substring, SortOrder::ascending(&["I", "X"])));
         law!(PcaSketch::new(&["X", "I"], 1.0));
         law!(RangeSketch::new("X"));
@@ -553,6 +559,7 @@ proptest! {
         split_law!(trellis(1.0));
         split_law!(BottomKSketch::new("C", 8));
         split_law!(DistinctSketch::new("I"));
+        split_law!(exact_distinct());
         split_law!(NextKSketch::first_page(SortOrder::ascending(&["C", "I"]), 5));
         split_law!(FindSketch::new(
             "C", "a", StrMatchKind::Substring, SortOrder::ascending(&["I", "X"])));

@@ -6,7 +6,7 @@
 //! random data and random partition splits. Last, the bytes every summary's
 //! fold produces over a flights table are pinned.
 
-use hillview_columnar::column::{Column, DictColumn, F64Column};
+use hillview_columnar::column::{Column, DictColumn, F64Column, I64Column};
 use hillview_columnar::{ColumnKind, MembershipSet, SortOrder, StrMatchKind, Table, Value};
 use hillview_sketch::bottomk::BottomKSketch;
 use hillview_sketch::buckets::BucketSpec;
@@ -215,6 +215,24 @@ proptest! {
     #[test]
     fn hll_merge_laws(t in table_strategy(), c1 in 0usize..200, c2 in 0usize..200) {
         check_exact_sketch(&DistinctSketch::new("C"), Arc::new(t), c1, c2)?;
+    }
+
+    /// The exact form over a domain at least the values' span, padded on
+    /// either side so its set spells as runs or raw bits: sets OR, so
+    /// every law holds bit for bit.
+    #[test]
+    fn exact_distinct_merge_laws(
+        values in proptest::collection::vec(proptest::option::weighted(0.85, -40i64..60), 1..200),
+        pad in (0i64..3_000, 0i64..300),
+        c1 in 0usize..200,
+        c2 in 0usize..200,
+    ) {
+        let t = Table::builder()
+            .column("I", ColumnKind::Int, Column::Int(I64Column::from_options(values)))
+            .build()
+            .unwrap();
+        let sk = DistinctSketch::new("I").with_domain(-40 - pad.0, 59 + pad.1).unwrap();
+        check_exact_sketch(&sk, Arc::new(t), c1, c2)?;
     }
 
     #[test]
@@ -539,7 +557,7 @@ mod pinned_layouts {
     use hillview_columnar::Row;
     use hillview_net::{Wire, WireWriter};
     use hillview_sketch::bottomk::BottomKSummary;
-    use hillview_sketch::distinct::DistinctSummary;
+    use hillview_sketch::distinct::{Counter, DistinctSummary};
     use hillview_sketch::find::FindSummary;
     use hillview_sketch::heatmap::HeatmapSummary;
     use hillview_sketch::histogram::HistogramSummary;
@@ -618,9 +636,12 @@ mod pinned_layouts {
     /// `p`, every register in six bits, least significant bit first, `missing`.
     pub fn distinct(s: &DistinctSummary) -> Vec<u8> {
         let mut w = WireWriter::new();
+        let Counter::Registers(registers) = &s.counter else {
+            panic!("the pinned distinct fold is the HLL's");
+        };
         w.put_u8(s.p);
-        let mut bits = vec![0u8; (s.registers.len() * 6).div_ceil(8)];
-        for (i, &r) in s.registers.iter().enumerate() {
+        let mut bits = vec![0u8; (registers.len() * 6).div_ceil(8)];
+        for (i, &r) in registers.iter().enumerate() {
             for b in 0..6 {
                 bits[(i * 6 + b) / 8] |= (r >> b & 1) << ((i * 6 + b) % 8);
             }
@@ -721,7 +742,9 @@ mod pinned_layouts {
 /// hashes and bar totals recomputed at the root, a page's keys and a
 /// match's key cells sent once, weights as offsets above the least, counts
 /// sparse where that is shorter than zero runs), so their folds are
-/// fingerprinted in the layouts of [`pinned_layouts`].
+/// fingerprinted in the layouts of [`pinned_layouts`]. `distinct-exact`,
+/// the exact set of `FlightNum`'s values over its domain `[1, 5 999]`, was
+/// recorded when the distinct sketch gained that form, in its first layout.
 #[test]
 fn fold_fingerprints_are_pinned() {
     let f = Folds::new();
@@ -788,6 +811,14 @@ fn fold_fingerprints_are_pinned() {
             f.fingerprint_as(DistinctSketch::new("TailNum"), pinned_layouts::distinct),
         ),
         (
+            "distinct-exact",
+            f.fingerprint(
+                DistinctSketch::new("FlightNum")
+                    .with_domain(1, 5_999)
+                    .unwrap(),
+            ),
+        ),
+        (
             "misra-gries",
             f.fingerprint(MisraGriesSketch::new("Origin", 8)),
         ),
@@ -829,6 +860,7 @@ fn fold_fingerprints_are_pinned() {
         ("moments", 0x2afe95d435515c02),
         ("pca-sampled", 0x091af345718b82f3),
         ("distinct", 0x5ff4b5b470e51f68),
+        ("distinct-exact", 0xe64355f71e413a91),
         ("misra-gries", 0xad1899b75589ff89),
         ("sampled-hh", 0x68296581ed369a71),
         ("bottom-k", 0xde366bfb57356c10),

@@ -456,6 +456,16 @@ proptest! {
                 "column {}", col
             );
         }
+        // The exact set over the integer column's domain, and over a wider
+        // one whose set spells otherwise.
+        for (lo, hi) in [(-100, 99), (-5_000, 300)] {
+            let sk = DistinctSketch::new("I").with_domain(lo, hi).unwrap();
+            prop_assert_eq!(
+                sk.summarize(&v, Scope::ALL, 0).unwrap(),
+                sk.summarize_rowwise(&v, 0).unwrap(),
+                "domain [{}, {}]", lo, hi
+            );
+        }
     }
 
     /// Find-text: chunked row enumeration preserves the scan order the
@@ -632,6 +642,8 @@ proptest! {
         prop_assert!(split_law_holds(&CountSketch::rows(), &v, grain, seed));
         prop_assert!(split_law_holds(&BottomKSketch::new("C", 8), &v, grain, seed));
         prop_assert!(split_law_holds(&DistinctSketch::new("I"), &v, grain, seed));
+        let exact = DistinctSketch::new("I").with_domain(-100, 99).unwrap();
+        prop_assert!(split_law_holds(&exact, &v, grain, seed));
         prop_assert!(split_law_holds(
             &SampledHeavyHittersSketch::new("C", 4, rate), &v, grain, seed));
         prop_assert!(split_law_holds(

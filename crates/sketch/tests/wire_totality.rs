@@ -19,7 +19,7 @@ use hillview_net::{Error as WireError, Wire, WireWriter, MAX_COUNTS};
 use hillview_sketch::bottomk::{BottomKSketch, BottomKSummary};
 use hillview_sketch::buckets::BucketSpec;
 use hillview_sketch::count::{CountSketch, CountSummary};
-use hillview_sketch::distinct::{DistinctSketch, DistinctSummary};
+use hillview_sketch::distinct::{Counter, DistinctSketch, DistinctSummary};
 use hillview_sketch::find::{FindSketch, FindSummary};
 use hillview_sketch::hashutil::{fnv1a, mix};
 use hillview_sketch::heatmap::{HeatmapSketch, HeatmapSummary};
@@ -153,15 +153,101 @@ fn distinct_is_total_and_canonical() {
     let small = DistinctSketch::new("Carrier").with_precision(4);
     roundtrip(&summary(&DistinctSketch::new("TailNum").with_precision(16)));
     let mut full = small.identity();
-    full.registers.fill(60);
+    full.counter = Counter::Registers(vec![60; 16]);
+    // The exact form: FlightNum's domain, in raw bits at these 3 000 rows
+    // and in runs when empty or full; a domain at `i64`'s top.
+    let exact = sketch.clone().with_domain(1, 5_999).unwrap();
+    let mut every = exact.identity();
+    if let Counter::Exact(set) = &mut every.counter {
+        set.words.fill(!0);
+        set.words[5_999 / 64] = (1 << (5_999 % 64)) - 1;
+    }
+    let top = DistinctSketch::new("X")
+        .with_domain(i64::MAX - 9, i64::MAX)
+        .unwrap();
     let summaries = [
         sketch.identity(),
         summary(&sketch),
         small.identity(),
         summary(&small),
         full,
+        exact.identity(),
+        summary(&exact),
+        every.clone(),
+        top.identity(),
     ];
     total_and_canonical("distinct", &summaries);
+
+    // The exact form: `0x80 | p`, `lo`, the domain's length, the set, and
+    // `missing`. The set's spellings are the bit-set codec's.
+    let exact_frame = |p: u8, lo: i64, len: u64, set: &[u8]| {
+        let mut w = WireWriter::new();
+        w.put_u8(0x80 | p);
+        w.put_i64(lo);
+        w.put_varint(len);
+        [&w.finish()[..], set, &[0]].concat()
+    };
+    let runs = |runs: &[u64]| [vec![1], runs.iter().flat_map(|&r| varint(r)).collect()].concat();
+    let full_runs = exact_frame(12, 1, 5_999, &runs(&[0, 5_999]));
+    assert_eq!(full_runs, roundtrip(&every));
+    assert_eq!(every.estimate(), 5_999.0);
+    assert_eq!(full_runs.len(), 9, "a full domain ships in nine bytes");
+    // Runs short of the domain, or past it.
+    refused::<DistinctSummary>("runs short", &exact_frame(12, 1, 5_999, &runs(&[0, 5_998])));
+    refused::<DistinctSummary>("runs past", &exact_frame(12, 1, 5_999, &runs(&[0, 6_000])));
+    refused::<DistinctSummary>(
+        "runs past by one run",
+        &exact_frame(12, 1, 5_999, &runs(&[0, 5_999, 1])),
+    );
+    // An empty inner run.
+    refused::<DistinctSummary>(
+        "empty inner run",
+        &exact_frame(12, 1, 5_999, &runs(&[0, 3_000, 0, 2_999])),
+    );
+    refused::<DistinctSummary>(
+        "two empty runs",
+        &exact_frame(12, 1, 5_999, &runs(&[0, 0, 5_999])),
+    );
+    // Raw bits where the runs are shorter: the full domain.
+    let mut raw = vec![0u8; 1 + 5_999usize.div_ceil(8)];
+    raw[1..].fill(0xFF);
+    *raw.last_mut().unwrap() = 0x7F;
+    refused::<DistinctSummary>(
+        "raw where runs are shorter",
+        &exact_frame(12, 1, 5_999, &raw),
+    );
+    // Padding bits: eleven alternating bits, raw, and a set bit past them.
+    assert!(DistinctSummary::from_bytes(exact_frame(12, 0, 11, &[0, 0x55, 0x05]).into()).is_ok());
+    refused::<DistinctSummary>("padding bit", &exact_frame(12, 0, 11, &[0, 0x55, 0x0D]));
+    // A domain past the registers' bits, empty, or past `i64`.
+    assert!(DistinctSummary::from_bytes(exact_frame(4, 0, 96, &runs(&[96])).into()).is_ok());
+    refused::<DistinctSummary>("97 values at p = 4", &exact_frame(4, 0, 97, &runs(&[97])));
+    refused::<DistinctSummary>(
+        "24 577 values at p = 12",
+        &exact_frame(12, 0, 24_577, &runs(&[24_577])),
+    );
+    refused::<DistinctSummary>("an empty domain", &exact_frame(12, 0, 0, &[0]));
+    assert!(DistinctSummary::from_bytes(exact_frame(12, i64::MAX - 1, 2, &[0, 0]).into()).is_ok());
+    refused::<DistinctSummary>(
+        "lo + len past i64",
+        &exact_frame(12, i64::MAX - 1, 3, &[0, 0]),
+    );
+    refused::<DistinctSummary>(
+        "two values from i64::MAX",
+        &exact_frame(12, i64::MAX, 2, &[0, 0]),
+    );
+    refused::<DistinctSummary>("precision 0", &exact_frame(0, 0, 1, &[0, 0]));
+    // A refused spelling of the widest domain allocates nothing its size.
+    bomb::<DistinctSummary>(
+        "p = 16, runs short",
+        &exact_frame(16, 0, 6 << 16, &runs(&[0, 1])),
+        4 << 10,
+    );
+    bomb::<DistinctSummary>(
+        "p = 16, raw cut short",
+        &exact_frame(16, 0, 6 << 16, &[0, 0]),
+        4 << 10,
+    );
 
     // `p` sizes the register array: it is bounded before it shifts.
     let frame = |p: u8, registers: &[u8]| {

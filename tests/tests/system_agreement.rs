@@ -2,13 +2,16 @@
 //! the row-store DB must produce identical exact answers; sampled
 //! vizketches must land within their error bounds of those answers.
 
-use hillview_baseline::{GpEngine, RowDb};
-use hillview_core::QueryOptions;
+use hillview_baseline::{Expr, GpEngine, RowDb};
+use hillview_columnar::{Predicate, Value};
+use hillview_core::{QueryOptions, Spreadsheet};
 use hillview_data::{generate_flights, FlightsConfig};
 use hillview_integration::test_engine;
 use hillview_sketch::heavy::MisraGriesSketch;
 use hillview_sketch::histogram::HistogramSketch;
 use hillview_sketch::BucketSpec;
+use hillview_viz::display::DisplaySpec;
+use std::collections::HashSet;
 
 #[test]
 fn three_systems_one_histogram() {
@@ -101,4 +104,53 @@ fn heavy_hitters_agree_with_gp_topk() {
             "{v}: MG {mg_count} vs exact {exact_count}"
         );
     }
+}
+
+/// O9 is exact where the part statistics bound an integer column: the
+/// count equals the row DB's `COUNT(DISTINCT)`, nulls aside, on the
+/// null-free `FlightNum` and on the nullable `DepTime`. Where they do not —
+/// a filtered sheet, a `Date` column — it is HyperLogLog, within three
+/// standard errors (`1.04 / √4096`) of the truth.
+#[test]
+fn o9_is_exact_where_statistics_bound_the_column() {
+    let engine = test_engine(2, 10_000);
+    let sheet = Spreadsheet::open(engine, "flights", 3, DisplaySpec::new(120, 60)).unwrap();
+    let tables: Vec<_> = (0..2)
+        .map(|w| generate_flights(&FlightsConfig::new(10_000, 3 ^ w)))
+        .collect();
+    let columns = ["FlightNum", "DepTime", "FlightDate", "Carrier"];
+    let mut db = RowDb::create(&columns);
+    tables.iter().for_each(|t| db.insert_table(t));
+    let distinct = |c: usize| {
+        let groups = db.group_count(&Expr::Col(c));
+        groups.keys().filter(|v| !v.is_missing()).count() as f64
+    };
+    let has_nulls = db.group_count(&Expr::Col(1)).contains_key(&Value::Missing);
+    assert!(has_nulls, "DepTime is nullable");
+    for (c, column) in ["FlightNum", "DepTime"].into_iter().enumerate() {
+        let (count, _) = sheet.distinct_count(column).unwrap();
+        assert_eq!(count, distinct(c), "{column}");
+    }
+
+    let within = |estimate: f64, truth: f64, what: &str| {
+        let error = (estimate - truth).abs() / truth;
+        assert!(error <= 3.0 * 1.04 / 64.0, "{what}: {estimate} for {truth}");
+    };
+    let (dates, _) = sheet.distinct_count("FlightDate").unwrap();
+    within(dates, distinct(2), "FlightDate");
+    let ua = sheet.filtered(Predicate::equals("Carrier", "UA")).unwrap();
+    let mut flights = HashSet::new();
+    for t in &tables {
+        let (num, carrier) = (
+            t.column_by_name("FlightNum").unwrap(),
+            t.column_by_name("Carrier").unwrap(),
+        );
+        for r in 0..t.num_rows() {
+            if carrier.value(r) == Value::str("UA") {
+                flights.insert(num.value(r));
+            }
+        }
+    }
+    let (count, _) = ua.distinct_count("FlightNum").unwrap();
+    within(count, flights.len() as f64, "FlightNum where Carrier = UA");
 }
