@@ -773,10 +773,25 @@ impl Cluster {
     /// and the tree the caller falls back to meets the failure; nothing
     /// crosses the root link.
     pub(crate) fn dataset_stats(&self, dataset: DatasetId, version: u64) -> Option<DatasetStats> {
+        self.fold_stats(dataset, version, |w| w.fault_op(Some(dataset)))
+    }
+
+    /// [`Cluster::dataset_stats`] without the operation boundaries: what
+    /// the workers hold, read for the root to keep.
+    pub(crate) fn held_stats(&self, dataset: DatasetId, version: u64) -> Option<DatasetStats> {
+        self.fold_stats(dataset, version, |_| {})
+    }
+
+    fn fold_stats(
+        &self,
+        dataset: DatasetId,
+        version: u64,
+        boundary: impl Fn(&Worker),
+    ) -> Option<DatasetStats> {
         self.workers
             .iter()
             .try_fold(DatasetStats::default(), |acc, w| {
-                w.fault_op(Some(dataset));
+                boundary(w);
                 let (held, stats) = w.is_alive().then(|| w.dataset_stats(dataset))??;
                 (held == version).then(|| acc.merge(&stats))?
             })

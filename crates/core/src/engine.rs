@@ -78,6 +78,9 @@ pub struct Engine {
     /// exists only in the redo log, which holds its parent and predicate,
     /// and this table.
     pending_filters: parking_lot::Mutex<HashMap<DatasetId, bool>>,
+    /// Each load's part statistics at the content version they were read
+    /// at ([`Engine::load_stats`]).
+    load_stats: parking_lot::Mutex<HashMap<DatasetId, (u64, Arc<DatasetStats>)>>,
     /// Retry budget of the recovery loop (queries and dataset-producing
     /// operations).
     pub retry: RetryPolicy,
@@ -91,6 +94,7 @@ impl Engine {
             log: RedoLog::new(),
             next_id: AtomicU64::new(1),
             pending_filters: parking_lot::Mutex::new(HashMap::new()),
+            load_stats: parking_lot::Mutex::new(HashMap::new()),
             retry: RetryPolicy::default(),
         }
     }
@@ -127,6 +131,7 @@ impl Engine {
         let source = Arc::from(source);
         let spec = SourceSpec { source, snapshot };
         self.derive_logged(id, Lineage::Loaded { spec })?;
+        self.load_stats(id);
         Ok(id)
     }
 
@@ -160,7 +165,9 @@ impl Engine {
             }
         }
         let spec = SourceSpec { source, snapshot };
-        self.derive_logged(dataset, Lineage::Loaded { spec })
+        self.derive_logged(dataset, Lineage::Loaded { spec })?;
+        self.load_stats(dataset);
+        Ok(())
     }
 
     /// Derive a filtered dataset; logged (paper §5.6 "Selection"). The
@@ -397,6 +404,33 @@ impl Engine {
         };
         let version = step.content_version(dataset, 0, None);
         self.cluster.dataset_stats(dataset, version)
+    }
+
+    /// The part statistics of the load `dataset` at the content version its
+    /// lineage gives, kept by the root from the first time every worker
+    /// held it there — right after the load, as a rule. A load's contents
+    /// are a function of its lineage, so what is kept stays true across
+    /// eviction and worker loss, and an answer planned from it
+    /// ([`Spreadsheet::distinct_count`]'s form) does not depend on what is
+    /// resident, as [`Engine::stats`]' does. Reading the workers here is
+    /// no operation boundary. `None` for a dataset that is not a load, or a
+    /// load not yet held whole.
+    ///
+    /// [`Spreadsheet::distinct_count`]: crate::spreadsheet::Spreadsheet::distinct_count
+    pub(crate) fn load_stats(&self, dataset: DatasetId) -> Option<Arc<DatasetStats>> {
+        let step @ Lineage::Loaded { .. } = self.log.lineage(dataset)? else {
+            return None;
+        };
+        let version = step.content_version(dataset, 0, None);
+        let mut kept = self.load_stats.lock();
+        match kept.get(&dataset) {
+            Some((at, stats)) if *at == version => Some(stats.clone()),
+            _ => {
+                let stats = Arc::new(self.cluster.held_stats(dataset, version)?);
+                kept.insert(dataset, (version, stats.clone()));
+                Some(stats)
+            }
+        }
     }
 
     /// The kind of `column` in `dataset`, read from a partition some live

@@ -8,11 +8,12 @@
 //! count and a numeric column's range were fixed when its parts were
 //! sealed, so they come from the part statistics ([`Engine::stats`]) with
 //! no tree; a filtered or derived sheet, a string column or a dataset some
-//! worker does not hold runs the preparation tree. The same statistics bound
-//! O9: over an `Int` column whose extremes span no more values than the
-//! HyperLogLog's registers hold bits, the distinct count is the exact set of
-//! present values, smaller and cheaper than the registers
-//! ([`hillview_sketch::distinct`]). The operation names O1–O11
+//! worker does not hold runs the preparation tree. The same statistics, as
+//! the root keeps them for each load (`Engine::load_stats`), bound O9:
+//! over an `Int` column whose extremes span no more than three values a
+//! HyperLogLog register, the distinct count is the exact set of present
+//! values, built without a hash and shipped in no more bytes than the
+//! filled registers take ([`hillview_sketch::distinct`]). The operation names O1–O11
 //! match Figure 4 of the paper and are exercised one-to-one by the
 //! benchmark harness.
 
@@ -449,25 +450,29 @@ impl Spreadsheet {
     }
 
     /// O9: distinct count — exact where the part statistics bound an `Int`
-    /// column within the HyperLogLog's register bits, else a HyperLogLog
-    /// estimate.
+    /// column within three values a HyperLogLog register, else a
+    /// HyperLogLog estimate.
     pub fn distinct_count(&self, column: &str) -> EngineResult<(f64, OpStats)> {
         let mut stats = OpStats::default();
         let summary = self.tree(&mut stats, self.distinct_sketch(column), 0)?;
         Ok((summary.estimate(), stats))
     }
 
-    /// O9's sketch: the exact set of an `Int` column's values when the part
-    /// statistics hold its extremes and they span no more values than the
-    /// HLL registers hold bits; the HLL otherwise. Not counted as a
-    /// statistics answer: the tree still runs.
+    /// O9's sketch: the exact set of an `Int` column's values when the
+    /// load's kept part statistics ([`Engine::load_stats`]) hold its
+    /// extremes and they span no more than three values a HLL register;
+    /// the HLL otherwise. The form does not depend on what is resident, so
+    /// O9 gives one answer on one load. Not counted as a statistics answer:
+    /// the tree still runs.
     fn distinct_sketch(&self, column: &str) -> DistinctSketch {
         let hll = DistinctSketch::new(column);
-        if self.engine.column_kind(self.dataset, column) != Some(ColumnKind::Int) {
+        let Some(stats) = self.engine.load_stats(self.dataset) else {
+            return hll;
+        };
+        if stats.kind(column) != Some(ColumnKind::Int) {
             return hll;
         }
-        let stats = self.engine.stats(self.dataset);
-        let range = stats.as_ref().and_then(|s| s.range(column));
+        let range = stats.range(column);
         let bounds = range.and_then(|r| Some((integer(r.min?)?, integer(r.max?)?)));
         match bounds {
             Some((lo, hi)) => hll.clone().with_domain(lo, hi).unwrap_or(hll),
@@ -737,7 +742,7 @@ mod tests {
     }
 
     /// O9 takes the exact form where the part statistics bound an `Int`
-    /// column within the registers' bits, and the HLL everywhere else.
+    /// column within three values a register, and the HLL everywhere else.
     #[test]
     fn o9_is_exact_where_the_statistics_bound_an_int_column() {
         let s = sheet();
@@ -763,11 +768,15 @@ mod tests {
         let (count, stats) = s.distinct_count("FlightNum").unwrap();
         assert_eq!(count, flights.len() as f64);
         assert_eq!((stats.trees, stats.stats_answers), (1, 0));
-        // A worker down leaves the statistics to a tree: the HLL.
+        // Nothing resident takes the form away: not a worker down, nor an
+        // evicted dataset.
         s.engine().cluster().worker(1).kill();
-        assert_eq!(domain(&s, "FlightNum"), None);
+        assert_eq!(domain(&s, "FlightNum"), Some(bounds));
+        s.engine().cluster().evict_all();
+        assert_eq!(domain(&s, "FlightNum"), Some(bounds));
+        assert_eq!(domain(&s, "DepDelay"), None);
 
-        // A column wider than the registers' 24 576 bits.
+        // A column wider than three values a register, 12 288 at p = 12.
         let mut sources = SourceRegistry::new();
         sources.register(Arc::new(FnSource::new("wide", |w, _n, mp, _snap| {
             let t = hillview_columnar::Table::builder()
@@ -788,6 +797,22 @@ mod tests {
         let wide = Spreadsheet::open(engine, "wide", 1, DisplaySpec::new(200, 100)).unwrap();
         assert_eq!(wide.range_of("Wide").unwrap().0.max, Some(24_976.0));
         assert_eq!(domain(&wide, "Wide"), None);
+    }
+
+    /// O9 gives one answer on one load, whatever is resident when it runs.
+    #[test]
+    fn o9_answers_alike_after_eviction_and_worker_loss() {
+        let s = sheet();
+        let first = s.distinct_count("FlightNum").unwrap().0;
+        s.engine().cluster().evict_all();
+        let evicted = s.distinct_count("FlightNum").unwrap();
+        assert_eq!(evicted.0, first);
+        assert_eq!(evicted.1.trees, 1, "the evicted load is replayed");
+        s.engine().cluster().worker(0).kill();
+        assert_eq!(s.distinct_count("FlightNum").unwrap().0, first);
+        s.engine().cluster().memo().clear();
+        s.engine().cluster().worker(1).evict(s.dataset);
+        assert_eq!(s.distinct_count("FlightNum").unwrap().0, first);
     }
 
     #[test]

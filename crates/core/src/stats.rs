@@ -16,7 +16,7 @@
 //!
 //! [`Engine::stats`]: crate::engine::Engine::stats
 
-use hillview_columnar::Table;
+use hillview_columnar::{ColumnDesc, ColumnKind, Table};
 use hillview_sketch::count::{CountSketch, CountSummary};
 use hillview_sketch::range::{RangeSketch, RangeSummary};
 use hillview_sketch::{Summary, TableView};
@@ -38,6 +38,7 @@ pub struct DatasetStats {
 #[derive(Debug, Clone, PartialEq)]
 struct ColumnStats {
     name: Arc<str>,
+    kind: ColumnKind,
     /// [`CountSketch::of_column`]'s summary.
     count: CountSummary,
     /// [`RangeSketch`]'s, for a numeric column.
@@ -55,9 +56,10 @@ impl DatasetStats {
     }
 
     fn of_table(table: &Table) -> Option<Self> {
-        let column = |name: &Arc<str>| {
+        let column = |ColumnDesc { name, kind }: &ColumnDesc| {
             Some(ColumnStats {
                 name: name.clone(),
+                kind: *kind,
                 count: CountSketch::of_column(name).summarize_stats(table).ok()?,
                 range: RangeSketch::new(name).summarize_stats(table).ok()?,
             })
@@ -66,10 +68,7 @@ impl DatasetStats {
         Some(DatasetStats {
             parts: 1,
             rows: CountSketch::rows().summarize_stats(table).ok()?,
-            columns: descs
-                .iter()
-                .map(|d| column(&d.name))
-                .collect::<Option<_>>()?,
+            columns: descs.iter().map(column).collect::<Option<_>>()?,
         })
     }
 
@@ -86,7 +85,7 @@ impl DatasetStats {
         let shape = |s: &Self| {
             let columns = s.columns.iter();
             columns
-                .map(|c| (c.name.clone(), c.range.is_some()))
+                .map(|c| (c.name.clone(), c.kind))
                 .collect::<Vec<_>>()
         };
         if shape(&self) != shape(other) {
@@ -116,6 +115,11 @@ impl DatasetStats {
     /// column.
     pub fn count(&self, column: &str) -> Option<CountSummary> {
         self.column(column).map(|c| c.count)
+    }
+
+    /// The kind of `column`, if the dataset has it.
+    pub(crate) fn kind(&self, column: &str) -> Option<ColumnKind> {
+        self.column(column).map(|c| c.kind)
     }
 
     /// What [`RangeSketch`] folds to, if the dataset has the column and it

@@ -170,8 +170,9 @@ fn every_operation_ships_a_display_sized_summary() {
     }
 
     // O9 counted FlightNum exactly — the statistics bound it to [1, 5 999],
-    // within the 24 576 bits of the HLL's registers — and the set it
-    // shipped is never longer than the registers would have been.
+    // within the 12 288 values, three a register, an exact domain may span
+    // — and the set it shipped is shorter than the registers would have
+    // been.
     let (_, hll) = sheet
         .engine()
         .run(

@@ -48,11 +48,7 @@
 //! more non-empty cells than `n`, a gap that reaches past `n`, a count past
 //! `u64::MAX`, and this spelling where zero runs are as short or shorter —
 //! as zero runs are where this one is shorter. Both lengths come from the
-//! non-empty cells, so choosing and checking cost a pass over them; the
-//! pass that finds those cells also tallies a floor under the sparse
-//! length (how many counts sit 128, 255 and 383 above the least), so a
-//! dense vector whose zero runs are no longer than that floor is never
-//! priced sparse.
+//! non-empty cells, so choosing and checking cost a pass over them.
 //!
 //! **Patched** ([`WireWriter::put_packed`] / [`WireReader::get_packed`]).
 //! `n` values, `n` known to the reader, as an offset, narrow slots and the
@@ -386,32 +382,20 @@ struct Cells {
     least: (u64, u64),
     /// The bytes of the zero-run spelling.
     zero_runs: usize,
-    /// How many counts are at least 128, 255 and 383 above the least: what
-    /// bounds their patch below ([`counts_floor`]).
-    high: [usize; 3],
 }
 
 impl Cells {
-    /// Split in two passes, one to count the non-empty cells and find the
-    /// least count, one to place them and tally how far each count is
-    /// above the least, each skipping eight empty cells at a time.
+    /// Split in two passes, one to count the non-empty cells and one to
+    /// place them, each skipping eight empty cells at a time.
     fn of(counts: &[u64]) -> Cells {
         let occupied = |eight: &[u64]| eight.iter().fold(0, |any, &c| any | c) != 0;
-        // An empty cell less one wraps to the top, past every count.
-        let mut least_less_one = u64::MAX;
-        let mut nonzero = |cells: &[u64]| {
-            let less_one = cells.iter().map(|c| c.wrapping_sub(1));
-            least_less_one = less_one.fold(least_less_one, u64::min);
-            cells.iter().filter(|&&c| c != 0).count()
-        };
+        let nonzero = |cells: &[u64]| cells.iter().filter(|&&c| c != 0).count();
         let mut eights = counts.chunks_exact(8);
         let occupied_eights = eights.by_ref().filter(|eight| occupied(eight));
-        let m = occupied_eights.map(&mut nonzero).sum::<usize>() + nonzero(eights.remainder());
-        let least_count = least_less_one.wrapping_add(1);
+        let m = occupied_eights.map(nonzero).sum::<usize>() + nonzero(eights.remainder());
         let (mut gaps, mut nonzero) = (vec![0; m], vec![0; m]);
         let mut places = gaps.iter_mut().zip(nonzero.iter_mut());
         let (mut gap, mut least, mut zero_runs) = (0, (u64::MAX, u64::MAX), 0);
-        let mut high = [0; 3];
         let mut cell = |count: u64, gap: &mut u64| {
             if count == 0 {
                 *gap += 1;
@@ -419,9 +403,6 @@ impl Cells {
                 (*g, *c) = (*gap, count);
                 least = (least.0.min(*gap), least.1.min(count));
                 zero_runs += zeros_len(*gap) + varint_len(count);
-                let above = count - least_count;
-                let steps = high.iter_mut().zip([128, 255, 383]);
-                steps.for_each(|(h, step)| *h += usize::from(above >= step));
                 *gap = 0;
             }
         };
@@ -440,22 +421,19 @@ impl Cells {
             trailing: gap,
             least,
             zero_runs: zero_runs + zeros_len(gap),
-            high,
         }
     }
 
     /// The patches of the gaps and of the counts less one, if the sparse
-    /// spelling of these `n` cells is shorter than `zero_runs` bytes. Each
-    /// patch is priced only while a floor under the sparse spelling's
-    /// length still leaves it shorter.
+    /// spelling of these `n` cells is shorter than `zero_runs` bytes.
     fn sparse(&self, n: usize, zero_runs: usize) -> Option<(Patch, Patch)> {
         let m = self.gaps.len();
-        let (header, counts) = (2 + varint_len(m as u64), counts_floor(m, self.high));
-        if n < 2 || zero_runs <= header + patch_floor(m) + counts {
+        if zero_runs <= sparse_floor(n, m) {
             return None;
         }
         let gaps = Patch::of(self.gaps.iter().copied(), self.least.0, 0);
-        if zero_runs <= header + gaps.bytes + counts {
+        let header = 2 + varint_len(m as u64);
+        if zero_runs <= header + gaps.bytes + patch_floor(m) {
             return None;
         }
         let less_one = Patch::of(self.counts.iter().copied(), self.least.1, 1);
@@ -467,20 +445,6 @@ impl Cells {
 /// per value.
 fn patch_floor(m: usize) -> usize {
     2 + m.div_ceil(8)
-}
-
-/// The fewest bytes `m` counts take patched less the least, `high[k]` of
-/// them at least 128, 255 and 383 above it: a base and a width byte, and
-/// the least of what each width could spell them in. At width 0 each is a
-/// varint, two bytes from 128; at widths 1–7 a slot of at least a bit each,
-/// and an escape from 128 (the full slot is at most 127), of two bytes from
-/// 255; at width 8 a byte each, and an escape from 255, of two bytes from
-/// 383.
-fn counts_floor(m: usize, [from_128, from_255, from_383]: [usize; 3]) -> usize {
-    let varints = m + from_128;
-    let narrow = m.div_ceil(8) + from_128 + from_255;
-    let bytes = m + from_255 + from_383;
-    2 + varints.min(narrow).min(bytes)
 }
 
 /// The fewest bytes the sparse spelling of `m` non-empty cells takes — all
@@ -1593,59 +1557,6 @@ mod tests {
                 len: MAX_COUNTS as u64 + 1,
             })
         );
-    }
-
-    /// The floor that spares a dense vector the sparse pricing is never
-    /// above what its counts take patched.
-    #[test]
-    fn the_counts_floor_is_never_above_their_patch() {
-        let mut state = 0x5EED_u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let z = (state ^ (state >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z ^ (z >> 29)
-        };
-        let scales = [2, 129, 256, 384, 600, 70_000, u64::MAX / 2];
-        for round in 0..3_000 {
-            let m = 1 + (next() % 200) as usize;
-            let (scale, floor) = (scales[round % scales.len()], next() % 1_000);
-            let counts: Vec<u64> = (0..m).map(|_| 1 + floor + next() % scale).collect();
-            let cells = Cells::of(&counts);
-            let patch = Patch::of(counts.iter().copied(), cells.least.1, 1);
-            let bound = counts_floor(m, cells.high);
-            assert!(
-                bound <= patch.bytes,
-                "{bound} > {}: {counts:?}",
-                patch.bytes
-            );
-        }
-    }
-
-    /// A dense vector of large counts — every cell non-empty, most counts
-    /// hundreds above the least — ships in zero runs, and the floor tallied
-    /// with its cells says so before either patch is priced.
-    #[test]
-    fn a_dense_vector_of_large_counts_is_not_priced_sparse() {
-        let mut state = 0x600_u64;
-        let counts: Vec<u64> = (0..600)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1);
-                1 + (state >> 33) % 5_000
-            })
-            .collect();
-        let cells = Cells::of(&counts);
-        let m = counts.len();
-        let floor = 2 + varint_len(m as u64) + patch_floor(m) + counts_floor(m, cells.high);
-        assert!(cells.zero_runs <= floor, "{} > {floor}", cells.zero_runs);
-        assert!(
-            cells.zero_runs > sparse_floor(m, m),
-            "the old floor priced it"
-        );
-        let bytes = counts_bytes(&counts);
-        assert_ne!(bytes[..2], [0, 0], "no sparse marker");
-        assert_eq!(bytes.len(), cells.zero_runs);
     }
 
     #[test]

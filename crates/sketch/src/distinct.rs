@@ -7,10 +7,10 @@
 //!
 //! The paper estimates because a column's domain is unknown. Where it is
 //! known — an integer column whose every value lies in `[lo, hi]` — and
-//! spans no more values than the HLL's dense registers hold bits (`6 · 2^p`,
-//! 24 576 at `p = 12`), the set of present values is exact, never larger
-//! than the registers, and cheaper to build: a bit set per row instead of a
-//! hash. [`DistinctSketch::with_domain`] asks for that form; the summary is
+//! spans no more than three values a register (`3 · 2^p`, 12 288 at `p =
+//! 12`), the set of present values is exact, its raw bits no longer than
+//! the filled registers ship, and cheaper to build: a bit set per row
+//! instead of a hash. [`DistinctSketch::with_domain`] asks for that form; the summary is
 //! then bit `v − lo` per present value `v`, sets merge by OR, and
 //! [`DistinctSummary::estimate`] is their popcount. The spreadsheet takes
 //! the domain from a loaded dataset's part statistics, the exact extremes
@@ -34,10 +34,12 @@ const PRECISIONS: RangeInclusive<u8> = 4..=16;
 /// The bit of the first wire byte that marks the exact form.
 const EXACT: u8 = 0x80;
 
-/// The most values an exact domain may span at precision `p`: the bits of
-/// `2^p` six-bit registers.
+/// The most values an exact domain may span at precision `p`: three bits a
+/// register. The HLL ships its registers patched, about three bits each
+/// once they fill (1 630 bytes at `p = 12`), so the set's raw bits, its
+/// longest spelling, stay no longer than that.
 fn max_domain(p: u8) -> u64 {
-    6 << p
+    3 << p
 }
 
 /// HLL sketch of one column's distinct value count, or the exact set of its
@@ -67,18 +69,18 @@ impl DistinctSketch {
         }
     }
 
-    /// Override precision; a domain wider than the new registers' bits is
-    /// dropped, as [`DistinctSketch::with_domain`] would refuse it.
+    /// Override precision. The domain is bounded by the precision, so set
+    /// it after: a sketch that already has one is refused.
     pub fn with_precision(mut self, p: u8) -> Self {
         assert!(PRECISIONS.contains(&p), "p out of range");
+        assert!(self.domain.is_none(), "precision set after the domain");
         self.p = p;
-        self.domain = self.domain.filter(|&(_, len)| len as u64 <= max_domain(p));
         self
     }
 
     /// The exact form over an integer column whose values all lie in `[lo,
-    /// hi]`; `None` when that domain is empty or spans more values than the
-    /// registers hold bits.
+    /// hi]`; `None` when that domain is empty or spans more than `3 · 2^p`
+    /// values.
     pub fn with_domain(mut self, lo: i64, hi: i64) -> Option<Self> {
         let values = u64::try_from(i128::from(hi) - i128::from(lo) + 1).ok()?;
         if values == 0 || values > max_domain(self.p) {
@@ -240,7 +242,7 @@ impl Summary for DistinctSummary {
 /// refused. The exact form sets the byte's top bit over `p`, then ships
 /// `lo` (zigzag), the domain's length and the set
 /// ([`WireWriter::put_bits`]: raw bits or runs, whichever is shorter), then
-/// `missing`; a length of zero, past `6 · 2^p`, or reaching past `i64` is
+/// `missing`; a length of zero, past `3 · 2^p`, or reaching past `i64` is
 /// refused.
 impl Wire for DistinctSummary {
     fn encode(&self, w: &mut WireWriter) {
@@ -293,13 +295,13 @@ fn get_registers(r: &mut WireReader, p: u8) -> WireResult<Vec<u8>> {
 }
 
 /// Read an exact set's domain and bits, refusing a domain that is empty,
-/// wider than `6 · 2^p` values, or reaching past `i64::MAX`.
+/// wider than `3 · 2^p` values, or reaching past `i64::MAX`.
 fn get_set(r: &mut WireReader, p: u8) -> WireResult<ValueSet> {
     let lo = r.get_i64()?;
     let len = r.get_varint()?;
     if len == 0 || len > max_domain(p) {
         return Err(WireError::BadLength {
-            context: "distinct domain past the registers' bits",
+            context: "distinct domain past three bits a register",
             len,
         });
     }
@@ -633,27 +635,61 @@ mod tests {
     }
 
     #[test]
-    fn a_domain_is_at_most_the_registers_bits() {
+    fn a_domain_is_at_most_three_values_a_register() {
         let sketch = || DistinctSketch::new("X");
         assert_eq!(
             sketch().with_domain(1, 5_999).unwrap().domain(),
             Some((1, 5_999))
         );
-        assert!(sketch().with_domain(0, 6 * 4_096 - 1).is_some());
-        assert!(sketch().with_domain(0, 6 * 4_096).is_none());
+        assert!(sketch().with_domain(0, 3 * 4_096 - 1).is_some());
+        assert!(sketch().with_domain(0, 3 * 4_096).is_none());
         assert!(sketch().with_domain(5, 4).is_none());
         assert!(sketch().with_domain(i64::MIN, i64::MAX).is_none());
         assert!(sketch().with_domain(i64::MAX, i64::MAX).is_some());
         let small = sketch().with_precision(4);
-        assert!(small.clone().with_domain(0, 95).is_some());
-        assert!(small.with_domain(0, 96).is_none());
-        let narrowed = sketch().with_domain(0, 96).unwrap().with_precision(4);
-        assert_eq!(narrowed.domain(), None);
-        // Never longer on the wire than the registers' six bits each.
-        let v = int_view((0..24_576).filter(|i| i % 3 != 1).collect());
-        let wide = sketch().with_domain(0, 24_575).unwrap();
-        let bytes = wide.summarize(&v, Scope::ALL, 0).unwrap().to_bytes();
-        assert!(bytes.len() <= 4_096 * 6 / 8 + 8, "{}", bytes.len());
+        assert!(small.clone().with_domain(0, 47).is_some());
+        assert!(small.with_domain(0, 48).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "precision set after the domain")]
+    fn the_precision_comes_before_the_domain() {
+        let _ = DistinctSketch::new("X")
+            .with_domain(0, 40)
+            .unwrap()
+            .with_precision(4);
+    }
+
+    /// Scattered values over the widest domain at `p = 12`: the set ships
+    /// at most its 1 536 raw bytes and a 6-byte header, no more than the HLL
+    /// over the same values once it fills (3 500 values or so); below that
+    /// the set's runs may outgrow the half-empty registers, by at most a
+    /// quarter.
+    #[test]
+    fn a_scattered_set_is_bounded_by_its_hll() {
+        let hll = DistinctSketch::new("X");
+        let exact = hll.clone().with_domain(0, 3 * 4_096 - 1).unwrap();
+        let mut state = 0x9E37_u64;
+        for values in [10, 100, 300, 1_000, 2_000, 4_000, 6_000, 9_000, 12_288] {
+            let v = int_view(
+                (0..values)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1);
+                        ((state >> 33) % (3 * 4_096)) as i64
+                    })
+                    .collect(),
+            );
+            let bytes =
+                |s: &DistinctSketch| s.summarize(&v, Scope::ALL, 0).unwrap().to_bytes().len();
+            let (set, registers) = (bytes(&exact), bytes(&hll));
+            assert!(set <= 1_536 + 6, "{values}: {set}");
+            assert!(4 * set <= 5 * registers, "{values}: {set} > {registers}");
+            if values >= 4_000 {
+                assert!(set <= registers, "{values}: {set} > {registers}");
+            }
+        }
     }
 
     #[test]

@@ -219,12 +219,12 @@ fn distinct_is_total_and_canonical() {
     // Padding bits: eleven alternating bits, raw, and a set bit past them.
     assert!(DistinctSummary::from_bytes(exact_frame(12, 0, 11, &[0, 0x55, 0x05]).into()).is_ok());
     refused::<DistinctSummary>("padding bit", &exact_frame(12, 0, 11, &[0, 0x55, 0x0D]));
-    // A domain past the registers' bits, empty, or past `i64`.
-    assert!(DistinctSummary::from_bytes(exact_frame(4, 0, 96, &runs(&[96])).into()).is_ok());
-    refused::<DistinctSummary>("97 values at p = 4", &exact_frame(4, 0, 97, &runs(&[97])));
+    // A domain past three values a register, empty, or past `i64`.
+    assert!(DistinctSummary::from_bytes(exact_frame(4, 0, 48, &runs(&[48])).into()).is_ok());
+    refused::<DistinctSummary>("49 values at p = 4", &exact_frame(4, 0, 49, &runs(&[49])));
     refused::<DistinctSummary>(
-        "24 577 values at p = 12",
-        &exact_frame(12, 0, 24_577, &runs(&[24_577])),
+        "12 289 values at p = 12",
+        &exact_frame(12, 0, 12_289, &runs(&[12_289])),
     );
     refused::<DistinctSummary>("an empty domain", &exact_frame(12, 0, 0, &[0]));
     assert!(DistinctSummary::from_bytes(exact_frame(12, i64::MAX - 1, 2, &[0, 0]).into()).is_ok());
@@ -240,12 +240,12 @@ fn distinct_is_total_and_canonical() {
     // A refused spelling of the widest domain allocates nothing its size.
     bomb::<DistinctSummary>(
         "p = 16, runs short",
-        &exact_frame(16, 0, 6 << 16, &runs(&[0, 1])),
+        &exact_frame(16, 0, 3 << 16, &runs(&[0, 1])),
         4 << 10,
     );
     bomb::<DistinctSummary>(
         "p = 16, raw cut short",
-        &exact_frame(16, 0, 6 << 16, &[0, 0]),
+        &exact_frame(16, 0, 3 << 16, &[0, 0]),
         4 << 10,
     );
 
